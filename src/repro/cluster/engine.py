@@ -19,8 +19,9 @@ Envelope kinds:
   atomically inside one envelope: arrivals come from trace times, so batch
   composition is identical on every transport (the scheduler never gets a
   vote).
-- ``mutate`` — one serializable planner command, applied to the engine's
-  own spec copy.  The graph mutation fires the server's invalidation hook
+- ``mutate`` — one serializable planner command (an arrival, or the delta
+  an ``add_edges`` left this shard missing), applied to the engine's own
+  spec copy.  The graph mutation fires the server's invalidation hook
   exactly as on a whole-graph server.  FIFO envelope order makes this a
   barrier between the serve envelopes around it.
 - ``telemetry`` / ``metrics`` / ``serving_state`` — snapshot pulls, all

@@ -514,14 +514,18 @@ class SocketTransport(Transport):
             pendings = list(self._pending.values())
             self._pending.clear()
             self._hb_sent.clear()
-        for pending in pendings:
-            pending.deliver(self._down_reply(pending._seq, down))
-        if not self._ready_event.is_set():
-            self._ready_reply = self._down_reply(READY_SEQ, down)
-            self._ready_event.set()
         self._close_socket()
-        if self._on_down is not None and not self._stopping:
-            self._on_down(self.shard_id, reason, detail)
+        # Notify, then release: a caller woken by its WorkerDown reply goes
+        # straight to the supervisor, which must already have heard.
+        try:
+            if self._on_down is not None and not self._stopping:
+                self._on_down(self.shard_id, reason, detail)
+        finally:
+            for pending in pendings:
+                pending.deliver(self._down_reply(pending._seq, down))
+            if not self._ready_event.is_set():
+                self._ready_reply = self._down_reply(READY_SEQ, down)
+                self._ready_event.set()
 
     def _close_socket(self) -> None:
         sock = self._sock
@@ -917,7 +921,11 @@ class MutationLogHorizonError(RuntimeError):
 class MutationLog:
     """Bounded record of fanned-out mutation commands, for catch-up replay.
 
-    Entries are keyed by the *global* graph version after the mutation
+    The commands are deltas (an arrival's rows, the edges and feature rows
+    an ``add_edges`` left a shard missing), so an entry weighs what the
+    write did, not what the shard holds, and replaying them in order onto
+    a baseline rebuilds the shard exactly.  Entries are keyed by the
+    *global* graph version after the mutation
     (one mutation = one version bump, so versions are consecutive).  When
     capacity evicts an entry, the per-shard horizon advances: a shard whose
     baseline predates its horizon can no longer be replayed exactly —

@@ -19,18 +19,20 @@ ordering).  Because :meth:`HeteroGraph._rebuild_csr` sorts edges with a
 *stable* argsort on the source column, filtering the global CSR arrays by a
 source mask preserves every surviving adjacency list verbatim — same
 neighbors, same order — so seeded neighbor sampling draws identical indices
-on the shard and on the whole graph.  Zeroing non-halo features is not an
-optimization (the arrays keep their global shape); it is the *proof of
-locality*: if an owned request ever read outside its halo, the shard would
-visibly diverge from the whole-graph server, and the equivalence tests
-would catch it.
+on the shard and on the whole graph.  :meth:`HeteroGraph.append_edges`
+keeps that layout under streaming writes (a new edge lands at the end of
+its source's list on the shard exactly as on the whole graph).  Zeroing
+non-halo features is not an optimization (the arrays keep their global
+shape); it is the *proof of locality*: if an owned request ever read
+outside its halo, the shard would visibly diverge from the whole-graph
+server, and the equivalence tests would catch it.
 
 Ownership is a :func:`repro.graph.partition.partition_graph` partition
 (balanced, low edge cut — fewer cut edges means smaller halos and fewer
-boundary-crossing requests).  The plan also precomputes, per shard, the
-``touches_halo`` mask — owned nodes within ``reach`` out-hops of a
-non-owned node — which the router uses to count boundary-crossing requests
-without any per-request BFS.
+boundary-crossing requests).  The plan also keeps, per shard and on the
+router side only, the ``touches_halo`` mask — owned nodes within ``reach``
+out-hops of a non-owned node — which the router uses to count
+boundary-crossing requests without any per-request BFS.
 
 Since the transport refactor, shard state crosses a **message boundary**:
 
@@ -42,10 +44,19 @@ Since the transport refactor, shard state crosses a **message boundary**:
 - Streaming mutations propagate as serializable **commands**
   (:class:`AddNodesCommand` / :class:`RefreshCommand`) instead of Python
   closures.  The plan applies each command to its own router-side mirror
-  spec (so routing masks and the next refresh diff stay current) and the
-  router ships the identical command to the shard engine, which applies it
-  to its independent copy — the two sides stay aligned because they replay
-  the same command stream.
+  spec and the router ships the identical command to the shard engine,
+  which applies it to its independent copy — the two sides stay aligned
+  because they replay the same command stream.
+
+**Cost of a write.**  Edges are only ever added, so a shard's closure and
+halo only ever grow, and a write reaches a shard as a *delta*: the appended
+edges whose source already sat in the closure, the full adjacency lists of
+the sources that just entered it, feature rows for the nodes that just
+entered the halo, and the global changed-sources.  Which nodes entered is
+read off per-shard hop distances from the owned set
+(:func:`repro.graph.halo.out_hops`), kept on the mirror spec and relaxed
+from the new edges — no BFS, no edge-set diff, no re-shipped snapshot.  A
+command is O(new edges + newly reached lists), not O(|E| + |halo|·d₀).
 """
 
 from __future__ import annotations
@@ -55,7 +66,14 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.graph import HeteroGraph, k_hop_in, k_hop_out
+from repro.graph import HeteroGraph, MutationEvent
+from repro.graph.halo import (
+    in_hops,
+    out_edge_slots,
+    out_hops,
+    relax_in_hops,
+    relax_out_hops,
+)
 from repro.graph.partition import edge_cut, partition_graph
 
 
@@ -78,22 +96,25 @@ class AddNodesCommand:
 
 @dataclass
 class RefreshCommand:
-    """Serializable applier bringing a shard up to date with the global
-    edge set after ``add_edges`` moved its materialized closure.
+    """Serializable *delta* bringing a shard up to date after ``add_edges``.
 
-    Carries the shard's full new edge arrays, the refreshed halo (ids +
-    feature rows) and routing masks, plus the *global* ``changed_sources``
-    so the shard server's reverse-BFS bumps exactly the frontier a
-    whole-graph server would.
+    ``src`` / ``dst`` / ``edge_types`` are the edges the shard is missing,
+    each to be appended to its source's adjacency list: the appended global
+    edges whose source already lay in the closure (batch order), then the
+    complete lists of ``new_closure`` — sources the write pulled into the
+    closure, of which the shard held nothing yet.  ``new_halo`` are the
+    nodes pulled into the halo, with their feature rows (an arrival that a
+    foreign shard took as zeros gets its real features here).  The *global*
+    ``changed_sources`` make the shard server's reverse-BFS bump exactly
+    the frontier a whole-graph server would.
     """
 
     src: np.ndarray
     dst: np.ndarray
     edge_types: np.ndarray
-    closure_sources: np.ndarray
-    halo: np.ndarray
-    halo_features: Optional[np.ndarray]
-    touches_halo: np.ndarray
+    new_closure: np.ndarray
+    new_halo: np.ndarray
+    new_halo_features: Optional[np.ndarray]
     changed_sources: np.ndarray
 
 
@@ -107,10 +128,14 @@ class ShardSpec:
     All node ids are **global** ids; ``graph`` spans the full id space with
     edges restricted to ``closure_sources`` and features zeroed outside
     ``halo``.  Two instances of a spec exist at runtime: the plan's
-    router-side mirror (routing masks, refresh diffs) and the engine's
-    working copy (rebuilt from :meth:`to_payload` behind the transport) —
-    both advance by applying the same :class:`MutationCommand` stream via
-    :meth:`apply`.
+    router-side mirror and the engine's working copy (rebuilt from
+    :meth:`to_payload` behind the transport) — both advance by applying the
+    same :class:`MutationCommand` stream via :meth:`apply`.
+
+    The last three fields are router-side state the plan maintains on the
+    mirror only (``None`` on an engine's copy; they never cross the wire):
+    the routing mask and the two capped hop-distance arrays it and the
+    delta commands are derived from.
     """
 
     shard_id: int
@@ -118,7 +143,9 @@ class ShardSpec:
     closure_sources: np.ndarray
     halo: np.ndarray
     graph: HeteroGraph
-    touches_halo: np.ndarray  # bool mask over the global id space
+    touches_halo: Optional[np.ndarray] = None  # bool mask, global id space
+    owned_hops: Optional[np.ndarray] = None  # out-hops from the owned set
+    foreign_hops: Optional[np.ndarray] = None  # out-hops to a non-owned node
 
     @property
     def num_owned(self) -> int:
@@ -162,7 +189,6 @@ class ShardSpec:
             "owned": self.owned,
             "closure_sources": self.closure_sources,
             "halo": self.halo,
-            "touches_halo": self.touches_halo,
             "node_types": graph.node_types,
             "src": graph._src,
             "dst": graph.indices,
@@ -216,7 +242,6 @@ class ShardSpec:
             closure_sources=payload["closure_sources"].copy(),
             halo=payload["halo"].copy(),
             graph=graph,
-            touches_halo=payload["touches_halo"].copy(),
         )
 
     # ------------------------------------------------------------------
@@ -249,30 +274,33 @@ class ShardSpec:
                 f"shard {self.shard_id} id space diverged: appended "
                 f"{got}, global appended {command.expected_ids}"
             )
-        grown = np.zeros(self.graph.num_nodes, dtype=bool)
-        grown[: self.touches_halo.size] = self.touches_halo
-        self.touches_halo = grown
         if command.is_owner:
             # Isolated arrivals: owned and in-halo by definition (depth-0
             # reachability), crossing nothing yet.
             self.owned = np.concatenate([self.owned, command.expected_ids])
-            self.closure_sources = np.union1d(
+            self.closure_sources = _merge_sorted(
                 self.closure_sources, command.expected_ids
             )
-            self.halo = np.union1d(self.halo, command.expected_ids)
+            self.halo = _merge_sorted(self.halo, command.expected_ids)
 
     def _apply_refresh(self, command: RefreshCommand) -> None:
-        if command.halo_features is not None:
-            self.graph.features[command.halo] = command.halo_features
-        self.closure_sources = command.closure_sources
-        self.halo = command.halo
-        self.touches_halo = command.touches_halo
-        self.graph.replace_edges(
+        if command.new_halo_features is not None:
+            self.graph.features[command.new_halo] = command.new_halo_features
+        self.closure_sources = _merge_sorted(
+            self.closure_sources, command.new_closure
+        )
+        self.halo = _merge_sorted(self.halo, command.new_halo)
+        self.graph.append_edges(
             command.src,
             command.dst,
             command.edge_types,
             changed_sources=command.changed_sources,
         )
+
+
+def _merge_sorted(ids: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Union of two sorted, disjoint id arrays, without re-sorting."""
+    return np.insert(ids, np.searchsorted(ids, new), new)
 
 
 def _shard_edge_arrays(graph: HeteroGraph, closure_sources: np.ndarray):
@@ -298,20 +326,6 @@ def _masked_features(graph: HeteroGraph, halo: np.ndarray) -> Optional[np.ndarra
     features = np.zeros_like(graph.features)
     features[halo] = graph.features[halo]
     return features
-
-
-def _touches_halo_mask(graph: HeteroGraph, owned: np.ndarray, reach: int) -> np.ndarray:
-    """Owned nodes whose ``reach``-hop neighborhood leaves the owned set."""
-    owned_mask = np.zeros(graph.num_nodes, dtype=bool)
-    owned_mask[owned] = True
-    foreign = np.flatnonzero(~owned_mask)
-    mask = np.zeros(graph.num_nodes, dtype=bool)
-    if foreign.size == 0:
-        return mask
-    crossers = k_hop_in(graph, foreign, reach)
-    mask[crossers] = True
-    mask &= owned_mask
-    return mask
 
 
 class ShardPlanner:
@@ -369,8 +383,13 @@ class ShardPlanner:
 
     def _build_shard(self, shard_id: int, owned: np.ndarray) -> ShardSpec:
         graph = self.graph
-        closure_sources = k_hop_out(graph, owned, self.reach - 1)
-        halo = k_hop_out(graph, owned, self.reach)
+        owned_hops = out_hops(graph, owned, self.reach)
+        closure_sources = np.flatnonzero(owned_hops < self.reach)
+        halo = np.flatnonzero(owned_hops <= self.reach)
+        # An owned node touches the halo when some non-owned node lies
+        # within ``reach`` out-hops of it.
+        foreign_hops = in_hops(graph, np.flatnonzero(owned_hops > 0), self.reach)
+        touches_halo = (owned_hops == 0) & (foreign_hops <= self.reach)
         src, dst, etypes = _shard_edge_arrays(graph, closure_sources)
         shard_graph = HeteroGraph(
             node_types=graph.node_types.copy(),
@@ -394,7 +413,9 @@ class ShardPlanner:
             closure_sources=closure_sources,
             halo=halo,
             graph=shard_graph,
-            touches_halo=_touches_halo_mask(graph, owned, self.reach),
+            touches_halo=touches_halo,
+            owned_hops=owned_hops,
+            foreign_hops=foreign_hops,
         )
 
 
@@ -406,9 +427,9 @@ class ClusterPlan:
     how to propagate a change from the global graph into each shard: which
     shards are affected at all, and what serializable command brings them
     up to date.  Command builders apply each command to the plan's own
-    mirror spec immediately (routing masks and the next refresh diff stay
-    current) and return it for the router to ship to the shard engine —
-    the engine's copy replays the identical command behind the transport.
+    mirror spec immediately (routing masks and hop distances stay current)
+    and return it for the router to ship to the shard engine — the
+    engine's copy replays the identical command behind the transport.
     """
 
     global_graph: HeteroGraph
@@ -470,13 +491,14 @@ class ClusterPlan:
         Every shard appends the same ids (the global id space must stay
         aligned), but only the owner receives real features — for everyone
         else the arrivals are outside the halo until some edge pulls them
-        in, at which point :meth:`refresh_command` re-materializes features.
+        in, at which point :meth:`refresh_command` ships their features.
         ``HeteroGraph.add_nodes`` fires an ``add_nodes`` event on each shard
         graph, so per-shard servers bump exactly the new ids — the same
         no-drop invalidation a whole-graph server performs.
         """
         new_ids = np.asarray(new_ids, dtype=np.int64)
         zeros = None if features is None else np.zeros_like(np.atleast_2d(features))
+        far = self.reach + 1
         commands = []
         for spec in self.shards:
             is_owner = spec.shard_id == owner
@@ -489,6 +511,17 @@ class ClusterPlan:
                 is_owner=is_owner,
             )
             spec.apply(command)  # keep the router-side mirror current
+            # Isolated arrivals: at depth 0 for their owner, out of every
+            # other shard's reach, and foreign to everyone but the owner.
+            spec.touches_halo = np.append(
+                spec.touches_halo, np.zeros(new_ids.size, dtype=bool)
+            )
+            spec.owned_hops = np.append(
+                spec.owned_hops, np.full(new_ids.size, 0 if is_owner else far)
+            )
+            spec.foreign_hops = np.append(
+                spec.foreign_hops, np.full(new_ids.size, far if is_owner else 0)
+            )
             commands.append(command)
         self.owner_of = np.concatenate(
             [self.owner_of, np.full(new_ids.size, owner, dtype=np.int64)]
@@ -496,18 +529,22 @@ class ClusterPlan:
         return commands
 
     def refresh_command(
-        self, spec: ShardSpec, changed_sources: np.ndarray
+        self, spec: ShardSpec, event: MutationEvent
     ) -> Optional[RefreshCommand]:
-        """Command bringing ``spec`` up to date with the global edge set.
+        """Delta command bringing ``spec`` up to date with an ``add_edges``
+        event that already landed on the global graph.
 
-        Returns ``None`` when the shard's materialized edges are unchanged
-        — the adjacency lists inside its closure did not move, hence (by
+        Returns ``None`` when no appended edge starts inside the shard's
+        closure: the adjacency lists it materializes did not move and no
+        hop distance from its owned set can have dropped, hence (by
         path-locality) no owned node's served embedding can observe the
         mutation, and the shard is skipped without any envelope at all.
 
-        Otherwise the command refreshes halo features, swaps the edge set
-        in one :meth:`HeteroGraph.replace_edges` call and reports the
-        *global* ``changed_sources``: the shard server's reverse-BFS then
+        Otherwise the spec's hop distances are relaxed from the new edges;
+        what dropped to ``< reach`` just entered the closure, what dropped
+        to ``<= reach`` just entered the halo (both only ever grow — edges
+        are never removed).  The command carries those deltas and the
+        *global* changed-sources: the shard server's reverse-BFS then
         bumps ``frontier ∩ owned`` exactly as a whole-graph server does
         (every ``<= reach-1``-hop path from an owned node to a changed
         source runs inside the closure, so shard-local reachability agrees
@@ -515,29 +552,31 @@ class ClusterPlan:
         one bump — the version counters stay aligned with the
         single-server timeline.
         """
-        graph = self.global_graph
-        closure_sources = k_hop_out(graph, spec.owned, self.reach - 1)
-        halo = k_hop_out(graph, spec.owned, self.reach)
-        src, dst, etypes = _shard_edge_arrays(graph, closure_sources)
-        unchanged = (
-            src.size == spec.graph.num_edges
-            and np.array_equal(src, spec.graph._src)
-            and np.array_equal(dst, spec.graph.indices)
-            and np.array_equal(etypes, spec.graph.edge_type_of)
-        )
-        if unchanged:
+        graph, reach = self.global_graph, self.reach
+        src, dst, edge_types = event.edges
+        hops = spec.owned_hops
+        in_closure = hops[src] < reach
+        if not in_closure.any():
             return None
+        before = hops.copy()
+        lowered = relax_out_hops(graph, hops, src, dst, reach)
+        new_closure = lowered[(before[lowered] >= reach) & (hops[lowered] < reach)]
+        new_halo = lowered[before[lowered] > reach]
+        crossers = relax_in_hops(graph, spec.foreign_hops, src, dst, reach)
+        spec.touches_halo[crossers[self.owner_of[crossers] == spec.shard_id]] = True
+        entered_src, slots = out_edge_slots(graph, new_closure)
         command = RefreshCommand(
-            src=src,
-            dst=dst,
-            edge_types=etypes,
-            closure_sources=closure_sources,
-            halo=halo,
-            halo_features=(
-                None if graph.features is None else graph.features[halo]
+            src=np.concatenate([src[in_closure], entered_src]),
+            dst=np.concatenate([dst[in_closure], graph.indices[slots]]),
+            edge_types=np.concatenate(
+                [edge_types[in_closure], graph.edge_type_of[slots]]
             ),
-            touches_halo=_touches_halo_mask(graph, spec.owned, self.reach),
-            changed_sources=np.asarray(changed_sources, dtype=np.int64),
+            new_closure=new_closure,
+            new_halo=new_halo,
+            new_halo_features=(
+                None if graph.features is None else graph.features[new_halo]
+            ),
+            changed_sources=event.sources,
         )
         spec.apply(command)  # keep the router-side mirror current
         return command

@@ -693,24 +693,25 @@ class ClusterRouter:
     def add_edges(self, edge_type: str, src, dst, symmetric: bool = True) -> None:
         """Streaming edge arrival, propagated to *affected* shards only.
 
-        The edges land on the global graph first; the plan diffs each
-        shard's materialized edge set against it, and shards whose closure
-        did not move are skipped outright — no envelope, no event, caches
-        fully warm.  Affected shards replay one serializable refresh
-        command carrying the global changed-sources, so their servers
-        invalidate exactly the frontier a whole-graph server would.
+        The edges are spliced into the global graph first; the plan relaxes
+        each shard's hop distances from them, and shards with no new edge
+        inside their closure are skipped outright — no envelope, no event,
+        caches fully warm.  Affected shards replay one serializable delta
+        command (the edges and feature rows they are missing) carrying the
+        global changed-sources, so their servers invalidate exactly the
+        frontier a whole-graph server would.
         """
         self._check_open()
+        version = self.graph.version
         self.graph.add_edges(edge_type, src, dst, symmetric=symmetric)
+        if self.graph.version == version:
+            return  # empty batch: nothing landed, nothing to fan out
         event = self.graph.last_mutation
-        changed_sources = (
-            event.sources if event is not None else np.empty(0, np.int64)
-        )
         if self.fleet is not None:
             self.fleet.before_mutation()
         jobs = []
         for spec in self.plan.shards:
-            command = self.plan.refresh_command(spec, changed_sources)
+            command = self.plan.refresh_command(spec, event)
             if command is not None:
                 jobs.append((spec.shard_id, command))
         if self.fleet is not None:

@@ -18,6 +18,9 @@ keep the type vocabularies fixed (the model's edge-type embedding tables
 are sized at training time), bump the monotone :attr:`version` counter and
 fire registered mutation hooks — the invalidation signal for anything that
 caches per-node derived state (embedding caches, sampled neighbor stores).
+A write is an edit to the layout, not a rebuild of it: edges are spliced
+into the CSR at the end of their source's list and feature rows append
+into spare buffer capacity, so a mutation costs O(what arrived).
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class MutationEvent:
     - ``"add_edges"`` — ``sources`` holds every node whose out-edge list
       grew (for symmetric insertion that is both endpoints).  Anything whose
       sampled neighborhood can reach a changed list within the model's walk
-      depth must recompute; everything else stays valid.
+      depth must recompute; everything else stays valid.  ``edges`` holds
+      the appended ``(src, dst, edge_types)`` arrays in application order —
+      what a replica needs to apply the same mutation as a delta.
     - ``"rewire"`` — a structural rebuild with unknown extent; consumers
       must fall back to full invalidation unless ``sources`` narrows it.
     """
@@ -51,6 +56,7 @@ class MutationEvent:
     kind: str
     nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     sources: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    edges: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 class HeteroGraph:
@@ -94,7 +100,14 @@ class HeteroGraph:
         self.edge_type_names = list(edge_type_names)
         self.num_node_types = len(self.node_type_names)
         self.num_edge_types = len(self.edge_type_names)
-        self.features = None if features is None else np.asarray(features, dtype=np.float64)
+        # ``features`` is the leading view of an owned buffer with spare
+        # rows, so arrivals append in place (see _append_feature_rows).
+        self.features: Optional[np.ndarray] = None
+        self._feature_buffer: Optional[np.ndarray] = None
+        if features is not None:
+            features = np.asarray(features, dtype=np.float64)
+            self.features = features[:0]
+            self._append_feature_rows(features)
         self.labels = (
             np.full(self.num_nodes, -1, dtype=np.int64)
             if labels is None
@@ -113,8 +126,9 @@ class HeteroGraph:
     def _rebuild_csr(
         self, src: np.ndarray, dst: np.ndarray, edge_types: np.ndarray
     ) -> None:
-        """(Re)build the CSR arrays from COO edges; used by ``__init__`` and
-        by the streaming mutation path."""
+        """(Re)build the CSR arrays from COO edges (``__init__`` and
+        :meth:`replace_edges`); :meth:`append_edges` reproduces this layout
+        bit for bit without the full sort."""
         self.num_edges = int(src.shape[0])
         # Build CSR: sort edges by source, then cumulative counts.
         order = np.argsort(src, kind="stable")
@@ -229,7 +243,7 @@ class HeteroGraph:
         )
         self.num_nodes += count
         if self.features is not None:
-            self.features = np.concatenate([self.features, features])
+            self._append_feature_rows(features)
         self.labels = np.concatenate([self.labels, labels])
         # New nodes start isolated: extend indptr with the terminal offset.
         self.indptr = np.concatenate(
@@ -238,6 +252,21 @@ class HeteroGraph:
         new_ids = np.arange(start, start + count, dtype=np.int64)
         self._fire_mutation(MutationEvent(kind="add_nodes", nodes=new_ids))
         return new_ids
+
+    def _append_feature_rows(self, rows: np.ndarray) -> None:
+        """Append to ``features`` in amortized O(rows): the matrix lives in
+        a buffer twice its size (untouched spare pages cost no memory), so
+        an arrival writes its rows instead of re-copying ``(n, d0)``.
+        Earlier views of ``features`` stay valid; they just end sooner."""
+        held = self.features.shape[0]
+        need = held + rows.shape[0]
+        buffer = self._feature_buffer
+        if buffer is None or self.features.base is not buffer or buffer.shape[0] < need:
+            buffer = np.empty((2 * need, rows.shape[1]))
+            buffer[:held] = self.features
+            self._feature_buffer = buffer
+        buffer[held:need] = rows
+        self.features = buffer[:need]
 
     def add_edges(
         self,
@@ -261,37 +290,55 @@ class HeteroGraph:
             raise ValueError(f"src/dst shapes differ: {src.shape} vs {dst.shape}")
         if src.size == 0:
             return
-        if src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= self.num_nodes:
-            raise IndexError(f"edge endpoints out of range [0, {self.num_nodes})")
         if np.any(src == dst):
             raise ValueError("explicit self-loop edges are not allowed")
         if symmetric:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        all_src = np.concatenate([self._src, src])
-        all_dst = np.concatenate([self.indices, dst])
-        all_etype = np.concatenate(
-            [self.edge_type_of, np.full(src.shape, etype_id, dtype=np.int64)]
-        )
-        self._rebuild_csr(all_src, all_dst, all_etype)
-        self._fire_mutation(
-            MutationEvent(kind="add_edges", sources=np.unique(src))
-        )
+        self.append_edges(src, dst, np.full(src.shape, etype_id, dtype=np.int64))
 
-    def replace_edges(
+    def append_edges(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         edge_types: np.ndarray,
         changed_sources: Optional[np.ndarray] = None,
     ) -> None:
-        """Swap the entire edge set in place (sharded-serving halo repair).
+        """Splice already-typed directed edges into the CSR in place.
 
-        Unlike :meth:`add_edges` this may rewrite any adjacency list, so it
-        fires a ``"rewire"`` mutation event.  ``changed_sources`` — the node
-        ids whose out-edge lists actually differ from before — lets
-        fine-grained consumers invalidate only the affected reach; when
-        omitted, consumers must assume everything changed.
+        Each edge lands at the end of its source's adjacency list, edges of
+        one source in batch order — exactly where a stable-argsort rebuild
+        of ``concat(old, new)`` would put them, at the cost of one stable
+        sort of the *batch* instead of the whole edge set.  The arrays are
+        replaced, never written into, so references handed out earlier
+        (shard payloads, rebuild baselines) keep their snapshot.
+
+        Fires one ``"add_edges"`` event.  ``changed_sources`` overrides its
+        ``sources``: a shard replica splices only the part of a global
+        batch that lies in its closure, yet must invalidate the frontier
+        of the whole batch to stay aligned with a whole-graph server.
         """
+        src, dst, edge_types = self._checked_edges(src, dst, edge_types)
+        order = np.argsort(src, kind="stable")
+        sorted_src = src[order]
+        at = self.indptr[sorted_src + 1]
+        self.indices = np.insert(self.indices, at, dst[order])
+        self.edge_type_of = np.insert(self.edge_type_of, at, edge_types[order])
+        self._src = np.insert(self._src, at, sorted_src)
+        grown = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sorted_src, minlength=self.num_nodes), out=grown[1:])
+        self.indptr = self.indptr + grown
+        self.num_edges += int(src.size)
+        sources = src if changed_sources is None else changed_sources
+        self._fire_mutation(
+            MutationEvent(
+                kind="add_edges",
+                sources=np.unique(np.asarray(sources, dtype=np.int64)),
+                edges=(src, dst, edge_types),
+            )
+        )
+
+    def _checked_edges(self, src, dst, edge_types):
+        """Typed COO edges as int64 arrays, shapes and id range validated."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         edge_types = np.asarray(edge_types, dtype=np.int64)
@@ -302,6 +349,24 @@ class HeteroGraph:
             or max(src.max(), dst.max()) >= self.num_nodes
         ):
             raise IndexError(f"edge endpoints out of range [0, {self.num_nodes})")
+        return src, dst, edge_types
+
+    def replace_edges(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        edge_types: np.ndarray,
+        changed_sources: Optional[np.ndarray] = None,
+    ) -> None:
+        """Swap the entire edge set in place (a full CSR rebuild).
+
+        Unlike :meth:`add_edges` this may rewrite any adjacency list, so it
+        fires a ``"rewire"`` mutation event.  ``changed_sources`` — the node
+        ids whose out-edge lists actually differ from before — lets
+        fine-grained consumers invalidate only the affected reach; when
+        omitted, consumers must assume everything changed.
+        """
+        src, dst, edge_types = self._checked_edges(src, dst, edge_types)
         self._rebuild_csr(src, dst, edge_types)
         event = MutationEvent(kind="rewire")
         if changed_sources is not None:

@@ -76,28 +76,36 @@ class EmbeddingCache:
         entry from *other* versions — the mutation-hook fast path).
         ``nodes`` drops all versions of the given ids.
         """
-        if nodes is None:
-            if keep_version is None:
-                victims = list(self._entries)
-            else:
-                victims = [key for key in self._entries if key[1] != keep_version]
-        else:
-            ids = {int(node) for node in nodes}
-            victims = [key for key in self._entries if key[0] in ids]
-        for key in victims:
-            del self._entries[key]
-            self.node_invalidations[key[0]] += 1
-        self.invalidations += len(victims)
-        return len(victims)
+        if nodes is not None:
+            return self.invalidate_nodes(nodes)
+        if keep_version is None:
+            return self._drop(list(self._entries))
+        return self._drop([key for key in self._entries if key[1] != keep_version])
 
     def invalidate_nodes(self, nodes: Iterable[int]) -> int:
         """Drop every resident entry of the given node ids; returns count.
 
         The fine-grained invalidation path: a mutation hook passes the k-hop
         frontier of the change and everything outside it stays warm.  Each
-        dropped entry is recorded in :attr:`node_invalidations`.
+        dropped entry is recorded in :attr:`node_invalidations`.  The
+        resident keys (at most ``capacity``) are tested against ``nodes``
+        in one vectorized membership check, so the cost does not grow with
+        a frontier that spans most of the graph.
         """
-        return self.invalidate(nodes=nodes)
+        keys = list(self._entries)
+        if not isinstance(nodes, np.ndarray):
+            nodes = np.fromiter(nodes, dtype=np.int64)
+        resident = np.fromiter((key[0] for key in keys), np.int64, len(keys))
+        return self._drop(
+            [keys[i] for i in np.flatnonzero(np.isin(resident, nodes))]
+        )
+
+    def _drop(self, victims) -> int:
+        for key in victims:
+            del self._entries[key]
+            self.node_invalidations[key[0]] += 1
+        self.invalidations += len(victims)
+        return len(victims)
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses

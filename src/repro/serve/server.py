@@ -25,9 +25,13 @@ reach (``WidenConfig.serving_reach``): a mutation's
 :class:`~repro.graph.MutationEvent` names the adjacency lists that changed,
 the reverse-BFS :func:`~repro.graph.halo.mutation_frontier` bounds which
 embeddings could observe the change, and only those nodes are bumped and
-dropped from the cache — the rest of the working set stays warm.  Mutations
-without an event (or classifiers without a declared reach) fall back to the
-original behavior: a global epoch bump that drops everything.
+dropped from the cache — the rest of the working set stays warm.  The
+bookkeeping is array work, not a loop over the frontier (which is most of
+the graph at a deep reach): one fancy-indexed increment of the per-node
+bump array, the cache's resident keys tested against the frontier, one
+vectorized store-version lookup.  Mutations without an event (or
+classifiers without a declared reach) fall back to the original behavior:
+a global epoch bump that drops everything.
 
 One server is single-threaded by design (the batcher amortizes per-call
 overhead, it does not juggle OS threads); concurrency comes from running
@@ -174,7 +178,7 @@ class InferenceServer:
         # counts the fine-grained mutations whose frontier reached the node.
         self._version_base = graph.version
         self._epoch = 0
-        self._node_bumps: Dict[int, int] = {}
+        self._node_bumps = np.zeros(graph.num_nodes, dtype=np.int64)
         self._serving_reach = (
             serving_reach_of(classifier) if self._identity_free else None
         )
@@ -243,7 +247,10 @@ class InferenceServer:
         return {
             "version_base": int(self._version_base),
             "epoch": int(self._epoch),
-            "node_bumps": {int(k): int(v) for k, v in self._node_bumps.items()},
+            "node_bumps": {
+                int(node): int(self._node_bumps[node])
+                for node in np.flatnonzero(self._node_bumps)
+            },
             "graph_version": int(self.graph.version),
         }
 
@@ -256,9 +263,9 @@ class InferenceServer:
         """
         self._version_base = int(state["version_base"])
         self._epoch = int(state["epoch"])
-        self._node_bumps = {
-            int(k): int(v) for k, v in dict(state["node_bumps"]).items()
-        }
+        self._node_bumps = np.zeros(self.graph.num_nodes, dtype=np.int64)
+        for node, bumps in dict(state["node_bumps"]).items():
+            self._node_bumps[int(node)] = int(bumps)
         self.cache.invalidate()
 
     # ------------------------------------------------------------------
@@ -374,7 +381,7 @@ class InferenceServer:
 
     def _version_of(self, node: int) -> int:
         """The node's serving version: rng seed component and cache key."""
-        return self._version_base + self._epoch + self._node_bumps.get(int(node), 0)
+        return self._version_base + self._epoch + int(self._node_bumps[node])
 
     def metrics_registry_snapshot(self) -> MetricsRegistry:
         """The registry's series plus point-in-time serving state.
@@ -429,6 +436,11 @@ class InferenceServer:
 
     def _on_graph_mutation(self, graph: HeteroGraph) -> None:
         event = graph.last_mutation
+        arrived = graph.num_nodes - self._node_bumps.size
+        if arrived > 0:
+            self._node_bumps = np.concatenate(
+                [self._node_bumps, np.zeros(arrived, dtype=np.int64)]
+            )
         if self._identity_free and self._serving_reach is not None and event is not None:
             if event.kind == "add_nodes":
                 # Appended nodes start isolated: no existing adjacency list
@@ -443,9 +455,7 @@ class InferenceServer:
             else:
                 frontier = None  # rewire of unknown extent
             if frontier is not None:
-                for node in frontier:
-                    node = int(node)
-                    self._node_bumps[node] = self._node_bumps.get(node, 0) + 1
+                self._node_bumps[frontier] += 1  # ids are unique
                 dropped = self.cache.invalidate_nodes(frontier)
                 self.telemetry.record_invalidation(
                     frontier_size=int(len(frontier)),
@@ -480,7 +490,7 @@ class InferenceServer:
         """
         if self.store is None:
             return
-        stale = sum(1 for node in frontier if self.store.has(int(node)))
+        stale = int((self.store.versions_of(frontier) >= 0).sum())
         if stale:
             self.telemetry.registry.counter(
                 "serve_store_invalidated_rows_total", reason="frontier"
@@ -572,7 +582,7 @@ class InferenceServer:
         """
         store = self.store
         nodes_arr = np.asarray(nodes, np.int64)
-        want = np.array([self._version_of(node) for node in nodes], np.int64)
+        want = self._version_base + self._epoch + self._node_bumps[nodes_arr]
         have = store.versions_of(nodes_arr)
         fresh_mask = have == want
         hit = int(fresh_mask.sum())

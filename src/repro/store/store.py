@@ -98,7 +98,7 @@ class AggregateStore:
 
     ``node_ids=None`` means the dense full-graph layout (block ``i`` holds
     node ``i``); a cluster shard's slice carries an explicit id array and
-    resolves through a position map.  :meth:`refresh` never touches the
+    resolves through an id-indexed position table.  :meth:`refresh` never touches the
     (read-only, possibly mmap'd) base arrays — re-materialized rows live
     in an in-memory overlay consulted first by every lookup.
     """
@@ -118,25 +118,45 @@ class AggregateStore:
         self._node_ids = (
             None if node_ids is None else np.asarray(node_ids, np.int64)
         )
-        if self._node_ids is None:
-            self._positions: Optional[Dict[int, int]] = None
-        else:
-            self._positions = {
-                int(node): position
-                for position, node in enumerate(self._node_ids)
-            }
         # node -> (version, block, lengths): rows re-materialized since
         # open, kept in encoded block form so the serving hot path reads
         # overlay and base entries identically.
         self._overlay: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
+        # Id-indexed lookup tables, so a whole frontier resolves in one
+        # fancy-indexed read: the version of the row currently serving each
+        # node (overlay over base, -1: none; grown by :meth:`refresh` for
+        # arrivals) and, for a slice, each node's base position (-1: none).
+        self._base_position: Optional[np.ndarray] = None
+        if self._node_ids is None:
+            self._current_versions = np.array(versions, np.int64)
+        else:
+            size = int(self._node_ids.max()) + 1 if self._node_ids.size else 0
+            self._base_position = np.full(size, -1, np.int64)
+            self._base_position[self._node_ids] = np.arange(self._node_ids.size)
+            self._current_versions = np.full(size, -1, np.int64)
+            self._current_versions[self._node_ids] = versions
 
     # -- lookups ---------------------------------------------------------
 
+    def _positions_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Base-array position of each node id (``-1`` where no row)."""
+        table = self._base_position
+        limit = self._rows.shape[0] if table is None else table.size
+        in_range = (nodes >= 0) & (nodes < limit)
+        if table is None:
+            return np.where(in_range, nodes, -1)
+        positions = np.full(nodes.shape, -1, np.int64)
+        positions[in_range] = table[nodes[in_range]]
+        return positions
+
     def _position(self, node: int) -> Optional[int]:
         node = int(node)
-        if self._positions is None:
+        table = self._base_position
+        if table is None:
             return node if 0 <= node < self._rows.shape[0] else None
-        return self._positions.get(node)
+        if 0 <= node < table.size and table[node] >= 0:
+            return int(table[node])
+        return None
 
     def has(self, node: int) -> bool:
         """Whether any row (base or overlay) exists for ``node``."""
@@ -183,20 +203,13 @@ class AggregateStore:
     def versions_of(self, nodes) -> np.ndarray:
         """Vectorized :meth:`version_of` (``-1`` where no row exists)."""
         nodes = np.asarray(nodes, np.int64)
-        if self._positions is None and not self._overlay:
-            # Dense layout, no overlay: one fancy-indexed read.
-            out = np.full(nodes.size, -1, np.int64)
-            in_range = (nodes >= 0) & (nodes < self._rows.shape[0])
-            out[in_range] = self._versions[nodes[in_range]]
-            return out
-        return np.array(
-            [
-                -1 if (version := self.version_of(int(node))) is None
-                else version
-                for node in nodes
-            ],
-            np.int64,
-        )
+        table = self._current_versions
+        known = (nodes >= 0) & (nodes < table.size)
+        if known.all():
+            return table[nodes]
+        out = np.full(nodes.size, -1, np.int64)
+        out[known] = table[nodes[known]]
+        return out
 
     def blocks_for(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`block_for`: ``(B, R, d)`` blocks + ``(B, 1+Φ)``
@@ -217,18 +230,11 @@ class AggregateStore:
             base_mask = np.ones(nodes.size, bool)
         base_nodes = nodes[base_mask]
         if base_nodes.size:
-            if self._positions is None:
-                positions = base_nodes
-                if ((positions < 0) | (positions >= self._rows.shape[0])).any():
-                    raise KeyError("node outside the dense store range")
-            else:
-                try:
-                    positions = np.array(
-                        [self._positions[int(node)] for node in base_nodes],
-                        np.int64,
-                    )
-                except KeyError as exc:
-                    raise KeyError(f"node {exc} has no store row") from exc
+            positions = self._positions_of(base_nodes)
+            if (positions < 0).any():
+                raise KeyError(
+                    f"node {int(base_nodes[positions < 0][0])} has no store row"
+                )
             blocks[base_mask] = self._rows[positions]
             lengths[base_mask] = self._lengths[positions]
         for position in np.nonzero(~base_mask)[0]:
@@ -240,7 +246,14 @@ class AggregateStore:
     def refresh(self, node: int, version: int, rows: PackRows) -> None:
         """Write back a lazily re-materialized row (in-memory overlay)."""
         block, lengths = encode_block(rows, self.meta)
-        self._overlay[int(node)] = (int(version), block, lengths)
+        node = int(node)
+        self._overlay[node] = (int(version), block, lengths)
+        size = self._current_versions.size
+        if node >= size:  # an arrival: grow, doubling
+            self._current_versions = np.concatenate(
+                [self._current_versions, np.full(max(node + 1, 2 * size) - size, -1)]
+            )
+        self._current_versions[node] = int(version)
 
     # -- accounting ------------------------------------------------------
 

@@ -248,6 +248,43 @@ class TestSocketTransportProtocol:
             transport._close_socket()
             stub.close()
 
+    def test_supervisor_hears_of_down_before_any_waiter_wakes(self):
+        """``on_down`` runs before a pending is failed: a caller woken by its
+        WorkerDown reply goes straight to the supervisor's recovery, which
+        must already know the shard is down.  Observed from inside the
+        callback itself, so no sleep and no race."""
+        release = threading.Event()
+
+        def script(conn):
+            recv_message(conn)
+            release.wait(10.0)  # die only once the pending is registered
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER,
+                __import__("struct").pack("ii", 1, 0),
+            )
+            conn.close()
+
+        waiter_woken_at_notify = []
+        holder = {}
+        stub = StubServer(script)
+        transport = make_transport(
+            stub.address,
+            on_down=lambda s, r, d: waiter_woken_at_notify.append(
+                holder["pending"]._event.is_set()
+            ),
+        ).start()
+        try:
+            transport.wait_ready(10.0)
+            holder["pending"] = transport.send(Envelope(kind="serve", payload={}))
+            release.set()
+            with pytest.raises(WorkerDown):
+                holder["pending"].result(10.0)
+            assert waiter_woken_at_notify == [False]
+        finally:
+            transport._stopping = True
+            transport._close_socket()
+            stub.close()
+
     def test_hung_server_trips_heartbeat_detector(self):
         """A connected-but-silent far side is down, not slow: unanswered
         heartbeats produce WorkerDown(heartbeat_missed) in bounded time."""
@@ -421,14 +458,14 @@ def stream_reference(checkpoint):
     return run_stream(server)
 
 
-def loopback_fleet(checkpoint, num_shards, **kwargs):
+def loopback_fleet(checkpoint, num_shards, graph=None, **kwargs):
     """A socket router over in-process background worker servers."""
     servers = [
         ShardWorkerServer(announce=False) for _ in range(num_shards)
     ]
     addresses = ["%s:%d" % server.start_background() for server in servers]
     router = ClusterRouter.from_checkpoint(
-        checkpoint, fresh_graph(), num_shards,
+        checkpoint, fresh_graph() if graph is None else graph, num_shards,
         transport="socket", workers=addresses, seed=7, **kwargs
     )
     return router, servers
@@ -464,6 +501,27 @@ class TestSocketFleetExactness:
             report = router.slo_report()
             assert report["fleet"]["worker_down_events"] == []
             assert report["fleet"]["mutation_log"]["entries"] == 5
+        finally:
+            router.close()
+            for server in servers:
+                server.close()
+
+    def test_logged_edge_write_is_a_delta_not_a_shard_snapshot(self, checkpoint):
+        """The 256-entry MutationLog retains every fanned-out command: a
+        2-edge write on a 5k-node graph must log a few hundred bytes, not
+        the shards' edge arrays and halo feature matrices (megabytes)."""
+        graph = make_acm(seed=0, scale=5.0).graph  # same schema, 10x the nodes
+        assert graph.num_nodes >= 5000
+        router, servers = loopback_fleet(checkpoint, 2, graph=graph)
+        try:
+            papers = graph.nodes_of_type("paper")[:2]
+            authors = graph.nodes_of_type("author")[-2:]
+            router.add_edges("paper-author", papers, authors)
+            entry = router.mutation_log.entries[-1]
+            assert entry.kind == "add_edges" and entry.commands
+            assert len(pickle.dumps(entry)) < 8 * 1024
+            for command in entry.commands.values():
+                assert command.src.size < 200  # the batch plus entered lists
         finally:
             router.close()
             for server in servers:
@@ -530,6 +588,62 @@ class TestKillRecover:
             assert 'fleet_worker_down_total' in text
             assert 'fleet_reconnects_total{shard="0"} 1' in text
             assert 'shard_errors_total' in text
+        finally:
+            router.close()
+
+    def test_delta_command_replay_converges_bit_identical(self, checkpoint):
+        """Kill -> respawn -> replay of a *delta* stream: the baseline is
+        the spawn-time shard, so recovery must rebuild the current one from
+        deltas alone — including an arrival that a later edge pulls into
+        the killed shard's halo (its features reach that shard only inside
+        the delta) and sources the stream pulls into its closure."""
+        graph = fresh_graph()
+        single = InferenceServer(
+            WidenClassifier.load(checkpoint, graph=graph), graph, seed=7
+        )
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="socket", seed=7
+        )
+        try:
+            dim = router.graph.features.shape[1]
+            authors = router.graph.nodes_of_type("author")
+            subjects = router.graph.nodes_of_type("subject")
+            probe = np.random.default_rng(11).choice(200, size=8, replace=False)
+            np.testing.assert_array_equal(router.embed(probe), single.embed(probe))
+
+            features = np.full((1, dim), 0.3)
+            new = int(router.add_nodes("paper", features=features)[0])
+            assert new == int(single.add_nodes("paper", features=features)[0])
+            victim = 1 - router.plan.owner(new)  # the shard that got zeros
+            theirs = authors[router.plan.owner_of[authors] == victim]
+            mirror = router.plan.shards[victim]
+            assert not mirror.graph.features[new].any()
+            halo_before = mirror.halo.size
+            for target in (router, single):
+                target.add_edges("paper-author", [new], [int(theirs[0])])
+                target.add_edges(
+                    "paper-subject", [new, int(probe[0])], [int(s) for s in subjects[:2]]
+                )
+                target.add_edges("paper-author", [int(probe[1])], [int(theirs[1])])
+            np.testing.assert_array_equal(
+                mirror.graph.features[new], features[0]
+            )
+            assert mirror.halo.size > halo_before
+
+            router.shard_registry.kill(victim)
+            nodes = np.concatenate([probe, [new], theirs[:4]])
+            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+            np.testing.assert_array_equal(
+                router.classify(nodes), single.classify(nodes)
+            )
+            (recovery,) = router.fleet.summary()["recoveries"]
+            assert recovery["mode"] == "replay" and recovery["shard"] == victim
+            assert recovery["replayed_commands"] >= 3  # arrival + deltas
+
+            # The recovered engine keeps tracking the mirror under new deltas.
+            for target in (router, single):
+                target.add_edges("paper-author", [new], [int(theirs[2])])
+            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
         finally:
             router.close()
 

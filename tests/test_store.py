@@ -10,12 +10,15 @@ path's ``(seed, version, node)`` rng would produce, so any drift is a bug,
 not noise.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
+from repro.graph import mutation_frontier
 from repro.serve import InferenceServer
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
 
@@ -225,6 +228,129 @@ class TestStoreServingEquality:
 # ----------------------------------------------------------------------
 # Cluster fleets with per-shard store slices
 # ----------------------------------------------------------------------
+
+
+class LoopReference:
+    """The per-frontier-node bookkeeping ``_on_graph_mutation`` did before
+    it became array work, kept here as the reference: a dict of bumps, a
+    24k-element id set tested against every resident cache key, one
+    ``store.has()`` per frontier node."""
+
+    def __init__(self, server):
+        self.server = server
+        self.bumps = {}
+        self.invalidations = 0
+        self.node_invalidations = Counter()
+        self.stale_rows = 0
+        self.drop_counts = []
+        # The cache reference must look at the resident keys *before* the
+        # server drops them, so it wraps the call; the rest runs from a
+        # hook registered after the server's own.
+        self._invalidate_nodes = server.cache.invalidate_nodes
+        server.cache.invalidate_nodes = self.invalidate_nodes
+        server.graph.add_mutation_hook(self.on_mutation)
+
+    def invalidate_nodes(self, nodes):
+        ids = {int(node) for node in nodes}
+        victims = [key for key in self.server.cache._entries if key[0] in ids]
+        for key in victims:
+            self.node_invalidations[key[0]] += 1
+        self.invalidations += len(victims)
+        got = self._invalidate_nodes(nodes)
+        self.drop_counts.append((got, len(victims)))
+        return got
+
+    def on_mutation(self, graph):
+        event = graph.last_mutation
+        if event.kind == "add_nodes":
+            frontier = event.nodes
+        else:
+            frontier = mutation_frontier(
+                graph, event.sources, self.server._serving_reach
+            )
+        for node in frontier:
+            node = int(node)
+            self.bumps[node] = self.bumps.get(node, 0) + 1
+        self.stale_rows += sum(
+            1 for node in frontier if self.server.store.has(int(node))
+        )
+
+
+class TestVectorizedInvalidation:
+    def test_matches_per_node_loop_reference(self, checkpoint, store_path):
+        from repro.obs import MetricsRegistry
+
+        stored = fresh_server(checkpoint, store_path, registry=MetricsRegistry())
+        reference = LoopReference(stored)
+        graph = stored.graph
+        nodes = probe_nodes(graph, 24)
+        author = int(graph.nodes_of_type("author")[0])
+        subject = int(graph.nodes_of_type("subject")[0])
+        dim = graph.features.shape[1]
+        stored.embed(nodes)
+        stored.add_edges("paper-author", [int(nodes[0])], [author])
+        stored.embed(nodes)  # stale rows refresh into the overlay
+        new = int(stored.add_nodes("paper", features=np.full((1, dim), 0.5))[0])
+        stored.embed([new])  # absent -> an overlay row past the base range
+        stored.add_edges("paper-subject", [new, int(nodes[1])], [subject, subject])
+        stored.embed(np.concatenate([nodes, [new]]))
+        stored.add_edges("paper-author", [new], [author])
+
+        state = stored.export_serving_state()
+        assert state["node_bumps"] == reference.bumps
+        assert state["graph_version"] == graph.version
+        assert stored.cache.invalidations == reference.invalidations > 0
+        assert stored.cache.node_invalidations == reference.node_invalidations
+        assert all(got == want for got, want in reference.drop_counts)
+        assert len(reference.drop_counts) == 4  # one per mutation
+        counter = stored.telemetry.registry.counter(
+            "serve_store_invalidated_rows_total", reason="frontier"
+        )
+        assert counter.value == reference.stale_rows > 0
+        # The arrival's overlay row counted as a stale row once bumped.
+        assert stored.store.versions_of([new])[0] >= 0
+
+    def test_sliced_store_versions_match_scalar_lookups(self, store_path, acm):
+        """A shard's slice resolves ids by search, not position; the
+        vectorized lookup must agree with the scalar one on base rows,
+        refreshed rows, rows past the base range and missing ids."""
+        full = AggregateStore.open(store_path)
+        owned = np.arange(1, acm.graph.num_nodes, 3)[::-1]  # unsorted on purpose
+        sliced = AggregateStore.from_payload(full.slice_payload(owned.tolist()))
+        arrival = acm.graph.num_nodes + 5
+        sliced.refresh(int(owned[0]), 4, sliced.rows_for(int(owned[1])))
+        sliced.refresh(arrival, 2, sliced.rows_for(int(owned[1])))
+        probe = np.array([int(owned[0]), int(owned[1]), 0, arrival, arrival + 1, -1])
+        got = sliced.versions_of(probe)
+        want = [
+            -1 if (version := sliced.version_of(int(node))) is None else version
+            for node in probe
+        ]
+        np.testing.assert_array_equal(got, want)
+        assert list(got[[0, 2, 3, 4, 5]]) == [4, -1, 2, -1, -1]
+        blocks, _ = sliced.blocks_for(owned[:5])
+        for position, node in enumerate(owned[:5]):
+            np.testing.assert_array_equal(blocks[position], sliced.block_for(int(node))[0])
+        with pytest.raises(KeyError):
+            sliced.blocks_for([0])
+
+    def test_arrival_grows_bump_array_and_is_servable_at_once(self, checkpoint):
+        server = fresh_server(checkpoint)
+        oracle = fresh_server(checkpoint)
+        before = server.graph.num_nodes
+        assert server._node_bumps.shape == (before,)
+        features = np.full((2, server.graph.features.shape[1]), 0.25)
+        new = server.add_nodes("paper", features=features)
+        oracle.add_nodes("paper", features=features)
+        assert server._node_bumps.shape == (before + 2,)
+        assert server._node_bumps.dtype == np.int64
+        assert server.export_serving_state()["node_bumps"] == {
+            int(node): 1 for node in new
+        }
+        np.testing.assert_array_equal(server.embed(new), oracle.embed(new))
+        # A restored server adopts the sparse dict back into an array.
+        server.restore_serving_state(server.export_serving_state())
+        assert server.export_serving_state() == oracle.export_serving_state()
 
 
 class TestClusterStoreSlices:
