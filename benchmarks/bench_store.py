@@ -8,7 +8,7 @@ two things the tier promises:
    storeless oracle, then inline fleets of 1 and 4 shards plus a 4-shard mp
    fleet carrying per-shard store slices — each checked before and after a
    mutation stream (edge attachments + a node arrival) that exercises the
-   frontier-invalidation → lazy-refresh path.
+   read-set-invalidation → lazy-refresh path.
 2. **Warm-miss speedup.**  A cache miss answered from store rows runs only
    the attention + fuse head; the recompute path also samples neighbor
    states and packs them.  Both servers replay the identical cold-probe
@@ -168,8 +168,8 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         "store_absent": int(lookups["store_absent"]),
     })
     assert lookups["store_stale"] > 0, (
-        "mutation stream never drove a stale store row — the frontier "
-        "invalidation path went unexercised"
+        "mutation stream never drove a stale store row — no write met a "
+        "probed row's read set, so the lazy-refresh path went unexercised"
     )
 
     # -- Claim 1b: fleets with per-shard store slices -------------------

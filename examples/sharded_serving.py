@@ -84,9 +84,9 @@ def main() -> None:
             # Pulled through the transport protocol, so the same line works
             # whether the shard engine is inline, a thread, or a process.
             state = worker.pull_serving_state().result()["serving_state"]
-            bumped = sum(state["node_bumps"].values())
-            print(f"  shard {worker.spec.shard_id}: "
-                  f"{bumped} node versions bumped")
+            print(f"  shard {worker.spec.shard_id}: write clock "
+                  f"{state['clock']}, {len(state['touched'])} adjacency "
+                  f"lists touched")
 
         print("\n-- 3. cluster telemetry --")
         for shard in router.summary()["shards"]:

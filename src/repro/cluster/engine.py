@@ -143,7 +143,9 @@ class ShardEngine:
         socket workers on machines that share nothing — staged through a
         private temp file and deleted once loaded.  ``serving_state`` (when
         present) is restored after the build, so a respawned engine adopts
-        the exact version counters of the baseline it was rebuilt from.
+        the write clock and touched stamps of the baseline it was rebuilt
+        from — its store slice is the *base* slice, and the stamps say
+        which of those rows earlier writes had already undercut.
         """
         import tempfile
 
@@ -296,7 +298,7 @@ class ShardEngine:
 
     def _handle_mutate(self, payload: Dict[str, object]) -> Dict[str, object]:
         # spec.apply mutates the shard graph, which fires the server's
-        # registered invalidation hook — same event, same frontier bumps
+        # registered invalidation hook — same event, same touched sources
         # as a whole-graph server observing the same mutation.
         self.spec.apply(payload["command"])
         return {"version": int(self.spec.graph.version)}

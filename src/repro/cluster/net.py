@@ -33,10 +33,13 @@ and the router's bounded :class:`MutationLog`.  ``recover()`` respawns the
 worker (or reconnects to a static address), rebuilds the engine from the
 baseline, replays the logged mutation commands past the baseline version,
 verifies the engine's graph version against the router-side mirror, and
-only then readmits the shard to scatter-gather.  Because serving answers
-are seeded by ``(seed, node version, node)`` and the replayed command
-stream reproduces the exact version counters, a recovered fleet's answers
-match a never-killed single server bit for bit.
+only then readmits the shard to scatter-gather.  Serving answers are
+seeded by ``(seed, node)`` — a function of the current graph — so once the
+replayed command stream has rebuilt the shard graph, a recovered fleet's
+answers match a never-killed single server bit for bit.  The serving state
+in the baseline (write clock + touched stamps) is what tells the respawned
+engine which rows of its base store slice the writes before the baseline
+had already undercut.
 
 **The log horizon.**  The log is bounded.  Before an entry carrying a
 shard's command is evicted, the supervisor refreshes that shard's baseline
@@ -46,8 +49,9 @@ when the horizon passes its baseline cannot be caught up exactly; recovery
 then refuses to serve stale state and instead rebuilds the shard from the
 checkpoint + the *current* mirror plan ("replan"), loudly: a warning, a
 ``fleet_rebuilds_total`` counter, and ``mode="replan"`` on the recovery
-record.  Replanned answers reflect the current graph (fresh serving-state
-counters), not the pre-failure timeline.
+record.  Replanned answers are exact — the current graph *is* the answer
+— but the shard comes back cold: its base store slice predates writes it
+has no record of, so every row of it is stale until re-materialized.
 """
 
 from __future__ import annotations
@@ -1201,8 +1205,9 @@ class FleetSupervisor:
                 mode = "replan"
                 warnings.warn(
                     f"{exc}; rebuilding shard {shard_id} from checkpoint + "
-                    "current plan (serving-state counters restart — answers "
-                    "reflect the current graph, not the pre-failure timeline)",
+                    "current plan (answers stay exact, but the shard comes "
+                    "back cold: its base store slice predates the missed "
+                    "writes, so all of it is stale)",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -105,8 +105,8 @@ class RefreshCommand:
     closure, of which the shard held nothing yet.  ``new_halo`` are the
     nodes pulled into the halo, with their feature rows (an arrival that a
     foreign shard took as zeros gets its real features here).  The *global*
-    ``changed_sources`` make the shard server's reverse-BFS bump exactly
-    the frontier a whole-graph server would.
+    ``changed_sources`` are what the shard server stamps as touched, so it
+    drops exactly the owned materializations a whole-graph server would.
     """
 
     src: np.ndarray
@@ -493,7 +493,7 @@ class ClusterPlan:
         else the arrivals are outside the halo until some edge pulls them
         in, at which point :meth:`refresh_command` ships their features.
         ``HeteroGraph.add_nodes`` fires an ``add_nodes`` event on each shard
-        graph, so per-shard servers bump exactly the new ids — the same
+        graph, so per-shard servers touch exactly the new ids — the same
         no-drop invalidation a whole-graph server performs.
         """
         new_ids = np.asarray(new_ids, dtype=np.int64)
@@ -544,13 +544,12 @@ class ClusterPlan:
         what dropped to ``< reach`` just entered the closure, what dropped
         to ``<= reach`` just entered the halo (both only ever grow — edges
         are never removed).  The command carries those deltas and the
-        *global* changed-sources: the shard server's reverse-BFS then
-        bumps ``frontier ∩ owned`` exactly as a whole-graph server does
-        (every ``<= reach-1``-hop path from an owned node to a changed
-        source runs inside the closure, so shard-local reachability agrees
-        with global reachability on owned nodes).  One mutation, one event,
-        one bump — the version counters stay aligned with the
-        single-server timeline.
+        *global* changed-sources: the shard server stamps them as touched
+        and drops the owned materializations whose read set meets them —
+        the ones a whole-graph server drops, because an owned node's sample
+        only ever reads lists inside the closure, which the shard holds
+        verbatim.  (A source that just *entered* the closure needs no
+        stamp: until now no owned sample could reach its list.)
         """
         graph, reach = self.global_graph, self.reach
         src, dst, edge_types = event.edges

@@ -699,7 +699,7 @@ class ClusterRouter:
         caches fully warm.  Affected shards replay one serializable delta
         command (the edges and feature rows they are missing) carrying the
         global changed-sources, so their servers invalidate exactly the
-        frontier a whole-graph server would.
+        owned materializations a whole-graph server would.
         """
         self._check_open()
         version = self.graph.version

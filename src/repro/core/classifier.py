@@ -133,8 +133,8 @@ class WidenClassifier(BaseClassifier):
         trainer's persistent per-node stores — so results stay correct after
         in-place streaming mutations and are a pure function of
         ``(parameters, graph contents, rng)``.  The server exploits that by
-        seeding ``rng`` from ``(server seed, graph.version, node)``, making
-        every response reproducible.
+        seeding ``rng`` from ``(server seed, node)``, making every response
+        reproducible from the current graph alone.
         """
         if self.trainer is None:
             raise RuntimeError("embed_for_serving before fit/bind")
@@ -142,9 +142,40 @@ class WidenClassifier(BaseClassifier):
             graph, np.asarray(nodes, dtype=np.int64), rng=rng
         )
 
+    @property
+    def reports_read_sets(self) -> bool:
+        """Whether the batched serving path can name each sample's read set.
+
+        ``"replace"`` embedding mode warms a state table by embedding the
+        sampled neighbors recursively and ``"per_node"`` goes through the
+        same reference path, so neither knows which adjacency lists an
+        answer depended on; consumers fall back to the declared reach.
+        """
+        return (
+            self.config.forward_mode != "per_node"
+            and self.config.embedding_mode != "replace"
+        )
+
+    def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
+        """Fresh per-node samples plus their read sets, ``(B, 1 + Φ·N_d)``."""
+        config = self.config
+        states = [
+            NeighborStateStore(
+                graph,
+                num_wide=config.num_wide,
+                num_deep=config.num_deep,
+                num_deep_walks=config.num_deep_walks,
+                wide_sampling=config.wide_sampling,
+                rng=new_rng(rng),
+            ).get(int(node))
+            for node, rng in zip(nodes, rngs)
+        ]
+        width = 1 + config.num_deep_walks * config.num_deep
+        return states, np.stack([state.read_set(width) for state in states])
+
     def embed_for_serving_batch(
-        self, nodes: np.ndarray, graph: HeteroGraph, rngs
-    ) -> np.ndarray:
+        self, nodes: np.ndarray, graph: HeteroGraph, rngs, return_reads: bool = False
+    ):
         """Batched identity-free serving compute (the server's cold path).
 
         ``rngs`` carries one seed/generator **per node**: each node's
@@ -153,6 +184,11 @@ class WidenClassifier(BaseClassifier):
         responses stay independent of batch composition — while all the
         forwards run through one vectorized
         :meth:`~repro.core.model.WidenModel.forward_batch` call.
+
+        With ``return_reads`` the result is ``(embeddings, reads)``: row
+        ``i`` of ``reads`` is node ``i``'s read set
+        (:meth:`NeighborState.read_set`), or ``reads`` is ``None`` when
+        :attr:`reports_read_sets` is false.
         """
         if self.trainer is None:
             raise RuntimeError("embed_for_serving_batch before fit/bind")
@@ -160,47 +196,38 @@ class WidenClassifier(BaseClassifier):
         if len(rngs) != nodes.size:
             raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
-            return np.empty((0, self.config.dim))
-        if (
-            self.config.forward_mode == "per_node"
-            or self.config.embedding_mode == "replace"
-        ):
+            embeddings, reads = np.empty((0, self.config.dim)), None
+        elif not self.reports_read_sets:
             # Replace mode warms up a per-call state table node by node;
             # keep the reference path (still one row per node, same rngs).
-            return np.stack(
+            reads = None
+            embeddings = np.stack(
                 [
                     self.embed_for_serving(np.array([node]), graph, rng=rng)[0]
                     for node, rng in zip(nodes, rngs)
                 ]
             )
-        states = []
-        for node, rng in zip(nodes, rngs):
-            store = NeighborStateStore(
-                graph,
-                num_wide=self.config.num_wide,
-                num_deep=self.config.num_deep,
-                num_deep_walks=self.config.num_deep_walks,
-                wide_sampling=self.config.wide_sampling,
-                rng=new_rng(rng),
-            )
-            states.append(store.get(int(node)))
-        # BLAS dispatches single-row matmuls to gemv, whose summation order
-        # differs from the gemm kernel every larger batch hits, while gemm
-        # row results do not depend on which other rows share the call.  Pad
-        # a batch of one with a copy of its own state so the answer carries
-        # the same bits as the same node served inside any larger batch —
-        # the sharded router relies on that to stay exactly equal to a
-        # single server whatever the miss batches look like on either side.
-        padded = nodes.size == 1
-        if padded:
-            nodes = np.concatenate([nodes, nodes])
-            states = [states[0], states[0]]
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings, _, _ = model.forward_batch(nodes, states, graph, None)
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
+        else:
+            states, reads = self._sample_for_serving(nodes, graph, rngs)
+            # BLAS dispatches single-row matmuls to gemv, whose summation
+            # order differs from the gemm kernel every larger batch hits,
+            # while gemm row results do not depend on which other rows share
+            # the call.  Pad a batch of one with a copy of its own state so
+            # the answer carries the same bits as the same node served
+            # inside any larger batch — the sharded router relies on that to
+            # stay exactly equal to a single server whatever the miss
+            # batches look like on either side.
+            padded = nodes.size == 1
+            if padded:
+                nodes = np.concatenate([nodes, nodes])
+                states = [states[0], states[0]]
+            model = self.trainer.model
+            model.eval()
+            with no_grad():
+                embeddings, _, _ = model.forward_batch(nodes, states, graph, None)
+            model.train()
+            embeddings = embeddings.data[:1] if padded else embeddings.data
+        return (embeddings, reads) if return_reads else embeddings
 
     # ------------------------------------------------------------------
     # Materialized-aggregate hooks (repro.store)
@@ -244,10 +271,11 @@ class WidenClassifier(BaseClassifier):
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
         """Sample + pack ``nodes`` into store rows (one rng per node).
 
-        The sampling mirrors :meth:`embed_for_serving_batch` exactly — per
-        node rng, fresh :class:`NeighborStateStore` — so rows materialized
-        with rng ``(seed, version, node)`` feed a serving answer
-        bit-identical to the recompute path under the same seeds.
+        The sampling is :meth:`embed_for_serving_batch`'s — per node rng,
+        fresh :class:`NeighborStateStore` — so rows materialized with rng
+        ``(seed, node)`` feed a serving answer bit-identical to the
+        recompute path under the same seeds.  Each returned
+        :class:`PackRows` carries its sample's read set in ``reads``.
         """
         if self.trainer is None:
             raise RuntimeError("materialize_store_rows before fit/bind")
@@ -259,17 +287,7 @@ class WidenClassifier(BaseClassifier):
             raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
             return []
-        states = []
-        for node, rng in zip(nodes, rngs):
-            store = NeighborStateStore(
-                graph,
-                num_wide=self.config.num_wide,
-                num_deep=self.config.num_deep,
-                num_deep_walks=self.config.num_deep_walks,
-                wide_sampling=self.config.wide_sampling,
-                rng=new_rng(rng),
-            )
-            states.append(store.get(int(node)))
+        states, reads = self._sample_for_serving(nodes, graph, rngs)
         padded = nodes.size == 1
         if padded:
             nodes = np.concatenate([nodes, nodes])
@@ -279,6 +297,8 @@ class WidenClassifier(BaseClassifier):
         with no_grad():
             rows = model.materialize_rows(nodes, states, graph)
         model.train()
+        for row_set, read_set in zip(rows, reads):
+            row_set.reads = read_set
         return rows[:1] if padded else rows
 
     def embed_from_store_rows(self, rows) -> np.ndarray:

@@ -173,8 +173,11 @@ class WidenConfig:
         queries adjacency lists up to ``num_deep - 1`` hops out.  In
         ``"replace"`` embedding mode the warm-up pass additionally embeds the
         sampled neighbors themselves, doubling the radius.  Halo replication
-        (``repro.cluster``) and fine-grained cache invalidation
-        (``repro.serve``) both size their BFS from this number.
+        (``repro.cluster``) sizes its closure and halo from this number.
+        Cache invalidation (``repro.serve``) does not on the batched path —
+        there each answer names the lists it read — and falls back to a
+        BFS of this radius only where no read set is reported
+        (``"replace"`` embedding mode, ``forward_mode="per_node"``).
         """
         reach = self.num_deep
         if self.embedding_mode == "replace":

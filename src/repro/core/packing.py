@@ -54,10 +54,16 @@ class PackRows:
     ``repro.store`` persists: re-running attention + fuse over them
     (:meth:`WidenModel.forward_from_rows`) reproduces the full forward
     bit-for-bit without sampling, feature projection or edge gathers.
+
+    ``reads`` is the read set of the sample the rows were packed from
+    (:meth:`NeighborState.read_set`): the ids whose adjacency lists decided
+    these values.  The rows stay exact until one of those lists changes, so
+    the read set travels with them into the store.
     """
 
     wide: Optional[np.ndarray]
     deep: List[np.ndarray]
+    reads: Optional[np.ndarray] = None
 
     def nbytes(self) -> int:
         total = 0 if self.wide is None else self.wide.nbytes

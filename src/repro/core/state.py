@@ -40,6 +40,22 @@ class NeighborState:
         if not self.prev_deep_signature:
             self.prev_deep_signature = [None] * len(self.deep)
 
+    def read_set(self, width: int) -> np.ndarray:
+        """Ids whose *adjacency list* the sampler consulted, as ``(width,)``.
+
+        The target (wide sample, first step of every walk) and every node a
+        deep walk visited — the last one included: a walk that stopped early
+        stopped *because* that node's list was empty, and the first edge it
+        gains must invalidate the sample.  Wide neighbors are absent on
+        purpose: only their (append-only) feature rows are read.  Short
+        rows are padded with the target's own id, which is already a
+        member, so consumers can gather through the row without a mask.
+        """
+        reads = np.full(width, self.wide.target, np.int64)
+        walked = np.concatenate([deep.nodes for deep in self.deep])
+        reads[1 : 1 + walked.size] = walked
+        return reads
+
     def wide_signature(self) -> tuple:
         return tuple(self.wide.nodes.tolist())
 

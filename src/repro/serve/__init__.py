@@ -6,8 +6,10 @@ of the paper's "heterogeneity + inductiveness + efficiency" claim:
 - :class:`ModelRegistry` — named, self-describing checkpoints (parameters
   + hyperparameters + dataset schema) restored without a training graph;
 - :class:`MicroBatcher` — request coalescing under size/deadline triggers;
-- :class:`EmbeddingCache` — LRU memoization keyed ``(node, graph version)``
-  so streaming mutations can never serve stale embeddings;
+- :class:`EmbeddingCache` — LRU memoization whose entries record the
+  *read set* of their sample, so a streaming mutation drops exactly the
+  embeddings that read a changed adjacency list and nothing stale is
+  ever served;
 - :class:`InferenceServer` — ties the above over one serving graph, with
   streaming ingestion (``add_nodes``/``add_edges``) wired to the graph's
   mutation hooks;

@@ -1,22 +1,46 @@
-"""Capacity-bounded LRU embedding cache keyed on ``(node_id, graph_version)``.
+"""Capacity-bounded LRU embedding cache with per-entry read sets.
 
-Versioned keys make stale reads *structurally* impossible: a streaming
-mutation bumps ``HeteroGraph.version``, so every subsequent lookup misses the
-pre-mutation entries regardless of what is still resident.  The server
-additionally drops dead-version entries eagerly from its mutation hook
-(:meth:`EmbeddingCache.invalidate`) so they stop occupying capacity.
+An entry is the embedding of one node plus what it depended on: the *read
+set* of its sample (the ids whose adjacency lists the sampler consulted,
+see :meth:`repro.core.state.NeighborState.read_set`) and the *stamp*, the
+server's write clock when it was computed.  :func:`fresh_mask` is the one
+freshness rule every materialization tier shares — cache entries, store
+rows and overlay rows alike: an entry is exact until a write touches one of
+the lists it read.
+
+Stale entries are not found at lookup time; the server sweeps the resident
+entries (at most ``capacity``) once per write with :meth:`stale_nodes` and
+drops what the rule rejects through :meth:`invalidate_nodes`, so every
+resident entry is fresh and a lookup stays a dict probe.  Read sets and
+stamps live in two slot-indexed arrays, which makes the sweep one gather
+instead of a loop over entries.  Keys stay ``(node_id, version)`` for
+callers that version their entries themselves.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.metrics import Histogram
 
-Key = Tuple[int, int]  # (node_id, graph_version)
+Key = Tuple[int, int]  # (node_id, version)
+
+
+def fresh_mask(
+    touched_at: np.ndarray, reads: np.ndarray, stamps: np.ndarray
+) -> np.ndarray:
+    """Which materializations are still exact: the one freshness rule.
+
+    ``touched_at[u]`` is the write clock of the last write that changed
+    ``u``'s adjacency list; row ``i`` of ``reads`` is the read set of a
+    materialization made at clock ``stamps[i]``.  It is fresh iff nothing
+    it read was touched since.  Read sets are padded with a member id, so
+    the gather needs no mask.
+    """
+    return touched_at[reads].max(axis=1) <= stamps
 
 
 class EmbeddingCache:
@@ -27,6 +51,16 @@ class EmbeddingCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[Key, np.ndarray]" = OrderedDict()
+        # Dependency tables, one row ("slot") per resident entry: the node
+        # (-1: free slot), its stamp and its read set.  The read-set table
+        # widens to the longest read set seen; shorter ones and free slots
+        # are padded with ids that are valid to gather through.
+        self._slot_of: Dict[Key, int] = {}
+        self._slot_key: List[Optional[Key]] = [None] * capacity
+        self._free: List[int] = list(range(capacity - 1, -1, -1))
+        self._slot_nodes = np.full(capacity, -1, np.int64)
+        self._stamps = np.zeros(capacity, np.int64)
+        self._reads = np.zeros((capacity, 1), np.int64)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -37,12 +71,12 @@ class EmbeddingCache:
         # working set really is this wide.
         self.node_hits: "Counter[int]" = Counter()
         # Per-node dropped-entry counts — the audit trail of fine-grained
-        # invalidation: after a mutation, exactly the k-hop frontier should
-        # appear here and nothing else.
+        # invalidation: after a mutation, exactly the entries whose read
+        # set met the change should appear here and nothing else.
         self.node_invalidations: "Counter[int]" = Counter()
 
     def get(self, node: int, version: int) -> Optional[np.ndarray]:
-        """Embedding for ``node`` at graph ``version``; None on miss."""
+        """Embedding for ``node`` at ``version``; None on miss."""
         key = (int(node), int(version))
         entry = self._entries.get(key)
         if entry is None:
@@ -59,13 +93,53 @@ class EmbeddingCache:
         histogram.observe_many(float(count) for count in self.node_hits.values())
         return histogram
 
-    def put(self, node: int, version: int, embedding: np.ndarray) -> None:
+    def put(
+        self,
+        node: int,
+        version: int,
+        embedding: np.ndarray,
+        *,
+        stamp: int = 0,
+        reads: Optional[np.ndarray] = None,
+    ) -> None:
+        """Insert an entry made at write clock ``stamp`` from a sample that
+        read the adjacency lists of ``reads`` (default: the node's own)."""
         key = (int(node), int(version))
+        slot = self._slot_of.get(key)
+        if slot is None:
+            if len(self._entries) >= self.capacity:
+                self._release(self._entries.popitem(last=False)[0])
+                self.evictions += 1
+            slot = self._free.pop()
+            self._slot_of[key] = slot
+            self._slot_key[slot] = key
+            self._slot_nodes[slot] = key[0]
         self._entries[key] = np.asarray(embedding)
         self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        self._stamps[slot] = stamp
+        width = 1 if reads is None else len(reads)
+        if width > self._reads.shape[1]:
+            wider = np.repeat(np.maximum(self._slot_nodes, 0)[:, None], width, axis=1)
+            wider[:, : self._reads.shape[1]] = self._reads
+            self._reads = wider
+        self._reads[slot] = key[0]
+        if reads is not None:
+            self._reads[slot, :width] = reads
+
+    def _release(self, key: Key) -> None:
+        slot = self._slot_of.pop(key)
+        self._slot_key[slot] = None
+        self._slot_nodes[slot] = -1
+        self._free.append(slot)
+
+    def stale_nodes(self, touched_at: np.ndarray) -> np.ndarray:
+        """Ids of the resident entries :func:`fresh_mask` rejects.
+
+        One gather over the slot tables — at most ``capacity`` rows,
+        whatever the size of the graph or of the write.
+        """
+        stale = ~fresh_mask(touched_at, self._reads, self._stamps)
+        return self._slot_nodes[stale & (self._slot_nodes >= 0)]
 
     def invalidate(
         self, nodes: Optional[Iterable[int]] = None, *, keep_version: Optional[int] = None
@@ -73,8 +147,8 @@ class EmbeddingCache:
         """Drop entries; returns how many were removed.
 
         ``nodes=None`` drops everything (or, with ``keep_version``, every
-        entry from *other* versions — the mutation-hook fast path).
-        ``nodes`` drops all versions of the given ids.
+        entry from *other* versions).  ``nodes`` drops all versions of the
+        given ids.
         """
         if nodes is not None:
             return self.invalidate_nodes(nodes)
@@ -85,24 +159,21 @@ class EmbeddingCache:
     def invalidate_nodes(self, nodes: Iterable[int]) -> int:
         """Drop every resident entry of the given node ids; returns count.
 
-        The fine-grained invalidation path: a mutation hook passes the k-hop
-        frontier of the change and everything outside it stays warm.  Each
+        The fine-grained invalidation path: a mutation hook passes the ids
+        the freshness rule rejected and everything else stays warm.  Each
         dropped entry is recorded in :attr:`node_invalidations`.  The
-        resident keys (at most ``capacity``) are tested against ``nodes``
-        in one vectorized membership check, so the cost does not grow with
-        a frontier that spans most of the graph.
+        resident ids (at most ``capacity``) are tested against ``nodes``
+        in one vectorized membership check over the slot table.
         """
-        keys = list(self._entries)
         if not isinstance(nodes, np.ndarray):
             nodes = np.fromiter(nodes, dtype=np.int64)
-        resident = np.fromiter((key[0] for key in keys), np.int64, len(keys))
-        return self._drop(
-            [keys[i] for i in np.flatnonzero(np.isin(resident, nodes))]
-        )
+        hit = np.isin(self._slot_nodes, nodes) & (self._slot_nodes >= 0)
+        return self._drop([self._slot_key[slot] for slot in np.flatnonzero(hit)])
 
     def _drop(self, victims) -> int:
         for key in victims:
             del self._entries[key]
+            self._release(key)
             self.node_invalidations[key[0]] += 1
         self.invalidations += len(victims)
         return len(victims)

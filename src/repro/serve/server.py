@@ -2,36 +2,44 @@
 
 ``InferenceServer`` turns a trained classifier into a service over one
 *serving graph*.  The embedding cache sits **in front of** the micro-batcher:
-a request whose embedding is resident (at the current graph version)
-completes at submit time and never pays the batching deadline; only misses
-are queued and coalesced into batched forward passes.  Streaming arrivals
-(:meth:`add_nodes` / :meth:`add_edges`) mutate the graph in place — the
-graph's mutation hooks then invalidate every cache layer, so a
-post-mutation request can never observe pre-mutation state.
+a request whose embedding is resident completes at submit time and never
+pays the batching deadline; only misses are queued and coalesced into
+batched forward passes.  Streaming arrivals (:meth:`add_nodes` /
+:meth:`add_edges`) mutate the graph in place — the graph's mutation hooks
+then invalidate every cache layer, so a post-mutation request can never
+observe pre-mutation state.
 
 Determinism: for classifiers exposing ``embed_for_serving`` (WIDEN), each
-cache miss is computed with an rng seeded by ``(server seed, node version,
-node id)``, where the *node version* counts the mutations whose k-hop
-frontier reached that node.  A response is therefore a pure function of the
-model parameters, the graph mutation history and the server seed —
-independent of request order, batching boundaries and cache history.  That
-is what makes the "mutated server == cold server" test in
-``tests/test_serve.py`` exact rather than statistical, and what lets a
-sharded cluster (``repro.cluster``) reproduce single-server answers
-bit-for-bit.
+cache miss is computed with an rng seeded by ``(server seed, node id)`` and
+nothing else.  A response is therefore a pure function of the model
+parameters, the *current* graph and the server seed — independent of
+request order, batching boundaries, cache history and of how the graph got
+here.  That is what makes the "mutated server == cold server" test in
+``tests/test_serve.py`` exact rather than statistical, what lets a sharded
+cluster (``repro.cluster``) reproduce single-server answers bit-for-bit,
+and what lets a materialization nothing has undercut stay valid across a
+write: re-sampling it would draw the same sample from the same lists.
 
-Invalidation is fine-grained when the classifier declares its sampling
-reach (``WidenConfig.serving_reach``): a mutation's
-:class:`~repro.graph.MutationEvent` names the adjacency lists that changed,
-the reverse-BFS :func:`~repro.graph.halo.mutation_frontier` bounds which
-embeddings could observe the change, and only those nodes are bumped and
-dropped from the cache — the rest of the working set stays warm.  The
-bookkeeping is array work, not a loop over the frontier (which is most of
-the graph at a deep reach): one fancy-indexed increment of the per-node
-bump array, the cache's resident keys tested against the frontier, one
-vectorized store-version lookup.  Mutations without an event (or
-classifiers without a declared reach) fall back to the original behavior:
-a global epoch bump that drops everything.
+Invalidation is by *read set*.  Every materialization — cache entry, store
+row, overlay row — records the ids whose adjacency lists its sample
+consulted (:meth:`~repro.core.state.NeighborState.read_set`, at most
+``1 + Φ·N_d`` of them) and the *stamp*, this server's write clock when it
+was made.  ``touched_at[u]`` is the clock of the last write that changed
+``u``'s list, and one rule decides freshness everywhere
+(:func:`~repro.serve.cache.fresh_mask`): fresh iff
+``touched_at[reads].max() <= stamp``.  A write costs ``clock += 1;
+touched_at[sources] = clock`` plus one sweep of the (at most capacity)
+resident cache entries — no BFS, no scan over nodes or store rows; stale
+store rows are found when a miss batch looks them up.  What a write
+*touches* has three tiers, one rule:
+
+- the classifier reports read sets (WIDEN's batched path): the event's
+  ``sources``, exactly;
+- it declares a sampling reach but no read sets (``embedding_mode=
+  "replace"``, ``forward_mode="per_node"``): every materialization reads
+  ``{v}`` and the write touches the reverse-BFS
+  :func:`~repro.graph.halo.mutation_frontier` of the sources;
+- neither, or a mutation of unknown extent: every node.
 
 One server is single-threaded by design (the batcher amortizes per-call
 overhead, it does not juggle OS threads); concurrency comes from running
@@ -50,8 +58,14 @@ from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph, mutation_frontier
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher, ServeRequest
-from repro.serve.cache import EmbeddingCache
+from repro.serve.cache import EmbeddingCache, fresh_mask
 from repro.serve.telemetry import RequestRecord, Telemetry
+
+
+# The cache keys entries ``(node, version)``; this server drops stale entries
+# eagerly on every write, so at most one entry per node is ever resident and
+# the version slot stays constant.
+_ENTRY_VERSION = 0
 
 
 def load_checkpoint_classifier(path, graph: Optional[HeteroGraph] = None):
@@ -171,17 +185,15 @@ class InferenceServer:
         # every miss), so graph mutations need no classifier-side refresh;
         # generic classifiers fall back to embed() + cache rebuild.
         self._identity_free = hasattr(classifier, "embed_for_serving")
-        # Per-node versioning: version_of(n) = base + epoch + bumps[n].
-        # ``base`` absorbs the graph version at attach time (a server built
-        # on an already-mutated graph seeds like the old global scheme did);
-        # ``epoch`` counts coarse, whole-graph invalidations; ``bumps``
-        # counts the fine-grained mutations whose frontier reached the node.
-        self._version_base = graph.version
-        self._epoch = 0
-        self._node_bumps = np.zeros(graph.num_nodes, dtype=np.int64)
+        # Freshness state (module docstring): the local write clock and,
+        # per node, the clock of the last write that changed its adjacency
+        # list.  A server starts at clock 0 with nothing touched.
+        self._clock = 0
+        self._touched_at = np.zeros(graph.num_nodes, dtype=np.int64)
         self._serving_reach = (
             serving_reach_of(classifier) if self._identity_free else None
         )
+        self._tracks_reads = bool(getattr(classifier, "reports_read_sets", False))
         # Optional Prometheus text exposition: rewritten atomically at most
         # once per ``prometheus_interval`` seconds of request-clock time
         # (textfile-collector convention; no HTTP listener in this repo).
@@ -202,10 +214,15 @@ class InferenceServer:
         parameter digest and this server's seed — a mismatched store would
         silently serve aggregates of a different model or rng scheme, so
         incompatibility is a hard error, never a degraded mode.  Once
-        attached, cache misses whose store row is *fresh* (row version ==
-        the node's serving version) skip sampling and traversal entirely;
+        attached, cache misses whose store row is *fresh* (nothing it read
+        was touched since its stamp) skip sampling and traversal entirely;
         stale or absent rows fall back to full materialization, which also
         refreshes the row in the store's overlay (lazy re-materialization).
+
+        Stamps count *this* server's writes, so base rows (stamp 0) are
+        only comparable when the store was built from the graph as it is
+        now.  A store built at another graph version saw writes this server
+        never did: every node counts as touched and every row is stale.
         """
         if not self._identity_free:
             raise ValueError(
@@ -216,6 +233,8 @@ class InferenceServer:
         if reason is not None:
             raise ValueError(f"store incompatible with this server: {reason}")
         self.store = store
+        if int(store.meta["graph_version"]) != self.graph.version:
+            self._touch(np.arange(self.graph.num_nodes))
 
     @classmethod
     def from_checkpoint(
@@ -235,37 +254,39 @@ class InferenceServer:
     # ------------------------------------------------------------------
 
     def export_serving_state(self) -> Dict[str, object]:
-        """The state that makes responses reproducible, as plain data.
+        """The freshness state, as plain data.
 
-        ``(version_base, epoch, node_bumps)`` fully determine
-        :meth:`_version_of` — the rng-seed component and cache key of every
-        answer.  Two servers with equal parameters, equal graphs and equal
-        serving state are bit-identical, which is how the transport tests
-        compare an mp worker's invalidation state against an inline one's
-        without reaching into a foreign process.
+        Answers do not depend on it (they are a function of the current
+        graph); *which materializations may still be served* does.  A
+        respawned shard starts from its base store slice, whose rows all
+        carry stamp 0, and needs ``(clock, touched)`` to know which of them
+        writes have since undercut.  ``touched`` is sparse: only nodes a
+        write has reached.  ``graph_version`` lets a supervisor check a
+        replayed engine against its mirror.
         """
+        touched = np.flatnonzero(self._touched_at)
         return {
-            "version_base": int(self._version_base),
-            "epoch": int(self._epoch),
-            "node_bumps": {
-                int(node): int(self._node_bumps[node])
-                for node in np.flatnonzero(self._node_bumps)
+            "clock": int(self._clock),
+            "touched": {
+                int(node): int(stamp)
+                for node, stamp in zip(touched, self._touched_at[touched])
             },
             "graph_version": int(self.graph.version),
         }
 
     def restore_serving_state(self, state: Dict[str, object]) -> None:
-        """Adopt exported mutation/invalidation counters (replayed server).
+        """Adopt an exported write clock and touched stamps (replayed server).
 
-        Cached embeddings are dropped: the cache is a performance artifact,
-        not part of the answer, and entries keyed by versions the restored
-        counters no longer produce must not resurface.
+        Cached embeddings are dropped: their stamps count another
+        timeline's writes.
         """
-        self._version_base = int(state["version_base"])
-        self._epoch = int(state["epoch"])
-        self._node_bumps = np.zeros(self.graph.num_nodes, dtype=np.int64)
-        for node, bumps in dict(state["node_bumps"]).items():
-            self._node_bumps[int(node)] = int(bumps)
+        self._clock = int(state["clock"])
+        self._touched_at = np.zeros(self.graph.num_nodes, dtype=np.int64)
+        touched = dict(state["touched"])
+        if touched:
+            self._touched_at[np.fromiter(touched, np.int64, len(touched))] = (
+                np.fromiter(touched.values(), np.int64, len(touched))
+            )
         self.cache.invalidate()
 
     # ------------------------------------------------------------------
@@ -295,15 +316,15 @@ class InferenceServer:
         return request.request_id
 
     def _try_complete_from_cache(self, request: ServeRequest) -> bool:
-        """Cache-in-front fast path: a resident embedding (current version)
-        completes the request at submit time, skipping the batch queue and
+        """Cache-in-front fast path: a resident embedding (every write
+        sweeps out the stale ones) completes the request at submit time, skipping the batch queue and
         its deadline entirely.  Classify hits additionally need the
         embeddings->classes head; classifiers without one queue normally."""
         if request.kind == "classify" and not hasattr(
             self.classifier, "predict_from_embeddings"
         ):
             return False
-        cached = self.cache.get(request.node, self._version_of(request.node))
+        cached = self.cache.get(request.node, _ENTRY_VERSION)
         if cached is None:
             return False
         start = time.perf_counter()
@@ -379,10 +400,6 @@ class InferenceServer:
         """Streaming edge arrival (fires invalidation like ``add_nodes``)."""
         self.graph.add_edges(edge_type, src, dst, symmetric=symmetric)
 
-    def _version_of(self, node: int) -> int:
-        """The node's serving version: rng seed component and cache key."""
-        return self._version_base + self._epoch + int(self._node_bumps[node])
-
     def metrics_registry_snapshot(self) -> MetricsRegistry:
         """The registry's series plus point-in-time serving state.
 
@@ -434,67 +451,60 @@ class InferenceServer:
         self._prometheus_last_flush = now
         self.flush_prometheus()
 
+    def _touch(self, nodes: np.ndarray) -> int:
+        """A write changed ``nodes``' adjacency lists: advance the clock,
+        stamp them, drop the resident cache entries the freshness rule now
+        rejects.  Returns how many were dropped.  Store rows are not
+        visited — a stale one is found when a miss batch looks it up."""
+        self._clock += 1
+        self._touched_at[nodes] = self._clock
+        return self.cache.invalidate_nodes(
+            self.cache.stale_nodes(self._touched_at)
+        )
+
     def _on_graph_mutation(self, graph: HeteroGraph) -> None:
         event = graph.last_mutation
-        arrived = graph.num_nodes - self._node_bumps.size
+        arrived = graph.num_nodes - self._touched_at.size
         if arrived > 0:
-            self._node_bumps = np.concatenate(
-                [self._node_bumps, np.zeros(arrived, dtype=np.int64)]
+            self._touched_at = np.concatenate(
+                [self._touched_at, np.zeros(arrived, dtype=np.int64)]
             )
+        touched, reason = None, "frontier"
         if self._identity_free and self._serving_reach is not None and event is not None:
             if event.kind == "add_nodes":
                 # Appended nodes start isolated: no existing adjacency list
-                # changed, so every resident entry is still exact.  Bump the
-                # new ids (nothing is cached for them yet) and keep the
-                # whole cache warm.
-                frontier = event.nodes
+                # changed, so every materialization is still exact.
+                touched = event.nodes
             elif event.sources.size or event.kind == "add_edges":
-                frontier = mutation_frontier(
-                    graph, event.sources, self._serving_reach
+                # Read sets name the dependents of a changed list exactly;
+                # without them a materialization reads {v} and the write
+                # touches everything within reach of the sources instead.
+                touched = (
+                    event.sources
+                    if self._tracks_reads
+                    else mutation_frontier(graph, event.sources, self._serving_reach)
                 )
-            else:
-                frontier = None  # rewire of unknown extent
-            if frontier is not None:
-                self._node_bumps[frontier] += 1  # ids are unique
-                dropped = self.cache.invalidate_nodes(frontier)
-                self.telemetry.record_invalidation(
-                    frontier_size=int(len(frontier)),
-                    dropped=dropped,
-                    kept=len(self.cache),
-                    reason="frontier",
-                )
-                self._count_store_invalidations(frontier)
-                return
-        # Coarse fallback: unknown mutation extent or identity-carrying
-        # classifier — bump every node at once and drop the whole cache.
-        self._epoch += 1
-        dropped = self.cache.invalidate()
+        if touched is None:
+            # Unknown extent, undeclared reach or an identity-carrying
+            # classifier: every node counts as touched.
+            touched, reason = np.arange(graph.num_nodes), "full"
+        dropped = self._touch(touched)
         self.telemetry.record_invalidation(
-            frontier_size=self.graph.num_nodes, dropped=dropped, kept=0,
-            reason="full",
+            frontier_size=int(len(touched)),
+            dropped=dropped,
+            kept=len(self.cache),
+            reason=reason,
         )
         if self.store is not None:
-            self.telemetry.registry.counter(
-                "serve_store_invalidated_rows_total", reason="full"
-            ).inc(self.store.num_rows)
+            # Rows whose *own* list the write touched — a floor on what it
+            # staled; the rest is counted as stale lookups when read.
+            undercut = int((self.store.versions_of(touched) >= 0).sum())
+            if undercut:
+                self.telemetry.registry.counter(
+                    "serve_store_invalidated_rows_total", reason=reason
+                ).inc(undercut)
         if not self._identity_free and self.classifier.graph is graph:
             self.classifier.refresh_graph_caches()
-
-    def _count_store_invalidations(self, frontier) -> None:
-        """Count frontier nodes whose store rows just went stale.
-
-        The version bump *is* the invalidation (rows carry the version
-        they were materialized at; freshness is an equality check), so
-        this only keeps the books: how many materialized rows a mutation
-        knocked out, by reason, next to the cache-entry counters.
-        """
-        if self.store is None:
-            return
-        stale = int((self.store.versions_of(frontier) >= 0).sum())
-        if stale:
-            self.telemetry.registry.counter(
-                "serve_store_invalidated_rows_total", reason="frontier"
-            ).inc(stale)
 
     def close(self) -> None:
         """Detach from the graph (stop receiving mutation hooks)."""
@@ -525,113 +535,115 @@ class InferenceServer:
     def _compute_embedding(self, node: int) -> np.ndarray:
         return self._compute_embeddings([int(node)])[0][0]
 
+    def _rng_for(self, node: int) -> np.random.Generator:
+        """The node's sampling rng: ``(server seed, node)``, nothing else —
+        in particular no version, so an answer is a function of the current
+        graph and an untouched materialization re-samples to itself."""
+        return np.random.default_rng([self.seed, int(node)])
+
     def _compute_embeddings(self, nodes: List[int]):
         """Cold-path embeddings for ``nodes`` — one batched model call.
 
-        Returns ``(embeddings, rungs)`` where ``rungs[i]`` names the ladder
-        tier that produced row ``i`` (``store`` / ``overlay`` /
-        ``recompute``) — the per-node attribution the request records carry.
+        Returns ``(embeddings, rungs, reads)`` where ``rungs[i]`` names the
+        ladder tier that produced row ``i`` (``store`` / ``overlay`` /
+        ``recompute``) — the per-node attribution the request records carry
+        — and ``reads[i]`` is the read set the row depends on (``{node}``
+        when the classifier cannot say).
 
         Determinism is preserved under batching: each node gets its own rng
-        seeded ``(server seed, node version, node id)``, so every row is
-        identical to a single-node computation regardless of which other
-        misses happened to share the batch.
+        (:meth:`_rng_for`), so every row is identical to a single-node
+        computation regardless of which other misses happened to share the
+        batch.
         """
-        if self._identity_free:
-            if self.store is not None:
-                return self._compute_embeddings_with_store(nodes)
-            rngs = [
-                np.random.default_rng([self.seed, self._version_of(node), int(node)])
-                for node in nodes
-            ]
-            rungs = ["recompute"] * len(nodes)
-            if hasattr(self.classifier, "embed_for_serving_batch"):
-                return (
-                    self.classifier.embed_for_serving_batch(
-                        np.asarray(nodes, dtype=np.int64), self.graph, rngs
-                    ),
-                    rungs,
-                )
-            return (
-                np.stack(
-                    [
-                        self.classifier.embed_for_serving(
-                            np.array([node]), self.graph, rng=rng
-                        )[0]
-                        for node, rng in zip(nodes, rngs)
-                    ]
-                ),
-                rungs,
+        nodes_arr = np.asarray(nodes, dtype=np.int64)
+        rungs = ["recompute"] * len(nodes)
+        if not self._identity_free:
+            embeddings = self.classifier.embed(nodes_arr, graph=self.graph)
+            return embeddings, rungs, nodes_arr[:, None]
+        if self.store is not None:
+            return self._compute_embeddings_with_store(nodes_arr)
+        rngs = [self._rng_for(node) for node in nodes]
+        reads = None
+        if self._tracks_reads:
+            embeddings, reads = self.classifier.embed_for_serving_batch(
+                nodes_arr, self.graph, rngs, return_reads=True
             )
-        return (
-            self.classifier.embed(np.asarray(nodes), graph=self.graph),
-            ["recompute"] * len(nodes),
-        )
+        elif hasattr(self.classifier, "embed_for_serving_batch"):
+            embeddings = self.classifier.embed_for_serving_batch(
+                nodes_arr, self.graph, rngs
+            )
+        else:
+            embeddings = np.stack(
+                [
+                    self.classifier.embed_for_serving(
+                        np.array([node]), self.graph, rng=rng
+                    )[0]
+                    for node, rng in zip(nodes, rngs)
+                ]
+            )
+        return embeddings, rungs, nodes_arr[:, None] if reads is None else reads
 
-    def _compute_embeddings_with_store(self, nodes: List[int]):
+    def _compute_embeddings_with_store(self, nodes_arr: np.ndarray):
         """Store-tier miss path: O(1) row lookups, attention + MLP only.
 
-        Each node's store row is *fresh* when its recorded version equals
-        the node's current serving version — the same counter that seeds
-        the recompute rng, so fresh rows hold exactly the packs a fresh
-        recompute would build and the answer is bit-identical.  Stale and
-        absent nodes are re-materialized with their current ``(seed,
-        version, node)`` rng (the full recompute, minus the attention that
+        A node's store row is *fresh* when nothing in its read set was
+        touched since its stamp (:func:`~repro.serve.cache.fresh_mask`, one
+        gather for the whole batch; an absent row's stamp of -1 is below
+        every ``touched_at``, so the rule rejects it too).  A fresh row
+        holds exactly the packs a recompute would build — same rng, same
+        lists — and the answer is bit-identical.  Stale and absent nodes
+        are re-materialized (the full recompute, minus the attention that
         now runs jointly with the hits) and written back into the store's
-        overlay, so the next miss on them is a hit again.
+        overlay with the current clock as their stamp, so the next miss on
+        them is a hit again.
         """
         store = self.store
-        nodes_arr = np.asarray(nodes, np.int64)
-        want = self._version_base + self._epoch + self._node_bumps[nodes_arr]
         have = store.versions_of(nodes_arr)
-        fresh_mask = have == want
-        hit = int(fresh_mask.sum())
+        reads = store.reads_of(nodes_arr)
+        fresh = fresh_mask(self._touched_at, reads, have)
+        hit = int(fresh.sum())
         # Attribution before any refresh: a fresh row out of the overlay is
         # an "overlay" serve, out of the base blocks a "store" serve; a
         # stale/absent row is a recompute no matter where the refreshed row
         # lands afterwards.
         rungs = [
             ("overlay" if store.in_overlay(int(node)) else "store")
-            if fresh
+            if is_fresh
             else "recompute"
-            for node, fresh in zip(nodes_arr, fresh_mask)
+            for node, is_fresh in zip(nodes_arr, fresh)
         ]
         if hit == nodes_arr.size:
             # All-hit fast path: one vectorized gather, no assembly buffer.
             blocks, lengths = store.blocks_for(nodes_arr)
         else:
-            fallback_positions = np.nonzero(~fresh_mask)[0]
+            fallback_positions = np.nonzero(~fresh)[0]
             total, dim = store.block_shape
             blocks = np.zeros((nodes_arr.size, total, dim))
             lengths = np.zeros(
                 (nodes_arr.size, 1 + int(store.meta["num_walks"])), np.int64
             )
             if hit:
-                hit_blocks, hit_lengths = store.blocks_for(
-                    nodes_arr[fresh_mask]
-                )
-                blocks[fresh_mask] = hit_blocks
-                lengths[fresh_mask] = hit_lengths
-            rngs = [
-                np.random.default_rng(
-                    [self.seed, int(want[position]), int(nodes_arr[position])]
-                )
-                for position in fallback_positions
-            ]
+                hit_blocks, hit_lengths = store.blocks_for(nodes_arr[fresh])
+                blocks[fresh] = hit_blocks
+                lengths[fresh] = hit_lengths
+            fallback_nodes = nodes_arr[fallback_positions]
             fresh_rows = self.classifier.materialize_store_rows(
-                nodes_arr[fallback_positions], self.graph, rngs
+                fallback_nodes,
+                self.graph,
+                [self._rng_for(node) for node in fallback_nodes],
             )
             for position, row_set in zip(fallback_positions, fresh_rows):
-                store.refresh(
-                    int(nodes_arr[position]), int(want[position]), row_set
-                )
-                block, length_row = store.block_for(int(nodes_arr[position]))
-                blocks[position] = block
-                lengths[position] = length_row
-        stale = int(((~fresh_mask) & (have >= 0)).sum())
+                node = int(nodes_arr[position])
+                store.refresh(node, self._clock, row_set)
+                blocks[position], lengths[position] = store.block_for(node)
+                reads[position] = row_set.reads
         absent = int((have < 0).sum())
-        self.telemetry.record_store_lookup(hit=hit, stale=stale, absent=absent)
-        return self.classifier.embed_from_store_blocks(blocks, lengths), rungs
+        self.telemetry.record_store_lookup(
+            hit=hit, stale=nodes_arr.size - hit - absent, absent=absent
+        )
+        return (
+            self.classifier.embed_from_store_blocks(blocks, lengths), rungs, reads
+        )
 
     def reset_clock(self) -> None:
         """Forget the busy-until watermark (between independent replays)."""
@@ -645,7 +657,7 @@ class InferenceServer:
         rung: Dict[int, str] = {}
         miss_nodes: List[int] = []
         for node in dict.fromkeys(request.node for request in batch):
-            cached = self.cache.get(node, self._version_of(node))
+            cached = self.cache.get(node, _ENTRY_VERSION)
             if cached is not None:
                 embeddings[node] = cached
                 hit[node] = True
@@ -655,12 +667,15 @@ class InferenceServer:
                 hit[node] = False
         if miss_nodes:
             # All of the batch's misses go through one vectorized forward.
-            computed, miss_rungs = self._compute_embeddings(miss_nodes)
+            computed, miss_rungs, miss_reads = self._compute_embeddings(miss_nodes)
             self.telemetry.record_compute_batch(len(miss_nodes))
-            for node, embedding, node_rung in zip(
-                miss_nodes, computed, miss_rungs
+            for node, embedding, node_rung, read_set in zip(
+                miss_nodes, computed, miss_rungs, miss_reads
             ):
-                self.cache.put(node, self._version_of(node), embedding)
+                self.cache.put(
+                    node, _ENTRY_VERSION, embedding,
+                    stamp=self._clock, reads=read_set,
+                )
                 embeddings[node] = embedding
                 rung[node] = node_rung
         classify_requests = [r for r in batch if r.kind == "classify"]

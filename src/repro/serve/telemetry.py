@@ -72,8 +72,9 @@ class Telemetry:
     batch_sizes: List[int] = field(default_factory=list)
     compute_batch_sizes: List[int] = field(default_factory=list)
     queue_depths: List[int] = field(default_factory=list)
-    # One record per mutation-triggered invalidation: the k-hop frontier
-    # size, how many resident entries it dropped and how many stayed warm.
+    # One record per mutation-triggered invalidation: how many adjacency
+    # lists the write touched, how many resident entries it dropped and how
+    # many stayed warm.
     invalidation_records: List[Dict[str, int]] = field(default_factory=list)
     # One record per store-consulted miss batch: how many nodes were served
     # from fresh store rows vs found stale vs absent (both of the latter
@@ -155,13 +156,15 @@ class Telemetry:
     ) -> None:
         """One mutation-triggered cache invalidation.
 
-        ``frontier_size`` is how many nodes the mutation's k-hop frontier
-        covered (the whole graph on the coarse fallback path), ``dropped``
-        how many resident cache entries it removed, ``kept`` how many stayed
-        warm — the audit trail that fine-grained invalidation actually kept
-        the rest of the working set.  ``reason`` distinguishes the
-        fine-grained reverse-BFS path (``"frontier"``) from a coarse
-        whole-cache flush (``"full"``) in the registry series."""
+        ``frontier_size`` is how many nodes the write stamped as touched:
+        the changed sources when the classifier reports read sets, their
+        reverse-BFS frontier when it only declares a reach, the whole graph
+        on the coarse fallback path.  ``dropped`` is how many resident
+        cache entries the freshness rule then rejected, ``kept`` how many
+        stayed warm — the audit trail that fine-grained invalidation
+        actually kept the rest of the working set.  ``reason``
+        distinguishes the fine-grained paths (``"frontier"``) from the
+        every-node fallback (``"full"``) in the registry series."""
         if reason not in ("frontier", "full"):
             raise ValueError(f"unknown invalidation reason {reason!r}")
         self.invalidation_records.append(
@@ -189,7 +192,7 @@ class Telemetry:
         """One miss batch's store consultation (store-backed servers only).
 
         ``hit`` nodes were served from fresh materialized rows, ``stale``
-        had rows invalidated by a mutation frontier, ``absent`` had no row
+        had rows whose read set a write had touched, ``absent`` had no row
         at all; stale + absent fall back to materialization (the full
         recompute, which also refreshes the row in the overlay)."""
         self.store_lookups.append(

@@ -1,4 +1,4 @@
-"""repro.store — versioned materialized-aggregate tier for warm serving.
+"""repro.store — read-set-stamped materialized-aggregate tier for warm serving.
 
 SeHGNN (arXiv 2207.02547) observes that a hetero-GNN's neighbor
 aggregation can be computed *once* instead of per request; this package
@@ -13,12 +13,16 @@ MLP over the stored rows (:meth:`WidenClassifier.embed_from_store_rows`),
 bit-identical to the full recompute because both halves run the same
 code over the same pack values.
 
-Versioning reuses the server's per-node mutation counters: a row built
-at version ``v`` serves node ``n`` only while the server's
-``_version_of(n)`` still equals ``v``.  A mutation whose reverse-BFS
-frontier reaches ``n`` bumps that counter, the row goes stale, and the
-next miss re-materializes it lazily (write-back into an in-memory
-overlay) — the recompute path is always the exactness oracle.
+Freshness is the server's one rule, shared with its cache: every row
+records the *read set* of its sample (the ids whose adjacency lists the
+sampler consulted) and the *stamp* (the server's write clock when it was
+made; 0 for everything built offline).  A write stamps the lists it
+changed; a row is served only while nothing it read has been stamped
+since.  A row a write undercut is re-materialized lazily by the next miss
+(write-back into an in-memory overlay) — the recompute path is always the
+exactness oracle — and a row no write undercut stays valid indefinitely,
+because answers are seeded by ``(seed, node)`` alone: re-sampling it would
+draw the same sample from the same lists.
 """
 
 from repro.store.store import AggregateStore, STORE_FORMAT_VERSION

@@ -3,11 +3,13 @@
 The builder walks the graph in batches through
 :meth:`WidenClassifier.materialize_store_rows` — the same sampling and
 packing code the serving miss path runs — with each node's rng seeded
-``(seed, graph.version, node)``, i.e. exactly the scheme
-:class:`~repro.serve.server.InferenceServer` uses for a cache miss on an
-unmutated graph.  A served store hit therefore returns the *same bits*
-the recompute path would have produced; the store changes where the work
-happens (offline, once) but never the answer.
+``(seed, node)``, i.e. exactly the scheme
+:class:`~repro.serve.server.InferenceServer` uses for a cache miss.  A
+served store hit therefore returns the *same bits* the recompute path
+would have produced; the store changes where the work happens (offline,
+once) but never the answer.  Every row is written with stamp 0 (made
+before any write its server will see) and the read set of its sample, so
+the server can tell exactly which rows a later write undercuts.
 
 Instrumentation lands in the shared obs pipeline: a ``store.build`` trace
 span per batch, ``store_build_seconds`` / ``store_rows`` /
@@ -49,7 +51,6 @@ def build_store(
     if reason is not None:
         raise ValueError(f"cannot build a store for this classifier: {reason}")
     config = classifier.config
-    version = int(graph.version)
     node_list = (
         np.arange(graph.num_nodes, dtype=np.int64)
         if nodes is None
@@ -63,7 +64,7 @@ def build_store(
         "use_wide": bool(config.use_wide),
         "use_deep": bool(config.use_deep),
         "seed": int(seed),
-        "graph_version": version,
+        "graph_version": int(graph.version),
         "num_nodes": int(node_list.size),
         "params_digest": classifier.params_digest(),
         "dataset": dataset,
@@ -72,14 +73,18 @@ def build_store(
     _, _, total_rows = block_capacity(meta)
     rows = np.zeros((node_list.size, total_rows, int(config.dim)))
     lengths = np.zeros((node_list.size, 1 + int(config.num_deep_walks)), np.int64)
-    versions = np.full(node_list.size, version, np.int64)
+    stamps = np.zeros(node_list.size, np.int64)
+    reads = np.zeros(
+        (node_list.size, 1 + int(config.num_deep_walks) * int(config.num_deep)),
+        np.int32,
+    )
 
     start = time.perf_counter()
     for begin in range(0, node_list.size, batch_size):
         chunk = node_list[begin : begin + batch_size]
         with trace_span("store.build", nodes=int(chunk.size)):
             rngs = [
-                np.random.default_rng([int(seed), version, int(node)])
+                np.random.default_rng([int(seed), int(node)])
                 for node in chunk
             ]
             pack_rows = classifier.materialize_store_rows(chunk, graph, rngs)
@@ -87,10 +92,12 @@ def build_store(
                 block, length_row = encode_block(row_set, meta)
                 rows[begin + offset] = block
                 lengths[begin + offset] = length_row
+                reads[begin + offset] = row_set.reads
     elapsed = time.perf_counter() - start
 
     store = AggregateStore.create(
-        out_path, meta=meta, rows=rows, lengths=lengths, versions=versions
+        out_path, meta=meta, rows=rows, lengths=lengths, versions=stamps,
+        reads=reads,
     )
     registry = registry if registry is not None else get_registry()
     registry.gauge("store_build_seconds").set(elapsed)

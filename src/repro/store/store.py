@@ -1,16 +1,28 @@
 """The on-disk / in-memory materialized-aggregate store.
 
-Layout: a directory holding three arrays plus JSON metadata —
+Layout: a directory holding four arrays plus JSON metadata —
 
 - ``rows.npy`` — ``(K, R, d)`` float64 row blocks, one per stored node.
   Each block concatenates the wide pack matrix (capacity ``num_wide + 1``
   rows) and Φ deep pack matrices (capacity ``num_deep + 1`` rows each),
   zero-padded; trimming information lives in ``lengths.npy``.
 - ``lengths.npy`` — ``(K, 1 + Φ)`` int64 true lengths (wide first).
-- ``versions.npy`` — ``(K,)`` int64 serving version each block was
-  materialized at.
+- ``versions.npy`` — ``(K,)`` int64 *stamp* of each block: the serving
+  server's write clock when the block was materialized (0 for everything
+  the offline builder wrote).
+- ``reads.npy`` — ``(K, 1 + Φ·N_d)`` int32 *read set* of each block: the
+  ids whose adjacency lists its sample consulted
+  (:meth:`repro.core.state.NeighborState.read_set`).  int32 because the
+  column rides every shard's slice payload; a graph this code can hold in
+  memory has far fewer than 2³¹ nodes.
 - ``meta.json`` — format version, model geometry, builder seed, graph
   version and the parameter digest the rows were computed under.
+
+A block is exact until a write touches a list it read.  The store only
+*records* stamps and read sets (:meth:`AggregateStore.versions_of`,
+:meth:`AggregateStore.reads_of`); the verdict is the server's, through
+the one freshness rule it shares with the cache
+(:func:`repro.serve.cache.fresh_mask`).
 
 ``rows.npy`` is opened with ``mmap_mode="r"`` so a store larger than RAM
 costs one page-fault per looked-up block, not a load.  Capacities are the
@@ -19,9 +31,12 @@ lazily re-materialized row after a mutation always fits the same block
 shape — the in-memory overlay and the mmap share one geometry.
 
 A store is only meaningful against the exact parameters and rng scheme
-that built it; :meth:`AggregateStore.compatible_with` checks geometry,
-parameter digest and server seed and returns the human-readable reason on
-mismatch so callers refuse loudly instead of serving wrong aggregates.
+that built it; :meth:`AggregateStore.compatible_with` checks the format,
+geometry, parameter digest and server seed and returns the human-readable
+reason on mismatch so callers refuse loudly instead of serving wrong
+aggregates.  Format v1 directories are refused outright: their rows were
+sampled with the node *version* in the rng seed, which a v2 server never
+reproduces, so they would be wrong rather than merely stale.
 """
 
 from __future__ import annotations
@@ -34,12 +49,13 @@ import numpy as np
 
 from repro.core.packing import PackRows
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 _META_FILE = "meta.json"
 _ROWS_FILE = "rows.npy"
 _LENGTHS_FILE = "lengths.npy"
 _VERSIONS_FILE = "versions.npy"
+_READS_FILE = "reads.npy"
 
 # Meta keys that must match the serving classifier's geometry exactly.
 _GEOMETRY_KEYS = (
@@ -80,8 +96,25 @@ def encode_block(
     return block, lengths
 
 
+def _refuse_old_format(meta: Dict[str, object], what: str) -> Optional[str]:
+    """Why a pre-v2 store cannot be served (``None`` for current ones)."""
+    version = int(meta.get("format_version", 0))
+    if version >= STORE_FORMAT_VERSION:
+        return None
+    return (
+        f"{what} is store format v{version}; this code reads "
+        f"v{STORE_FORMAT_VERSION}.  v{version} rows carry no read sets and "
+        "were sampled under the (seed, node version, node) rng scheme, "
+        "which a (seed, node)-seeded server never reproduces — rebuild "
+        "the store with `python -m repro store-build`"
+    )
+
+
 def decode_block(
-    block: np.ndarray, lengths: np.ndarray, meta: Dict[str, object]
+    block: np.ndarray,
+    lengths: np.ndarray,
+    meta: Dict[str, object],
+    reads: Optional[np.ndarray] = None,
 ) -> PackRows:
     """Trim a row block back into :class:`PackRows` (views, no copies)."""
     wide_cap, deep_cap, _ = block_capacity(meta)
@@ -90,11 +123,17 @@ def decode_block(
     for j in range(int(meta["num_walks"]) if deep_cap else 0):
         offset = wide_cap + j * deep_cap
         deep.append(block[offset : offset + int(lengths[1 + j])])
-    return PackRows(wide=wide, deep=deep)
+    return PackRows(wide=wide, deep=deep, reads=reads)
+
+
+def _own_id_reads(start: int, stop: int, width: int) -> np.ndarray:
+    """Read-set rows for ids without a row: each its own id, so a gather
+    through them stays in range."""
+    return np.repeat(np.arange(start, stop, dtype=np.int32)[:, None], width, axis=1)
 
 
 class AggregateStore:
-    """Versioned per-node pack-row store with a lazy refresh overlay.
+    """Stamped per-node pack-row store with a lazy refresh overlay.
 
     ``node_ids=None`` means the dense full-graph layout (block ``i`` holds
     node ``i``); a cluster shard's slice carries an explicit id array and
@@ -109,6 +148,7 @@ class AggregateStore:
         rows: np.ndarray,
         lengths: np.ndarray,
         versions: np.ndarray,
+        reads: np.ndarray,
         node_ids: Optional[np.ndarray] = None,
     ) -> None:
         self.meta = dict(meta)
@@ -118,23 +158,27 @@ class AggregateStore:
         self._node_ids = (
             None if node_ids is None else np.asarray(node_ids, np.int64)
         )
-        # node -> (version, block, lengths): rows re-materialized since
+        # node -> (stamp, block, lengths): rows re-materialized since
         # open, kept in encoded block form so the serving hot path reads
         # overlay and base entries identically.
         self._overlay: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
-        # Id-indexed lookup tables, so a whole frontier resolves in one
-        # fancy-indexed read: the version of the row currently serving each
-        # node (overlay over base, -1: none; grown by :meth:`refresh` for
+        # Id-indexed lookup tables, so a whole miss batch resolves in one
+        # fancy-indexed read each: the stamp and the read set of the row
+        # currently serving each node (overlay over base; stamp -1 and the
+        # node's own id where there is none; grown by :meth:`refresh` for
         # arrivals) and, for a slice, each node's base position (-1: none).
         self._base_position: Optional[np.ndarray] = None
         if self._node_ids is None:
             self._current_versions = np.array(versions, np.int64)
+            self._current_reads = np.array(reads, np.int32)
         else:
             size = int(self._node_ids.max()) + 1 if self._node_ids.size else 0
             self._base_position = np.full(size, -1, np.int64)
             self._base_position[self._node_ids] = np.arange(self._node_ids.size)
             self._current_versions = np.full(size, -1, np.int64)
             self._current_versions[self._node_ids] = versions
+            self._current_reads = _own_id_reads(0, size, reads.shape[1])
+            self._current_reads[self._node_ids] = reads
 
     # -- lookups ---------------------------------------------------------
 
@@ -169,21 +213,19 @@ class AggregateStore:
         return int(node) in self._overlay
 
     def version_of(self, node: int) -> Optional[int]:
-        """Serving version the node's row was materialized at, or None."""
+        """Stamp (write clock) the node's row was materialized at, or None."""
         entry = self._overlay.get(int(node))
         if entry is not None:
             return entry[0]
         position = self._position(node)
         return None if position is None else int(self._versions[position])
 
-    def fresh(self, node: int, version: int) -> bool:
-        """Whether the stored row is exact for the node at ``version``."""
-        return self.version_of(node) == int(version)
-
     def rows_for(self, node: int) -> PackRows:
-        """The node's pack matrices (overlay first, then the base arrays)."""
+        """The node's pack matrices and read set (overlay over base)."""
         block, lengths = self.block_for(node)
-        return decode_block(block, lengths, self.meta)
+        return decode_block(
+            block, lengths, self.meta, reads=self._current_reads[int(node)]
+        )
 
     def block_for(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """The node's raw ``(R, d)`` capacity-padded block + lengths row.
@@ -208,6 +250,18 @@ class AggregateStore:
         if known.all():
             return table[nodes]
         out = np.full(nodes.size, -1, np.int64)
+        out[known] = table[nodes[known]]
+        return out
+
+    def reads_of(self, nodes) -> np.ndarray:
+        """``(B, 1 + Φ·N_d)`` read sets of the rows :meth:`versions_of`
+        stamps (a node without a row reads as its own id)."""
+        nodes = np.asarray(nodes, np.int64)
+        table = self._current_reads
+        known = (nodes >= 0) & (nodes < table.shape[0])
+        if known.all():
+            return table[nodes]
+        out = np.repeat(nodes.astype(np.int32)[:, None], table.shape[1], axis=1)
         out[known] = table[nodes[known]]
         return out
 
@@ -244,16 +298,30 @@ class AggregateStore:
         return blocks, lengths
 
     def refresh(self, node: int, version: int, rows: PackRows) -> None:
-        """Write back a lazily re-materialized row (in-memory overlay)."""
+        """Write back a lazily re-materialized row (in-memory overlay),
+        stamped ``version``, with the read set ``rows`` carries."""
+        if rows.reads is None:
+            raise ValueError(
+                f"rows for node {node} carry no read set; without one the "
+                "row could never be told stale"
+            )
         block, lengths = encode_block(rows, self.meta)
         node = int(node)
         self._overlay[node] = (int(version), block, lengths)
         size = self._current_versions.size
         if node >= size:  # an arrival: grow, doubling
+            grown = max(node + 1, 2 * size)
             self._current_versions = np.concatenate(
-                [self._current_versions, np.full(max(node + 1, 2 * size) - size, -1)]
+                [self._current_versions, np.full(grown - size, -1)]
+            )
+            self._current_reads = np.concatenate(
+                [
+                    self._current_reads,
+                    _own_id_reads(size, grown, self._current_reads.shape[1]),
+                ]
             )
         self._current_versions[node] = int(version)
+        self._current_reads[node] = rows.reads
 
     # -- accounting ------------------------------------------------------
 
@@ -280,21 +348,17 @@ class AggregateStore:
     def overlay_size(self) -> int:
         return len(self._overlay)
 
-    def stale_count(self, nodes: Iterable[int], version_of) -> int:
-        """How many of ``nodes`` hold rows now stale under ``version_of``."""
-        return sum(
-            1
-            for node in nodes
-            if self.has(node) and not self.fresh(node, version_of(int(node)))
-        )
-
     # -- compatibility ---------------------------------------------------
 
     def compatible_with(self, classifier, seed: int) -> Optional[str]:
         """Reason this store cannot serve ``classifier`` at server ``seed``
-        (``None`` when it can).  Checks the serving-path support flags, the
-        model geometry, the parameter digest and the rng seed — everything
-        that went into the materialized values."""
+        (``None`` when it can).  Checks the store format (the rng scheme
+        is part of it), the serving-path support flags, the model geometry,
+        the parameter digest and the rng seed — everything that went into
+        the materialized values."""
+        reason = _refuse_old_format(self.meta, "this store")
+        if reason is not None:
+            return reason
         supports = getattr(classifier, "supports_store", None)
         if supports is None or not hasattr(classifier, "embed_from_store_blocks"):
             return f"{getattr(classifier, 'name', classifier)!r} has no store hooks"
@@ -340,6 +404,7 @@ class AggregateStore:
         rows: np.ndarray,
         lengths: np.ndarray,
         versions: np.ndarray,
+        reads: np.ndarray,
     ) -> "AggregateStore":
         """Write a dense full-graph store directory and return it (mmap'd)."""
         os.makedirs(path, exist_ok=True)
@@ -348,6 +413,7 @@ class AggregateStore:
         np.save(os.path.join(path, _ROWS_FILE), rows)
         np.save(os.path.join(path, _LENGTHS_FILE), lengths)
         np.save(os.path.join(path, _VERSIONS_FILE), versions)
+        np.save(os.path.join(path, _READS_FILE), np.asarray(reads, np.int32))
         with open(os.path.join(path, _META_FILE), "w") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
         return cls.open(path)
@@ -368,12 +434,16 @@ class AggregateStore:
                 f"store {path!r} is format v{version}, newer than this "
                 f"code's v{STORE_FORMAT_VERSION}"
             )
+        reason = _refuse_old_format(meta, f"store {path!r}")
+        if reason is not None:
+            raise ValueError(reason)
         rows = np.load(
             os.path.join(path, _ROWS_FILE), mmap_mode="r" if mmap else None
         )
         lengths = np.load(os.path.join(path, _LENGTHS_FILE))
         versions = np.load(os.path.join(path, _VERSIONS_FILE))
-        return cls(meta, rows, lengths, versions)
+        reads = np.load(os.path.join(path, _READS_FILE))
+        return cls(meta, rows, lengths, versions, reads)
 
     # -- shard slices ----------------------------------------------------
 
@@ -415,6 +485,7 @@ class AggregateStore:
             "rows": rows,
             "lengths": lengths,
             "versions": versions,
+            "reads": self._current_reads[np.asarray(present, np.int64)],
         }
 
     @classmethod
@@ -425,6 +496,7 @@ class AggregateStore:
             np.asarray(payload["rows"]),
             np.asarray(payload["lengths"], np.int64),
             np.asarray(payload["versions"], np.int64),
+            np.asarray(payload["reads"], np.int32),
             node_ids=np.asarray(payload["node_ids"], np.int64),
         )
 

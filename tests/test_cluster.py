@@ -6,7 +6,7 @@ what one whole-graph :class:`InferenceServer` with the same seed answers —
 for any shard count, in the caller's request order, boundary-crossing
 nodes included, and still after streaming mutations.  Every equality
 assertion below is exact (``assert_array_equal``), not statistical; the
-serving path is deterministic under ``(seed, version, node)`` rng keying
+serving path is deterministic under ``(seed, node)`` rng keying
 and batch-size independent by construction, so any drift is a real bug.
 """
 

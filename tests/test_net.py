@@ -711,3 +711,56 @@ class TestKillRecover:
             assert np.isfinite(np.asarray(first_pass)).all()
         finally:
             router.close()
+
+    def test_log_horizon_replan_is_exact(self, checkpoint, tmp_path):
+        """Past the horizon nothing can be replayed — and nothing needs to
+        be: answers are seeded by ``(seed, node)``, a function of the
+        current graph, so a shard rebuilt from the current plan equals a
+        single server bit for bit.  It only comes back *cold*: its base
+        store slice predates the writes it missed, so none of it is
+        served."""
+        from repro.store import build_store
+
+        graph = fresh_graph()
+        classifier = WidenClassifier.load(checkpoint, graph=graph)
+        store_path = tmp_path / "store"
+        build_store(classifier, graph, store_path, seed=7)
+        single = InferenceServer(classifier, graph, seed=7)
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="socket", seed=7,
+            mutation_log_capacity=1, store_path=str(store_path),
+        )
+        try:
+            dim = router.graph.features.shape[1]
+            probe = np.random.default_rng(5).choice(150, size=10, replace=False)
+            np.testing.assert_array_equal(router.embed(probe), single.embed(probe))
+            for target in (router, single):  # two writes through a log of one
+                new = target.add_nodes("paper", features=np.full((1, dim), 0.3))
+                target.add_edges("paper-author", [int(new[0])], [1])
+            router.shard_registry.kill(0)
+            time.sleep(0.05)
+            single.add_edges("paper-subject", [int(probe[0]), int(probe[1])], [7, 9])
+            nodes = np.concatenate([probe, new, router.plan.shards[0].owned[:12]])
+            with pytest.warns(RuntimeWarning, match="comes back cold"):
+                # The third write evicts the second, which shard 0's
+                # baseline never covered: recovery must replan.
+                router.add_edges(
+                    "paper-subject", [int(probe[0]), int(probe[1])], [7, 9]
+                )
+                served = router.embed(nodes)
+            recoveries = router.fleet.summary()["recoveries"]
+            assert [r["mode"] for r in recoveries] == ["replan"]
+            np.testing.assert_array_equal(served, single.embed(nodes))
+            np.testing.assert_array_equal(
+                router.classify(nodes), single.classify(nodes)
+            )
+            # Cold: the replanned shard answered from no base store row.
+            state = router.workers[0].pull_serving_state().result(60.0)
+            touched = state["serving_state"]["touched"]
+            assert set(router.plan.shards[0].owned.tolist()) <= set(touched)
+            # ... and it keeps tracking the mirror afterwards.
+            for target in (router, single):
+                target.add_edges("paper-author", [int(probe[2])], [3])
+            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+        finally:
+            router.close()

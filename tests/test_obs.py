@@ -324,26 +324,33 @@ class TestOpProfiler:
         assert profiler.total_calls == calls_after_disable
 
     def test_disabled_overhead_is_small(self):
-        """The disabled path must stay close to stock speed.
+        """The disabled path is stock speed because it *is* the stock code.
 
-        Structural checks above are the real guarantee (no wrappers, no
-        hook); this timing guard is deliberately loose (min-of-repeats,
-        2x bound) so it documents the property without reintroducing the
-        wall-clock flakiness this PR removes elsewhere.
+        No wall clock: two min-of-5 millisecond timings taken one after the
+        other under a 2x bound failed on a VM whose speed drifts by tens of
+        percent for seconds at a time.  The guarantee is structural and
+        checked over every op, not two: after enable/disable each function
+        the engine exposes is the very object it was before (no wrapper
+        left to pay for), and no ``from_op`` hook is installed.
         """
-        def run():
-            with Timer() as timer:
-                for _ in range(3):
-                    small_training_step()
-            return timer.laps[-1]
+        def engine_functions():
+            return {
+                (module.__name__, name): value
+                for module in (ops, F)
+                for name, value in vars(module).items()
+                if callable(value)
+            }
 
-        run()  # warm numpy / allocator caches
-        stock = min(run() for _ in range(5))
+        stock = engine_functions()
         profiler = OpProfiler()
         profiler.enable()
+        wrapped = engine_functions()
+        assert any(wrapped[key] is not stock[key] for key in stock)
         profiler.disable()
-        after = min(run() for _ in range(5))
-        assert after < stock * 2.0
+        after = engine_functions()
+        assert after.keys() == stock.keys()
+        assert all(after[key] is stock[key] for key in stock)
+        assert tensor_module.get_profiler() is None
 
     def test_summary_sorted_and_export(self):
         registry = MetricsRegistry()

@@ -1,12 +1,14 @@
 """The ``repro.serve`` subsystem: registry, batcher, cache, server, loadgen.
 
 Everything here is deterministic under fixed seeds: the server computes
-cache misses with an rng keyed on ``(server seed, graph version, node id)``,
-so two servers over equal graphs return byte-identical answers regardless
-of request order, batching boundaries or cache history — which is what lets
+cache misses with an rng keyed on ``(server seed, node id)``, so two
+servers over equal graphs return byte-identical answers regardless of
+request order, batching boundaries, cache history or mutation history — which is what lets
 the mutation tests assert exact equality against a cold server instead of a
 statistical similarity.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -412,16 +414,71 @@ class TestMutationInvalidation:
         return new[0]
 
     def test_version_bump_empties_cache(self, trained, acm, tmp_path):
+        """A write drops exactly the entries whose read set meets its
+        sources; an unrelated resident entry survives the version bump
+        *and* is still the right answer."""
         path = tmp_path / "widen.npz"
         trained.save(path)
         server = fresh_acm_server(path)
-        nodes = acm.split.test[:6]
-        server.classify(nodes)
+        nodes = [int(node) for node in acm.split.test[:6]]
+        server.embed(nodes)
         assert len(server.cache) == 6
+        _, reads = server.classifier.embed_for_serving_batch(
+            np.asarray(nodes), server.graph,
+            [np.random.default_rng([7, node]) for node in nodes],
+            return_reads=True,
+        )
         version_before = server.graph.version
-        self._mutate(server, acm)
+        new = self._mutate(server, acm)
         assert server.graph.version > version_before
-        assert len(server.cache) == 0  # dead-version entries dropped eagerly
+        sources = {int(new), nodes[0], nodes[1]}  # symmetric: both endpoints
+        dependents = {
+            node for node, read_set in zip(nodes, reads)
+            if sources & set(read_set.tolist())
+        }
+        survivors = [node for node in nodes if node not in dependents]
+        assert {nodes[0], nodes[1]} <= dependents
+        assert survivors, "every probe read a changed list; nothing to keep"
+        assert {key[0] for key in server.cache._entries} == set(survivors)
+        assert server.cache.node_invalidations == Counter(dependents)
+
+        cold = fresh_acm_server(path)
+        self._mutate(cold, acm)
+        hits_before = server.cache.hits
+        np.testing.assert_array_equal(
+            server.embed(survivors), cold.embed(survivors)
+        )
+        assert server.cache.hits == hits_before + len(survivors)
+
+    def test_no_read_sets_and_no_reach_invalidates_everything(self, acm):
+        """A classifier with ``embed_for_serving`` that reports neither read
+        sets nor a sampling reach depends on the whole graph as far as the
+        server can tell: any write, however far away, drops every entry."""
+
+        class DegreeEmbedder:
+            name = "degree"
+
+            def __init__(self, graph):
+                self.graph = graph
+
+            def embed_for_serving(self, nodes, graph, rng=None):
+                return graph.degrees()[np.asarray(nodes)][:, None] * np.ones(4)
+
+        graph = make_acm(seed=0, scale=0.5).graph
+        server = InferenceServer(DegreeEmbedder(graph), graph, seed=7)
+        nodes = np.asarray(acm.split.test[:5], dtype=np.int64)
+        far = [int(node) for node in acm.split.test[-2:]]
+        before = server.embed(nodes)
+        assert len(server.cache) == 5
+        server.add_edges(graph.edge_type_names[0], [far[0]], [far[1]])
+        assert len(server.cache) == 0
+        record = server.telemetry.invalidation_records[-1]
+        assert record == {
+            "frontier_size": graph.num_nodes, "dropped": 5, "kept": 0,
+            "reason": "full",
+        }
+        np.testing.assert_array_equal(server.embed(nodes), before)
+        assert server.cache.hits == 0
 
     def test_stale_reads_impossible_after_bump(self, trained, acm, tmp_path):
         path = tmp_path / "widen.npz"

@@ -3,11 +3,11 @@
 The store's contract mirrors the cluster's: **indistinguishability**.  A
 store-backed server answers bit-for-bit what the storeless recompute
 oracle answers — for any batch size (singletons included), after mutation
-streams that stale out frontier rows, and across cluster fleets carrying
+streams that undercut rows' read sets, and across cluster fleets carrying
 per-shard store slices.  Every equality assertion is exact
 (``assert_array_equal``); the rows hold the same values the recompute
-path's ``(seed, version, node)`` rng would produce, so any drift is a bug,
-not noise.
+path's ``(seed, node)`` rng would produce, so any drift is a bug, not
+noise.
 """
 
 from collections import Counter
@@ -18,8 +18,8 @@ import pytest
 from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
-from repro.graph import mutation_frontier
 from repro.serve import InferenceServer
+from repro.serve.cache import fresh_mask
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
 
 
@@ -84,17 +84,40 @@ class TestStoreRoundtrip:
     def test_rows_survive_the_disk_roundtrip(self, trained, acm, store_path):
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 6)
-        rngs = [
-            np.random.default_rng([7, int(acm.graph.version), int(node)])
-            for node in nodes
-        ]
+        rngs = [np.random.default_rng([7, int(node)]) for node in nodes]
         direct = trained.materialize_store_rows(nodes, acm.graph, rngs)
-        for node, rows in zip(nodes, direct):
-            stored = store.rows_for(int(node))
+
+        def assert_same_rows(stored, rows):
             np.testing.assert_array_equal(stored.wide, rows.wide)
             assert len(stored.deep) == len(rows.deep)
             for got, expected in zip(stored.deep, rows.deep):
                 np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(stored.reads, rows.reads)
+
+        for node, rows in zip(nodes, direct):
+            assert_same_rows(store.rows_for(int(node)), rows)
+            assert rows.reads[0] == node  # a sample always reads its target
+        np.testing.assert_array_equal(
+            store.reads_of(nodes), np.stack([rows.reads for rows in direct])
+        )
+        assert store.reads_of(nodes).dtype == np.int32
+        assert (store.versions_of(nodes) == 0).all()  # builder stamp
+
+        # ... and through slice_payload -> from_payload, overlay rows
+        # included: node 0's row is replaced by node 1's sample at stamp 3.
+        first, second = int(nodes[0]), int(nodes[1])
+        store.refresh(first, 3, direct[1])
+        sliced = AggregateStore.from_payload(
+            store.slice_payload([first, second, int(nodes[2])])
+        )
+        assert_same_rows(sliced.rows_for(first), direct[1])
+        assert_same_rows(sliced.rows_for(second), direct[1])
+        assert_same_rows(sliced.rows_for(int(nodes[2])), direct[2])
+        assert list(sliced.versions_of([first, second])) == [3, 0]
+        np.testing.assert_array_equal(
+            sliced.reads_of([first, int(nodes[2])]),
+            np.stack([direct[1].reads, direct[2].reads]),
+        )
 
     def test_vectorized_lookups_match_scalar(self, store_path, acm):
         store = AggregateStore.open(store_path)
@@ -118,6 +141,63 @@ class TestStoreRoundtrip:
         (copy / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="newer"):
             AggregateStore.open(copy)
+
+    def test_format_v1_is_refused_naming_format_and_seed_scheme(
+        self, checkpoint, store_path, tmp_path
+    ):
+        """A v1 directory (no ``reads.npy``, rows sampled with the node
+        version in the rng seed) would serve *wrong* rows, not stale ones:
+        refused at open, and at attach for a v1 store that got in some
+        other way."""
+        import json
+        import shutil
+
+        old = tmp_path / "v1"
+        shutil.copytree(store_path, old)
+        (old / "reads.npy").unlink()
+        meta = json.loads((old / "meta.json").read_text())
+        meta["format_version"] = 1
+        (old / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"format v1.*\(seed, node version, node\)"):
+            AggregateStore.open(old)
+
+        graph = fresh_graph()
+        classifier = WidenClassifier.load(checkpoint, graph=graph)
+        smuggled = AggregateStore.open(store_path)
+        smuggled.meta["format_version"] = 1
+        reason = smuggled.compatible_with(classifier, 7)
+        assert "format v1" in reason and "rng scheme" in reason
+        with pytest.raises(ValueError, match="format v1"):
+            InferenceServer(classifier, graph, seed=7, store=smuggled)
+
+    def test_store_from_an_older_graph_version_is_all_stale(
+        self, checkpoint, store_path
+    ):
+        """Built at version V, attached at V+1: the server cannot know what
+        changed in between, so no row is served — answers equal a cold
+        storeless server's, never a version-V row."""
+        graph = fresh_graph()
+        author = int(graph.nodes_of_type("author")[0])
+        nodes = probe_nodes(graph, 10)
+        graph.add_edges("paper-author", [int(nodes[0])], [author])
+        oracle_graph = fresh_graph()
+        oracle_graph.add_edges("paper-author", [int(nodes[0])], [author])
+        store = AggregateStore.open(store_path)
+        assert store.meta["graph_version"] == graph.version - 1
+        late = InferenceServer(
+            WidenClassifier.load(checkpoint, graph=graph), graph, seed=7, store=store
+        )
+        oracle = InferenceServer(
+            WidenClassifier.load(checkpoint, graph=oracle_graph), oracle_graph, seed=7
+        )
+        np.testing.assert_array_equal(late.embed(nodes), oracle.embed(nodes))
+        assert late.telemetry.store_lookups == [
+            {"hit": 0, "stale": nodes.size, "absent": 0}
+        ]
+        # Re-materialized rows are trusted again from here on.
+        late.cache.invalidate()
+        np.testing.assert_array_equal(late.embed(nodes), oracle.embed(nodes))
+        assert late.telemetry.store_lookups[-1]["hit"] == nodes.size
 
     def test_attach_refuses_wrong_seed(self, checkpoint, store_path):
         graph = fresh_graph()
@@ -231,28 +311,54 @@ class TestStoreServingEquality:
 
 
 class LoopReference:
-    """The per-frontier-node bookkeeping ``_on_graph_mutation`` did before
-    it became array work, kept here as the reference: a dict of bumps, a
-    24k-element id set tested against every resident cache key, one
-    ``store.has()`` per frontier node."""
+    """The freshness rule as a per-node Python loop, kept as the reference
+    for the server's array version: a dict of touched stamps, one
+    ``any(touched[r] > stamp for r in reads)`` per resident cache entry and
+    per store row."""
 
     def __init__(self, server):
         self.server = server
-        self.bumps = {}
+        self.clock = 0
+        self.touched = {}
+        self.made = {}  # cache key -> (stamp, read set) as the server put it
         self.invalidations = 0
         self.node_invalidations = Counter()
-        self.stale_rows = 0
+        self.undercut_rows = 0
         self.drop_counts = []
         # The cache reference must look at the resident keys *before* the
-        # server drops them, so it wraps the call; the rest runs from a
-        # hook registered after the server's own.
+        # server drops them, so it wraps the calls.
+        self._put = server.cache.put
         self._invalidate_nodes = server.cache.invalidate_nodes
+        server.cache.put = self.put
         server.cache.invalidate_nodes = self.invalidate_nodes
-        server.graph.add_mutation_hook(self.on_mutation)
+
+    def put(self, node, version, embedding, *, stamp, reads):
+        self.made[(int(node), int(version))] = (int(stamp), reads.tolist())
+        self._put(node, version, embedding, stamp=stamp, reads=reads)
+
+    def stale(self, stamp, reads):
+        return any(self.touched.get(int(read), 0) > stamp for read in reads)
 
     def invalidate_nodes(self, nodes):
-        ids = {int(node) for node in nodes}
-        victims = [key for key in self.server.cache._entries if key[0] in ids]
+        """Runs inside the server's mutation hook: replay the write on the
+        reference clock, then judge every resident entry one by one."""
+        event = self.server.graph.last_mutation
+        touched = event.nodes if event.kind == "add_nodes" else event.sources
+        self.clock += 1
+        for node in touched:
+            self.touched[int(node)] = self.clock
+        self.undercut_rows += sum(
+            1 for node in touched if self.server.store.has(int(node))
+        )
+        victims = [
+            key for key in self.server.cache._entries
+            if self.stale(*self.made[key])
+        ]
+        # Verdicts agree: the ids the vectorized sweep handed over are
+        # exactly the entries the loop finds stale.
+        assert sorted(int(node) for node in nodes) == sorted(
+            key[0] for key in victims
+        )
         for key in victims:
             self.node_invalidations[key[0]] += 1
         self.invalidations += len(victims)
@@ -260,20 +366,15 @@ class LoopReference:
         self.drop_counts.append((got, len(victims)))
         return got
 
-    def on_mutation(self, graph):
-        event = graph.last_mutation
-        if event.kind == "add_nodes":
-            frontier = event.nodes
-        else:
-            frontier = mutation_frontier(
-                graph, event.sources, self.server._serving_reach
+    def store_verdicts(self, nodes):
+        """Loop verdict per node: does it hold a row nothing has undercut?"""
+        store = self.server.store
+        return [
+            store.has(int(node)) and not self.stale(
+                store.version_of(int(node)), store.rows_for(int(node)).reads
             )
-        for node in frontier:
-            node = int(node)
-            self.bumps[node] = self.bumps.get(node, 0) + 1
-        self.stale_rows += sum(
-            1 for node in frontier if self.server.store.has(int(node))
-        )
+            for node in nodes
+        ]
 
 
 class TestVectorizedInvalidation:
@@ -287,27 +388,46 @@ class TestVectorizedInvalidation:
         author = int(graph.nodes_of_type("author")[0])
         subject = int(graph.nodes_of_type("subject")[0])
         dim = graph.features.shape[1]
+
+        def check_store_verdicts():
+            everyone = np.arange(graph.num_nodes)
+            vectorized = fresh_mask(
+                stored._touched_at,
+                stored.store.reads_of(everyone),
+                stored.store.versions_of(everyone),
+            )
+            assert list(vectorized) == reference.store_verdicts(everyone)
+            return vectorized
+
         stored.embed(nodes)
         stored.add_edges("paper-author", [int(nodes[0])], [author])
+        after_first = check_store_verdicts()
+        assert not after_first[nodes[0]] and not after_first[author]
+        assert after_first.sum() > 0.5 * graph.num_nodes  # most rows untouched
         stored.embed(nodes)  # stale rows refresh into the overlay
+        assert check_store_verdicts()[nodes].all()
         new = int(stored.add_nodes("paper", features=np.full((1, dim), 0.5))[0])
         stored.embed([new])  # absent -> an overlay row past the base range
         stored.add_edges("paper-subject", [new, int(nodes[1])], [subject, subject])
+        check_store_verdicts()
         stored.embed(np.concatenate([nodes, [new]]))
         stored.add_edges("paper-author", [new], [author])
+        check_store_verdicts()
 
         state = stored.export_serving_state()
-        assert state["node_bumps"] == reference.bumps
+        assert state["touched"] == reference.touched
+        assert state["clock"] == reference.clock == 4
         assert state["graph_version"] == graph.version
         assert stored.cache.invalidations == reference.invalidations > 0
         assert stored.cache.node_invalidations == reference.node_invalidations
         assert all(got == want for got, want in reference.drop_counts)
         assert len(reference.drop_counts) == 4  # one per mutation
+        assert len(stored.cache) > 0  # ... and none of them emptied the cache
         counter = stored.telemetry.registry.counter(
             "serve_store_invalidated_rows_total", reason="frontier"
         )
-        assert counter.value == reference.stale_rows > 0
-        # The arrival's overlay row counted as a stale row once bumped.
+        assert counter.value == reference.undercut_rows > 0
+        # The arrival's overlay row counted once its own list was touched.
         assert stored.store.versions_of([new])[0] >= 0
 
     def test_sliced_store_versions_match_scalar_lookups(self, store_path, acm):
@@ -334,19 +454,19 @@ class TestVectorizedInvalidation:
         with pytest.raises(KeyError):
             sliced.blocks_for([0])
 
-    def test_arrival_grows_bump_array_and_is_servable_at_once(self, checkpoint):
+    def test_arrival_grows_touched_array_and_is_servable_at_once(self, checkpoint):
         server = fresh_server(checkpoint)
         oracle = fresh_server(checkpoint)
         before = server.graph.num_nodes
-        assert server._node_bumps.shape == (before,)
+        assert server._touched_at.shape == (before,)
         features = np.full((2, server.graph.features.shape[1]), 0.25)
         new = server.add_nodes("paper", features=features)
         oracle.add_nodes("paper", features=features)
-        assert server._node_bumps.shape == (before + 2,)
-        assert server._node_bumps.dtype == np.int64
-        assert server.export_serving_state()["node_bumps"] == {
-            int(node): 1 for node in new
-        }
+        assert server._touched_at.shape == (before + 2,)
+        assert server._touched_at.dtype == np.int64
+        state = server.export_serving_state()
+        assert state["clock"] == 1
+        assert state["touched"] == {int(node): 1 for node in new}
         np.testing.assert_array_equal(server.embed(new), oracle.embed(new))
         # A restored server adopts the sparse dict back into an array.
         server.restore_serving_state(server.export_serving_state())
