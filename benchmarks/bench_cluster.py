@@ -2,17 +2,15 @@
 
 Replays one deterministic Poisson/Zipf trace through a single
 :class:`InferenceServer` and through :class:`ClusterRouter` fleets of 1, 2
-and 4 halo-replicated shards on each transport (``inline``, ``thread``,
-``mp``, ``socket``), all on the logical service clock the serving benches
-share:
+and 4 halo-replicated shards on both transports (``inline``, ``socket``),
+all on the logical service clock the serving benches share:
 arrivals and batch deadlines come from the trace, compute time is measured
 for real, and each shard serializes its own batches behind a busy-until
 watermark.  Shard parallelism therefore shows up the honest way — as
 *span compression* (four watermarks advancing concurrently on the logical
 timeline) — rather than as wishful addition of throughputs.  The wall
-clock is recorded separately per row: that is where the thread transport's
-GIL serialization and the mp transport's process parallelism actually
-differ.
+clock is recorded separately per row: that is where running every shard on
+the caller's thread and running one process per shard actually differ.
 
 Claims asserted:
 
@@ -20,7 +18,7 @@ Claims asserted:
    set exactly like the single server (the transport is a deployment
    decision, not a semantics change).
 2. Throughput scales: the 4-shard fleet clears the compute-bound trace at
-   >= 1.5x the single server's rate on the inline and mp transports.
+   >= 1.5x the single server's rate on both transports.
 3. Per-shard telemetry survives aggregation: the merged Prometheus
    exposition carries shard-labeled latency/batch/cache series for every
    shard.
@@ -50,9 +48,8 @@ from repro.datasets import make_acm
 from repro.serve import InferenceServer, ModelRegistry, make_trace, replay
 
 SHARD_COUNTS = (1, 2, 4)
-TRANSPORTS = ("inline", "thread", "mp", "socket")
-ASSERTED_TRANSPORTS = ("inline", "mp")
-SOCKET_SHARD_COUNTS = (2,)  # socket rows: spawn cost dominates, one size
+TRANSPORTS = ("inline", "socket")
+ASSERTED_TRANSPORTS = ("inline", "socket")
 SPEEDUP_FLOOR = 1.5
 MAX_ATTEMPTS = 3
 
@@ -108,13 +105,12 @@ def _measure_kill_recover(checkpoint, probe, *, seed, scale):
             target.add_edges(
                 "paper-author", [int(added[0]), int(added[1])], [1, 3]
             )
-        router.shard_registry.kill(0)
-        time.sleep(0.05)
+        router.fleet.registry.kill(0)
         nodes = np.append(probe, added)
         post_exact = bool(
             np.array_equal(router.embed(nodes), single.embed(nodes))
         )
-        summary = router.fleet.summary()
+        summary = router.supervisor.summary()
         events = summary["worker_down_events"]
         recoveries = summary["recoveries"]
         return {
@@ -178,9 +174,9 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
         # is trustworthy even when cores < shards.
         summary = router.replay(trace, overlap=False)
         # Warm overlapped pass: caches absorb the compute, so the wall
-        # clock is almost pure transport cost — queue hops, pickling,
-        # GIL or process scheduling.  This is where thread and mp
-        # genuinely differ.
+        # clock is almost pure transport cost — pickling, socket hops,
+        # process scheduling.  This is where inline and socket genuinely
+        # differ.
         started = time.perf_counter()
         router.replay(trace, overlap=True)
         wall_seconds = time.perf_counter() - started
@@ -217,10 +213,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
         return stats
 
     for transport in TRANSPORTS:
-        shard_counts = (
-            SOCKET_SHARD_COUNTS if transport == "socket" else SHARD_COUNTS
-        )
-        for num_shards in shard_counts:
+        for num_shards in SHARD_COUNTS:
             floor = (
                 SPEEDUP_FLOOR
                 if transport in ASSERTED_TRANSPORTS
@@ -295,9 +288,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
             f"{stats['transport']} x{stats['num_shards']} diverged from the "
             "single server"
         )
-    # Claim 2: 4 shards clear the trace >= 1.5x faster on inline and mp.
-    # (The thread transport shares one GIL across shards, so its logical
-    # span still compresses but no floor is asserted for it.)
+    # Claim 2: 4 shards clear the trace >= 1.5x faster.
     for transport in ASSERTED_TRANSPORTS:
         four = next(
             s for s in report["transport_fleets"]

@@ -5,8 +5,8 @@ two things the tier promises:
 
 1. **Exactness.**  Store-backed serving returns the same bits as full
    recompute (gate ``<= 1e-10``, observed 0.0): a single server against a
-   storeless oracle, then inline fleets of 1 and 4 shards plus a 4-shard mp
-   fleet carrying per-shard store slices — each checked before and after a
+   storeless oracle, then inline fleets of 1 and 4 shards plus a 4-shard
+   socket fleet carrying per-shard store slices — each checked before and after a
    mutation stream (edge attachments + a node arrival) that exercises the
    read-set-invalidation → lazy-refresh path.
 2. **Warm-miss speedup.**  A cache miss answered from store rows runs only
@@ -39,7 +39,7 @@ from repro.store import AggregateStore, build_store
 EXACTNESS_GATE = 1e-10
 SPEEDUP_FLOOR = 5.0
 MAX_ATTEMPTS = 3
-FLEETS = (("inline", 1), ("inline", 4), ("mp", 4))
+FLEETS = (("inline", 1), ("inline", 4), ("socket", 4))
 
 
 def _fresh_graph(seed, scale):

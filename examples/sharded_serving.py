@@ -62,7 +62,7 @@ def main() -> None:
         print("-- 1. scatter-gather equals the single server --")
         reference = single.embed(probe)
         router = ClusterRouter.from_checkpoint(
-            checkpoint, fresh_graph(), 4, transport="thread", seed=7
+            checkpoint, fresh_graph(), 4, transport="socket", seed=7
         )
         plan = router.plan.summary()
         print(f"4 shards, reach {plan['reach']}, edge cut {plan['edge_cut']}, "

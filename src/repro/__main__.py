@@ -19,12 +19,11 @@ Commands
     (:mod:`repro.cluster`), replay the same deterministic trace through the
     scatter-gather router, and print the cluster report: per-shard
     ownership/halo/latency plus cluster throughput.  ``--transport``
-    selects the shard boundary: ``inline`` (deterministic replay, default),
-    ``thread`` (worker threads), ``mp`` (worker processes rebuilt from
-    the checkpoint), or ``socket`` (TCP workers with heartbeats, respawn,
-    and mutation-log catch-up; ``--workers host:port,...`` points at
-    pre-started ``shard-worker`` processes, otherwise workers are spawned
-    locally).  ``--prometheus-out`` writes the merged shard-labeled
+    selects the shard boundary: ``inline`` (deterministic replay, default)
+    or ``socket`` (one TCP worker process per shard, rebuilt from the
+    checkpoint, with heartbeats, respawn, and mutation-log catch-up;
+    ``--workers host:port,...`` points at pre-started ``shard-worker``
+    processes, otherwise workers are spawned locally).  ``--prometheus-out`` writes the merged shard-labeled
     Prometheus exposition.
 ``shard-worker --listen HOST:PORT``
     Run one shard-engine server speaking the length-prefixed TCP framing
@@ -50,15 +49,14 @@ Commands
     vs compute, serving-ladder rung counts — as JSONL
     (``--attribution-out``).  Non-zero exit if any request's rung counts
     fail to sum to its node count.
-``tune-scatter [--repeats N] [--tuning-out F]``
-    Micro-sweep the scatter-add backend crossovers on this machine and
-    print the ``REPRO_SCATTER_*`` environment settings they imply.
 ``tune-kernels [--repeats N] [--table-out F] [--tuning-out F]``
-    Superset of ``tune-scatter``: sweep the scatter-add crossovers *and*
-    the padded-vs-sparse forward crossover, persist the versioned
-    per-host kernel-selection table (``~/.cache/repro/kernel_table.json``
-    unless ``--table-out``/``REPRO_KERNEL_TABLE`` says otherwise), which
-    every later ``repro.tensor`` import auto-applies.
+    Micro-sweep the scatter-add backend crossovers *and* the
+    padded-vs-sparse forward crossover on this machine, print the
+    ``REPRO_SCATTER_*`` environment settings they imply, and persist the
+    versioned per-host kernel-selection table
+    (``~/.cache/repro/kernel_table.json`` unless
+    ``--table-out``/``REPRO_KERNEL_TABLE`` says otherwise), which every
+    later ``repro.tensor`` import auto-applies.
 ``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
     Train WIDEN under the :mod:`repro.obs` instrumentation: prints an
     op-level time/FLOP table and the per-epoch message-volume series, and
@@ -608,21 +606,6 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     return server.serve_forever()
 
 
-def _cmd_tune_scatter(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.tensor.tuning import format_report, run_tuning
-
-    dim = args.dim if args.dim is not None else 64
-    report = run_tuning(dim=dim, repeats=args.repeats)
-    print(format_report(report))
-    if args.tuning_out:
-        with open(args.tuning_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"\nwrote sweep report to {args.tuning_out}")
-    return 0
-
-
 def _cmd_tune_kernels(args: argparse.Namespace) -> int:
     import json
 
@@ -646,7 +629,7 @@ def main(argv=None) -> int:
         "command",
         choices=(
             "stats", "train", "compare", "serve-bench", "serve-cluster",
-            "store-build", "profile", "tune-scatter", "tune-kernels",
+            "store-build", "profile", "tune-kernels",
             "trace", "shard-worker",
         ),
     )
@@ -695,11 +678,11 @@ def main(argv=None) -> int:
                               "for serve-cluster/trace; giving it to train "
                               "switches on data-parallel training)")
     cluster.add_argument("--transport",
-                         choices=("inline", "thread", "mp", "socket"),
+                         choices=("inline", "socket"),
                          default="inline",
                          help="shard boundary: inline (deterministic "
-                              "replay), thread workers, mp processes, or "
-                              "socket TCP workers")
+                              "replay) or socket (one TCP worker process "
+                              "per shard)")
     cluster.add_argument("--workers", default=None,
                          help="socket transport: comma-separated "
                               "host:port list of pre-started shard-worker "
@@ -741,7 +724,7 @@ def main(argv=None) -> int:
                       help="trace: SLO report JSON output path")
     dist.add_argument("--attribution-out", default="attribution.jsonl",
                       help="trace: per-request attribution JSONL output path")
-    tune = parser.add_argument_group("tune-scatter / tune-kernels")
+    tune = parser.add_argument_group("tune-kernels")
     tune.add_argument("--repeats", type=int, default=30,
                       help="timing repeats per backend per shape (median)")
     tune.add_argument("--tuning-out", default=None,
@@ -770,7 +753,6 @@ def main(argv=None) -> int:
         "serve-cluster": _cmd_serve_cluster,
         "store-build": _cmd_store_build,
         "profile": _cmd_profile,
-        "tune-scatter": _cmd_tune_scatter,
         "tune-kernels": _cmd_tune_kernels,
         "trace": _cmd_trace,
         "shard-worker": _cmd_shard_worker,

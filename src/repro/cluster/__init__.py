@@ -10,22 +10,28 @@ while preserving its exact semantics:
   specs serialize compactly (:meth:`ShardSpec.to_payload`) and mutations
   propagate as serializable commands — nothing in the plan assumes shared
   memory.
-- :mod:`~repro.cluster.transport` — the pluggable message boundary: typed
-  :class:`Envelope`/:class:`Reply` pairs over ``inline`` (deterministic
-  replay on the caller's thread, pickle round-trip included), ``thread``
-  (bounded-inbox worker thread), ``mp`` (one OS process per shard,
-  rebuilt from checkpoint + shard payload on spawn) or ``socket``
-  (TCP workers, possibly on other hosts — see below).
-- :mod:`~repro.cluster.net` — the ``socket`` lane: length-prefixed TCP
-  framing for the same pickle protocol, a ``python -m repro shard-worker``
-  server entrypoint, heartbeat liveness riding ``clock`` envelopes, and a
-  :class:`FleetSupervisor` that turns a SIGKILL'd worker into a typed
-  :class:`WorkerDown`, respawns it from checkpoint bytes + the serialized
-  shard plan, and replays a bounded :class:`MutationLog` before
-  readmitting it to scatter-gather.
+- :mod:`~repro.cluster.transport` — the message boundary: typed
+  :class:`Envelope`/:class:`Reply` pairs over one of two transports,
+  ``inline`` (deterministic replay on the caller's thread, pickle
+  round-trip included) or ``socket`` (one worker process per shard behind
+  TCP, possibly on another host).
+- :mod:`~repro.cluster.net` — the wire of the ``socket`` transport:
+  length-prefixed TCP framing for the same pickle protocol,
+  :class:`SocketTransport` with heartbeat liveness riding ``clock``
+  envelopes and typed :class:`WorkerDown`, and the
+  ``python -m repro shard-worker`` server (:class:`ShardWorkerServer`).
+- :mod:`~repro.cluster.fleet` — one :class:`Fleet` under serving and
+  training: plan + per-shard engine args → transports → ready engines →
+  respawn → close, the only place a transport is constructed.  Also the
+  socket fleet's membership (:class:`LocalWorkerSpawner`,
+  :class:`ShardRegistry`) and its :class:`FleetSupervisor`, which turns a
+  SIGKILL'd worker into a respawn from checkpoint bytes + the serialized
+  shard plan and a replay of the bounded :class:`MutationLog` before the
+  shard is readmitted to scatter-gather.
 - :mod:`~repro.cluster.engine` — the far side of the boundary: one rebuilt
   shard spec + one :class:`InferenceServer`, driven entirely by envelope
-  dispatch.
+  dispatch, and :func:`build_engine_from_args`, the one route by which any
+  engine is built on either transport.
 - :mod:`~repro.cluster.worker` — the router's per-shard protocol stub
   (serve scatter legs, mutation barriers, telemetry pulls).
 - :mod:`~repro.cluster.router` — ownership-based async scatter-gather with
@@ -35,31 +41,30 @@ while preserving its exact semantics:
 
 The contract throughout: sharding — and the transport it runs on — is a
 deployment decision, not a semantics change. ``ClusterRouter.embed(nodes)``
-equals a single server's output bit for bit, for any shard count, on every
-transport.
+equals a single server's output bit for bit, for any shard count, on
+either transport.
 
 :mod:`~repro.cluster.train` extends the same substrate to data-parallel
 *training*: :class:`TrainEngine` answers the ``train_*`` envelope family
 with a partition-local :class:`~repro.core.trainer.WidenTrainer` replica,
 :class:`TrainWorker` is its coordinator stub speaking the
 :class:`~repro.core.train_loop.TrainLoop` client protocol, and
-:class:`DistributedTrainer` plans, spawns, reduces gradients and
-checkpoints the fleet for elastic resume.
+:class:`DistributedTrainer` plans, brings up the same :class:`Fleet`,
+reduces gradients and checkpoints it for elastic resume.
 """
 
 from repro.cluster.engine import ShardEngine, build_engine_from_args
-from repro.cluster.net import (
+from repro.cluster.fleet import (
+    Fleet,
     FleetSupervisor,
     LocalWorkerSpawner,
     MutationLog,
     MutationLogHorizonError,
     RecoveryRecord,
     ShardRegistry,
-    ShardWorkerServer,
-    SocketTransport,
-    WorkerDown,
     WorkerHandle,
 )
+from repro.cluster.net import ShardWorkerServer, SocketTransport, WorkerDown
 from repro.cluster.planner import (
     AddNodesCommand,
     ClusterPlan,
@@ -72,15 +77,10 @@ from repro.cluster.train import DistributedTrainer, TrainEngine, TrainWorker
 from repro.cluster.transport import (
     Envelope,
     InlineTransport,
-    MpTransport,
     Reply,
-    ShardCrashError,
     ShardError,
     ShardTimeoutError,
-    ThreadTransport,
     Transport,
-    registered_transports,
-    validate_transport,
 )
 from repro.cluster.worker import ShardWorker
 
@@ -90,16 +90,15 @@ __all__ = [
     "ClusterRouter",
     "DistributedTrainer",
     "Envelope",
+    "Fleet",
     "FleetSupervisor",
     "InlineTransport",
     "LocalWorkerSpawner",
-    "MpTransport",
     "MutationLog",
     "MutationLogHorizonError",
     "RecoveryRecord",
     "RefreshCommand",
     "Reply",
-    "ShardCrashError",
     "ShardEngine",
     "ShardError",
     "ShardPlanner",
@@ -109,13 +108,10 @@ __all__ = [
     "ShardWorker",
     "ShardWorkerServer",
     "SocketTransport",
-    "ThreadTransport",
     "TrainEngine",
     "TrainWorker",
     "Transport",
     "WorkerDown",
     "WorkerHandle",
     "build_engine_from_args",
-    "registered_transports",
-    "validate_transport",
 ]

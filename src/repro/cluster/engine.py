@@ -7,8 +7,8 @@ arrays — never shared with the router) and one
 (:class:`~repro.cluster.worker.ShardWorker` + a transport) never touches
 the server; it only ships :class:`~repro.cluster.transport.Envelope`\\ s,
 and :meth:`handle` is the single dispatch point — which is why the same
-engine code runs inline, on a worker thread, and in a spawned process
-without any behavioral difference.
+engine code runs inline and in a worker process on the far side of a
+socket without any behavioral difference.
 
 Envelope kinds:
 
@@ -40,8 +40,10 @@ router's gather.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -54,15 +56,20 @@ from repro.serve.server import InferenceServer
 
 
 def build_engine_from_args(args: Dict[str, object]):
-    """Build whichever engine family ``args`` asks for.
+    """Build the engine ``args`` describes: the one construction route, on
+    every transport (:class:`repro.cluster.fleet.Fleet` writes the args;
+    the inline transport and ``ShardWorkerServer`` both call this).
 
-    The single dispatch point every spawned worker uses
-    (``_engine_process_main`` for mp, ``ShardWorkerServer`` for sockets):
-    ``args["engine"]`` selects ``"serve"`` (default, and the implicit value
-    in every pre-training spawn payload) or ``"train"`` — same wire shape,
-    same ready-handshake, different envelope vocabulary behind it.
+    The schema: ``engine`` picks the family — ``"serve"``
+    (:class:`ShardEngine`) or ``"train"``
+    (:class:`repro.cluster.train.TrainEngine`); ``spec_payload`` is the
+    serialized shard; ``checkpoint`` is a path (engines sharing the
+    router's filesystem) or else ``checkpoint_bytes`` the raw ``.npz``
+    contents (socket workers share nothing); ``config`` is the family's
+    options; ``serving_state``, when not ``None``, is restored after the
+    build (a respawned serving engine adopts its baseline's write clock).
     """
-    family = args.get("engine", "serve")
+    family = args["engine"]
     if family == "serve":
         return ShardEngine.from_args(args)
     if family == "train":
@@ -70,6 +77,28 @@ def build_engine_from_args(args: Dict[str, object]):
 
         return TrainEngine.from_args(args)
     raise ValueError(f"unknown engine family {family!r}")
+
+
+@contextmanager
+def checkpoint_path(
+    checkpoint: Optional[str], checkpoint_bytes: Optional[bytes]
+) -> Iterator[str]:
+    """A checkpoint as a loadable path: ``checkpoint`` itself, or else
+    ``checkpoint_bytes`` staged through a private temp file that is deleted
+    on exit."""
+    if checkpoint is not None:
+        yield checkpoint
+        return
+    fd, staged = tempfile.mkstemp(prefix="repro-ckpt-", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(checkpoint_bytes)
+        yield staged
+    finally:
+        try:
+            os.unlink(staged)
+        except OSError:
+            pass
 
 
 class ShardEngine:
@@ -80,99 +109,43 @@ class ShardEngine:
         self.server = server
         self.closed = False
 
-    # ------------------------------------------------------------------
-    # Construction (runs wherever the transport puts the engine)
-    # ------------------------------------------------------------------
-
     @classmethod
-    def build(
-        cls,
-        spec_payload: Dict[str, object],
-        *,
-        config: Dict[str, object],
-        checkpoint: Optional[str] = None,
-        classifier_factory=None,
-    ) -> "ShardEngine":
-        """Rebuild a shard from its serialized plan slice.
+    def from_args(cls, args: Dict[str, object]) -> "ShardEngine":
+        """Rebuild a serving shard (see :func:`build_engine_from_args`).
 
-        ``checkpoint`` is the spawn path every transport can use (the mp
-        worker *must*: a live classifier does not cross the pipe);
-        ``classifier_factory`` is the in-process alternative for routers
-        constructed around a factory.  Either way the engine's spec comes
-        from :meth:`ShardSpec.from_payload` — independent arrays, so the
-        router-side mirror and the engine advance only via the shared
-        command stream, never via aliasing.
+        The engine's spec comes from :meth:`ShardSpec.from_payload` —
+        independent arrays, so the router-side mirror and the engine
+        advance only via the shared command stream, never via aliasing.
+        The restored ``serving_state`` matters because a respawned engine's
+        store slice is the *base* slice: the touched stamps say which of
+        its rows earlier writes had already undercut.
         """
-        spec = ShardSpec.from_payload(spec_payload)
-        kwargs = dict(
-            max_batch_size=int(config.get("max_batch_size", 16)),
-            max_wait=float(config.get("max_wait", 0.002)),
-            cache_capacity=int(config.get("cache_capacity", 1024)),
-            seed=int(config.get("seed", 0)),
-            registry=MetricsRegistry(),  # private per shard; merged on render
-        )
-        if checkpoint is not None:
+        spec = ShardSpec.from_payload(args["spec_payload"])
+        config = args["config"]
+        with checkpoint_path(
+            args["checkpoint"], args["checkpoint_bytes"]
+        ) as checkpoint:
             server = InferenceServer.from_checkpoint(
-                checkpoint, spec.graph, **kwargs
+                checkpoint,
+                spec.graph,
+                max_batch_size=int(config.get("max_batch_size", 16)),
+                max_wait=float(config.get("max_wait", 0.002)),
+                cache_capacity=int(config.get("cache_capacity", 1024)),
+                seed=int(config.get("seed", 0)),
+                registry=MetricsRegistry(),  # private per shard; merged on render
             )
-        elif classifier_factory is not None:
-            server = InferenceServer(
-                classifier_factory(spec.graph), spec.graph, **kwargs
-            )
-        else:
-            raise ValueError("need a checkpoint path or a classifier_factory")
         store_payload = config.get("store")
         if store_payload is not None:
             # The shard's slice of the materialized-aggregate store
             # (owned nodes only — halo nodes are never served locally, so
             # shipping their rows would be dead weight).  Plain arrays, so
-            # the same payload works in-process and across the mp pickle
-            # boundary.
+            # the same payload works in-process and across the wire.
             from repro.store import AggregateStore
 
             server.attach_store(AggregateStore.from_payload(store_payload))
+        if args["serving_state"] is not None:
+            server.restore_serving_state(args["serving_state"])
         return cls(spec, server)
-
-    @classmethod
-    def from_args(cls, args: Dict[str, object]) -> "ShardEngine":
-        """Entry point for spawned workers (see ``_engine_process_main`` and
-        :class:`repro.cluster.net.ShardWorkerServer`).
-
-        ``checkpoint`` is a path (mp workers share a filesystem with the
-        router); ``checkpoint_bytes`` is the raw ``.npz`` contents for
-        socket workers on machines that share nothing — staged through a
-        private temp file and deleted once loaded.  ``serving_state`` (when
-        present) is restored after the build, so a respawned engine adopts
-        the write clock and touched stamps of the baseline it was rebuilt
-        from — its store slice is the *base* slice, and the stamps say
-        which of those rows earlier writes had already undercut.
-        """
-        import tempfile
-
-        checkpoint = args.get("checkpoint")
-        checkpoint_bytes = args.get("checkpoint_bytes")
-        staged: Optional[str] = None
-        if checkpoint is None and checkpoint_bytes is not None:
-            fd, staged = tempfile.mkstemp(prefix="repro-ckpt-", suffix=".npz")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(checkpoint_bytes)
-            checkpoint = staged
-        try:
-            engine = cls.build(
-                args["spec_payload"],
-                config=args["config"],
-                checkpoint=checkpoint,
-            )
-        finally:
-            if staged is not None:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
-        serving_state = args.get("serving_state")
-        if serving_state is not None:
-            engine.server.restore_serving_state(serving_state)
-        return engine
 
     # ------------------------------------------------------------------
     # Dispatch

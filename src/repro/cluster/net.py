@@ -1,14 +1,15 @@
-"""TCP socket transport + fleet fault tolerance (``repro.cluster.net``).
+"""The wire: TCP framing, ``SocketTransport``, ``ShardWorkerServer``.
 
-The last transport tier: the same :class:`~repro.cluster.transport.Envelope`
-/ :class:`~repro.cluster.transport.Reply` pickle protocol the ``inline``/
-``thread``/``mp`` transports speak, framed over TCP so shard engines can
-live on other machines.  One worker process per shard runs
-``python -m repro shard-worker --listen host:port``; the router connects a
-:class:`SocketTransport` per shard, ships the engine's spawn arguments
-(shard payload + checkpoint *bytes* + config — nothing assumes a shared
-filesystem) in a ``spawn`` envelope, and from then on the wire carries only
-envelopes and replies.
+The same :class:`~repro.cluster.transport.Envelope` /
+:class:`~repro.cluster.transport.Reply` pickle protocol the ``inline``
+transport replays in-process, framed over TCP so shard engines live in
+their own processes, on this machine or another.  One worker process per
+shard runs ``python -m repro shard-worker --listen host:port``; the router
+connects a :class:`SocketTransport` per shard, ships the engine's spawn
+arguments (shard payload + checkpoint *bytes* + config — nothing assumes a
+shared filesystem) in a ``spawn`` envelope, and from then on the wire
+carries only envelopes and replies.  Who spawns the workers, and what
+happens when one dies, is :mod:`repro.cluster.fleet`'s business.
 
 **Framing.**  One frame = an 8-byte big-endian length prefix + that many
 pickle bytes.  :func:`recv_frame` loops over partial reads (TCP has no
@@ -24,34 +25,8 @@ long compute still proves its process is alive.  A dead or hung worker
 surfaces as a typed :class:`WorkerDown` (reason: ``connection_reset``,
 ``heartbeat_missed``, or ``send_failed``) — never a generic timeout — and
 every in-flight request on that transport fails with an error reply
-instead of hanging its gather.
-
-**Recovery.**  The :class:`FleetSupervisor` owns what the router needs to
-bring a dead shard back *bit-identically*: a per-shard baseline (shard
-payload + exported serving state + the global graph version it reflects)
-and the router's bounded :class:`MutationLog`.  ``recover()`` respawns the
-worker (or reconnects to a static address), rebuilds the engine from the
-baseline, replays the logged mutation commands past the baseline version,
-verifies the engine's graph version against the router-side mirror, and
-only then readmits the shard to scatter-gather.  Serving answers are
-seeded by ``(seed, node)`` — a function of the current graph — so once the
-replayed command stream has rebuilt the shard graph, a recovered fleet's
-answers match a never-killed single server bit for bit.  The serving state
-in the baseline (write clock + touched stamps) is what tells the respawned
-engine which rows of its base store slice the writes before the baseline
-had already undercut.
-
-**The log horizon.**  The log is bounded.  Before an entry carrying a
-shard's command is evicted, the supervisor refreshes that shard's baseline
-from the *live* worker (one cheap ``serving_state`` pull), so replay stays
-possible indefinitely for healthy shards.  A shard that is already down
-when the horizon passes its baseline cannot be caught up exactly; recovery
-then refuses to serve stale state and instead rebuilds the shard from the
-checkpoint + the *current* mirror plan ("replan"), loudly: a warning, a
-``fleet_rebuilds_total`` counter, and ``mode="replan"`` on the recovery
-record.  Replanned answers are exact — the current graph *is* the answer
-— but the shard comes back cold: its base store slice predates writes it
-has no record of, so every row of it is stale until re-materialized.
+instead of hanging its gather.  ``on_down`` is told first: no caller sees
+a ``WorkerDown`` from this transport before that callback has returned.
 """
 
 from __future__ import annotations
@@ -61,12 +36,8 @@ import pickle
 import queue
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
-import warnings
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.transport import (
@@ -77,6 +48,7 @@ from repro.cluster.transport import (
     ShardError,
     ShardTimeoutError,
     Transport,
+    _safe_handle,
     error_info,
 )
 
@@ -85,20 +57,12 @@ __all__ = [
     "FrameTooLargeError",
     "ConnectionClosed",
     "WorkerDown",
-    "WorkerDownEvent",
     "send_frame",
     "recv_frame",
     "send_message",
     "recv_message",
     "SocketTransport",
     "ShardWorkerServer",
-    "WorkerHandle",
-    "LocalWorkerSpawner",
-    "ShardRegistry",
-    "MutationLog",
-    "MutationLogHorizonError",
-    "RecoveryRecord",
-    "FleetSupervisor",
 ]
 
 #: 8-byte unsigned big-endian length prefix.
@@ -151,25 +115,6 @@ class WorkerDown(RuntimeError):
             error.get("reason", "unknown"),
             error.get("message", ""),
         )
-
-
-@dataclass
-class WorkerDownEvent:
-    """One observed worker failure (for `slo_report()` and dashboards)."""
-
-    shard_id: int
-    reason: str
-    detail: str
-    mono: float  # perf_counter at detection (recovery math)
-    wall: float  # time.time at detection (humans)
-
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard_id,
-            "reason": self.reason,
-            "detail": self.detail,
-            "wall_time": self.wall,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +229,7 @@ class SocketTransport(Transport):
 
     ``engine_args`` crosses the wire in the initial ``spawn`` envelope
     (shard payload + checkpoint bytes + config — see
-    :meth:`repro.cluster.engine.ShardEngine.from_args`), so the worker
+    :func:`repro.cluster.engine.build_engine_from_args`), so the worker
     process needs nothing but the ``repro`` package: no shared filesystem,
     no pre-staged checkpoint.  Replies are matched to pendings by sequence
     number, so concurrent requests interleave freely on one connection.
@@ -319,6 +264,7 @@ class SocketTransport(Transport):
         self._hb_sent: Dict[int, float] = {}  # seq -> perf_counter at send
         self._last_rx = 0.0
         self._down: Optional[WorkerDown] = None
+        self._down_notified = threading.Event()  # on_down has returned
         self._stopping = False
         self._ready_event = threading.Event()
         self._ready_reply: Optional[Reply] = None
@@ -411,8 +357,11 @@ class SocketTransport(Transport):
                 except OSError as exc:
                     self._mark_down("send_failed", str(exc))
         # A down transport answers every request with a WorkerDown error
-        # reply immediately — gathers see a typed failure, never a hang.
+        # reply — gathers see a typed failure, never a hang — but only once
+        # on_down has returned: the caller goes straight to recovery, and
+        # the supervisor must already have heard.
         if down is not None:
+            self._down_notified.wait()
             pending.deliver(self._down_reply(envelope.seq, down))
         return pending
 
@@ -530,6 +479,7 @@ class SocketTransport(Transport):
             if not self._ready_event.is_set():
                 self._ready_reply = self._down_reply(READY_SEQ, down)
                 self._ready_event.set()
+            self._down_notified.set()
 
     def _close_socket(self) -> None:
         sock = self._sock
@@ -626,7 +576,6 @@ class ShardWorkerServer:
 
     def _serve_session(self, conn: socket.socket) -> str:
         from repro.cluster.engine import build_engine_from_args
-        from repro.cluster.transport import _safe_handle
 
         send_lock = threading.Lock()
 
@@ -726,574 +675,3 @@ class ShardWorkerServer:
             self.serve_forever()
         except OSError:
             pass  # listener closed under us
-
-
-# ----------------------------------------------------------------------
-# Fleet membership: handles, spawner, registry
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class WorkerHandle:
-    """Where one shard's worker lives, plus its process when we own it."""
-
-    shard_id: int
-    host: str
-    port: int
-    process: Optional[subprocess.Popen] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    @property
-    def pid(self) -> Optional[int]:
-        return None if self.process is None else self.process.pid
-
-
-class LocalWorkerSpawner:
-    """Launches loopback shard-worker subprocesses (benchmarks, CI, tests).
-
-    The child binds port 0 and announces ``LISTENING host port`` on stdout;
-    we parse that, so no port coordination is needed.  ``PYTHONPATH`` is
-    prepended with this package's parent directory so the child resolves
-    ``repro`` the same way the parent did.
-    """
-
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        python: Optional[str] = None,
-        startup_timeout: float = 60.0,
-    ) -> None:
-        self.host = host
-        self.python = python or sys.executable
-        self.startup_timeout = float(startup_timeout)
-
-    def spawn(self, shard_id: int) -> WorkerHandle:
-        import repro
-
-        env = dict(os.environ)
-        package_parent = str(os.path.dirname(os.path.dirname(repro.__file__)))
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            package_parent + (os.pathsep + existing if existing else "")
-        )
-        process = subprocess.Popen(
-            [
-                self.python,
-                "-m",
-                "repro",
-                "shard-worker",
-                "--listen",
-                f"{self.host}:0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-            text=True,
-        )
-        deadline = time.perf_counter() + self.startup_timeout
-        while True:
-            line = process.stdout.readline()
-            if not line:
-                raise WorkerDown(
-                    shard_id,
-                    "spawn_failed",
-                    f"worker exited during startup (rc={process.poll()})",
-                )
-            if line.startswith("LISTENING "):
-                _, host, port = line.split()
-                return WorkerHandle(shard_id, host, int(port), process)
-            if time.perf_counter() > deadline:
-                process.kill()
-                raise WorkerDown(
-                    shard_id, "spawn_failed", "no LISTENING line before timeout"
-                )
-
-
-class ShardRegistry:
-    """shard id → :class:`WorkerHandle`, plus respawn policy.
-
-    With a spawner, ``respawn`` relaunches a fresh subprocess (killing any
-    corpse first).  With static addresses (remote machines we don't manage),
-    ``respawn`` returns the same address — an external supervisor restarts
-    the process there, and we reconnect with a fresh spawn envelope.
-    """
-
-    def __init__(self, spawner: Optional[LocalWorkerSpawner] = None) -> None:
-        self.spawner = spawner
-        self._handles: Dict[int, WorkerHandle] = {}
-
-    @classmethod
-    def from_addresses(cls, addresses: List[str]) -> "ShardRegistry":
-        """Static fleet: one ``host:port`` string per shard, in shard order."""
-        registry = cls(spawner=None)
-        for shard_id, address in enumerate(addresses):
-            host, _, port = str(address).rpartition(":")
-            if not host or not port.isdigit():
-                raise ValueError(
-                    f"worker address {address!r} is not host:port"
-                )
-            registry.register(WorkerHandle(shard_id, host, int(port)))
-        return registry
-
-    def register(self, handle: WorkerHandle) -> WorkerHandle:
-        self._handles[handle.shard_id] = handle
-        return handle
-
-    def handle(self, shard_id: int) -> WorkerHandle:
-        return self._handles[shard_id]
-
-    def address(self, shard_id: int) -> Tuple[str, int]:
-        return self._handles[shard_id].address
-
-    def shard_ids(self) -> List[int]:
-        return sorted(self._handles)
-
-    def spawn(self, shard_id: int) -> WorkerHandle:
-        if self.spawner is None:
-            raise RuntimeError(
-                "registry has no spawner; register static addresses instead"
-            )
-        return self.register(self.spawner.spawn(shard_id))
-
-    def respawn(self, shard_id: int) -> WorkerHandle:
-        handle = self._handles[shard_id]
-        if self.spawner is None:
-            return handle  # static fleet: reconnect to the same address
-        self._reap(handle)
-        return self.register(self.spawner.spawn(shard_id))
-
-    def kill(self, shard_id: int) -> None:
-        """SIGKILL the shard's process (fault injection in tests/benches)."""
-        handle = self._handles[shard_id]
-        if handle.process is not None:
-            handle.process.kill()
-            handle.process.wait(timeout=30)
-
-    def close(self) -> None:
-        for handle in self._handles.values():
-            self._reap(handle)
-
-    @staticmethod
-    def _reap(handle: WorkerHandle) -> None:
-        process = handle.process
-        if process is None:
-            return
-        if process.poll() is None:
-            process.kill()
-        try:
-            process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            pass
-        if process.stdout is not None:
-            process.stdout.close()
-
-
-# ----------------------------------------------------------------------
-# MutationLog
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class LogEntry:
-    """One global mutation: its post-mutation graph version and the
-    per-shard commands it fanned out (shards absent from ``commands``
-    were provably unaffected)."""
-
-    version: int
-    kind: str
-    commands: Dict[int, object]
-
-
-class MutationLogHorizonError(RuntimeError):
-    """A shard's baseline predates commands the bounded log has evicted."""
-
-    def __init__(self, shard_id: int, baseline_version: int, horizon: int) -> None:
-        self.shard_id = int(shard_id)
-        self.baseline_version = int(baseline_version)
-        self.horizon = int(horizon)
-        super().__init__(
-            f"shard {shard_id} baseline at graph version {baseline_version} "
-            f"is behind the mutation log horizon (evicted through version "
-            f"{horizon}); exact catch-up is impossible"
-        )
-
-
-class MutationLog:
-    """Bounded record of fanned-out mutation commands, for catch-up replay.
-
-    The commands are deltas (an arrival's rows, the edges and feature rows
-    an ``add_edges`` left a shard missing), so an entry weighs what the
-    write did, not what the shard holds, and replaying them in order onto
-    a baseline rebuilds the shard exactly.  Entries are keyed by the
-    *global* graph version after the mutation
-    (one mutation = one version bump, so versions are consecutive).  When
-    capacity evicts an entry, the per-shard horizon advances: a shard whose
-    baseline predates its horizon can no longer be replayed exactly —
-    :meth:`commands_since` refuses loudly instead of silently under-replaying.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._entries: List[LogEntry] = []
-        self._horizon: Dict[int, int] = {}  # shard -> last evicted version
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> List[LogEntry]:
-        return list(self._entries)
-
-    def next_eviction(self) -> Optional[LogEntry]:
-        """The entry the next append will evict, if the log is full."""
-        if len(self._entries) >= self.capacity:
-            return self._entries[0]
-        return None
-
-    def append(self, version: int, kind: str, commands: Dict[int, object]) -> None:
-        self._entries.append(LogEntry(int(version), str(kind), dict(commands)))
-        while len(self._entries) > self.capacity:
-            evicted = self._entries.pop(0)
-            for shard_id in evicted.commands:
-                self._horizon[shard_id] = max(
-                    self._horizon.get(shard_id, -1), evicted.version
-                )
-
-    def horizon(self, shard_id: int) -> int:
-        """Highest evicted version carrying a command for ``shard_id``
-        (-1 when nothing relevant was ever evicted)."""
-        return self._horizon.get(int(shard_id), -1)
-
-    def commands_since(
-        self, shard_id: int, baseline_version: int
-    ) -> List[Tuple[int, str, object]]:
-        """The shard's commands from entries past ``baseline_version``.
-
-        Raises :class:`MutationLogHorizonError` if an *evicted* entry past
-        the baseline carried a command for this shard — replaying the
-        survivors would silently skip mutations.
-        """
-        shard_id = int(shard_id)
-        baseline_version = int(baseline_version)
-        horizon = self.horizon(shard_id)
-        if horizon > baseline_version:
-            raise MutationLogHorizonError(shard_id, baseline_version, horizon)
-        return [
-            (entry.version, entry.kind, entry.commands[shard_id])
-            for entry in self._entries
-            if entry.version > baseline_version and shard_id in entry.commands
-        ]
-
-
-# ----------------------------------------------------------------------
-# FleetSupervisor
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RecoveryRecord:
-    """One completed recovery, with the detect/respawn/replay breakdown."""
-
-    shard_id: int
-    reason: str
-    mode: str  # "replay" (exact catch-up) or "replan" (horizon rebuild)
-    detect_s: float
-    respawn_s: float
-    replay_s: float
-    total_s: float
-    replayed_commands: int
-    baseline_version: int
-    target_version: int
-
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "shard": self.shard_id,
-            "reason": self.reason,
-            "mode": self.mode,
-            "detect_s": self.detect_s,
-            "respawn_s": self.respawn_s,
-            "replay_s": self.replay_s,
-            "total_s": self.total_s,
-            "replayed_commands": self.replayed_commands,
-            "baseline_version": self.baseline_version,
-            "target_version": self.target_version,
-        }
-
-
-class _ShardBaseline:
-    """The rebuild point for one shard: payload + serving state + version."""
-
-    __slots__ = ("payload", "serving_state", "version")
-
-    def __init__(
-        self,
-        payload: Dict[str, object],
-        serving_state: Optional[Dict[str, object]],
-        version: int,
-    ) -> None:
-        self.payload = payload
-        self.serving_state = serving_state
-        self.version = int(version)
-
-
-class FleetSupervisor:
-    """Failure detection + exact recovery for a socket fleet.
-
-    Owns, per shard: the rebuild baseline (payload + serving state +
-    global version), and the fleet metrics (connection gauges, down/
-    reconnect/rebuild counters, heartbeat-age histogram) written into the
-    router's registry so fleet health rides the same ``/metrics``
-    exposition as latency.  The router calls :meth:`before_mutation` /
-    :meth:`record_mutation` around every fan-out and :meth:`recover` when
-    a gather surfaces :class:`WorkerDown`.
-    """
-
-    def __init__(
-        self,
-        router,
-        registry: ShardRegistry,
-        log: MutationLog,
-        *,
-        checkpoint_bytes: bytes,
-        shard_configs: Dict[int, Dict[str, object]],
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
-        start_timeout: float = 120.0,
-    ) -> None:
-        self.router = router
-        self.registry = registry
-        self.log = log
-        self.checkpoint_bytes = checkpoint_bytes
-        self.shard_configs = shard_configs
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_misses = int(heartbeat_misses)
-        self.start_timeout = float(start_timeout)
-        self.events: List[WorkerDownEvent] = []
-        self.recoveries: List[RecoveryRecord] = []
-        self._baselines: Dict[int, _ShardBaseline] = {}
-        self._locks: Dict[int, threading.Lock] = {}
-        self._metrics = router.registry
-
-    # -- baselines -----------------------------------------------------
-
-    def set_baseline(
-        self,
-        shard_id: int,
-        payload: Dict[str, object],
-        serving_state: Optional[Dict[str, object]],
-        version: int,
-    ) -> None:
-        self._baselines[int(shard_id)] = _ShardBaseline(
-            payload, serving_state, version
-        )
-        self._locks.setdefault(int(shard_id), threading.Lock())
-
-    def baseline_version(self, shard_id: int) -> int:
-        return self._baselines[int(shard_id)].version
-
-    # -- detection plumbing (SocketTransport callbacks) ----------------
-
-    def note_worker_down(self, shard_id: int, reason: str, detail: str) -> None:
-        self.events.append(
-            WorkerDownEvent(
-                shard_id=int(shard_id),
-                reason=reason,
-                detail=detail,
-                mono=time.perf_counter(),
-                wall=time.time(),
-            )
-        )
-        self._metrics.counter(
-            "fleet_worker_down_total", shard=str(shard_id), reason=reason
-        ).inc()
-        self._metrics.gauge(
-            "fleet_worker_connected", shard=str(shard_id)
-        ).set(0)
-
-    def observe_heartbeat(self, shard_id: int, age: float) -> None:
-        self._metrics.histogram(
-            "fleet_heartbeat_age_seconds", shard=str(shard_id)
-        ).observe(age)
-
-    def transport_callbacks(self) -> Dict[str, Callable]:
-        return {
-            "on_down": self.note_worker_down,
-            "on_heartbeat": self.observe_heartbeat,
-        }
-
-    # -- mutation bookkeeping ------------------------------------------
-
-    def before_mutation(self) -> None:
-        """Re-baseline shards the next log eviction would strand.
-
-        Called after the global graph mutated but *before* the plan builds
-        commands (so the mirror specs and the live workers agree on the
-        pre-mutation state).  One cheap ``serving_state`` pull per
-        endangered shard keeps exact replay possible for healthy workers
-        no matter how long the stream runs; a shard that is down right now
-        is skipped — its recovery will hit the horizon and take the loud
-        replan path instead.
-        """
-        entry = self.log.next_eviction()
-        if entry is None:
-            return
-        for shard_id in entry.commands:
-            baseline = self._baselines.get(shard_id)
-            if baseline is None or baseline.version >= entry.version:
-                continue
-            try:
-                # The global graph already mutated (version bumped) but the
-                # command has not fanned out: workers and mirrors both sit
-                # at version - 1, which is what the snapshot reflects.
-                self.refresh_baseline(
-                    shard_id, version=self.router.graph.version - 1
-                )
-            except (WorkerDown, ShardError, ShardTimeoutError):
-                continue  # down worker: replan path owns this case
-
-    def refresh_baseline(
-        self, shard_id: int, *, version: Optional[int] = None
-    ) -> None:
-        """Snapshot a live shard as the new rebuild point.
-
-        ``version`` is the global graph version the worker's state covers
-        (defaults to the current version — correct only when no mutation
-        is mid-flight; :meth:`before_mutation` passes ``version - 1``).
-        The mirror spec and the worker have replayed the identical command
-        stream, so payload, serving state and version line up exactly.
-        """
-        worker = self.router.workers[shard_id]
-        state = worker.pull_serving_state().result(self.router.request_timeout)
-        self.set_baseline(
-            shard_id,
-            worker.spec.to_payload(),
-            state["serving_state"],
-            self.router.graph.version if version is None else version,
-        )
-
-    def record_mutation(self, kind: str, commands: Dict[int, object]) -> None:
-        self.log.append(self.router.graph.version, kind, commands)
-
-    # -- recovery ------------------------------------------------------
-
-    def recover(self, shard_id: int, reason: str = "unknown") -> Optional[RecoveryRecord]:
-        """Respawn, rebuild, catch up, verify, readmit.  Returns ``None``
-        when another caller already recovered the shard."""
-        shard_id = int(shard_id)
-        lock = self._locks.setdefault(shard_id, threading.Lock())
-        with lock:
-            worker = self.router.workers[shard_id]
-            transport = worker.transport
-            if not getattr(transport, "is_down", False):
-                return None  # concurrent recovery already swapped it
-            start = time.perf_counter()
-            detect_s = self._detect_seconds(shard_id, start)
-            handle = self.registry.respawn(shard_id)
-            baseline = self._baselines[shard_id]
-            mode = "replay"
-            try:
-                catchup = self.log.commands_since(shard_id, baseline.version)
-            except MutationLogHorizonError as exc:
-                mode = "replan"
-                warnings.warn(
-                    f"{exc}; rebuilding shard {shard_id} from checkpoint + "
-                    "current plan (answers stay exact, but the shard comes "
-                    "back cold: its base store slice predates the missed "
-                    "writes, so all of it is stale)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._metrics.counter(
-                    "fleet_rebuilds_total",
-                    shard=str(shard_id),
-                    reason="log_horizon",
-                ).inc()
-                baseline = _ShardBaseline(
-                    worker.spec.to_payload(), None, self.router.graph.version
-                )
-                self._baselines[shard_id] = baseline
-                catchup = []
-            engine_args = {
-                "spec_payload": baseline.payload,
-                "checkpoint": None,
-                "checkpoint_bytes": self.checkpoint_bytes,
-                "config": self.shard_configs[shard_id],
-                "serving_state": baseline.serving_state,
-            }
-            new_transport = SocketTransport(
-                shard_id,
-                handle.address,
-                engine_args,
-                max_frame_bytes=self.max_frame_bytes,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_misses=self.heartbeat_misses,
-                **self.transport_callbacks(),
-            ).start()
-            new_transport.wait_ready(self.start_timeout)
-            respawned = time.perf_counter()
-            for _, _, command in catchup:
-                new_transport.send(
-                    Envelope(kind="mutate", payload={"command": command})
-                ).result(self.router.request_timeout)
-            self._verify(shard_id, new_transport)
-            replayed = time.perf_counter()
-            worker.swap_transport(new_transport)
-            transport.stop(timeout=1.0)
-            self._metrics.counter(
-                "fleet_reconnects_total", shard=str(shard_id)
-            ).inc()
-            self._metrics.gauge(
-                "fleet_worker_connected", shard=str(shard_id)
-            ).set(1)
-            record = RecoveryRecord(
-                shard_id=shard_id,
-                reason=reason,
-                mode=mode,
-                detect_s=detect_s,
-                respawn_s=respawned - start,
-                replay_s=replayed - respawned,
-                total_s=replayed - start + detect_s,
-                replayed_commands=len(catchup),
-                baseline_version=baseline.version,
-                target_version=int(self.router.graph.version),
-            )
-            self.recoveries.append(record)
-            return record
-
-    def _detect_seconds(self, shard_id: int, now: float) -> float:
-        for event in reversed(self.events):
-            if event.shard_id == shard_id:
-                return max(0.0, now - event.mono)
-        return 0.0
-
-    def _verify(self, shard_id: int, transport: SocketTransport) -> None:
-        """A recovered engine must agree with the router-side mirror on the
-        shard graph version before it serves anything."""
-        state = transport.send(Envelope(kind="serving_state")).result(
-            self.router.request_timeout
-        )["serving_state"]
-        mirror_version = int(self.router.plan.shards[shard_id].graph.version)
-        got = int(state["graph_version"])
-        if got != mirror_version:
-            raise RuntimeError(
-                f"shard {shard_id} recovery diverged: engine graph version "
-                f"{got} != mirror version {mirror_version}"
-            )
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "worker_down_events": [event.to_record() for event in self.events],
-            "recoveries": [record.to_record() for record in self.recoveries],
-            "mutation_log": {
-                "capacity": self.log.capacity,
-                "entries": len(self.log),
-            },
-        }

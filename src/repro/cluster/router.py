@@ -3,10 +3,10 @@
 :class:`ClusterRouter` is the cluster's front door: it owns the *global*
 serving graph (the source of truth mutations land on first), the
 :class:`~repro.cluster.planner.ClusterPlan` (ownership + halos + the
-router-side mirror specs), and one
+router-side mirror specs), the :class:`~repro.cluster.fleet.Fleet` that
+brings the shard engines up (``inline`` or ``socket`` transport), and one
 :class:`~repro.cluster.worker.ShardWorker` per shard — a protocol stub
-over a pluggable :mod:`~repro.cluster.transport` (``inline`` /
-``thread`` / ``mp``).  Its contract is **indistinguishability**:
+over that shard's transport.  Its contract is **indistinguishability**:
 ``router.embed(nodes)`` returns bit-for-bit what one whole-graph
 :class:`~repro.serve.server.InferenceServer` with the same seed would
 return, in the caller's node order — sharding *and transport choice* are
@@ -16,7 +16,7 @@ and post-mutation state included).
 
 The request path is **async scatter-gather**: requests group by owner
 shard, one serve envelope per shard is issued for the whole group (so
-every shard computes concurrently on the thread and mp transports), and
+every shard computes concurrently on the socket transport), and
 the replies are gathered afterwards with a per-shard timeout, re-stitched
 into request order.  Shard failures come back as error envelopes and are
 raised at the gather as :class:`~repro.cluster.transport.ShardError` —
@@ -39,34 +39,22 @@ in this process or in four others.
 
 from __future__ import annotations
 
-import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.engine import ShardEngine
+from repro.cluster.fleet import Fleet, FleetSupervisor, MutationLog
 from repro.cluster.net import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_MISSES,
     DEFAULT_MAX_FRAME_BYTES,
-    FleetSupervisor,
-    LocalWorkerSpawner,
-    MutationLog,
-    ShardRegistry,
-    SocketTransport,
     WorkerDown,
 )
 from repro.cluster.planner import ClusterPlan, ShardPlanner
-from repro.cluster.transport import (
-    InlineTransport,
-    MpTransport,
-    ThreadTransport,
-    Transport,
-    validate_transport,
-)
+from repro.cluster.transport import ShardError
 from repro.cluster.worker import ShardWorker
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
@@ -75,35 +63,27 @@ from repro.obs.slo import AttributionRecord, SLOMonitor, SLOTarget, SlowRequestL
 from repro.obs.tracing import _NULL_SPAN as _NULL_CTX
 from repro.serve.server import load_checkpoint_classifier, serving_reach_of
 
-_MODE_ALIASES = {"sync": "inline", "thread": "thread"}
-
 
 class ClusterRouter:
     """Shards one serving graph and routes requests by ownership.
 
-    ``classifier_factory(shard_graph)`` must return an *independent*
-    classifier bound to the given graph — one instance per shard, no shared
-    mutable state.  The ``mp`` transport cannot ship live classifiers
-    across the process boundary, so it requires checkpoint-driven
-    construction: use :meth:`from_checkpoint`, or :meth:`from_classifier`
-    (which round-trips through a temp checkpoint for any transport).
-    ``mode`` is the pre-transport spelling and maps ``sync``→``inline``.
+    Every shard's server is rebuilt from ``checkpoint`` behind its
+    transport — one independent classifier per shard, no shared mutable
+    state.  Use :meth:`from_checkpoint`, or :meth:`from_classifier` (which
+    round-trips a live classifier through a temp checkpoint).
     """
 
     def __init__(
         self,
-        classifier_factory: Optional[Callable[[HeteroGraph], object]],
+        checkpoint,
         graph: HeteroGraph,
         num_shards: int,
         *,
-        transport: Optional[str] = None,
-        mode: Optional[str] = None,
-        checkpoint: Optional[str] = None,
+        transport: str = "inline",
         max_batch_size: int = 16,
         max_wait: float = 0.002,
         cache_capacity: int = 1024,
         seed: int = 0,
-        inbox_capacity: int = 256,
         partition_seed: int = 0,
         request_timeout: Optional[float] = 120.0,
         start_timeout: float = 120.0,
@@ -119,36 +99,17 @@ class ClusterRouter:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         mutation_log_capacity: int = 256,
     ) -> None:
-        if transport is None:
-            if mode is None:
-                transport = "thread"
-            elif mode in _MODE_ALIASES:
-                transport = _MODE_ALIASES[mode]
-            else:
-                raise ValueError(
-                    f"unknown mode {mode!r}; expected one of "
-                    f"{tuple(sorted(_MODE_ALIASES))} (or pass transport=)"
-                )
-        elif mode is not None:
-            raise ValueError("pass either transport= or the legacy mode=, not both")
-        # Eager validation: an unknown transport fails here, with the full
-        # registered menu, not deep inside a spawn path.
-        validate_transport(transport)
-        if transport in ("mp", "socket") and checkpoint is None:
-            raise ValueError(
-                f"the {transport} transport rebuilds each shard's server in "
-                "a worker process and needs a checkpoint; construct the "
-                "router via from_checkpoint()/from_classifier()"
-            )
-        if workers is not None and transport != "socket":
-            raise ValueError(
-                f"workers= (remote shard addresses) only applies to the "
-                f"socket transport, not {transport!r}"
-            )
-        if classifier_factory is None and checkpoint is None:
-            raise ValueError("need a classifier_factory or a checkpoint")
+        # First: a bad transport name or a workers= on the wrong transport
+        # fails here, not deep inside a spawn path.
+        self.fleet = Fleet(
+            transport,
+            workers=workers,
+            start_timeout=start_timeout,
+            max_frame_bytes=max_frame_bytes,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_misses=heartbeat_misses,
+        )
         self.graph = graph
-        self.transport_kind = transport
         self.seed = int(seed)
         self.request_timeout = request_timeout
         self.registry = MetricsRegistry()  # router-scope series
@@ -157,10 +118,7 @@ class ClusterRouter:
         self._prometheus_last_flush = float("-inf")
         # Probe the reach before partitioning: a classifier without a
         # declared sampling reach has no provably sufficient halo.
-        if classifier_factory is not None:
-            probe = classifier_factory(graph)
-        else:
-            probe = load_checkpoint_classifier(checkpoint)
+        probe = load_checkpoint_classifier(checkpoint)
         reach = serving_reach_of(probe)
         if not hasattr(probe, "embed_for_serving") or reach is None:
             raise ValueError(
@@ -193,68 +151,44 @@ class ClusterRouter:
             "cache_capacity": int(cache_capacity),
             "seed": int(seed),
         }
-        # Socket fleet plumbing: the worker registry (spawned loopback
-        # processes or static remote addresses), the bounded mutation log
-        # recovery replays from, and the supervisor owning both plus the
-        # per-shard rebuild baselines.  All None on in-process transports —
-        # every fleet check below is a single ``is not None``.
-        self.fleet: Optional[FleetSupervisor] = None
-        self.shard_registry: Optional[ShardRegistry] = None
-        self.mutation_log: Optional[MutationLog] = None
-        if transport == "socket":
-            if workers is None:
-                self.shard_registry = ShardRegistry(LocalWorkerSpawner())
-            else:
-                addresses = list(workers)
-                if len(addresses) != self.plan.num_shards:
-                    raise ValueError(
-                        f"workers= names {len(addresses)} addresses for "
-                        f"{self.plan.num_shards} shards"
-                    )
-                self.shard_registry = ShardRegistry.from_addresses(addresses)
-            self.mutation_log = MutationLog(mutation_log_capacity)
-            self.fleet = FleetSupervisor(
-                self,
-                self.shard_registry,
-                self.mutation_log,
-                checkpoint_bytes=Path(checkpoint).read_bytes(),
-                shard_configs={},
-                max_frame_bytes=max_frame_bytes,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_misses=heartbeat_misses,
-                start_timeout=start_timeout,
-            )
-        self.workers: List[ShardWorker] = []
-        for spec in self.plan.shards:
-            shard_config = dict(config)
-            if self.store is not None:
-                shard_config["store"] = self.store.slice_payload(
-                    spec.owned.tolist()
-                )
-            if transport == "socket":
-                channel = self._make_socket_transport(spec, shard_config)
-            else:
-                channel = self._make_transport(
-                    transport,
-                    spec.shard_id,
-                    spec.to_payload(),
-                    shard_config,
-                    checkpoint=checkpoint,
-                    classifier_factory=classifier_factory,
-                    inbox_capacity=inbox_capacity,
-                    start_timeout=start_timeout,
-                )
-            self.workers.append(ShardWorker(spec, channel).start())
-        # Gather readiness after *all* spawns are launched, so a fleet of
-        # mp workers loads its checkpoints concurrently.  Once this returns
-        # the checkpoint file is no longer needed (from_classifier relies
-        # on that to delete its temp dir).
-        for worker in self.workers:
-            worker.wait_ready(start_timeout)
-        if self.fleet is not None:
+
+        def shard_configs():
+            # Lazily, one per bring-up step: shard k+1's store slice is cut
+            # while worker k starts, not held beside k's spawn buffers.
             for spec in self.plan.shards:
+                shard_config = dict(config)
+                if self.store is not None:
+                    shard_config["store"] = self.store.slice_payload(
+                        spec.owned.tolist()
+                    )
+                yield shard_config
+
+        # A socket fleet can lose workers, so it gets a supervisor: the
+        # bounded mutation log recovery replays from plus the per-shard
+        # rebuild baselines.  None on the inline transport — every
+        # supervision check below is a single ``is not None``.
+        self.supervisor: Optional[FleetSupervisor] = None
+        if transport == "socket":
+            self.supervisor = FleetSupervisor(
+                self, self.fleet, MutationLog(mutation_log_capacity)
+            )
+        channels = self.fleet.bring_up(
+            "serve",
+            self.plan.shards,
+            [checkpoint] * self.plan.num_shards,
+            shard_configs(),
+        )
+        self.workers: List[ShardWorker] = [
+            ShardWorker(spec, channel)
+            for spec, channel in zip(self.plan.shards, channels)
+        ]
+        if self.supervisor is not None:
+            # The rebuild point of every shard is what it was just built
+            # from, at the current global version.
+            for shard_id, args in enumerate(self.fleet.engine_args):
+                self.supervisor.set_baseline(shard_id, args, self.graph.version)
                 self.registry.gauge(
-                    "fleet_worker_connected", shard=str(spec.shard_id)
+                    "fleet_worker_connected", shard=str(shard_id)
                 ).set(1)
         self._closed = False
         # Request-lifecycle observability, both off by default — the guard
@@ -270,97 +204,18 @@ class ClusterRouter:
         if slo_target is not None:
             self.enable_slo(slo_target)
 
-    @staticmethod
-    def _make_transport(
-        kind: str,
-        shard_id: int,
-        spec_payload: Dict[str, object],
-        config: Dict[str, object],
-        *,
-        checkpoint: Optional[str],
-        classifier_factory,
-        inbox_capacity: int,
-        start_timeout: float,
-    ) -> Transport:
-        if kind == "mp":
-            engine_args = pickle.dumps(
-                {
-                    "spec_payload": spec_payload,
-                    "checkpoint": str(checkpoint),
-                    "config": config,
-                }
-            )
-            return MpTransport(
-                shard_id,
-                engine_args,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
-            )
-        checkpoint_str = None if checkpoint is None else str(checkpoint)
-
-        def engine_factory() -> ShardEngine:
-            return ShardEngine.build(
-                spec_payload,
-                config=config,
-                checkpoint=checkpoint_str,
-                classifier_factory=classifier_factory,
-            )
-
-        if kind == "thread":
-            return ThreadTransport(
-                shard_id, engine_factory, inbox_capacity=inbox_capacity
-            )
-        return InlineTransport(shard_id, engine_factory)
-
-    def _make_socket_transport(self, spec, shard_config) -> SocketTransport:
-        """One TCP channel to this shard's worker, wired to the supervisor.
-
-        Records the shard's rebuild baseline (the exact payload the worker
-        spawns from, trivial serving state, current global version) and its
-        config so a later :meth:`FleetSupervisor.recover` can reproduce the
-        engine bit for bit.  The engine arguments ship checkpoint *bytes* —
-        the worker machine needs no shared filesystem.
-        """
-        fleet = self.fleet
-        shard_id = spec.shard_id
-        fleet.shard_configs[shard_id] = shard_config
-        payload = spec.to_payload()
-        fleet.set_baseline(shard_id, payload, None, self.graph.version)
-        if self.shard_registry.spawner is not None:
-            handle = self.shard_registry.spawn(shard_id)
-        else:
-            handle = self.shard_registry.handle(shard_id)
-        return SocketTransport(
-            shard_id,
-            handle.address,
-            {
-                "spec_payload": payload,
-                "checkpoint": None,
-                "checkpoint_bytes": fleet.checkpoint_bytes,
-                "config": shard_config,
-                "serving_state": None,
-            },
-            max_frame_bytes=fleet.max_frame_bytes,
-            heartbeat_interval=fleet.heartbeat_interval,
-            heartbeat_misses=fleet.heartbeat_misses,
-            **fleet.transport_callbacks(),
-        )
-
     def _recover_worker(self, exc: WorkerDown) -> None:
         """React to a gather-time :class:`WorkerDown`: count it, recover.
 
         ``shard_errors_total{kind="transport"}`` puts wire failures on the
         same dashboard as engine error replies; the supervisor then
-        respawns + catches the worker up (or re-raises when this router
-        has no fleet to recover with).
+        respawns + catches the worker up.
         """
         shard = exc.shard_id
         self.registry.counter(
             "shard_errors_total", kind="transport", shard=str(shard)
         ).inc()
-        if self.fleet is None:
-            raise exc
-        self.fleet.recover(shard, reason=exc.reason)
+        self.supervisor.recover(shard, reason=exc.reason)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -370,12 +225,8 @@ class ClusterRouter:
     def from_checkpoint(
         cls, path, graph: HeteroGraph, num_shards: int, **kwargs
     ) -> "ClusterRouter":
-        """One server per shard, each rebuilt from the same checkpoint.
-
-        This is the only construction path the ``mp`` transport supports:
-        the checkpoint is what crosses the process boundary.
-        """
-        return cls(None, graph, num_shards, checkpoint=str(path), **kwargs)
+        """One server per shard, each rebuilt from the same checkpoint."""
+        return cls(str(path), graph, num_shards, **kwargs)
 
     @classmethod
     def from_classifier(
@@ -385,9 +236,9 @@ class ClusterRouter:
 
         Saving once and loading per shard is the clean way to get fully
         independent instances (parameters copied, no shared trainer state)
-        without deep-copying live graph references — and it is exactly the
-        spawn path mp workers need.  The temp checkpoint is deleted as soon
-        as every shard has confirmed loading it.
+        without deep-copying live graph references — and a checkpoint is
+        what every shard engine is built from anyway.  The temp checkpoint
+        is deleted as soon as every shard has confirmed loading it.
         """
         if not hasattr(classifier, "save"):
             raise ValueError(
@@ -559,8 +410,6 @@ class ClusterRouter:
         error replies too — a raising engine's spans reach the stitched
         trace *before* the :class:`ShardError` propagates.
         """
-        from repro.cluster.transport import ShardError
-
         raw = reply.wait(self.request_timeout)
         if dist is not None and raw.trace is not None:
             dist.add_reply_trace(raw.trace)
@@ -600,7 +449,7 @@ class ClusterRouter:
 
         Runs the clock-alignment handshake against every shard first
         (min-RTT NTP-style probes over the ``clock`` envelope), so spans
-        from ``mp`` workers — whose ``perf_counter`` epochs share nothing
+        from socket workers — whose ``perf_counter`` epochs share nothing
         with ours — land correctly on the router timeline at stitch time.
         """
         self._check_open()
@@ -644,10 +493,10 @@ class ClusterRouter:
         report["slow_requests"] = (
             self.slow_log.to_records() if self.slow_log is not None else []
         )
-        if self.fleet is not None:
+        if self.supervisor is not None:
             # Fleet health in the same report as latency: WorkerDown
             # events, recovery breakdowns, mutation-log occupancy.
-            report["fleet"] = self.fleet.summary()
+            report["fleet"] = self.supervisor.summary()
         return report
 
     def attribution_records(self) -> List[Dict[str, object]]:
@@ -678,15 +527,15 @@ class ClusterRouter:
         )
         if features is not None:
             features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if self.fleet is not None:
-            self.fleet.before_mutation()
+        if self.supervisor is not None:
+            self.supervisor.before_mutation()
         owner = self.plan.place_new_nodes(new_ids.size)
         commands = self.plan.add_nodes_commands(
             owner, new_ids, type_name, features, labels, new_ids.size
         )
         jobs = list(enumerate(commands))
-        if self.fleet is not None:
-            self.fleet.record_mutation("add_nodes", dict(jobs))
+        if self.supervisor is not None:
+            self.supervisor.record_mutation("add_nodes", dict(jobs))
         self._fanout_mutations(jobs, kind="add_nodes")
         return new_ids
 
@@ -707,15 +556,15 @@ class ClusterRouter:
         if self.graph.version == version:
             return  # empty batch: nothing landed, nothing to fan out
         event = self.graph.last_mutation
-        if self.fleet is not None:
-            self.fleet.before_mutation()
+        if self.supervisor is not None:
+            self.supervisor.before_mutation()
         jobs = []
         for spec in self.plan.shards:
             command = self.plan.refresh_command(spec, event)
             if command is not None:
                 jobs.append((spec.shard_id, command))
-        if self.fleet is not None:
-            self.fleet.record_mutation("add_edges", dict(jobs))
+        if self.supervisor is not None:
+            self.supervisor.record_mutation("add_edges", dict(jobs))
         self._fanout_mutations(jobs, kind="add_edges")
 
     def _fanout_mutations(self, jobs, *, kind: str) -> None:
@@ -749,8 +598,8 @@ class ClusterRouter:
         times (the same convention as :func:`repro.serve.loadgen.replay`),
         each shard processes its slice *atomically inside one replay
         envelope* — batch composition is driven by trace times alone, so
-        the replay is deterministic on every transport, while the shards
-        themselves still run concurrently on ``thread`` and ``mp``.  The
+        the replay is deterministic on either transport, while the shards
+        themselves still run concurrently on ``socket``.  The
         cluster summary uses the union of per-shard records — throughput
         over the cluster-wide logical span, so shard parallelism shows up
         as span compression, not wishful addition.
@@ -824,7 +673,7 @@ class ClusterRouter:
         span = (max(completions) - min(arrivals)) if arrivals else 0.0
         return {
             "num_shards": self.plan.num_shards,
-            "transport": self.transport_kind,
+            "transport": self.fleet.kind,
             "requests": count,
             "throughput_rps": (
                 count / span if span > 0 else float("inf") if count else 0.0
@@ -849,7 +698,7 @@ class ClusterRouter:
         whether the shards share this process or run in their own.
         """
         merged = MetricsRegistry()
-        if self.fleet is not None:
+        if self.supervisor is not None:
             up = sum(
                 0 if getattr(worker.transport, "is_down", False) else 1
                 for worker in self.workers
@@ -910,10 +759,7 @@ class ClusterRouter:
         """Stop every transport (drains outstanding envelopes first)."""
         if self._closed:
             return
-        for worker in self.workers:
-            worker.stop()
-        if self.shard_registry is not None:
-            self.shard_registry.close()
+        self.fleet.close()
         self._closed = True
 
     def __enter__(self) -> "ClusterRouter":
@@ -929,8 +775,6 @@ class ClusterRouter:
 
 def _unwrap_serve(reply, timeout: Optional[float]) -> List[object]:
     """Gather one serve reply; re-raise the first per-item error."""
-    from repro.cluster.transport import ShardError
-
     payload = reply.result(timeout)
     values = []
     for item in payload["items"]:

@@ -4,9 +4,10 @@ Training rides the exact serving stack: :class:`~repro.cluster.planner.
 ShardPlanner` partitions the training graph (owned nodes + a reach-``k``
 halo whose verbatim adjacency lists make partition-local sampling
 bit-identical to whole-graph sampling), the ``train`` family of
-:class:`~repro.cluster.transport.Envelope` kinds rides any registered
-transport (``inline``/``thread``/``mp``/``socket``), and per-shard metrics
-merge through the same registry-payload path ``/metrics`` scrapes.
+:class:`~repro.cluster.transport.Envelope` kinds rides either transport
+(``inline``/``socket``) of the same :class:`~repro.cluster.fleet.Fleet`
+serving uses, and per-shard metrics merge through the same
+registry-payload path ``/metrics`` scrapes.
 
 Three pieces:
 
@@ -19,7 +20,7 @@ Three pieces:
   like :class:`~repro.core.train_loop.LocalTrainClient`'s, so
   :class:`~repro.core.train_loop.TrainLoop` drives a fleet and a local
   trainer through one code path.
-- :class:`DistributedTrainer` — plans the partition, spawns the fleet,
+- :class:`DistributedTrainer` — plans the partition, brings the fleet up,
   runs the loop, checkpoints per shard for elastic resume.
 
 The synchronization story (why replicas stay bitwise aligned): every
@@ -42,7 +43,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -50,25 +50,20 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.engine import checkpoint_path
+from repro.cluster.fleet import Fleet
 from repro.cluster.net import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_MISSES,
     DEFAULT_MAX_FRAME_BYTES,
-    LocalWorkerSpawner,
-    ShardRegistry,
-    SocketTransport,
 )
 from repro.cluster.planner import ClusterPlan, ShardPlanner, ShardSpec
 from repro.cluster.transport import (
     Envelope,
-    InlineTransport,
-    MpTransport,
     PendingReply,
     Reply,
-    ThreadTransport,
     Transport,
     error_info,
-    validate_transport,
 )
 from repro.core.train_loop import TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
@@ -85,10 +80,10 @@ class TrainEngine:
 
     Holds a partition-local graph slice and a full model replica whose
     parameters, optimizer moments and rng streams came from a checkpoint —
-    the same spawn contract serving engines use, which is why the mp and
-    socket transports run training workers through their existing spawn
-    paths unchanged (``engine_args["engine"] = "train"`` is the only
-    difference on the wire).
+    the same spawn contract serving engines use, which is why a fleet
+    brings training workers up through the path serving uses
+    (``engine_args["engine"] = "train"`` is the only difference on the
+    wire).
     """
 
     def __init__(self, spec: ShardSpec, classifier) -> None:
@@ -103,66 +98,28 @@ class TrainEngine:
         self._step_seconds = self.registry.histogram("train_shard_step_seconds")
         self.closed = False
 
-    # ------------------------------------------------------------------
-    # Construction (runs wherever the transport puts the engine)
-    # ------------------------------------------------------------------
-
     @classmethod
-    def build(
-        cls,
-        spec_payload: Dict[str, object],
-        *,
-        config: Dict[str, object],
-        checkpoint: Optional[str] = None,
-    ) -> "TrainEngine":
-        """Rebuild a training shard from its plan slice + checkpoint.
+    def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
+        """Rebuild a training shard from its plan slice + checkpoint (see
+        :func:`repro.cluster.engine.build_engine_from_args`).
 
         The checkpoint must be format v3 if training is to resume
         mid-stream (optimizer moments + trainer progress); a fresh run's
         base checkpoint — saved right after build, zero epochs — works the
         same way, every replica restoring identical rng streams.
         """
-        if checkpoint is None:
-            raise ValueError("training shards spawn from a checkpoint")
-        spec = ShardSpec.from_payload(spec_payload)
-        classifier = load_checkpoint_classifier(checkpoint, graph=spec.graph)
+        spec = ShardSpec.from_payload(args["spec_payload"])
+        with checkpoint_path(
+            args["checkpoint"], args["checkpoint_bytes"]
+        ) as checkpoint:
+            classifier = load_checkpoint_classifier(checkpoint, graph=spec.graph)
         if getattr(classifier, "trainer", None) is None:
             raise ValueError(
                 f"{type(classifier).__name__} did not rebuild a trainer from "
-                f"{checkpoint!r}; distributed training needs a graph-bound "
+                "its checkpoint; distributed training needs a graph-bound "
                 "trainer"
             )
         return cls(spec, classifier)
-
-    @classmethod
-    def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
-        """Spawn entry point (mp process main / socket worker server).
-
-        Mirrors :meth:`ShardEngine.from_args`: ``checkpoint`` is a path for
-        workers sharing a filesystem, ``checkpoint_bytes`` the raw ``.npz``
-        contents for socket workers that share nothing — staged through a
-        private temp file and deleted once loaded.
-        """
-        checkpoint = args.get("checkpoint")
-        checkpoint_bytes = args.get("checkpoint_bytes")
-        staged: Optional[str] = None
-        if checkpoint is None and checkpoint_bytes is not None:
-            fd, staged = tempfile.mkstemp(prefix="repro-train-ckpt-", suffix=".npz")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(checkpoint_bytes)
-            checkpoint = staged
-        try:
-            return cls.build(
-                args["spec_payload"],
-                config=args.get("config", {}),
-                checkpoint=checkpoint,
-            )
-        finally:
-            if staged is not None:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -278,21 +235,6 @@ class TrainWorker:
     def __init__(self, spec: ShardSpec, transport: Transport) -> None:
         self.spec = spec
         self.transport = transport
-        self._stopped = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> "TrainWorker":
-        self.transport.start()
-        return self
-
-    def wait_ready(self, timeout: Optional[float] = None) -> None:
-        self.transport.wait_ready(timeout)
-
-    def stop(self) -> None:
-        if not self._stopped:
-            self.transport.stop()
-            self._stopped = True
 
     # -- TrainLoop client protocol ----------------------------------------
 
@@ -354,7 +296,6 @@ class DistributedTrainer:
         transport: str = "inline",
         partition_seed: int = 0,
         shard_checkpoints: Optional[Sequence] = None,
-        inbox_capacity: int = 256,
         request_timeout: Optional[float] = 600.0,
         start_timeout: float = 120.0,
         workers: Optional[Sequence[str]] = None,
@@ -363,12 +304,16 @@ class DistributedTrainer:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
     ) -> None:
-        validate_transport(transport)
-        if workers is not None and transport != "socket":
-            raise ValueError(
-                f"workers= (remote shard addresses) only applies to the "
-                f"socket transport, not {transport!r}"
-            )
+        # First: a bad transport name or a workers= on the wrong transport
+        # fails before any checkpoint is read.
+        self.fleet = Fleet(
+            transport,
+            workers=workers,
+            start_timeout=start_timeout,
+            max_frame_bytes=max_frame_bytes,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_misses=heartbeat_misses,
+        )
         probe = load_checkpoint_classifier(checkpoint)
         self.config = probe.config
         if self.config.embedding_mode != "project":
@@ -385,7 +330,6 @@ class DistributedTrainer:
                 "partition has no provably sufficient halo without one"
             )
         self.graph = graph
-        self.transport_kind = transport
         self.partition_seed = int(partition_seed)
         self.request_timeout = request_timeout
         self.registry = MetricsRegistry()  # coordinator-scope series
@@ -406,95 +350,14 @@ class DistributedTrainer:
             checkpoints = [str(path) for path in shard_checkpoints]
         else:
             checkpoints = [str(checkpoint)] * self.plan.num_shards
-        self.shard_registry: Optional[ShardRegistry] = None
-        if transport == "socket":
-            if workers is None:
-                self.shard_registry = ShardRegistry(LocalWorkerSpawner())
-            else:
-                addresses = list(workers)
-                if len(addresses) != self.plan.num_shards:
-                    raise ValueError(
-                        f"workers= names {len(addresses)} addresses for "
-                        f"{self.plan.num_shards} shards"
-                    )
-                self.shard_registry = ShardRegistry.from_addresses(addresses)
-        self.workers: List[TrainWorker] = []
-        for spec, shard_checkpoint in zip(self.plan.shards, checkpoints):
-            channel = self._make_transport(
-                transport,
-                spec,
-                shard_checkpoint,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
-                max_frame_bytes=max_frame_bytes,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_misses=heartbeat_misses,
-            )
-            self.workers.append(TrainWorker(spec, channel).start())
-        # Gather readiness after all spawns, so an mp/socket fleet loads
-        # its checkpoints concurrently.
-        for worker in self.workers:
-            worker.wait_ready(start_timeout)
+        channels = self.fleet.bring_up(
+            "train", self.plan.shards, checkpoints, [{}] * self.plan.num_shards
+        )
+        self.workers: List[TrainWorker] = [
+            TrainWorker(spec, channel)
+            for spec, channel in zip(self.plan.shards, channels)
+        ]
         self._closed = False
-
-    def _make_transport(
-        self,
-        kind: str,
-        spec: ShardSpec,
-        checkpoint: str,
-        *,
-        inbox_capacity: int,
-        start_timeout: float,
-        max_frame_bytes: int,
-        heartbeat_interval: float,
-        heartbeat_misses: int,
-    ) -> Transport:
-        spec_payload = spec.to_payload()
-        if kind == "mp":
-            engine_args = pickle.dumps(
-                {
-                    "engine": "train",
-                    "spec_payload": spec_payload,
-                    "checkpoint": checkpoint,
-                    "config": {},
-                }
-            )
-            return MpTransport(
-                spec.shard_id,
-                engine_args,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
-            )
-        if kind == "socket":
-            if self.shard_registry.spawner is not None:
-                handle = self.shard_registry.spawn(spec.shard_id)
-            else:
-                handle = self.shard_registry.handle(spec.shard_id)
-            return SocketTransport(
-                spec.shard_id,
-                handle.address,
-                {
-                    "engine": "train",
-                    "spec_payload": spec_payload,
-                    "checkpoint": None,
-                    "checkpoint_bytes": Path(checkpoint).read_bytes(),
-                    "config": {},
-                },
-                max_frame_bytes=max_frame_bytes,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_misses=heartbeat_misses,
-            )
-
-        def engine_factory() -> TrainEngine:
-            return TrainEngine.build(
-                spec_payload, config={}, checkpoint=checkpoint
-            )
-
-        if kind == "thread":
-            return ThreadTransport(
-                spec.shard_id, engine_factory, inbox_capacity=inbox_capacity
-            )
-        return InlineTransport(spec.shard_id, engine_factory)
 
     # ------------------------------------------------------------------
     # Construction conveniences
@@ -508,8 +371,8 @@ class DistributedTrainer:
 
         A checkpoint round-trip is the clean way to hand every shard an
         independent replica with *identical* parameters and rng streams —
-        and it is the only thing mp/socket workers can spawn from.  The
-        temp file is deleted once every shard has confirmed loading it.
+        and a checkpoint is what every engine is built from.  The temp
+        file is deleted once every shard has confirmed loading it.
         """
         with tempfile.TemporaryDirectory(prefix="repro-train-") as tmp:
             base = Path(tmp) / "base.npz"
@@ -625,7 +488,7 @@ class DistributedTrainer:
             "num_shards": int(self.plan.num_shards),
             "partition_seed": int(self.partition_seed),
             "epochs_done": int(self._epochs_done),
-            "transport": self.transport_kind,
+            "transport": self.fleet.kind,
         }
         staging = directory / f".{MANIFEST_NAME}.tmp"
         staging.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -641,16 +504,8 @@ class DistributedTrainer:
         """
         self._check_open()
         data = self.workers[0].checkpoint().result(self.request_timeout)
-        fd, staged = tempfile.mkstemp(prefix="repro-train-out-", suffix=".npz")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+        with checkpoint_path(None, data) as staged:
             return load_checkpoint_classifier(staged, graph=graph)
-        finally:
-            try:
-                os.unlink(staged)
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # Observability
@@ -686,10 +541,7 @@ class DistributedTrainer:
     def close(self) -> None:
         if self._closed:
             return
-        for worker in self.workers:
-            worker.stop()
-        if self.shard_registry is not None:
-            self.shard_registry.close()
+        self.fleet.close()
         self._closed = True
 
     def __enter__(self) -> "DistributedTrainer":

@@ -1,48 +1,43 @@
-"""Pluggable message boundary between the router and its shard engines.
+"""The message boundary between the router and its shard engines.
 
 Every router↔shard interaction is a typed, picklable :class:`Envelope`
 (serve batch, trace replay, mutation command, telemetry snapshot, metrics
 pull, serving-state export, reset, shutdown) answered by a :class:`Reply`.
 Nothing else crosses the boundary — no callables, no shared servers, no
-live graph references — which is what makes the three transports
+live graph references — which is what makes the two transports
 interchangeable:
 
-- :class:`InlineTransport` — the engine runs on the caller's thread, but
-  every envelope and reply still makes a ``pickle.dumps``/``loads``
-  round-trip, so inline execution is a *deterministic replay of the wire
-  protocol*, not a shortcut around it.  Used by equivalence tests and
-  logical-clock replay benchmarks.
-- :class:`ThreadTransport` — today's bounded-inbox worker thread: one
-  daemon thread per shard consuming a bounded ``queue.Queue`` (enqueue
-  blocks when the shard is hot — backpressure, not unbounded buffering).
-- :class:`MpTransport` — a ``multiprocessing`` worker that rebuilds its
-  engine (checkpoint + serialized shard payload) on spawn.  Real process
-  isolation: shard compute escapes the GIL entirely, at the cost of
-  pickling envelopes through OS pipes.
+- :class:`InlineTransport` (``"inline"``) — the engine runs on the
+  caller's thread, but every envelope and reply still makes a
+  ``pickle.dumps``/``loads`` round-trip, so inline execution is a
+  *deterministic replay of the wire protocol*, not a shortcut around it.
+  Used by equivalence tests, logical-clock replay benchmarks and the
+  traced benchmark pass.
+- :class:`repro.cluster.net.SocketTransport` (``"socket"``) — one worker
+  process per shard behind a TCP connection, on this host or another:
+  real isolation, heartbeats, typed ``WorkerDown`` and exact recovery.
 
-The ordering contract is identical everywhere: one shard = one FIFO
-envelope stream, processed one envelope at a time.  A mutation envelope is
+:class:`repro.cluster.fleet.Fleet` is the one place either is constructed.
+
+The ordering contract is identical on both: one shard = one FIFO envelope
+stream, processed one envelope at a time.  A mutation envelope is
 therefore a *barrier* — every serve envelope sent before it is answered
 from pre-mutation state, everything after sees post-mutation state — and
 an interleaved request/mutation stream produces bit-identical results on
-all three transports.
+either transport.
 
 Failures travel as data, not exceptions: a shard that raises answers with
 an error reply (remote type, message, traceback), which
 :meth:`PendingReply.result` re-raises as :class:`ShardError` on the
 gathering side.  A shard that *stops answering* surfaces as
-:class:`ShardTimeoutError` (deadline) or :class:`ShardCrashError` (the
-worker process died) instead of hanging the router.
+:class:`ShardTimeoutError` (deadline) or
+:class:`repro.cluster.net.WorkerDown` (dead, cut off or hung worker)
+instead of hanging the router.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
-import queue
-import threading
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -53,50 +48,24 @@ __all__ = [
     "PendingReply",
     "Transport",
     "InlineTransport",
-    "ThreadTransport",
-    "MpTransport",
     "ShardError",
     "ShardTimeoutError",
-    "ShardCrashError",
     "TRANSPORT_KINDS",
-    "register_transport",
-    "registered_transports",
-    "validate_transport",
+    "check_transport",
 ]
 
-#: Transport registry: name -> one-line description, rendered into the
-#: eager-validation error so a typo'd ``transport=`` fails at router
-#: construction with the full menu, not deep inside a spawn path.
-_TRANSPORT_REGISTRY: Dict[str, str] = {}
+TRANSPORT_KINDS = ("inline", "socket")
 
 
-def register_transport(name: str, description: str) -> None:
-    _TRANSPORT_REGISTRY[str(name)] = str(description)
+def check_transport(name: str) -> str:
+    """Eager transport-name validation: a typo'd ``transport=`` fails at
+    construction, naming the valid values, not deep inside a spawn path."""
+    if name not in TRANSPORT_KINDS:
+        raise ValueError(
+            f"unknown transport {name!r}; expected one of {TRANSPORT_KINDS}"
+        )
+    return name
 
-
-def registered_transports() -> tuple:
-    return tuple(sorted(_TRANSPORT_REGISTRY))
-
-
-def validate_transport(name: str) -> str:
-    """Eager transport-name validation; raises with the registered menu."""
-    if name in _TRANSPORT_REGISTRY:
-        return name
-    menu = "\n".join(
-        f"  {kind:<8} {_TRANSPORT_REGISTRY[kind]}"
-        for kind in registered_transports()
-    )
-    raise ValueError(
-        f"unknown transport {name!r}; registered transports:\n{menu}"
-    )
-
-
-register_transport("inline", "engine on the caller's thread (deterministic replay)")
-register_transport("thread", "bounded-inbox worker thread per shard")
-register_transport("mp", "one OS process per shard (checkpoint spawn)")
-register_transport("socket", "TCP worker per shard (repro.cluster.net; multi-host)")
-
-TRANSPORT_KINDS = ("inline", "thread", "mp", "socket")
 
 #: Envelope kinds understood by :class:`repro.cluster.engine.ShardEngine`
 #: (``serve`` family) and :class:`repro.cluster.train.TrainEngine` (``train``
@@ -191,22 +160,12 @@ class ShardTimeoutError(TimeoutError):
         )
 
 
-class ShardCrashError(RuntimeError):
-    """A shard worker process died before answering."""
-
-    def __init__(self, shard_id: int, exitcode: Optional[int]) -> None:
-        self.shard_id = shard_id
-        super().__init__(
-            f"shard {shard_id} worker process died (exitcode={exitcode})"
-        )
-
-
 class PendingReply:
     """Handle for one in-flight envelope; :meth:`result` gathers it.
 
     The async scatter-gather contract: ``send`` never blocks on the
-    *answer* (only, for bounded transports, on inbox backpressure), and the
-    router gathers whole groups of pending replies after issuing them all.
+    *answer*, and the router gathers whole groups of pending replies after
+    issuing them all.
     """
 
     def __init__(self, shard_id: int, kind: str) -> None:
@@ -234,22 +193,6 @@ class _ResolvedReply(PendingReply):
         return self._reply
 
 
-class _FutureReply(PendingReply):
-    def __init__(self, shard_id: int, kind: str) -> None:
-        super().__init__(shard_id, kind)
-        self._event = threading.Event()
-        self._reply: Optional[Reply] = None
-
-    def deliver(self, reply: Reply) -> None:
-        self._reply = reply
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> Reply:
-        if not self._event.wait(timeout):
-            raise ShardTimeoutError(self.shard_id, timeout or 0.0, self.kind)
-        return self._reply
-
-
 class Transport:
     """One shard's message channel.  Lifecycle: start → send* → stop."""
 
@@ -262,9 +205,9 @@ class Transport:
         return self._seq
 
     def start(self) -> "Transport":
-        """Launch the channel (spawn the process / thread).  Non-blocking
-        where possible so a fleet can overlap spawns; pair with
-        :meth:`wait_ready`."""
+        """Launch the channel (build the engine / connect and ship the
+        spawn envelope).  Non-blocking where possible so a fleet can
+        overlap spawns; pair with :meth:`wait_ready`."""
         return self
 
     def wait_ready(self, timeout: Optional[float] = None) -> None:
@@ -290,7 +233,7 @@ class InlineTransport(Transport):
     """Engine on the caller's thread, protocol on a real pickle boundary.
 
     Every envelope and reply is round-tripped through ``pickle`` before and
-    after dispatch, so inline results are exactly what the mp transport
+    after dispatch, so inline results are exactly what the socket transport
     would produce — minus the scheduler.  This is the deterministic-replay
     transport: logical-clock arrivals drive batch composition, nothing
     else.
@@ -323,237 +266,3 @@ class InlineTransport(Transport):
         if self._engine is not None:
             self._engine.handle(Envelope(kind="shutdown", seq=self._next_seq()))
             self._engine = None
-
-
-class ThreadTransport(Transport):
-    """Bounded-inbox worker thread: the single-process concurrency tier.
-
-    The engine is built *on the worker thread* (single-writer ownership of
-    the shard server from birth); construction failures surface from
-    :meth:`wait_ready`.  ``send`` blocks only when the bounded inbox is
-    full — backpressure on the router, never unbounded buffering.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        engine_factory: Callable[[], object],
-        *,
-        inbox_capacity: int = 256,
-    ) -> None:
-        if inbox_capacity < 1:
-            raise ValueError(f"inbox_capacity must be >= 1, got {inbox_capacity}")
-        super().__init__(shard_id)
-        self._engine_factory = engine_factory
-        self._inbox: "queue.Queue" = queue.Queue(maxsize=inbox_capacity)
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._ready_error: Optional[BaseException] = None
-
-    def start(self) -> "ThreadTransport":
-        if self._thread is not None:
-            raise RuntimeError(f"shard {self.shard_id} transport already started")
-        self._thread = threading.Thread(
-            target=self._run, name=f"shard-{self.shard_id}", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def wait_ready(self, timeout: Optional[float] = None) -> None:
-        if self._thread is None:
-            raise RuntimeError(f"shard {self.shard_id} transport not started")
-        if not self._ready.wait(timeout):
-            raise ShardTimeoutError(self.shard_id, timeout or 0.0, "ready")
-        if self._ready_error is not None:
-            raise self._ready_error
-
-    def _run(self) -> None:
-        try:
-            engine = self._engine_factory()
-        except BaseException as exc:  # surfaced via wait_ready
-            self._ready_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        while True:
-            envelope, pending = self._inbox.get()
-            pending.deliver(_safe_handle(engine, envelope))
-            if envelope.kind == "shutdown":
-                return
-
-    @property
-    def inbox_depth(self) -> int:
-        return self._inbox.qsize()
-
-    def send(self, envelope: Envelope) -> PendingReply:
-        if self._thread is None:
-            raise RuntimeError(f"shard {self.shard_id} transport not started")
-        envelope.seq = self._next_seq()
-        pending = _FutureReply(self.shard_id, envelope.kind)
-        self._inbox.put((envelope, pending))  # blocks when full: backpressure
-        return pending
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._thread is None:
-            return
-        # A transport whose engine never built has no loop to shut down.
-        if self._ready.wait(timeout) and self._ready_error is None:
-            pending = self.send(Envelope(kind="shutdown"))
-            pending.wait(timeout)
-        self._thread.join(timeout)
-        self._thread = None
-
-
-def _engine_process_main(engine_args: bytes, inbox, outbox) -> None:
-    """Entry point of one shard worker process.
-
-    Rebuilds the engine from explicitly pickled arguments (shard payload +
-    checkpoint path + config — the ``engine`` key picks serving vs training,
-    see :func:`repro.cluster.engine.build_engine_from_args`), acknowledges
-    with a ready reply, then serves the envelope stream FIFO until a
-    shutdown envelope.  Every failure — including construction — travels
-    back as an error reply; the process never raises across the pipe.
-    """
-    try:
-        from repro.cluster.engine import build_engine_from_args
-
-        engine = build_engine_from_args(pickle.loads(engine_args))
-    except BaseException as exc:
-        outbox.put(Reply(seq=READY_SEQ, ok=False, error=error_info(exc)))
-        return
-    outbox.put(Reply(seq=READY_SEQ, ok=True, payload={"pid": os.getpid()}))
-    while True:
-        envelope = inbox.get()
-        outbox.put(_safe_handle(engine, envelope))
-        if envelope.kind == "shutdown":
-            return
-
-
-class MpTransport(Transport):
-    """A shard engine in its own OS process, fed through pipe-backed queues.
-
-    ``engine_args`` is an **explicitly pickled** blob (shard payload +
-    checkpoint path + config) so the serialization boundary is real even
-    under the ``fork`` start method — nothing the engine needs may ride
-    along in inherited memory.  Spawn cost is plan-shipping plus one
-    checkpoint load; :meth:`start` only launches the process, and
-    :meth:`wait_ready` collects the handshake the child sends once its
-    server is rebuilt (so a router can overlap a whole fleet's spawns,
-    and a temp-file checkpoint can be deleted the moment every shard has
-    confirmed loading it).
-
-    Replies may be gathered out of order relative to other pending
-    envelopes, so the receive side stashes replies by sequence number.
-    Gathering polls the worker's liveness: a dead process raises
-    :class:`ShardCrashError` instead of blocking forever.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        engine_args: bytes,
-        *,
-        inbox_capacity: int = 256,
-        start_timeout: float = 120.0,
-        mp_context: Optional[str] = None,
-    ) -> None:
-        if inbox_capacity < 1:
-            raise ValueError(f"inbox_capacity must be >= 1, got {inbox_capacity}")
-        super().__init__(shard_id)
-        ctx = multiprocessing.get_context(mp_context)
-        self._inbox = ctx.Queue(maxsize=inbox_capacity)
-        self._outbox = ctx.Queue()
-        self._process = ctx.Process(
-            target=_engine_process_main,
-            args=(engine_args, self._inbox, self._outbox),
-            name=f"repro-shard-{shard_id}",
-            daemon=True,
-        )
-        self._start_timeout = float(start_timeout)
-        self._stash: Dict[int, Reply] = {}
-        self._ready = False
-        self._lock = threading.Lock()
-
-    def start(self) -> "MpTransport":
-        if self._process.pid is not None:
-            raise RuntimeError(f"shard {self.shard_id} transport already started")
-        self._process.start()
-        return self
-
-    def wait_ready(self, timeout: Optional[float] = None) -> None:
-        if self._ready:
-            return
-        reply = self._collect(READY_SEQ, timeout or self._start_timeout, "ready")
-        if not reply.ok:
-            raise ShardError(self.shard_id, reply.error or {})
-        self._ready = True
-
-    def send(self, envelope: Envelope) -> PendingReply:
-        if self._process.pid is None:
-            raise RuntimeError(f"shard {self.shard_id} transport not started")
-        envelope.seq = self._next_seq()
-        self._inbox.put(envelope)  # bounded: blocks when the shard is hot
-        return _MpPendingReply(self, envelope.seq, envelope.kind)
-
-    def _collect(self, seq: int, timeout: Optional[float], kind: str) -> Reply:
-        """Pop the reply for ``seq``, stashing out-of-order arrivals."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if seq in self._stash:
-                    return self._stash.pop(seq)
-                try:
-                    reply = self._outbox.get(timeout=0.05)
-                except queue.Empty:
-                    reply = None
-                if reply is not None:
-                    if reply.seq == seq:
-                        return reply
-                    self._stash[reply.seq] = reply
-                    continue
-            if not self._process.is_alive():
-                # One final non-blocking sweep: the reply may have landed
-                # between the timeout and the liveness check.
-                with self._lock:
-                    self._drain_outbox()
-                    if seq in self._stash:
-                        return self._stash.pop(seq)
-                raise ShardCrashError(self.shard_id, self._process.exitcode)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ShardTimeoutError(self.shard_id, timeout, kind)
-
-    def _drain_outbox(self) -> None:
-        while True:
-            try:
-                reply = self._outbox.get_nowait()
-            except queue.Empty:
-                return
-            self._stash[reply.seq] = reply
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self._process.pid is None:
-            return
-        if self._process.is_alive():
-            try:
-                self.wait_ready(self._start_timeout)
-                pending = self.send(Envelope(kind="shutdown"))
-                pending.wait(timeout)
-            except (ShardError, ShardCrashError, ShardTimeoutError):
-                pass
-            self._process.join(timeout)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout)
-        for q in (self._inbox, self._outbox):
-            q.cancel_join_thread()
-            q.close()
-
-
-class _MpPendingReply(PendingReply):
-    def __init__(self, transport: MpTransport, seq: int, kind: str) -> None:
-        super().__init__(transport.shard_id, kind)
-        self._transport = transport
-        self._seq = seq
-
-    def wait(self, timeout: Optional[float] = None) -> Reply:
-        return self._transport._collect(self._seq, timeout, self.kind)

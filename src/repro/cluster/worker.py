@@ -1,8 +1,10 @@
 """The protocol side of one shard: typed envelopes over a transport.
 
-Since the transport refactor, :class:`ShardWorker` no longer owns a server
-— the :class:`~repro.cluster.engine.ShardEngine` behind the transport
-does.  The worker is the router's *client stub*: it keeps the router-side
+:class:`ShardWorker` owns no server — the
+:class:`~repro.cluster.engine.ShardEngine` behind the transport does — and
+no channel lifecycle: the :class:`~repro.cluster.fleet.Fleet` hands it a
+started, ready transport and closes it.  The worker is the router's
+*client stub*: it keeps the router-side
 mirror of the shard's :class:`~repro.cluster.planner.ShardSpec` (routing
 masks, ownership counts), wraps each interaction in a typed
 :class:`~repro.cluster.transport.Envelope`, and returns
@@ -11,9 +13,8 @@ issue a whole scatter before gathering anything.
 
 Ordering is inherited from the transport's FIFO contract: one shard, one
 envelope stream, processed one at a time.  A ``mutate`` envelope is a
-barrier between the ``serve`` envelopes around it — the same guarantee the
-old inbox gave, now independent of whether the far side is the caller's
-thread, a worker thread, or another process.
+barrier between the ``serve`` envelopes around it, whether the far side is
+the caller's thread or another process.
 """
 
 from __future__ import annotations
@@ -56,32 +57,14 @@ class ShardWorker:
     def __init__(self, spec: ShardSpec, transport: Transport) -> None:
         self.spec = spec
         self.transport = transport
-        self._stopped = False
         # Router-visible accounting (written from the routing thread only).
         self.requests_routed = 0
         self.halo_requests = 0
         self.respawns = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> "ShardWorker":
-        self.transport.start()
-        return self
-
-    def wait_ready(self, timeout: Optional[float] = None) -> None:
-        self.transport.wait_ready(timeout)
-
-    def stop(self) -> None:
-        if not self._stopped:
-            self.transport.stop()
-            self._stopped = True
-
     def swap_transport(self, transport: Transport) -> None:
         """Readmit a recovered shard: the supervisor hands over a fresh,
-        ready, caught-up channel and every later envelope rides it.  The
-        old (down) transport is the caller's to stop."""
+        ready, caught-up channel and every later envelope rides it."""
         self.transport = transport
         self.respawns += 1
 
@@ -181,10 +164,6 @@ class ShardWorker:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def inbox_depth(self) -> int:
-        return int(getattr(self.transport, "inbox_depth", 0))
-
     def summary(self, telemetry_payload: dict) -> dict:
         """Shard summary row from a pulled telemetry payload."""
         stats = dict(telemetry_payload["summary"])
@@ -195,7 +174,6 @@ class ShardWorker:
             requests_routed=self.requests_routed,
             halo_requests=self.halo_requests,
             respawns=self.respawns,
-            inbox_depth=self.inbox_depth,
             cache_size=telemetry_payload["cache_size"],
         )
         return stats

@@ -11,8 +11,8 @@ driver that sequences those phases over one or many *clients*:
   the classic ``WidenTrainer.fit`` path, bit-identical to the pre-phase
   monolith (losses, F1 series, rng-consumption order, trigger fires);
 - a fleet of :class:`~repro.cluster.train.TrainWorker` stubs, each backed
-  by a partition-local :class:`~repro.cluster.train.TrainEngine` behind a
-  pluggable transport (``inline``/``thread``/``mp``/``socket``).
+  by a partition-local :class:`~repro.cluster.train.TrainEngine` behind
+  either transport (``inline``/``socket``).
 
 The data-parallel contract mirrors the serving cluster's: every client
 holds a full model replica and consumes identical rng streams, so the

@@ -13,8 +13,8 @@ One pipeline for everything the efficiency claims rest on:
 - :class:`OpProfiler` — op-level counts, FLOP estimates and
   forward/backward self-times hooked into the ``repro.tensor`` engine;
   near-zero overhead while disabled.
-- :class:`Timer` / :func:`time_call` — the wall-clock helpers formerly in
-  ``repro.utils.timing`` (that module remains as a deprecation alias).
+- :class:`Timer` / :func:`time_call` — wall-clock helpers for the
+  efficiency experiments.
 - :class:`MetricsHTTPServer` — a stdlib ``/metrics`` HTTP endpoint serving
   any Prometheus render callable (single server or merged cluster view)
   for scrape-based collection; registries also serialize

@@ -1,7 +1,7 @@
 """Distributed tracing across the cluster's shard boundary (``repro.obs.dist``).
 
 A single-process :class:`~repro.obs.tracing.Tracer` dies at the
-``Envelope``/``Reply`` wire: a scatter-gather request over the ``mp``
+``Envelope``/``Reply`` wire: a scatter-gather request over the ``socket``
 transport is a black box between router send and reply gather.  This module
 closes that gap with three small pieces, none of which touch the disabled
 hot path:
@@ -14,14 +14,13 @@ hot path:
   ``perf_counter`` offset against the router's clock with an NTP-style
   probe (the sample with the smallest round trip bounds the error by its
   RTT).  ``perf_counter`` epochs are per-process, so this is what makes an
-  ``mp`` (or future ``socket``) shard's timestamps commensurable with the
-  router's.
+  ``socket`` shard's timestamps commensurable with the router's.
 - **Stitching** — :class:`DistTracer` owns the router-side span buffer,
   collects per-shard span buffers piggybacked on replies, and merges
   everything into one Chrome ``trace_event`` file: the router on its own
   ``pid``/``tid`` lane, each shard on its worker's real ``pid`` (distinct
-  process lanes in Perfetto for ``mp``; distinct thread lanes for
-  ``thread``/``inline``), with a synthetic ``queue+wire`` event bridging
+  process lanes in Perfetto for ``socket``; distinct thread lanes for
+  ``inline``), with a synthetic ``queue+wire`` event bridging
   the router's send timestamp to the shard's first span so queue wait is
   visible as a block, not an inference.
 
@@ -175,7 +174,7 @@ class DistTracer:
 
         Tolerates ``None`` (an untraced reply) so gather loops can call it
         unconditionally, and records the shard's pid from the payload — the
-        authoritative source for ``mp`` workers, where the handshake may
+        authoritative source for ``socket`` workers, where the handshake may
         not have run yet.
         """
         if payload is None:

@@ -377,7 +377,7 @@ class MetricsRegistry:
         stats), the payload keeps **raw histogram observations**, so a
         merged registry computes quantiles over the union of shards'
         observations — the same numbers one shared registry would have
-        produced.  This is how per-process registries in the cluster's mp
+        produced.  This is how per-process registries in the cluster's socket
         workers aggregate into one shard-labeled Prometheus exposition.
         """
         with self._lock:

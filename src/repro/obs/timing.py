@@ -1,8 +1,4 @@
-"""Wall-clock timing helpers for the efficiency experiments (Figs. 4-5).
-
-Moved here from ``repro.utils.timing`` so all observability primitives live
-in one package; the old module remains as a deprecation alias.
-"""
+"""Wall-clock timing helpers for the efficiency experiments (Figs. 4-5)."""
 
 from __future__ import annotations
 

@@ -24,7 +24,7 @@ from repro.serve.cache import EmbeddingCache
 from repro.serve.loadgen import TraceEvent, cold_single_requests, make_trace, replay
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import InferenceServer, ServeResult
-from repro.serve.telemetry import RequestRecord, Telemetry, percentile
+from repro.serve.telemetry import RequestRecord, Telemetry
 
 __all__ = [
     "MicroBatcher",
@@ -35,7 +35,6 @@ __all__ = [
     "ServeResult",
     "Telemetry",
     "RequestRecord",
-    "percentile",
     "TraceEvent",
     "make_trace",
     "replay",

@@ -23,8 +23,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.graph import HeteroGraph
+from repro.obs.metrics import nearest_rank_percentile
 from repro.serve.server import InferenceServer
-from repro.serve.telemetry import percentile
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -113,9 +113,9 @@ def cold_single_requests(
     return {
         "requests": len(latencies),
         "latency_mean_s": sum(latencies) / len(latencies) if latencies else 0.0,
-        "latency_p50_s": percentile(latencies, 50),
-        "latency_p95_s": percentile(latencies, 95),
-        "latency_p99_s": percentile(latencies, 99),
+        "latency_p50_s": nearest_rank_percentile(latencies, 50),
+        "latency_p95_s": nearest_rank_percentile(latencies, 95),
+        "latency_p99_s": nearest_rank_percentile(latencies, 99),
         "throughput_rps": (
             len(latencies) / sum(latencies) if sum(latencies) > 0 else float("inf")
         ),

@@ -242,7 +242,7 @@ class InferenceServer:
     ) -> "InferenceServer":
         """Build a server from exactly (checkpoint path, serving graph).
 
-        This is the spawn path of the cluster's ``mp`` transport: a worker
+        This is the spawn path of every cluster shard engine: a worker
         process receives a path and a serialized shard payload, never a
         live classifier — construction is checkpoint-driven by design so
         it works identically on either side of a process boundary.

@@ -18,21 +18,9 @@ through one pipeline and one ``metrics.jsonl``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import Histogram, MetricsRegistry, nearest_rank_percentile
-
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]); 0.0 for an empty series.
-
-    Kept as a thin alias of the shared implementation in
-    :func:`repro.obs.metrics.nearest_rank_percentile` — nearest-rank keeps
-    the answer an *observed* latency (the convention of serving dashboards)
-    instead of an interpolated value no request paid.
-    """
-    return nearest_rank_percentile(values, p)
-
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: Serving-ladder rungs, fastest first (see ``repro.obs.slo.RUNGS``).
 RUNGS = ("cache", "store", "overlay", "recompute")

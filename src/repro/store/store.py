@@ -453,7 +453,7 @@ class AggregateStore:
         slice carries exactly those blocks — halo nodes contribute to
         other shards' rows at build time, never to local lookups).
 
-        The payload crosses the ``mp`` transport's pickle boundary as-is;
+        The payload crosses the transport's pickle boundary as-is;
         :meth:`from_payload` rebuilds a positioned in-memory store on the
         other side.  Overlay entries are folded in so a slice taken from a
         live store reflects its current effective rows.

@@ -213,8 +213,8 @@ def run_kernel_tuning(
 ) -> Dict[str, Any]:
     """The ``tune-kernels`` entry point: sweep, persist, apply.
 
-    Subsumes ``tune-scatter``: one invocation measures the scatter-add
-    crossovers *and* the padded-vs-sparse forward crossover, writes the
+    One invocation measures the scatter-add crossovers *and* the
+    padded-vs-sparse forward crossover, writes the
     versioned per-host table, and installs the thresholds in this process
     (env-pinned values stay untouched).
     """
@@ -243,6 +243,13 @@ def format_table_report(report: Dict[str, Any]) -> str:
             f"    waste={row['waste']:.2f}  padded={row['padded_s']:.6f}s  "
             f"sparse={row['sparse_s']:.6f}s  -> {winner}"
         )
+    from repro.tensor.tuning import ENV_VARS
+
+    lines.append("  to pin the scatter thresholds from the environment instead:")
+    lines += [
+        f"    export {ENV_VARS[key]}={value}"
+        for key, value in sorted(table["scatter"].items())
+    ]
     if report["path"]:
         lines.append(f"  wrote {report['path']}")
     if report["applied"]:

@@ -1,12 +1,14 @@
-"""Micro-sweep for the scatter-add backend crossovers (``tune-scatter``).
+"""Micro-sweeps behind ``tune-kernels``: scatter-add backend crossovers and
+the padded-vs-sparse forward crossover.
 
 The backward of the batched gather kernels picks between three scatter-add
 backends (:func:`repro.tensor.ops._scatter_add_rows`): ``np.add.at`` for
 tiny scatters, a dense one-hot gemm when the selector fits in
 ``dense_max_cells``, and a flat element-level ``np.bincount`` otherwise.
 The shipped crossover points were measured on one reference machine; this
-module re-measures them on *this* machine and prints the
-``REPRO_SCATTER_*`` environment settings that make the defaults match.
+module re-measures them on *this* machine; ``tune-kernels`` persists the
+result and prints the ``REPRO_SCATTER_*`` environment settings that make
+the defaults match.
 
 The sweep times each backend directly (not through the dispatcher), so the
 currently-active thresholds never bias the measurement.
@@ -168,10 +170,6 @@ def run_tuning(
         "sparse_sweep": sparse_rows,
         "dense_sweep": dense_rows,
         "recommended": recommended,
-        "env": [
-            f"export {ENV_VARS[key]}={value}"
-            for key, value in sorted(recommended.items())
-        ],
     }
     if apply:
         report["active_after"] = set_scatter_thresholds(**recommended)
@@ -179,7 +177,7 @@ def run_tuning(
 
 
 # ----------------------------------------------------------------------
-# Padded vs sparse forward crossover (``tune-kernels``)
+# Padded vs sparse forward crossover
 # ----------------------------------------------------------------------
 #
 # The ``forward_mode="auto"`` dispatch needs one number per host: the
@@ -295,42 +293,3 @@ def recommend_forward(rows: List[dict]) -> float:
         if all(r["sparse_s"] < r["padded_s"] for r in rows[i:]):
             return float(row["waste"])
     return 1.0
-
-
-def format_report(report: Dict[str, object]) -> str:
-    """The sweep as a printable table plus the env export lines."""
-    lines = [
-        f"scatter-add backend sweep (dim={report['dim']}, "
-        f"{report['repeats']} repeats, median wall time)",
-        "",
-        "ufunc vs bincount by gathered rows (num_rows=4096)",
-        f"{'m':>6} {'ufunc us':>10} {'bincount us':>12} {'winner':>9}",
-    ]
-    for row in report["sparse_sweep"]:
-        lines.append(
-            f"{row['m']:>6} {row['ufunc_s'] * 1e6:>10.1f} "
-            f"{row['bincount_s'] * 1e6:>12.1f} {row['winner']:>9}"
-        )
-    lines += [
-        "",
-        "dense gemm vs bincount by one-hot size (m=256)",
-        f"{'rows':>6} {'cells':>9} {'dense us':>10} {'bincount us':>12} {'winner':>9}",
-    ]
-    for row in report["dense_sweep"]:
-        lines.append(
-            f"{row['num_rows']:>6} {row['cells']:>9} {row['dense_s'] * 1e6:>10.1f} "
-            f"{row['bincount_s'] * 1e6:>12.1f} {row['winner']:>9}"
-        )
-    recommended = report["recommended"]
-    defaults = report["defaults"]
-    lines += [
-        "",
-        f"recommended: sparse_min_rows={recommended['sparse_min_rows']} "
-        f"(default {defaults['sparse_min_rows']}), "
-        f"dense_max_cells={recommended['dense_max_cells']} "
-        f"(default {defaults['dense_max_cells']})",
-        "",
-        "to make these the process defaults:",
-    ]
-    lines += [f"  {line}" for line in report["env"]]
-    return "\n".join(lines)

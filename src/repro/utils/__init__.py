@@ -1,10 +1,5 @@
-"""Shared utilities: deterministic RNG handling.
+"""Shared utilities: deterministic RNG handling."""
 
-``Timer`` / ``time_call`` moved to :mod:`repro.obs`; they are re-exported
-here (via the deprecated :mod:`repro.utils.timing` alias) for compatibility.
-"""
-
-from repro.obs.timing import Timer, time_call
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs
 
-__all__ = ["RngMixin", "new_rng", "spawn_rngs", "Timer", "time_call"]
+__all__ = ["RngMixin", "new_rng", "spawn_rngs"]

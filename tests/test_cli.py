@@ -95,18 +95,28 @@ class TestCli:
 
 class TestTuneScatter:
     def test_sweep_prints_env_lines_and_writes_json(self, capsys, tmp_path):
+        from repro.tensor import kernels, ops
+
         out = tmp_path / "tuning.json"
-        assert main([
-            "tune-scatter", "--repeats", "3", "--tuning-out", str(out),
-        ]) == 0
+        before_scatter = ops.get_scatter_thresholds()
+        before_forward = kernels.get_forward_selection()
+        try:
+            assert main([
+                "tune-kernels", "--repeats", "3", "--dim", "8",
+                "--table-out", str(tmp_path / "kernel_table.json"),
+                "--tuning-out", str(out),
+            ]) == 0
+        finally:
+            ops.set_scatter_thresholds(**before_scatter)
+            kernels.set_forward_selection(**before_forward)
         printed = capsys.readouterr().out
-        assert "REPRO_SCATTER_SPARSE_MIN_ROWS" in printed
-        assert "REPRO_SCATTER_DENSE_MAX_CELLS" in printed
-        report = json.loads(out.read_text())
-        assert report["recommended"]["sparse_min_rows"] >= 0
-        assert report["recommended"]["dense_max_cells"] >= 0
-        assert len(report["sparse_sweep"]) > 0
-        assert len(report["dense_sweep"]) > 0
+        assert "export REPRO_SCATTER_SPARSE_MIN_ROWS=" in printed
+        assert "export REPRO_SCATTER_DENSE_MAX_CELLS=" in printed
+        table = json.loads(out.read_text())["table"]
+        assert table["scatter"]["sparse_min_rows"] >= 0
+        assert table["scatter"]["dense_max_cells"] >= 0
+        assert len(table["sweeps"]["scatter"]["sparse_sweep"]) > 0
+        assert len(table["sweeps"]["scatter"]["dense_sweep"]) > 0
 
     def test_recommend_requires_stable_crossover(self):
         """One noisy bincount win below the real crossover must not drag
@@ -182,10 +192,10 @@ class TestServeClusterCli:
     def test_smoke_with_transport_and_metrics_port(self, capsys):
         assert main([
             "serve-cluster", "acm", "--smoke", "--shards", "2",
-            "--transport", "thread", "--metrics-port", "0",
+            "--transport", "socket", "--metrics-port", "0",
         ]) == 0
         printed = capsys.readouterr().out
-        assert "thread transport" in printed
+        assert "socket transport" in printed
         assert "metrics endpoint live at http://127.0.0.1:" in printed
         assert "cluster, warm cache" in printed
 

@@ -13,12 +13,7 @@ and batch-size independent by construction, so any drift is a real bug.
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterPlan,
-    ClusterRouter,
-    ShardPlanner,
-    ThreadTransport,
-)
+from repro.cluster import ClusterPlan, ClusterRouter, ShardPlanner
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer, make_trace
@@ -63,9 +58,10 @@ def fresh_single_server(checkpoint, **kwargs):
     return InferenceServer(classifier, graph, seed=7, **kwargs)
 
 
-def fresh_router(checkpoint, num_shards, mode="sync", **kwargs):
+def fresh_router(checkpoint, num_shards, transport="inline", **kwargs):
     return ClusterRouter.from_checkpoint(
-        checkpoint, fresh_graph(), num_shards, mode=mode, seed=7, **kwargs
+        checkpoint, fresh_graph(), num_shards, transport=transport, seed=7,
+        **kwargs
     )
 
 
@@ -218,17 +214,21 @@ class TestClusterEquivalence:
             lone = router.embed(probe[:1])
             np.testing.assert_array_equal(lone, want_embeddings[:1])
 
-    def test_thread_mode_matches_sync(self, checkpoint, reference):
-        probe, want_embeddings, _ = reference
-        with fresh_router(checkpoint, 4, mode="thread") as router:
-            np.testing.assert_array_equal(router.embed(probe), want_embeddings)
+    def test_rejects_classifier_without_declared_reach(
+        self, checkpoint, monkeypatch
+    ):
+        """A checkpoint whose class declares no sampling reach has no
+        provably sufficient halo: refused before anything is partitioned."""
+        from repro.serve.registry import CHECKPOINT_CLASSES
 
-    def test_rejects_classifier_without_declared_reach(self, acm):
         class Opaque:
-            pass
+            @classmethod
+            def load(cls, path, graph=None):
+                return cls()
 
+        monkeypatch.setitem(CHECKPOINT_CLASSES, WidenClassifier.name, Opaque)
         with pytest.raises(ValueError, match="sampling reach"):
-            ClusterRouter(lambda g: Opaque(), fresh_graph(), 2)
+            fresh_router(checkpoint, 2)
 
     def test_closed_router_refuses_requests(self, checkpoint):
         router = fresh_router(checkpoint, 2)
@@ -369,17 +369,6 @@ class TestClusterTelemetry:
             s["halo_requests"] for s in summary["shards"]
         )
 
-    def test_replay_works_on_thread_transport(self, checkpoint, acm):
-        """Replay ships each shard's whole trace slice in one envelope, so
-        it is no longer restricted to the inline transport."""
-        trace = make_trace(acm.split.test[:20], 32, rate=5000.0, rng=1)
-        with fresh_router(checkpoint, 2, mode="thread") as router:
-            summary = router.replay(trace)
-        assert summary["requests"] == 32
-        assert summary["transport"] == "thread"
-        assert summary["throughput_rps"] > 0
-        assert sum(s["requests"] for s in summary["shards"]) == 32
-
     def test_prometheus_exposition_is_shard_labeled(self, checkpoint):
         with fresh_router(checkpoint, 2) as router:
             router.embed(np.arange(8))
@@ -417,22 +406,16 @@ class TestClusterTelemetry:
 
 
 class TestShardWorker:
-    def test_invalid_transport_and_capacity_rejected(self, checkpoint):
-        with pytest.raises(ValueError, match="unknown transport"):
-            fresh_router(checkpoint, 1, mode=None, transport="fiber")
-        with pytest.raises(ValueError, match="not both"):
-            fresh_router(checkpoint, 1, mode="sync", transport="inline")
-        with pytest.raises(ValueError, match="inbox_capacity"):
-            ThreadTransport(0, lambda: None, inbox_capacity=0)
-
-    def test_mp_transport_requires_checkpoint(self, acm):
-        with pytest.raises(ValueError, match="checkpoint"):
-            ClusterRouter(
-                lambda g: None, fresh_graph(), 1, transport="mp"
-            )
+    @pytest.mark.parametrize("name", ["thread", "mp", "fiber"])
+    def test_invalid_transport_rejected(self, checkpoint, name):
+        with pytest.raises(ValueError) as excinfo:
+            fresh_router(checkpoint, 1, transport=name)
+        message = str(excinfo.value)
+        assert f"unknown transport {name!r}" in message
+        assert "'inline'" in message and "'socket'" in message
 
     def test_bad_node_fails_only_its_future(self, checkpoint):
-        with fresh_router(checkpoint, 1, mode="thread") as router:
+        with fresh_router(checkpoint, 1) as router:
             worker = router.workers[0]
             good = worker.request(0, "embed")
             bad = worker.request(router.graph.num_nodes + 100, "embed")
@@ -443,7 +426,7 @@ class TestShardWorker:
     def test_pull_orders_against_requests(self, checkpoint):
         """A telemetry pull enqueued after a serve envelope observes that
         envelope's effects — the FIFO barrier the protocol guarantees."""
-        with fresh_router(checkpoint, 1, mode="thread") as router:
+        with fresh_router(checkpoint, 1, transport="socket") as router:
             worker = router.workers[0]
             pending = worker.submit_serve(np.arange(4), "embed")
             # Issued strictly after the serve envelope; FIFO means the

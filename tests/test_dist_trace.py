@@ -428,7 +428,7 @@ class TestRouterObserved:
         finally:
             router.close()
 
-    @pytest.mark.parametrize("transport", ["thread", "mp"])
+    @pytest.mark.parametrize("transport", ["inline", "socket"])
     def test_cross_transport_lanes(self, acm, checkpoint, transport, tmp_path):
         probe = np.asarray(acm.split.test[:8])
         router = fresh_router(
@@ -443,7 +443,7 @@ class TestRouterObserved:
             router.write_dist_trace(path)
             events = json.loads(path.read_text())["traceEvents"]
             pids = {e["pid"] for e in events if e["ph"] == "X"}
-            if transport == "mp":
+            if transport == "socket":
                 assert len(pids) >= 3  # router + one real pid per worker
             else:
                 assert len(pids) == 1  # same process, distinct tid lanes

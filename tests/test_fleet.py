@@ -1,0 +1,118 @@
+"""One ``Fleet`` under serving and training.
+
+:class:`~repro.cluster.router.ClusterRouter` and
+:class:`~repro.cluster.train.DistributedTrainer` bring their shard engines
+up through the same :class:`~repro.cluster.fleet.Fleet`, every engine is
+built by ``build_engine_from_args`` from one arguments schema, and a
+recovery respawns through the method bring-up used.  (What the fleet then
+*serves* and *trains* is pinned bit for bit in ``test_transport.py``,
+``test_net.py`` and ``test_train_loop.py``.)
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import ClusterRouter, DistributedTrainer
+from repro.cluster import fleet as fleet_module
+from repro.cluster.fleet import Fleet
+from repro.core import WidenClassifier
+from repro.datasets import make_acm
+
+SCHEMA = frozenset({
+    "engine", "spec_payload", "checkpoint", "checkpoint_bytes", "config",
+    "serving_state",
+})
+
+
+def fresh_graph():
+    return make_acm(seed=0, scale=0.4).graph
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """Zero-epoch checkpoint: serving and training engines both spawn
+    from it."""
+    acm = make_acm(seed=0, scale=0.4)
+    model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
+    model.fit(acm.graph, acm.split.train[:40], epochs=0)
+    path = tmp_path_factory.mktemp("fleet") / "widen.npz"
+    model.save(path)
+    return path
+
+
+def test_router_and_trainer_hand_engines_one_args_schema(checkpoint, monkeypatch):
+    seen = []
+    real = fleet_module.build_engine_from_args
+
+    def recording(args):
+        seen.append(args)
+        return real(args)
+
+    monkeypatch.setattr(fleet_module, "build_engine_from_args", recording)
+    with ClusterRouter.from_checkpoint(
+        checkpoint, fresh_graph(), 2, seed=7
+    ) as router, DistributedTrainer(checkpoint, fresh_graph(), 2) as trainer:
+        np.testing.assert_array_equal(
+            router.plan.owner_of, trainer.plan.owner_of
+        )
+    assert [args["engine"] for args in seen] == ["serve", "serve", "train", "train"]
+    assert {frozenset(args) for args in seen} == {SCHEMA}
+
+
+def test_recover_respawns_through_the_method_bring_up_used(checkpoint, monkeypatch):
+    opened = []
+    real_open = Fleet.open
+
+    def recording_open(self, shard_id, args):
+        opened.append((shard_id, frozenset(args)))
+        return real_open(self, shard_id, args)
+
+    monkeypatch.setattr(Fleet, "open", recording_open)
+    router = ClusterRouter.from_checkpoint(
+        checkpoint, fresh_graph(), 2, transport="socket", seed=7
+    )
+    try:
+        assert [shard for shard, _ in opened] == [0, 1]
+        probe = np.arange(8)
+        before = router.embed(probe)
+        router.fleet.registry.kill(1)
+        np.testing.assert_array_equal(router.embed(probe), before)
+        assert [shard for shard, _ in opened] == [0, 1, 1]
+        assert {keys for _, keys in opened} == {SCHEMA}
+        assert router.workers[1].transport is router.fleet.transports[1]
+        assert router.workers[1].respawns == 1
+    finally:
+        router.close()
+
+
+def test_failed_bring_up_tears_down_what_it_started(checkpoint, monkeypatch):
+    built = []
+    real = fleet_module.build_engine_from_args
+
+    def second_shard_fails(args):
+        if built:
+            raise RuntimeError("no such shard")
+        built.append(real(args))
+        return built[0]
+
+    monkeypatch.setattr(fleet_module, "build_engine_from_args", second_shard_fails)
+    with pytest.raises(RuntimeError, match="no such shard"):
+        ClusterRouter.from_checkpoint(checkpoint, fresh_graph(), 2, seed=7)
+    assert built[0].closed
+
+
+class TestTrainerRefusals:
+    @pytest.mark.parametrize("name", ["thread", "mp"])
+    def test_removed_transport_names(self, checkpoint, name):
+        with pytest.raises(ValueError, match="'inline', 'socket'"):
+            DistributedTrainer(checkpoint, fresh_graph(), 2, transport=name)
+
+    def test_replace_mode_checkpoint(self, tmp_path):
+        acm = make_acm(seed=0, scale=0.4)
+        model = WidenClassifier(
+            seed=0, dim=16, num_wide=6, num_deep=2, embedding_mode="replace"
+        )
+        model.fit(acm.graph, acm.split.train[:40], epochs=0)
+        model.save(tmp_path / "replace.npz")
+        with pytest.raises(ValueError, match='embedding_mode="project"'):
+            DistributedTrainer(tmp_path / "replace.npz", acm.graph, 2)

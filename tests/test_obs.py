@@ -373,13 +373,6 @@ class TestOpProfiler:
 
 
 class TestTimingAlias:
-    def test_utils_timing_is_the_obs_module(self):
-        import repro.obs.timing as obs_timing
-        import repro.utils.timing as utils_timing
-
-        assert utils_timing.Timer is obs_timing.Timer is Timer
-        assert utils_timing.time_call is obs_timing.time_call is time_call
-
     def test_timer_still_times(self):
         with Timer() as timer:
             sum(range(1000))
@@ -387,16 +380,6 @@ class TestTimingAlias:
         seconds, result = time_call(lambda: 42)
         assert result == 42
         assert seconds >= 0.0
-
-    def test_utils_package_reexports_same_objects(self):
-        # The deprecated shim's public surface: repro.utils must hand out
-        # the identical objects, with nothing extra left behind.
-        import repro.utils as utils
-        import repro.utils.timing as utils_timing
-
-        assert utils.Timer is Timer
-        assert utils.time_call is time_call
-        assert utils_timing.__all__ == ["Timer", "time_call"]
 
 
 class TestPrometheusExposition:
@@ -665,10 +648,10 @@ class TestCrossTransportHistogramMerge:
     transports, merged at the router side, must reproduce — bit for bit —
     the exposition a single registry fed the same observations would
     render.  The payloads cross a genuine pickle boundary on ``inline``
-    and ``mp``, so this pins the lossless-histogram guarantee end to end,
+    and ``socket``, so this pins the lossless-histogram guarantee end to end,
     not just between two in-process registries."""
 
-    @pytest.mark.parametrize("transport", ["inline", "thread", "mp"])
+    @pytest.mark.parametrize("transport", ["inline", "socket"])
     def test_merged_equals_replayed_single_registry(self, transport, tmp_path):
         from repro.cluster import ClusterRouter
         from repro.core import WidenClassifier

@@ -17,6 +17,7 @@ from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.graph import GraphBuilder
 from repro.nn import Linear, Module
+from repro.obs.metrics import nearest_rank_percentile
 from repro.serve import (
     EmbeddingCache,
     InferenceServer,
@@ -26,7 +27,6 @@ from repro.serve import (
     Telemetry,
     cold_single_requests,
     make_trace,
-    percentile,
     replay,
 )
 from repro.serve.telemetry import RequestRecord
@@ -226,13 +226,13 @@ class TestEmbeddingCache:
 class TestTelemetry:
     def test_nearest_rank_percentiles(self):
         values = [float(v) for v in range(1, 101)]  # 1..100
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 95) == 95.0
-        assert percentile(values, 99) == 99.0
-        assert percentile(values, 100) == 100.0
-        assert percentile([], 50) == 0.0
+        assert nearest_rank_percentile(values, 50) == 50.0
+        assert nearest_rank_percentile(values, 95) == 95.0
+        assert nearest_rank_percentile(values, 99) == 99.0
+        assert nearest_rank_percentile(values, 100) == 100.0
+        assert nearest_rank_percentile([], 50) == 0.0
         with pytest.raises(ValueError):
-            percentile(values, 101)
+            nearest_rank_percentile(values, 101)
 
     def test_summary_reductions(self):
         telemetry = Telemetry(max_batch_size=4)

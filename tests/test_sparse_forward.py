@@ -358,15 +358,15 @@ class TestSparseStoreAndCluster:
             stored.embed(nodes), oracle.embed(nodes)
         )
 
-    def test_mp_cluster_stream_matches_single_server(self, checkpoint):
-        """4 mp shard workers, all running the sparse kernels end to end."""
+    def test_socket_cluster_stream_matches_single_server(self, checkpoint):
+        """4 socket shard workers, all running the sparse kernels end to end."""
         graph = make_acm(seed=0, scale=0.5).graph
         single = InferenceServer(
             WidenClassifier.load(checkpoint, graph=graph), graph, seed=7
         )
         router = ClusterRouter.from_checkpoint(
             checkpoint, make_acm(seed=0, scale=0.5).graph, 4,
-            transport="mp", seed=7,
+            transport="socket", seed=7,
         )
         meta = WidenClassifier.read_checkpoint_metadata(checkpoint)
         assert meta["config"]["forward_mode"] == "sparse"

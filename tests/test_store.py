@@ -475,7 +475,7 @@ class TestVectorizedInvalidation:
 
 class TestClusterStoreSlices:
     @pytest.mark.parametrize("transport,num_shards", [
-        ("inline", 1), ("inline", 4), ("mp", 4),
+        ("inline", 1), ("inline", 4), ("socket", 4),
     ])
     def test_fleet_matches_oracle_through_mutations(
         self, checkpoint, store_path, transport, num_shards

@@ -136,7 +136,7 @@ class TestMultiShardEquivalence:
         return np.asarray(single.trainer.history.losses)
 
     @pytest.mark.parametrize(
-        "num_shards,transport", [(2, "inline"), (2, "mp"), (4, "mp")]
+        "num_shards,transport", [(2, "inline"), (2, "socket"), (4, "socket")]
     )
     def test_fleet_matches_single_process(
         self, acm, gate_checkpoint, gate_single_losses, num_shards, transport
@@ -174,19 +174,23 @@ class TestMultiShardEquivalence:
 class TestElasticResume:
     def test_kill_and_resume_bit_identical(self, acm, base_checkpoint, tmp_path):
         with DistributedTrainer(
-            base_checkpoint, acm.graph, 2, transport="mp"
+            base_checkpoint, acm.graph, 2, transport="socket"
         ) as fleet:
             uninterrupted = fleet.fit(acm.split.train, 4)
             full_params = flat_params(fleet.classifier())
         full_losses = list(uninterrupted.losses)
 
         ckdir = tmp_path / "fleet"
-        first = DistributedTrainer(base_checkpoint, acm.graph, 2, transport="mp")
+        first = DistributedTrainer(
+            base_checkpoint, acm.graph, 2, transport="socket"
+        )
         first.fit(acm.split.train, 2, checkpoint_dir=ckdir)
         part = list(first.history.losses)
         first.close()  # the "kill": only the checkpoint directory survives
 
-        with DistributedTrainer.resume(ckdir, acm.graph, transport="mp") as second:
+        with DistributedTrainer.resume(
+            ckdir, acm.graph, transport="socket"
+        ) as second:
             second.fit(acm.split.train, 2)
             part += list(second.history.losses)
             resumed_params = flat_params(second.classifier())

@@ -1,18 +1,18 @@
 """The transport boundary: envelopes, replies, and cross-transport exactness.
 
 Two layers of coverage.  The protocol layer is tested with stub engines —
-FIFO delivery, out-of-order gathers, error envelopes, timeouts, startup
-failure.  The integration layer is the satellite contract: an interleaved
-stream of mutations and embeds must produce bit-identical answers through
-the ``inline``, ``thread``, and ``mp`` transports, and all three must match
-a whole-graph :class:`InferenceServer` replaying the same stream.  Because
+FIFO delivery, out-of-order gathers, error envelopes, startup failure
+(the socket transport's own protocol tests, timeouts included, are in
+``test_net.py``).  The integration layer is the satellite contract: an
+interleaved stream of mutations and embeds must produce bit-identical
+answers through the ``inline`` and ``socket`` transports, and both must
+match a whole-graph :class:`InferenceServer` replaying the same stream.  Because
 every mutation is a serializable planner command applied on both sides of
 the wire, exactness here proves the router-side mirror and the engine-side
 spec never drift.
 """
 
 import pickle
-import time
 
 import numpy as np
 import pytest
@@ -21,18 +21,15 @@ from repro.cluster import (
     ClusterRouter,
     Envelope,
     InlineTransport,
-    MpTransport,
     Reply,
     ShardError,
-    ShardTimeoutError,
-    ThreadTransport,
 )
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
 
-TRANSPORTS = ["inline", "thread", "mp"]
+TRANSPORTS = ("inline", "socket")
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +39,7 @@ def acm():
 
 @pytest.fixture(scope="module")
 def checkpoint(acm, tmp_path_factory):
-    """A reach-2 model: cheap enough to rebuild per mp worker process."""
+    """A reach-2 model: cheap enough to rebuild per socket worker process."""
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=1)
     path = tmp_path_factory.mktemp("transport") / "widen.npz"
@@ -81,8 +78,6 @@ class EchoEngine:
         self.seen.append((envelope.kind, envelope.seq))
         if envelope.kind == "boom":
             raise KeyError("engine exploded")
-        if envelope.kind == "nap":
-            time.sleep(envelope.payload["seconds"])
         return Reply(seq=envelope.seq, ok=True, payload=dict(envelope.payload))
 
 
@@ -98,12 +93,8 @@ class TestProtocol:
         assert "bad" in back.error["message"]
         assert "Traceback" in back.error["traceback"] or back.error["traceback"]
 
-    @pytest.mark.parametrize("make", [
-        lambda: InlineTransport(0, EchoEngine),
-        lambda: ThreadTransport(0, EchoEngine),
-    ])
-    def test_fifo_order_and_out_of_order_gather(self, make):
-        transport = make()
+    def test_fifo_order_and_out_of_order_gather(self):
+        transport = InlineTransport(0, EchoEngine)
         transport.start()
         try:
             transport.wait_ready(10.0)
@@ -114,11 +105,12 @@ class TestProtocol:
             # Gather in reverse — replies must still pair with their seqs.
             for i in reversed(range(6)):
                 assert pendings[i].result(10.0)["i"] == i
+            assert [seq for _, seq in transport.engine.seen] == list(range(1, 7))
         finally:
             transport.stop()
 
     def test_error_becomes_shard_error_with_remote_type(self):
-        transport = ThreadTransport(3, EchoEngine)
+        transport = InlineTransport(3, EchoEngine)
         transport.start()
         try:
             transport.wait_ready(10.0)
@@ -134,34 +126,20 @@ class TestProtocol:
         finally:
             transport.stop()
 
-    def test_slow_reply_times_out(self):
-        transport = ThreadTransport(0, EchoEngine)
-        transport.start()
-        try:
-            transport.wait_ready(10.0)
-            pending = transport.send(
-                Envelope(kind="nap", payload={"seconds": 0.5})
-            )
-            with pytest.raises(ShardTimeoutError):
-                pending.result(0.01)
-            # A patient gather afterwards still sees the reply.
-            assert pending.result(10.0)["seconds"] == 0.5
-        finally:
-            transport.stop()
-
-    def test_failing_engine_factory_surfaces_at_wait_ready(self):
+    def test_failing_engine_factory_surfaces_at_start(self):
         def factory():
             raise RuntimeError("no such shard")
 
-        transport = ThreadTransport(0, factory)
-        transport.start()
+        transport = InlineTransport(0, factory)
         with pytest.raises(RuntimeError, match="no such shard"):
-            transport.wait_ready(10.0)
+            transport.start()
+        with pytest.raises(RuntimeError, match="not started"):
+            transport.send(Envelope(kind="serve"))
         transport.stop()
 
     def test_inline_round_trips_the_wire_format(self):
         """Inline is a *replay* of the wire protocol: anything unpicklable
-        must fail on inline exactly as it would on mp."""
+        must fail on inline exactly as it would on a socket."""
         transport = InlineTransport(0, EchoEngine)
         transport.start()
         transport.wait_ready()
@@ -216,21 +194,20 @@ class TestCrossTransportExactness:
         for ours, want in zip(got, stream_reference):
             np.testing.assert_array_equal(ours, want)
 
-    def test_thread_and_mp_agree_with_inline_post_mutation(self, checkpoint):
-        """Three routers consume the same stream concurrently-shaped work;
-        their final answers must agree bit-for-bit with each other."""
+    def test_socket_agrees_with_inline_post_mutation(self, checkpoint):
+        """Two routers consume the same stream; their final answers must
+        agree bit-for-bit with each other."""
         finals = {}
         for transport in TRANSPORTS:
             with fresh_router(checkpoint, 2, transport) as router:
                 run_stream(router)
                 probe = np.arange(16)
                 finals[transport] = router.embed(probe)
-        np.testing.assert_array_equal(finals["thread"], finals["inline"])
-        np.testing.assert_array_equal(finals["mp"], finals["inline"])
+        np.testing.assert_array_equal(finals["socket"], finals["inline"])
 
-    def test_mp_four_shards_boundary_nodes_exact(self, checkpoint):
+    def test_socket_four_shards_boundary_nodes_exact(self, checkpoint):
         single = fresh_single_server(checkpoint)
-        with fresh_router(checkpoint, 4, "mp") as router:
+        with fresh_router(checkpoint, 4, "socket") as router:
             picked = []
             for worker in router.workers:
                 spec = worker.spec
@@ -257,8 +234,8 @@ class TestCrossTransportExactness:
                     # One write-clock tick per mutation the shard saw.
                     assert 0 < state["clock"] <= state["graph_version"]
 
-    def test_mp_error_envelope_keeps_worker_alive(self, checkpoint):
-        with fresh_router(checkpoint, 1, "mp") as router:
+    def test_socket_error_envelope_keeps_worker_alive(self, checkpoint):
+        with fresh_router(checkpoint, 1, "socket") as router:
             worker = router.workers[0]
             bad = worker.request(router.graph.num_nodes + 50, "embed")
             with pytest.raises(ShardError):
@@ -267,12 +244,12 @@ class TestCrossTransportExactness:
             value = worker.request(0, "embed").result(60.0)
             assert np.asarray(value).ndim == 1
 
-    def test_mp_replay_matches_inline_summary_counts(self, checkpoint, acm):
+    def test_socket_replay_matches_inline_summary_counts(self, checkpoint, acm):
         from repro.serve import make_trace
 
         trace = make_trace(acm.split.test[:20], 24, rate=5000.0, rng=2)
         counts = {}
-        for transport in ("inline", "mp"):
+        for transport in TRANSPORTS:
             with fresh_router(checkpoint, 2, transport) as router:
                 summary = router.replay(trace)
                 counts[transport] = (
@@ -281,4 +258,4 @@ class TestCrossTransportExactness:
                     tuple(s["requests"] for s in summary["shards"]),
                 )
                 assert summary["transport"] == transport
-        assert counts["mp"] == counts["inline"]
+        assert counts["socket"] == counts["inline"]

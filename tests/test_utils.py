@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils import RngMixin, Timer, new_rng, spawn_rngs, time_call
+from repro.obs import Timer, time_call
+from repro.utils import RngMixin, new_rng, spawn_rngs
 
 
 class TestRng:
