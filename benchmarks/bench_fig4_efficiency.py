@@ -102,21 +102,32 @@ def _profile_mode(forward_mode: str, epochs: int, scale: float, seed: int,
     """Train WIDEN in one forward mode under the op profiler."""
     from repro.core import WidenClassifier
     from repro.datasets import make_dataset
-    from repro.obs import OpProfiler
+    from repro.obs import MetricsRegistry, OpProfiler, set_registry
 
     dataset = make_dataset(dataset_name, seed=seed, scale=scale)
     model = WidenClassifier(
         seed=seed, forward_mode=forward_mode, dim=dim, **overrides
     )
     profiler = OpProfiler()
-    with profiler:
-        model.fit(dataset.graph, dataset.split.train, epochs=epochs)
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        with profiler:
+            model.fit(dataset.graph, dataset.split.train, epochs=epochs)
+    finally:
+        set_registry(previous)
     predictions = model.predict(dataset.split.test)
     score = micro_f1(dataset.graph.labels[dataset.split.test], predictions)
     rows = profiler.summary()
     matmul_s = sum(r["total_s"] for r in rows if r["op"] == "matmul")
+    # Which kernel family each training minibatch's pack was laid out for.
+    routed = {
+        layout: registry.counter("pack_batches_total", layout=layout).value
+        for layout in ("padded", "sparse")
+    }
     return {
         "forward_mode": forward_mode,
+        "csr_batch_share": routed["sparse"] / max(1.0, sum(routed.values())),
         "epochs": epochs,
         "op_calls": int(profiler.total_calls),
         "op_seconds": profiler.total_seconds,
@@ -185,8 +196,8 @@ def run_smoke(out_path: str, epochs: int = 2, scale: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# CI sparse smoke mode: batched (padded grids) vs CSR sparse kernels on a
-# high-skew power-law graph — the padding-tax regime
+# CI sparse smoke mode: padded grids vs the CSR kernels the waste rule picks
+# on a high-skew power-law graph — the padding-tax regime
 # ---------------------------------------------------------------------------
 
 # High wide cap + unique (no-oversampling) neighbor draws: pack lengths
@@ -204,21 +215,31 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
 
     Trains twice on the ``skewed`` dataset (Pareto degrees: median-1 users,
     cap-saturating hubs) with a high wide-sampling cap, so the padded
-    ``[B, L_max, d]`` grids are mostly padding.  The sparse path's work is
-    proportional to real edges, and both epoch time and total op-seconds
-    must drop by >= 1.5x while learning the same classifier.  The row is
-    merged into the existing ``BENCH_fig4.json`` report under
-    ``sparse_high_skew``.
+    ``[B, L_max, d]`` grids are mostly padding.  The baseline row pins the
+    waste rule off (``sparse_min_waste=1.0``: every minibatch padded); the
+    CSR row runs with *no* override — every minibatch's own padding waste
+    must route it to the CSR kernels, whose work is proportional to real
+    edges.  Both epoch time and total op-seconds must drop by >= 1.5x while
+    learning the same classifier.  The row is merged into the existing
+    ``BENCH_fig4.json`` report under ``sparse_high_skew``.
     """
-    batched = _profile_mode("batched", epochs, scale, seed, dim,
-                            dataset_name="skewed", **SPARSE_SMOKE_OVERRIDES)
-    sparse = _profile_mode("sparse", epochs, scale, seed, dim,
+    from repro.tensor.kernels import get_forward_selection, set_forward_selection
+
+    selection = get_forward_selection()
+    set_forward_selection(sparse_min_waste=1.0)
+    try:
+        batched = _profile_mode("batched", epochs, scale, seed, dim,
+                                dataset_name="skewed", **SPARSE_SMOKE_OVERRIDES)
+    finally:
+        set_forward_selection(**selection)
+    sparse = _profile_mode("batched", epochs, scale, seed, dim,
                            dataset_name="skewed", **SPARSE_SMOKE_OVERRIDES)
     row = {
         "dataset": "skewed",
         "scale": scale,
         "dim": dim,
         "overrides": SPARSE_SMOKE_OVERRIDES,
+        "sparse_min_waste": selection["sparse_min_waste"],
         "batched": batched,
         "sparse": sparse,
         "op_seconds_reduction": batched["op_seconds"] / sparse["op_seconds"],
@@ -234,14 +255,24 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
     report["sparse_high_skew"] = row
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
-    print(f"batched: {batched['op_seconds']:.3f} op-s, "
+    print(f"padded (rule off): {batched['op_seconds']:.3f} op-s, "
           f"{batched['mean_epoch_seconds']:.3f} s/epoch, "
-          f"micro-F1 {batched['micro_f1']:.4f}")
-    print(f"sparse:  {sparse['op_seconds']:.3f} op-s, "
+          f"micro-F1 {batched['micro_f1']:.4f}, "
+          f"{batched['csr_batch_share']:.0%} of minibatches on CSR")
+    print(f"waste rule:        {sparse['op_seconds']:.3f} op-s, "
           f"{sparse['mean_epoch_seconds']:.3f} s/epoch, "
-          f"micro-F1 {sparse['micro_f1']:.4f}")
+          f"micro-F1 {sparse['micro_f1']:.4f}, "
+          f"{sparse['csr_batch_share']:.0%} of minibatches on CSR")
     print(f"op-seconds reduction {row['op_seconds_reduction']:.2f}x, "
           f"epoch speedup {row['epoch_speedup']:.2f}x -> {out_path}")
+    assert batched["csr_batch_share"] == 0.0, (
+        "the padded baseline ran CSR minibatches"
+    )
+    assert sparse["csr_batch_share"] == 1.0, (
+        f"the waste rule (sparse_min_waste={selection['sparse_min_waste']}) "
+        f"should route every high-skew minibatch to CSR on its own, got "
+        f"{sparse['csr_batch_share']:.0%}"
+    )
     assert row["epoch_speedup"] >= 1.5, (
         f"sparse kernels should give >=1.5x epoch speedup on the high-skew "
         f"graph, got {row['epoch_speedup']:.2f}x"
@@ -252,7 +283,7 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
     )
     # Same data, same seed, bit-compatible kernels: same classifier.
     assert abs(batched["micro_f1"] - sparse["micro_f1"]) < 0.02, (
-        "batched and sparse paths diverged in accuracy"
+        "padded and CSR kernels diverged in accuracy"
     )
     return report
 

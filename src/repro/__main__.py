@@ -68,9 +68,8 @@ dump the shared metrics registry as JSONL after the run.  ``serve-bench``
 and ``serve-cluster`` accept ``--metrics-port P`` to expose a live
 Prometheus ``/metrics`` endpoint for the duration of the run (port 0
 picks a free port).  Every WIDEN run accepts ``--forward-mode
-{batched,sparse,auto,per_node}`` to select the vectorized padded batch
-path (default), the CSR sparse kernels, per-batch automatic selection
-from the kernel table, or the per-node reference loop.
+{batched,per_node}`` to select the vectorized minibatch forward (default)
+or the per-node reference loop.
 """
 
 from __future__ import annotations
@@ -644,12 +643,10 @@ def main(argv=None) -> int:
                         help="hidden dimension override (profile/train); the "
                              "paper-scale widths make the gemm share visible")
     parser.add_argument("--forward-mode",
-                        choices=("batched", "sparse", "auto", "per_node"),
+                        choices=("batched", "per_node"),
                         default="batched",
-                        help="WIDEN forward path: vectorized padded batches "
-                             "(default), CSR sparse kernels, per-batch "
-                             "auto-selection from the kernel table, or the "
-                             "per-node reference loop")
+                        help="WIDEN forward path: vectorized minibatches "
+                             "(default) or the per-node reference loop")
     obs = parser.add_argument_group("observability")
     obs.add_argument("--metrics-out", default=None,
                      help="dump the metrics registry as JSONL to this path "

@@ -19,7 +19,7 @@ the caller's thread or another process.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -102,18 +102,6 @@ class ShardWorker:
         """Single-node convenience over :meth:`submit_serve`."""
         batch = self.submit_serve(np.asarray([int(node)]), kind, now=now)
         return _ItemReply(batch, 0)
-
-    def serve_batch(
-        self, nodes, kind: str, now: Optional[float] = None, timeout: Optional[float] = None
-    ) -> List[object]:
-        """Synchronous convenience: serve ``nodes`` in order, return values."""
-        payload = self.submit_serve(nodes, kind, now=now).result(timeout)
-        values = []
-        for item in payload["items"]:
-            if not item["ok"]:
-                raise ShardError(self.spec.shard_id, item["error"])
-            values.append(item["value"])
-        return values
 
     # ------------------------------------------------------------------
     # Barriers and pulls

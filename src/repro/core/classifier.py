@@ -45,6 +45,19 @@ RESERVED_KEYS = frozenset({CHECKPOINT_KEY, TRAINER_STATE_KEY})
 CHECKPOINT_FORMAT_VERSION = 3
 
 
+def _stored_config(meta: dict) -> dict:
+    """A checkpoint's hyperparameters as current ``WidenConfig`` fields.
+
+    ``forward_mode`` used to have ``"sparse"`` and ``"auto"``: they named
+    kernels, not mathematics, so a model saved under either is the
+    ``"batched"`` model.
+    """
+    config = dict(meta["config"])
+    if config.get("forward_mode") in ("sparse", "auto"):
+        config["forward_mode"] = "batched"
+    return config
+
+
 class WidenClassifier(BaseClassifier):
     """WIDEN as a drop-in classifier."""
 
@@ -257,15 +270,8 @@ class WidenClassifier(BaseClassifier):
         exactly; otherwise the human-readable reason they cannot."""
         if self.config.embedding_mode == "replace":
             return "embedding_mode='replace' warms a per-call state table"
-        if self.config.forward_mode not in ("batched", "sparse"):
-            # "auto" may route the store assembly and the recompute oracle
-            # through different kernels (their batch geometries differ), and
-            # padded-vs-sparse results agree to 1e-10 but not bitwise — the
-            # store's exactness contract requires one fixed kernel.
-            return (
-                f"forward_mode={self.config.forward_mode!r} is not a fixed "
-                "minibatch kernel ('batched' or 'sparse')"
-            )
+        if self.config.forward_mode == "per_node":
+            return "forward_mode='per_node' serves through the reference path"
         return None
 
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
@@ -301,38 +307,19 @@ class WidenClassifier(BaseClassifier):
             row_set.reads = read_set
         return rows[:1] if padded else rows
 
-    def embed_from_store_rows(self, rows) -> np.ndarray:
-        """Warm serving compute: attention + MLP over materialized rows.
-
-        No sampling, no feature projection, no edge gathers — the store
-        tier's whole point.  The gemv/gemm padding trick from
-        :meth:`embed_for_serving_batch` applies here too, so a singleton
-        answer carries the same bits as the same node in a larger batch.
-        """
-        if self.trainer is None:
-            raise RuntimeError("embed_from_store_rows before fit/bind")
-        if not rows:
-            return np.empty((0, self.config.dim))
-        padded = len(rows) == 1
-        if padded:
-            rows = [rows[0], rows[0]]
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings = model.forward_from_rows(rows)
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
-
     def embed_from_store_blocks(
         self, blocks: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """:meth:`embed_from_store_rows` minus the decode/re-pad round trip.
+        """Warm serving compute: attention + MLP over materialized blocks.
 
-        Takes the store's ``(B, R, d)`` capacity-padded blocks and
-        ``(B, 1 + Φ)`` lengths directly — the serving hot path stacks mmap
-        block views and calls this once per batch, with no per-node trim
-        or re-pad work.  Bit-identical to the rows path (capacity padding
-        is exact); the singleton gemv/gemm padding trick applies here too.
+        No sampling, no feature projection, no edge gathers — the store
+        tier's whole point.  Takes the store's ``(B, R, d)``
+        capacity-padded blocks and ``(B, 1 + Φ)`` lengths directly — the
+        serving hot path stacks mmap block views and calls this once per
+        batch, with no per-node trim or re-pad work.  The singleton
+        gemv/gemm padding trick from :meth:`embed_for_serving_batch`
+        applies here too, so a singleton answer carries the same bits as
+        the same node in a larger batch.
         """
         if self.trainer is None:
             raise RuntimeError("embed_from_store_blocks before fit/bind")
@@ -475,7 +462,7 @@ class WidenClassifier(BaseClassifier):
                 "readers cannot know what a newer format added)"
             )
         classifier = cls(
-            config=WidenConfig(**meta["config"]), seed=meta.get("seed")
+            config=WidenConfig(**_stored_config(meta)), seed=meta.get("seed")
         )
         classifier._schema = meta["schema"]
         classifier._pending_rng_state = meta.get("trainer_rng")
@@ -530,6 +517,7 @@ def migrate_checkpoint(path, out_path=None) -> dict:
             if name != CHECKPOINT_KEY
         }
     meta["format_version"] = CHECKPOINT_FORMAT_VERSION
+    meta["config"] = _stored_config(meta)
     meta.setdefault("migrated_from_version", version)
     np.savez(out_path or path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
     return meta

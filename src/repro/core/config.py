@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+FORWARD_MODES = ("batched", "per_node")
+
+
 @dataclass
 class WidenConfig:
     """Configuration for :class:`~repro.core.model.WidenModel` and trainer."""
@@ -43,26 +46,28 @@ class WidenConfig:
     """Global-norm gradient clip (0 disables)."""
     forward_mode: str = "batched"
     """``"batched"`` runs minibatches through the vectorized
-    :meth:`~repro.core.model.WidenModel.forward_batch` path (padded batch
-    tensors, one attention call per stage); ``"sparse"`` runs the same
-    minibatch mathematics over flat CSR pack arrays
-    (:meth:`~repro.core.model.WidenModel.forward_batch_sparse` — work
-    proportional to real pack rows, no ``[B, L_max, d]`` padding, results
-    within 1e-10 of the padded path); ``"auto"`` picks padded vs sparse
-    per batch from its would-be padding waste and the per-host
-    kernel-selection table (:mod:`repro.tensor.kernels`); ``"per_node"``
-    keeps the original one-target-at-a-time reference path.  All compute
-    the same mathematics.  In ``"replace"`` embedding mode the minibatched
-    paths apply synchronous minibatch semantics (all rows of a minibatch
-    read the pre-batch state table), whereas the per-node path updates the
-    table after every single forward."""
+    :meth:`~repro.core.model.WidenModel.forward_batch` (one attention call
+    per stage); ``"per_node"`` keeps the paper's literal
+    one-target-at-a-time Algorithm 3, the reference every equivalence test
+    compares against.  Both compute the same mathematics.  In ``"replace"``
+    embedding mode the batched path applies synchronous minibatch semantics
+    (all rows of a minibatch read the pre-batch state table), whereas the
+    per-node path updates the table after every single forward.
+
+    Which kernels a batched minibatch runs on — padded ``[B, L_max, d]``
+    grids or flat CSR pack rows, equal to 1e-10 — is not a setting: a
+    trainer minibatch takes the CSR kernels when its measured padding waste
+    reaches the per-host ``sparse_min_waste`` (:mod:`repro.tensor.kernels`),
+    and serving always takes the padded ones so that recompute, store and
+    fleet stay bit-identical."""
     wide_sampling: str = "replace"
     """``"replace"`` oversamples below-cap nodes to exactly ``num_wide``
     neighbors with replacement (the GraphSAGE convention; every pack is
-    cap-length).  ``"unique"`` takes each neighbor at most once, so pack
-    lengths track true degrees — on power-law graphs most packs become far
-    shorter than the cap, the regime where ``forward_mode="sparse"``/"auto"
-    pays (padded grids would be mostly padding)."""
+    cap-length, padding waste 0).  ``"unique"`` takes each neighbor at most
+    once, so pack lengths track true degrees — on power-law graphs most
+    packs become far shorter than the cap and the padded grids mostly
+    padding, the regime where training minibatches route themselves to the
+    CSR kernels."""
     sample_seeding: str = "stream"
     """How the trainer's neighbor-state store seeds its sampling draws.
 
@@ -142,8 +147,11 @@ class WidenConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embedding_mode not in ("project", "replace"):
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
-        if self.forward_mode not in ("batched", "sparse", "auto", "per_node"):
-            raise ValueError(f"unknown forward_mode {self.forward_mode!r}")
+        if self.forward_mode not in FORWARD_MODES:
+            raise ValueError(
+                f"unknown forward_mode {self.forward_mode!r}; "
+                f"expected one of {FORWARD_MODES}"
+            )
         if self.wide_sampling not in ("replace", "unique"):
             raise ValueError(f"unknown wide_sampling {self.wide_sampling!r}")
         if self.sample_seeding not in ("stream", "per_node"):

@@ -29,16 +29,10 @@ from repro.core.config import WidenConfig
 from repro.core.packing import (
     PackedBatch,
     PackRows,
-    causal_pairs,
-    deep_causal_mask,
-    flat_slot_indices,
+    block_pack,
     pack_batch,
-    pack_batch_sparse,
-    pad_block_masks,
-    pad_pack_rows,
-    padded_waste,
     segment_ids,
-    segment_offsets,
+    split_segments,
 )
 from repro.core.relay import EdgeSpecLike, RelayRecipe
 from repro.core.state import NeighborState
@@ -55,6 +49,7 @@ from repro.nn import (
 )
 from repro.obs.tracing import span as trace_span
 from repro.tensor import Tensor, functional as F, ops
+from repro.tensor.kernels import get_forward_selection
 from repro.utils.rng import SeedLike, spawn_rngs
 
 _EmbedCache = Dict[int, Tensor]
@@ -422,312 +417,199 @@ class WidenModel(Module):
         states: Sequence[NeighborState],
         graph: HeteroGraph,
         node_state: Optional[np.ndarray] = None,
+        select_kernel: bool = False,
     ) -> Tuple[Tensor, List[Optional[np.ndarray]], List[List[np.ndarray]]]:
         """Vectorized ``forward`` over ``B`` targets at once.
 
-        Packs every target's ``M°`` and every walk's ``M▷`` into padded
-        batch tensors (see :mod:`repro.core.packing`) and runs each stage —
+        Packs every target's ``M°`` and every walk's ``M▷`` into batch
+        tensors (see :mod:`repro.core.packing`) and runs each stage —
         projection, edge gather, attention, fusion — as one batched op
-        instead of ``B·(Φ + 1)`` small ones.  Padding is exact: padded node
-        rows gather as zeros and padded attention slots carry ``-inf`` mask
-        entries, so per-row results equal the per-node reference path.
+        instead of ``B·(Φ + 1)`` small ones: *assemble packs*
+        (:meth:`_assemble`) → *attend + fuse* (:meth:`_pass_and_fuse`).
+
+        Two kernel families compute those stages.  The padded one pads to
+        the batch maximum, exactly: padded node rows gather as zeros and
+        padded attention slots carry ``-inf`` mask entries, so per-row
+        results equal the per-node reference path.  The CSR one
+        (``gather_mul`` / ``sddmm`` / ``segment_softmax`` /
+        ``segment_matmul``) does work proportional to the real pack rows
+        and agrees to the last ulp of the summation order (<= 1e-10), with
+        identical dropout streams.  With ``select_kernel`` the batch takes
+        the CSR kernels when its padding waste reaches the kernel-selection
+        table's ``sparse_min_waste`` (:mod:`repro.tensor.kernels`) — the
+        trainer's minibatches over its own neighbor states do.  Callers that
+        promise answers independent of batch composition (the serving and
+        store hooks) leave it off: one family everywhere is what keeps
+        recompute, store and fleet bit-identical.
 
         Returns ``(embeddings, wide_attentions, deep_attentions)`` where
         ``embeddings`` is ``(B, d)`` and the attention lists hold, per
         target, the same trimmed distributions ``forward`` would return.
-
-        ``forward_mode="sparse"`` routes to the CSR kernels
-        (:meth:`forward_batch_sparse`); ``"auto"`` measures the batch's
-        would-be padding waste against the per-host kernel-selection table
-        and picks per batch.
         """
-        if self._select_sparse(states):
-            return self.forward_batch_sparse(targets, states, graph, node_state)
-        config = self.config
-        d = config.dim
         pack = pack_batch(
             targets,
             states,
             graph,
-            config,
+            self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
+            sparse_min_waste=(
+                get_forward_selection()["sparse_min_waste"]
+                if select_kernel
+                else None
+            ),
         )
         batch = pack.batch_size
-
-        with trace_span("widen.forward", batch=batch):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
+        attrs = {"kernel": "sparse"} if pack.sparse else {}
+        with trace_span("widen.forward", batch=batch, **attrs):
+            wide_packs, deep_packs = self._assemble(pack, graph, node_state)
+            embeddings, wide_weights, deep_weights = self._pass_and_fuse(
+                pack, wide_packs, deep_packs
             )
-            if pack.neighbor_nodes.size:
-                if node_state is not None:
-                    neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
-                else:
-                    neighbor_vecs = ops.matmul(
-                        Tensor(graph.features[pack.neighbor_nodes]),
-                        self.project.weight,
-                    )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
-
-            wide_attentions: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                with trace_span("widen.wide_pass", packs=pack.wide_index.size):
-                    edge_vecs = self.edge_embedding(pack.wide_etypes)
-                    packs = ops.pad_gather_mul(
-                        flat, pack.wide_index, pack.wide_valid,
-                        edge_vecs, pack.wide_dropout,
-                    )
-                    h_wide, weights = self._attend_wide(
-                        packs, pack.wide_attn_mask, batch
-                    )
-                    wide_attentions = [
-                        weights.data[b, : pack.wide_lengths[b]].copy()
-                        for b in range(batch)
-                    ]
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                total, width = pack.deep_index.shape
-                with trace_span("widen.deep_pass", packs=pack.deep_index.size):
-                    edge_vecs = self.edge_embedding(pack.deep_etypes)
-                    if pack.deep_relays:
-                        relay_rows = self.relay_vectors_bulk(
-                            pack.deep_relays, graph, node_state
-                        )
-                        flat_edges = ops.reshape(edge_vecs, (total * width, d))
-                        flat_edges = ops.scatter_rows(
-                            flat_edges, pack.deep_relay_rows, relay_rows
-                        )
-                        edge_vecs = ops.reshape(flat_edges, (total, width, d))
-                    packs = ops.pad_gather_mul(
-                        flat, pack.deep_index, pack.deep_valid,
-                        edge_vecs, pack.deep_dropout,
-                    )
-                    h_deep, weights = self._attend_deep(
-                        packs, pack.deep_attn_mask, pack.deep_causal_mask,
-                        batch, pack.num_walks,
-                    )
-                    for w in range(total):
-                        deep_attentions[w // pack.num_walks].append(
-                            weights.data[w, : pack.deep_lengths[w]].copy()
-                        )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            embeddings = self._fuse_batch(h_wide, h_deep, pack.hidden_dropout)
+        wide_attentions: List[Optional[np.ndarray]] = [None] * batch
+        if wide_weights is not None:
+            wide_attentions = split_segments(
+                wide_weights.data, pack.wide_lengths, pack.wide_offsets
+            )
+        deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
+        if deep_weights is not None:
+            walks = split_segments(
+                deep_weights.data, pack.deep_lengths, pack.deep_offsets
+            )
+            deep_attentions = [
+                walks[b * pack.num_walks : (b + 1) * pack.num_walks]
+                for b in range(batch)
+            ]
         return embeddings, wide_attentions, deep_attentions
 
-    def _select_sparse(self, states: Sequence[NeighborState]) -> bool:
-        """Route a batch to the CSR kernels?
-
-        ``"sparse"`` always; ``"auto"`` when the batch's would-be padding
-        waste meets the kernel-selection table's ``sparse_min_waste``
-        (:mod:`repro.tensor.kernels`, tuned per host by ``tune-kernels``).
-        """
-        mode = self.config.forward_mode
-        if mode == "sparse":
-            return True
-        if mode != "auto":
-            return False
-        from repro.tensor.kernels import get_forward_selection
-
-        selection = get_forward_selection()
-        return padded_waste(states, self.config) >= selection["sparse_min_waste"]
-
-    def forward_batch_sparse(
+    def _assemble(
         self,
-        targets: Sequence[int],
-        states: Sequence[NeighborState],
+        pack: PackedBatch,
         graph: HeteroGraph,
-        node_state: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Optional[np.ndarray]], List[List[np.ndarray]]]:
-        """:meth:`forward_batch` over flat CSR pack arrays — no padding.
+        node_state: Optional[np.ndarray],
+    ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
+        """First half of the minibatch forward: ``M°`` and ``M▷`` (Eqs. 1-2).
 
-        Every stage runs on work proportional to the real pack rows:
-        ``gather_mul`` assembles the flat packs, ``sddmm`` scores only real
-        (target, pack) pairs, ``segment_softmax``/``segment_matmul``
-        normalize and aggregate segment-locally.  Pack-row values equal the
-        padded kernels' valid slots bitwise (padding multiplies by exactly
-        1.0 there), and the segment reductions see the same operands in the
-        same order — results agree with :meth:`forward_batch` to the last
-        ulp of the summation order (<= 1e-10), with identical dropout
-        streams.
+        Everything that depends on the sampled neighborhoods — feature
+        projection, edge-embedding gathers, relay evaluation, the fused
+        gather·mul pack assembly — in the pack's layout: ``(S, L, d)``
+        grids or flat ``(E, d)`` rows.  ``None`` for an ablated side.
+        """
+        config = self.config
+        target_vecs = ops.matmul(
+            Tensor(graph.features[pack.targets]), self.project.weight
+        )
+        if pack.neighbor_nodes.size:
+            if node_state is not None:
+                neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
+            else:
+                neighbor_vecs = ops.matmul(
+                    Tensor(graph.features[pack.neighbor_nodes]),
+                    self.project.weight,
+                )
+            flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
+        else:
+            flat = target_vecs
+
+        def gather(index, valid, edge_vecs, dropout):
+            if pack.sparse:
+                return ops.gather_mul(flat, index, edge_vecs, dropout)
+            return ops.pad_gather_mul(flat, index, valid, edge_vecs, dropout)
+
+        wide_packs = deep_packs = None
+        if config.use_wide:
+            wide_packs = gather(
+                pack.wide_index, pack.wide_valid,
+                self.edge_embedding(pack.wide_etypes), pack.wide_dropout,
+            )
+        if config.use_deep:
+            edge_vecs = self.edge_embedding(pack.deep_etypes)
+            if pack.deep_relays:
+                relay_rows = self.relay_vectors_bulk(
+                    pack.deep_relays, graph, node_state
+                )
+                flat_edges = ops.scatter_rows(
+                    ops.reshape(edge_vecs, (-1, config.dim)),
+                    pack.deep_relay_rows,
+                    relay_rows,
+                )
+                edge_vecs = ops.reshape(flat_edges, edge_vecs.shape)
+            deep_packs = gather(
+                pack.deep_index, pack.deep_valid, edge_vecs, pack.deep_dropout
+            )
+        return wide_packs, deep_packs
+
+    def _pass_and_fuse(
+        self,
+        pack: PackedBatch,
+        wide_packs: Optional[Tensor],
+        deep_packs: Optional[Tensor],
+    ) -> Tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
+        """Second half: PASS° (Eq. 3), PASS▷ (Eqs. 4-6), FUSE (Eq. 7).
+
+        Runs over assembled packs in ``pack``'s layout, whoever assembled
+        them — :meth:`_assemble` just now, or the store some time ago — so
+        bit-equality between the store tier and the recompute oracle
+        reduces to equality of the pack tensors.  Returns ``(embeddings,
+        wide_weights, deep_weights)``; the weights are the raw attention
+        distributions in the pack's layout (callers trim), ``None`` for an
+        ablated side.
         """
         config = self.config
         d = config.dim
-        pack = pack_batch_sparse(
-            targets,
-            states,
-            graph,
-            config,
-            pack_dropout=self.pack_dropout,
-            hidden_dropout=self.hidden_dropout,
-        )
         batch = pack.batch_size
 
-        with trace_span("widen.forward", batch=batch, kernel="sparse"):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
-            )
-            if pack.neighbor_nodes.size:
-                if node_state is not None:
-                    neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
+        def target_query(packs: Tensor, offsets):
+            # Row 0 of every segment — the target's own pack — queries the
+            # segment; under CSR that pairing is spelled out.
+            if offsets is None:
+                rows = ops.slice(packs, 0, 1, axis=1)
+                return ops.reshape(rows, (packs.shape[0], d)), None
+            rows = ops.pad_gather(packs, offsets[:-1], np.ones(offsets.size - 1))
+            return rows, (segment_ids(offsets), None, offsets)
+
+        wide_weights = deep_weights = None
+        if config.use_wide:
+            with trace_span(
+                "widen.wide_pass", packs=int(wide_packs.data[..., 0].size)
+            ):
+                query, pairs = target_query(wide_packs, pack.wide_offsets)
+                h_wide, wide_weights = self.wide_pass(
+                    query, wide_packs, mask=pack.wide_attn_mask, pairs=pairs
+                )
+        else:
+            h_wide = Tensor(np.zeros((batch, d)))
+
+        if config.use_deep:
+            with trace_span(
+                "widen.deep_pass", packs=int(deep_packs.data[..., 0].size)
+            ):
+                if config.use_successive:
+                    refined, _ = self.deep_successive(
+                        deep_packs,
+                        mask=pack.deep_causal_mask,
+                        pairs=pack.deep_causal_pairs,
+                    )
                 else:
-                    neighbor_vecs = ops.matmul(
-                        Tensor(graph.features[pack.neighbor_nodes]),
-                        self.project.weight,
-                    )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
-
-            wide_attentions: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                offsets = pack.wide_offsets
-                with trace_span("widen.wide_pass", packs=int(pack.wide_src.size)):
-                    edge_vecs = self.edge_embedding(pack.wide_etypes)
-                    packs = ops.gather_mul(
-                        flat, pack.wide_src, edge_vecs, pack.wide_dropout
-                    )
-                    h_wide, weights = self._attend_wide_sparse(
-                        packs, pack.wide_seg_ids, offsets
-                    )
-                    wide_attentions = [
-                        weights.data[offsets[b] : offsets[b + 1]].copy()
-                        for b in range(batch)
-                    ]
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                offsets = pack.deep_offsets
-                total = int(pack.deep_lengths.shape[0])
-                with trace_span("widen.deep_pass", packs=int(pack.deep_src.size)):
-                    edge_vecs = self.edge_embedding(pack.deep_etypes)
-                    if pack.deep_relays:
-                        relay_rows = self.relay_vectors_bulk(
-                            pack.deep_relays, graph, node_state
-                        )
-                        edge_vecs = ops.scatter_rows(
-                            edge_vecs, pack.deep_relay_rows, relay_rows
-                        )
-                    packs = ops.gather_mul(
-                        flat, pack.deep_src, edge_vecs, pack.deep_dropout
-                    )
-                    pairs = (
-                        (pack.pair_rows, pack.pair_cols, pack.pair_offsets)
-                        if config.use_successive
-                        else None
-                    )
-                    h_deep, weights = self._attend_deep_sparse(
-                        packs, pack.deep_seg_ids, offsets, pairs,
-                        batch, pack.num_walks,
-                    )
-                    for w in range(total):
-                        deep_attentions[w // pack.num_walks].append(
-                            weights.data[offsets[w] : offsets[w + 1]].copy()
-                        )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            embeddings = self._fuse_batch(h_wide, h_deep, pack.hidden_dropout)
-        return embeddings, wide_attentions, deep_attentions
-
-    def _attend_wide_sparse(
-        self, packs: Tensor, seg_ids: np.ndarray, offsets: np.ndarray
-    ):
-        """PASS° (Eq. 3) over flat CSR pack rows."""
-        batch = int(offsets.shape[0]) - 1
-        query = ops.pad_gather(packs, offsets[:-1], np.ones(batch))
-        return self.wide_pass.forward_sparse(
-            query, packs, packs, seg_ids, offsets
-        )
-
-    def _attend_deep_sparse(
-        self,
-        packs: Tensor,
-        seg_ids: np.ndarray,
-        offsets: np.ndarray,
-        pairs,
-        batch: int,
-        num_walks: int,
-    ):
-        """PASS▷ (Eqs. 4-6) over flat CSR walk-pack rows.
-
-        ``pairs`` is the ``(pair_rows, pair_cols, pair_offsets)`` causal
-        enumeration (or ``None`` when the successive refinement is
-        ablated).  Returns ``(h_deep, weights)`` with the flat per-walk
-        attention weights segmented by ``offsets``.
-        """
-        d = self.config.dim
-        total = int(offsets.shape[0]) - 1
-        if self.config.use_successive:
-            refined = self.deep_successive.forward_sparse(packs, *pairs)
+                    # Table-4 ablation: deep passing degenerates to plain
+                    # attentive aggregation of the raw packs.
+                    refined = deep_packs
+                query, pairs = target_query(deep_packs, pack.deep_offsets)
+                h_walks, deep_weights = self.deep_pass(
+                    query, refined, values=deep_packs,
+                    mask=pack.deep_attn_mask, pairs=pairs,
+                )
+                # Average pooling over the Φ walks.
+                h_deep = ops.mean(
+                    ops.reshape(h_walks, (batch, pack.num_walks, d)), axis=1
+                )
         else:
-            refined = packs
-        query = ops.pad_gather(packs, offsets[:-1], np.ones(total))
-        h_walks, weights = self.deep_pass.forward_sparse(
-            query, refined, packs, seg_ids, offsets
-        )
-        h_deep = ops.mean(ops.reshape(h_walks, (batch, num_walks, d)), axis=1)
-        return h_deep, weights
+            h_deep = Tensor(np.zeros((batch, d)))
 
-    # -- shared attention + fusion halves --------------------------------
-    #
-    # The second half of the batched forward, factored out so the store
-    # serving path (:meth:`forward_from_rows`) runs the *same* code over
-    # materialized pack rows — bit-equality between the store tier and the
-    # recompute oracle reduces to equality of the pack tensors.
-
-    def _attend_wide(self, packs: Tensor, mask: np.ndarray, batch: int):
-        """PASS° (Eq. 3) over a padded ``(B, Lw, d)`` pack tensor."""
-        d = self.config.dim
-        query = ops.reshape(ops.slice(packs, 0, 1, axis=1), (batch, d))
-        return self.wide_pass(query, packs, mask=mask)
-
-    def _attend_deep(
-        self,
-        packs: Tensor,
-        attn_mask: np.ndarray,
-        causal_mask_batch: np.ndarray,
-        batch: int,
-        num_walks: int,
-    ):
-        """PASS▷ (Eqs. 4-6) over padded ``(B·Φ, Ld, d)`` walk packs.
-
-        Returns ``(h_deep, weights)`` with ``h_deep`` the ``(B, d)``
-        average pool over the Φ walks and ``weights`` the raw per-walk
-        attention distributions (still padded; callers trim).
-        """
-        d = self.config.dim
-        total = int(packs.data.shape[0])
-        if self.config.use_successive:
-            refined, _ = self.deep_successive(packs, mask=causal_mask_batch)
-        else:
-            refined = packs
-        query = ops.reshape(ops.slice(packs, 0, 1, axis=1), (total, d))
-        h_walks, weights = self.deep_pass(
-            query, refined, values=packs, mask=attn_mask
-        )
-        h_deep = ops.mean(ops.reshape(h_walks, (batch, num_walks, d)), axis=1)
-        return h_deep, weights
-
-    def _fuse_batch(
-        self,
-        h_wide: Tensor,
-        h_deep: Tensor,
-        hidden_dropout: Optional[np.ndarray],
-    ) -> Tensor:
-        """FUSE (Eq. 7) for a batch: ``normalize(ReLU(W [h°; h▷] + b))``."""
         hidden = ops.relu(self.fuse(ops.concat([h_wide, h_deep], axis=1)))
-        if hidden_dropout is not None:
-            hidden = ops.dropout_mask(hidden, hidden_dropout)
-        return F.l2_normalize(hidden, axis=-1)
+        if pack.hidden_dropout is not None:
+            hidden = ops.dropout_mask(hidden, pack.hidden_dropout)
+        return F.l2_normalize(hidden, axis=-1), wide_weights, deep_weights
 
     # ------------------------------------------------------------------
     # Materialized pack rows (repro.store)
@@ -741,118 +623,31 @@ class WidenModel(Module):
     ) -> List[PackRows]:
         """The first half of :meth:`forward_batch`, stopped at the packs.
 
-        Runs sampling-dependent work — feature projection, edge-embedding
-        gathers, relay evaluation, the ``pad_gather_mul`` pack assembly —
-        and returns each target's pack matrices trimmed to true lengths
+        Returns each target's pack matrices trimmed to true lengths
         (:class:`PackRows`).  Always evaluates without dropout (dropout
-        modules are bypassed entirely, so no rng stream is consumed); the
-        values are exactly what the eval-mode batched forward would feed
-        its attention stages, which is what makes a later
-        :meth:`forward_from_rows` bit-equal to the full recompute.
+        modules are bypassed entirely, so no rng stream is consumed) and on
+        the padded kernels; the values are exactly what the eval-mode
+        :meth:`forward_batch` would feed its attention stages, which is
+        what makes a later :meth:`forward_from_blocks` bit-equal to the
+        full recompute.
         """
-        config = self.config
-        d = config.dim
-        pack = pack_batch(targets, states, graph, config)
+        pack = pack_batch(targets, states, graph, self.config)
         batch = pack.batch_size
-
         with trace_span("widen.materialize", batch=batch):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
-            )
-            if pack.neighbor_nodes.size:
-                neighbor_vecs = ops.matmul(
-                    Tensor(graph.features[pack.neighbor_nodes]),
-                    self.project.weight,
-                )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
-
-            wide_rows: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                edge_vecs = self.edge_embedding(pack.wide_etypes)
-                packs = ops.pad_gather_mul(
-                    flat, pack.wide_index, pack.wide_valid, edge_vecs, None
-                )
-                wide_rows = [
-                    packs.data[b, : int(pack.wide_lengths[b])].copy()
-                    for b in range(batch)
-                ]
-
-            deep_rows: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                total, width = pack.deep_index.shape
-                edge_vecs = self.edge_embedding(pack.deep_etypes)
-                if pack.deep_relays:
-                    relay_rows = self.relay_vectors_bulk(
-                        pack.deep_relays, graph, None
-                    )
-                    flat_edges = ops.reshape(edge_vecs, (total * width, d))
-                    flat_edges = ops.scatter_rows(
-                        flat_edges, pack.deep_relay_rows, relay_rows
-                    )
-                    edge_vecs = ops.reshape(flat_edges, (total, width, d))
-                packs = ops.pad_gather_mul(
-                    flat, pack.deep_index, pack.deep_valid, edge_vecs, None
-                )
-                for w in range(total):
-                    deep_rows[w // pack.num_walks].append(
-                        packs.data[w, : int(pack.deep_lengths[w])].copy()
-                    )
-
+            wide_packs, deep_packs = self._assemble(pack, graph, None)
+        wide_rows: List[Optional[np.ndarray]] = [None] * batch
+        if wide_packs is not None:
+            wide_rows = split_segments(wide_packs.data, pack.wide_lengths)
+        walks: List[np.ndarray] = []
+        if deep_packs is not None:
+            walks = split_segments(deep_packs.data, pack.deep_lengths)
         return [
-            PackRows(wide=wide_rows[b], deep=deep_rows[b]) for b in range(batch)
+            PackRows(
+                wide=wide_rows[b],
+                deep=walks[b * pack.num_walks : (b + 1) * pack.num_walks],
+            )
+            for b in range(batch)
         ]
-
-    def forward_from_rows(self, rows: Sequence[PackRows]) -> Tensor:
-        """The second half of :meth:`forward_batch`, fed from stored rows.
-
-        Reassembles the padded pack tensors and masks with the exact
-        padding convention of :func:`pack_batch` (zero rows, additive
-        0/-inf masks, self-attending padded walk rows) and runs the shared
-        attention + fusion halves — no sampling, no projection, no edge
-        gathers.  For rows produced by :meth:`materialize_rows` from the
-        same sampled neighborhoods, the returned ``(B, d)`` embeddings are
-        bit-identical to eval-mode :meth:`forward_batch`.
-        """
-        config = self.config
-        d = config.dim
-        batch = len(rows)
-        if batch == 0:
-            raise ValueError("forward_from_rows requires at least one row set")
-        if config.forward_mode == "sparse":
-            return self._forward_from_rows_sparse(rows)
-
-        with trace_span("widen.forward_from_rows", batch=batch):
-            if config.use_wide:
-                padded, _, attn_mask, _ = pad_pack_rows(
-                    [row.wide for row in rows], d
-                )
-                with trace_span("widen.wide_pass", packs=int(padded[..., 0].size)):
-                    h_wide, _ = self._attend_wide(
-                        Tensor(padded), attn_mask, batch
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                num_walks = len(rows[0].deep)
-                for row in rows:
-                    if len(row.deep) != num_walks:
-                        raise ValueError(
-                            "all row sets must carry the same walk count Φ"
-                        )
-                walks = [walk for row in rows for walk in row.deep]
-                padded, valid, attn_mask, _ = pad_pack_rows(walks, d)
-                causal = deep_causal_mask(valid, attn_mask)
-                with trace_span("widen.deep_pass", packs=int(padded[..., 0].size)):
-                    h_deep, _ = self._attend_deep(
-                        Tensor(padded), attn_mask, causal, batch, num_walks
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
 
     def forward_from_blocks(
         self,
@@ -863,171 +658,38 @@ class WidenModel(Module):
         deep_cap: int,
         num_walks: int,
     ) -> Tensor:
-        """:meth:`forward_from_rows` over capacity-padded store blocks.
+        """The second half of :meth:`forward_batch`, fed from store blocks.
 
         ``blocks`` is ``(B, R, d)`` exactly as the store persists it —
         wide rows first, then Φ contiguous walk segments, zero-padded to
         the sampling caps — and ``lengths`` is ``(B, 1 + Φ)``.  The blocks
-        feed attention *as stored*: no per-row trimming, no re-padding, no
-        per-node Python.  Masks come from :func:`pad_block_masks`, and
-        padding to capacity rather than the batch maximum is exact (zero
-        rows under ``-inf`` mask entries contribute nothing), so the
-        result is bit-identical to :meth:`forward_from_rows` on the
-        decoded rows — and hence to the full recompute.
+        feed attention *as stored*: no sampling, no projection, no edge
+        gathers, no per-row trimming or re-padding, no per-node Python.
+        Masks come from :func:`~repro.core.packing.block_pack` with the
+        padding convention of :func:`pack_batch` (zero rows, additive
+        0/-inf masks, self-attending padded walk rows).  For blocks
+        written by :meth:`materialize_rows` from the same sampled
+        neighborhoods, the returned ``(B, d)`` embeddings are bit-identical
+        to eval-mode :meth:`forward_batch` whenever every pack sits at
+        capacity, and within an ulp otherwise (see
+        :func:`~repro.core.packing.pad_block_masks`).
         """
-        config = self.config
-        d = config.dim
+        d = self.config.dim
         batch = int(blocks.shape[0])
         if batch == 0:
             raise ValueError("forward_from_blocks requires at least one block")
-        if config.forward_mode == "sparse":
-            return self._forward_from_blocks_sparse(
-                blocks, lengths,
-                wide_cap=wide_cap, deep_cap=deep_cap, num_walks=num_walks,
+        pack = block_pack(lengths, wide_cap, deep_cap, num_walks)
+        wide_packs = deep_packs = None
+        if wide_cap:
+            wide_packs = Tensor(np.ascontiguousarray(blocks[:, :wide_cap, :]))
+        if deep_cap:
+            deep_packs = Tensor(
+                np.ascontiguousarray(blocks[:, wide_cap:, :]).reshape(
+                    batch * num_walks, deep_cap, d
+                )
             )
-
         with trace_span("widen.forward_from_blocks", batch=batch):
-            if config.use_wide:
-                packs = np.ascontiguousarray(blocks[:, :wide_cap, :])
-                _, attn_mask = pad_block_masks(lengths[:, 0], wide_cap)
-                with trace_span("widen.wide_pass", packs=int(packs[..., 0].size)):
-                    h_wide, _ = self._attend_wide(
-                        Tensor(packs), attn_mask, batch
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                walk_packs = np.ascontiguousarray(
-                    blocks[:, wide_cap:, :]
-                ).reshape(batch * num_walks, deep_cap, d)
-                valid, attn_mask = pad_block_masks(
-                    lengths[:, 1:].reshape(batch * num_walks), deep_cap
-                )
-                causal = deep_causal_mask(valid, attn_mask)
-                with trace_span(
-                    "widen.deep_pass", packs=int(walk_packs[..., 0].size)
-                ):
-                    h_deep, _ = self._attend_deep(
-                        Tensor(walk_packs), attn_mask, causal, batch, num_walks
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
-
-    def _forward_from_rows_sparse(self, rows: Sequence[PackRows]) -> Tensor:
-        """:meth:`forward_from_rows` on the CSR kernels — no re-padding.
-
-        Stored rows are already trimmed to true lengths, so sparse
-        assembly is a straight concatenation: each row set becomes one CSR
-        segment.  The pack values are identical to what ``gather_mul``
-        would produce (the padded materializer multiplies valid slots by
-        exactly 1.0), so the result is bit-identical to the sparse
-        recompute path.
-        """
-        config = self.config
-        d = config.dim
-        batch = len(rows)
-
-        with trace_span("widen.forward_from_rows", batch=batch, kernel="sparse"):
-            if config.use_wide:
-                wide_rows = [row.wide for row in rows]
-                offsets = segment_offsets(
-                    np.array([r.shape[0] for r in wide_rows], np.int64)
-                )
-                packs = Tensor(np.concatenate(wide_rows, axis=0))
-                with trace_span("widen.wide_pass", packs=int(offsets[-1])):
-                    h_wide, _ = self._attend_wide_sparse(
-                        packs, segment_ids(offsets), offsets
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                num_walks = len(rows[0].deep)
-                for row in rows:
-                    if len(row.deep) != num_walks:
-                        raise ValueError(
-                            "all row sets must carry the same walk count Φ"
-                        )
-                walks = [walk for row in rows for walk in row.deep]
-                offsets = segment_offsets(
-                    np.array([walk.shape[0] for walk in walks], np.int64)
-                )
-                packs = Tensor(np.concatenate(walks, axis=0))
-                pairs = (
-                    causal_pairs(offsets) if config.use_successive else None
-                )
-                with trace_span("widen.deep_pass", packs=int(offsets[-1])):
-                    h_deep, _ = self._attend_deep_sparse(
-                        packs, segment_ids(offsets), offsets, pairs,
-                        batch, num_walks,
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
-
-    def _forward_from_blocks_sparse(
-        self,
-        blocks: np.ndarray,
-        lengths: np.ndarray,
-        *,
-        wide_cap: int,
-        deep_cap: int,
-        num_walks: int,
-    ) -> Tensor:
-        """:meth:`forward_from_blocks` on the CSR kernels.
-
-        Gathers only the valid slots out of the capacity-padded blocks
-        (:func:`flat_slot_indices`) into flat CSR pack arrays — the
-        serving hot path reads exactly the real rows and the attention
-        stages never see capacity padding at all.
-        """
-        config = self.config
-        d = config.dim
-        batch = int(blocks.shape[0])
-        capacity = int(blocks.shape[1])
-        flat_blocks = blocks.reshape(batch * capacity, d)
-
-        with trace_span(
-            "widen.forward_from_blocks", batch=batch, kernel="sparse"
-        ):
-            if config.use_wide:
-                starts = np.arange(batch, dtype=np.int64) * capacity
-                indices, offsets = flat_slot_indices(lengths[:, 0], starts)
-                packs = Tensor(flat_blocks[indices])
-                with trace_span("widen.wide_pass", packs=int(offsets[-1])):
-                    h_wide, _ = self._attend_wide_sparse(
-                        packs, segment_ids(offsets), offsets
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                starts = (
-                    np.arange(batch, dtype=np.int64)[:, np.newaxis] * capacity
-                    + wide_cap
-                    + np.arange(num_walks, dtype=np.int64)[np.newaxis, :]
-                    * deep_cap
-                ).reshape(-1)
-                indices, offsets = flat_slot_indices(
-                    lengths[:, 1:].reshape(batch * num_walks), starts
-                )
-                packs = Tensor(flat_blocks[indices])
-                pairs = (
-                    causal_pairs(offsets) if config.use_successive else None
-                )
-                with trace_span("widen.deep_pass", packs=int(offsets[-1])):
-                    h_deep, _ = self._attend_deep_sparse(
-                        packs, segment_ids(offsets), offsets, pairs,
-                        batch, num_walks,
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
+            return self._pass_and_fuse(pack, wide_packs, deep_packs)[0]
 
     def logits(self, embeddings: Tensor) -> Tensor:
         """Class logits ``v' C`` (Eq. 10, pre-softmax)."""

@@ -1,27 +1,36 @@
-"""Batch packing for the vectorized forward path.
+"""Batch packing for the minibatch forward.
 
 The per-node reference path (:meth:`WidenModel.forward`) builds one small
 ``(L + 1, d)`` pack matrix per target and per walk and runs attention on
-each — thousands of tiny op calls per epoch.  This module assembles the
-*indices* for a whole minibatch up front so the model can execute the same
-mathematics as a handful of batched tensor ops:
+each — thousands of tiny op calls per epoch.  :func:`pack_batch` assembles
+the *indices* for a whole minibatch up front so the model can execute the
+same mathematics as a handful of batched tensor ops, in one of two layouts:
 
-- every wide set becomes one row of a padded ``(B, Lw)`` index/etype grid;
-- every deep walk becomes one row of a padded ``(B·Φ, Ld)`` grid;
-- validity masks (1/0) zero out padded node rows at gather time, and
-  additive attention masks (0/-inf) give padded slots exactly zero softmax
-  weight — so padding is numerically inert, not approximately so.
+- **padded grids** — every wide set is one row of a ``(B, Lw)`` index/etype
+  grid, every deep walk one row of a ``(B·Φ, Ld)`` grid; validity masks
+  (1/0) zero out padded node rows at gather time and additive attention
+  masks (0/-inf) give padded slots exactly zero softmax weight;
+- **flat CSR** — the grids' valid slots back to back in ``(E,)`` arrays
+  segmented by ``offsets``, for the segment kernels (``sddmm`` /
+  ``segment_softmax`` / ``segment_matmul``) whose work is proportional to
+  real pack rows.
+
+The grids are filled first (the only loop over ``states``); the CSR arrays
+are a vectorised selection of their valid slots
+(:func:`flat_slot_indices`).  Which layout a batch gets is decided from the
+padding waste it measures for the ``pack_padding_waste`` gauge anyway.
 
 Relay edges (Eq. 8) cannot be table lookups: they are re-evaluated against
 current parameters each forward.  The pack records their flat positions so
-:meth:`WidenModel.forward_batch` can splice the evaluated rows into the
-edge matrix with one ``scatter_rows``.
+the model can splice the evaluated rows into the edge matrix with one
+``scatter_rows``.
 
 Dropout reproducibility: the per-node path draws one mask per pack matrix
 (wide, then each walk, then the hidden vector) in target order.  When the
 dropout modules are passed in, :func:`pack_batch` consumes the rng streams
-in exactly that order and assembles the draws into padded batch masks, so
-the batched path's training losses are bit-identical to the reference.
+in exactly that order with the true-length shapes, so training losses are
+bit-identical to the reference under the padded layout and the masks are
+the same numbers under either.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ class PackRows:
     target pack in row 0 — exactly the values :func:`pad_gather_mul`
     produces in eval mode, before any attention.  These rows are what
     ``repro.store`` persists: re-running attention + fuse over them
-    (:meth:`WidenModel.forward_from_rows`) reproduces the full forward
+    (:meth:`WidenModel.forward_from_blocks`) reproduces the full forward
     bit-for-bit without sampling, feature projection or edge gathers.
 
     ``reads`` is the read set of the sample the rows were packed from
@@ -70,35 +79,19 @@ class PackRows:
         return total + sum(walk.nbytes for walk in self.deep)
 
 
-def pad_pack_rows(rows: Sequence[np.ndarray], dim: int):
-    """Stack trimmed pack matrices into a padded batch tensor + masks.
-
-    Returns ``(padded, valid, attn_mask, lengths)`` with the identical
-    padding convention as :func:`pack_batch`: padded slots are exactly
-    zero and carry ``-inf`` additive mask entries, so attention over the
-    reassembled tensor is bit-equal to attention over the original
-    gather output — padding is numerically inert, not approximately so.
-    """
-    lengths = np.array([row.shape[0] for row in rows], np.int64)
-    width = int(lengths.max())
-    padded = np.zeros((len(rows), width, dim))
-    valid = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        padded[i, : row.shape[0]] = row
-        valid[i, : row.shape[0]] = 1.0
-    attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-    return padded, valid, attn_mask, lengths
-
-
 def pad_block_masks(lengths: np.ndarray, width: int):
-    """``(valid, attn_mask)`` for capacity-padded blocks, no Python loops.
+    """``(valid, attn_mask)`` for rows padded to ``width``, no Python loops.
 
-    Store blocks are persisted zero-padded to a fixed capacity, so the
-    serving hot path never re-packs rows — it only needs masks derived
-    from the true lengths.  Padding to capacity instead of the batch
-    maximum is numerically inert for the same reason :func:`pad_pack_rows`
-    padding is: padded slots are exactly zero, carry ``-inf`` mask
-    entries, and appending exact zeros to a summation changes nothing.
+    Serves both padded layouts: :func:`pack_batch` pads to the batch
+    maximum, store blocks are persisted zero-padded to the sampling caps so
+    the serving hot path never re-packs rows.  Either way padded slots are
+    exactly zero and carry ``-inf`` mask entries, so they add exact zeros to
+    every attention sum.  That makes the pad width inert for the *sums*, not
+    for the last bit: the flattened projection gemm blocks by row count, so
+    one node's answer can move by an ulp with the shape of the batch it was
+    computed in (5.6e-17 measured on a 6-node graph even with both paths
+    padded to capacity) — which is why mixed-shape comparisons use
+    ``ANSWER_TOLERANCE = 1e-12`` rather than equality.
     """
     valid = (
         np.arange(width) < np.asarray(lengths, np.int64).reshape(-1, 1)
@@ -189,17 +182,32 @@ def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     return np.repeat(starts, lengths) + within, offsets
 
 
+def split_segments(
+    data: np.ndarray, lengths: np.ndarray, offsets: Optional[np.ndarray] = None
+) -> List[np.ndarray]:
+    """Per-segment copies of ``data`` trimmed to true lengths.
+
+    Padded layout (``offsets is None``): the first ``lengths[s]`` slots of
+    grid row ``s``; flat CSR: the slice ``offsets[s]:offsets[s + 1]``.
+    """
+    if offsets is None:
+        return [data[s, : int(n)].copy() for s, n in enumerate(lengths)]
+    return [
+        data[offsets[s] : offsets[s + 1]].copy() for s in range(len(lengths))
+    ]
+
+
 def _observe_padding(
     path: str, lengths: np.ndarray, width: int, materialized: bool
 ) -> None:
     """Export the padding-waste share of a pack's ``[B, L_max]`` grid.
 
     ``pack_padding_waste`` is the fraction of grid slots that are padding
-    for this batch's geometry — the sparse packer reports the same number
-    (the waste it *avoided*), so the gauge describes the workload's skew
-    regardless of the active path.  The ``pack_slots_total`` counters only
-    count slots actually materialized: under the sparse path the
-    ``padding`` series stays flat, which is the observable win.
+    for this batch's geometry — a CSR pack reports the same number (the
+    waste it *avoided*), so the gauge describes the workload's skew
+    regardless of the layout.  The ``pack_slots_total`` counters only count
+    slots actually materialized: under CSR the ``padding`` series stays
+    flat, which is the observable win.
     """
     registry = get_registry()
     slots = int(lengths.shape[0]) * int(width)
@@ -213,30 +221,6 @@ def _observe_padding(
         )
 
 
-def padded_waste(states: Sequence[NeighborState], config: WidenConfig) -> float:
-    """Padding fraction the padded grids would carry for these states.
-
-    The ``forward_mode="auto"`` dispatch compares this against the
-    kernel-selection table's ``sparse_min_waste`` without building any
-    grid: high-skew batches (a few hubs stretching ``L_max``) route to the
-    CSR kernels, near-uniform ones keep the gemm-friendly padded path.
-    """
-    slots = 0
-    used = 0
-    if config.use_wide:
-        lengths = [len(state.wide) + 1 for state in states]
-        slots += len(lengths) * max(lengths)
-        used += sum(lengths)
-    if config.use_deep:
-        lengths = [
-            len(deep) + 1 for state in states for deep in state.deep
-        ]
-        if lengths:
-            slots += len(lengths) * max(lengths)
-            used += sum(lengths)
-    return 0.0 if slots == 0 else 1.0 - used / slots
-
-
 @dataclass
 class PackedBatch:
     """Index-level description of a minibatch forward pass.
@@ -245,39 +229,74 @@ class PackedBatch:
     unique neighbor embeddings (U)]``: slot indices below ``B`` address a
     target's trainable projection, the rest address ``neighbor_nodes``.
     All arrays are plain numpy — no gradients flow through the pack itself.
+
+    Segments are the ``B`` wide sets and the ``W = B·Φ`` walks, target pack
+    first.  ``sparse`` names the layout of the per-slot arrays: padded
+    ``(S, L)`` grids with masks, or — CSR — flat ``(E,)`` arrays holding
+    the grids' valid slots back to back, segment ``s`` at
+    ``offsets[s]:offsets[s + 1]``.
     """
 
-    targets: np.ndarray            # (B,) target node ids
-    neighbor_nodes: np.ndarray     # (U,) unique neighbor ids -> flat rows B..B+U-1
+    batch_size: int
+    targets: Optional[np.ndarray] = None          # (B,) target node ids
+    neighbor_nodes: Optional[np.ndarray] = None   # (U,) ids -> flat rows B..B+U-1
+    sparse: bool = False
+    waste: float = 0.0             # padding share of the (would-be) grids
 
-    # Wide grids, padded to Lw = max(|W_b| + 1); row layout: target pack first.
-    wide_index: Optional[np.ndarray] = None       # (B, Lw) flat row per slot
-    wide_valid: Optional[np.ndarray] = None       # (B, Lw) 1.0 valid / 0.0 pad
-    wide_etypes: Optional[np.ndarray] = None      # (B, Lw) edge-type ids (pad: 0)
-    wide_attn_mask: Optional[np.ndarray] = None   # (B, Lw) additive 0 / -inf
+    wide_index: Optional[np.ndarray] = None       # flat node row per slot
+    wide_etypes: Optional[np.ndarray] = None      # edge-type ids (pad: 0)
     wide_lengths: Optional[np.ndarray] = None     # (B,) valid packs incl. target
+    wide_valid: Optional[np.ndarray] = None       # padded: (B, Lw) 1.0 / 0.0
+    wide_attn_mask: Optional[np.ndarray] = None   # padded: (B, Lw) additive 0 / -inf
+    wide_offsets: Optional[np.ndarray] = None     # CSR: (B + 1,)
 
-    # Deep grids: the B×Φ walks flatten to W = B·Φ rows, padded to Ld.
     num_walks: int = 0
-    deep_index: Optional[np.ndarray] = None       # (W, Ld)
-    deep_valid: Optional[np.ndarray] = None       # (W, Ld)
-    deep_etypes: Optional[np.ndarray] = None      # (W, Ld)
-    deep_attn_mask: Optional[np.ndarray] = None   # (W, Ld) for PASS▷'s query
-    deep_causal_mask: Optional[np.ndarray] = None # (W, Ld, Ld) Θ + key padding
+    deep_index: Optional[np.ndarray] = None
+    deep_etypes: Optional[np.ndarray] = None
     deep_lengths: Optional[np.ndarray] = None     # (W,)
+    deep_valid: Optional[np.ndarray] = None       # padded: (W, Ld)
+    deep_attn_mask: Optional[np.ndarray] = None   # padded: (W, Ld) for PASS▷'s query
+    deep_causal_mask: Optional[np.ndarray] = None # padded: (W, Ld, Ld) Θ + key padding
+    deep_offsets: Optional[np.ndarray] = None     # CSR: (W + 1,)
+    deep_causal_pairs: Optional[tuple] = None     # CSR: causal_pairs(deep_offsets)
     deep_relay_rows: np.ndarray = field(
         default_factory=lambda: np.empty(0, np.int64)
-    )                                             # flat rows into (W·Ld, d)
+    )                                             # rows into the flattened deep slots
     deep_relays: List[RelayRecipe] = field(default_factory=list)
 
-    # Scaled dropout masks drawn in per-node rng order (None in eval mode).
-    wide_dropout: Optional[np.ndarray] = None     # (B, Lw, d)
-    deep_dropout: Optional[np.ndarray] = None     # (W, Ld, d)
+    # Scaled dropout masks drawn in per-node rng order (None in eval mode),
+    # shaped like the packs: (S, L, d) padded with ones, or (E, d).
+    wide_dropout: Optional[np.ndarray] = None
+    deep_dropout: Optional[np.ndarray] = None
     hidden_dropout: Optional[np.ndarray] = None   # (B, d)
 
-    @property
-    def batch_size(self) -> int:
-        return int(self.targets.shape[0])
+
+def block_pack(
+    lengths: np.ndarray, wide_cap: int, deep_cap: int, num_walks: int
+) -> PackedBatch:
+    """The pack of ``(B, R, d)`` capacity-padded store blocks: masks only.
+
+    A store block is a pack whose gather is already done — wide rows
+    first, then Φ walk segments, zero-padded to the sampling caps — so all
+    that is left to derive from its ``(B, 1 + Φ)`` ``lengths`` is what
+    attention needs.  A cap of 0 means that side is ablated.
+    """
+    lengths = np.asarray(lengths, np.int64)
+    pack = PackedBatch(batch_size=int(lengths.shape[0]), num_walks=num_walks)
+    if wide_cap:
+        pack.wide_lengths = lengths[:, 0]
+        pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
+            pack.wide_lengths, wide_cap
+        )
+    if deep_cap:
+        pack.deep_lengths = lengths[:, 1:].reshape(-1)
+        pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
+            pack.deep_lengths, deep_cap
+        )
+        pack.deep_causal_mask = deep_causal_mask(
+            pack.deep_valid, pack.deep_attn_mask
+        )
+    return pack
 
 
 def _draw(dropout, shape):
@@ -291,14 +310,18 @@ def pack_batch(
     config: WidenConfig,
     pack_dropout=None,
     hidden_dropout=None,
-    dim: Optional[int] = None,
+    sparse_min_waste: Optional[float] = None,
 ) -> PackedBatch:
-    """Assemble padded index grids and masks for ``B`` targets.
+    """Assemble the index arrays and masks for ``B`` targets.
 
     ``pack_dropout``/``hidden_dropout`` are the model's :class:`Dropout`
     modules (or ``None``); their rng streams are consumed in per-node order
-    so training stays bit-identical with the reference path.  ``dim``
-    defaults to ``config.dim`` and sizes the dropout masks.
+    so training stays bit-identical with the reference path.
+
+    The result is padded grids unless ``sparse_min_waste`` is given and the
+    batch's padding waste reaches it, in which case the same slots come
+    back as flat CSR arrays.  Callers whose answers must not depend on
+    batch composition (serving, the store) leave it ``None``.
     """
     targets = np.asarray(targets, dtype=np.int64)
     batch = targets.shape[0]
@@ -306,7 +329,7 @@ def pack_batch(
         raise ValueError("pack_batch requires at least one target")
     if len(states) != batch:
         raise ValueError(f"{batch} targets but {len(states)} neighbor states")
-    d = int(dim if dim is not None else config.dim)
+    d = config.dim
     loop_types = graph.self_loop_types(targets)
 
     # ---- unique neighbor rows -----------------------------------------
@@ -320,34 +343,34 @@ def pack_batch(
     else:
         neighbor_nodes = np.empty(0, np.int64)
 
-    def flat_rows(nodes: np.ndarray) -> np.ndarray:
-        return batch + np.searchsorted(neighbor_nodes, nodes)
+    pack = PackedBatch(
+        batch_size=batch, targets=targets, neighbor_nodes=neighbor_nodes
+    )
 
-    pack = PackedBatch(targets=targets, neighbor_nodes=neighbor_nodes)
-
-    # ---- wide grids ----------------------------------------------------
-    if config.use_wide:
-        lengths = np.array([len(state.wide) + 1 for state in states], np.int64)
-        width = int(lengths.max())
-        index = np.zeros((batch, width), np.int64)
-        valid = np.zeros((batch, width))
-        etypes = np.zeros((batch, width), np.int64)
-        index[:, 0] = np.arange(batch)
-        etypes[:, 0] = loop_types
-        for b, state in enumerate(states):
-            wide = state.wide
-            n = len(wide)
+    def fill(segments, owners: np.ndarray):
+        """``(index, etypes, lengths)`` grids, one row per neighbor set."""
+        lengths = np.array([len(segment) + 1 for segment in segments], np.int64)
+        index = np.zeros((len(segments), int(lengths.max())), np.int64)
+        etypes = np.zeros(index.shape, np.int64)
+        index[:, 0] = owners
+        etypes[:, 0] = loop_types[owners]
+        for s, segment in enumerate(segments):
+            n = len(segment)
             if n:
-                index[b, 1 : n + 1] = flat_rows(wide.nodes)
-                etypes[b, 1 : n + 1] = wide.etypes
-            valid[b, : n + 1] = 1.0
-        pack.wide_index = index
-        pack.wide_valid = valid
-        pack.wide_etypes = etypes
-        pack.wide_attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-        pack.wide_lengths = lengths
+                index[s, 1 : n + 1] = batch + np.searchsorted(
+                    neighbor_nodes, segment.nodes
+                )
+                etypes[s, 1 : n + 1] = segment.etypes
+        return index, etypes, lengths
 
-    # ---- deep grids ----------------------------------------------------
+    slots = used = wide_width = deep_width = 0
+    if config.use_wide:
+        pack.wide_index, pack.wide_etypes, pack.wide_lengths = fill(
+            [state.wide for state in states], np.arange(batch)
+        )
+        wide_width = pack.wide_index.shape[1]
+        slots += pack.wide_index.size
+        used += int(pack.wide_lengths.sum())
     if config.use_deep:
         num_walks = len(states[0].deep)
         for state in states:
@@ -355,252 +378,82 @@ def pack_batch(
                 raise ValueError("all targets must carry the same walk count Φ")
         pack.num_walks = num_walks
         walks = [deep for state in states for deep in state.deep]
-        total = len(walks)
-        lengths = np.array([len(deep) + 1 for deep in walks], np.int64)
-        width = int(lengths.max())
-        index = np.zeros((total, width), np.int64)
-        valid = np.zeros((total, width))
-        etypes = np.zeros((total, width), np.int64)
+        pack.deep_index, pack.deep_etypes, pack.deep_lengths = fill(
+            walks, np.repeat(np.arange(batch), num_walks)
+        )
+        deep_width = pack.deep_index.shape[1]
+        slots += pack.deep_index.size
+        used += int(pack.deep_lengths.sum())
         relay_rows: List[int] = []
-        relays: List[RelayRecipe] = []
         for w, deep in enumerate(walks):
-            b = w // num_walks
-            n = len(deep)
-            index[w, 0] = b
-            etypes[w, 0] = loop_types[b]
-            if n:
-                index[w, 1 : n + 1] = flat_rows(deep.nodes)
-                etypes[w, 1 : n + 1] = deep.etypes
-            valid[w, : n + 1] = 1.0
             for position, relay in enumerate(deep.relays):
                 if relay is not None:
-                    relay_rows.append(w * width + position + 1)
-                    relays.append(relay)
-        pack.deep_index = index
-        pack.deep_valid = valid
-        pack.deep_etypes = etypes
-        pack.deep_attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-        pack.deep_lengths = lengths
+                    relay_rows.append(w * deep_width + position + 1)
+                    pack.deep_relays.append(relay)
         pack.deep_relay_rows = np.asarray(relay_rows, np.int64)
-        pack.deep_relays = relays
 
-        pack.deep_causal_mask = deep_causal_mask(valid, pack.deep_attn_mask)
+    # ---- layout: padded grids, or their valid slots as flat CSR --------
+    pack.waste = 0.0 if slots == 0 else 1.0 - used / slots
+    pack.sparse = sparse_min_waste is not None and pack.waste >= sparse_min_waste
+    get_registry().counter(
+        "pack_batches_total", layout="sparse" if pack.sparse else "padded"
+    ).inc()
+
+    def valid_slots(lengths: np.ndarray, width: int):
+        starts = np.arange(lengths.size, dtype=np.int64) * width
+        return flat_slot_indices(lengths, starts)
 
     if config.use_wide:
-        _observe_padding(
-            "wide", pack.wide_lengths, pack.wide_index.shape[1], True
-        )
-    if config.use_deep:
-        _observe_padding(
-            "deep", pack.deep_lengths, pack.deep_index.shape[1], True
-        )
-
-    # ---- dropout draws in per-node order -------------------------------
-    wide_drop = deep_drop = hidden_drop = None
-    for b in range(batch):
-        if config.use_wide:
-            mask = _draw(pack_dropout, (int(pack.wide_lengths[b]), d))
-            if mask is not None:
-                if wide_drop is None:
-                    wide_drop = np.ones((batch,) + pack.wide_index.shape[1:] + (d,))
-                wide_drop[b, : mask.shape[0]] = mask
-        if config.use_deep:
-            for j in range(pack.num_walks):
-                w = b * pack.num_walks + j
-                mask = _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
-                if mask is not None:
-                    if deep_drop is None:
-                        deep_drop = np.ones(
-                            (total,) + pack.deep_index.shape[1:] + (d,)
-                        )
-                    deep_drop[w, : mask.shape[0]] = mask
-        mask = _draw(hidden_dropout, (d,))
-        if mask is not None:
-            if hidden_drop is None:
-                hidden_drop = np.ones((batch, d))
-            hidden_drop[b] = mask
-    pack.wide_dropout = wide_drop
-    pack.deep_dropout = deep_drop
-    pack.hidden_dropout = hidden_drop
-    return pack
-
-
-@dataclass
-class SparseBatch:
-    """CSR description of a minibatch forward — flat edge arrays, no grids.
-
-    Same flat node-row convention as :class:`PackedBatch` (``[fresh target
-    projections (B); unique neighbor embeddings (U)]``), but pack rows live
-    in flat ``(E,)`` arrays segmented by CSR ``offsets`` instead of padded
-    ``[B, L_max]`` grids.  Work downstream is proportional to real pack
-    rows, so high-skew batches pay nothing for their hubs' long tails.
-    """
-
-    targets: np.ndarray            # (B,) target node ids
-    neighbor_nodes: np.ndarray     # (U,) unique neighbor ids -> flat rows B..B+U-1
-
-    # Wide CSR: segment b = target b's pack rows, target pack first.
-    wide_src: Optional[np.ndarray] = None       # (Ew,) flat node row per pack
-    wide_etypes: Optional[np.ndarray] = None    # (Ew,) edge-type ids
-    wide_offsets: Optional[np.ndarray] = None   # (B + 1,)
-    wide_seg_ids: Optional[np.ndarray] = None   # (Ew,) pack -> target
-    wide_lengths: Optional[np.ndarray] = None   # (B,) incl. target pack
-
-    # Deep CSR: segment w = walk w's pack rows (w = b * Φ + j).
-    num_walks: int = 0
-    deep_src: Optional[np.ndarray] = None       # (Ed,)
-    deep_etypes: Optional[np.ndarray] = None    # (Ed,)
-    deep_offsets: Optional[np.ndarray] = None   # (W + 1,)
-    deep_seg_ids: Optional[np.ndarray] = None   # (Ed,) pack -> walk
-    deep_lengths: Optional[np.ndarray] = None   # (W,)
-    # Causal pair arrays for the successive self-attention (Eq. 4/6);
-    # None when config.use_successive is off.
-    pair_rows: Optional[np.ndarray] = None      # (P,)
-    pair_cols: Optional[np.ndarray] = None      # (P,)
-    pair_offsets: Optional[np.ndarray] = None   # (Ed + 1,)
-    deep_relay_rows: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64)
-    )                                           # flat rows into (Ed, d)
-    deep_relays: List[RelayRecipe] = field(default_factory=list)
-
-    # Scaled dropout masks drawn in per-node rng order (None in eval mode).
-    wide_dropout: Optional[np.ndarray] = None   # (Ew, d)
-    deep_dropout: Optional[np.ndarray] = None   # (Ed, d)
-    hidden_dropout: Optional[np.ndarray] = None # (B, d)
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.targets.shape[0])
-
-
-def pack_batch_sparse(
-    targets: Sequence[int],
-    states: Sequence[NeighborState],
-    graph: HeteroGraph,
-    config: WidenConfig,
-    pack_dropout=None,
-    hidden_dropout=None,
-    dim: Optional[int] = None,
-) -> SparseBatch:
-    """Assemble flat CSR pack arrays for ``B`` targets — no padding.
-
-    Row layout inside each segment matches :func:`pack_batch` (target pack
-    first, then sampled neighbors in state order), and the dropout rng
-    streams are consumed in the identical per-node order with the identical
-    true-length shapes — so the drawn masks equal the padded masks at every
-    valid slot, bit for bit, and training losses agree across paths.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    batch = targets.shape[0]
-    if batch == 0:
-        raise ValueError("pack_batch_sparse requires at least one target")
-    if len(states) != batch:
-        raise ValueError(f"{batch} targets but {len(states)} neighbor states")
-    d = int(dim if dim is not None else config.dim)
-    loop_types = graph.self_loop_types(targets)
-
-    chunks: List[np.ndarray] = []
-    if config.use_wide:
-        chunks.extend(state.wide.nodes for state in states)
-    if config.use_deep:
-        chunks.extend(deep.nodes for state in states for deep in state.deep)
-    if chunks:
-        neighbor_nodes = np.unique(np.concatenate(chunks))
-    else:
-        neighbor_nodes = np.empty(0, np.int64)
-
-    def flat_rows(nodes: np.ndarray) -> np.ndarray:
-        return batch + np.searchsorted(neighbor_nodes, nodes)
-
-    pack = SparseBatch(targets=targets, neighbor_nodes=neighbor_nodes)
-
-    # ---- wide CSR ------------------------------------------------------
-    if config.use_wide:
-        lengths = np.array([len(state.wide) + 1 for state in states], np.int64)
-        offsets = segment_offsets(lengths)
-        src = np.empty(int(offsets[-1]), np.int64)
-        etypes = np.empty(int(offsets[-1]), np.int64)
-        for b, state in enumerate(states):
-            start = int(offsets[b])
-            src[start] = b
-            etypes[start] = loop_types[b]
-            wide = state.wide
-            n = len(wide)
-            if n:
-                src[start + 1 : start + 1 + n] = flat_rows(wide.nodes)
-                etypes[start + 1 : start + 1 + n] = wide.etypes
-        pack.wide_src = src
-        pack.wide_etypes = etypes
-        pack.wide_offsets = offsets
-        pack.wide_seg_ids = segment_ids(offsets)
-        pack.wide_lengths = lengths
-        _observe_padding("wide", lengths, int(lengths.max()), False)
-
-    # ---- deep CSR ------------------------------------------------------
-    if config.use_deep:
-        num_walks = len(states[0].deep)
-        for state in states:
-            if len(state.deep) != num_walks:
-                raise ValueError("all targets must carry the same walk count Φ")
-        pack.num_walks = num_walks
-        walks = [deep for state in states for deep in state.deep]
-        lengths = np.array([len(deep) + 1 for deep in walks], np.int64)
-        offsets = segment_offsets(lengths)
-        src = np.empty(int(offsets[-1]), np.int64)
-        etypes = np.empty(int(offsets[-1]), np.int64)
-        relay_rows: List[int] = []
-        relays: List[RelayRecipe] = []
-        for w, deep in enumerate(walks):
-            b = w // num_walks
-            start = int(offsets[w])
-            src[start] = b
-            etypes[start] = loop_types[b]
-            n = len(deep)
-            if n:
-                src[start + 1 : start + 1 + n] = flat_rows(deep.nodes)
-                etypes[start + 1 : start + 1 + n] = deep.etypes
-            for position, relay in enumerate(deep.relays):
-                if relay is not None:
-                    relay_rows.append(start + position + 1)
-                    relays.append(relay)
-        pack.deep_src = src
-        pack.deep_etypes = etypes
-        pack.deep_offsets = offsets
-        pack.deep_seg_ids = segment_ids(offsets)
-        pack.deep_lengths = lengths
-        pack.deep_relay_rows = np.asarray(relay_rows, np.int64)
-        pack.deep_relays = relays
-        if config.use_successive:
-            pack.pair_rows, pack.pair_cols, pack.pair_offsets = causal_pairs(
-                offsets
+        _observe_padding("wide", pack.wide_lengths, wide_width, not pack.sparse)
+        if pack.sparse:
+            keep, pack.wide_offsets = valid_slots(pack.wide_lengths, wide_width)
+            pack.wide_index = pack.wide_index.ravel()[keep]
+            pack.wide_etypes = pack.wide_etypes.ravel()[keep]
+        else:
+            pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
+                pack.wide_lengths, wide_width
             )
-        _observe_padding("deep", lengths, int(lengths.max()), False)
+    if config.use_deep:
+        _observe_padding("deep", pack.deep_lengths, deep_width, not pack.sparse)
+        if pack.sparse:
+            keep, pack.deep_offsets = valid_slots(pack.deep_lengths, deep_width)
+            pack.deep_index = pack.deep_index.ravel()[keep]
+            pack.deep_etypes = pack.deep_etypes.ravel()[keep]
+            pack.deep_relay_rows = np.searchsorted(keep, pack.deep_relay_rows)
+            if config.use_successive:
+                pack.deep_causal_pairs = causal_pairs(pack.deep_offsets)
+        else:
+            pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
+                pack.deep_lengths, deep_width
+            )
+            pack.deep_causal_mask = deep_causal_mask(
+                pack.deep_valid, pack.deep_attn_mask
+            )
 
     # ---- dropout draws in per-node order -------------------------------
-    wide_drop = deep_drop = hidden_drop = None
+    wide_masks, deep_masks, hidden_masks = [], [], []
     for b in range(batch):
         if config.use_wide:
-            mask = _draw(pack_dropout, (int(pack.wide_lengths[b]), d))
-            if mask is not None:
-                if wide_drop is None:
-                    wide_drop = np.ones((int(pack.wide_offsets[-1]), d))
-                start = int(pack.wide_offsets[b])
-                wide_drop[start : start + mask.shape[0]] = mask
+            wide_masks.append(_draw(pack_dropout, (int(pack.wide_lengths[b]), d)))
         if config.use_deep:
-            for j in range(pack.num_walks):
-                w = b * pack.num_walks + j
-                mask = _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
-                if mask is not None:
-                    if deep_drop is None:
-                        deep_drop = np.ones((int(pack.deep_offsets[-1]), d))
-                    start = int(pack.deep_offsets[w])
-                    deep_drop[start : start + mask.shape[0]] = mask
-        mask = _draw(hidden_dropout, (d,))
-        if mask is not None:
-            if hidden_drop is None:
-                hidden_drop = np.ones((batch, d))
-            hidden_drop[b] = mask
-    pack.wide_dropout = wide_drop
-    pack.deep_dropout = deep_drop
-    pack.hidden_dropout = hidden_drop
+            for w in range(b * pack.num_walks, (b + 1) * pack.num_walks):
+                deep_masks.append(
+                    _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
+                )
+        hidden_masks.append(_draw(hidden_dropout, (d,)))
+
+    def place(masks, lengths, width):
+        if not masks or masks[0] is None:
+            return None
+        flat = np.concatenate(masks)
+        if pack.sparse:
+            return flat
+        grid = np.ones((lengths.size * width, d))
+        grid[valid_slots(lengths, width)[0]] = flat
+        return grid.reshape(lengths.size, width, d)
+
+    pack.wide_dropout = place(wide_masks, pack.wide_lengths, wide_width)
+    pack.deep_dropout = place(deep_masks, pack.deep_lengths, deep_width)
+    if hidden_masks[0] is not None:
+        pack.hidden_dropout = np.stack(hidden_masks)
     return pack

@@ -234,7 +234,8 @@ class WidenTrainer:
                 )
             if batched:
                 stacked, wide_atts, deep_att_lists = self.model.forward_batch(
-                    batch, states, self.graph, self.node_state
+                    batch, states, self.graph, self.node_state,
+                    select_kernel=True,
                 )
                 if self.node_state is not None:
                     # Line 8 of Algorithm 3, synchronous minibatch form:
@@ -374,7 +375,8 @@ class WidenTrainer:
                     chunk = sample[start : start + batch_size]
                     states = [self.store.get(int(node)) for node in chunk]
                     embeddings, _, _ = self.model.forward_batch(
-                        chunk, states, self.graph, self.node_state
+                        chunk, states, self.graph, self.node_state,
+                        select_kernel=True,
                     )
                     self.node_state[chunk] = embeddings.data
             else:
@@ -579,8 +581,12 @@ class WidenTrainer:
         """Embeddings for nodes of the training graph (persistent states).
 
         Evaluation reads the refined node-state table but never mutates it.
+        Like training minibatches, these batches pick their kernel family
+        from their own padding waste.
         """
-        return self._embed_with(self.store, self.graph, self.node_state, nodes)
+        return self._embed_with(
+            self.store, self.graph, self.node_state, nodes, select_kernel=True
+        )
 
     def embed_inductive(
         self,
@@ -599,6 +605,10 @@ class WidenTrainer:
         nodes' sampled neighbors so their table entries approximate the
         refined representations they would carry after training — the
         streaming analogue of Algorithm 3's embedding replacement.
+
+        Every minibatch here runs the padded kernels whatever its padding
+        waste: the serving hooks sit on this method and promise rows that do
+        not depend on which other nodes share the call.
         """
         store = NeighborStateStore(
             graph,
@@ -646,6 +656,7 @@ class WidenTrainer:
         graph: HeteroGraph,
         node_state: Optional[np.ndarray],
         nodes: Sequence[int],
+        select_kernel: bool = False,
     ) -> np.ndarray:
         self.model.eval()
         node_ids = np.asarray([int(node) for node in nodes], dtype=np.int64)
@@ -657,7 +668,8 @@ class WidenTrainer:
                     chunk = node_ids[start : start + batch_size]
                     states = [store.get(int(n)) for n in chunk]
                     embeddings, _, _ = self.model.forward_batch(
-                        chunk, states, graph, node_state
+                        chunk, states, graph, node_state,
+                        select_kernel=select_kernel,
                     )
                     rows.append(embeddings.data)
                 result = np.concatenate(rows, axis=0)

@@ -125,9 +125,10 @@ def make_skewed(seed: SeedLike = 0, scale: float = 1.0) -> Dataset:
     """Power-law user-item graph: the padding-tax stress case.
 
     Not a paper dataset — a benchmark companion for the CSR sparse kernels
-    (``forward_mode="sparse"``).  Pareto degrees put most users at degree
-    1-2 with rare hubs saturating the neighbor-sampling cap, so padded
-    minibatch grids are mostly padding while the edge count stays small.
+    (the family high-waste training minibatches pick).  Pareto degrees put
+    most users at degree 1-2 with rare hubs saturating the neighbor-sampling
+    cap, so padded minibatch grids are mostly padding while the edge count
+    stays small.
     """
     config = SchemaConfig(
         name="skewed",

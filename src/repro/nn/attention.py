@@ -70,6 +70,7 @@ class QueryAttention(Module):
         keys: Tensor,
         values: Optional[Tensor] = None,
         mask: Optional[np.ndarray] = None,
+        pairs: Optional[tuple] = None,
     ) -> Tuple[Tensor, Tensor]:
         """``query``: (d,) or (1, d); ``keys``/``values``: (m, d).
 
@@ -78,12 +79,19 @@ class QueryAttention(Module):
         values.  Returns ``(attended, weights)`` with shapes matching the
         query's dimensionality.
 
-        Batched form: ``query`` (B, d) with ``keys``/``values`` (B, m, d)
+        Padded batch: ``query`` (B, d) with ``keys``/``values`` (B, m, d)
         attends each batch row's query over its own pack matrix in single
         batched ops, returning ``((B, d), (B, m))``.  ``mask`` is an
         additive array broadcastable to the score shape — ``-inf`` at
         padded pack slots gives them exactly zero weight, so a padded batch
         reproduces the per-target results.
+
+        CSR batch: with ``pairs = (segment_ids, None, offsets)`` the
+        keys/values are flat ``(E, d)`` pack rows, segment ``s`` at
+        ``offsets[s]:offsets[s + 1]`` answering query row ``s`` of
+        ``(S, d)``.  Returns ``((S, d), (E,))``; the flat weight vector
+        holds each segment's distribution contiguously, matching the padded
+        kernel's valid slots.
         """
         if values is None:
             values = keys
@@ -96,7 +104,9 @@ class QueryAttention(Module):
         k = ops.matmul(keys, self.w_key)
         v = ops.matmul(values, self.w_value)
         if self.num_heads == 1:
-            attended, weights = F.attention(q, k, v, mask=mask, return_weights=True)
+            attended, weights = F.attention(
+                q, k, v, mask=mask, return_weights=True, pairs=pairs
+            )
         else:
             head_dim = self.dim // self.num_heads
             attended_heads = []
@@ -108,7 +118,7 @@ class QueryAttention(Module):
                 k_h = ops.slice(k, lo, hi, axis=key_axis)
                 v_h = ops.slice(v, lo, hi, axis=key_axis)
                 head_out, weights = F.attention(
-                    q_h, k_h, v_h, mask=mask, return_weights=True
+                    q_h, k_h, v_h, mask=mask, return_weights=True, pairs=pairs
                 )
                 attended_heads.append(head_out)
                 weight_heads.append(weights)
@@ -121,58 +131,6 @@ class QueryAttention(Module):
             batch = keys.shape[0]
             attended = ops.reshape(attended, (batch, self.dim))
             weights = ops.reshape(weights, (batch, keys.shape[1]))
-        return attended, weights
-
-    def forward_sparse(
-        self,
-        query: Tensor,
-        keys: Tensor,
-        values: Tensor,
-        seg_ids: np.ndarray,
-        offsets: np.ndarray,
-    ) -> Tuple[Tensor, Tensor]:
-        """CSR-segment form of the batched forward — no padded grids.
-
-        ``query`` is ``(S, d)`` (one query row per segment), ``keys``/
-        ``values`` flat ``(E, d)`` pack rows, ``seg_ids`` ``(E,)`` mapping
-        each pack row to its query segment, ``offsets`` ``(S + 1,)`` the
-        CSR segment bounds.  Scores exist only for real (query, pack)
-        pairs (:func:`~repro.tensor.ops.sddmm`), the softmax is
-        segment-local, and aggregation is a weighted segment-sum — work is
-        proportional to E, not S * L_max.  Returns ``((S, d), (E,))``; the
-        flat weight vector holds each segment's distribution contiguously,
-        matching the padded kernel's valid slots.
-        """
-        q = ops.matmul(query, self.w_query)
-        k = ops.matmul(keys, self.w_key)
-        v = ops.matmul(values, self.w_value)
-        if self.num_heads == 1:
-            scores = ops.sddmm(q, k, seg_ids)
-            weights = ops.segment_softmax(
-                scores, offsets, scale=np.sqrt(self.dim)
-            )
-            attended = ops.segment_matmul(weights, v, None, offsets)
-            return attended, weights
-        head_dim = self.dim // self.num_heads
-        scale = np.sqrt(head_dim)
-        attended_heads = []
-        weight_heads = []
-        for head in range(self.num_heads):
-            lo, hi = head * head_dim, (head + 1) * head_dim
-            q_h = ops.slice(q, lo, hi, axis=1)
-            k_h = ops.slice(k, lo, hi, axis=1)
-            v_h = ops.slice(v, lo, hi, axis=1)
-            scores = ops.sddmm(q_h, k_h, seg_ids)
-            head_weights = ops.segment_softmax(scores, offsets, scale=scale)
-            attended_heads.append(
-                ops.segment_matmul(head_weights, v_h, None, offsets)
-            )
-            weight_heads.append(head_weights)
-        attended = ops.concat(attended_heads, axis=-1)
-        weights = weight_heads[0]
-        for head_weights in weight_heads[1:]:
-            weights = weights + head_weights
-        weights = weights / float(self.num_heads)
         return attended, weights
 
 
@@ -188,45 +146,29 @@ class SelfAttention(Module):
         self.w_value = Parameter(init.xavier_uniform((dim, dim), rng=rngs[2]), name="w_v")
 
     def forward(
-        self, packs: Tensor, mask: Optional[np.ndarray] = None
+        self,
+        packs: Tensor,
+        mask: Optional[np.ndarray] = None,
+        pairs: Optional[tuple] = None,
     ) -> Tuple[Tensor, Tensor]:
         """``packs``: (m, d); ``mask``: additive (m, m) or None.
 
         Returns ``(updated_packs, weights)`` of shapes ((m, d), (m, m)).
 
-        Batched form: ``packs`` (B, m, d) with a mask broadcastable to
+        Padded batch: ``packs`` (B, m, d) with a mask broadcastable to
         (B, m, m) refines every batch row's pack matrix in single batched
         ops.  Every row of the mask must keep at least one finite entry —
         padded rows conventionally attend to themselves — or the softmax
         sees an all ``-inf`` row.
+
+        CSR batch: ``packs`` is the flat ``(E, d)`` pack-row matrix and
+        ``pairs`` (from :func:`repro.core.packing.causal_pairs`) enumerates
+        exactly the (row, col) pairs the causal mask Θ keeps — row ``i``
+        attends to cols ``i..end-of-segment`` — grouped by attending row,
+        so no ``(m, m)`` grid is built.  The weights come back flat, one
+        per pair.
         """
         q = ops.matmul(packs, self.w_query)
         k = ops.matmul(packs, self.w_key)
         v = ops.matmul(packs, self.w_value)
-        return F.attention(q, k, v, mask=mask, return_weights=True)
-
-    def forward_sparse(
-        self,
-        packs: Tensor,
-        pair_rows: np.ndarray,
-        pair_cols: np.ndarray,
-        pair_offsets: np.ndarray,
-    ) -> Tensor:
-        """Causal self-attention over CSR segments without the (m, m) grid.
-
-        ``packs`` is the flat ``(E, d)`` pack-row matrix; the pair arrays
-        (from :func:`repro.core.packing.causal_pairs`) enumerate exactly
-        the (row, col) pairs the causal mask Θ keeps — row ``i`` attends
-        to cols ``i..end-of-segment``.  ``pair_offsets`` groups the pairs
-        by attending row, so each row's softmax is segment-local.  Returns
-        the refined ``(E, d)`` pack rows (the padded forward's per-row
-        attention-weight grid has no sparse consumer, so it is not built).
-        """
-        q = ops.matmul(packs, self.w_query)
-        k = ops.matmul(packs, self.w_key)
-        v = ops.matmul(packs, self.w_value)
-        scores = ops.sddmm(q, k, pair_rows, pair_cols)
-        weights = ops.segment_softmax(
-            scores, pair_offsets, scale=np.sqrt(self.dim)
-        )
-        return ops.segment_matmul(weights, v, pair_cols, pair_offsets)
+        return F.attention(q, k, v, mask=mask, return_weights=True, pairs=pairs)

@@ -9,7 +9,7 @@ post-projection, post-edge-multiply aggregates — into a compact,
 mmap-friendly on-disk store keyed by graph version + parameter digest.
 At serve time a cache miss with a fresh store row skips sampling,
 feature projection and edge gathers entirely: the answer is attention +
-MLP over the stored rows (:meth:`WidenClassifier.embed_from_store_rows`),
+MLP over the stored blocks (:meth:`WidenClassifier.embed_from_store_blocks`),
 bit-identical to the full recompute because both halves run the same
 code over the same pack values.
 

@@ -5,8 +5,8 @@ Two families of backend decisions are host-dependent:
 - the scatter-add backward backends (``ufunc.at`` vs dense one-hot gemm vs
   flat bincount — :func:`repro.tensor.ops._scatter_add_rows`), and
 - the minibatch forward kernel (padded ``[B, L_max, d]`` grids vs flat CSR
-  segment ops) picked by ``forward_mode="auto"`` from a batch's would-be
-  padding waste.
+  segment ops) the minibatch path picks from a batch's measured padding
+  waste (:meth:`repro.core.model.WidenModel.forward_batch`).
 
 ``python -m repro tune-kernels`` micro-sweeps both on the current machine
 (:mod:`repro.tensor.tuning`) and persists the recommendations as a
@@ -38,7 +38,7 @@ KERNEL_TABLE_VERSION = 1
 ENV_TABLE_PATH = "REPRO_KERNEL_TABLE"
 ENV_SPARSE_MIN_WASTE = "REPRO_SPARSE_MIN_WASTE"
 
-# Padding-waste fraction at which "auto" minibatches switch from the
+# Padding-waste fraction at which the minibatch path switches from the
 # padded grids to the CSR kernels.  The default is conservative: gemm
 # over modest padding beats the segment ops' extra index work, so only
 # visibly skewed batches route sparse until a host sweep says otherwise.

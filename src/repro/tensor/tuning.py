@@ -180,7 +180,7 @@ def run_tuning(
 # Padded vs sparse forward crossover
 # ----------------------------------------------------------------------
 #
-# The ``forward_mode="auto"`` dispatch needs one number per host: the
+# The minibatch path's kernel choice needs one number per host: the
 # padding-waste fraction at which the CSR segment kernels overtake the
 # padded-grid attention.  The sweep times a representative attention stage
 # (key/value projection, scoring, softmax, weighted aggregation) both ways

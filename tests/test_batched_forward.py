@@ -335,8 +335,11 @@ class TestTrainerForwardModes:
         )
 
     def test_config_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            WidenConfig(forward_mode="warp-speed")
+        """One error for every non-mode, the retired kernel names included,
+        and it names the two values there are."""
+        for mode in ("warp-speed", "sparse", "auto", "fast"):
+            with pytest.raises(ValueError, match=r"\('batched', 'per_node'\)"):
+                WidenConfig(forward_mode=mode)
 
 
 class TestServingBatch:

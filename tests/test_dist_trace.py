@@ -14,6 +14,7 @@ attribution stream.
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,15 +118,27 @@ class TestClockHandshake:
             shard_now - clock.offset
         )
 
-    def test_lowest_rtt_sample_wins(self):
-        delays = iter([0.01, 0.0, 0.005])
+    def test_lowest_rtt_sample_wins(self, monkeypatch):
+        """Three probes with scripted round trips of 10, 1 and 5 ms: the
+        handshake reads the clock before and after each, so the script is
+        the six values it will see, and each probe reports a shard clock 7 s
+        ahead of its own midpoint plus a per-probe error only the winner
+        keeps small."""
+        from repro.obs import dist
 
-        def probe():
-            time.sleep(next(delays))
-            return {"mono": time.perf_counter(), "pid": 1}
-
-        clock = clock_handshake(probe, samples=3)
-        assert clock.rtt < 0.005
+        reads = iter([0.0, 0.010, 1.0, 1.001, 2.0, 2.005])
+        monkeypatch.setattr(
+            dist, "time", SimpleNamespace(perf_counter=lambda: next(reads))
+        )
+        replies = iter(
+            [{"mono": 7.005 + 0.004, "pid": 1},
+             {"mono": 8.0005 + 0.0002, "pid": 1},
+             {"mono": 9.0025 + 0.002, "pid": 1}]
+        )
+        clock = clock_handshake(lambda: next(replies), samples=3)
+        assert clock.rtt == pytest.approx(0.001)
+        assert clock.offset == pytest.approx(7.0002)
+        assert next(reads, None) is None  # every scripted read was consumed
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):

@@ -216,6 +216,40 @@ class TestCheckpointV3:
         assert again["format_version"] == 3
         assert again["migrated_from_version"] == 2
 
+    @pytest.mark.parametrize("retired", ["sparse", "auto"])
+    def test_retired_forward_modes_load_as_batched(self, acm, tmp_path, retired):
+        """v3 checkpoints written when ``forward_mode`` still named kernels
+        ("sparse", "auto") are the batched model: same parameters, same
+        answers, no version bump."""
+        import json
+
+        from repro.core import migrate_checkpoint
+
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        model.fit(acm.graph, acm.split.train[:48], epochs=1)
+        path = tmp_path / f"{retired}.npz"
+        model.save(path)
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["__checkpoint__"]))
+        assert meta["format_version"] == 3
+        meta["config"]["forward_mode"] = retired
+        arrays["__checkpoint__"] = json.dumps(meta)
+        np.savez(path, **arrays)
+
+        fresh = WidenClassifier.load(path, graph=acm.graph)
+        assert fresh.config.forward_mode == "batched"
+        probe = acm.split.test[:10]
+        np.testing.assert_array_equal(
+            fresh.embed_for_serving(probe, acm.graph, rng=5),
+            model.embed_for_serving(probe, acm.graph, rng=5),
+        )
+        migrated = migrate_checkpoint(path)
+        assert migrated["format_version"] == 3
+        assert migrated["config"]["forward_mode"] == "batched"
+        stored = WidenClassifier.read_checkpoint_metadata(path)
+        assert stored["config"]["forward_mode"] == "batched"
+
     def test_newer_versions_are_refused(self, acm, tmp_path):
         import json
 

@@ -295,13 +295,14 @@ class TestStoreServingEquality:
         assert stored.telemetry.store_lookups[-1]["absent"] == 1
 
     def test_forward_from_blocks_equals_rows_path(self, trained, store_path, acm):
+        """The second half fed stored packs == the whole forward, same seeds."""
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 9)
-        rows = [store.rows_for(int(node)) for node in nodes]
         blocks, lengths = store.blocks_for(nodes)
+        rngs = [np.random.default_rng([7, int(node)]) for node in nodes]
         np.testing.assert_array_equal(
             trained.embed_from_store_blocks(blocks, lengths),
-            trained.embed_from_store_rows(rows),
+            trained.embed_for_serving_batch(nodes, acm.graph, rngs),
         )
 
 

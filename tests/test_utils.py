@@ -1,6 +1,6 @@
 """Tests for RNG management and timing utilities."""
 
-import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,13 +45,20 @@ class TestRng:
 
 
 class TestTimer:
-    def test_accumulates_laps(self):
+    def test_accumulates_laps(self, monkeypatch):
+        from repro.obs import timing
+
+        # The clock the timer reads, scripted: laps of 1, 2 and 4 ms.
+        reads = iter([10.0, 10.001, 20.0, 20.002, 30.0, 30.004])
+        monkeypatch.setattr(
+            timing, "time", SimpleNamespace(perf_counter=lambda: next(reads))
+        )
         timer = Timer()
         for _ in range(3):
             with timer:
-                time.sleep(0.001)
-        assert len(timer.laps) == 3
-        assert timer.total >= 0.003
+                pass
+        assert timer.laps == pytest.approx([0.001, 0.002, 0.004])
+        assert timer.total == pytest.approx(0.007)
         assert timer.mean == pytest.approx(timer.total / 3)
 
     def test_mean_of_empty_timer(self):
