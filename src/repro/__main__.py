@@ -67,14 +67,13 @@ Commands
 dump the shared metrics registry as JSONL after the run.  ``serve-bench``
 and ``serve-cluster`` accept ``--metrics-port P`` to expose a live
 Prometheus ``/metrics`` endpoint for the duration of the run (port 0
-picks a free port).  Every WIDEN run accepts ``--forward-mode
-{batched,per_node}`` to select the vectorized minibatch forward (default)
-or the per-node reference loop.
+picks a free port).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -93,24 +92,40 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _train_widen(args: argparse.Namespace, dataset, epochs=None):
+    """The WIDEN classifier every command serves, stores or profiles:
+    built from ``--seed``/``--dim`` and fitted on the dataset's train split
+    for ``--epochs`` (``epochs=0`` builds and binds without training)."""
     from repro.core import WidenClassifier
+
+    overrides = {} if args.dim is None else {"dim": args.dim}
+    model = WidenClassifier(seed=args.seed, **overrides)
+    model.fit(
+        dataset.graph, dataset.split.train,
+        epochs=args.epochs if epochs is None else epochs,
+    )
+    return model
+
+
+def _parse_workers(args: argparse.Namespace):
+    """``--workers host:port,...`` as a list, or ``None`` to spawn locally."""
+    if not args.workers:
+        return None
+    return [w.strip() for w in args.workers.split(",") if w.strip()]
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
     from repro.datasets import make_dataset
     from repro.eval import micro_f1
 
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     if args.shards is not None or args.resume is not None:
         return _train_distributed(args, dataset)
-    overrides = {} if args.dim is None else {"dim": args.dim}
-    model = WidenClassifier(
-        seed=args.seed, forward_mode=args.forward_mode, **overrides
-    )
-    model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+    model = _train_widen(args, dataset)
     predictions = model.predict(dataset.split.test)
     score = micro_f1(dataset.graph.labels[dataset.split.test], predictions)
     print(f"widen on {dataset.name}: micro-F1 {score:.4f} "
-          f"({np.mean(model.epoch_seconds):.3f} s/epoch, "
-          f"{args.forward_mode} forward)")
+          f"({np.mean(model.epoch_seconds):.3f} s/epoch)")
     _maybe_dump_metrics(args)
     return 0
 
@@ -123,16 +138,11 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
     from pathlib import Path
 
     from repro.cluster.train import DistributedTrainer
-    from repro.core import WidenClassifier
     from repro.eval import micro_f1
 
     graph, split = dataset.graph, dataset.split
     shards = args.shards if args.shards is not None else 2
-    workers = (
-        [w.strip() for w in args.workers.split(",") if w.strip()]
-        if args.workers else None
-    )
-    fleet_kwargs = dict(transport=args.transport, workers=workers,
+    fleet_kwargs = dict(transport=args.transport, workers=_parse_workers(args),
                         partition_seed=args.seed)
     resume = Path(args.resume) if args.resume else None
     if resume is not None and resume.is_dir():
@@ -143,13 +153,8 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
         print(f"spawning {shards} shard(s) from checkpoint {resume} ...")
         trainer = DistributedTrainer(resume, graph, shards, **fleet_kwargs)
     else:
-        overrides = {} if args.dim is None else {"dim": args.dim}
-        seed_model = WidenClassifier(
-            seed=args.seed, forward_mode=args.forward_mode, **overrides
-        )
-        seed_model.fit(graph, split.train, epochs=0)  # build + bind only
         trainer = DistributedTrainer.from_classifier(
-            seed_model, graph, shards, **fleet_kwargs
+            _train_widen(args, dataset, epochs=0), graph, shards, **fleet_kwargs
         )
     with trainer:
         history = trainer.fit(
@@ -184,14 +189,14 @@ def _maybe_dump_metrics(args: argparse.Namespace) -> None:
 
 
 def _maybe_serve_metrics(args: argparse.Namespace, render):
-    """Start a live ``/metrics`` endpoint when ``--metrics-port`` is given.
+    """A live ``/metrics`` endpoint for the duration of a ``with`` block.
 
-    Returns the server (caller closes it) or ``None``.  ``render`` is a
+    Does nothing unless ``--metrics-port`` is given.  ``render`` is a
     zero-argument callable producing the Prometheus text exposition, read
     per scrape.
     """
     if getattr(args, "metrics_port", None) is None:
-        return None
+        return contextlib.nullcontext()
     from repro.obs import MetricsHTTPServer
 
     server = MetricsHTTPServer(render, port=args.metrics_port)
@@ -200,7 +205,6 @@ def _maybe_serve_metrics(args: argparse.Namespace, render):
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core import WidenClassifier
     from repro.datasets import make_dataset
     from repro.obs import (
         MetricsRegistry, OpProfiler, Tracer, set_registry, set_tracer,
@@ -214,15 +218,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     previous_registry = set_registry(registry)
     previous_tracer = set_tracer(tracer)
     profiler = OpProfiler()
-    overrides = {} if args.dim is None else {"dim": args.dim}
-    model = WidenClassifier(
-        seed=args.seed, forward_mode=args.forward_mode, **overrides
-    )
-    print(f"profiling widen on {dataset.name} ({args.epochs} epochs, "
-          f"{args.forward_mode} forward, dim={model.config.dim}) ...\n")
+    print(f"profiling widen on {dataset.name} ({args.epochs} epochs) ...\n")
     try:
         with profiler:
-            model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+            model = _train_widen(args, dataset)
     finally:
         profiler.disable()
         set_registry(previous_registry)
@@ -261,7 +260,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.baselines import BASELINES
-    from repro.core import WidenClassifier
     from repro.datasets import make_dataset
     from repro.eval import micro_f1
 
@@ -271,14 +269,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if name == "gtn" and dataset.name == "yelp":
             continue  # matches the paper's skip
         if name == "widen":
-            model = WidenClassifier(seed=args.seed, forward_mode=args.forward_mode)
+            model = _train_widen(args, dataset)
         else:
             kwargs = {"seed": args.seed}
             if name == "han":
                 kwargs["target_type"] = dataset.target_type
             model = BASELINES[name](**kwargs)
-        epochs = max(1, args.epochs // 5) if name == "node2vec" else args.epochs
-        model.fit(dataset.graph, dataset.split.train, epochs=epochs)
+            epochs = max(1, args.epochs // 5) if name == "node2vec" else args.epochs
+            model.fit(dataset.graph, dataset.split.train, epochs=epochs)
         predictions = model.predict(dataset.split.test)
         score = micro_f1(dataset.graph.labels[dataset.split.test], predictions)
         rows.append((score, name, float(np.mean(model.epoch_seconds))))
@@ -301,8 +299,7 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
         model = WidenClassifier.load(args.checkpoint, graph=dataset.graph)
     else:
         print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-        model = WidenClassifier(seed=args.seed, forward_mode=args.forward_mode)
-        model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+        model = _train_widen(args, dataset)
 
     store = build_store(
         model, dataset.graph, args.out,
@@ -322,7 +319,6 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.core import WidenClassifier
     from repro.datasets import make_dataset
     from repro.serve import (
         InferenceServer, ModelRegistry, cold_single_requests, make_trace, replay,
@@ -330,8 +326,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-    model = WidenClassifier(seed=args.seed, forward_mode=args.forward_mode)
-    model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+    model = _train_widen(args, dataset)
 
     # Round-trip through the registry: the served model is restored from its
     # checkpoint exactly as a real serving process would be.
@@ -375,8 +370,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
         # The endpoint renders the server's snapshot — registry series
         # plus the cache node-hit histogram and store gauges.
-        endpoint = _maybe_serve_metrics(args, server.render_prometheus)
-        try:
+        with _maybe_serve_metrics(args, server.render_prometheus):
             replay(server, trace)
             print(server.telemetry.format_report(
                 "server, first pass (cold cache)"))
@@ -384,9 +378,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             print()
             print(server.telemetry.format_report(
                 "server, replayed pass (warm cache)"))
-        finally:
-            if endpoint is not None:
-                endpoint.close()
         speedup = (
             cold["latency_mean_s"] / warm["latency_mean_s"]
             if warm["latency_mean_s"] > 0 else float("inf")
@@ -403,7 +394,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.cluster import ClusterRouter
-    from repro.core import WidenClassifier
     from repro.datasets import make_dataset
     from repro.serve import ModelRegistry, make_trace
 
@@ -416,70 +406,64 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         args.shards = 2
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-    model = WidenClassifier(seed=args.seed, forward_mode=args.forward_mode)
-    model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+    model = _train_widen(args, dataset)
 
     with tempfile.TemporaryDirectory(prefix="repro-registry-") as root:
         registry = ModelRegistry(root)
         path = registry.save(f"widen-{dataset.name}", model)
-        workers = (
-            [w.strip() for w in args.workers.split(",") if w.strip()]
-            if args.workers else None
-        )
         router = ClusterRouter.from_checkpoint(
             path, dataset.graph, args.shards,
             transport=args.transport,
-            workers=workers,
+            workers=_parse_workers(args),
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
             partition_seed=args.seed,
             prometheus_path=args.prometheus_out,
             store_path=args.store or None,
         )
-        if args.store:
-            print(f"store: sliced {router.store.num_rows} rows from "
-                  f"{args.store} across {args.shards} shards by ownership")
-        endpoint = _maybe_serve_metrics(args, router.render_prometheus)
-        plan = router.plan.summary()
-        print(f"\nplan: {plan['num_shards']} shards over the "
-              f"{args.transport} transport, reach {plan['reach']}, "
-              f"edge cut {plan['edge_cut']}, "
-              f"replication {plan['replication_factor']:.2f}x")
-        for shard in plan["shards"]:
-            print(f"  shard {shard['shard']}: {shard['owned']} owned, "
-                  f"{shard['halo_only']} halo-replicated, "
-                  f"{shard['edges']} edges, "
-                  f"{shard['boundary_nodes']} boundary nodes")
+        # Worker processes and the listener go down with the block, also
+        # when a replay raises.
+        with router, _maybe_serve_metrics(args, router.render_prometheus):
+            if args.store:
+                print(f"store: sliced {router.store.num_rows} rows from "
+                      f"{args.store} across {args.shards} shards by ownership")
+            plan = router.plan.summary()
+            print(f"\nplan: {plan['num_shards']} shards over the "
+                  f"{args.transport} transport, reach {plan['reach']}, "
+                  f"edge cut {plan['edge_cut']}, "
+                  f"replication {plan['replication_factor']:.2f}x")
+            for shard in plan["shards"]:
+                print(f"  shard {shard['shard']}: {shard['owned']} owned, "
+                      f"{shard['halo_only']} halo-replicated, "
+                      f"{shard['edges']} edges, "
+                      f"{shard['boundary_nodes']} boundary nodes")
 
-        trace = make_trace(
-            dataset.split.test, args.requests, rate=args.rate,
-            zipf_exponent=args.zipf, rng=args.seed,
-        )
-        cold = router.replay(trace)
-        warm = router.replay(trace)
-        for title, stats in (("cold cache", cold), ("warm cache", warm)):
-            print(f"\ncluster, {title}")
-            print("-" * (9 + len(title)))
-            print(f"requests          {stats['requests']}")
-            print(f"throughput        {stats['throughput_rps']:.1f} req/s")
-            print(f"latency p50/p95/p99   "
-                  f"{stats['latency_p50_s'] * 1e3:.3f} / "
-                  f"{stats['latency_p95_s'] * 1e3:.3f} / "
-                  f"{stats['latency_p99_s'] * 1e3:.3f} ms")
-            print(f"halo requests     {stats['halo_requests']} "
-                  f"of {stats['requests']}")
-            for shard in stats["shards"]:
-                print(f"  shard {shard['shard']}: "
-                      f"{shard['requests']} reqs, "
-                      f"p95 {shard['latency_p95_s'] * 1e3:.3f} ms, "
-                      f"occupancy {shard['batch_occupancy'] * 100:.0f}%, "
-                      f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
-        if args.prometheus_out:
-            lines = router.flush_prometheus()
-            print(f"\nwrote {lines} Prometheus samples to {args.prometheus_out}")
-        if endpoint is not None:
-            endpoint.close()
-        router.close()
+            trace = make_trace(
+                dataset.split.test, args.requests, rate=args.rate,
+                zipf_exponent=args.zipf, rng=args.seed,
+            )
+            cold = router.replay(trace)
+            warm = router.replay(trace)
+            for title, stats in (("cold cache", cold), ("warm cache", warm)):
+                print(f"\ncluster, {title}")
+                print("-" * (9 + len(title)))
+                print(f"requests          {stats['requests']}")
+                print(f"throughput        {stats['throughput_rps']:.1f} req/s")
+                print(f"latency p50/p95/p99   "
+                      f"{stats['latency_p50_s'] * 1e3:.3f} / "
+                      f"{stats['latency_p95_s'] * 1e3:.3f} / "
+                      f"{stats['latency_p99_s'] * 1e3:.3f} ms")
+                print(f"halo requests     {stats['halo_requests']} "
+                      f"of {stats['requests']}")
+                for shard in stats["shards"]:
+                    print(f"  shard {shard['shard']}: "
+                          f"{shard['requests']} reqs, "
+                          f"p95 {shard['latency_p95_s'] * 1e3:.3f} ms, "
+                          f"occupancy {shard['batch_occupancy'] * 100:.0f}%, "
+                          f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
+            if args.prometheus_out:
+                lines = router.flush_prometheus()
+                print(f"\nwrote {lines} Prometheus samples to {args.prometheus_out}")
     _maybe_dump_metrics(args)
     return 0
 
@@ -489,7 +473,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.cluster import ClusterRouter
-    from repro.core import WidenClassifier
     from repro.datasets import make_dataset
     from repro.obs import SLOTarget
     from repro.serve import ModelRegistry, make_trace
@@ -502,8 +485,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         args.shards = 2
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-    model = WidenClassifier(seed=args.seed, forward_mode=args.forward_mode)
-    model.fit(dataset.graph, dataset.split.train, epochs=args.epochs)
+    model = _train_widen(args, dataset)
 
     with tempfile.TemporaryDirectory(prefix="repro-registry-") as root:
         registry = ModelRegistry(root)
@@ -521,71 +503,67 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 objective=args.slo_objective,
             ),
         )
-        endpoint = _maybe_serve_metrics(args, router.render_prometheus)
-        print(f"tracing {args.requests} requests over {args.shards} shards "
-              f"({args.transport} transport), scatter groups of {args.group}")
+        with router, _maybe_serve_metrics(args, router.render_prometheus):
+            print(f"tracing {args.requests} requests over {args.shards} shards "
+                  f"({args.transport} transport), scatter groups of {args.group}")
 
-        # The workload goes through the traced request path (embed), not
-        # replay: every scatter group becomes one trace id with router +
-        # shard spans, and two passes show the cold->warm rung shift.
-        trace = make_trace(
-            dataset.split.test, args.requests, rate=args.rate,
-            zipf_exponent=args.zipf, rng=args.seed,
-        )
-        nodes = np.asarray([event.node for event in trace], dtype=np.int64)
-        for _ in range(2):
-            for start in range(0, nodes.size, args.group):
-                router.embed(nodes[start:start + args.group])
+            # The workload goes through the traced request path (embed), not
+            # replay: every scatter group becomes one trace id with router +
+            # shard spans, and two passes show the cold->warm rung shift.
+            trace = make_trace(
+                dataset.split.test, args.requests, rate=args.rate,
+                zipf_exponent=args.zipf, rng=args.seed,
+            )
+            nodes = np.asarray([event.node for event in trace], dtype=np.int64)
+            for _ in range(2):
+                for start in range(0, nodes.size, args.group):
+                    router.embed(nodes[start:start + args.group])
 
-        records = router.attribution_records()
-        mismatched = sum(
-            1 for r in records if sum(r["rungs"].values()) != r["nodes"]
-        )
-        total_nodes = sum(r["nodes"] for r in records)
-        rung_totals: dict = {}
-        for record in records:
-            for rung, count in record["rungs"].items():
-                rung_totals[rung] = rung_totals.get(rung, 0) + count
-        queue_mean = (
-            sum(r["queue_wait_s"] for r in records) / len(records)
-            if records else 0.0
-        )
-        compute_mean = (
-            sum(r["compute_s"] for r in records) / len(records)
-            if records else 0.0
-        )
-        print(f"\nattribution: {len(records)} requests, {total_nodes} nodes "
-              f"({mismatched} rung-count mismatches)")
-        print("rung mix          "
-              + " / ".join(f"{k} {v}" for k, v in sorted(rung_totals.items())))
-        print(f"queue/compute     {queue_mean * 1e3:.3f} / "
-              f"{compute_mean * 1e3:.3f} ms (mean, critical path)")
-
-        slo = router.slo_report()
-        print(f"SLO               p50 {slo['p50_s'] * 1e3:.3f} ms, "
-              f"p95 {slo['p95_s'] * 1e3:.3f} ms, "
-              f"p99 {slo['p99_s'] * 1e3:.3f} ms")
-        print(f"                  compliance {slo['compliance'] * 100:.1f}% "
-              f"vs objective {slo['target']['objective'] * 100:.1f}% "
-              f"(burn rate {slo['burn_rate']:.2f})")
-
-        events = router.write_dist_trace(args.dist_trace_out)
-        pids = {
-            e["pid"] for e in json.load(open(args.dist_trace_out))["traceEvents"]
-        }
-        print(f"\nwrote {events} trace events ({len(pids)} process lanes) "
-              f"to {args.dist_trace_out}")
-        with open(args.slo_out, "w") as handle:
-            json.dump(slo, handle, indent=2)
-        print(f"wrote SLO report to {args.slo_out}")
-        with open(args.attribution_out, "w") as handle:
+            records = router.attribution_records()
+            mismatched = sum(
+                1 for r in records if sum(r["rungs"].values()) != r["nodes"]
+            )
+            total_nodes = sum(r["nodes"] for r in records)
+            rung_totals: dict = {}
             for record in records:
-                handle.write(json.dumps(record) + "\n")
-        print(f"wrote {len(records)} attribution records to "
-              f"{args.attribution_out}")
-        if endpoint is not None:
-            endpoint.close()
-        router.close()
+                for rung, count in record["rungs"].items():
+                    rung_totals[rung] = rung_totals.get(rung, 0) + count
+            queue_mean = (
+                sum(r["queue_wait_s"] for r in records) / len(records)
+                if records else 0.0
+            )
+            compute_mean = (
+                sum(r["compute_s"] for r in records) / len(records)
+                if records else 0.0
+            )
+            print(f"\nattribution: {len(records)} requests, {total_nodes} nodes "
+                  f"({mismatched} rung-count mismatches)")
+            print("rung mix          "
+                  + " / ".join(f"{k} {v}" for k, v in sorted(rung_totals.items())))
+            print(f"queue/compute     {queue_mean * 1e3:.3f} / "
+                  f"{compute_mean * 1e3:.3f} ms (mean, critical path)")
+
+            slo = router.slo_report()
+            print(f"SLO               p50 {slo['p50_s'] * 1e3:.3f} ms, "
+                  f"p95 {slo['p95_s'] * 1e3:.3f} ms, "
+                  f"p99 {slo['p99_s'] * 1e3:.3f} ms")
+            print(f"                  compliance {slo['compliance'] * 100:.1f}% "
+                  f"vs objective {slo['target']['objective'] * 100:.1f}% "
+                  f"(burn rate {slo['burn_rate']:.2f})")
+
+            events = router.write_dist_trace(args.dist_trace_out)
+            with open(args.dist_trace_out) as handle:
+                pids = {e["pid"] for e in json.load(handle)["traceEvents"]}
+            print(f"\nwrote {events} trace events ({len(pids)} process lanes) "
+                  f"to {args.dist_trace_out}")
+            with open(args.slo_out, "w") as handle:
+                json.dump(slo, handle, indent=2)
+            print(f"wrote SLO report to {args.slo_out}")
+            with open(args.attribution_out, "w") as handle:
+                for record in records:
+                    handle.write(json.dumps(record) + "\n")
+            print(f"wrote {len(records)} attribution records to "
+                  f"{args.attribution_out}")
     _maybe_dump_metrics(args)
     return 1 if mismatched else 0
 
@@ -640,13 +618,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--dim", type=int, default=None,
-                        help="hidden dimension override (profile/train); the "
+                        help="WIDEN hidden dimension override; the "
                              "paper-scale widths make the gemm share visible")
-    parser.add_argument("--forward-mode",
-                        choices=("batched", "per_node"),
-                        default="batched",
-                        help="WIDEN forward path: vectorized minibatches "
-                             "(default) or the per-node reference loop")
     obs = parser.add_argument_group("observability")
     obs.add_argument("--metrics-out", default=None,
                      help="dump the metrics registry as JSONL to this path "

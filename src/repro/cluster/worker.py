@@ -24,31 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.planner import MutationCommand, ShardSpec
-from repro.cluster.transport import (
-    Envelope,
-    PendingReply,
-    ShardError,
-    Transport,
-)
-
-
-class _ItemReply(PendingReply):
-    """A single request's slice of a batched serve reply."""
-
-    def __init__(self, batch: PendingReply, position: int) -> None:
-        super().__init__(batch.shard_id, batch.kind)
-        self._batch = batch
-        self._position = position
-
-    def wait(self, timeout: Optional[float] = None):
-        return self._batch.wait(timeout)
-
-    def result(self, timeout: Optional[float] = None) -> object:
-        payload = self._batch.result(timeout)
-        item = payload["items"][self._position]
-        if not item["ok"]:
-            raise ShardError(self.shard_id, item["error"])
-        return item["value"]
+from repro.cluster.transport import Envelope, PendingReply, Transport
 
 
 class ShardWorker:
@@ -95,13 +71,6 @@ class ShardWorker:
                 trace_ctx=trace_ctx,
             )
         )
-
-    def request(
-        self, node: int, kind: str, now: Optional[float] = None
-    ) -> PendingReply:
-        """Single-node convenience over :meth:`submit_serve`."""
-        batch = self.submit_serve(np.asarray([int(node)]), kind, now=now)
-        return _ItemReply(batch, 0)
 
     # ------------------------------------------------------------------
     # Barriers and pulls

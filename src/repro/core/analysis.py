@@ -24,7 +24,7 @@ def edge_type_attention_profile(
 ) -> Dict[str, float]:
     """Mean wide-attention weight per edge type across ``nodes``.
 
-    For each target node, runs a forward pass and attributes each neighbor
+    Runs one batched forward pass over ``nodes`` and attributes each neighbor
     pack's attention weight to the edge type connecting it.  Returns
     ``{edge_type_name: mean weight}`` (plus ``"self"`` for the target's own
     pack), normalized so a type attracting more attention *per pack* scores
@@ -33,22 +33,23 @@ def edge_type_attention_profile(
     graph = trainer.graph
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
+    nodes = [int(node) for node in nodes]
+    states = [trainer.store.get(node) for node in nodes]
     trainer.model.eval()
     with no_grad():
-        for node in nodes:
-            state = trainer.store.get(int(node))
-            _, wide_attention, _ = trainer.model(
-                int(node), state, graph, trainer.node_state
-            )
-            if wide_attention is None:
-                continue
-            totals["self"] = totals.get("self", 0.0) + float(wide_attention[0])
-            counts["self"] = counts.get("self", 0) + 1
-            for weight, etype in zip(wide_attention[1:], state.wide.etypes):
-                name = graph.edge_type_names[int(etype)]
-                totals[name] = totals.get(name, 0.0) + float(weight)
-                counts[name] = counts.get(name, 0) + 1
+        _, wide_attentions, _ = trainer.model.forward_batch(
+            nodes, states, graph, trainer.node_state
+        )
     trainer.model.train()
+    for state, wide_attention in zip(states, wide_attentions):
+        if wide_attention is None:
+            continue
+        totals["self"] = totals.get("self", 0.0) + float(wide_attention[0])
+        counts["self"] = counts.get("self", 0) + 1
+        for weight, etype in zip(wide_attention[1:], state.wide.etypes):
+            name = graph.edge_type_names[int(etype)]
+            totals[name] = totals.get(name, 0.0) + float(weight)
+            counts[name] = counts.get(name, 0) + 1
     return {name: totals[name] / counts[name] for name in totals}
 
 

@@ -48,13 +48,13 @@ CHECKPOINT_FORMAT_VERSION = 3
 def _stored_config(meta: dict) -> dict:
     """A checkpoint's hyperparameters as current ``WidenConfig`` fields.
 
-    ``forward_mode`` used to have ``"sparse"`` and ``"auto"``: they named
-    kernels, not mathematics, so a model saved under either is the
-    ``"batched"`` model.
+    Checkpoints written before PR 16 carry a ``forward_mode`` key
+    (``"batched"``, ``"per_node"``, ``"sparse"`` or ``"auto"``).  Every value
+    named a way of running the same parameters through the same
+    mathematics, so the key is dropped and the model loads as it is.
     """
     config = dict(meta["config"])
-    if config.get("forward_mode") in ("sparse", "auto"):
-        config["forward_mode"] = "batched"
+    config.pop("forward_mode", None)
     return config
 
 
@@ -157,17 +157,14 @@ class WidenClassifier(BaseClassifier):
 
     @property
     def reports_read_sets(self) -> bool:
-        """Whether the batched serving path can name each sample's read set.
+        """Whether the serving path can name each sample's read set.
 
         ``"replace"`` embedding mode warms a state table by embedding the
-        sampled neighbors recursively and ``"per_node"`` goes through the
-        same reference path, so neither knows which adjacency lists an
-        answer depended on; consumers fall back to the declared reach.
+        sampled neighbors recursively, so it does not know which adjacency
+        lists an answer depended on; consumers fall back to the declared
+        reach.
         """
-        return (
-            self.config.forward_mode != "per_node"
-            and self.config.embedding_mode != "replace"
-        )
+        return self.config.embedding_mode != "replace"
 
     def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
         """Fresh per-node samples plus their read sets, ``(B, 1 + Φ·N_d)``."""
@@ -211,8 +208,8 @@ class WidenClassifier(BaseClassifier):
         if nodes.size == 0:
             embeddings, reads = np.empty((0, self.config.dim)), None
         elif not self.reports_read_sets:
-            # Replace mode warms up a per-call state table node by node;
-            # keep the reference path (still one row per node, same rngs).
+            # Replace mode warms up a per-call state table, one per node
+            # and its rng: one ``embed_for_serving`` call per row.
             reads = None
             embeddings = np.stack(
                 [
@@ -270,8 +267,6 @@ class WidenClassifier(BaseClassifier):
         exactly; otherwise the human-readable reason they cannot."""
         if self.config.embedding_mode == "replace":
             return "embedding_mode='replace' warms a per-call state table"
-        if self.config.forward_mode == "per_node":
-            return "forward_mode='per_node' serves through the reference path"
         return None
 
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, rngs):

@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-FORWARD_MODES = ("batched", "per_node")
-
-
 @dataclass
 class WidenConfig:
     """Configuration for :class:`~repro.core.model.WidenModel` and trainer."""
@@ -44,22 +41,6 @@ class WidenConfig:
     """Minibatch size B."""
     grad_clip: float = 5.0
     """Global-norm gradient clip (0 disables)."""
-    forward_mode: str = "batched"
-    """``"batched"`` runs minibatches through the vectorized
-    :meth:`~repro.core.model.WidenModel.forward_batch` (one attention call
-    per stage); ``"per_node"`` keeps the paper's literal
-    one-target-at-a-time Algorithm 3, the reference every equivalence test
-    compares against.  Both compute the same mathematics.  In ``"replace"``
-    embedding mode the batched path applies synchronous minibatch semantics
-    (all rows of a minibatch read the pre-batch state table), whereas the
-    per-node path updates the table after every single forward.
-
-    Which kernels a batched minibatch runs on — padded ``[B, L_max, d]``
-    grids or flat CSR pack rows, equal to 1e-10 — is not a setting: a
-    trainer minibatch takes the CSR kernels when its measured padding waste
-    reaches the per-host ``sparse_min_waste`` (:mod:`repro.tensor.kernels`),
-    and serving always takes the padded ones so that recompute, store and
-    fleet stay bit-identical."""
     wide_sampling: str = "replace"
     """``"replace"`` oversamples below-cap nodes to exactly ``num_wide``
     neighbors with replacement (the GraphSAGE convention; every pack is
@@ -147,11 +128,6 @@ class WidenConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embedding_mode not in ("project", "replace"):
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
-        if self.forward_mode not in FORWARD_MODES:
-            raise ValueError(
-                f"unknown forward_mode {self.forward_mode!r}; "
-                f"expected one of {FORWARD_MODES}"
-            )
         if self.wide_sampling not in ("replace", "unique"):
             raise ValueError(f"unknown wide_sampling {self.wide_sampling!r}")
         if self.sample_seeding not in ("stream", "per_node"):
@@ -182,10 +158,9 @@ class WidenConfig:
         ``"replace"`` embedding mode the warm-up pass additionally embeds the
         sampled neighbors themselves, doubling the radius.  Halo replication
         (``repro.cluster``) sizes its closure and halo from this number.
-        Cache invalidation (``repro.serve``) does not on the batched path —
-        there each answer names the lists it read — and falls back to a
-        BFS of this radius only where no read set is reported
-        (``"replace"`` embedding mode, ``forward_mode="per_node"``).
+        Cache invalidation (``repro.serve``) does not where each answer
+        names the lists it read, and falls back to a BFS of this radius only
+        in ``"replace"`` embedding mode, which reports no read set.
         """
         reach = self.num_deep
         if self.embedding_mode == "replace":

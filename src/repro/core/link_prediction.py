@@ -142,18 +142,14 @@ class LinkPredictionTrainer:
             self.graph.num_nodes, size=src.size * self.negatives_per_edge
         )
         nodes = np.unique(np.concatenate([src, dst, negatives]))
-        embedding_of = {}
-        rows = []
-        for index, node in enumerate(nodes):
-            state = self.store.get(int(node))
-            embedding, _, _ = self.model(int(node), state, self.graph)
-            rows.append(embedding)
-            embedding_of[int(node)] = index
-        table = ops.stack(rows)
+        table, _, _ = self.model.forward_batch(
+            nodes, [self.store.get(int(node)) for node in nodes], self.graph
+        )
 
         def score(u_ids, v_ids):
-            u = table[np.array([embedding_of[int(n)] for n in u_ids])]
-            v = table[np.array([embedding_of[int(n)] for n in v_ids])]
+            # ``nodes`` is sorted and holds every id scored here.
+            u = table[np.searchsorted(nodes, u_ids)]
+            v = table[np.searchsorted(nodes, v_ids)]
             return ops.sum(self.bilinear(u) * v, axis=1) * 4.0
 
         positive_scores = score(src, dst)
@@ -177,14 +173,11 @@ class LinkPredictionTrainer:
         edges = np.asarray(edges, dtype=np.int64)
         nodes = np.unique(edges.reshape(-1))
         self.model.eval()
-        embeddings = {}
         with no_grad():
-            for node in nodes:
-                state = self.store.get(int(node))
-                embedding, _, _ = self.model(int(node), state, self.graph)
-                embeddings[int(node)] = embedding.data
+            embeddings, _, _ = self.model.forward_batch(
+                nodes, [self.store.get(int(node)) for node in nodes], self.graph
+            )
         self.model.train()
+        rows = embeddings.data[np.searchsorted(nodes, edges)]  # (m, 2, d)
         weight = self.bilinear.weight.data
-        return np.array(
-            [float(embeddings[int(u)] @ weight @ embeddings[int(v)]) for u, v in edges]
-        )
+        return np.einsum("md,de,me->m", rows[:, 0], weight, rows[:, 1])

@@ -47,7 +47,7 @@ from repro.graph import HeteroGraph
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, functional as F, no_grad, ops
+from repro.tensor import Tensor, functional as F, no_grad
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
 
 __all__ = ["TrainHistory", "WidenTrainer"]
@@ -221,9 +221,11 @@ class WidenTrainer:
             batch = batch[self._owned_lookup[batch]]
         if batch.size == 0:
             return {"count": 0, "loss_sum": 0.0}
-        batched = self.config.forward_mode != "per_node"
         with trace_span("trainer.batch", size=int(batch.size)):
-            states = [self.store.get(int(node)) for node in batch]
+            ((states, stacked, wide_atts, deep_att_lists),) = self._forward_chunks(
+                self.store, self.graph, self.node_state, batch,
+                select_kernel=True, replace=self.node_state is not None,
+            )
             if self.config.use_wide:
                 # Every pack in M° (wide set + target) is one message
                 # through PASS° — the unit of Fig. 4's volume axis.
@@ -232,30 +234,6 @@ class WidenTrainer:
                 self._acc_deep_messages += sum(
                     len(deep) + 1 for s in states for deep in s.deep
                 )
-            if batched:
-                stacked, wide_atts, deep_att_lists = self.model.forward_batch(
-                    batch, states, self.graph, self.node_state,
-                    select_kernel=True,
-                )
-                if self.node_state is not None:
-                    # Line 8 of Algorithm 3, synchronous minibatch form:
-                    # the outputs replace every v_t of the batch at once.
-                    self.node_state[batch] = stacked.data
-            else:
-                embeddings: List[Tensor] = []
-                wide_atts = []
-                deep_att_lists = []
-                for node, state in zip(batch, states):
-                    embedding, wide_att, deep_atts = self.model(
-                        int(node), state, self.graph, self.node_state
-                    )
-                    embeddings.append(embedding)
-                    if self.node_state is not None:
-                        # Line 8 of Algorithm 3: the output replaces v_t.
-                        self.node_state[int(node)] = embedding.data
-                    wide_atts.append(wide_att)
-                    deep_att_lists.append(deep_atts)
-                stacked = ops.stack(embeddings)
             for state, wide_att, deep_atts in zip(states, wide_atts, deep_att_lists):
                 if wide_att is not None:
                     self._wide_entropy.observe(_entropy(wide_att))
@@ -369,23 +347,43 @@ class WidenTrainer:
             return
         sample = others[self._shuffle_rng.permutation(others.size)[:count]]
         with no_grad():
-            if self.config.forward_mode != "per_node":
-                batch_size = max(1, self.config.batch_size)
-                for start in range(0, sample.size, batch_size):
-                    chunk = sample[start : start + batch_size]
-                    states = [self.store.get(int(node)) for node in chunk]
-                    embeddings, _, _ = self.model.forward_batch(
-                        chunk, states, self.graph, self.node_state,
-                        select_kernel=True,
-                    )
-                    self.node_state[chunk] = embeddings.data
-            else:
-                for node in sample:
-                    state = self.store.get(int(node))
-                    embedding, _, _ = self.model(
-                        int(node), state, self.graph, self.node_state
-                    )
-                    self.node_state[int(node)] = embedding.data
+            for _ in self._forward_chunks(
+                self.store, self.graph, self.node_state, sample,
+                select_kernel=True, replace=True,
+            ):
+                pass  # run for the write-back
+
+    def _forward_chunks(
+        self,
+        store: NeighborStateStore,
+        graph: HeteroGraph,
+        node_state: Optional[np.ndarray],
+        node_ids: np.ndarray,
+        *,
+        select_kernel: bool = False,
+        replace: bool = False,
+    ):
+        """``forward_batch`` over ``node_ids``, one ``batch_size`` slice at a time.
+
+        The one place the trainer turns node ids into a model call: training
+        minibatches, the per-epoch refresh, the inductive warm-up and
+        evaluation all iterate this, each under its own grad/eval context.
+        Yields ``(states, embeddings, wide_attentions, deep_attentions)`` per
+        slice.  With ``replace`` a slice's rows overwrite ``node_state``
+        before the next slice is computed — line 8 of Algorithm 3 in its
+        synchronous minibatch form: every row of a slice reads the table as
+        it stood before the slice (DESIGN.md, "One forward at run time").
+        """
+        batch_size = max(1, self.config.batch_size)
+        for start in range(0, len(node_ids), batch_size):
+            chunk = node_ids[start : start + batch_size]
+            states = [store.get(int(node)) for node in chunk]
+            embeddings, wide_atts, deep_atts = self.model.forward_batch(
+                chunk, states, graph, node_state, select_kernel=select_kernel
+            )
+            if replace:
+                node_state[chunk] = embeddings.data
+            yield states, embeddings, wide_atts, deep_atts
 
     # ------------------------------------------------------------------
     # Active downsampling (Algorithms 1-2 + Eq. 9 trigger)
@@ -629,24 +627,13 @@ class WidenTrainer:
                 frontier.update(deep.nodes.tolist())
         frontier -= set(int(v) for v in nodes)
         self.model.eval()
-        batched = self.config.forward_mode != "per_node"
-        batch_size = max(1, self.config.batch_size)
         warm_nodes = np.asarray(sorted(frontier), dtype=np.int64)
         with no_grad():
             for _ in range(max(0, warmup_passes)):
-                if batched and warm_nodes.size:
-                    for start in range(0, warm_nodes.size, batch_size):
-                        chunk = warm_nodes[start : start + batch_size]
-                        chunk_states = [store.get(int(n)) for n in chunk]
-                        embeddings, _, _ = self.model.forward_batch(
-                            chunk, chunk_states, graph, node_state
-                        )
-                        node_state[chunk] = embeddings.data
-                else:
-                    for node in warm_nodes:
-                        state = store.get(int(node))
-                        embedding, _, _ = self.model(int(node), state, graph, node_state)
-                        node_state[int(node)] = embedding.data
+                for _ in self._forward_chunks(
+                    store, graph, node_state, warm_nodes, replace=True
+                ):
+                    pass  # run for the write-back
         self.model.train()
         return self._embed_with(store, graph, node_state, nodes)
 
@@ -660,27 +647,15 @@ class WidenTrainer:
     ) -> np.ndarray:
         self.model.eval()
         node_ids = np.asarray([int(node) for node in nodes], dtype=np.int64)
-        rows = []
         with no_grad():
-            if self.config.forward_mode != "per_node" and node_ids.size:
-                batch_size = max(1, self.config.batch_size)
-                for start in range(0, node_ids.size, batch_size):
-                    chunk = node_ids[start : start + batch_size]
-                    states = [store.get(int(n)) for n in chunk]
-                    embeddings, _, _ = self.model.forward_batch(
-                        chunk, states, graph, node_state,
-                        select_kernel=select_kernel,
-                    )
-                    rows.append(embeddings.data)
-                result = np.concatenate(rows, axis=0)
-            else:
-                for node in node_ids:
-                    state = store.get(int(node))
-                    embedding, _, _ = self.model(int(node), state, graph, node_state)
-                    rows.append(embedding.data)
-                result = np.stack(rows)
+            rows = [
+                embeddings.data
+                for _, embeddings, _, _ in self._forward_chunks(
+                    store, graph, node_state, node_ids, select_kernel=select_kernel
+                )
+            ]
         self.model.train()
-        return result
+        return np.concatenate(rows, axis=0)
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
         """Class predictions from embeddings."""

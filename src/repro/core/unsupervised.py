@@ -89,12 +89,9 @@ class UnsupervisedWidenTrainer:
             | {int(n) for _, _, negs in triples for n in negs}
         )
         index_of: Dict[int, int] = {node: i for i, node in enumerate(nodes)}
-        rows = []
-        for node in nodes:
-            state = self.store.get(node)
-            embedding, _, _ = self.model(node, state, self.graph)
-            rows.append(embedding)
-        table = ops.stack(rows)
+        table, _, _ = self.model.forward_batch(
+            nodes, [self.store.get(node) for node in nodes], self.graph
+        )
 
         scores = []
         targets = []
@@ -116,15 +113,14 @@ class UnsupervisedWidenTrainer:
         return loss.item()
 
     def embed(self, nodes) -> np.ndarray:
+        nodes = [int(node) for node in nodes]
         self.model.eval()
-        rows = []
         with no_grad():
-            for node in nodes:
-                state = self.store.get(int(node))
-                embedding, _, _ = self.model(int(node), state, self.graph)
-                rows.append(embedding.data)
+            embeddings, _, _ = self.model.forward_batch(
+                nodes, [self.store.get(node) for node in nodes], self.graph
+            )
         self.model.train()
-        return np.stack(rows)
+        return embeddings.data
 
     def fit_classifier_probe(
         self,

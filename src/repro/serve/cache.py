@@ -13,20 +13,17 @@ entries (at most ``capacity``) once per write with :meth:`stale_nodes` and
 drops what the rule rejects through :meth:`invalidate_nodes`, so every
 resident entry is fresh and a lookup stays a dict probe.  Read sets and
 stamps live in two slot-indexed arrays, which makes the sweep one gather
-instead of a loop over entries.  Keys stay ``(node_id, version)`` for
-callers that version their entries themselves.
+instead of a loop over entries.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.obs.metrics import Histogram
-
-Key = Tuple[int, int]  # (node_id, version)
 
 
 def fresh_mask(
@@ -50,13 +47,12 @@ class EmbeddingCache:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Key, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
         # Dependency tables, one row ("slot") per resident entry: the node
         # (-1: free slot), its stamp and its read set.  The read-set table
         # widens to the longest read set seen; shorter ones and free slots
         # are padded with ids that are valid to gather through.
-        self._slot_of: Dict[Key, int] = {}
-        self._slot_key: List[Optional[Key]] = [None] * capacity
+        self._slot_of: Dict[int, int] = {}
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self._slot_nodes = np.full(capacity, -1, np.int64)
         self._stamps = np.zeros(capacity, np.int64)
@@ -65,7 +61,7 @@ class EmbeddingCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        # Per-node hit counts (across versions) — the skew signal capacity
+        # Per-node hit counts — the skew signal capacity
         # planning reads: a heavy-tailed histogram means a few hot nodes
         # carry the hit rate and capacity can shrink; a flat one means the
         # working set really is this wide.
@@ -75,16 +71,16 @@ class EmbeddingCache:
         # set met the change should appear here and nothing else.
         self.node_invalidations: "Counter[int]" = Counter()
 
-    def get(self, node: int, version: int) -> Optional[np.ndarray]:
-        """Embedding for ``node`` at ``version``; None on miss."""
-        key = (int(node), int(version))
-        entry = self._entries.get(key)
+    def get(self, node: int) -> Optional[np.ndarray]:
+        """Embedding for ``node``; None on miss."""
+        node = int(node)
+        entry = self._entries.get(node)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._entries.move_to_end(node)
         self.hits += 1
-        self.node_hits[key[0]] += 1
+        self.node_hits[node] += 1
         return entry
 
     def node_hit_histogram(self) -> Histogram:
@@ -96,7 +92,6 @@ class EmbeddingCache:
     def put(
         self,
         node: int,
-        version: int,
         embedding: np.ndarray,
         *,
         stamp: int = 0,
@@ -104,31 +99,29 @@ class EmbeddingCache:
     ) -> None:
         """Insert an entry made at write clock ``stamp`` from a sample that
         read the adjacency lists of ``reads`` (default: the node's own)."""
-        key = (int(node), int(version))
-        slot = self._slot_of.get(key)
+        node = int(node)
+        slot = self._slot_of.get(node)
         if slot is None:
             if len(self._entries) >= self.capacity:
                 self._release(self._entries.popitem(last=False)[0])
                 self.evictions += 1
             slot = self._free.pop()
-            self._slot_of[key] = slot
-            self._slot_key[slot] = key
-            self._slot_nodes[slot] = key[0]
-        self._entries[key] = np.asarray(embedding)
-        self._entries.move_to_end(key)
+            self._slot_of[node] = slot
+            self._slot_nodes[slot] = node
+        self._entries[node] = np.asarray(embedding)
+        self._entries.move_to_end(node)
         self._stamps[slot] = stamp
         width = 1 if reads is None else len(reads)
         if width > self._reads.shape[1]:
             wider = np.repeat(np.maximum(self._slot_nodes, 0)[:, None], width, axis=1)
             wider[:, : self._reads.shape[1]] = self._reads
             self._reads = wider
-        self._reads[slot] = key[0]
+        self._reads[slot] = node
         if reads is not None:
             self._reads[slot, :width] = reads
 
-    def _release(self, key: Key) -> None:
-        slot = self._slot_of.pop(key)
-        self._slot_key[slot] = None
+    def _release(self, node: int) -> None:
+        slot = self._slot_of.pop(node)
         self._slot_nodes[slot] = -1
         self._free.append(slot)
 
@@ -141,23 +134,12 @@ class EmbeddingCache:
         stale = ~fresh_mask(touched_at, self._reads, self._stamps)
         return self._slot_nodes[stale & (self._slot_nodes >= 0)]
 
-    def invalidate(
-        self, nodes: Optional[Iterable[int]] = None, *, keep_version: Optional[int] = None
-    ) -> int:
-        """Drop entries; returns how many were removed.
-
-        ``nodes=None`` drops everything (or, with ``keep_version``, every
-        entry from *other* versions).  ``nodes`` drops all versions of the
-        given ids.
-        """
-        if nodes is not None:
-            return self.invalidate_nodes(nodes)
-        if keep_version is None:
-            return self._drop(list(self._entries))
-        return self._drop([key for key in self._entries if key[1] != keep_version])
+    def invalidate(self) -> int:
+        """Drop every entry; returns how many were removed."""
+        return self._drop(list(self._entries))
 
     def invalidate_nodes(self, nodes: Iterable[int]) -> int:
-        """Drop every resident entry of the given node ids; returns count.
+        """Drop the resident entries of the given node ids; returns count.
 
         The fine-grained invalidation path: a mutation hook passes the ids
         the freshness rule rejected and everything else stays warm.  Each
@@ -168,13 +150,13 @@ class EmbeddingCache:
         if not isinstance(nodes, np.ndarray):
             nodes = np.fromiter(nodes, dtype=np.int64)
         hit = np.isin(self._slot_nodes, nodes) & (self._slot_nodes >= 0)
-        return self._drop([self._slot_key[slot] for slot in np.flatnonzero(hit)])
+        return self._drop(self._slot_nodes[hit].tolist())
 
-    def _drop(self, victims) -> int:
-        for key in victims:
-            del self._entries[key]
-            self._release(key)
-            self.node_invalidations[key[0]] += 1
+    def _drop(self, victims: List[int]) -> int:
+        for node in victims:
+            del self._entries[node]
+            self._release(node)
+            self.node_invalidations[node] += 1
         self.invalidations += len(victims)
         return len(victims)
 
@@ -185,8 +167,8 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Key) -> bool:
-        return (int(key[0]), int(key[1])) in self._entries
+    def __contains__(self, node: int) -> bool:
+        return int(node) in self._entries
 
     def __repr__(self) -> str:
         return (

@@ -33,10 +33,10 @@ resident cache entries — no BFS, no scan over nodes or store rows; stale
 store rows are found when a miss batch looks them up.  What a write
 *touches* has three tiers, one rule:
 
-- the classifier reports read sets (WIDEN's batched path): the event's
-  ``sources``, exactly;
+- the classifier reports read sets (WIDEN in ``"project"`` embedding
+  mode): the event's ``sources``, exactly;
 - it declares a sampling reach but no read sets (``embedding_mode=
-  "replace"``, ``forward_mode="per_node"``): every materialization reads
+  "replace"``): every materialization reads
   ``{v}`` and the write touches the reverse-BFS
   :func:`~repro.graph.halo.mutation_frontier` of the sources;
 - neither, or a mutation of unknown extent: every node.
@@ -60,12 +60,6 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher, ServeRequest
 from repro.serve.cache import EmbeddingCache, fresh_mask
 from repro.serve.telemetry import RequestRecord, Telemetry
-
-
-# The cache keys entries ``(node, version)``; this server drops stale entries
-# eagerly on every write, so at most one entry per node is ever resident and
-# the version slot stays constant.
-_ENTRY_VERSION = 0
 
 
 def load_checkpoint_classifier(path, graph: Optional[HeteroGraph] = None):
@@ -324,7 +318,7 @@ class InferenceServer:
             self.classifier, "predict_from_embeddings"
         ):
             return False
-        cached = self.cache.get(request.node, _ENTRY_VERSION)
+        cached = self.cache.get(request.node)
         if cached is None:
             return False
         start = time.perf_counter()
@@ -657,7 +651,7 @@ class InferenceServer:
         rung: Dict[int, str] = {}
         miss_nodes: List[int] = []
         for node in dict.fromkeys(request.node for request in batch):
-            cached = self.cache.get(node, _ENTRY_VERSION)
+            cached = self.cache.get(node)
             if cached is not None:
                 embeddings[node] = cached
                 hit[node] = True
@@ -673,8 +667,7 @@ class InferenceServer:
                 miss_nodes, computed, miss_rungs, miss_reads
             ):
                 self.cache.put(
-                    node, _ENTRY_VERSION, embedding,
-                    stamp=self._clock, reads=read_set,
+                    node, embedding, stamp=self._clock, reads=read_set
                 )
                 embeddings[node] = embedding
                 rung[node] = node_rung

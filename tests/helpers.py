@@ -1,4 +1,5 @@
-"""Shared test utilities: numerical gradient checking."""
+"""Shared test utilities: numerical gradient checking and the per-node
+forward reference."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 
 
@@ -49,3 +51,26 @@ def check_gradients(
             actual, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for input {index}",
         )
+
+
+def use_per_node_forward(monkeypatch, model) -> None:
+    """Make ``model.forward_batch`` a loop over ``WidenModel.forward``.
+
+    Nothing under ``src/`` calls the per-node ``forward`` (the paper's
+    literal one-target-at-a-time Algorithm 3); it is the reference.  With
+    this patch a trainer built on ``model`` runs its whole loop —
+    sampling, downsampling, loss, optimizer — over that reference, so the
+    same trainer on an unpatched twin model must agree with it.  Every
+    target reads the ``node_state`` its caller passed, i.e. the synchronous
+    per-minibatch table semantics DESIGN.md keeps.
+    """
+
+    def forward_batch(targets, states, graph, node_state=None, select_kernel=False):
+        outputs = [
+            model.forward(int(target), state, graph, node_state)
+            for target, state in zip(targets, states)
+        ]
+        embeddings, wide_attentions, deep_attentions = zip(*outputs)
+        return ops.stack(list(embeddings)), list(wide_attentions), list(deep_attentions)
+
+    monkeypatch.setattr(model, "forward_batch", forward_batch)

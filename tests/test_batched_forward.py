@@ -19,7 +19,7 @@ from repro.core.trainer import WidenTrainer
 from repro.datasets import make_acm
 from repro.nn import QueryAttention, SelfAttention, causal_mask
 from repro.tensor import Tensor
-from tests.helpers import check_gradients
+from tests.helpers import check_gradients, use_per_node_forward
 
 NEG_INF = float("-inf")
 
@@ -313,13 +313,13 @@ class TestSelfLoopCache:
 
 
 class TestTrainerForwardModes:
-    def test_project_mode_losses_match_across_modes(self, graph):
+    def test_fit_matches_per_node_reference_loop(self, graph, monkeypatch):
+        """Two epochs of ``WidenTrainer.fit`` — dropout, KL trigger and
+        downsampling on — against the same trainer driven over a test-side
+        loop of ``WidenModel.forward``."""
         losses = {}
-        for mode in ("batched", "per_node"):
-            config = WidenConfig(
-                dim=16, num_wide=6, num_deep=5, num_deep_walks=2,
-                forward_mode=mode,
-            )
+        for path in ("batched", "per_node"):
+            config = WidenConfig(dim=16, num_wide=6, num_deep=5, num_deep_walks=2)
             model = WidenModel(
                 graph.features.shape[1],
                 graph.num_edge_types_with_loops,
@@ -327,19 +327,14 @@ class TestTrainerForwardModes:
                 config,
                 seed=0,
             )
+            if path == "per_node":
+                use_per_node_forward(monkeypatch, model)
             trainer = WidenTrainer(model, graph, config, seed=1)
             history = trainer.fit(graph.labeled_nodes()[:64], epochs=2)
-            losses[mode] = history.losses
+            losses[path] = history.losses
         np.testing.assert_allclose(
             losses["batched"], losses["per_node"], atol=1e-6
         )
-
-    def test_config_rejects_unknown_mode(self):
-        """One error for every non-mode, the retired kernel names included,
-        and it names the two values there are."""
-        for mode in ("warp-speed", "sparse", "auto", "fast"):
-            with pytest.raises(ValueError, match=r"\('batched', 'per_node'\)"):
-                WidenConfig(forward_mode=mode)
 
 
 class TestServingBatch:

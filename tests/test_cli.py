@@ -92,6 +92,12 @@ class TestCli:
         with pytest.raises(KeyError):
             main(["stats", "imaginary"])
 
+    def test_forward_mode_flag_is_gone(self, capsys):
+        """There is one forward at run time; argparse refuses the old knob."""
+        with pytest.raises(SystemExit):
+            main(["train", "acm", "--forward-mode", "per_node"])
+        assert "--forward-mode" in capsys.readouterr().err
+
 
 class TestTuneScatter:
     def test_sweep_prints_env_lines_and_writes_json(self, capsys, tmp_path):
@@ -198,6 +204,44 @@ class TestServeClusterCli:
         assert "socket transport" in printed
         assert "metrics endpoint live at http://127.0.0.1:" in printed
         assert "cluster, warm cache" in printed
+
+
+    @pytest.mark.parametrize(
+        "command, router_call", [("serve-cluster", "replay"), ("trace", "embed")]
+    )
+    def test_failed_replay_leaks_nothing(
+        self, command, router_call, monkeypatch, tmp_path
+    ):
+        """An exception mid-replay still takes the socket worker processes
+        and the ``/metrics`` listener down with it."""
+        import threading
+
+        from repro.cluster import ClusterRouter, fleet
+
+        spawned = []
+        popen = fleet.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        def boom(self, *args, **kwargs):
+            raise RuntimeError("replay blew up")
+
+        monkeypatch.setattr(fleet.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(ClusterRouter, router_call, boom)
+        monkeypatch.chdir(tmp_path)  # trace writes its reports to the cwd
+        with pytest.raises(RuntimeError, match="replay blew up"):
+            main([
+                command, "acm", "--smoke", "--shards", "2",
+                "--transport", "socket", "--metrics-port", "0",
+            ])
+        assert len(spawned) == 2
+        assert all(process.poll() is not None for process in spawned)
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("metrics-http-")
+        ]
 
 
 class TestStoreCli:

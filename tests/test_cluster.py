@@ -417,11 +417,12 @@ class TestShardWorker:
     def test_bad_node_fails_only_its_future(self, checkpoint):
         with fresh_router(checkpoint, 1) as router:
             worker = router.workers[0]
-            good = worker.request(0, "embed")
-            bad = worker.request(router.graph.num_nodes + 100, "embed")
-            assert good.result() is not None
-            with pytest.raises(Exception):
-                bad.result()
+            good = worker.submit_serve(0, "embed")
+            bad = worker.submit_serve(router.graph.num_nodes + 100, "embed")
+            (item,) = good.result()["items"]
+            assert item["ok"] and item["value"] is not None
+            (item,) = bad.result()["items"]
+            assert not item["ok"] and item["error"]
 
     def test_pull_orders_against_requests(self, checkpoint):
         """A telemetry pull enqueued after a serve envelope observes that

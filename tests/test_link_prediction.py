@@ -7,6 +7,7 @@ from repro.core import WidenConfig, WidenModel
 from repro.core.link_prediction import EdgeSplit, LinkPredictionTrainer, split_edges
 from repro.datasets import make_acm
 from repro.eval.metrics import roc_auc
+from tests.helpers import use_per_node_forward
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +115,30 @@ class TestLinkPredictionTrainer:
         trainer = LinkPredictionTrainer(model, split.train_graph, config, seed=0)
         trainer.fit(epochs=5, edges_per_epoch=256)
         assert trainer.losses[-1] < trainer.losses[0]
+
+    def test_matches_per_node_reference_loop(self, acm, monkeypatch):
+        """Training steps (dropout on) and ``score_edges`` go through
+        ``forward_batch``; the same trainer over a loop of
+        ``WidenModel.forward`` is the reference."""
+        split = split_edges(acm.graph, holdout_fraction=0.1, rng=0)
+        config = WidenConfig(dim=16, num_wide=6, num_deep=5, num_deep_walks=2,
+                             learning_rate=1e-2, dropout=0.3)
+        trainers = []
+        for path in ("batched", "per_node"):
+            model = WidenModel(
+                acm.graph.features.shape[1],
+                acm.graph.num_edge_types_with_loops,
+                acm.graph.num_classes,
+                config,
+                seed=0,
+            )
+            if path == "per_node":
+                use_per_node_forward(monkeypatch, model)
+            trainer = LinkPredictionTrainer(model, split.train_graph, config, seed=0)
+            trainers.append(trainer.fit(epochs=2, edges_per_epoch=64))
+        batched, reference = trainers
+        np.testing.assert_allclose(batched.losses, reference.losses, atol=1e-10)
+        edges = split.positive_edges[:30]
+        np.testing.assert_allclose(
+            batched.score_edges(edges), reference.score_edges(edges), atol=1e-10
+        )

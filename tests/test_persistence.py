@@ -216,29 +216,36 @@ class TestCheckpointV3:
         assert again["format_version"] == 3
         assert again["migrated_from_version"] == 2
 
-    @pytest.mark.parametrize("retired", ["sparse", "auto"])
-    def test_retired_forward_modes_load_as_batched(self, acm, tmp_path, retired):
-        """v3 checkpoints written when ``forward_mode`` still named kernels
-        ("sparse", "auto") are the batched model: same parameters, same
-        answers, no version bump."""
+    @staticmethod
+    def _store_forward_mode(path, value):
+        """Rewrite a checkpoint as a pre-PR-16 writer would have left it."""
         import json
 
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["__checkpoint__"]))
+        assert meta["format_version"] == 3
+        meta["config"]["forward_mode"] = value
+        arrays["__checkpoint__"] = json.dumps(meta)
+        np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("retired", ["sparse", "auto", "per_node"])
+    def test_retired_forward_modes_load_as_batched(self, acm, tmp_path, retired):
+        """v3 checkpoints written while ``forward_mode`` existed — naming
+        kernels ("sparse", "auto") or the per-node loop — are the one model
+        there is: same parameters, same answers, no version bump."""
         from repro.core import migrate_checkpoint
 
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=1)
         path = tmp_path / f"{retired}.npz"
         model.save(path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        assert meta["format_version"] == 3
-        meta["config"]["forward_mode"] = retired
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
+        self._store_forward_mode(path, retired)
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
-        assert fresh.config.forward_mode == "batched"
+        assert fresh.config == model.config
+        assert fresh.reports_read_sets
+        assert fresh.supports_store() is None
         probe = acm.split.test[:10]
         np.testing.assert_array_equal(
             fresh.embed_for_serving(probe, acm.graph, rng=5),
@@ -246,9 +253,50 @@ class TestCheckpointV3:
         )
         migrated = migrate_checkpoint(path)
         assert migrated["format_version"] == 3
-        assert migrated["config"]["forward_mode"] == "batched"
+        assert "forward_mode" not in migrated["config"]
         stored = WidenClassifier.read_checkpoint_metadata(path)
-        assert stored["config"]["forward_mode"] == "batched"
+        assert "forward_mode" not in stored["config"]
+
+    def test_per_node_checkpoint_gets_read_sets_and_store(self, tmp_path):
+        """A checkpoint saved under ``forward_mode="per_node"`` used to be
+        refused a store and invalidated by reach.  Loaded now, it attaches
+        a store built for it and a write drops exactly the cache entries
+        whose samples read a changed adjacency list."""
+        from collections import Counter
+
+        from repro.serve import InferenceServer
+        from repro.store import build_store
+
+        dataset = make_acm(seed=0, scale=0.5)
+        graph = dataset.graph
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        model.fit(graph, dataset.split.train[:40], epochs=1)
+        path = tmp_path / "per_node.npz"
+        model.save(path)
+        self._store_forward_mode(path, "per_node")
+
+        served = WidenClassifier.load(path, graph=graph)
+        store = build_store(served, graph, tmp_path / "store", seed=7)
+        server = InferenceServer(served, graph, seed=7, store=store)
+        nodes = [int(node) for node in dataset.split.test[:6]]
+        oracle = InferenceServer(model, graph, seed=7).embed(nodes)
+        np.testing.assert_array_equal(server.embed(nodes), oracle)
+        summary = server.telemetry.summary()
+        assert summary["store_hits"] == len(nodes)
+
+        _, reads = served.embed_for_serving_batch(
+            np.asarray(nodes), graph,
+            [np.random.default_rng([7, node]) for node in nodes],
+            return_reads=True,
+        )
+        author = int(graph.nodes_of_type("author")[0])
+        server.add_edges("paper-author", [nodes[0]], [author])
+        dependents = {
+            node for node, read_set in zip(nodes, reads)
+            if {nodes[0], author} & set(read_set.tolist())
+        }
+        assert nodes[0] in dependents and len(dependents) < len(nodes)
+        assert server.cache.node_invalidations == Counter(dependents)
 
     def test_newer_versions_are_refused(self, acm, tmp_path):
         import json

@@ -177,41 +177,48 @@ class TestMicroBatcher:
 class TestEmbeddingCache:
     def test_lru_evicts_least_recently_used(self):
         cache = EmbeddingCache(capacity=2)
-        cache.put(1, 0, np.ones(4))
-        cache.put(2, 0, np.full(4, 2.0))
-        assert cache.get(1, 0) is not None  # touch 1 -> 2 is now LRU
-        cache.put(3, 0, np.full(4, 3.0))
-        assert cache.get(2, 0) is None
-        assert cache.get(1, 0) is not None
-        assert cache.get(3, 0) is not None
+        cache.put(1, np.ones(4))
+        cache.put(2, np.full(4, 2.0))
+        assert cache.get(1) is not None  # touch 1 -> 2 is now LRU
+        cache.put(3, np.full(4, 3.0))
+        assert cache.get(2) is None
+        assert cache.get(1) is not None
+        assert cache.get(3) is not None
         assert cache.evictions == 1
         assert len(cache) == 2
 
-    def test_version_key_makes_stale_reads_impossible(self):
-        cache = EmbeddingCache(capacity=8)
-        cache.put(1, 0, np.ones(4))
-        assert cache.get(1, 0) is not None
-        # After a graph-version bump nothing at the new version is resident,
-        # even though the old entry still physically exists.
-        assert cache.get(1, 1) is None
-        assert (1, 0) in cache
+    def test_put_again_replaces_in_place(self):
+        """One entry per node: a second put overwrites the embedding, stamp
+        and read set in the same slot and refreshes the LRU position."""
+        cache = EmbeddingCache(capacity=2)
+        cache.put(1, np.ones(4), stamp=0, reads=np.array([1, 5]))
+        cache.put(2, np.ones(4))
+        cache.put(1, np.full(4, 9.0), stamp=3, reads=np.array([1, 6]))
+        assert len(cache) == 2 and cache.evictions == 0
+        np.testing.assert_array_equal(cache.get(1), np.full(4, 9.0))
+        touched_at = np.zeros(8, dtype=np.int64)
+        touched_at[5] = 2  # undercuts only the entry that was replaced
+        assert cache.stale_nodes(touched_at).size == 0
+        cache.put(3, np.ones(4))  # evicts 2: the re-put moved 1 to the front
+        assert 1 in cache and 2 not in cache
 
-    def test_invalidate_keep_version_drops_dead_entries(self):
+    def test_invalidate_drops_everything(self):
         cache = EmbeddingCache(capacity=8)
-        cache.put(1, 0, np.ones(4))
-        cache.put(2, 0, np.ones(4))
-        cache.put(3, 1, np.ones(4))
-        assert cache.invalidate(keep_version=1) == 2
-        assert len(cache) == 1
-        assert (3, 1) in cache
+        for node in (1, 2, 3):
+            cache.put(node, np.ones(4))
+        assert cache.invalidate() == 3
+        assert len(cache) == 0 and cache.invalidations == 3
+        assert cache.get(1) is None
+        cache.put(4, np.ones(4))  # the freed slots are reusable
+        assert 4 in cache
 
     def test_invalidate_specific_nodes(self):
         cache = EmbeddingCache(capacity=8)
-        cache.put(1, 0, np.ones(4))
-        cache.put(1, 1, np.ones(4))
-        cache.put(2, 1, np.ones(4))
-        assert cache.invalidate(nodes=[1]) == 2
-        assert (2, 1) in cache
+        for node in (1, 2, 3):
+            cache.put(node, np.ones(4))
+        assert cache.invalidate_nodes([1, 3, 7]) == 2
+        assert 2 in cache and 1 not in cache and 3 not in cache
+        assert cache.node_invalidations == {1: 1, 3: 1}
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -439,7 +446,7 @@ class TestMutationInvalidation:
         survivors = [node for node in nodes if node not in dependents]
         assert {nodes[0], nodes[1]} <= dependents
         assert survivors, "every probe read a changed list; nothing to keep"
-        assert {key[0] for key in server.cache._entries} == set(survivors)
+        assert set(server.cache._entries) == set(survivors)
         assert server.cache.node_invalidations == Counter(dependents)
 
         cold = fresh_acm_server(path)

@@ -387,7 +387,6 @@ class TestKernelSelection:
                 seed=0, dim=16, num_wide=num_wide, num_deep=3,
                 wide_sampling="unique",
             )
-            assert classifier.config.forward_mode == "batched"
             classifier.fit(graph, train, epochs=0)
             trainer = classifier.trainer
             trainer.epoch_begin(train)
@@ -413,17 +412,6 @@ class TestKernelSelection:
                     spans = forward_spans(run)
                     assert len(spans) == 1 and "kernel" not in spans[0]
         assert all(routed[64]) and not any(routed[2])
-
-    def test_store_refuses_the_per_node_reference_path(self, graph, dataset):
-        model = WidenClassifier(
-            seed=0, dim=16, num_wide=6, num_deep=5, forward_mode="per_node"
-        )
-        model.fit(dataset.graph, graph.labeled_nodes()[:8], epochs=0)
-        assert "per_node" in model.supports_store()
-        with pytest.raises(ValueError, match="per_node"):
-            model.materialize_store_rows(
-                graph.labeled_nodes()[:2], graph, [0, 1]
-            )
 
 
 class TestSparseTrainingAndServing:

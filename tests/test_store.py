@@ -321,21 +321,21 @@ class LoopReference:
         self.server = server
         self.clock = 0
         self.touched = {}
-        self.made = {}  # cache key -> (stamp, read set) as the server put it
+        self.made = {}  # node -> (stamp, read set) as the server put it
         self.invalidations = 0
         self.node_invalidations = Counter()
         self.undercut_rows = 0
         self.drop_counts = []
-        # The cache reference must look at the resident keys *before* the
+        # The cache reference must look at the resident nodes *before* the
         # server drops them, so it wraps the calls.
         self._put = server.cache.put
         self._invalidate_nodes = server.cache.invalidate_nodes
         server.cache.put = self.put
         server.cache.invalidate_nodes = self.invalidate_nodes
 
-    def put(self, node, version, embedding, *, stamp, reads):
-        self.made[(int(node), int(version))] = (int(stamp), reads.tolist())
-        self._put(node, version, embedding, stamp=stamp, reads=reads)
+    def put(self, node, embedding, *, stamp, reads):
+        self.made[int(node)] = (int(stamp), reads.tolist())
+        self._put(node, embedding, stamp=stamp, reads=reads)
 
     def stale(self, stamp, reads):
         return any(self.touched.get(int(read), 0) > stamp for read in reads)
@@ -352,16 +352,14 @@ class LoopReference:
             1 for node in touched if self.server.store.has(int(node))
         )
         victims = [
-            key for key in self.server.cache._entries
-            if self.stale(*self.made[key])
+            node for node in self.server.cache._entries
+            if self.stale(*self.made[node])
         ]
         # Verdicts agree: the ids the vectorized sweep handed over are
         # exactly the entries the loop finds stale.
-        assert sorted(int(node) for node in nodes) == sorted(
-            key[0] for key in victims
-        )
-        for key in victims:
-            self.node_invalidations[key[0]] += 1
+        assert sorted(int(node) for node in nodes) == sorted(victims)
+        for node in victims:
+            self.node_invalidations[node] += 1
         self.invalidations += len(victims)
         got = self._invalidate_nodes(nodes)
         self.drop_counts.append((got, len(victims)))

@@ -24,6 +24,7 @@ from repro.cluster import (
     Reply,
     ShardError,
 )
+from repro.cluster.router import _unwrap_serve
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
@@ -237,11 +238,11 @@ class TestCrossTransportExactness:
     def test_socket_error_envelope_keeps_worker_alive(self, checkpoint):
         with fresh_router(checkpoint, 1, "socket") as router:
             worker = router.workers[0]
-            bad = worker.request(router.graph.num_nodes + 50, "embed")
+            bad = worker.submit_serve(router.graph.num_nodes + 50, "embed")
             with pytest.raises(ShardError):
-                bad.result(60.0)
+                _unwrap_serve(bad, 60.0)
             # The process survived; a good request still round-trips.
-            value = worker.request(0, "embed").result(60.0)
+            (value,) = _unwrap_serve(worker.submit_serve(0, "embed"), 60.0)
             assert np.asarray(value).ndim == 1
 
     def test_socket_replay_matches_inline_summary_counts(self, checkpoint, acm):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import WidenConfig, WidenModel
 from repro.core.unsupervised import UnsupervisedWidenTrainer
 from repro.datasets import make_acm
+from tests.helpers import use_per_node_forward
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +66,18 @@ class TestUnsupervised:
             assert trainer2.losses[-1] == pytest.approx(reference)
         finally:
             graph.labels = original
+
+    def test_matches_per_node_reference_loop(self, acm, monkeypatch):
+        """Training steps (dropout on) and ``embed`` go through
+        ``forward_batch``; the same trainer over a loop of
+        ``WidenModel.forward`` is the reference."""
+        batched = build(acm, num_deep_walks=2, dropout=0.3)
+        reference = build(acm, num_deep_walks=2, dropout=0.3)
+        use_per_node_forward(monkeypatch, reference.model)
+        nodes = acm.split.test[:20]
+        for trainer in (batched, reference):
+            trainer.fit(epochs=2, anchors_per_epoch=64)
+        np.testing.assert_allclose(batched.losses, reference.losses, atol=1e-10)
+        np.testing.assert_allclose(
+            batched.embed(nodes), reference.embed(nodes), atol=1e-10
+        )
