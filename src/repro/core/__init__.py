@@ -22,7 +22,12 @@ from repro.core.classifier import WidenClassifier, migrate_checkpoint
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
 from repro.core.relay import RelayRecipe, prune_deep, shrink_wide
-from repro.core.state import NeighborState, NeighborStateStore
+from repro.core.state import (
+    NeighborState,
+    NeighborStateStore,
+    NeighborTable,
+    stack_states,
+)
 from repro.core.train_loop import LocalTrainClient, TrainHistory, TrainLoop
 from repro.core.trainer import WidenTrainer
 from repro.core.ablation import ABLATION_VARIANTS, make_variant_config
@@ -44,6 +49,8 @@ __all__ = [
     "shrink_wide",
     "NeighborState",
     "NeighborStateStore",
+    "NeighborTable",
+    "stack_states",
     "ABLATION_VARIANTS",
     "make_variant_config",
     "edge_type_attention_profile",

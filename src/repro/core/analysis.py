@@ -33,20 +33,19 @@ def edge_type_attention_profile(
     graph = trainer.graph
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    nodes = [int(node) for node in nodes]
-    states = [trainer.store.get(node) for node in nodes]
+    batch = trainer.store.batch(nodes)
     trainer.model.eval()
     with no_grad():
-        _, wide_attentions, _ = trainer.model.forward_batch(
-            nodes, states, graph, trainer.node_state
+        _, wide_attention, _ = trainer.model.forward_batch(
+            batch, graph, trainer.node_state
         )
     trainer.model.train()
-    for state, wide_attention in zip(states, wide_attentions):
-        if wide_attention is None:
-            continue
-        totals["self"] = totals.get("self", 0.0) + float(wide_attention[0])
+    if wide_attention is None:
+        return {}
+    for state, weights in zip(batch.records(), wide_attention.rows()):
+        totals["self"] = totals.get("self", 0.0) + float(weights[0])
         counts["self"] = counts.get("self", 0) + 1
-        for weight, etype in zip(wide_attention[1:], state.wide.etypes):
+        for weight, etype in zip(weights[1:], state.wide.etypes):
             name = graph.edge_type_names[int(etype)]
             totals[name] = totals.get(name, 0.0) + float(weight)
             counts[name] = counts.get(name, 0) + 1

@@ -45,6 +45,20 @@ RESERVED_KEYS = frozenset({CHECKPOINT_KEY, TRAINER_STATE_KEY})
 CHECKPOINT_FORMAT_VERSION = 3
 
 
+def _at_least_two(count: int) -> np.ndarray:
+    """Rows ``0..count-1``, a lone row repeated once.
+
+    BLAS dispatches single-row matmuls to gemv, whose summation order
+    differs from the gemm kernel every larger batch hits, while gemm row
+    results do not depend on which other rows share the call.  Padding a
+    batch of one with a copy of itself gives its answer the same bits as
+    the same node served inside any larger batch — the sharded router
+    relies on that to stay exactly equal to a single server whatever the
+    miss batches look like on either side.
+    """
+    return np.arange(max(count, 2)) % count
+
+
 def _stored_config(meta: dict) -> dict:
     """A checkpoint's hyperparameters as current ``WidenConfig`` fields.
 
@@ -167,21 +181,22 @@ class WidenClassifier(BaseClassifier):
         return self.config.embedding_mode != "replace"
 
     def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
-        """Fresh per-node samples plus their read sets, ``(B, 1 + Φ·N_d)``."""
+        """Fresh samples, row ``i`` drawn for ``nodes[i]`` from ``rngs[i]``,
+        plus their read sets ``(B, 1 + Φ·N_d)``."""
         config = self.config
-        states = [
-            NeighborStateStore(
-                graph,
-                num_wide=config.num_wide,
-                num_deep=config.num_deep,
-                num_deep_walks=config.num_deep_walks,
-                wide_sampling=config.wide_sampling,
-                rng=new_rng(rng),
-            ).get(int(node))
-            for node, rng in zip(nodes, rngs)
-        ]
-        width = 1 + config.num_deep_walks * config.num_deep
-        return states, np.stack([state.read_set(width) for state in states])
+        generators = [new_rng(rng) for rng in rngs]
+        store = NeighborStateStore(
+            graph,
+            num_wide=config.num_wide,
+            num_deep=config.num_deep,
+            num_deep_walks=config.num_deep_walks,
+            wide_sampling=config.wide_sampling,
+            # Never drawn from: every row below gets its own node's generator.
+            rng=generators[0],
+        )
+        for node, generator in zip(nodes.tolist(), generators):
+            store.sample_fresh(node, generator)
+        return store.table, store.table.read_sets()
 
     def embed_for_serving_batch(
         self, nodes: np.ndarray, graph: HeteroGraph, rngs, return_reads: bool = False
@@ -197,7 +212,7 @@ class WidenClassifier(BaseClassifier):
 
         With ``return_reads`` the result is ``(embeddings, reads)``: row
         ``i`` of ``reads`` is node ``i``'s read set
-        (:meth:`NeighborState.read_set`), or ``reads`` is ``None`` when
+        (:meth:`NeighborTable.read_sets`), or ``reads`` is ``None`` when
         :attr:`reports_read_sets` is false.
         """
         if self.trainer is None:
@@ -218,25 +233,15 @@ class WidenClassifier(BaseClassifier):
                 ]
             )
         else:
-            states, reads = self._sample_for_serving(nodes, graph, rngs)
-            # BLAS dispatches single-row matmuls to gemv, whose summation
-            # order differs from the gemm kernel every larger batch hits,
-            # while gemm row results do not depend on which other rows share
-            # the call.  Pad a batch of one with a copy of its own state so
-            # the answer carries the same bits as the same node served
-            # inside any larger batch — the sharded router relies on that to
-            # stay exactly equal to a single server whatever the miss
-            # batches look like on either side.
-            padded = nodes.size == 1
-            if padded:
-                nodes = np.concatenate([nodes, nodes])
-                states = [states[0], states[0]]
+            table, reads = self._sample_for_serving(nodes, graph, rngs)
             model = self.trainer.model
             model.eval()
             with no_grad():
-                embeddings, _, _ = model.forward_batch(nodes, states, graph, None)
+                embeddings, _, _ = model.forward_batch(
+                    table.take(_at_least_two(nodes.size)), graph
+                )
             model.train()
-            embeddings = embeddings.data[:1] if padded else embeddings.data
+            embeddings = embeddings.data[: nodes.size]
         return (embeddings, reads) if return_reads else embeddings
 
     # ------------------------------------------------------------------
@@ -288,19 +293,17 @@ class WidenClassifier(BaseClassifier):
             raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
             return []
-        states, reads = self._sample_for_serving(nodes, graph, rngs)
-        padded = nodes.size == 1
-        if padded:
-            nodes = np.concatenate([nodes, nodes])
-            states = [states[0], states[0]]
+        table, reads = self._sample_for_serving(nodes, graph, rngs)
         model = self.trainer.model
         model.eval()
         with no_grad():
-            rows = model.materialize_rows(nodes, states, graph)
+            rows = model.materialize_rows(
+                table.take(_at_least_two(nodes.size)), graph
+            )
         model.train()
         for row_set, read_set in zip(rows, reads):
             row_set.reads = read_set
-        return rows[:1] if padded else rows
+        return rows[: nodes.size]
 
     def embed_from_store_blocks(
         self, blocks: np.ndarray, lengths: np.ndarray

@@ -142,9 +142,7 @@ class LinkPredictionTrainer:
             self.graph.num_nodes, size=src.size * self.negatives_per_edge
         )
         nodes = np.unique(np.concatenate([src, dst, negatives]))
-        table, _, _ = self.model.forward_batch(
-            nodes, [self.store.get(int(node)) for node in nodes], self.graph
-        )
+        table, _, _ = self.model.forward_batch(self.store.batch(nodes), self.graph)
 
         def score(u_ids, v_ids):
             # ``nodes`` is sorted and holds every id scored here.
@@ -175,7 +173,7 @@ class LinkPredictionTrainer:
         self.model.eval()
         with no_grad():
             embeddings, _, _ = self.model.forward_batch(
-                nodes, [self.store.get(int(node)) for node in nodes], self.graph
+                self.store.batch(nodes), self.graph
             )
         self.model.train()
         rows = embeddings.data[np.searchsorted(nodes, edges)]  # (m, 2, d)

@@ -27,15 +27,17 @@ import numpy as np
 
 from repro.core.config import WidenConfig
 from repro.core.packing import (
+    AttentionGrid,
     PackedBatch,
     PackRows,
     block_pack,
     pack_batch,
     segment_ids,
     split_segments,
+    valid_slots,
 )
 from repro.core.relay import EdgeSpecLike, RelayRecipe
-from repro.core.state import NeighborState
+from repro.core.state import NeighborState, NeighborTable
 from repro.graph import HeteroGraph
 from repro.graph.sampling import DeepNeighborSet, WideNeighborSet
 from repro.nn import (
@@ -413,13 +415,12 @@ class WidenModel(Module):
 
     def forward_batch(
         self,
-        targets: Sequence[int],
-        states: Sequence[NeighborState],
+        batch: NeighborTable,
         graph: HeteroGraph,
         node_state: Optional[np.ndarray] = None,
         select_kernel: bool = False,
-    ) -> Tuple[Tensor, List[Optional[np.ndarray]], List[List[np.ndarray]]]:
-        """Vectorized ``forward`` over ``B`` targets at once.
+    ) -> Tuple[Tensor, Optional[AttentionGrid], Optional[AttentionGrid]]:
+        """Vectorized ``forward`` over the ``B`` rows of ``batch`` at once.
 
         Packs every target's ``M°`` and every walk's ``M▷`` into batch
         tensors (see :mod:`repro.core.packing`) and runs each stage —
@@ -442,13 +443,15 @@ class WidenModel(Module):
         store hooks) leave it off: one family everywhere is what keeps
         recompute, store and fleet bit-identical.
 
-        Returns ``(embeddings, wide_attentions, deep_attentions)`` where
-        ``embeddings`` is ``(B, d)`` and the attention lists hold, per
-        target, the same trimmed distributions ``forward`` would return.
+        Returns ``(embeddings, wide_attention, deep_attention)``:
+        ``embeddings`` is ``(B, d)``; the attentions are the
+        :class:`~repro.core.packing.AttentionGrid` of the ``B`` wide sets
+        and of the ``B·Φ`` walks (target-major) — row ``s`` trimmed to
+        ``lengths[s]`` is what ``forward`` returns for that set — or
+        ``None`` for an ablated side.
         """
         pack = pack_batch(
-            targets,
-            states,
+            batch,
             graph,
             self.config,
             pack_dropout=self.pack_dropout,
@@ -459,28 +462,29 @@ class WidenModel(Module):
                 else None
             ),
         )
-        batch = pack.batch_size
         attrs = {"kernel": "sparse"} if pack.sparse else {}
-        with trace_span("widen.forward", batch=batch, **attrs):
+        with trace_span("widen.forward", batch=pack.batch_size, **attrs):
             wide_packs, deep_packs = self._assemble(pack, graph, node_state)
             embeddings, wide_weights, deep_weights = self._pass_and_fuse(
                 pack, wide_packs, deep_packs
             )
-        wide_attentions: List[Optional[np.ndarray]] = [None] * batch
-        if wide_weights is not None:
-            wide_attentions = split_segments(
-                wide_weights.data, pack.wide_lengths, pack.wide_offsets
-            )
-        deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
-        if deep_weights is not None:
-            walks = split_segments(
-                deep_weights.data, pack.deep_lengths, pack.deep_offsets
-            )
-            deep_attentions = [
-                walks[b * pack.num_walks : (b + 1) * pack.num_walks]
-                for b in range(batch)
-            ]
-        return embeddings, wide_attentions, deep_attentions
+
+        def grid(weights: Optional[Tensor], lengths):
+            if weights is None:
+                return None
+            if not pack.sparse:
+                return AttentionGrid(weights.data, lengths)
+            # CSR weights are the grid's valid slots back to back.
+            width = int(lengths.max())
+            padded = np.zeros(lengths.size * width)
+            padded[valid_slots(lengths, width)[0]] = weights.data
+            return AttentionGrid(padded.reshape(lengths.size, width), lengths)
+
+        return (
+            embeddings,
+            grid(wide_weights, pack.wide_lengths),
+            grid(deep_weights, pack.deep_lengths),
+        )
 
     def _assemble(
         self,
@@ -616,10 +620,7 @@ class WidenModel(Module):
     # ------------------------------------------------------------------
 
     def materialize_rows(
-        self,
-        targets: Sequence[int],
-        states: Sequence[NeighborState],
-        graph: HeteroGraph,
+        self, batch: NeighborTable, graph: HeteroGraph
     ) -> List[PackRows]:
         """The first half of :meth:`forward_batch`, stopped at the packs.
 
@@ -631,11 +632,11 @@ class WidenModel(Module):
         what makes a later :meth:`forward_from_blocks` bit-equal to the
         full recompute.
         """
-        pack = pack_batch(targets, states, graph, self.config)
-        batch = pack.batch_size
-        with trace_span("widen.materialize", batch=batch):
+        pack = pack_batch(batch, graph, self.config)
+        size = pack.batch_size
+        with trace_span("widen.materialize", batch=size):
             wide_packs, deep_packs = self._assemble(pack, graph, None)
-        wide_rows: List[Optional[np.ndarray]] = [None] * batch
+        wide_rows: List[Optional[np.ndarray]] = [None] * size
         if wide_packs is not None:
             wide_rows = split_segments(wide_packs.data, pack.wide_lengths)
         walks: List[np.ndarray] = []
@@ -646,7 +647,7 @@ class WidenModel(Module):
                 wide=wide_rows[b],
                 deep=walks[b * pack.num_walks : (b + 1) * pack.num_walks],
             )
-            for b in range(batch)
+            for b in range(size)
         ]
 
     def forward_from_blocks(

@@ -15,10 +15,12 @@ same mathematics as a handful of batched tensor ops, in one of two layouts:
   ``segment_softmax`` / ``segment_matmul``) whose work is proportional to
   real pack rows.
 
-The grids are filled first (the only loop over ``states``); the CSR arrays
-are a vectorised selection of their valid slots
-(:func:`flat_slot_indices`).  Which layout a batch gets is decided from the
-padding waste it measures for the ``pack_padding_waste`` gauge anyway.
+The input is a :class:`~repro.core.state.NeighborTable` holding the
+minibatch's rows, so the grids are filled with one sort of the batch's
+neighbor ids and one masked scatter per side; the CSR arrays are a
+vectorised selection of their valid slots (:func:`flat_slot_indices`).
+Which layout a batch gets is decided from the padding waste it measures for
+the ``pack_padding_waste`` gauge anyway.
 
 Relay edges (Eq. 8) cannot be table lookups: they are re-evaluated against
 current parameters each forward.  The pack records their flat positions so
@@ -26,23 +28,24 @@ the model can splice the evaluated rows into the edge matrix with one
 ``scatter_rows``.
 
 Dropout reproducibility: the per-node path draws one mask per pack matrix
-(wide, then each walk, then the hidden vector) in target order.  When the
-dropout modules are passed in, :func:`pack_batch` consumes the rng streams
-in exactly that order with the true-length shapes, so training losses are
-bit-identical to the reference under the padded layout and the masks are
-the same numbers under either.
+(wide, then each walk) from one module and one per hidden vector from
+another, in target order.  When the dropout modules are passed in,
+:func:`pack_batch` makes one draw per module of all those rows at once —
+the same stream positions, since ``Generator.random`` fills in C order — so
+training losses are bit-identical to the reference under the padded layout
+and the masks are the same numbers under either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.config import WidenConfig
 from repro.core.relay import RelayRecipe
-from repro.core.state import NeighborState
+from repro.core.state import NeighborTable
 from repro.graph import HeteroGraph
 from repro.obs.metrics import get_registry
 
@@ -65,7 +68,7 @@ class PackRows:
     bit-for-bit without sampling, feature projection or edge gathers.
 
     ``reads`` is the read set of the sample the rows were packed from
-    (:meth:`NeighborState.read_set`): the ids whose adjacency lists decided
+    (:meth:`NeighborTable.read_sets`): the ids whose adjacency lists decided
     these values.  The rows stay exact until one of those lists changes, so
     the read set travels with them into the store.
     """
@@ -182,19 +185,24 @@ def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     return np.repeat(starts, lengths) + within, offsets
 
 
-def split_segments(
-    data: np.ndarray, lengths: np.ndarray, offsets: Optional[np.ndarray] = None
-) -> List[np.ndarray]:
-    """Per-segment copies of ``data`` trimmed to true lengths.
+def split_segments(data: np.ndarray, lengths: np.ndarray) -> List[np.ndarray]:
+    """Per-segment copies of a padded grid's rows, trimmed to true lengths."""
+    return [data[s, : int(n)].copy() for s, n in enumerate(lengths)]
 
-    Padded layout (``offsets is None``): the first ``lengths[s]`` slots of
-    grid row ``s``; flat CSR: the slice ``offsets[s]:offsets[s + 1]``.
+
+class AttentionGrid(NamedTuple):
+    """One side's attention distributions for a minibatch, as computed.
+
+    ``weights`` is ``(S, L)`` — one row per wide set or walk, target pack
+    first, exact zeros beyond ``lengths[s]`` — whichever kernel family ran.
     """
-    if offsets is None:
-        return [data[s, : int(n)].copy() for s, n in enumerate(lengths)]
-    return [
-        data[offsets[s] : offsets[s + 1]].copy() for s in range(len(lengths))
-    ]
+
+    weights: np.ndarray
+    lengths: np.ndarray
+
+    def rows(self) -> List[np.ndarray]:
+        """The distributions trimmed to true lengths (copies)."""
+        return split_segments(self.weights, self.lengths)
 
 
 def _observe_padding(
@@ -303,94 +311,110 @@ def _draw(dropout, shape):
     return None if dropout is None else dropout.draw_mask(shape)
 
 
+def valid_slots(lengths: np.ndarray, width: int):
+    """Flat positions of the valid slots of an ``(S, width)`` grid."""
+    starts = np.arange(lengths.size, dtype=np.int64) * width
+    return flat_slot_indices(lengths, starts)
+
+
 def pack_batch(
-    targets: Sequence[int],
-    states: Sequence[NeighborState],
+    batch: NeighborTable,
     graph: HeteroGraph,
     config: WidenConfig,
     pack_dropout=None,
     hidden_dropout=None,
     sparse_min_waste: Optional[float] = None,
 ) -> PackedBatch:
-    """Assemble the index arrays and masks for ``B`` targets.
+    """Assemble the index arrays and masks for the ``B`` rows of ``batch``.
+
+    ``batch`` is a :class:`~repro.core.state.NeighborTable` holding exactly
+    the minibatch (``store.batch(nodes)``, ``table.take(rows)``, or
+    :func:`~repro.core.state.stack_states` over records).
 
     ``pack_dropout``/``hidden_dropout`` are the model's :class:`Dropout`
-    modules (or ``None``); their rng streams are consumed in per-node order
-    so training stays bit-identical with the reference path.
+    modules (or ``None``); each is drawn from once, and because
+    ``Generator.random`` fills in C order that one draw is the per-node
+    draws back to back, so training stays bit-identical with the reference
+    path.
 
     The result is padded grids unless ``sparse_min_waste`` is given and the
     batch's padding waste reaches it, in which case the same slots come
     back as flat CSR arrays.  Callers whose answers must not depend on
     batch composition (serving, the store) leave it ``None``.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    batch = targets.shape[0]
-    if batch == 0:
+    size = len(batch)
+    if size == 0:
         raise ValueError("pack_batch requires at least one target")
-    if len(states) != batch:
-        raise ValueError(f"{batch} targets but {len(states)} neighbor states")
     d = config.dim
-    loop_types = graph.self_loop_types(targets)
+    num_walks = batch.num_walks
+    loop_types = graph.self_loop_types(batch.targets)
 
-    # ---- unique neighbor rows -----------------------------------------
-    chunks: List[np.ndarray] = []
+    # ---- real set slots -> rows of the flat node-vector matrix ---------
+    def real_slots(nodes, etypes, lens):
+        """One side's ``(S, width - 1)`` neighbor-slot mask and the node ids
+        and edge types in its real slots, flat in slot order."""
+        reach = int(lens.max())
+        keep = np.arange(reach) < lens[:, np.newaxis]
+        return keep, nodes[:, :reach][keep], etypes[:, :reach][keep]
+
+    wide = deep = None
     if config.use_wide:
-        chunks.extend(state.wide.nodes for state in states)
+        wide = real_slots(batch.wide_nodes, batch.wide_etypes, batch.wide_len)
     if config.use_deep:
-        chunks.extend(deep.nodes for state in states for deep in state.deep)
-    if chunks:
-        neighbor_nodes = np.unique(np.concatenate(chunks))
-    else:
-        neighbor_nodes = np.empty(0, np.int64)
-
+        walks = (size * num_walks, -1)
+        deep = real_slots(
+            batch.deep_nodes.reshape(walks),
+            batch.deep_etypes.reshape(walks),
+            batch.deep_len.reshape(-1),
+        )
+    # One sort serves both sides: the unique ids and every slot's rank.
+    neighbor_nodes, rank = np.unique(
+        np.concatenate([side[1] for side in (wide, deep) if side is not None]),
+        return_inverse=True,
+    )
     pack = PackedBatch(
-        batch_size=batch, targets=targets, neighbor_nodes=neighbor_nodes
+        batch_size=size, targets=batch.targets, neighbor_nodes=neighbor_nodes
     )
 
-    def fill(segments, owners: np.ndarray):
-        """``(index, etypes, lengths)`` grids, one row per neighbor set."""
-        lengths = np.array([len(segment) + 1 for segment in segments], np.int64)
-        index = np.zeros((len(segments), int(lengths.max())), np.int64)
-        etypes = np.zeros(index.shape, np.int64)
+    def fill(side, rank: np.ndarray, owners: np.ndarray):
+        """``(index, etypes)`` grids, one row per neighbor set."""
+        keep, _, etypes = side
+        index = np.zeros((keep.shape[0], keep.shape[1] + 1), np.int64)
+        etype_grid = np.zeros(index.shape, np.int64)
         index[:, 0] = owners
-        etypes[:, 0] = loop_types[owners]
-        for s, segment in enumerate(segments):
-            n = len(segment)
-            if n:
-                index[s, 1 : n + 1] = batch + np.searchsorted(
-                    neighbor_nodes, segment.nodes
-                )
-                etypes[s, 1 : n + 1] = segment.etypes
-        return index, etypes, lengths
+        etype_grid[:, 0] = loop_types[owners]
+        index[:, 1:][keep] = size + rank
+        etype_grid[:, 1:][keep] = etypes
+        return index, etype_grid
 
     slots = used = wide_width = deep_width = 0
     if config.use_wide:
-        pack.wide_index, pack.wide_etypes, pack.wide_lengths = fill(
-            [state.wide for state in states], np.arange(batch)
+        pack.wide_index, pack.wide_etypes = fill(
+            wide, rank[: wide[1].size], np.arange(size)
         )
+        pack.wide_lengths = batch.wide_len + 1
         wide_width = pack.wide_index.shape[1]
         slots += pack.wide_index.size
         used += int(pack.wide_lengths.sum())
     if config.use_deep:
-        num_walks = len(states[0].deep)
-        for state in states:
-            if len(state.deep) != num_walks:
-                raise ValueError("all targets must carry the same walk count Φ")
         pack.num_walks = num_walks
-        walks = [deep for state in states for deep in state.deep]
-        pack.deep_index, pack.deep_etypes, pack.deep_lengths = fill(
-            walks, np.repeat(np.arange(batch), num_walks)
+        pack.deep_index, pack.deep_etypes = fill(
+            deep, rank[rank.size - deep[1].size :],
+            np.repeat(np.arange(size), num_walks),
         )
+        pack.deep_lengths = batch.deep_len.reshape(-1) + 1
         deep_width = pack.deep_index.shape[1]
         slots += pack.deep_index.size
         used += int(pack.deep_lengths.sum())
-        relay_rows: List[int] = []
-        for w, deep in enumerate(walks):
-            for position, relay in enumerate(deep.relays):
-                if relay is not None:
-                    relay_rows.append(w * deep_width + position + 1)
-                    pack.deep_relays.append(relay)
-        pack.deep_relay_rows = np.asarray(relay_rows, np.int64)
+        if batch.relays:
+            # Row-major over (target, walk, position): the order the
+            # per-node path meets them in.
+            b, walk, position = np.nonzero(batch.deep_relay)
+            pack.deep_relay_rows = (b * num_walks + walk) * deep_width + position + 1
+            pack.deep_relays = [
+                batch.relays[key]
+                for key in zip(b.tolist(), walk.tolist(), position.tolist())
+            ]
 
     # ---- layout: padded grids, or their valid slots as flat CSR --------
     pack.waste = 0.0 if slots == 0 else 1.0 - used / slots
@@ -398,10 +422,6 @@ def pack_batch(
     get_registry().counter(
         "pack_batches_total", layout="sparse" if pack.sparse else "padded"
     ).inc()
-
-    def valid_slots(lengths: np.ndarray, width: int):
-        starts = np.arange(lengths.size, dtype=np.int64) * width
-        return flat_slot_indices(lengths, starts)
 
     if config.use_wide:
         _observe_padding("wide", pack.wide_lengths, wide_width, not pack.sparse)
@@ -430,30 +450,42 @@ def pack_batch(
                 pack.deep_valid, pack.deep_attn_mask
             )
 
-    # ---- dropout draws in per-node order -------------------------------
-    wide_masks, deep_masks, hidden_masks = [], [], []
-    for b in range(batch):
+    # ---- dropout: one draw per module, scattered by position -----------
+    # The per-node path draws one mask per pack matrix — wide, then each
+    # walk — target by target: the rows of one ``(used, d)`` draw, in that
+    # order.  They land in one buffer laid out like the packs (all wide
+    # slots, then all deep slots; ones where a grid is padding).
+    drawn = _draw(pack_dropout, (used, d))
+    if drawn is not None:
+        wide_rows = pack.wide_index.size if config.use_wide else 0
+        deep_rows = pack.deep_index.size if config.use_deep else 0
+
+        def first_slots(lengths, offsets, width):
+            """Each segment's first row among its side's rows."""
+            return offsets[:-1] if pack.sparse else np.arange(lengths.size) * width
+
+        # Per target: its wide segment, then its walks — the draw order.
+        lengths, starts = [], []
         if config.use_wide:
-            wide_masks.append(_draw(pack_dropout, (int(pack.wide_lengths[b]), d)))
+            lengths.append(pack.wide_lengths.reshape(size, 1))
+            starts.append(
+                first_slots(pack.wide_lengths, pack.wide_offsets, wide_width)
+                .reshape(size, 1)
+            )
         if config.use_deep:
-            for w in range(b * pack.num_walks, (b + 1) * pack.num_walks):
-                deep_masks.append(
-                    _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
-                )
-        hidden_masks.append(_draw(hidden_dropout, (d,)))
-
-    def place(masks, lengths, width):
-        if not masks or masks[0] is None:
-            return None
-        flat = np.concatenate(masks)
-        if pack.sparse:
-            return flat
-        grid = np.ones((lengths.size * width, d))
-        grid[valid_slots(lengths, width)[0]] = flat
-        return grid.reshape(lengths.size, width, d)
-
-    pack.wide_dropout = place(wide_masks, pack.wide_lengths, wide_width)
-    pack.deep_dropout = place(deep_masks, pack.deep_lengths, deep_width)
-    if hidden_masks[0] is not None:
-        pack.hidden_dropout = np.stack(hidden_masks)
+            lengths.append(pack.deep_lengths.reshape(size, num_walks))
+            starts.append(
+                wide_rows
+                + first_slots(pack.deep_lengths, pack.deep_offsets, deep_width)
+                .reshape(size, num_walks)
+            )
+        lengths = np.concatenate(lengths, axis=1).ravel()
+        starts = np.concatenate(starts, axis=1).ravel()
+        masks = np.ones((wide_rows + deep_rows, d))
+        masks[flat_slot_indices(lengths, starts)[0]] = drawn
+        if config.use_wide:
+            pack.wide_dropout = masks[:wide_rows].reshape(pack.wide_index.shape + (d,))
+        if config.use_deep:
+            pack.deep_dropout = masks[wide_rows:].reshape(pack.deep_index.shape + (d,))
+    pack.hidden_dropout = _draw(hidden_dropout, (size, d))
     return pack

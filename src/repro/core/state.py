@@ -6,18 +6,28 @@ therefore keeps persistent state per target node: the current neighbor sets
 plus the attention distributions of the previous epoch, which the
 KL-divergence trigger (Eq. 9) compares against.
 
-A *signature* accompanies every stored distribution: KL is only meaningful
-when the neighbor set is unchanged between epochs ("otherwise +∞" in Eq. 9),
-so a set mutation invalidates the comparison.
+Storage is a :class:`NeighborTable` — one row per sampled node, every field
+a column — so the packer, the dropout draws and the trigger are array
+operations over a minibatch's rows.  :class:`NeighborState` is the per-node
+*record* of one row: what checkpoints store and what the per-node reference
+forward, the analysis helpers and tests read.  Nothing on the minibatch
+path builds one.
+
+KL is only meaningful when the neighbor set is unchanged between epochs
+("otherwise +∞" in Eq. 9).  A set only changes through a downsample, which
+clears that segment's remembered distribution, so the table keeps one
+*comparable length* per remembered row (0: nothing to compare against)
+where a record carries a signature tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.relay import RelayRecipe
 from repro.graph import HeteroGraph, sample_deep, sample_wide
 from repro.graph.sampling import DeepNeighborSet, WideNeighborSet
 from repro.utils.rng import SeedLike, new_rng
@@ -40,22 +50,6 @@ class NeighborState:
         if not self.prev_deep_signature:
             self.prev_deep_signature = [None] * len(self.deep)
 
-    def read_set(self, width: int) -> np.ndarray:
-        """Ids whose *adjacency list* the sampler consulted, as ``(width,)``.
-
-        The target (wide sample, first step of every walk) and every node a
-        deep walk visited — the last one included: a walk that stopped early
-        stopped *because* that node's list was empty, and the first edge it
-        gains must invalidate the sample.  Wide neighbors are absent on
-        purpose: only their (append-only) feature rows are read.  Short
-        rows are padded with the target's own id, which is already a
-        member, so consumers can gather through the row without a mask.
-        """
-        reads = np.full(width, self.wide.target, np.int64)
-        walked = np.concatenate([deep.nodes for deep in self.deep])
-        reads[1 : 1 + walked.size] = walked
-        return reads
-
     def wide_signature(self) -> tuple:
         return tuple(self.wide.nodes.tolist())
 
@@ -65,8 +59,239 @@ class NeighborState:
         return tuple(deep.nodes.tolist()) + relay_marks
 
 
+def _comparable(attention, signature, current_signature: tuple, size: int) -> bool:
+    """Whether a record's remembered distribution can still meet Eq. 9."""
+    return (
+        attention is not None
+        and signature == current_signature
+        and attention.shape == (size + 1,)
+    )
+
+
+class NeighborTable:
+    """Neighbor sets and trigger memory of many nodes, one row each.
+
+    Columns (``R`` rows, caps ``N_w``/``N_d``, ``Φ`` walks; slots beyond a
+    length are unspecified):
+
+    - ``targets (R,)`` — the node each row belongs to;
+    - ``wide_nodes``/``wide_etypes (R, N_w)`` + ``wide_len (R,)``;
+    - ``deep_nodes``/``deep_etypes (R, Φ, N_d)`` + ``deep_len (R, Φ)``;
+    - ``deep_relay (R, Φ, N_d)`` — marks positions whose edge is a relay;
+      the :class:`~repro.core.relay.RelayRecipe` itself is symbolic (it is
+      re-evaluated against current parameters every forward) and lives in
+      ``relays``, keyed ``(row, walk, position)``;
+    - ``prev_wide (R, N_w + 1)`` + ``prev_wide_len (R,)`` and ``prev_deep
+      (R, Φ, N_d + 1)`` + ``prev_deep_len (R, Φ)`` — last epoch's attention
+      rows and their comparable lengths (0: none).
+
+    A table is both the store's growable storage (``size`` rows used of a
+    capacity that doubles) and, through :meth:`take`, the by-value batch
+    the packer consumes.
+    """
+
+    _COLUMNS = (
+        "targets",
+        "wide_nodes", "wide_etypes", "wide_len",
+        "deep_nodes", "deep_etypes", "deep_len", "deep_relay",
+        "prev_wide", "prev_wide_len", "prev_deep", "prev_deep_len",
+    )
+
+    def __init__(
+        self, num_wide: int, num_deep: int, num_walks: int, capacity: int = 0
+    ) -> None:
+        self.num_wide = num_wide
+        self.num_deep = num_deep
+        self.num_walks = num_walks
+        self.size = 0
+        self.relays: Dict[Tuple[int, int, int], RelayRecipe] = {}
+        walks = (capacity, num_walks)
+        self.targets = np.zeros(capacity, np.int64)
+        self.wide_nodes = np.zeros((capacity, num_wide), np.int64)
+        self.wide_etypes = np.zeros((capacity, num_wide), np.int64)
+        self.wide_len = np.zeros(capacity, np.int64)
+        self.deep_nodes = np.zeros(walks + (num_deep,), np.int64)
+        self.deep_etypes = np.zeros(walks + (num_deep,), np.int64)
+        self.deep_len = np.zeros(walks, np.int64)
+        self.deep_relay = np.zeros(walks + (num_deep,), bool)
+        self.prev_wide = np.zeros((capacity, num_wide + 1))
+        self.prev_wide_len = np.zeros(capacity, np.int64)
+        self.prev_deep = np.zeros(walks + (num_deep + 1,))
+        self.prev_deep_len = np.zeros(walks, np.int64)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def take(self, rows: np.ndarray) -> "NeighborTable":
+        """The given rows, in order, as a table of their own (copies)."""
+        rows = np.asarray(rows, np.int64)
+        out = NeighborTable(self.num_wide, self.num_deep, self.num_walks)
+        out.size = int(rows.size)
+        for name in self._COLUMNS:
+            setattr(out, name, getattr(self, name)[rows])
+        if self.relays:
+            marked = np.nonzero(out.deep_relay)
+            for b, walk, position in zip(*(axis.tolist() for axis in marked)):
+                out.relays[b, walk, position] = self.relays[
+                    int(rows[b]), walk, position
+                ]
+        return out
+
+    def new_row(self, target: int) -> int:
+        """Append an empty row for ``target``, doubling capacity when full."""
+        row = self.size
+        capacity = self.targets.shape[0]
+        if row == capacity:
+            for name in self._COLUMNS:
+                old = getattr(self, name)
+                grown = np.zeros((max(16, 2 * capacity),) + old.shape[1:], old.dtype)
+                grown[:capacity] = old
+                setattr(self, name, grown)
+        self.size = row + 1
+        self.targets[row] = target
+        return row
+
+    # -- one segment in, one segment out ---------------------------------
+
+    def wide(self, row: int) -> WideNeighborSet:
+        n = int(self.wide_len[row])
+        return WideNeighborSet(
+            int(self.targets[row]),
+            self.wide_nodes[row, :n].copy(),
+            self.wide_etypes[row, :n].copy(),
+        )
+
+    def set_wide(self, row: int, wide: WideNeighborSet) -> None:
+        n = len(wide)
+        if n > self.num_wide:
+            raise ValueError(f"wide set of {n} exceeds the cap {self.num_wide}")
+        self.wide_nodes[row, :n] = wide.nodes
+        self.wide_etypes[row, :n] = wide.etypes
+        self.wide_len[row] = n
+
+    def walk(self, row: int, phi: int) -> DeepNeighborSet:
+        n = int(self.deep_len[row, phi])
+        relays: List[Optional[RelayRecipe]] = [None] * n
+        for position in np.flatnonzero(self.deep_relay[row, phi, :n]).tolist():
+            relays[position] = self.relays[row, phi, position]
+        return DeepNeighborSet(
+            int(self.targets[row]),
+            self.deep_nodes[row, phi, :n].copy(),
+            self.deep_etypes[row, phi, :n].copy(),
+            relays,
+        )
+
+    def set_walk(self, row: int, phi: int, deep: DeepNeighborSet) -> None:
+        n = len(deep)
+        if n > self.num_deep:
+            raise ValueError(f"walk of {n} exceeds the cap {self.num_deep}")
+        if self.relays:
+            for position in np.flatnonzero(self.deep_relay[row, phi]).tolist():
+                del self.relays[row, phi, position]
+        self.deep_nodes[row, phi, :n] = deep.nodes
+        self.deep_etypes[row, phi, :n] = deep.etypes
+        self.deep_len[row, phi] = n
+        self.deep_relay[row, phi] = False
+        for position, relay in enumerate(deep.relays):
+            if relay is not None:
+                self.deep_relay[row, phi, position] = True
+                self.relays[row, phi, position] = relay
+
+    # -- records ---------------------------------------------------------
+
+    def record(self, row: int) -> NeighborState:
+        """Row ``row`` as a :class:`NeighborState` (copies, not views)."""
+        state = NeighborState(
+            wide=self.wide(row),
+            deep=[self.walk(row, phi) for phi in range(self.num_walks)],
+        )
+        n = int(self.prev_wide_len[row])
+        if n:
+            state.prev_wide_attention = self.prev_wide[row, :n].copy()
+            state.prev_wide_signature = state.wide_signature()
+        for phi in range(self.num_walks):
+            n = int(self.prev_deep_len[row, phi])
+            if n:
+                state.prev_deep_attention[phi] = self.prev_deep[row, phi, :n].copy()
+                state.prev_deep_signature[phi] = state.deep_signature(phi)
+        return state
+
+    def records(self) -> List[NeighborState]:
+        return [self.record(row) for row in range(self.size)]
+
+    def append_record(self, state: NeighborState) -> int:
+        """Append ``state`` as a new row; returns the row.
+
+        A remembered distribution whose signature no longer matches its set
+        could never pass Eq. 9's same-set test, so it is stored as "none".
+        """
+        if len(state.deep) != self.num_walks:
+            raise ValueError("all targets must carry the same walk count Φ")
+        row = self.new_row(state.wide.target)
+        self.set_wide(row, state.wide)
+        attention = state.prev_wide_attention
+        if _comparable(
+            attention, state.prev_wide_signature,
+            state.wide_signature(), len(state.wide),
+        ):
+            self.prev_wide[row, : attention.size] = attention
+            self.prev_wide_len[row] = attention.size
+        for phi, deep in enumerate(state.deep):
+            self.set_walk(row, phi, deep)
+            attention = state.prev_deep_attention[phi]
+            if _comparable(
+                attention, state.prev_deep_signature[phi],
+                state.deep_signature(phi), len(deep),
+            ):
+                self.prev_deep[row, phi, : attention.size] = attention
+                self.prev_deep_len[row, phi] = attention.size
+        return row
+
+    def read_sets(self) -> np.ndarray:
+        """Ids whose *adjacency list* each row's sampler consulted.
+
+        ``(R, 1 + Φ·N_d)``: the target (wide sample, first step of every
+        walk) and every node a deep walk visited — the last one included: a
+        walk that stopped early stopped *because* that node's list was
+        empty, and the first edge it gains must invalidate the sample.
+        Wide neighbors are absent on purpose: only their (append-only)
+        feature rows are read.  Walk nodes sit back to back after the
+        target; short rows are padded with the target's own id, which is
+        already a member, so consumers can gather through a row without a
+        mask.
+        """
+        size = self.size
+        width = self.num_walks * self.num_deep
+        walked = self.deep_nodes[:size].reshape(size, width)
+        valid = (
+            np.arange(self.num_deep) < self.deep_len[:size, :, np.newaxis]
+        ).reshape(size, width)
+        reads = np.repeat(self.targets[:size, np.newaxis], 1 + width, axis=1)
+        reads[np.nonzero(valid)[0], np.cumsum(valid, axis=1)[valid]] = walked[valid]
+        return reads
+
+
+def stack_states(states: Sequence[NeighborState]) -> NeighborTable:
+    """Records as the rows of one table — the packer's input type.
+
+    Caps are the widest set present, so hand-built records of any size fit.
+    """
+    if not states:
+        raise ValueError("stack_states requires at least one state")
+    num_walks = len(states[0].deep)
+    table = NeighborTable(
+        max(len(state.wide) for state in states),
+        max((len(deep) for state in states for deep in state.deep), default=0),
+        num_walks,
+        capacity=len(states),
+    )
+    for state in states:
+        table.append_record(state)
+    return table
+
+
 class NeighborStateStore:
-    """Lazily samples and caches :class:`NeighborState` per node id."""
+    """Lazily samples neighbor sets per node id into a :class:`NeighborTable`."""
 
     def __init__(
         self,
@@ -99,30 +324,70 @@ class NeighborStateStore:
         self._base_seed: Optional[int] = None
         if sample_seeding == "per_node":
             self._base_seed = int(self._rng.integers(2**63 - 1))
-        self._states: Dict[int, NeighborState] = {}
+        self.table = NeighborTable(num_wide, num_deep, num_deep_walks)
+        self._row_of: Dict[int, int] = {}
+
+    def rows_for(self, nodes: Sequence[int]) -> np.ndarray:
+        """Table rows of ``nodes``, sampling the unseen ones in order."""
+        row_of = self._row_of
+        ids = np.asarray(nodes, np.int64).tolist()
+        rows = np.empty(len(ids), np.int64)
+        for i, node in enumerate(ids):
+            row = row_of.get(node)
+            if row is None:
+                row = row_of[node] = self.sample_fresh(node)
+            rows[i] = row
+        return rows
+
+    def batch(self, nodes: Sequence[int]) -> NeighborTable:
+        """The rows of ``nodes`` as one packer-ready table."""
+        return self.table.take(self.rows_for(nodes))
 
     def get(self, node: int) -> NeighborState:
-        node = int(node)
-        state = self._states.get(node)
-        if state is None:
-            state = self.sample_fresh(node)
-            self._states[node] = state
-        return state
+        """``node``'s row as a record (a copy: edits do not reach the table)."""
+        return self.table.record(int(self.rows_for([node])[0]))
 
-    def sample_fresh(self, node: int) -> NeighborState:
-        """Sample wide + Φ deep sets for ``node`` (no caching)."""
-        rng = self._rng
-        if self._base_seed is not None:
-            rng = np.random.default_rng((self._base_seed, int(node)))
-        wide = sample_wide(
-            self.graph, node, self.num_wide, rng=rng,
-            unique=self.wide_sampling == "unique",
+    def sample_fresh(self, node: int, rng: Optional[np.random.Generator] = None) -> int:
+        """Sample wide + Φ deep sets for ``node`` into a new table row.
+
+        Returns the row; the node is *not* entered in the id → row map, so a
+        later :meth:`rows_for` samples it again.  ``rng`` overrides the
+        store's own generator (the serving path draws every node from its
+        own).
+        """
+        node = int(node)
+        if rng is None:
+            rng = self._rng
+            if self._base_seed is not None:
+                rng = np.random.default_rng((self._base_seed, node))
+        table = self.table
+        row = table.new_row(node)
+        table.set_wide(
+            row,
+            sample_wide(
+                self.graph, node, self.num_wide, rng=rng,
+                unique=self.wide_sampling == "unique",
+            ),
         )
-        deep = [
-            sample_deep(self.graph, node, self.num_deep, rng=rng)
-            for _ in range(self.num_deep_walks)
-        ]
-        return NeighborState(wide=wide, deep=deep)
+        for phi in range(self.num_deep_walks):
+            table.set_walk(
+                row, phi, sample_deep(self.graph, node, self.num_deep, rng=rng)
+            )
+        return row
+
+    def records(self) -> Dict[int, NeighborState]:
+        """``{node: record}`` of every cached node, by value."""
+        return {node: self.table.record(row) for node, row in self._row_of.items()}
+
+    def load_records(self, records: Dict[int, NeighborState]) -> None:
+        """Replace the cached rows with ``records`` (checkpoint restore)."""
+        self.table = NeighborTable(
+            self.num_wide, self.num_deep, self.num_deep_walks, capacity=len(records)
+        )
+        self._row_of = {
+            int(node): self.table.append_record(state)
+            for node, state in records.items()
+        }
 
     def rng_state(self) -> dict:
         """Serializable snapshot of the sampling rng.
@@ -146,7 +411,7 @@ class NeighborStateStore:
             self._rng.bit_generator.state = state
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._row_of)
 
     def __contains__(self, node: int) -> bool:
-        return int(node) in self._states
+        return int(node) in self._row_of

@@ -1,9 +1,10 @@
 """WIDEN's trainer — the graph-bound phases of Algorithm 3.
 
 The trainer owns the persistent neighbor states (sampled once, line 3), the
-model replica and the optimizer, and after every per-node forward decides —
-via the KL-divergence trigger of Eq. 9 — whether to actively downsample that
-node's wide set (Algorithm 1) or deep sequences (Algorithm 2).
+model replica and the optimizer, and after every minibatch forward decides —
+via the KL-divergence trigger of Eq. 9, for all of the batch's sets at once —
+which nodes' wide sets (Algorithm 1) or deep sequences (Algorithm 2) to
+actively downsample.
 
 Epoch sequencing lives in :class:`~repro.core.train_loop.TrainLoop`; this
 class exposes Algorithm 3 as composable phases the loop drives:
@@ -34,14 +35,15 @@ Inference helpers:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
+from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
-from repro.core.state import NeighborState, NeighborStateStore
+from repro.core.state import NeighborStateStore
 from repro.core.train_loop import LocalTrainClient, TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
 from repro.obs import MetricsRegistry, get_registry
@@ -53,10 +55,30 @@ from repro.utils.rng import SeedLike, new_rng, spawn_rngs
 __all__ = ["TrainHistory", "WidenTrainer"]
 
 
-def _entropy(distribution: np.ndarray) -> float:
-    """Shannon entropy of an attention distribution (nats)."""
-    p = np.clip(distribution, 1e-12, None)
-    return float(-(p * np.log(p)).sum())
+# Probabilities are clipped here before a log, as ``F.kl_divergence`` does.
+_EPS = 1e-12
+
+
+def _sums_by_length(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``terms[s, :lengths[s]].sum()`` for every row ``s`` of ``(S, L)``.
+
+    Reduced one true-length group at a time: summing a ``(k, n)`` block
+    along its rows adds each row's ``n`` terms in the order a 1-D sum of
+    that row does, whereas summing the zero-padded row pairs them
+    differently and moves the last bit.  Rows that fill the grid — nearly
+    all of them — are one such block as they stand.
+    """
+    sums = np.sum(terms, axis=1)
+    for length in np.unique(lengths[lengths < terms.shape[1]]).tolist():
+        members = np.flatnonzero(lengths == length)
+        sums[members] = np.sum(terms[members, :length], axis=1)
+    return sums
+
+
+def _entropies(attention: AttentionGrid) -> np.ndarray:
+    """Shannon entropy (nats) of every distribution in the grid."""
+    p = np.clip(attention.weights, _EPS, None)
+    return -_sums_by_length(p * np.log(p), attention.lengths)
 
 
 class WidenTrainer:
@@ -222,26 +244,21 @@ class WidenTrainer:
         if batch.size == 0:
             return {"count": 0, "loss_sum": 0.0}
         with trace_span("trainer.batch", size=int(batch.size)):
-            ((states, stacked, wide_atts, deep_att_lists),) = self._forward_chunks(
+            ((rows, stacked, wide_att, deep_att),) = self._forward_chunks(
                 self.store, self.graph, self.node_state, batch,
                 select_kernel=True, replace=self.node_state is not None,
             )
-            if self.config.use_wide:
-                # Every pack in M° (wide set + target) is one message
-                # through PASS° — the unit of Fig. 4's volume axis.
-                self._acc_wide_messages += sum(len(s.wide) + 1 for s in states)
-            if self.config.use_deep:
-                self._acc_deep_messages += sum(
-                    len(deep) + 1 for s in states for deep in s.deep
-                )
-            for state, wide_att, deep_atts in zip(states, wide_atts, deep_att_lists):
-                if wide_att is not None:
-                    self._wide_entropy.observe(_entropy(wide_att))
-                for att in deep_atts:
-                    self._deep_entropy.observe(_entropy(att))
-                dropped = self._maybe_downsample(state, wide_att, deep_atts)
-                self._acc_wide_drops += dropped[0]
-                self._acc_deep_drops += dropped[1]
+            # Every pack in M° (wide set + target) or M▷ is one message
+            # through PASS°/PASS▷ — the unit of Fig. 4's volume axis.
+            if wide_att is not None:
+                self._acc_wide_messages += int(wide_att.lengths.sum())
+                self._wide_entropy.observe_many(_entropies(wide_att).tolist())
+            if deep_att is not None:
+                self._acc_deep_messages += int(deep_att.lengths.sum())
+                self._deep_entropy.observe_many(_entropies(deep_att).tolist())
+            wide_drops, deep_drops = self._maybe_downsample(rows, wide_att, deep_att)
+            self._acc_wide_drops += wide_drops
+            self._acc_deep_drops += deep_drops
             logits = self.model.logits(stacked)
             loss = F.cross_entropy(logits, self.graph.labels[batch])
             self.optimizer.zero_grad()
@@ -368,8 +385,9 @@ class WidenTrainer:
         The one place the trainer turns node ids into a model call: training
         minibatches, the per-epoch refresh, the inductive warm-up and
         evaluation all iterate this, each under its own grad/eval context.
-        Yields ``(states, embeddings, wide_attentions, deep_attentions)`` per
-        slice.  With ``replace`` a slice's rows overwrite ``node_state``
+        Yields ``(rows, embeddings, wide_attention, deep_attention)`` per
+        slice, ``rows`` being the slice's rows in ``store.table``.  With
+        ``replace`` a slice's embeddings overwrite its ``node_state`` rows
         before the next slice is computed — line 8 of Algorithm 3 in its
         synchronous minibatch form: every row of a slice reads the table as
         it stood before the slice (DESIGN.md, "One forward at run time").
@@ -377,13 +395,14 @@ class WidenTrainer:
         batch_size = max(1, self.config.batch_size)
         for start in range(0, len(node_ids), batch_size):
             chunk = node_ids[start : start + batch_size]
-            states = [store.get(int(node)) for node in chunk]
-            embeddings, wide_atts, deep_atts = self.model.forward_batch(
-                chunk, states, graph, node_state, select_kernel=select_kernel
+            rows = store.rows_for(chunk)
+            embeddings, wide_att, deep_att = self.model.forward_batch(
+                store.table.take(rows), graph, node_state,
+                select_kernel=select_kernel,
             )
             if replace:
                 node_state[chunk] = embeddings.data
-            yield states, embeddings, wide_atts, deep_atts
+            yield rows, embeddings, wide_att, deep_att
 
     # ------------------------------------------------------------------
     # Active downsampling (Algorithms 1-2 + Eq. 9 trigger)
@@ -391,111 +410,123 @@ class WidenTrainer:
 
     def _maybe_downsample(
         self,
-        state: NeighborState,
-        wide_att: Optional[np.ndarray],
-        deep_atts: List[np.ndarray],
-    ):
+        rows: np.ndarray,
+        wide_att: Optional[AttentionGrid],
+        deep_att: Optional[AttentionGrid],
+    ) -> Tuple[int, int]:
+        """Trigger + downsample one minibatch; returns ``(wide, deep)`` drops.
+
+        ``rows`` are the minibatch's rows in ``self.store.table`` and the
+        grids the attention its forward just produced.  Which segments fire
+        is decided for the whole batch at once (:meth:`_fires`); only those
+        go through :func:`shrink_wide` / :func:`prune_deep`, target by
+        target — wide first, then each walk — which is the order the
+        random modes draw their victims in.
+        """
         config = self.config
-        wide_drops = deep_drops = 0
-
+        table = self.store.table
+        num_walks = table.num_walks
+        wide_fires = np.zeros(rows.size, bool)
+        deep_fires = np.zeros((rows.size, num_walks), bool)
+        kl = np.full((rows.size, 1 + num_walks), np.nan)
         wide_mode = config.effective_wide_mode
-        if (
-            config.use_wide
-            and wide_mode != "off"
-            and wide_att is not None
-            and len(state.wide) > config.wide_floor
-        ):
-            # Random downsampling (Table 4) removes the KL trigger entirely.
-            trigger = "always" if wide_mode == "random" else config.trigger
-            signature = state.wide_signature()
-            if self._trigger_fires(
-                trigger,
-                state.prev_wide_attention,
-                state.prev_wide_signature,
-                wide_att,
-                signature,
-                config.wide_threshold,
-            ):
-                if wide_mode == "attentive":
-                    state.wide = shrink_wide(state.wide, wide_att)
-                else:
-                    victim = int(self._drop_rng.integers(len(state.wide)))
-                    state.wide = state.wide.drop(victim)
-                wide_drops += 1
-                state.prev_wide_attention = None
-                state.prev_wide_signature = None
-            else:
-                state.prev_wide_attention = wide_att
-                state.prev_wide_signature = signature
-
         deep_mode = config.effective_deep_mode
-        if config.use_deep and deep_mode != "off":
-            trigger = "always" if deep_mode == "random" else config.trigger
-            for phi, att in enumerate(deep_atts):
-                deep = state.deep[phi]
-                if len(deep) <= config.deep_floor:
-                    continue
-                signature = state.deep_signature(phi)
-                if self._trigger_fires(
-                    trigger,
-                    state.prev_deep_attention[phi],
-                    state.prev_deep_signature[phi],
-                    att,
-                    signature,
-                    config.deep_threshold,
-                ):
-                    if deep_mode == "attentive":
-                        state.deep[phi] = prune_deep(deep, att, use_relay=config.use_relay)
-                    else:
-                        victim = int(self._drop_rng.integers(len(deep)))
-                        fake_att = np.ones(len(deep) + 1)
-                        fake_att[victim + 1] = 0.0  # force the random victim
-                        state.deep[phi] = prune_deep(
-                            deep, fake_att, use_relay=config.use_relay
-                        )
-                    deep_drops += 1
-                    state.prev_deep_attention[phi] = None
-                    state.prev_deep_signature[phi] = None
+        if wide_att is not None and wide_mode != "off":
+            wide_fires, kl[:, 0] = self._fires(
+                # Random downsampling (Table 4) removes the KL trigger.
+                "always" if wide_mode == "random" else config.trigger,
+                wide_att,
+                table.wide_len[rows] > config.wide_floor,
+                table.prev_wide, table.prev_wide_len, rows,
+                config.wide_threshold,
+            )
+        if deep_att is not None and deep_mode != "off":
+            # Walk (row, phi) is segment row·Φ + phi of the flattened columns.
+            walks = (rows[:, np.newaxis] * num_walks + np.arange(num_walks)).ravel()
+            fires, walk_kl = self._fires(
+                "always" if deep_mode == "random" else config.trigger,
+                deep_att,
+                table.deep_len.reshape(-1)[walks] > config.deep_floor,
+                table.prev_deep.reshape(-1, table.num_deep + 1),
+                table.prev_deep_len.reshape(-1),
+                walks,
+                config.deep_threshold,
+            )
+            deep_fires = fires.reshape(deep_fires.shape)
+            kl[:, 1:] = walk_kl.reshape(deep_fires.shape)
+        checks = kl[~np.isnan(kl)].tolist()  # target-major: wide, then walks
+        self._trigger_checks += len(checks)
+        self._kl_values.extend(checks)
+        self._kl_hist.observe_many(checks)
+        wide_drops, deep_drops = int(wide_fires.sum()), int(deep_fires.sum())
+        self._trigger_fired += wide_drops + deep_drops
+
+        for b in np.flatnonzero(wide_fires | deep_fires.any(axis=1)).tolist():
+            row = int(rows[b])
+            if wide_fires[b]:
+                wide = table.wide(row)
+                if wide_mode == "attentive":
+                    wide = shrink_wide(wide, wide_att.weights[b, : len(wide) + 1])
                 else:
-                    state.prev_deep_attention[phi] = att
-                    state.prev_deep_signature[phi] = signature
+                    wide = wide.drop(int(self._drop_rng.integers(len(wide))))
+                table.set_wide(row, wide)
+            for phi in np.flatnonzero(deep_fires[b]).tolist():
+                deep = table.walk(row, phi)
+                if deep_mode == "attentive":
+                    weights = deep_att.weights[b * num_walks + phi, : len(deep) + 1]
+                else:
+                    weights = np.ones(len(deep) + 1)
+                    victim = int(self._drop_rng.integers(len(deep)))
+                    weights[victim + 1] = 0.0  # force the random victim
+                table.set_walk(
+                    row, phi, prune_deep(deep, weights, use_relay=config.use_relay)
+                )
         return wide_drops, deep_drops
 
-    def _trigger_fires(
+    def _fires(
         self,
         trigger: str,
-        prev_att: Optional[np.ndarray],
-        prev_signature: Optional[tuple],
-        current_att: np.ndarray,
-        current_signature: tuple,
+        attention: AttentionGrid,
+        eligible: np.ndarray,
+        prev: np.ndarray,
+        prev_len: np.ndarray,
+        segments: np.ndarray,
         threshold: float,
-    ) -> bool:
-        """Eq. 9: KL between epochs' attention distributions over the SAME
-        neighbor set; +∞ (no fire) when the set changed.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. 9 for the ``S`` segments of one side: ``(fires, kl)``.
 
-        Side accounting for the efficiency story: every actual KL evaluation
-        counts as a *trigger check* (the value lands in the
-        ``train_kl_divergence`` histogram), every ``True`` return as a
-        *trigger fire* — ``metrics.jsonl`` then shows when in training the
-        downsampler became active.
+        KL between the remembered attention distribution and this epoch's
+        over the SAME neighbor set; +∞ (no fire) when nothing comparable is
+        remembered — first epoch, or a set that changed since (a downsample
+        zeroes ``prev_len``).  ``kl`` is NaN where Eq. 9 was not evaluated:
+        every evaluation is a *trigger check* (the value lands in the
+        ``train_kl_divergence`` histogram), every ``True`` a *trigger fire*
+        — ``metrics.jsonl`` then shows when in training the downsampler
+        became active.
+
+        ``segments`` are the batch's rows in ``prev``/``prev_len``, the
+        trigger memory, which is updated here: a segment that fires forgets
+        its distribution, an ``eligible`` (above the floor) one that does
+        not remembers this epoch's, the rest are left alone.
         """
-        if trigger == "never":
-            return False
+        weights, lengths = attention
+        width = weights.shape[1]
+        fires = np.zeros(lengths.size, bool)
+        kl = np.full(lengths.size, np.nan)
         if trigger == "always":
-            self._trigger_fired += 1
-            return True
-        if self._epoch < 1 or prev_att is None:
-            return False  # Algorithm 3 line 9: only from the second epoch on
-        if prev_signature != current_signature or prev_att.shape != current_att.shape:
-            return False  # Eq. 9's "+∞ otherwise" branch
-        divergence = F.kl_divergence(prev_att, current_att)
-        self._trigger_checks += 1
-        self._kl_values.append(divergence)
-        self._kl_hist.observe(divergence)
-        fired = divergence < threshold
-        if fired:
-            self._trigger_fired += 1
-        return fired
+            fires = eligible
+        elif trigger == "kl" and self._epoch >= 1:
+            # Algorithm 3 line 9: only from the second epoch on.
+            members = np.flatnonzero(eligible & (prev_len[segments] == lengths))
+            p = np.clip(prev[segments[members], :width], _EPS, None)
+            q = np.clip(weights[members], _EPS, None)
+            kl[members] = _sums_by_length(p * np.log(p / q), lengths[members])
+            fires[members] = kl[members] < threshold
+        keep = eligible & ~fires
+        prev[segments[keep], :width] = weights[keep]
+        prev_len[segments[keep]] = lengths[keep]
+        prev_len[segments[fires]] = 0
+        return fires, kl
 
     # ------------------------------------------------------------------
     # Rng persistence
@@ -540,12 +571,13 @@ class WidenTrainer:
         plus the refined node-state table are the training-time state the
         next epoch reads.  Together with :meth:`rng_state` this makes
         ``fit(n); save; load; fit(m)`` bit-identical to ``fit(n + m)`` on
-        the same graph.
+        the same graph.  Everything is copied: the snapshot does not move
+        when training continues.
         """
         return {
             "epoch": int(self._epoch),
             "optimizer": self.optimizer.state_dict(),
-            "store_states": dict(self.store._states),
+            "store_states": self.store.records(),
             "node_state": (
                 None if self.node_state is None else self.node_state.copy()
             ),
@@ -561,7 +593,7 @@ class WidenTrainer:
         """
         self._epoch = int(state["epoch"])
         self.optimizer.load_state_dict(state["optimizer"])
-        self.store._states = dict(state["store_states"])
+        self.store.load_records(state["store_states"])
         node_state = state.get("node_state")
         if node_state is not None:
             if self.node_state is None or self.node_state.shape != node_state.shape:
@@ -619,15 +651,16 @@ class WidenTrainer:
         if self.config.embedding_mode != "replace":
             return self._embed_with(store, graph, None, nodes)
         node_state = self.model.initial_node_state(graph)
-        frontier = set()
-        for node in nodes:
-            state = store.get(int(node))
-            frontier.update(state.wide.nodes.tolist())
-            for deep in state.deep:
-                frontier.update(deep.nodes.tolist())
-        frontier -= set(int(v) for v in nodes)
+        sampled = store.batch(nodes)
+        wide_real = np.arange(sampled.num_wide) < sampled.wide_len[:, np.newaxis]
+        deep_real = np.arange(sampled.num_deep) < sampled.deep_len[..., np.newaxis]
+        warm_nodes = np.setdiff1d(
+            np.concatenate(
+                [sampled.wide_nodes[wide_real], sampled.deep_nodes[deep_real]]
+            ),
+            sampled.targets,
+        )
         self.model.eval()
-        warm_nodes = np.asarray(sorted(frontier), dtype=np.int64)
         with no_grad():
             for _ in range(max(0, warmup_passes)):
                 for _ in self._forward_chunks(

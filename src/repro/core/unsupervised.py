@@ -89,9 +89,7 @@ class UnsupervisedWidenTrainer:
             | {int(n) for _, _, negs in triples for n in negs}
         )
         index_of: Dict[int, int] = {node: i for i, node in enumerate(nodes)}
-        table, _, _ = self.model.forward_batch(
-            nodes, [self.store.get(node) for node in nodes], self.graph
-        )
+        table, _, _ = self.model.forward_batch(self.store.batch(nodes), self.graph)
 
         scores = []
         targets = []
@@ -117,7 +115,7 @@ class UnsupervisedWidenTrainer:
         self.model.eval()
         with no_grad():
             embeddings, _, _ = self.model.forward_batch(
-                nodes, [self.store.get(node) for node in nodes], self.graph
+                self.store.batch(nodes), self.graph
             )
         self.model.train()
         return embeddings.data

@@ -220,7 +220,7 @@ class Histogram:
         self._sorted = False
 
     def observe_many(self, values: Iterable[float]) -> None:
-        self._values.extend(float(v) for v in values)
+        self._values.extend(map(float, values))
         self._sorted = False
 
     def _ordered(self) -> List[float]:

@@ -22,7 +22,7 @@ write: re-sampling it would draw the same sample from the same lists.
 
 Invalidation is by *read set*.  Every materialization — cache entry, store
 row, overlay row — records the ids whose adjacency lists its sample
-consulted (:meth:`~repro.core.state.NeighborState.read_set`, at most
+consulted (:meth:`~repro.core.state.NeighborTable.read_sets`, at most
 ``1 + Φ·N_d`` of them) and the *stamp*, this server's write clock when it
 was made.  ``touched_at[u]`` is the clock of the last write that changed
 ``u``'s list, and one rule decides freshness everywhere

@@ -12,7 +12,7 @@ Layout: a directory holding four arrays plus JSON metadata —
   the offline builder wrote).
 - ``reads.npy`` — ``(K, 1 + Φ·N_d)`` int32 *read set* of each block: the
   ids whose adjacency lists its sample consulted
-  (:meth:`repro.core.state.NeighborState.read_set`).  int32 because the
+  (:meth:`repro.core.state.NeighborTable.read_sets`).  int32 because the
   column rides every shard's slice payload; a graph this code can hold in
   memory has far fewer than 2³¹ nodes.
 - ``meta.json`` — format version, model geometry, builder seed, graph

@@ -1,13 +1,15 @@
-"""Shared test utilities: numerical gradient checking and the per-node
-forward reference."""
+"""Shared test utilities: numerical gradient checking, the per-node
+forward reference and the per-state downsampling-trigger reference."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.tensor import ops
+from repro.core.packing import AttentionGrid
+from repro.core.relay import prune_deep, shrink_wide
+from repro.tensor import functional as F, ops
 from repro.tensor.tensor import Tensor
 
 
@@ -53,6 +55,29 @@ def check_gradients(
         )
 
 
+def attention_grid(rows: Sequence[np.ndarray]) -> AttentionGrid:
+    """Trimmed per-set distributions as the grid ``forward_batch`` returns."""
+    lengths = np.array([len(row) for row in rows], np.int64)
+    weights = np.zeros((len(rows), int(lengths.max())))
+    for s, row in enumerate(rows):
+        weights[s, : len(row)] = row
+    return AttentionGrid(weights, lengths)
+
+
+def per_node_attentions(wide, deep, batch: int):
+    """``forward_batch``'s two grids in ``WidenModel.forward``'s shape:
+    ``(wide[b] | None, deep[b][phi])`` trimmed arrays per target."""
+    wide_rows: List[Optional[np.ndarray]] = [None] * batch
+    if wide is not None:
+        wide_rows = wide.rows()
+    deep_rows: List[List[np.ndarray]] = [[] for _ in range(batch)]
+    if deep is not None:
+        walks = deep.rows()
+        phi = len(walks) // batch
+        deep_rows = [walks[b * phi : (b + 1) * phi] for b in range(batch)]
+    return wide_rows, deep_rows
+
+
 def use_per_node_forward(monkeypatch, model) -> None:
     """Make ``model.forward_batch`` a loop over ``WidenModel.forward``.
 
@@ -65,12 +90,137 @@ def use_per_node_forward(monkeypatch, model) -> None:
     per-minibatch table semantics DESIGN.md keeps.
     """
 
-    def forward_batch(targets, states, graph, node_state=None, select_kernel=False):
+    def forward_batch(batch, graph, node_state=None, select_kernel=False):
         outputs = [
-            model.forward(int(target), state, graph, node_state)
-            for target, state in zip(targets, states)
+            model.forward(state.wide.target, state, graph, node_state)
+            for state in batch.records()
         ]
         embeddings, wide_attentions, deep_attentions = zip(*outputs)
-        return ops.stack(list(embeddings)), list(wide_attentions), list(deep_attentions)
+        walks = [walk for deep in deep_attentions for walk in deep]
+        return (
+            ops.stack(list(embeddings)),
+            attention_grid(wide_attentions) if model.config.use_wide else None,
+            attention_grid(walks) if model.config.use_deep else None,
+        )
 
     monkeypatch.setattr(model, "forward_batch", forward_batch)
+
+
+def use_per_state_trigger(monkeypatch, trainer) -> None:
+    """Make ``trainer._maybe_downsample`` the per-state loop it replaced.
+
+    The reference for the batched trigger: one :class:`NeighborState`
+    record at a time, one scalar ``F.kl_divergence`` per remembered
+    distribution, signatures compared as tuples — Algorithms 1-2 and Eq. 9
+    as the paper writes them.  The records are this oracle's own storage
+    (``trainer.oracle_states``, node → record, trigger memory included);
+    after every minibatch the sets it changed are copied into the
+    trainer's table so the next forward packs them, and nothing is ever
+    read back from the table's trigger memory.  A trainer patched this way
+    must stay *equal* to an unpatched twin: sets, relay recipes, memory,
+    ``_drop_rng``, every counter and the ordered ``kl_values``.
+    """
+    states = trainer.oracle_states = {}
+    config = trainer.config
+
+    def trigger_fires(trigger, prev_att, prev_signature, att, signature, threshold):
+        """Eq. 9: KL between epochs' attention distributions over the SAME
+        neighbor set; +∞ (no fire) when the set changed."""
+        if trigger == "never":
+            return False
+        if trigger == "always":
+            trainer._trigger_fired += 1
+            return True
+        if trainer._epoch < 1 or prev_att is None:
+            return False  # Algorithm 3 line 9: only from the second epoch on
+        if prev_signature != signature or prev_att.shape != att.shape:
+            return False  # Eq. 9's "+∞ otherwise" branch
+        divergence = F.kl_divergence(prev_att, att)
+        trainer._trigger_checks += 1
+        trainer._kl_values.append(divergence)
+        trainer._kl_hist.observe(divergence)
+        fired = divergence < threshold
+        if fired:
+            trainer._trigger_fired += 1
+        return fired
+
+    def downsample_one(state, wide_att, deep_atts):
+        wide_drops = deep_drops = 0
+        wide_mode = config.effective_wide_mode
+        if (
+            config.use_wide
+            and wide_mode != "off"
+            and wide_att is not None
+            and len(state.wide) > config.wide_floor
+        ):
+            # Random downsampling (Table 4) removes the KL trigger entirely.
+            trigger = "always" if wide_mode == "random" else config.trigger
+            signature = state.wide_signature()
+            if trigger_fires(
+                trigger, state.prev_wide_attention, state.prev_wide_signature,
+                wide_att, signature, config.wide_threshold,
+            ):
+                if wide_mode == "attentive":
+                    state.wide = shrink_wide(state.wide, wide_att)
+                else:
+                    victim = int(trainer._drop_rng.integers(len(state.wide)))
+                    state.wide = state.wide.drop(victim)
+                wide_drops += 1
+                state.prev_wide_attention = None
+                state.prev_wide_signature = None
+            else:
+                state.prev_wide_attention = wide_att
+                state.prev_wide_signature = signature
+
+        deep_mode = config.effective_deep_mode
+        if config.use_deep and deep_mode != "off":
+            trigger = "always" if deep_mode == "random" else config.trigger
+            for phi, att in enumerate(deep_atts):
+                deep = state.deep[phi]
+                if len(deep) <= config.deep_floor:
+                    continue
+                signature = state.deep_signature(phi)
+                if trigger_fires(
+                    trigger, state.prev_deep_attention[phi],
+                    state.prev_deep_signature[phi], att, signature,
+                    config.deep_threshold,
+                ):
+                    if deep_mode == "attentive":
+                        state.deep[phi] = prune_deep(
+                            deep, att, use_relay=config.use_relay
+                        )
+                    else:
+                        victim = int(trainer._drop_rng.integers(len(deep)))
+                        fake_att = np.ones(len(deep) + 1)
+                        fake_att[victim + 1] = 0.0  # force the random victim
+                        state.deep[phi] = prune_deep(
+                            deep, fake_att, use_relay=config.use_relay
+                        )
+                    deep_drops += 1
+                    state.prev_deep_attention[phi] = None
+                    state.prev_deep_signature[phi] = None
+                else:
+                    state.prev_deep_attention[phi] = att
+                    state.prev_deep_signature[phi] = signature
+        return wide_drops, deep_drops
+
+    def maybe_downsample(rows, wide_att, deep_att):
+        table = trainer.store.table
+        wide_atts, deep_atts = per_node_attentions(wide_att, deep_att, rows.size)
+        wide_total = deep_total = 0
+        for row, wide, deep in zip(rows.tolist(), wide_atts, deep_atts):
+            node = int(table.targets[row])
+            if node not in states:
+                states[node] = table.record(row)
+            state = states[node]
+            wide_drops, deep_drops = downsample_one(state, wide, deep)
+            if wide_drops:
+                table.set_wide(row, state.wide)
+            if deep_drops:
+                for phi, walk in enumerate(state.deep):
+                    table.set_walk(row, phi, walk)
+            wide_total += wide_drops
+            deep_total += deep_drops
+        return wide_total, deep_total
+
+    monkeypatch.setattr(trainer, "_maybe_downsample", maybe_downsample)

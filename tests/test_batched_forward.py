@@ -14,12 +14,12 @@ from repro.core import WidenConfig, WidenModel
 from repro.core.classifier import WidenClassifier
 from repro.core.packing import pack_batch
 from repro.core.relay import prune_deep, shrink_wide
-from repro.core.state import NeighborStateStore
+from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import WidenTrainer
 from repro.datasets import make_acm
 from repro.nn import QueryAttention, SelfAttention, causal_mask
 from repro.tensor import Tensor
-from tests.helpers import check_gradients, use_per_node_forward
+from tests.helpers import check_gradients, per_node_attentions, use_per_node_forward
 
 NEG_INF = float("-inf")
 
@@ -121,7 +121,7 @@ class TestPackBatch:
         model = make_model(graph)
         targets = graph.labeled_nodes()[:6]
         states = sample_states(graph, model.config, targets)
-        pack = pack_batch(targets, states, graph, model.config)
+        pack = pack_batch(stack_states(states), graph, model.config)
         batch = len(targets)
         assert pack.wide_index.shape == pack.wide_etypes.shape
         assert pack.wide_index.shape[0] == batch
@@ -144,7 +144,7 @@ class TestPackBatch:
         model = make_model(graph)
         targets = graph.labeled_nodes()[:4]
         states = sample_states(graph, model.config, targets)
-        pack = pack_batch(targets, states, graph, model.config)
+        pack = pack_batch(stack_states(states), graph, model.config)
         batch = len(targets)
         for b, state in enumerate(states):
             n = len(state.wide)
@@ -160,7 +160,7 @@ class TestPackBatch:
         targets = graph.labeled_nodes()[:5]
         states = sample_states(graph, model_a.config, targets)
         pack = pack_batch(
-            targets, states, graph, model_a.config,
+            stack_states(states), graph, model_a.config,
             pack_dropout=model_a.pack_dropout,
             hidden_dropout=model_a.hidden_dropout,
         )
@@ -200,9 +200,10 @@ class TestForwardBatchEquivalence:
             reference.append(embedding.data.copy())
             ref_wide.append(wide_att)
             ref_deep.append(deep_atts)
-        batched, wide_atts, deep_atts = model.forward_batch(
-            targets, states, graph, node_state
+        batched, wide_grid, deep_grid = model.forward_batch(
+            stack_states(states), graph, node_state
         )
+        wide_atts, deep_atts = per_node_attentions(wide_grid, deep_grid, len(targets))
         np.testing.assert_allclose(batched.data, np.stack(reference), atol=1e-10)
         for b in range(len(targets)):
             np.testing.assert_allclose(wide_atts[b], ref_wide[b], atol=1e-10)
@@ -215,7 +216,7 @@ class TestForwardBatchEquivalence:
         model.eval()
         targets = graph.labeled_nodes()[:6]
         states = add_relays(sample_states(graph, model.config, targets))
-        batched, _, _ = model.forward_batch(targets, states, graph, None)
+        batched, _, _ = model.forward_batch(stack_states(states), graph, None)
         (batched * batched).sum().backward()
         batched_grads = {
             name: p.grad.copy()
@@ -259,7 +260,7 @@ class TestForwardBatchEquivalence:
         for node, state in zip(targets, states):
             embedding, _, _ = model.forward(int(node), state, graph, None)
             reference.append(embedding.data.copy())
-        batched, _, _ = model.forward_batch(targets, states, graph, None)
+        batched, _, _ = model.forward_batch(stack_states(states), graph, None)
         np.testing.assert_allclose(batched.data, np.stack(reference), atol=1e-10)
 
     def test_training_dropout_is_bit_identical(self, graph):
@@ -273,7 +274,7 @@ class TestForwardBatchEquivalence:
             reference.append(embedding.data.copy())
         model_b = make_model(graph, dropout=0.3)
         model_b.train()
-        batched, _, _ = model_b.forward_batch(targets, states, graph, None)
+        batched, _, _ = model_b.forward_batch(stack_states(states), graph, None)
         np.testing.assert_allclose(batched.data, np.stack(reference), atol=1e-12)
 
     def test_single_target_batch(self, graph):
@@ -282,7 +283,7 @@ class TestForwardBatchEquivalence:
         target = int(graph.labeled_nodes()[0])
         states = sample_states(graph, model.config, [target])
         single, _, _ = model.forward(target, states[0], graph, None)
-        batched, _, _ = model.forward_batch([target], states, graph, None)
+        batched, _, _ = model.forward_batch(stack_states(states), graph, None)
         np.testing.assert_allclose(batched.data[0], single.data, atol=1e-12)
 
 

@@ -63,7 +63,7 @@ def test_pack_tally_reads_the_padded_grids(perf):
         graph, config.num_wide, config.num_deep, config.num_deep_walks, rng=0
     )
     targets = graph.labeled_nodes()[:4]
-    pack = pack_batch(targets, [store.get(int(n)) for n in targets], graph, config)
+    pack = pack_batch(store.batch(targets), graph, config)
     tally = layers.TALLIES["repro.core.model.pack_batch"]((), {}, pack)
     assert tally["slots.valid"] == tally["slots.total"] > 0
     assert isinstance(pack.wide_valid, np.ndarray)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import WidenConfig, WidenModel, WidenTrainer
 from repro.core.ablation import ABLATION_VARIANTS, make_variant_config
+from repro.core.packing import AttentionGrid
 from repro.core.relay import RelayRecipe, prune_deep, shrink_wide
 from repro.datasets import make_acm
 from repro.graph.sampling import DeepNeighborSet, WideNeighborSet
@@ -111,30 +112,48 @@ class TestKLTrigger:
         )
         return WidenTrainer(model, graph, config, seed=0)
 
-    def test_no_fire_in_first_epoch(self, trainer):
-        assert not trainer._trigger_fires(
-            "kl", None, None, np.ones(3) / 3, ("a",), threshold=1e9
+    @staticmethod
+    def fires(trainer, trigger, prev, current, threshold, prev_len=None):
+        """``_fires`` for one above-floor segment remembering ``prev``
+        (``prev_len`` 0: a set that changed since forgot it)."""
+        current = np.asarray(current, float)
+        memory = np.zeros((1, max(current.size, 0 if prev is None else len(prev))))
+        memory_len = np.zeros(1, np.int64)
+        if prev is not None:
+            memory[0, : len(prev)] = prev
+            memory_len[0] = len(prev) if prev_len is None else prev_len
+        fired, _ = trainer._fires(
+            trigger,
+            AttentionGrid(current[np.newaxis], np.array([current.size])),
+            np.ones(1, bool), memory, memory_len, np.zeros(1, np.int64),
+            threshold,
         )
+        return bool(fired[0])
+
+    def test_no_fire_in_first_epoch(self, trainer):
+        assert not self.fires(trainer, "kl", None, np.ones(3) / 3, threshold=1e9)
 
     def test_fires_on_small_kl(self, trainer):
         trainer._epoch = 2
         att = np.array([0.5, 0.3, 0.2])
-        assert trainer._trigger_fires("kl", att, ("sig",), att.copy(), ("sig",), 1e-3)
+        assert self.fires(trainer, "kl", att, att.copy(), 1e-3)
 
     def test_no_fire_on_large_kl(self, trainer):
         trainer._epoch = 2
         prev = np.array([0.9, 0.05, 0.05])
         curr = np.array([0.1, 0.45, 0.45])
-        assert not trainer._trigger_fires("kl", prev, ("sig",), curr, ("sig",), 1e-3)
+        assert not self.fires(trainer, "kl", prev, curr, 1e-3)
 
     def test_no_fire_on_signature_change(self, trainer):
         """Eq. 9's '+inf otherwise' branch: different neighbor set, no fire."""
         trainer._epoch = 2
         att = np.array([0.5, 0.3, 0.2])
-        assert not trainer._trigger_fires("kl", att, ("old",), att, ("new",), 1e9)
+        # A downsample forgot the distribution, or the set shrank under it.
+        assert not self.fires(trainer, "kl", att, att, 1e9, prev_len=0)
+        assert not self.fires(trainer, "kl", att, att[:2] / att[:2].sum(), 1e9)
 
     def test_always_trigger(self, trainer):
-        assert trainer._trigger_fires("always", None, None, np.ones(2) / 2, ("x",), 0.0)
+        assert self.fires(trainer, "always", None, np.ones(2) / 2, 0.0)
 
 
 class TestTrainerDownsampling:

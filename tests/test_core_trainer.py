@@ -115,7 +115,13 @@ class TestStateStore:
         state = store.get(3)
         assert len(store) == 1
         assert 3 in store
-        assert store.get(3) is state
+        # A second get reads the cached row: nothing is drawn again.
+        drawn = store.rng_state()
+        again = store.get(3)
+        assert store.rng_state() == drawn and len(store.table) == 1
+        np.testing.assert_array_equal(again.wide.nodes, state.wide.nodes)
+        for walk, cached in zip(again.deep, state.deep):
+            np.testing.assert_array_equal(walk.nodes, cached.nodes)
 
     def test_sample_fresh_not_cached(self, dataset):
         store = NeighborStateStore(dataset.graph, 5, 4, 2, rng=0)

@@ -23,13 +23,14 @@ from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier, WidenConfig, WidenModel
 from repro.core.packing import pack_batch
 from repro.core.relay import prune_deep, shrink_wide
-from repro.core.state import NeighborStateStore
+from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import WidenTrainer
 from repro.datasets import make_acm, make_skewed
 from repro.obs.tracing import Tracer, set_tracer
 from repro.serve import InferenceServer
 from repro.store import AggregateStore, build_store
 from repro.tensor import kernels
+from tests.helpers import per_node_attentions
 from tests.test_batched_forward import add_relays, make_model, sample_states
 from tests.test_read_set_invalidation import graphs
 
@@ -74,9 +75,9 @@ class TestSparsePackBatch:
         model = make_model(graph)
         targets = graph.labeled_nodes()[:6]
         states = add_relays(sample_states(graph, model.config, targets))
-        padded = pack_batch(targets, states, graph, model.config)
+        padded = pack_batch(stack_states(states), graph, model.config)
         sparse = pack_batch(
-            targets, states, graph, model.config, sparse_min_waste=SPARSE
+            stack_states(states), graph, model.config, sparse_min_waste=SPARSE
         )
         assert sparse.sparse and not padded.sparse
         assert sparse.waste == padded.waste
@@ -117,9 +118,9 @@ class TestSparsePackBatch:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            pack_batch(targets, states, graph, model.config)
+            pack_batch(stack_states(states), graph, model.config)
             pack_batch(
-                targets, states, graph, model.config, sparse_min_waste=SPARSE
+                stack_states(states), graph, model.config, sparse_min_waste=SPARSE
             )
         finally:
             set_registry(previous)
@@ -139,12 +140,12 @@ class TestSparsePackBatch:
         targets = graph.labeled_nodes()[:5]
         states = add_relays(sample_states(graph, model_a.config, targets))
         padded = pack_batch(
-            targets, states, graph, model_a.config,
+            stack_states(states), graph, model_a.config,
             pack_dropout=model_a.pack_dropout,
             hidden_dropout=model_a.hidden_dropout,
         )
         sparse = pack_batch(
-            targets, states, graph, model_b.config,
+            stack_states(states), graph, model_b.config,
             pack_dropout=model_b.pack_dropout,
             hidden_dropout=model_b.hidden_dropout,
             sparse_min_waste=SPARSE,
@@ -218,8 +219,9 @@ def run_family(force, threshold, model, graph, targets, states, node_state=None)
     for parameter in model.parameters():
         parameter.grad = None
     out, wide, deep = model.forward_batch(
-        targets, states, graph, node_state, select_kernel=True
+        stack_states(states), graph, node_state, select_kernel=True
     )
+    wide, deep = per_node_attentions(wide, deep, len(targets))
     (out * out).sum().backward()
     grads = {
         name: parameter.grad.copy()
@@ -333,10 +335,12 @@ class TestSparseForwardEquivalence:
         single, _, _ = model.forward(target, states[0], graph, None)
         force_kernel(SPARSE)
         assert forward_spans(
-            lambda: model.forward_batch([target], states, graph, select_kernel=True)
+            lambda: model.forward_batch(
+                stack_states(states), graph, select_kernel=True
+            )
         ) == [{"batch": 1, "kernel": "sparse"}]
         sparse, _, _ = model.forward_batch(
-            [target], states, graph, select_kernel=True
+            stack_states(states), graph, select_kernel=True
         )
         np.testing.assert_allclose(sparse.data[0], single.data, atol=1e-10)
 
@@ -349,7 +353,8 @@ class TestAutoMode:
 
         def packed(threshold):
             return pack_batch(
-                targets, states, graph, model.config, sparse_min_waste=threshold
+                stack_states(states), graph, model.config,
+                sparse_min_waste=threshold,
             )
 
         waste = packed(None).waste
@@ -363,11 +368,11 @@ class TestAutoMode:
         model.eval()
         targets = graph.labeled_nodes()[:6]
         states = add_relays(sample_states(graph, model.config, targets))
-        batched, _, _ = model.forward_batch(targets, states, graph)
+        batched, _, _ = model.forward_batch(stack_states(states), graph)
         for threshold in (SPARSE, PADDED):  # force each branch in turn
             force_kernel(threshold)
             auto, _, _ = model.forward_batch(
-                targets, states, graph, select_kernel=True
+                stack_states(states), graph, select_kernel=True
             )
             np.testing.assert_allclose(auto.data, batched.data, atol=1e-10)
 
@@ -393,8 +398,9 @@ class TestKernelSelection:
             routed[num_wide] = []
             for start in range(0, train.size, trainer.config.batch_size):
                 batch = trainer._schedule[start : start + trainer.config.batch_size]
-                states = [trainer.store.get(int(node)) for node in batch]
-                waste = pack_batch(batch, states, graph, classifier.config).waste
+                waste = pack_batch(
+                    trainer.store.batch(batch), graph, classifier.config
+                ).waste
                 for run in (
                     lambda: trainer.run_microbatch(start),
                     lambda: trainer.embed(batch),
