@@ -19,8 +19,9 @@ Two protocols share this file:
    sequential reduce wall time — so shard parallelism shows up honestly as
    span compression even on a single-core CI box (where wall clock
    physically cannot compress; on an idle multi-core host the two clocks
-   agree).  The run is under the determinism gate
-   (``sample_seeding="per_node"``, no dropout, no downsampling), so the
+   agree).  The run is under the determinism gate (no dropout, no
+   downsampling; neighbor sets are keyed by ``(seed, node)`` on every
+   shard), so the
    bench also asserts every fleet's final-epoch loss is within 1e-10 of
    the single-process run — speed with bitwise-grade equivalence, not
    speed instead of it.
@@ -65,7 +66,7 @@ MAX_ATTEMPTS = 3        # retry gated rows; host preemption bursts happen
 # a data-parallel speedup needs.  The determinism gate keeps every fleet on
 # the identical loss curve so the 1e-10 check is meaningful.
 TRAIN_CONFIG = dict(
-    sample_seeding="per_node", dropout=0.0, downsample_mode="off",
+    dropout=0.0, downsample_mode="off",
     batch_size=256, num_wide=16, num_deep=12, num_deep_walks=4,
 )
 

@@ -28,14 +28,16 @@ replica restores the *same* checkpoint, so every replica's shuffle stream
 produces the same epoch schedule locally; every global step reduces
 contributor gradients once, computes one global clip norm, and applies the
 same ``(grads, norm)`` on every replica — including shards that owned no
-rows of the microbatch, so Adam's step count stays in lockstep.  What a
-replica does *not* share is its per-node neighbor state and dropout/drop
-streams; each node is owned by exactly one shard, so those streams are
-self-consistent where they matter.  Matching a single-process run beyond
-loss-curve tolerance additionally wants ``sample_seeding="per_node"``
-(neighbor sets become a pure function of node id), ``dropout=0`` and
-``downsample_mode="off"`` — the remaining difference is float
-reassociation from batch splitting, at 1e-15 scale.
+rows of the microbatch, so Adam's step count stays in lockstep.  Initial
+neighbor sets are a pure function of ``(base seed, node, adjacency
+lists)`` (counter-keyed draws, :class:`~repro.core.state.NeighborStateStore`),
+and the restored checkpoint carries the base seed, so the shard that owns
+a node samples what a single process would.  What a replica does *not*
+share is its dropout/drop streams; each node is owned by exactly one
+shard, so those streams are self-consistent where they matter.  Matching
+a single-process run beyond loss-curve tolerance additionally wants
+``dropout=0`` and ``downsample_mode="off"`` — the remaining difference is
+float reassociation from batch splitting, at 1e-15 scale.
 """
 
 from __future__ import annotations

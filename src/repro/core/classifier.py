@@ -30,7 +30,7 @@ from repro.core.state import NeighborStateStore
 from repro.core.trainer import WidenTrainer
 from repro.graph import HeteroGraph
 from repro.tensor import no_grad
-from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 
 CHECKPOINT_KEY = "__checkpoint__"
 TRAINER_STATE_KEY = "__trainer_state__"
@@ -65,10 +65,14 @@ def _stored_config(meta: dict) -> dict:
     Checkpoints written before PR 16 carry a ``forward_mode`` key
     (``"batched"``, ``"per_node"``, ``"sparse"`` or ``"auto"``).  Every value
     named a way of running the same parameters through the same
-    mathematics, so the key is dropped and the model loads as it is.
+    mathematics, so the key is dropped and the model loads as it is.  So is
+    ``sample_seeding`` (``"stream"`` or ``"per_node"``, before PR 19): it
+    named how not-yet-sampled nodes would draw, and a checkpoint stores the
+    sets that were drawn.
     """
     config = dict(meta["config"])
     config.pop("forward_mode", None)
+    config.pop("sample_seeding", None)
     return config
 
 
@@ -152,21 +156,21 @@ class WidenClassifier(BaseClassifier):
         return self.trainer.predict(np.asarray(embeddings, dtype=np.float64))
 
     def embed_for_serving(
-        self, nodes: np.ndarray, graph: HeteroGraph, rng: SeedLike = None
+        self, nodes: np.ndarray, graph: HeteroGraph, seed: SeedLike = None
     ) -> np.ndarray:
         """Identity-free inductive embedding for the serving path.
 
         Always samples neighborhoods fresh from ``graph`` — never reads the
         trainer's persistent per-node stores — so results stay correct after
         in-place streaming mutations and are a pure function of
-        ``(parameters, graph contents, rng)``.  The server exploits that by
-        seeding ``rng`` from ``(server seed, node)``, making every response
-        reproducible from the current graph alone.
+        ``(parameters, graph contents, seed)``: every node's sets are keyed
+        by ``(seed, node)``, so a response is reproducible from the current
+        graph alone, whichever nodes share the call.
         """
         if self.trainer is None:
             raise RuntimeError("embed_for_serving before fit/bind")
         return self.trainer.embed_inductive(
-            graph, np.asarray(nodes, dtype=np.int64), rng=rng
+            graph, np.asarray(nodes, dtype=np.int64), rng=seed
         )
 
     @property
@@ -180,35 +184,31 @@ class WidenClassifier(BaseClassifier):
         """
         return self.config.embedding_mode != "replace"
 
-    def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
-        """Fresh samples, row ``i`` drawn for ``nodes[i]`` from ``rngs[i]``,
-        plus their read sets ``(B, 1 + Φ·N_d)``."""
+    def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
+        """Fresh samples, row ``i`` keyed ``(seed, nodes[i])``, plus their
+        read sets ``(B, 1 + Φ·N_d)``."""
         config = self.config
-        generators = [new_rng(rng) for rng in rngs]
         store = NeighborStateStore(
             graph,
             num_wide=config.num_wide,
             num_deep=config.num_deep,
             num_deep_walks=config.num_deep_walks,
             wide_sampling=config.wide_sampling,
-            # Never drawn from: every row below gets its own node's generator.
-            rng=generators[0],
+            rng=seed,
         )
-        for node, generator in zip(nodes.tolist(), generators):
-            store.sample_fresh(node, generator)
+        store.sample_fresh(nodes)
         return store.table, store.table.read_sets()
 
     def embed_for_serving_batch(
-        self, nodes: np.ndarray, graph: HeteroGraph, rngs, return_reads: bool = False
+        self, nodes: np.ndarray, graph: HeteroGraph, seed: int, return_reads: bool = False
     ):
         """Batched identity-free serving compute (the server's cold path).
 
-        ``rngs`` carries one seed/generator **per node**: each node's
-        neighborhoods are sampled from its own rng, so every row equals what
-        :meth:`embed_for_serving` would return for that node alone —
-        responses stay independent of batch composition — while all the
-        forwards run through one vectorized
-        :meth:`~repro.core.model.WidenModel.forward_batch` call.
+        Each node's neighborhoods are keyed by ``(seed, node)``, so every
+        row equals what :meth:`embed_for_serving` would return for that node
+        alone — responses stay independent of batch composition — while
+        the sampling is one array pass and all the forwards run through one
+        vectorized :meth:`~repro.core.model.WidenModel.forward_batch` call.
 
         With ``return_reads`` the result is ``(embeddings, reads)``: row
         ``i`` of ``reads`` is node ``i``'s read set
@@ -218,22 +218,20 @@ class WidenClassifier(BaseClassifier):
         if self.trainer is None:
             raise RuntimeError("embed_for_serving_batch before fit/bind")
         nodes = np.asarray(nodes, dtype=np.int64)
-        if len(rngs) != nodes.size:
-            raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
             embeddings, reads = np.empty((0, self.config.dim)), None
         elif not self.reports_read_sets:
-            # Replace mode warms up a per-call state table, one per node
-            # and its rng: one ``embed_for_serving`` call per row.
+            # Replace mode warms up a per-call state table from the sampled
+            # neighbors: one ``embed_for_serving`` call per row.
             reads = None
             embeddings = np.stack(
                 [
-                    self.embed_for_serving(np.array([node]), graph, rng=rng)[0]
-                    for node, rng in zip(nodes, rngs)
+                    self.embed_for_serving(np.array([node]), graph, seed=seed)[0]
+                    for node in nodes
                 ]
             )
         else:
-            table, reads = self._sample_for_serving(nodes, graph, rngs)
+            table, reads = self._sample_for_serving(nodes, graph, seed)
             model = self.trainer.model
             model.eval()
             with no_grad():
@@ -274,13 +272,13 @@ class WidenClassifier(BaseClassifier):
             return "embedding_mode='replace' warms a per-call state table"
         return None
 
-    def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
-        """Sample + pack ``nodes`` into store rows (one rng per node).
+    def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
+        """Sample + pack ``nodes`` into store rows.
 
-        The sampling is :meth:`embed_for_serving_batch`'s — per node rng,
-        fresh :class:`NeighborStateStore` — so rows materialized with rng
-        ``(seed, node)`` feed a serving answer bit-identical to the
-        recompute path under the same seeds.  Each returned
+        The sampling is :meth:`embed_for_serving_batch`'s — draws keyed
+        ``(seed, node)``, fresh :class:`NeighborStateStore` — so rows
+        materialized under a seed feed a serving answer bit-identical to
+        the recompute path under the same seed.  Each returned
         :class:`PackRows` carries its sample's read set in ``reads``.
         """
         if self.trainer is None:
@@ -289,11 +287,9 @@ class WidenClassifier(BaseClassifier):
         if reason is not None:
             raise ValueError(f"store materialization unsupported: {reason}")
         nodes = np.asarray(nodes, dtype=np.int64)
-        if len(rngs) != nodes.size:
-            raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
             return []
-        table, reads = self._sample_for_serving(nodes, graph, rngs)
+        table, reads = self._sample_for_serving(nodes, graph, seed)
         model = self.trainer.model
         model.eval()
         with no_grad():

@@ -49,17 +49,6 @@ class WidenConfig:
     packs become far shorter than the cap and the padded grids mostly
     padding, the regime where training minibatches route themselves to the
     CSR kernels."""
-    sample_seeding: str = "stream"
-    """How the trainer's neighbor-state store seeds its sampling draws.
-
-    ``"stream"`` (default) pulls every wide/deep sample from one sequential
-    rng stream in first-touch order — the historical behavior, preserved
-    bit-for-bit.  ``"per_node"`` derives an independent rng per target node
-    from ``(base_seed, node_id)``, making each node's initial neighbor sets
-    a pure function of the node id: visit order, minibatch composition and
-    — critically — *which shard of a partitioned graph samples the node* no
-    longer matter.  Distributed data-parallel training uses this mode when
-    it must match a single-process run beyond loss-curve tolerance."""
     embedding_mode: str = "project"
     """How neighbor representations v_n enter message packs (Eq. 1-2).
 
@@ -130,8 +119,6 @@ class WidenConfig:
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
         if self.wide_sampling not in ("replace", "unique"):
             raise ValueError(f"unknown wide_sampling {self.wide_sampling!r}")
-        if self.sample_seeding not in ("stream", "per_node"):
-            raise ValueError(f"unknown sample_seeding {self.sample_seeding!r}")
         if not 0.0 <= self.refresh_fraction <= 1.0:
             raise ValueError(
                 f"refresh_fraction must be in [0, 1], got {self.refresh_fraction}"

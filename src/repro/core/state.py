@@ -28,8 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.relay import RelayRecipe
-from repro.graph import HeteroGraph, sample_deep, sample_wide
-from repro.graph.sampling import DeepNeighborSet, WideNeighborSet
+from repro.graph import HeteroGraph
+from repro.graph.random_walk import random_walk_batch
+from repro.graph.sampling import DeepNeighborSet, WideNeighborSet, sample_wide_batch
+from repro.obs.tracing import span as trace_span
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -137,19 +139,22 @@ class NeighborTable:
                 ]
         return out
 
-    def new_row(self, target: int) -> int:
-        """Append an empty row for ``target``, doubling capacity when full."""
-        row = self.size
+    def new_rows(self, targets: np.ndarray) -> np.ndarray:
+        """Append an empty row per target (capacity at least doubles when
+        short); returns the new rows, which are consecutive."""
+        first, size = self.size, self.size + len(targets)
         capacity = self.targets.shape[0]
-        if row == capacity:
+        if size > capacity:
             for name in self._COLUMNS:
                 old = getattr(self, name)
-                grown = np.zeros((max(16, 2 * capacity),) + old.shape[1:], old.dtype)
-                grown[:capacity] = old
+                grown = np.zeros(
+                    (max(16, 2 * capacity, size),) + old.shape[1:], old.dtype
+                )
+                grown[:first] = old[:first]
                 setattr(self, name, grown)
-        self.size = row + 1
-        self.targets[row] = target
-        return row
+        self.size = size
+        self.targets[first:size] = targets
+        return np.arange(first, size)
 
     # -- one segment in, one segment out ---------------------------------
 
@@ -227,7 +232,7 @@ class NeighborTable:
         """
         if len(state.deep) != self.num_walks:
             raise ValueError("all targets must carry the same walk count Φ")
-        row = self.new_row(state.wide.target)
+        row = int(self.new_rows([state.wide.target])[0])
         self.set_wide(row, state.wide)
         attention = state.prev_wide_attention
         if _comparable(
@@ -291,7 +296,15 @@ def stack_states(states: Sequence[NeighborState]) -> NeighborTable:
 
 
 class NeighborStateStore:
-    """Lazily samples neighbor sets per node id into a :class:`NeighborTable`."""
+    """Lazily samples neighbor sets per node id into a :class:`NeighborTable`.
+
+    Every set is a pure function of ``(base seed, node, the adjacency lists
+    its sampler reads)`` — counter-keyed draws
+    (:func:`~repro.utils.rng.keyed_draws`), so neither the batch a node is
+    first touched in, nor its order, nor the shard whose graph holds the
+    lists moves a row.  ``rng`` fixes the base seed: an int *is* it, a
+    ``Generator`` contributes one draw, ``None`` is OS entropy.
+    """
 
     def __init__(
         self,
@@ -301,43 +314,32 @@ class NeighborStateStore:
         num_deep_walks: int,
         rng: SeedLike = None,
         wide_sampling: str = "replace",
-        sample_seeding: str = "stream",
     ) -> None:
         if wide_sampling not in ("replace", "unique"):
             raise ValueError(f"unknown wide_sampling {wide_sampling!r}")
-        if sample_seeding not in ("stream", "per_node"):
-            raise ValueError(f"unknown sample_seeding {sample_seeding!r}")
         self.graph = graph
         self.num_wide = num_wide
         self.num_deep = num_deep
         self.num_deep_walks = num_deep_walks
         self.wide_sampling = wide_sampling
-        self.sample_seeding = sample_seeding
-        self._rng = new_rng(rng)
-        # Per-node seeding: one base seed drawn from the stream rng at
-        # construction, then every node samples from its own
-        # ``default_rng((base_seed, node))`` — the initial sets become a
-        # pure function of the node id, independent of first-touch order.
-        # That is what lets a partition-local shard draw bit-identical
-        # sets to a whole-graph trainer (the shard graph's adjacency lists
-        # are verbatim within its closure; see repro.cluster.planner).
-        self._base_seed: Optional[int] = None
-        if sample_seeding == "per_node":
-            self._base_seed = int(self._rng.integers(2**63 - 1))
+        self._base_seed = (
+            int(rng)
+            if isinstance(rng, (int, np.integer))
+            else int(new_rng(rng).integers(2**63 - 1))
+        )
         self.table = NeighborTable(num_wide, num_deep, num_deep_walks)
         self._row_of: Dict[int, int] = {}
 
     def rows_for(self, nodes: Sequence[int]) -> np.ndarray:
-        """Table rows of ``nodes``, sampling the unseen ones in order."""
+        """Table rows of ``nodes``, sampling the unseen ones in one call."""
         row_of = self._row_of
         ids = np.asarray(nodes, np.int64).tolist()
-        rows = np.empty(len(ids), np.int64)
-        for i, node in enumerate(ids):
-            row = row_of.get(node)
-            if row is None:
-                row = row_of[node] = self.sample_fresh(node)
-            rows[i] = row
-        return rows
+        rows = list(map(row_of.get, ids))
+        if None in rows:
+            unseen = list(dict.fromkeys([node for node in ids if node not in row_of]))
+            row_of.update(zip(unseen, self.sample_fresh(unseen).tolist()))
+            rows = list(map(row_of.get, ids))
+        return np.asarray(rows, np.int64)
 
     def batch(self, nodes: Sequence[int]) -> NeighborTable:
         """The rows of ``nodes`` as one packer-ready table."""
@@ -347,33 +349,34 @@ class NeighborStateStore:
         """``node``'s row as a record (a copy: edits do not reach the table)."""
         return self.table.record(int(self.rows_for([node])[0]))
 
-    def sample_fresh(self, node: int, rng: Optional[np.random.Generator] = None) -> int:
-        """Sample wide + Φ deep sets for ``node`` into a new table row.
+    def sample_fresh(self, nodes: Sequence[int]) -> np.ndarray:
+        """Sample wide + Φ deep sets for ``nodes`` into new table rows.
 
-        Returns the row; the node is *not* entered in the id → row map, so a
-        later :meth:`rows_for` samples it again.  ``rng`` overrides the
-        store's own generator (the serving path draws every node from its
-        own).
+        Returns the rows, one per entry of ``nodes`` (a repeated node gets
+        equal rows); the nodes are *not* entered in the id → row map, so a
+        later :meth:`rows_for` samples them again — to the same sets.  Draw
+        counters ``φ·N_d + s`` are walk ``φ``'s step ``s``; the wide side
+        counts on from ``Φ·N_d`` because how many it takes depends on the
+        degree.
         """
-        node = int(node)
-        if rng is None:
-            rng = self._rng
-            if self._base_seed is not None:
-                rng = np.random.default_rng((self._base_seed, node))
-        table = self.table
-        row = table.new_row(node)
-        table.set_wide(
-            row,
-            sample_wide(
-                self.graph, node, self.num_wide, rng=rng,
-                unique=self.wide_sampling == "unique",
-            ),
-        )
-        for phi in range(self.num_deep_walks):
-            table.set_walk(
-                row, phi, sample_deep(self.graph, node, self.num_deep, rng=rng)
+        nodes = np.asarray(nodes, np.int64)
+        with trace_span("graph.sample", nodes=int(nodes.size)):
+            table = self.table
+            rows = table.new_rows(nodes)
+            new = slice(table.size - rows.size, table.size)  # rows, as a view
+            (
+                table.deep_nodes[new], table.deep_etypes[new], table.deep_len[new],
+            ) = random_walk_batch(
+                self.graph, nodes, self.num_deep_walks, self.num_deep, self._base_seed
             )
-        return row
+            (
+                table.wide_nodes[new], table.wide_etypes[new], table.wide_len[new],
+            ) = sample_wide_batch(
+                self.graph, nodes, self.num_wide, self._base_seed,
+                first_counter=self.num_deep_walks * self.num_deep,
+                unique=self.wide_sampling == "unique",
+            )
+        return rows
 
     def records(self) -> Dict[int, NeighborState]:
         """``{node: record}`` of every cached node, by value."""
@@ -390,25 +393,25 @@ class NeighborStateStore:
         }
 
     def rng_state(self) -> dict:
-        """Serializable snapshot of the sampling rng.
-
-        The historical (stream-seeded) shape is the raw bit-generator state
-        dict, kept as-is so existing checkpoints round-trip unchanged;
-        per-node seeding wraps it to carry the base seed too.
-        """
-        if self._base_seed is None:
-            return self._rng.bit_generator.state
-        return {
-            "stream": self._rng.bit_generator.state,
-            "base_seed": int(self._base_seed),
-        }
+        """Serializable snapshot of the sampling state: the base seed."""
+        return {"base_seed": self._base_seed}
 
     def load_rng_state(self, state: dict) -> None:
-        if "stream" in state and "bit_generator" not in state:
-            self._rng.bit_generator.state = state["stream"]
+        """Restore :meth:`rng_state`, or either shape older checkpoints hold.
+
+        Before keyed draws a store sampled either from one generator
+        stream (stored: the raw bit-generator state dict) or from a
+        generator per node seeded ``(base_seed, node)`` (stored: ``{"stream",
+        "base_seed"}``).  Their stored sets resume as they are; a node first
+        touched after the resume draws keyed by the stored base seed, or
+        for a stream checkpoint by the next integer of that stream.
+        """
+        if "base_seed" in state:
             self._base_seed = int(state["base_seed"])
         else:
-            self._rng.bit_generator.state = state
+            stream = np.random.default_rng()
+            stream.bit_generator.state = state
+            self._base_seed = int(stream.integers(2**63 - 1))
 
     def __len__(self) -> int:
         return len(self._row_of)

@@ -50,7 +50,7 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
 from repro.optim import Adam, clip_grad_norm
 from repro.tensor import Tensor, functional as F, no_grad
-from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["TrainHistory", "WidenTrainer"]
 
@@ -105,7 +105,6 @@ class WidenTrainer:
             num_deep=self.config.num_deep,
             num_deep_walks=self.config.num_deep_walks,
             wide_sampling=self.config.wide_sampling,
-            sample_seeding=self.config.sample_seeding,
             rng=sample_rng,
         )
         self.optimizer = Adam(
@@ -646,7 +645,7 @@ class WidenTrainer:
             num_deep=self.config.num_deep,
             num_deep_walks=self.config.num_deep_walks,
             wide_sampling=self.config.wide_sampling,
-            rng=new_rng(rng),
+            rng=rng,
         )
         if self.config.embedding_mode != "replace":
             return self._embed_with(store, graph, None, nodes)

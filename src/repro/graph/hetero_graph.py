@@ -382,6 +382,14 @@ class HeteroGraph:
         start, stop = self.indptr[node], self.indptr[node + 1]
         return self.indices[start:stop], self.edge_type_of[start:stop]
 
+    def extents(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(start, degree)`` of each node's adjacency list: list ``i`` is
+        ``indices[start[i] : start[i] + degree[i]]`` (and the same slice of
+        ``edge_type_of``) — :meth:`neighbors` for an array of nodes, and
+        how the batched samplers open a list."""
+        start = self.indptr[nodes]
+        return start, self.indptr[nodes + 1] - start
+
     def degree(self, node: int) -> int:
         return int(self.indptr[node + 1] - self.indptr[node])
 

@@ -5,7 +5,9 @@ Two walk flavours:
 - :func:`random_walk` — uniform walks that also record the edge type taken at
   each step.  This is the walk underlying WIDEN's deep neighbor sets
   (Definition 3): each position carries the edge linking it to its
-  predecessor, which message packaging (Eq. 2) consumes.
+  predecessor, which message packaging (Eq. 2) consumes.  One walk, one
+  ``Generator``: the reference for :func:`random_walk_batch`, which advances
+  every walker of a batch in lock-step and is what runs.
 - :func:`node2vec_walk` — second-order biased walks (return parameter ``p``,
   in-out parameter ``q``) for the Node2Vec baseline.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro.graph.hetero_graph import HeteroGraph
 from repro.obs.tracing import span as trace_span
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import SeedLike, keyed_fractions, new_rng
 
 
 def random_walk(
@@ -49,6 +51,57 @@ def random_walk(
             nodes.append(current)
             etypes.append(int(edge_types[pick]))
         return np.asarray(nodes, dtype=np.int64), np.asarray(etypes, dtype=np.int64)
+
+
+def random_walk_batch(
+    graph: HeteroGraph,
+    starts: np.ndarray,
+    num_walks: int,
+    length: int,
+    seed: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``num_walks`` :func:`random_walk`s from every start, advanced in lock-step.
+
+    Returns ``(nodes, edge_types, lengths)`` of shapes ``(B, num_walks,
+    length)`` ×2 and ``(B, num_walks)``; slots beyond a walk's length are
+    zero.  All ``B · num_walks`` walkers take step ``s`` together — one
+    gather of their current nodes' CSR extents, one pick each — and a
+    walker whose node has no outgoing edge drops out there.  Walk ``w`` of
+    start ``v`` takes step ``s`` with draw ``(seed, v, w · length + s)`` of
+    :func:`~repro.utils.rng.keyed_fractions`, so a walk depends on its start
+    and the adjacency lists it crosses, not on what else is in the batch.
+    """
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    starts = np.asarray(starts, np.int64)
+    walkers = np.arange(starts.size * num_walks)
+    # Step-major, (step, start, walk): what the walkers draw, and where
+    # they write, at one step is one contiguous row.
+    nodes = np.zeros((length, walkers.size), np.int64)
+    edge_types = np.zeros((length, walkers.size), np.int64)
+    lengths = np.full(walkers.size, length)
+    fractions = keyed_fractions(
+        seed,
+        starts[:, np.newaxis],
+        np.arange(length)[:, np.newaxis, np.newaxis] + np.arange(num_walks) * length,
+    ).reshape(length, walkers.size)
+    current = np.repeat(starts, num_walks)
+    for step in range(length):
+        begin, degree = graph.extents(current)
+        if np.count_nonzero(degree) < degree.size:
+            alive = degree > 0
+            lengths[walkers[~alive]] = step
+            walkers, begin, degree = walkers[alive], begin[alive], degree[alive]
+            if walkers.size == 0:
+                break
+        slot = begin + (fractions[step][walkers] * degree >> 31)
+        current = graph.indices[slot]
+        nodes[step][walkers] = current
+        edge_types[step][walkers] = graph.edge_type_of[slot]
+    shape = (starts.size, num_walks, length)
+    return (
+        nodes.T.reshape(shape), edge_types.T.reshape(shape), lengths.reshape(shape[:2])
+    )
 
 
 def node2vec_walk(

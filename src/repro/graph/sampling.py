@@ -3,19 +3,24 @@
 Both samplers return small dataclasses holding parallel arrays of global node
 ids and edge types.  WIDEN's neighbor state mutates *copies* of these during
 downsampling; the samplers themselves are pure.
+
+:func:`sample_wide` and :func:`sample_deep` draw for one node from a
+``Generator``; they are the reference.  What runs is
+:func:`sample_wide_batch` (and :func:`~repro.graph.random_walk.random_walk_batch`):
+many targets at once, straight off the CSR, draws keyed by ``(seed, node)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.random_walk import random_walk
 from repro.obs.tracing import span as trace_span
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import SeedLike, keyed_draws, keyed_fractions, new_rng
 
 
 @dataclass
@@ -131,3 +136,59 @@ def sample_deep(
     with trace_span("graph.sample_deep", target=int(target)):
         nodes, etypes = random_walk(graph, target, num_deep, rng=rng)
         return DeepNeighborSet(target, nodes, etypes)
+
+
+def sample_wide_batch(
+    graph: HeteroGraph,
+    targets: np.ndarray,
+    num_wide: int,
+    seed: int,
+    first_counter: int = 0,
+    unique: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`sample_wide` for many targets at once, straight off the CSR.
+
+    Returns ``(nodes, etypes, lengths)`` — ``(B, num_wide)`` grids whose row
+    ``b`` holds ``lengths[b]`` picks (slots beyond are zero).  The sampling
+    distribution is :func:`sample_wide`'s; draw ``j`` of a target is
+    :func:`~repro.utils.rng.keyed_draws` at ``(seed, target, first_counter +
+    j)``, so a row depends on its target's adjacency list and nothing else
+    in the batch:
+
+    - degree below the cap — pick ``j`` is slot ``⌊u_j · degree⌋`` of the
+      list, or with ``unique`` the whole list in order and no draw;
+    - degree at or above it — slot ``j`` of the list gets draw ``j`` as its
+      key and the ``num_wide`` slots with the smallest keys are taken in
+      key order: a uniform ordered subset without replacement, by one sort
+      segmented over the batch's lists.
+    """
+    if num_wide < 1:
+        raise ValueError(f"num_wide must be >= 1, got {num_wide}")
+    targets = np.asarray(targets, np.int64)
+    start, degree = graph.extents(targets)
+    positions = np.arange(num_wide)
+    if unique:
+        lengths = np.minimum(degree, num_wide)
+        slots = np.tile(positions, (targets.size, 1))
+    else:
+        lengths = np.where(degree > 0, num_wide, 0)
+        slots = (
+            keyed_fractions(seed, targets[:, np.newaxis], first_counter + positions)
+            * degree[:, np.newaxis]
+        ) >> 31
+    capped = np.flatnonzero(degree >= num_wide)
+    if capped.size:
+        sizes = degree[capped]
+        begins = np.cumsum(sizes) - sizes
+        segment = np.repeat(np.arange(capped.size), sizes)
+        slot = np.arange(segment.size) - begins[segment]
+        keys = keyed_draws(seed, targets[capped][segment], first_counter + slot)
+        order = np.lexsort((keys, segment))
+        slots[capped] = slot[order[begins[:, np.newaxis] + positions]]
+    valid = positions < lengths[:, np.newaxis]
+    picks = (start[:, np.newaxis] + slots)[valid]
+    nodes = np.zeros((targets.size, num_wide), np.int64)
+    etypes = np.zeros((targets.size, num_wide), np.int64)
+    nodes[valid] = graph.indices[picks]
+    etypes[valid] = graph.edge_type_of[picks]
+    return nodes, etypes, lengths

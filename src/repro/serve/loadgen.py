@@ -102,9 +102,8 @@ def cold_single_requests(
     for event in trace:
         start = time.perf_counter()
         if hasattr(classifier, "embed_for_serving"):
-            rng = np.random.default_rng([seed, graph.version, event.node])
             embedding = classifier.embed_for_serving(
-                np.array([event.node]), graph, rng=rng
+                np.array([event.node]), graph, seed=seed
             )
             classifier.predict_from_embeddings(embedding)
         else:

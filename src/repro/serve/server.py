@@ -10,7 +10,7 @@ then invalidate every cache layer, so a post-mutation request can never
 observe pre-mutation state.
 
 Determinism: for classifiers exposing ``embed_for_serving`` (WIDEN), each
-cache miss is computed with an rng seeded by ``(server seed, node id)`` and
+cache miss is computed from draws keyed by ``(server seed, node id)`` and
 nothing else.  A response is therefore a pure function of the model
 parameters, the *current* graph and the server seed — independent of
 request order, batching boundaries, cache history and of how the graph got
@@ -529,12 +529,6 @@ class InferenceServer:
     def _compute_embedding(self, node: int) -> np.ndarray:
         return self._compute_embeddings([int(node)])[0][0]
 
-    def _rng_for(self, node: int) -> np.random.Generator:
-        """The node's sampling rng: ``(server seed, node)``, nothing else —
-        in particular no version, so an answer is a function of the current
-        graph and an untouched materialization re-samples to itself."""
-        return np.random.default_rng([self.seed, int(node)])
-
     def _compute_embeddings(self, nodes: List[int]):
         """Cold-path embeddings for ``nodes`` — one batched model call.
 
@@ -544,10 +538,12 @@ class InferenceServer:
         — and ``reads[i]`` is the read set the row depends on (``{node}``
         when the classifier cannot say).
 
-        Determinism is preserved under batching: each node gets its own rng
-        (:meth:`_rng_for`), so every row is identical to a single-node
-        computation regardless of which other misses happened to share the
-        batch.
+        Determinism is preserved under batching: each node's draws are
+        keyed ``(server seed, node)`` and nothing else — in particular no
+        version, so an answer is a function of the current graph and an
+        untouched materialization re-samples to itself — and every row is
+        identical to a single-node computation regardless of which other
+        misses happened to share the batch.
         """
         nodes_arr = np.asarray(nodes, dtype=np.int64)
         rungs = ["recompute"] * len(nodes)
@@ -556,23 +552,22 @@ class InferenceServer:
             return embeddings, rungs, nodes_arr[:, None]
         if self.store is not None:
             return self._compute_embeddings_with_store(nodes_arr)
-        rngs = [self._rng_for(node) for node in nodes]
         reads = None
         if self._tracks_reads:
             embeddings, reads = self.classifier.embed_for_serving_batch(
-                nodes_arr, self.graph, rngs, return_reads=True
+                nodes_arr, self.graph, self.seed, return_reads=True
             )
         elif hasattr(self.classifier, "embed_for_serving_batch"):
             embeddings = self.classifier.embed_for_serving_batch(
-                nodes_arr, self.graph, rngs
+                nodes_arr, self.graph, self.seed
             )
         else:
             embeddings = np.stack(
                 [
                     self.classifier.embed_for_serving(
-                        np.array([node]), self.graph, rng=rng
+                        np.array([node]), self.graph, seed=self.seed
                     )[0]
-                    for node, rng in zip(nodes, rngs)
+                    for node in nodes
                 ]
             )
         return embeddings, rungs, nodes_arr[:, None] if reads is None else reads
@@ -622,9 +617,7 @@ class InferenceServer:
                 lengths[fresh] = hit_lengths
             fallback_nodes = nodes_arr[fallback_positions]
             fresh_rows = self.classifier.materialize_store_rows(
-                fallback_nodes,
-                self.graph,
-                [self._rng_for(node) for node in fallback_nodes],
+                fallback_nodes, self.graph, self.seed
             )
             for position, row_set in zip(fallback_positions, fresh_rows):
                 node = int(nodes_arr[position])

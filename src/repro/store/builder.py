@@ -2,7 +2,7 @@
 
 The builder walks the graph in batches through
 :meth:`WidenClassifier.materialize_store_rows` — the same sampling and
-packing code the serving miss path runs — with each node's rng seeded
+packing code the serving miss path runs — with each node's draws keyed
 ``(seed, node)``, i.e. exactly the scheme
 :class:`~repro.serve.server.InferenceServer` uses for a cache miss.  A
 served store hit therefore returns the *same bits* the recompute path
@@ -42,8 +42,8 @@ def build_store(
 ) -> AggregateStore:
     """Materialize ``nodes`` (default: all) into a store at ``out_path``.
 
-    ``seed`` must equal the serving server's seed — it is baked into every
-    row's sampling rng and recorded in the metadata so
+    ``seed`` must equal the serving server's seed — it keys every row's
+    sampling draws and is recorded in the metadata so
     :meth:`AggregateStore.compatible_with` can refuse a mismatched server.
     Returns the freshly opened (mmap'd) store.
     """
@@ -83,11 +83,7 @@ def build_store(
     for begin in range(0, node_list.size, batch_size):
         chunk = node_list[begin : begin + batch_size]
         with trace_span("store.build", nodes=int(chunk.size)):
-            rngs = [
-                np.random.default_rng([int(seed), int(node)])
-                for node in chunk
-            ]
-            pack_rows = classifier.materialize_store_rows(chunk, graph, rngs)
+            pack_rows = classifier.materialize_store_rows(chunk, graph, int(seed))
             for offset, row_set in enumerate(pack_rows):
                 block, length_row = encode_block(row_set, meta)
                 rows[begin + offset] = block

@@ -34,9 +34,12 @@ A store is only meaningful against the exact parameters and rng scheme
 that built it; :meth:`AggregateStore.compatible_with` checks the format,
 geometry, parameter digest and server seed and returns the human-readable
 reason on mismatch so callers refuse loudly instead of serving wrong
-aggregates.  Format v1 directories are refused outright: their rows were
-sampled with the node *version* in the rng seed, which a v2 server never
-reproduces, so they would be wrong rather than merely stale.
+aggregates.  Older formats are refused outright, because the format number
+also names the draw scheme and a server never reproduces another one's
+samples — the rows would be wrong rather than merely stale: v1 seeded a
+generator with ``(seed, node version, node)``, v2 with ``(seed, node)``;
+v3 rows are drawn by the counter-keyed sampler
+(:meth:`repro.core.state.NeighborStateStore.sample_fresh`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from repro.core.packing import PackRows
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 _META_FILE = "meta.json"
 _ROWS_FILE = "rows.npy"
@@ -97,16 +100,21 @@ def encode_block(
 
 
 def _refuse_old_format(meta: Dict[str, object], what: str) -> Optional[str]:
-    """Why a pre-v2 store cannot be served (``None`` for current ones)."""
+    """Why an older store cannot be served (``None`` for current ones)."""
     version = int(meta.get("format_version", 0))
     if version >= STORE_FORMAT_VERSION:
         return None
+    drawn = (
+        "were sampled from one generator per node, seeded (seed, node)"
+        if version == 2
+        else "carry no read sets and were sampled under the "
+        "(seed, node version, node) rng scheme"
+    )
     return (
         f"{what} is store format v{version}; this code reads "
-        f"v{STORE_FORMAT_VERSION}.  v{version} rows carry no read sets and "
-        "were sampled under the (seed, node version, node) rng scheme, "
-        "which a (seed, node)-seeded server never reproduces — rebuild "
-        "the store with `python -m repro store-build`"
+        f"v{STORE_FORMAT_VERSION}.  v{version} rows {drawn}, which a server "
+        "drawing counter-keyed (seed, node, draw index) samples never "
+        "reproduces — rebuild the store with `python -m repro store-build`"
     )
 
 

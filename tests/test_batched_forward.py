@@ -344,23 +344,11 @@ class TestServingBatch:
         nodes = graph.labeled_nodes()
         classifier.fit(dataset.graph, nodes[:40], epochs=1)
         targets = nodes[:6]
-        rngs = [np.random.default_rng([7, 0, int(n)]) for n in targets]
-        batched = classifier.embed_for_serving_batch(targets, graph, rngs)
+        batched = classifier.embed_for_serving_batch(targets, graph, 7)
         singles = np.stack(
             [
-                classifier.embed_for_serving(
-                    np.array([node]), graph,
-                    rng=np.random.default_rng([7, 0, int(node)]),
-                )[0]
+                classifier.embed_for_serving(np.array([node]), graph, seed=7)[0]
                 for node in targets
             ]
         )
         np.testing.assert_allclose(batched, singles, atol=1e-9)
-
-    def test_rng_count_mismatch_rejected(self, graph, dataset):
-        classifier = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        classifier.fit(dataset.graph, graph.labeled_nodes()[:40], epochs=1)
-        with pytest.raises(ValueError):
-            classifier.embed_for_serving_batch(
-                graph.labeled_nodes()[:3], graph, [np.random.default_rng(0)]
-            )

@@ -68,7 +68,7 @@ class TestCli:
         assert all(event["ph"] == "X" for event in events)
         span_names = {event["name"] for event in events}
         for expected in ("trainer.epoch", "trainer.batch", "widen.forward",
-                         "graph.sample_wide"):
+                         "graph.sample"):
             assert expected in span_names
         records = [
             json.loads(line)

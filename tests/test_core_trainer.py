@@ -125,8 +125,9 @@ class TestStateStore:
 
     def test_sample_fresh_not_cached(self, dataset):
         store = NeighborStateStore(dataset.graph, 5, 4, 2, rng=0)
-        store.sample_fresh(3)
-        assert 3 not in store
+        rows = store.sample_fresh([3, 8])
+        assert rows.tolist() == [0, 1] and len(store.table) == 2
+        assert 3 not in store and 8 not in store and len(store) == 0
 
     def test_phi_walks_sampled(self, dataset):
         store = NeighborStateStore(dataset.graph, 5, 4, 3, rng=0)

@@ -6,8 +6,9 @@ Three things are pinned here:
   over a minibatch's table rows) is *equal* — not close — to the per-state
   loop it replaced, which lives on in ``tests/helpers.py`` as the oracle;
 - ``training_state()`` is a snapshot by value;
-- the per-node Python work stays off the minibatch path: a function-call
-  count, not a clock.
+- the per-node Python work stays off the minibatch path, and off the
+  recompute rung and the trainer's first touch: a function-call count, not
+  a clock.
 """
 
 import cProfile
@@ -242,13 +243,24 @@ class TestTrainingStateSnapshot:
         assert trainer.fit(nodes, epochs=1).losses[-1] == uninterrupted
 
 
+def python_calls(run) -> int:
+    """Function calls ``cProfile`` sees while ``run()`` executes; repeats
+    exactly for a seed, so it is a count and not a timing."""
+    profile = cProfile.Profile()
+    profile.enable()
+    run()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
 class TestNoPerNodeLoopOnTheMinibatchPath:
-    # Measured at this commit: 2.6 calls per extra node — the id → row
-    # lookup, and reductions grouped by true length (parent: 207; the same
-    # vectorisation kept on per-node objects: 70).  The rest is per tensor op
-    # or per *firing* segment, neither of which grows with the batch.  The
-    # bound is about twice the measurement: one more Python call per node
-    # and side (1 + Φ = 3 of them) already crosses it.
+    # Measured: 1.7 calls per extra node — reductions grouped by true
+    # length (2.6 before PR 19 took the id → row lookup out of Python;
+    # before PR 18: 207; the same vectorisation kept on per-node objects:
+    # 70).  The rest is per tensor op or per *firing* segment, neither of
+    # which grows with the batch.  The bound is about twice the old
+    # measurement: one more Python call per node and side (1 + Φ = 3 of
+    # them) already crosses it.
     MAX_CALLS_PER_EXTRA_NODE = 5.0
 
     @staticmethod
@@ -256,11 +268,7 @@ class TestNoPerNodeLoopOnTheMinibatchPath:
         classifier = WidenClassifier(seed=0, batch_size=batch_size)
         nodes = dataset.split.train[:256]
         classifier.fit(dataset.graph, nodes, epochs=2)  # sampled, memory warm
-        profile = cProfile.Profile()
-        profile.enable()
-        classifier.trainer.fit(nodes, epochs=1)
-        profile.disable()
-        return pstats.Stats(profile).total_calls
+        return python_calls(lambda: classifier.trainer.fit(nodes, epochs=1))
 
     def test_marginal_calls_per_node_stay_bounded(self):
         """Doubling the batch halves the batches; what does not halve is
@@ -274,3 +282,46 @@ class TestNoPerNodeLoopOnTheMinibatchPath:
         }
         marginal = (per_batch[64] - per_batch[32]) / 32
         assert 0 <= marginal < self.MAX_CALLS_PER_EXTRA_NODE, per_batch
+
+
+class TestNoPerNodeLoopOnTheRecomputeRung:
+    """The serving cold path and the trainer's first touch sample a batch
+    as array ops: Python calls must not grow with the nodes in it.
+
+    Measured at this commit: 0 calls per extra node on both.  Parent
+    (8b2ce85, one ``default_rng([seed, node])``, one ``sample_wide`` and Φ
+    ``random_walk``s per node): 138.8 through ``embed_for_serving_batch``
+    and 137.7 through ``rows_for``.  The bound is one call per node and
+    side — a per-node loop of any kind crosses it.
+    """
+
+    MAX_CALLS_PER_EXTRA_NODE = 3.0
+    SIZES = (16, 64)
+
+    def marginal(self, calls_at) -> float:
+        small, large = self.SIZES
+        return (calls_at[large] - calls_at[small]) / (large - small)
+
+    def test_serving_calls_do_not_grow_with_the_batch(self):
+        dataset = make_yelp(seed=0, scale=1.0)
+        classifier = WidenClassifier(seed=0)
+        classifier.fit(dataset.graph, dataset.split.train[:64], epochs=1)
+        calls_at = {}
+        for size in self.SIZES:
+            nodes = np.arange(100, 100 + size)
+            serve = lambda: classifier.embed_for_serving_batch(  # noqa: E731
+                nodes, dataset.graph, 7, return_reads=True
+            )
+            serve()  # whatever is lazy has happened
+            calls_at[size] = python_calls(serve)
+        assert 0 <= self.marginal(calls_at) < self.MAX_CALLS_PER_EXTRA_NODE, calls_at
+
+    def test_first_touch_calls_do_not_grow_with_the_batch(self):
+        graph = make_yelp(seed=0, scale=1.0).graph
+        calls_at = {}
+        for size in self.SIZES:
+            store = NeighborStateStore(graph, 10, 8, 2, rng=0)
+            nodes = np.arange(100, 100 + size)
+            calls_at[size] = python_calls(lambda: store.rows_for(nodes))
+            assert len(store) == size
+        assert 0 <= self.marginal(calls_at) < self.MAX_CALLS_PER_EXTRA_NODE, calls_at

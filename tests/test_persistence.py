@@ -248,8 +248,8 @@ class TestCheckpointV3:
         assert fresh.supports_store() is None
         probe = acm.split.test[:10]
         np.testing.assert_array_equal(
-            fresh.embed_for_serving(probe, acm.graph, rng=5),
-            model.embed_for_serving(probe, acm.graph, rng=5),
+            fresh.embed_for_serving(probe, acm.graph, seed=5),
+            model.embed_for_serving(probe, acm.graph, seed=5),
         )
         migrated = migrate_checkpoint(path)
         assert migrated["format_version"] == 3
@@ -285,9 +285,7 @@ class TestCheckpointV3:
         assert summary["store_hits"] == len(nodes)
 
         _, reads = served.embed_for_serving_batch(
-            np.asarray(nodes), graph,
-            [np.random.default_rng([7, node]) for node in nodes],
-            return_reads=True,
+            np.asarray(nodes), graph, 7, return_reads=True
         )
         author = int(graph.nodes_of_type("author")[0])
         server.add_edges("paper-author", [nodes[0]], [author])
@@ -297,6 +295,67 @@ class TestCheckpointV3:
         }
         assert nodes[0] in dependents and len(dependents) < len(nodes)
         assert server.cache.node_invalidations == Counter(dependents)
+
+    @pytest.mark.parametrize("seeding", ["stream", "per_node"])
+    def test_sample_seeding_checkpoints_resume_their_sets(
+        self, acm, tmp_path, seeding
+    ):
+        """A checkpoint written while ``WidenConfig.sample_seeding`` existed
+        stores the key and one of two ``rng_state["store"]`` shapes: the raw
+        bit-generator state (``"stream"``) or ``{"stream", "base_seed"}``
+        (``"per_node"``).  Both load with the key dropped and every stored
+        set as it was; a node first touched after the resume draws keyed by
+        the stored base seed — for a stream checkpoint, by the next integer
+        of the stored stream."""
+        import json
+
+        from repro.core.state import NeighborStateStore
+
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        model.fit(acm.graph, acm.split.train[:48], epochs=2)
+        path = tmp_path / f"{seeding}.npz"
+        model.save(path)
+        stream = np.random.default_rng(11)
+        stored = stream.bit_generator.state
+        expected_seed = 1234 if seeding == "per_node" else int(
+            stream.integers(2**63 - 1)
+        )
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["__checkpoint__"]))
+        meta["config"]["sample_seeding"] = seeding
+        meta["trainer_rng"]["store"] = (
+            {"stream": stored, "base_seed": 1234} if seeding == "per_node" else stored
+        )
+        arrays["__checkpoint__"] = json.dumps(meta)
+        np.savez(path, **arrays)
+
+        resumed = WidenClassifier.load(path, graph=acm.graph)
+        assert resumed.config == model.config
+        assert not hasattr(resumed.config, "sample_seeding")
+        want, got = model.trainer.store.records(), resumed.trainer.store.records()
+        assert list(got) == list(want)
+        for node, record in want.items():
+            np.testing.assert_array_equal(got[node].wide.nodes, record.wide.nodes)
+            np.testing.assert_array_equal(got[node].wide.etypes, record.wide.etypes)
+            for walk, kept in zip(got[node].deep, record.deep):
+                np.testing.assert_array_equal(walk.nodes, kept.nodes)
+                np.testing.assert_array_equal(walk.etypes, kept.etypes)
+
+        unseen = int(acm.split.test[0])
+        assert unseen not in resumed.trainer.store
+        config = model.config
+        keyed = NeighborStateStore(
+            acm.graph, config.num_wide, config.num_deep, config.num_deep_walks,
+            rng=expected_seed,
+        ).get(unseen)
+        first_touch = resumed.trainer.store.get(unseen)
+        np.testing.assert_array_equal(first_touch.wide.nodes, keyed.wide.nodes)
+        for walk, want_walk in zip(first_touch.deep, keyed.deep):
+            np.testing.assert_array_equal(walk.nodes, want_walk.nodes)
+        assert WidenClassifier.read_checkpoint_metadata(path)["config"][
+            "sample_seeding"
+        ] == seeding  # loading rewrites nothing
 
     def test_newer_versions_are_refused(self, acm, tmp_path):
         import json

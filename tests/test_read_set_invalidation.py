@@ -9,7 +9,7 @@ over-wide invalidation and an over-narrow one are both visible:
 - **soundness** — after every write of a random stream a warm server
   (cache + store + overlay) answers every node exactly as a cold storeless
   server on the same graph does; likewise through a 2-shard inline fleet;
-- **the read set is what was read** — the ids ``graph.neighbors`` was
+- **the read set is what was read** — the ids ``graph.extents`` was
   asked about are a subset of the reported read set, row by row;
 - **precision** — against a brute-force oracle that re-samples every node
   before and after the write: {sample changed} ⊆ {invalidated} ⊆ {recorded
@@ -137,16 +137,12 @@ def assert_same_answers(got, want) -> None:
     np.testing.assert_allclose(got, want, rtol=0.0, atol=ANSWER_TOLERANCE)
 
 
-def serving_rngs(nodes):
-    return [np.random.default_rng([SEED, int(node)]) for node in nodes]
-
-
 def assert_rows_are_current(store, classifier, graph, nodes) -> None:
     """Each node's stored row is what sampling it *now* packs: the same
     read set and pack lengths exactly, the same ``M°``/``M▷`` values
     (``graph`` may be the global graph while ``store`` is a shard's slice:
     halo features are real)."""
-    current = classifier.materialize_store_rows(nodes, graph, serving_rngs(nodes))
+    current = classifier.materialize_store_rows(nodes, graph, SEED)
     for node, want in zip(nodes, current):
         got = store.rows_for(int(node))
         np.testing.assert_array_equal(got.reads, want.reads)
@@ -177,12 +173,12 @@ def cold_answers(checkpoint, graph, nodes) -> np.ndarray:
 
 
 def sample_signature(classifier, graph, node):
-    """What the serving rng samples for ``node`` on ``graph`` right now."""
+    """What the serving seed samples for ``node`` on ``graph`` right now."""
     config = classifier.config
     state = NeighborStateStore(
         graph, num_wide=config.num_wide, num_deep=config.num_deep,
         num_deep_walks=config.num_deep_walks, wide_sampling=config.wide_sampling,
-        rng=serving_rngs([node])[0],
+        rng=SEED,
     ).get(int(node))
     return (
         state.wide.nodes.tolist(), state.wide.etypes.tolist(),
@@ -316,16 +312,17 @@ class TestSoundness:
 # ----------------------------------------------------------------------
 
 
-def record_neighbors(graph):
-    """Replace ``graph.neighbors`` with a recording proxy; returns the log."""
+def record_extents(graph):
+    """Replace ``graph.extents`` — how the batched samplers open adjacency
+    lists — with a recording proxy; returns the log of ids asked about."""
     seen = []
-    inner = graph.neighbors
+    inner = graph.extents
 
-    def neighbors(node):
-        seen.append(int(node))
-        return inner(node)
+    def extents(nodes):
+        seen.extend(np.asarray(nodes).tolist())
+        return inner(nodes)
 
-    graph.neighbors = neighbors
+    graph.extents = extents
     return seen
 
 
@@ -335,30 +332,31 @@ class TestReadSetIsWhatWasRead:
     def test_neighbors_calls_are_inside_the_reported_read_set(
         self, checkpoint, graph, stream
     ):
+        """The neighbor lists the sampler opens — ``graph.extents`` calls
+        since the sampler became an array op, ``graph.neighbors`` calls
+        before — are all in the read set it reports."""
         for write in stream:
             apply_write(graph, write)
         classifier = WidenClassifier.load(checkpoint, graph=graph)
         nodes = np.arange(graph.num_nodes)
         _, batch_reads = classifier.embed_for_serving_batch(
-            nodes, graph, serving_rngs(nodes), return_reads=True
+            nodes, graph, SEED, return_reads=True
         )
         assert batch_reads.shape == (nodes.size, READ_WIDTH)
-        rows = classifier.materialize_store_rows(nodes, graph, serving_rngs(nodes))
+        rows = classifier.materialize_store_rows(nodes, graph, SEED)
         samplers = (
             lambda one: classifier.embed_for_serving_batch(
-                one, graph, serving_rngs(one), return_reads=True
+                one, graph, SEED, return_reads=True
             )[1][0],
-            lambda one: classifier.materialize_store_rows(
-                one, graph, serving_rngs(one)
-            )[0].reads,
+            lambda one: classifier.materialize_store_rows(one, graph, SEED)[0].reads,
         )
-        seen = record_neighbors(graph)
+        seen = record_extents(graph)
         try:
             for node in nodes:
                 for sampler in samplers:
                     del seen[:]
                     reads = sampler([node])
-                    # Row by row: same rng, same sample, same read set
+                    # Row by row: same key, same sample, same read set
                     # whatever batch it was part of ...
                     np.testing.assert_array_equal(reads, batch_reads[node])
                     np.testing.assert_array_equal(reads, rows[node].reads)
@@ -366,7 +364,7 @@ class TestReadSetIsWhatWasRead:
                     assert node in seen and set(seen) <= set(reads.tolist())
                     assert reads[0] == node
         finally:
-            del graph.neighbors
+            del graph.extents
 
     def test_dead_end_of_a_walk_is_a_dependency(self, checkpoint):
         """0 → 1 and nothing else: node 0's walks stop at 1 because 1's
@@ -375,12 +373,12 @@ class TestReadSetIsWhatWasRead:
         graph = build_graph(6, [(0, 1, 0)], seed=1)
         classifier = WidenClassifier.load(checkpoint, graph=graph)
         server = InferenceServer(classifier, graph, seed=SEED)
-        seen = record_neighbors(graph)
+        seen = record_extents(graph)
         before = server.embed([0, 3])
-        del graph.neighbors
+        del graph.extents
         assert set(seen) == {0, 1, 3}
         _, reads = classifier.embed_for_serving_batch(
-            [0], graph, serving_rngs([0]), return_reads=True
+            [0], graph, SEED, return_reads=True
         )
         assert set(reads[0].tolist()) == {0, 1}
         server.add_edges("y", [1], [4], symmetric=False)

@@ -431,9 +431,7 @@ class TestMutationInvalidation:
         server.embed(nodes)
         assert len(server.cache) == 6
         _, reads = server.classifier.embed_for_serving_batch(
-            np.asarray(nodes), server.graph,
-            [np.random.default_rng([7, node]) for node in nodes],
-            return_reads=True,
+            np.asarray(nodes), server.graph, 7, return_reads=True
         )
         version_before = server.graph.version
         new = self._mutate(server, acm)
@@ -468,7 +466,7 @@ class TestMutationInvalidation:
             def __init__(self, graph):
                 self.graph = graph
 
-            def embed_for_serving(self, nodes, graph, rng=None):
+            def embed_for_serving(self, nodes, graph, seed=None):
                 return graph.degrees()[np.asarray(nodes)][:, None] * np.ones(4)
 
         graph = make_acm(seed=0, scale=0.5).graph

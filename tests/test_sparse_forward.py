@@ -410,10 +410,9 @@ class TestKernelSelection:
                     ]
                     assert kernels_used == ["sparse" if waste >= 0.5 else "padded"]
                 routed[num_wide].append(waste >= 0.5)
-                rngs = [np.random.default_rng([7, int(node)]) for node in batch]
                 for run in (
-                    lambda: classifier.embed_for_serving_batch(batch, graph, rngs),
-                    lambda: classifier.embed_for_serving(batch, graph, rng=7),
+                    lambda: classifier.embed_for_serving_batch(batch, graph, 7),
+                    lambda: classifier.embed_for_serving(batch, graph, seed=7),
                 ):
                     spans = forward_spans(run)
                     assert len(spans) == 1 and "kernel" not in spans[0]
@@ -449,8 +448,7 @@ class TestSparseTrainingAndServing:
         answers = {}
         for threshold in (PADDED, SPARSE):
             force_kernel(threshold)
-            rngs = [np.random.default_rng([7, 0, int(n)]) for n in targets]
-            answers[threshold] = model.embed_for_serving_batch(targets, graph, rngs)
+            answers[threshold] = model.embed_for_serving_batch(targets, graph, 7)
         np.testing.assert_array_equal(answers[SPARSE], answers[PADDED])
 
 

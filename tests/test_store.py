@@ -84,8 +84,7 @@ class TestStoreRoundtrip:
     def test_rows_survive_the_disk_roundtrip(self, trained, acm, store_path):
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 6)
-        rngs = [np.random.default_rng([7, int(node)]) for node in nodes]
-        direct = trained.materialize_store_rows(nodes, acm.graph, rngs)
+        direct = trained.materialize_store_rows(nodes, acm.graph, 7)
 
         def assert_same_rows(stored, rows):
             np.testing.assert_array_equal(stored.wide, rows.wide)
@@ -168,6 +167,33 @@ class TestStoreRoundtrip:
         reason = smuggled.compatible_with(classifier, 7)
         assert "format v1" in reason and "rng scheme" in reason
         with pytest.raises(ValueError, match="format v1"):
+            InferenceServer(classifier, graph, seed=7, store=smuggled)
+
+    def test_format_v2_is_refused(self, checkpoint, store_path, tmp_path):
+        """A v2 directory has every file a v3 one has, but its rows were
+        drawn from per-node generator streams: no keyed server re-samples
+        to them, so it is refused by format — at open, and at attach —
+        naming the format and the draw scheme."""
+        import json
+        import shutil
+
+        old = tmp_path / "v2"
+        shutil.copytree(store_path, old)
+        meta = json.loads((old / "meta.json").read_text())
+        meta["format_version"] = 2
+        (old / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(
+            ValueError, match=r"format v2.*one generator per node.*counter-keyed"
+        ):
+            AggregateStore.open(old)
+
+        graph = fresh_graph()
+        classifier = WidenClassifier.load(checkpoint, graph=graph)
+        smuggled = AggregateStore.open(store_path)
+        smuggled.meta["format_version"] = 2
+        reason = smuggled.compatible_with(classifier, 7)
+        assert "format v2" in reason and "store-build" in reason
+        with pytest.raises(ValueError, match="format v2"):
             InferenceServer(classifier, graph, seed=7, store=smuggled)
 
     def test_store_from_an_older_graph_version_is_all_stale(
@@ -299,10 +325,9 @@ class TestStoreServingEquality:
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 9)
         blocks, lengths = store.blocks_for(nodes)
-        rngs = [np.random.default_rng([7, int(node)]) for node in nodes]
         np.testing.assert_array_equal(
             trained.embed_from_store_blocks(blocks, lengths),
-            trained.embed_for_serving_batch(nodes, acm.graph, rngs),
+            trained.embed_for_serving_batch(nodes, acm.graph, 7),
         )
 
 
