@@ -1,7 +1,7 @@
-"""Materialized-aggregate store benchmark — ``repro.store`` exactness + speed.
+"""Materialized-answer store benchmark — ``repro.store`` exactness + speed.
 
 Builds a store offline with :func:`repro.store.build_store` and measures the
-two things the tier promises:
+three things the tier promises:
 
 1. **Exactness.**  Store-backed serving returns the same bits as full
    recompute (gate ``<= 1e-10``, observed 0.0): a single server against a
@@ -9,11 +9,12 @@ two things the tier promises:
    socket fleet carrying per-shard store slices — each checked before and after a
    mutation stream (edge attachments + a node arrival) that exercises the
    read-set-invalidation → lazy-refresh path.
-2. **Warm-miss speedup.**  A cache miss answered from store rows runs only
-   the attention + fuse head; the recompute path also samples neighbor
-   states and packs them.  Both servers replay the identical cold-probe
-   workload (caches invalidated between rounds) and the store path must be
-   ``>= 5x`` faster per node.
+2. **Warm-miss speedup.**  A cache miss answered from a fresh store row is
+   one gather of finished embeddings (format v4); the recompute path
+   samples neighbor states, packs them and runs the forward.  Both servers
+   replay the identical cold-probe workload (caches invalidated between
+   rounds) and the store path must be ``>= 5x`` faster per node.
+3. **Row size.**  A row is the ``(d,)`` embedding: ``row_bytes == dim * 8``.
 
 Run ``python benchmarks/bench_store.py --smoke`` for the CI-sized gate
 (writes ``BENCH_store.json``); without ``--smoke`` the graph and probe
@@ -36,6 +37,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import InferenceServer, ModelRegistry
 from repro.store import AggregateStore, build_store
 
+DIM = 16
 EXACTNESS_GATE = 1e-10
 SPEEDUP_FLOOR = 5.0
 MAX_ATTEMPTS = 3
@@ -111,7 +113,7 @@ def run_bench(out_path, *, scale=1.0, epochs=3, rounds=8, probe_size=64,
 
 def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
     dataset = make_acm(seed=seed, scale=scale)
-    model = WidenClassifier(seed=seed, dim=16, num_wide=6, num_deep=5)
+    model = WidenClassifier(seed=seed, dim=DIM, num_wide=6, num_deep=5)
     model.fit(dataset.graph, dataset.split.train, epochs=epochs)
     registry = ModelRegistry(root)
     checkpoint = registry.save("widen-acm-store", model)
@@ -129,6 +131,7 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         "benchmark": "store_serving",
         "dataset": "acm",
         "scale": scale,
+        "dim": DIM,
         "probe_size": probe_size,
         "rounds": rounds,
         "build": {
@@ -240,8 +243,9 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
 
-    print(f"store build: {report['build']['rows']} rows, "
-          f"{report['build']['bytes_total'] / 1e6:.1f} MB, "
+    print(f"store build: {report['build']['rows']} rows x "
+          f"{report['build']['row_bytes']} B = "
+          f"{report['build']['bytes_total'] / 1e6:.2f} MB, "
           f"{report['build']['seconds']:.2f}s")
     print(f"{'target':<16}{'max diff':>12}")
     for row in report["exactness"]:
@@ -264,6 +268,8 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         f"store-hit miss path only {best['speedup']:.2f}x faster than full "
         f"recompute (< {SPEEDUP_FLOOR}x)"
     )
+    # Gate 3: a row is the answer, nothing else.
+    assert report["build"]["row_bytes"] == DIM * 8, report["build"]
     return report
 
 

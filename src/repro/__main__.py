@@ -32,13 +32,13 @@ Commands
     ``serve-cluster --transport socket --workers`` fleet at one of these
     per shard to span hosts.
 ``store-build [dataset] [--out DIR] [--checkpoint F] [--epochs N]``
-    Materialize every node's wide/deep aggregate rows into a versioned
+    Materialize every node's serving embedding into a versioned
     on-disk store (:mod:`repro.store`).  Loads ``--checkpoint`` when
     given, otherwise trains first (same seed/epochs defaults as
     ``serve-bench``, so the two line up without a checkpoint file).
     ``serve-bench --store DIR`` and ``serve-cluster --store DIR`` then
-    serve cache misses from the store — attention + MLP only, no
-    sampling — falling back to full recompute for stale/absent rows.
+    serve cache misses from the store — one gather, no model code —
+    falling back to full recompute for stale/absent rows.
 ``trace [dataset] [--shards K] [--transport T] [--smoke] ...``
     Run a traced workload through the cluster's scatter-gather path with
     distributed tracing and SLO monitoring on (:mod:`repro.obs.dist` /
@@ -307,8 +307,8 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
     )
     registry = get_registry()
     seconds = registry.gauge("store_build_seconds").value
-    print(f"materialized {store.num_rows} node rows "
-          f"({store.nbytes / 1e6:.1f} MB, {store.row_nbytes} B/row) "
+    print(f"materialized {store.num_rows} rows x {store.row_nbytes} B/row "
+          f"= {store.nbytes / 1e6:.2f} MB of embeddings "
           f"in {seconds:.2f}s -> {args.out}")
     print(f"store keyed to params digest {store.meta['params_digest']}, "
           f"seed {store.meta['seed']}, graph version {store.meta['graph_version']}")

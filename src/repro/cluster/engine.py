@@ -136,7 +136,7 @@ class ShardEngine:
             )
         store_payload = config.get("store")
         if store_payload is not None:
-            # The shard's slice of the materialized-aggregate store
+            # The shard's slice of the materialized-answer store
             # (owned nodes only — halo nodes are never served locally, so
             # shipping their rows would be dead weight).  Plain arrays, so
             # the same payload works in-process and across the wire.

@@ -129,7 +129,7 @@ class ClusterRouter:
         self.plan: ClusterPlan = ShardPlanner(
             graph, reach, num_shards, seed=partition_seed
         ).plan()
-        # Materialized-aggregate tier: validate once against the probe
+        # Materialized-answer tier: validate once against the probe
         # classifier (same parameters and seed every shard will use), then
         # slice per shard by ownership — owned nodes only, because a shard
         # serves only nodes it owns; its halo exists to make local

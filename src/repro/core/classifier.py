@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.baselines.common import BaseClassifier
 from repro.core.config import WidenConfig
-from repro.core.model import WidenModel
+from repro.core.model import HALF_FORWARD_GONE, WidenModel
 from repro.core.state import NeighborStateStore
 from repro.core.trainer import WidenTrainer
 from repro.graph import HeteroGraph
@@ -243,16 +243,16 @@ class WidenClassifier(BaseClassifier):
         return (embeddings, reads) if return_reads else embeddings
 
     # ------------------------------------------------------------------
-    # Materialized-aggregate hooks (repro.store)
+    # Materialized-answer hooks (repro.store)
     # ------------------------------------------------------------------
 
     def params_digest(self) -> str:
         """Content hash of the model parameters (the store's checkpoint id).
 
-        A materialized store holds *post-projection* pack rows, so it is
-        only valid against the exact parameters that produced it; the
-        digest lets :class:`repro.store.AggregateStore` refuse a mismatched
-        model instead of silently serving wrong aggregates.
+        A materialized store holds finished embeddings, so it is only
+        valid against the exact parameters that produced them; the digest
+        lets :class:`repro.store.AggregateStore` refuse a mismatched model
+        instead of silently serving another model's answers.
         """
         if self.model is None:
             raise RuntimeError("params_digest before fit/load")
@@ -273,71 +273,22 @@ class WidenClassifier(BaseClassifier):
         return None
 
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
-        """Sample + pack ``nodes`` into store rows.
+        """Store rows for ``nodes``: ``(embeddings, reads)``.
 
-        The sampling is :meth:`embed_for_serving_batch`'s — draws keyed
-        ``(seed, node)``, fresh :class:`NeighborStateStore` — so rows
-        materialized under a seed feed a serving answer bit-identical to
-        the recompute path under the same seed.  Each returned
-        :class:`PackRows` carries its sample's read set in ``reads``.
+        The store's build hook, and nothing but the serving miss path
+        (:meth:`embed_for_serving_batch` with its read sets) behind the
+        :meth:`supports_store` check — a stored row *is* the answer a
+        recompute under the same seed returns, until a write touches a
+        list in its read set.
         """
-        if self.trainer is None:
-            raise RuntimeError("materialize_store_rows before fit/bind")
         reason = self.supports_store()
         if reason is not None:
             raise ValueError(f"store materialization unsupported: {reason}")
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return []
-        table, reads = self._sample_for_serving(nodes, graph, seed)
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            rows = model.materialize_rows(
-                table.take(_at_least_two(nodes.size)), graph
-            )
-        model.train()
-        for row_set, read_set in zip(rows, reads):
-            row_set.reads = read_set
-        return rows[: nodes.size]
+        return self.embed_for_serving_batch(nodes, graph, seed, return_reads=True)
 
-    def embed_from_store_blocks(
-        self, blocks: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        """Warm serving compute: attention + MLP over materialized blocks.
-
-        No sampling, no feature projection, no edge gathers — the store
-        tier's whole point.  Takes the store's ``(B, R, d)``
-        capacity-padded blocks and ``(B, 1 + Φ)`` lengths directly — the
-        serving hot path stacks mmap block views and calls this once per
-        batch, with no per-node trim or re-pad work.  The singleton
-        gemv/gemm padding trick from :meth:`embed_for_serving_batch`
-        applies here too, so a singleton answer carries the same bits as
-        the same node in a larger batch.
-        """
-        if self.trainer is None:
-            raise RuntimeError("embed_from_store_blocks before fit/bind")
-        blocks = np.asarray(blocks)
-        if blocks.shape[0] == 0:
-            return np.empty((0, self.config.dim))
-        lengths = np.asarray(lengths, np.int64)
-        padded = blocks.shape[0] == 1
-        if padded:
-            blocks = np.concatenate([blocks, blocks], axis=0)
-            lengths = np.concatenate([lengths, lengths], axis=0)
-        config = self.config
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings = model.forward_from_blocks(
-                blocks,
-                lengths,
-                wide_cap=(config.num_wide + 1) if config.use_wide else 0,
-                deep_cap=(config.num_deep + 1) if config.use_deep else 0,
-                num_walks=config.num_deep_walks,
-            )
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
+    def embed_from_store_blocks(self, *args, **kwargs):
+        """Gone with store format v3; kept as a name for ``benchmarks/perf``."""
+        raise RuntimeError(HALF_FORWARD_GONE)
 
     # ------------------------------------------------------------------
     # Persistence

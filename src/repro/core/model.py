@@ -29,11 +29,8 @@ from repro.core.config import WidenConfig
 from repro.core.packing import (
     AttentionGrid,
     PackedBatch,
-    PackRows,
-    block_pack,
     pack_batch,
     segment_ids,
-    split_segments,
     valid_slots,
 )
 from repro.core.relay import EdgeSpecLike, RelayRecipe
@@ -55,6 +52,11 @@ from repro.tensor.kernels import get_forward_selection
 from repro.utils.rng import SeedLike, spawn_rngs
 
 _EmbedCache = Dict[int, Tensor]
+
+HALF_FORWARD_GONE = (
+    "store rows are finished embeddings since format v4: there is no half "
+    "forward to materialize or to resume (use embed_for_serving_batch)"
+)
 
 
 class WidenModel(Module):
@@ -615,82 +617,16 @@ class WidenModel(Module):
             hidden = ops.dropout_mask(hidden, pack.hidden_dropout)
         return F.l2_normalize(hidden, axis=-1), wide_weights, deep_weights
 
-    # ------------------------------------------------------------------
-    # Materialized pack rows (repro.store)
-    # ------------------------------------------------------------------
+    # Kept as names only: ``benchmarks/perf/layers.py`` wraps them and may
+    # not change in a PR that claims a gain (ROADMAP, open item 7).
 
-    def materialize_rows(
-        self, batch: NeighborTable, graph: HeteroGraph
-    ) -> List[PackRows]:
-        """The first half of :meth:`forward_batch`, stopped at the packs.
+    def materialize_rows(self, *args, **kwargs):
+        """Gone with store format v3; kept as a name for ``benchmarks/perf``."""
+        raise RuntimeError(HALF_FORWARD_GONE)
 
-        Returns each target's pack matrices trimmed to true lengths
-        (:class:`PackRows`).  Always evaluates without dropout (dropout
-        modules are bypassed entirely, so no rng stream is consumed) and on
-        the padded kernels; the values are exactly what the eval-mode
-        :meth:`forward_batch` would feed its attention stages, which is
-        what makes a later :meth:`forward_from_blocks` bit-equal to the
-        full recompute.
-        """
-        pack = pack_batch(batch, graph, self.config)
-        size = pack.batch_size
-        with trace_span("widen.materialize", batch=size):
-            wide_packs, deep_packs = self._assemble(pack, graph, None)
-        wide_rows: List[Optional[np.ndarray]] = [None] * size
-        if wide_packs is not None:
-            wide_rows = split_segments(wide_packs.data, pack.wide_lengths)
-        walks: List[np.ndarray] = []
-        if deep_packs is not None:
-            walks = split_segments(deep_packs.data, pack.deep_lengths)
-        return [
-            PackRows(
-                wide=wide_rows[b],
-                deep=walks[b * pack.num_walks : (b + 1) * pack.num_walks],
-            )
-            for b in range(size)
-        ]
-
-    def forward_from_blocks(
-        self,
-        blocks: np.ndarray,
-        lengths: np.ndarray,
-        *,
-        wide_cap: int,
-        deep_cap: int,
-        num_walks: int,
-    ) -> Tensor:
-        """The second half of :meth:`forward_batch`, fed from store blocks.
-
-        ``blocks`` is ``(B, R, d)`` exactly as the store persists it —
-        wide rows first, then Φ contiguous walk segments, zero-padded to
-        the sampling caps — and ``lengths`` is ``(B, 1 + Φ)``.  The blocks
-        feed attention *as stored*: no sampling, no projection, no edge
-        gathers, no per-row trimming or re-padding, no per-node Python.
-        Masks come from :func:`~repro.core.packing.block_pack` with the
-        padding convention of :func:`pack_batch` (zero rows, additive
-        0/-inf masks, self-attending padded walk rows).  For blocks
-        written by :meth:`materialize_rows` from the same sampled
-        neighborhoods, the returned ``(B, d)`` embeddings are bit-identical
-        to eval-mode :meth:`forward_batch` whenever every pack sits at
-        capacity, and within an ulp otherwise (see
-        :func:`~repro.core.packing.pad_block_masks`).
-        """
-        d = self.config.dim
-        batch = int(blocks.shape[0])
-        if batch == 0:
-            raise ValueError("forward_from_blocks requires at least one block")
-        pack = block_pack(lengths, wide_cap, deep_cap, num_walks)
-        wide_packs = deep_packs = None
-        if wide_cap:
-            wide_packs = Tensor(np.ascontiguousarray(blocks[:, :wide_cap, :]))
-        if deep_cap:
-            deep_packs = Tensor(
-                np.ascontiguousarray(blocks[:, wide_cap:, :]).reshape(
-                    batch * num_walks, deep_cap, d
-                )
-            )
-        with trace_span("widen.forward_from_blocks", batch=batch):
-            return self._pass_and_fuse(pack, wide_packs, deep_packs)[0]
+    def forward_from_blocks(self, *args, **kwargs):
+        """Gone with store format v3; kept as a name for ``benchmarks/perf``."""
+        raise RuntimeError(HALF_FORWARD_GONE)
 
     def logits(self, embeddings: Tensor) -> Tensor:
         """Class logits ``v' C`` (Eq. 10, pre-softmax)."""

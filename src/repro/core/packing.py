@@ -55,46 +55,18 @@ _NEG_INF = float("-inf")
 _CAUSAL_BASES: Dict[int, np.ndarray] = {}
 
 
-@dataclass
-class PackRows:
-    """One target's materialized pack matrices, trimmed to true lengths.
-
-    ``wide`` is the ``(|W| + 1, d)`` matrix ``M°`` (Eq. 1) and ``deep``
-    holds Φ matrices ``M▷`` (Eq. 2), each ``(|D_j| + 1, d)`` with the
-    target pack in row 0 — exactly the values :func:`pad_gather_mul`
-    produces in eval mode, before any attention.  These rows are what
-    ``repro.store`` persists: re-running attention + fuse over them
-    (:meth:`WidenModel.forward_from_blocks`) reproduces the full forward
-    bit-for-bit without sampling, feature projection or edge gathers.
-
-    ``reads`` is the read set of the sample the rows were packed from
-    (:meth:`NeighborTable.read_sets`): the ids whose adjacency lists decided
-    these values.  The rows stay exact until one of those lists changes, so
-    the read set travels with them into the store.
-    """
-
-    wide: Optional[np.ndarray]
-    deep: List[np.ndarray]
-    reads: Optional[np.ndarray] = None
-
-    def nbytes(self) -> int:
-        total = 0 if self.wide is None else self.wide.nbytes
-        return total + sum(walk.nbytes for walk in self.deep)
-
-
 def pad_block_masks(lengths: np.ndarray, width: int):
     """``(valid, attn_mask)`` for rows padded to ``width``, no Python loops.
 
-    Serves both padded layouts: :func:`pack_batch` pads to the batch
-    maximum, store blocks are persisted zero-padded to the sampling caps so
-    the serving hot path never re-packs rows.  Either way padded slots are
-    exactly zero and carry ``-inf`` mask entries, so they add exact zeros to
-    every attention sum.  That makes the pad width inert for the *sums*, not
-    for the last bit: the flattened projection gemm blocks by row count, so
-    one node's answer can move by an ulp with the shape of the batch it was
+    :func:`pack_batch` pads to the batch maximum.  Padded slots are exactly
+    zero and carry ``-inf`` mask entries, so they add exact zeros to every
+    attention sum.  That makes the pad width inert for the *sums*, not for
+    the last bit: the flattened projection gemm blocks by row count, so one
+    node's answer can move by an ulp with the shape of the batch it was
     computed in (5.6e-17 measured on a 6-node graph even with both paths
-    padded to capacity) — which is why mixed-shape comparisons use
-    ``ANSWER_TOLERANCE = 1e-12`` rather than equality.
+    padded to capacity) — which is why a stored or cached embedding is
+    compared with one recomputed in another batch at
+    ``ANSWER_TOLERANCE = 1e-12`` rather than by equality.
     """
     valid = (
         np.arange(width) < np.asarray(lengths, np.int64).reshape(-1, 1)
@@ -185,11 +157,6 @@ def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     return np.repeat(starts, lengths) + within, offsets
 
 
-def split_segments(data: np.ndarray, lengths: np.ndarray) -> List[np.ndarray]:
-    """Per-segment copies of a padded grid's rows, trimmed to true lengths."""
-    return [data[s, : int(n)].copy() for s, n in enumerate(lengths)]
-
-
 class AttentionGrid(NamedTuple):
     """One side's attention distributions for a minibatch, as computed.
 
@@ -202,7 +169,9 @@ class AttentionGrid(NamedTuple):
 
     def rows(self) -> List[np.ndarray]:
         """The distributions trimmed to true lengths (copies)."""
-        return split_segments(self.weights, self.lengths)
+        return [
+            self.weights[s, : int(n)].copy() for s, n in enumerate(self.lengths)
+        ]
 
 
 def _observe_padding(
@@ -277,34 +246,6 @@ class PackedBatch:
     wide_dropout: Optional[np.ndarray] = None
     deep_dropout: Optional[np.ndarray] = None
     hidden_dropout: Optional[np.ndarray] = None   # (B, d)
-
-
-def block_pack(
-    lengths: np.ndarray, wide_cap: int, deep_cap: int, num_walks: int
-) -> PackedBatch:
-    """The pack of ``(B, R, d)`` capacity-padded store blocks: masks only.
-
-    A store block is a pack whose gather is already done — wide rows
-    first, then Φ walk segments, zero-padded to the sampling caps — so all
-    that is left to derive from its ``(B, 1 + Φ)`` ``lengths`` is what
-    attention needs.  A cap of 0 means that side is ablated.
-    """
-    lengths = np.asarray(lengths, np.int64)
-    pack = PackedBatch(batch_size=int(lengths.shape[0]), num_walks=num_walks)
-    if wide_cap:
-        pack.wide_lengths = lengths[:, 0]
-        pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
-            pack.wide_lengths, wide_cap
-        )
-    if deep_cap:
-        pack.deep_lengths = lengths[:, 1:].reshape(-1)
-        pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
-            pack.deep_lengths, deep_cap
-        )
-        pack.deep_causal_mask = deep_causal_mask(
-            pack.deep_valid, pack.deep_attn_mask
-        )
-    return pack
 
 
 def _draw(dropout, shape):

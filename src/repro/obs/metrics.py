@@ -107,9 +107,9 @@ DEFAULT_HELP: Dict[str, str] = {
     "slo_error_budget_remaining": "Fraction of the SLO error budget left (1 = untouched).",
     "slo_burn_rate": "Error-budget burn rate (1 = sustainable).",
     "trace_spans_total": "Spans collected by the distributed tracer.",
-    "store_rows": "Materialized rows in the aggregate store.",
-    "store_row_bytes": "Bytes per materialized store row.",
-    "store_bytes_total": "Total bytes across store row blocks.",
+    "store_rows": "Materialized rows (finished embeddings) in the store.",
+    "store_row_bytes": "Bytes per materialized store row (the embedding: dim * 8).",
+    "store_bytes_total": "Total bytes of stored embeddings.",
     "store_build_seconds": "Wall-clock time of the last store build.",
     "op_calls": "Tensor-op invocations by op name.",
     "op_flops": "Estimated FLOPs by op name.",

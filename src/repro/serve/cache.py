@@ -4,9 +4,9 @@ An entry is the embedding of one node plus what it depended on: the *read
 set* of its sample (the ids whose adjacency lists the sampler consulted,
 see :meth:`repro.core.state.NeighborTable.read_sets`) and the *stamp*, the
 server's write clock when it was computed.  :func:`fresh_mask` is the one
-freshness rule every materialization tier shares — cache entries, store
-rows and overlay rows alike: an entry is exact until a write touches one of
-the lists it read.
+freshness rule every materialization tier shares — cache entries and
+store rows, built offline or refreshed since, alike: an entry is exact
+until a write touches one of the lists it read.
 
 Stale entries are not found at lookup time; the server sweeps the resident
 entries (at most ``capacity``) once per write with :meth:`stale_nodes` and

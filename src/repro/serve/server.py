@@ -20,9 +20,10 @@ cluster (``repro.cluster``) reproduce single-server answers bit-for-bit,
 and what lets a materialization nothing has undercut stay valid across a
 write: re-sampling it would draw the same sample from the same lists.
 
-Invalidation is by *read set*.  Every materialization — cache entry, store
-row, overlay row — records the ids whose adjacency lists its sample
-consulted (:meth:`~repro.core.state.NeighborTable.read_sets`, at most
+Invalidation is by *read set*.  Every materialization — cache entry or
+store row, built offline or refreshed since — records the ids whose
+adjacency lists its sample consulted
+(:meth:`~repro.core.state.NeighborTable.read_sets`, at most
 ``1 + Φ·N_d`` of them) and the *stamp*, this server's write clock when it
 was made.  ``touched_at[u]`` is the clock of the last write that changed
 ``u``'s list, and one rule decides freshness everywhere
@@ -60,6 +61,12 @@ from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher, ServeRequest
 from repro.serve.cache import EmbeddingCache, fresh_mask
 from repro.serve.telemetry import RequestRecord, Telemetry
+
+
+# Store-tier attribution by ``fresh * (1 + (stamp > 0))``.  An object array,
+# so a batch's rung list shares three str objects (pickle memoizes them on
+# the way back to the router).
+_STORE_RUNGS = np.array(["recompute", "store", "overlay"], dtype=object)
 
 
 def load_checkpoint_classifier(path, graph: Optional[HeteroGraph] = None):
@@ -194,7 +201,7 @@ class InferenceServer:
         self._prometheus_path = prometheus_path
         self._prometheus_interval = float(prometheus_interval)
         self._prometheus_last_flush = float("-inf")
-        # Optional materialized-aggregate tier (repro.store): consulted on
+        # Optional materialized-answer tier (repro.store): consulted on
         # cache misses before any sampling happens.
         self.store = None
         if store is not None:
@@ -202,16 +209,16 @@ class InferenceServer:
         self._hook = graph.add_mutation_hook(self._on_graph_mutation)
 
     def attach_store(self, store) -> None:
-        """Attach a materialized-aggregate store (``repro.store``).
+        """Attach a materialized-answer store (``repro.store``).
 
         The store is validated against the classifier's geometry, its
         parameter digest and this server's seed — a mismatched store would
-        silently serve aggregates of a different model or rng scheme, so
+        silently serve answers of a different model or rng scheme, so
         incompatibility is a hard error, never a degraded mode.  Once
         attached, cache misses whose store row is *fresh* (nothing it read
-        was touched since its stamp) skip sampling and traversal entirely;
-        stale or absent rows fall back to full materialization, which also
-        refreshes the row in the store's overlay (lazy re-materialization).
+        was touched since its stamp) are answered by the row itself; stale
+        or absent rows fall back to the recompute rung, which also writes
+        the row back into the store (lazy re-materialization).
 
         Stamps count *this* server's writes, so base rows (stamp 0) are
         only comparable when the store was built from the graph as it is
@@ -573,64 +580,43 @@ class InferenceServer:
         return embeddings, rungs, nodes_arr[:, None] if reads is None else reads
 
     def _compute_embeddings_with_store(self, nodes_arr: np.ndarray):
-        """Store-tier miss path: O(1) row lookups, attention + MLP only.
+        """Store-tier miss path: a fresh row *is* the answer — one gather.
 
         A node's store row is *fresh* when nothing in its read set was
         touched since its stamp (:func:`~repro.serve.cache.fresh_mask`, one
         gather for the whole batch; an absent row's stamp of -1 is below
         every ``touched_at``, so the rule rejects it too).  A fresh row
-        holds exactly the packs a recompute would build — same rng, same
-        lists — and the answer is bit-identical.  Stale and absent nodes
-        are re-materialized (the full recompute, minus the attention that
-        now runs jointly with the hits) and written back into the store's
-        overlay with the current clock as their stamp, so the next miss on
-        them is a hit again.
+        holds what a recompute would return — same parameters, same rng,
+        same lists — with the batch-shape caveat the cache has always had
+        (the last bit can depend on the batch a row was computed in).
+        Stale and absent nodes take the ordinary recompute rung and are
+        written back in place with the current clock as their stamp, so the
+        next miss on them is a hit again.  Attribution is taken before the
+        write-back: a fresh row a server wrote after a write of its own
+        (``stamp > 0``) is an ``overlay`` serve, one the offline builder
+        wrote a ``store`` serve.
         """
         store = self.store
         have = store.versions_of(nodes_arr)
         reads = store.reads_of(nodes_arr)
         fresh = fresh_mask(self._touched_at, reads, have)
+        rungs = _STORE_RUNGS[fresh * (1 + (have > 0))].tolist()
+        embeddings = np.empty((nodes_arr.size, int(store.meta["dim"])))
+        embeddings[fresh] = store.blocks_for(nodes_arr[fresh])[0]
+        if not fresh.all():
+            stale = ~fresh
+            embeddings[stale], reads[stale] = self.classifier.embed_for_serving_batch(
+                nodes_arr[stale], self.graph, self.seed, return_reads=True
+            )
+            store.refresh(
+                nodes_arr[stale], self._clock, embeddings[stale], reads[stale]
+            )
         hit = int(fresh.sum())
-        # Attribution before any refresh: a fresh row out of the overlay is
-        # an "overlay" serve, out of the base blocks a "store" serve; a
-        # stale/absent row is a recompute no matter where the refreshed row
-        # lands afterwards.
-        rungs = [
-            ("overlay" if store.in_overlay(int(node)) else "store")
-            if is_fresh
-            else "recompute"
-            for node, is_fresh in zip(nodes_arr, fresh)
-        ]
-        if hit == nodes_arr.size:
-            # All-hit fast path: one vectorized gather, no assembly buffer.
-            blocks, lengths = store.blocks_for(nodes_arr)
-        else:
-            fallback_positions = np.nonzero(~fresh)[0]
-            total, dim = store.block_shape
-            blocks = np.zeros((nodes_arr.size, total, dim))
-            lengths = np.zeros(
-                (nodes_arr.size, 1 + int(store.meta["num_walks"])), np.int64
-            )
-            if hit:
-                hit_blocks, hit_lengths = store.blocks_for(nodes_arr[fresh])
-                blocks[fresh] = hit_blocks
-                lengths[fresh] = hit_lengths
-            fallback_nodes = nodes_arr[fallback_positions]
-            fresh_rows = self.classifier.materialize_store_rows(
-                fallback_nodes, self.graph, self.seed
-            )
-            for position, row_set in zip(fallback_positions, fresh_rows):
-                node = int(nodes_arr[position])
-                store.refresh(node, self._clock, row_set)
-                blocks[position], lengths[position] = store.block_for(node)
-                reads[position] = row_set.reads
         absent = int((have < 0).sum())
         self.telemetry.record_store_lookup(
             hit=hit, stale=nodes_arr.size - hit - absent, absent=absent
         )
-        return (
-            self.classifier.embed_from_store_blocks(blocks, lengths), rungs, reads
-        )
+        return embeddings, rungs, reads
 
     def reset_clock(self) -> None:
         """Forget the busy-until watermark (between independent replays)."""

@@ -182,7 +182,7 @@ class Telemetry:
         ``hit`` nodes were served from fresh materialized rows, ``stale``
         had rows whose read set a write had touched, ``absent`` had no row
         at all; stale + absent fall back to materialization (the full
-        recompute, which also refreshes the row in the overlay)."""
+        recompute, which also writes the row back into the store)."""
         self.store_lookups.append(
             {"hit": int(hit), "stale": int(stale), "absent": int(absent)}
         )

@@ -1,17 +1,17 @@
-"""repro.store — read-set-stamped materialized-aggregate tier for warm serving.
+"""repro.store — read-set-stamped materialized-answer tier for warm serving.
 
 SeHGNN (arXiv 2207.02547) observes that a hetero-GNN's neighbor
-aggregation can be computed *once* instead of per request; this package
-applies that to WIDEN's serving path.  The offline builder
-(:func:`build_store`) runs the batched packing machinery over every node
-and persists the trimmed pack matrices ``M°``/``M▷`` (Eqs. 1-2) — the
-post-projection, post-edge-multiply aggregates — into a compact,
+aggregation can be computed *once* instead of per request.  Its
+aggregates are parameter-free; WIDEN's packs are projected with the
+checkpoint's weights, so anything precomputed here is already bound to one
+parameter digest — and then the thing worth keeping is the finished
+answer, not a half-finished forward (DESIGN.md, "The store holds
+answers").  The offline builder (:func:`build_store`) runs the serving
+miss path (:meth:`WidenClassifier.embed_for_serving_batch`) over every
+node and persists one ``(d,)`` embedding per node into a compact,
 mmap-friendly on-disk store keyed by graph version + parameter digest.
-At serve time a cache miss with a fresh store row skips sampling,
-feature projection and edge gathers entirely: the answer is attention +
-MLP over the stored blocks (:meth:`WidenClassifier.embed_from_store_blocks`),
-bit-identical to the full recompute because both halves run the same
-code over the same pack values.
+At serve time a cache miss with a fresh store row runs no model code at
+all: the answer is one gather.
 
 Freshness is the server's one rule, shared with its cache: every row
 records the *read set* of its sample (the ids whose adjacency lists the
@@ -19,10 +19,10 @@ sampler consulted) and the *stamp* (the server's write clock when it was
 made; 0 for everything built offline).  A write stamps the lists it
 changed; a row is served only while nothing it read has been stamped
 since.  A row a write undercut is re-materialized lazily by the next miss
-(write-back into an in-memory overlay) — the recompute path is always the
-exactness oracle — and a row no write undercut stays valid indefinitely,
-because answers are seeded by ``(seed, node)`` alone: re-sampling it would
-draw the same sample from the same lists.
+(written back in place) — the recompute path is always the exactness
+oracle — and a row no write undercut stays valid indefinitely, because
+answers are seeded by ``(seed, node)`` alone: re-sampling it would draw
+the same sample from the same lists.
 """
 
 from repro.store.store import AggregateStore, STORE_FORMAT_VERSION

@@ -1,15 +1,15 @@
-"""Offline store builder: materialize every node's aggregates once.
+"""Offline store builder: materialize every node's answer once.
 
 The builder walks the graph in batches through
-:meth:`WidenClassifier.materialize_store_rows` — the same sampling and
-packing code the serving miss path runs — with each node's draws keyed
-``(seed, node)``, i.e. exactly the scheme
+:meth:`WidenClassifier.materialize_store_rows` — the serving miss path
+itself (:meth:`~WidenClassifier.embed_for_serving_batch`) — with each
+node's draws keyed ``(seed, node)``, i.e. exactly the scheme
 :class:`~repro.serve.server.InferenceServer` uses for a cache miss.  A
-served store hit therefore returns the *same bits* the recompute path
-would have produced; the store changes where the work happens (offline,
-once) but never the answer.  Every row is written with stamp 0 (made
-before any write its server will see) and the read set of its sample, so
-the server can tell exactly which rows a later write undercuts.
+served store hit therefore returns what the recompute path would have
+produced; the store changes where the work happens (offline, once) but
+never the answer.  Every row is written with stamp 0 (made before any
+write its server will see) and the read set of its sample, so the server
+can tell exactly which rows a later write undercuts.
 
 Instrumentation lands in the shared obs pipeline: a ``store.build`` trace
 span per batch, ``store_build_seconds`` / ``store_rows`` /
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
-from repro.store.store import AggregateStore, block_capacity, encode_block
+from repro.store.store import AggregateStore
 
 
 def build_store(
@@ -34,7 +34,7 @@ def build_store(
     out_path,
     *,
     seed: int = 0,
-    batch_size: int = 64,
+    batch_size: int = 256,
     nodes: Optional[Iterable[int]] = None,
     dataset: Optional[str] = None,
     checkpoint: Optional[str] = None,
@@ -70,9 +70,7 @@ def build_store(
         "dataset": dataset,
         "checkpoint": None if checkpoint is None else str(checkpoint),
     }
-    _, _, total_rows = block_capacity(meta)
-    rows = np.zeros((node_list.size, total_rows, int(config.dim)))
-    lengths = np.zeros((node_list.size, 1 + int(config.num_deep_walks)), np.int64)
+    embeddings = np.zeros((node_list.size, int(config.dim)))
     stamps = np.zeros(node_list.size, np.int64)
     reads = np.zeros(
         (node_list.size, 1 + int(config.num_deep_walks) * int(config.num_deep)),
@@ -83,17 +81,14 @@ def build_store(
     for begin in range(0, node_list.size, batch_size):
         chunk = node_list[begin : begin + batch_size]
         with trace_span("store.build", nodes=int(chunk.size)):
-            pack_rows = classifier.materialize_store_rows(chunk, graph, int(seed))
-            for offset, row_set in enumerate(pack_rows):
-                block, length_row = encode_block(row_set, meta)
-                rows[begin + offset] = block
-                lengths[begin + offset] = length_row
-                reads[begin + offset] = row_set.reads
+            stop = begin + chunk.size
+            embeddings[begin:stop], reads[begin:stop] = (
+                classifier.materialize_store_rows(chunk, graph, int(seed))
+            )
     elapsed = time.perf_counter() - start
 
     store = AggregateStore.create(
-        out_path, meta=meta, rows=rows, lengths=lengths, versions=stamps,
-        reads=reads,
+        out_path, meta=meta, embeddings=embeddings, versions=stamps, reads=reads,
     )
     registry = registry if registry is not None else get_registry()
     registry.gauge("store_build_seconds").set(elapsed)

@@ -253,9 +253,10 @@ class TestStoreCli:
         ]) == 0
         printed = capsys.readouterr().out
         assert "materialized" in printed
+        assert " B/row = " in printed  # rows x bytes per row = total
         assert "params digest" in printed
         assert (store_dir / "meta.json").exists()
-        assert (store_dir / "rows.npy").exists()
+        assert (store_dir / "embeddings.npy").exists()
 
         # Same dataset/seed/epochs/scale reproduce the same parameters, so
         # the trained-in-place serve-bench accepts the store's digest.

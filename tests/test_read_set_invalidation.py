@@ -17,18 +17,18 @@ over-wide invalidation and an over-narrow one are both visible:
 
 What is compared exactly, and what is not.  Answers are seeded by
 ``(server seed, node)`` alone, so a warm server and a cold one draw the
-same samples: read sets, pack lengths and every set relation are compared
-exactly.  Floating-point values (embeddings, pack rows) are compared at
-``ANSWER_TOLERANCE``.  On these graphs a row's last bit depends on the
-shape of the batch it was computed in: the padded attention kernels pad to
-the longest pack of the miss batch on the recompute path and to capacity
-on the store path, which differ whenever a pack is *shorter* than capacity
-— dead ends and isolated nodes, i.e. exactly the graphs below (measured on
-them: at most 4.4e-16, on ~15 % of sub-batches, padded and CSR kernels
-alike, parent commit included).  That is a few ulps of kernel noise; a
-stale answer is off by ~1e-2.  On graphs without dead ends — every other
-exactness test in this suite — all packs sit at capacity, the shapes
-coincide and the same comparisons read 0.0.
+same samples: read sets and every set relation are compared exactly.
+Embeddings are compared at ``ANSWER_TOLERANCE``.  On these graphs a row's
+last bit depends on the shape of the batch it was computed in: the padded
+attention kernels pad to the longest pack of the batch — the build batch
+for a stored row, the miss batch for a recomputed one — and those differ
+whenever a pack is *shorter* than capacity: dead ends and isolated nodes,
+i.e. exactly the graphs below (measured on them: at most 4.4e-16, padded
+and CSR kernels alike; the cache has always carried the same caveat).
+That is a few ulps of kernel noise; a stale answer is off by ~1e-2.  On
+graphs without dead ends — every other exactness test in this suite — all
+packs sit at capacity, the shapes coincide and the same comparisons read
+0.0.
 """
 
 from __future__ import annotations
@@ -138,17 +138,15 @@ def assert_same_answers(got, want) -> None:
 
 
 def assert_rows_are_current(store, classifier, graph, nodes) -> None:
-    """Each node's stored row is what sampling it *now* packs: the same
-    read set and pack lengths exactly, the same ``M°``/``M▷`` values
-    (``graph`` may be the global graph while ``store`` is a shard's slice:
-    halo features are real)."""
-    current = classifier.materialize_store_rows(nodes, graph, SEED)
-    for node, want in zip(nodes, current):
-        got = store.rows_for(int(node))
-        np.testing.assert_array_equal(got.reads, want.reads)
-        for got_pack, want_pack in zip([got.wide] + got.deep, [want.wide] + want.deep):
-            assert got_pack.shape == want_pack.shape
-            assert_same_answers(got_pack, want_pack)
+    """Each node's stored row is what serving it *now* returns: the same
+    read set exactly, the same embedding (``graph`` may be the global
+    graph while ``store`` is a shard's slice: halo features are real)."""
+    want_embeddings, want_reads = classifier.materialize_store_rows(
+        nodes, graph, SEED
+    )
+    got_embeddings, got_reads = store.blocks_for(nodes)
+    np.testing.assert_array_equal(got_reads, want_reads)
+    assert_same_answers(got_embeddings, want_embeddings)
 
 
 def cold_answers(checkpoint, graph, nodes) -> np.ndarray:
@@ -229,7 +227,7 @@ class TestSoundness:
                     warm.embed(nodes), cold_answers(checkpoint, graph, nodes)
                 )
                 # Whatever was just served out of the store tier (base or
-                # overlay) is the row a cold sampler would pack.
+                # overlay) is the answer a cold server would compute.
                 assert_rows_are_current(store, classifier, graph, nodes)
             # The run was not trivially cold: something was served warm.
             outcomes = warm.telemetry.store_lookups
@@ -343,12 +341,12 @@ class TestReadSetIsWhatWasRead:
             nodes, graph, SEED, return_reads=True
         )
         assert batch_reads.shape == (nodes.size, READ_WIDTH)
-        rows = classifier.materialize_store_rows(nodes, graph, SEED)
+        _, row_reads = classifier.materialize_store_rows(nodes, graph, SEED)
         samplers = (
             lambda one: classifier.embed_for_serving_batch(
                 one, graph, SEED, return_reads=True
             )[1][0],
-            lambda one: classifier.materialize_store_rows(one, graph, SEED)[0].reads,
+            lambda one: classifier.materialize_store_rows(one, graph, SEED)[1][0],
         )
         seen = record_extents(graph)
         try:
@@ -359,7 +357,7 @@ class TestReadSetIsWhatWasRead:
                     # Row by row: same key, same sample, same read set
                     # whatever batch it was part of ...
                     np.testing.assert_array_equal(reads, batch_reads[node])
-                    np.testing.assert_array_equal(reads, rows[node].reads)
+                    np.testing.assert_array_equal(reads, row_reads[node])
                     # ... and every list the sampler opened is in it.
                     assert node in seen and set(seen) <= set(reads.tolist())
                     assert reads[0] == node

@@ -1,26 +1,38 @@
-"""The ``repro.store`` materialized-aggregate tier.
+"""The ``repro.store`` materialized-answer tier.
 
 The store's contract mirrors the cluster's: **indistinguishability**.  A
-store-backed server answers bit-for-bit what the storeless recompute
-oracle answers — for any batch size (singletons included), after mutation
-streams that undercut rows' read sets, and across cluster fleets carrying
-per-shard store slices.  Every equality assertion is exact
-(``assert_array_equal``); the rows hold the same values the recompute
-path's ``(seed, node)`` rng would produce, so any drift is a bug, not
-noise.
+store-backed server answers what the storeless recompute oracle answers —
+for any batch size (singletons included), after mutation streams that
+undercut rows' read sets, and across cluster fleets carrying per-shard
+store slices.  A stored row is the finished embedding the recompute path's
+``(seed, node)`` draws produce; on this graph every pack sits at capacity,
+so the build batch and the miss batch have one shape and the hand-picked
+equality assertions are exact (``assert_array_equal``).  The property test
+at the bottom also serves isolated arrivals, whose packs are shorter, and
+compares embeddings at ``ANSWER_TOLERANCE`` where the batch shapes differ.
 """
 
+import json
+import pickle
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter
+from repro.cluster.fleet import Fleet
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask
+from repro.serve.telemetry import RUNGS
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
+from tests.test_read_set_invalidation import assert_same_answers
+
+DIM = 16
 
 
 @pytest.fixture(scope="module")
@@ -78,61 +90,51 @@ class TestStoreRoundtrip:
         assert store.meta["seed"] == 7
         assert store.meta["graph_version"] == int(acm.graph.version)
         assert store.meta["dataset"] == "acm"
-        assert store.row_nbytes > 0
-        assert store.nbytes == store.num_rows * store.row_nbytes
+        assert store.row_nbytes == DIM * 8
+        assert store.nbytes == acm.graph.num_nodes * DIM * 8
 
     def test_rows_survive_the_disk_roundtrip(self, trained, acm, store_path):
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 6)
-        direct = trained.materialize_store_rows(nodes, acm.graph, 7)
-
-        def assert_same_rows(stored, rows):
-            np.testing.assert_array_equal(stored.wide, rows.wide)
-            assert len(stored.deep) == len(rows.deep)
-            for got, expected in zip(stored.deep, rows.deep):
-                np.testing.assert_array_equal(got, expected)
-            np.testing.assert_array_equal(stored.reads, rows.reads)
-
-        for node, rows in zip(nodes, direct):
-            assert_same_rows(store.rows_for(int(node)), rows)
-            assert rows.reads[0] == node  # a sample always reads its target
-        np.testing.assert_array_equal(
-            store.reads_of(nodes), np.stack([rows.reads for rows in direct])
-        )
+        embeddings, reads = trained.materialize_store_rows(nodes, acm.graph, 7)
+        stored_embeddings, stored_reads = store.blocks_for(nodes)
+        np.testing.assert_array_equal(stored_embeddings, embeddings)
+        np.testing.assert_array_equal(stored_reads, reads)
+        np.testing.assert_array_equal(reads[:, 0], nodes)  # a sample reads its target
+        np.testing.assert_array_equal(store.reads_of(nodes), reads)
         assert store.reads_of(nodes).dtype == np.int32
         assert (store.versions_of(nodes) == 0).all()  # builder stamp
 
-        # ... and through slice_payload -> from_payload, overlay rows
-        # included: node 0's row is replaced by node 1's sample at stamp 3.
-        first, second = int(nodes[0]), int(nodes[1])
-        store.refresh(first, 3, direct[1])
+        # ... and through slice_payload -> from_payload, refreshed rows
+        # included: node 0's row is replaced by node 1's at stamp 3.  The
+        # file behind the copy-on-write mapping never sees the write.
+        first, second, third = (int(node) for node in nodes[:3])
+        store.refresh(first, 3, embeddings[1], reads[1])
         sliced = AggregateStore.from_payload(
-            store.slice_payload([first, second, int(nodes[2])])
+            store.slice_payload([first, second, third])
         )
-        assert_same_rows(sliced.rows_for(first), direct[1])
-        assert_same_rows(sliced.rows_for(second), direct[1])
-        assert_same_rows(sliced.rows_for(int(nodes[2])), direct[2])
+        got_embeddings, got_reads = sliced.blocks_for([first, second, third])
+        np.testing.assert_array_equal(got_embeddings, embeddings[[1, 1, 2]])
+        np.testing.assert_array_equal(got_reads, reads[[1, 1, 2]])
         assert list(sliced.versions_of([first, second])) == [3, 0]
-        np.testing.assert_array_equal(
-            sliced.reads_of([first, int(nodes[2])]),
-            np.stack([direct[1].reads, direct[2].reads]),
-        )
+        assert (sliced.overlay_size, store.overlay_size) == (1, 1)
+        reopened = AggregateStore.open(store_path)
+        np.testing.assert_array_equal(reopened.block_for(first)[0], embeddings[0])
+        assert reopened.overlay_size == 0
 
     def test_vectorized_lookups_match_scalar(self, store_path, acm):
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 8)
         versions = store.versions_of(nodes)
-        blocks, lengths = store.blocks_for(nodes)
+        embeddings, reads = store.blocks_for(nodes)
+        assert embeddings.shape == (8, DIM)
         for position, node in enumerate(nodes):
             assert versions[position] == store.version_of(int(node))
-            block, length_row = store.block_for(int(node))
-            np.testing.assert_array_equal(blocks[position], block)
-            np.testing.assert_array_equal(lengths[position], length_row)
+            embedding, read_set = store.block_for(int(node))
+            np.testing.assert_array_equal(embeddings[position], embedding)
+            np.testing.assert_array_equal(reads[position], read_set)
 
     def test_open_refuses_newer_format(self, store_path, tmp_path):
-        import json
-        import shutil
-
         copy = tmp_path / "newer"
         shutil.copytree(store_path, copy)
         meta = json.loads((copy / "meta.json").read_text())
@@ -148,9 +150,6 @@ class TestStoreRoundtrip:
         version in the rng seed) would serve *wrong* rows, not stale ones:
         refused at open, and at attach for a v1 store that got in some
         other way."""
-        import json
-        import shutil
-
         old = tmp_path / "v1"
         shutil.copytree(store_path, old)
         (old / "reads.npy").unlink()
@@ -170,13 +169,10 @@ class TestStoreRoundtrip:
             InferenceServer(classifier, graph, seed=7, store=smuggled)
 
     def test_format_v2_is_refused(self, checkpoint, store_path, tmp_path):
-        """A v2 directory has every file a v3 one has, but its rows were
-        drawn from per-node generator streams: no keyed server re-samples
-        to them, so it is refused by format — at open, and at attach —
-        naming the format and the draw scheme."""
-        import json
-        import shutil
-
+        """A v2 directory's rows were drawn from per-node generator
+        streams: no keyed server re-samples to them, so it is refused by
+        format — at open, and at attach — naming the format and the draw
+        scheme."""
         old = tmp_path / "v2"
         shutil.copytree(store_path, old)
         meta = json.loads((old / "meta.json").read_text())
@@ -195,6 +191,95 @@ class TestStoreRoundtrip:
         assert "format v2" in reason and "store-build" in reason
         with pytest.raises(ValueError, match="format v2"):
             InferenceServer(classifier, graph, seed=7, store=smuggled)
+
+    def test_format_v3_is_refused_on_every_entry_point(
+        self, checkpoint, store_path, tmp_path, monkeypatch
+    ):
+        """A v3 directory held pack matrices (``rows.npy`` + ``lengths.npy``)
+        that nothing turns into answers any more: refused, with the rebuild
+        command, by ``open``, by the router before it spawns a worker, by
+        ``from_payload`` and at attach."""
+        current = AggregateStore.open(store_path)
+        old = tmp_path / "v3"
+        old.mkdir()
+        np.save(old / "rows.npy", np.zeros((current.num_rows, 19, DIM)))
+        np.save(old / "lengths.npy", np.ones((current.num_rows, 3), np.int64))
+        for name in ("versions.npy", "reads.npy"):
+            shutil.copy(store_path / name, old / name)
+        meta = dict(current.meta, format_version=3)
+        (old / "meta.json").write_text(json.dumps(meta))
+        refusal = r"format v3.*pack matrices.*not answers.*store-build"
+        with pytest.raises(ValueError, match=refusal):
+            AggregateStore.open(old)
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a worker was spawned for a refused store")
+
+        monkeypatch.setattr(Fleet, "bring_up", no_spawn)
+        with pytest.raises(ValueError, match=refusal):
+            ClusterRouter(
+                str(checkpoint), fresh_graph(), 2, transport="socket",
+                seed=7, partition_seed=7, store_path=str(old),
+            )
+
+        payload = current.slice_payload([0, 1, 2])
+        payload["meta"]["format_version"] = 3
+        with pytest.raises(ValueError, match=refusal):
+            AggregateStore.from_payload(payload)
+
+        graph = fresh_graph()
+        classifier = WidenClassifier.load(checkpoint, graph=graph)
+        current.meta["format_version"] = 3
+        assert "format v3" in current.compatible_with(classifier, 7)
+        with pytest.raises(ValueError, match="format v3"):
+            InferenceServer(classifier, graph, seed=7, store=current)
+
+    def test_half_forward_names_raise(self, trained):
+        """The three names ``benchmarks/perf`` still wraps resolve, and say
+        why they do nothing."""
+        for stub in (
+            trained.embed_from_store_blocks,
+            trained.model.materialize_rows,
+            trained.model.forward_from_blocks,
+        ):
+            with pytest.raises(RuntimeError, match="finished embeddings since format v4"):
+                stub(np.zeros((1, 19, DIM)), np.ones((1, 3), np.int64))
+
+    def test_refresh_needs_a_read_set(self, store_path):
+        store = AggregateStore.open(store_path)
+        with pytest.raises(ValueError, match="no read set"):
+            store.refresh(0, 1, np.zeros(DIM), None)
+        assert store.version_of(0) == 0  # nothing was written
+
+    def test_compatible_with_probes_the_store_hooks(self, trained, store_path):
+        """"Has store hooks" means ``supports_store`` + the build hook."""
+        store = AggregateStore.open(store_path)
+        assert store.compatible_with(trained, 7) is None
+
+        class NoHooks:
+            name = "no-hooks"
+            supports_store = staticmethod(lambda: None)
+
+        assert "no store hooks" in store.compatible_with(NoHooks(), 7)
+
+    def test_row_bytes_are_the_format_s_on_an_empty_slice(self, store_path):
+        """A shard that owns no stored node still exports a 128 B row."""
+        store = AggregateStore.open(store_path)
+        empty = AggregateStore.from_payload(store.slice_payload([]))
+        assert empty.num_rows == 0 and empty.nbytes == 0
+        assert empty.row_nbytes == store.row_nbytes == DIM * 8
+        assert not empty.has(0) and list(empty.versions_of([0, 5])) == [-1, -1]
+
+    def test_slice_payload_is_rows_times_row_size(self, store_path, acm):
+        """The size contract behind the RSS / bring-up numbers: a slice on
+        the wire is embedding + read set + id + stamp per row, plus pickle
+        framing and the metadata — not pack matrices."""
+        store = AggregateStore.open(store_path)
+        owned = np.arange(0, acm.graph.num_nodes, 2)
+        width = store.reads_of([0]).shape[1]
+        wire = len(pickle.dumps(store.slice_payload(owned.tolist())))
+        assert wire <= owned.size * (DIM * 8 + width * 4 + 16) + 2048
+        assert store.nbytes == store.num_rows * DIM * 8
 
     def test_store_from_an_older_graph_version_is_all_stale(
         self, checkpoint, store_path
@@ -299,9 +384,9 @@ class TestStoreServingEquality:
         author = int(stored.graph.nodes_of_type("author")[0])
         stored.embed([node])
         stored.add_edges("paper-author", [node], [author])
-        stored.embed([node])       # stale -> fallback + overlay refresh
+        stored.embed([node])       # stale -> recompute + write-back
         stored.cache.invalidate()  # force another miss on the same node
-        stored.embed([node])       # overlay row is fresh again
+        stored.embed([node])       # the refreshed row is fresh again
         outcomes = stored.telemetry.store_lookups
         assert outcomes[0] == {"hit": 1, "stale": 0, "absent": 0}
         assert outcomes[1] == {"hit": 0, "stale": 1, "absent": 0}
@@ -320,13 +405,12 @@ class TestStoreServingEquality:
         )
         assert stored.telemetry.store_lookups[-1]["absent"] == 1
 
-    def test_forward_from_blocks_equals_rows_path(self, trained, store_path, acm):
-        """The second half fed stored packs == the whole forward, same seeds."""
+    def test_stored_rows_equal_the_serving_hook(self, trained, store_path, acm):
+        """A stored row == the serving miss path's answer, same seed."""
         store = AggregateStore.open(store_path)
         nodes = probe_nodes(acm.graph, 9)
-        blocks, lengths = store.blocks_for(nodes)
         np.testing.assert_array_equal(
-            trained.embed_from_store_blocks(blocks, lengths),
+            store.blocks_for(nodes)[0],
             trained.embed_for_serving_batch(nodes, acm.graph, 7),
         )
 
@@ -395,7 +479,7 @@ class LoopReference:
         store = self.server.store
         return [
             store.has(int(node)) and not self.stale(
-                store.version_of(int(node)), store.rows_for(int(node)).reads
+                store.version_of(int(node)), store.reads_of([node])[0]
             )
             for node in nodes
         ]
@@ -428,10 +512,10 @@ class TestVectorizedInvalidation:
         after_first = check_store_verdicts()
         assert not after_first[nodes[0]] and not after_first[author]
         assert after_first.sum() > 0.5 * graph.num_nodes  # most rows untouched
-        stored.embed(nodes)  # stale rows refresh into the overlay
+        stored.embed(nodes)  # stale rows are refreshed in place
         assert check_store_verdicts()[nodes].all()
         new = int(stored.add_nodes("paper", features=np.full((1, dim), 0.5))[0])
-        stored.embed([new])  # absent -> an overlay row past the base range
+        stored.embed([new])  # absent -> a refreshed row past the built range
         stored.add_edges("paper-subject", [new, int(nodes[1])], [subject, subject])
         check_store_verdicts()
         stored.embed(np.concatenate([nodes, [new]]))
@@ -462,8 +546,8 @@ class TestVectorizedInvalidation:
         owned = np.arange(1, acm.graph.num_nodes, 3)[::-1]  # unsorted on purpose
         sliced = AggregateStore.from_payload(full.slice_payload(owned.tolist()))
         arrival = acm.graph.num_nodes + 5
-        sliced.refresh(int(owned[0]), 4, sliced.rows_for(int(owned[1])))
-        sliced.refresh(arrival, 2, sliced.rows_for(int(owned[1])))
+        sliced.refresh(int(owned[0]), 4, *sliced.block_for(int(owned[1])))
+        sliced.refresh(arrival, 2, *sliced.block_for(int(owned[1])))
         probe = np.array([int(owned[0]), int(owned[1]), 0, arrival, arrival + 1, -1])
         got = sliced.versions_of(probe)
         want = [
@@ -472,11 +556,18 @@ class TestVectorizedInvalidation:
         ]
         np.testing.assert_array_equal(got, want)
         assert list(got[[0, 2, 3, 4, 5]]) == [4, -1, 2, -1, -1]
-        blocks, _ = sliced.blocks_for(owned[:5])
+        embeddings, _ = sliced.blocks_for(owned[:5])
         for position, node in enumerate(owned[:5]):
-            np.testing.assert_array_equal(blocks[position], sliced.block_for(int(node))[0])
+            np.testing.assert_array_equal(
+                embeddings[position], sliced.block_for(int(node))[0]
+            )
+        np.testing.assert_array_equal(
+            sliced.block_for(arrival)[0], sliced.block_for(int(owned[1]))[0]
+        )
         with pytest.raises(KeyError):
             sliced.blocks_for([0])
+        with pytest.raises(KeyError):
+            sliced.block_for(arrival + 1)
 
     def test_arrival_grows_touched_array_and_is_servable_at_once(self, checkpoint):
         server = fresh_server(checkpoint)
@@ -634,3 +725,120 @@ class TestStoreObservability:
         assert registry.gauge("store_row_bytes").value == store.row_nbytes
         assert registry.gauge("store_bytes_total").value == store.nbytes
         assert registry.gauge("store_build_seconds").value > 0
+
+
+# ----------------------------------------------------------------------
+# Exactness as a property: any interleaving of reads and writes
+# ----------------------------------------------------------------------
+
+raw_ids = st.integers(0, 10**6)
+# A read of up to 8 targets (fewer than a miss batch holds, so one read is
+# one batch); ``newest`` pins a target to the most recent arrival.
+read_ops = st.tuples(
+    st.just("read"),
+    st.sampled_from(["classify", "embed"]),
+    st.lists(st.tuples(raw_ids, st.booleans()), min_size=1, max_size=8),
+)
+edge_ops = st.tuples(
+    st.just("edges"),
+    st.lists(st.tuples(raw_ids, raw_ids, st.booleans()), min_size=1, max_size=3),
+)
+arrival_ops = st.tuples(st.just("nodes"), st.integers(1, 2))
+interleavings = st.lists(
+    st.one_of(read_ops, read_ops, edge_ops, arrival_ops), min_size=2, max_size=10
+)
+
+
+class TestExactnessProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(ops=interleavings)
+    def test_storeless_store_and_fleet_agree_through_any_interleaving(
+        self, checkpoint, store_path, ops
+    ):
+        """A storeless server, a store-backed server and a 2-shard inline
+        fleet with store slices, driven through the same reads, edge
+        arrivals and node arrivals: ``classify`` agrees exactly, ``embed``
+        within ``ANSWER_TOLERANCE``, every read's rung counts sum to its
+        node count, and whatever a read recomputed is afterwards stored —
+        bit-equal to ``embed_for_serving_batch`` of the same batch, stamped
+        with the clock, grown past the built range for an arrival."""
+        # Four-entry caches evict, so re-reads reach the store tier and
+        # refreshed rows get served from it (the ``overlay`` rung).
+        oracle = fresh_server(checkpoint)
+        stored = fresh_server(checkpoint, store_path, cache_capacity=4)
+        store = stored.store
+        built = store.num_rows
+        with ClusterRouter(
+            str(checkpoint), fresh_graph(), 2, transport="inline", seed=7,
+            partition_seed=7, store_path=str(store_path), dist_tracing=True,
+            cache_capacity=4,
+        ) as router:
+            targets = (oracle, stored, router)
+            papers = oracle.graph.nodes_of_type("paper")
+            authors = oracle.graph.nodes_of_type("author")
+            feature_dim = oracle.graph.features.shape[1]
+            newest = int(papers[-1])
+            for op in ops + [("read", "embed", [(0, True), (1, False)])]:
+                if op[0] == "nodes":
+                    features = np.full((op[1], feature_dim), 0.1 * newest)
+                    arrived = [
+                        target.add_nodes("paper", features=features)
+                        for target in targets
+                    ]
+                    assert all((ids == arrived[0]).all() for ids in arrived)
+                    newest = int(arrived[0][-1])
+                    papers = np.concatenate([papers, arrived[0]])
+                    continue
+                if op[0] == "edges":
+                    src = [
+                        newest if pin else int(papers[raw % papers.size])
+                        for raw, _, pin in op[1]
+                    ]
+                    dst = [int(authors[raw % authors.size]) for _, raw, _ in op[1]]
+                    for target in targets:
+                        target.add_edges("paper-author", src, dst)
+                    continue
+                _, kind, picks = op
+                nodes = np.array([
+                    newest if pin else raw % oracle.graph.num_nodes
+                    for raw, pin in picks
+                ])
+                stored.telemetry.reset()
+                want, got, fleet = (
+                    getattr(target, kind)(nodes) for target in targets
+                )
+                if kind == "classify":
+                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(fleet, want)
+                else:
+                    assert_same_answers(got, want)
+                    assert_same_answers(fleet, want)
+                records = stored.telemetry.requests
+                rungs = Counter(record.rung for record in records)
+                assert sum(rungs.values()) == nodes.size and set(rungs) <= set(RUNGS)
+                assert sum(router.attributions[-1].rungs.values()) == nodes.size
+                recomputed = np.array(list(dict.fromkeys(
+                    record.node for record in records if record.rung == "recompute"
+                )), np.int64)
+                if recomputed.size:
+                    embeddings, reads = stored.classifier.embed_for_serving_batch(
+                        recomputed, stored.graph, 7, return_reads=True
+                    )
+                    rows, row_reads = store.blocks_for(recomputed)
+                    np.testing.assert_array_equal(rows, embeddings)
+                    np.testing.assert_array_equal(row_reads, reads)
+                    assert (store.versions_of(recomputed) == stored._clock).all()
+            # The closing read served the newest arrival (if any): rows past
+            # the built range exist exactly for the arrivals that were read.
+            assert store.num_rows >= built
+            assert store.has(newest)
+            # A slice cut from the live store carries its refreshed rows.
+            everyone = np.arange(stored.graph.num_nodes)
+            held = everyone[store.versions_of(everyone) >= 0]
+            sliced = AggregateStore.from_payload(store.slice_payload(everyone))
+            assert sliced.overlay_size == store.overlay_size
+            np.testing.assert_array_equal(
+                sliced.versions_of(everyone), store.versions_of(everyone)
+            )
+            for ours, theirs in zip(sliced.blocks_for(held), store.blocks_for(held)):
+                np.testing.assert_array_equal(ours, theirs)
