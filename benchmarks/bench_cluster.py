@@ -2,8 +2,9 @@
 
 Replays one deterministic Poisson/Zipf trace through a single
 :class:`InferenceServer` and through :class:`ClusterRouter` fleets of 1, 2
-and 4 halo-replicated shards on both transports (``inline``, ``socket``),
-all on the logical service clock the serving benches share:
+and 4 shards (full replicas, each owning a slice of the ids) on both
+transports (``inline``, ``socket``), all on the logical service clock the
+serving benches share:
 arrivals and batch deadlines come from the trace, compute time is measured
 for real, and each shard serializes its own batches behind a busy-until
 watermark.  Shard parallelism therefore shows up the honest way — as
@@ -24,7 +25,7 @@ Claims asserted:
    shard.
 4. Kill-and-recover: SIGKILL one socket worker mid-stream; the fleet
    detects a typed ``WorkerDown`` (never a generic timeout), respawns the
-   shard from checkpoint + serialized plan, replays the mutation log, and
+   shard from checkpoint + serialized shard, replays the mutation log, and
    every post-recovery answer matches the single-server reference exactly.
    The ``kill_recover`` section records the detect/respawn/replay
    breakdown.
@@ -191,9 +192,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
             ),
             wire_wall_seconds=float(wall_seconds),
             wire_rps=float(requests / wall_seconds),
-            halo_requests=int(summary["halo_requests"]),
             edge_cut=int(summary["edge_cut"]),
-            replication_factor=float(summary["replication_factor"]),
             shards=[
                 {
                     "shard": s["shard"],
@@ -202,7 +201,6 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
                     "latency_p95_ms": float(s["latency_p95_s"]) * 1e3,
                     "batch_occupancy": float(s["batch_occupancy"]),
                     "cache_hit_rate": float(s["cache_hit_rate"]),
-                    "halo_requests": int(s["halo_requests"]),
                 }
                 for s in summary["shards"]
             ],

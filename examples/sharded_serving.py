@@ -1,20 +1,19 @@
-"""Sharded serving with halo replication — scale-out without drift.
+"""Sharded serving — scale-out without drift.
 
 The single ``InferenceServer`` owns one whole-graph copy; ``repro.cluster``
-splits that graph into k balanced shards (``repro.graph.partition``), each
-carrying an L-hop *halo* of replicated neighbors sized by WIDEN's declared
-sampling reach, so every shard answers requests for its owned nodes
-bit-identically to the whole-graph server.  This example demonstrates the
-full contract:
+splits the *node ids* into k balanced owned sets
+(``repro.graph.partition``) served by k shards, each a full replica of the
+graph, so every shard answers requests for its owned nodes bit-identically
+to the whole-graph server.  This example demonstrates the full contract:
 
 1. scatter-gather requests through ``ClusterRouter`` and verify the
    responses equal a single server's byte for byte — including nodes whose
-   neighborhood crosses shard boundaries;
+   neighbors other shards own;
 2. stream a new paper in through the router (``add_nodes``/``add_edges``
-   fan out as per-shard barriers) and verify the cluster still matches a
-   single server that saw the same stream;
-3. print the cluster telemetry: per-shard ownership/halo sizes, boundary
-   request counters, and the shard-labeled Prometheus exposition.
+   are broadcast as one command per write) and verify the cluster still
+   matches a single server that saw the same stream;
+3. print the cluster telemetry: per-shard ownership and routing counters,
+   and the shard-labeled Prometheus exposition.
 
 Run:  python examples/sharded_serving.py
 """
@@ -65,13 +64,11 @@ def main() -> None:
             checkpoint, fresh_graph(), 4, transport="socket", seed=7
         )
         plan = router.plan.summary()
-        print(f"4 shards, reach {plan['reach']}, edge cut {plan['edge_cut']}, "
-              f"replication {plan['replication_factor']:.2f}x")
+        print(f"4 shards over {plan['num_nodes']} nodes, "
+              f"edge cut {plan['edge_cut']}")
         embeddings = router.embed(probe)
         print(f"cluster == single server, bit for bit: "
               f"{np.array_equal(embeddings, reference)}")
-        boundary = sum(worker.halo_requests for worker in router.workers)
-        print(f"boundary-crossing requests: {boundary} of {probe.size}")
 
         print("\n-- 2. streaming mutations through the router --")
         node_single = stream_one_paper(single)
@@ -91,8 +88,7 @@ def main() -> None:
         print("\n-- 3. cluster telemetry --")
         for shard in router.summary()["shards"]:
             print(f"  shard {shard['shard']}: {shard['owned']} owned, "
-                  f"{shard['halo']} halo, {shard['requests_routed']} routed, "
-                  f"{shard['halo_requests']} boundary, "
+                  f"{shard['requests_routed']} routed, "
                   f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
         exposition = router.render_prometheus()
         print("\nPrometheus exposition (first lines):")

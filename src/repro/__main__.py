@@ -15,10 +15,10 @@ Commands
     cold single-request baseline vs. the batched server (cold cache) vs.
     the batched server (warm cache).
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
-    Train WIDEN, shard the serving graph into K halo-replicated shards
-    (:mod:`repro.cluster`), replay the same deterministic trace through the
-    scatter-gather router, and print the cluster report: per-shard
-    ownership/halo/latency plus cluster throughput.  ``--transport``
+    Train WIDEN, serve the graph from K shards — full replicas that each
+    own a slice of the node ids (:mod:`repro.cluster`), replay the same
+    deterministic trace through the scatter-gather router, and print the
+    cluster report: per-shard ownership/latency plus cluster throughput.  ``--transport``
     selects the shard boundary: ``inline`` (deterministic replay, default)
     or ``socket`` (one TCP worker process per shard, rebuilt from the
     checkpoint, with heartbeats, respawn, and mutation-log catch-up;
@@ -429,14 +429,10 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                       f"{args.store} across {args.shards} shards by ownership")
             plan = router.plan.summary()
             print(f"\nplan: {plan['num_shards']} shards over the "
-                  f"{args.transport} transport, reach {plan['reach']}, "
-                  f"edge cut {plan['edge_cut']}, "
-                  f"replication {plan['replication_factor']:.2f}x")
+                  f"{args.transport} transport, each a replica of all "
+                  f"{plan['num_nodes']} nodes, edge cut {plan['edge_cut']}")
             for shard in plan["shards"]:
-                print(f"  shard {shard['shard']}: {shard['owned']} owned, "
-                      f"{shard['halo_only']} halo-replicated, "
-                      f"{shard['edges']} edges, "
-                      f"{shard['boundary_nodes']} boundary nodes")
+                print(f"  shard {shard['shard']}: {shard['owned']} owned")
 
             trace = make_trace(
                 dataset.split.test, args.requests, rate=args.rate,
@@ -453,8 +449,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                       f"{stats['latency_p50_s'] * 1e3:.3f} / "
                       f"{stats['latency_p95_s'] * 1e3:.3f} / "
                       f"{stats['latency_p99_s'] * 1e3:.3f} ms")
-                print(f"halo requests     {stats['halo_requests']} "
-                      f"of {stats['requests']}")
                 for shard in stats["shards"]:
                     print(f"  shard {shard['shard']}: "
                           f"{shard['requests']} reqs, "
@@ -644,7 +638,7 @@ def main(argv=None) -> int:
                             "this port for the run (0 picks a free port)")
     cluster = parser.add_argument_group("cluster (serve-cluster / trace / train)")
     cluster.add_argument("--shards", type=int, default=None,
-                         help="number of halo-replicated shards (default 2 "
+                         help="number of shards (default 2 "
                               "for serve-cluster/trace; giving it to train "
                               "switches on data-parallel training)")
     cluster.add_argument("--transport",

@@ -3,13 +3,14 @@
 Scales the single :class:`~repro.serve.server.InferenceServer` horizontally
 while preserving its exact semantics:
 
-- :mod:`~repro.cluster.planner` — partition the serving graph into owned
-  sets (``repro.graph.partition``) and materialize, per shard, the owned
-  subgraph plus the L-hop *halo* that makes owned answers bit-identical to
-  a whole-graph server (L = the model's declared sampling reach).  Shard
-  specs serialize compactly (:meth:`ShardSpec.to_payload`) and mutations
-  propagate as serializable commands — nothing in the plan assumes shared
-  memory.
+- :mod:`~repro.cluster.planner` — placement: partition the serving graph's
+  node ids into owned sets (``repro.graph.partition``).  A shard is
+  ``(whole graph, owned ids)``: every engine holds a full replica, so an
+  owned answer is bit-identical to a whole-graph server's, and the
+  coordinator holds one graph that all its shard specs point at.  Specs
+  serialize as plain arrays (:meth:`ShardSpec.to_payload`) and a write
+  propagates as one serializable command broadcast to every shard —
+  nothing in the plan assumes shared memory.
 - :mod:`~repro.cluster.transport` — the message boundary: typed
   :class:`Envelope`/:class:`Reply` pairs over one of two transports,
   ``inline`` (deterministic replay on the caller's thread, pickle
@@ -26,7 +27,7 @@ while preserving its exact semantics:
   socket fleet's membership (:class:`LocalWorkerSpawner`,
   :class:`ShardRegistry`) and its :class:`FleetSupervisor`, which turns a
   SIGKILL'd worker into a respawn from checkpoint bytes + the serialized
-  shard plan and a replay of the bounded :class:`MutationLog` before the
+  shard and a replay of the bounded :class:`MutationLog` before the
   shard is readmitted to scatter-gather.
 - :mod:`~repro.cluster.engine` — the far side of the boundary: one rebuilt
   shard spec + one :class:`InferenceServer`, driven entirely by envelope
@@ -35,9 +36,9 @@ while preserving its exact semantics:
 - :mod:`~repro.cluster.worker` — the router's per-shard protocol stub
   (serve scatter legs, mutation barriers, telemetry pulls).
 - :mod:`~repro.cluster.router` — ownership-based async scatter-gather with
-  order-preserving merges, per-shard gather timeouts, mutation fan-out
-  barriers that skip unaffected shards, and cluster-wide
-  telemetry/Prometheus aggregation over serialized snapshots.
+  order-preserving merges, per-shard gather timeouts, mutation broadcast
+  barriers, and cluster-wide telemetry/Prometheus aggregation over
+  serialized snapshots.
 
 The contract throughout: sharding — and the transport it runs on — is a
 deployment decision, not a semantics change. ``ClusterRouter.embed(nodes)``
@@ -46,8 +47,8 @@ either transport.
 
 :mod:`~repro.cluster.train` extends the same substrate to data-parallel
 *training*: :class:`TrainEngine` answers the ``train_*`` envelope family
-with a partition-local :class:`~repro.core.trainer.WidenTrainer` replica,
-:class:`TrainWorker` is its coordinator stub speaking the
+with a :class:`~repro.core.trainer.WidenTrainer` replica over its owned
+nodes, :class:`TrainWorker` is its coordinator stub speaking the
 :class:`~repro.core.train_loop.TrainLoop` client protocol, and
 :class:`DistributedTrainer` plans, brings up the same :class:`Fleet`,
 reduces gradients and checkpoints it for elastic resume.

@@ -1,8 +1,8 @@
 """The engine side of the shard boundary: envelopes in, replies out.
 
 :class:`ShardEngine` is everything that lives *behind* a transport: one
-rebuilt :class:`~repro.cluster.planner.ShardSpec` (its own graph, its own
-arrays — never shared with the router) and one
+rebuilt :class:`~repro.cluster.planner.ShardSpec` (the ids it owns and its
+own replica of the graph — never shared with the router) and one
 :class:`~repro.serve.server.InferenceServer` over it.  The protocol layer
 (:class:`~repro.cluster.worker.ShardWorker` + a transport) never touches
 the server; it only ships :class:`~repro.cluster.transport.Envelope`\\ s,
@@ -19,11 +19,11 @@ Envelope kinds:
   atomically inside one envelope: arrivals come from trace times, so batch
   composition is identical on every transport (the scheduler never gets a
   vote).
-- ``mutate`` — one serializable planner command (an arrival, or the delta
-  an ``add_edges`` left this shard missing), applied to the engine's own
-  spec copy.  The graph mutation fires the server's invalidation hook
-  exactly as on a whole-graph server.  FIFO envelope order makes this a
-  barrier between the serve envelopes around it.
+- ``mutate`` — the one serializable command of a write (an arrival, or the
+  edges an ``add_edges`` appended), replayed onto the engine's replica.
+  The graph mutation fires the server's invalidation hook exactly as on a
+  whole-graph server.  FIFO envelope order makes this a barrier between
+  the serve envelopes around it.
 - ``telemetry`` / ``metrics`` / ``serving_state`` — snapshot pulls, all
   answered as plain payloads (the obs layer's serializable forms).
 - ``clock`` — a clock-alignment probe (raw ``perf_counter`` + pid) used by
@@ -114,8 +114,8 @@ class ShardEngine:
         """Rebuild a serving shard (see :func:`build_engine_from_args`).
 
         The engine's spec comes from :meth:`ShardSpec.from_payload` —
-        independent arrays, so the router-side mirror and the engine
-        advance only via the shared command stream, never via aliasing.
+        independent arrays, so the coordinator's graph and the engine's
+        replica advance only via the command stream, never via aliasing.
         The restored ``serving_state`` matters because a respawned engine's
         store slice is the *base* slice: the touched stamps say which of
         its rows earlier writes had already undercut.
@@ -136,9 +136,8 @@ class ShardEngine:
             )
         store_payload = config.get("store")
         if store_payload is not None:
-            # The shard's slice of the materialized-answer store
-            # (owned nodes only — halo nodes are never served locally, so
-            # shipping their rows would be dead weight).  Plain arrays, so
+            # The shard's slice of the materialized-answer store (owned
+            # nodes only — nothing else is served here).  Plain arrays, so
             # the same payload works in-process and across the wire.
             from repro.store import AggregateStore
 
@@ -270,7 +269,7 @@ class ShardEngine:
         return {"served": len(request_ids)}
 
     def _handle_mutate(self, payload: Dict[str, object]) -> Dict[str, object]:
-        # spec.apply mutates the shard graph, which fires the server's
+        # spec.apply mutates the replica, which fires the server's
         # registered invalidation hook — same event, same touched sources
         # as a whole-graph server observing the same mutation.
         self.spec.apply(payload["command"])

@@ -18,29 +18,30 @@ listen on.
 **Recovery.**  The :class:`FleetSupervisor` owns what a router needs to
 bring a dead shard back *bit-identically*: a per-shard baseline (the engine
 arguments to rebuild from — shard payload, exported serving state — plus
-the global graph version they reflect) and the router's bounded
+the graph version they reflect) and the router's bounded
 :class:`MutationLog`.  ``recover()`` has the fleet respawn the worker (or
 reconnect to a static address) from the baseline, replays the logged
-mutation commands past the baseline version, verifies the engine's graph
-version against the router-side mirror, and only then readmits the shard
-to scatter-gather.  Serving answers are seeded by ``(seed, node)`` — a
+commands past the baseline version, verifies the engine's graph version
+against the coordinator's graph, and only then readmits the shard to
+scatter-gather.  Serving answers are seeded by ``(seed, node)`` — a
 function of the current graph — so once the replayed command stream has
-rebuilt the shard graph, a recovered fleet's answers match a never-killed
+rebuilt the replica, a recovered fleet's answers match a never-killed
 single server bit for bit.  The serving state in the baseline (write clock
 + touched stamps) is what tells the respawned engine which rows of its
 base store slice the writes before the baseline had already undercut.
 
-**The log horizon.**  The log is bounded.  Before an entry carrying a
-shard's command is evicted, the supervisor refreshes that shard's baseline
-from the *live* worker (one cheap ``serving_state`` pull), so replay stays
-possible indefinitely for healthy shards.  A shard that is already down
-when the horizon passes its baseline cannot be caught up exactly; recovery
-then refuses to serve stale state and instead rebuilds the shard from the
-checkpoint + the *current* mirror plan ("replan"), loudly: a warning, a
-``fleet_rebuilds_total`` counter, and ``mode="replan"`` on the recovery
-record.  Replanned answers are exact — the current graph *is* the answer
-— but the shard comes back cold: its base store slice predates writes it
-has no record of, so every row of it is stale until re-materialized.
+**The log horizon.**  The log is bounded.  Before an entry is evicted, the
+supervisor refreshes every baseline it would strand from the *live* worker
+(one cheap ``serving_state`` pull; the payload is references into the
+coordinator's graph), so replay stays possible indefinitely for healthy
+shards.  A shard that is already down when the horizon passes its baseline
+cannot be caught up exactly; recovery then refuses to serve stale state and
+instead rebuilds the shard from the checkpoint + the *current* graph
+("replan"), loudly: a warning, a ``fleet_rebuilds_total`` counter, and
+``mode="replan"`` on the recovery record.  Replanned answers are exact —
+the current graph *is* the answer — but the shard comes back cold: its
+base store slice predates writes it has no record of, so every row of it
+is stale until re-materialized.
 """
 
 from __future__ import annotations
@@ -244,41 +245,39 @@ class ShardRegistry:
 
 @dataclass
 class LogEntry:
-    """One global mutation: its post-mutation graph version and the
-    per-shard commands it fanned out (shards absent from ``commands``
-    were provably unaffected)."""
+    """One write: its post-mutation graph version and the command that was
+    broadcast to every shard."""
 
     version: int
     kind: str
-    commands: Dict[int, object]
+    command: object
 
 
 class MutationLogHorizonError(RuntimeError):
-    """A shard's baseline predates commands the bounded log has evicted."""
+    """A baseline predates commands the bounded log has evicted."""
 
-    def __init__(self, shard_id: int, baseline_version: int, horizon: int) -> None:
-        self.shard_id = int(shard_id)
+    def __init__(self, baseline_version: int, horizon: int) -> None:
         self.baseline_version = int(baseline_version)
         self.horizon = int(horizon)
         super().__init__(
-            f"shard {shard_id} baseline at graph version {baseline_version} "
-            f"is behind the mutation log horizon (evicted through version "
-            f"{horizon}); exact catch-up is impossible"
+            f"baseline at graph version {baseline_version} is behind the "
+            f"mutation log horizon (evicted through version {horizon}); "
+            "exact catch-up is impossible"
         )
 
 
 class MutationLog:
-    """Bounded record of fanned-out mutation commands, for catch-up replay.
+    """Bounded record of broadcast mutation commands, for catch-up replay.
 
-    The commands are deltas (an arrival's rows, the edges and feature rows
-    an ``add_edges`` left a shard missing), so an entry weighs what the
-    write did, not what the shard holds, and replaying them in order onto
-    a baseline rebuilds the shard exactly.  Entries are keyed by the
-    *global* graph version after the mutation
+    A command is what the write did (an arrival's rows, the appended
+    edges), not what a shard holds, and every shard replays every command,
+    so replaying the entries past a baseline, in order, rebuilds any shard
+    exactly.  Entries are keyed by the graph version after the mutation
     (one mutation = one version bump, so versions are consecutive).  When
-    capacity evicts an entry, the per-shard horizon advances: a shard whose
-    baseline predates its horizon can no longer be replayed exactly —
-    :meth:`commands_since` refuses loudly instead of silently under-replaying.
+    capacity evicts an entry the horizon advances: a baseline older than
+    the horizon can no longer be replayed exactly —
+    :meth:`commands_since` refuses loudly instead of silently
+    under-replaying.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -286,7 +285,7 @@ class MutationLog:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._entries: List[LogEntry] = []
-        self._horizon: Dict[int, int] = {}  # shard -> last evicted version
+        self.horizon = -1  # last evicted version; -1 when none was
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -301,41 +300,24 @@ class MutationLog:
             return self._entries[0]
         return None
 
-    def append(self, version: int, kind: str, commands: Dict[int, object]) -> None:
-        self._entries.append(LogEntry(int(version), str(kind), dict(commands)))
+    def append(self, version: int, kind: str, command: object) -> None:
+        self._entries.append(LogEntry(int(version), str(kind), command))
         while len(self._entries) > self.capacity:
-            evicted = self._entries.pop(0)
-            for shard_id in evicted.commands:
-                self._horizon[shard_id] = max(
-                    self._horizon.get(shard_id, -1), evicted.version
-                )
+            self.horizon = self._entries.pop(0).version
 
-    def horizon(self, shard_id: int) -> int:
-        """Highest evicted version carrying a command for ``shard_id``
-        (-1 when nothing relevant was ever evicted)."""
-        return self._horizon.get(int(shard_id), -1)
+    def commands_since(self, baseline_version: int) -> List[LogEntry]:
+        """The entries past ``baseline_version``, oldest first.
 
-    def commands_since(
-        self, shard_id: int, baseline_version: int
-    ) -> List[Tuple[int, str, object]]:
-        """The shard's commands from entries past ``baseline_version``.
-
-        Raises :class:`MutationLogHorizonError` if an *evicted* entry past
-        the baseline carried a command for this shard — replaying the
-        survivors would silently skip mutations.
+        Raises :class:`MutationLogHorizonError` if an entry past the
+        baseline was evicted — replaying the survivors would silently skip
+        mutations.
         """
-        shard_id = int(shard_id)
         baseline_version = int(baseline_version)
-        horizon = self.horizon(shard_id)
-        if horizon > baseline_version:
-            raise MutationLogHorizonError(shard_id, baseline_version, horizon)
+        if self.horizon > baseline_version:
+            raise MutationLogHorizonError(baseline_version, self.horizon)
         return [
-            (entry.version, entry.kind, entry.commands[shard_id])
-            for entry in self._entries
-            if entry.version > baseline_version and shard_id in entry.commands
+            entry for entry in self._entries if entry.version > baseline_version
         ]
-
-
 
 
 # ----------------------------------------------------------------------
@@ -604,42 +586,35 @@ class FleetSupervisor:
     def before_mutation(self) -> None:
         """Re-baseline shards the next log eviction would strand.
 
-        Called after the global graph mutated but *before* the plan builds
-        commands (so the mirror specs and the live workers agree on the
-        pre-mutation state).  One cheap ``serving_state`` pull per
-        endangered shard keeps exact replay possible for healthy workers
-        no matter how long the stream runs; a shard that is down right now
-        is skipped — its recovery will hit the horizon and take the loud
-        replan path instead.
+        Called *before* the write lands on the coordinator's graph: the
+        shard payload is cut from that graph, the serving state is pulled
+        from the live worker, and the two describe the same version only
+        while no write is in flight.  (A baseline cut after the graph took
+        the write would pair a payload that contains it with a serving
+        state that never saw it: the respawned shard would skip that
+        write's invalidation.)  One cheap ``serving_state``
+        pull per endangered shard keeps exact replay possible for healthy
+        workers no matter how long the stream runs; a shard that is down
+        right now is skipped — its recovery will hit the horizon and take
+        the loud replan path instead.
         """
         entry = self.log.next_eviction()
         if entry is None:
             return
-        for shard_id in entry.commands:
-            baseline = self._baselines.get(shard_id)
-            if baseline is None or baseline.version >= entry.version:
+        for shard_id, baseline in list(self._baselines.items()):
+            if baseline.version >= entry.version:
                 continue
             try:
-                # The global graph already mutated (version bumped) but the
-                # command has not fanned out: workers and mirrors both sit
-                # at version - 1, which is what the snapshot reflects.
-                self.refresh_baseline(
-                    shard_id, version=self.router.graph.version - 1
-                )
+                self.refresh_baseline(shard_id)
             except (WorkerDown, ShardError, ShardTimeoutError):
                 continue  # down worker: replan path owns this case
 
-    def refresh_baseline(
-        self, shard_id: int, *, version: Optional[int] = None
-    ) -> None:
-        """Snapshot a live shard as the new rebuild point.
-
-        ``version`` is the global graph version the worker's state covers
-        (defaults to the current version — correct only when no mutation
-        is mid-flight; :meth:`before_mutation` passes ``version - 1``).
-        The mirror spec and the worker have replayed the identical command
-        stream, so payload, serving state and version line up exactly.
-        """
+    def refresh_baseline(self, shard_id: int) -> None:
+        """Snapshot a live shard as the new rebuild point, at the current
+        graph version — correct only while no write is in flight (see
+        :meth:`before_mutation`).  The worker has replayed every command
+        the coordinator's graph took, so payload, serving state and
+        version line up exactly."""
         worker = self.router.workers[shard_id]
         state = worker.pull_serving_state().result(self.router.request_timeout)
         self.set_baseline(
@@ -649,11 +624,14 @@ class FleetSupervisor:
                 spec_payload=worker.spec.to_payload(),
                 serving_state=state["serving_state"],
             ),
-            self.router.graph.version if version is None else version,
+            self.router.graph.version,
         )
 
-    def record_mutation(self, kind: str, commands: Dict[int, object]) -> None:
-        self.log.append(self.router.graph.version, kind, commands)
+    def record_mutation(self, kind: str, command: object) -> None:
+        """Log the command of the write the coordinator's graph just took
+        (before it is broadcast, so a worker dying at its barrier is caught
+        up by replay rather than by a re-send)."""
+        self.log.append(self.router.graph.version, kind, command)
 
     # -- recovery ------------------------------------------------------
 
@@ -672,12 +650,12 @@ class FleetSupervisor:
             baseline = self._baselines[shard_id]
             mode = "replay"
             try:
-                catchup = self.log.commands_since(shard_id, baseline.version)
+                catchup = self.log.commands_since(baseline.version)
             except MutationLogHorizonError as exc:
                 mode = "replan"
                 warnings.warn(
-                    f"{exc}; rebuilding shard {shard_id} from checkpoint + "
-                    "current plan (answers stay exact, but the shard comes "
+                    f"shard {shard_id} {exc}; rebuilding it from checkpoint "
+                    "+ current plan (answers stay exact, but the shard comes "
                     "back cold: its base store slice predates the missed "
                     "writes, so all of it is stale)",
                     RuntimeWarning,
@@ -701,9 +679,9 @@ class FleetSupervisor:
                 catchup = []
             new_transport = self.fleet.respawn(shard_id, baseline.args)
             respawned = time.perf_counter()
-            for _, _, command in catchup:
+            for entry in catchup:
                 new_transport.send(
-                    Envelope(kind="mutate", payload={"command": command})
+                    Envelope(kind="mutate", payload={"command": entry.command})
                 ).result(self.router.request_timeout)
             self._verify(shard_id, new_transport)
             replayed = time.perf_counter()
@@ -736,17 +714,17 @@ class FleetSupervisor:
         return 0.0
 
     def _verify(self, shard_id: int, transport: Transport) -> None:
-        """A recovered engine must agree with the router-side mirror on the
-        shard graph version before it serves anything."""
+        """A recovered engine must agree with the coordinator's graph on
+        the version before it serves anything."""
         state = transport.send(Envelope(kind="serving_state")).result(
             self.router.request_timeout
         )["serving_state"]
-        mirror_version = int(self.router.plan.shards[shard_id].graph.version)
+        want = int(self.router.graph.version)
         got = int(state["graph_version"])
-        if got != mirror_version:
+        if got != want:
             raise RuntimeError(
                 f"shard {shard_id} recovery diverged: engine graph version "
-                f"{got} != mirror version {mirror_version}"
+                f"{got} != coordinator graph version {want}"
             )
 
     def summary(self) -> Dict[str, object]:

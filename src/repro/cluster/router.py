@@ -1,18 +1,19 @@
 """Scatter-gather routing over a fleet of shard engines behind transports.
 
-:class:`ClusterRouter` is the cluster's front door: it owns the *global*
-serving graph (the source of truth mutations land on first), the
-:class:`~repro.cluster.planner.ClusterPlan` (ownership + halos + the
-router-side mirror specs), the :class:`~repro.cluster.fleet.Fleet` that
-brings the shard engines up (``inline`` or ``socket`` transport), and one
+:class:`ClusterRouter` is the cluster's front door: it owns the serving
+graph (one object — the source of truth mutations land on first, and the
+graph every coordinator-side shard spec points at), the
+:class:`~repro.cluster.planner.ClusterPlan` (who owns which ids), the
+:class:`~repro.cluster.fleet.Fleet` that brings the shard engines up
+(``inline`` or ``socket`` transport), and one
 :class:`~repro.cluster.worker.ShardWorker` per shard — a protocol stub
 over that shard's transport.  Its contract is **indistinguishability**:
 ``router.embed(nodes)`` returns bit-for-bit what one whole-graph
 :class:`~repro.serve.server.InferenceServer` with the same seed would
 return, in the caller's node order — sharding *and transport choice* are
 deployment decisions, not semantics changes (``tests/test_cluster.py`` and
-``tests/test_transport.py`` assert this exactly, boundary-crossing nodes
-and post-mutation state included).
+``tests/test_transport.py`` assert this exactly, nodes with neighbors on
+other shards and post-mutation state included).
 
 The request path is **async scatter-gather**: requests group by owner
 shard, one serve envelope per shard is issued for the whole group (so
@@ -22,12 +23,12 @@ into request order.  Shard failures come back as error envelopes and are
 raised at the gather as :class:`~repro.cluster.transport.ShardError` —
 never as a hung router.
 
-Mutations are **fan-out barriers**: ``add_nodes`` / ``add_edges`` land on
-the global graph, the plan turns them into serializable commands (applied
-to its own mirror specs for routing), and each affected shard replays the
-identical command behind its transport — FIFO with its serve envelopes.
-Unaffected shards are skipped entirely: no envelope, no event, caches
-fully warm.
+Mutations are **broadcast barriers**: ``add_nodes`` / ``add_edges`` land
+on the graph, the plan turns the write into one serializable command, and
+every shard replays that same command onto its replica behind its
+transport — FIFO with its serve envelopes.  What a write costs a shard's
+caches is decided by read sets inside the shard server, exactly as on a
+whole-graph server.
 
 Telemetry crosses the boundary as data: :meth:`summary` merges per-shard
 :class:`~repro.serve.telemetry.Telemetry` payloads (cluster percentiles
@@ -61,7 +62,7 @@ from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
 from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
 from repro.obs.slo import AttributionRecord, SLOMonitor, SLOTarget, SlowRequestLog
 from repro.obs.tracing import _NULL_SPAN as _NULL_CTX
-from repro.serve.server import load_checkpoint_classifier, serving_reach_of
+from repro.serve.server import load_checkpoint_classifier
 
 
 class ClusterRouter:
@@ -116,24 +117,21 @@ class ClusterRouter:
         self._prometheus_path = prometheus_path
         self._prometheus_interval = float(prometheus_interval)
         self._prometheus_last_flush = float("-inf")
-        # Probe the reach before partitioning: a classifier without a
-        # declared sampling reach has no provably sufficient halo.
+        # Probe before partitioning: only an identity-free classifier
+        # answers from (seed, node, graph) alone, which is what makes an
+        # owned answer the same on a replica as on a whole-graph server.
         probe = load_checkpoint_classifier(checkpoint)
-        reach = serving_reach_of(probe)
-        if not hasattr(probe, "embed_for_serving") or reach is None:
+        if not hasattr(probe, "embed_for_serving"):
             raise ValueError(
-                "sharded serving needs an identity-free classifier with a "
-                "declared sampling reach (WidenConfig.serving_reach); got "
-                f"{type(probe).__name__} with reach={reach!r}"
+                "sharded serving needs an identity-free classifier (one "
+                f"with embed_for_serving); got {type(probe).__name__}"
             )
         self.plan: ClusterPlan = ShardPlanner(
-            graph, reach, num_shards, seed=partition_seed
+            graph, num_shards, seed=partition_seed
         ).plan()
         # Materialized-answer tier: validate once against the probe
         # classifier (same parameters and seed every shard will use), then
-        # slice per shard by ownership — owned nodes only, because a shard
-        # serves only nodes it owns; its halo exists to make local
-        # sampling exact, not to answer requests.
+        # slice per shard by ownership — a shard serves only nodes it owns.
         self.store = None
         if store_path is not None:
             from repro.store import AggregateStore
@@ -271,9 +269,8 @@ class ClusterRouter:
             return self._scatter_gather_observed(nodes, kind, now)
         groups: Dict[int, List[int]] = {}
         for position, node in enumerate(nodes):
-            shard = self.plan.owner(int(node))
-            self._count_routed(shard, int(node))
-            groups.setdefault(shard, []).append(position)
+            groups.setdefault(self.plan.owner(int(node)), []).append(position)
+        self._count_routed(groups)
         self._maybe_flush_prometheus()
         # Scatter: one serve envelope per shard for its whole group, all
         # issued before any gather — shards overlap on concurrent
@@ -333,9 +330,8 @@ class ClusterRouter:
             if root is not None:
                 root.__enter__()
             for position, node in enumerate(nodes):
-                shard = self.plan.owner(int(node))
-                self._count_routed(shard, int(node))
-                groups.setdefault(shard, []).append(position)
+                groups.setdefault(self.plan.owner(int(node)), []).append(position)
+            self._count_routed(groups)
             self._maybe_flush_prometheus()
             pending: List[Tuple[int, List[int], object]] = []
             for shard, positions in groups.items():
@@ -428,17 +424,13 @@ class ClusterRouter:
             items.append(item)
         return items
 
-    def _count_routed(self, shard: int, node: int) -> None:
-        worker = self.workers[shard]
-        worker.requests_routed += 1
-        self.registry.counter(
-            "cluster_requests_total", shard=str(shard)
-        ).inc()
-        if worker.spec.touches_halo[node]:
-            worker.halo_requests += 1
+    def _count_routed(self, groups: Dict[int, List]) -> None:
+        """Account one routed request per member of each shard's group."""
+        for shard, members in groups.items():
+            self.workers[shard].requests_routed += len(members)
             self.registry.counter(
-                "cluster_halo_requests_total", shard=str(shard)
-            ).inc()
+                "cluster_requests_total", shard=str(shard)
+            ).inc(len(members))
 
     # ------------------------------------------------------------------
     # Distributed tracing + SLO monitoring (repro.obs.dist / .slo)
@@ -514,77 +506,65 @@ class ClusterRouter:
         labels: Optional[np.ndarray] = None,
         count: Optional[int] = None,
     ) -> np.ndarray:
-        """Streaming node arrival, propagated to every shard (barrier).
+        """Streaming node arrival, broadcast to every shard (barrier).
 
-        All shards append the same global ids (the id space must stay
-        aligned); the owner — chosen deterministically as the least-loaded
-        shard — receives the real features, everyone else zeros until an
-        edge pulls the node into their halo.
+        All shards append the same global ids with the same features (the
+        replicas must stay aligned); the owner — chosen deterministically
+        as the least-loaded shard — also adopts them into its owned set.
         """
         self._check_open()
+        if self.supervisor is not None:
+            self.supervisor.before_mutation()
         new_ids = self.graph.add_nodes(
             type_name, features=features, labels=labels, count=count
         )
         if features is not None:
             features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if self.supervisor is not None:
-            self.supervisor.before_mutation()
         owner = self.plan.place_new_nodes(new_ids.size)
-        commands = self.plan.add_nodes_commands(
-            owner, new_ids, type_name, features, labels, new_ids.size
+        command = self.plan.add_nodes_commands(
+            owner, new_ids, type_name, features, labels
         )
-        jobs = list(enumerate(commands))
-        if self.supervisor is not None:
-            self.supervisor.record_mutation("add_nodes", dict(jobs))
-        self._fanout_mutations(jobs, kind="add_nodes")
+        self._broadcast(command, kind="add_nodes")
         return new_ids
 
     def add_edges(self, edge_type: str, src, dst, symmetric: bool = True) -> None:
-        """Streaming edge arrival, propagated to *affected* shards only.
+        """Streaming edge arrival, broadcast to every shard (barrier).
 
-        The edges are spliced into the global graph first; the plan relaxes
-        each shard's hop distances from them, and shards with no new edge
-        inside their closure are skipped outright — no envelope, no event,
-        caches fully warm.  Affected shards replay one serializable delta
-        command (the edges and feature rows they are missing) carrying the
-        global changed-sources, so their servers invalidate exactly the
-        owned materializations a whole-graph server would.
+        The edges are spliced into the coordinator's graph first; every
+        shard then replays the same appended edges onto its replica, whose
+        own mutation event names the same changed sources — so each shard
+        server invalidates exactly the owned materializations a
+        whole-graph server would, by read set.
         """
         self._check_open()
+        if self.supervisor is not None:
+            self.supervisor.before_mutation()
         version = self.graph.version
         self.graph.add_edges(edge_type, src, dst, symmetric=symmetric)
         if self.graph.version == version:
-            return  # empty batch: nothing landed, nothing to fan out
-        event = self.graph.last_mutation
-        if self.supervisor is not None:
-            self.supervisor.before_mutation()
-        jobs = []
-        for spec in self.plan.shards:
-            command = self.plan.refresh_command(spec, event)
-            if command is not None:
-                jobs.append((spec.shard_id, command))
-        if self.supervisor is not None:
-            self.supervisor.record_mutation("add_edges", dict(jobs))
-        self._fanout_mutations(jobs, kind="add_edges")
+            return  # empty batch: nothing landed, nothing to broadcast
+        self._broadcast(
+            self.plan.refresh_command(self.graph.last_mutation), kind="add_edges"
+        )
 
-    def _fanout_mutations(self, jobs, *, kind: str) -> None:
-        """Ship per-shard commands, then gather every barrier ack.
+    def _broadcast(self, command, *, kind: str) -> None:
+        """Log one command, ship it to every shard, gather every barrier ack.
 
         A worker that dies at its barrier is recovered instead of retried:
-        the command was logged *before* fan-out, so the supervisor's
+        the command was logged *before* the broadcast, so the supervisor's
         catch-up replay applies it exactly once — re-sending here would
         double-apply.
         """
-        pending = [
-            (shard, self.workers[shard].mutate(command)) for shard, command in jobs
-        ]
-        for shard, reply in pending:
+        if self.supervisor is not None:
+            self.supervisor.record_mutation(kind, command)
+        pending = [worker.mutate(command) for worker in self.workers]
+        for reply in pending:
             try:
                 reply.result(self.request_timeout)
             except WorkerDown as exc:
                 self._recover_worker(exc)
             self.registry.counter(
-                "cluster_mutations_total", kind=kind, shard=str(shard)
+                "cluster_mutations_total", kind=kind, shard=str(reply.shard_id)
             ).inc()
 
     # ------------------------------------------------------------------
@@ -620,9 +600,9 @@ class ClusterRouter:
         for event in trace:
             node = int(event.node)
             shard = self.plan.owner(node)
-            self._count_routed(shard, node)
             nodes_by_shard.setdefault(shard, []).append(node)
             times_by_shard.setdefault(shard, []).append(float(event.time))
+        self._count_routed(nodes_by_shard)
         end = float(trace[-1].time) if len(trace) else None
 
         def _dispatch(shard: int):
@@ -681,9 +661,7 @@ class ClusterRouter:
             "latency_p50_s": nearest_rank_percentile(latencies, 50),
             "latency_p95_s": nearest_rank_percentile(latencies, 95),
             "latency_p99_s": nearest_rank_percentile(latencies, 99),
-            "halo_requests": sum(w.halo_requests for w in self.workers),
             "edge_cut": self.plan.partition_edge_cut,
-            "replication_factor": self.plan.replication_factor(),
             "shards": [
                 worker.summary(payload)
                 for worker, payload in zip(self.workers, payloads)

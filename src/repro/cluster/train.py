@@ -1,9 +1,9 @@
 """Data-parallel distributed training over the cluster substrate.
 
 Training rides the exact serving stack: :class:`~repro.cluster.planner.
-ShardPlanner` partitions the training graph (owned nodes + a reach-``k``
-halo whose verbatim adjacency lists make partition-local sampling
-bit-identical to whole-graph sampling), the ``train`` family of
+ShardPlanner` partitions the training nodes into owned sets over full
+graph replicas (verbatim adjacency lists, so a shard samples for its
+owned nodes what a whole-graph trainer would), the ``train`` family of
 :class:`~repro.cluster.transport.Envelope` kinds rides either transport
 (``inline``/``socket``) of the same :class:`~repro.cluster.fleet.Fleet`
 serving uses, and per-shard metrics merge through the same
@@ -11,9 +11,9 @@ registry-payload path ``/metrics`` scrapes.
 
 Three pieces:
 
-- :class:`TrainEngine` — the engine side: one shard's graph slice, one
-  full model replica (rebuilt from a v3 checkpoint, so optimizer moments
-  and every rng stream arrive intact), one
+- :class:`TrainEngine` — the engine side: one shard's graph replica and
+  owned ids, one full model replica (rebuilt from a v3 checkpoint, so
+  optimizer moments and every rng stream arrive intact), one
   :class:`~repro.core.trainer.WidenTrainer` answering phase envelopes.
 - :class:`TrainWorker` — the coordinator's client stub; its methods return
   :class:`~repro.cluster.transport.PendingReply` handles shaped exactly
@@ -70,7 +70,7 @@ from repro.cluster.transport import (
 from repro.core.train_loop import TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.server import load_checkpoint_classifier, serving_reach_of
+from repro.serve.server import load_checkpoint_classifier
 
 __all__ = ["TrainEngine", "TrainWorker", "DistributedTrainer"]
 
@@ -80,8 +80,9 @@ MANIFEST_NAME = "manifest.json"
 class TrainEngine:
     """One shard's training replica behind the envelope boundary.
 
-    Holds a partition-local graph slice and a full model replica whose
-    parameters, optimizer moments and rng streams came from a checkpoint —
+    Holds a graph replica, the shard's owned ids and a full model replica
+    whose parameters, optimizer moments and rng streams came from a
+    checkpoint —
     the same spawn contract serving engines use, which is why a fleet
     brings training workers up through the path serving uses
     (``engine_args["engine"] = "train"`` is the only difference on the
@@ -102,7 +103,7 @@ class TrainEngine:
 
     @classmethod
     def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
-        """Rebuild a training shard from its plan slice + checkpoint (see
+        """Rebuild a training shard from its shard payload + checkpoint (see
         :func:`repro.cluster.engine.build_engine_from_args`).
 
         The checkpoint must be format v3 if training is to resume
@@ -166,9 +167,8 @@ class TrainEngine:
 
     def _handle_train_epoch_begin(self, payload: Dict[str, object]) -> dict:
         train_nodes = np.asarray(payload["train_nodes"], dtype=np.int64)
-        # Shard graphs carry the full label array (labels are global
-        # metadata, not features), so the fit()-equivalent validation works
-        # here without consulting any other shard.
+        # A replica carries the full label array, so the fit()-equivalent
+        # validation works here without consulting any other shard.
         if (self.trainer.graph.labels[train_nodes] < 0).any():
             raise ValueError("all training nodes must be labeled")
         return self.trainer.epoch_begin(train_nodes, owned=self.spec.owned)
@@ -284,7 +284,7 @@ class DistributedTrainer:
     checkpoint first — see :meth:`from_classifier`); ``shard_checkpoints``
     overrides it per shard for elastic resume, where each replica restores
     its *own* diverged rng/neighbor state.  The partition is a pure
-    function of ``(graph, reach, num_shards, partition_seed)``, so a
+    function of ``(graph, num_shards, partition_seed)``, so a
     resumed run replans the identical ownership its checkpoints were
     written under.
     """
@@ -325,12 +325,6 @@ class DistributedTrainer:
                 "forward and read across ownership boundaries, which breaks "
                 "shard locality"
             )
-        reach = serving_reach_of(probe)
-        if reach is None:
-            raise ValueError(
-                f"{type(probe).__name__} declares no sampling reach; a "
-                "partition has no provably sufficient halo without one"
-            )
         self.graph = graph
         self.partition_seed = int(partition_seed)
         self.request_timeout = request_timeout
@@ -341,7 +335,7 @@ class DistributedTrainer:
         # shard's measured compute per phase + coordinator sync wall time.
         self.logical_seconds = 0.0
         self.plan: ClusterPlan = ShardPlanner(
-            graph, reach, num_shards, seed=partition_seed
+            graph, num_shards, seed=partition_seed
         ).plan()
         if shard_checkpoints is not None:
             if len(shard_checkpoints) != self.plan.num_shards:

@@ -4,9 +4,9 @@
 :class:`~repro.cluster.engine.ShardEngine` behind the transport does — and
 no channel lifecycle: the :class:`~repro.cluster.fleet.Fleet` hands it a
 started, ready transport and closes it.  The worker is the router's
-*client stub*: it keeps the router-side
-mirror of the shard's :class:`~repro.cluster.planner.ShardSpec` (routing
-masks, ownership counts), wraps each interaction in a typed
+*client stub*: it keeps the coordinator-side
+:class:`~repro.cluster.planner.ShardSpec` of the shard (the ids it owns,
+over the coordinator's graph), wraps each interaction in a typed
 :class:`~repro.cluster.transport.Envelope`, and returns
 :class:`~repro.cluster.transport.PendingReply` handles so the router can
 issue a whole scatter before gathering anything.
@@ -35,7 +35,6 @@ class ShardWorker:
         self.transport = transport
         # Router-visible accounting (written from the routing thread only).
         self.requests_routed = 0
-        self.halo_requests = 0
         self.respawns = 0
 
     def swap_transport(self, transport: Transport) -> None:
@@ -77,7 +76,7 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def mutate(self, command: MutationCommand) -> PendingReply:
-        """Ship one planner command; FIFO order makes it a barrier."""
+        """Ship the write's command; FIFO order makes it a barrier."""
         return self.transport.send(
             Envelope(kind="mutate", payload={"command": command})
         )
@@ -114,7 +113,6 @@ class ShardWorker:
     def reset(self) -> PendingReply:
         pending = self.transport.send(Envelope(kind="reset"))
         self.requests_routed = 0
-        self.halo_requests = 0
         return pending
 
     # ------------------------------------------------------------------
@@ -127,9 +125,7 @@ class ShardWorker:
         stats.update(
             shard=self.spec.shard_id,
             owned=self.spec.num_owned,
-            halo=int(self.spec.halo.size),
             requests_routed=self.requests_routed,
-            halo_requests=self.halo_requests,
             respawns=self.respawns,
             cache_size=telemetry_payload["cache_size"],
         )

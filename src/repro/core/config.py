@@ -143,11 +143,11 @@ class WidenConfig:
         ``num_deep``, so it reads features up to ``num_deep`` hops out and
         queries adjacency lists up to ``num_deep - 1`` hops out.  In
         ``"replace"`` embedding mode the warm-up pass additionally embeds the
-        sampled neighbors themselves, doubling the radius.  Halo replication
-        (``repro.cluster``) sizes its closure and halo from this number.
-        Cache invalidation (``repro.serve``) does not where each answer
-        names the lists it read, and falls back to a BFS of this radius only
-        in ``"replace"`` embedding mode, which reports no read set.
+        sampled neighbors themselves, doubling the radius.  Cache
+        invalidation (``repro.serve``) goes by the lists each answer names
+        as read, and falls back to a BFS of this radius only in
+        ``"replace"`` embedding mode, which reports no read set.  (Shards,
+        ``repro.cluster``, are full replicas and do not consult it.)
         """
         reach = self.num_deep
         if self.embedding_mode == "replace":

@@ -301,7 +301,6 @@ class HeteroGraph:
         src: np.ndarray,
         dst: np.ndarray,
         edge_types: np.ndarray,
-        changed_sources: Optional[np.ndarray] = None,
     ) -> None:
         """Splice already-typed directed edges into the CSR in place.
 
@@ -312,10 +311,7 @@ class HeteroGraph:
         replaced, never written into, so references handed out earlier
         (shard payloads, rebuild baselines) keep their snapshot.
 
-        Fires one ``"add_edges"`` event.  ``changed_sources`` overrides its
-        ``sources``: a shard replica splices only the part of a global
-        batch that lies in its closure, yet must invalidate the frontier
-        of the whole batch to stay aligned with a whole-graph server.
+        Fires one ``"add_edges"`` event.
         """
         src, dst, edge_types = self._checked_edges(src, dst, edge_types)
         order = np.argsort(src, kind="stable")
@@ -328,11 +324,10 @@ class HeteroGraph:
         np.cumsum(np.bincount(sorted_src, minlength=self.num_nodes), out=grown[1:])
         self.indptr = self.indptr + grown
         self.num_edges += int(src.size)
-        sources = src if changed_sources is None else changed_sources
         self._fire_mutation(
             MutationEvent(
                 kind="add_edges",
-                sources=np.unique(np.asarray(sources, dtype=np.int64)),
+                sources=np.unique(src),
                 edges=(src, dst, edge_types),
             )
         )

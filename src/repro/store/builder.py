@@ -19,7 +19,7 @@ span per batch, ``store_build_seconds`` / ``store_rows`` /
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,12 +35,12 @@ def build_store(
     *,
     seed: int = 0,
     batch_size: int = 256,
-    nodes: Optional[Iterable[int]] = None,
     dataset: Optional[str] = None,
     checkpoint: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> AggregateStore:
-    """Materialize ``nodes`` (default: all) into a store at ``out_path``.
+    """Materialize every node's answer into a store at ``out_path``
+    (row ``i`` is node ``i``).
 
     ``seed`` must equal the serving server's seed — it keys every row's
     sampling draws and is recorded in the metadata so
@@ -51,11 +51,7 @@ def build_store(
     if reason is not None:
         raise ValueError(f"cannot build a store for this classifier: {reason}")
     config = classifier.config
-    node_list = (
-        np.arange(graph.num_nodes, dtype=np.int64)
-        if nodes is None
-        else np.asarray(sorted({int(node) for node in nodes}), np.int64)
-    )
+    node_list = np.arange(graph.num_nodes, dtype=np.int64)
     meta = {
         "dim": int(config.dim),
         "num_wide": int(config.num_wide),

@@ -329,10 +329,9 @@ class AggregateStore:
     # -- shard slices ----------------------------------------------------
 
     def slice_payload(self, nodes: Iterable[int]) -> Dict[str, object]:
-        """Plain-data slice of the store covering ``nodes`` (shard halo
-        handling: a shard engine serves only its *owned* nodes, so its
-        slice carries exactly those rows — halo nodes contribute to
-        other shards' rows at build time, never to local lookups).
+        """Plain-data slice of the store covering ``nodes`` (a shard
+        engine serves only its *owned* nodes, so its slice carries
+        exactly those rows).
 
         The payload crosses the transport's pickle boundary as-is;
         :meth:`from_payload` rebuilds an in-memory store on the other

@@ -1,10 +1,11 @@
 """The ``repro.cluster`` subsystem: planner, workers, scatter-gather router.
 
 The load-bearing claim throughout is **indistinguishability**: a
-:class:`ClusterRouter` over k halo-replicated shards answers bit-for-bit
-what one whole-graph :class:`InferenceServer` with the same seed answers —
-for any shard count, in the caller's request order, boundary-crossing
-nodes included, and still after streaming mutations.  Every equality
+:class:`ClusterRouter` over k shards — full replicas that each own a slice
+of the ids — answers bit-for-bit what one whole-graph
+:class:`InferenceServer` with the same seed answers — for any shard count,
+in the caller's request order, nodes with neighbors on other shards
+included, and still after streaming mutations.  Every equality
 assertion below is exact (``assert_array_equal``), not statistical; the
 serving path is deterministic under ``(seed, node)`` rng keying
 and batch-size independent by construction, so any drift is a real bug.
@@ -13,7 +14,13 @@ and batch-size independent by construction, so any drift is a real bug.
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterPlan, ClusterRouter, ShardPlanner
+from repro.cluster import (
+    AddNodesCommand,
+    ClusterPlan,
+    ClusterRouter,
+    ShardPlanner,
+    ShardSpec,
+)
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer, make_trace
@@ -38,16 +45,6 @@ def checkpoint(trained, tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def shallow_checkpoint(acm, tmp_path_factory):
-    """A reach-2 model whose shard closures stay genuinely local."""
-    model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
-    model.fit(acm.graph, acm.split.train[:40], epochs=1)
-    path = tmp_path_factory.mktemp("cluster-shallow") / "widen.npz"
-    model.save(path)
-    return path
-
-
 def fresh_graph():
     return make_acm(seed=0, scale=0.5).graph
 
@@ -66,11 +63,13 @@ def fresh_router(checkpoint, num_shards, transport="inline", **kwargs):
 
 
 def boundary_probe(router, per_shard=2):
-    """Owned nodes whose reach-neighborhood crosses their shard boundary."""
+    """Owned nodes with an out-edge into another shard's owned set: their
+    very first sampling hop leaves what their shard owns."""
+    graph, owner_of = router.graph, router.plan.owner_of
+    cut = owner_of[graph._src] != owner_of[graph.indices]
     picked = []
     for worker in router.workers:
-        spec = worker.spec
-        crossers = spec.owned[spec.touches_halo[spec.owned]]
+        crossers = np.intersect1d(worker.spec.owned, graph._src[cut])
         picked.extend(int(n) for n in crossers[:per_shard])
     return np.asarray(picked, dtype=np.int64)
 
@@ -83,7 +82,7 @@ def boundary_probe(router, per_shard=2):
 class TestShardPlanner:
     @pytest.fixture(scope="class")
     def plan(self, acm) -> ClusterPlan:
-        return ShardPlanner(fresh_graph(), reach=3, num_shards=4, seed=0).plan()
+        return ShardPlanner(fresh_graph(), num_shards=4, seed=0).plan()
 
     def test_ownership_partitions_the_graph(self, plan):
         combined = np.concatenate([spec.owned for spec in plan.shards])
@@ -92,68 +91,83 @@ class TestShardPlanner:
         for spec in plan.shards:
             assert (plan.owner_of[spec.owned] == spec.shard_id).all()
 
-    def test_halo_contains_owned_and_closure(self, plan):
-        for spec in plan.shards:
-            assert np.isin(spec.owned, spec.halo).all()
-            assert np.isin(spec.closure_sources, spec.halo).all()
-            assert np.isin(spec.owned, spec.closure_sources).all()
+    @pytest.fixture(scope="class")
+    def replicas(self, plan):
+        """What each engine rebuilds behind its transport."""
+        return [ShardSpec.from_payload(spec.to_payload()) for spec in plan.shards]
 
-    def test_shard_graphs_keep_global_id_space(self, plan):
-        for spec in plan.shards:
-            assert spec.graph.num_nodes == plan.global_graph.num_nodes
-            assert spec.graph.version == plan.global_graph.version
+    def test_shard_graphs_keep_global_id_space(self, plan, replicas):
+        for spec, replica in zip(plan.shards, replicas):
+            assert spec.graph is plan.global_graph  # one graph on this side
+            assert replica.graph is not plan.global_graph
+            assert replica.graph.num_nodes == plan.global_graph.num_nodes
+            assert replica.graph.version == plan.global_graph.version
+            np.testing.assert_array_equal(replica.owned, spec.owned)
+            np.testing.assert_array_equal(
+                replica.graph.features, plan.global_graph.features
+            )
+            assert not np.shares_memory(
+                replica.graph.features, plan.global_graph.features
+            )
 
-    def test_closure_adjacency_lists_survive_verbatim(self, plan):
-        """Per-source adjacency inside the closure is identical — contents
-        *and* order — which is what makes seeded sampling bit-identical."""
+    def test_closure_adjacency_lists_survive_verbatim(self, plan, replicas):
+        """Every adjacency list on a replica is identical to the
+        coordinator's — contents *and* order — which is what makes seeded
+        sampling bit-identical.  (The transitive closure of any shard's
+        owned set is the whole graph, so that is what a replica holds.)"""
         graph = plan.global_graph
-        for spec in plan.shards:
-            for node in spec.closure_sources[:25]:
-                got_n, got_t = spec.graph.neighbors(int(node))
+        for replica in replicas:
+            for name in ("indptr", "indices", "edge_type_of", "_src"):
+                np.testing.assert_array_equal(
+                    getattr(replica.graph, name), getattr(graph, name)
+                )
+            for node in replica.owned[:25]:
+                got_n, got_t = replica.graph.neighbors(int(node))
                 want_n, want_t = graph.neighbors(int(node))
                 np.testing.assert_array_equal(got_n, want_n)
                 np.testing.assert_array_equal(got_t, want_t)
 
-    def test_features_zeroed_exactly_outside_halo(self, plan):
-        graph = plan.global_graph
-        for spec in plan.shards:
-            in_halo = np.zeros(graph.num_nodes, dtype=bool)
-            in_halo[spec.halo] = True
-            np.testing.assert_array_equal(
-                spec.graph.features[in_halo], graph.features[in_halo]
-            )
-            assert (spec.graph.features[~in_halo] == 0).all()
-
-    def test_touches_halo_is_subset_of_owned(self, plan):
-        for spec in plan.shards:
-            owned_mask = np.zeros(plan.global_graph.num_nodes, dtype=bool)
-            owned_mask[spec.owned] = True
-            assert not (spec.touches_halo & ~owned_mask).any()
-
     def test_single_shard_has_no_boundary(self, acm):
-        plan = ShardPlanner(fresh_graph(), reach=3, num_shards=1).plan()
+        plan = ShardPlanner(fresh_graph(), num_shards=1).plan()
         (spec,) = plan.shards
         assert spec.num_owned == plan.global_graph.num_nodes
-        assert not spec.touches_halo.any()
-        assert spec.graph.num_edges == plan.global_graph.num_edges
-
-    def test_replication_grows_with_shards(self, acm):
-        single = ShardPlanner(fresh_graph(), reach=3, num_shards=1).plan()
-        quad = ShardPlanner(fresh_graph(), reach=3, num_shards=4, seed=0).plan()
-        assert single.replication_factor() == pytest.approx(1.0)
-        assert quad.replication_factor() > 1.0
+        assert plan.partition_edge_cut == 0
+        assert (plan.owner_of == 0).all()
 
     def test_invalid_parameters_rejected(self, acm):
         with pytest.raises(ValueError):
-            ShardPlanner(fresh_graph(), reach=0, num_shards=2)
+            ShardPlanner(fresh_graph(), num_shards=0)
         with pytest.raises(ValueError):
-            ShardPlanner(fresh_graph(), reach=3, num_shards=0)
+            ShardPlanner(fresh_graph(), num_shards=10**6).plan()
 
     def test_owner_bounds_checked(self, plan):
         with pytest.raises(IndexError):
             plan.owner(plan.global_graph.num_nodes)
         with pytest.raises(IndexError):
             plan.owner(-1)
+
+    def test_apply_refuses_a_diverged_id_space_and_unknown_commands(self, plan):
+        """The two loud paths of ``ShardSpec.apply``: a replica whose id
+        space no longer lines up with the coordinator's (it would append
+        ids other than the ones the arrival got globally), and an object
+        that is not a mutation command."""
+        replica = ShardSpec.from_payload(plan.shards[1].to_payload())
+        n, dim = replica.graph.num_nodes, replica.graph.features.shape[1]
+        arrival = AddNodesCommand(
+            type_name="paper", features=np.zeros((1, dim)), labels=None,
+            expected_ids=np.array([n + 1]), owner=1,
+        )
+        with pytest.raises(RuntimeError, match="id space diverged"):
+            replica.apply(arrival)
+        owned_before = replica.num_owned
+        replica.apply(arrival)  # n was taken by the refused try: now the truth
+        assert replica.num_owned == owned_before + 1
+        arrival.owner, arrival.expected_ids = 0, np.array([n + 2])
+        replica.apply(arrival)  # someone else's arrival: appended, not adopted
+        assert replica.num_owned == owned_before + 1
+        assert replica.graph.num_nodes == n + 3
+        with pytest.raises(TypeError, match="unknown mutation command dict"):
+            replica.apply({"src": [0], "dst": [1]})
 
 
 # ----------------------------------------------------------------------
@@ -186,8 +200,9 @@ class TestClusterEquivalence:
             )
 
     def test_boundary_crossing_nodes_exact(self, checkpoint):
-        """Nodes whose reach-neighborhood leaves the shard are the hard
-        case — their answers depend on halo-replicated features."""
+        """Nodes with neighbors owned by other shards are the hard case —
+        their answers depend on lists and features their shard does not
+        own, which only a faithful replica supplies."""
         single = fresh_single_server(checkpoint)
         with fresh_router(checkpoint, 4) as router:
             probe = boundary_probe(router)
@@ -195,7 +210,7 @@ class TestClusterEquivalence:
             np.testing.assert_array_equal(
                 router.embed(probe), single.embed(probe)
             )
-            assert sum(w.halo_requests for w in router.workers) == probe.size
+            assert sum(w.requests_routed for w in router.workers) == probe.size
 
     def test_request_order_preserved(self, checkpoint, reference):
         probe, want_embeddings, _ = reference
@@ -217,8 +232,9 @@ class TestClusterEquivalence:
     def test_rejects_classifier_without_declared_reach(
         self, checkpoint, monkeypatch
     ):
-        """A checkpoint whose class declares no sampling reach has no
-        provably sufficient halo: refused before anything is partitioned."""
+        """A checkpoint whose class cannot answer from ``(seed, node,
+        graph)`` alone (no ``embed_for_serving``, and so no declared reach
+        either) is refused before anything is partitioned."""
         from repro.serve.registry import CHECKPOINT_CLASSES
 
         class Opaque:
@@ -227,7 +243,7 @@ class TestClusterEquivalence:
                 return cls()
 
         monkeypatch.setitem(CHECKPOINT_CLASSES, WidenClassifier.name, Opaque)
-        with pytest.raises(ValueError, match="sampling reach"):
+        with pytest.raises(ValueError, match="identity-free classifier.*Opaque"):
             fresh_router(checkpoint, 2)
 
     def test_closed_router_refuses_requests(self, checkpoint):
@@ -252,6 +268,33 @@ def stream_mutations(target):
 
 
 class TestMutationFanOut:
+    @pytest.mark.parametrize("transport", ["inline", "socket"])
+    def test_coordinator_holds_one_graph(self, checkpoint, transport):
+        """Every coordinator-side spec points at the router's own graph and
+        a shard payload is references into it — no mirror graphs, no copy
+        of the feature matrix — before and after a write."""
+        with fresh_router(checkpoint, 2, transport=transport) as router:
+            dim = router.graph.features.shape[1]
+
+            def check():
+                for spec in router.plan.shards:
+                    assert spec.graph is router.graph
+                    payload = spec.to_payload()
+                    assert payload["features"].shape == router.graph.features.shape
+                    assert np.shares_memory(payload["features"], router.graph.features)
+                    assert payload["dst"] is router.graph.indices
+                    assert payload["version"] == router.graph.version
+
+            check()
+            held = router.plan.shards[0].to_payload()
+            rows = held["features"].shape[0]
+            new = router.add_nodes("paper", features=np.full((1, dim), 0.25))
+            router.add_edges("paper-author", [int(new[0])], [1])
+            check()
+            # A payload cut earlier is still the snapshot it was.
+            assert held["features"].shape[0] == rows == held["node_types"].size
+            assert held["dst"].size < router.graph.indices.size
+
     def test_post_mutation_matches_fresh_single_server(self, checkpoint):
         """After the same mutation stream, a warm cluster equals a cold
         whole-graph rebuild — caches dropped exactly what they had to."""
@@ -269,59 +312,6 @@ class TestMutationFanOut:
                 router.embed(after), single.embed(after)
             )
 
-    def test_only_affected_shards_invalidate(self, shallow_checkpoint):
-        """An edge landing inside one shard's closure must not cost any
-        other shard a single cache entry.
-
-        Uses the shallow (reach-2) model: the deep model's closures cover
-        nearly the whole graph at this scale, so *every* shard would be
-        legitimately affected and selectivity would be unobservable.
-        """
-        with fresh_router(shallow_checkpoint, 4) as router:
-            specs = [w.spec for w in router.workers]
-            closures = [set(s.closure_sources.tolist()) for s in specs]
-            papers = router.graph.nodes_of_type("paper")
-            owned0 = papers[np.isin(papers, specs[0].owned)]
-            # A shard-0-local edge outside at least one other closure.
-            pair, expect_untouched = None, []
-            for p in owned0:
-                for q in owned0:
-                    if p == q:
-                        continue
-                    outside = [
-                        k for k in range(1, 4)
-                        if int(p) not in closures[k] and int(q) not in closures[k]
-                    ]
-                    if outside:
-                        pair, expect_untouched = (int(p), int(q)), outside
-                        break
-                if pair:
-                    break
-            assert pair is not None, "no shard-local edge candidate found"
-            # Warm every shard's cache, including the endpoints themselves.
-            probe = np.concatenate(
-                [spec.owned[:3] for spec in specs] + [np.array(pair)]
-            )
-            router.embed(probe)
-            # The inline transport exposes its engine, so the test can look
-            # straight at each shard's cache across the protocol boundary.
-            engines = [w.transport.engine for w in router.workers]
-            sizes_before = [len(e.server.cache) for e in engines]
-            assert all(size > 0 for size in sizes_before)
-            router.add_edges("paper-subject", [pair[0]], [pair[1]])
-            dropped = [
-                sum(e.server.cache.node_invalidations.values())
-                for e in engines
-            ]
-            assert dropped[0] > 0  # the owning shard invalidated something
-            for k in expect_untouched:
-                # No event fired, no entry dropped: the cache is untouched.
-                assert dropped[k] == 0, (
-                    f"shard {k} invalidated {dropped[k]} entries for an "
-                    "edge outside its closure"
-                )
-                assert len(engines[k].server.cache) == sizes_before[k]
-
     def test_new_node_id_space_stays_aligned(self, checkpoint):
         with fresh_router(checkpoint, 4) as router:
             dim = router.graph.features.shape[1]
@@ -329,15 +319,16 @@ class TestMutationFanOut:
             node = int(new[0])
             owner = router.plan.owner(node)
             for worker in router.workers:
-                shard_graph = worker.spec.graph
-                assert shard_graph.num_nodes == router.graph.num_nodes
-                if worker.spec.shard_id == owner:
-                    np.testing.assert_array_equal(
-                        shard_graph.features[node], np.full(dim, 0.5)
-                    )
-                    assert node in worker.spec.owned
-                else:
-                    assert (shard_graph.features[node] == 0).all()
+                # The inline transport exposes its engine: look at the
+                # replica behind the boundary, not the coordinator's graph.
+                replica = worker.transport.engine.spec
+                assert replica.graph is not router.graph
+                assert replica.graph.num_nodes == router.graph.num_nodes
+                np.testing.assert_array_equal(
+                    replica.graph.features[node], np.full(dim, 0.5)
+                )
+                assert (node in replica.owned) == (worker.spec.shard_id == owner)
+                np.testing.assert_array_equal(replica.owned, worker.spec.owned)
 
     def test_new_node_lands_on_least_loaded_shard(self, checkpoint):
         with fresh_router(checkpoint, 4) as router:
@@ -365,9 +356,8 @@ class TestClusterTelemetry:
         assert summary["throughput_rps"] > 0
         assert summary["latency_p95_s"] >= summary["latency_p50_s"]
         assert sum(s["requests"] for s in summary["shards"]) == 48
-        assert summary["halo_requests"] == sum(
-            s["halo_requests"] for s in summary["shards"]
-        )
+        assert sum(s["requests_routed"] for s in summary["shards"]) == 48
+        assert sum(s["owned"] for s in summary["shards"]) == acm.graph.num_nodes
 
     def test_prometheus_exposition_is_shard_labeled(self, checkpoint):
         with fresh_router(checkpoint, 2) as router:

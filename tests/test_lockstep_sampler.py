@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.planner import ShardPlanner
+from repro.cluster.planner import ShardPlanner, ShardSpec
 from repro.core.state import NeighborStateStore
 from repro.graph import HeteroGraph, random_walk, sample_wide
 from repro.utils.rng import keyed_draws, keyed_fractions, mix64
@@ -138,16 +138,16 @@ class TestHistoryFree:
     def test_a_shard_graph_draws_what_the_whole_graph_does(
         self, graph, seed, partition_seed
     ):
-        """A shard graph keeps the adjacency lists within ``reach`` hops of
-        its owned nodes verbatim; a walk of ``N_d`` steps opens lists up to
-        ``N_d - 1`` hops out, so every owned node samples to the same row."""
-        plan = ShardPlanner(
-            graph, reach=NUM_DEEP, num_shards=2, seed=partition_seed
-        ).plan()
+        """The replica an engine rebuilds from a shard payload keeps every
+        adjacency list verbatim, so every owned node samples to the same
+        row there as on the whole graph."""
+        plan = ShardPlanner(graph, num_shards=2, seed=partition_seed).plan()
         whole = make_store(graph, seed)
         whole.rows_for(np.arange(graph.num_nodes))
         for shard in plan.shards:
-            local = make_store(shard.graph, seed)
+            replica = ShardSpec.from_payload(shard.to_payload()).graph
+            assert replica is not graph
+            local = make_store(replica, seed)
             owned = np.asarray(shard.owned, np.int64)
             for node, row in zip(owned.tolist(), local.rows_for(owned)):
                 assert signature(local.table, row) == signature(

@@ -449,29 +449,35 @@ class TestSocketTransportProtocol:
 
 class TestMutationLog:
     def test_bounded_with_per_shard_horizon(self):
+        """One horizon for the whole log (every shard replays every
+        command); what is per shard is the baseline it is compared to."""
         log = MutationLog(capacity=2)
-        log.append(1, "add_nodes", {0: "c1", 1: "c1b"})
-        log.append(2, "add_edges", {1: "c2"})
-        log.append(3, "add_nodes", {0: "c3"})  # evicts v1 (shards 0 and 1)
+        assert log.horizon == -1 and log.next_eviction() is None
+        log.append(1, "add_nodes", "c1")
+        log.append(2, "add_edges", "c2")
+        assert log.next_eviction().version == 1
+        log.append(3, "add_nodes", "c3")  # evicts v1
         assert len(log) == 2
-        # Shard 0's baseline at v0 predates its horizon (v1 was evicted).
+        # A baseline at v0 predates the horizon (v1 was evicted).
         with pytest.raises(MutationLogHorizonError) as excinfo:
-            log.commands_since(0, 0)
-        assert excinfo.value.horizon == 1
+            log.commands_since(0)
+        assert excinfo.value.horizon == 1 and excinfo.value.baseline_version == 0
         # A baseline at the horizon itself is fine: nothing missing.
-        assert [(v, c) for v, _, c in log.commands_since(0, 1)] == [(3, "c3")]
-        # Shard 2 never appeared in any entry: nothing to replay, no error.
-        assert log.commands_since(2, 0) == []
+        assert [(e.version, e.command) for e in log.commands_since(1)] == [
+            (2, "c2"), (3, "c3"),
+        ]
 
     def test_commands_since_filters_by_shard_and_version(self):
+        """Entries hold one command for all shards; the filter is the
+        baseline version alone."""
         log = MutationLog(capacity=10)
-        log.append(1, "add_nodes", {0: "a", 1: "b"})
-        log.append(2, "add_edges", {1: "c"})
-        log.append(3, "add_edges", {0: "d"})
-        assert [c for _, _, c in log.commands_since(0, 0)] == ["a", "d"]
-        assert [c for _, _, c in log.commands_since(0, 1)] == ["d"]
-        assert [c for _, _, c in log.commands_since(1, 0)] == ["b", "c"]
-        assert log.commands_since(1, 3) == []
+        log.append(1, "add_nodes", "a")
+        log.append(2, "add_edges", "b")
+        log.append(3, "add_edges", "c")
+        assert [e.command for e in log.commands_since(0)] == ["a", "b", "c"]
+        assert [e.kind for e in log.commands_since(1)] == ["add_edges"] * 2
+        assert [e.command for e in log.commands_since(2)] == ["c"]
+        assert log.commands_since(3) == []
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -582,9 +588,9 @@ class TestSocketFleetExactness:
                 server.close()
 
     def test_logged_edge_write_is_a_delta_not_a_shard_snapshot(self, checkpoint):
-        """The 256-entry MutationLog retains every fanned-out command: a
+        """The 256-entry MutationLog retains every broadcast command: a
         2-edge write on a 5k-node graph must log a few hundred bytes, not
-        the shards' edge arrays and halo feature matrices (megabytes)."""
+        a graph's edge arrays and feature matrix (megabytes)."""
         graph = make_acm(seed=0, scale=5.0).graph  # same schema, 10x the nodes
         assert graph.num_nodes >= 5000
         router, servers = loopback_fleet(checkpoint, 2, graph=graph)
@@ -593,10 +599,9 @@ class TestSocketFleetExactness:
             authors = graph.nodes_of_type("author")[-2:]
             router.add_edges("paper-author", papers, authors)
             entry = router.supervisor.log.entries[-1]
-            assert entry.kind == "add_edges" and entry.commands
+            assert entry.kind == "add_edges"
             assert len(pickle.dumps(entry)) < 8 * 1024
-            for command in entry.commands.values():
-                assert command.src.size < 200  # the batch plus entered lists
+            assert entry.command.src.size == 4  # the batch, both directions
         finally:
             router.close()
             for server in servers:
@@ -645,10 +650,10 @@ class TestKillRecover:
             recoveries = summary["recoveries"]
             assert [r["mode"] for r in recoveries] == ["replay"]
             assert recoveries[0]["replayed_commands"] == 2
-            assert recoveries[0]["target_version"] == router.workers[0].spec.graph.version
+            assert recoveries[0]["target_version"] == router.graph.version
             assert router.workers[0].respawns == 1
 
-            # Mutations after recovery stay exact (mirror and engine agree).
+            # Mutations after recovery stay exact (the replica caught up).
             for target in (router, single):
                 second = target.add_nodes(
                     "paper", features=np.full((1, dim), -0.2)
@@ -667,10 +672,10 @@ class TestKillRecover:
 
     def test_delta_command_replay_converges_bit_identical(self, checkpoint):
         """Kill -> respawn -> replay of a *delta* stream: the baseline is
-        the spawn-time shard, so recovery must rebuild the current one from
-        deltas alone — including an arrival that a later edge pulls into
-        the killed shard's halo (its features reach that shard only inside
-        the delta) and sources the stream pulls into its closure."""
+        the spawn-time shard, so recovery must rebuild the current replica
+        from the broadcast commands alone — including an arrival another
+        shard owns, whose features reach the killed shard only inside the
+        arrival's command, and the edges later attached to it."""
         graph = fresh_graph()
         single = InferenceServer(
             WidenClassifier.load(checkpoint, graph=graph), graph, seed=7
@@ -688,21 +693,14 @@ class TestKillRecover:
             features = np.full((1, dim), 0.3)
             new = int(router.add_nodes("paper", features=features)[0])
             assert new == int(single.add_nodes("paper", features=features)[0])
-            victim = 1 - router.plan.owner(new)  # the shard that got zeros
+            victim = 1 - router.plan.owner(new)  # the shard that does not own it
             theirs = authors[router.plan.owner_of[authors] == victim]
-            mirror = router.plan.shards[victim]
-            assert not mirror.graph.features[new].any()
-            halo_before = mirror.halo.size
             for target in (router, single):
                 target.add_edges("paper-author", [new], [int(theirs[0])])
                 target.add_edges(
                     "paper-subject", [new, int(probe[0])], [int(s) for s in subjects[:2]]
                 )
                 target.add_edges("paper-author", [int(probe[1])], [int(theirs[1])])
-            np.testing.assert_array_equal(
-                mirror.graph.features[new], features[0]
-            )
-            assert mirror.halo.size > halo_before
 
             router.fleet.registry.kill(victim)
             nodes = np.concatenate([probe, [new], theirs[:4]])
@@ -712,11 +710,64 @@ class TestKillRecover:
             )
             (recovery,) = router.supervisor.summary()["recoveries"]
             assert recovery["mode"] == "replay" and recovery["shard"] == victim
-            assert recovery["replayed_commands"] >= 3  # arrival + deltas
+            assert recovery["replayed_commands"] == 4  # arrival + 3 edge writes
 
-            # The recovered engine keeps tracking the mirror under new deltas.
+            # The recovered engine keeps tracking the graph under new deltas.
             for target in (router, single):
                 target.add_edges("paper-author", [new], [int(theirs[2])])
+            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+        finally:
+            router.close()
+
+    def test_recovery_from_a_refreshed_baseline_is_exact(self, checkpoint, tmp_path):
+        """A log of two under a stream of five writes: the healthy shards
+        are re-baselined mid-stream, *before* the write that would strand
+        them lands on the coordinator's graph, so a later kill recovers by
+        replay from the refreshed baseline — one command — and not by
+        replan.  The fleet serves from store slices, which is what
+        makes the ordering observable: a baseline cut after the graph took
+        a write pairs a payload that contains it with a serving state that
+        never saw it, and the respawned shard would serve the store rows
+        that write undercut."""
+        from repro.store import build_store
+
+        graph = fresh_graph()
+        classifier = WidenClassifier.load(checkpoint, graph=graph)
+        store_path = tmp_path / "store"
+        build_store(classifier, graph, store_path, seed=7)
+        single = InferenceServer(classifier, graph, seed=7)
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="socket", seed=7,
+            mutation_log_capacity=2, store_path=str(store_path),
+        )
+        try:
+            dim = router.graph.features.shape[1]
+            probe = np.random.default_rng(11).choice(200, size=8, replace=False)
+            np.testing.assert_array_equal(router.embed(probe), single.embed(probe))
+            for target in (router, single):
+                first = target.add_nodes("paper", features=np.full((2, dim), 0.3))
+                target.add_edges("paper-author", [int(first[0])], [1])
+                target.add_edges("paper-subject", [int(first[1]), int(probe[0])], [7, 9])
+                second = target.add_nodes("paper", features=np.full((1, dim), -0.2))
+                # The write a refresh precedes; it rewrites probe[1]'s list.
+                target.add_edges("paper-author", [int(second[0])], [int(probe[1])])
+            assert router.graph.version == 5 and len(router.supervisor.log) == 2
+
+            victim = router.plan.owner(int(probe[1]))
+            router.fleet.registry.kill(victim)
+            nodes = np.concatenate([probe, first, second])
+            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+            np.testing.assert_array_equal(
+                router.classify(nodes), single.classify(nodes)
+            )
+            (recovery,) = router.supervisor.summary()["recoveries"]
+            assert recovery["mode"] == "replay" and recovery["shard"] == victim
+            assert recovery["baseline_version"] == 4  # refreshed, not spawn-time
+            assert recovery["replayed_commands"] == 1
+            assert recovery["target_version"] == 5
+
+            for target in (router, single):
+                target.add_edges("paper-author", [int(first[1])], [3])
             np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
         finally:
             router.close()
@@ -829,7 +880,7 @@ class TestKillRecover:
             state = router.workers[0].pull_serving_state().result(60.0)
             touched = state["serving_state"]["touched"]
             assert set(router.plan.shards[0].owned.tolist()) <= set(touched)
-            # ... and it keeps tracking the mirror afterwards.
+            # ... and it keeps tracking the graph afterwards.
             for target in (router, single):
                 target.add_edges("paper-author", [int(probe[2])], [3])
             np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))

@@ -3,8 +3,8 @@
 The server invalidates by *read set*: a write stales exactly the
 materializations (cache entries, store rows, overlay rows) whose sample
 consulted an adjacency list the write changed.  Three properties, on small
-sparse graphs where a reach-``k`` halo is *not* the whole graph — so an
-over-wide invalidation and an over-narrow one are both visible:
+sparse graphs where what a three-step walk reads is *not* the whole graph —
+so an over-wide invalidation and an over-narrow one are both visible:
 
 - **soundness** — after every write of a random stream a warm server
   (cache + store + overlay) answers every node exactly as a cold storeless
@@ -54,7 +54,7 @@ EDGE_TYPES = ["x", "y"]
 FEATURE_DIM = 3
 NUM_CLASSES = 2
 SEED = 5
-# reach 3: on ~20 nodes with about one edge each, three hops is a
+# Walks of 3: on ~20 nodes with about one edge each, three hops is a
 # neighbourhood, not the graph.
 MODEL = dict(dim=8, num_wide=3, num_deep=3, num_deep_walks=2, dropout=0.0)
 READ_WIDTH = 1 + MODEL["num_deep_walks"] * MODEL["num_deep"]
@@ -139,8 +139,9 @@ def assert_same_answers(got, want) -> None:
 
 def assert_rows_are_current(store, classifier, graph, nodes) -> None:
     """Each node's stored row is what serving it *now* returns: the same
-    read set exactly, the same embedding (``graph`` may be the global
-    graph while ``store`` is a shard's slice: halo features are real)."""
+    read set exactly, the same embedding (``graph`` may be the
+    coordinator's graph while ``store`` is a shard's slice: the shard's
+    replica holds the same lists and features)."""
     want_embeddings, want_reads = classifier.materialize_store_rows(
         nodes, graph, SEED
     )
@@ -240,8 +241,9 @@ class TestSoundness:
     ):
         """The same property through a 2-shard inline fleet with store
         slices.  Arrivals are wired with symmetric edges to arbitrary
-        nodes, so an edge regularly pulls an arrival into the *other*
-        shard's halo (its features reach that shard only in the delta)."""
+        nodes, so a node one shard owns regularly comes to read an arrival
+        the *other* shard owns (whose features reached it in the arrival's
+        broadcast command)."""
         with tempfile.TemporaryDirectory() as tmp:
             build_store(
                 WidenClassifier.load(checkpoint, graph=graph), graph, tmp, seed=SEED
@@ -271,8 +273,8 @@ class TestSoundness:
     def test_arrival_pulled_into_the_other_shards_halo(self, checkpoint):
         """The fleet case spelled out: shard A owns an arrival, a symmetric
         edge then wires it to a node shard B owns.  B's node now reads the
-        arrival's features (real, not the zeros B first got) and must be
-        re-served; B's other rows stay warm."""
+        arrival's features (B's replica took the real rows with the
+        arrival itself) and must be re-served; B's other rows stay warm."""
         graph = build_graph(16, [(i, 1, 0) for i in range(15)], seed=3)
         with tempfile.TemporaryDirectory() as tmp:
             build_store(
@@ -289,11 +291,12 @@ class TestSoundness:
                 other = 1 - router.plan.owner(new)
                 theirs = router.plan.shards[other].owned
                 engine = router.workers[other].transport.engine
-                assert not engine.spec.graph.features[new].any()
-                router.add_edges("x", [new], [int(theirs[0])], symmetric=True)
+                assert engine.spec.graph is not router.graph
                 np.testing.assert_array_equal(
                     engine.spec.graph.features[new], np.full(FEATURE_DIM, 9.0)
                 )
+                assert new not in engine.spec.owned
+                router.add_edges("x", [new], [int(theirs[0])], symmetric=True)
                 everyone = np.arange(graph.num_nodes)
                 assert_same_answers(
                     router.embed(everyone), cold_answers(checkpoint, graph, everyone)

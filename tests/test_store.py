@@ -628,11 +628,11 @@ class TestClusterStoreSlices:
                 assert shard_store.num_rows == len(owned)
                 for node in list(owned)[:5]:
                     assert shard_store.has(node)
-                halo = [
+                foreign = [
                     int(n) for n in range(router.graph.num_nodes)
                     if n not in owned
                 ][:5]
-                for node in halo:
+                for node in foreign:
                     assert not shard_store.has(node)
         finally:
             router.close()
@@ -762,6 +762,17 @@ class TestExactnessProperty:
         node count, and whatever a read recomputed is afterwards stored —
         bit-equal to ``embed_for_serving_batch`` of the same batch, stamped
         with the clock, grown past the built range for an arrival."""
+        self.check_agreement(checkpoint, store_path, ops, num_shards=2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=interleavings)
+    def test_the_same_through_a_three_shard_fleet(self, checkpoint, store_path, ops):
+        """Three shards: every write is broadcast to a shard that owns
+        neither endpoint, and arrivals rotate over three owners."""
+        self.check_agreement(checkpoint, store_path, ops, num_shards=3)
+
+    @staticmethod
+    def check_agreement(checkpoint, store_path, ops, num_shards):
         # Four-entry caches evict, so re-reads reach the store tier and
         # refreshed rows get served from it (the ``overlay`` rung).
         oracle = fresh_server(checkpoint)
@@ -769,9 +780,9 @@ class TestExactnessProperty:
         store = stored.store
         built = store.num_rows
         with ClusterRouter(
-            str(checkpoint), fresh_graph(), 2, transport="inline", seed=7,
-            partition_seed=7, store_path=str(store_path), dist_tracing=True,
-            cache_capacity=4,
+            str(checkpoint), fresh_graph(), num_shards, transport="inline",
+            seed=7, partition_seed=7, store_path=str(store_path),
+            dist_tracing=True, cache_capacity=4,
         ) as router:
             targets = (oracle, stored, router)
             papers = oracle.graph.nodes_of_type("paper")

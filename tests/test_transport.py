@@ -7,9 +7,9 @@ FIFO delivery, out-of-order gathers, error envelopes, startup failure
 interleaved stream of mutations and embeds must produce bit-identical
 answers through the ``inline`` and ``socket`` transports, and both must
 match a whole-graph :class:`InferenceServer` replaying the same stream.  Because
-every mutation is a serializable planner command applied on both sides of
-the wire, exactness here proves the router-side mirror and the engine-side
-spec never drift.
+every mutation lands on the coordinator's graph and reaches each engine as
+one serializable command, exactness here proves the coordinator's graph and
+the engine-side replicas never drift.
 """
 
 import pickle
@@ -40,7 +40,7 @@ def acm():
 
 @pytest.fixture(scope="module")
 def checkpoint(acm, tmp_path_factory):
-    """A reach-2 model: cheap enough to rebuild per socket worker process."""
+    """A two-step-walk model: cheap enough to rebuild per socket worker process."""
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=1)
     path = tmp_path_factory.mktemp("transport") / "widen.npz"
@@ -209,10 +209,12 @@ class TestCrossTransportExactness:
     def test_socket_four_shards_boundary_nodes_exact(self, checkpoint):
         single = fresh_single_server(checkpoint)
         with fresh_router(checkpoint, 4, "socket") as router:
+            # Owned nodes with an out-edge into another shard's owned set.
+            graph, owner_of = router.graph, router.plan.owner_of
+            cut = owner_of[graph._src] != owner_of[graph.indices]
             picked = []
             for worker in router.workers:
-                spec = worker.spec
-                crossers = spec.owned[spec.touches_halo[spec.owned]]
+                crossers = np.intersect1d(worker.spec.owned, graph._src[cut])
                 picked.extend(int(n) for n in crossers[:2])
             probe = np.asarray(picked, dtype=np.int64)
             assert probe.size > 0, "partition produced no boundary nodes"
@@ -228,12 +230,10 @@ class TestCrossTransportExactness:
                     state = worker.pull_serving_state().result(60.0)[
                         "serving_state"
                     ]
-                    # Selective refresh: a shard outside an edge's closure
-                    # never sees that bump, so it may lag the global graph.
-                    assert 0 < state["graph_version"] <= router.graph.version
-                    assert state["graph_version"] == worker.spec.graph.version
-                    # One write-clock tick per mutation the shard saw.
-                    assert 0 < state["clock"] <= state["graph_version"]
+                    # Every write is broadcast: each replica sits at the
+                    # coordinator's version, one write-clock tick per write.
+                    assert state["graph_version"] == router.graph.version > 0
+                    assert state["clock"] == state["graph_version"]
 
     def test_socket_error_envelope_keeps_worker_alive(self, checkpoint):
         with fresh_router(checkpoint, 1, "socket") as router:
@@ -255,7 +255,8 @@ class TestCrossTransportExactness:
                 summary = router.replay(trace)
                 counts[transport] = (
                     summary["requests"],
-                    summary["halo_requests"],
+                    summary["edge_cut"],
+                    tuple(s["requests_routed"] for s in summary["shards"]),
                     tuple(s["requests"] for s in summary["shards"]),
                 )
                 assert summary["transport"] == transport
