@@ -158,22 +158,23 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
     Trains twice on the ``skewed`` dataset (Pareto degrees: median-1 users,
     cap-saturating hubs) with a high wide-sampling cap, so the padded
     ``[B, L_max, d]`` grids are mostly padding.  The baseline row pins the
-    waste rule off (``sparse_min_waste=1.0``: every minibatch padded); the
-    CSR row runs with *no* override — every minibatch's own padding waste
-    must route it to the CSR kernels, whose work is proportional to real
-    edges.  Both epoch time and total op-seconds must drop by >= 1.5x while
-    learning the same classifier.  The row is written to ``BENCH_fig4.json``
-    under ``sparse_high_skew``.
+    waste rule off (``packing.SPARSE_MIN_WASTE`` patched to 1.0 and
+    restored: every minibatch padded); the CSR row runs with the shipped
+    constant — every minibatch's own padding waste must route it to the CSR
+    kernels, whose work is proportional to real edges.  Both epoch time and
+    total op-seconds must drop by >= 1.5x while learning the same
+    classifier.  The row is written to ``BENCH_fig4.json`` under
+    ``sparse_high_skew``.
     """
-    from repro.tensor.kernels import get_forward_selection, set_forward_selection
+    from repro.core import packing
 
-    selection = get_forward_selection()
-    set_forward_selection(sparse_min_waste=1.0)
+    shipped = packing.SPARSE_MIN_WASTE
+    packing.SPARSE_MIN_WASTE = 1.0
     try:
         batched = _profile(epochs, scale, seed, dim,
                            dataset_name="skewed", **SPARSE_SMOKE_OVERRIDES)
     finally:
-        set_forward_selection(**selection)
+        packing.SPARSE_MIN_WASTE = shipped
     sparse = _profile(epochs, scale, seed, dim,
                       dataset_name="skewed", **SPARSE_SMOKE_OVERRIDES)
     row = {
@@ -181,7 +182,7 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
         "scale": scale,
         "dim": dim,
         "overrides": SPARSE_SMOKE_OVERRIDES,
-        "sparse_min_waste": selection["sparse_min_waste"],
+        "sparse_min_waste": shipped,
         "batched": batched,
         "sparse": sparse,
         "op_seconds_reduction": batched["op_seconds"] / sparse["op_seconds"],
@@ -206,7 +207,7 @@ def run_sparse_smoke(out_path: str, epochs: int = 2, scale: float = 1.0,
         "the padded baseline ran CSR minibatches"
     )
     assert sparse["csr_batch_share"] == 1.0, (
-        f"the waste rule (sparse_min_waste={selection['sparse_min_waste']}) "
+        f"the waste rule (SPARSE_MIN_WASTE={shipped}) "
         f"should route every high-skew minibatch to CSR on its own, got "
         f"{sparse['csr_batch_share']:.0%}"
     )

@@ -49,14 +49,6 @@ Commands
     vs compute, serving-ladder rung counts — as JSONL
     (``--attribution-out``).  Non-zero exit if any request's rung counts
     fail to sum to its node count.
-``tune-kernels [--repeats N] [--table-out F] [--tuning-out F]``
-    Micro-sweep the scatter-add backend crossovers *and* the
-    padded-vs-sparse forward crossover on this machine, print the
-    ``REPRO_SCATTER_*`` environment settings they imply, and persist the
-    versioned per-host kernel-selection table
-    (``~/.cache/repro/kernel_table.json`` unless
-    ``--table-out``/``REPRO_KERNEL_TABLE`` says otherwise), which every
-    later ``repro.tensor`` import auto-applies.
 ``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
     Train WIDEN under the :mod:`repro.obs` instrumentation: prints an
     op-level time/FLOP table and the per-epoch message-volume series, and
@@ -577,31 +569,13 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     return server.serve_forever()
 
 
-def _cmd_tune_kernels(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.tensor.kernels import format_table_report, run_kernel_tuning
-
-    dim = args.dim if args.dim is not None else 64
-    report = run_kernel_tuning(
-        dim=dim, repeats=args.repeats, path=args.table_out
-    )
-    print(format_table_report(report))
-    if args.tuning_out:
-        with open(args.tuning_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"\nwrote tuning report to {args.tuning_out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
         "command",
         choices=(
             "stats", "train", "compare", "serve-bench", "serve-cluster",
-            "store-build", "profile", "tune-kernels",
-            "trace", "shard-worker",
+            "store-build", "profile", "trace", "shard-worker",
         ),
     )
     parser.add_argument("dataset", nargs="?", default=None,
@@ -688,15 +662,6 @@ def main(argv=None) -> int:
                       help="trace: SLO report JSON output path")
     dist.add_argument("--attribution-out", default="attribution.jsonl",
                       help="trace: per-request attribution JSONL output path")
-    tune = parser.add_argument_group("tune-kernels")
-    tune.add_argument("--repeats", type=int, default=30,
-                      help="timing repeats per backend per shape (median)")
-    tune.add_argument("--tuning-out", default=None,
-                      help="write the sweep report as JSON to this path")
-    tune.add_argument("--table-out", default=None,
-                      help="tune-kernels: kernel-selection table path "
-                           "(default: REPRO_KERNEL_TABLE or "
-                           "~/.cache/repro/kernel_table.json)")
     net = parser.add_argument_group("shard-worker")
     net.add_argument("--listen", default=None,
                      help="shard-worker: host:port to listen on "
@@ -717,7 +682,6 @@ def main(argv=None) -> int:
         "serve-cluster": _cmd_serve_cluster,
         "store-build": _cmd_store_build,
         "profile": _cmd_profile,
-        "tune-kernels": _cmd_tune_kernels,
         "trace": _cmd_trace,
         "shard-worker": _cmd_shard_worker,
     }

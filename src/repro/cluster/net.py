@@ -48,6 +48,7 @@ from repro.cluster.transport import (
     ShardError,
     ShardTimeoutError,
     Transport,
+    WorkerDown,
     _safe_handle,
     error_info,
 )
@@ -89,32 +90,6 @@ class FrameTooLargeError(ValueError):
 
 class ConnectionClosed(ConnectionError):
     """The peer closed the connection cleanly at a frame boundary."""
-
-
-class WorkerDown(RuntimeError):
-    """A shard worker is unreachable: dead process, cut wire, or hung.
-
-    This is the *typed* failure the supervisor reacts to — it carries the
-    shard and a reason (``connection_reset`` / ``heartbeat_missed`` /
-    ``send_failed``), never masquerading as a generic timeout.
-    """
-
-    def __init__(self, shard_id: int, reason: str, detail: str = "") -> None:
-        self.shard_id = int(shard_id)
-        self.reason = str(reason)
-        self.detail = str(detail)
-        message = f"shard {shard_id} worker down ({reason})"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
-
-    @classmethod
-    def from_error(cls, shard_id: int, error: Dict[str, str]) -> "WorkerDown":
-        return cls(
-            shard_id,
-            error.get("reason", "unknown"),
-            error.get("message", ""),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +177,10 @@ class _SocketPendingReply(PendingReply):
         self._event = threading.Event()
         self._reply: Optional[Reply] = None
 
+    @property
+    def delivered(self) -> bool:
+        return self._event.is_set()
+
     def deliver(self, reply: Reply) -> None:
         self._reply = reply
         self._event.set()
@@ -213,15 +192,6 @@ class _SocketPendingReply(PendingReply):
                 raise down
             raise ShardTimeoutError(self.shard_id, timeout or 0.0, self.kind)
         return self._reply
-
-    def result(self, timeout: Optional[float] = None) -> object:
-        reply = self.wait(timeout)
-        if not reply.ok:
-            error = reply.error or {}
-            if error.get("type") == "WorkerDown":
-                raise WorkerDown.from_error(self.shard_id, error)
-            raise ShardError(self.shard_id, error)
-        return reply.payload
 
 
 class SocketTransport(Transport):
@@ -266,8 +236,7 @@ class SocketTransport(Transport):
         self._down: Optional[WorkerDown] = None
         self._down_notified = threading.Event()  # on_down has returned
         self._stopping = False
-        self._ready_event = threading.Event()
-        self._ready_reply: Optional[Reply] = None
+        self._ready = _SocketPendingReply(self, READY_SEQ, "ready")
         self._receiver: Optional[threading.Thread] = None
         self._heart: Optional[threading.Thread] = None
 
@@ -313,22 +282,13 @@ class SocketTransport(Transport):
         return self
 
     def wait_ready(self, timeout: Optional[float] = None) -> None:
-        if not self._ready_event.wait(timeout):
-            if self._down is not None:
-                raise self._down
-            raise ShardTimeoutError(self.shard_id, timeout or 0.0, "ready")
-        reply = self._ready_reply
-        if reply is None or not reply.ok:
-            error = (reply.error if reply is not None else None) or {}
-            if error.get("type") == "WorkerDown":
-                raise WorkerDown.from_error(self.shard_id, error)
-            raise ShardError(self.shard_id, error)
+        self._ready.result(timeout)
 
     def stop(self, timeout: float = 10.0) -> None:
         self._stopping = True
         if self._sock is None:
             return
-        if self._down is None and self._ready_event.is_set():
+        if self._down is None and self._ready.delivered:
             try:
                 pending = self.send(Envelope(kind="shutdown"))
                 pending.wait(timeout)
@@ -386,8 +346,7 @@ class SocketTransport(Transport):
                 return
             self._last_rx = time.perf_counter()
             if reply.seq == READY_SEQ:
-                self._ready_reply = reply
-                self._ready_event.set()
+                self._ready.deliver(reply)
                 continue
             with self._state_lock:
                 sent_at = self._hb_sent.pop(reply.seq, None)
@@ -405,7 +364,7 @@ class SocketTransport(Transport):
         # No heartbeats before the spawn handshake completes: engine
         # construction (checkpoint load + graph rebuild) is legitimate
         # silence, not a hang.
-        self._ready_event.wait()
+        self._ready.wait()
         while not self._stopping and self._down is None:
             time.sleep(self.heartbeat_interval)
             if self._stopping or self._down is not None:
@@ -476,9 +435,8 @@ class SocketTransport(Transport):
         finally:
             for pending in pendings:
                 pending.deliver(self._down_reply(pending._seq, down))
-            if not self._ready_event.is_set():
-                self._ready_reply = self._down_reply(READY_SEQ, down)
-                self._ready_event.set()
+            if not self._ready.delivered:
+                self._ready.deliver(self._down_reply(READY_SEQ, down))
             self._down_notified.set()
 
     def _close_socket(self) -> None:

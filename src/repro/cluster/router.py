@@ -412,13 +412,8 @@ class ClusterRouter:
             self.registry.counter("trace_spans_total").inc(
                 len(raw.trace.get("spans", []))
             )
-        if not raw.ok:
-            error = raw.error or {}
-            if error.get("type") == "WorkerDown":
-                raise WorkerDown.from_error(reply.shard_id, error)
-            raise ShardError(reply.shard_id, error)
         items = []
-        for item in raw.payload["items"]:
+        for item in reply.unwrap(raw)["items"]:
             if not item["ok"]:
                 raise ShardError(reply.shard_id, item["error"])
             items.append(item)

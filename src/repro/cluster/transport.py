@@ -28,11 +28,11 @@ either transport.
 
 Failures travel as data, not exceptions: a shard that raises answers with
 an error reply (remote type, message, traceback), which
-:meth:`PendingReply.result` re-raises as :class:`ShardError` on the
-gathering side.  A shard that *stops answering* surfaces as
-:class:`ShardTimeoutError` (deadline) or
-:class:`repro.cluster.net.WorkerDown` (dead, cut off or hung worker)
-instead of hanging the router.
+:meth:`PendingReply.unwrap` — the one place a reply becomes an exception —
+re-raises as :class:`ShardError` on the gathering side.  A shard that
+*stops answering* surfaces as :class:`ShardTimeoutError` (deadline) or
+:class:`WorkerDown` (dead, cut off or hung worker) instead of hanging the
+router.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "InlineTransport",
     "ShardError",
     "ShardTimeoutError",
+    "WorkerDown",
     "TRANSPORT_KINDS",
     "check_transport",
 ]
@@ -150,6 +151,32 @@ class ShardError(RuntimeError):
         )
 
 
+class WorkerDown(RuntimeError):
+    """A shard worker is unreachable: dead process, cut wire, or hung.
+
+    This is the *typed* failure the supervisor reacts to — it carries the
+    shard and a reason (``connection_reset`` / ``heartbeat_missed`` /
+    ``send_failed``), never masquerading as a generic timeout.
+    """
+
+    def __init__(self, shard_id: int, reason: str, detail: str = "") -> None:
+        self.shard_id = int(shard_id)
+        self.reason = str(reason)
+        self.detail = str(detail)
+        message = f"shard {shard_id} worker down ({reason})"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
+
+    @classmethod
+    def from_error(cls, shard_id: int, error: Dict[str, str]) -> "WorkerDown":
+        return cls(
+            shard_id,
+            error.get("reason", "unknown"),
+            error.get("message", ""),
+        )
+
+
 class ShardTimeoutError(TimeoutError):
     """A shard did not answer an envelope within the gather deadline."""
 
@@ -177,11 +204,19 @@ class PendingReply:
         raise NotImplementedError
 
     def result(self, timeout: Optional[float] = None) -> object:
-        """The reply payload; raises :class:`ShardError` on error replies."""
-        reply = self.wait(timeout)
-        if not reply.ok:
-            raise ShardError(self.shard_id, reply.error or {})
-        return reply.payload
+        """The reply payload; raises what :meth:`unwrap` does on an error."""
+        return self.unwrap(self.wait(timeout))
+
+    def unwrap(self, reply: Reply) -> object:
+        """``reply``'s payload, or its error as the exception it names:
+        :class:`WorkerDown` for an unreachable worker, :class:`ShardError`
+        for anything the engine raised."""
+        if reply.ok:
+            return reply.payload
+        error = reply.error or {}
+        if error.get("type") == "WorkerDown":
+            raise WorkerDown.from_error(self.shard_id, error)
+        raise ShardError(self.shard_id, error)
 
 
 class _ResolvedReply(PendingReply):

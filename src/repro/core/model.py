@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import packing
 from repro.core.config import WidenConfig
 from repro.core.packing import (
     AttentionGrid,
@@ -48,7 +49,6 @@ from repro.nn import (
 )
 from repro.obs.tracing import span as trace_span
 from repro.tensor import Tensor, functional as F, ops
-from repro.tensor.kernels import get_forward_selection
 from repro.utils.rng import SeedLike, spawn_rngs
 
 _EmbedCache = Dict[int, Tensor]
@@ -438,9 +438,9 @@ class WidenModel(Module):
         ``segment_matmul``) does work proportional to the real pack rows
         and agrees to the last ulp of the summation order (<= 1e-10), with
         identical dropout streams.  With ``select_kernel`` the batch takes
-        the CSR kernels when its padding waste reaches the kernel-selection
-        table's ``sparse_min_waste`` (:mod:`repro.tensor.kernels`) — the
-        trainer's minibatches over its own neighbor states do.  Callers that
+        the CSR kernels when its padding waste reaches
+        :data:`repro.core.packing.SPARSE_MIN_WASTE` — the trainer's
+        minibatches over its own neighbor states do.  Callers that
         promise answers independent of batch composition (the serving and
         store hooks) leave it off: one family everywhere is what keeps
         recompute, store and fleet bit-identical.
@@ -458,11 +458,7 @@ class WidenModel(Module):
             self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
-            sparse_min_waste=(
-                get_forward_selection()["sparse_min_waste"]
-                if select_kernel
-                else None
-            ),
+            sparse_min_waste=packing.SPARSE_MIN_WASTE if select_kernel else None,
         )
         attrs = {"kernel": "sparse"} if pack.sparse else {}
         with trace_span("widen.forward", batch=pack.batch_size, **attrs):

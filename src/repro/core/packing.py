@@ -51,6 +51,17 @@ from repro.obs.metrics import get_registry
 
 _NEG_INF = float("-inf")
 
+# Padding-waste fraction (empty slots / all slots of the padded grids) at
+# which a trainer minibatch takes the CSR kernels instead: what
+# ``WidenModel.forward_batch(select_kernel=True)`` hands to
+# :func:`pack_batch`.  Gemm over modest padding beats the segment ops'
+# extra index work, so only a batch that is at least half padding -- a hub
+# among degree-1 nodes -- routes sparse.  A constant, not a host setting:
+# the layout is a function of the batch.  EXPERIMENTS.md, "Kernel
+# thresholds are constants", holds the measurement (a per-host sweep of the
+# crossover reads 0.46 / 0.46 / 0.63 on three back-to-back runs).
+SPARSE_MIN_WASTE = 0.5
+
 # width -> strictly-lower-triangular -inf base for deep_causal_mask.
 _CAUSAL_BASES: Dict[int, np.ndarray] = {}
 

@@ -186,12 +186,12 @@ def _wire_edges(
         else:
             chosen = dst_ids[rng.integers(dst_ids.size, size=degree)]
         chosen = chosen[chosen != node]  # drop accidental self-loops (same-type edges)
-        chosen = np.unique(chosen)
         src_list.append(np.full(chosen.size, node, dtype=np.int64))
         dst_list.append(chosen)
     src = np.concatenate(src_list)
     dst = np.concatenate(dst_list)
-    # Deduplicate the (src, dst) pairs so parallel edges do not accumulate.
+    # Deduplicate (and sort) the (src, dst) pairs so parallel edges do not
+    # accumulate.
     pair_key = src * (affinity.size + 1) + dst
     _, unique_index = np.unique(pair_key, return_index=True)
     return src[unique_index], dst[unique_index]

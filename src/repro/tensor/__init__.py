@@ -16,34 +16,13 @@ push its output gradient back to the operation's inputs, and
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
-from repro.tensor.ops import get_scatter_thresholds, set_scatter_thresholds
-from repro.tensor.tuning import run_tuning
 from repro.tensor import ops
 from repro.tensor import functional
-from repro.tensor import kernels
-from repro.tensor.kernels import (
-    get_forward_selection,
-    run_kernel_tuning,
-    set_forward_selection,
-)
-
-# Apply this host's measured kernel-selection table (scatter-add backends,
-# padded-vs-sparse forward crossover) if one was persisted by
-# ``python -m repro tune-kernels``.  Explicit REPRO_* env vars win over the
-# table; a missing or invalid table leaves the built-in defaults.
-_KERNEL_TABLE_APPLIED = kernels.auto_apply()
 
 __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "get_scatter_thresholds",
-    "set_scatter_thresholds",
-    "get_forward_selection",
-    "set_forward_selection",
-    "run_tuning",
-    "run_kernel_tuning",
     "ops",
     "functional",
-    "kernels",
 ]

@@ -9,86 +9,34 @@ the forward result with numpy, and registers a backward closure via
 from __future__ import annotations
 
 import builtins
-import os
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.tensor.tensor import Tensor, as_tensor
 
-# Backend crossover points for the scatter-add backward of the batched
-# gather kernels.  The defaults were measured on one reference machine, so
-# they are tunable: ``REPRO_SCATTER_SPARSE_MIN_ROWS`` /
-# ``REPRO_SCATTER_DENSE_MAX_CELLS`` in the environment at import time, or
-# :func:`set_scatter_thresholds` at runtime (e.g. after a quick sweep on the
-# deployment host).
-#
-# - ``sparse_min_rows``: below this many gathered rows the bincount/one-hot
-#   construction overhead outweighs the ``ufunc.at`` cost; measured
-#   crossover is a few dozen rows.
-# - ``dense_max_cells``: up to this many one-hot entries the scatter runs as
-#   a dense gemm — for a small destination (the edge-type table) BLAS beats
-#   CSR by another 4x.
-_SCATTER_DEFAULTS = {"sparse_min_rows": 64, "dense_max_cells": 65536}
+# Backend crossovers for the scatter-add backward of the batched gather
+# kernels (:func:`_scatter_add_rows`).  Constants, not host settings: which
+# backend runs is a function of the scatter's shape, so a number measured
+# here reproduces from a fresh checkout.  EXPERIMENTS.md, "Kernel thresholds
+# are constants", holds the measurement that retired the per-host table: a
+# sweep of either crossover does not repeat on one host, and a swept table
+# moves ``train_yelp`` by a fifth of its own run-to-run spread.
 
+# Below this many gathered rows ``np.add.at`` and the vectorized backends
+# are within a few microseconds of each other (a sweep reads the crossover
+# as 8, 16 or 64 on consecutive runs); above it ``np.add.at`` falls behind
+# linearly -- 2x by 256 rows, an order of magnitude at hot-path sizes.
+SCATTER_SPARSE_MIN_ROWS = 64
 
-def _scatter_thresholds_from_env() -> tuple:
-    thresholds = dict(_SCATTER_DEFAULTS)
-    env_keys = set()
-    for key, var in (
-        ("sparse_min_rows", "REPRO_SCATTER_SPARSE_MIN_ROWS"),
-        ("dense_max_cells", "REPRO_SCATTER_DENSE_MAX_CELLS"),
-    ):
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
-        if value < 0:
-            raise ValueError(f"{var} must be >= 0, got {value}")
-        thresholds[key] = value
-        env_keys.add(key)
-    return thresholds, env_keys
-
-
-_SCATTER_THRESHOLDS, _SCATTER_ENV_KEYS = _scatter_thresholds_from_env()
-
-
-def get_scatter_env_keys() -> set:
-    """Threshold keys pinned by ``REPRO_SCATTER_*`` environment variables.
-
-    The per-host kernel-selection table (:mod:`repro.tensor.kernels`) must
-    not override values the operator set explicitly — env wins over table.
-    """
-    return set(_SCATTER_ENV_KEYS)
-
-
-def set_scatter_thresholds(
-    sparse_min_rows: Optional[int] = None, dense_max_cells: Optional[int] = None
-) -> Dict[str, int]:
-    """Override the scatter-add backend crossovers; returns the active values.
-
-    Pass only the thresholds to change; ``None`` leaves a value untouched.
-    ``sparse_min_rows=0`` forces the vectorized backends for every size;
-    a very large value forces ``np.add.at`` everywhere (the reference
-    backend — useful for A/B timing on a new machine).
-    """
-    if sparse_min_rows is not None:
-        if sparse_min_rows < 0:
-            raise ValueError(f"sparse_min_rows must be >= 0, got {sparse_min_rows}")
-        _SCATTER_THRESHOLDS["sparse_min_rows"] = int(sparse_min_rows)
-    if dense_max_cells is not None:
-        if dense_max_cells < 0:
-            raise ValueError(f"dense_max_cells must be >= 0, got {dense_max_cells}")
-        _SCATTER_THRESHOLDS["dense_max_cells"] = int(dense_max_cells)
-    return dict(_SCATTER_THRESHOLDS)
-
-
-def get_scatter_thresholds() -> Dict[str, int]:
-    """The active scatter-add backend crossover thresholds (a copy)."""
-    return dict(_SCATTER_THRESHOLDS)
+# Up to this many one-hot cells (``num_rows * m``) the scatter runs as a
+# dense ``onehot^T @ grad`` gemm, 2-3x faster than bincount for a small
+# destination such as the edge-type table; past it the selector's
+# allocation dominates and the flat bincount pass takes over.  A 2-core
+# host's sweep puts the handoff at 8,192 cells; moving it would reorder
+# float sums under every pinned loss for no end-to-end difference (the
+# table-on runs in EXPERIMENTS.md ran with 8,192).
+SCATTER_DENSE_MAX_CELLS = 65536
 
 
 def _scatter_add_rows(
@@ -115,8 +63,8 @@ def _scatter_add_rows(
         np.ones(m) if weights is None
         else np.ascontiguousarray(weights, dtype=np.float64).ravel()
     )
-    if m >= _SCATTER_THRESHOLDS["sparse_min_rows"]:
-        if num_rows * m <= _SCATTER_THRESHOLDS["dense_max_cells"]:
+    if m >= SCATTER_SPARSE_MIN_ROWS:
+        if num_rows * m <= SCATTER_DENSE_MAX_CELLS:
             onehot = np.zeros((m, num_rows))
             onehot[np.arange(m), flat_index] = flat_weights
             return onehot.T @ flat_grad

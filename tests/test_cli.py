@@ -98,100 +98,11 @@ class TestCli:
             main(["train", "acm", "--forward-mode", "per_node"])
         assert "--forward-mode" in capsys.readouterr().err
 
-
-class TestTuneScatter:
-    def test_sweep_prints_env_lines_and_writes_json(self, capsys, tmp_path):
-        from repro.tensor import kernels, ops
-
-        out = tmp_path / "tuning.json"
-        before_scatter = ops.get_scatter_thresholds()
-        before_forward = kernels.get_forward_selection()
-        try:
-            assert main([
-                "tune-kernels", "--repeats", "3", "--dim", "8",
-                "--table-out", str(tmp_path / "kernel_table.json"),
-                "--tuning-out", str(out),
-            ]) == 0
-        finally:
-            ops.set_scatter_thresholds(**before_scatter)
-            kernels.set_forward_selection(**before_forward)
-        printed = capsys.readouterr().out
-        assert "export REPRO_SCATTER_SPARSE_MIN_ROWS=" in printed
-        assert "export REPRO_SCATTER_DENSE_MAX_CELLS=" in printed
-        table = json.loads(out.read_text())["table"]
-        assert table["scatter"]["sparse_min_rows"] >= 0
-        assert table["scatter"]["dense_max_cells"] >= 0
-        assert len(table["sweeps"]["scatter"]["sparse_sweep"]) > 0
-        assert len(table["sweeps"]["scatter"]["dense_sweep"]) > 0
-
-    def test_recommend_requires_stable_crossover(self):
-        """One noisy bincount win below the real crossover must not drag
-        the threshold down; ufunc-sweeping machines disable vectorization."""
-        from repro.tensor.tuning import recommend
-
-        sparse = [
-            {"m": 4, "winner": "bincount"},   # noise
-            {"m": 8, "winner": "ufunc"},
-            {"m": 16, "winner": "bincount"},
-            {"m": 32, "winner": "bincount"},
-        ]
-        dense = [
-            {"cells": 1024, "winner": "dense"},
-            {"cells": 4096, "winner": "dense"},
-            {"cells": 16384, "winner": "bincount"},
-        ]
-        got = recommend(sparse, dense)
-        assert got["sparse_min_rows"] == 16
-        assert got["dense_max_cells"] == 4096
-
-        all_ufunc = [{"m": m, "winner": "ufunc"} for m in (4, 8, 16)]
-        got = recommend(all_ufunc, dense)
-        assert got["sparse_min_rows"] == 32  # beyond the swept range
-
-    def test_applying_recommendation_round_trips(self):
-        from repro.tensor import get_scatter_thresholds, set_scatter_thresholds
-        from repro.tensor.tuning import run_tuning
-
-        before = get_scatter_thresholds()
-        try:
-            report = run_tuning(dim=8, repeats=2, apply=True)
-            assert report["active_after"] == report["recommended"]
-            assert get_scatter_thresholds() == report["recommended"]
-        finally:
-            set_scatter_thresholds(**before)
-
-
-class TestTuneKernels:
-    def test_sweep_writes_table_and_tuning_report(self, capsys, tmp_path):
-        from repro.tensor import get_scatter_thresholds, kernels, ops
-
-        table_out = tmp_path / "kernel_table.json"
-        tuning_out = tmp_path / "tuning.json"
-        before_scatter = get_scatter_thresholds()
-        before_forward = kernels.get_forward_selection()
-        try:
-            assert main([
-                "tune-kernels", "--repeats", "2", "--dim", "8",
-                "--table-out", str(table_out),
-                "--tuning-out", str(tuning_out),
-            ]) == 0
-            printed = capsys.readouterr().out
-            assert "kernel-selection table" in printed
-            assert str(table_out) in printed
-            table = json.loads(table_out.read_text())
-            assert table["version"] == kernels.KERNEL_TABLE_VERSION
-            assert 0.0 <= table["forward"]["sparse_min_waste"] <= 1.0
-            assert table["scatter"]["sparse_min_rows"] >= 0
-            assert len(table["sweeps"]["forward"]) > 0
-            assert tuning_out.exists()
-            # The run applied the table to the live process, and a fresh
-            # auto_apply of the written file round-trips the same values.
-            assert get_scatter_thresholds() == table["scatter"]
-            applied = kernels.auto_apply(table_out)
-            assert applied is not None
-        finally:
-            ops.set_scatter_thresholds(**before_scatter)
-            kernels.set_forward_selection(**before_forward)
+    def test_tune_kernels_command_is_gone(self, capsys):
+        """Kernel thresholds are constants; there is nothing to tune."""
+        with pytest.raises(SystemExit):
+            main(["tune-kernels"])
+        assert "tune-kernels" in capsys.readouterr().err
 
 
 class TestServeClusterCli:

@@ -1,5 +1,7 @@
 """Tests for synthetic dataset generation and splits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.datasets import (
     make_dataset,
     make_dblp,
     make_inductive_split,
+    make_skewed,
     make_yelp,
 )
 from repro.datasets.synthetic import EdgeSpec, SchemaConfig, generate_heterogeneous_graph
@@ -164,6 +167,26 @@ class TestCatalog:
         assert dataset.target_type == "business"
         # Dense features: not non-negative frequencies.
         assert (graph.features < 0).any()
+
+    @pytest.mark.parametrize(
+        "make, seed, scale, want",
+        [
+            (make_yelp, 3, 1.0, "98332f55f3fc4b80"),
+            (make_acm, 0, 0.3, "8406ecbbb524ed3a"),
+            (make_skewed, 0, 1.0, "0cfe04604edd090f"),
+        ],
+        ids=["yelp", "acm", "skewed"],
+    )
+    def test_generated_graphs_are_pinned(self, make, seed, scale, want):
+        """Every digest, pinned loss and store row downstream is a function
+        of these arrays; the sha256 prefixes were taken at 09253de."""
+        graph = make(seed, scale=scale).graph
+        digest = hashlib.sha256()
+        for name in (
+            "indptr", "indices", "edge_type_of", "features", "labels", "node_types"
+        ):
+            digest.update(np.ascontiguousarray(getattr(graph, name)).tobytes())
+        assert digest.hexdigest()[:16] == want
 
     def test_relative_sizes_match_paper_ordering(self):
         acm = make_acm(seed=0).graph.num_nodes

@@ -19,11 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import WidenClassifier, WidenConfig, WidenModel, WidenTrainer
+from repro.core import packing
 from repro.core.packing import AttentionGrid
 from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import _entropies
 from repro.datasets import make_acm, make_yelp
-from repro.tensor import kernels
 from tests.helpers import use_per_state_trigger
 from tests.test_read_set_invalidation import graphs
 
@@ -95,27 +95,23 @@ class TestBatchedTriggerEqualsPerStateReference:
     @given(case=trainer_cases())
     def test_three_epochs_leave_equal_state(self, monkeypatch, case):
         graph, config, sparse_min_waste, seed = case
-        before = kernels.get_forward_selection()
-        kernels.set_forward_selection(sparse_min_waste=sparse_min_waste)
-        try:
-            trainers = []
-            for reference in (False, True):
-                model = WidenModel(
-                    graph.features.shape[1], graph.num_edge_types_with_loops,
-                    graph.num_classes, config, seed=seed,
-                )
-                trainer = WidenTrainer(model, graph, config, seed=seed + 1)
-                if reference:
-                    use_per_state_trigger(monkeypatch, trainer)
-                trainers.append(trainer)
-            batched, oracle = trainers
-            nodes = np.arange(graph.num_nodes)
-            for _ in range(3):
-                for trainer in trainers:
-                    trainer.fit(nodes, epochs=1)
-                assert batched._kl_values == oracle._kl_values  # ordered
-        finally:
-            kernels.set_forward_selection(**before)
+        monkeypatch.setattr(packing, "SPARSE_MIN_WASTE", sparse_min_waste)
+        trainers = []
+        for reference in (False, True):
+            model = WidenModel(
+                graph.features.shape[1], graph.num_edge_types_with_loops,
+                graph.num_classes, config, seed=seed,
+            )
+            trainer = WidenTrainer(model, graph, config, seed=seed + 1)
+            if reference:
+                use_per_state_trigger(monkeypatch, trainer)
+            trainers.append(trainer)
+        batched, oracle = trainers
+        nodes = np.arange(graph.num_nodes)
+        for _ in range(3):
+            for trainer in trainers:
+                trainer.fit(nodes, epochs=1)
+            assert batched._kl_values == oracle._kl_values  # ordered
 
         for name in (
             "losses", "trigger_checks", "trigger_fires", "wide_drops",

@@ -8,10 +8,10 @@ train-mode dropout outputs and trainer losses.
 
 Nothing selects a family by name any more: a trainer minibatch takes the
 CSR kernels when its padding waste reaches
-``get_forward_selection()["sparse_min_waste"]`` and serving always takes
-the padded ones.  The tests force a family by pinning that threshold
-(``0.0`` = every minibatch goes CSR, ``1.0`` = none does; waste is < 1 by
-construction, the target's own pack is always valid).
+``repro.core.packing.SPARSE_MIN_WASTE`` and serving always takes the padded
+ones.  The tests force a family by patching that constant (``0.0`` = every
+minibatch goes CSR, ``1.0`` = none does; waste is < 1 by construction, the
+target's own pack is always valid).
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter
-from repro.core import WidenClassifier, WidenConfig, WidenModel
+from repro.core import WidenClassifier, WidenConfig, WidenModel, packing
 from repro.core.packing import pack_batch
 from repro.core.relay import prune_deep, shrink_wide
 from repro.core.state import NeighborStateStore, stack_states
@@ -29,7 +29,6 @@ from repro.datasets import make_acm, make_skewed
 from repro.obs.tracing import Tracer, set_tracer
 from repro.serve import InferenceServer
 from repro.store import AggregateStore, build_store
-from repro.tensor import kernels
 from tests.helpers import per_node_attentions
 from tests.test_batched_forward import add_relays, make_model, sample_states
 from tests.test_read_set_invalidation import graphs
@@ -48,15 +47,13 @@ def graph(dataset):
 
 
 @pytest.fixture
-def force_kernel():
+def force_kernel(monkeypatch):
     """``force_kernel(SPARSE | PADDED | any threshold)``; restored on exit."""
-    before = kernels.get_forward_selection()
 
     def force(sparse_min_waste):
-        kernels.set_forward_selection(sparse_min_waste=sparse_min_waste)
+        monkeypatch.setattr(packing, "SPARSE_MIN_WASTE", sparse_min_waste)
 
-    yield force
-    kernels.set_forward_selection(**before)
+    return force
 
 
 def forward_spans(run):
@@ -380,8 +377,8 @@ class TestAutoMode:
 class TestKernelSelection:
     """Who gets to pick, with the default configuration."""
 
-    def test_trainer_picks_by_waste_and_serving_never_does(self, force_kernel):
-        force_kernel(0.5)  # the built-in default, whatever this host tuned
+    def test_trainer_picks_by_waste_and_serving_never_does(self):
+        threshold = packing.SPARSE_MIN_WASTE
         dataset = make_skewed(seed=0, scale=0.5)
         graph, train = dataset.graph, dataset.split.train
         routed = {}
@@ -408,8 +405,10 @@ class TestKernelSelection:
                     kernels_used = [
                         span.get("kernel", "padded") for span in forward_spans(run)
                     ]
-                    assert kernels_used == ["sparse" if waste >= 0.5 else "padded"]
-                routed[num_wide].append(waste >= 0.5)
+                    assert kernels_used == [
+                        "sparse" if waste >= threshold else "padded"
+                    ]
+                routed[num_wide].append(waste >= threshold)
                 for run in (
                     lambda: classifier.embed_for_serving_batch(batch, graph, 7),
                     lambda: classifier.embed_for_serving(batch, graph, seed=7),

@@ -1,6 +1,6 @@
 """CSR segment kernels (``gather_mul``/``sddmm``/``segment_softmax``/
 ``segment_matmul``), the flat-layout helpers in ``repro.core.packing``, and
-the per-host kernel-selection table (:mod:`repro.tensor.kernels`).
+the guarantee that which kernels run is decided by the batch alone.
 
 The kernels' contract is twofold: analytic backwards must match central
 differences (every op, every pairing mode), and the segment formulation
@@ -10,10 +10,15 @@ valid slots — the sparse forward path's 1e-10 equivalence guarantee
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.packing import (
     causal_pairs,
     flat_slot_indices,
@@ -21,7 +26,7 @@ from repro.core.packing import (
     segment_offsets,
 )
 from repro.tensor import functional as F
-from repro.tensor import kernels, ops
+from repro.tensor import ops
 from repro.tensor.tensor import Tensor
 from tests.helpers import check_gradients
 
@@ -235,83 +240,62 @@ class TestPackingHelpers:
 
 
 # ----------------------------------------------------------------------
-# Per-host kernel-selection table
+# Kernel choice reads the batch, never the host
 # ----------------------------------------------------------------------
 
+_HERMETIC_CHECK = """
+import repro.tensor
+from repro.core import WidenClassifier, packing
+from repro.datasets import make_acm
+from repro.obs import MetricsRegistry, set_registry
+from repro.tensor import ops
 
-class TestKernelTable:
-    def make_table(self, **forward):
-        return {
-            "version": kernels.KERNEL_TABLE_VERSION,
-            "host": kernels.host_fingerprint(),
-            "scatter": {"sparse_min_rows": 123, "dense_max_cells": 456},
-            "forward": {"sparse_min_waste": 0.25, **forward},
-        }
+assert ops.SCATTER_SPARSE_MIN_ROWS == 64, ops.SCATTER_SPARSE_MIN_ROWS
+assert ops.SCATTER_DENSE_MAX_CELLS == 65536, ops.SCATTER_DENSE_MAX_CELLS
+assert packing.SPARSE_MIN_WASTE == 0.5, packing.SPARSE_MIN_WASTE
+dataset = make_acm(seed=0, scale=0.3)
+registry = MetricsRegistry()
+set_registry(registry)
+WidenClassifier(seed=0).fit(dataset.graph, dataset.split.train[:32], epochs=1)
+routed = {
+    layout: registry.counter("pack_batches_total", layout=layout).value
+    for layout in ("padded", "sparse")
+}
+assert routed["padded"] > 0 and routed["sparse"] == 0, routed
+"""
 
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "table.json"
-        kernels.save_table(self.make_table(), path)
-        assert kernels.load_table(path) == self.make_table()
 
-    def test_version_mismatch_and_garbage_ignored(self, tmp_path):
-        path = tmp_path / "table.json"
-        stale = self.make_table()
-        stale["version"] = kernels.KERNEL_TABLE_VERSION + 1
-        kernels.save_table(stale, path)
-        assert kernels.load_table(path) is None
-        path.write_text("not json {")
-        assert kernels.load_table(path) is None
-        assert kernels.load_table(tmp_path / "absent.json") is None
-
-    def test_apply_table_installs_thresholds(self):
-        before_scatter = ops.get_scatter_thresholds()
-        before_forward = kernels.get_forward_selection()
-        try:
-            applied = kernels.apply_table(self.make_table())
-            assert applied["scatter"] == {
-                "sparse_min_rows": 123, "dense_max_cells": 456
-            }
-            assert applied["forward"] == {"sparse_min_waste": 0.25}
-            assert ops.get_scatter_thresholds()["sparse_min_rows"] == 123
-            assert kernels.get_forward_selection()["sparse_min_waste"] == 0.25
-        finally:
-            ops.set_scatter_thresholds(**before_scatter)
-            kernels.set_forward_selection(**before_forward)
-
-    def test_env_pinned_values_win_over_table(self, monkeypatch):
-        monkeypatch.setattr(
-            kernels, "_FORWARD_ENV_KEYS", {"sparse_min_waste"}
-        )
-        before = kernels.get_forward_selection()
-        try:
-            applied = kernels.apply_table(
-                {"version": kernels.KERNEL_TABLE_VERSION,
-                 "forward": {"sparse_min_waste": 0.9}}
-            )
-            assert "forward" not in applied
-            assert kernels.get_forward_selection() == before
-        finally:
-            kernels.set_forward_selection(**before)
-
-    def test_table_path_precedence(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(kernels.ENV_TABLE_PATH, raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        assert kernels.table_path() == (
-            tmp_path / "cache" / "repro" / "kernel_table.json"
-        )
-        monkeypatch.setenv(kernels.ENV_TABLE_PATH, str(tmp_path / "env.json"))
-        assert kernels.table_path() == tmp_path / "env.json"
-        assert kernels.table_path(tmp_path / "arg.json") == tmp_path / "arg.json"
-
-    def test_auto_apply_survives_hand_edited_garbage(self, tmp_path):
-        path = tmp_path / "table.json"
-        broken = self.make_table()
-        broken["forward"]["sparse_min_waste"] = 7.0  # out of [0, 1]
-        path.write_text(json.dumps(broken))
-        before = kernels.get_forward_selection()
-        assert kernels.auto_apply(path) is None
-        assert kernels.get_forward_selection() == before
-
-    def test_set_forward_selection_validates_range(self):
-        with pytest.raises(ValueError):
-            kernels.set_forward_selection(sparse_min_waste=1.5)
+def test_import_reads_no_host_state(tmp_path):
+    """A table in every place one used to be looked up, and garbage in the
+    three variables that used to be parsed, change nothing: the thresholds
+    are the shipped constants and a default-config minibatch packs padded
+    (the table's ``sparse_min_waste`` of 0.0 would send every one to CSR)."""
+    table = json.dumps({
+        "version": 1,
+        "scatter": {"sparse_min_rows": 123, "dense_max_cells": 456},
+        "forward": {"sparse_min_waste": 0.0},
+    })
+    home, cache = tmp_path / "home", tmp_path / "xdg"
+    places = (
+        home / ".cache" / "repro" / "kernel_table.json",
+        cache / "repro" / "kernel_table.json",
+        tmp_path / "explicit.json",
+    )
+    for place in places:
+        place.parent.mkdir(parents=True, exist_ok=True)
+        place.write_text(table)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        HOME=str(home),
+        XDG_CACHE_HOME=str(cache),
+        REPRO_KERNEL_TABLE=str(places[2]),
+        REPRO_SPARSE_MIN_WASTE="garbage",
+        REPRO_SCATTER_SPARSE_MIN_ROWS="garbage",
+        REPRO_SCATTER_DENSE_MAX_CELLS="garbage",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _HERMETIC_CHECK],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -361,66 +361,33 @@ class TestGraphMechanics:
 
 
 class TestScatterThresholds:
-    """Backend crossover tuning for the scatter-add backward."""
-
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        before = ops.get_scatter_thresholds()
-        yield
-        ops.set_scatter_thresholds(**before)
-
-    def test_get_returns_a_copy(self):
-        first = ops.get_scatter_thresholds()
-        first["sparse_min_rows"] = -999
-        assert ops.get_scatter_thresholds()["sparse_min_rows"] != -999
-
-    def test_set_partial_updates_and_returns_active(self):
-        active = ops.set_scatter_thresholds(sparse_min_rows=5)
-        assert active["sparse_min_rows"] == 5
-        active = ops.set_scatter_thresholds(dense_max_cells=100)
-        assert active["sparse_min_rows"] == 5  # untouched by partial set
-        assert active["dense_max_cells"] == 100
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            ops.set_scatter_thresholds(sparse_min_rows=-1)
-        with pytest.raises(ValueError):
-            ops.set_scatter_thresholds(dense_max_cells=-1)
-
-    def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCATTER_SPARSE_MIN_ROWS", "17")
-        thresholds, env_keys = ops._scatter_thresholds_from_env()
-        assert thresholds["sparse_min_rows"] == 17
-        assert env_keys == {"sparse_min_rows"}
-        monkeypatch.setenv("REPRO_SCATTER_SPARSE_MIN_ROWS", "many")
-        with pytest.raises(ValueError, match="integer"):
-            ops._scatter_thresholds_from_env()
-        monkeypatch.setenv("REPRO_SCATTER_SPARSE_MIN_ROWS", "-3")
-        with pytest.raises(ValueError, match=">= 0"):
-            ops._scatter_thresholds_from_env()
+    """The scatter-add backward's three backends, reached by shape."""
 
     @pytest.mark.parametrize(
         "thresholds",
         [
-            # Force np.add.at (the reference backend) for every size.
-            dict(sparse_min_rows=10**9, dense_max_cells=0),
-            # Force the dense one-hot gemm formulation.
-            dict(sparse_min_rows=0, dense_max_cells=10**9),
-            # Force the flat bincount formulation.
-            dict(sparse_min_rows=0, dense_max_cells=0),
+            # (num_rows, index shape, m >= SCATTER_SPARSE_MIN_ROWS,
+            #  num_rows * m <= SCATTER_DENSE_MAX_CELLS)
+            (6, (5, 4), False, True),  # np.add.at, the reference backend
+            (6, (16, 4), True, True),  # the dense one-hot gemm
+            (2048, (16, 4), True, False),  # the flat bincount
         ],
     )
     def test_backends_agree_with_reference(self, rng, thresholds):
-        index = rng.integers(0, 6, size=(5, 4))
-        grad = rng.normal(size=(5, 4, 3))
-        weights = rng.normal(size=(5, 4))
-        want = np.zeros((6, 3))
+        num_rows, shape, clears_min_rows, fits_max_cells = thresholds
+        m = int(np.prod(shape))
+        # Through the shipped dispatcher: the shape itself picks the backend.
+        assert (m >= ops.SCATTER_SPARSE_MIN_ROWS) == clears_min_rows
+        assert (num_rows * m <= ops.SCATTER_DENSE_MAX_CELLS) == fits_max_cells
+        index = rng.integers(0, num_rows, size=shape)
+        grad = rng.normal(size=shape + (3,))
+        weights = rng.normal(size=shape)
+        want = np.zeros((num_rows, 3))
         np.add.at(
             want, index.ravel(),
             grad.reshape(-1, 3) * weights.ravel()[:, None],
         )
-        ops.set_scatter_thresholds(**thresholds)
-        got = ops._scatter_add_rows(6, index, grad, weights=weights)
+        got = ops._scatter_add_rows(num_rows, index, grad, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
