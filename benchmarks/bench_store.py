@@ -96,9 +96,7 @@ def measure_miss_latency(server, probe, rounds):
         start = time.perf_counter()
         server.embed(probe)
         walls.append((time.perf_counter() - start) / probe.size)
-        latencies.extend(
-            record.latency for record in server.telemetry.requests
-        )
+        latencies.extend(server.telemetry.latencies.tolist())
     return latencies, walls
 
 

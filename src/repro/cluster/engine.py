@@ -12,9 +12,11 @@ socket without any behavioral difference.
 
 Envelope kinds:
 
-- ``serve`` — a batch of requests for owned nodes.  Submit-all then drain,
-  so the server's micro-batcher sees the whole group at once; per-item
-  outcomes (a bad node id fails its own item, not its neighbors').
+- ``serve`` — one op: a batch of requests for owned nodes.  Submit-all
+  then drain, so the server's micro-batcher sees the whole group at once;
+  the reply is columns read off the server's request rows (``values``,
+  ``rungs``, and the op's critical-path ``queue_wait`` / ``compute``).  An
+  op containing an out-of-range id is refused whole, before any work.
 - ``replay`` — a shard's slice of a logical-clock trace, processed
   atomically inside one envelope: arrivals come from trace times, so batch
   composition is identical on every transport (the scheduler never gets a
@@ -47,11 +49,11 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.cluster.planner import ShardSpec
+from repro.cluster.planner import ShardSpec, check_node_range
 from repro.cluster.transport import Envelope, Reply, error_info
 from repro.obs.dist import spans_to_wire
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer, set_thread_tracer
+from repro.obs.tracing import _NULL_SPAN, Tracer, set_thread_tracer
 from repro.serve.server import InferenceServer
 
 
@@ -151,62 +153,54 @@ class ShardEngine:
     # ------------------------------------------------------------------
 
     def handle(self, envelope: Envelope) -> Reply:
-        # The untraced path pays exactly one attribute check here.
-        if envelope.trace_ctx is not None:
-            return self._handle_traced(envelope)
-        try:
-            handler = getattr(self, f"_handle_{envelope.kind}", None)
-            if handler is None:
-                raise ValueError(f"unknown envelope kind {envelope.kind!r}")
-            return Reply(seq=envelope.seq, ok=True, payload=handler(envelope.payload))
-        except Exception as exc:
-            self._count_error(envelope.kind)
-            return Reply(seq=envelope.seq, ok=False, error=error_info(exc))
+        """Dispatch one envelope; failures come back as error replies.
 
-    def _handle_traced(self, envelope: Envelope) -> Reply:
-        """Dispatch one envelope under a private per-envelope tracer.
-
-        The tracer is installed as *this thread's* override (never the
-        process-wide tracer — concurrent shard threads would
-        cross-contaminate buffers), rooted in a span that echoes the
+        An envelope that carries a ``trace_ctx`` runs under a private
+        per-envelope tracer, installed as *this thread's* override (never
+        the process-wide tracer — concurrent shard threads would
+        cross-contaminate buffers) and rooted in a span that echoes the
         router's trace id and send timestamp so the stitcher can bridge
         the queue+wire gap.  The span buffer rides the reply — error
-        replies included, so a raising engine's trace survives.
+        replies included, so a raising engine's trace survives.  Without
+        one, tracing costs this path one ``is None`` check.
         """
         ctx = envelope.trace_ctx
-        tracer = Tracer(enabled=True)
-        previous = set_thread_tracer(tracer)
-        try:
-            with tracer.span(
+        tracer = previous = None
+        root = _NULL_SPAN
+        if ctx is not None:
+            tracer = Tracer(enabled=True)
+            previous = set_thread_tracer(tracer)
+            root = tracer.span(
                 f"shard.{envelope.kind}",
                 trace_id=ctx.get("trace_id"),
                 send_ts=ctx.get("send_ts"),
                 shard=self.spec.shard_id,
-            ):
+            )
+        payload = error = None
+        try:
+            with root:
                 try:
                     handler = getattr(self, f"_handle_{envelope.kind}", None)
                     if handler is None:
-                        raise ValueError(
-                            f"unknown envelope kind {envelope.kind!r}"
-                        )
+                        raise ValueError(f"unknown envelope kind {envelope.kind!r}")
                     payload = handler(envelope.payload)
-                    error = None
                 except Exception as exc:
-                    payload = None
+                    self._count_error(envelope.kind)
                     error = error_info(exc)
         finally:
-            set_thread_tracer(previous)
-        trace = {
-            "shard": int(self.spec.shard_id),
-            "pid": os.getpid(),
-            "spans": spans_to_wire(tracer),
-        }
-        if error is not None:
-            self._count_error(envelope.kind)
-            return Reply(
-                seq=envelope.seq, ok=False, error=error, trace=trace
-            )
-        return Reply(seq=envelope.seq, ok=True, payload=payload, trace=trace)
+            if tracer is not None:
+                set_thread_tracer(previous)
+        trace = None
+        if tracer is not None:
+            trace = {
+                "shard": int(self.spec.shard_id),
+                "pid": os.getpid(),
+                "spans": spans_to_wire(tracer),
+            }
+        return Reply(
+            seq=envelope.seq, ok=error is None, payload=payload, error=error,
+            trace=trace,
+        )
 
     def _count_error(self, kind: str) -> None:
         """Error replies are observable: ``shard_errors_total{kind=...}``."""
@@ -223,50 +217,22 @@ class ShardEngine:
 
     def _handle_serve(self, payload: Dict[str, object]) -> Dict[str, object]:
         nodes = np.atleast_1d(np.asarray(payload["nodes"], dtype=np.int64))
-        kind = payload.get("kind", "classify")
         now = payload.get("now")
-        items = []
-        request_ids = []
-        for node in nodes:
-            try:
-                request_ids.append(
-                    self.server.submit(int(node), kind=kind, now=now)
-                )
-                items.append(None)  # filled after the drain
-            except Exception as exc:  # bad node id etc. — fail this item only
-                request_ids.append(None)
-                items.append({"ok": False, "error": error_info(exc)})
-        self.server.drain()
-        for position, request_id in enumerate(request_ids):
-            if request_id is None:
-                continue
-            try:
-                result = self.server.result(request_id)
-                items[position] = {
-                    "ok": True,
-                    "value": result.value,
-                    "rung": result.rung,
-                    "queue_wait": result.queue_wait,
-                    "compute": result.compute,
-                }
-            except Exception as exc:
-                items[position] = {"ok": False, "error": error_info(exc)}
-        return {"items": items}
+        check_node_range(nodes, self.server.graph.num_nodes)  # the op, whole
+        return self.server.replay(
+            nodes,
+            None if now is None else [now] * nodes.size,
+            kind=payload.get("kind", "classify"),
+        )
 
     def _handle_replay(self, payload: Dict[str, object]) -> Dict[str, object]:
         nodes = np.atleast_1d(np.asarray(payload["nodes"], dtype=np.int64))
         times = np.atleast_1d(np.asarray(payload["times"], dtype=np.float64))
         if nodes.size != times.size:
             raise ValueError("replay nodes/times length mismatch")
-        request_ids = [
-            self.server.submit(int(node), now=float(t))
-            for node, t in zip(nodes, times)
-        ]
         end = payload.get("end")
-        self.server.drain(None if end is None else float(end))
-        for request_id in request_ids:
-            self.server.result(request_id)
-        return {"served": len(request_ids)}
+        reply = self.server.replay(nodes, times, None if end is None else float(end))
+        return {"served": int(reply["rungs"].size)}
 
     def _handle_mutate(self, payload: Dict[str, object]) -> Dict[str, object]:
         # spec.apply mutates the replica, which fires the server's
@@ -277,8 +243,10 @@ class ShardEngine:
 
     def _handle_telemetry(self, payload: Dict[str, object]) -> Dict[str, object]:
         telemetry = self.server.telemetry
+        rows = telemetry.rows()
         return {
-            "telemetry": telemetry.to_payload(),
+            "arrival": rows["arrival"],
+            "completion": rows["completion"],
             "summary": telemetry.summary(),
             "cache_size": len(self.server.cache),
         }

@@ -202,6 +202,14 @@ class ShardPlanner:
         )
 
 
+def check_node_range(nodes: np.ndarray, num_nodes: int) -> None:
+    """Refuse an op with an id outside ``[0, num_nodes)``, naming the first:
+    an array gather would wrap a negative id to another node instead."""
+    bad = ((nodes < 0) | (nodes >= num_nodes)).nonzero()[0]
+    if bad.size:
+        raise IndexError(f"node {int(nodes[bad[0]])} out of range [0, {num_nodes})")
+
+
 @dataclass
 class ClusterPlan:
     """The ownership map over the coordinator's graph, kept current under

@@ -54,15 +54,24 @@ from repro.cluster.net import (
     DEFAULT_MAX_FRAME_BYTES,
     WorkerDown,
 )
-from repro.cluster.planner import ClusterPlan, ShardPlanner
-from repro.cluster.transport import ShardError
+from repro.cluster.planner import ClusterPlan, ShardPlanner, check_node_range
 from repro.cluster.worker import ShardWorker
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
 from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
-from repro.obs.slo import AttributionRecord, SLOMonitor, SLOTarget, SlowRequestLog
-from repro.obs.tracing import _NULL_SPAN as _NULL_CTX
+from repro.obs.slo import (
+    RUNGS,
+    AttributionRecord,
+    SLOMonitor,
+    SLOTarget,
+    SlowRequestLog,
+)
+from repro.obs.tracing import Tracer
 from repro.serve.server import load_checkpoint_classifier
+
+
+# What an op's spans go to while distributed tracing is off: null spans.
+_UNTRACED = Tracer(enabled=False)
 
 
 class ClusterRouter:
@@ -261,145 +270,95 @@ class ClusterRouter:
         return self._scatter_gather(nodes, "classify", now)
 
     def _scatter_gather(self, nodes, kind: str, now: Optional[float]) -> np.ndarray:
+        """One op: group by owner, one serve envelope per shard, stitch.
+
+        Every envelope is issued before any gather, so shards overlap on
+        concurrent transports; each leg's ``values`` land at its positions
+        of the answer by one fancy-indexed assignment.  With tracing or an
+        SLO monitor on, the same body puts a ``trace_ctx`` on every
+        envelope (the engines ship their span buffers back on the replies),
+        spans the scatter and each gather, and writes one
+        :class:`AttributionRecord` per op: queue-wait and compute on the
+        critical path (a scatter is as slow as its slowest leg) and
+        per-rung node counts that sum to the node count.  Failures are
+        attributed too (``ok=False`` burns SLO budget), then re-raised
+        unchanged.  With both off this path pays the ``is None`` checks and
+        a disabled tracer's null spans: no timestamps, no records.
+        """
         self._check_open()
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-        # Observability guard: two attribute reads and two None checks on
-        # the disabled path — no timestamps, no allocations, no records.
-        if self.dist is not None or self.slo_monitor is not None:
-            return self._scatter_gather_observed(nodes, kind, now)
-        groups: Dict[int, List[int]] = {}
-        for position, node in enumerate(nodes):
-            groups.setdefault(self.plan.owner(int(node)), []).append(position)
-        self._count_routed(groups)
-        self._maybe_flush_prometheus()
-        # Scatter: one serve envelope per shard for its whole group, all
-        # issued before any gather — shards overlap on concurrent
-        # transports.  Gather: per-shard timeout, order-preserving stitch.
-        pending: List[Tuple[List[int], object]] = []
-        for shard, positions in groups.items():
-            reply = self.workers[shard].submit_serve(
-                nodes[positions], kind, now=now
+        dist, slo = self.dist, self.slo_monitor
+        observed = dist is not None or slo is not None
+        tracer = _UNTRACED if dist is None else dist.tracer
+        trace_id = start = None
+        if observed:
+            trace_id = dist.new_trace_id() if dist is not None else f"u{id(nodes):x}"
+            start = time.perf_counter()
+
+        def send(shard: int, positions: np.ndarray):
+            return self.workers[shard].submit_serve(
+                nodes[positions], kind, now=now,
+                trace_ctx=None if dist is None else make_trace_ctx(trace_id),
             )
-            pending.append((positions, reply))
-        results: List[Optional[object]] = [None] * nodes.size
-        for positions, reply in pending:
-            try:
-                values = _unwrap_serve(reply, self.request_timeout)
-            except WorkerDown as exc:
-                # Serve legs are idempotent: recover the shard (respawn +
-                # mutation-log catch-up), then re-issue this exact group.
-                self._recover_worker(exc)
-                retry = self.workers[reply.shard_id].submit_serve(
-                    nodes[positions], kind, now=now
-                )
-                values = _unwrap_serve(retry, self.request_timeout)
-            for position, value in zip(positions, values):
-                results[position] = value
-        if kind == "embed":
-            return np.stack(results)
-        return np.asarray(results)
 
-    def _scatter_gather_observed(
-        self, nodes: np.ndarray, kind: str, now: Optional[float]
-    ) -> np.ndarray:
-        """The traced/monitored twin of :meth:`_scatter_gather`.
-
-        Same scatter, same gather, same stitch — plus: a ``trace_ctx`` on
-        every envelope (the engines root private span buffers and ship
-        them back on replies), router-side spans around scatter and each
-        shard's gather, and one :class:`AttributionRecord` per request —
-        queue-wait vs compute on the critical path (max across shards, a
-        scatter is as slow as its slowest leg) and per-rung node counts
-        that sum to the node count.  Failures are attributed too
-        (``ok=False`` burns SLO budget), then re-raised unchanged.
-        """
-        dist = self.dist
-        slo = self.slo_monitor
-        trace_id = dist.new_trace_id() if dist is not None else f"u{id(nodes):x}"
-        start = time.perf_counter()
-        root = dist.tracer.span(
-            "router.serve", trace_id=trace_id, nodes=int(nodes.size), kind=kind
-        ) if dist is not None else None
-        error: Optional[BaseException] = None
-        rungs: Dict[str, int] = {}
-        queue_wait = 0.0
-        compute = 0.0
-        groups: Dict[int, List[int]] = {}
-        results: List[Optional[object]] = [None] * nodes.size
+        legs: List[Tuple[int, np.ndarray]] = []
+        by_rung = np.zeros(len(RUNGS), dtype=np.int64)
+        queue_wait = compute = 0.0
+        answers = np.empty(0)
+        error: Optional[str] = None
         try:
-            if root is not None:
-                root.__enter__()
-            for position, node in enumerate(nodes):
-                groups.setdefault(self.plan.owner(int(node)), []).append(position)
-            self._count_routed(groups)
-            self._maybe_flush_prometheus()
-            pending: List[Tuple[int, List[int], object]] = []
-            for shard, positions in groups.items():
-                ctx = make_trace_ctx(trace_id) if dist is not None else None
-                span = (
-                    dist.tracer.span(f"router.scatter.shard{shard}")
-                    if dist is not None
-                    else _NULL_CTX
-                )
-                with span:
-                    reply = self.workers[shard].submit_serve(
-                        nodes[positions], kind, now=now, trace_ctx=ctx
-                    )
-                pending.append((shard, positions, reply))
-            for shard, positions, reply in pending:
-                span = (
-                    dist.tracer.span(f"router.gather.shard{shard}")
-                    if dist is not None
-                    else _NULL_CTX
-                )
-                with span:
-                    try:
-                        items = self._gather_serve(reply, dist)
-                    except WorkerDown as down:
-                        self._recover_worker(down)
-                        ctx = make_trace_ctx(trace_id) if dist is not None else None
-                        retry = self.workers[shard].submit_serve(
-                            nodes[positions], kind, now=now, trace_ctx=ctx
-                        )
-                        items = self._gather_serve(retry, dist)
-                shard_queue = 0.0
-                shard_compute = 0.0
-                for position, item in zip(positions, items):
-                    results[position] = item["value"]
-                    rung = item.get("rung", "recompute")
-                    rungs[rung] = rungs.get(rung, 0) + 1
-                    shard_queue = max(shard_queue, item.get("queue_wait", 0.0))
-                    shard_compute = max(shard_compute, item.get("compute", 0.0))
-                queue_wait = max(queue_wait, shard_queue)
-                compute = max(compute, shard_compute)
+            with tracer.span(
+                "router.serve", trace_id=trace_id, nodes=int(nodes.size), kind=kind
+            ):
+                legs = self._route(nodes)
+                self._maybe_flush_prometheus()
+                pending = []
+                for shard, positions in legs:
+                    with tracer.span(f"router.scatter.shard{shard}"):
+                        pending.append(send(shard, positions))
+                for (shard, positions), reply in zip(legs, pending):
+                    with tracer.span(f"router.gather.shard{shard}"):
+                        try:
+                            leg = self._gather_serve(reply)
+                        except WorkerDown as down:
+                            # Serve legs are idempotent: recover the shard
+                            # (respawn + mutation-log catch-up), then
+                            # re-issue this exact group.
+                            self._recover_worker(down)
+                            leg = self._gather_serve(send(shard, positions))
+                    values = leg["values"]
+                    if answers.shape[:1] != nodes.shape:  # first leg: it names the dtype
+                        answers = np.empty(nodes.shape + values.shape[1:], values.dtype)
+                    answers[positions] = values
+                    if observed:
+                        by_rung += np.bincount(leg["rungs"], minlength=by_rung.size)
+                        queue_wait = max(queue_wait, leg["queue_wait"])
+                        compute = max(compute, leg["compute"])
         except BaseException as exc:
-            error = exc
+            error = type(exc).__name__
             raise
         finally:
-            if root is not None:
-                root.__exit__(None, None, None)
-            latency = time.perf_counter() - start
-            record = AttributionRecord(
-                trace_id=trace_id,
-                nodes=int(nodes.size),
-                shards=len(groups) if groups else 0,
-                latency=latency,
-                queue_wait=queue_wait,
-                compute=compute,
-                rungs=rungs,
-                ok=error is None,
-                error=None if error is None else type(error).__name__,
-            )
-            self.attributions.append(record)
-            if slo is not None:
-                slo.observe(latency, ok=error is None)
-            if self.slow_log is not None:
-                self.slow_log.observe(record)
-        if kind == "embed":
-            return np.stack(results)
-        return np.asarray(results)
+            if observed:
+                latency = time.perf_counter() - start
+                record = AttributionRecord(
+                    trace_id=trace_id,
+                    nodes=int(nodes.size),
+                    shards=len(legs),
+                    latency=latency,
+                    queue_wait=queue_wait,
+                    compute=compute,
+                    rungs={r: n for r, n in zip(RUNGS, by_rung.tolist()) if n},
+                    ok=error is None,
+                    error=error,
+                )
+                self.attributions.append(record)
+                if slo is not None:
+                    slo.observe(latency, ok=error is None)
+                if self.slow_log is not None:
+                    self.slow_log.observe(record)
+        return answers
 
-    def _gather_serve(self, reply, dist: Optional[DistTracer]) -> List[dict]:
+    def _gather_serve(self, reply) -> Dict[str, object]:
         """Gather one serve reply, harvesting its piggybacked span buffer.
 
         Uses ``reply.wait()`` (not ``result()``) so the shard's trace rides
@@ -407,25 +366,34 @@ class ClusterRouter:
         trace *before* the :class:`ShardError` propagates.
         """
         raw = reply.wait(self.request_timeout)
-        if dist is not None and raw.trace is not None:
-            dist.add_reply_trace(raw.trace)
+        if raw.trace is not None and self.dist is not None:
+            self.dist.add_reply_trace(raw.trace)
             self.registry.counter("trace_spans_total").inc(
                 len(raw.trace.get("spans", []))
             )
-        items = []
-        for item in reply.unwrap(raw)["items"]:
-            if not item["ok"]:
-                raise ShardError(reply.shard_id, item["error"])
-            items.append(item)
-        return items
+        return reply.unwrap(raw)
 
-    def _count_routed(self, groups: Dict[int, List]) -> None:
-        """Account one routed request per member of each shard's group."""
-        for shard, members in groups.items():
-            self.workers[shard].requests_routed += len(members)
-            self.registry.counter(
-                "cluster_requests_total", shard=str(shard)
-            ).inc(len(members))
+    def _route(self, nodes: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """Group ``nodes`` by owner: one ``(shard, positions)`` leg per
+        shard that owns any, positions ascending so a leg keeps the op's
+        order; each member is accounted as one routed request.
+
+        ``owner_of[nodes]`` would wrap a negative id to another node's
+        owner, so ids are range-checked first and an op with a bad one is
+        refused before anything is counted or sent.
+        """
+        check_node_range(nodes, self.plan.owner_of.size)
+        owners = self.plan.owner_of[nodes]
+        legs = []
+        for shard, worker in enumerate(self.workers):
+            (positions,) = (owners == shard).nonzero()
+            if positions.size:
+                legs.append((shard, positions))
+                worker.requests_routed += positions.size
+                self.registry.counter(
+                    "cluster_requests_total", shard=str(shard)
+                ).inc(positions.size)
+        return legs
 
     # ------------------------------------------------------------------
     # Distributed tracing + SLO monitoring (repro.obs.dist / .slo)
@@ -590,30 +558,18 @@ class ClusterRouter:
         """
         self._check_open()
         self.reset_telemetry()
-        nodes_by_shard: Dict[int, List[int]] = {}
-        times_by_shard: Dict[int, List[float]] = {}
-        for event in trace:
-            node = int(event.node)
-            shard = self.plan.owner(node)
-            nodes_by_shard.setdefault(shard, []).append(node)
-            times_by_shard.setdefault(shard, []).append(float(event.time))
-        self._count_routed(nodes_by_shard)
-        end = float(trace[-1].time) if len(trace) else None
-
-        def _dispatch(shard: int):
-            return self.workers[shard].replay(
-                np.asarray(nodes_by_shard[shard], dtype=np.int64),
-                np.asarray(times_by_shard[shard], dtype=np.float64),
-                end,
-            )
-
-        if overlap:
-            pending = [_dispatch(shard) for shard in nodes_by_shard]
-            for reply in pending:
+        nodes = np.array([event.node for event in trace], dtype=np.int64)
+        times = np.array([event.time for event in trace], dtype=np.float64)
+        end = float(times[-1]) if times.size else None
+        pending = []
+        for shard, positions in self._route(nodes):
+            reply = self.workers[shard].replay(nodes[positions], times[positions], end)
+            if overlap:
+                pending.append(reply)
+            else:
                 reply.result(self.request_timeout)
-        else:
-            for shard in nodes_by_shard:
-                _dispatch(shard).result(self.request_timeout)
+        for reply in pending:
+            reply.result(self.request_timeout)
         return self.summary()
 
     def reset_telemetry(self) -> None:
@@ -633,19 +589,11 @@ class ClusterRouter:
     def summary(self) -> Dict[str, object]:
         """Cluster-level reductions plus one summary block per shard."""
         payloads = self._pull_telemetry()
-        latencies: List[float] = []
-        arrivals: List[float] = []
-        completions: List[float] = []
-        for payload in payloads:
-            requests = payload["telemetry"]["requests"]
-            arrival = np.asarray(requests["arrival"], dtype=np.float64)
-            completion = np.asarray(requests["completion"], dtype=np.float64)
-            latencies.extend((completion - arrival).tolist())
-            if arrival.size:
-                arrivals.append(float(arrival.min()))
-                completions.append(float(completion.max()))
+        arrival = np.concatenate([payload["arrival"] for payload in payloads])
+        completion = np.concatenate([payload["completion"] for payload in payloads])
+        latencies = (completion - arrival).tolist()
         count = len(latencies)
-        span = (max(completions) - min(arrivals)) if arrivals else 0.0
+        span = float(completion.max() - arrival.min()) if count else 0.0
         return {
             "num_shards": self.plan.num_shards,
             "transport": self.fleet.kind,
@@ -744,14 +692,3 @@ class ClusterRouter:
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("cluster router is closed")
-
-
-def _unwrap_serve(reply, timeout: Optional[float]) -> List[object]:
-    """Gather one serve reply; re-raise the first per-item error."""
-    payload = reply.result(timeout)
-    values = []
-    for item in payload["items"]:
-        if not item["ok"]:
-            raise ShardError(reply.shard_id, item["error"])
-        values.append(item["value"])
-    return values

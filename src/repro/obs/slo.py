@@ -27,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import nearest_rank_percentile
+
 __all__ = [
     "RUNGS",
     "AttributionRecord",
@@ -74,14 +76,6 @@ class AttributionRecord:
             "ok": self.ok,
             **({"error": self.error} if self.error else {}),
         }
-
-
-def _nearest_rank(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile — matches Telemetry's convention."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(round(q * len(sorted_values))))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 @dataclass(frozen=True)
@@ -162,9 +156,9 @@ class SLOMonitor:
             "compliance": (good / count) if count else 1.0,
             "error_budget_remaining": budget_remaining,
             "burn_rate": bad_frac / allowed_bad,
-            "p50_s": _nearest_rank(latencies, 0.50),
-            "p95_s": _nearest_rank(latencies, 0.95),
-            "p99_s": _nearest_rank(latencies, 0.99),
+            "p50_s": nearest_rank_percentile(latencies, 50),
+            "p95_s": nearest_rank_percentile(latencies, 95),
+            "p99_s": nearest_rank_percentile(latencies, 99),
             "total_observed": self.total_observed,
         }
 

@@ -5,7 +5,8 @@ of the paper's "heterogeneity + inductiveness + efficiency" claim:
 
 - :class:`ModelRegistry` — named, self-describing checkpoints (parameters
   + hyperparameters + dataset schema) restored without a training graph;
-- :class:`MicroBatcher` — request coalescing under size/deadline triggers;
+- :class:`MicroBatcher` — request-id coalescing under size/deadline
+  triggers;
 - :class:`EmbeddingCache` — LRU memoization whose entries record the
   *read set* of their sample, so a streaming mutation drops exactly the
   embeddings that read a changed adjacency list and nothing stale is
@@ -13,28 +14,28 @@ of the paper's "heterogeneity + inductiveness + efficiency" claim:
 - :class:`InferenceServer` — ties the above over one serving graph, with
   streaming ingestion (``add_nodes``/``add_edges``) wired to the graph's
   mutation hooks;
-- :class:`Telemetry` — per-request latency percentiles, queue depth, batch
-  occupancy and cache hit-rate;
+- :class:`Telemetry` — the request table (a request is a row; a
+  :class:`ServeResult` is built from it on demand) and its reductions:
+  latency percentiles, queue depth, batch occupancy, cache hit-rate;
 - :mod:`~repro.serve.loadgen` — deterministic Poisson/Zipf traces and the
   replay harness behind ``python -m repro serve-bench``.
 """
 
-from repro.serve.batcher import MicroBatcher, ServeRequest
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import EmbeddingCache
 from repro.serve.loadgen import TraceEvent, cold_single_requests, make_trace, replay
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import InferenceServer, ServeResult
-from repro.serve.telemetry import RequestRecord, Telemetry
+from repro.serve.telemetry import RUNGS, Telemetry
 
 __all__ = [
     "MicroBatcher",
-    "ServeRequest",
     "EmbeddingCache",
     "ModelRegistry",
     "InferenceServer",
     "ServeResult",
     "Telemetry",
-    "RequestRecord",
+    "RUNGS",
     "TraceEvent",
     "make_trace",
     "replay",

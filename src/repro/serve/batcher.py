@@ -21,22 +21,15 @@ from typing import List, Optional
 
 
 @dataclass
-class ServeRequest:
-    """One enqueued unit of work."""
-
-    request_id: int
-    node: int
-    arrival: float
-    kind: str = "classify"  # or "embed"
-
-
-@dataclass
 class MicroBatcher:
-    """Coalesces requests; flushes on the size or deadline trigger."""
+    """Coalesces request ids; flushes on the size or deadline trigger."""
 
     max_batch_size: int = 16
     max_wait: float = 0.002
-    _queue: List[ServeRequest] = field(default_factory=list)
+    # Queued request ids and, beside them, their arrival times: the
+    # deadline trigger reads the oldest one.
+    _queue: List[int] = field(default_factory=list)
+    _arrivals: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -48,25 +41,33 @@ class MicroBatcher:
     def depth(self) -> int:
         return len(self._queue)
 
-    def submit(self, request: ServeRequest) -> Optional[List[ServeRequest]]:
+    @property
+    def deadline(self) -> Optional[float]:
+        """When the deadline trigger fires for what is queued now."""
+        return self._arrivals[0] + self.max_wait if self._arrivals else None
+
+    def submit(self, request_id: int, arrival: float) -> Optional[List[int]]:
         """Enqueue; returns a batch iff the size trigger fired."""
-        self._queue.append(request)
+        self._queue.append(request_id)
+        self._arrivals.append(arrival)
         if len(self._queue) >= self.max_batch_size:
-            return self._take(self.max_batch_size)
+            return self._take()
         return None
 
-    def poll(self, now: float) -> Optional[List[ServeRequest]]:
+    def poll(self, now: float) -> Optional[List[int]]:
         """Returns a batch iff the deadline trigger fired at time ``now``."""
-        if self._queue and now - self._queue[0].arrival >= self.max_wait:
-            return self._take(self.max_batch_size)
+        if self._queue and now - self._arrivals[0] >= self.max_wait:
+            return self._take()
         return None
 
-    def flush(self) -> Optional[List[ServeRequest]]:
+    def flush(self) -> Optional[List[int]]:
         """Unconditionally drain up to ``max_batch_size`` oldest requests."""
         if not self._queue:
             return None
-        return self._take(self.max_batch_size)
+        return self._take()
 
-    def _take(self, count: int) -> List[ServeRequest]:
+    def _take(self) -> List[int]:
+        count = self.max_batch_size
         batch, self._queue = self._queue[:count], self._queue[count:]
+        self._arrivals = self._arrivals[count:]
         return batch

@@ -75,12 +75,11 @@ def replay(server: InferenceServer, trace: Sequence[TraceEvent]) -> Dict[str, fl
     """
     server.telemetry.reset()
     server.reset_clock()
-    ids: List[int] = []
-    for event in trace:
-        ids.append(server.submit(event.node, now=event.time))
-    server.drain(trace[-1].time if trace else None)
-    for request_id in ids:  # free completed results; replay keeps none
-        server.result(request_id)
+    server.replay(
+        [event.node for event in trace],
+        [event.time for event in trace],
+        trace[-1].time if trace else None,
+    )
     return server.telemetry.summary()
 
 

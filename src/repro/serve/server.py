@@ -58,14 +58,12 @@ import numpy as np
 from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph, mutation_frontier
 from repro.obs import MetricsRegistry, get_registry
-from repro.serve.batcher import MicroBatcher, ServeRequest
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import EmbeddingCache, fresh_mask
-from repro.serve.telemetry import RequestRecord, Telemetry
+from repro.serve.telemetry import KINDS, RUNGS, Telemetry
 
 
-# Store-tier attribution by ``fresh * (1 + (stamp > 0))``.  An object array,
-# so a batch's rung list shares three str objects (pickle memoizes them on
-# the way back to the router).
+# Store-tier attribution by ``fresh * (1 + (stamp > 0))``.
 _STORE_RUNGS = np.array(["recompute", "store", "overlay"], dtype=object)
 
 
@@ -111,10 +109,12 @@ def serving_reach_of(classifier) -> Optional[int]:
 class ServeResult:
     """Completed request: ``value`` is a class id (classify) or embedding.
 
-    ``rung`` names the serving-ladder tier that produced the embedding
-    (``cache`` / ``store`` / ``overlay`` / ``recompute``); ``queue_wait``
-    is the time between submit and batch flush (0 for submit-time cache
-    hits), so ``latency = queue_wait + compute`` decomposes exactly.
+    Built on demand by :meth:`InferenceServer.result` from the request's
+    row.  ``rung`` names the serving-ladder tier that produced the
+    embedding (``cache`` / ``store`` / ``overlay`` / ``recompute``);
+    ``queue_wait`` is the time between submit and batch flush (0 for
+    submit-time cache hits), so ``latency = queue_wait + compute``
+    decomposes exactly.
     """
 
     request_id: int
@@ -123,7 +123,6 @@ class ServeResult:
     value: Union[int, np.ndarray]
     arrival: float
     completion: float
-    cache_hit: bool
     rung: str = "recompute"
     queue_wait: float = 0.0
 
@@ -173,10 +172,11 @@ class InferenceServer:
         self.telemetry = Telemetry(
             max_batch_size=max_batch_size,
             registry=registry if registry is not None else get_registry(),
+            cache=self.cache,
         )
-        self.telemetry.attach_cache(self.cache)
-        self._results: Dict[int, ServeResult] = {}
-        self._next_id = 0
+        # The answers, by request id, until result() / reply() picks them
+        # up; everything else about a request is its telemetry row.
+        self._values: Dict[int, Union[int, np.ndarray]] = {}
         # Single-worker service model: a batch cannot start before the
         # previous one finished, so completion times (and therefore the
         # reported throughput) reflect sequential execution even when a
@@ -186,6 +186,9 @@ class InferenceServer:
         # every miss), so graph mutations need no classifier-side refresh;
         # generic classifiers fall back to embed() + cache rebuild.
         self._identity_free = hasattr(classifier, "embed_for_serving")
+        # Without the embeddings->classes head a classify cannot complete
+        # from a cached embedding at submit time: every one is queued.
+        self._has_head = hasattr(classifier, "predict_from_embeddings")
         # Freshness state (module docstring): the local write clock and,
         # per node, the clock of the last write that changed its adjacency
         # list.  A server starts at clock 0 with nothing touched.
@@ -295,8 +298,14 @@ class InferenceServer:
     # ------------------------------------------------------------------
 
     def submit(self, node: int, *, kind: str = "classify", now: Optional[float] = None) -> int:
-        """Enqueue one request; returns its id.  May flush a due batch."""
-        if kind not in ("classify", "embed"):
+        """Enqueue one request; returns its id.  May flush a due batch.
+
+        A resident embedding (every write sweeps out the stale ones)
+        completes the request here, skipping the batch queue and its
+        deadline entirely; this probe is the one that counts the request
+        as a cache hit or miss.
+        """
+        if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}")
         node = int(node)
         if not 0 <= node < self.graph.num_nodes:
@@ -304,43 +313,25 @@ class InferenceServer:
                 f"node {node} out of range [0, {self.graph.num_nodes})"
             )
         now = self._now(now)
-        self._poll_deadline(now)
-        self._maybe_flush_prometheus(now)
-        self.telemetry.record_queue_depth(self.batcher.depth)
-        request = ServeRequest(self._next_id, node, now, kind)
-        self._next_id += 1
-        if self._try_complete_from_cache(request):
-            return request.request_id
-        batch = self.batcher.submit(request)
-        if batch is not None:
-            self._execute(batch, flush_time=now)
-        return request.request_id
-
-    def _try_complete_from_cache(self, request: ServeRequest) -> bool:
-        """Cache-in-front fast path: a resident embedding (every write
-        sweeps out the stale ones) completes the request at submit time, skipping the batch queue and
-        its deadline entirely.  Classify hits additionally need the
-        embeddings->classes head; classifiers without one queue normally."""
-        if request.kind == "classify" and not hasattr(
-            self.classifier, "predict_from_embeddings"
-        ):
-            return False
-        cached = self.cache.get(request.node)
-        if cached is None:
-            return False
+        if self.batcher._queue:
+            self._poll_deadline(now)
+        if self._prometheus_path is not None:
+            self._maybe_flush_prometheus(now)
+        request_id = self.telemetry.open(node, kind, now, len(self.batcher._queue))
+        value = None
+        if kind == "embed" or self._has_head:
+            value = self.cache.get(node)
+        if value is None:
+            batch = self.batcher.submit(request_id, now)
+            if batch is not None:
+                self._execute(batch, flush_time=now)
+            return request_id
         start = time.perf_counter()
-        if request.kind == "classify":
-            value: Union[int, np.ndarray] = int(
-                self.classifier.predict_from_embeddings(cached[np.newaxis])[0]
-            )
-        else:
-            value = cached
-        completion = request.arrival + (time.perf_counter() - start)
-        self._finish(
-            request, value, completion,
-            cache_hit=True, batch_size=1, rung="cache", queue_wait=0.0,
-        )
-        return True
+        if kind == "classify":
+            value = int(self.classifier.predict_from_embeddings(value[np.newaxis])[0])
+        completion = now + (time.perf_counter() - start)
+        self._finish(request_id, value, completion, batch_size=1, rung="cache")
+        return request_id
 
     def poll(self, now: Optional[float] = None) -> int:
         """Flush batches whose deadline has passed; returns batches executed."""
@@ -352,19 +343,61 @@ class InferenceServer:
         while True:
             batch = self.batcher.flush()
             if batch is None:
-                return
-            self._execute(batch, flush_time=max(now, batch[0].arrival))
+                break
+            (oldest,) = self.telemetry.arrival[self.telemetry.rows_of(batch[:1])]
+            self._execute(batch, flush_time=max(now, float(oldest)))
+        # Idle: the answered rows reach the registry in one step.
+        self.telemetry.sync()
 
-    def result(self, request_id: int, *, pop: bool = True) -> ServeResult:
-        """Completed result by id; raises ``KeyError`` while still queued."""
-        if request_id not in self._results:
+    def result(self, request_id: int) -> ServeResult:
+        """Completed result by id, released; raises ``KeyError`` while the
+        request is still queued (and once it has been picked up)."""
+        if request_id not in self._values:
             raise KeyError(
                 f"request {request_id} has no result yet; poll() or drain() "
                 "to flush pending batches"
             )
-        if pop:
-            return self._results.pop(request_id)
-        return self._results[request_id]
+        table = self.telemetry
+        (row,) = table.rows_of([request_id])
+        return ServeResult(
+            request_id=request_id,
+            node=int(table.node[row]),
+            kind=KINDS[table.kind[row]],
+            value=self._values.pop(request_id),
+            arrival=float(table.arrival[row]),
+            completion=float(table.completion[row]),
+            rung=RUNGS[table.rung[row]],
+            queue_wait=float(table.queue_wait[row]),
+        )
+
+    def replay(
+        self, nodes, times=None, end: Optional[float] = None, *, kind: str = "classify"
+    ) -> Dict[str, object]:
+        """One op, start to finish: submit every ``(node, time)`` arrival
+        (``times=None``: each on the wall clock, as it is submitted), drain
+        at ``end``, and hand back the answers as columns, released.
+
+        ``values`` is ``(B,)`` class ids or ``(B, d)`` embeddings in request
+        order, ``rungs`` the ``(B,)`` codes into ``RUNGS`` of the tier that
+        served each, ``queue_wait`` / ``compute`` the op's critical path —
+        the longest of its requests.  A logical-clock trace, a blocking
+        ``classify`` and a shard engine's serve envelope are all this loop;
+        the reply is what the engine puts on the wire.
+        """
+        nodes = np.atleast_1d(nodes).tolist()
+        times = [None] * len(nodes) if times is None else np.asarray(times).tolist()
+        ids = [self.submit(node, kind=kind, now=at) for node, at in zip(nodes, times)]
+        self.drain(end)
+        table = self.telemetry
+        rows = table.rows_of(ids)
+        queue_wait = table.queue_wait[rows]
+        compute = table.completion[rows] - table.arrival[rows] - queue_wait
+        return {
+            "values": np.asarray([self._values.pop(request_id) for request_id in ids]),
+            "rungs": table.rung[rows],
+            "queue_wait": max([0.0, *queue_wait.tolist()]),
+            "compute": max([0.0, *compute.tolist()]),
+        }
 
     # -- blocking conveniences ------------------------------------------
 
@@ -378,10 +411,7 @@ class InferenceServer:
 
     def _run_now(self, nodes, kind: str, now: Optional[float]) -> np.ndarray:
         now = self._now(now)
-        ids = [self.submit(node, kind=kind, now=now) for node in np.atleast_1d(nodes)]
-        self.drain(now)
-        values = [self.result(request_id).value for request_id in ids]
-        return np.stack(values) if kind == "embed" else np.asarray(values)
+        return self.replay(nodes, [now] * np.size(nodes), now, kind=kind)["values"]
 
     # ------------------------------------------------------------------
     # Streaming ingestion
@@ -412,6 +442,7 @@ class InferenceServer:
         row/overlay gauges.  This is what the ``/metrics`` HTTP endpoint
         and the textfile exposition both render.
         """
+        self.telemetry.sync()
         merged = MetricsRegistry()
         merged.merge_payload(self.telemetry.registry.to_payload())
         merged.histogram("serve_cache_node_hits").observe_many(
@@ -521,8 +552,7 @@ class InferenceServer:
     def _poll_deadline(self, now: float) -> int:
         executed = 0
         while True:
-            queue = self.batcher._queue
-            deadline = queue[0].arrival + self.batcher.max_wait if queue else None
+            deadline = self.batcher.deadline
             batch = self.batcher.poll(now)
             if batch is None:
                 return executed
@@ -532,9 +562,6 @@ class InferenceServer:
             # arrival gap.
             self._execute(batch, flush_time=deadline)
             executed += 1
-
-    def _compute_embedding(self, node: int) -> np.ndarray:
-        return self._compute_embeddings([int(node)])[0][0]
 
     def _compute_embeddings(self, nodes: List[int]):
         """Cold-path embeddings for ``nodes`` — one batched model call.
@@ -622,22 +649,26 @@ class InferenceServer:
         """Forget the busy-until watermark (between independent replays)."""
         self._busy_until = float("-inf")
 
-    def _execute(self, batch: List[ServeRequest], flush_time: float) -> None:
+    def _execute(self, batch: List[int], flush_time: float) -> None:
         flush_time = max(flush_time, self._busy_until)
         start = time.perf_counter()
+        table = self.telemetry
+        rows = table.rows_of(batch)
+        nodes = table.node[rows].tolist()
+        classify = (table.kind[rows] == KINDS.index("classify")).tolist()
         embeddings: Dict[int, np.ndarray] = {}
-        hit: Dict[int, bool] = {}
         rung: Dict[int, str] = {}
         miss_nodes: List[int] = []
-        for node in dict.fromkeys(request.node for request in batch):
-            cached = self.cache.get(node)
-            if cached is not None:
-                embeddings[node] = cached
-                hit[node] = True
+        for node in dict.fromkeys(nodes):
+            # An earlier batch may have computed the node since it was
+            # queued, and must not be repeated.  Residency is tested before
+            # the lookup because a request's miss was counted when it was
+            # submitted; a hit here still counts and refreshes the LRU.
+            if node in self.cache:
+                embeddings[node] = self.cache.get(node)
                 rung[node] = "cache"
             else:
                 miss_nodes.append(node)
-                hit[node] = False
         if miss_nodes:
             # All of the batch's misses go through one vectorized forward.
             computed, miss_rungs, miss_reads = self._compute_embeddings(miss_nodes)
@@ -650,66 +681,51 @@ class InferenceServer:
                 )
                 embeddings[node] = embedding
                 rung[node] = node_rung
-        classify_requests = [r for r in batch if r.kind == "classify"]
         predictions: Dict[int, int] = {}
-        if classify_requests:
-            nodes = list(dict.fromkeys(r.node for r in classify_requests))
-            stacked = np.stack([embeddings[node] for node in nodes])
-            if hasattr(self.classifier, "predict_from_embeddings"):
-                classes = self.classifier.predict_from_embeddings(stacked)
+        if any(classify):
+            heads = list(
+                dict.fromkeys(node for node, wanted in zip(nodes, classify) if wanted)
+            )
+            if self._has_head:
+                classes = self.classifier.predict_from_embeddings(
+                    np.stack([embeddings[node] for node in heads])
+                )
             else:
                 classes = self.classifier.predict(
-                    np.asarray(nodes), graph=self.graph
+                    np.asarray(heads), graph=self.graph
                 )
-            predictions = {node: int(cls) for node, cls in zip(nodes, classes)}
+            predictions = {node: int(cls) for node, cls in zip(heads, classes)}
         completion = flush_time + (time.perf_counter() - start)
         self._busy_until = completion
         self.telemetry.record_batch(len(batch))
-        for request in batch:
-            value: Union[int, np.ndarray]
-            if request.kind == "classify":
-                value = predictions[request.node]
-            else:
-                value = embeddings[request.node]
+        waits = np.maximum(0.0, flush_time - table.arrival[rows]).tolist()
+        for request_id, node, wanted, queue_wait in zip(batch, nodes, classify, waits):
             self._finish(
-                request, value, completion,
-                cache_hit=hit[request.node], batch_size=len(batch),
-                rung=rung[request.node],
-                queue_wait=max(0.0, flush_time - request.arrival),
+                request_id,
+                predictions[node] if wanted else embeddings[node],
+                completion,
+                batch_size=len(batch),
+                rung=rung[node],
+                queue_wait=queue_wait,
             )
 
     def _finish(
         self,
-        request: ServeRequest,
+        request_id: int,
         value: Union[int, np.ndarray],
         completion: float,
         *,
-        cache_hit: bool,
         batch_size: int,
-        rung: str = "recompute",
+        rung: str,
         queue_wait: float = 0.0,
     ) -> None:
-        self._results[request.request_id] = ServeResult(
-            request_id=request.request_id,
-            node=request.node,
-            kind=request.kind,
-            value=value,
-            arrival=request.arrival,
-            completion=completion,
-            cache_hit=cache_hit,
-            rung=rung,
-            queue_wait=queue_wait,
-        )
-        self.telemetry.record_request(
-            RequestRecord(
-                node=request.node,
-                arrival=request.arrival,
-                completion=completion,
-                cache_hit=cache_hit,
-                batch_size=batch_size,
-                rung=rung,
-                queue_wait=queue_wait,
-            )
+        """One answered request: keep its value for pickup, fill its row.
+        Entered once per answered node with ``rung`` by keyword — the
+        wall-clock benchmark tallies the ladder by wrapping this call."""
+        self._values[request_id] = value
+        self.telemetry.finish(
+            request_id, completion,
+            rung=rung, batch_size=batch_size, queue_wait=queue_wait,
         )
 
     @staticmethod

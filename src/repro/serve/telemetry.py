@@ -1,125 +1,195 @@
-"""Serving telemetry: latency, queue depth, batch occupancy, cache hit-rate.
+"""Serving telemetry: the request table and its reductions.
 
-The recorder is a plain accumulator the server feeds as requests complete;
-:meth:`Telemetry.summary` reduces it to the numbers a capacity planner
-actually looks at — percentile latencies (p50/p95/p99, plus min/max/count so
-the report is self-describing), throughput over the observed span, mean
-batch occupancy and cache hit-rate.  Everything is deterministic given the
-same request stream.
+A request is a row.  :class:`Telemetry` holds one growable table (an
+array per column of :data:`COLUMNS`) that the server appends to when a
+request is submitted (:meth:`Telemetry.open`) and fills when it is
+answered (:meth:`Telemetry.finish`).  Nothing else writes a request down: the
+server's results, the shard engine's reply and the cluster router's
+summary are all read off these columns.
+
+:meth:`Telemetry.summary` reduces the rows since the last
+:meth:`Telemetry.reset` to the numbers a capacity planner actually looks at
+— percentile latencies (p50/p95/p99, plus min/max/count so the report is
+self-describing), throughput over the observed span, mean batch occupancy
+and cache hit-rate.  Everything is deterministic given the same request
+stream.
 
 Percentiles come from the shared :class:`repro.obs.Histogram` (one
 percentile implementation for training and serving); when a
-:class:`~repro.obs.MetricsRegistry` is attached, every record also lands in
+:class:`~repro.obs.MetricsRegistry` is attached, the rows also land in
 registry series (``serve_latency_seconds``, ``serve_requests_total``,
-``serve_batch_size``, ``serve_queue_depth``), so training and serving report
-through one pipeline and one ``metrics.jsonl``.
+``serve_rung_total``, ``serve_queue_depth``, batch sizes) — the per-request
+ones by one ``observe_many`` per :meth:`Telemetry.sync`, which the server
+runs when it goes idle, not by one call per request — so training and
+serving report through one pipeline and one ``metrics.jsonl``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.slo import RUNGS
 
-#: Serving-ladder rungs, fastest first (see ``repro.obs.slo.RUNGS``).
-RUNGS = ("cache", "store", "overlay", "recompute")
+#: Request kinds; a row's ``kind`` is an index into this.
+KINDS = ("classify", "embed")
+
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_RUNG_CODE = {rung: code for code, rung in enumerate(RUNGS)}
+
+#: The table's columns, one array each (``telemetry.node`` ...).
+#: ``completion`` is NaN while a request is queued; ``rung`` indexes
+#: ``RUNGS``; ``queue_wait`` is submit-to-flush time (0 for submit-time
+#: cache hits), so ``completion - arrival - queue_wait`` is the compute
+#: share; ``queue_depth`` is what was queued ahead of it at submit.
+COLUMNS = {
+    "node": np.int64,
+    "kind": np.uint8,
+    "arrival": np.float64,
+    "completion": np.float64,
+    "queue_wait": np.float64,
+    "rung": np.uint8,
+    "batch_size": np.int64,
+    "queue_depth": np.int64,
+}
 
 
-@dataclass
-class RequestRecord:
-    """One completed request, as the telemetry layer sees it.
+class Telemetry:
+    """The request table plus per-batch, per-write and per-lookup samples.
 
-    ``rung`` names the serving-ladder tier that produced the embedding;
-    ``queue_wait`` is submit-to-flush time (0 for submit-time cache hits),
-    so ``latency - queue_wait`` is the request's compute share.
+    A request id is its row's position plus the number of rows earlier
+    resets dropped, so ids keep counting up across :meth:`reset` and the id
+    of a request that is still queued stays valid through one.
     """
 
-    node: int
-    arrival: float
-    completion: float
-    cache_hit: bool
-    batch_size: int
-    rung: str = "recompute"
-    queue_wait: float = 0.0
-
-    @property
-    def latency(self) -> float:
-        return self.completion - self.arrival
-
-    @property
-    def compute(self) -> float:
-        return max(0.0, self.latency - self.queue_wait)
-
-
-@dataclass
-class Telemetry:
-    """Accumulates per-request records and queue/batch samples."""
-
-    requests: List[RequestRecord] = field(default_factory=list)
-    batch_sizes: List[int] = field(default_factory=list)
-    compute_batch_sizes: List[int] = field(default_factory=list)
-    queue_depths: List[int] = field(default_factory=list)
-    # One record per mutation-triggered invalidation: how many adjacency
-    # lists the write touched, how many resident entries it dropped and how
-    # many stayed warm.
-    invalidation_records: List[Dict[str, int]] = field(default_factory=list)
-    # One record per store-consulted miss batch: how many nodes were served
-    # from fresh store rows vs found stale vs absent (both of the latter
-    # fall back to materialization).
-    store_lookups: List[Dict[str, int]] = field(default_factory=list)
-    max_batch_size: int = 1
-    registry: Optional[MetricsRegistry] = None
-    # Attached EmbeddingCache (duck-typed); lets summary() surface the
-    # per-node hit distribution next to the request-level hit rate.
-    cache: Optional[object] = None
-
-    # -- recording ------------------------------------------------------
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        max_batch_size: int = 1,
+        registry: Optional[MetricsRegistry] = None,
+        cache: Optional[object] = None,
+    ) -> None:
+        self.max_batch_size = max_batch_size
+        self.registry = registry
+        # The server's EmbeddingCache (duck-typed); lets summary() surface
+        # the per-node hit distribution next to the request-level hit rate.
+        self.cache = cache
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, np.empty(64, dtype))
+        self._size = 0  # rows in use
+        self._base = 0  # id of row 0
+        self._synced = 0  # rows below this are already in the registry
+        self._batches = self._batched = 0
+        self._compute_batches = self._computed = self._compute_max = 0
+        # One record per mutation-triggered invalidation: how many
+        # adjacency lists the write touched, how many resident entries it
+        # dropped and how many stayed warm.
+        self.invalidation_records: List[Dict[str, int]] = []
+        # One record per store-consulted miss batch: how many nodes were
+        # served from fresh store rows vs found stale vs absent (both of
+        # the latter fall back to materialization).
+        self.store_lookups: List[Dict[str, int]] = []
+        if registry is None:
+            return
         # Registry instruments are resolved once, not per record: the
         # labeled lookup (sort labels, hash, dict probe) costs more than a
-        # counter increment and sits on the per-request hot path.
-        registry = self.registry
-        if registry is None:
-            self._latency_hist = None
-            return
+        # counter increment.
         self._latency_hist = registry.histogram("serve_latency_seconds")
+        self._queue_hist = registry.histogram("serve_queue_depth")
         self._requests_by_hit = {
-            True: registry.counter("serve_requests_total", cache="hit"),
-            False: registry.counter("serve_requests_total", cache="miss"),
+            hit: registry.counter("serve_requests_total", cache=hit)
+            for hit in ("hit", "miss")
         }
+        self._rung_counters = [
+            registry.counter("serve_rung_total", rung=rung) for rung in RUNGS
+        ]
         self._batch_hist = registry.histogram("serve_batch_size")
         self._compute_batch_hist = registry.histogram("serve_compute_batch_size")
-        self._queue_hist = registry.histogram("serve_queue_depth")
         self._store_outcomes = {
             outcome: registry.counter(
                 "serve_store_requests_total", outcome=outcome
             )
             for outcome in ("hit", "stale", "absent")
         }
-        self._rung_counters = {
-            rung: registry.counter("serve_rung_total", rung=rung)
-            for rung in RUNGS
-        }
 
-    def attach_cache(self, cache) -> None:
-        """Expose an :class:`EmbeddingCache`'s per-node hit histogram in
-        :meth:`summary` (the server attaches its cache at construction)."""
-        self.cache = cache
+    # -- recording ------------------------------------------------------
 
-    def record_request(self, record: RequestRecord) -> None:
-        self.requests.append(record)
-        if self._latency_hist is not None:
-            self._latency_hist.observe(record.latency)
-            self._requests_by_hit[record.cache_hit].inc()
-            counter = self._rung_counters.get(record.rung)
-            if counter is not None:
-                counter.inc()
+    def open(
+        self, node: int, kind: str, arrival: float, queue_depth: int = 0
+    ) -> int:
+        """Append the row of a request submitted at ``arrival`` with
+        ``queue_depth`` requests queued ahead of it; returns its id."""
+        row = self._size
+        if row == self.node.size:
+            for name in COLUMNS:
+                column = getattr(self, name)
+                setattr(self, name, np.concatenate([column, np.empty_like(column)]))
+        self.node[row] = node
+        self.kind[row] = _KIND_CODE[kind]
+        self.arrival[row] = arrival
+        self.completion[row] = np.nan
+        self.queue_depth[row] = queue_depth
+        self._size = row + 1
+        return self._base + row
+
+    def finish(
+        self,
+        request_id: int,
+        completion: float,
+        *,
+        rung: str,
+        batch_size: int,
+        queue_wait: float = 0.0,
+    ) -> None:
+        """Fill the row of an answered request; ``rung`` names the ladder
+        tier that produced the embedding."""
+        row = request_id - self._base
+        self.completion[row] = completion
+        self.queue_wait[row] = queue_wait
+        self.rung[row] = _RUNG_CODE[rung]
+        self.batch_size[row] = batch_size
+
+    def rows_of(self, request_ids: List[int]) -> np.ndarray:
+        """Table positions of ``request_ids``, to index the columns with;
+        ``KeyError`` for an id that was never issued or that a
+        :meth:`reset` has dropped."""
+        if request_ids and not (
+            self._base <= min(request_ids)
+            and max(request_ids) < self._base + self._size
+        ):
+            raise KeyError(
+                f"request ids {request_ids} are not all in this table's "
+                f"[{self._base}, {self._base + self._size})"
+            )
+        return np.asarray(request_ids, dtype=np.int64) - self._base
+
+    def sync(self) -> None:
+        """Observe the rows answered since the last sync into the registry:
+        one ``observe_many`` / ``inc`` per series, whatever the row count.
+        Stops at the oldest request still queued, so rows are observed in
+        submit order and each exactly once."""
+        lo, hi = self._synced, self._size
+        queued = np.isnan(self.completion[lo:hi]).nonzero()[0]
+        if queued.size:
+            hi = lo + int(queued[0])
+        self._synced = hi
+        if self.registry is None or hi == lo:
+            return
+        self._latency_hist.observe_many(
+            (self.completion[lo:hi] - self.arrival[lo:hi]).tolist()
+        )
+        self._queue_hist.observe_many(self.queue_depth[lo:hi].tolist())
+        by_rung = np.bincount(self.rung[lo:hi], minlength=len(RUNGS)).tolist()
+        for counter, served in zip(self._rung_counters, by_rung):
+            counter.inc(served)
+        self._requests_by_hit["hit"].inc(by_rung[0])
+        self._requests_by_hit["miss"].inc(hi - lo - by_rung[0])
 
     def record_batch(self, size: int) -> None:
-        self.batch_sizes.append(size)
-        if self._latency_hist is not None:
+        self._batches += 1
+        self._batched += size
+        if self.registry is not None:
             self._batch_hist.observe(size)
 
     def record_compute_batch(self, size: int) -> None:
@@ -129,14 +199,11 @@ class Telemetry:
         how many embeddings actually went through one model forward, i.e.
         whether the vectorized compute path sees real batches or singletons.
         """
-        self.compute_batch_sizes.append(size)
-        if self._latency_hist is not None:
+        self._compute_batches += 1
+        self._computed += size
+        self._compute_max = max(self._compute_max, size)
+        if self.registry is not None:
             self._compute_batch_hist.observe(size)
-
-    def record_queue_depth(self, depth: int) -> None:
-        self.queue_depths.append(depth)
-        if self._latency_hist is not None:
-            self._queue_hist.observe(depth)
 
     def record_invalidation(
         self, *, frontier_size: int, dropped: int, kept: int,
@@ -186,7 +253,7 @@ class Telemetry:
         self.store_lookups.append(
             {"hit": int(hit), "stale": int(stale), "absent": int(absent)}
         )
-        if self._latency_hist is not None:
+        if self.registry is not None:
             for outcome, count in (
                 ("hit", hit), ("stale", stale), ("absent", absent)
             ):
@@ -194,132 +261,62 @@ class Telemetry:
                     self._store_outcomes[outcome].inc(int(count))
 
     def reset(self) -> None:
-        """Clear local records (e.g. between a warmup and a measured pass).
+        """Start a new window (e.g. between a warmup and a measured pass).
 
-        Registry series are cumulative by design and left untouched.
+        Every row before the oldest request still queued is dropped; that
+        request and whatever was submitted behind it keep their ids and
+        open the new window.  Registry series are cumulative by design: the
+        dropped rows are synced into them first, the series left untouched.
         """
-        self.requests.clear()
-        self.batch_sizes.clear()
-        self.compute_batch_sizes.clear()
-        self.queue_depths.clear()
+        self.sync()
+        queued = np.isnan(self.completion[: self._size]).nonzero()[0]
+        drop = int(queued[0]) if queued.size else self._size
+        for name in COLUMNS:
+            column = getattr(self, name)
+            column[: self._size - drop] = column[drop : self._size].copy()
+        self._base += drop
+        self._size -= drop
+        self._synced -= drop
+        self._batches = self._batched = 0
+        self._compute_batches = self._computed = self._compute_max = 0
         self.invalidation_records.clear()
         self.store_lookups.clear()
 
-    # -- message-boundary serialization ---------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        """Plain-data snapshot for crossing a shard/process boundary.
-
-        Request records travel as parallel column lists (compact, picklable
-        without class baggage); the cluster router reduces straight over
-        the columns without rebuilding :class:`RequestRecord` objects.
-        The registry and attached cache stay behind — they have their own
-        serialized forms (``MetricsRegistry.to_payload``, cache size in the
-        engine's telemetry reply).
-        """
-        return {
-            "requests": {
-                "node": [r.node for r in self.requests],
-                "arrival": [r.arrival for r in self.requests],
-                "completion": [r.completion for r in self.requests],
-                "cache_hit": [r.cache_hit for r in self.requests],
-                "batch_size": [r.batch_size for r in self.requests],
-                "rung": [r.rung for r in self.requests],
-                "queue_wait": [r.queue_wait for r in self.requests],
-            },
-            "batch_sizes": list(self.batch_sizes),
-            "compute_batch_sizes": list(self.compute_batch_sizes),
-            "queue_depths": list(self.queue_depths),
-            "invalidation_records": [dict(r) for r in self.invalidation_records],
-            "store_lookups": [dict(r) for r in self.store_lookups],
-            "max_batch_size": self.max_batch_size,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "Telemetry":
-        """Rebuild a reducible :class:`Telemetry` from a snapshot payload."""
-        requests = payload["requests"]
-        telemetry = cls(max_batch_size=int(payload.get("max_batch_size", 1)))
-        count = len(requests["node"])
-        # Older payloads predate attribution; default to the coarse values.
-        rungs = requests.get("rung", ["recompute"] * count)
-        queue_waits = requests.get("queue_wait", [0.0] * count)
-        telemetry.requests = [
-            RequestRecord(
-                node=int(node),
-                arrival=float(arrival),
-                completion=float(completion),
-                cache_hit=bool(cache_hit),
-                batch_size=int(batch_size),
-                rung=str(rung),
-                queue_wait=float(queue_wait),
-            )
-            for node, arrival, completion, cache_hit, batch_size, rung, queue_wait in zip(
-                requests["node"],
-                requests["arrival"],
-                requests["completion"],
-                requests["cache_hit"],
-                requests["batch_size"],
-                rungs,
-                queue_waits,
-            )
-        ]
-        telemetry.batch_sizes = [int(v) for v in payload["batch_sizes"]]
-        telemetry.compute_batch_sizes = [
-            int(v) for v in payload["compute_batch_sizes"]
-        ]
-        telemetry.queue_depths = [int(v) for v in payload["queue_depths"]]
-        telemetry.invalidation_records = [
-            dict(r) for r in payload["invalidation_records"]
-        ]
-        telemetry.store_lookups = [
-            dict(r) for r in payload.get("store_lookups", [])
-        ]
-        return telemetry
-
     # -- reductions -----------------------------------------------------
 
-    @property
-    def latencies(self) -> List[float]:
-        return [record.latency for record in self.requests]
+    def rows(self) -> Dict[str, np.ndarray]:
+        """The requests answered since the last :meth:`reset`, as columns
+        (copies, in submit order)."""
+        done = ~np.isnan(self.completion[: self._size])
+        return {name: getattr(self, name)[: self._size][done] for name in COLUMNS}
 
     @property
-    def cache_hits(self) -> int:
-        return sum(record.cache_hit for record in self.requests)
-
-    @property
-    def cache_misses(self) -> int:
-        return len(self.requests) - self.cache_hits
+    def latencies(self) -> np.ndarray:
+        rows = self.rows()
+        return rows["completion"] - rows["arrival"]
 
     def hit_rate(self) -> float:
-        return self.cache_hits / len(self.requests) if self.requests else 0.0
+        return self.summary()["cache_hit_rate"]
 
     def throughput(self) -> float:
         """Completed requests per second over the observed span."""
-        if not self.requests:
-            return 0.0
-        start = min(record.arrival for record in self.requests)
-        stop = max(record.completion for record in self.requests)
-        span = stop - start
-        return len(self.requests) / span if span > 0 else float("inf")
-
-    def mean_occupancy(self) -> float:
-        """Mean batch fill fraction relative to the configured maximum."""
-        if not self.batch_sizes:
-            return 0.0
-        return sum(self.batch_sizes) / (len(self.batch_sizes) * self.max_batch_size)
-
-    def latency_histogram(self) -> Histogram:
-        """The current latencies as a shared :class:`Histogram`."""
-        histogram = Histogram("serve_latency_seconds")
-        histogram.observe_many(self.latencies)
-        return histogram
+        return self.summary()["throughput_rps"]
 
     def summary(self) -> Dict[str, float]:
-        latencies = self.latency_histogram()
+        rows = self.rows()
+        count = rows["node"].size
+        latency = rows["completion"] - rows["arrival"]
+        # Percentiles from the shared Histogram: one nearest-rank
+        # implementation for training and serving.
+        latencies = Histogram("serve_latency_seconds")
+        latencies.observe_many(latency.tolist())
+        span = float(rows["completion"].max() - rows["arrival"].min()) if count else 0.0
+        by_rung = np.bincount(rows["rung"], minlength=len(RUNGS)).tolist()
         stats = {
-            "requests": len(self.requests),
-            "throughput_rps": self.throughput(),
+            "requests": count,
+            "throughput_rps": (
+                count / span if span > 0 else float("inf") if count else 0.0
+            ),
             "latency_count": latencies.count,
             "latency_mean_s": latencies.mean,
             "latency_min_s": latencies.min,
@@ -327,36 +324,35 @@ class Telemetry:
             "latency_p50_s": latencies.percentile(50),
             "latency_p95_s": latencies.percentile(95),
             "latency_p99_s": latencies.percentile(99),
-            "batches": len(self.batch_sizes),
-            "batch_occupancy": self.mean_occupancy(),
-            "mean_queue_depth": (
-                sum(self.queue_depths) / len(self.queue_depths)
-                if self.queue_depths
+            "batches": self._batches,
+            # Mean batch fill fraction relative to the configured maximum.
+            "batch_occupancy": (
+                self._batched / (self._batches * self.max_batch_size)
+                if self._batches
                 else 0.0
             ),
-            "cache_hit_rate": self.hit_rate(),
+            # Sampled at submit, so requests still queued count too.
+            "mean_queue_depth": (
+                float(self.queue_depth[: self._size].mean())
+                if self._size
+                else 0.0
+            ),
+            "cache_hit_rate": by_rung[0] / count if count else 0.0,
+            "compute_batches": self._compute_batches,
+            "compute_batch_mean": (
+                self._computed / self._compute_batches
+                if self._compute_batches
+                else 0.0
+            ),
+            "compute_batch_max": float(self._compute_max),
         }
-        stats["compute_batches"] = len(self.compute_batch_sizes)
-        stats["compute_batch_mean"] = (
-            sum(self.compute_batch_sizes) / len(self.compute_batch_sizes)
-            if self.compute_batch_sizes
-            else 0.0
-        )
-        stats["compute_batch_max"] = (
-            float(max(self.compute_batch_sizes)) if self.compute_batch_sizes else 0.0
-        )
-        if self.requests:
-            count = len(self.requests)
-            stats["queue_wait_mean_s"] = (
-                sum(r.queue_wait for r in self.requests) / count
+        if count:
+            stats["queue_wait_mean_s"] = float(rows["queue_wait"].mean())
+            stats["compute_mean_s"] = float(
+                np.maximum(0.0, latency - rows["queue_wait"]).mean()
             )
-            stats["compute_mean_s"] = (
-                sum(r.compute for r in self.requests) / count
-            )
-            for rung in RUNGS:
-                stats[f"rung_{rung}"] = float(
-                    sum(1 for r in self.requests if r.rung == rung)
-                )
+            for rung, served in zip(RUNGS, by_rung):
+                stats[f"rung_{rung}"] = float(served)
         stats["invalidations"] = len(self.invalidation_records)
         stats["invalidated_entries"] = float(
             sum(r["dropped"] for r in self.invalidation_records)

@@ -18,6 +18,7 @@ from repro.cluster import (
     AddNodesCommand,
     ClusterPlan,
     ClusterRouter,
+    ShardError,
     ShardPlanner,
     ShardSpec,
 )
@@ -409,10 +410,37 @@ class TestShardWorker:
             worker = router.workers[0]
             good = worker.submit_serve(0, "embed")
             bad = worker.submit_serve(router.graph.num_nodes + 100, "embed")
-            (item,) = good.result()["items"]
-            assert item["ok"] and item["value"] is not None
-            (item,) = bad.result()["items"]
-            assert not item["ok"] and item["error"]
+            assert good.result()["values"].shape[0] == 1
+            with pytest.raises(ShardError) as excinfo:
+                bad.result()
+            assert excinfo.value.remote_type == "IndexError"
+
+    def test_out_of_range_op_is_refused_before_anything_is_sent(self, checkpoint):
+        """``owner_of[nodes]`` would wrap ``-1`` to the last node's owner:
+        the router range-checks first, names the id, and neither counts
+        nor sends; an engine handed such an op directly refuses it whole,
+        as a counted error reply."""
+        with fresh_router(checkpoint, 2) as router:
+            num_nodes = router.graph.num_nodes
+            for bad in (-1, num_nodes):
+                for ask in (router.classify, router.embed):
+                    with pytest.raises(IndexError) as excinfo:
+                        ask([0, bad, 1])
+                    assert f"node {bad} out of range [0, {num_nodes})" in str(
+                        excinfo.value
+                    )
+            assert "cluster_requests_total" not in router.registry.render_prometheus()
+            assert [worker.requests_routed for worker in router.workers] == [0, 0]
+            summary = router.summary()
+            assert summary["requests"] == 0
+            worker = router.workers[0]
+            owned = int(worker.spec.owned[0])
+            with pytest.raises(ShardError) as excinfo:
+                worker.submit_serve([owned, -1], "embed").result()
+            assert excinfo.value.remote_type == "IndexError"
+            text = router.render_prometheus()
+            assert 'shard_errors_total{kind="serve",shard="0"} 1' in text
+            assert router.summary()["requests"] == 0  # nothing was half-served
 
     def test_pull_orders_against_requests(self, checkpoint):
         """A telemetry pull enqueued after a serve envelope observes that
@@ -424,4 +452,4 @@ class TestShardWorker:
             # engine has already populated the cache when this runs.
             telemetry = worker.pull_telemetry().result()
             assert telemetry["cache_size"] >= 4
-            assert all(item["ok"] for item in pending.result()["items"])
+            assert pending.result()["values"].shape[0] == 4

@@ -294,6 +294,24 @@ class TestSLOMonitor:
         assert report["p95_s"] == pytest.approx(0.095)
         assert report["p99_s"] == pytest.approx(0.099)
 
+    @pytest.mark.parametrize(
+        "count, p50, p95", [(5, 3.0, 5.0), (13, 7.0, 13.0)]
+    )
+    def test_percentiles_agree_with_the_shared_nearest_rank(self, count, p50, p95):
+        """``round(q * n)`` rounds half to even and read p50 of 1..5 as 2.0
+        and p50 / p95 of 1..13 as 6.0 / 12.0; the report now ranks the way
+        ``Telemetry.summary`` and ``ClusterRouter.summary`` do."""
+        from repro.obs.metrics import nearest_rank_percentile
+
+        monitor = SLOMonitor(clock=FakeClock())
+        values = [float(v) for v in range(count, 0, -1)]
+        for value in values:
+            monitor.observe(value)
+        report = monitor.report()
+        assert (report["p50_s"], report["p95_s"]) == (p50, p95)
+        for name, p in (("p50_s", 50), ("p95_s", 95), ("p99_s", 99)):
+            assert report[name] == nearest_rank_percentile(values, p)
+
 
 class TestSlowRequestLog:
     def _record(self, trace_id, latency):
@@ -364,17 +382,29 @@ class TestAttributionRecord:
 
 class TestRouterObserved:
     def test_tracing_does_not_change_answers(self, acm, checkpoint):
+        """Observed and unobserved ops run one ``_scatter_gather`` body:
+        same arrays out, cold and warm, and one attribution per op."""
         probe = np.asarray(acm.split.test[:12])
+        ops = [("embed", probe), ("classify", probe[::-1]), ("classify", probe[:5])]
         plain = fresh_router(checkpoint, 2)
         try:
-            expected = plain.embed(probe)
+            expected = [getattr(plain, kind)(nodes) for kind, nodes in ops]
+            assert plain.attributions == []
         finally:
             plain.close()
         traced = fresh_router(
             checkpoint, 2, dist_tracing=True, slo_target=SLOTarget()
         )
         try:
-            np.testing.assert_array_equal(traced.embed(probe), expected)
+            for (kind, nodes), want in zip(ops, expected):
+                got = getattr(traced, kind)(nodes)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert [r.nodes for r in traced.attributions] == [12, 12, 5]
+            for record in traced.attributions:
+                assert record.ok and record.rung_total() == record.nodes
+                assert record.shards == 2
+            assert traced.attributions[-1].rungs == {"cache": 5}
         finally:
             traced.close()
 

@@ -23,13 +23,11 @@ from repro.serve import (
     InferenceServer,
     MicroBatcher,
     ModelRegistry,
-    ServeRequest,
     Telemetry,
     cold_single_requests,
     make_trace,
     replay,
 )
-from repro.serve.telemetry import RequestRecord
 
 
 @pytest.fixture(scope="module")
@@ -140,27 +138,29 @@ class TestMicroBatcher:
     def test_size_trigger_flushes_exactly_at_capacity(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait=10.0)
         for i in range(3):
-            assert batcher.submit(ServeRequest(i, i, 0.0)) is None
-        batch = batcher.submit(ServeRequest(3, 3, 0.0))
-        assert batch is not None and len(batch) == 4
+            assert batcher.submit(i, 0.0) is None
+        assert batcher.submit(3, 0.0) == [0, 1, 2, 3]
         assert batcher.depth == 0
 
     def test_deadline_trigger_uses_oldest_arrival(self):
         batcher = MicroBatcher(max_batch_size=100, max_wait=0.01)
-        batcher.submit(ServeRequest(0, 5, arrival=1.000))
-        batcher.submit(ServeRequest(1, 6, arrival=1.005))
+        assert batcher.deadline is None
+        batcher.submit(5, arrival=1.000)
+        batcher.submit(6, arrival=1.005)
+        assert batcher.deadline == pytest.approx(1.010)
         assert batcher.poll(1.005) is None  # oldest has waited 5ms < 10ms
-        batch = batcher.poll(1.010)  # oldest hits the deadline exactly
-        assert batch is not None and [r.node for r in batch] == [5, 6]
+        assert batcher.poll(1.010) == [5, 6]  # oldest hits the deadline exactly
         assert batcher.poll(99.0) is None  # queue drained
 
     def test_flush_drains_in_capacity_chunks(self):
         batcher = MicroBatcher(max_batch_size=2, max_wait=10.0)
-        batcher._queue.extend(ServeRequest(i, i, 0.0) for i in range(5))
-        sizes = []
+        batcher._queue.extend(range(5))
+        batcher._arrivals.extend([0.0] * 5)
+        batches = []
         while (batch := batcher.flush()) is not None:
-            sizes.append(len(batch))
-        assert sizes == [2, 2, 1]
+            batches.append(batch)
+        assert batches == [[0, 1], [2, 3], [4]]
+        assert batcher.deadline is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -241,14 +241,21 @@ class TestTelemetry:
         with pytest.raises(ValueError):
             nearest_rank_percentile(values, 101)
 
+    @staticmethod
+    def answered(telemetry, node, arrival, completion, *, hit, batch_size, **finish):
+        """One request through the recording API: open its row, fill it."""
+        request_id = telemetry.open(node, "classify", arrival)
+        telemetry.finish(
+            request_id, completion,
+            rung="cache" if hit else "recompute", batch_size=batch_size, **finish,
+        )
+        return request_id
+
     def test_summary_reductions(self):
         telemetry = Telemetry(max_batch_size=4)
         for i, hit in enumerate([True, False, True, True]):
-            telemetry.record_request(
-                RequestRecord(
-                    node=i, arrival=float(i), completion=float(i) + 0.5,
-                    cache_hit=hit, batch_size=2,
-                )
+            self.answered(
+                telemetry, i, float(i), float(i) + 0.5, hit=hit, batch_size=2
             )
         telemetry.record_batch(2)
         telemetry.record_batch(4)
@@ -265,44 +272,133 @@ class TestTelemetry:
     def test_summary_min_max_count_fields(self):
         telemetry = Telemetry(max_batch_size=4)
         for i, latency in enumerate([0.2, 0.1, 0.4]):
-            telemetry.record_request(
-                RequestRecord(
-                    node=i, arrival=0.0, completion=latency,
-                    cache_hit=False, batch_size=1,
-                )
-            )
+            self.answered(telemetry, i, 0.0, latency, hit=False, batch_size=1)
         stats = telemetry.summary()
         assert stats["latency_count"] == 3
         assert stats["latency_min_s"] == pytest.approx(0.1)
         assert stats["latency_max_s"] == pytest.approx(0.4)
         assert "latency min/max" in telemetry.format_report()
 
+    def test_summary_keys_and_values_of_a_hand_fed_pass(self):
+        """Every key ``summary()`` reported when a request was a
+        ``RequestRecord`` in a list, with the value that reduction gave for
+        these numbers (the expected dict is that implementation's output
+        at 553246d, not recomputed from the table)."""
+        telemetry = Telemetry(max_batch_size=4)
+        fed = [  # arrival, completion, rung, batch_size, queue_wait, depth
+            (0.0, 0.25, "cache", 1, 0.0, 0),
+            (0.5, 1.5, "recompute", 3, 0.25, 0),
+            (0.75, 1.5, "store", 3, 0.125, 1),
+            (1.0, 1.5, "overlay", 3, 0.75, 2),
+            (2.0, 2.125, "cache", 1, 0.0, 0),
+        ]
+        for node, (arrival, completion, rung, batch_size, wait, depth) in enumerate(fed):
+            request_id = telemetry.open(node, "embed", arrival, depth)
+            telemetry.finish(
+                request_id, completion,
+                rung=rung, batch_size=batch_size, queue_wait=wait,
+            )
+        telemetry.open(9, "classify", 2.5, 0)  # still queued: in no reduction
+        telemetry.record_batch(3)
+        telemetry.record_compute_batch(3)
+        telemetry.record_invalidation(frontier_size=2, dropped=1, kept=4)
+        telemetry.record_store_lookup(hit=2, stale=1)
+        assert telemetry.summary() == {
+            "requests": 5,
+            "throughput_rps": 5 / 2.125,
+            "latency_count": 5,
+            "latency_mean_s": 2.625 / 5,
+            "latency_min_s": 0.125,
+            "latency_max_s": 1.0,
+            "latency_p50_s": 0.5,
+            "latency_p95_s": 1.0,
+            "latency_p99_s": 1.0,
+            "batches": 1,
+            "batch_occupancy": 0.75,
+            "mean_queue_depth": 0.5,  # sampled at submit: the queued one counts
+            "cache_hit_rate": 0.4,
+            "compute_batches": 1,
+            "compute_batch_mean": 3.0,
+            "compute_batch_max": 3.0,
+            "queue_wait_mean_s": 0.225,
+            "compute_mean_s": 0.35,
+            "rung_cache": 2.0,
+            "rung_store": 1.0,
+            "rung_overlay": 1.0,
+            "rung_recompute": 1.0,
+            "invalidations": 1,
+            "invalidated_entries": 1.0,
+            "invalidation_kept_entries": 4.0,
+            "store_hits": 2.0,
+            "store_stale": 1.0,
+            "store_absent": 0.0,
+            "store_hit_rate": 2 / 3,
+        }
+        assert telemetry.hit_rate() == 0.4 and telemetry.throughput() == 5 / 2.125
+        np.testing.assert_array_equal(
+            telemetry.latencies, [0.25, 1.0, 0.75, 0.5, 0.125]
+        )
+
     def test_feeds_shared_registry(self):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
         telemetry = Telemetry(max_batch_size=4, registry=registry)
-        telemetry.record_request(
-            RequestRecord(node=0, arrival=0.0, completion=0.25,
-                          cache_hit=True, batch_size=1)
-        )
-        telemetry.record_request(
-            RequestRecord(node=1, arrival=0.0, completion=0.5,
-                          cache_hit=False, batch_size=2)
-        )
+        first = telemetry.open(0, "classify", 0.0, 3)
+        queued = telemetry.open(1, "classify", 0.0, 0)
+        self.answered(telemetry, 2, 0.0, 0.5, hit=False, batch_size=2)
+        telemetry.finish(first, 0.25, rung="cache", batch_size=1)
         telemetry.record_batch(2)
-        telemetry.record_queue_depth(3)
+        # Rows reach the registry at sync(), in submit order and each once:
+        # nothing behind a request that is still queued is observed early.
+        telemetry.sync()
+        telemetry.sync()
         assert registry.get("serve_requests_total", cache="hit").value == 1
-        assert registry.get("serve_requests_total", cache="miss").value == 1
+        assert registry.get("serve_requests_total", cache="miss").value == 0
+        telemetry.finish(queued, 0.5, rung="store", batch_size=2)
+        telemetry.sync()
+        assert registry.get("serve_requests_total", cache="hit").value == 1
+        assert registry.get("serve_requests_total", cache="miss").value == 2
+        assert registry.get("serve_rung_total", rung="store").value == 1
+        assert registry.get("serve_rung_total", rung="recompute").value == 1
         latency = registry.get("serve_latency_seconds")
-        assert latency.count == 2
+        assert latency.count == 3
         assert latency.max == pytest.approx(0.5)
         assert registry.get("serve_batch_size").count == 1
         assert registry.get("serve_queue_depth").max == 3
-        # reset() clears the local pass records but not the cumulative series.
+        # reset() clears the local pass records but not the cumulative
+        # series, and syncs what it drops.
+        self.answered(telemetry, 3, 1.0, 1.5, hit=True, batch_size=1)
         telemetry.reset()
-        assert telemetry.requests == []
-        assert registry.get("serve_latency_seconds").count == 2
+        assert telemetry.rows()["node"].size == 0
+        assert telemetry.summary()["requests"] == 0
+        assert registry.get("serve_latency_seconds").count == 4
+
+    def test_reset_keeps_the_ids_of_queued_requests(self):
+        telemetry = Telemetry(max_batch_size=4)
+        self.answered(telemetry, 0, 0.0, 0.5, hit=True, batch_size=1)
+        queued = telemetry.open(7, "embed", 1.0)
+        telemetry.reset()
+        assert telemetry.summary()["requests"] == 0
+        (row,) = telemetry.rows_of([queued])
+        assert telemetry.node[row] == 7 and np.isnan(telemetry.completion[row])
+        telemetry.finish(queued, 3.0, rung="recompute", batch_size=1)
+        later = self.answered(telemetry, 8, 2.0, 2.5, hit=True, batch_size=1)
+        assert later == queued + 1
+        np.testing.assert_array_equal(telemetry.rows()["node"], [7, 8])
+        with pytest.raises(KeyError):
+            telemetry.rows_of([0])  # dropped by the reset
+        with pytest.raises(KeyError):
+            telemetry.rows_of([later + 1])  # never issued
+
+    def test_table_grows_past_its_first_allocation(self):
+        telemetry = Telemetry(max_batch_size=1)
+        for i in range(200):
+            self.answered(telemetry, i, float(i), i + 0.5, hit=i % 2 == 0, batch_size=1)
+        rows = telemetry.rows()
+        np.testing.assert_array_equal(rows["node"], np.arange(200))
+        assert telemetry.summary()["requests"] == 200
+        assert telemetry.hit_rate() == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +487,47 @@ class TestInferenceServer:
         result = server.result(request_id)
         assert result.kind == "classify"
         assert isinstance(result.value, int)
+        # Built from the request's row: submit-to-flush wait, then compute.
+        assert (result.node, result.arrival) == (int(acm.split.test[0]), 0.0)
+        assert result.rung == "recompute" and result.queue_wait == 0.0
+        assert result.latency == result.compute > 0.0
+        with pytest.raises(KeyError):
+            server.result(request_id)  # released when it was picked up
+
+    def test_a_queued_miss_is_counted_once_and_computed_once(
+        self, trained, acm, tmp_path
+    ):
+        """``submit`` probes the cache and the flush probes again (a node
+        an earlier batch computed must not be recomputed); the request is
+        one miss, not two."""
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        server = fresh_acm_server(path)
+        nodes = acm.split.test[:10]
+        server.classify(nodes)
+        assert (server.cache.misses, server.cache.hits) == (10, 0)
+        assert server.cache.hit_rate() == 0.0
+        assert "misses=10" in repr(server.cache)
+        server.classify(nodes)
+        assert (server.cache.misses, server.cache.hits) == (10, 10)
+
+        # One node queued behind two flushes: computed by the first,
+        # found resident (a counted hit, no recompute) by the second.
+        server = fresh_acm_server(path, max_batch_size=4, max_wait=100.0)
+        computed = []
+        compute = server._compute_embeddings
+        server._compute_embeddings = lambda nodes: (
+            computed.extend(nodes), compute(nodes)
+        )[1]
+        first, twice = int(nodes[0]), int(nodes[1])
+        ids = [server.submit(node, kind="embed", now=0.0) for node in (first, twice, twice)]
+        server.batcher.max_batch_size = 2  # drain in two flushes: [first, twice], [twice]
+        server.drain(0.0)
+        assert computed == [first, twice]
+        assert (server.cache.misses, server.cache.hits) == (3, 1)
+        rungs = [server.result(request_id).rung for request_id in ids]
+        assert rungs == ["recompute", "recompute", "cache"]
+        assert server.telemetry.summary()["batches"] == 2
 
     def test_rejects_out_of_range_and_bad_kind(self, trained, acm, tmp_path):
         path = tmp_path / "widen.npz"

@@ -24,7 +24,6 @@ from repro.cluster import (
     Reply,
     ShardError,
 )
-from repro.cluster.router import _unwrap_serve
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
@@ -240,10 +239,10 @@ class TestCrossTransportExactness:
             worker = router.workers[0]
             bad = worker.submit_serve(router.graph.num_nodes + 50, "embed")
             with pytest.raises(ShardError):
-                _unwrap_serve(bad, 60.0)
+                bad.result(60.0)
             # The process survived; a good request still round-trips.
-            (value,) = _unwrap_serve(worker.submit_serve(0, "embed"), 60.0)
-            assert np.asarray(value).ndim == 1
+            (value,) = worker.submit_serve(0, "embed").result(60.0)["values"]
+            assert value.ndim == 1
 
     def test_socket_replay_matches_inline_summary_counts(self, checkpoint, acm):
         from repro.serve import make_trace
