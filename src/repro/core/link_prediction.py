@@ -114,8 +114,12 @@ class LinkPredictionTrainer:
         from repro.nn import Linear
 
         self.bilinear = Linear(config.dim, config.dim, bias=False, rng=head_rng)
+        # One list per trainer, not a module-tree walk per step.  The clip
+        # has always covered the model's parameters and not the bilinear
+        # head's; kept as is.
+        self._clipped = model.parameters()
         self.optimizer = Adam(
-            model.parameters() + self.bilinear.parameters(),
+            self._clipped + self.bilinear.parameters(),
             lr=config.learning_rate,
             weight_decay=config.weight_decay,
         )
@@ -162,7 +166,7 @@ class LinkPredictionTrainer:
         self.optimizer.zero_grad()
         loss.backward()
         if self.config.grad_clip > 0:
-            clip_grad_norm(self.model.parameters(), self.config.grad_clip)
+            clip_grad_norm(self._clipped, self.config.grad_clip)
         self.optimizer.step()
         return loss.item()
 

@@ -432,13 +432,15 @@ class WidenModel(Module):
 
         Two kernel families compute those stages.  The padded one pads to
         the batch maximum, exactly: padded node rows gather as zeros and
-        padded attention slots carry ``-inf`` mask entries, so per-row
-        results equal the per-node reference path.  The CSR one
-        (``gather_mul`` / ``sddmm`` / ``segment_softmax`` /
-        ``segment_matmul``) does work proportional to the real pack rows
-        and agrees to the last ulp of the summation order (<= 1e-10), with
-        identical dropout streams.  With ``select_kernel`` the batch takes
-        the CSR kernels when its padding waste reaches
+        padded attention slots carry ``-inf`` mask entries (exactly zero
+        weight, exactly zero gradient).  The CSR one (``gather_mul`` /
+        ``sddmm`` / ``segment_softmax`` / ``segment_matmul``) does work
+        proportional to the real pack rows.  All three layouts compute one
+        algebra (the query is projected, never the key or value grid) in
+        different summation orders, which is the whole contract: padded ==
+        the per-node reference :meth:`forward` to <= 1e-12, padded == CSR
+        to <= 1e-10, identical dropout streams.  With ``select_kernel`` the
+        batch takes the CSR kernels when its padding waste reaches
         :data:`repro.core.packing.SPARSE_MIN_WASTE` — the trainer's
         minibatches over its own neighbor states do.  Callers that
         promise answers independent of batch composition (the serving and
@@ -549,13 +551,14 @@ class WidenModel(Module):
     ) -> Tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
         """Second half: PASS° (Eq. 3), PASS▷ (Eqs. 4-6), FUSE (Eq. 7).
 
-        Runs over assembled packs in ``pack``'s layout, whoever assembled
-        them — :meth:`_assemble` just now, or the store some time ago — so
-        bit-equality between the store tier and the recompute oracle
-        reduces to equality of the pack tensors.  Returns ``(embeddings,
+        Runs over the packs :meth:`_assemble` built, in ``pack``'s layout.
+        On the padded layout each of the three attention blocks is one
+        autograd node (:func:`~repro.tensor.functional.query_attend`,
+        :func:`~repro.tensor.functional.self_attend`); on CSR they are
+        composed from the segment ops.  Returns ``(embeddings,
         wide_weights, deep_weights)``; the weights are the raw attention
-        distributions in the pack's layout (callers trim), ``None`` for an
-        ablated side.
+        distributions in the pack's layout (callers trim), detached,
+        ``None`` for an ablated side.
         """
         config = self.config
         d = config.dim
@@ -563,10 +566,10 @@ class WidenModel(Module):
 
         def target_query(packs: Tensor, offsets):
             # Row 0 of every segment — the target's own pack — queries the
-            # segment; under CSR that pairing is spelled out.
+            # segment.  The padded node reads it off the grid itself; under
+            # CSR the rows are gathered and the pairing spelled out.
             if offsets is None:
-                rows = ops.slice(packs, 0, 1, axis=1)
-                return ops.reshape(rows, (packs.shape[0], d)), None
+                return packs, None
             rows = ops.pad_gather(packs, offsets[:-1], np.ones(offsets.size - 1))
             return rows, (segment_ids(offsets), None, offsets)
 
@@ -614,7 +617,8 @@ class WidenModel(Module):
         return F.l2_normalize(hidden, axis=-1), wide_weights, deep_weights
 
     # Kept as names only: ``benchmarks/perf/layers.py`` wraps them and may
-    # not change in a PR that claims a gain (ROADMAP, open item 7).
+    # not change in a PR that claims a gain (ROADMAP, open items 1(b) and
+    # 8(b)).
 
     def materialize_rows(self, *args, **kwargs):
         """Gone with store format v3; kept as a name for ``benchmarks/perf``."""

@@ -276,7 +276,7 @@ class WidenTrainer:
         local path hands them straight back through :meth:`apply_update`
         untouched, the distributed path pickles them across the transport.
         """
-        return [param.grad for param in self.model.parameters()]
+        return [param.grad for param in self.optimizer.parameters]
 
     def apply_update(
         self,
@@ -292,8 +292,11 @@ class WidenTrainer:
         no rows: Adam's bias correction counts steps, so replicas step in
         lockstep.
         """
+        # The optimizer's own list, built once from ``model.parameters()``:
+        # walking the module tree again on every step costs as much as the
+        # optimizer step itself.
+        parameters = self.optimizer.parameters
         if grads is not None:
-            parameters = self.model.parameters()
             if len(grads) != len(parameters):
                 raise ValueError(
                     f"got {len(grads)} gradients for {len(parameters)} parameters"
@@ -301,7 +304,7 @@ class WidenTrainer:
             for param, grad in zip(parameters, grads):
                 param.grad = grad
         if self.config.grad_clip > 0:
-            clip_grad_norm(self.model.parameters(), self.config.grad_clip, norm=norm)
+            clip_grad_norm(parameters, self.config.grad_clip, norm=norm)
         self.optimizer.step()
 
     def epoch_finish(self) -> dict:

@@ -106,7 +106,7 @@ class UnsupervisedWidenTrainer:
         self.optimizer.zero_grad()
         loss.backward()
         if self.config.grad_clip > 0:
-            clip_grad_norm(self.model.parameters(), self.config.grad_clip)
+            clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
         self.optimizer.step()
         return loss.item()
 

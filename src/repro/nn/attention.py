@@ -42,7 +42,11 @@ class QueryAttention(Module):
     """One query vector attending over a pack matrix.
 
     Computes ``softmax(q W_Q (M W_K)^T / sqrt(d)) · M W_V`` and returns both
-    the attended vector and the weight distribution.
+    the attended vector and the weight distribution.  Only one row queries,
+    so the product is taken in the order that projects the query and never
+    the grid: ``u = (q W_Q) W_K^T``, ``w = softmax(u M^T / sqrt(d))``,
+    ``(w M) W_V`` — gemms over ``(S, d)`` rows instead of ``(S·L, d)``, and
+    no projected key or value matrix exists in any layout.
 
     ``num_heads > 1`` splits the projections into parallel heads whose
     outputs are concatenated (multi-head attention, Vaswani et al. 2017) —
@@ -80,11 +84,13 @@ class QueryAttention(Module):
         query's dimensionality.
 
         Padded batch: ``query`` (B, d) with ``keys``/``values`` (B, m, d)
-        attends each batch row's query over its own pack matrix in single
-        batched ops, returning ``((B, d), (B, m))``.  ``mask`` is an
-        additive array broadcastable to the score shape — ``-inf`` at
-        padded pack slots gives them exactly zero weight, so a padded batch
-        reproduces the per-target results.
+        attends each batch row's query over its own pack matrix as one
+        autograd node (:func:`repro.tensor.functional.query_attend`),
+        returning ``((B, d), (B, m))`` with the weights detached.  ``query``
+        may instead be a ``(B, m, d)`` pack grid whose row 0 queries.
+        ``mask`` is additive ``(B, m)`` — ``-inf`` at padded pack slots gives
+        them exactly zero weight, so a padded batch reproduces the
+        per-target results.
 
         CSR batch: with ``pairs = (segment_ids, None, offsets)`` the
         keys/values are flat ``(E, d)`` pack rows, segment ``s`` at
@@ -95,43 +101,42 @@ class QueryAttention(Module):
         """
         if values is None:
             values = keys
-        batched = keys.ndim == 3
-        if batched and query.ndim == 2:
-            query = ops.reshape(query, (keys.shape[0], 1, self.dim))
-            if mask is not None and mask.ndim == 2:
-                mask = mask[:, np.newaxis, :]
-        q = ops.matmul(query, self.w_query)
-        k = ops.matmul(keys, self.w_key)
-        v = ops.matmul(values, self.w_value)
-        if self.num_heads == 1:
-            attended, weights = F.attention(
-                q, k, v, mask=mask, return_weights=True, pairs=pairs
+        if keys.ndim == 3:
+            return F.query_attend(
+                query, keys, values, self.w_query, self.w_key, self.w_value,
+                mask=mask, num_heads=self.num_heads,
             )
-        else:
-            head_dim = self.dim // self.num_heads
-            attended_heads = []
-            weight_heads = []
-            key_axis = k.ndim - 1
-            for head in range(self.num_heads):
-                lo, hi = head * head_dim, (head + 1) * head_dim
-                q_h = ops.slice(q, lo, hi, axis=q.ndim - 1)
-                k_h = ops.slice(k, lo, hi, axis=key_axis)
-                v_h = ops.slice(v, lo, hi, axis=key_axis)
-                head_out, weights = F.attention(
-                    q_h, k_h, v_h, mask=mask, return_weights=True, pairs=pairs
-                )
-                attended_heads.append(head_out)
-                weight_heads.append(weights)
-            attended = ops.concat(attended_heads, axis=-1)
-            weights = weight_heads[0]
-            for head_weights in weight_heads[1:]:
-                weights = weights + head_weights
-            weights = weights / float(self.num_heads)
-        if batched:
-            batch = keys.shape[0]
-            attended = ops.reshape(attended, (batch, self.dim))
-            weights = ops.reshape(weights, (batch, keys.shape[1]))
-        return attended, weights
+        # 2-D reference and CSR: the same reassociation out of composed ops.
+        q = ops.matmul(query, self.w_query)
+        if self.num_heads == 1:
+            u = ops.matmul(q, self.w_key, transpose_b=True)
+            pooled, weights = F.attention(
+                u, keys, values, mask=mask, return_weights=True, pairs=pairs
+            )
+            return ops.matmul(pooled, self.w_value), weights
+        head_dim = self.dim // self.num_heads
+        attended_heads = []
+        weights = None
+        for head in range(self.num_heads):
+            lo, hi = head * head_dim, (head + 1) * head_dim
+            # F.attention divides by sqrt(d) of the raw keys; a head wants
+            # sqrt(d / H), so its u is multiplied by sqrt(H) first.
+            u = ops.matmul(
+                ops.slice(q, lo, hi, axis=q.ndim - 1),
+                ops.slice(self.w_key, lo, hi, axis=1),
+                transpose_b=True,
+            ) * float(np.sqrt(self.num_heads))
+            pooled, head_weights = F.attention(
+                u, keys, values, mask=mask, return_weights=True, pairs=pairs
+            )
+            attended_heads.append(
+                ops.matmul(pooled, ops.slice(self.w_value, lo, hi, axis=1))
+            )
+            weights = head_weights if weights is None else weights + head_weights
+        return (
+            ops.concat(attended_heads, axis=-1),
+            weights / float(self.num_heads),
+        )
 
 
 class SelfAttention(Module):
@@ -156,8 +161,9 @@ class SelfAttention(Module):
         Returns ``(updated_packs, weights)`` of shapes ((m, d), (m, m)).
 
         Padded batch: ``packs`` (B, m, d) with a mask broadcastable to
-        (B, m, m) refines every batch row's pack matrix in single batched
-        ops.  Every row of the mask must keep at least one finite entry —
+        (B, m, m) refines every batch row's pack matrix as one autograd
+        node (:func:`repro.tensor.functional.self_attend`, weights
+        detached).  Every row of the mask must keep at least one finite entry —
         padded rows conventionally attend to themselves — or the softmax
         sees an all ``-inf`` row.
 
@@ -168,6 +174,10 @@ class SelfAttention(Module):
         so no ``(m, m)`` grid is built.  The weights come back flat, one
         per pair.
         """
+        if packs.ndim == 3:
+            return F.self_attend(
+                packs, self.w_query, self.w_key, self.w_value, mask=mask
+            )
         q = ops.matmul(packs, self.w_query)
         k = ops.matmul(packs, self.w_key)
         v = ops.matmul(packs, self.w_value)

@@ -52,6 +52,8 @@ _FUNCTIONAL_FUNCTIONS = {
     "l2_normalize": "l2_normalize",
     "cross_entropy": "cross_entropy",
     "binary_cross_entropy_with_logits": "bce_with_logits",
+    "query_attend": "query_attend",
+    "self_attend": "self_attend",
 }
 
 # Estimated FLOPs per output element (forward pass only); ops missing here
@@ -108,6 +110,25 @@ def _estimate_flops(name: str, out_data, parents) -> float:
         # One scale + add of a length-d row per (weight, value) pair —
         # parents[0] is the flat (P,) weight vector.
         return 2.0 * parents[0].data.size * out_data.shape[-1]
+    if name == "query_attend":
+        # parents[1] is the (S, L, d) key grid.  Three (S, d) @ (d, d) gemms,
+        # the score and the pooling contraction over the grid, one softmax
+        # (single-head count: a head repeats all but the first gemm).
+        segments, length, d = parents[1].data.shape
+        return (
+            6.0 * segments * d * d
+            + 4.0 * segments * length * d
+            + _PER_ELEMENT_FLOPS["masked_softmax"] * segments * length
+        )
+    if name == "self_attend":
+        # Q, K, V projections of every row, then scores and weighted sum
+        # over the (S, L, L) grid and its softmax.
+        segments, length, d = out_data.shape
+        return (
+            2.0 * segments * length * d * 3 * d
+            + 4.0 * segments * length * length * d
+            + _PER_ELEMENT_FLOPS["masked_softmax"] * segments * length * length
+        )
     if name in ("cross_entropy", "bce_with_logits"):
         return 8.0 * parents[0].data.size
     if name in ("sum", "mean", "max"):

@@ -15,6 +15,25 @@ from repro.tensor import ops
 from repro.tensor.tensor import Tensor, as_tensor
 
 
+def _softmax_forward(data: np.ndarray, axis: int, scale, mask=None) -> np.ndarray:
+    """``softmax(data / scale + mask)`` along ``axis``; ``data`` is not written."""
+    if scale is not None:
+        data = data / scale
+    if mask is not None:
+        data = data + mask
+    out = data - data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(out: np.ndarray, grad: np.ndarray, axis: int, scale) -> np.ndarray:
+    """Gradient w.r.t. the unscaled logits: ``s * (grad - sum(grad * s))``."""
+    inner = (grad * out).sum(axis=axis, keepdims=True)
+    grad_logits = out * (grad - inner)
+    return grad_logits if scale is None else grad_logits / scale
+
+
 def softmax(a, axis: int = -1, scale: Optional[float] = None) -> Tensor:
     """Numerically stable softmax along ``axis`` (fused forward/backward).
 
@@ -23,16 +42,10 @@ def softmax(a, axis: int = -1, scale: Optional[float] = None) -> Tensor:
     a separate elementwise division on the hot path.
     """
     a = as_tensor(a)
-    data = a.data if scale is None else a.data / scale
-    shifted = data - data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = _softmax_forward(a.data, axis, scale)
 
     def backward(grad: np.ndarray) -> None:
-        # d softmax = s * (grad - sum(grad * s))
-        inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        grad_a = out_data * (grad - inner)
-        a.accumulate_grad(grad_a if scale is None else grad_a / scale)
+        a.accumulate_grad(_softmax_backward(out_data, grad, axis, scale))
 
     return Tensor.from_op(out_data, (a,), backward, name="softmax")
 
@@ -62,16 +75,10 @@ def masked_softmax(a, mask: np.ndarray, axis: int = -1,
     :func:`softmax`.
     """
     a = as_tensor(a)
-    data = a.data if scale is None else a.data / scale
-    masked = data + mask
-    shifted = masked - masked.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = _softmax_forward(a.data, axis, scale, mask)
 
     def backward(grad: np.ndarray) -> None:
-        inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        grad_a = out_data * (grad - inner)
-        a.accumulate_grad(grad_a if scale is None else grad_a / scale)
+        a.accumulate_grad(_softmax_backward(out_data, grad, axis, scale))
 
     return Tensor.from_op(out_data, (a,), backward, name="masked_softmax")
 
@@ -196,6 +203,162 @@ def attention(
     if return_weights:
         return attended, weights
     return attended
+
+
+def _project_rows(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``rows @ weight`` with each row's result independent of the row count.
+
+    The serving ladder compares an answer computed in one batch with the
+    same node computed in another.  A plain gemm over a contiguous weight
+    gives a row the same bits whatever the other rows are — measured for 2
+    to 256 rows — except alone: one row takes the gemv path, which sums in
+    another order.  So a lone row is computed as a pair.  (A transposed
+    *view* as ``weight`` is not row-count independent at any size; callers
+    pass ``ascontiguousarray(W.T)``.)
+    """
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ weight)[:1]
+    return rows @ weight
+
+
+def query_attend(
+    packs_or_query,
+    keys,
+    values,
+    w_query,
+    w_key,
+    w_value,
+    mask: Optional[np.ndarray] = None,
+    num_heads: int = 1,
+):
+    """One padded single-query attention block (Eq. 3 / Eq. 5) as one node.
+
+    Only one row per segment queries, so the projections move off the
+    ``(S, L, d)`` grids onto ``(S, d)`` rows: ``u = (q W_Q) W_Kᵀ``,
+    ``w = softmax(⟨u, K_l⟩ / √d + mask)``, ``out = (Σ_l w_l V_l) W_V`` — the
+    chain :class:`~repro.nn.QueryAttention` composes from
+    :func:`attention`, which is the reference this node is checked against.
+
+    ``packs_or_query`` is the ``(S, d)`` query, or an ``(S, L, d)`` pack grid
+    whose row 0 queries (no slice node, and the gradient lands in row 0 of
+    a buffer the backward owns anyway).  ``keys`` / ``values`` are
+    ``(S, L, d)`` and may be that same tensor; ``mask`` is additive
+    ``(S, L)``.  Heads are the column blocks of the three weights: a 0/1
+    ``(H, d)`` selector keeps each head's columns of ``q W_Q`` and of the
+    output, so every product stays one flat gemm and ``H = 1`` is the
+    all-ones selector, not another path.
+
+    Returns ``(attended (S, d), weights (S, L))``; the weights (mean over
+    heads) are detached — the trigger and the downsampler read them as
+    data, nothing differentiates through them.
+    """
+    source, keys, values = as_tensor(packs_or_query), as_tensor(keys), as_tensor(values)
+    w_query, w_key, w_value = as_tensor(w_query), as_tensor(w_key), as_tensor(w_value)
+    segments, _, d = keys.data.shape
+    from_packs = source.data.ndim == 3
+    query = source.data[:, 0, :] if from_packs else source.data
+    scale = np.sqrt(d // num_heads)
+    selector = np.repeat(np.eye(num_heads), d // num_heads, axis=1)
+    flat = (segments * num_heads, d)
+    grid = (segments, num_heads, d)
+
+    q = _project_rows(query, w_query.data)
+    q_heads = (q[:, np.newaxis, :] * selector).reshape(flat)
+    u = _project_rows(q_heads, np.ascontiguousarray(w_key.data.T)).reshape(grid)
+    weights = _softmax_forward(
+        np.matmul(u, keys.data.swapaxes(1, 2)),
+        -1,
+        scale,
+        None if mask is None else mask[:, np.newaxis, :],
+    )
+    pooled = np.matmul(weights, values.data).reshape(flat)
+    out_heads = _project_rows(pooled, w_value.data).reshape(grid)
+    out_data = (out_heads * selector).sum(axis=1)
+
+    def backward(grad: np.ndarray) -> None:
+        grad_full = (grad[:, np.newaxis, :] * selector).reshape(flat)
+        w_value.accumulate_grad(pooled.T @ grad_full)
+        grad_pooled = (grad_full @ w_value.data.T).reshape(grid)
+        grad_scores = _softmax_backward(
+            weights, np.matmul(grad_pooled, values.data.swapaxes(1, 2)), -1, scale
+        )
+        grad_values = np.einsum("shl,shd->sld", weights, grad_pooled)
+        grad_keys = np.einsum("shl,shd->sld", grad_scores, u)
+        grad_u = np.matmul(grad_scores, keys.data).reshape(flat)
+        w_key.accumulate_grad(grad_u.T @ q_heads)
+        grad_q = ((grad_u @ w_key.data).reshape(grid) * selector).sum(axis=1)
+        w_query.accumulate_grad(query.T @ grad_q)
+        grad_query = grad_q @ w_query.data.T
+        if not from_packs:
+            source.accumulate_grad(grad_query)
+        elif source is values:
+            grad_values[:, 0, :] += grad_query
+        elif source is keys:
+            grad_keys[:, 0, :] += grad_query
+        elif source.requires_grad:
+            grad_source = np.zeros_like(source.data)
+            grad_source[:, 0, :] = grad_query
+            source.accumulate_grad(grad_source)
+        keys.accumulate_grad(grad_keys)
+        values.accumulate_grad(grad_values)
+
+    attended = Tensor.from_op(
+        out_data,
+        (source, keys, values, w_query, w_key, w_value),
+        backward,
+        name="query_attend",
+    )
+    return attended, Tensor(weights.mean(axis=1))
+
+
+def self_attend(packs, w_query, w_key, w_value, mask: Optional[np.ndarray] = None):
+    """One padded self-attention block (Eq. 4 with Θ of Eq. 6) as one node.
+
+    ``packs`` is ``(S, L, d)``, ``mask`` additive and broadcastable to
+    ``(S, L, L)``.  Same arithmetic as ``attention(p W_Q, p W_K, p W_V,
+    mask)``, the composed reference: six autograd nodes and their five
+    intermediate gradients become one closure.  The projections stay three
+    ``(S·L, d) @ (d, d)`` gemms: one ``(d, 3d)`` gemm measures slower at
+    these sizes and trips the BLAS thread pool where none is pinned
+    (DESIGN.md, "The block is the engine's unit").  Returns ``(refined
+    (S, L, d), weights (S, L, L))`` with the weights detached.
+    """
+    packs = as_tensor(packs)
+    weights_in = (as_tensor(w_query), as_tensor(w_key), as_tensor(w_value))
+    grid = packs.data.shape
+    d = grid[-1]
+    scale = np.sqrt(d)
+    flat_packs = packs.data.reshape(-1, d)
+    q, k, v = (_project_rows(flat_packs, w.data).reshape(grid) for w in weights_in)
+    weights = _softmax_forward(np.matmul(q, k.swapaxes(1, 2)), -1, scale, mask)
+    out_data = np.matmul(weights, v)
+
+    def backward(grad: np.ndarray) -> None:
+        grad_scores = _softmax_backward(
+            weights, np.matmul(grad, v.swapaxes(1, 2)), -1, scale
+        )
+        grad_packs = None
+        for w, grad_projected in zip(
+            weights_in,
+            (
+                np.matmul(grad_scores, k),
+                np.matmul(grad_scores.swapaxes(1, 2), q),
+                np.matmul(weights.swapaxes(1, 2), grad),
+            ),
+        ):
+            grad_projected = grad_projected.reshape(-1, d)
+            w.accumulate_grad(flat_packs.T @ grad_projected)
+            # A contiguous W^T keeps this (S·L, d) product on the gemm path
+            # the forward takes; the transposed-view spelling wakes the BLAS
+            # thread pool at these row counts (ms stalls where it is unpinned).
+            term = grad_projected @ np.ascontiguousarray(w.data.T)
+            grad_packs = term if grad_packs is None else grad_packs + term
+        packs.accumulate_grad(grad_packs.reshape(grid))
+
+    refined = Tensor.from_op(
+        out_data, (packs,) + weights_in, backward, name="self_attend"
+    )
+    return refined, Tensor(weights)
 
 
 def mse(prediction, target) -> Tensor:

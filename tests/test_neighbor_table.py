@@ -26,6 +26,8 @@ from repro.core.packing import AttentionGrid
 from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import _entropies
 from repro.datasets import make_acm, make_yelp
+from repro.nn import Module
+from repro.obs import OpProfiler
 from tests.helpers import use_per_state_trigger
 from tests.test_read_set_invalidation import graphs
 
@@ -280,6 +282,34 @@ class TestNoPerNodeLoopOnTheMinibatchPath:
         }
         marginal = (per_batch[64] - per_batch[32]) / 32
         assert 0 <= marginal < self.MAX_CALLS_PER_EXTRA_NODE, per_batch
+
+    # Measured: 20 autograd nodes per default-config minibatch (52 before
+    # the three attention blocks became one node each; relay and CSR
+    # batches run more, so the mean is what is held).  Each node is a
+    # closure, a result tensor and its gradient bookkeeping, which at
+    # these sizes cost as much as the arithmetic inside.
+    MAX_AUTOGRAD_NODES_PER_STEP = 24.0
+
+    def test_autograd_nodes_and_parameter_walks_per_step(self, monkeypatch):
+        dataset = make_yelp(seed=0, scale=1.0)
+        classifier = WidenClassifier(seed=0)
+        nodes = dataset.split.train[:256]
+        classifier.fit(dataset.graph, nodes, epochs=2)
+        walks = []
+        walk = Module.named_parameters
+        monkeypatch.setattr(
+            Module, "named_parameters",
+            lambda self, prefix="": walks.append(prefix) or walk(self, prefix),
+        )
+        with OpProfiler() as profiler:
+            classifier.trainer.fit(nodes, epochs=1)
+        steps = profiler.stats["cross_entropy"].calls
+        assert steps == 256 // classifier.config.batch_size
+        per_step = profiler.total_calls / steps
+        assert per_step <= self.MAX_AUTOGRAD_NODES_PER_STEP, profiler.table()
+        # Export, install and clip read the optimizer's list: no walk of
+        # the module tree inside a step.
+        assert walks == []
 
 
 class TestNoPerNodeLoopOnTheRecomputeRung:

@@ -227,6 +227,97 @@ class TestCausalMask:
         np.testing.assert_allclose(causal_mask(1), [[0.0]])
 
 
+class TestAttentionLayouts:
+    """One algebra in three layouts: the padded blocks are single autograd
+    nodes, the 2-D reference and the CSR rows are composed from ops."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_padded_query_attention_is_one_node_equal_to_reference(self, rng, heads):
+        att = QueryAttention(8, num_heads=heads, rng=0)
+        packs = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
+        out, weights = att(packs, packs)
+        assert out.name == "query_attend" and packs in out._parents
+        assert not weights.requires_grad
+        (out * out).sum().backward()
+        batched = [p.grad.copy() for p in att.parameters()] + [packs.grad.copy()]
+        att.zero_grad()
+        rows = Tensor(packs.data.copy(), requires_grad=True)
+        total = None
+        for b in range(3):
+            row_out, row_w = att(rows[b][0], rows[b])
+            np.testing.assert_allclose(out.data[b], row_out.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights.data[b], row_w.data, rtol=0, atol=1e-12)
+            term = (row_out * row_out).sum()
+            total = term if total is None else total + term
+        total.backward()
+        reference = [p.grad for p in att.parameters()] + [rows.grad]
+        for got, want in zip(batched, reference):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_padded_self_attention_is_one_node(self, rng):
+        att = SelfAttention(8, rng=0)
+        packs = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        mask = np.broadcast_to(causal_mask(4), (2, 4, 4))
+        out, weights = att(packs, mask=mask)
+        assert out.name == "self_attend" and out._parents[0] is packs
+        assert not weights.requires_grad
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_forward_batch_matches_per_node_forward(self, heads):
+        from repro.core import WidenConfig, WidenModel
+        from repro.core.state import NeighborStateStore, stack_states
+        from repro.datasets import make_acm
+
+        graph = make_acm(seed=0, scale=0.3).graph
+        config = WidenConfig(
+            dim=16, num_wide=6, num_deep=5, num_deep_walks=2, dropout=0.0,
+            num_heads=heads,
+        )
+        model = WidenModel(
+            graph.features.shape[1], graph.num_edge_types_with_loops,
+            graph.num_classes, config, seed=0,
+        )
+        model.eval()
+        targets = graph.labeled_nodes()[:6]
+        store = NeighborStateStore(
+            graph, config.num_wide, config.num_deep, config.num_deep_walks, rng=3
+        )
+        states = [store.get(int(node)) for node in targets]
+        batched, wide, deep = model.forward_batch(stack_states(states), graph)
+        (batched * batched).sum().backward()
+        batched_grads = {
+            name: param.grad.copy()
+            for name, param in model.named_parameters()
+            if param.grad is not None  # the class head is not in the forward
+        }
+        model.zero_grad()
+        total = None
+        deep_rows = deep.rows()
+        for b, (node, state) in enumerate(zip(targets, states)):
+            embedding, wide_att, deep_atts = model.forward(int(node), state, graph)
+            np.testing.assert_allclose(
+                batched.data[b], embedding.data, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(wide.rows()[b], wide_att, rtol=0, atol=1e-12)
+            for phi, want in enumerate(deep_atts):
+                np.testing.assert_allclose(
+                    deep_rows[b * config.num_deep_walks + phi], want,
+                    rtol=0, atol=1e-12,
+                )
+            term = (embedding * embedding).sum()
+            total = term if total is None else total + term
+        total.backward()
+        reference = dict(model.named_parameters())
+        assert {n for n, p in reference.items() if p.grad is not None} == set(
+            batched_grads
+        )
+        for name, grad in batched_grads.items():
+            np.testing.assert_allclose(
+                grad, reference[name].grad, rtol=0, atol=1e-10,
+                err_msg=f"gradient mismatch for {name}",
+            )
+
+
 class TestInit:
     def test_xavier_uniform_bounds(self):
         w = init.xavier_uniform((100, 50), rng=0)

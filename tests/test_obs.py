@@ -292,6 +292,31 @@ class TestOpProfiler:
         assert profiler.total_calls >= 4
         assert profiler.total_seconds > 0
 
+    def test_fused_attention_rows_carry_forward_time_and_flops(self):
+        """The padded blocks run inside ``query_attend`` / ``self_attend``:
+        unregistered, their forward time would vanish from every share."""
+        rng = np.random.default_rng(0)
+        segments, length, d = 3, 4, 8
+        packs = Tensor(rng.normal(size=(segments, length, d)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(6)]
+        with OpProfiler() as profiler:
+            refined, _ = F.self_attend(packs, *weights[:3])
+            attended, _ = F.query_attend(packs, refined, packs, *weights[3:])
+            ops.sum(attended).backward()
+        query, block = profiler.stats["query_attend"], profiler.stats["self_attend"]
+        for stat in (query, block):
+            assert stat.calls == 1 and stat.backward_calls == 1
+            assert stat.forward_s > 0 and stat.backward_s > 0
+        softmax = 5
+        assert query.flops == (
+            6 * segments * d * d + 4 * segments * length * d
+            + softmax * segments * length
+        )
+        assert block.flops == (
+            2 * segments * length * d * 3 * d + 4 * segments * length**2 * d
+            + softmax * segments * length**2
+        )
+
     def test_nested_calls_are_self_time(self):
         # softmax calls exp/sum/div internally; the wrapper stack must
         # subtract child time, so the parts can never exceed the whole.

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor
+from repro.core.packing import deep_causal_mask, pad_block_masks
+from repro.tensor import Tensor, no_grad, ops
 from repro.tensor import functional as F
 from tests.helpers import check_gradients
 
@@ -185,6 +186,251 @@ class TestAttention:
         keys = Tensor(np.ones((4, 3)))
         _, weights = F.attention(q, keys, keys, return_weights=True)
         np.testing.assert_allclose(weights.data, np.full(4, 0.25), atol=1e-12)
+
+
+NEG_INF = float("-inf")
+
+
+def composed_query_attend(query, keys, values, w_q, w_k, w_v, mask, heads):
+    """Eq. 3 / Eq. 5 as written: project every key and value row, then one
+    ``F.attention`` per head over the projected grids."""
+    d = keys.shape[-1]
+    head_dim = d // heads
+    q = (query @ w_q).reshape(keys.shape[0], 1, d)
+    k, v = keys @ w_k, values @ w_v
+    outs, weights = [], None
+    for head in range(heads):
+        lo, hi = head * head_dim, (head + 1) * head_dim
+        out, w = F.attention(
+            ops.slice(q, lo, hi, axis=2), ops.slice(k, lo, hi, axis=2),
+            ops.slice(v, lo, hi, axis=2),
+            mask=None if mask is None else mask[:, np.newaxis, :],
+            return_weights=True,
+        )
+        outs.append(out)
+        weights = w if weights is None else weights + w
+    attended = ops.concat(outs, axis=-1).reshape(keys.shape[0], d)
+    return attended, (weights / float(heads)).reshape(*keys.shape[:2])
+
+
+def composed_self_attend(packs, w_q, w_k, w_v, mask):
+    return F.attention(
+        packs @ w_q, packs @ w_k, packs @ w_v, mask=mask, return_weights=True
+    )
+
+
+def padded_grid(rng, lengths, width, d):
+    """``(S, width, d)`` rows that are exactly zero past each length, with
+    the masks :func:`repro.core.packing.pack_batch` would hand the kernels."""
+    valid, attn_mask = pad_block_masks(lengths, width)
+    grid = rng.normal(size=(len(lengths), width, d)) * valid[:, :, np.newaxis]
+    return grid, valid, attn_mask
+
+
+def grads_of(fn, arrays):
+    """Value(s) and input gradients of ``sum(out * out)`` for ``fn(*tensors)``
+    returning ``(out, weights)``."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out, weights = fn(*tensors)
+    (out * out).sum().backward()
+    return out.data, weights.data, [t.grad for t in tensors]
+
+
+class TestFusedAttentionNodes:
+    """``query_attend`` / ``self_attend`` against the composed chains."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("from_packs", [False, True])
+    def test_query_attend_grad_check(self, rng, heads, from_packs):
+        d = 4
+        keys, _, mask = padded_grid(rng, np.array([3, 1, 2]), 3, d)
+        values, _, _ = padded_grid(rng, np.array([3, 1, 2]), 3, d)
+        query = keys if from_packs else rng.normal(size=(3, d))
+        weights = [0.5 * rng.normal(size=(d, d)) for _ in range(3)]
+
+        def fn(q, k, v, wq, wk, wv):
+            out, _ = F.query_attend(q, k, v, wq, wk, wv, mask=mask, num_heads=heads)
+            return (out * out).sum()
+
+        check_gradients(fn, [query, keys, values] + weights, atol=1e-5)
+
+    def test_query_attend_grad_check_shared_grid(self, rng):
+        """PASS°'s call: one tensor is query source, keys and values."""
+        d = 4
+        packs, _, mask = padded_grid(rng, np.array([2, 3]), 3, d)
+        weights = [0.5 * rng.normal(size=(d, d)) for _ in range(3)]
+
+        def fn(p, wq, wk, wv):
+            out, _ = F.query_attend(p, p, p, wq, wk, wv, mask=mask)
+            return (out * out).sum()
+
+        check_gradients(fn, [packs] + weights, atol=1e-5)
+
+    def test_self_attend_grad_check(self, rng):
+        d = 3
+        lengths = np.array([3, 1, 0])
+        packs, valid, attn_mask = padded_grid(rng, lengths, 3, d)
+        mask = deep_causal_mask(valid, attn_mask)
+        weights = [0.5 * rng.normal(size=(d, d)) for _ in range(3)]
+
+        def fn(p, wq, wk, wv):
+            out, _ = F.self_attend(p, wq, wk, wv, mask=mask)
+            return (out * out).sum()
+
+        check_gradients(fn, [packs] + weights, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        segments=st.integers(1, 4),
+        width=st.integers(1, 5),
+        heads=st.sampled_from([1, 2, 4]),
+        head_dim=st.integers(1, 3),
+        shared_values=st.booleans(),
+        from_packs=st.booleans(),
+        data=st.data(),
+    )
+    def test_query_attend_equals_composed_chain(
+        self, seed, segments, width, heads, head_dim, shared_values, from_packs, data
+    ):
+        rng = np.random.default_rng(seed)
+        d = heads * head_dim
+        lengths = np.array(
+            data.draw(st.lists(st.integers(1, width), min_size=segments,
+                               max_size=segments))
+        )
+        lengths[0] = 1  # a walk that dead-ended at its target
+        keys, valid, mask = padded_grid(rng, lengths, width, d)
+        values = keys if shared_values else padded_grid(rng, lengths, width, d)[0]
+        query = rng.normal(size=(segments, d))
+        weights = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(3)]
+
+        def fused(q, k, v, wq, wk, wv):
+            if shared_values:
+                v = k
+            source = q
+            if from_packs:
+                source = v
+            return F.query_attend(source, k, v, wq, wk, wv, mask=mask, num_heads=heads)
+
+        def composed(q, k, v, wq, wk, wv):
+            if shared_values:
+                v = k
+            if from_packs:
+                q = ops.slice(v, 0, 1, axis=1).reshape(segments, d)
+            return composed_query_attend(q, k, v, wq, wk, wv, mask, heads)
+
+        arrays = [query, keys, values] + weights
+        out, att, grads = grads_of(fused, arrays)
+        ref_out, ref_att, ref_grads = grads_of(composed, arrays)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att, ref_att, rtol=0, atol=1e-12)
+        for got, want in zip(grads, ref_grads):
+            if want is None:  # the (S, d) query when row 0 queries instead
+                assert got is None
+                continue
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        padded = valid == 0.0
+        assert (att[padded] == 0.0).all()
+        np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-12)
+        assert (grads[1][padded] == 0.0).all()
+        if not shared_values and not from_packs:
+            assert (grads[2][padded] == 0.0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 5),
+        d=st.integers(1, 6),
+        lengths=st.lists(st.integers(1, 5), min_size=0, max_size=3),
+    )
+    def test_self_attend_equals_composed_chain(self, seed, width, d, lengths):
+        rng = np.random.default_rng(seed)
+        # Always a length-1 walk, and a trailing walk that is all padding.
+        lengths = np.minimum(np.array([1] + lengths + [0]), width)
+        packs, valid, attn_mask = padded_grid(rng, lengths, width, d)
+        mask = deep_causal_mask(valid, attn_mask)
+        weights = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(3)]
+
+        arrays = [packs] + weights
+        out, att, grads = grads_of(
+            lambda p, *w: F.self_attend(p, *w, mask=mask), arrays
+        )
+        ref_out, ref_att, ref_grads = grads_of(
+            lambda p, *w: composed_self_attend(p, *w, mask), arrays
+        )
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att, ref_att, rtol=0, atol=1e-12)
+        for got, want in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        padded = valid == 0.0
+        # A real row gives padded keys exactly zero weight; padded rows are
+        # exactly zero, refine to zero and pass no gradient back.
+        real_row_padded_key = (valid[:, :, np.newaxis] > 0.0) & padded[:, np.newaxis, :]
+        assert (att[real_row_padded_key] == 0.0).all()
+        assert (out[padded] == 0.0).all()
+        assert (grads[0][padded] == 0.0).all()
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_a_row_does_not_depend_on_its_batch(self, rng, heads):
+        """Store, cache and recompute answer the same node from different
+        batches: a segment's result is the same bits alone, in a pair and
+        among 40 (a lone row must not fall onto the gemv path)."""
+        d, width = 8, 5
+        lengths = rng.integers(1, width + 1, size=40)
+        packs, valid, attn_mask = padded_grid(rng, lengths, width, d)
+        causal = deep_causal_mask(valid, attn_mask)
+        weights = [rng.normal(size=(d, d)) for _ in range(3)]
+
+        def both(rows):
+            attended, att = F.query_attend(
+                packs[rows], packs[rows], packs[rows], *weights,
+                mask=attn_mask[rows], num_heads=heads,
+            )
+            refined, _ = F.self_attend(packs[rows], *weights, mask=causal[rows])
+            return attended.data, att.data, refined.data
+
+        whole = both(slice(None))
+        for rows in (slice(0, 1), slice(7, 8), slice(3, 5), slice(10, 27)):
+            for got, want in zip(both(rows), whole):
+                np.testing.assert_array_equal(got, want[rows])
+
+    def test_no_grad_call_records_no_closure(self, rng):
+        d = 4
+        packs, valid, attn_mask = padded_grid(rng, np.array([3, 2]), 3, d)
+        tensors = [Tensor(packs, requires_grad=True)] + [
+            Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(3)
+        ]
+        with no_grad():
+            attended, weights = F.query_attend(
+                tensors[0], tensors[0], tensors[0], *tensors[1:], mask=attn_mask
+            )
+            refined, grid = F.self_attend(
+                *tensors, mask=deep_causal_mask(valid, attn_mask)
+            )
+        for out in (attended, weights, refined, grid):
+            assert out._backward is None and out._parents == ()
+            assert not out.requires_grad
+
+    def test_weights_are_detached_with_grad_on(self, rng):
+        d = 4
+        packs, valid, attn_mask = padded_grid(rng, np.array([3, 2]), 3, d)
+        tensors = [Tensor(packs, requires_grad=True)] + [
+            Tensor(rng.normal(size=(d, d)), requires_grad=True) for _ in range(3)
+        ]
+        attended, weights = F.query_attend(
+            tensors[0], tensors[0], tensors[0], *tensors[1:], mask=attn_mask
+        )
+        assert attended.requires_grad and attended._backward is not None
+        assert not weights.requires_grad and weights._backward is None
+
+    def test_all_masked_row_is_loud(self, rng):
+        """A segment with no valid slot must not turn into silent NaNs."""
+        d = 2
+        keys = Tensor(rng.normal(size=(1, 2, d)))
+        weights = [Tensor(rng.normal(size=(d, d))) for _ in range(3)]
+        with pytest.warns(RuntimeWarning):
+            F.query_attend(keys, keys, keys, *weights, mask=np.full((1, 2), NEG_INF))
 
 
 class TestBCEWithLogits:
