@@ -129,19 +129,6 @@ class BaseClassifier:
     def _on_rebind(self, graph: HeteroGraph) -> None:
         """Hook for rebuilding graph-specific caches after :meth:`rebind`."""
 
-    def refresh_graph_caches(self) -> None:
-        """Rebuild per-graph derived state after an *in-place* mutation.
-
-        ``rebind`` is a no-op when the graph object is unchanged, but the
-        streaming serving path mutates the bound graph in place
-        (``HeteroGraph.add_nodes``/``add_edges``); models that precompute
-        per-node state (sampled neighborhoods, adjacency products) must
-        then resample it.  The server calls this from its mutation hook.
-        """
-        if self.graph is None:
-            raise RuntimeError("refresh_graph_caches() before the first fit()")
-        self._on_rebind(self.graph)
-
     def predict(
         self, nodes: np.ndarray, graph: Optional[HeteroGraph] = None
     ) -> np.ndarray:

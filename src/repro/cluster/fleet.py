@@ -47,6 +47,7 @@ is stale until re-materialized.
 from __future__ import annotations
 
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -150,25 +151,30 @@ class LocalWorkerSpawner:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
-            text=True,
         )
-        deadline = time.perf_counter() + self.startup_timeout
+        # Read the pipe only when select() says a read cannot block, so the
+        # deadline holds against a child that neither prints nor exits.
+        deadline = time.monotonic() + self.startup_timeout
+        fd, pending = process.stdout.fileno(), b""
         while True:
-            line = process.stdout.readline()
-            if not line:
-                raise WorkerDown(
-                    shard_id,
-                    "spawn_failed",
-                    f"worker exited during startup (rc={process.poll()})",
-                )
-            if line.startswith("LISTENING "):
-                _, host, port = line.split()
-                return WorkerHandle(shard_id, host, int(port), process)
-            if time.perf_counter() > deadline:
-                process.kill()
-                raise WorkerDown(
-                    shard_id, "spawn_failed", "no LISTENING line before timeout"
-                )
+            *lines, pending = pending.split(b"\n")
+            for line in lines:
+                if line.startswith(b"LISTENING "):
+                    _, host, port = line.decode().split()
+                    return WorkerHandle(shard_id, host, int(port), process)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                detail = f"no LISTENING line within {self.startup_timeout:g} s"
+                break
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                detail = f"worker exited during startup (rc={process.wait()})"
+                break
+            pending += chunk
+        process.kill()  # a no-op once the child has been reaped
+        process.wait()
+        process.stdout.close()
+        raise WorkerDown(shard_id, "spawn_failed", detail)
 
 
 class ShardRegistry:

@@ -56,6 +56,7 @@ from repro.cluster.net import (
 )
 from repro.cluster.planner import ClusterPlan, ShardPlanner, check_node_range
 from repro.cluster.worker import ShardWorker
+from repro.core.classifier import WidenClassifier, serving_refusal
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
 from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
@@ -67,7 +68,6 @@ from repro.obs.slo import (
     SlowRequestLog,
 )
 from repro.obs.tracing import Tracer
-from repro.serve.server import load_checkpoint_classifier
 
 
 # What an op's spans go to while distributed tracing is off: null spans.
@@ -126,15 +126,11 @@ class ClusterRouter:
         self._prometheus_path = prometheus_path
         self._prometheus_interval = float(prometheus_interval)
         self._prometheus_last_flush = float("-inf")
-        # Probe before partitioning: only an identity-free classifier
-        # answers from (seed, node, graph) alone, which is what makes an
-        # owned answer the same on a replica as on a whole-graph server.
-        probe = load_checkpoint_classifier(checkpoint)
-        if not hasattr(probe, "embed_for_serving"):
-            raise ValueError(
-                "sharded serving needs an identity-free classifier (one "
-                f"with embed_for_serving); got {type(probe).__name__}"
-            )
+        # The serving contract, before anything is partitioned or spawned.
+        probe = WidenClassifier.load(checkpoint)
+        reason = serving_refusal(probe)
+        if reason is not None:
+            raise ValueError(reason)
         self.plan: ClusterPlan = ShardPlanner(
             graph, num_shards, seed=partition_seed
         ).plan()
@@ -179,24 +175,6 @@ class ClusterRouter:
             self.supervisor = FleetSupervisor(
                 self, self.fleet, MutationLog(mutation_log_capacity)
             )
-        channels = self.fleet.bring_up(
-            "serve",
-            self.plan.shards,
-            [checkpoint] * self.plan.num_shards,
-            shard_configs(),
-        )
-        self.workers: List[ShardWorker] = [
-            ShardWorker(spec, channel)
-            for spec, channel in zip(self.plan.shards, channels)
-        ]
-        if self.supervisor is not None:
-            # The rebuild point of every shard is what it was just built
-            # from, at the current global version.
-            for shard_id, args in enumerate(self.fleet.engine_args):
-                self.supervisor.set_baseline(shard_id, args, self.graph.version)
-                self.registry.gauge(
-                    "fleet_worker_connected", shard=str(shard_id)
-                ).set(1)
         self._closed = False
         # Request-lifecycle observability, both off by default — the guard
         # in _scatter_gather is a pair of ``is None`` checks, so the
@@ -206,10 +184,33 @@ class ClusterRouter:
         self.slow_log: Optional[SlowRequestLog] = None
         self.attributions: List[AttributionRecord] = []
         self._slow_log_capacity = int(slow_log_capacity)
-        if dist_tracing:
-            self.enable_dist_tracing()
-        if slo_target is not None:
-            self.enable_slo(slo_target)
+        channels = self.fleet.bring_up(
+            "serve",
+            self.plan.shards,
+            [checkpoint] * self.plan.num_shards,
+            shard_configs(),
+        )
+        try:
+            self.workers: List[ShardWorker] = [
+                ShardWorker(spec, channel)
+                for spec, channel in zip(self.plan.shards, channels)
+            ]
+            if self.supervisor is not None:
+                # The rebuild point of every shard is what it was just
+                # built from, at the current global version.
+                for shard_id, args in enumerate(self.fleet.engine_args):
+                    self.supervisor.set_baseline(shard_id, args, self.graph.version)
+                    self.registry.gauge(
+                        "fleet_worker_connected", shard=str(shard_id)
+                    ).set(1)
+            if dist_tracing:
+                self.enable_dist_tracing()
+            if slo_target is not None:
+                self.enable_slo(slo_target)
+        except BaseException:
+            # No caller holds this router yet: close what bring-up started.
+            self.fleet.close()
+            raise
 
     def _recover_worker(self, exc: WorkerDown) -> None:
         """React to a gather-time :class:`WorkerDown`: count it, recover.
@@ -247,11 +248,9 @@ class ClusterRouter:
         what every shard engine is built from anyway.  The temp checkpoint
         is deleted as soon as every shard has confirmed loading it.
         """
-        if not hasattr(classifier, "save"):
-            raise ValueError(
-                f"{type(classifier).__name__} has no save(); shard it via "
-                "from_checkpoint with an explicit checkpoint instead"
-            )
+        reason = serving_refusal(classifier)
+        if reason is not None:
+            raise ValueError(reason)
         with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
             checkpoint = Path(tmp) / "classifier.npz"
             classifier.save(checkpoint)

@@ -67,10 +67,10 @@ from repro.cluster.transport import (
     Transport,
     error_info,
 )
+from repro.core.classifier import WidenClassifier
 from repro.core.train_loop import TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.server import load_checkpoint_classifier
 
 __all__ = ["TrainEngine", "TrainWorker", "DistributedTrainer"]
 
@@ -115,13 +115,7 @@ class TrainEngine:
         with checkpoint_path(
             args["checkpoint"], args["checkpoint_bytes"]
         ) as checkpoint:
-            classifier = load_checkpoint_classifier(checkpoint, graph=spec.graph)
-        if getattr(classifier, "trainer", None) is None:
-            raise ValueError(
-                f"{type(classifier).__name__} did not rebuild a trainer from "
-                "its checkpoint; distributed training needs a graph-bound "
-                "trainer"
-            )
+            classifier = WidenClassifier.load(checkpoint, graph=spec.graph)
         return cls(spec, classifier)
 
     # ------------------------------------------------------------------
@@ -316,7 +310,7 @@ class DistributedTrainer:
             heartbeat_interval=heartbeat_interval,
             heartbeat_misses=heartbeat_misses,
         )
-        probe = load_checkpoint_classifier(checkpoint)
+        probe = WidenClassifier.load(checkpoint)
         self.config = probe.config
         if self.config.embedding_mode != "project":
             raise ValueError(
@@ -501,7 +495,7 @@ class DistributedTrainer:
         self._check_open()
         data = self.workers[0].checkpoint().result(self.request_timeout)
         with checkpoint_path(None, data) as staged:
-            return load_checkpoint_classifier(staged, graph=graph)
+            return WidenClassifier.load(staged, graph=graph)
 
     # ------------------------------------------------------------------
     # Observability

@@ -18,7 +18,7 @@ Every Table-4 ablation is expressible through :class:`WidenConfig` switches
 (see :mod:`repro.core.ablation`).
 """
 
-from repro.core.classifier import WidenClassifier, migrate_checkpoint
+from repro.core.classifier import WidenClassifier, migrate_checkpoint, serving_refusal
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
 from repro.core.relay import RelayRecipe, prune_deep, shrink_wide
@@ -38,6 +38,7 @@ from repro.core.unsupervised import UnsupervisedWidenTrainer
 __all__ = [
     "WidenClassifier",
     "migrate_checkpoint",
+    "serving_refusal",
     "WidenConfig",
     "WidenModel",
     "WidenTrainer",

@@ -173,17 +173,6 @@ class WidenClassifier(BaseClassifier):
             graph, np.asarray(nodes, dtype=np.int64), rng=seed
         )
 
-    @property
-    def reports_read_sets(self) -> bool:
-        """Whether the serving path can name each sample's read set.
-
-        ``"replace"`` embedding mode warms a state table by embedding the
-        sampled neighbors recursively, so it does not know which adjacency
-        lists an answer depended on; consumers fall back to the declared
-        reach.
-        """
-        return self.config.embedding_mode != "replace"
-
     def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
         """Fresh samples, row ``i`` keyed ``(seed, nodes[i])``, plus their
         read sets ``(B, 1 + Φ·N_d)``."""
@@ -212,24 +201,17 @@ class WidenClassifier(BaseClassifier):
 
         With ``return_reads`` the result is ``(embeddings, reads)``: row
         ``i`` of ``reads`` is node ``i``'s read set
-        (:meth:`NeighborTable.read_sets`), or ``reads`` is ``None`` when
-        :attr:`reports_read_sets` is false.
+        (:meth:`NeighborTable.read_sets`).  A classifier outside the
+        serving contract (:func:`serving_refusal`) is refused.
         """
         if self.trainer is None:
             raise RuntimeError("embed_for_serving_batch before fit/bind")
+        reason = serving_refusal(self)
+        if reason is not None:
+            raise ValueError(reason)
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             embeddings, reads = np.empty((0, self.config.dim)), None
-        elif not self.reports_read_sets:
-            # Replace mode warms up a per-call state table from the sampled
-            # neighbors: one ``embed_for_serving`` call per row.
-            reads = None
-            embeddings = np.stack(
-                [
-                    self.embed_for_serving(np.array([node]), graph, seed=seed)[0]
-                    for node in nodes
-                ]
-            )
         else:
             table, reads = self._sample_for_serving(nodes, graph, seed)
             model = self.trainer.model
@@ -265,25 +247,14 @@ class WidenClassifier(BaseClassifier):
             digest.update(np.ascontiguousarray(state[name]).tobytes())
         return digest.hexdigest()[:16]
 
-    def supports_store(self) -> Optional[str]:
-        """``None`` if store rows reproduce this classifier's serving path
-        exactly; otherwise the human-readable reason they cannot."""
-        if self.config.embedding_mode == "replace":
-            return "embedding_mode='replace' warms a per-call state table"
-        return None
-
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
         """Store rows for ``nodes``: ``(embeddings, reads)``.
 
         The store's build hook, and nothing but the serving miss path
-        (:meth:`embed_for_serving_batch` with its read sets) behind the
-        :meth:`supports_store` check — a stored row *is* the answer a
-        recompute under the same seed returns, until a write touches a
-        list in its read set.
+        (:meth:`embed_for_serving_batch` with its read sets) — a stored
+        row *is* the answer a recompute under the same seed returns, until
+        a write touches a list in its read set.
         """
-        reason = self.supports_store()
-        if reason is not None:
-            raise ValueError(f"store materialization unsupported: {reason}")
         return self.embed_for_serving_batch(nodes, graph, seed, return_reads=True)
 
     def embed_from_store_blocks(self, *args, **kwargs):
@@ -434,6 +405,24 @@ class WidenClassifier(BaseClassifier):
         if graph is not None:
             classifier.bind(graph)
         return classifier
+
+
+def serving_refusal(classifier) -> Optional[str]:
+    """``None`` if ``classifier`` meets the serving contract; otherwise why not.
+
+    Serving (server, router, store) takes a :class:`WidenClassifier` in
+    ``"project"`` embedding mode: its answers name the adjacency lists they
+    read, which is what keeps a cached or stored answer exact until a write
+    touches one.  ``"replace"`` mode stays a training mode.
+    """
+    if not isinstance(classifier, WidenClassifier):
+        return f"serving takes a WidenClassifier, not {type(classifier).__name__}"
+    if classifier.config.embedding_mode != "project":
+        return (
+            "serving takes embedding_mode='project'; 'replace' warms a "
+            "per-call state table, so its answers name no read set"
+        )
+    return None
 
 
 def migrate_checkpoint(path, out_path=None) -> dict:

@@ -136,25 +136,6 @@ class WidenConfig:
             raise ValueError("downsampling floors must be >= 1 (paper: k >= 1)")
 
     @property
-    def serving_reach(self) -> int:
-        """Out-hop radius the identity-free serving path can touch.
-
-        ``embed_for_serving`` samples a 1-hop wide set plus walks of length
-        ``num_deep``, so it reads features up to ``num_deep`` hops out and
-        queries adjacency lists up to ``num_deep - 1`` hops out.  In
-        ``"replace"`` embedding mode the warm-up pass additionally embeds the
-        sampled neighbors themselves, doubling the radius.  Cache
-        invalidation (``repro.serve``) goes by the lists each answer names
-        as read, and falls back to a BFS of this radius only in
-        ``"replace"`` embedding mode, which reports no read set.  (Shards,
-        ``repro.cluster``, are full replicas and do not consult it.)
-        """
-        reach = self.num_deep
-        if self.embedding_mode == "replace":
-            reach *= 2
-        return reach
-
-    @property
     def effective_wide_mode(self) -> str:
         """Downsampling mode applied to wide sets."""
         return self.wide_downsample or self.downsample_mode

@@ -13,8 +13,8 @@ measure that locality:
   which is why a shard (``repro.cluster``) is a full replica and no halo
   is maintained.
 - :func:`k_hop_in` / :func:`mutation_frontier` — everything that can read a
-  changed adjacency list: the invalidation set ``repro.serve`` falls back
-  to for a classifier that declares a reach but reports no read sets.
+  changed list within a reach.  Serving invalidates by read set instead;
+  ``mutation_frontier`` stays a name the wall-clock benchmark wraps.
 """
 
 from __future__ import annotations

@@ -83,7 +83,7 @@ DEFAULT_HELP: Dict[str, str] = {
     "serve_batch_size": "Submitted batch sizes (including cache hits).",
     "serve_compute_batch_size": "Batch sizes that reached the model.",
     "serve_queue_depth": "Pending queue depth sampled at submit.",
-    "serve_invalidation_frontier": "Nodes a mutation stamped as touched (changed sources, or their reach frontier without read sets).",
+    "serve_invalidation_frontier": "Nodes a mutation stamped as touched (changed sources, or every node for a rewire of unknown extent).",
     "serve_cache_node_hits": "Per-node embedding-cache hit counts.",
     "serve_cache_entries": "Live embedding-cache entries.",
     "serve_rung_total": "Nodes served by ladder rung (cache/store/overlay/recompute).",

@@ -1,7 +1,10 @@
 """``repro.serve`` — the inductive inference serving layer.
 
-Turns a trained classifier into a long-lived service, the production half
-of the paper's "heterogeneity + inductiveness + efficiency" claim:
+Turns a trained WIDEN classifier into a long-lived service, the production
+half of the paper's "heterogeneity + inductiveness + efficiency" claim.
+It serves a ``WidenClassifier`` in ``"project"`` embedding mode and
+refuses anything else (:func:`repro.core.serving_refusal`).
+
 
 - :class:`ModelRegistry` — named, self-describing checkpoints (parameters
   + hyperparameters + dataset schema) restored without a training graph;

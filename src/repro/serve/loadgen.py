@@ -100,13 +100,10 @@ def cold_single_requests(
     latencies: List[float] = []
     for event in trace:
         start = time.perf_counter()
-        if hasattr(classifier, "embed_for_serving"):
-            embedding = classifier.embed_for_serving(
-                np.array([event.node]), graph, seed=seed
-            )
-            classifier.predict_from_embeddings(embedding)
-        else:
-            classifier.predict(np.array([event.node]), graph=graph)
+        embedding = classifier.embed_for_serving(
+            np.array([event.node]), graph, seed=seed
+        )
+        classifier.predict_from_embeddings(embedding)
         latencies.append(time.perf_counter() - start)
     return {
         "requests": len(latencies),

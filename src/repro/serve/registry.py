@@ -10,16 +10,10 @@ checkpoint together with the dataset schema.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Type
+from typing import List, Optional
 
 from repro.core.classifier import WidenClassifier
 from repro.graph import HeteroGraph
-
-# Checkpoint ``class`` field -> restorer.  Extend as more model families
-# grow first-class checkpoint support.
-CHECKPOINT_CLASSES: Dict[str, Type[WidenClassifier]] = {
-    WidenClassifier.name: WidenClassifier,
-}
 
 
 class ModelRegistry:
@@ -52,14 +46,7 @@ class ModelRegistry:
                 f"no checkpoint named {name!r} in {self.root} "
                 f"(registered: {self.list() or 'none'})"
             )
-        meta = WidenClassifier.read_checkpoint_metadata(path)
-        cls = CHECKPOINT_CLASSES.get(meta.get("class"))
-        if cls is None:
-            raise ValueError(
-                f"checkpoint {name!r} holds unsupported class "
-                f"{meta.get('class')!r}; known: {sorted(CHECKPOINT_CLASSES)}"
-            )
-        return cls.load(path, graph=graph)
+        return WidenClassifier.load(path, graph=graph)
 
     def describe(self, name: str) -> dict:
         """Checkpoint metadata (config, seed, schema) without loading weights."""

@@ -1,24 +1,29 @@
 """The long-lived inference server.
 
-``InferenceServer`` turns a trained classifier into a service over one
-*serving graph*.  The embedding cache sits **in front of** the micro-batcher:
-a request whose embedding is resident completes at submit time and never
-pays the batching deadline; only misses are queued and coalesced into
-batched forward passes.  Streaming arrivals (:meth:`add_nodes` /
-:meth:`add_edges`) mutate the graph in place — the graph's mutation hooks
-then invalidate every cache layer, so a post-mutation request can never
-observe pre-mutation state.
+``InferenceServer`` turns a trained WIDEN classifier into a service over
+one *serving graph*.  The embedding cache sits **in front of** the
+micro-batcher: a request whose embedding is resident completes at submit
+time and never pays the batching deadline; only misses are queued and
+coalesced into batched forward passes.  Streaming arrivals
+(:meth:`add_nodes` / :meth:`add_edges`) mutate the graph in place — the
+graph's mutation hooks then invalidate every cache layer, so a
+post-mutation request can never observe pre-mutation state.
 
-Determinism: for classifiers exposing ``embed_for_serving`` (WIDEN), each
-cache miss is computed from draws keyed by ``(server seed, node id)`` and
-nothing else.  A response is therefore a pure function of the model
-parameters, the *current* graph and the server seed — independent of
-request order, batching boundaries, cache history and of how the graph got
-here.  That is what makes the "mutated server == cold server" test in
-``tests/test_serve.py`` exact rather than statistical, what lets a sharded
-cluster (``repro.cluster``) reproduce single-server answers bit-for-bit,
-and what lets a materialization nothing has undercut stay valid across a
-write: re-sampling it would draw the same sample from the same lists.
+The serving contract is one predicate,
+:func:`~repro.core.classifier.serving_refusal`: a ``WidenClassifier`` in
+``"project"`` embedding mode.  Anything else is refused at construction,
+with the same reason the cluster router and the store give.
+
+Determinism: each cache miss is computed from draws keyed by ``(server
+seed, node id)`` and nothing else.  A response is therefore a pure
+function of the model parameters, the *current* graph and the server seed
+— independent of request order, batching boundaries, cache history and of
+how the graph got here.  That is what makes the "mutated server == cold
+server" test in ``tests/test_serve.py`` exact rather than statistical,
+what lets a sharded cluster (``repro.cluster``) reproduce single-server
+answers bit-for-bit, and what lets a materialization nothing has undercut
+stay valid across a write: re-sampling it would draw the same sample from
+the same lists.
 
 Invalidation is by *read set*.  Every materialization — cache entry or
 store row, built offline or refreshed since — records the ids whose
@@ -32,15 +37,10 @@ was made.  ``touched_at[u]`` is the clock of the last write that changed
 touched_at[sources] = clock`` plus one sweep of the (at most capacity)
 resident cache entries — no BFS, no scan over nodes or store rows; stale
 store rows are found when a miss batch looks them up.  What a write
-*touches* has three tiers, one rule:
-
-- the classifier reports read sets (WIDEN in ``"project"`` embedding
-  mode): the event's ``sources``, exactly;
-- it declares a sampling reach but no read sets (``embedding_mode=
-  "replace"``): every materialization reads
-  ``{v}`` and the write touches the reverse-BFS
-  :func:`~repro.graph.halo.mutation_frontier` of the sources;
-- neither, or a mutation of unknown extent: every node.
+*touches* is the event's ``sources`` — the nodes whose lists changed —
+or, for an arrival, the new ids (no existing list changed).  Only a
+rewire of unknown extent (``replace_edges`` without ``changed_sources``)
+touches every node.
 
 One server is single-threaded by design (the batcher amortizes per-call
 overhead, it does not juggle OS threads); concurrency comes from running
@@ -55,8 +55,10 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.baselines.common import BaseClassifier
-from repro.graph import HeteroGraph, mutation_frontier
+from repro.core.classifier import WidenClassifier, serving_refusal
+from repro.graph import HeteroGraph
+# Nothing here calls it; ``benchmarks/perf`` wraps the name until ROADMAP 8(b).
+from repro.graph import mutation_frontier  # noqa: F401
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import EmbeddingCache, fresh_mask
@@ -65,44 +67,6 @@ from repro.serve.telemetry import KINDS, RUNGS, Telemetry
 
 # Store-tier attribution by ``fresh * (1 + (stamp > 0))``.
 _STORE_RUNGS = np.array(["recompute", "store", "overlay"], dtype=object)
-
-
-def load_checkpoint_classifier(path, graph: Optional[HeteroGraph] = None):
-    """Load a checkpoint into the class its metadata names.
-
-    The class is resolved through the serving registry's
-    ``CHECKPOINT_CLASSES`` map, so this is the generic spawn path —
-    a shard worker process rebuilds its classifier from exactly
-    (checkpoint path, serving graph) and nothing else.
-    """
-    from repro.core.classifier import WidenClassifier
-    from repro.serve.registry import CHECKPOINT_CLASSES
-
-    meta = WidenClassifier.read_checkpoint_metadata(path)
-    class_name = meta.get("class")
-    if class_name not in CHECKPOINT_CLASSES:
-        raise ValueError(
-            f"checkpoint {path} names unknown class {class_name!r}; "
-            f"known: {sorted(CHECKPOINT_CLASSES)}"
-        )
-    return CHECKPOINT_CLASSES[class_name].load(path, graph=graph)
-
-
-def serving_reach_of(classifier) -> Optional[int]:
-    """The classifier's declared sampling reach (out-hops), or ``None``.
-
-    WIDEN declares it via :attr:`WidenConfig.serving_reach`; duck-typed
-    classifiers may expose a plain ``serving_reach`` int attribute.  ``None``
-    means the reach is unknown and consumers must assume whole-graph
-    dependence (full invalidation, no sharding).
-    """
-    reach = getattr(getattr(classifier, "config", None), "serving_reach", None)
-    if reach is None:
-        reach = getattr(classifier, "serving_reach", None)
-    if reach is None:
-        return None
-    reach = int(reach)
-    return reach if reach >= 1 else None
 
 
 @dataclass
@@ -140,7 +104,7 @@ class InferenceServer:
 
     def __init__(
         self,
-        classifier: BaseClassifier,
+        classifier: WidenClassifier,
         graph: HeteroGraph,
         *,
         max_batch_size: int = 16,
@@ -152,14 +116,12 @@ class InferenceServer:
         prometheus_interval: float = 10.0,
         store=None,
     ) -> None:
+        reason = serving_refusal(classifier)
+        if reason is not None:
+            raise ValueError(reason)
         if classifier.graph is None:
             # A freshly loaded checkpoint: bind the serving graph (schema
             # validated inside bind()).
-            if not hasattr(classifier, "bind"):
-                raise ValueError(
-                    f"{classifier.name}: fit() it or give a classifier with "
-                    "a bind() method before serving"
-                )
             classifier.bind(graph)
         self.classifier = classifier
         self.graph = graph
@@ -182,22 +144,11 @@ class InferenceServer:
         # reported throughput) reflect sequential execution even when a
         # logical replay clock drives the arrivals.
         self._busy_until = float("-inf")
-        # WIDEN's serving path is identity-free (fresh neighborhood samples
-        # every miss), so graph mutations need no classifier-side refresh;
-        # generic classifiers fall back to embed() + cache rebuild.
-        self._identity_free = hasattr(classifier, "embed_for_serving")
-        # Without the embeddings->classes head a classify cannot complete
-        # from a cached embedding at submit time: every one is queued.
-        self._has_head = hasattr(classifier, "predict_from_embeddings")
         # Freshness state (module docstring): the local write clock and,
         # per node, the clock of the last write that changed its adjacency
         # list.  A server starts at clock 0 with nothing touched.
         self._clock = 0
         self._touched_at = np.zeros(graph.num_nodes, dtype=np.int64)
-        self._serving_reach = (
-            serving_reach_of(classifier) if self._identity_free else None
-        )
-        self._tracks_reads = bool(getattr(classifier, "reports_read_sets", False))
         # Optional Prometheus text exposition: rewritten atomically at most
         # once per ``prometheus_interval`` seconds of request-clock time
         # (textfile-collector convention; no HTTP listener in this repo).
@@ -228,11 +179,6 @@ class InferenceServer:
         now.  A store built at another graph version saw writes this server
         never did: every node counts as touched and every row is stale.
         """
-        if not self._identity_free:
-            raise ValueError(
-                "a materialized store needs an identity-free serving path "
-                f"(embed_for_serving); {self.classifier.name!r} has none"
-            )
         reason = store.compatible_with(self.classifier, self.seed)
         if reason is not None:
             raise ValueError(f"store incompatible with this server: {reason}")
@@ -251,7 +197,7 @@ class InferenceServer:
         live classifier — construction is checkpoint-driven by design so
         it works identically on either side of a process boundary.
         """
-        return cls(load_checkpoint_classifier(path), graph, **kwargs)
+        return cls(WidenClassifier.load(path), graph, **kwargs)
 
     # ------------------------------------------------------------------
     # Mutation/invalidation state across the pickle boundary
@@ -318,9 +264,7 @@ class InferenceServer:
         if self._prometheus_path is not None:
             self._maybe_flush_prometheus(now)
         request_id = self.telemetry.open(node, kind, now, len(self.batcher._queue))
-        value = None
-        if kind == "embed" or self._has_head:
-            value = self.cache.get(node)
+        value = self.cache.get(node)
         if value is None:
             batch = self.batcher.submit(request_id, now)
             if batch is not None:
@@ -501,24 +445,15 @@ class InferenceServer:
             self._touched_at = np.concatenate(
                 [self._touched_at, np.zeros(arrived, dtype=np.int64)]
             )
-        touched, reason = None, "frontier"
-        if self._identity_free and self._serving_reach is not None and event is not None:
-            if event.kind == "add_nodes":
-                # Appended nodes start isolated: no existing adjacency list
-                # changed, so every materialization is still exact.
-                touched = event.nodes
-            elif event.sources.size or event.kind == "add_edges":
-                # Read sets name the dependents of a changed list exactly;
-                # without them a materialization reads {v} and the write
-                # touches everything within reach of the sources instead.
-                touched = (
-                    event.sources
-                    if self._tracks_reads
-                    else mutation_frontier(graph, event.sources, self._serving_reach)
-                )
-        if touched is None:
-            # Unknown extent, undeclared reach or an identity-carrying
-            # classifier: every node counts as touched.
+        if event.kind == "add_nodes":
+            # Appended nodes start isolated: no existing adjacency list
+            # changed, so every materialization is still exact.
+            touched, reason = event.nodes, "frontier"
+        elif event.sources.size or event.kind == "add_edges":
+            # Read sets name the dependents of a changed list exactly.
+            touched, reason = event.sources, "frontier"
+        else:
+            # A rewire of unknown extent: every node counts as touched.
             touched, reason = np.arange(graph.num_nodes), "full"
         dropped = self._touch(touched)
         self.telemetry.record_invalidation(
@@ -535,8 +470,6 @@ class InferenceServer:
                 self.telemetry.registry.counter(
                     "serve_store_invalidated_rows_total", reason=reason
                 ).inc(undercut)
-        if not self._identity_free and self.classifier.graph is graph:
-            self.classifier.refresh_graph_caches()
 
     def close(self) -> None:
         """Detach from the graph (stop receiving mutation hooks)."""
@@ -569,8 +502,7 @@ class InferenceServer:
         Returns ``(embeddings, rungs, reads)`` where ``rungs[i]`` names the
         ladder tier that produced row ``i`` (``store`` / ``overlay`` /
         ``recompute``) — the per-node attribution the request records carry
-        — and ``reads[i]`` is the read set the row depends on (``{node}``
-        when the classifier cannot say).
+        — and ``reads[i]`` is the read set the row depends on.
 
         Determinism is preserved under batching: each node's draws are
         keyed ``(server seed, node)`` and nothing else — in particular no
@@ -580,31 +512,12 @@ class InferenceServer:
         misses happened to share the batch.
         """
         nodes_arr = np.asarray(nodes, dtype=np.int64)
-        rungs = ["recompute"] * len(nodes)
-        if not self._identity_free:
-            embeddings = self.classifier.embed(nodes_arr, graph=self.graph)
-            return embeddings, rungs, nodes_arr[:, None]
         if self.store is not None:
             return self._compute_embeddings_with_store(nodes_arr)
-        reads = None
-        if self._tracks_reads:
-            embeddings, reads = self.classifier.embed_for_serving_batch(
-                nodes_arr, self.graph, self.seed, return_reads=True
-            )
-        elif hasattr(self.classifier, "embed_for_serving_batch"):
-            embeddings = self.classifier.embed_for_serving_batch(
-                nodes_arr, self.graph, self.seed
-            )
-        else:
-            embeddings = np.stack(
-                [
-                    self.classifier.embed_for_serving(
-                        np.array([node]), self.graph, seed=self.seed
-                    )[0]
-                    for node in nodes
-                ]
-            )
-        return embeddings, rungs, nodes_arr[:, None] if reads is None else reads
+        embeddings, reads = self.classifier.embed_for_serving_batch(
+            nodes_arr, self.graph, self.seed, return_reads=True
+        )
+        return embeddings, ["recompute"] * len(nodes), reads
 
     def _compute_embeddings_with_store(self, nodes_arr: np.ndarray):
         """Store-tier miss path: a fresh row *is* the answer — one gather.
@@ -686,14 +599,9 @@ class InferenceServer:
             heads = list(
                 dict.fromkeys(node for node, wanted in zip(nodes, classify) if wanted)
             )
-            if self._has_head:
-                classes = self.classifier.predict_from_embeddings(
-                    np.stack([embeddings[node] for node in heads])
-                )
-            else:
-                classes = self.classifier.predict(
-                    np.asarray(heads), graph=self.graph
-                )
+            classes = self.classifier.predict_from_embeddings(
+                np.stack([embeddings[node] for node in heads])
+            )
             predictions = {node: int(cls) for node, cls in zip(heads, classes)}
         completion = flush_time + (time.perf_counter() - start)
         self._busy_until = completion

@@ -212,14 +212,11 @@ class Telemetry:
         """One mutation-triggered cache invalidation.
 
         ``frontier_size`` is how many nodes the write stamped as touched:
-        the changed sources when the classifier reports read sets, their
-        reverse-BFS frontier when it only declares a reach, the whole graph
-        on the coarse fallback path.  ``dropped`` is how many resident
-        cache entries the freshness rule then rejected, ``kept`` how many
-        stayed warm — the audit trail that fine-grained invalidation
-        actually kept the rest of the working set.  ``reason``
-        distinguishes the fine-grained paths (``"frontier"``) from the
-        every-node fallback (``"full"``) in the registry series."""
+        its changed sources or an arrival's new ids (``reason="frontier"``),
+        or every node for a rewire of unknown extent (``reason="full"``).
+        ``dropped`` is how many resident cache entries the freshness rule
+        then rejected, ``kept`` how many stayed warm — the audit trail that
+        read-set invalidation actually kept the rest of the working set."""
         if reason not in ("frontier", "full"):
             raise ValueError(f"unknown invalidation reason {reason!r}")
         self.invalidation_records.append(

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.classifier import serving_refusal
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
 from repro.store.store import AggregateStore
@@ -47,7 +48,7 @@ def build_store(
     :meth:`AggregateStore.compatible_with` can refuse a mismatched server.
     Returns the freshly opened (mmap'd) store.
     """
-    reason = getattr(classifier, "supports_store", lambda: "no store hooks")()
+    reason = serving_refusal(classifier)
     if reason is not None:
         raise ValueError(f"cannot build a store for this classifier: {reason}")
     config = classifier.config

@@ -51,6 +51,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.classifier import serving_refusal
+
 STORE_FORMAT_VERSION = 4
 
 _META_FILE = "meta.json"
@@ -236,16 +238,13 @@ class AggregateStore:
     def compatible_with(self, classifier, seed: int) -> Optional[str]:
         """Reason this store cannot serve ``classifier`` at server ``seed``
         (``None`` when it can).  Checks the store format (the rng scheme
-        is part of it), the serving-path support flags, the model geometry,
-        the parameter digest and the rng seed — everything that went into
-        the materialized values."""
-        reason = _refuse_old_format(self.meta, "this store")
-        if reason is not None:
-            return reason
-        supports = getattr(classifier, "supports_store", None)
-        if supports is None or not hasattr(classifier, "materialize_store_rows"):
-            return f"{getattr(classifier, 'name', classifier)!r} has no store hooks"
-        reason = supports()
+        is part of it), the serving contract
+        (:func:`~repro.core.classifier.serving_refusal`), the model
+        geometry, the parameter digest and the rng seed — everything that
+        went into the materialized values."""
+        reason = _refuse_old_format(self.meta, "this store") or serving_refusal(
+            classifier
+        )
         if reason is not None:
             return reason
         config = classifier.config

@@ -230,23 +230,6 @@ class TestClusterEquivalence:
             lone = router.embed(probe[:1])
             np.testing.assert_array_equal(lone, want_embeddings[:1])
 
-    def test_rejects_classifier_without_declared_reach(
-        self, checkpoint, monkeypatch
-    ):
-        """A checkpoint whose class cannot answer from ``(seed, node,
-        graph)`` alone (no ``embed_for_serving``, and so no declared reach
-        either) is refused before anything is partitioned."""
-        from repro.serve.registry import CHECKPOINT_CLASSES
-
-        class Opaque:
-            @classmethod
-            def load(cls, path, graph=None):
-                return cls()
-
-        monkeypatch.setitem(CHECKPOINT_CLASSES, WidenClassifier.name, Opaque)
-        with pytest.raises(ValueError, match="identity-free classifier.*Opaque"):
-            fresh_router(checkpoint, 2)
-
     def test_closed_router_refuses_requests(self, checkpoint):
         router = fresh_router(checkpoint, 2)
         router.close()

@@ -9,12 +9,16 @@ recovery respawns through the method bring-up used.  (What the fleet then
 ``test_net.py`` and ``test_train_loop.py``.)
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterRouter, DistributedTrainer
 from repro.cluster import fleet as fleet_module
-from repro.cluster.fleet import Fleet
+from repro.cluster import router as router_module
+from repro.cluster.fleet import Fleet, LocalWorkerSpawner
+from repro.cluster.transport import WorkerDown
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 
@@ -99,6 +103,59 @@ def test_failed_bring_up_tears_down_what_it_started(checkpoint, monkeypatch):
     with pytest.raises(RuntimeError, match="no such shard"):
         ClusterRouter.from_checkpoint(checkpoint, fresh_graph(), 2, seed=7)
     assert built[0].closed
+
+
+def test_router_that_fails_after_bring_up_closes_its_fleet(checkpoint, monkeypatch):
+    """``dist_tracing=True`` runs the clock handshake after the workers are
+    up; when it fails there is no router to close, so the constructor
+    closes the fleet itself."""
+    built, closed = [], []
+    real_build, real_close = fleet_module.build_engine_from_args, Fleet.close
+
+    def recording_build(args):
+        built.append(real_build(args))
+        return built[-1]
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    def handshake_fails(*args, shard_id, **kwargs):
+        raise WorkerDown(shard_id, "connection_reset", "clock probe failed")
+
+    monkeypatch.setattr(fleet_module, "build_engine_from_args", recording_build)
+    monkeypatch.setattr(Fleet, "close", recording_close)
+    monkeypatch.setattr(router_module, "clock_handshake", handshake_fails)
+    with pytest.raises(WorkerDown, match="clock probe failed"):
+        ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, seed=7, dist_tracing=True
+        )
+    assert len(closed) == 1
+    assert len(built) == 2 and all(engine.closed for engine in built)
+
+
+def test_spawner_startup_timeout_fires_on_a_silent_child(tmp_path, monkeypatch):
+    """A child that neither prints its LISTENING line nor exits is killed
+    and reaped at ``startup_timeout``, not waited on until it finishes."""
+    script = tmp_path / "silent-python"
+    script.write_text("#!/bin/sh\nexec sleep 20\n")
+    script.chmod(0o755)
+    children = []
+    real_popen = fleet_module.subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        children.append(real_popen(*args, **kwargs))
+        return children[-1]
+
+    monkeypatch.setattr(fleet_module.subprocess, "Popen", recording_popen)
+    spawner = LocalWorkerSpawner(python=str(script), startup_timeout=1.0)
+    start = time.monotonic()
+    with pytest.raises(WorkerDown, match="no LISTENING line within 1 s") as down:
+        spawner.spawn(3)
+    assert time.monotonic() - start < 2 * spawner.startup_timeout
+    assert (down.value.shard_id, down.value.reason) == (3, "spawn_failed")
+    (child,) = children
+    assert child.returncode is not None and child.stdout.closed
 
 
 class TestTrainerRefusals:

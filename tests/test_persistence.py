@@ -244,8 +244,6 @@ class TestCheckpointV3:
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
         assert fresh.config == model.config
-        assert fresh.reports_read_sets
-        assert fresh.supports_store() is None
         probe = acm.split.test[:10]
         np.testing.assert_array_equal(
             fresh.embed_for_serving(probe, acm.graph, seed=5),

@@ -13,7 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import WidenClassifier
+from repro.cluster import ClusterRouter
+from repro.cluster.fleet import Fleet
+from repro.core import WidenClassifier, serving_refusal
 from repro.datasets import make_acm
 from repro.graph import GraphBuilder
 from repro.nn import Linear, Module
@@ -28,6 +30,7 @@ from repro.serve import (
     make_trace,
     replay,
 )
+from repro.store import build_store
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +437,90 @@ class TestLoadGenerator:
 
 
 # ----------------------------------------------------------------------
+# The serving contract: a project-mode WIDEN classifier, nothing else
+# ----------------------------------------------------------------------
+
+
+CONTRACT_ENTRY_POINTS = (
+    "InferenceServer",
+    "InferenceServer.from_checkpoint",
+    "ClusterRouter.from_checkpoint",
+    "build_store",
+    "AggregateStore.compatible_with",
+    "embed_for_serving_batch",
+)
+
+
+class TestServingContract:
+    """Serving takes a ``WidenClassifier`` in ``"project"`` embedding mode
+    (``serving_refusal``); every entry point refuses anything else before
+    it binds, spawns or samples, and all of them say the same thing."""
+
+    @pytest.fixture(scope="class")
+    def replace_mode(self, acm, tmp_path_factory):
+        model = WidenClassifier(
+            seed=0, dim=16, num_wide=6, num_deep=2, embedding_mode="replace"
+        )
+        model.fit(acm.graph, acm.split.train[:40], epochs=0)
+        path = tmp_path_factory.mktemp("replace") / "replace.npz"
+        model.save(path)
+        return model, path
+
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    def test_replace_mode_is_refused(
+        self, entry, replace_mode, trained, tmp_path, monkeypatch
+    ):
+        model, path = replace_mode
+        graph = make_acm(seed=0, scale=0.5).graph
+        reason = serving_refusal(model)
+        assert "embedding_mode='project'" in reason
+
+        def no_bring_up(*args, **kwargs):
+            raise AssertionError("workers spawned before the contract check")
+
+        monkeypatch.setattr(Fleet, "bring_up", no_bring_up)
+        calls = {
+            "InferenceServer": lambda: InferenceServer(model, graph, seed=7),
+            "InferenceServer.from_checkpoint": lambda: InferenceServer.from_checkpoint(
+                path, graph, seed=7
+            ),
+            "ClusterRouter.from_checkpoint": lambda: ClusterRouter.from_checkpoint(
+                path, graph, 2, seed=7
+            ),
+            "build_store": lambda: build_store(model, graph, tmp_path / "s", seed=7),
+            "embed_for_serving_batch": lambda: model.embed_for_serving_batch(
+                np.arange(4), graph, 7
+            ),
+        }
+        if entry == "AggregateStore.compatible_with":
+            store = build_store(trained, graph, tmp_path / "store", seed=7)
+            assert store.compatible_with(model, 7) == reason
+        else:
+            with pytest.raises(ValueError) as refused:
+                calls[entry]()
+            assert reason in str(refused.value)
+        assert graph.version == 0 and not graph._mutation_hooks
+
+    def test_server_refuses_a_non_widen_object(self, trained, acm):
+        """Looking like WIDEN is not enough: the contract is the class."""
+
+        class Impostor:
+            name = "impostor"
+            graph = acm.graph
+            config = trained.config
+            embed_for_serving = trained.embed_for_serving
+            embed_for_serving_batch = trained.embed_for_serving_batch
+            predict_from_embeddings = trained.predict_from_embeddings
+
+        reason = serving_refusal(Impostor())
+        assert "WidenClassifier" in reason and "Impostor" in reason
+        with pytest.raises(ValueError) as refused:
+            InferenceServer(Impostor(), acm.graph, seed=7)
+        assert str(refused.value) == reason
+        assert serving_refusal(trained) is None
+
+
+# ----------------------------------------------------------------------
 # Inference server
 # ----------------------------------------------------------------------
 
@@ -591,36 +678,6 @@ class TestMutationInvalidation:
             server.embed(survivors), cold.embed(survivors)
         )
         assert server.cache.hits == hits_before + len(survivors)
-
-    def test_no_read_sets_and_no_reach_invalidates_everything(self, acm):
-        """A classifier with ``embed_for_serving`` that reports neither read
-        sets nor a sampling reach depends on the whole graph as far as the
-        server can tell: any write, however far away, drops every entry."""
-
-        class DegreeEmbedder:
-            name = "degree"
-
-            def __init__(self, graph):
-                self.graph = graph
-
-            def embed_for_serving(self, nodes, graph, seed=None):
-                return graph.degrees()[np.asarray(nodes)][:, None] * np.ones(4)
-
-        graph = make_acm(seed=0, scale=0.5).graph
-        server = InferenceServer(DegreeEmbedder(graph), graph, seed=7)
-        nodes = np.asarray(acm.split.test[:5], dtype=np.int64)
-        far = [int(node) for node in acm.split.test[-2:]]
-        before = server.embed(nodes)
-        assert len(server.cache) == 5
-        server.add_edges(graph.edge_type_names[0], [far[0]], [far[1]])
-        assert len(server.cache) == 0
-        record = server.telemetry.invalidation_records[-1]
-        assert record == {
-            "frontier_size": graph.num_nodes, "dropped": 5, "kept": 0,
-            "reason": "full",
-        }
-        np.testing.assert_array_equal(server.embed(nodes), before)
-        assert server.cache.hits == 0
 
     def test_stale_reads_impossible_after_bump(self, trained, acm, tmp_path):
         path = tmp_path / "widen.npz"

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter
 from repro.cluster.fleet import Fleet
-from repro.core import WidenClassifier
+from repro.core import WidenClassifier, serving_refusal
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask
@@ -252,15 +252,18 @@ class TestStoreRoundtrip:
         assert store.version_of(0) == 0  # nothing was written
 
     def test_compatible_with_probes_the_store_hooks(self, trained, store_path):
-        """"Has store hooks" means ``supports_store`` + the build hook."""
+        """The store's hooks are the serving contract: an object that only
+        looks like a classifier is refused with the contract's reason."""
         store = AggregateStore.open(store_path)
         assert store.compatible_with(trained, 7) is None
 
         class NoHooks:
             name = "no-hooks"
-            supports_store = staticmethod(lambda: None)
+            config = trained.config
+            materialize_store_rows = trained.materialize_store_rows
 
-        assert "no store hooks" in store.compatible_with(NoHooks(), 7)
+        reason = store.compatible_with(NoHooks(), 7)
+        assert reason == serving_refusal(NoHooks()) and "NoHooks" in reason
 
     def test_row_bytes_are_the_format_s_on_an_empty_slice(self, store_path):
         """A shard that owns no stored node still exports a 128 B row."""
@@ -685,14 +688,36 @@ class TestStoreObservability:
     def test_invalidation_counters_carry_reason_labels(
         self, checkpoint, store_path
     ):
+        """An edge write touches its sources (``frontier``); a rewire that
+        does not name its changed sources touches every node (``full``) —
+        and the warm server still answers what a cold one does."""
         stored = fresh_server(checkpoint, store_path)
         nodes = probe_nodes(stored.graph, 6)
+        lone = int(nodes[1])
+
+        def mutate(server):
+            graph = server.graph
+            author = int(graph.nodes_of_type("author")[0])
+            server.add_edges("paper-author", [int(nodes[0])], [author])
+            # Rewire of unknown extent: every edge at ``lone`` goes.
+            src = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+            keep = (src != lone) & (graph.indices != lone)
+            graph.replace_edges(
+                src[keep], graph.indices[keep], graph.edge_type_of[keep]
+            )
+
         stored.embed(nodes)
-        author = int(stored.graph.nodes_of_type("author")[0])
-        stored.add_edges("paper-author", [int(nodes[0])], [author])
-        # Unknown-extent mutations take the coarse whole-cache path.
-        stored._serving_reach = None
-        stored.add_edges("paper-author", [int(nodes[1])], [author])
+        mutate(stored)
+        assert stored.graph.degree(lone) == 0
+        edge_write, rewire = stored.telemetry.invalidation_records
+        assert edge_write["reason"] == "frontier"
+        assert rewire["reason"] == "full"
+        assert rewire["frontier_size"] == stored.graph.num_nodes
+        assert rewire["kept"] == 0 and len(stored.cache) == 0
+        assert edge_write["kept"] == rewire["dropped"]
+        cold = fresh_server(checkpoint)
+        mutate(cold)
+        np.testing.assert_array_equal(stored.embed(nodes), cold.embed(nodes))
         registry = stored.telemetry.registry
         payload = registry.to_payload()
         series = {
