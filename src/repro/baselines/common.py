@@ -14,6 +14,7 @@ evaluation protocols and benchmark harnesses treat all models uniformly:
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from repro.graph import HeteroGraph
 from repro.nn import Module
 from repro.tensor import no_grad
-from repro.obs import Timer
 
 
 def sample_neighbor_matrix(
@@ -106,10 +106,10 @@ class BaseClassifier:
         elif self.graph is not graph:
             raise ValueError("fit() must be called with the same graph each time")
         for _ in range(epochs):
-            with Timer() as timer:
-                loss = self._train_epoch(train_nodes)
+            start = time.perf_counter()
+            loss = self._train_epoch(train_nodes)
+            self.epoch_seconds.append(time.perf_counter() - start)
             self.losses.append(loss)
-            self.epoch_seconds.append(timer.laps[-1])
         return self
 
     def rebind(self, graph: HeteroGraph) -> None:

@@ -59,6 +59,10 @@ def _at_least_two(count: int) -> np.ndarray:
     return np.arange(max(count, 2)) % count
 
 
+# The retired sampling-policy key a stored config may still carry.
+_SAMPLING_KEY = "wide_sampling"
+
+
 def _stored_config(meta: dict) -> dict:
     """A checkpoint's hyperparameters as current ``WidenConfig`` fields.
 
@@ -69,10 +73,24 @@ def _stored_config(meta: dict) -> dict:
     ``sample_seeding`` (``"stream"`` or ``"per_node"``, before PR 19): it
     named how not-yet-sampled nodes would draw, and a checkpoint stores the
     sets that were drawn.
+
+    The wide sampling-policy key (:data:`_SAMPLING_KEY`) is gone too.
+    ``"replace"`` (Def. 2's oversampling to ``N_w``) is the only policy
+    left, so that value is dropped.  A ``"unique"`` checkpoint is refused:
+    its parameters were trained on neighborhoods this code no longer draws,
+    and serving it would answer from different ones.
     """
     config = dict(meta["config"])
     config.pop("forward_mode", None)
     config.pop("sample_seeding", None)
+    policy = config.pop(_SAMPLING_KEY, "replace")
+    if policy != "replace":
+        raise ValueError(
+            f"checkpoint config has {_SAMPLING_KEY}={policy!r}: that "
+            "sampling policy is gone (only Def. 2's replacement sampling "
+            "remains) and a model trained on other neighborhoods would "
+            "serve different ones; retrain it"
+        )
     return config
 
 
@@ -182,7 +200,6 @@ class WidenClassifier(BaseClassifier):
             num_wide=config.num_wide,
             num_deep=config.num_deep,
             num_deep_walks=config.num_deep_walks,
-            wide_sampling=config.wide_sampling,
             rng=seed,
         )
         store.sample_fresh(nodes)

@@ -41,14 +41,6 @@ class WidenConfig:
     """Minibatch size B."""
     grad_clip: float = 5.0
     """Global-norm gradient clip (0 disables)."""
-    wide_sampling: str = "replace"
-    """``"replace"`` oversamples below-cap nodes to exactly ``num_wide``
-    neighbors with replacement (the GraphSAGE convention; every pack is
-    cap-length, padding waste 0).  ``"unique"`` takes each neighbor at most
-    once, so pack lengths track true degrees — on power-law graphs most
-    packs become far shorter than the cap and the padded grids mostly
-    padding, the regime where training minibatches route themselves to the
-    CSR kernels."""
     embedding_mode: str = "project"
     """How neighbor representations v_n enter message packs (Eq. 1-2).
 
@@ -117,8 +109,6 @@ class WidenConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embedding_mode not in ("project", "replace"):
             raise ValueError(f"unknown embedding_mode {self.embedding_mode!r}")
-        if self.wide_sampling not in ("replace", "unique"):
-            raise ValueError(f"unknown wide_sampling {self.wide_sampling!r}")
         if not 0.0 <= self.refresh_fraction <= 1.0:
             raise ValueError(
                 f"refresh_fraction must be in [0, 1], got {self.refresh_fraction}"

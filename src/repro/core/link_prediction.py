@@ -109,7 +109,7 @@ class LinkPredictionTrainer:
         sample_rng, self._rng, head_rng = spawn_rngs(seed, 3)
         self.store = NeighborStateStore(
             graph, config.num_wide, config.num_deep, config.num_deep_walks,
-            rng=sample_rng, wide_sampling=config.wide_sampling,
+            rng=sample_rng,
         )
         from repro.nn import Linear
 

@@ -25,15 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import packing
 from repro.core.config import WidenConfig
-from repro.core.packing import (
-    AttentionGrid,
-    PackedBatch,
-    pack_batch,
-    segment_ids,
-    valid_slots,
-)
+from repro.core.packing import AttentionGrid, PackedBatch, pack_batch
 from repro.core.relay import EdgeSpecLike, RelayRecipe
 from repro.core.state import NeighborState, NeighborTable
 from repro.graph import HeteroGraph
@@ -420,7 +413,6 @@ class WidenModel(Module):
         batch: NeighborTable,
         graph: HeteroGraph,
         node_state: Optional[np.ndarray] = None,
-        select_kernel: bool = False,
     ) -> Tuple[Tensor, Optional[AttentionGrid], Optional[AttentionGrid]]:
         """Vectorized ``forward`` over the ``B`` rows of ``batch`` at once.
 
@@ -430,22 +422,15 @@ class WidenModel(Module):
         instead of ``B·(Φ + 1)`` small ones: *assemble packs*
         (:meth:`_assemble`) → *attend + fuse* (:meth:`_pass_and_fuse`).
 
-        Two kernel families compute those stages.  The padded one pads to
-        the batch maximum, exactly: padded node rows gather as zeros and
-        padded attention slots carry ``-inf`` mask entries (exactly zero
-        weight, exactly zero gradient).  The CSR one (``gather_mul`` /
-        ``sddmm`` / ``segment_softmax`` / ``segment_matmul``) does work
-        proportional to the real pack rows.  All three layouts compute one
-        algebra (the query is projected, never the key or value grid) in
-        different summation orders, which is the whole contract: padded ==
-        the per-node reference :meth:`forward` to <= 1e-12, padded == CSR
-        to <= 1e-10, identical dropout streams.  With ``select_kernel`` the
-        batch takes the CSR kernels when its padding waste reaches
-        :data:`repro.core.packing.SPARSE_MIN_WASTE` — the trainer's
-        minibatches over its own neighbor states do.  Callers that
-        promise answers independent of batch composition (the serving and
-        store hooks) leave it off: one family everywhere is what keeps
-        recompute, store and fleet bit-identical.
+        The grids pad to the batch maximum, exactly: padded node rows
+        gather as zeros and padded attention slots carry ``-inf`` mask
+        entries (exactly zero weight, exactly zero gradient).  The batch
+        and the per-node reference :meth:`forward` compute one algebra (the
+        query is projected, never the key or value grid) in different
+        summation orders, which is the whole contract: batch == per-node to
+        <= 1e-12, identical dropout streams.  Training, serving and the
+        store all run this one body, which is what keeps recompute, store
+        and fleet bit-identical.
 
         Returns ``(embeddings, wide_attention, deep_attention)``:
         ``embeddings`` is ``(B, d)``; the attentions are the
@@ -460,25 +445,15 @@ class WidenModel(Module):
             self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
-            sparse_min_waste=packing.SPARSE_MIN_WASTE if select_kernel else None,
         )
-        attrs = {"kernel": "sparse"} if pack.sparse else {}
-        with trace_span("widen.forward", batch=pack.batch_size, **attrs):
+        with trace_span("widen.forward", batch=pack.batch_size):
             wide_packs, deep_packs = self._assemble(pack, graph, node_state)
             embeddings, wide_weights, deep_weights = self._pass_and_fuse(
                 pack, wide_packs, deep_packs
             )
 
         def grid(weights: Optional[Tensor], lengths):
-            if weights is None:
-                return None
-            if not pack.sparse:
-                return AttentionGrid(weights.data, lengths)
-            # CSR weights are the grid's valid slots back to back.
-            width = int(lengths.max())
-            padded = np.zeros(lengths.size * width)
-            padded[valid_slots(lengths, width)[0]] = weights.data
-            return AttentionGrid(padded.reshape(lengths.size, width), lengths)
+            return None if weights is None else AttentionGrid(weights.data, lengths)
 
         return (
             embeddings,
@@ -496,8 +471,8 @@ class WidenModel(Module):
 
         Everything that depends on the sampled neighborhoods — feature
         projection, edge-embedding gathers, relay evaluation, the fused
-        gather·mul pack assembly — in the pack's layout: ``(S, L, d)``
-        grids or flat ``(E, d)`` rows.  ``None`` for an ablated side.
+        gather·mul pack assembly — as ``(S, L, d)`` grids.  ``None`` for an
+        ablated side.
         """
         config = self.config
         target_vecs = ops.matmul(
@@ -515,15 +490,10 @@ class WidenModel(Module):
         else:
             flat = target_vecs
 
-        def gather(index, valid, edge_vecs, dropout):
-            if pack.sparse:
-                return ops.gather_mul(flat, index, edge_vecs, dropout)
-            return ops.pad_gather_mul(flat, index, valid, edge_vecs, dropout)
-
         wide_packs = deep_packs = None
         if config.use_wide:
-            wide_packs = gather(
-                pack.wide_index, pack.wide_valid,
+            wide_packs = ops.pad_gather_mul(
+                flat, pack.wide_index, pack.wide_valid,
                 self.edge_embedding(pack.wide_etypes), pack.wide_dropout,
             )
         if config.use_deep:
@@ -538,8 +508,9 @@ class WidenModel(Module):
                     relay_rows,
                 )
                 edge_vecs = ops.reshape(flat_edges, edge_vecs.shape)
-            deep_packs = gather(
-                pack.deep_index, pack.deep_valid, edge_vecs, pack.deep_dropout
+            deep_packs = ops.pad_gather_mul(
+                flat, pack.deep_index, pack.deep_valid, edge_vecs,
+                pack.deep_dropout,
             )
         return wide_packs, deep_packs
 
@@ -551,36 +522,26 @@ class WidenModel(Module):
     ) -> Tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
         """Second half: PASS° (Eq. 3), PASS▷ (Eqs. 4-6), FUSE (Eq. 7).
 
-        Runs over the packs :meth:`_assemble` built, in ``pack``'s layout.
-        On the padded layout each of the three attention blocks is one
-        autograd node (:func:`~repro.tensor.functional.query_attend`,
-        :func:`~repro.tensor.functional.self_attend`); on CSR they are
-        composed from the segment ops.  Returns ``(embeddings,
-        wide_weights, deep_weights)``; the weights are the raw attention
-        distributions in the pack's layout (callers trim), detached,
+        Runs over the packs :meth:`_assemble` built.  Each of the three
+        attention blocks is one autograd node
+        (:func:`~repro.tensor.functional.query_attend`,
+        :func:`~repro.tensor.functional.self_attend`); row 0 of every
+        segment — the target's own pack — queries it.  Returns
+        ``(embeddings, wide_weights, deep_weights)``; the weights are the
+        raw ``(S, L)`` attention distributions (callers trim), detached,
         ``None`` for an ablated side.
         """
         config = self.config
         d = config.dim
         batch = pack.batch_size
 
-        def target_query(packs: Tensor, offsets):
-            # Row 0 of every segment — the target's own pack — queries the
-            # segment.  The padded node reads it off the grid itself; under
-            # CSR the rows are gathered and the pairing spelled out.
-            if offsets is None:
-                return packs, None
-            rows = ops.pad_gather(packs, offsets[:-1], np.ones(offsets.size - 1))
-            return rows, (segment_ids(offsets), None, offsets)
-
         wide_weights = deep_weights = None
         if config.use_wide:
             with trace_span(
                 "widen.wide_pass", packs=int(wide_packs.data[..., 0].size)
             ):
-                query, pairs = target_query(wide_packs, pack.wide_offsets)
                 h_wide, wide_weights = self.wide_pass(
-                    query, wide_packs, mask=pack.wide_attn_mask, pairs=pairs
+                    wide_packs, wide_packs, mask=pack.wide_attn_mask
                 )
         else:
             h_wide = Tensor(np.zeros((batch, d)))
@@ -591,18 +552,15 @@ class WidenModel(Module):
             ):
                 if config.use_successive:
                     refined, _ = self.deep_successive(
-                        deep_packs,
-                        mask=pack.deep_causal_mask,
-                        pairs=pack.deep_causal_pairs,
+                        deep_packs, mask=pack.deep_causal_mask
                     )
                 else:
                     # Table-4 ablation: deep passing degenerates to plain
                     # attentive aggregation of the raw packs.
                     refined = deep_packs
-                query, pairs = target_query(deep_packs, pack.deep_offsets)
                 h_walks, deep_weights = self.deep_pass(
-                    query, refined, values=deep_packs,
-                    mask=pack.deep_attn_mask, pairs=pairs,
+                    deep_packs, refined, values=deep_packs,
+                    mask=pack.deep_attn_mask,
                 )
                 # Average pooling over the Φ walks.
                 h_deep = ops.mean(

@@ -4,23 +4,18 @@ The per-node reference path (:meth:`WidenModel.forward`) builds one small
 ``(L + 1, d)`` pack matrix per target and per walk and runs attention on
 each — thousands of tiny op calls per epoch.  :func:`pack_batch` assembles
 the *indices* for a whole minibatch up front so the model can execute the
-same mathematics as a handful of batched tensor ops, in one of two layouts:
-
-- **padded grids** — every wide set is one row of a ``(B, Lw)`` index/etype
-  grid, every deep walk one row of a ``(B·Φ, Ld)`` grid; validity masks
-  (1/0) zero out padded node rows at gather time and additive attention
-  masks (0/-inf) give padded slots exactly zero softmax weight;
-- **flat CSR** — the grids' valid slots back to back in ``(E,)`` arrays
-  segmented by ``offsets``, for the segment kernels (``sddmm`` /
-  ``segment_softmax`` / ``segment_matmul``) whose work is proportional to
-  real pack rows.
+same mathematics as a handful of batched tensor ops over padded grids:
+every wide set is one row of a ``(B, Lw)`` index/etype grid, every deep
+walk one row of a ``(B·Φ, Ld)`` grid; validity masks (1/0) zero out padded
+node rows at gather time and additive attention masks (0/-inf) give padded
+slots exactly zero softmax weight.
 
 The input is a :class:`~repro.core.state.NeighborTable` holding the
 minibatch's rows, so the grids are filled with one sort of the batch's
-neighbor ids and one masked scatter per side; the CSR arrays are a
-vectorised selection of their valid slots (:func:`flat_slot_indices`).
-Which layout a batch gets is decided from the padding waste it measures for
-the ``pack_padding_waste`` gauge anyway.
+neighbor ids and one masked scatter per side.  The grid is the only
+layout: Def. 2's replacement sampling fills every wide set to ``N_w``, so
+a minibatch is nearly dense and a segment-kernel layout never paid for
+itself (EXPERIMENTS.md, "One kernel family").
 
 Relay edges (Eq. 8) cannot be table lookups: they are re-evaluated against
 current parameters each forward.  The pack records their flat positions so
@@ -32,8 +27,7 @@ Dropout reproducibility: the per-node path draws one mask per pack matrix
 another, in target order.  When the dropout modules are passed in,
 :func:`pack_batch` makes one draw per module of all those rows at once —
 the same stream positions, since ``Generator.random`` fills in C order — so
-training losses are bit-identical to the reference under the padded layout
-and the masks are the same numbers under either.
+training losses are bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -50,17 +44,6 @@ from repro.graph import HeteroGraph
 from repro.obs.metrics import get_registry
 
 _NEG_INF = float("-inf")
-
-# Padding-waste fraction (empty slots / all slots of the padded grids) at
-# which a trainer minibatch takes the CSR kernels instead: what
-# ``WidenModel.forward_batch(select_kernel=True)`` hands to
-# :func:`pack_batch`.  Gemm over modest padding beats the segment ops'
-# extra index work, so only a batch that is at least half padding -- a hub
-# among degree-1 nodes -- routes sparse.  A constant, not a host setting:
-# the layout is a function of the batch.  EXPERIMENTS.md, "Kernel
-# thresholds are constants", holds the measurement (a per-host sweep of the
-# crossover reads 0.46 / 0.46 / 0.63 on three back-to-back runs).
-SPARSE_MIN_WASTE = 0.5
 
 # width -> strictly-lower-triangular -inf base for deep_causal_mask.
 _CAUSAL_BASES: Dict[int, np.ndarray] = {}
@@ -117,48 +100,13 @@ def segment_offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def segment_ids(offsets: np.ndarray) -> np.ndarray:
-    """Flat ``(P,)`` map from entry position to segment index."""
-    offsets = np.asarray(offsets, np.int64)
-    return np.repeat(
-        np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets)
-    )
-
-
-def causal_pairs(offsets: np.ndarray):
-    """Enumerate the (row, col) pairs the causal mask Θ (Eq. 6) keeps.
-
-    For each flat pack row ``i`` in a segment ``[start, end)``, the causal
-    self-attention attends to cols ``i..end-1`` (information flows from the
-    walk's end back toward the target).  Returns
-    ``(pair_rows, pair_cols, pair_offsets)`` where ``pair_offsets`` has one
-    segment per *attending row* — exactly the pairs the padded kernel's
-    ``tril(-inf)`` mask leaves finite, with no ``(W, Ld, Ld)`` grid.
-    """
-    offsets = np.asarray(offsets, np.int64)
-    total = int(offsets[-1])
-    lengths = np.diff(offsets)
-    rows_range = np.arange(total, dtype=np.int64)
-    counts = np.repeat(offsets[1:], lengths) - rows_range
-    pair_offsets = np.zeros(total + 1, np.int64)
-    np.cumsum(counts, out=pair_offsets[1:])
-    pair_rows = np.repeat(rows_range, counts)
-    pair_cols = (
-        np.arange(int(pair_offsets[-1]), dtype=np.int64)
-        - np.repeat(pair_offsets[:-1], counts)
-        + pair_rows
-    )
-    return pair_rows, pair_cols, pair_offsets
-
-
 def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     """Gather indices selecting the first ``lengths[i]`` slots per segment.
 
     ``starts[i]`` is segment ``i``'s base position in some flat row matrix
-    (e.g. a capacity-padded store block reshaped to ``(B·R, d)``).  Returns
+    (the dropout buffer :func:`pack_batch` scatters one draw into).  Returns
     ``(indices, offsets)`` where ``indices`` picks the valid slots of every
-    segment back-to-back — the bridge from capacity-padded storage to the
-    CSR kernels.
+    segment back-to-back.
     """
     lengths = np.asarray(lengths, np.int64)
     starts = np.asarray(starts, np.int64)
@@ -172,7 +120,7 @@ class AttentionGrid(NamedTuple):
     """One side's attention distributions for a minibatch, as computed.
 
     ``weights`` is ``(S, L)`` — one row per wide set or walk, target pack
-    first, exact zeros beyond ``lengths[s]`` — whichever kernel family ran.
+    first, exact zeros beyond ``lengths[s]``.
     """
 
     weights: np.ndarray
@@ -185,17 +133,12 @@ class AttentionGrid(NamedTuple):
         ]
 
 
-def _observe_padding(
-    path: str, lengths: np.ndarray, width: int, materialized: bool
-) -> None:
+def _observe_padding(path: str, lengths: np.ndarray, width: int) -> None:
     """Export the padding-waste share of a pack's ``[B, L_max]`` grid.
 
     ``pack_padding_waste`` is the fraction of grid slots that are padding
-    for this batch's geometry — a CSR pack reports the same number (the
-    waste it *avoided*), so the gauge describes the workload's skew
-    regardless of the layout.  The ``pack_slots_total`` counters only count
-    slots actually materialized: under CSR the ``padding`` series stays
-    flat, which is the observable win.
+    for this batch's geometry; the ``pack_slots_total`` counters add up the
+    valid and the padding slots materialized.
     """
     registry = get_registry()
     slots = int(lengths.shape[0]) * int(width)
@@ -203,10 +146,9 @@ def _observe_padding(
     waste = 0.0 if slots == 0 else 1.0 - used / slots
     registry.gauge("pack_padding_waste", path=path).set(waste)
     registry.counter("pack_slots_total", path=path, kind="valid").inc(used)
-    if materialized:
-        registry.counter("pack_slots_total", path=path, kind="padding").inc(
-            slots - used
-        )
+    registry.counter("pack_slots_total", path=path, kind="padding").inc(
+        slots - used
+    )
 
 
 @dataclass
@@ -219,41 +161,33 @@ class PackedBatch:
     All arrays are plain numpy — no gradients flow through the pack itself.
 
     Segments are the ``B`` wide sets and the ``W = B·Φ`` walks, target pack
-    first.  ``sparse`` names the layout of the per-slot arrays: padded
-    ``(S, L)`` grids with masks, or — CSR — flat ``(E,)`` arrays holding
-    the grids' valid slots back to back, segment ``s`` at
-    ``offsets[s]:offsets[s + 1]``.
+    first, one row of an ``(S, L)`` grid each.
     """
 
     batch_size: int
     targets: Optional[np.ndarray] = None          # (B,) target node ids
     neighbor_nodes: Optional[np.ndarray] = None   # (U,) ids -> flat rows B..B+U-1
-    sparse: bool = False
-    waste: float = 0.0             # padding share of the (would-be) grids
 
-    wide_index: Optional[np.ndarray] = None       # flat node row per slot
+    wide_index: Optional[np.ndarray] = None       # (B, Lw) flat node row per slot
     wide_etypes: Optional[np.ndarray] = None      # edge-type ids (pad: 0)
     wide_lengths: Optional[np.ndarray] = None     # (B,) valid packs incl. target
-    wide_valid: Optional[np.ndarray] = None       # padded: (B, Lw) 1.0 / 0.0
-    wide_attn_mask: Optional[np.ndarray] = None   # padded: (B, Lw) additive 0 / -inf
-    wide_offsets: Optional[np.ndarray] = None     # CSR: (B + 1,)
+    wide_valid: Optional[np.ndarray] = None       # (B, Lw) 1.0 / 0.0
+    wide_attn_mask: Optional[np.ndarray] = None   # (B, Lw) additive 0 / -inf
 
     num_walks: int = 0
-    deep_index: Optional[np.ndarray] = None
+    deep_index: Optional[np.ndarray] = None       # (W, Ld)
     deep_etypes: Optional[np.ndarray] = None
     deep_lengths: Optional[np.ndarray] = None     # (W,)
-    deep_valid: Optional[np.ndarray] = None       # padded: (W, Ld)
-    deep_attn_mask: Optional[np.ndarray] = None   # padded: (W, Ld) for PASS▷'s query
-    deep_causal_mask: Optional[np.ndarray] = None # padded: (W, Ld, Ld) Θ + key padding
-    deep_offsets: Optional[np.ndarray] = None     # CSR: (W + 1,)
-    deep_causal_pairs: Optional[tuple] = None     # CSR: causal_pairs(deep_offsets)
+    deep_valid: Optional[np.ndarray] = None       # (W, Ld)
+    deep_attn_mask: Optional[np.ndarray] = None   # (W, Ld) for PASS▷'s query
+    deep_causal_mask: Optional[np.ndarray] = None # (W, Ld, Ld) Θ + key padding
     deep_relay_rows: np.ndarray = field(
         default_factory=lambda: np.empty(0, np.int64)
     )                                             # rows into the flattened deep slots
     deep_relays: List[RelayRecipe] = field(default_factory=list)
 
     # Scaled dropout masks drawn in per-node rng order (None in eval mode),
-    # shaped like the packs: (S, L, d) padded with ones, or (E, d).
+    # shaped like the packs: (S, L, d) padded with ones.
     wide_dropout: Optional[np.ndarray] = None
     deep_dropout: Optional[np.ndarray] = None
     hidden_dropout: Optional[np.ndarray] = None   # (B, d)
@@ -263,19 +197,12 @@ def _draw(dropout, shape):
     return None if dropout is None else dropout.draw_mask(shape)
 
 
-def valid_slots(lengths: np.ndarray, width: int):
-    """Flat positions of the valid slots of an ``(S, width)`` grid."""
-    starts = np.arange(lengths.size, dtype=np.int64) * width
-    return flat_slot_indices(lengths, starts)
-
-
 def pack_batch(
     batch: NeighborTable,
     graph: HeteroGraph,
     config: WidenConfig,
     pack_dropout=None,
     hidden_dropout=None,
-    sparse_min_waste: Optional[float] = None,
 ) -> PackedBatch:
     """Assemble the index arrays and masks for the ``B`` rows of ``batch``.
 
@@ -288,11 +215,6 @@ def pack_batch(
     ``Generator.random`` fills in C order that one draw is the per-node
     draws back to back, so training stays bit-identical with the reference
     path.
-
-    The result is padded grids unless ``sparse_min_waste`` is given and the
-    batch's padding waste reaches it, in which case the same slots come
-    back as flat CSR arrays.  Callers whose answers must not depend on
-    batch composition (serving, the store) leave it ``None``.
     """
     size = len(batch)
     if size == 0:
@@ -339,15 +261,18 @@ def pack_batch(
         etype_grid[:, 1:][keep] = etypes
         return index, etype_grid
 
-    slots = used = wide_width = deep_width = 0
+    used = wide_width = deep_width = 0
     if config.use_wide:
         pack.wide_index, pack.wide_etypes = fill(
             wide, rank[: wide[1].size], np.arange(size)
         )
         pack.wide_lengths = batch.wide_len + 1
         wide_width = pack.wide_index.shape[1]
-        slots += pack.wide_index.size
         used += int(pack.wide_lengths.sum())
+        _observe_padding("wide", pack.wide_lengths, wide_width)
+        pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
+            pack.wide_lengths, wide_width
+        )
     if config.use_deep:
         pack.num_walks = num_walks
         pack.deep_index, pack.deep_etypes = fill(
@@ -356,8 +281,14 @@ def pack_batch(
         )
         pack.deep_lengths = batch.deep_len.reshape(-1) + 1
         deep_width = pack.deep_index.shape[1]
-        slots += pack.deep_index.size
         used += int(pack.deep_lengths.sum())
+        _observe_padding("deep", pack.deep_lengths, deep_width)
+        pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
+            pack.deep_lengths, deep_width
+        )
+        pack.deep_causal_mask = deep_causal_mask(
+            pack.deep_valid, pack.deep_attn_mask
+        )
         if batch.relays:
             # Row-major over (target, walk, position): the order the
             # per-node path meets them in.
@@ -367,40 +298,6 @@ def pack_batch(
                 batch.relays[key]
                 for key in zip(b.tolist(), walk.tolist(), position.tolist())
             ]
-
-    # ---- layout: padded grids, or their valid slots as flat CSR --------
-    pack.waste = 0.0 if slots == 0 else 1.0 - used / slots
-    pack.sparse = sparse_min_waste is not None and pack.waste >= sparse_min_waste
-    get_registry().counter(
-        "pack_batches_total", layout="sparse" if pack.sparse else "padded"
-    ).inc()
-
-    if config.use_wide:
-        _observe_padding("wide", pack.wide_lengths, wide_width, not pack.sparse)
-        if pack.sparse:
-            keep, pack.wide_offsets = valid_slots(pack.wide_lengths, wide_width)
-            pack.wide_index = pack.wide_index.ravel()[keep]
-            pack.wide_etypes = pack.wide_etypes.ravel()[keep]
-        else:
-            pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
-                pack.wide_lengths, wide_width
-            )
-    if config.use_deep:
-        _observe_padding("deep", pack.deep_lengths, deep_width, not pack.sparse)
-        if pack.sparse:
-            keep, pack.deep_offsets = valid_slots(pack.deep_lengths, deep_width)
-            pack.deep_index = pack.deep_index.ravel()[keep]
-            pack.deep_etypes = pack.deep_etypes.ravel()[keep]
-            pack.deep_relay_rows = np.searchsorted(keep, pack.deep_relay_rows)
-            if config.use_successive:
-                pack.deep_causal_pairs = causal_pairs(pack.deep_offsets)
-        else:
-            pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
-                pack.deep_lengths, deep_width
-            )
-            pack.deep_causal_mask = deep_causal_mask(
-                pack.deep_valid, pack.deep_attn_mask
-            )
 
     # ---- dropout: one draw per module, scattered by position -----------
     # The per-node path draws one mask per pack matrix — wide, then each
@@ -412,24 +309,17 @@ def pack_batch(
         wide_rows = pack.wide_index.size if config.use_wide else 0
         deep_rows = pack.deep_index.size if config.use_deep else 0
 
-        def first_slots(lengths, offsets, width):
-            """Each segment's first row among its side's rows."""
-            return offsets[:-1] if pack.sparse else np.arange(lengths.size) * width
-
-        # Per target: its wide segment, then its walks — the draw order.
+        # Per target: its wide segment, then its walks — the draw order;
+        # each segment starts at its grid row's first slot.
         lengths, starts = [], []
         if config.use_wide:
             lengths.append(pack.wide_lengths.reshape(size, 1))
-            starts.append(
-                first_slots(pack.wide_lengths, pack.wide_offsets, wide_width)
-                .reshape(size, 1)
-            )
+            starts.append((np.arange(size) * wide_width).reshape(size, 1))
         if config.use_deep:
             lengths.append(pack.deep_lengths.reshape(size, num_walks))
             starts.append(
                 wide_rows
-                + first_slots(pack.deep_lengths, pack.deep_offsets, deep_width)
-                .reshape(size, num_walks)
+                + (np.arange(size * num_walks) * deep_width).reshape(size, num_walks)
             )
         lengths = np.concatenate(lengths, axis=1).ravel()
         starts = np.concatenate(starts, axis=1).ravel()

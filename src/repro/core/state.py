@@ -313,15 +313,11 @@ class NeighborStateStore:
         num_deep: int,
         num_deep_walks: int,
         rng: SeedLike = None,
-        wide_sampling: str = "replace",
     ) -> None:
-        if wide_sampling not in ("replace", "unique"):
-            raise ValueError(f"unknown wide_sampling {wide_sampling!r}")
         self.graph = graph
         self.num_wide = num_wide
         self.num_deep = num_deep
         self.num_deep_walks = num_deep_walks
-        self.wide_sampling = wide_sampling
         self._base_seed = (
             int(rng)
             if isinstance(rng, (int, np.integer))
@@ -374,7 +370,6 @@ class NeighborStateStore:
             ) = sample_wide_batch(
                 self.graph, nodes, self.num_wide, self._base_seed,
                 first_counter=self.num_deep_walks * self.num_deep,
-                unique=self.wide_sampling == "unique",
             )
         return rows
 

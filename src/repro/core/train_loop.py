@@ -32,13 +32,14 @@ short-circuits to the client's own gradient arrays, unscaled — the
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.eval.metrics import macro_f1, micro_f1
-from repro.obs import MetricsRegistry, Timer, get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
 from repro.optim import global_grad_norm
 
@@ -228,29 +229,29 @@ class TrainLoop:
         return self.history
 
     def _run_epoch(self, train_nodes: np.ndarray) -> None:
-        with Timer() as timer:
-            begins = self._gather(
-                [client.begin_epoch(train_nodes) for client in self.clients]
+        began = time.perf_counter()
+        begins = self._gather(
+            [client.begin_epoch(train_nodes) for client in self.clients]
+        )
+        epochs = {int(begin["epoch"]) for begin in begins}
+        sizes = {int(begin["num_nodes"]) for begin in begins}
+        if len(epochs) != 1 or len(sizes) != 1:
+            raise RuntimeError(
+                f"clients disagree on epoch schedule: epochs={sorted(epochs)}, "
+                f"sizes={sorted(sizes)} — replicas have diverged"
             )
-            epochs = {int(begin["epoch"]) for begin in begins}
-            sizes = {int(begin["num_nodes"]) for begin in begins}
-            if len(epochs) != 1 or len(sizes) != 1:
-                raise RuntimeError(
-                    f"clients disagree on epoch schedule: epochs={sorted(epochs)}, "
-                    f"sizes={sorted(sizes)} — replicas have diverged"
-                )
-            epoch = epochs.pop()
-            size = sizes.pop()
-            self.logical_seconds += self._slowest(begins)
-            with trace_span("trainer.epoch", epoch=epoch):
-                batch_size = max(1, int(self.config.batch_size))
-                for start in range(0, size, batch_size):
-                    self._run_step(start)
-                finishes = self._gather(
-                    [client.finish_epoch() for client in self.clients]
-                )
-            self.logical_seconds += self._slowest(finishes)
-        seconds = timer.laps[-1]
+        epoch = epochs.pop()
+        size = sizes.pop()
+        self.logical_seconds += self._slowest(begins)
+        with trace_span("trainer.epoch", epoch=epoch):
+            batch_size = max(1, int(self.config.batch_size))
+            for start in range(0, size, batch_size):
+                self._run_step(start)
+            finishes = self._gather(
+                [client.finish_epoch() for client in self.clients]
+            )
+        self.logical_seconds += self._slowest(finishes)
+        seconds = time.perf_counter() - began
         stats, loss = self._merge_epoch(finishes)
         self._record_epoch(epoch, loss, seconds, stats)
 
@@ -268,27 +269,28 @@ class TrainLoop:
             raise RuntimeError(
                 f"no client owns any node of the microbatch at offset {start}"
             )
-        with Timer() as reduce_timer:
-            grad_lists = self._gather(
-                [self.clients[i].export_grads() for i in contributors]
-            )
-            reduced = reduce_gradients(
-                grad_lists, [counts[i] for i in contributors], total
-            )
-            norm = (
-                global_grad_norm(reduced)
-                if self.config.grad_clip > 0
-                else None
-            )
-            self._gather(
-                [client.apply_update(reduced, norm) for client in self.clients]
-            )
+        began = time.perf_counter()
+        grad_lists = self._gather(
+            [self.clients[i].export_grads() for i in contributors]
+        )
+        reduced = reduce_gradients(
+            grad_lists, [counts[i] for i in contributors], total
+        )
+        norm = (
+            global_grad_norm(reduced)
+            if self.config.grad_clip > 0
+            else None
+        )
+        self._gather(
+            [client.apply_update(reduced, norm) for client in self.clients]
+        )
+        reduce_seconds = time.perf_counter() - began
         # The sync leg (gather + reduce + norm + ship/apply) is coordinator
         # wall time — sequential by construction, so it goes on the logical
         # clock at face value.
-        self.logical_seconds += reduce_timer.laps[-1]
+        self.logical_seconds += reduce_seconds
         if self._distributed:
-            self._reduce_seconds.observe(reduce_timer.laps[-1])
+            self._reduce_seconds.observe(reduce_seconds)
             gathered = sum(
                 grad.nbytes
                 for grads in grad_lists

@@ -104,7 +104,6 @@ class WidenTrainer:
             num_wide=self.config.num_wide,
             num_deep=self.config.num_deep,
             num_deep_walks=self.config.num_deep_walks,
-            wide_sampling=self.config.wide_sampling,
             rng=sample_rng,
         )
         self.optimizer = Adam(
@@ -245,7 +244,7 @@ class WidenTrainer:
         with trace_span("trainer.batch", size=int(batch.size)):
             ((rows, stacked, wide_att, deep_att),) = self._forward_chunks(
                 self.store, self.graph, self.node_state, batch,
-                select_kernel=True, replace=self.node_state is not None,
+                replace=self.node_state is not None,
             )
             # Every pack in M° (wide set + target) or M▷ is one message
             # through PASS°/PASS▷ — the unit of Fig. 4's volume axis.
@@ -367,8 +366,7 @@ class WidenTrainer:
         sample = others[self._shuffle_rng.permutation(others.size)[:count]]
         with no_grad():
             for _ in self._forward_chunks(
-                self.store, self.graph, self.node_state, sample,
-                select_kernel=True, replace=True,
+                self.store, self.graph, self.node_state, sample, replace=True
             ):
                 pass  # run for the write-back
 
@@ -379,7 +377,6 @@ class WidenTrainer:
         node_state: Optional[np.ndarray],
         node_ids: np.ndarray,
         *,
-        select_kernel: bool = False,
         replace: bool = False,
     ):
         """``forward_batch`` over ``node_ids``, one ``batch_size`` slice at a time.
@@ -399,8 +396,7 @@ class WidenTrainer:
             chunk = node_ids[start : start + batch_size]
             rows = store.rows_for(chunk)
             embeddings, wide_att, deep_att = self.model.forward_batch(
-                store.table.take(rows), graph, node_state,
-                select_kernel=select_kernel,
+                store.table.take(rows), graph, node_state
             )
             if replace:
                 node_state[chunk] = embeddings.data
@@ -613,12 +609,8 @@ class WidenTrainer:
         """Embeddings for nodes of the training graph (persistent states).
 
         Evaluation reads the refined node-state table but never mutates it.
-        Like training minibatches, these batches pick their kernel family
-        from their own padding waste.
         """
-        return self._embed_with(
-            self.store, self.graph, self.node_state, nodes, select_kernel=True
-        )
+        return self._embed_with(self.store, self.graph, self.node_state, nodes)
 
     def embed_inductive(
         self,
@@ -637,17 +629,12 @@ class WidenTrainer:
         nodes' sampled neighbors so their table entries approximate the
         refined representations they would carry after training — the
         streaming analogue of Algorithm 3's embedding replacement.
-
-        Every minibatch here runs the padded kernels whatever its padding
-        waste: the serving hooks sit on this method and promise rows that do
-        not depend on which other nodes share the call.
         """
         store = NeighborStateStore(
             graph,
             num_wide=self.config.num_wide,
             num_deep=self.config.num_deep,
             num_deep_walks=self.config.num_deep_walks,
-            wide_sampling=self.config.wide_sampling,
             rng=rng,
         )
         if self.config.embedding_mode != "replace":
@@ -678,7 +665,6 @@ class WidenTrainer:
         graph: HeteroGraph,
         node_state: Optional[np.ndarray],
         nodes: Sequence[int],
-        select_kernel: bool = False,
     ) -> np.ndarray:
         self.model.eval()
         node_ids = np.asarray([int(node) for node in nodes], dtype=np.int64)
@@ -686,7 +672,7 @@ class WidenTrainer:
             rows = [
                 embeddings.data
                 for _, embeddings, _, _ in self._forward_chunks(
-                    store, graph, node_state, node_ids, select_kernel=select_kernel
+                    store, graph, node_state, node_ids
                 )
             ]
         self.model.train()

@@ -50,7 +50,7 @@ class UnsupervisedWidenTrainer:
         sample_rng, self._rng = spawn_rngs(seed, 2)
         self.store = NeighborStateStore(
             graph, config.num_wide, config.num_deep, config.num_deep_walks,
-            rng=sample_rng, wide_sampling=config.wide_sampling,
+            rng=sample_rng,
         )
         self.optimizer = Adam(
             model.parameters(), lr=config.learning_rate,

@@ -17,7 +17,7 @@ Public entry points::
 
 from repro.datasets.dataset import Dataset, TransductiveSplit
 from repro.datasets.catalog import (
-    make_acm, make_dblp, make_yelp, make_skewed, make_dataset, DATASETS,
+    make_acm, make_dblp, make_yelp, make_dataset, DATASETS,
 )
 from repro.datasets.splits import label_fraction, make_inductive_split, InductiveSplit
 from repro.datasets.synthetic import SchemaConfig, generate_heterogeneous_graph
@@ -29,7 +29,6 @@ __all__ = [
     "make_acm",
     "make_dblp",
     "make_yelp",
-    "make_skewed",
     "make_dataset",
     "DATASETS",
     "label_fraction",

@@ -121,44 +121,10 @@ def make_yelp(seed: SeedLike = 0, scale: float = 1.0) -> Dataset:
     return _build(config, train_per_class=100, val_per_class=50, seed=seed, scale=scale)
 
 
-def make_skewed(seed: SeedLike = 0, scale: float = 1.0) -> Dataset:
-    """Power-law user-item graph: the padding-tax stress case.
-
-    Not a paper dataset — a benchmark companion for the CSR sparse kernels
-    (the family high-waste training minibatches pick).  Pareto degrees put
-    most users at degree 1-2 with rare hubs saturating the neighbor-sampling
-    cap, so padded minibatch grids are mostly padding while the edge count
-    stays small.
-    """
-    config = SchemaConfig(
-        name="skewed",
-        node_counts={
-            "user": _scaled(600, scale),
-            "item": _scaled(900, scale),
-            "tag": _scaled(50, scale),
-        },
-        primary_type="user",
-        num_classes=3,
-        edges=[
-            EdgeSpec("user-item", "user", "item", mean_degree=4.0, homophily=0.85),
-            EdgeSpec("item-tag", "item", "tag", mean_degree=1.5, homophily=0.3),
-        ],
-        num_features=64,
-        feature_style="dense",
-        topic_sharpness=2.0,
-        homophily=0.8,
-        feature_noise=0.6,
-        degree_style="powerlaw",
-        pareto_alpha=1.05,
-    )
-    return _build(config, train_per_class=60, val_per_class=30, seed=seed, scale=scale)
-
-
 DATASETS: Dict[str, Callable[..., Dataset]] = {
     "acm": make_acm,
     "dblp": make_dblp,
     "yelp": make_yelp,
-    "skewed": make_skewed,
 }
 
 

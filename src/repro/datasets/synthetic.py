@@ -74,12 +74,6 @@ class SchemaConfig:
     raw features (conference nodes in DBLP carry no bag-of-words); lowering
     this reproduces that, making indiscriminate neighbor averaging costly."""
     degree_sigma: float = 0.6
-    degree_style: str = "lognormal"  # "lognormal" | "powerlaw"
-    pareto_alpha: float = 1.3
-    """Tail exponent for ``degree_style="powerlaw"``: smaller is heavier.
-    Power-law degree sequences put most nodes at degree 1-2 with a few hubs
-    at the sampling cap — the skew regime where padded minibatch grids waste
-    most of their slots and the CSR kernels earn their keep."""
 
     def __post_init__(self) -> None:
         if self.primary_type not in self.node_counts:
@@ -97,10 +91,6 @@ class SchemaConfig:
             raise ValueError(f"need >= 2 classes, got {self.num_classes}")
         if self.feature_style not in ("bow", "dense"):
             raise ValueError(f"unknown feature_style {self.feature_style!r}")
-        if self.degree_style not in ("lognormal", "powerlaw"):
-            raise ValueError(f"unknown degree_style {self.degree_style!r}")
-        if self.pareto_alpha <= 0:
-            raise ValueError(f"pareto_alpha must be > 0, got {self.pareto_alpha}")
         for spec in self.edges:
             for side in (spec.src_type, spec.dst_type):
                 if side not in self.node_counts:
@@ -157,13 +147,8 @@ def _wire_edges(
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Draw edges for one edge type with skewed degrees and homophily."""
-    # Right-skewed degree sequence with the requested mean: lognormal for
-    # the paper-matching datasets, Pareto for the high-skew benchmark graphs
-    # (most nodes at degree 1, rare hubs orders of magnitude above).
-    if config.degree_style == "powerlaw":
-        raw = 1.0 + rng.pareto(config.pareto_alpha, size=src_ids.size)
-    else:
-        raw = rng.lognormal(mean=0.0, sigma=config.degree_sigma, size=src_ids.size)
+    # Right-skewed (lognormal) degree sequence with the requested mean.
+    raw = rng.lognormal(mean=0.0, sigma=config.degree_sigma, size=src_ids.size)
     degrees = np.maximum(1, np.round(raw * spec.mean_degree / raw.mean())).astype(int)
 
     # Bucket destination candidates by affinity class for homophilous wiring.

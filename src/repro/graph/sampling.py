@@ -90,7 +90,6 @@ def sample_wide(
     target: int,
     num_wide: int,
     rng: SeedLike = None,
-    unique: bool = False,
 ) -> WideNeighborSet:
     """Uniformly sample up to ``num_wide`` first-order neighbors of ``target``.
 
@@ -98,13 +97,6 @@ def sample_wide(
     replacement otherwise (the GraphSAGE convention the paper builds on), so
     the returned set always has ``min(num_wide, 1) <= len <= num_wide`` except
     for isolated nodes which yield an empty set.
-
-    With ``unique=True`` a below-cap node contributes each neighbor exactly
-    once instead of being oversampled to the cap (``wide_sampling="unique"``
-    in :class:`~repro.core.config.WidenConfig`): no duplicated messages, and
-    pack lengths track true degrees — on skewed graphs most packs become
-    much shorter than the cap, which is the regime the CSR sparse forward
-    kernels are built for.
     """
     if num_wide < 1:
         raise ValueError(f"num_wide must be >= 1, got {num_wide}")
@@ -117,8 +109,6 @@ def sample_wide(
             )
         if neighbors.size >= num_wide:
             pick = rng.choice(neighbors.size, size=num_wide, replace=False)
-        elif unique:
-            pick = np.arange(neighbors.size)
         else:
             pick = rng.choice(neighbors.size, size=num_wide, replace=True)
         return WideNeighborSet(target, neighbors[pick], etypes[pick])
@@ -144,7 +134,6 @@ def sample_wide_batch(
     num_wide: int,
     seed: int,
     first_counter: int = 0,
-    unique: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`sample_wide` for many targets at once, straight off the CSR.
 
@@ -156,7 +145,7 @@ def sample_wide_batch(
     in the batch:
 
     - degree below the cap — pick ``j`` is slot ``⌊u_j · degree⌋`` of the
-      list, or with ``unique`` the whole list in order and no draw;
+      list;
     - degree at or above it — slot ``j`` of the list gets draw ``j`` as its
       key and the ``num_wide`` slots with the smallest keys are taken in
       key order: a uniform ordered subset without replacement, by one sort
@@ -167,15 +156,11 @@ def sample_wide_batch(
     targets = np.asarray(targets, np.int64)
     start, degree = graph.extents(targets)
     positions = np.arange(num_wide)
-    if unique:
-        lengths = np.minimum(degree, num_wide)
-        slots = np.tile(positions, (targets.size, 1))
-    else:
-        lengths = np.where(degree > 0, num_wide, 0)
-        slots = (
-            keyed_fractions(seed, targets[:, np.newaxis], first_counter + positions)
-            * degree[:, np.newaxis]
-        ) >> 31
+    lengths = np.where(degree > 0, num_wide, 0)
+    slots = (
+        keyed_fractions(seed, targets[:, np.newaxis], first_counter + positions)
+        * degree[:, np.newaxis]
+    ) >> 31
     capped = np.flatnonzero(degree >= num_wide)
     if capped.size:
         sizes = degree[capped]

@@ -74,7 +74,6 @@ class QueryAttention(Module):
         keys: Tensor,
         values: Optional[Tensor] = None,
         mask: Optional[np.ndarray] = None,
-        pairs: Optional[tuple] = None,
     ) -> Tuple[Tensor, Tensor]:
         """``query``: (d,) or (1, d); ``keys``/``values``: (m, d).
 
@@ -91,13 +90,6 @@ class QueryAttention(Module):
         ``mask`` is additive ``(B, m)`` — ``-inf`` at padded pack slots gives
         them exactly zero weight, so a padded batch reproduces the
         per-target results.
-
-        CSR batch: with ``pairs = (segment_ids, None, offsets)`` the
-        keys/values are flat ``(E, d)`` pack rows, segment ``s`` at
-        ``offsets[s]:offsets[s + 1]`` answering query row ``s`` of
-        ``(S, d)``.  Returns ``((S, d), (E,))``; the flat weight vector
-        holds each segment's distribution contiguously, matching the padded
-        kernel's valid slots.
         """
         if values is None:
             values = keys
@@ -106,12 +98,12 @@ class QueryAttention(Module):
                 query, keys, values, self.w_query, self.w_key, self.w_value,
                 mask=mask, num_heads=self.num_heads,
             )
-        # 2-D reference and CSR: the same reassociation out of composed ops.
+        # 2-D reference: the same reassociation out of composed ops.
         q = ops.matmul(query, self.w_query)
         if self.num_heads == 1:
             u = ops.matmul(q, self.w_key, transpose_b=True)
             pooled, weights = F.attention(
-                u, keys, values, mask=mask, return_weights=True, pairs=pairs
+                u, keys, values, mask=mask, return_weights=True
             )
             return ops.matmul(pooled, self.w_value), weights
         head_dim = self.dim // self.num_heads
@@ -127,7 +119,7 @@ class QueryAttention(Module):
                 transpose_b=True,
             ) * float(np.sqrt(self.num_heads))
             pooled, head_weights = F.attention(
-                u, keys, values, mask=mask, return_weights=True, pairs=pairs
+                u, keys, values, mask=mask, return_weights=True
             )
             attended_heads.append(
                 ops.matmul(pooled, ops.slice(self.w_value, lo, hi, axis=1))
@@ -154,7 +146,6 @@ class SelfAttention(Module):
         self,
         packs: Tensor,
         mask: Optional[np.ndarray] = None,
-        pairs: Optional[tuple] = None,
     ) -> Tuple[Tensor, Tensor]:
         """``packs``: (m, d); ``mask``: additive (m, m) or None.
 
@@ -166,13 +157,6 @@ class SelfAttention(Module):
         detached).  Every row of the mask must keep at least one finite entry —
         padded rows conventionally attend to themselves — or the softmax
         sees an all ``-inf`` row.
-
-        CSR batch: ``packs`` is the flat ``(E, d)`` pack-row matrix and
-        ``pairs`` (from :func:`repro.core.packing.causal_pairs`) enumerates
-        exactly the (row, col) pairs the causal mask Θ keeps — row ``i``
-        attends to cols ``i..end-of-segment`` — grouped by attending row,
-        so no ``(m, m)`` grid is built.  The weights come back flat, one
-        per pair.
         """
         if packs.ndim == 3:
             return F.self_attend(
@@ -181,4 +165,4 @@ class SelfAttention(Module):
         q = ops.matmul(packs, self.w_query)
         k = ops.matmul(packs, self.w_key)
         v = ops.matmul(packs, self.w_value)
-        return F.attention(q, k, v, mask=mask, return_weights=True, pairs=pairs)
+        return F.attention(q, k, v, mask=mask, return_weights=True)

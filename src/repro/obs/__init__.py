@@ -1,4 +1,4 @@
-"""``repro.obs`` — unified observability: metrics, tracing, profiling, timing.
+"""``repro.obs`` — unified observability: metrics, tracing, profiling.
 
 One pipeline for everything the efficiency claims rest on:
 
@@ -13,8 +13,6 @@ One pipeline for everything the efficiency claims rest on:
 - :class:`OpProfiler` — op-level counts, FLOP estimates and
   forward/backward self-times hooked into the ``repro.tensor`` engine;
   near-zero overhead while disabled.
-- :class:`Timer` / :func:`time_call` — wall-clock helpers for the
-  efficiency experiments.
 - :class:`MetricsHTTPServer` — a stdlib ``/metrics`` HTTP endpoint serving
   any Prometheus render callable (single server or merged cluster view)
   for scrape-based collection; registries also serialize
@@ -52,7 +50,6 @@ from repro.obs.slo import (
     SLOTarget,
     SlowRequestLog,
 )
-from repro.obs.timing import Timer, time_call
 from repro.obs.tracing import (
     SpanRecord,
     Tracer,
@@ -74,8 +71,6 @@ __all__ = [
     "nearest_rank_percentile",
     "OpProfiler",
     "OpStat",
-    "Timer",
-    "time_call",
     "SpanRecord",
     "Tracer",
     "get_tracer",

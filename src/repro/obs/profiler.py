@@ -40,10 +40,7 @@ _OPS_FUNCTIONS = {
     "concat": "concat", "stack": "stack", "take": "take",
     "embedding_lookup": "embedding_lookup", "slice": "slice", "spmm": "spmm",
     "pad_gather": "pad_gather", "scatter_rows": "scatter_rows",
-    "pad_gather_mul": "pad_gather_mul",
-    "gather_mul": "gather_mul", "sddmm": "sddmm",
-    "segment_softmax": "segment_softmax", "segment_matmul": "segment_matmul",
-    "dropout_mask": "dropout",
+    "pad_gather_mul": "pad_gather_mul", "dropout_mask": "dropout",
 }
 _FUNCTIONAL_FUNCTIONS = {
     "softmax": "softmax",
@@ -65,11 +62,6 @@ _PER_ELEMENT_FLOPS = {
     "softmax": 5, "log_softmax": 5, "masked_softmax": 5,
     # gather (0 FLOP) fused with mask + edge + dropout multiplies
     "pad_gather_mul": 3,
-    # sparse variant: no validity-mask multiply (every row is real)
-    "gather_mul": 2,
-    # segment-local max-subtract, exp, sum, divide — same cost model as
-    # the dense softmax family, but only over real entries
-    "segment_softmax": 5,
     "l2_normalize": 4,
 }
 _DATA_MOVEMENT = frozenset(
@@ -103,13 +95,6 @@ def _estimate_flops(name: str, out_data, parents) -> float:
     if name == "spmm":
         # The sparse operand is not a graph parent; dense-output lower bound.
         return 2.0 * out_data.size
-    if name == "sddmm":
-        # One length-d dot product per sampled (row, col) pair.
-        return 2.0 * out_data.size * parents[0].data.shape[-1]
-    if name == "segment_matmul":
-        # One scale + add of a length-d row per (weight, value) pair —
-        # parents[0] is the flat (P,) weight vector.
-        return 2.0 * parents[0].data.size * out_data.shape[-1]
     if name == "query_attend":
         # parents[1] is the (S, L, d) key grid.  Three (S, d) @ (d, d) gemms,
         # the score and the pooling contraction over the grid, one softmax

@@ -159,7 +159,6 @@ def attention(
     values,
     mask: Optional[np.ndarray] = None,
     return_weights: bool = False,
-    pairs: Optional[tuple] = None,
 ):
     """Scaled dot-product attention, ``softmax(q k^T / sqrt(d)) v``.
 
@@ -172,34 +171,20 @@ def attention(
     broadcastable to ``(B, q, m)`` run as single batched ops — the
     vectorized hot path packs B targets' pack matrices this way.
 
-    ``pairs = (rows, cols, offsets)`` selects the CSR kernels instead: the
-    operands are flat row matrices, a score exists only for each listed
-    ``(query row, key row)`` pair (:func:`~repro.tensor.ops.sddmm`;
-    ``cols=None`` pairs key ``p`` with entry ``p``), and ``offsets`` groups
-    the pairs into the segments the softmax and the weighted sum run over —
-    work proportional to real pairs, no padded grid and no mask.  The
-    weights then come back flat, one per pair.
-
     Returns the attended values, plus the attention weights when
     ``return_weights`` is set (WIDEN's downsampling consumes the weights).
     """
     query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
     d = keys.data.shape[-1]
-    if pairs is not None:
-        rows, cols, offsets = pairs
-        scores = ops.sddmm(query, keys, rows, cols)
-        weights = ops.segment_softmax(scores, offsets, scale=np.sqrt(d))
-        attended = ops.segment_matmul(weights, values, cols, offsets)
+    # transpose_b folds k^T into the gemm itself (no separate transpose op
+    # on the hot path; BLAS consumes the strided view directly), and the
+    # 1/sqrt(d) temperature rides inside the softmax kernel.
+    scores = ops.matmul(query, keys, transpose_b=True)
+    if mask is not None:
+        weights = masked_softmax(scores, mask, axis=-1, scale=np.sqrt(d))
     else:
-        # transpose_b folds k^T into the gemm itself (no separate transpose
-        # op on the hot path; BLAS consumes the strided view directly), and
-        # the 1/sqrt(d) temperature rides inside the softmax kernel.
-        scores = ops.matmul(query, keys, transpose_b=True)
-        if mask is not None:
-            weights = masked_softmax(scores, mask, axis=-1, scale=np.sqrt(d))
-        else:
-            weights = softmax(scores, axis=-1, scale=np.sqrt(d))
-        attended = ops.matmul(weights, values)
+        weights = softmax(scores, axis=-1, scale=np.sqrt(d))
+    attended = ops.matmul(weights, values)
     if return_weights:
         return attended, weights
     return attended

@@ -552,213 +552,6 @@ def pad_gather_mul(a, index: np.ndarray, mask: np.ndarray, edges,
     return Tensor.from_op(out_data, (a, edges), backward, name="pad_gather_mul")
 
 
-# ----------------------------------------------------------------------
-# CSR segment kernels (sparse message passing)
-# ----------------------------------------------------------------------
-#
-# The padded path materializes [B, L_max, d] grids and pays for every zero
-# slot; on skewed degree distributions most slots are padding.  These
-# kernels work on flat CSR edge arrays instead: ``offsets`` is a
-# ``(S + 1,)`` int array of segment boundaries into a flat axis of P
-# entries (``offsets[0] == 0``, ``offsets[-1] == P``, every segment
-# non-empty — WIDEN packs always contain at least the target/self row, and
-# ``np.ufunc.reduceat`` needs strictly increasing boundaries).  Work is
-# proportional to real (destination, neighbor) pairs, never to B * L_max.
-
-
-def _segment_bounds(offsets, size: int) -> tuple:
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size < 1:
-        raise ValueError(f"offsets must be 1-D and non-empty, got {offsets.shape}")
-    if offsets[0] != 0 or offsets[-1] != size:
-        raise ValueError(
-            f"offsets must span [0, {size}], got [{offsets[0]}, {offsets[-1]}]"
-        )
-    lengths = np.diff(offsets)
-    if lengths.size and lengths.min() <= 0:
-        raise ValueError("every segment must be non-empty")
-    return offsets, lengths
-
-
-def gather_mul(a, index: np.ndarray, edges,
-               dropout_mask: Optional[np.ndarray] = None) -> Tensor:
-    """Sparse message packaging: ``a[index] ⊙ edges [⊙ dropout]`` — fused.
-
-    The CSR counterpart of :func:`pad_gather_mul`: ``a`` is a flat
-    ``(n, d)`` row matrix, ``index`` a 1-D ``(E,)`` array selecting one
-    source row per edge, ``edges`` an ``(E, d)`` edge-embedding matrix.
-    No validity mask — every entry is a real pair, so the output equals the
-    padded kernel's valid slots bitwise (the padded path multiplies those
-    slots by exactly 1.0).
-    """
-    a, edges = as_tensor(a), as_tensor(edges)
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise ValueError(f"index must be 1-D, got shape {index.shape}")
-    gathered = a.data[index]
-    product = gathered * edges.data
-    out_data = product if dropout_mask is None else product * dropout_mask
-
-    def backward(grad: np.ndarray) -> None:
-        grad_eff = grad if dropout_mask is None else grad * dropout_mask
-        if a.requires_grad:
-            a.accumulate_grad(
-                _scatter_add_rows(a.data.shape[0], index, grad_eff * edges.data)
-            )
-        if edges.requires_grad:
-            edges.accumulate_grad(
-                _unbroadcast(grad_eff * gathered, edges.data.shape)
-            )
-
-    return Tensor.from_op(out_data, (a, edges), backward, name="gather_mul")
-
-
-def sddmm(a, b, rows: np.ndarray, cols: Optional[np.ndarray] = None) -> Tensor:
-    """Sampled dense-dense matmul: pairwise scores for real pairs only.
-
-    ``out[p] = <a[rows[p]], b[cols[p]]>`` for ``(S_a, d)`` / ``(E, d)`` row
-    matrices — the attention-logit kernel that replaces the dense
-    ``query @ keys^T`` over padded grids.  ``cols=None`` means the identity
-    pairing (``cols[p] == p``, requiring ``len(rows) == E``), which skips a
-    fancy-gather of the whole key matrix on the common CSR-segment layout
-    where every key participates exactly once.
-
-    Backward reuses the measured scatter-add machinery: the gradient of
-    each side is the other side's rows scaled by ``grad`` and scattered to
-    the paired positions.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1:
-        raise ValueError(f"rows must be 1-D, got shape {rows.shape}")
-    cols_arr = None if cols is None else np.asarray(cols, dtype=np.int64)
-    if cols_arr is not None and cols_arr.shape != rows.shape:
-        raise ValueError(f"cols shape {cols_arr.shape} != rows shape {rows.shape}")
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("sddmm operands must be 2-D row matrices")
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ValueError(
-            f"inner dims differ: {a.data.shape[1]} vs {b.data.shape[1]}"
-        )
-    if cols_arr is None and rows.shape[0] != b.data.shape[0]:
-        raise ValueError(
-            f"identity pairing needs len(rows) == rows of b: "
-            f"{rows.shape[0]} != {b.data.shape[0]}"
-        )
-    a_rows = a.data[rows]
-    b_rows = b.data if cols_arr is None else b.data[cols_arr]
-    out_data = np.einsum("pd,pd->p", a_rows, b_rows)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(
-                _scatter_add_rows(a.data.shape[0], rows, b_rows, weights=grad)
-            )
-        if b.requires_grad:
-            if cols_arr is None:
-                b.accumulate_grad(a_rows * grad[:, np.newaxis])
-            else:
-                b.accumulate_grad(
-                    _scatter_add_rows(
-                        b.data.shape[0], cols_arr, a_rows, weights=grad
-                    )
-                )
-
-    return Tensor.from_op(out_data, (a, b), backward, name="sddmm")
-
-
-def segment_softmax(a, offsets, scale: Optional[float] = None) -> Tensor:
-    """Numerically stable softmax over CSR segments of a flat score vector.
-
-    Replaces :func:`~repro.tensor.functional.masked_softmax` over padded
-    grids: each ``[offsets[s], offsets[s+1])`` slice of the 1-D input is
-    one softmax.  ``scale`` divides the logits first (fused temperature,
-    same semantics as the dense kernel).  Max-subtraction, exp and the
-    normalizing sum all run segment-locally via ``np.ufunc.reduceat`` —
-    work and memory are O(P), not O(S * L_max).
-    """
-    a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ValueError(f"segment_softmax input must be 1-D, got {a.data.shape}")
-    offsets, lengths = _segment_bounds(offsets, a.data.shape[0])
-    if lengths.size == 0:
-        return Tensor.from_op(
-            np.zeros(0), (a,), lambda grad: a.accumulate_grad(np.zeros(0)),
-            name="segment_softmax",
-        )
-    starts = offsets[:-1]
-    data = a.data if scale is None else a.data / scale
-    seg_max = np.maximum.reduceat(data, starts)
-    exp = np.exp(data - np.repeat(seg_max, lengths))
-    denom = np.add.reduceat(exp, starts)
-    out_data = exp / np.repeat(denom, lengths)
-
-    def backward(grad: np.ndarray) -> None:
-        inner = np.add.reduceat(grad * out_data, starts)
-        grad_a = out_data * (grad - np.repeat(inner, lengths))
-        a.accumulate_grad(grad_a if scale is None else grad_a / scale)
-
-    return Tensor.from_op(out_data, (a,), backward, name="segment_softmax")
-
-
-def segment_matmul(weights, values, cols: Optional[np.ndarray], offsets) -> Tensor:
-    """Weighted segment-sum of gathered rows: the SpMM aggregation kernel.
-
-    ``out[s] = Σ_{p ∈ segment s} weights[p] * values[cols[p]]`` — attention
-    aggregation over real pairs only, replacing the dense
-    ``weights @ values`` over padded grids.  ``weights`` is a flat ``(P,)``
-    tensor (typically :func:`segment_softmax` output), ``values`` an
-    ``(E, d)`` row matrix, ``cols=None`` the identity pairing (``P == E``).
-    The backward for ``values`` scatter-adds ``weights``-scaled output
-    gradients through the measured :func:`_scatter_add_rows` backends.
-    """
-    weights, values = as_tensor(weights), as_tensor(values)
-    if weights.data.ndim != 1:
-        raise ValueError(f"weights must be 1-D, got {weights.data.shape}")
-    if values.data.ndim != 2:
-        raise ValueError(f"values must be 2-D, got {values.data.shape}")
-    cols_arr = None if cols is None else np.asarray(cols, dtype=np.int64)
-    if cols_arr is not None and cols_arr.shape != weights.data.shape:
-        raise ValueError(
-            f"cols shape {cols_arr.shape} != weights shape {weights.data.shape}"
-        )
-    if cols_arr is None and weights.data.shape[0] != values.data.shape[0]:
-        raise ValueError(
-            f"identity pairing needs len(weights) == rows of values: "
-            f"{weights.data.shape[0]} != {values.data.shape[0]}"
-        )
-    offsets, lengths = _segment_bounds(offsets, weights.data.shape[0])
-    if lengths.size == 0:
-        out_empty = np.zeros((0, values.data.shape[1]))
-        return Tensor.from_op(
-            out_empty, (weights, values), lambda grad: None,
-            name="segment_matmul",
-        )
-    starts = offsets[:-1]
-    v_rows = values.data if cols_arr is None else values.data[cols_arr]
-    weighted = weights.data[:, np.newaxis] * v_rows
-    out_data = np.add.reduceat(weighted, starts, axis=0)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_rows = grad[np.repeat(np.arange(lengths.size), lengths)]
-        if weights.requires_grad:
-            weights.accumulate_grad(np.einsum("pd,pd->p", grad_rows, v_rows))
-        if values.requires_grad:
-            if cols_arr is None:
-                values.accumulate_grad(weights.data[:, np.newaxis] * grad_rows)
-            else:
-                values.accumulate_grad(
-                    _scatter_add_rows(
-                        values.data.shape[0], cols_arr, grad_rows,
-                        weights=weights.data,
-                    )
-                )
-
-    return Tensor.from_op(
-        out_data, (weights, values), backward, name="segment_matmul"
-    )
-
-
 def scatter_rows(base, index: np.ndarray, rows) -> Tensor:
     """Replace rows ``base[index]`` with the rows of ``rows`` (out-of-place).
 

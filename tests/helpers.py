@@ -90,7 +90,7 @@ def use_per_node_forward(monkeypatch, model) -> None:
     per-minibatch table semantics DESIGN.md keeps.
     """
 
-    def forward_batch(batch, graph, node_state=None, select_kernel=False):
+    def forward_batch(batch, graph, node_state=None):
         outputs = [
             model.forward(state.wide.target, state, graph, node_state)
             for state in batch.records()

@@ -4,15 +4,18 @@ The vectorized hot path (``WidenModel.forward_batch`` + the padded batch
 assembly in ``repro.core.packing``) must be *numerically equivalent* to the
 per-node path: padding gathers exact zeros and masked softmax gives padded
 slots exactly zero weight, so any disagreement beyond gemm-blocking noise is
-a bug, not a tolerance question.
+a bug, not a tolerance question.  :class:`TestRaggedBatches` holds that
+over hypothesis-drawn batches whose packs are far from uniform.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WidenConfig, WidenModel
 from repro.core.classifier import WidenClassifier
-from repro.core.packing import pack_batch
+from repro.core.packing import flat_slot_indices, pack_batch
 from repro.core.relay import prune_deep, shrink_wide
 from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import WidenTrainer
@@ -20,6 +23,7 @@ from repro.datasets import make_acm
 from repro.nn import QueryAttention, SelfAttention, causal_mask
 from repro.tensor import Tensor
 from tests.helpers import check_gradients, per_node_attentions, use_per_node_forward
+from tests.test_read_set_invalidation import graphs
 
 NEG_INF = float("-inf")
 
@@ -183,6 +187,37 @@ class TestPackBatch:
             hidden_mask = model_b.hidden_dropout.draw_mask((model_b.config.dim,))
             np.testing.assert_array_equal(pack.hidden_dropout[b], hidden_mask)
 
+    def test_flat_slot_indices_pick_valid_block_slots(self):
+        lengths = np.array([2, 3])
+        starts = np.array([0, 4])  # capacity-4 blocks
+        indices, offsets = flat_slot_indices(lengths, starts)
+        np.testing.assert_array_equal(indices, [0, 1, 4, 5, 6])
+        np.testing.assert_array_equal(offsets, [0, 2, 5])
+
+    def test_padding_waste_gauge_reaches_metrics(self, graph):
+        from repro.obs import MetricsRegistry, set_registry
+
+        model = make_model(graph)
+        targets = graph.labeled_nodes()[:6]
+        states = add_relays(sample_states(graph, model.config, targets))
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            pack = pack_batch(stack_states(states), graph, model.config)
+        finally:
+            set_registry(previous)
+        exposition = registry.render_prometheus()
+        assert 'pack_padding_waste{path="wide"}' in exposition
+        assert 'pack_padding_waste{path="deep"}' in exposition
+        # The pruned sets left padding behind, and the counters add it up.
+        for path, valid in (("wide", pack.wide_valid), ("deep", pack.deep_valid)):
+            slots = {
+                kind: registry.counter("pack_slots_total", path=path, kind=kind).value
+                for kind in ("valid", "padding")
+            }
+            assert slots == {"valid": valid.sum(), "padding": valid.size - valid.sum()}
+        assert pack.wide_valid.sum() < pack.wide_valid.size
+
 
 class TestForwardBatchEquivalence:
     @pytest.mark.parametrize("use_node_state", [True, False])
@@ -285,6 +320,134 @@ class TestForwardBatchEquivalence:
         single, _, _ = model.forward(target, states[0], graph, None)
         batched, _, _ = model.forward_batch(stack_states(states), graph, None)
         np.testing.assert_allclose(batched.data[0], single.data, atol=1e-12)
+
+
+# Every Table-4 architecture switch, plus the multi-head extension.
+VARIANTS = [
+    dict(),
+    dict(num_heads=2),
+    dict(use_successive=False),
+    dict(use_successive=False, num_heads=2),
+    dict(use_wide=False),
+    dict(use_deep=False),
+    dict(use_relay=False),
+]
+RAGGED = dict(dim=8, num_wide=3, num_deep=3, num_deep_walks=2)
+
+
+@st.composite
+def ragged_cases(draw, max_targets=6):
+    """A model, a batch of targets and their neighbor states on a small
+    sparse directed graph: isolated nodes give packs of length 1, dead ends
+    give walks shorter than ``num_deep``, and a few wide sets are shrunk
+    and walks pruned, so sets below the cap and relay edges (or, with
+    ``use_relay=False``, plain drops) share the batch with full ones."""
+    graph = draw(graphs())
+    overrides = {**RAGGED, **draw(st.sampled_from(VARIANTS))}
+    model = make_model(graph, seed=draw(st.integers(0, 3)), **overrides)
+    targets = draw(
+        st.lists(
+            st.integers(0, graph.num_nodes - 1),
+            min_size=1, max_size=max_targets, unique=True,
+        )
+    )
+    config = model.config
+    states = sample_states(
+        graph, config, targets, rng=draw(st.integers(0, 2**16))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for state in states[::2]:
+        for phi, deep in enumerate(state.deep):
+            if len(deep) >= 2:
+                state.deep[phi] = prune_deep(
+                    deep, rng.random(len(deep) + 1), use_relay=config.use_relay
+                )
+        if len(state.wide) >= 2:
+            state.wide = shrink_wide(state.wide, rng.random(len(state.wide) + 1))
+    return model, graph, np.asarray(targets), states
+
+
+def per_node(model, graph, targets, states, node_state=None):
+    """The reference: ``WidenModel.forward`` one target at a time."""
+    outputs = [
+        model.forward(int(node), state, graph, node_state)
+        for node, state in zip(targets, states)
+    ]
+    embeddings, wide, deep = zip(*outputs)
+    return np.stack([e.data for e in embeddings]), list(wide), list(deep)
+
+
+def batched(model, graph, targets, states, node_state=None):
+    out, wide, deep = model.forward_batch(stack_states(states), graph, node_state)
+    return (out.data,) + per_node_attentions(wide, deep, len(targets))
+
+
+def assert_attentions_close(got_wide, got_deep, want_wide, want_deep):
+    for got, want in zip(got_wide, want_wide):
+        if want is None:
+            assert got is None  # use_wide=False ablation
+        else:
+            np.testing.assert_allclose(got, want, atol=1e-10)
+    for got_walks, want_walks in zip(got_deep, want_deep):
+        assert len(got_walks) == len(want_walks)
+        for got, want in zip(got_walks, want_walks):
+            np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+class TestRaggedBatches:
+    """Padded batch == per-node reference over ragged batches, every variant."""
+
+    @PROPERTY
+    @given(case=ragged_cases())
+    def test_embeddings_and_attentions_match_per_node(self, case):
+        model = case[0]
+        model.eval()
+        out, wide, deep = batched(*case)
+        want, want_wide, want_deep = per_node(*case)
+        np.testing.assert_allclose(out, want, atol=1e-10)
+        assert_attentions_close(wide, deep, want_wide, want_deep)
+
+    @PROPERTY
+    @given(case=ragged_cases())
+    def test_node_state_is_honored(self, case):
+        model, graph, targets, states = case
+        model.eval()
+        node_state = model.initial_node_state(graph)
+        out = batched(*case, node_state=node_state)[0]
+        want = per_node(*case, node_state=node_state)[0]
+        np.testing.assert_allclose(out, want, atol=1e-10)
+        if model.config.use_wide and any(len(s.wide) for s in states):
+            # The table is read, not ignored: scaling it moves the answer.
+            moved = batched(*case, node_state=2.0 * node_state)[0]
+            assert np.abs(moved - out).max() > 0.0
+
+    @PROPERTY
+    @given(case=ragged_cases(), seed=st.integers(0, 2**16))
+    def test_training_dropout_is_bit_identical(self, case, seed):
+        """Train mode: the batch and the per-node loop consume one stream."""
+        model = case[0]
+        model.config.dropout = 0.3
+        model.pack_dropout.p = model.hidden_dropout.p = 0.3
+        model.train()
+        outputs = []
+        for run in (batched, per_node):
+            for dropout in (model.pack_dropout, model.hidden_dropout):
+                dropout._rng = np.random.default_rng(seed)
+            outputs.append(run(*case)[0])
+        np.testing.assert_allclose(outputs[0], outputs[1], atol=1e-12)
+
+    @PROPERTY
+    @given(case=ragged_cases(max_targets=1))
+    def test_single_target_batch(self, case):
+        model = case[0]
+        model.eval()
+        out, wide, deep = batched(*case)
+        want, want_wide, want_deep = per_node(*case)
+        np.testing.assert_allclose(out, want, atol=1e-10)
+        assert_attentions_close(wide, deep, want_wide, want_deep)
 
 
 class TestSelfLoopCache:

@@ -14,7 +14,6 @@ from repro.datasets import (
     make_dataset,
     make_dblp,
     make_inductive_split,
-    make_skewed,
     make_yelp,
 )
 from repro.datasets.synthetic import EdgeSpec, SchemaConfig, generate_heterogeneous_graph
@@ -173,9 +172,8 @@ class TestCatalog:
         [
             (make_yelp, 3, 1.0, "98332f55f3fc4b80"),
             (make_acm, 0, 0.3, "8406ecbbb524ed3a"),
-            (make_skewed, 0, 1.0, "0cfe04604edd090f"),
         ],
-        ids=["yelp", "acm", "skewed"],
+        ids=["yelp", "acm"],
     )
     def test_generated_graphs_are_pinned(self, make, seed, scale, want):
         """Every digest, pinned loss and store row downstream is a function

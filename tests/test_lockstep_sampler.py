@@ -73,10 +73,8 @@ def graphs(draw, min_nodes=4, max_nodes=20):
     return build_graph(n, edges)
 
 
-def make_store(graph, seed, wide_sampling="replace") -> NeighborStateStore:
-    return NeighborStateStore(
-        graph, NUM_WIDE, NUM_DEEP, NUM_WALKS, rng=seed, wide_sampling=wide_sampling
-    )
+def make_store(graph, seed) -> NeighborStateStore:
+    return NeighborStateStore(graph, NUM_WIDE, NUM_DEEP, NUM_WALKS, rng=seed)
 
 
 def signature(table, row):
@@ -92,14 +90,13 @@ def signature(table, row):
     )
 
 
-def alone(graph, seed, node, wide_sampling="replace"):
-    store = make_store(graph, seed, wide_sampling)
+def alone(graph, seed, node):
+    store = make_store(graph, seed)
     (row,) = store.sample_fresh([node])
     return signature(store.table, row)
 
 
 seeds = st.integers(0, 2**63 - 1)
-samplings = st.sampled_from(["replace", "unique"])
 
 
 # ----------------------------------------------------------------------
@@ -109,22 +106,22 @@ samplings = st.sampled_from(["replace", "unique"])
 
 class TestHistoryFree:
     @settings(max_examples=60, deadline=None)
-    @given(graph=graphs(), seed=seeds, sampling=samplings, data=st.data())
-    def test_a_row_does_not_depend_on_its_batch(self, graph, seed, sampling, data):
+    @given(graph=graphs(), seed=seeds, data=st.data())
+    def test_a_row_does_not_depend_on_its_batch(self, graph, seed, data):
         """Any composition, order and repetition; ``sample_fresh`` (a row
         per entry) and ``rows_for`` (a row per distinct node) alike."""
         batch = data.draw(
             st.lists(st.integers(0, graph.num_nodes - 1), min_size=1, max_size=12)
         )
-        want = {node: alone(graph, seed, node, sampling) for node in set(batch)}
+        want = {node: alone(graph, seed, node) for node in set(batch)}
 
-        fresh = make_store(graph, seed, sampling)
+        fresh = make_store(graph, seed)
         rows = fresh.sample_fresh(batch)
         assert len(fresh) == 0 and len(fresh.table) == len(batch)
         for node, row in zip(batch, rows):
             assert signature(fresh.table, row) == want[node]
 
-        cached = make_store(graph, seed, sampling)
+        cached = make_store(graph, seed)
         first = data.draw(st.permutations(batch))[: len(batch) // 2]
         cached.rows_for(first)  # some of the batch is already seen
         rows = cached.rows_for(batch)
@@ -196,9 +193,9 @@ def offsets_of(pairs, picked, reuse):
 
 class TestStructure:
     @settings(max_examples=60, deadline=None)
-    @given(graph=graphs(), seed=seeds, sampling=samplings)
-    def test_picks_are_slots_and_walks_are_paths(self, graph, seed, sampling):
-        store = make_store(graph, seed, sampling)
+    @given(graph=graphs(), seed=seeds)
+    def test_picks_are_slots_and_walks_are_paths(self, graph, seed):
+        store = make_store(graph, seed)
         nodes = np.arange(graph.num_nodes)
         for node, row in zip(nodes.tolist(), store.sample_fresh(nodes)):
             _, wide, wide_etypes, walks, walk_etypes = signature(store.table, row)
@@ -210,8 +207,6 @@ class TestStructure:
             if degree >= NUM_WIDE:
                 assert len(picked) == NUM_WIDE
                 assert not Counter(picked) - Counter(pairs)  # no slot twice
-            elif sampling == "unique":
-                assert picked == pairs  # the whole list, in order
             else:
                 assert len(picked) == (NUM_WIDE if degree else 0)
             assert len(walks) == NUM_WALKS
@@ -224,16 +219,16 @@ class TestStructure:
                     assert graph.degree(previous) == 0
 
     @settings(max_examples=60, deadline=None)
-    @given(graph=graphs(), seed=seeds, sampling=samplings)
+    @given(graph=graphs(), seed=seeds)
     def test_read_sets_are_what_the_reference_opens_on_the_same_sets(
-        self, graph, seed, sampling
+        self, graph, seed
     ):
         """Replay each row through ``sample_wide`` / ``random_walk`` with a
         scripted generator and record ``graph.neighbors``: the reference
         reproduces the row, and opens exactly the row's read set — less the
         last node of a full-length walk, whose list nobody needs but whose
         id ``read_sets`` keeps (it pads with members either way)."""
-        store = make_store(graph, seed, sampling)
+        store = make_store(graph, seed)
         nodes = np.arange(graph.num_nodes)
         rows = store.sample_fresh(nodes)
         reads = store.table.read_sets()
@@ -262,8 +257,7 @@ class TestStructure:
             graph.neighbors = neighbors
             try:
                 replayed = sample_wide(
-                    graph, node, NUM_WIDE, rng=Scripted(wide_script),
-                    unique=sampling == "unique",
+                    graph, node, NUM_WIDE, rng=Scripted(wide_script)
                 )
                 replayed_walks = [
                     random_walk(graph, node, NUM_DEEP, rng=Scripted(script))
@@ -317,18 +311,16 @@ class TestDuplicatesAndEmpties:
         assert signature(store.table, 1) == alone(ragged, 3, 4)
         assert signature(store.table, 2) == alone(ragged, 3, 0)
 
-    @pytest.mark.parametrize("sampling", ["replace", "unique"])
-    def test_an_isolated_node_is_empty_and_reads_only_itself(self, ragged, sampling):
-        store = make_store(ragged, 3, sampling)
+    def test_an_isolated_node_is_empty_and_reads_only_itself(self, ragged):
+        store = make_store(ragged, 3)
         (row,) = store.rows_for([3])
         assert store.table.wide_len[row] == 0
         assert (store.table.deep_len[row] == 0).all()
         assert set(store.table.read_sets()[row].tolist()) == {3}
 
-    @pytest.mark.parametrize("sampling", ["replace", "unique"])
-    def test_a_graph_with_zero_edges(self, sampling):
+    def test_a_graph_with_zero_edges(self):
         graph = build_graph(4, [])
-        store = make_store(graph, 3, sampling)
+        store = make_store(graph, 3)
         rows = store.rows_for([2, 0, 3])
         assert (store.table.wide_len[rows] == 0).all()
         assert (store.table.deep_len[rows] == 0).all()
@@ -338,20 +330,13 @@ class TestDuplicatesAndEmpties:
         )
 
     def test_num_wide_above_the_degree_with_replacement(self, ragged):
-        store = make_store(ragged, 3, "replace")
+        store = make_store(ragged, 3)
         (row,) = store.rows_for([0])
         _, wide, wide_etypes, _, _ = signature(store.table, row)
         assert len(wide) == NUM_WIDE > ragged.degree(0)
         assert set(zip(wide, wide_etypes)) <= {(1, 0), (2, 1)}
 
-    def test_num_wide_above_the_degree_unique(self, ragged):
-        store = make_store(ragged, 3, "unique")
-        (row,) = store.rows_for([0])
-        _, wide, wide_etypes, _, _ = signature(store.table, row)
-        assert (wide, wide_etypes) == ([1, 2], [0, 1])
-
-    @pytest.mark.parametrize("sampling", ["replace", "unique"])
-    def test_a_hub_far_above_the_cap(self, sampling):
+    def test_a_hub_far_above_the_cap(self):
         """Degree 2000, cap 3: three distinct slots, and over seeds every
         part of the list is reached (the first, middle and last tenth)."""
         degree = 2000
@@ -360,7 +345,7 @@ class TestDuplicatesAndEmpties:
         )
         seen = []
         for seed in range(200):
-            store = make_store(graph, seed, sampling)
+            store = make_store(graph, seed)
             (row,) = store.sample_fresh([0])
             _, wide, wide_etypes, walks, _ = signature(store.table, row)
             assert len(set(wide)) == NUM_WIDE
@@ -376,8 +361,7 @@ class TestDuplicatesAndEmpties:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in (0, 2**63 - 1, 2**64 - 1, -1):
-                for sampling in ("replace", "unique"):
-                    make_store(ragged, seed, sampling).rows_for(np.arange(5))
+                make_store(ragged, seed).rows_for(np.arange(5))
                 keyed_draws(seed, np.arange(3), np.arange(3))
 
 
@@ -406,13 +390,11 @@ def regular():
     )
 
 
-def batched_samples(graph, num_wide, sampling="replace"):
+def batched_samples(graph, num_wide):
     """``(wide_nodes, deep_nodes)`` of node 0 over ``NUM_SEEDS`` seeds."""
     wide, deep = [], []
     for seed in range(NUM_SEEDS):
-        store = NeighborStateStore(
-            graph, num_wide, NUM_DEEP, 1, rng=seed, wide_sampling=sampling
-        )
+        store = NeighborStateStore(graph, num_wide, NUM_DEEP, 1, rng=seed)
         (row,) = store.sample_fresh([0])
         wide.append(store.table.wide_nodes[row].copy())
         deep.append(store.table.deep_nodes[row, 0].copy())

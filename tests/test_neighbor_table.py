@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier, WidenConfig, WidenModel, WidenTrainer
-from repro.core import packing
 from repro.core.packing import AttentionGrid
 from repro.core.state import NeighborStateStore, stack_states
 from repro.core.trainer import _entropies
@@ -51,8 +50,8 @@ SWITCHES = [
 def trainer_cases(draw):
     """A small sparse directed graph (isolated nodes, dead-ended walks) and
     a trainer configuration over it: floors anywhere from 1 to the caps, so
-    sets sit at, above and below them; ``unique`` sampling for wide sets
-    shorter than the cap; one or two heads; either kernel family."""
+    sets sit at, above and below them; wide sets emptied by isolated nodes
+    and shrunk by downsampling; one or two heads."""
     graph = draw(graphs(min_nodes=8))
     num_wide, num_deep = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     config = WidenConfig(
@@ -63,7 +62,6 @@ def trainer_cases(draw):
         num_heads=draw(st.sampled_from([1, 2])),
         wide_floor=draw(st.integers(1, num_wide)),
         deep_floor=draw(st.integers(1, num_deep)),
-        wide_sampling=draw(st.sampled_from(["replace", "unique"])),
         trigger=draw(st.sampled_from(["kl", "always", "never"])),
         # Eq. 9 on three-pack distributions: the default threshold rarely
         # fires in three epochs, 1e9 always does.
@@ -73,9 +71,8 @@ def trainer_cases(draw):
         dropout=draw(st.sampled_from([0.0, 0.3])),
         **draw(st.sampled_from(SWITCHES)),
     )
-    sparse_min_waste = draw(st.sampled_from([0.0, 1.0]))  # all CSR / all padded
     seed = draw(st.integers(0, 2**16))
-    return graph, config, sparse_min_waste, seed
+    return graph, config, seed
 
 
 def assert_same_set(got, want):
@@ -98,8 +95,7 @@ class TestBatchedTriggerEqualsPerStateReference:
     )
     @given(case=trainer_cases())
     def test_three_epochs_leave_equal_state(self, monkeypatch, case):
-        graph, config, sparse_min_waste, seed = case
-        monkeypatch.setattr(packing, "SPARSE_MIN_WASTE", sparse_min_waste)
+        graph, config, seed = case
         trainers = []
         for reference in (False, True):
             model = WidenModel(
@@ -284,8 +280,8 @@ class TestNoPerNodeLoopOnTheMinibatchPath:
         assert 0 <= marginal < self.MAX_CALLS_PER_EXTRA_NODE, per_batch
 
     # Measured: 20 autograd nodes per default-config minibatch (52 before
-    # the three attention blocks became one node each; relay and CSR
-    # batches run more, so the mean is what is held).  Each node is a
+    # the three attention blocks became one node each; relay batches run
+    # more, so the mean is what is held).  Each node is a
     # closure, a result tensor and its gradient bookkeeping, which at
     # these sizes cost as much as the arithmetic inside.
     MAX_AUTOGRAD_NODES_PER_STEP = 24.0

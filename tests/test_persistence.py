@@ -217,15 +217,16 @@ class TestCheckpointV3:
         assert again["migrated_from_version"] == 2
 
     @staticmethod
-    def _store_forward_mode(path, value):
-        """Rewrite a checkpoint as a pre-PR-16 writer would have left it."""
+    def _store_config(path, **entries):
+        """Rewrite a v3 checkpoint's stored config with ``entries`` added, as
+        a writer from when those fields existed would have left it."""
         import json
 
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
         meta = json.loads(str(arrays["__checkpoint__"]))
         assert meta["format_version"] == 3
-        meta["config"]["forward_mode"] = value
+        meta["config"].update(entries)
         arrays["__checkpoint__"] = json.dumps(meta)
         np.savez(path, **arrays)
 
@@ -240,7 +241,7 @@ class TestCheckpointV3:
         model.fit(acm.graph, acm.split.train[:48], epochs=1)
         path = tmp_path / f"{retired}.npz"
         model.save(path)
-        self._store_forward_mode(path, retired)
+        self._store_config(path, forward_mode=retired)
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
         assert fresh.config == model.config
@@ -254,6 +255,57 @@ class TestCheckpointV3:
         assert "forward_mode" not in migrated["config"]
         stored = WidenClassifier.read_checkpoint_metadata(path)
         assert "forward_mode" not in stored["config"]
+
+    def test_replace_sampling_checkpoints_load_with_the_key_dropped(
+        self, acm, tmp_path
+    ):
+        """Every checkpoint written while ``WidenConfig`` had a wide
+        sampling policy stores ``"replace"``: the policy that remains, so the
+        key is dropped and the model serves as it did."""
+        from repro.core import migrate_checkpoint
+
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        model.fit(acm.graph, acm.split.train[:48], epochs=1)
+        path = tmp_path / "replace.npz"
+        model.save(path)
+        self._store_config(path, wide_sampling="replace")
+
+        fresh = WidenClassifier.load(path, graph=acm.graph)
+        assert fresh.config == model.config
+        probe = acm.split.test[:10]
+        np.testing.assert_array_equal(
+            fresh.embed_for_serving(probe, acm.graph, seed=5),
+            model.embed_for_serving(probe, acm.graph, seed=5),
+        )
+        assert "wide_sampling" not in migrate_checkpoint(path)["config"]
+
+    def test_unique_sampling_checkpoints_are_refused(self, acm, tmp_path):
+        """A model trained on ``"unique"`` draws would serve neighborhoods
+        it never saw: loading and migrating refuse it by name."""
+        from repro.core import migrate_checkpoint
+
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        model.fit(acm.graph, acm.split.train[:48], epochs=1)
+        path = tmp_path / "unique.npz"
+        model.save(path)
+        self._store_config(path, wide_sampling="unique")
+
+        refusal = r"wide_sampling='unique'.*sampling policy is gone"
+        with pytest.raises(ValueError, match=refusal):
+            WidenClassifier.load(path, graph=acm.graph)
+        with pytest.raises(ValueError, match=refusal):
+            WidenClassifier.load(path)
+        with pytest.raises(ValueError, match=refusal):
+            migrate_checkpoint(path)
+
+    @pytest.mark.parametrize("policy", ["replace", "unique"])
+    def test_the_sampling_policy_is_not_a_config_field(self, policy):
+        from repro.core import WidenConfig
+
+        with pytest.raises(TypeError, match="wide_sampling"):
+            WidenConfig(wide_sampling=policy)
+        with pytest.raises(TypeError, match="wide_sampling"):
+            WidenClassifier(seed=0, wide_sampling=policy)
 
     def test_per_node_checkpoint_gets_read_sets_and_store(self, tmp_path):
         """A checkpoint saved under ``forward_mode="per_node"`` used to be
@@ -271,7 +323,7 @@ class TestCheckpointV3:
         model.fit(graph, dataset.split.train[:40], epochs=1)
         path = tmp_path / "per_node.npz"
         model.save(path)
-        self._store_forward_mode(path, "per_node")
+        self._store_config(path, forward_mode="per_node")
 
         served = WidenClassifier.load(path, graph=graph)
         store = build_store(served, graph, tmp_path / "store", seed=7)

@@ -23,8 +23,8 @@ last bit depends on the shape of the batch it was computed in: the padded
 attention kernels pad to the longest pack of the batch — the build batch
 for a stored row, the miss batch for a recomputed one — and those differ
 whenever a pack is *shorter* than capacity: dead ends and isolated nodes,
-i.e. exactly the graphs below (measured on them: at most 4.4e-16, padded
-and CSR kernels alike; the cache has always carried the same caveat).
+i.e. exactly the graphs below (measured on them: at most 4.4e-16; the
+cache has always carried the same caveat).
 That is a few ulps of kernel noise; a stale answer is off by ~1e-2.  On
 graphs without dead ends — every other exactness test in this suite — all
 packs sit at capacity, the shapes coincide and the same comparisons read
@@ -176,8 +176,7 @@ def sample_signature(classifier, graph, node):
     config = classifier.config
     state = NeighborStateStore(
         graph, num_wide=config.num_wide, num_deep=config.num_deep,
-        num_deep_walks=config.num_deep_walks, wide_sampling=config.wide_sampling,
-        rng=SEED,
+        num_deep_walks=config.num_deep_walks, rng=SEED,
     ).get(int(node))
     return (
         state.wide.nodes.tolist(), state.wide.etypes.tolist(),

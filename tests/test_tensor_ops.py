@@ -4,9 +4,16 @@ Every op gets (a) a forward-value check against numpy and (b) a gradient
 check against central differences via ``tests.helpers.check_gradients``.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.tensor import Tensor, no_grad
 from repro.tensor import ops
 from tests.helpers import check_gradients
@@ -389,6 +396,61 @@ class TestScatterThresholds:
         )
         got = ops._scatter_add_rows(num_rows, index, grad, weights=weights)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+_HERMETIC_CHECK = """
+from repro.core import WidenClassifier
+from repro.core.packing import pack_batch
+from repro.datasets import make_acm
+from repro.tensor import ops
+
+assert ops.SCATTER_SPARSE_MIN_ROWS == 64, ops.SCATTER_SPARSE_MIN_ROWS
+assert ops.SCATTER_DENSE_MAX_CELLS == 65536, ops.SCATTER_DENSE_MAX_CELLS
+dataset = make_acm(seed=0, scale=0.3)
+nodes = dataset.split.train[:32]
+classifier = WidenClassifier(seed=0).fit(dataset.graph, nodes, epochs=1)
+pack = pack_batch(
+    classifier.trainer.store.batch(nodes), dataset.graph, classifier.config
+)
+assert pack.wide_valid.shape == pack.wide_index.shape == (32, 11), pack.wide_index.shape
+assert pack.deep_valid.shape == pack.deep_index.shape, pack.deep_index.shape
+"""
+
+
+def test_import_reads_no_host_state(tmp_path):
+    """A table in every place one used to be looked up, and garbage in the
+    variables that used to be parsed, change nothing: the scatter
+    thresholds are the shipped constants and a default-config minibatch
+    trains and packs as padded grids."""
+    table = json.dumps({
+        "version": 1,
+        "scatter": {"sparse_min_rows": 123, "dense_max_cells": 456},
+        "forward": {"sparse_min_waste": 0.0},
+    })
+    home, cache = tmp_path / "home", tmp_path / "xdg"
+    places = (
+        home / ".cache" / "repro" / "kernel_table.json",
+        cache / "repro" / "kernel_table.json",
+        tmp_path / "explicit.json",
+    )
+    for place in places:
+        place.parent.mkdir(parents=True, exist_ok=True)
+        place.write_text(table)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        HOME=str(home),
+        XDG_CACHE_HOME=str(cache),
+        REPRO_KERNEL_TABLE=str(places[2]),
+        REPRO_SPARSE_MIN_WASTE="garbage",
+        REPRO_SCATTER_SPARSE_MIN_ROWS="garbage",
+        REPRO_SCATTER_DENSE_MAX_CELLS="garbage",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _HERMETIC_CHECK],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestGradModeThreadLocal:

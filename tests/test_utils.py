@@ -1,11 +1,7 @@
-"""Tests for RNG management and timing utilities."""
-
-from types import SimpleNamespace
+"""Tests for RNG management."""
 
 import numpy as np
-import pytest
 
-from repro.obs import Timer, time_call
 from repro.utils import RngMixin, new_rng, spawn_rngs
 
 
@@ -42,34 +38,3 @@ class TestRng:
         thing.seed(3)
         b = thing.rng.integers(0, 1000, 3)
         np.testing.assert_array_equal(a, b)
-
-
-class TestTimer:
-    def test_accumulates_laps(self, monkeypatch):
-        from repro.obs import timing
-
-        # The clock the timer reads, scripted: laps of 1, 2 and 4 ms.
-        reads = iter([10.0, 10.001, 20.0, 20.002, 30.0, 30.004])
-        monkeypatch.setattr(
-            timing, "time", SimpleNamespace(perf_counter=lambda: next(reads))
-        )
-        timer = Timer()
-        for _ in range(3):
-            with timer:
-                pass
-        assert timer.laps == pytest.approx([0.001, 0.002, 0.004])
-        assert timer.total == pytest.approx(0.007)
-        assert timer.mean == pytest.approx(timer.total / 3)
-
-    def test_mean_of_empty_timer(self):
-        assert Timer().mean == 0.0
-
-    def test_exit_without_enter_raises(self):
-        timer = Timer()
-        with pytest.raises(RuntimeError):
-            timer.__exit__(None, None, None)
-
-    def test_time_call_returns_result(self):
-        elapsed, result = time_call(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
