@@ -161,10 +161,6 @@ class TrainEngine:
 
     def _handle_train_epoch_begin(self, payload: Dict[str, object]) -> dict:
         train_nodes = np.asarray(payload["train_nodes"], dtype=np.int64)
-        # A replica carries the full label array, so the fit()-equivalent
-        # validation works here without consulting any other shard.
-        if (self.trainer.graph.labels[train_nodes] < 0).any():
-            raise ValueError("all training nodes must be labeled")
         return self.trainer.epoch_begin(train_nodes, owned=self.spec.owned)
 
     def _handle_train_microbatch(self, payload: Dict[str, object]) -> dict:

@@ -12,7 +12,9 @@ Implements the wide and deep message passing network of Section 3:
   with the KL-divergence trigger (Eq. 9) in
   :class:`~repro.core.trainer.WidenTrainer`;
 - the full training loop of Algorithm 3 plus inductive inference for nodes
-  unseen during training.
+  unseen during training, under any of three objectives
+  (:mod:`repro.core.objectives`: classification, walk context, edge
+  existence).
 
 Every Table-4 ablation is expressible through :class:`WidenConfig` switches
 (see :mod:`repro.core.ablation`).
@@ -21,6 +23,7 @@ Every Table-4 ablation is expressible through :class:`WidenConfig` switches
 from repro.core.classifier import WidenClassifier, migrate_checkpoint, serving_refusal
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
+from repro.core.objectives import Classification, EdgeExistence, WalkContext, split_edges
 from repro.core.relay import RelayRecipe, prune_deep, shrink_wide
 from repro.core.state import (
     NeighborState,
@@ -32,8 +35,6 @@ from repro.core.train_loop import LocalTrainClient, TrainHistory, TrainLoop
 from repro.core.trainer import WidenTrainer
 from repro.core.ablation import ABLATION_VARIANTS, make_variant_config
 from repro.core.analysis import downsampling_summary, edge_type_attention_profile
-from repro.core.link_prediction import LinkPredictionTrainer, split_edges
-from repro.core.unsupervised import UnsupervisedWidenTrainer
 
 __all__ = [
     "WidenClassifier",
@@ -56,7 +57,8 @@ __all__ = [
     "make_variant_config",
     "edge_type_attention_profile",
     "downsampling_summary",
-    "LinkPredictionTrainer",
+    "Classification",
+    "WalkContext",
+    "EdgeExistence",
     "split_edges",
-    "UnsupervisedWidenTrainer",
 ]

@@ -314,7 +314,8 @@ class TrainLoop:
         sum, and F1 is computed over the concatenated (label, prediction)
         pairs — micro/macro F1 are pooled confusion-matrix metrics, so pair
         order cannot change the answer; with one client the concatenation
-        *is* the single-process epoch's array, bit for bit.
+        *is* the single-process epoch's array, bit for bit.  An epoch whose
+        objective carries no labels has no F1 (``None``).
         """
         loss_sum = sum(float(finish["loss_sum"]) for finish in finishes)
         node_count = sum(int(finish["node_count"]) for finish in finishes)
@@ -330,6 +331,7 @@ class TrainLoop:
         kl_values = [
             float(value) for finish in finishes for value in finish["kl_values"]
         ]
+        labeled = labels.size > 0
         stats = {
             "wide_drops": sum(int(f["wide_drops"]) for f in finishes),
             "deep_drops": sum(int(f["deep_drops"]) for f in finishes),
@@ -338,8 +340,8 @@ class TrainLoop:
             "trigger_checks": sum(int(f["trigger_checks"]) for f in finishes),
             "trigger_fires": sum(int(f["trigger_fires"]) for f in finishes),
             "kl_mean": float(np.mean(kl_values)) if kl_values else None,
-            "micro_f1": micro_f1(labels, predictions),
-            "macro_f1": macro_f1(labels, predictions),
+            "micro_f1": micro_f1(labels, predictions) if labeled else None,
+            "macro_f1": macro_f1(labels, predictions) if labeled else None,
         }
         return stats, loss_sum / max(node_count, 1)
 
@@ -356,14 +358,15 @@ class TrainLoop:
         history.deep_messages.append(stats["deep_messages"])
         history.trigger_checks.append(stats["trigger_checks"])
         history.trigger_fires.append(stats["trigger_fires"])
-        history.train_micro_f1.append(stats["micro_f1"])
-        history.train_macro_f1.append(stats["macro_f1"])
         # Stepped series: the Fig.-4/5-style efficiency story, one point
         # per epoch, replayable straight out of metrics.jsonl.
         registry.emit("train/loss", loss, step=epoch)
         registry.emit("train/epoch_seconds", seconds, step=epoch)
-        registry.emit("train/micro_f1", stats["micro_f1"], step=epoch)
-        registry.emit("train/macro_f1", stats["macro_f1"], step=epoch)
+        if stats["micro_f1"] is not None:
+            history.train_micro_f1.append(stats["micro_f1"])
+            history.train_macro_f1.append(stats["macro_f1"])
+            registry.emit("train/micro_f1", stats["micro_f1"], step=epoch)
+            registry.emit("train/macro_f1", stats["macro_f1"], step=epoch)
         registry.emit(
             "train/messages", stats["wide_messages"], step=epoch, path="wide"
         )

@@ -7,10 +7,12 @@ which nodes' wide sets (Algorithm 1) or deep sequences (Algorithm 2) to
 actively downsample.
 
 Epoch sequencing lives in :class:`~repro.core.train_loop.TrainLoop`; this
-class exposes Algorithm 3 as composable phases the loop drives:
+class exposes Algorithm 3 as composable phases the loop drives, whatever
+the :mod:`~repro.core.objectives` objective (Eq. 10 classification by
+default, walk context, edge existence):
 
 - :meth:`WidenTrainer.epoch_begin` — neighbor-state refresh + the epoch's
-  shuffled minibatch schedule (plus an optional owned-node filter for
+  shuffled schedule of examples (plus an optional owned-node filter for
   partition-local training);
 - :meth:`WidenTrainer.run_microbatch` — forward/backward over one schedule
   slice, gradients left on the parameters;
@@ -41,6 +43,7 @@ import numpy as np
 
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
+from repro.core.objectives import Classification, Objective
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
 from repro.core.state import NeighborStateStore
@@ -49,7 +52,7 @@ from repro.graph import HeteroGraph
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import Tensor, functional as F, no_grad
+from repro.tensor import Tensor, no_grad
 from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["TrainHistory", "WidenTrainer"]
@@ -91,10 +94,12 @@ class WidenTrainer:
         config: Optional[WidenConfig] = None,
         seed: SeedLike = None,
         registry: Optional[MetricsRegistry] = None,
+        objective: Optional[Objective] = None,
     ) -> None:
         self.model = model
         self.graph = graph
         self.config = config or model.config
+        self.objective = objective if objective is not None else Classification()
         # Per-epoch scalars/series go to this registry (the process-wide one
         # unless a private registry is injected, e.g. by tests).
         self.registry = registry if registry is not None else get_registry()
@@ -107,7 +112,7 @@ class WidenTrainer:
             rng=sample_rng,
         )
         self.optimizer = Adam(
-            model.parameters(),
+            model.parameters() + self.objective.parameters(),
             lr=self.config.learning_rate,
             weight_decay=self.config.weight_decay,
         )
@@ -166,17 +171,15 @@ class WidenTrainer:
     # ------------------------------------------------------------------
 
     def fit(self, train_nodes: np.ndarray, epochs: int) -> TrainHistory:
-        """Run ``epochs`` training epochs over ``train_nodes`` (labeled ids).
+        """Run ``epochs`` training epochs over ``train_nodes``.
 
-        Drives a single-client :class:`~repro.core.train_loop.TrainLoop`
-        over this trainer's phases — the same sequencing code distributed
-        training runs over a shard fleet, taking the exact single-process
-        path through gradient reduction (one contributor → grads untouched).
+        ``train_nodes`` are the objective's examples — labeled node ids,
+        walk anchors or edge ids.  Drives a single-client
+        :class:`~repro.core.train_loop.TrainLoop` over this trainer's
+        phases — the same sequencing code distributed training runs over a
+        shard fleet, taking the exact single-process path through gradient
+        reduction (one contributor → grads untouched).
         """
-        train_nodes = np.asarray(train_nodes, dtype=np.int64)
-        labels = self.graph.labels[train_nodes]
-        if (labels < 0).any():
-            raise ValueError("all training nodes must be labeled")
         loop = TrainLoop(
             [LocalTrainClient(self)],
             self.config,
@@ -202,9 +205,10 @@ class WidenTrainer:
         always global so offsets mean the same thing on every shard.
         """
         train_nodes = np.asarray(train_nodes, dtype=np.int64)
+        trained = self.objective.epoch_begin(self.graph, train_nodes)
         self.model.train()
         with trace_span("trainer.refresh_states"):
-            self._refresh_states(train_nodes)
+            self._refresh_states(trained)
         order = self._shuffle_rng.permutation(train_nodes.size)
         self._schedule = train_nodes[order]
         if owned is None:
@@ -229,10 +233,13 @@ class WidenTrainer:
     def run_microbatch(self, start: int) -> dict:
         """Phase 2: forward/backward over one schedule slice (owned rows).
 
-        Leaves the batch's gradients on the parameters — clipping and the
-        optimizer step happen in :meth:`apply_update` once the loop has
-        reduced gradients across contributors.  Returns the number of rows
-        this trainer actually computed (its reduction weight).
+        One forward over the node ids the objective names for the slice's
+        examples, Eq. 9 downsampling over the same rows, then the
+        objective's loss over the table.  Leaves the batch's gradients on
+        the parameters — clipping and the optimizer step happen in
+        :meth:`apply_update` once the loop has reduced gradients across
+        contributors.  Returns the number of examples this trainer actually
+        computed (its reduction weight).
         """
         if self._schedule is None:
             raise RuntimeError("run_microbatch called before epoch_begin")
@@ -242,9 +249,10 @@ class WidenTrainer:
         if batch.size == 0:
             return {"count": 0, "loss_sum": 0.0}
         with trace_span("trainer.batch", size=int(batch.size)):
-            ((rows, stacked, wide_att, deep_att),) = self._forward_chunks(
-                self.store, self.graph, self.node_state, batch,
-                replace=self.node_state is not None,
+            nodes, loss_of = self.objective.microbatch(self, batch)
+            ((rows, table, wide_att, deep_att),) = self._forward_chunks(
+                self.store, self.graph, self.node_state, nodes,
+                replace=self.node_state is not None, batch_size=nodes.size,
             )
             # Every pack in M° (wide set + target) or M▷ is one message
             # through PASS°/PASS▷ — the unit of Fig. 4's volume axis.
@@ -257,13 +265,15 @@ class WidenTrainer:
             wide_drops, deep_drops = self._maybe_downsample(rows, wide_att, deep_att)
             self._acc_wide_drops += wide_drops
             self._acc_deep_drops += deep_drops
-            logits = self.model.logits(stacked)
-            loss = F.cross_entropy(logits, self.graph.labels[batch])
             self.optimizer.zero_grad()
-            loss.backward()
-            loss_sum = loss.item() * batch.size
-            self._label_chunks.append(self.graph.labels[batch])
-            self._prediction_chunks.append(logits.data.argmax(axis=1))
+            loss, labeled = loss_of(table)
+            loss_sum = 0.0
+            if loss is not None:
+                loss.backward()
+                loss_sum = loss.item() * batch.size
+            if labeled is not None:
+                self._label_chunks.append(labeled[0])
+                self._prediction_chunks.append(labeled[1])
             self._acc_loss_sum += loss_sum
             self._acc_nodes += int(batch.size)
         return {"count": int(batch.size), "loss_sum": float(loss_sum)}
@@ -378,20 +388,23 @@ class WidenTrainer:
         node_ids: np.ndarray,
         *,
         replace: bool = False,
+        batch_size: Optional[int] = None,
     ):
         """``forward_batch`` over ``node_ids``, one ``batch_size`` slice at a time.
 
         The one place the trainer turns node ids into a model call: training
-        minibatches, the per-epoch refresh, the inductive warm-up and
-        evaluation all iterate this, each under its own grad/eval context.
-        Yields ``(rows, embeddings, wide_attention, deep_attention)`` per
-        slice, ``rows`` being the slice's rows in ``store.table``.  With
-        ``replace`` a slice's embeddings overwrite its ``node_state`` rows
-        before the next slice is computed — line 8 of Algorithm 3 in its
-        synchronous minibatch form: every row of a slice reads the table as
-        it stood before the slice (DESIGN.md, "One forward at run time").
+        minibatches (one slice of all the objective's ids), the per-epoch
+        refresh, the inductive warm-up and evaluation all iterate this, each
+        under its own grad/eval context.  ``batch_size`` defaults to the
+        config's.  Yields ``(rows, embeddings, wide_attention,
+        deep_attention)`` per slice, ``rows`` being the slice's rows in
+        ``store.table``.  With ``replace`` a slice's embeddings overwrite its
+        ``node_state`` rows before the next slice is computed — line 8 of
+        Algorithm 3 in its synchronous minibatch form: every row of a slice
+        reads the table as it stood before the slice (DESIGN.md, "One
+        forward at run time").
         """
-        batch_size = max(1, self.config.batch_size)
+        batch_size = max(1, batch_size or self.config.batch_size)
         for start in range(0, len(node_ids), batch_size):
             chunk = node_ids[start : start + batch_size]
             rows = store.rows_for(chunk)

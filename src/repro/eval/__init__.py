@@ -7,6 +7,7 @@ from repro.eval.clustering import silhouette_score
 from repro.eval.protocol import (
     evaluate_inductive,
     evaluate_transductive,
+    fit_classifier_probe,
     fit_on_partitions,
 )
 
@@ -20,5 +21,6 @@ __all__ = [
     "silhouette_score",
     "evaluate_transductive",
     "evaluate_inductive",
+    "fit_classifier_probe",
     "fit_on_partitions",
 ]

@@ -1,5 +1,6 @@
 """Shared test utilities: numerical gradient checking, the per-node
-forward reference and the per-state downsampling-trigger reference."""
+forward reference, the per-state downsampling-trigger reference and the
+per-pair walk-context loss reference."""
 
 from __future__ import annotations
 
@@ -76,6 +77,28 @@ def per_node_attentions(wide, deep, batch: int):
         phi = len(walks) // batch
         deep_rows = [walks[b * phi : (b + 1) * phi] for b in range(batch)]
     return wide_rows, deep_rows
+
+
+def per_pair_walk_loss(table: Tensor, triples) -> Tensor:
+    """The walk-context loss one score at a time — the reference for
+    :func:`repro.core.objectives.walk_context_loss`.
+
+    ``triples`` are ``(anchor, positive, negatives)`` rows of ``table``, one
+    per anchor that has a context: a scalar ``ops.sum`` node per score, the
+    scores stacked, one BCE — how the loss was written before it was
+    batched.
+    """
+    scores, targets = [], []
+    for anchor, positive, negatives in triples:
+        anchor_vec = table[anchor]
+        scores.append(ops.sum(anchor_vec * table[positive]) * 4.0)
+        targets.append(1.0)
+        for negative in negatives:
+            scores.append(ops.sum(anchor_vec * table[negative]) * 4.0)
+            targets.append(0.0)
+    return F.binary_cross_entropy_with_logits(
+        ops.stack(scores), np.asarray(targets)
+    )
 
 
 def use_per_node_forward(monkeypatch, model) -> None:

@@ -295,3 +295,13 @@ class TestGuardsAndMetrics:
             reply = engine.handle(Envelope(kind="train_microbatch", payload={"start": 0}))
             assert not reply.ok  # microbatch before epoch_begin
             assert "shard_errors_total" in engine.registry.render_prometheus()
+
+    def test_fleet_refuses_unlabeled_training_nodes(self, acm, base_checkpoint):
+        """A fleet reaches the classification objective's label check
+        through the same trainer phase a single-process fit does."""
+        unlabeled = np.flatnonzero(acm.graph.labels < 0)[:4]
+        with DistributedTrainer(
+            base_checkpoint, acm.graph, 1, transport="inline"
+        ) as fleet:
+            with pytest.raises(Exception, match="must be labeled"):
+                fleet.fit(unlabeled, 1)
