@@ -11,7 +11,9 @@ to the whole-graph server.  This example demonstrates the full contract:
    neighbors other shards own;
 2. stream a new paper in through the router (``add_nodes``/``add_edges``
    are broadcast as one command per write) and verify the cluster still
-   matches a single server that saw the same stream;
+   matches a single server that saw the same stream, and that every shard
+   holds the coordinator's freshness state (what a killed shard is rebuilt
+   from);
 3. print the cluster telemetry: per-shard ownership and routing counters,
    and the shard-labeled Prometheus exposition.
 
@@ -77,13 +79,17 @@ def main() -> None:
         after = np.concatenate([probe, [node_cluster]])
         print(f"post-mutation cluster == single server: "
               f"{np.array_equal(router.embed(after), single.embed(after))}")
+        # Every shard holds the freshness state the coordinator holds — what
+        # a killed shard is rebuilt from, warm, with no history replayed.
+        coordinator = router.supervisor.serving_state()
         for worker in router.workers:
             # Pulled through the transport protocol, so the same line works
-            # whether the shard engine is inline, a thread, or a process.
+            # whether the shard engine is inline or a process.
             state = worker.pull_serving_state().result()["serving_state"]
             print(f"  shard {worker.spec.shard_id}: write clock "
                   f"{state['clock']}, {len(state['touched'])} adjacency "
-                  f"lists touched")
+                  f"lists touched, equals the coordinator's: "
+                  f"{state == coordinator}")
 
         print("\n-- 3. cluster telemetry --")
         for shard in router.summary()["shards"]:

@@ -26,9 +26,10 @@ while preserving its exact semantics:
   respawn → close, the only place a transport is constructed.  Also the
   socket fleet's membership (:class:`LocalWorkerSpawner`,
   :class:`ShardRegistry`) and its :class:`FleetSupervisor`, which turns a
-  SIGKILL'd worker into a respawn from checkpoint bytes + the serialized
-  shard and a replay of the bounded :class:`MutationLog` before the
-  shard is readmitted to scatter-gather.
+  SIGKILL'd worker into a respawn from checkpoint bytes, the coordinator's
+  current shard payload and the freshness state the coordinator holds for
+  every shard, checked against that state before the shard is readmitted
+  to scatter-gather.
 - :mod:`~repro.cluster.engine` — the far side of the boundary: one rebuilt
   shard spec + one :class:`InferenceServer`, driven entirely by envelope
   dispatch, and :func:`build_engine_from_args`, the one route by which any
@@ -59,8 +60,6 @@ from repro.cluster.fleet import (
     Fleet,
     FleetSupervisor,
     LocalWorkerSpawner,
-    MutationLog,
-    MutationLogHorizonError,
     RecoveryRecord,
     ShardRegistry,
     WorkerHandle,
@@ -95,8 +94,6 @@ __all__ = [
     "FleetSupervisor",
     "InlineTransport",
     "LocalWorkerSpawner",
-    "MutationLog",
-    "MutationLogHorizonError",
     "RecoveryRecord",
     "RefreshCommand",
     "Reply",

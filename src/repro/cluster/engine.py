@@ -69,7 +69,7 @@ def build_engine_from_args(args: Dict[str, object]):
     router's filesystem) or else ``checkpoint_bytes`` the raw ``.npz``
     contents (socket workers share nothing); ``config`` is the family's
     options; ``serving_state``, when not ``None``, is restored after the
-    build (a respawned serving engine adopts its baseline's write clock).
+    build (a respawned serving engine adopts the coordinator's write clock).
     """
     family = args["engine"]
     if family == "serve":

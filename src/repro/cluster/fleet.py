@@ -15,33 +15,23 @@ launches loopback ``shard-worker`` subprocesses, :class:`ShardRegistry`
 maps shard ids to the addresses they (or pre-started remote workers)
 listen on.
 
-**Recovery.**  The :class:`FleetSupervisor` owns what a router needs to
-bring a dead shard back *bit-identically*: a per-shard baseline (the engine
-arguments to rebuild from — shard payload, exported serving state — plus
-the graph version they reflect) and the router's bounded
-:class:`MutationLog`.  ``recover()`` has the fleet respawn the worker (or
-reconnect to a static address) from the baseline, replays the logged
-commands past the baseline version, verifies the engine's graph version
-against the coordinator's graph, and only then readmits the shard to
+**Recovery rebuilds from the coordinator's present.**  Every shard is a
+full replica of the coordinator's one graph, and every shard takes every
+write, so the coordinator already holds what a dead shard held: the graph
+(its shard spec's payload is references into it) and the freshness state —
+write clock and touched stamps — which the :class:`FleetSupervisor` keeps
+with the same :class:`~repro.serve.cache.WriteClock` rule a shard server
+runs, hooked on the coordinator's graph.  ``recover()`` has the fleet
+respawn the worker (or reconnect to a static address) from the current
+shard payload and that state, checks that the engine's exported state
+equals the coordinator's, and only then readmits the shard to
 scatter-gather.  Serving answers are seeded by ``(seed, node)`` — a
-function of the current graph — so once the replayed command stream has
-rebuilt the replica, a recovered fleet's answers match a never-killed
-single server bit for bit.  The serving state in the baseline (write clock
-+ touched stamps) is what tells the respawned engine which rows of its
-base store slice the writes before the baseline had already undercut.
-
-**The log horizon.**  The log is bounded.  Before an entry is evicted, the
-supervisor refreshes every baseline it would strand from the *live* worker
-(one cheap ``serving_state`` pull; the payload is references into the
-coordinator's graph), so replay stays possible indefinitely for healthy
-shards.  A shard that is already down when the horizon passes its baseline
-cannot be caught up exactly; recovery then refuses to serve stale state and
-instead rebuilds the shard from the checkpoint + the *current* graph
-("replan"), loudly: a warning, a ``fleet_rebuilds_total`` counter, and
-``mode="replan"`` on the recovery record.  Replanned answers are exact —
-the current graph *is* the answer — but the shard comes back cold: its
-base store slice predates writes it has no record of, so every row of it
-is stale until re-materialized.
+function of the current graph — so a recovered fleet's answers match a
+never-killed single server bit for bit, and the restored stamps say which
+rows of its base store slice earlier writes undercut, so the shard comes
+back warm.  The coordinator's graph and state take a write before it is
+broadcast, so a worker that dies at its barrier is rebuilt past that write:
+exactly once, with nothing to re-send.
 """
 
 from __future__ import annotations
@@ -52,7 +42,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -69,19 +58,16 @@ from repro.cluster.net import (
 from repro.cluster.transport import (
     Envelope,
     InlineTransport,
-    ShardError,
-    ShardTimeoutError,
     Transport,
     check_transport,
 )
+from repro.serve.cache import WriteClock
 
 __all__ = [
     "Fleet",
     "WorkerHandle",
     "LocalWorkerSpawner",
     "ShardRegistry",
-    "MutationLog",
-    "MutationLogHorizonError",
     "WorkerDownEvent",
     "RecoveryRecord",
     "FleetSupervisor",
@@ -219,11 +205,19 @@ class ShardRegistry:
         return handle
 
     def kill(self, shard_id: int) -> None:
-        """SIGKILL the shard's process (fault injection in tests/benches)."""
+        """SIGKILL the shard's process (fault injection in tests/benches).
+
+        Only a worker this fleet spawned has a process here: killing one
+        at a static address would inject nothing, so it is refused."""
         handle = self._handles[shard_id]
-        if handle.process is not None:
-            handle.process.kill()
-            handle.process.wait(timeout=30)
+        if handle.process is None:
+            raise ValueError(
+                f"shard {shard_id} runs at a static address "
+                f"{handle.host}:{handle.port} this fleet did not spawn; "
+                "there is no process to kill"
+            )
+        handle.process.kill()
+        handle.process.wait(timeout=30)
 
     def close(self) -> None:
         for handle in self._handles.values():
@@ -242,88 +236,6 @@ class ShardRegistry:
             pass
         if process.stdout is not None:
             process.stdout.close()
-
-
-# ----------------------------------------------------------------------
-# MutationLog
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class LogEntry:
-    """One write: its post-mutation graph version and the command that was
-    broadcast to every shard."""
-
-    version: int
-    kind: str
-    command: object
-
-
-class MutationLogHorizonError(RuntimeError):
-    """A baseline predates commands the bounded log has evicted."""
-
-    def __init__(self, baseline_version: int, horizon: int) -> None:
-        self.baseline_version = int(baseline_version)
-        self.horizon = int(horizon)
-        super().__init__(
-            f"baseline at graph version {baseline_version} is behind the "
-            f"mutation log horizon (evicted through version {horizon}); "
-            "exact catch-up is impossible"
-        )
-
-
-class MutationLog:
-    """Bounded record of broadcast mutation commands, for catch-up replay.
-
-    A command is what the write did (an arrival's rows, the appended
-    edges), not what a shard holds, and every shard replays every command,
-    so replaying the entries past a baseline, in order, rebuilds any shard
-    exactly.  Entries are keyed by the graph version after the mutation
-    (one mutation = one version bump, so versions are consecutive).  When
-    capacity evicts an entry the horizon advances: a baseline older than
-    the horizon can no longer be replayed exactly —
-    :meth:`commands_since` refuses loudly instead of silently
-    under-replaying.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._entries: List[LogEntry] = []
-        self.horizon = -1  # last evicted version; -1 when none was
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> List[LogEntry]:
-        return list(self._entries)
-
-    def next_eviction(self) -> Optional[LogEntry]:
-        """The entry the next append will evict, if the log is full."""
-        if len(self._entries) >= self.capacity:
-            return self._entries[0]
-        return None
-
-    def append(self, version: int, kind: str, command: object) -> None:
-        self._entries.append(LogEntry(int(version), str(kind), command))
-        while len(self._entries) > self.capacity:
-            self.horizon = self._entries.pop(0).version
-
-    def commands_since(self, baseline_version: int) -> List[LogEntry]:
-        """The entries past ``baseline_version``, oldest first.
-
-        Raises :class:`MutationLogHorizonError` if an entry past the
-        baseline was evicted — replaying the survivors would silently skip
-        mutations.
-        """
-        baseline_version = int(baseline_version)
-        if self.horizon > baseline_version:
-            raise MutationLogHorizonError(baseline_version, self.horizon)
-        return [
-            entry for entry in self._entries if entry.version > baseline_version
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -490,78 +402,72 @@ class WorkerDownEvent:
 
 @dataclass
 class RecoveryRecord:
-    """One completed recovery, with the detect/respawn/replay breakdown."""
+    """One completed recovery, with the detect/respawn breakdown."""
 
     shard_id: int
     reason: str
-    mode: str  # "replay" (exact catch-up) or "replan" (horizon rebuild)
     detect_s: float
-    respawn_s: float
-    replay_s: float
+    respawn_s: float  # respawn + verify
     total_s: float
-    replayed_commands: int
-    baseline_version: int
     target_version: int
 
     def to_record(self) -> Dict[str, object]:
         return {
             "shard": self.shard_id,
             "reason": self.reason,
-            "mode": self.mode,
             "detect_s": self.detect_s,
             "respawn_s": self.respawn_s,
-            "replay_s": self.replay_s,
             "total_s": self.total_s,
-            "replayed_commands": self.replayed_commands,
-            "baseline_version": self.baseline_version,
             "target_version": self.target_version,
         }
-
-
-class _ShardBaseline:
-    """The rebuild point for one shard: the engine arguments to respawn
-    from (shard payload, serving state) + the graph version they reflect."""
-
-    __slots__ = ("args", "version")
-
-    def __init__(self, args: Dict[str, object], version: int) -> None:
-        self.args = args
-        self.version = int(version)
 
 
 class FleetSupervisor:
     """Failure detection + exact recovery for a socket fleet.
 
-    Owns, per shard: the rebuild baseline (engine arguments + the global
-    version they reflect), and the fleet metrics (connection gauges, down/
-    reconnect/rebuild counters, heartbeat-age histogram) written into the
-    router's registry so fleet health rides the same ``/metrics``
-    exposition as latency.  The router calls :meth:`before_mutation` /
-    :meth:`record_mutation` around every fan-out and :meth:`recover` when
-    a gather surfaces :class:`WorkerDown`.
+    Owns the coordinator's freshness state (:attr:`freshness`, the
+    :class:`~repro.serve.cache.WriteClock` every shard server holds too)
+    and the fleet metrics (connection gauges, down/reconnect counters,
+    heartbeat-age histogram) written into the router's registry, so fleet
+    health rides the same ``/metrics`` exposition as latency.  The router
+    calls :meth:`start` once the fleet is up, :meth:`recover` when a gather
+    surfaces :class:`WorkerDown` and :meth:`close` when it closes.
     """
 
-    def __init__(self, router, fleet: Fleet, log: MutationLog) -> None:
+    def __init__(self, router, fleet: Fleet) -> None:
         self.router = router
         self.fleet = fleet
-        self.log = log
         fleet.on_down = self.note_worker_down
         fleet.on_heartbeat = self.observe_heartbeat
         self.events: List[WorkerDownEvent] = []
         self.recoveries: List[RecoveryRecord] = []
-        self._baselines: Dict[int, _ShardBaseline] = {}
         self._locks: Dict[int, threading.Lock] = {}
         self._metrics = router.registry
+        # What every shard server starts from: nothing touched, unless its
+        # store slice was built at another graph version.
+        self.freshness = WriteClock(router.graph.num_nodes)
+        if router.store is not None:
+            self.freshness.attach_store(router.store, router.graph)
+        self._hook = None
 
-    # -- baselines -----------------------------------------------------
+    def start(self) -> None:
+        """The fleet is up: every shard is connected, and from here on
+        each write the coordinator's graph takes advances :attr:`freshness`
+        before it is broadcast."""
+        self._hook = self.router.graph.add_mutation_hook(self.freshness.observe)
+        for shard_id in range(len(self.router.workers)):
+            self._metrics.gauge(
+                "fleet_worker_connected", shard=str(shard_id)
+            ).set(1)
 
-    def set_baseline(
-        self, shard_id: int, args: Dict[str, object], version: int
-    ) -> None:
-        """``args`` is the shard's entry of :attr:`Fleet.engine_args`, or a
-        copy of it with a newer ``spec_payload`` / ``serving_state``."""
-        self._baselines[int(shard_id)] = _ShardBaseline(args, version)
-        self._locks.setdefault(int(shard_id), threading.Lock())
+    def close(self) -> None:
+        if self._hook is not None:
+            self.router.graph.remove_mutation_hook(self._hook)
+            self._hook = None
+
+    def serving_state(self) -> Dict[str, object]:
+        """The coordinator's freshness state, as every shard exports it."""
+        return self.freshness.export(self.router.graph)
 
     # -- detection plumbing (SocketTransport callbacks) ----------------
 
@@ -587,111 +493,30 @@ class FleetSupervisor:
             "fleet_heartbeat_age_seconds", shard=str(shard_id)
         ).observe(age)
 
-    # -- mutation bookkeeping ------------------------------------------
-
-    def before_mutation(self) -> None:
-        """Re-baseline shards the next log eviction would strand.
-
-        Called *before* the write lands on the coordinator's graph: the
-        shard payload is cut from that graph, the serving state is pulled
-        from the live worker, and the two describe the same version only
-        while no write is in flight.  (A baseline cut after the graph took
-        the write would pair a payload that contains it with a serving
-        state that never saw it: the respawned shard would skip that
-        write's invalidation.)  One cheap ``serving_state``
-        pull per endangered shard keeps exact replay possible for healthy
-        workers no matter how long the stream runs; a shard that is down
-        right now is skipped — its recovery will hit the horizon and take
-        the loud replan path instead.
-        """
-        entry = self.log.next_eviction()
-        if entry is None:
-            return
-        for shard_id, baseline in list(self._baselines.items()):
-            if baseline.version >= entry.version:
-                continue
-            try:
-                self.refresh_baseline(shard_id)
-            except (WorkerDown, ShardError, ShardTimeoutError):
-                continue  # down worker: replan path owns this case
-
-    def refresh_baseline(self, shard_id: int) -> None:
-        """Snapshot a live shard as the new rebuild point, at the current
-        graph version — correct only while no write is in flight (see
-        :meth:`before_mutation`).  The worker has replayed every command
-        the coordinator's graph took, so payload, serving state and
-        version line up exactly."""
-        worker = self.router.workers[shard_id]
-        state = worker.pull_serving_state().result(self.router.request_timeout)
-        self.set_baseline(
-            shard_id,
-            dict(
-                self._baselines[shard_id].args,
-                spec_payload=worker.spec.to_payload(),
-                serving_state=state["serving_state"],
-            ),
-            self.router.graph.version,
-        )
-
-    def record_mutation(self, kind: str, command: object) -> None:
-        """Log the command of the write the coordinator's graph just took
-        (before it is broadcast, so a worker dying at its barrier is caught
-        up by replay rather than by a re-send)."""
-        self.log.append(self.router.graph.version, kind, command)
-
     # -- recovery ------------------------------------------------------
 
     def recover(self, shard_id: int, reason: str = "unknown") -> Optional[RecoveryRecord]:
-        """Respawn, rebuild, catch up, verify, readmit.  Returns ``None``
-        when another caller already recovered the shard."""
+        """Respawn from the coordinator's present, verify, readmit.
+        Returns ``None`` when another caller already recovered the shard."""
         shard_id = int(shard_id)
-        lock = self._locks.setdefault(shard_id, threading.Lock())
-        with lock:
+        with self._locks.setdefault(shard_id, threading.Lock()):
             worker = self.router.workers[shard_id]
-            transport = worker.transport
-            if not getattr(transport, "is_down", False):
+            if not worker.transport.is_down:
                 return None  # concurrent recovery already swapped it
             start = time.perf_counter()
             detect_s = self._detect_seconds(shard_id, start)
-            baseline = self._baselines[shard_id]
-            mode = "replay"
-            try:
-                catchup = self.log.commands_since(baseline.version)
-            except MutationLogHorizonError as exc:
-                mode = "replan"
-                warnings.warn(
-                    f"shard {shard_id} {exc}; rebuilding it from checkpoint "
-                    "+ current plan (answers stay exact, but the shard comes "
-                    "back cold: its base store slice predates the missed "
-                    "writes, so all of it is stale)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._metrics.counter(
-                    "fleet_rebuilds_total",
-                    shard=str(shard_id),
-                    reason="log_horizon",
-                ).inc()
-                self.set_baseline(
-                    shard_id,
-                    dict(
-                        baseline.args,
-                        spec_payload=worker.spec.to_payload(),
-                        serving_state=None,
-                    ),
-                    self.router.graph.version,
-                )
-                baseline = self._baselines[shard_id]
-                catchup = []
-            new_transport = self.fleet.respawn(shard_id, baseline.args)
+            state = self.serving_state()
+            transport = self.fleet.respawn(
+                shard_id,
+                dict(
+                    self.fleet.engine_args[shard_id],
+                    spec_payload=worker.spec.to_payload(),
+                    serving_state=state,
+                ),
+            )
+            self._verify(shard_id, transport, state)
             respawned = time.perf_counter()
-            for entry in catchup:
-                new_transport.send(
-                    Envelope(kind="mutate", payload={"command": entry.command})
-                ).result(self.router.request_timeout)
-            self._verify(shard_id, new_transport)
-            replayed = time.perf_counter()
-            worker.swap_transport(new_transport)
+            worker.swap_transport(transport)
             self._metrics.counter(
                 "fleet_reconnects_total", shard=str(shard_id)
             ).inc()
@@ -701,14 +526,10 @@ class FleetSupervisor:
             record = RecoveryRecord(
                 shard_id=shard_id,
                 reason=reason,
-                mode=mode,
                 detect_s=detect_s,
                 respawn_s=respawned - start,
-                replay_s=replayed - respawned,
-                total_s=replayed - start + detect_s,
-                replayed_commands=len(catchup),
-                baseline_version=baseline.version,
-                target_version=int(self.router.graph.version),
+                total_s=respawned - start + detect_s,
+                target_version=int(state["graph_version"]),
             )
             self.recoveries.append(record)
             return record
@@ -719,26 +540,24 @@ class FleetSupervisor:
                 return max(0.0, now - event.mono)
         return 0.0
 
-    def _verify(self, shard_id: int, transport: Transport) -> None:
-        """A recovered engine must agree with the coordinator's graph on
-        the version before it serves anything."""
-        state = transport.send(Envelope(kind="serving_state")).result(
+    def _verify(
+        self, shard_id: int, transport: Transport, want: Dict[str, object]
+    ) -> None:
+        """A recovered engine must hold the coordinator's whole serving
+        state — graph version, write clock, touched stamps — before it
+        serves anything."""
+        got = transport.send(Envelope(kind="serving_state")).result(
             self.router.request_timeout
         )["serving_state"]
-        want = int(self.router.graph.version)
-        got = int(state["graph_version"])
-        if got != want:
+        differs = [key for key in want if got.get(key) != want[key]]
+        if differs:
             raise RuntimeError(
-                f"shard {shard_id} recovery diverged: engine graph version "
-                f"{got} != coordinator graph version {want}"
+                f"shard {shard_id} recovery diverged: the respawned engine's "
+                f"{', '.join(differs)} differ from the coordinator's"
             )
 
     def summary(self) -> Dict[str, object]:
         return {
             "worker_down_events": [event.to_record() for event in self.events],
             "recoveries": [record.to_record() for record in self.recoveries],
-            "mutation_log": {
-                "capacity": self.log.capacity,
-                "entries": len(self.log),
-            },
         }

@@ -161,39 +161,6 @@ def recv_message(
 # ----------------------------------------------------------------------
 
 
-class _SocketPendingReply(PendingReply):
-    """Future delivered by the transport's receiver thread.
-
-    A transport that goes down fails every pending with a ``WorkerDown``
-    error reply, so waiting callers get an error *reply*, not a hang; and
-    a timeout on a down transport raises :class:`WorkerDown`, never a
-    generic :class:`ShardTimeoutError`.
-    """
-
-    def __init__(self, transport: "SocketTransport", seq: int, kind: str) -> None:
-        super().__init__(transport.shard_id, kind)
-        self._transport = transport
-        self._seq = seq
-        self._event = threading.Event()
-        self._reply: Optional[Reply] = None
-
-    @property
-    def delivered(self) -> bool:
-        return self._event.is_set()
-
-    def deliver(self, reply: Reply) -> None:
-        self._reply = reply
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> Reply:
-        if not self._event.wait(timeout):
-            down = self._transport.down_exception
-            if down is not None:
-                raise down
-            raise ShardTimeoutError(self.shard_id, timeout or 0.0, self.kind)
-        return self._reply
-
-
 class SocketTransport(Transport):
     """One shard engine behind a TCP connection.
 
@@ -230,13 +197,13 @@ class SocketTransport(Transport):
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._pending: Dict[int, _SocketPendingReply] = {}
+        self._pending: Dict[int, PendingReply] = {}
         self._hb_sent: Dict[int, float] = {}  # seq -> perf_counter at send
         self._last_rx = 0.0
         self._down: Optional[WorkerDown] = None
         self._down_notified = threading.Event()  # on_down has returned
         self._stopping = False
-        self._ready = _SocketPendingReply(self, READY_SEQ, "ready")
+        self._ready = PendingReply(self, READY_SEQ, "ready")
         self._receiver: Optional[threading.Thread] = None
         self._heart: Optional[threading.Thread] = None
 
@@ -307,7 +274,7 @@ class SocketTransport(Transport):
             raise RuntimeError(f"shard {self.shard_id} transport not started")
         with self._send_lock:
             envelope.seq = self._next_seq()
-            pending = _SocketPendingReply(self, envelope.seq, envelope.kind)
+            pending = PendingReply(self, envelope.seq, envelope.kind)
             down = self._down
             if down is None:
                 with self._state_lock:

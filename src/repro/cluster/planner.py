@@ -99,7 +99,7 @@ class ShardSpec:
 
     def to_payload(self) -> Dict[str, object]:
         """This shard as plain arrays: *references* into ``graph``, no
-        copies.  Safe to hold (engine arguments, rebuild baselines): a
+        copies.  Safe to hold (engine arguments): a
         write replaces the graph's arrays, never writes into them, and
         appends feature rows past the end of this view, so a payload stays
         a snapshot of the version it was cut at."""

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.fleet import Fleet, FleetSupervisor, MutationLog
+from repro.cluster.fleet import Fleet, FleetSupervisor
 from repro.cluster.net import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_MISSES,
@@ -107,7 +107,6 @@ class ClusterRouter:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        mutation_log_capacity: int = 256,
     ) -> None:
         # First: a bad transport name or a workers= on the wrong transport
         # fails here, not deep inside a spawn path.
@@ -166,15 +165,13 @@ class ClusterRouter:
                     )
                 yield shard_config
 
-        # A socket fleet can lose workers, so it gets a supervisor: the
-        # bounded mutation log recovery replays from plus the per-shard
-        # rebuild baselines.  None on the inline transport — every
-        # supervision check below is a single ``is not None``.
+        # A socket fleet can lose workers, so it gets a supervisor, which
+        # holds the freshness state every shard holds and rebuilds a dead
+        # shard from it.  None on the inline transport — every supervision
+        # check below is a single ``is not None``.
         self.supervisor: Optional[FleetSupervisor] = None
         if transport == "socket":
-            self.supervisor = FleetSupervisor(
-                self, self.fleet, MutationLog(mutation_log_capacity)
-            )
+            self.supervisor = FleetSupervisor(self, self.fleet)
         self._closed = False
         # Request-lifecycle observability, both off by default — the guard
         # in _scatter_gather is a pair of ``is None`` checks, so the
@@ -196,20 +193,14 @@ class ClusterRouter:
                 for spec, channel in zip(self.plan.shards, channels)
             ]
             if self.supervisor is not None:
-                # The rebuild point of every shard is what it was just
-                # built from, at the current global version.
-                for shard_id, args in enumerate(self.fleet.engine_args):
-                    self.supervisor.set_baseline(shard_id, args, self.graph.version)
-                    self.registry.gauge(
-                        "fleet_worker_connected", shard=str(shard_id)
-                    ).set(1)
+                self.supervisor.start()
             if dist_tracing:
                 self.enable_dist_tracing()
             if slo_target is not None:
                 self.enable_slo(slo_target)
         except BaseException:
             # No caller holds this router yet: close what bring-up started.
-            self.fleet.close()
+            self.close()
             raise
 
     def _recover_worker(self, exc: WorkerDown) -> None:
@@ -217,7 +208,7 @@ class ClusterRouter:
 
         ``shard_errors_total{kind="transport"}`` puts wire failures on the
         same dashboard as engine error replies; the supervisor then
-        respawns + catches the worker up.
+        respawns the worker from the coordinator's present.
         """
         shard = exc.shard_id
         self.registry.counter(
@@ -320,9 +311,8 @@ class ClusterRouter:
                         try:
                             leg = self._gather_serve(reply)
                         except WorkerDown as down:
-                            # Serve legs are idempotent: recover the shard
-                            # (respawn + mutation-log catch-up), then
-                            # re-issue this exact group.
+                            # Serve legs are idempotent: recover the shard,
+                            # then re-issue this exact group.
                             self._recover_worker(down)
                             leg = self._gather_serve(send(shard, positions))
                     values = leg["values"]
@@ -449,7 +439,7 @@ class ClusterRouter:
         )
         if self.supervisor is not None:
             # Fleet health in the same report as latency: WorkerDown
-            # events, recovery breakdowns, mutation-log occupancy.
+            # events and recovery breakdowns.
             report["fleet"] = self.supervisor.summary()
         return report
 
@@ -475,8 +465,6 @@ class ClusterRouter:
         as the least-loaded shard — also adopts them into its owned set.
         """
         self._check_open()
-        if self.supervisor is not None:
-            self.supervisor.before_mutation()
         new_ids = self.graph.add_nodes(
             type_name, features=features, labels=labels, count=count
         )
@@ -499,8 +487,6 @@ class ClusterRouter:
         whole-graph server would, by read set.
         """
         self._check_open()
-        if self.supervisor is not None:
-            self.supervisor.before_mutation()
         version = self.graph.version
         self.graph.add_edges(edge_type, src, dst, symmetric=symmetric)
         if self.graph.version == version:
@@ -510,15 +496,12 @@ class ClusterRouter:
         )
 
     def _broadcast(self, command, *, kind: str) -> None:
-        """Log one command, ship it to every shard, gather every barrier ack.
+        """Ship one command to every shard, gather every barrier ack.
 
         A worker that dies at its barrier is recovered instead of retried:
-        the command was logged *before* the broadcast, so the supervisor's
-        catch-up replay applies it exactly once — re-sending here would
-        double-apply.
+        the coordinator's graph took the write before the broadcast, so the
+        shard is rebuilt past it — re-sending here would double-apply.
         """
-        if self.supervisor is not None:
-            self.supervisor.record_mutation(kind, command)
         pending = [worker.mutate(command) for worker in self.workers]
         for reply in pending:
             try:
@@ -619,10 +602,7 @@ class ClusterRouter:
         """
         merged = MetricsRegistry()
         if self.supervisor is not None:
-            up = sum(
-                0 if getattr(worker.transport, "is_down", False) else 1
-                for worker in self.workers
-            )
+            up = sum(not worker.transport.is_down for worker in self.workers)
             self.registry.gauge("fleet_workers_connected").set(up)
         merged.merge_payload(self.registry.to_payload())
         pending = [
@@ -679,6 +659,8 @@ class ClusterRouter:
         """Stop every transport (drains outstanding envelopes first)."""
         if self._closed:
             return
+        if self.supervisor is not None:
+            self.supervisor.close()
         self.fleet.close()
         self._closed = True
 

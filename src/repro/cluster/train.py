@@ -200,21 +200,6 @@ class TrainEngine:
         return {}
 
 
-class _PayloadField(PendingReply):
-    """Project one key out of a pending reply's payload at gather time."""
-
-    def __init__(self, inner: PendingReply, key: str) -> None:
-        super().__init__(inner.shard_id, inner.kind)
-        self._inner = inner
-        self._key = key
-
-    def wait(self, timeout: Optional[float] = None) -> Reply:
-        return self._inner.wait(timeout)
-
-    def result(self, timeout: Optional[float] = None) -> object:
-        return self._inner.result(timeout)[self._key]
-
-
 class TrainWorker:
     """Coordinator-side stub for one training shard.
 
@@ -244,9 +229,7 @@ class TrainWorker:
         )
 
     def export_grads(self) -> PendingReply:
-        return _PayloadField(
-            self.transport.send(Envelope(kind="train_grads")), "grads"
-        )
+        return self.transport.send(Envelope(kind="train_grads"))
 
     def apply_update(self, grads, norm: Optional[float]) -> PendingReply:
         return self.transport.send(
@@ -259,9 +242,7 @@ class TrainWorker:
     # -- pulls -------------------------------------------------------------
 
     def checkpoint(self) -> PendingReply:
-        return _PayloadField(
-            self.transport.send(Envelope(kind="train_checkpoint")), "checkpoint"
-        )
+        return self.transport.send(Envelope(kind="train_checkpoint"))
 
     def pull_metrics(self) -> PendingReply:
         return self.transport.send(Envelope(kind="metrics"))
@@ -464,7 +445,7 @@ class DistributedTrainer:
             (worker.spec.shard_id, worker.checkpoint()) for worker in self.workers
         ]
         for shard_id, reply in pending:
-            data = reply.result(self.request_timeout)
+            data = reply.result(self.request_timeout)["checkpoint"]
             final = directory / f"shard-{shard_id}.npz"
             staging = directory / f".shard-{shard_id}.npz.tmp"
             staging.write_bytes(data)
@@ -489,8 +470,8 @@ class DistributedTrainer:
         fleet's model.  Pass ``graph`` to bind it for evaluation.
         """
         self._check_open()
-        data = self.workers[0].checkpoint().result(self.request_timeout)
-        with checkpoint_path(None, data) as staged:
+        reply = self.workers[0].checkpoint().result(self.request_timeout)
+        with checkpoint_path(None, reply["checkpoint"]) as staged:
             return WidenClassifier.load(staged, graph=graph)
 
     # ------------------------------------------------------------------

@@ -38,6 +38,7 @@ router.
 from __future__ import annotations
 
 import pickle
+import threading
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -192,16 +193,37 @@ class PendingReply:
 
     The async scatter-gather contract: ``send`` never blocks on the
     *answer*, and the router gathers whole groups of pending replies after
-    issuing them all.
+    issuing them all.  The transport :meth:`deliver`\\ s the reply — the
+    inline one before ``send`` returns, the socket one from its receive
+    thread.  A transport that goes down delivers a ``WorkerDown`` error
+    reply to every pending, and a wait that times out on a down transport
+    raises :class:`WorkerDown`, never :class:`ShardTimeoutError`.
     """
 
-    def __init__(self, shard_id: int, kind: str) -> None:
-        self.shard_id = shard_id
+    def __init__(self, transport: "Transport", seq: int, kind: str) -> None:
+        self.shard_id = transport.shard_id
         self.kind = kind
+        self._transport = transport
+        self._seq = seq
+        self._event = threading.Event()
+        self._reply: Optional[Reply] = None
+
+    @property
+    def delivered(self) -> bool:
+        return self._event.is_set()
+
+    def deliver(self, reply: Reply) -> "PendingReply":
+        self._reply = reply
+        self._event.set()
+        return self
 
     def wait(self, timeout: Optional[float] = None) -> Reply:
         """Block for the raw :class:`Reply` (ok or error)."""
-        raise NotImplementedError
+        if not self._event.wait(timeout):
+            if self._transport.is_down:
+                raise self._transport.down_exception
+            raise ShardTimeoutError(self.shard_id, timeout or 0.0, self.kind)
+        return self._reply
 
     def result(self, timeout: Optional[float] = None) -> object:
         """The reply payload; raises what :meth:`unwrap` does on an error."""
@@ -217,15 +239,6 @@ class PendingReply:
         if error.get("type") == "WorkerDown":
             raise WorkerDown.from_error(self.shard_id, error)
         raise ShardError(self.shard_id, error)
-
-
-class _ResolvedReply(PendingReply):
-    def __init__(self, shard_id: int, kind: str, reply: Reply) -> None:
-        super().__init__(shard_id, kind)
-        self._reply = reply
-
-    def wait(self, timeout: Optional[float] = None) -> Reply:
-        return self._reply
 
 
 class Transport:
@@ -253,6 +266,12 @@ class Transport:
 
     def stop(self, timeout: float = 10.0) -> None:
         """Shut the engine down; drains outstanding envelopes first."""
+
+    @property
+    def is_down(self) -> bool:
+        """Whether the engine behind the channel is unreachable (only a
+        socket worker can be)."""
+        return False
 
 
 def _safe_handle(engine, envelope: Envelope) -> Reply:
@@ -295,7 +314,7 @@ class InlineTransport(Transport):
         envelope.seq = self._next_seq()
         wire = pickle.loads(pickle.dumps(envelope))
         reply = pickle.loads(pickle.dumps(_safe_handle(self._engine, wire)))
-        return _ResolvedReply(self.shard_id, envelope.kind, reply)
+        return PendingReply(self, envelope.seq, envelope.kind).deliver(reply)
 
     def stop(self, timeout: float = 10.0) -> None:
         if self._engine is not None:

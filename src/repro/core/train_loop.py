@@ -116,7 +116,7 @@ class LocalTrainClient:
         return _Immediate(self.trainer.run_microbatch(start))
 
     def export_grads(self) -> _Immediate:
-        return _Immediate(self.trainer.export_grads())
+        return _Immediate({"grads": self.trainer.export_grads()})
 
     def apply_update(self, grads, norm: Optional[float]) -> _Immediate:
         self.trainer.apply_update(grads, norm=norm)
@@ -270,9 +270,12 @@ class TrainLoop:
                 f"no client owns any node of the microbatch at offset {start}"
             )
         began = time.perf_counter()
-        grad_lists = self._gather(
-            [self.clients[i].export_grads() for i in contributors]
-        )
+        grad_lists = [
+            reply["grads"]
+            for reply in self._gather(
+                [self.clients[i].export_grads() for i in contributors]
+            )
+        ]
         reduced = reduce_gradients(
             grad_lists, [counts[i] for i in contributors], total
         )

@@ -309,7 +309,7 @@ class HeteroGraph:
         of ``concat(old, new)`` would put them, at the cost of one stable
         sort of the *batch* instead of the whole edge set.  The arrays are
         replaced, never written into, so references handed out earlier
-        (shard payloads, rebuild baselines) keep their snapshot.
+        (shard payloads, engine arguments) keep their snapshot.
 
         Fires one ``"add_edges"`` event.
         """

@@ -101,7 +101,6 @@ DEFAULT_HELP: Dict[str, str] = {
     "fleet_workers_connected": "Socket workers currently connected, fleet-wide.",
     "fleet_worker_down_total": "WorkerDown events by shard and reason.",
     "fleet_reconnects_total": "Workers respawned and readmitted after WorkerDown.",
-    "fleet_rebuilds_total": "Recoveries forced past the mutation-log horizon (full replan).",
     "fleet_heartbeat_age_seconds": "Round-trip age of answered heartbeats, per shard.",
     "slo_window_requests": "Requests inside the rolling SLO window.",
     "slo_error_budget_remaining": "Fraction of the SLO error budget left (1 = untouched).",

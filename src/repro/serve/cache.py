@@ -6,7 +6,8 @@ see :meth:`repro.core.state.NeighborTable.read_sets`) and the *stamp*, the
 server's write clock when it was computed.  :func:`fresh_mask` is the one
 freshness rule every materialization tier shares — cache entries and
 store rows, built offline or refreshed since, alike: an entry is exact
-until a write touches one of the lists it read.
+until a write touches one of the lists it read.  :class:`WriteClock` holds
+the state the rule reads and the one rule by which a write advances it.
 
 Stale entries are not found at lookup time; the server sweeps the resident
 entries (at most ``capacity``) once per write with :meth:`stale_nodes` and
@@ -19,7 +20,7 @@ instead of a loop over entries.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +39,76 @@ def fresh_mask(
     the gather needs no mask.
     """
     return touched_at[reads].max(axis=1) <= stamps
+
+
+class WriteClock:
+    """The freshness state :func:`fresh_mask` reads, and the rule that
+    advances it: the write clock and, per node, the clock of the last write
+    that changed its adjacency list.
+
+    Every write is one tick.  An arrival extends the array and stamps the
+    new ids (no existing list changed), ``add_edges`` stamps the event's
+    ``sources``, and a rewire of unknown extent stamps every node.  A store
+    built at another graph version saw writes this clock never counted, so
+    attaching one stamps every node too.  The rule is a function of the
+    write stream alone, so a whole-graph server, every shard of a fleet and
+    the fleet's coordinator, each fed the same writes, hold the same state.
+    """
+
+    def __init__(self, num_nodes: int) -> None:
+        self.clock = 0
+        self.touched_at = np.zeros(num_nodes, dtype=np.int64)
+
+    def touch(self, nodes: np.ndarray) -> None:
+        self.clock += 1
+        self.touched_at[nodes] = self.clock
+
+    def observe(self, graph) -> Tuple[np.ndarray, str]:
+        """Stamp what ``graph.last_mutation`` touched (a graph mutation
+        hook).  Returns the touched ids and the ``reason`` label."""
+        event = graph.last_mutation
+        arrived = graph.num_nodes - self.touched_at.size
+        if arrived > 0:
+            self.touched_at = np.concatenate(
+                [self.touched_at, np.zeros(arrived, dtype=np.int64)]
+            )
+        if event.kind == "add_nodes":
+            touched, reason = event.nodes, "frontier"
+        elif event.sources.size or event.kind == "add_edges":
+            # Read sets name the dependents of a changed list exactly.
+            touched, reason = event.sources, "frontier"
+        else:
+            touched, reason = np.arange(graph.num_nodes), "full"
+        self.touch(touched)
+        return touched, reason
+
+    def attach_store(self, store, graph) -> None:
+        """Base store rows carry stamp 0, comparable only when the store
+        was built from the graph as it is now."""
+        if int(store.meta["graph_version"]) != graph.version:
+            self.touch(np.arange(graph.num_nodes))
+
+    def export(self, graph) -> Dict[str, object]:
+        """The state as plain data; ``touched`` is sparse (only nodes a
+        write has reached)."""
+        touched = np.flatnonzero(self.touched_at)
+        return {
+            "clock": int(self.clock),
+            "touched": dict(
+                zip(touched.tolist(), self.touched_at[touched].tolist())
+            ),
+            "graph_version": int(graph.version),
+        }
+
+    def restore(self, state: Dict[str, object]) -> None:
+        """Adopt an exported clock and stamps."""
+        self.clock = int(state["clock"])
+        self.touched_at = np.zeros_like(self.touched_at)
+        touched = dict(state["touched"])
+        if touched:
+            self.touched_at[np.fromiter(touched, np.int64, len(touched))] = (
+                np.fromiter(touched.values(), np.int64, len(touched))
+            )
 
 
 class EmbeddingCache:

@@ -31,7 +31,8 @@ adjacency lists its sample consulted
 (:meth:`~repro.core.state.NeighborTable.read_sets`, at most
 ``1 + Φ·N_d`` of them) and the *stamp*, this server's write clock when it
 was made.  ``touched_at[u]`` is the clock of the last write that changed
-``u``'s list, and one rule decides freshness everywhere
+``u``'s list (both held by :class:`~repro.serve.cache.WriteClock`, which a
+fleet's coordinator runs too), and one rule decides freshness everywhere
 (:func:`~repro.serve.cache.fresh_mask`): fresh iff
 ``touched_at[reads].max() <= stamp``.  A write costs ``clock += 1;
 touched_at[sources] = clock`` plus one sweep of the (at most capacity)
@@ -61,7 +62,7 @@ from repro.graph import HeteroGraph
 from repro.graph import mutation_frontier  # noqa: F401
 from repro.obs import MetricsRegistry, get_registry
 from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import EmbeddingCache, fresh_mask
+from repro.serve.cache import EmbeddingCache, WriteClock, fresh_mask
 from repro.serve.telemetry import KINDS, RUNGS, Telemetry
 
 
@@ -144,11 +145,9 @@ class InferenceServer:
         # reported throughput) reflect sequential execution even when a
         # logical replay clock drives the arrivals.
         self._busy_until = float("-inf")
-        # Freshness state (module docstring): the local write clock and,
-        # per node, the clock of the last write that changed its adjacency
-        # list.  A server starts at clock 0 with nothing touched.
-        self._clock = 0
-        self._touched_at = np.zeros(graph.num_nodes, dtype=np.int64)
+        # Freshness state (module docstring).  A server starts at clock 0
+        # with nothing touched.
+        self.freshness = WriteClock(graph.num_nodes)
         # Optional Prometheus text exposition: rewritten atomically at most
         # once per ``prometheus_interval`` seconds of request-clock time
         # (textfile-collector convention; no HTTP listener in this repo).
@@ -183,8 +182,8 @@ class InferenceServer:
         if reason is not None:
             raise ValueError(f"store incompatible with this server: {reason}")
         self.store = store
-        if int(store.meta["graph_version"]) != self.graph.version:
-            self._touch(np.arange(self.graph.num_nodes))
+        self.freshness.attach_store(store, self.graph)
+        self._sweep_cache()
 
     @classmethod
     def from_checkpoint(
@@ -204,39 +203,26 @@ class InferenceServer:
     # ------------------------------------------------------------------
 
     def export_serving_state(self) -> Dict[str, object]:
-        """The freshness state, as plain data.
+        """The freshness state, as plain data (:meth:`WriteClock.export`).
 
         Answers do not depend on it (they are a function of the current
         graph); *which materializations may still be served* does.  A
         respawned shard starts from its base store slice, whose rows all
         carry stamp 0, and needs ``(clock, touched)`` to know which of them
-        writes have since undercut.  ``touched`` is sparse: only nodes a
-        write has reached.  ``graph_version`` lets a supervisor check a
-        replayed engine against its mirror.
+        writes have since undercut.  A fleet's supervisor holds the same
+        state for the coordinator's graph and checks a respawned engine's
+        export against it, ``graph_version`` included.
         """
-        touched = np.flatnonzero(self._touched_at)
-        return {
-            "clock": int(self._clock),
-            "touched": {
-                int(node): int(stamp)
-                for node, stamp in zip(touched, self._touched_at[touched])
-            },
-            "graph_version": int(self.graph.version),
-        }
+        return self.freshness.export(self.graph)
 
     def restore_serving_state(self, state: Dict[str, object]) -> None:
-        """Adopt an exported write clock and touched stamps (replayed server).
+        """Adopt an exported write clock and touched stamps (respawned
+        shard).
 
         Cached embeddings are dropped: their stamps count another
         timeline's writes.
         """
-        self._clock = int(state["clock"])
-        self._touched_at = np.zeros(self.graph.num_nodes, dtype=np.int64)
-        touched = dict(state["touched"])
-        if touched:
-            self._touched_at[np.fromiter(touched, np.int64, len(touched))] = (
-                np.fromiter(touched.values(), np.int64, len(touched))
-            )
+        self.freshness.restore(state)
         self.cache.invalidate()
 
     # ------------------------------------------------------------------
@@ -427,35 +413,17 @@ class InferenceServer:
         self._prometheus_last_flush = now
         self.flush_prometheus()
 
-    def _touch(self, nodes: np.ndarray) -> int:
-        """A write changed ``nodes``' adjacency lists: advance the clock,
-        stamp them, drop the resident cache entries the freshness rule now
-        rejects.  Returns how many were dropped.  Store rows are not
-        visited — a stale one is found when a miss batch looks it up."""
-        self._clock += 1
-        self._touched_at[nodes] = self._clock
+    def _sweep_cache(self) -> int:
+        """Drop the resident cache entries the freshness rule now rejects;
+        returns how many.  Store rows are not visited — a stale one is
+        found when a miss batch looks it up."""
         return self.cache.invalidate_nodes(
-            self.cache.stale_nodes(self._touched_at)
+            self.cache.stale_nodes(self.freshness.touched_at)
         )
 
     def _on_graph_mutation(self, graph: HeteroGraph) -> None:
-        event = graph.last_mutation
-        arrived = graph.num_nodes - self._touched_at.size
-        if arrived > 0:
-            self._touched_at = np.concatenate(
-                [self._touched_at, np.zeros(arrived, dtype=np.int64)]
-            )
-        if event.kind == "add_nodes":
-            # Appended nodes start isolated: no existing adjacency list
-            # changed, so every materialization is still exact.
-            touched, reason = event.nodes, "frontier"
-        elif event.sources.size or event.kind == "add_edges":
-            # Read sets name the dependents of a changed list exactly.
-            touched, reason = event.sources, "frontier"
-        else:
-            # A rewire of unknown extent: every node counts as touched.
-            touched, reason = np.arange(graph.num_nodes), "full"
-        dropped = self._touch(touched)
+        touched, reason = self.freshness.observe(graph)
+        dropped = self._sweep_cache()
         self.telemetry.record_invalidation(
             frontier_size=int(len(touched)),
             dropped=dropped,
@@ -539,7 +507,7 @@ class InferenceServer:
         store = self.store
         have = store.versions_of(nodes_arr)
         reads = store.reads_of(nodes_arr)
-        fresh = fresh_mask(self._touched_at, reads, have)
+        fresh = fresh_mask(self.freshness.touched_at, reads, have)
         rungs = _STORE_RUNGS[fresh * (1 + (have > 0))].tolist()
         embeddings = np.empty((nodes_arr.size, int(store.meta["dim"])))
         embeddings[fresh] = store.blocks_for(nodes_arr[fresh])[0]
@@ -549,7 +517,7 @@ class InferenceServer:
                 nodes_arr[stale], self.graph, self.seed, return_reads=True
             )
             store.refresh(
-                nodes_arr[stale], self._clock, embeddings[stale], reads[stale]
+                nodes_arr[stale], self.freshness.clock, embeddings[stale], reads[stale]
             )
         hit = int(fresh.sum())
         absent = int((have < 0).sum())
@@ -590,7 +558,7 @@ class InferenceServer:
                 miss_nodes, computed, miss_rungs, miss_reads
             ):
                 self.cache.put(
-                    node, embedding, stamp=self._clock, reads=read_set
+                    node, embedding, stamp=self.freshness.clock, reads=read_set
                 )
                 embeddings[node] = embedding
                 rung[node] = node_rung

@@ -122,7 +122,7 @@ class TestSpliceEqualsRebuild:
                 np.testing.assert_array_equal(got, want)
 
     def test_splice_replaces_arrays_instead_of_writing_into_them(self):
-        """Shard payloads and rebuild baselines hold references to the CSR
+        """Shard payloads and engine arguments hold references to the CSR
         arrays; a later write must leave those snapshots untouched."""
         graph = HeteroGraph(
             node_types=np.zeros(4, np.int64), src=[0, 1], dst=[1, 2],

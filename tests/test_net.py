@@ -6,25 +6,25 @@ both sides, EOF inside a frame vs. between frames.  The transport protocol
 is tested against stub TCP servers — out-of-order replies matched by
 sequence number, a mid-stream reset becoming a typed error ``Reply``
 rather than a hang, a hung-but-connected server tripping the heartbeat
-detector.  The :class:`MutationLog` is tested as a data structure —
-bounding, per-shard horizons, loud refusal past them.  Finally the
-integration layer runs real loopback fleets: 1/2/4-shard socket routers
-must answer an interleaved mutation/serve stream bit-identically to a
-whole-graph server, and a SIGKILL'd worker must come back — typed
-:class:`WorkerDown` (never a generic timeout), respawn from checkpoint,
-mutation-log replay to the current graph version — with every
-post-recovery answer exact.
+detector.  Finally the integration layer runs real loopback fleets:
+1/2/4-shard socket routers must answer an interleaved mutation/serve
+stream bit-identically to a whole-graph server, every shard must hold the
+freshness state the coordinator holds, and a SIGKILL'd worker must come
+back — typed :class:`WorkerDown` (never a generic timeout), respawn from
+checkpoint, the current shard payload and the coordinator's freshness
+state — warm, with every post-recovery answer exact.
 """
 
 import pickle
 import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterRouter
-from repro.cluster.fleet import MutationLog, MutationLogHorizonError
+from repro.cluster.fleet import Fleet
 from repro.cluster.net import (
     ConnectionClosed,
     FrameTooLargeError,
@@ -46,6 +46,8 @@ from repro.cluster.transport import (
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
+from repro.serve.cache import fresh_mask
+from repro.store import build_store
 
 
 @pytest.fixture(scope="module")
@@ -443,48 +445,6 @@ class TestSocketTransportProtocol:
 
 
 # ----------------------------------------------------------------------
-# MutationLog
-# ----------------------------------------------------------------------
-
-
-class TestMutationLog:
-    def test_bounded_with_per_shard_horizon(self):
-        """One horizon for the whole log (every shard replays every
-        command); what is per shard is the baseline it is compared to."""
-        log = MutationLog(capacity=2)
-        assert log.horizon == -1 and log.next_eviction() is None
-        log.append(1, "add_nodes", "c1")
-        log.append(2, "add_edges", "c2")
-        assert log.next_eviction().version == 1
-        log.append(3, "add_nodes", "c3")  # evicts v1
-        assert len(log) == 2
-        # A baseline at v0 predates the horizon (v1 was evicted).
-        with pytest.raises(MutationLogHorizonError) as excinfo:
-            log.commands_since(0)
-        assert excinfo.value.horizon == 1 and excinfo.value.baseline_version == 0
-        # A baseline at the horizon itself is fine: nothing missing.
-        assert [(e.version, e.command) for e in log.commands_since(1)] == [
-            (2, "c2"), (3, "c3"),
-        ]
-
-    def test_commands_since_filters_by_shard_and_version(self):
-        """Entries hold one command for all shards; the filter is the
-        baseline version alone."""
-        log = MutationLog(capacity=10)
-        log.append(1, "add_nodes", "a")
-        log.append(2, "add_edges", "b")
-        log.append(3, "add_edges", "c")
-        assert [e.command for e in log.commands_since(0)] == ["a", "b", "c"]
-        assert [e.kind for e in log.commands_since(1)] == ["add_edges"] * 2
-        assert [e.command for e in log.commands_since(2)] == ["c"]
-        assert log.commands_since(3) == []
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            MutationLog(capacity=0)
-
-
-# ----------------------------------------------------------------------
 # Eager transport validation
 # ----------------------------------------------------------------------
 
@@ -505,6 +465,12 @@ class TestTransportValidation:
             ClusterRouter.from_checkpoint(
                 checkpoint, fresh_graph(), 2, transport="inline",
                 workers=["127.0.0.1:1", "127.0.0.1:2"],
+            )
+
+    def test_mutation_log_capacity_is_not_an_option(self, checkpoint):
+        with pytest.raises(TypeError, match="mutation_log_capacity"):
+            ClusterRouter(
+                str(checkpoint), fresh_graph(), 2, mutation_log_capacity=2
             )
 
 
@@ -552,6 +518,41 @@ def loopback_fleet(checkpoint, num_shards, graph=None, **kwargs):
     return router, servers
 
 
+@pytest.fixture(scope="module")
+def store_path(checkpoint, tmp_path_factory):
+    """A store built from the graph every fleet here starts from."""
+    graph = fresh_graph()
+    path = tmp_path_factory.mktemp("net-store") / "store"
+    build_store(WidenClassifier.load(checkpoint, graph=graph), graph, path, seed=7)
+    return str(path)
+
+
+def store_server(checkpoint, store_path):
+    """The whole-graph oracle of a store-backed fleet."""
+    from repro.store import AggregateStore
+
+    graph = fresh_graph()
+    return InferenceServer(
+        WidenClassifier.load(checkpoint, graph=graph), graph, seed=7,
+        store=AggregateStore.open(store_path),
+    )
+
+
+def expected_rungs(router, store_path, nodes):
+    """The rungs a shard holding the coordinator's freshness state and its
+    base store slice serves ``nodes`` on, with an empty cache."""
+    from repro.store import AggregateStore
+
+    store = AggregateStore.open(store_path)
+    fresh = fresh_mask(
+        router.supervisor.freshness.touched_at,
+        store.reads_of(nodes),
+        store.versions_of(nodes),
+    )
+    counts = {"store": int(fresh.sum()), "recompute": int((~fresh).sum())}
+    return {rung: count for rung, count in counts.items() if count}
+
+
 class TestSocketFleetExactness:
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_interleaved_stream_bit_identical(
@@ -568,6 +569,53 @@ class TestSocketFleetExactness:
         for ours, want in zip(got, stream_reference):
             np.testing.assert_array_equal(ours, want)
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_every_shard_holds_the_coordinators_freshness_state(
+        self, checkpoint, store_path, num_shards
+    ):
+        """Write clock, touched stamps and graph version agree on every
+        shard and on the coordinator after each write — arrivals owned by
+        every shard, edge batches, an empty batch — which is what lets
+        recovery rebuild a shard from the coordinator's present."""
+        router, servers = loopback_fleet(
+            checkpoint, num_shards, store_path=store_path
+        )
+        try:
+            dim = router.graph.features.shape[1]
+            authors = router.graph.nodes_of_type("author")
+
+            def assert_agree():
+                want = router.supervisor.serving_state()
+                for worker in router.workers:
+                    got = worker.pull_serving_state().result(60.0)
+                    assert got["serving_state"] == want
+
+            owners = set()
+            for step in range(num_shards):
+                # Sized to make the least-loaded shard the largest, so the
+                # next arrival goes to another shard.
+                sizes = [spec.num_owned for spec in router.plan.shards]
+                count = max(sizes) - min(sizes) + 1
+                new = int(router.add_nodes(
+                    "paper", features=np.full((count, dim), 0.1 * step)
+                )[0])
+                owners.add(router.plan.owner(new))
+                router.add_edges("paper-author", [new], [int(authors[step])])
+                assert_agree()
+            assert owners == set(range(num_shards))
+            router.add_edges("paper-author", [], [])  # empty: no tick
+            router.add_edges(
+                "paper-subject", [int(new), 3], [int(authors[-1]), 5]
+            )
+            assert_agree()
+            state = router.supervisor.serving_state()
+            assert state["graph_version"] == router.graph.version
+            assert state["clock"] == router.graph.version > 0
+        finally:
+            router.close()
+            for server in servers:
+                server.close()
+
     def test_fleet_metrics_exposed(self, checkpoint):
         from repro.obs import SLOTarget
 
@@ -580,17 +628,30 @@ class TestSocketFleetExactness:
             assert "fleet_workers_connected 2" in text
             assert 'fleet_worker_connected{shard="0"} 1' in text
             report = router.slo_report()
-            assert report["fleet"]["worker_down_events"] == []
-            assert report["fleet"]["mutation_log"]["entries"] == 5
+            assert report["fleet"] == {
+                "worker_down_events": [], "recoveries": []
+            }
         finally:
             router.close()
             for server in servers:
                 server.close()
 
-    def test_logged_edge_write_is_a_delta_not_a_shard_snapshot(self, checkpoint):
-        """The 256-entry MutationLog retains every broadcast command: a
-        2-edge write on a 5k-node graph must log a few hundred bytes, not
+    def test_logged_edge_write_is_a_delta_not_a_shard_snapshot(
+        self, checkpoint, monkeypatch
+    ):
+        """The command a write broadcasts to every shard is a delta: a
+        2-edge write on a 5k-node graph must ship a few hundred bytes, not
         a graph's edge arrays and feature matrix (megabytes)."""
+        from repro.cluster.worker import ShardWorker
+
+        sent = []
+        real_mutate = ShardWorker.mutate
+
+        def recording(worker, command):
+            sent.append(Envelope(kind="mutate", payload={"command": command}))
+            return real_mutate(worker, command)
+
+        monkeypatch.setattr(ShardWorker, "mutate", recording)
         graph = make_acm(seed=0, scale=5.0).graph  # same schema, 10x the nodes
         assert graph.num_nodes >= 5000
         router, servers = loopback_fleet(checkpoint, 2, graph=graph)
@@ -598,10 +659,11 @@ class TestSocketFleetExactness:
             papers = graph.nodes_of_type("paper")[:2]
             authors = graph.nodes_of_type("author")[-2:]
             router.add_edges("paper-author", papers, authors)
-            entry = router.supervisor.log.entries[-1]
-            assert entry.kind == "add_edges"
-            assert len(pickle.dumps(entry)) < 8 * 1024
-            assert entry.command.src.size == 4  # the batch, both directions
+            assert len(sent) == 2  # one envelope per shard, same command
+            envelope = sent[-1]
+            assert len(pickle.dumps(envelope)) < 8 * 1024
+            command = envelope.payload["command"]
+            assert command.src.size == 4  # the batch, both directions
         finally:
             router.close()
             for server in servers:
@@ -616,8 +678,8 @@ class TestSocketFleetExactness:
 class TestKillRecover:
     def test_sigkill_recovers_bit_identical(self, checkpoint):
         """The tentpole contract: SIGKILL a worker mid-stream; the fleet
-        detects a typed WorkerDown, respawns from checkpoint + plan,
-        replays the mutation log, and every later answer is exact."""
+        detects a typed WorkerDown, respawns from checkpoint + the
+        coordinator's present, and every later answer is exact."""
         graph = fresh_graph()
         single = InferenceServer(
             WidenClassifier.load(checkpoint, graph=graph), graph, seed=7
@@ -647,10 +709,9 @@ class TestKillRecover:
             events = summary["worker_down_events"]
             assert events and events[0]["shard"] == 0
             assert events[0]["reason"] in ("connection_reset", "send_failed")
-            recoveries = summary["recoveries"]
-            assert [r["mode"] for r in recoveries] == ["replay"]
-            assert recoveries[0]["replayed_commands"] == 2
-            assert recoveries[0]["target_version"] == router.graph.version
+            (recovery,) = summary["recoveries"]
+            assert recovery["shard"] == 0
+            assert recovery["target_version"] == router.graph.version
             assert router.workers[0].respawns == 1
 
             # Mutations after recovery stay exact (the replica caught up).
@@ -671,10 +732,10 @@ class TestKillRecover:
             router.close()
 
     def test_delta_command_replay_converges_bit_identical(self, checkpoint):
-        """Kill -> respawn -> replay of a *delta* stream: the baseline is
-        the spawn-time shard, so recovery must rebuild the current replica
-        from the broadcast commands alone — including an arrival another
-        shard owns, whose features reach the killed shard only inside the
+        """Kill -> respawn after a *delta* stream: the shard is rebuilt from
+        the coordinator's current graph, which must hold everything the
+        broadcast commands carried — including an arrival another shard
+        owns, whose features reached the killed shard only inside the
         arrival's command, and the edges later attached to it."""
         graph = fresh_graph()
         single = InferenceServer(
@@ -709,8 +770,8 @@ class TestKillRecover:
                 router.classify(nodes), single.classify(nodes)
             )
             (recovery,) = router.supervisor.summary()["recoveries"]
-            assert recovery["mode"] == "replay" and recovery["shard"] == victim
-            assert recovery["replayed_commands"] == 4  # arrival + 3 edge writes
+            assert recovery["shard"] == victim
+            assert recovery["target_version"] == 4  # arrival + 3 edge writes
 
             # The recovered engine keeps tracking the graph under new deltas.
             for target in (router, single):
@@ -719,28 +780,19 @@ class TestKillRecover:
         finally:
             router.close()
 
-    def test_recovery_from_a_refreshed_baseline_is_exact(self, checkpoint, tmp_path):
-        """A log of two under a stream of five writes: the healthy shards
-        are re-baselined mid-stream, *before* the write that would strand
-        them lands on the coordinator's graph, so a later kill recovers by
-        replay from the refreshed baseline — one command — and not by
-        replan.  The fleet serves from store slices, which is what
-        makes the ordering observable: a baseline cut after the graph took
-        a write pairs a payload that contains it with a serving state that
-        never saw it, and the respawned shard would serve the store rows
-        that write undercut."""
-        from repro.store import build_store
-
-        graph = fresh_graph()
-        classifier = WidenClassifier.load(checkpoint, graph=graph)
-        store_path = tmp_path / "store"
-        build_store(classifier, graph, store_path, seed=7)
-        single = InferenceServer(classifier, graph, seed=7)
+    def test_recovered_shard_is_warm_and_exact(self, checkpoint, store_path):
+        """A store-backed shard killed after writes that undercut some of
+        its rows comes back from the coordinator's freshness state: its
+        first op after the respawn serves every row nothing touched from
+        the ``store`` rung and recomputes exactly the touched ones — warm,
+        and equal to the single server."""
+        single = store_server(checkpoint, store_path)
         router = ClusterRouter.from_checkpoint(
             checkpoint, fresh_graph(), 2, transport="socket", seed=7,
-            mutation_log_capacity=2, store_path=str(store_path),
+            store_path=store_path,
         )
         try:
+            router.enable_slo()  # attribution records carry rung counts
             dim = router.graph.features.shape[1]
             probe = np.random.default_rng(11).choice(200, size=8, replace=False)
             np.testing.assert_array_equal(router.embed(probe), single.embed(probe))
@@ -748,23 +800,24 @@ class TestKillRecover:
                 first = target.add_nodes("paper", features=np.full((2, dim), 0.3))
                 target.add_edges("paper-author", [int(first[0])], [1])
                 target.add_edges("paper-subject", [int(first[1]), int(probe[0])], [7, 9])
-                second = target.add_nodes("paper", features=np.full((1, dim), -0.2))
-                # The write a refresh precedes; it rewrites probe[1]'s list.
-                target.add_edges("paper-author", [int(second[0])], [int(probe[1])])
-            assert router.graph.version == 5 and len(router.supervisor.log) == 2
+                # The last write before the kill rewrites probe[1]'s list.
+                target.add_edges("paper-author", [int(probe[1])], [int(first[0])])
 
             victim = router.plan.owner(int(probe[1]))
+            owned = router.plan.shards[victim].owned
+            nodes = np.unique(np.concatenate([owned[:40], probe[
+                router.plan.owner_of[probe] == victim
+            ]]))
             router.fleet.registry.kill(victim)
-            nodes = np.concatenate([probe, first, second])
+            want = expected_rungs(router, store_path, nodes)
+            assert want["store"] > 0 and want["recompute"] > 0
             np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+            assert router.attributions[-1].rungs == want
+            (recovery,) = router.supervisor.summary()["recoveries"]
+            assert recovery["shard"] == victim and recovery["target_version"] == 4
             np.testing.assert_array_equal(
                 router.classify(nodes), single.classify(nodes)
             )
-            (recovery,) = router.supervisor.summary()["recoveries"]
-            assert recovery["mode"] == "replay" and recovery["shard"] == victim
-            assert recovery["baseline_version"] == 4  # refreshed, not spawn-time
-            assert recovery["replayed_commands"] == 1
-            assert recovery["target_version"] == 5
 
             for target in (router, single):
                 target.add_edges("paper-author", [int(first[1])], [3])
@@ -773,9 +826,9 @@ class TestKillRecover:
             router.close()
 
     def test_kill_during_mutation_applies_exactly_once(self, checkpoint):
-        """A worker killed before a mutation fan-out: the command is in the
-        log before the send, so recovery replays it exactly once — no
-        double-apply, no loss."""
+        """A worker killed before a mutation fan-out: the coordinator's
+        graph took the write before the send, so the respawned shard is
+        rebuilt past it exactly once — no double-apply, no loss."""
         graph = fresh_graph()
         single = InferenceServer(
             WidenClassifier.load(checkpoint, graph=graph), graph, seed=7
@@ -797,92 +850,86 @@ class TestKillRecover:
             np.testing.assert_array_equal(
                 router.embed(nodes), single.embed(nodes)
             )
-            modes = [
-                r["mode"] for r in router.supervisor.summary()["recoveries"]
-            ]
-            assert modes == ["replay"]
+            (recovery,) = router.supervisor.summary()["recoveries"]
+            assert recovery["shard"] == 1 and recovery["target_version"] == 1
+            state = router.workers[1].pull_serving_state().result(60.0)
+            assert state["serving_state"] == router.supervisor.serving_state()
         finally:
             router.close()
 
-    def test_log_horizon_forces_loud_replan(self, checkpoint):
-        """A worker behind the bounded log's horizon is never served stale:
-        recovery refuses exact replay, warns, and rebuilds from the current
-        plan — counted as a rebuild, flagged as mode=replan."""
+    def test_recovery_after_a_long_stream_is_warm(self, checkpoint, store_path):
+        """300 writes — more than any bounded history of them would keep —
+        then a kill: recovery needs none of them, only the coordinator's
+        present, so it is exact, warm and silent."""
+        single = store_server(checkpoint, store_path)
         router = ClusterRouter.from_checkpoint(
             checkpoint, fresh_graph(), 2, transport="socket", seed=7,
-            mutation_log_capacity=1,
+            store_path=store_path,
         )
         try:
+            router.enable_slo()
             dim = router.graph.features.shape[1]
-            probe = np.random.default_rng(5).choice(150, size=6, replace=False)
-            router.embed(probe)
-            router.add_nodes("paper", features=np.full((2, dim), 0.3))
-            router.fleet.registry.kill(0)
-            with pytest.warns(RuntimeWarning, match="horizon"):
-                second = router.add_nodes(
-                    "paper", features=np.full((1, dim), -0.2)
-                )
-            summary = router.supervisor.summary()
-            assert "replan" in [r["mode"] for r in summary["recoveries"]]
-            text = router.render_prometheus()
-            assert 'fleet_rebuilds_total' in text
-            # Post-replan the shard serves the *current* graph,
-            # deterministically.
-            nodes = np.append(probe, second)
-            first_pass = router.embed(nodes)
-            np.testing.assert_array_equal(first_pass, router.embed(nodes))
-            assert np.isfinite(np.asarray(first_pass)).all()
-        finally:
-            router.close()
+            authors = router.graph.nodes_of_type("author")
+            rng = np.random.default_rng(5)
+            for step in range(150):
+                picks = [int(a) for a in rng.choice(authors, size=2)]
+                for target in (router, single):
+                    (new,) = target.add_nodes(
+                        "paper", features=np.full((1, dim), 0.01 * step)
+                    )
+                    target.add_edges("paper-author", [int(new)] * 2, picks)
+            assert router.graph.version == 300
 
-    def test_log_horizon_replan_is_exact(self, checkpoint, tmp_path):
-        """Past the horizon nothing can be replayed — and nothing needs to
-        be: answers are seeded by ``(seed, node)``, a function of the
-        current graph, so a shard rebuilt from the current plan equals a
-        single server bit for bit.  It only comes back *cold*: its base
-        store slice predates the writes it missed, so none of it is
-        served."""
-        from repro.store import build_store
-
-        graph = fresh_graph()
-        classifier = WidenClassifier.load(checkpoint, graph=graph)
-        store_path = tmp_path / "store"
-        build_store(classifier, graph, store_path, seed=7)
-        single = InferenceServer(classifier, graph, seed=7)
-        router = ClusterRouter.from_checkpoint(
-            checkpoint, fresh_graph(), 2, transport="socket", seed=7,
-            mutation_log_capacity=1, store_path=str(store_path),
-        )
-        try:
-            dim = router.graph.features.shape[1]
-            probe = np.random.default_rng(5).choice(150, size=10, replace=False)
-            np.testing.assert_array_equal(router.embed(probe), single.embed(probe))
-            for target in (router, single):  # two writes through a log of one
-                new = target.add_nodes("paper", features=np.full((1, dim), 0.3))
-                target.add_edges("paper-author", [int(new[0])], [1])
-            router.fleet.registry.kill(0)
-            single.add_edges("paper-subject", [int(probe[0]), int(probe[1])], [7, 9])
-            nodes = np.concatenate([probe, new, router.plan.shards[0].owned[:12]])
-            with pytest.warns(RuntimeWarning, match="comes back cold"):
-                # The third write evicts the second, which shard 0's
-                # baseline never covered: recovery must replan.
-                router.add_edges(
-                    "paper-subject", [int(probe[0]), int(probe[1])], [7, 9]
-                )
+            victim = 0
+            nodes = router.plan.shards[victim].owned[::7]
+            router.fleet.registry.kill(victim)
+            want = expected_rungs(router, store_path, nodes)
+            assert want["store"] > 0 and want["recompute"] > 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 served = router.embed(nodes)
-            recoveries = router.supervisor.summary()["recoveries"]
-            assert [r["mode"] for r in recoveries] == ["replan"]
             np.testing.assert_array_equal(served, single.embed(nodes))
-            np.testing.assert_array_equal(
-                router.classify(nodes), single.classify(nodes)
-            )
-            # Cold: the replanned shard answered from no base store row.
-            state = router.workers[0].pull_serving_state().result(60.0)
-            touched = state["serving_state"]["touched"]
-            assert set(router.plan.shards[0].owned.tolist()) <= set(touched)
-            # ... and it keeps tracking the graph afterwards.
-            for target in (router, single):
-                target.add_edges("paper-author", [int(probe[2])], [3])
-            np.testing.assert_array_equal(router.embed(nodes), single.embed(nodes))
+            assert router.attributions[-1].rungs == want
+            (recovery,) = router.supervisor.summary()["recoveries"]
+            assert recovery["target_version"] == 300
         finally:
             router.close()
+
+    def test_diverged_respawn_is_refused(self, checkpoint, monkeypatch):
+        """``_verify`` compares the whole exported state: a respawn handed
+        a serving state one tick off is refused, naming the shard, before
+        it serves anything."""
+        real_respawn = Fleet.respawn
+
+        def corrupting(fleet, shard_id, args):
+            state = dict(args["serving_state"])
+            state["clock"] += 1
+            return real_respawn(fleet, shard_id, dict(args, serving_state=state))
+
+        monkeypatch.setattr(Fleet, "respawn", corrupting)
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="socket", seed=7
+        )
+        try:
+            dim = router.graph.features.shape[1]
+            router.add_nodes("paper", features=np.full((1, dim), 0.3))
+            router.fleet.registry.kill(1)
+            nodes = router.plan.shards[1].owned[:4]
+            with pytest.raises(RuntimeError, match="shard 1 recovery diverged.*clock"):
+                router.embed(nodes)
+            assert router.supervisor.summary()["recoveries"] == []
+        finally:
+            router.close()
+
+    def test_kill_refuses_a_worker_the_fleet_did_not_spawn(self, checkpoint):
+        """A static fleet's workers have no process here: a kill would
+        inject nothing, and a kill-recover check would pass vacuously."""
+        router, servers = loopback_fleet(checkpoint, 2)
+        try:
+            with pytest.raises(ValueError, match="shard 1"):
+                router.fleet.registry.kill(1)
+            assert not router.workers[1].transport.is_down
+        finally:
+            router.close()
+            for server in servers:
+                server.close()

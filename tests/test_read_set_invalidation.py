@@ -423,7 +423,7 @@ class TestPrecision:
 
             def stale_rows():
                 return set(subset[~fresh_mask(
-                    server._touched_at, store.reads_of(subset), store.versions_of(subset)
+                    server.freshness.touched_at, store.reads_of(subset), store.versions_of(subset)
                 )].tolist())
 
             def check(write_fn):
@@ -484,7 +484,7 @@ class TestPrecision:
             assert set(server.cache.node_invalidations) == {3, 4}
             assert len(server.cache) == 4
             fresh = fresh_mask(
-                server._touched_at, store.reads_of(everyone), store.versions_of(everyone)
+                server.freshness.touched_at, store.reads_of(everyone), store.versions_of(everyone)
             )
             assert fresh.tolist() == [True, True, True, False, False, True]
             hits = server.cache.hits

@@ -503,7 +503,7 @@ class TestVectorizedInvalidation:
         def check_store_verdicts():
             everyone = np.arange(graph.num_nodes)
             vectorized = fresh_mask(
-                stored._touched_at,
+                stored.freshness.touched_at,
                 stored.store.reads_of(everyone),
                 stored.store.versions_of(everyone),
             )
@@ -576,12 +576,12 @@ class TestVectorizedInvalidation:
         server = fresh_server(checkpoint)
         oracle = fresh_server(checkpoint)
         before = server.graph.num_nodes
-        assert server._touched_at.shape == (before,)
+        assert server.freshness.touched_at.shape == (before,)
         features = np.full((2, server.graph.features.shape[1]), 0.25)
         new = server.add_nodes("paper", features=features)
         oracle.add_nodes("paper", features=features)
-        assert server._touched_at.shape == (before + 2,)
-        assert server._touched_at.dtype == np.int64
+        assert server.freshness.touched_at.shape == (before + 2,)
+        assert server.freshness.touched_at.dtype == np.int64
         state = server.export_serving_state()
         assert state["clock"] == 1
         assert state["touched"] == {int(node): 1 for node in new}
@@ -863,7 +863,7 @@ class TestExactnessProperty:
                     rows, row_reads = store.blocks_for(recomputed)
                     np.testing.assert_array_equal(rows, embeddings)
                     np.testing.assert_array_equal(row_reads, reads)
-                    assert (store.versions_of(recomputed) == stored._clock).all()
+                    assert (store.versions_of(recomputed) == stored.freshness.clock).all()
             # The closing read served the newest arrival (if any): rows past
             # the built range exist exactly for the arrivals that were read.
             assert store.num_rows >= built
