@@ -634,7 +634,7 @@ def main(argv=None) -> int:
     cluster.add_argument("--resume", default=None,
                          help="train: resume from a fleet checkpoint "
                               "directory (manifest.json + shard-K.npz) or a "
-                              "single v3 checkpoint file")
+                              "single checkpoint file")
     cluster.add_argument("--checkpoint-out", default=None,
                          help="train: snapshot every shard into this "
                               "directory at each epoch boundary (the "

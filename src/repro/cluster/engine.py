@@ -42,10 +42,8 @@ router's gather.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -81,28 +79,6 @@ def build_engine_from_args(args: Dict[str, object]):
     raise ValueError(f"unknown engine family {family!r}")
 
 
-@contextmanager
-def checkpoint_path(
-    checkpoint: Optional[str], checkpoint_bytes: Optional[bytes]
-) -> Iterator[str]:
-    """A checkpoint as a loadable path: ``checkpoint`` itself, or else
-    ``checkpoint_bytes`` staged through a private temp file that is deleted
-    on exit."""
-    if checkpoint is not None:
-        yield checkpoint
-        return
-    fd, staged = tempfile.mkstemp(prefix="repro-ckpt-", suffix=".npz")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(checkpoint_bytes)
-        yield staged
-    finally:
-        try:
-            os.unlink(staged)
-        except OSError:
-            pass
-
-
 class ShardEngine:
     """One shard's serving state plus the envelope dispatch loop."""
 
@@ -124,18 +100,15 @@ class ShardEngine:
         """
         spec = ShardSpec.from_payload(args["spec_payload"])
         config = args["config"]
-        with checkpoint_path(
-            args["checkpoint"], args["checkpoint_bytes"]
-        ) as checkpoint:
-            server = InferenceServer.from_checkpoint(
-                checkpoint,
-                spec.graph,
-                max_batch_size=int(config.get("max_batch_size", 16)),
-                max_wait=float(config.get("max_wait", 0.002)),
-                cache_capacity=int(config.get("cache_capacity", 1024)),
-                seed=int(config.get("seed", 0)),
-                registry=MetricsRegistry(),  # private per shard; merged on render
-            )
+        server = InferenceServer.from_checkpoint(
+            args["checkpoint"] or args["checkpoint_bytes"],
+            spec.graph,
+            max_batch_size=int(config.get("max_batch_size", 16)),
+            max_wait=float(config.get("max_wait", 0.002)),
+            cache_capacity=int(config.get("cache_capacity", 1024)),
+            seed=int(config.get("seed", 0)),
+            registry=MetricsRegistry(),  # private per shard; merged on render
+        )
         store_payload = config.get("store")
         if store_payload is not None:
             # The shard's slice of the materialized-answer store (owned

@@ -12,8 +12,8 @@ registry-payload path ``/metrics`` scrapes.
 Three pieces:
 
 - :class:`TrainEngine` — the engine side: one shard's graph replica and
-  owned ids, one full model replica (rebuilt from a v3 checkpoint, so
-  optimizer moments and every rng stream arrive intact), one
+  owned ids, one full model replica (rebuilt from a checkpoint, so
+  optimizer moments, neighbor sets and every rng stream arrive intact), one
   :class:`~repro.core.trainer.WidenTrainer` answering phase envelopes.
 - :class:`TrainWorker` — the coordinator's client stub; its methods return
   :class:`~repro.cluster.transport.PendingReply` handles shaped exactly
@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.engine import checkpoint_path
 from repro.cluster.fleet import Fleet
 from repro.cluster.net import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -106,16 +105,16 @@ class TrainEngine:
         """Rebuild a training shard from its shard payload + checkpoint (see
         :func:`repro.cluster.engine.build_engine_from_args`).
 
-        The checkpoint must be format v3 if training is to resume
-        mid-stream (optimizer moments + trainer progress); a fresh run's
-        base checkpoint — saved right after build, zero epochs — works the
-        same way, every replica restoring identical rng streams.
+        The checkpoint is a path or, for a socket worker, its bytes, loaded
+        from memory.  It carries the trainer's state (optimizer moments,
+        neighbor sets, epoch), so training resumes mid-stream; a fresh
+        run's base checkpoint — saved right after build, zero epochs —
+        works the same way, every replica restoring identical rng streams.
         """
         spec = ShardSpec.from_payload(args["spec_payload"])
-        with checkpoint_path(
-            args["checkpoint"], args["checkpoint_bytes"]
-        ) as checkpoint:
-            classifier = WidenClassifier.load(checkpoint, graph=spec.graph)
+        classifier = WidenClassifier.load(
+            args["checkpoint"] or args["checkpoint_bytes"], graph=spec.graph
+        )
         return cls(spec, classifier)
 
     # ------------------------------------------------------------------
@@ -177,7 +176,7 @@ class TrainEngine:
         return self.trainer.epoch_finish()
 
     def _handle_train_checkpoint(self, payload: Dict[str, object]) -> dict:
-        """The replica's full v3 checkpoint as bytes — the elastic-resume
+        """The replica's full checkpoint as bytes — the elastic-resume
         unit.  Covers parameters, optimizer moments, every rng stream and
         the shard's (possibly downsampled) neighbor states, so an engine
         respawned from it continues bit-identically."""
@@ -433,7 +432,7 @@ class DistributedTrainer:
     def save_checkpoints(self, directory) -> Path:
         """Snapshot every replica into ``directory`` (elastic-resume unit).
 
-        One v3 checkpoint per shard plus a manifest naming the partition
+        One checkpoint per shard plus a manifest naming the partition
         parameters.  Files land via tmp+rename so a crash mid-write never
         leaves a torn checkpoint; the manifest is written last, so a
         directory with a manifest is always complete.
@@ -471,8 +470,7 @@ class DistributedTrainer:
         """
         self._check_open()
         reply = self.workers[0].checkpoint().result(self.request_timeout)
-        with checkpoint_path(None, reply["checkpoint"]) as staged:
-            return WidenClassifier.load(staged, graph=graph)
+        return WidenClassifier.load(reply["checkpoint"], graph=graph)
 
     # ------------------------------------------------------------------
     # Observability

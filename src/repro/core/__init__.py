@@ -20,7 +20,7 @@ Every Table-4 ablation is expressible through :class:`WidenConfig` switches
 (see :mod:`repro.core.ablation`).
 """
 
-from repro.core.classifier import WidenClassifier, migrate_checkpoint, serving_refusal
+from repro.core.classifier import WidenClassifier, serving_refusal
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
 from repro.core.objectives import Classification, EdgeExistence, WalkContext, split_edges
@@ -38,7 +38,6 @@ from repro.core.analysis import downsampling_summary, edge_type_attention_profil
 
 __all__ = [
     "WidenClassifier",
-    "migrate_checkpoint",
     "serving_refusal",
     "WidenConfig",
     "WidenModel",

@@ -6,19 +6,18 @@ Benchmarks and protocol runners treat every model as a
 slots into the same harness rows as the baselines.
 
 Persistence: :meth:`WidenClassifier.save` writes a *self-describing*
-checkpoint — parameters plus hyperparameters, seed and the dataset schema
-the model was trained against — and :meth:`WidenClassifier.load` rebuilds a
-ready-to-serve classifier from it without a training graph.  This replaces
-the old ``fit(graph, nodes, epochs=0)`` build-only hack;
-:meth:`~repro.nn.module.Module.save`/``load`` remain the low-level
-parameter-array layer underneath.
+checkpoint — parameters plus hyperparameters, seed, the dataset schema the
+model was trained against and the trainer's state — and
+:meth:`WidenClassifier.load` rebuilds a ready-to-serve classifier from it
+without a training graph.  :meth:`~repro.nn.module.Module.save`/``load``
+remain the low-level parameter-array layer underneath.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
-import pickle
 from typing import Optional
 
 import numpy as np
@@ -33,16 +32,14 @@ from repro.tensor import no_grad
 from repro.utils.rng import SeedLike, spawn_rngs
 
 CHECKPOINT_KEY = "__checkpoint__"
-TRAINER_STATE_KEY = "__trainer_state__"
-# Array keys that are checkpoint plumbing, not model parameters.
-RESERVED_KEYS = frozenset({CHECKPOINT_KEY, TRAINER_STATE_KEY})
-# v2 added the trainer's rng stream snapshot ("trainer_rng"); v3 adds the
-# training-progress blob (optimizer moments + step count, epoch counter,
-# neighbor-store states, node-state table) so training resumes *exactly*.
-# Readers accept any version <= current (each addition is optional on
-# read) and refuse newer ones; ``migrate_checkpoint`` rewrites old files
-# in the current layout.
-CHECKPOINT_FORMAT_VERSION = 3
+# Prefix of the trainer's arrays (``WidenTrainer.training_state``) in a
+# checkpoint; every other array but the metadata is a model parameter.
+TRAINER_PREFIX = "__trainer__."
+# A checkpoint is one ``.npz`` of plain arrays: the parameters, the
+# trainer's arrays under ``TRAINER_PREFIX`` and one JSON metadata string
+# (config, seed, schema, rng streams, epoch and step count).  v4 made the
+# training state arrays; older files held a pickle and are refused.
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 def _at_least_two(count: int) -> np.ndarray:
@@ -57,41 +54,6 @@ def _at_least_two(count: int) -> np.ndarray:
     miss batches look like on either side.
     """
     return np.arange(max(count, 2)) % count
-
-
-# The retired sampling-policy key a stored config may still carry.
-_SAMPLING_KEY = "wide_sampling"
-
-
-def _stored_config(meta: dict) -> dict:
-    """A checkpoint's hyperparameters as current ``WidenConfig`` fields.
-
-    Checkpoints written before PR 16 carry a ``forward_mode`` key
-    (``"batched"``, ``"per_node"``, ``"sparse"`` or ``"auto"``).  Every value
-    named a way of running the same parameters through the same
-    mathematics, so the key is dropped and the model loads as it is.  So is
-    ``sample_seeding`` (``"stream"`` or ``"per_node"``, before PR 19): it
-    named how not-yet-sampled nodes would draw, and a checkpoint stores the
-    sets that were drawn.
-
-    The wide sampling-policy key (:data:`_SAMPLING_KEY`) is gone too.
-    ``"replace"`` (Def. 2's oversampling to ``N_w``) is the only policy
-    left, so that value is dropped.  A ``"unique"`` checkpoint is refused:
-    its parameters were trained on neighborhoods this code no longer draws,
-    and serving it would answer from different ones.
-    """
-    config = dict(meta["config"])
-    config.pop("forward_mode", None)
-    config.pop("sample_seeding", None)
-    policy = config.pop(_SAMPLING_KEY, "replace")
-    if policy != "replace":
-        raise ValueError(
-            f"checkpoint config has {_SAMPLING_KEY}={policy!r}: that "
-            "sampling policy is gone (only Def. 2's replacement sampling "
-            "remains) and a model trained on other neighborhoods would "
-            "serve different ones; retrain it"
-        )
-    return config
 
 
 class WidenClassifier(BaseClassifier):
@@ -114,8 +76,6 @@ class WidenClassifier(BaseClassifier):
             defaults.update(config_overrides)
             config = WidenConfig(**defaults)
         elif config_overrides:
-            import dataclasses
-
             config = dataclasses.replace(config, **config_overrides)
         self.config = config
         # Remember the original seed when it round-trips through JSON; a
@@ -125,8 +85,8 @@ class WidenClassifier(BaseClassifier):
         self.model: Optional[WidenModel] = None
         self.trainer: Optional[WidenTrainer] = None
         self._schema: Optional[dict] = None
-        # Checkpoint snapshots applied by the next bind(): rng streams (v2)
-        # and training progress (v3).
+        # Checkpoint snapshots applied by the next bind(): the rng streams
+        # and the training state.
         self._pending_rng_state: Optional[dict] = None
         self._pending_training_state: Optional[dict] = None
 
@@ -328,78 +288,90 @@ class WidenClassifier(BaseClassifier):
         return self
 
     def save(self, path) -> None:
-        """Write a self-describing checkpoint (parameters + config + schema).
+        """Write a self-describing checkpoint (parameters + config + schema
+        + training state) to a path or a binary file object.
 
-        The file is a ``.npz`` whose array keys are parameter names (the
-        :meth:`Module.save` layout) plus one JSON metadata entry, so the
-        low-level ``Module.load`` can still read the parameter arrays.
+        The file is a ``.npz`` of plain arrays: the parameter names (the
+        :meth:`Module.save` layout), the trainer's arrays under
+        :data:`TRAINER_PREFIX`, and one JSON metadata entry.  With the rng
+        streams the training state makes resume bit-identical — ``fit(n);
+        save; load; fit(m)`` equals ``fit(n + m)``.  A loaded classifier
+        not yet bound writes back the state it loaded.
         """
         if self.model is None:
             raise RuntimeError("save() before fit(); there is nothing to save")
+        if self.trainer is not None:
+            rng, training = self.trainer.rng_state(), self.trainer.training_state()
+        else:
+            rng, training = self._pending_rng_state, self._pending_training_state
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "class": self.name,
             "config": dataclasses.asdict(self.config),
             "seed": self._seed,
             "schema": self._schema,
+            "trainer_rng": rng,
+            "trainer": {key: training[key] for key in ("epoch", "step_count")},
         }
         arrays = dict(self.model.state_dict())
-        if self.trainer is not None:
-            # Rng streams (shuffle, downsampling, sampling, dropout) so a
-            # restored run repeats the stochastic decisions of this one.
-            meta["trainer_rng"] = self.trainer.rng_state()
-            # Training progress (v3): optimizer moments + step count, epoch
-            # counter, neighbor-store states, node-state table.  Stored as a
-            # pickle blob in a uint8 array so ``np.load`` needs no
-            # ``allow_pickle`` for the parameter arrays around it.  With the
-            # rng streams above this makes resumed training bit-identical —
-            # ``fit(n); save; load; fit(m)`` equals ``fit(n + m)``.
-            blob = pickle.dumps(
-                self.trainer.training_state(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            arrays[TRAINER_STATE_KEY] = np.frombuffer(blob, dtype=np.uint8)
+        for name, value in training["arrays"].items():
+            arrays[TRAINER_PREFIX + name] = value
         np.savez(path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
 
     @staticmethod
-    def read_checkpoint_metadata(path) -> dict:
+    def _metadata(archive, path) -> dict:
+        if CHECKPOINT_KEY not in archive.files:
+            raise ValueError(
+                f"{path!r} is a bare parameter file (Module.save), not a "
+                "classifier checkpoint; load it with Module.load into an "
+                "already-built model"
+            )
+        return json.loads(str(archive[CHECKPOINT_KEY]))
+
+    @classmethod
+    def read_checkpoint_metadata(cls, path) -> dict:
         """Metadata dict of a checkpoint written by :meth:`save`."""
         with np.load(path) as archive:
-            if CHECKPOINT_KEY not in archive.files:
-                raise ValueError(
-                    f"{path!r} is a bare parameter file (Module.save), not a "
-                    "classifier checkpoint; load it with Module.load into an "
-                    "already-built model"
-                )
-            return json.loads(str(archive[CHECKPOINT_KEY]))
+            return cls._metadata(archive, path)
 
     @classmethod
     def load(cls, path, graph: Optional[HeteroGraph] = None) -> "WidenClassifier":
         """Rebuild a classifier from :meth:`save` output — no graph needed.
 
-        Hyperparameters, seed and schema come from the checkpoint, so this
-        replaces the old ``fit(graph, nodes, epochs=0)``-then-``Module.load``
-        hack.  Pass ``graph`` to bind a serving graph immediately (validated
-        against the saved schema); otherwise call :meth:`bind` later.
+        ``path`` is a path, a binary file object or the checkpoint's bytes
+        (what a socket worker receives).  Hyperparameters, seed and schema
+        come from the checkpoint.  Pass ``graph`` to bind a serving graph
+        immediately (validated against the saved schema); otherwise call
+        :meth:`bind` later.
         """
-        meta = cls.read_checkpoint_metadata(path)
-        if meta.get("class") != cls.name:
-            raise ValueError(
-                f"checkpoint {path!r} holds a {meta.get('class')!r} model, "
-                f"not {cls.name!r}"
-            )
-        version = int(meta.get("format_version", 1))
-        if version > CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint {path!r} is format v{version}, newer than this "
-                f"code's v{CHECKPOINT_FORMAT_VERSION}; upgrade the code (old "
-                "readers cannot know what a newer format added)"
-            )
-        classifier = cls(
-            config=WidenConfig(**_stored_config(meta)), seed=meta.get("seed")
-        )
-        classifier._schema = meta["schema"]
-        classifier._pending_rng_state = meta.get("trainer_rng")
-        schema = meta["schema"]
+        if isinstance(path, bytes):
+            path = io.BytesIO(path)
+        with np.load(path) as archive:
+            meta = cls._metadata(archive, path)
+            if meta["class"] != cls.name:
+                raise ValueError(
+                    f"checkpoint {path!r} holds a {meta['class']!r} model, "
+                    f"not {cls.name!r}"
+                )
+            version = int(meta["format_version"])
+            if version < CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(
+                    f"checkpoint {path!r} is format v{version}; this code "
+                    f"reads only v{CHECKPOINT_FORMAT_VERSION}, whose training "
+                    "state is named arrays.  Rebuild it by training again: "
+                    "python -m repro train <dataset> --shards 1 --checkpoint-out DIR"
+                )
+            if version > CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(
+                    f"checkpoint {path!r} is format v{version}, newer than "
+                    f"this code's v{CHECKPOINT_FORMAT_VERSION}; upgrade the "
+                    "code (old readers cannot know what a newer format added)"
+                )
+            arrays = {
+                name: archive[name] for name in archive.files if name != CHECKPOINT_KEY
+            }
+        classifier = cls(config=WidenConfig(**meta["config"]), seed=meta["seed"])
+        schema = classifier._schema = meta["schema"]
         classifier.model = WidenModel(
             schema["num_features"],
             schema["num_edge_types_with_loops"],
@@ -407,18 +379,23 @@ class WidenClassifier(BaseClassifier):
             classifier.config,
             seed=classifier._model_seed,
         )
-        with np.load(path) as archive:
-            classifier.model.load_state_dict(
-                {
-                    name: archive[name]
-                    for name in archive.files
-                    if name not in RESERVED_KEYS
-                }
-            )
-            if TRAINER_STATE_KEY in archive.files:
-                classifier._pending_training_state = pickle.loads(
-                    archive[TRAINER_STATE_KEY].tobytes()
-                )
+        prefix = len(TRAINER_PREFIX)
+        classifier.model.load_state_dict(
+            {
+                name: value
+                for name, value in arrays.items()
+                if not name.startswith(TRAINER_PREFIX)
+            }
+        )
+        classifier._pending_rng_state = meta["trainer_rng"]
+        classifier._pending_training_state = dict(
+            meta["trainer"],
+            arrays={
+                name[prefix:]: value
+                for name, value in arrays.items()
+                if name.startswith(TRAINER_PREFIX)
+            },
+        )
         if graph is not None:
             classifier.bind(graph)
         return classifier
@@ -441,34 +418,3 @@ def serving_refusal(classifier) -> Optional[str]:
         )
     return None
 
-
-def migrate_checkpoint(path, out_path=None) -> dict:
-    """Rewrite a v1/v2 checkpoint in the current (v3) layout.
-
-    Old checkpoints never carried optimizer moments or trainer progress, so
-    the migration cannot invent them: the rewritten file is a valid v3
-    checkpoint whose optional training-progress blob is simply absent (a
-    resumed ``fit`` starts with fresh moments, exactly as loading the old
-    file did).  What migration buys is *uniformity* — every file on disk
-    reads through one code path, and future readers can drop the v1/v2
-    branches.  Returns the rewritten metadata.  ``out_path=None`` migrates
-    in place; an already-current file is rewritten unchanged (idempotent).
-    """
-    meta = WidenClassifier.read_checkpoint_metadata(path)
-    version = int(meta.get("format_version", 1))
-    if version > CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint {path!r} is format v{version}, newer than this "
-            f"code's v{CHECKPOINT_FORMAT_VERSION}; nothing to migrate"
-        )
-    with np.load(path) as archive:
-        arrays = {
-            name: archive[name]
-            for name in archive.files
-            if name != CHECKPOINT_KEY
-        }
-    meta["format_version"] = CHECKPOINT_FORMAT_VERSION
-    meta["config"] = _stored_config(meta)
-    meta.setdefault("migrated_from_version", version)
-    np.savez(out_path or path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
-    return meta

@@ -111,3 +111,38 @@ def prune_deep(
             deleted=deleted_spec,
         )
     return DeepNeighborSet(deep.target, nodes, etypes, relays)
+
+
+def flatten_recipes(recipes) -> tuple:
+    """Recipe trees as one ``int64 (K, 3)`` table plus each tree's root row.
+
+    A table row is ``(outer, deleted_node, deleted)``, children before their
+    parent; a spec ``>= 0`` is an edge-type id and ``-(1 + k)`` names row
+    ``k``.  :func:`unflatten_recipes` is the inverse.
+    """
+    rows = []
+
+    def row_of(recipe: RelayRecipe) -> int:
+        outer, deleted = (
+            -(1 + row_of(spec)) if isinstance(spec, RelayRecipe) else int(spec)
+            for spec in (recipe.outer, recipe.deleted)
+        )
+        rows.append((outer, int(recipe.deleted_node), deleted))
+        return len(rows) - 1
+
+    roots = [row_of(recipe) for recipe in recipes]
+    return np.asarray(rows, np.int64).reshape(-1, 3), np.asarray(roots, np.int64)
+
+
+def unflatten_recipes(table: np.ndarray, roots: np.ndarray) -> list:
+    """The recipes :func:`flatten_recipes` wrote, one per root."""
+    built = []
+    for outer, deleted_node, deleted in table.tolist():
+        built.append(
+            RelayRecipe(
+                outer if outer >= 0 else built[-1 - outer],
+                deleted_node,
+                deleted if deleted >= 0 else built[-1 - deleted],
+            )
+        )
+    return [built[root] for root in roots.tolist()]

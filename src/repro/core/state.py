@@ -7,11 +7,11 @@ plus the attention distributions of the previous epoch, which the
 KL-divergence trigger (Eq. 9) compares against.
 
 Storage is a :class:`NeighborTable` — one row per sampled node, every field
-a column — so the packer, the dropout draws and the trigger are array
-operations over a minibatch's rows.  :class:`NeighborState` is the per-node
-*record* of one row: what checkpoints store and what the per-node reference
-forward, the analysis helpers and tests read.  Nothing on the minibatch
-path builds one.
+a column — so the packer, the dropout draws, the trigger and a checkpoint
+(:meth:`NeighborTable.arrays`) are array operations over its rows.
+:class:`NeighborState` is the per-node *record* of one row: what the
+per-node reference forward, the analysis helpers and tests read.  Nothing
+on the minibatch path builds one.
 
 KL is only meaningful when the neighbor set is unchanged between epochs
 ("otherwise +∞" in Eq. 9).  A set only changes through a downsample, which
@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.relay import RelayRecipe
+from repro.core.relay import RelayRecipe, flatten_recipes, unflatten_recipes
 from repro.graph import HeteroGraph
 from repro.graph.random_walk import random_walk_batch
 from repro.graph.sampling import DeepNeighborSet, WideNeighborSet, sample_wide_batch
@@ -124,6 +124,35 @@ class NeighborTable:
     def __len__(self) -> int:
         return self.size
 
+    def _relay_marks(self):
+        """``(row, walk, position)`` of every relay, in ``np.nonzero`` order."""
+        marked = np.nonzero(self.deep_relay[: self.size])
+        return zip(*(axis.tolist() for axis in marked))
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The used rows as named arrays (copies): every column, plus the
+        relay recipes flattened (:func:`~repro.core.relay.flatten_recipes`)
+        into ``relay_recipes`` with one ``relay_roots`` entry per mark."""
+        size = self.size
+        arrays = {name: getattr(self, name)[:size].copy() for name in self._COLUMNS}
+        arrays["relay_recipes"], arrays["relay_roots"] = flatten_recipes(
+            [self.relays[mark] for mark in self._relay_marks()]
+        )
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "NeighborTable":
+        """The table :meth:`arrays` wrote (its arrays copied, caps from their
+        shapes)."""
+        deep = arrays["deep_nodes"]
+        table = cls(arrays["wide_nodes"].shape[1], deep.shape[2], deep.shape[1])
+        for name in cls._COLUMNS:
+            setattr(table, name, np.array(arrays[name]))
+        table.size = table.targets.size
+        recipes = unflatten_recipes(arrays["relay_recipes"], arrays["relay_roots"])
+        table.relays = dict(zip(table._relay_marks(), recipes))
+        return table
+
     def take(self, rows: np.ndarray) -> "NeighborTable":
         """The given rows, in order, as a table of their own (copies)."""
         rows = np.asarray(rows, np.int64)
@@ -132,8 +161,7 @@ class NeighborTable:
         for name in self._COLUMNS:
             setattr(out, name, getattr(self, name)[rows])
         if self.relays:
-            marked = np.nonzero(out.deep_relay)
-            for b, walk, position in zip(*(axis.tolist() for axis in marked)):
+            for b, walk, position in out._relay_marks():
                 out.relays[b, walk, position] = self.relays[
                     int(rows[b]), walk, position
                 ]
@@ -373,40 +401,21 @@ class NeighborStateStore:
             )
         return rows
 
-    def records(self) -> Dict[int, NeighborState]:
-        """``{node: record}`` of every cached node, by value."""
-        return {node: self.table.record(row) for node, row in self._row_of.items()}
-
-    def load_records(self, records: Dict[int, NeighborState]) -> None:
-        """Replace the cached rows with ``records`` (checkpoint restore)."""
-        self.table = NeighborTable(
-            self.num_wide, self.num_deep, self.num_deep_walks, capacity=len(records)
-        )
-        self._row_of = {
-            int(node): self.table.append_record(state)
-            for node, state in records.items()
-        }
+    def load_table(self, table: NeighborTable) -> None:
+        """Adopt ``table`` as the cached rows (checkpoint restore).  Every
+        row came from :meth:`rows_for`, one per node, so its ``targets``
+        are the id → row map."""
+        self.table = table
+        targets = table.targets[: table.size].tolist()
+        self._row_of = dict(zip(targets, range(table.size)))
 
     def rng_state(self) -> dict:
         """Serializable snapshot of the sampling state: the base seed."""
         return {"base_seed": self._base_seed}
 
     def load_rng_state(self, state: dict) -> None:
-        """Restore :meth:`rng_state`, or either shape older checkpoints hold.
-
-        Before keyed draws a store sampled either from one generator
-        stream (stored: the raw bit-generator state dict) or from a
-        generator per node seeded ``(base_seed, node)`` (stored: ``{"stream",
-        "base_seed"}``).  Their stored sets resume as they are; a node first
-        touched after the resume draws keyed by the stored base seed, or
-        for a stream checkpoint by the next integer of that stream.
-        """
-        if "base_seed" in state:
-            self._base_seed = int(state["base_seed"])
-        else:
-            stream = np.random.default_rng()
-            stream.bit_generator.state = state
-            self._base_seed = int(stream.integers(2**63 - 1))
+        """Restore :meth:`rng_state`."""
+        self._base_seed = int(state["base_seed"])
 
     def __len__(self) -> int:
         return len(self._row_of)

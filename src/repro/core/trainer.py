@@ -46,7 +46,7 @@ from repro.core.model import WidenModel
 from repro.core.objectives import Classification, Objective
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
-from repro.core.state import NeighborStateStore
+from repro.core.state import NeighborStateStore, NeighborTable
 from repro.core.train_loop import LocalTrainClient, TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
 from repro.obs import MetricsRegistry, get_registry
@@ -82,6 +82,13 @@ def _entropies(attention: AttentionGrid) -> np.ndarray:
     """Shannon entropy (nats) of every distribution in the grid."""
     p = np.clip(attention.weights, _EPS, None)
     return -_sums_by_length(p * np.log(p), attention.lengths)
+
+
+class _StateArrays(dict):
+    """A training state's arrays; a missing name is refused by name."""
+
+    def __missing__(self, name: str):
+        raise ValueError(f"training state has no {name!r} array")
 
 
 class WidenTrainer:
@@ -550,7 +557,7 @@ class WidenTrainer:
         sampling and both dropout masks — restoring it makes the *stochastic
         decisions* of subsequent epochs identical to an uninterrupted run;
         with :meth:`training_state` (optimizer moments, epoch, neighbor sets,
-        stored together with it since checkpoint v3) resume is bit-identical.
+        stored together with it in a checkpoint) resume is bit-identical.
         """
         return {
             "shuffle": self._shuffle_rng.bit_generator.state,
@@ -569,7 +576,7 @@ class WidenTrainer:
         self.model.hidden_dropout.load_rng_state(state["hidden_dropout"])
 
     # ------------------------------------------------------------------
-    # Training-progress persistence (checkpoint format v3)
+    # Training-progress persistence
     # ------------------------------------------------------------------
 
     def training_state(self) -> dict:
@@ -581,31 +588,46 @@ class WidenTrainer:
         plus the refined node-state table are the training-time state the
         next epoch reads.  Together with :meth:`rng_state` this makes
         ``fit(n); save; load; fit(m)`` bit-identical to ``fit(n + m)`` on
-        the same graph.  Everything is copied: the snapshot does not move
-        when training continues.
+        the same graph.
+
+        ``{"epoch", "step_count", "arrays"}``: two ints and flat named
+        arrays, all copies — the store table's :meth:`NeighborTable.arrays`,
+        one ``"<slot>.<i>"`` per optimizer slot and parameter, and
+        ``node_state`` in replace mode.
         """
+        optimizer = self.optimizer.state_dict()
+        arrays = self.store.table.arrays()
+        for slot, moments in optimizer["slots"].items():
+            arrays.update((f"{slot}.{i}", moment) for i, moment in enumerate(moments))
+        if self.node_state is not None:
+            arrays["node_state"] = self.node_state.copy()
         return {
             "epoch": int(self._epoch),
-            "optimizer": self.optimizer.state_dict(),
-            "store_states": self.store.records(),
-            "node_state": (
-                None if self.node_state is None else self.node_state.copy()
-            ),
+            "step_count": int(optimizer["step_count"]),
+            "arrays": arrays,
         }
 
     def load_training_state(self, state: dict) -> None:
-        """Restore a :meth:`training_state` snapshot.
+        """Restore a :meth:`training_state` snapshot; an array it lacks is
+        refused by name.
 
         Only valid against a graph equivalent to the one the snapshot was
         taken on — neighbor sets reference node ids and the node-state
         table is indexed by them.  The serving path is unaffected either
         way (it always samples fresh stores).
         """
+        arrays = _StateArrays(state["arrays"])
         self._epoch = int(state["epoch"])
-        self.optimizer.load_state_dict(state["optimizer"])
-        self.store.load_records(state["store_states"])
-        node_state = state.get("node_state")
-        if node_state is not None:
+        self.optimizer.load_state_dict({
+            "step_count": state["step_count"],
+            "slots": {
+                slot: [arrays[f"{slot}.{i}"] for i in range(len(moments))]
+                for slot, moments in self.optimizer.state_dict()["slots"].items()
+            },
+        })
+        self.store.load_table(NeighborTable.from_arrays(arrays))
+        if self.node_state is not None or "node_state" in arrays:
+            node_state = arrays["node_state"]
             if self.node_state is None or self.node_state.shape != node_state.shape:
                 raise ValueError(
                     "checkpoint carries a node-state table that does not "

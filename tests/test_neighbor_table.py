@@ -221,18 +221,12 @@ class TestTrainingStateSnapshot:
         parameters = {
             name: value.copy() for name, value in classifier.model.state_dict().items()
         }
-        frozen = {
-            node: (state.wide.nodes.copy(), [walk.nodes.copy() for walk in state.deep])
-            for node, state in snapshot["store_states"].items()
-        }
+        frozen = {name: value.copy() for name, value in snapshot["arrays"].items()}
 
         uninterrupted = trainer.fit(nodes, epochs=1).losses[-1]
 
-        for node, (wide, walks) in frozen.items():
-            state = snapshot["store_states"][node]
-            np.testing.assert_array_equal(state.wide.nodes, wide)
-            for walk, nodes_before in zip(state.deep, walks):
-                np.testing.assert_array_equal(walk.nodes, nodes_before)
+        for name, value in frozen.items():
+            np.testing.assert_array_equal(snapshot["arrays"][name], value, err_msg=name)
         classifier.model.load_state_dict(parameters)
         trainer.load_training_state(snapshot)
         trainer.load_rng_state(rng)

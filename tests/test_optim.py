@@ -216,7 +216,7 @@ class TestSchedulers:
 
 
 class TestOptimizerState:
-    """state_dict/load_state_dict — the checkpoint-v3 resume contract."""
+    """state_dict/load_state_dict — the checkpoint resume contract."""
 
     def _loss_step(self, optimizer, param):
         optimizer.zero_grad()

@@ -1,9 +1,18 @@
 """Model persistence: save/load round trips for WIDEN and baselines."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from repro.core import WidenClassifier
+from repro.core import NeighborTable, RelayRecipe, WidenClassifier
+from repro.core.classifier import (
+    CHECKPOINT_FORMAT_VERSION,
+    CHECKPOINT_KEY,
+    TRAINER_PREFIX,
+)
+from repro.core.relay import flatten_recipes, unflatten_recipes
 from repro.baselines import GCN
 from repro.datasets import make_acm
 
@@ -43,8 +52,8 @@ class TestPersistence:
         np.testing.assert_array_equal(first, second)
 
     def test_checkpoint_restores_trainer_rng(self, acm, tmp_path):
-        """A v2 checkpoint carries the trainer rng snapshot; bind() applies
-        it so the restored run repeats the original's stochastic decisions."""
+        """A checkpoint carries the trainer rng snapshot; bind() applies it
+        so the restored run repeats the original's stochastic decisions."""
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=2)
         path = tmp_path / "widen-rng.npz"
@@ -52,33 +61,12 @@ class TestPersistence:
         expected = model.trainer._shuffle_rng.random(8)
 
         meta = WidenClassifier.read_checkpoint_metadata(path)
-        assert meta["format_version"] >= 2
         assert "trainer_rng" in meta
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
         np.testing.assert_array_equal(
             fresh.trainer._shuffle_rng.random(8), expected
         )
-
-    def test_v1_checkpoint_without_rng_still_loads(self, acm, tmp_path):
-        """Forward compatibility: a checkpoint missing "trainer_rng" (v1)
-        restores normally, just without the stream snapshot."""
-        import json
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "widen-v1.npz"
-        model.save(path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        meta.pop("trainer_rng")
-        meta["format_version"] = 1
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
-
-        fresh = WidenClassifier.load(path, graph=acm.graph)
-        assert fresh.predict(acm.split.test[:10]).shape == (10,)
 
     def test_widen_module_layer_still_works(self, acm, tmp_path):
         """The low-level Module.save/load layer stays available underneath."""
@@ -126,12 +114,30 @@ class TestPersistence:
             WidenClassifier.load(path)
 
 
-class TestCheckpointV3:
-    """Format v3: optimizer + trainer state ride in the checkpoint, so a
-    restored run *continues* training exactly where the original stopped."""
+def rewrite_checkpoint(path, drop=(), **meta_entries):
+    """Rewrite a checkpoint with the arrays in ``drop`` removed and the
+    metadata entries in ``meta_entries`` replaced."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(arrays.pop(CHECKPOINT_KEY)))
+    meta.update(meta_entries)
+    for name in drop:
+        del arrays[name]
+    np.savez(path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
 
-    def _fit_kwargs(self, acm):
-        return dict(graph=acm.graph, train_nodes=acm.split.train[:48])
+
+def assert_same_parameters(got, want):
+    want, got = want.model.state_dict(), got.model.state_dict()
+    assert set(want) == set(got)
+    for name, value in want.items():
+        np.testing.assert_array_equal(got[name], value, err_msg=name)
+
+
+class TestCheckpointV3:
+    """The checkpoint carries the optimizer and trainer state, so a restored
+    run *continues* training exactly where the original stopped.  Since
+    format v4 that state is plain named arrays beside the parameters (the
+    class keeps the name it had at v3)."""
 
     def test_resume_continues_bit_exact(self, acm, tmp_path):
         """fit(2); save; load; fit(2) lands on the same bits as fit(4)."""
@@ -145,158 +151,164 @@ class TestCheckpointV3:
         resumed = WidenClassifier.load(path, graph=acm.graph)
         resumed.fit(acm.graph, acm.split.train[:48], epochs=2)
 
-        want = full.model.state_dict()
-        got = resumed.model.state_dict()
-        assert set(want) == set(got)
-        for name, value in want.items():
-            np.testing.assert_array_equal(got[name], value, err_msg=name)
+        assert_same_parameters(resumed, full)
+
+    def test_resaving_an_unbound_classifier_keeps_its_training_state(
+        self, acm, tmp_path
+    ):
+        """load(a) → save(b) → load(b, graph) → fit(2) equals fit(4): a
+        classifier loaded without a graph writes back the rng streams and
+        training state it is holding for its first bind()."""
+        full = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        full.fit(acm.graph, acm.split.train[:48], epochs=4)
+
+        half = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
+        half.fit(acm.graph, acm.split.train[:48], epochs=2)
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        half.save(first)
+        WidenClassifier.load(first).save(second)
+        resumed = WidenClassifier.load(second, graph=acm.graph)
+        resumed.fit(acm.graph, acm.split.train[:48], epochs=2)
+
+        assert_same_parameters(resumed, full)
+
+    def test_relays_round_trip_bit_exact(self, acm, tmp_path):
+        """Downsampling on every epoch nests relay recipes; save and load
+        give back every table column and every recipe tree, and the resumed
+        fit lands on the live trainer's bits."""
+        config = dict(
+            seed=0, dim=16, num_wide=6, num_deep=6, trigger="always",
+            wide_floor=1, deep_floor=1,
+        )
+        nodes = acm.split.train[:24]
+        live = WidenClassifier(**config)
+        live.fit(acm.graph, nodes, epochs=3)
+        table = live.trainer.store.table
+        assert max(recipe.depth() for recipe in table.relays.values()) >= 2
+        path = tmp_path / "relays.npz"
+        live.save(path)
+
+        loaded = WidenClassifier.load(path, graph=acm.graph)
+        got = loaded.trainer.store.table
+        assert got.size == table.size
+        for name in NeighborTable._COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(got, name)[: got.size], getattr(table, name)[: table.size],
+                err_msg=name,
+            )
+        assert got.relays == table.relays
+
+        live.fit(acm.graph, nodes, epochs=2)
+        loaded.fit(acm.graph, nodes, epochs=2)
+        assert_same_parameters(loaded, live)
+        assert loaded.trainer.store.table.relays == live.trainer.store.table.relays
+
+    def test_recipe_tables_invert(self):
+        leaf = RelayRecipe(outer=2, deleted_node=7, deleted=1)
+        nested = RelayRecipe(
+            outer=RelayRecipe(outer=leaf, deleted_node=3, deleted=0),
+            deleted_node=9,
+            deleted=RelayRecipe(outer=4, deleted_node=5, deleted=leaf),
+        )
+        table, roots = flatten_recipes([leaf, nested])
+        assert table.dtype == np.int64 and table.shape == (6, 3)
+        # Children first: every reference points at an earlier row.
+        for k, (outer, _, deleted) in enumerate(table.tolist()):
+            for spec in (outer, deleted):
+                assert spec >= 0 or -1 - spec < k
+        assert unflatten_recipes(table, roots) == [leaf, nested]
+        empty = flatten_recipes([])
+        assert empty[0].shape == (0, 3) and unflatten_recipes(*empty) == []
+
+    def test_every_key_loads_without_pickle(self, acm, tmp_path):
+        model = WidenClassifier(
+            seed=0, dim=16, num_wide=6, num_deep=5, embedding_mode="replace"
+        )
+        model.fit(acm.graph, acm.split.train[:48], epochs=2)
+        path = tmp_path / "arrays.npz"
+        model.save(path)
+        with np.load(path, allow_pickle=False) as archive:
+            dtypes = {name: archive[name].dtype for name in archive.files}
+        assert TRAINER_PREFIX + "node_state" in dtypes
+        assert TRAINER_PREFIX + "relay_recipes" in dtypes
+        assert not [name for name, dtype in dtypes.items() if dtype == object]
 
     def test_checkpoint_carries_optimizer_state(self, acm, tmp_path):
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / "v3.npz"
+        path = tmp_path / "v4.npz"
         model.save(path)
 
         meta = WidenClassifier.read_checkpoint_metadata(path)
-        assert meta["format_version"] == 3
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
         fresh = WidenClassifier.load(path, graph=acm.graph)
         state = fresh.trainer.optimizer.state_dict()
         want = model.trainer.optimizer.state_dict()
         assert state["step_count"] == want["step_count"] > 0
+        assert meta["trainer"]["step_count"] == want["step_count"]
         for name, slots in want["slots"].items():
             for got_arr, want_arr in zip(state["slots"][name], slots):
                 np.testing.assert_array_equal(got_arr, want_arr)
 
-    def _downgrade_to_v2(self, path):
-        """Rewrite a fresh checkpoint as a faithful v2: no trainer-state
-        blob, format_version 2."""
-        import json
-
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays.pop("__trainer_state__", None)
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        meta["format_version"] = 2
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
-
-    def test_migrate_v2_to_v3(self, acm, tmp_path):
-        from repro.core import migrate_checkpoint
-
+    @pytest.fixture
+    def saved(self, acm, tmp_path):
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "v2.npz"
+        path = tmp_path / "saved.npz"
         model.save(path)
-        self._downgrade_to_v2(path)
+        return path
 
-        meta = migrate_checkpoint(path)
-        assert meta["format_version"] == 3
-        assert meta["migrated_from_version"] == 2
-        # Migrated checkpoints load; they simply have no optimizer state.
-        fresh = WidenClassifier.load(path, graph=acm.graph)
-        assert fresh.predict(acm.split.test[:10]).shape == (10,)
-
-    def test_migrate_is_idempotent_and_supports_out_path(self, acm, tmp_path):
-        from repro.core import migrate_checkpoint
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "old.npz"
-        model.save(path)
-        self._downgrade_to_v2(path)
-
-        out = tmp_path / "migrated.npz"
-        meta = migrate_checkpoint(path, out_path=out)
-        assert meta["format_version"] == 3
-        # The source is untouched when out_path is given.
-        source_meta = WidenClassifier.read_checkpoint_metadata(path)
-        assert source_meta["format_version"] == 2
-        # Running again on the migrated file changes nothing.
-        again = migrate_checkpoint(out)
-        assert again["format_version"] == 3
-        assert again["migrated_from_version"] == 2
-
-    @staticmethod
-    def _store_config(path, **entries):
-        """Rewrite a v3 checkpoint's stored config with ``entries`` added, as
-        a writer from when those fields existed would have left it."""
-        import json
-
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        assert meta["format_version"] == 3
-        meta["config"].update(entries)
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
-
-    @pytest.mark.parametrize("retired", ["sparse", "auto", "per_node"])
-    def test_retired_forward_modes_load_as_batched(self, acm, tmp_path, retired):
-        """v3 checkpoints written while ``forward_mode`` existed — naming
-        kernels ("sparse", "auto") or the per-node loop — are the one model
-        there is: same parameters, same answers, no version bump."""
-        from repro.core import migrate_checkpoint
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / f"{retired}.npz"
-        model.save(path)
-        self._store_config(path, forward_mode=retired)
-
-        fresh = WidenClassifier.load(path, graph=acm.graph)
-        assert fresh.config == model.config
-        probe = acm.split.test[:10]
-        np.testing.assert_array_equal(
-            fresh.embed_for_serving(probe, acm.graph, seed=5),
-            model.embed_for_serving(probe, acm.graph, seed=5),
-        )
-        migrated = migrate_checkpoint(path)
-        assert migrated["format_version"] == 3
-        assert "forward_mode" not in migrated["config"]
-        stored = WidenClassifier.read_checkpoint_metadata(path)
-        assert "forward_mode" not in stored["config"]
-
-    def test_replace_sampling_checkpoints_load_with_the_key_dropped(
-        self, acm, tmp_path
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_versions_are_refused_with_the_rebuild_command(
+        self, acm, saved, version
     ):
-        """Every checkpoint written while ``WidenConfig`` had a wide
-        sampling policy stores ``"replace"``: the policy that remains, so the
-        key is dropped and the model serves as it did."""
-        from repro.core import migrate_checkpoint
+        rewrite_checkpoint(saved, format_version=version)
+        refusal = (
+            f"format v{version}; this code reads only v4.*python -m repro train "
+            "<dataset> --shards 1 --checkpoint-out DIR"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            WidenClassifier.load(saved, graph=acm.graph)
 
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
+    def test_unique_sampling_checkpoints_are_refused(self, acm, saved):
+        """A v3 checkpoint from when ``WidenConfig`` had a sampling policy
+        is refused by its version, before its config is read."""
+        meta = WidenClassifier.read_checkpoint_metadata(saved)
+        rewrite_checkpoint(
+            saved, format_version=3, config=dict(meta["config"], wide_sampling="unique")
+        )
+        with pytest.raises(ValueError, match="format v3;.*--checkpoint-out DIR"):
+            WidenClassifier.load(saved)
+
+    @pytest.mark.parametrize(
+        "missing", ["deep_relay", "relay_recipes", "moment2.0", "targets"]
+    )
+    def test_a_missing_trainer_array_is_refused_by_name(self, acm, saved, missing):
+        rewrite_checkpoint(saved, drop=[TRAINER_PREFIX + missing])
+        with pytest.raises(ValueError, match=f"no '{re.escape(missing)}' array"):
+            WidenClassifier.load(saved, graph=acm.graph)
+
+    def test_a_checkpoint_of_another_class_is_refused(self, saved):
+        rewrite_checkpoint(saved, **{"class": "gcn"})
+        with pytest.raises(ValueError, match="holds a 'gcn' model, not 'widen'"):
+            WidenClassifier.load(saved)
+
+    def test_bind_before_the_model_exists_is_refused(self, acm):
+        with pytest.raises(RuntimeError, match=r"bind\(\) before the model exists"):
+            WidenClassifier(seed=0).bind(acm.graph)
+
+    def test_a_node_state_of_another_shape_is_refused(self, acm, tmp_path):
+        """A replace-mode checkpoint's node-state table is indexed by the
+        graph it was trained on; a graph of another size is refused."""
+        model = WidenClassifier(
+            seed=0, dim=16, num_wide=6, num_deep=5, embedding_mode="replace"
+        )
+        model.fit(acm.graph, acm.split.train[:24], epochs=1)
         path = tmp_path / "replace.npz"
         model.save(path)
-        self._store_config(path, wide_sampling="replace")
-
-        fresh = WidenClassifier.load(path, graph=acm.graph)
-        assert fresh.config == model.config
-        probe = acm.split.test[:10]
-        np.testing.assert_array_equal(
-            fresh.embed_for_serving(probe, acm.graph, seed=5),
-            model.embed_for_serving(probe, acm.graph, seed=5),
-        )
-        assert "wide_sampling" not in migrate_checkpoint(path)["config"]
-
-    def test_unique_sampling_checkpoints_are_refused(self, acm, tmp_path):
-        """A model trained on ``"unique"`` draws would serve neighborhoods
-        it never saw: loading and migrating refuse it by name."""
-        from repro.core import migrate_checkpoint
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "unique.npz"
-        model.save(path)
-        self._store_config(path, wide_sampling="unique")
-
-        refusal = r"wide_sampling='unique'.*sampling policy is gone"
-        with pytest.raises(ValueError, match=refusal):
-            WidenClassifier.load(path, graph=acm.graph)
-        with pytest.raises(ValueError, match=refusal):
-            WidenClassifier.load(path)
-        with pytest.raises(ValueError, match=refusal):
-            migrate_checkpoint(path)
+        smaller = make_acm(seed=0, scale=0.5).graph
+        with pytest.raises(ValueError, match="node-state table that does not match"):
+            WidenClassifier.load(path, graph=smaller)
 
     @pytest.mark.parametrize("policy", ["replace", "unique"])
     def test_the_sampling_policy_is_not_a_config_field(self, policy):
@@ -307,123 +319,7 @@ class TestCheckpointV3:
         with pytest.raises(TypeError, match="wide_sampling"):
             WidenClassifier(seed=0, wide_sampling=policy)
 
-    def test_per_node_checkpoint_gets_read_sets_and_store(self, tmp_path):
-        """A checkpoint saved under ``forward_mode="per_node"`` used to be
-        refused a store and invalidated by reach.  Loaded now, it attaches
-        a store built for it and a write drops exactly the cache entries
-        whose samples read a changed adjacency list."""
-        from collections import Counter
-
-        from repro.serve import InferenceServer
-        from repro.store import build_store
-
-        dataset = make_acm(seed=0, scale=0.5)
-        graph = dataset.graph
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(graph, dataset.split.train[:40], epochs=1)
-        path = tmp_path / "per_node.npz"
-        model.save(path)
-        self._store_config(path, forward_mode="per_node")
-
-        served = WidenClassifier.load(path, graph=graph)
-        store = build_store(served, graph, tmp_path / "store", seed=7)
-        server = InferenceServer(served, graph, seed=7, store=store)
-        nodes = [int(node) for node in dataset.split.test[:6]]
-        oracle = InferenceServer(model, graph, seed=7).embed(nodes)
-        np.testing.assert_array_equal(server.embed(nodes), oracle)
-        summary = server.telemetry.summary()
-        assert summary["store_hits"] == len(nodes)
-
-        _, reads = served.embed_for_serving_batch(
-            np.asarray(nodes), graph, 7, return_reads=True
-        )
-        author = int(graph.nodes_of_type("author")[0])
-        server.add_edges("paper-author", [nodes[0]], [author])
-        dependents = {
-            node for node, read_set in zip(nodes, reads)
-            if {nodes[0], author} & set(read_set.tolist())
-        }
-        assert nodes[0] in dependents and len(dependents) < len(nodes)
-        assert server.cache.node_invalidations == Counter(dependents)
-
-    @pytest.mark.parametrize("seeding", ["stream", "per_node"])
-    def test_sample_seeding_checkpoints_resume_their_sets(
-        self, acm, tmp_path, seeding
-    ):
-        """A checkpoint written while ``WidenConfig.sample_seeding`` existed
-        stores the key and one of two ``rng_state["store"]`` shapes: the raw
-        bit-generator state (``"stream"``) or ``{"stream", "base_seed"}``
-        (``"per_node"``).  Both load with the key dropped and every stored
-        set as it was; a node first touched after the resume draws keyed by
-        the stored base seed — for a stream checkpoint, by the next integer
-        of the stored stream."""
-        import json
-
-        from repro.core.state import NeighborStateStore
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / f"{seeding}.npz"
-        model.save(path)
-        stream = np.random.default_rng(11)
-        stored = stream.bit_generator.state
-        expected_seed = 1234 if seeding == "per_node" else int(
-            stream.integers(2**63 - 1)
-        )
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        meta["config"]["sample_seeding"] = seeding
-        meta["trainer_rng"]["store"] = (
-            {"stream": stored, "base_seed": 1234} if seeding == "per_node" else stored
-        )
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
-
-        resumed = WidenClassifier.load(path, graph=acm.graph)
-        assert resumed.config == model.config
-        assert not hasattr(resumed.config, "sample_seeding")
-        want, got = model.trainer.store.records(), resumed.trainer.store.records()
-        assert list(got) == list(want)
-        for node, record in want.items():
-            np.testing.assert_array_equal(got[node].wide.nodes, record.wide.nodes)
-            np.testing.assert_array_equal(got[node].wide.etypes, record.wide.etypes)
-            for walk, kept in zip(got[node].deep, record.deep):
-                np.testing.assert_array_equal(walk.nodes, kept.nodes)
-                np.testing.assert_array_equal(walk.etypes, kept.etypes)
-
-        unseen = int(acm.split.test[0])
-        assert unseen not in resumed.trainer.store
-        config = model.config
-        keyed = NeighborStateStore(
-            acm.graph, config.num_wide, config.num_deep, config.num_deep_walks,
-            rng=expected_seed,
-        ).get(unseen)
-        first_touch = resumed.trainer.store.get(unseen)
-        np.testing.assert_array_equal(first_touch.wide.nodes, keyed.wide.nodes)
-        for walk, want_walk in zip(first_touch.deep, keyed.deep):
-            np.testing.assert_array_equal(walk.nodes, want_walk.nodes)
-        assert WidenClassifier.read_checkpoint_metadata(path)["config"][
-            "sample_seeding"
-        ] == seeding  # loading rewrites nothing
-
-    def test_newer_versions_are_refused(self, acm, tmp_path):
-        import json
-
-        from repro.core import migrate_checkpoint
-
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "future.npz"
-        model.save(path)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["__checkpoint__"]))
-        meta["format_version"] = 99
-        arrays["__checkpoint__"] = json.dumps(meta)
-        np.savez(path, **arrays)
-
-        with pytest.raises(ValueError, match="version"):
-            WidenClassifier.load(path, graph=acm.graph)
-        with pytest.raises(ValueError, match="version"):
-            migrate_checkpoint(path)
+    def test_newer_versions_are_refused(self, acm, saved):
+        rewrite_checkpoint(saved, format_version=99)
+        with pytest.raises(ValueError, match="v99, newer than this code's v4"):
+            WidenClassifier.load(saved, graph=acm.graph)

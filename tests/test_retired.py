@@ -36,9 +36,8 @@ RETIRED = [
         (),
     ),
     (
-        # The quoted key is the checkpoint loader's refusal of the retired policy.
         r"\bgather_mul|sddmm|segment_softmax|segment_matmul|SPARSE_MIN_WASTE"
-        r"|select_kernel|causal_pairs|(?<!\")wide_sampling|make_skewed|powerlaw"
+        r"|select_kernel|causal_pairs|wide_sampling|make_skewed|powerlaw"
         r"|pareto_alpha|obs\.timing",
         27,
         "one kernel family, one sampling policy, one way to time a block",
@@ -84,6 +83,19 @@ RETIRED = [
         "baselines on the array path: the per-node sampler loops, HGT's recursion, "
         "the per-pair SGNS loop, HAN's copy of GAT's layer, the per-walk node2vec walker",
         (),
+    ),
+    (
+        r"migrate_checkpoint|_stored_config|TRAINER_STATE_KEY|load_records"
+        r"|forward_mode|sample_seeding",
+        33,
+        "the checkpoint is arrays: no migration, no legacy-config ladder, no record round trip",
+        (),
+    ),
+    (
+        r"import pickle",
+        33,
+        "nothing on disk is a pickle; only the wire still is",
+        ("cluster/transport.py", "cluster/net.py"),
     ),
 ]
 

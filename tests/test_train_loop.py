@@ -58,7 +58,7 @@ def acm():
 
 @pytest.fixture(scope="module")
 def base_checkpoint(acm, tmp_path_factory):
-    """Zero-epoch v3 checkpoint: the spawn seed every replica restores."""
+    """Zero-epoch checkpoint: the spawn seed every replica restores."""
     path = tmp_path_factory.mktemp("train-base") / "base.npz"
     clf = WidenClassifier(seed=7)
     clf.fit(acm.graph, acm.split.train, epochs=0)
@@ -270,6 +270,12 @@ class TestGuardsAndMetrics:
         clf.save(path)
         with pytest.raises(ValueError, match="project"):
             DistributedTrainer(path, acm.graph, 2)
+
+    def test_shard_checkpoints_must_match_the_plan(self, acm, base_checkpoint):
+        with pytest.raises(ValueError, match="names 1 files for 2 shards"):
+            DistributedTrainer(
+                base_checkpoint, acm.graph, 2, shard_checkpoints=[base_checkpoint]
+            )
 
     def test_training_metrics_merge_shard_labeled(self, acm, base_checkpoint):
         with DistributedTrainer(
