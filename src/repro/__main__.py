@@ -21,10 +21,12 @@ Commands
     cluster report: per-shard ownership/latency plus cluster throughput.  ``--transport``
     selects the shard boundary: ``inline`` (deterministic replay, default)
     or ``socket`` (one TCP worker process per shard, rebuilt from the
-    checkpoint, with heartbeats, respawn, and mutation-log catch-up;
-    ``--workers host:port,...`` points at pre-started ``shard-worker``
-    processes, otherwise workers are spawned locally).  ``--prometheus-out`` writes the merged shard-labeled
-    Prometheus exposition.
+    checkpoint, with heartbeats, and a dead worker respawned from the
+    coordinator's current graph and write clock; ``--workers
+    host:port,...`` points at pre-started ``shard-worker`` processes,
+    otherwise workers are spawned locally).  ``--prometheus-out`` writes
+    the merged shard-labeled Prometheus exposition, as ``train --shards``
+    does for a training fleet.
 ``shard-worker --listen HOST:PORT``
     Run one shard-engine server speaking the length-prefixed TCP framing
     of :mod:`repro.cluster.net`.  Port 0 picks a free port; the bound
@@ -154,10 +156,7 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
         )
         model = trainer.classifier(graph=graph)
         if args.prometheus_out:
-            text = trainer.render_prometheus()
-            Path(args.prometheus_out).write_text(text)
-            lines = sum(1 for l in text.splitlines() if l and not l.startswith("#"))
-            print(f"wrote {lines} Prometheus samples to {args.prometheus_out}")
+            _write_prometheus(trainer, args.prometheus_out)
     predictions = model.predict(split.test)
     score = micro_f1(graph.labels[split.test], predictions)
     seconds = float(np.sum(history.epoch_seconds)) or 1e-12
@@ -170,6 +169,13 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
         print(f"fleet checkpoints in {args.checkpoint_out}")
     _maybe_dump_metrics(args)
     return 0
+
+
+def _write_prometheus(fleet, path: str) -> None:
+    """A router's or trainer's merged, shard-labeled exposition, written
+    atomically (temp file + rename)."""
+    lines = fleet.merged_registry().write_prometheus(path)
+    print(f"wrote {lines} Prometheus samples to {path}")
 
 
 def _maybe_dump_metrics(args: argparse.Namespace) -> None:
@@ -410,7 +416,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
             partition_seed=args.seed,
-            prometheus_path=args.prometheus_out,
             store_path=args.store or None,
         )
         # Worker processes and the listener go down with the block, also
@@ -448,8 +453,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                           f"occupancy {shard['batch_occupancy'] * 100:.0f}%, "
                           f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
             if args.prometheus_out:
-                lines = router.flush_prometheus()
-                print(f"\nwrote {lines} Prometheus samples to {args.prometheus_out}")
+                print()
+                _write_prometheus(router, args.prometheus_out)
     _maybe_dump_metrics(args)
     return 0
 
@@ -555,18 +560,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_worker(args: argparse.Namespace) -> int:
-    from repro.cluster.net import DEFAULT_MAX_FRAME_BYTES, ShardWorkerServer
+    from repro.cluster.net import ShardWorkerServer
 
     listen = args.listen or "127.0.0.1:0"
     host, _, port = listen.rpartition(":")
     if not host:
         host, port = "127.0.0.1", listen
-    server = ShardWorkerServer(
-        host=host,
-        port=int(port),
-        max_frame_bytes=args.max_frame_bytes or DEFAULT_MAX_FRAME_BYTES,
-    )
-    return server.serve_forever()
+    return ShardWorkerServer(host=host, port=int(port)).serve_forever()
 
 
 def main(argv=None) -> int:
@@ -667,9 +667,6 @@ def main(argv=None) -> int:
                      help="shard-worker: host:port to listen on "
                           "(port 0 picks a free port; the bound address "
                           "is announced as 'LISTENING host port')")
-    net.add_argument("--max-frame-bytes", type=int, default=None,
-                     help="shard-worker: reject frames larger than this "
-                          "many bytes (default 1 GiB)")
     args = parser.parse_args(argv)
     args.dataset = args.dataset or args.dataset_flag
     if args.command == "profile" and args.metrics_out is None:

@@ -30,12 +30,15 @@ while preserving its exact semantics:
   current shard payload and the freshness state the coordinator holds for
   every shard, checked against that state before the shard is readmitted
   to scatter-gather.
-- :mod:`~repro.cluster.engine` — the far side of the boundary: one rebuilt
-  shard spec + one :class:`InferenceServer`, driven entirely by envelope
-  dispatch, and :func:`build_engine_from_args`, the one route by which any
-  engine is built on either transport.
-- :mod:`~repro.cluster.worker` — the router's per-shard protocol stub
-  (serve scatter legs, mutation barriers, telemetry pulls).
+- :mod:`~repro.cluster.engine` — the far side of the boundary: one
+  envelope dispatch (:meth:`ShardEngine.handle`) answering every kind, for
+  a serving engine (one rebuilt shard spec + one :class:`InferenceServer`)
+  and a training one (:class:`TrainEngine`), and
+  :func:`build_engine_from_args`, the one route by which any engine is
+  built on either transport.
+- :mod:`~repro.cluster.worker` — the coordinator's one per-shard protocol
+  stub (serve scatter legs, mutation barriers, telemetry pulls, training
+  phases) and the shard-labeled registry merge.
 - :mod:`~repro.cluster.router` — ownership-based async scatter-gather with
   order-preserving merges, per-shard gather timeouts, mutation broadcast
   barriers, and cluster-wide telemetry/Prometheus aggregation over
@@ -49,13 +52,13 @@ either transport.
 :mod:`~repro.cluster.train` extends the same substrate to data-parallel
 *training*: :class:`TrainEngine` answers the ``train_*`` envelope family
 with a :class:`~repro.core.trainer.WidenTrainer` replica over its owned
-nodes, :class:`TrainWorker` is its coordinator stub speaking the
-:class:`~repro.core.train_loop.TrainLoop` client protocol, and
+nodes, :class:`ShardWorker` sends it the
+:class:`~repro.core.train_loop.TrainLoop` phases, and
 :class:`DistributedTrainer` plans, brings up the same :class:`Fleet`,
 reduces gradients and checkpoints it for elastic resume.
 """
 
-from repro.cluster.engine import ShardEngine, build_engine_from_args
+from repro.cluster.engine import ShardEngine, TrainEngine, build_engine_from_args
 from repro.cluster.fleet import (
     Fleet,
     FleetSupervisor,
@@ -73,7 +76,7 @@ from repro.cluster.planner import (
     ShardSpec,
 )
 from repro.cluster.router import ClusterRouter
-from repro.cluster.train import DistributedTrainer, TrainEngine, TrainWorker
+from repro.cluster.train import DistributedTrainer
 from repro.cluster.transport import (
     Envelope,
     InlineTransport,
@@ -107,7 +110,6 @@ __all__ = [
     "ShardWorkerServer",
     "SocketTransport",
     "TrainEngine",
-    "TrainWorker",
     "Transport",
     "WorkerDown",
     "WorkerHandle",

@@ -1,12 +1,22 @@
 """The engine side of the shard boundary: envelopes in, replies out.
 
-:class:`ShardEngine` is everything that lives *behind* a transport: one
-rebuilt :class:`~repro.cluster.planner.ShardSpec` (the ids it owns and its
-own replica of the graph — never shared with the router) and one
-:class:`~repro.serve.server.InferenceServer` over it.  The protocol layer
-(:class:`~repro.cluster.worker.ShardWorker` + a transport) never touches
-the server; it only ships :class:`~repro.cluster.transport.Envelope`\\ s,
-and :meth:`handle` is the single dispatch point — which is why the same
+Both engine families live here and share one dispatch,
+:meth:`ShardEngine.handle`: look up ``_handle_<kind>``, turn a failure into
+an error reply counted as ``shard_errors_total{kind=...}`` (exceptions are
+data on this boundary, raised again only at the coordinator's gather), and
+run a private per-envelope tracer when the envelope carries a
+``trace_ctx``.
+
+- :class:`ShardEngine` (``serve`` family) is one rebuilt
+  :class:`~repro.cluster.planner.ShardSpec` (the ids it owns and its own
+  replica of the graph — never shared with the router) and one
+  :class:`~repro.serve.server.InferenceServer` over it.
+- :class:`TrainEngine` (``train`` family) is the same spec plus one full
+  model replica and its :class:`~repro.core.trainer.WidenTrainer`.
+
+The protocol layer (:class:`~repro.cluster.worker.ShardWorker` + a
+transport) never touches either; it only ships
+:class:`~repro.cluster.transport.Envelope`\\ s, which is why the same
 engine code runs inline and in a worker process on the far side of a
 socket without any behavioral difference.
 
@@ -33,22 +43,26 @@ Envelope kinds:
   router's timeline.
 - ``reset`` — clear telemetry + the logical clock (between replay passes).
 - ``shutdown`` — detach the server; the transport tears the channel down.
-
-Every handler runs under a try/except that converts failures into error
-replies — exceptions are data on this boundary, raised again only at the
-router's gather.
+- ``train_*`` — the phase commands of
+  :class:`~repro.core.train_loop.TrainLoop` (``train_epoch_begin``,
+  ``train_microbatch``, ``train_grads``, ``train_apply``,
+  ``train_epoch_end``) and ``train_checkpoint``, the replica's checkpoint
+  bytes; a training engine answers ``metrics``, ``clock`` and ``shutdown``
+  too.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import time
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.cluster.planner import ShardSpec, check_node_range
 from repro.cluster.transport import Envelope, Reply, error_info
+from repro.core.classifier import WidenClassifier
 from repro.obs.dist import spans_to_wire
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import _NULL_SPAN, Tracer, set_thread_tracer
@@ -61,8 +75,8 @@ def build_engine_from_args(args: Dict[str, object]):
     the inline transport and ``ShardWorkerServer`` both call this).
 
     The schema: ``engine`` picks the family — ``"serve"``
-    (:class:`ShardEngine`) or ``"train"``
-    (:class:`repro.cluster.train.TrainEngine`); ``spec_payload`` is the
+    (:class:`ShardEngine`) or ``"train"`` (:class:`TrainEngine`);
+    ``spec_payload`` is the
     serialized shard; ``checkpoint`` is a path (engines sharing the
     router's filesystem) or else ``checkpoint_bytes`` the raw ``.npz``
     contents (socket workers share nothing); ``config`` is the family's
@@ -70,21 +84,21 @@ def build_engine_from_args(args: Dict[str, object]):
     build (a respawned serving engine adopts the coordinator's write clock).
     """
     family = args["engine"]
-    if family == "serve":
-        return ShardEngine.from_args(args)
-    if family == "train":
-        from repro.cluster.train import TrainEngine
-
-        return TrainEngine.from_args(args)
-    raise ValueError(f"unknown engine family {family!r}")
+    if family not in ENGINES:
+        raise ValueError(
+            f"unknown engine family {family!r}; expected one of {sorted(ENGINES)}"
+        )
+    return ENGINES[family].from_args(args)
 
 
 class ShardEngine:
-    """One shard's serving state plus the envelope dispatch loop."""
+    """One shard's serving state plus the envelope dispatch, which
+    :class:`TrainEngine` inherits."""
 
     def __init__(self, spec: ShardSpec, server: InferenceServer) -> None:
         self.spec = spec
         self.server = server
+        self.registry = server.telemetry.registry
         self.closed = False
 
     @classmethod
@@ -156,7 +170,7 @@ class ShardEngine:
                     handler = getattr(self, f"_handle_{envelope.kind}", None)
                     if handler is None:
                         raise ValueError(f"unknown envelope kind {envelope.kind!r}")
-                    payload = handler(envelope.payload)
+                    payload = self._run(handler, envelope.payload)
                 except Exception as exc:
                     self._count_error(envelope.kind)
                     error = error_info(exc)
@@ -175,12 +189,14 @@ class ShardEngine:
             trace=trace,
         )
 
+    def _run(self, handler: Callable[[dict], dict], payload: dict) -> dict:
+        """Run one handler: the family's hook around every dispatch."""
+        return handler(payload)
+
     def _count_error(self, kind: str) -> None:
         """Error replies are observable: ``shard_errors_total{kind=...}``."""
         try:
-            self.server.telemetry.registry.counter(
-                "shard_errors_total", kind=kind
-            ).inc()
+            self.registry.counter("shard_errors_total", kind=kind).inc()
         except Exception:
             pass  # a broken registry must not mask the original error
 
@@ -252,3 +268,104 @@ class ShardEngine:
             self.server.close()
             self.closed = True
         return {}
+
+
+class TrainEngine(ShardEngine):
+    """One shard's training replica behind the envelope boundary.
+
+    Holds a graph replica, the shard's owned ids and a full model replica
+    whose parameters, optimizer moments and rng streams came from a
+    checkpoint — the same spawn contract serving engines use, which is why
+    a fleet brings training workers up through the path serving uses
+    (``engine_args["engine"] = "train"`` is the only difference on the
+    wire).  It answers through :meth:`ShardEngine.handle`, so a
+    ``train_*`` envelope with a ``trace_ctx`` ships its span buffer back
+    exactly as a ``serve`` one does.  The serving handlers it inherits
+    need a server it does not hold: a serving kind sent here comes back
+    as an error reply.
+    """
+
+    def __init__(self, spec: ShardSpec, classifier) -> None:
+        self.spec = spec
+        self.classifier = classifier
+        self.trainer = classifier.trainer
+        self.registry = MetricsRegistry()  # private per shard; merged on pull
+        # Route the trainer's hot-path instruments (attention entropy, KL)
+        # and per-epoch series into the shard-private registry so the
+        # coordinator's merge can label them by shard.
+        self.trainer.set_registry(self.registry)
+        self._step_seconds = self.registry.histogram("train_shard_step_seconds")
+        self.closed = False
+
+    @classmethod
+    def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
+        """Rebuild a training shard from its shard payload + checkpoint (see
+        :func:`build_engine_from_args`).
+
+        The checkpoint is a path or, for a socket worker, its bytes, loaded
+        from memory.  It carries the trainer's state (optimizer moments,
+        neighbor sets, epoch), so training resumes mid-stream; a fresh
+        run's base checkpoint — saved right after build, zero epochs —
+        works the same way, every replica restoring identical rng streams.
+        """
+        spec = ShardSpec.from_payload(args["spec_payload"])
+        classifier = WidenClassifier.load(
+            args["checkpoint"] or args["checkpoint_bytes"], graph=spec.graph
+        )
+        return cls(spec, classifier)
+
+    def _run(self, handler: Callable[[dict], dict], payload: dict) -> dict:
+        """Stamp the compute this replica consumed into the reply, so the
+        coordinator's logical service clock can take the max across shards
+        per phase.  Process-CPU time, not wall: on an oversubscribed host
+        (several shard processes per core) wall time includes being
+        preempted by *sibling shards*, which would charge the same
+        core-seconds to every replica and hide the very parallelism being
+        measured.  On an idle multi-core host the two clocks agree."""
+        started = time.process_time()
+        reply = handler(payload)
+        return dict(reply, seconds=time.process_time() - started)
+
+    # ------------------------------------------------------------------
+    # Handlers (the train envelope family)
+    # ------------------------------------------------------------------
+
+    def _handle_train_epoch_begin(self, payload: Dict[str, object]) -> dict:
+        train_nodes = np.asarray(payload["train_nodes"], dtype=np.int64)
+        return self.trainer.epoch_begin(train_nodes, owned=self.spec.owned)
+
+    def _handle_train_microbatch(self, payload: Dict[str, object]) -> dict:
+        started = time.perf_counter()
+        reply = self.trainer.run_microbatch(int(payload["start"]))
+        self._step_seconds.observe(time.perf_counter() - started)
+        return reply
+
+    def _handle_train_grads(self, payload: Dict[str, object]) -> dict:
+        return {"grads": self.trainer.export_grads()}
+
+    def _handle_train_apply(self, payload: Dict[str, object]) -> dict:
+        self.trainer.apply_update(payload.get("grads"), norm=payload.get("norm"))
+        return {}
+
+    def _handle_train_epoch_end(self, payload: Dict[str, object]) -> dict:
+        return self.trainer.epoch_finish()
+
+    def _handle_train_checkpoint(self, payload: Dict[str, object]) -> dict:
+        """The replica's full checkpoint as bytes — the elastic-resume
+        unit.  Covers parameters, optimizer moments, every rng stream and
+        the shard's (possibly downsampled) neighbor states, so an engine
+        respawned from it continues bit-identically."""
+        buffer = io.BytesIO()
+        self.classifier.save(buffer)
+        return {"checkpoint": buffer.getvalue()}
+
+    def _handle_metrics(self, payload: Dict[str, object]) -> dict:
+        return {"registry": self.registry.to_payload()}
+
+    def _handle_shutdown(self, payload: Dict[str, object]) -> dict:
+        self.closed = True
+        return {}
+
+
+#: ``engine_args["engine"]`` → the family that answers it.
+ENGINES = {"serve": ShardEngine, "train": TrainEngine}

@@ -48,19 +48,9 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.engine import build_engine_from_args
-from repro.cluster.net import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_HEARTBEAT_MISSES,
-    DEFAULT_MAX_FRAME_BYTES,
-    SocketTransport,
-    WorkerDown,
-)
-from repro.cluster.transport import (
-    Envelope,
-    InlineTransport,
-    Transport,
-    check_transport,
-)
+from repro.cluster.net import SocketTransport, WorkerDown
+from repro.cluster.transport import InlineTransport, Transport, check_transport
+from repro.cluster.worker import ShardWorker
 from repro.serve.cache import WriteClock
 
 __all__ = [
@@ -251,18 +241,16 @@ class Fleet:
     ``"socket"`` (one worker process per shard: spawned on loopback, or
     pre-started at the ``workers`` addresses).  ``on_down`` /
     ``on_heartbeat`` are the socket transports' liveness callbacks; a
-    :class:`FleetSupervisor` installs itself there before bring-up.
+    :class:`FleetSupervisor` installs itself there before bring-up.  The
+    frame bound and heartbeat cadence are the wire's own defaults
+    (:mod:`repro.cluster.net`).
     """
 
+    #: Seconds to wait for one engine to report ready (build + load).
+    START_TIMEOUT = 120.0
+
     def __init__(
-        self,
-        transport: str,
-        *,
-        workers: Optional[Sequence[str]] = None,
-        start_timeout: float = 120.0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
+        self, transport: str, *, workers: Optional[Sequence[str]] = None
     ) -> None:
         self.kind = check_transport(transport)
         if workers is not None and transport != "socket":
@@ -277,10 +265,6 @@ class Fleet:
                 if workers is None
                 else ShardRegistry.from_addresses(workers)
             )
-        self.start_timeout = float(start_timeout)
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_misses = int(heartbeat_misses)
         self.on_down: Optional[Callable[[int, str, str], None]] = None
         self.on_heartbeat: Optional[Callable[[int, float], None]] = None
         self.engine_args: List[Dict[str, object]] = []
@@ -331,7 +315,7 @@ class Fleet:
                 self.engine_args.append(args)
                 self.transports.append(self.open(spec.shard_id, args))
             for transport in self.transports:
-                transport.wait_ready(self.start_timeout)
+                transport.wait_ready(self.START_TIMEOUT)
         except BaseException:
             self.close()
             raise
@@ -349,9 +333,6 @@ class Fleet:
                 shard_id,
                 self.registry.launch(shard_id).address,
                 args,
-                max_frame_bytes=self.max_frame_bytes,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_misses=self.heartbeat_misses,
                 on_down=self.on_down,
                 on_heartbeat=self.on_heartbeat,
             )
@@ -362,7 +343,7 @@ class Fleet:
         engine is built from ``args``.  The caller readmits it."""
         self.transports[shard_id].stop(timeout=1.0)
         transport = self.transports[shard_id] = self.open(shard_id, args)
-        transport.wait_ready(self.start_timeout)
+        transport.wait_ready(self.START_TIMEOUT)
         return transport
 
     def close(self) -> None:
@@ -514,7 +495,7 @@ class FleetSupervisor:
                     serving_state=state,
                 ),
             )
-            self._verify(shard_id, transport, state)
+            self._verify(ShardWorker(worker.spec, transport), state)
             respawned = time.perf_counter()
             worker.swap_transport(transport)
             self._metrics.counter(
@@ -540,20 +521,18 @@ class FleetSupervisor:
                 return max(0.0, now - event.mono)
         return 0.0
 
-    def _verify(
-        self, shard_id: int, transport: Transport, want: Dict[str, object]
-    ) -> None:
+    def _verify(self, candidate: ShardWorker, want: Dict[str, object]) -> None:
         """A recovered engine must hold the coordinator's whole serving
         state — graph version, write clock, touched stamps — before it
         serves anything."""
-        got = transport.send(Envelope(kind="serving_state")).result(
-            self.router.request_timeout
-        )["serving_state"]
+        pending = candidate.pull_serving_state()
+        got = pending.result(self.router.REQUEST_TIMEOUT)["serving_state"]
         differs = [key for key in want if got.get(key) != want[key]]
         if differs:
             raise RuntimeError(
-                f"shard {shard_id} recovery diverged: the respawned engine's "
-                f"{', '.join(differs)} differ from the coordinator's"
+                f"shard {candidate.spec.shard_id} recovery diverged: the "
+                f"respawned engine's {', '.join(differs)} differ from the "
+                "coordinator's"
             )
 
     def summary(self) -> Dict[str, object]:

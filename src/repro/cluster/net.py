@@ -13,7 +13,7 @@ happens when one dies, is :mod:`repro.cluster.fleet`'s business.
 
 **Framing.**  One frame = an 8-byte big-endian length prefix + that many
 pickle bytes.  :func:`recv_frame` loops over partial reads (TCP has no
-message boundaries), rejects frames above a configurable cap *before*
+message boundaries), rejects frames above a fixed cap *before*
 allocating (a corrupt or hostile length prefix must not OOM the router),
 and distinguishes a clean close between frames (:class:`ConnectionClosed`)
 from a mid-frame cut (``ConnectionResetError``).
@@ -141,19 +141,12 @@ def recv_frame(
     return _recv_exact(sock, size)
 
 
-def send_message(
-    sock: socket.socket,
-    message: object,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
-    send_frame(sock, pickle.dumps(message), max_frame_bytes)
+def send_message(sock: socket.socket, message: object) -> None:
+    send_frame(sock, pickle.dumps(message))
 
 
-def recv_message(
-    sock: socket.socket,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> object:
-    return pickle.loads(recv_frame(sock, max_frame_bytes))
+def recv_message(sock: socket.socket) -> object:
+    return pickle.loads(recv_frame(sock))
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +171,6 @@ class SocketTransport(Transport):
         address: Tuple[str, int],
         engine_args: Dict[str, object],
         *,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
         connect_timeout: float = 10.0,
@@ -188,7 +180,6 @@ class SocketTransport(Transport):
         super().__init__(shard_id)
         self.address = (str(address[0]), int(address[1]))
         self._engine_args = engine_args
-        self.max_frame_bytes = int(max_frame_bytes)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_misses = int(heartbeat_misses)
         self._connect_timeout = float(connect_timeout)
@@ -280,7 +271,7 @@ class SocketTransport(Transport):
                 with self._state_lock:
                     self._pending[envelope.seq] = pending
                 try:
-                    send_message(self._sock, envelope, self.max_frame_bytes)
+                    send_message(self._sock, envelope)
                 except OSError as exc:
                     self._mark_down("send_failed", str(exc))
         # A down transport answers every request with a WorkerDown error
@@ -297,7 +288,7 @@ class SocketTransport(Transport):
         with self._send_lock:
             envelope.seq = READY_SEQ
             try:
-                send_message(self._sock, envelope, self.max_frame_bytes)
+                send_message(self._sock, envelope)
             except OSError as exc:
                 self._mark_down("send_failed", str(exc))
 
@@ -306,7 +297,7 @@ class SocketTransport(Transport):
     def _receive_loop(self) -> None:
         while True:
             try:
-                reply = recv_message(self._sock, self.max_frame_bytes)
+                reply = recv_message(self._sock)
             except (ConnectionClosed, ConnectionError, OSError, EOFError) as exc:
                 if not self._stopping:
                     self._mark_down("connection_reset", str(exc))
@@ -356,7 +347,6 @@ class SocketTransport(Transport):
                     send_message(
                         self._sock,
                         Envelope(kind="clock", payload={"heartbeat": True}, seq=seq),
-                        self.max_frame_bytes,
                     )
                 except OSError as exc:
                     self._mark_down("send_failed", str(exc))
@@ -446,12 +436,10 @@ class ShardWorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         announce: bool = True,
     ) -> None:
         self.host = host
         self.port = int(port)
-        self.max_frame_bytes = int(max_frame_bytes)
         self.announce = announce
         self._listener: Optional[socket.socket] = None
         self._bound = threading.Event()
@@ -507,12 +495,12 @@ class ShardWorkerServer:
         def reply_out(reply: Reply) -> None:
             with send_lock:
                 try:
-                    send_message(conn, reply, self.max_frame_bytes)
+                    send_message(conn, reply)
                 except OSError:
                     pass  # the router is gone; the session is ending anyway
 
         try:
-            spawn = recv_message(conn, self.max_frame_bytes)
+            spawn = recv_message(conn)
         except (ConnectionError, OSError, EOFError):
             return "reset"
         if not isinstance(spawn, Envelope) or spawn.kind != "spawn":
@@ -551,7 +539,7 @@ class ShardWorkerServer:
         try:
             while True:
                 try:
-                    envelope = recv_message(conn, self.max_frame_bytes)
+                    envelope = recv_message(conn)
                 except (ConnectionError, OSError, EOFError):
                     break
                 if not isinstance(envelope, Envelope):
@@ -559,17 +547,7 @@ class ShardWorkerServer:
                 if envelope.kind == "clock":
                     # Out-of-band liveness: answered here, not behind the
                     # engine FIFO, so long computes don't read as hangs.
-                    reply_out(
-                        Reply(
-                            seq=envelope.seq,
-                            ok=True,
-                            payload={
-                                "mono": time.perf_counter(),
-                                "wall": time.time(),
-                                "pid": os.getpid(),
-                            },
-                        )
-                    )
+                    reply_out(_safe_handle(engine, envelope))
                     continue
                 inbox.put(envelope)
                 if envelope.kind == "shutdown":

@@ -32,10 +32,11 @@ whole-graph server.
 
 Telemetry crosses the boundary as data: :meth:`summary` merges per-shard
 :class:`~repro.serve.telemetry.Telemetry` payloads (cluster percentiles
-over the union of request records), and :meth:`render_prometheus` merges
-every shard's serialized registry snapshot into one exposition with a
+over the union of request records), and :meth:`merged_registry` merges
+every shard's serialized registry snapshot into one registry with a
 ``shard`` label per series — the same output whether the registries live
-in this process or in four others.
+in this process or in four others.  Its ``write_prometheus(path)`` writes
+the text exposition.
 """
 
 from __future__ import annotations
@@ -48,14 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.fleet import Fleet, FleetSupervisor
-from repro.cluster.net import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_HEARTBEAT_MISSES,
-    DEFAULT_MAX_FRAME_BYTES,
-    WorkerDown,
-)
+from repro.cluster.net import WorkerDown
 from repro.cluster.planner import ClusterPlan, ShardPlanner, check_node_range
-from repro.cluster.worker import ShardWorker
+from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier, serving_refusal
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
@@ -83,6 +79,9 @@ class ClusterRouter:
     round-trips a live classifier through a temp checkpoint).
     """
 
+    #: Seconds to wait for one shard's reply to any envelope.
+    REQUEST_TIMEOUT = 120.0
+
     def __init__(
         self,
         checkpoint,
@@ -95,36 +94,17 @@ class ClusterRouter:
         cache_capacity: int = 1024,
         seed: int = 0,
         partition_seed: int = 0,
-        request_timeout: Optional[float] = 120.0,
-        start_timeout: float = 120.0,
-        prometheus_path: Optional[str] = None,
-        prometheus_interval: float = 10.0,
         store_path: Optional[str] = None,
         dist_tracing: bool = False,
         slo_target: Optional[SLOTarget] = None,
-        slow_log_capacity: int = 16,
         workers: Optional[Sequence[str]] = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         # First: a bad transport name or a workers= on the wrong transport
         # fails here, not deep inside a spawn path.
-        self.fleet = Fleet(
-            transport,
-            workers=workers,
-            start_timeout=start_timeout,
-            max_frame_bytes=max_frame_bytes,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-        )
+        self.fleet = Fleet(transport, workers=workers)
         self.graph = graph
         self.seed = int(seed)
-        self.request_timeout = request_timeout
         self.registry = MetricsRegistry()  # router-scope series
-        self._prometheus_path = prometheus_path
-        self._prometheus_interval = float(prometheus_interval)
-        self._prometheus_last_flush = float("-inf")
         # The serving contract, before anything is partitioned or spawned.
         probe = WidenClassifier.load(checkpoint)
         reason = serving_refusal(probe)
@@ -180,7 +160,6 @@ class ClusterRouter:
         self.slo_monitor: Optional[SLOMonitor] = None
         self.slow_log: Optional[SlowRequestLog] = None
         self.attributions: List[AttributionRecord] = []
-        self._slow_log_capacity = int(slow_log_capacity)
         channels = self.fleet.bring_up(
             "serve",
             self.plan.shards,
@@ -301,7 +280,6 @@ class ClusterRouter:
                 "router.serve", trace_id=trace_id, nodes=int(nodes.size), kind=kind
             ):
                 legs = self._route(nodes)
-                self._maybe_flush_prometheus()
                 pending = []
                 for shard, positions in legs:
                     with tracer.span(f"router.scatter.shard{shard}"):
@@ -354,7 +332,7 @@ class ClusterRouter:
         error replies too — a raising engine's spans reach the stitched
         trace *before* the :class:`ShardError` propagates.
         """
-        raw = reply.wait(self.request_timeout)
+        raw = reply.wait(self.REQUEST_TIMEOUT)
         if raw.trace is not None and self.dist is not None:
             self.dist.add_reply_trace(raw.trace)
             self.registry.counter("trace_spans_total").inc(
@@ -408,19 +386,10 @@ class ClusterRouter:
             self.dist.register_clock(clock)
         return self.dist
 
-    def enable_slo(
-        self,
-        target: Optional[SLOTarget] = None,
-        *,
-        slow_log_capacity: Optional[int] = None,
-    ) -> SLOMonitor:
+    def enable_slo(self, target: Optional[SLOTarget] = None) -> SLOMonitor:
         """Attach a rolling-window SLO monitor + slow-request log."""
         self.slo_monitor = SLOMonitor(target)
-        self.slow_log = SlowRequestLog(
-            slow_log_capacity
-            if slow_log_capacity is not None
-            else self._slow_log_capacity
-        )
+        self.slow_log = SlowRequestLog()
         return self.slo_monitor
 
     def write_dist_trace(self, path) -> int:
@@ -505,7 +474,7 @@ class ClusterRouter:
         pending = [worker.mutate(command) for worker in self.workers]
         for reply in pending:
             try:
-                reply.result(self.request_timeout)
+                reply.result(self.REQUEST_TIMEOUT)
             except WorkerDown as exc:
                 self._recover_worker(exc)
             self.registry.counter(
@@ -549,16 +518,16 @@ class ClusterRouter:
             if overlap:
                 pending.append(reply)
             else:
-                reply.result(self.request_timeout)
+                reply.result(self.REQUEST_TIMEOUT)
         for reply in pending:
-            reply.result(self.request_timeout)
+            reply.result(self.REQUEST_TIMEOUT)
         return self.summary()
 
     def reset_telemetry(self) -> None:
         """Clear per-shard reductions and clocks (between replay passes)."""
         pending = [worker.reset() for worker in self.workers]
         for reply in pending:
-            reply.result(self.request_timeout)
+            reply.result(self.REQUEST_TIMEOUT)
 
     # ------------------------------------------------------------------
     # Telemetry aggregation
@@ -566,7 +535,7 @@ class ClusterRouter:
 
     def _pull_telemetry(self) -> List[dict]:
         pending = [worker.pull_telemetry() for worker in self.workers]
-        return [reply.result(self.request_timeout) for reply in pending]
+        return [reply.result(self.REQUEST_TIMEOUT) for reply in pending]
 
     def summary(self) -> Dict[str, object]:
         """Cluster-level reductions plus one summary block per shard."""
@@ -594,31 +563,13 @@ class ClusterRouter:
         }
 
     def merged_registry(self) -> MetricsRegistry:
-        """Every shard's registry snapshot + router series, shard-labeled.
-
-        Registries cross the shard boundary as serialized payloads
-        (:meth:`MetricsRegistry.to_payload`), so the merge is identical
-        whether the shards share this process or run in their own.
-        """
-        merged = MetricsRegistry()
+        """Every shard's registry snapshot + router series, shard-labeled
+        (:func:`~repro.cluster.worker.merge_registries`), plus the fleet's
+        connected-worker gauge and the SLO gauges."""
         if self.supervisor is not None:
             up = sum(not worker.transport.is_down for worker in self.workers)
             self.registry.gauge("fleet_workers_connected").set(up)
-        merged.merge_payload(self.registry.to_payload())
-        pending = [
-            (worker.spec.shard_id, worker.pull_metrics())
-            for worker in self.workers
-        ]
-        for shard_id, reply in pending:
-            try:
-                payload = reply.result(self.request_timeout)
-            except WorkerDown:
-                # A down shard has no registry to pull; the fleet gauges
-                # above already say so.  Scraping must not hang on it.
-                continue
-            merged.merge_payload(
-                payload["registry"], extra_labels={"shard": str(shard_id)}
-            )
+        merged = merge_registries(self.registry, self.workers, self.REQUEST_TIMEOUT)
         if self.slo_monitor is not None:
             report = self.slo_monitor.report()
             merged.gauge("slo_window_requests").set(report["window_count"])
@@ -635,21 +586,6 @@ class ClusterRouter:
     def render_prometheus(self) -> str:
         """One Prometheus exposition for the whole cluster."""
         return self.merged_registry().render_prometheus()
-
-    def flush_prometheus(self) -> Optional[int]:
-        """Write the merged exposition now; None when no path is set."""
-        if self._prometheus_path is None:
-            return None
-        return self.merged_registry().write_prometheus(self._prometheus_path)
-
-    def _maybe_flush_prometheus(self) -> None:
-        if self._prometheus_path is None:
-            return
-        now = time.monotonic()
-        if now - self._prometheus_last_flush < self._prometheus_interval:
-            return
-        self._prometheus_last_flush = now
-        self.flush_prometheus()
 
     # ------------------------------------------------------------------
     # Lifecycle

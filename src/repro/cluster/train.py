@@ -9,19 +9,16 @@ owned nodes what a whole-graph trainer would), the ``train`` family of
 serving uses, and per-shard metrics merge through the same
 registry-payload path ``/metrics`` scrapes.
 
-Three pieces:
-
-- :class:`TrainEngine` — the engine side: one shard's graph replica and
-  owned ids, one full model replica (rebuilt from a checkpoint, so
-  optimizer moments, neighbor sets and every rng stream arrive intact), one
-  :class:`~repro.core.trainer.WidenTrainer` answering phase envelopes.
-- :class:`TrainWorker` — the coordinator's client stub; its methods return
-  :class:`~repro.cluster.transport.PendingReply` handles shaped exactly
-  like :class:`~repro.core.train_loop.LocalTrainClient`'s, so
-  :class:`~repro.core.train_loop.TrainLoop` drives a fleet and a local
-  trainer through one code path.
-- :class:`DistributedTrainer` — plans the partition, brings the fleet up,
-  runs the loop, checkpoints per shard for elastic resume.
+The shard protocol is serving's too: the engine side is
+:class:`~repro.cluster.engine.TrainEngine` (one shard's graph replica and
+owned ids, one full model replica rebuilt from a checkpoint, so optimizer
+moments, neighbor sets and every rng stream arrive intact), answered
+through the one engine dispatch, and the coordinator's stub is
+:class:`~repro.cluster.worker.ShardWorker`, whose ``train_*`` methods let
+:class:`~repro.core.train_loop.TrainLoop` drive a fleet and a local trainer
+through one code path.  :class:`DistributedTrainer` plans the partition,
+brings the fleet up, runs the loop and checkpoints per shard for elastic
+resume.
 
 The synchronization story (why replicas stay bitwise aligned): every
 replica restores the *same* checkpoint, so every replica's shuffle stream
@@ -42,209 +39,25 @@ float reassociation from batch splitting, at 1e-15 scale.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.fleet import Fleet
-from repro.cluster.net import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_HEARTBEAT_MISSES,
-    DEFAULT_MAX_FRAME_BYTES,
-)
-from repro.cluster.planner import ClusterPlan, ShardPlanner, ShardSpec
-from repro.cluster.transport import (
-    Envelope,
-    PendingReply,
-    Reply,
-    Transport,
-    error_info,
-)
+from repro.cluster.planner import ClusterPlan, ShardPlanner
+from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier
 from repro.core.train_loop import TrainHistory, TrainLoop
 from repro.graph import HeteroGraph
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["TrainEngine", "TrainWorker", "DistributedTrainer"]
+__all__ = ["DistributedTrainer"]
 
 MANIFEST_NAME = "manifest.json"
-
-
-class TrainEngine:
-    """One shard's training replica behind the envelope boundary.
-
-    Holds a graph replica, the shard's owned ids and a full model replica
-    whose parameters, optimizer moments and rng streams came from a
-    checkpoint —
-    the same spawn contract serving engines use, which is why a fleet
-    brings training workers up through the path serving uses
-    (``engine_args["engine"] = "train"`` is the only difference on the
-    wire).
-    """
-
-    def __init__(self, spec: ShardSpec, classifier) -> None:
-        self.spec = spec
-        self.classifier = classifier
-        self.trainer = classifier.trainer
-        self.registry = MetricsRegistry()  # private per shard; merged on pull
-        # Route the trainer's hot-path instruments (attention entropy, KL)
-        # and per-epoch series into the shard-private registry so the
-        # coordinator's merge can label them by shard.
-        self.trainer.set_registry(self.registry)
-        self._step_seconds = self.registry.histogram("train_shard_step_seconds")
-        self.closed = False
-
-    @classmethod
-    def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
-        """Rebuild a training shard from its shard payload + checkpoint (see
-        :func:`repro.cluster.engine.build_engine_from_args`).
-
-        The checkpoint is a path or, for a socket worker, its bytes, loaded
-        from memory.  It carries the trainer's state (optimizer moments,
-        neighbor sets, epoch), so training resumes mid-stream; a fresh
-        run's base checkpoint — saved right after build, zero epochs —
-        works the same way, every replica restoring identical rng streams.
-        """
-        spec = ShardSpec.from_payload(args["spec_payload"])
-        classifier = WidenClassifier.load(
-            args["checkpoint"] or args["checkpoint_bytes"], graph=spec.graph
-        )
-        return cls(spec, classifier)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def handle(self, envelope: Envelope) -> Reply:
-        try:
-            handler = getattr(self, f"_handle_{envelope.kind}", None)
-            if handler is None:
-                raise ValueError(f"unknown envelope kind {envelope.kind!r}")
-            started = time.perf_counter()
-            cpu_started = time.process_time()
-            payload = handler(envelope.payload)
-            cpu_elapsed = time.process_time() - cpu_started
-            elapsed = time.perf_counter() - started
-            if envelope.kind == "train_microbatch":
-                self._step_seconds.observe(elapsed)
-            if envelope.kind.startswith("train_") and isinstance(payload, dict):
-                # Stamp the compute this replica actually consumed so the
-                # coordinator's logical service clock can take the max
-                # across shards per phase.  Process-CPU time, not wall: on
-                # an oversubscribed host (several shard processes per core)
-                # wall time includes being preempted by *sibling shards*,
-                # which would charge the same core-seconds to every replica
-                # and hide the very parallelism being measured.  On an idle
-                # multi-core host the two clocks agree.
-                payload = dict(payload, seconds=cpu_elapsed)
-            return Reply(seq=envelope.seq, ok=True, payload=payload)
-        except Exception as exc:
-            self._count_error(envelope.kind)
-            return Reply(seq=envelope.seq, ok=False, error=error_info(exc))
-
-    def _count_error(self, kind: str) -> None:
-        try:
-            self.registry.counter("shard_errors_total", kind=kind).inc()
-        except Exception:
-            pass  # a broken registry must not mask the original error
-
-    # ------------------------------------------------------------------
-    # Handlers (the train envelope family)
-    # ------------------------------------------------------------------
-
-    def _handle_train_epoch_begin(self, payload: Dict[str, object]) -> dict:
-        train_nodes = np.asarray(payload["train_nodes"], dtype=np.int64)
-        return self.trainer.epoch_begin(train_nodes, owned=self.spec.owned)
-
-    def _handle_train_microbatch(self, payload: Dict[str, object]) -> dict:
-        return self.trainer.run_microbatch(int(payload["start"]))
-
-    def _handle_train_grads(self, payload: Dict[str, object]) -> dict:
-        return {"grads": self.trainer.export_grads()}
-
-    def _handle_train_apply(self, payload: Dict[str, object]) -> dict:
-        self.trainer.apply_update(payload.get("grads"), norm=payload.get("norm"))
-        return {}
-
-    def _handle_train_epoch_end(self, payload: Dict[str, object]) -> dict:
-        return self.trainer.epoch_finish()
-
-    def _handle_train_checkpoint(self, payload: Dict[str, object]) -> dict:
-        """The replica's full checkpoint as bytes — the elastic-resume
-        unit.  Covers parameters, optimizer moments, every rng stream and
-        the shard's (possibly downsampled) neighbor states, so an engine
-        respawned from it continues bit-identically."""
-        buffer = io.BytesIO()
-        self.classifier.save(buffer)
-        return {"checkpoint": buffer.getvalue()}
-
-    def _handle_metrics(self, payload: Dict[str, object]) -> dict:
-        return {"registry": self.registry.to_payload()}
-
-    def _handle_clock(self, payload: Dict[str, object]) -> dict:
-        return {
-            "mono": time.perf_counter(),
-            "wall": time.time(),
-            "pid": os.getpid(),
-        }
-
-    def _handle_shutdown(self, payload: Dict[str, object]) -> dict:
-        self.closed = True
-        return {}
-
-
-class TrainWorker:
-    """Coordinator-side stub for one training shard.
-
-    Implements the :class:`~repro.core.train_loop.TrainLoop` client
-    protocol over envelopes — every method scatters one envelope and
-    returns its pending reply, so the loop overlaps all shards' microbatch
-    computes on concurrent transports.
-    """
-
-    def __init__(self, spec: ShardSpec, transport: Transport) -> None:
-        self.spec = spec
-        self.transport = transport
-
-    # -- TrainLoop client protocol ----------------------------------------
-
-    def begin_epoch(self, train_nodes: np.ndarray) -> PendingReply:
-        return self.transport.send(
-            Envelope(
-                kind="train_epoch_begin",
-                payload={"train_nodes": np.asarray(train_nodes, dtype=np.int64)},
-            )
-        )
-
-    def run_microbatch(self, start: int) -> PendingReply:
-        return self.transport.send(
-            Envelope(kind="train_microbatch", payload={"start": int(start)})
-        )
-
-    def export_grads(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="train_grads"))
-
-    def apply_update(self, grads, norm: Optional[float]) -> PendingReply:
-        return self.transport.send(
-            Envelope(kind="train_apply", payload={"grads": grads, "norm": norm})
-        )
-
-    def finish_epoch(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="train_epoch_end"))
-
-    # -- pulls -------------------------------------------------------------
-
-    def checkpoint(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="train_checkpoint"))
-
-    def pull_metrics(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="metrics"))
 
 
 class DistributedTrainer:
@@ -259,6 +72,9 @@ class DistributedTrainer:
     written under.
     """
 
+    #: Seconds to wait for one shard's reply to any envelope.
+    REQUEST_TIMEOUT = 600.0
+
     def __init__(
         self,
         checkpoint,
@@ -268,24 +84,12 @@ class DistributedTrainer:
         transport: str = "inline",
         partition_seed: int = 0,
         shard_checkpoints: Optional[Sequence] = None,
-        request_timeout: Optional[float] = 600.0,
-        start_timeout: float = 120.0,
         workers: Optional[Sequence[str]] = None,
         epochs_done: int = 0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        heartbeat_misses: int = DEFAULT_HEARTBEAT_MISSES,
     ) -> None:
         # First: a bad transport name or a workers= on the wrong transport
         # fails before any checkpoint is read.
-        self.fleet = Fleet(
-            transport,
-            workers=workers,
-            start_timeout=start_timeout,
-            max_frame_bytes=max_frame_bytes,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_misses=heartbeat_misses,
-        )
+        self.fleet = Fleet(transport, workers=workers)
         probe = WidenClassifier.load(checkpoint)
         self.config = probe.config
         if self.config.embedding_mode != "project":
@@ -297,7 +101,6 @@ class DistributedTrainer:
             )
         self.graph = graph
         self.partition_seed = int(partition_seed)
-        self.request_timeout = request_timeout
         self.registry = MetricsRegistry()  # coordinator-scope series
         self.history = TrainHistory()
         self._epochs_done = int(epochs_done)
@@ -319,8 +122,8 @@ class DistributedTrainer:
         channels = self.fleet.bring_up(
             "train", self.plan.shards, checkpoints, [{}] * self.plan.num_shards
         )
-        self.workers: List[TrainWorker] = [
-            TrainWorker(spec, channel)
+        self.workers: List[ShardWorker] = [
+            ShardWorker(spec, channel)
             for spec, channel in zip(self.plan.shards, channels)
         ]
         self._closed = False
@@ -385,41 +188,23 @@ class DistributedTrainer:
     # ------------------------------------------------------------------
 
     def fit(
-        self,
-        train_nodes: np.ndarray,
-        epochs: int,
-        *,
-        checkpoint_dir=None,
-        checkpoint_every: int = 1,
+        self, train_nodes: np.ndarray, epochs: int, *, checkpoint_dir=None
     ) -> TrainHistory:
         """Run ``epochs`` epochs over the fleet (Algorithm 3, data-parallel).
 
-        With ``checkpoint_dir`` every ``checkpoint_every``-th epoch boundary
-        snapshots the whole fleet (atomic per-file tmp+rename), which is the
-        elastic-resume granularity: a run killed mid-epoch loses at most the
-        partial epoch.
+        With ``checkpoint_dir`` every epoch boundary snapshots the whole
+        fleet (atomic per-file tmp+rename), which is the elastic-resume
+        granularity: a run killed mid-epoch loses at most the partial epoch.
         """
         self._check_open()
         loop = TrainLoop(
-            self.workers,
-            self.config,
-            registry=self.registry,
-            history=self.history,
-            request_timeout=self.request_timeout,
+            self.workers, self.config, registry=self.registry, history=self.history
         )
         try:
-            if checkpoint_dir is None:
-                loop.run(train_nodes, epochs)
-                self._epochs_done += int(epochs)
-                return self.history
-            if checkpoint_every < 1:
-                raise ValueError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}"
-                )
-            for index in range(int(epochs)):
+            for _ in range(int(epochs)):
                 loop.run(train_nodes, 1)
                 self._epochs_done += 1
-                if (index + 1) % checkpoint_every == 0 or index == int(epochs) - 1:
+                if checkpoint_dir is not None:
                     self.save_checkpoints(checkpoint_dir)
             return self.history
         finally:
@@ -444,7 +229,7 @@ class DistributedTrainer:
             (worker.spec.shard_id, worker.checkpoint()) for worker in self.workers
         ]
         for shard_id, reply in pending:
-            data = reply.result(self.request_timeout)["checkpoint"]
+            data = reply.result(self.REQUEST_TIMEOUT)["checkpoint"]
             final = directory / f"shard-{shard_id}.npz"
             staging = directory / f".shard-{shard_id}.npz.tmp"
             staging.write_bytes(data)
@@ -469,7 +254,7 @@ class DistributedTrainer:
         fleet's model.  Pass ``graph`` to bind it for evaluation.
         """
         self._check_open()
-        reply = self.workers[0].checkpoint().result(self.request_timeout)
+        reply = self.workers[0].checkpoint().result(self.REQUEST_TIMEOUT)
         return WidenClassifier.load(reply["checkpoint"], graph=graph)
 
     # ------------------------------------------------------------------
@@ -483,17 +268,7 @@ class DistributedTrainer:
         covers a training fleet: per-shard step/attention/KL instruments
         plus the coordinator's reduce timings, sync bytes and loss series.
         """
-        merged = MetricsRegistry()
-        merged.merge_payload(self.registry.to_payload())
-        pending = [
-            (worker.spec.shard_id, worker.pull_metrics()) for worker in self.workers
-        ]
-        for shard_id, reply in pending:
-            payload = reply.result(self.request_timeout)
-            merged.merge_payload(
-                payload["registry"], extra_labels={"shard": str(shard_id)}
-            )
-        return merged
+        return merge_registries(self.registry, self.workers, self.REQUEST_TIMEOUT)
 
     def render_prometheus(self) -> str:
         """One Prometheus exposition for the whole training fleet."""

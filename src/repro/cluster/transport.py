@@ -1,8 +1,9 @@
 """The message boundary between the router and its shard engines.
 
-Every router↔shard interaction is a typed, picklable :class:`Envelope`
+Every coordinator↔shard interaction is a typed, picklable :class:`Envelope`
 (serve batch, trace replay, mutation command, telemetry snapshot, metrics
-pull, serving-state export, reset, shutdown) answered by a :class:`Reply`.
+pull, serving-state export, reset, shutdown, training phase) answered by a
+:class:`Reply`.
 Nothing else crosses the boundary — no callables, no shared servers, no
 live graph references — which is what makes the two transports
 interchangeable:
@@ -69,9 +70,12 @@ def check_transport(name: str) -> str:
     return name
 
 
-#: Envelope kinds understood by :class:`repro.cluster.engine.ShardEngine`
-#: (``serve`` family) and :class:`repro.cluster.train.TrainEngine` (``train``
-#: family — the phase commands of :class:`repro.core.train_loop.TrainLoop`).
+#: Every envelope kind: each is sent by :class:`repro.cluster.worker.ShardWorker`
+#: (``shutdown`` by the transports) and answered by the one dispatch,
+#: :meth:`repro.cluster.engine.ShardEngine.handle`, through the ``_handle_*``
+#: methods of :class:`~repro.cluster.engine.ShardEngine` (``serve`` family)
+#: and :class:`~repro.cluster.engine.TrainEngine` (``train`` family — the
+#: phase commands of :class:`repro.core.train_loop.TrainLoop`).
 ENVELOPE_KINDS = (
     "serve",
     "replay",

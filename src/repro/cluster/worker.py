@@ -1,15 +1,20 @@
 """The protocol side of one shard: typed envelopes over a transport.
 
-:class:`ShardWorker` owns no server — the
-:class:`~repro.cluster.engine.ShardEngine` behind the transport does — and
+:class:`ShardWorker` owns no engine — the
+:class:`~repro.cluster.engine.ShardEngine` or
+:class:`~repro.cluster.engine.TrainEngine` behind the transport does — and
 no channel lifecycle: the :class:`~repro.cluster.fleet.Fleet` hands it a
-started, ready transport and closes it.  The worker is the router's
-*client stub*: it keeps the coordinator-side
-:class:`~repro.cluster.planner.ShardSpec` of the shard (the ids it owns,
-over the coordinator's graph), wraps each interaction in a typed
-:class:`~repro.cluster.transport.Envelope`, and returns
-:class:`~repro.cluster.transport.PendingReply` handles so the router can
-issue a whole scatter before gathering anything.
+started, ready transport and closes it.  The worker is the coordinator's
+one *client stub*, for the router and the distributed trainer alike: it
+keeps the coordinator-side :class:`~repro.cluster.planner.ShardSpec` of the
+shard (the ids it owns, over the coordinator's graph), wraps each
+interaction in a typed :class:`~repro.cluster.transport.Envelope`, and
+returns :class:`~repro.cluster.transport.PendingReply` handles so the
+coordinator can issue a whole scatter before gathering anything.  Its
+``train_*`` methods are the :class:`~repro.core.train_loop.TrainLoop`
+client protocol, shaped like
+:class:`~repro.core.train_loop.LocalTrainClient`'s, so one loop drives a
+fleet and a local trainer.
 
 Ordering is inherited from the transport's FIFO contract: one shard, one
 envelope stream, processed one at a time.  A ``mutate`` envelope is a
@@ -19,12 +24,13 @@ the caller's thread or another process.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.planner import MutationCommand, ShardSpec
-from repro.cluster.transport import Envelope, PendingReply, Transport
+from repro.cluster.transport import Envelope, PendingReply, Transport, WorkerDown
+from repro.obs.metrics import MetricsRegistry
 
 
 class ShardWorker:
@@ -101,6 +107,10 @@ class ShardWorker:
     def pull_serving_state(self) -> PendingReply:
         return self.transport.send(Envelope(kind="serving_state"))
 
+    def checkpoint(self) -> PendingReply:
+        """A training replica's checkpoint bytes (elastic resume)."""
+        return self.transport.send(Envelope(kind="train_checkpoint"))
+
     def clock_probe(self) -> dict:
         """One synchronous clock-alignment probe (see ``repro.obs.dist``).
 
@@ -114,6 +124,34 @@ class ShardWorker:
         pending = self.transport.send(Envelope(kind="reset"))
         self.requests_routed = 0
         return pending
+
+    # ------------------------------------------------------------------
+    # Training phases (the TrainLoop client protocol)
+    # ------------------------------------------------------------------
+
+    def begin_epoch(self, train_nodes: np.ndarray) -> PendingReply:
+        return self.transport.send(
+            Envelope(
+                kind="train_epoch_begin",
+                payload={"train_nodes": np.asarray(train_nodes, dtype=np.int64)},
+            )
+        )
+
+    def run_microbatch(self, start: int) -> PendingReply:
+        return self.transport.send(
+            Envelope(kind="train_microbatch", payload={"start": int(start)})
+        )
+
+    def export_grads(self) -> PendingReply:
+        return self.transport.send(Envelope(kind="train_grads"))
+
+    def apply_update(self, grads, norm: Optional[float]) -> PendingReply:
+        return self.transport.send(
+            Envelope(kind="train_apply", payload={"grads": grads, "norm": norm})
+        )
+
+    def finish_epoch(self) -> PendingReply:
+        return self.transport.send(Envelope(kind="train_epoch_end"))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,3 +168,27 @@ class ShardWorker:
             cache_size=telemetry_payload["cache_size"],
         )
         return stats
+
+
+def merge_registries(
+    coordinator: MetricsRegistry,
+    workers: Sequence[ShardWorker],
+    timeout: Optional[float],
+) -> MetricsRegistry:
+    """The coordinator's series plus every shard's registry, shard-labeled.
+
+    Registries cross the shard boundary as serialized payloads
+    (:meth:`MetricsRegistry.to_payload`), so the merge is identical whether
+    the shards share this process or run in their own.  A down shard has
+    no registry to pull and is left out; scraping must not hang on it.
+    """
+    merged = MetricsRegistry()
+    merged.merge_payload(coordinator.to_payload())
+    pending = [(worker.spec.shard_id, worker.pull_metrics()) for worker in workers]
+    for shard_id, reply in pending:
+        try:
+            payload = reply.result(timeout)
+        except WorkerDown:
+            continue
+        merged.merge_payload(payload["registry"], extra_labels={"shard": str(shard_id)})
+    return merged

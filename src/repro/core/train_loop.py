@@ -10,8 +10,8 @@ driver that sequences those phases over one or many *clients*:
 - a single :class:`LocalTrainClient` wrapping a trainer in this process —
   the classic ``WidenTrainer.fit`` path, bit-identical to the pre-phase
   monolith (losses, F1 series, rng-consumption order, trigger fires);
-- a fleet of :class:`~repro.cluster.train.TrainWorker` stubs, each backed
-  by a partition-local :class:`~repro.cluster.train.TrainEngine` behind
+- a fleet of :class:`~repro.cluster.worker.ShardWorker` stubs, each backed
+  by a partition-local :class:`~repro.cluster.engine.TrainEngine` behind
   either transport (``inline``/``socket``).
 
 The data-parallel contract mirrors the serving cluster's: every client
@@ -100,7 +100,7 @@ class LocalTrainClient:
 
     Every method returns a pending-style handle (``.result()``) so the
     loop's scatter-gather code is identical for local trainers and remote
-    :class:`~repro.cluster.train.TrainWorker` stubs.  Gradients cross this
+    :class:`~repro.cluster.worker.ShardWorker` stubs.  Gradients cross this
     "boundary" as live array references — zero copies, zero overhead —
     which is what keeps the phase-based single-process path bit-identical
     to (and as fast as) the old monolithic epoch loop.
@@ -166,6 +166,9 @@ class TrainLoop:
     graph-bound: neighbor states, forwards/backwards, the optimizer.
     """
 
+    #: Seconds to wait for one client's reply to a phase.
+    REQUEST_TIMEOUT = 600.0
+
     def __init__(
         self,
         clients: Sequence,
@@ -173,7 +176,6 @@ class TrainLoop:
         *,
         registry: Optional[MetricsRegistry] = None,
         history: Optional[TrainHistory] = None,
-        request_timeout: Optional[float] = 600.0,
     ) -> None:
         if not clients:
             raise ValueError("TrainLoop needs at least one client")
@@ -181,7 +183,6 @@ class TrainLoop:
         self.config = config
         self.registry = registry if registry is not None else get_registry()
         self.history = history if history is not None else TrainHistory()
-        self.request_timeout = request_timeout
         self._distributed = len(self.clients) > 1
         # Logical service clock (same convention as the serving cluster
         # bench): per phase, the span is the *slowest client's measured
@@ -207,7 +208,7 @@ class TrainLoop:
     # ------------------------------------------------------------------
 
     def _gather(self, pendings: list) -> list:
-        return [pending.result(self.request_timeout) for pending in pendings]
+        return [pending.result(self.REQUEST_TIMEOUT) for pending in pendings]
 
     @staticmethod
     def _slowest(replies: list) -> float:

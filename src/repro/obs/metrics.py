@@ -460,8 +460,8 @@ class MetricsRegistry:
         a scrape target, and is not rendered.
 
         The output ends with a newline, so it can be written verbatim as a
-        textfile-collector file (see ``InferenceServer``'s
-        ``prometheus_path``) or served from a ``/metrics`` handler.
+        textfile-collector file (:meth:`write_prometheus`) or served from a
+        ``/metrics`` handler.
         """
         by_name: Dict[str, List[object]] = {}
         with self._lock:

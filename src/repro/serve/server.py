@@ -113,8 +113,6 @@ class InferenceServer:
         cache_capacity: int = 1024,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
-        prometheus_path: Optional[str] = None,
-        prometheus_interval: float = 10.0,
         store=None,
     ) -> None:
         reason = serving_refusal(classifier)
@@ -148,12 +146,6 @@ class InferenceServer:
         # Freshness state (module docstring).  A server starts at clock 0
         # with nothing touched.
         self.freshness = WriteClock(graph.num_nodes)
-        # Optional Prometheus text exposition: rewritten atomically at most
-        # once per ``prometheus_interval`` seconds of request-clock time
-        # (textfile-collector convention; no HTTP listener in this repo).
-        self._prometheus_path = prometheus_path
-        self._prometheus_interval = float(prometheus_interval)
-        self._prometheus_last_flush = float("-inf")
         # Optional materialized-answer tier (repro.store): consulted on
         # cache misses before any sampling happens.
         self.store = None
@@ -247,8 +239,6 @@ class InferenceServer:
         now = self._now(now)
         if self.batcher._queue:
             self._poll_deadline(now)
-        if self._prometheus_path is not None:
-            self._maybe_flush_prometheus(now)
         request_id = self.telemetry.open(node, kind, now, len(self.batcher._queue))
         value = self.cache.get(node)
         if value is None:
@@ -390,28 +380,6 @@ class InferenceServer:
     def render_prometheus(self) -> str:
         """Prometheus text exposition of :meth:`metrics_registry_snapshot`."""
         return self.metrics_registry_snapshot().render_prometheus()
-
-    def flush_prometheus(self) -> Optional[int]:
-        """Write the Prometheus rendering now (if a path is set).
-
-        Returns the sample-line count, or ``None`` when no ``prometheus_path``
-        was configured.  The periodic hook on the request path calls this at
-        most once per ``prometheus_interval``; call it directly for an
-        end-of-run flush.
-        """
-        if self._prometheus_path is None:
-            return None
-        return self.metrics_registry_snapshot().write_prometheus(
-            self._prometheus_path
-        )
-
-    def _maybe_flush_prometheus(self, now: float) -> None:
-        if self._prometheus_path is None:
-            return
-        if now - self._prometheus_last_flush < self._prometheus_interval:
-            return
-        self._prometheus_last_flush = now
-        self.flush_prometheus()
 
     def _sweep_cache(self) -> int:
         """Drop the resident cache entries the freshness rule now rejects;

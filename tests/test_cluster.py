@@ -356,11 +356,9 @@ class TestClusterTelemetry:
 
     def test_flush_prometheus_writes_file(self, checkpoint, tmp_path):
         out = tmp_path / "cluster.prom"
-        with fresh_router(
-            checkpoint, 2, prometheus_path=str(out), prometheus_interval=0.0
-        ) as router:
+        with fresh_router(checkpoint, 2) as router:
             router.embed(np.arange(4))
-            assert router.flush_prometheus() > 0
+            assert router.merged_registry().write_prometheus(out) > 0
         text = out.read_text()
         assert 'shard="1"' in text
 

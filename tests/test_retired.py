@@ -97,6 +97,20 @@ RETIRED = [
         "nothing on disk is a pickle; only the wire still is",
         ("cluster/transport.py", "cluster/net.py"),
     ),
+    (
+        r"TrainWorker|_maybe_flush_prometheus|flush_prometheus|prometheus_interval"
+        r"|prometheus_path|slow_log_capacity|checkpoint_every|start_timeout"
+        r"|request_timeout|max-frame-bytes",
+        34,
+        "one shard protocol: one client stub, and the fleet's timeouts are constants",
+        (),
+    ),
+    (
+        r"heartbeat_interval|heartbeat_misses|max_frame_bytes",
+        34,
+        "the frame bound and the heartbeat cadence are the wire's own defaults",
+        ("cluster/net.py",),
+    ),
 ]
 
 

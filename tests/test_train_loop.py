@@ -25,7 +25,7 @@ its checkpoint directory finishes bit-identical to an uninterrupted run.
 import numpy as np
 import pytest
 
-from repro.cluster.train import DistributedTrainer, TrainEngine, TrainWorker
+from repro.cluster.train import DistributedTrainer
 from repro.core import WidenClassifier
 from repro.core.train_loop import LocalTrainClient, TrainLoop, reduce_gradients
 from repro.datasets import make_acm
