@@ -8,7 +8,9 @@ three things the tier promises:
    storeless oracle, then inline fleets of 1 and 4 shards plus a 4-shard
    socket fleet carrying per-shard store slices — each checked before and after a
    mutation stream (edge attachments + a node arrival) that exercises the
-   read-set-invalidation → lazy-refresh path.
+   read-set-invalidation → lazy-refresh path.  Each target's
+   ``classify(probe)`` labels must also equal the oracle's at every step
+   (``label_mismatches == 0``): a label is cached with its embedding.
 2. **Warm-miss speedup.**  A cache miss answered from a fresh store row is
    one gather of finished embeddings (format v4); the recompute path
    samples neighbor states, packs them and runs the forward.  Both servers
@@ -74,6 +76,11 @@ def _apply(target, command):
 
 def _max_diff(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
+def _label_mismatches(oracle, target, probe):
+    """How many probe labels ``target`` classifies unlike the oracle."""
+    return int((oracle.classify(probe) != target.classify(probe)).sum())
 
 
 def measure_miss_latency(server, probe, rounds):
@@ -155,15 +162,18 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
     stored = fresh_server(True)
     stream = _mutation_stream(oracle.graph, probe, np.random.default_rng(seed))
     diffs = [_max_diff(oracle.embed(probe), stored.embed(probe))]
+    mismatches = [_label_mismatches(oracle, stored, probe)]
     for command in stream:
         _apply(oracle, command)
         _apply(stored, command)
         diffs.append(_max_diff(oracle.embed(probe), stored.embed(probe)))
+        mismatches.append(_label_mismatches(oracle, stored, probe))
     lookups = stored.telemetry.summary()
     report["exactness"].append({
         "target": "single_server",
         "max_diff": max(diffs),
         "per_step_max_diff": diffs,
+        "label_mismatches": sum(mismatches),
         "store_hits": int(lookups["store_hits"]),
         "store_stale": int(lookups["store_stale"]),
         "store_absent": int(lookups["store_absent"]),
@@ -185,15 +195,18 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
             oracle.graph, probe, np.random.default_rng(seed)
         )
         diffs = [_max_diff(oracle.embed(probe), router.embed(probe))]
+        mismatches = [_label_mismatches(oracle, router, probe)]
         for command in stream:
             _apply(oracle, command)
             _apply(router, command)
             diffs.append(_max_diff(oracle.embed(probe), router.embed(probe)))
+            mismatches.append(_label_mismatches(oracle, router, probe))
         router.close()
         report["exactness"].append({
             "target": f"{transport}_x{num_shards}",
             "max_diff": max(diffs),
             "per_step_max_diff": diffs,
+            "label_mismatches": sum(mismatches),
         })
 
     # -- Claim 2: warm-miss latency, store rows vs full recompute -------
@@ -245,9 +258,10 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
           f"{report['build']['row_bytes']} B = "
           f"{report['build']['bytes_total'] / 1e6:.2f} MB, "
           f"{report['build']['seconds']:.2f}s")
-    print(f"{'target':<16}{'max diff':>12}")
+    print(f"{'target':<16}{'max diff':>12}{'label diffs':>13}")
     for row in report["exactness"]:
-        print(f"{row['target']:<16}{row['max_diff']:>12.2e}")
+        print(f"{row['target']:<16}{row['max_diff']:>12.2e}"
+              f"{row['label_mismatches']:>13}")
     print(f"miss latency: recompute {best['recompute_miss_us_mean']:.1f} us, "
           f"store {best['store_miss_us_mean']:.1f} us "
           f"({best['speedup']:.1f}x, {best['attempts']} attempt(s)); "
@@ -260,6 +274,10 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         assert row["max_diff"] <= EXACTNESS_GATE, (
             f"{row['target']} diverged from full recompute by "
             f"{row['max_diff']:.3e} (> {EXACTNESS_GATE})"
+        )
+        assert row["label_mismatches"] == 0, (
+            f"{row['target']} classified {row['label_mismatches']} probe "
+            "labels unlike full recompute"
         )
     # Gate 2: the store turns a cold miss into a cheap one.
     assert best["speedup"] >= SPEEDUP_FLOOR, (

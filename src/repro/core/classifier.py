@@ -56,6 +56,23 @@ def _at_least_two(count: int) -> np.ndarray:
     return np.arange(max(count, 2)) % count
 
 
+# Rows per gemm block for the classifier head: 16 is a multiple of the
+# dgemm row unroll of both OpenBLAS's Haswell (4) and SkylakeX (16) kernels.
+_HEAD_ROW_BLOCK = 16
+
+
+def _whole_row_blocks(count: int) -> np.ndarray:
+    """Rows ``0..count-1`` padded with repeats to whole head row blocks.
+
+    A gemm with few output columns (a classifier head over two or three
+    classes) is row-count dependent beyond gemv: a row in the last partial
+    block of the kernel's row unroll is summed in another order than the
+    same row in a full block.  Padding to whole blocks gives every row the
+    full-block bits (measured on OpenBLAS 0.3.31 Haswell kernels).
+    """
+    return np.arange(-(-count // _HEAD_ROW_BLOCK) * _HEAD_ROW_BLOCK) % count
+
+
 class WidenClassifier(BaseClassifier):
     """WIDEN as a drop-in classifier."""
 
@@ -128,10 +145,19 @@ class WidenClassifier(BaseClassifier):
     # ------------------------------------------------------------------
 
     def predict_from_embeddings(self, embeddings: np.ndarray) -> np.ndarray:
-        """Class predictions from precomputed embeddings (cache-hit path)."""
+        """Class predictions from precomputed embeddings (the serving head).
+
+        The rows are padded to whole gemm blocks (:func:`_whole_row_blocks`)
+        and the padding dropped, so a node's logits, and with them its
+        label, have the same bits whichever batch it was labelled in.
+        """
         if self.trainer is None:
             raise RuntimeError("predict_from_embeddings before fit/bind")
-        return self.trainer.predict(np.asarray(embeddings, dtype=np.float64))
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+        count = embeddings.shape[0]
+        if count % _HEAD_ROW_BLOCK:
+            embeddings = embeddings.take(_whole_row_blocks(count), axis=0)
+        return self.trainer.predict(embeddings)[:count]
 
     def embed_for_serving(
         self, nodes: np.ndarray, graph: HeteroGraph, seed: SeedLike = None

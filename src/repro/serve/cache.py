@@ -1,8 +1,9 @@
-"""Capacity-bounded LRU embedding cache with per-entry read sets.
+"""Capacity-bounded LRU answer cache with per-entry read sets.
 
-An entry is the embedding of one node plus what it depended on: the *read
-set* of its sample (the ids whose adjacency lists the sampler consulted,
-see :meth:`repro.core.state.NeighborTable.read_sets`) and the *stamp*, the
+An entry is the whole answer for one node, its embedding and the head's
+label, plus what it depended on: the *read set* of its sample (the ids
+whose adjacency lists the sampler consulted, see
+:meth:`repro.core.state.NeighborTable.read_sets`) and the *stamp*, the
 server's write clock when it was computed.  :func:`fresh_mask` is the one
 freshness rule every materialization tier shares — cache entries and
 store rows, built offline or refreshed since, alike: an entry is exact
@@ -112,13 +113,18 @@ class WriteClock:
 
 
 class EmbeddingCache:
-    """LRU cache of per-node embeddings with hit/miss/eviction accounting."""
+    """LRU cache of per-node answers with hit/miss/eviction accounting.
+
+    An answer is ``(embedding, label)``, the label computed by the head in
+    the batch that computed the embedding, so a classify hit runs no head.
+    Eviction and both invalidations drop the two together.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[np.ndarray, int]]" = OrderedDict()
         # Dependency tables, one row ("slot") per resident entry: the node
         # (-1: free slot), its stamp and its read set.  The read-set table
         # widens to the longest read set seen; shorter ones and free slots
@@ -142,8 +148,8 @@ class EmbeddingCache:
         # set met the change should appear here and nothing else.
         self.node_invalidations: "Counter[int]" = Counter()
 
-    def get(self, node: int) -> Optional[np.ndarray]:
-        """Embedding for ``node``; None on miss."""
+    def get(self, node: int) -> Optional[Tuple[np.ndarray, int]]:
+        """``(embedding, label)`` for ``node``; None on miss."""
         node = int(node)
         entry = self._entries.get(node)
         if entry is None:
@@ -164,12 +170,14 @@ class EmbeddingCache:
         self,
         node: int,
         embedding: np.ndarray,
+        label: int,
         *,
         stamp: int = 0,
         reads: Optional[np.ndarray] = None,
     ) -> None:
-        """Insert an entry made at write clock ``stamp`` from a sample that
-        read the adjacency lists of ``reads`` (default: the node's own)."""
+        """Insert the answer ``(embedding, label)`` made at write clock
+        ``stamp`` from a sample that read the adjacency lists of ``reads``
+        (default: the node's own)."""
         node = int(node)
         slot = self._slot_of.get(node)
         if slot is None:
@@ -179,7 +187,7 @@ class EmbeddingCache:
             slot = self._free.pop()
             self._slot_of[node] = slot
             self._slot_nodes[slot] = node
-        self._entries[node] = np.asarray(embedding)
+        self._entries[node] = (np.asarray(embedding), int(label))
         self._entries.move_to_end(node)
         self._stamps[slot] = stamp
         width = 1 if reads is None else len(reads)

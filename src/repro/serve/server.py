@@ -1,13 +1,14 @@
 """The long-lived inference server.
 
 ``InferenceServer`` turns a trained WIDEN classifier into a service over
-one *serving graph*.  The embedding cache sits **in front of** the
-micro-batcher: a request whose embedding is resident completes at submit
-time and never pays the batching deadline; only misses are queued and
-coalesced into batched forward passes.  Streaming arrivals
-(:meth:`add_nodes` / :meth:`add_edges`) mutate the graph in place — the
-graph's mutation hooks then invalidate every cache layer, so a
-post-mutation request can never observe pre-mutation state.
+one *serving graph*.  The cache sits **in front of** the micro-batcher and
+holds whole answers, ``(embedding, label)``: a resident node's request
+completes at submit time, with no model code (not even the head) and no
+batching deadline.  Misses are queued and coalesced into batches, each
+running one forward and one head call over the rows it computed.
+Streaming arrivals (:meth:`add_nodes` / :meth:`add_edges`) mutate the
+graph in place — the graph's mutation hooks then invalidate every cache
+layer, so a post-mutation request can never observe pre-mutation state.
 
 The serving contract is one predicate,
 :func:`~repro.core.classifier.serving_refusal`: a ``WidenClassifier`` in
@@ -76,10 +77,11 @@ class ServeResult:
 
     Built on demand by :meth:`InferenceServer.result` from the request's
     row.  ``rung`` names the serving-ladder tier that produced the
-    embedding (``cache`` / ``store`` / ``overlay`` / ``recompute``);
+    answer (``cache`` / ``store`` / ``overlay`` / ``recompute``);
     ``queue_wait`` is the time between submit and batch flush (0 for
     submit-time cache hits), so ``latency = queue_wait + compute``
-    decomposes exactly.
+    decomposes exactly.  A cache hit's completion is the cache probe
+    alone: its label is part of the entry, so no head runs.
     """
 
     request_id: int
@@ -224,10 +226,10 @@ class InferenceServer:
     def submit(self, node: int, *, kind: str = "classify", now: Optional[float] = None) -> int:
         """Enqueue one request; returns its id.  May flush a due batch.
 
-        A resident embedding (every write sweeps out the stale ones)
-        completes the request here, skipping the batch queue and its
-        deadline entirely; this probe is the one that counts the request
-        as a cache hit or miss.
+        A resident answer (every write sweeps out the stale ones)
+        completes the request here from its ``(embedding, label)`` entry,
+        with no head call, skipping the batch queue and its deadline; this
+        probe is the one that counts the request as a cache hit or miss.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}")
@@ -240,16 +242,16 @@ class InferenceServer:
         if self.batcher._queue:
             self._poll_deadline(now)
         request_id = self.telemetry.open(node, kind, now, len(self.batcher._queue))
-        value = self.cache.get(node)
-        if value is None:
+        start = time.perf_counter()
+        entry = self.cache.get(node)
+        if entry is None:
             batch = self.batcher.submit(request_id, now)
             if batch is not None:
                 self._execute(batch, flush_time=now)
             return request_id
-        start = time.perf_counter()
-        if kind == "classify":
-            value = int(self.classifier.predict_from_embeddings(value[np.newaxis])[0])
+        embedding, label = entry
         completion = now + (time.perf_counter() - start)
+        value = label if kind == "classify" else embedding
         self._finish(request_id, value, completion, batch_size=1, rung="cache")
         return request_id
 
@@ -505,8 +507,9 @@ class InferenceServer:
         rows = table.rows_of(batch)
         nodes = table.node[rows].tolist()
         classify = (table.kind[rows] == KINDS.index("classify")).tolist()
-        embeddings: Dict[int, np.ndarray] = {}
-        rung: Dict[int, str] = {}
+        # ``node -> (embedding, label, rung)``: requests are answered from
+        # here, not the cache, which evicts within a batch larger than it.
+        answers: Dict[int, tuple] = {}
         miss_nodes: List[int] = []
         for node in dict.fromkeys(nodes):
             # An earlier batch may have computed the node since it was
@@ -514,43 +517,31 @@ class InferenceServer:
             # the lookup because a request's miss was counted when it was
             # submitted; a hit here still counts and refreshes the LRU.
             if node in self.cache:
-                embeddings[node] = self.cache.get(node)
-                rung[node] = "cache"
+                answers[node] = (*self.cache.get(node), "cache")
             else:
                 miss_nodes.append(node)
         if miss_nodes:
-            # All of the batch's misses go through one vectorized forward.
+            # All of the batch's misses go through one vectorized forward
+            # and one head call, whatever the request kinds.
             computed, miss_rungs, miss_reads = self._compute_embeddings(miss_nodes)
+            labels = self.classifier.predict_from_embeddings(computed).tolist()
             self.telemetry.record_compute_batch(len(miss_nodes))
-            for node, embedding, node_rung, read_set in zip(
-                miss_nodes, computed, miss_rungs, miss_reads
+            for node, embedding, label, node_rung, read_set in zip(
+                miss_nodes, computed, labels, miss_rungs, miss_reads
             ):
                 self.cache.put(
-                    node, embedding, stamp=self.freshness.clock, reads=read_set
+                    node, embedding, label, stamp=self.freshness.clock, reads=read_set
                 )
-                embeddings[node] = embedding
-                rung[node] = node_rung
-        predictions: Dict[int, int] = {}
-        if any(classify):
-            heads = list(
-                dict.fromkeys(node for node, wanted in zip(nodes, classify) if wanted)
-            )
-            classes = self.classifier.predict_from_embeddings(
-                np.stack([embeddings[node] for node in heads])
-            )
-            predictions = {node: int(cls) for node, cls in zip(heads, classes)}
+                answers[node] = (embedding, label, node_rung)
         completion = flush_time + (time.perf_counter() - start)
         self._busy_until = completion
         self.telemetry.record_batch(len(batch))
         waits = np.maximum(0.0, flush_time - table.arrival[rows]).tolist()
         for request_id, node, wanted, queue_wait in zip(batch, nodes, classify, waits):
+            embedding, label, rung = answers[node]
             self._finish(
-                request_id,
-                predictions[node] if wanted else embeddings[node],
-                completion,
-                batch_size=len(batch),
-                rung=rung[node],
-                queue_wait=queue_wait,
+                request_id, label if wanted else embedding, completion,
+                batch_size=len(batch), rung=rung, queue_wait=queue_wait,
             )
 
     def _finish(

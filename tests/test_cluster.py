@@ -230,6 +230,14 @@ class TestClusterEquivalence:
             lone = router.embed(probe[:1])
             np.testing.assert_array_equal(lone, want_embeddings[:1])
 
+    def test_single_classify_equals_batched_answer(self, checkpoint, reference):
+        """The classify twin: a lone miss is labelled by a one-row head
+        call, which must agree with the label the node got in a batch."""
+        probe, _, want_predictions = reference
+        with fresh_router(checkpoint, 4) as router:
+            lone = router.classify(probe[:1])
+            np.testing.assert_array_equal(lone, want_predictions[:1])
+
     def test_closed_router_refuses_requests(self, checkpoint):
         router = fresh_router(checkpoint, 2)
         router.close()

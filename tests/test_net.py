@@ -215,6 +215,18 @@ class TestSocketTransportProtocol:
             transport._close_socket()
             stub.close()
 
+    def test_second_start_is_refused(self):
+        stub = StubServer(recv_message)  # holds the line until hang-up
+        transport = make_transport(stub.address).start()
+        try:
+            transport.wait_ready(10.0)
+            with pytest.raises(RuntimeError, match="transport already started"):
+                transport.start()
+        finally:
+            transport._stopping = True
+            transport._close_socket()
+            stub.close()
+
     def test_mid_stream_reset_is_error_reply_not_hang(self):
         """A cut wire fails outstanding *and* later requests with a typed
         WorkerDown, immediately — a gather never blocks on a dead shard."""

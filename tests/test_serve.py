@@ -15,12 +15,13 @@ import pytest
 
 from repro.cluster import ClusterRouter
 from repro.cluster.fleet import Fleet
-from repro.core import WidenClassifier, serving_refusal
+from repro.core import WidenClassifier, WidenModel, serving_refusal
 from repro.datasets import make_acm
 from repro.graph import GraphBuilder
 from repro.nn import Linear, Module
 from repro.obs.metrics import nearest_rank_percentile
 from repro.serve import (
+    RUNGS,
     EmbeddingCache,
     InferenceServer,
     MicroBatcher,
@@ -50,6 +51,21 @@ def fresh_acm_server(checkpoint_path, *, seed=7, **server_kwargs):
     graph = make_acm(seed=0, scale=0.5).graph
     classifier = WidenClassifier.load(checkpoint_path, graph=graph)
     return InferenceServer(classifier, graph, seed=seed, **server_kwargs)
+
+
+@pytest.fixture
+def head_calls(monkeypatch):
+    """The logits of every classifier-head call, in call order."""
+    calls = []
+    logits = WidenModel.logits
+
+    def counted(self, embeddings):
+        out = logits(self, embeddings)
+        calls.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(WidenModel, "logits", counted)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +196,10 @@ class TestMicroBatcher:
 class TestEmbeddingCache:
     def test_lru_evicts_least_recently_used(self):
         cache = EmbeddingCache(capacity=2)
-        cache.put(1, np.ones(4))
-        cache.put(2, np.full(4, 2.0))
+        cache.put(1, np.ones(4), 0)
+        cache.put(2, np.full(4, 2.0), 0)
         assert cache.get(1) is not None  # touch 1 -> 2 is now LRU
-        cache.put(3, np.full(4, 3.0))
+        cache.put(3, np.full(4, 3.0), 0)
         assert cache.get(2) is None
         assert cache.get(1) is not None
         assert cache.get(3) is not None
@@ -191,40 +207,42 @@ class TestEmbeddingCache:
         assert len(cache) == 2
 
     def test_put_again_replaces_in_place(self):
-        """One entry per node: a second put overwrites the embedding, stamp
+        """One entry per node: a second put overwrites the answer, stamp
         and read set in the same slot and refreshes the LRU position."""
         cache = EmbeddingCache(capacity=2)
-        cache.put(1, np.ones(4), stamp=0, reads=np.array([1, 5]))
-        cache.put(2, np.ones(4))
-        cache.put(1, np.full(4, 9.0), stamp=3, reads=np.array([1, 6]))
+        cache.put(1, np.ones(4), 0, stamp=0, reads=np.array([1, 5]))
+        cache.put(2, np.ones(4), 0)
+        cache.put(1, np.full(4, 9.0), 2, stamp=3, reads=np.array([1, 6]))
         assert len(cache) == 2 and cache.evictions == 0
-        np.testing.assert_array_equal(cache.get(1), np.full(4, 9.0))
+        embedding, label = cache.get(1)
+        np.testing.assert_array_equal(embedding, np.full(4, 9.0))
+        assert label == 2
         touched_at = np.zeros(8, dtype=np.int64)
         touched_at[5] = 2  # undercuts only the entry that was replaced
         assert cache.stale_nodes(touched_at).size == 0
-        cache.put(3, np.ones(4))  # evicts 2: the re-put moved 1 to the front
+        cache.put(3, np.ones(4), 0)  # evicts 2: the re-put moved 1 to the front
         assert 1 in cache and 2 not in cache
 
     def test_invalidate_drops_everything(self):
         cache = EmbeddingCache(capacity=8)
         for node in (1, 2, 3):
-            cache.put(node, np.ones(4))
+            cache.put(node, np.ones(4), 0)
         assert cache.invalidate() == 3
         assert len(cache) == 0 and cache.invalidations == 3
         assert cache.get(1) is None
-        cache.put(4, np.ones(4))  # the freed slots are reusable
+        cache.put(4, np.ones(4), 0)  # the freed slots are reusable
         assert 4 in cache
 
     def test_invalidate_specific_nodes(self):
         cache = EmbeddingCache(capacity=8)
         for node in (1, 2, 3):
-            cache.put(node, np.ones(4))
+            cache.put(node, np.ones(4), 0)
         assert cache.invalidate_nodes([1, 3, 7]) == 2
         assert 2 in cache and 1 not in cache and 3 not in cache
         assert cache.node_invalidations == {1: 1, 3: 1}
 
     def test_capacity_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
             EmbeddingCache(capacity=0)
 
 
@@ -622,8 +640,70 @@ class TestInferenceServer:
         server = fresh_acm_server(path)
         with pytest.raises(IndexError):
             server.submit(acm.graph.num_nodes + 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown request kind"):
             server.submit(0, kind="frobnicate")
+
+
+class TestHeadCalls:
+    """A cache entry is the whole answer: a hit runs no head, and a batch
+    runs one head call over the rows it computed, whatever the kinds."""
+
+    def test_warm_classify_runs_no_head(self, trained, acm, tmp_path, head_calls):
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        server = fresh_acm_server(path)
+        nodes = acm.split.test[:12]
+        cold = server.classify(nodes)
+        head_calls.clear()
+        warm = server.replay(nodes, kind="classify")
+        assert head_calls == []
+        assert {RUNGS[code] for code in warm["rungs"]} == {"cache"}
+        np.testing.assert_array_equal(warm["values"], cold)
+
+    @pytest.mark.parametrize("kind", ["classify", "embed"])
+    def test_one_head_call_per_flushed_batch(
+        self, trained, acm, tmp_path, head_calls, kind
+    ):
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        server = fresh_acm_server(path, max_batch_size=4, max_wait=100.0)
+        nodes = [int(node) for node in acm.split.test[:10]]
+        server.classify(nodes[:3])  # resident: answered at submit time
+        head_calls.clear()
+        before = server.telemetry.summary()["compute_batches"]
+        server.replay(nodes, [0.0] * len(nodes), 0.0, kind=kind)
+        computed = server.telemetry.summary()["compute_batches"] - before
+        assert computed == 2  # the 7 misses flush as 4 + 3
+        assert len(head_calls) == computed
+
+    def test_cache_smaller_than_the_batch(self, trained, acm, tmp_path):
+        """A batch answers from its own rows, not by reading the cache back
+        (which has evicted all but one of them)."""
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        nodes = acm.split.test[:4]
+        tiny = fresh_acm_server(path, cache_capacity=1, max_batch_size=4)
+        labels = tiny.classify(nodes)
+        assert tiny.telemetry.summary()["compute_batches"] == 1
+        np.testing.assert_array_equal(labels, fresh_acm_server(path).classify(nodes))
+
+    def test_a_label_does_not_depend_on_its_batch(self, trained, acm, head_calls):
+        """A lone row is padded to a whole gemm block: its logits carry the
+        same bits as the same row inside a batch of 64 (a pair does not,
+        with ACM's three classes)."""
+        nodes = np.arange(64)
+        embeddings = trained.embed_for_serving_batch(nodes, acm.graph, 7)
+        head_calls.clear()
+        batched = trained.predict_from_embeddings(embeddings)
+        alone = [
+            trained.predict_from_embeddings(embeddings[i : i + 1])[0]
+            for i in range(nodes.size)
+        ]
+        np.testing.assert_array_equal(alone, batched)
+        batch_logits, *lone_logits = head_calls
+        np.testing.assert_array_equal(
+            np.stack([logits[0] for logits in lone_logits]), batch_logits
+        )
 
 
 class TestMutationInvalidation:
@@ -711,6 +791,24 @@ class TestMutationInvalidation:
         cold_predictions = cold.classify(np.append(nodes, new_id))
 
         np.testing.assert_array_equal(warm_predictions, cold_predictions)
+
+    def test_a_stale_label_goes_with_its_embedding(self, trained, acm, tmp_path):
+        """A write that stales a resident node drops the whole answer: the
+        next classify recomputes it and equals a cold server's label."""
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        node = int(acm.split.test[0])  # _mutate wires an edge into it
+        warm = fresh_acm_server(path)
+        warm.classify([node])
+        assert node in warm.cache
+        self._mutate(warm, acm)
+        assert node not in warm.cache
+        reply = warm.replay([node], kind="classify")
+        assert RUNGS[reply["rungs"][0]] == "recompute"
+
+        cold = fresh_acm_server(path)
+        self._mutate(cold, acm)
+        np.testing.assert_array_equal(reply["values"], cold.classify([node]))
 
     def test_new_node_is_immediately_servable(self, trained, acm, tmp_path):
         path = tmp_path / "widen.npz"

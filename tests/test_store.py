@@ -134,6 +134,10 @@ class TestStoreRoundtrip:
             np.testing.assert_array_equal(embeddings[position], embedding)
             np.testing.assert_array_equal(reads[position], read_set)
 
+    def test_open_refuses_a_directory_without_meta(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="is not a store directory"):
+            AggregateStore.open(tmp_path)
+
     def test_open_refuses_newer_format(self, store_path, tmp_path):
         copy = tmp_path / "newer"
         shutil.copytree(store_path, copy)
@@ -445,9 +449,9 @@ class LoopReference:
         server.cache.put = self.put
         server.cache.invalidate_nodes = self.invalidate_nodes
 
-    def put(self, node, embedding, *, stamp, reads):
+    def put(self, node, embedding, label, *, stamp, reads):
         self.made[int(node)] = (int(stamp), reads.tolist())
-        self._put(node, embedding, stamp=stamp, reads=reads)
+        self._put(node, embedding, label, stamp=stamp, reads=reads)
 
     def stale(self, stamp, reads):
         return any(self.touched.get(int(read), 0) > stamp for read in reads)

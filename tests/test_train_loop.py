@@ -263,6 +263,11 @@ class TestReduceGradients:
 
 
 class TestGuardsAndMetrics:
+    def test_a_loop_needs_a_client(self):
+        config = WidenClassifier(seed=7).config
+        with pytest.raises(ValueError, match="needs at least one client"):
+            TrainLoop([], config)
+
     def test_replace_mode_rejected(self, acm, tmp_path):
         clf = WidenClassifier(seed=7, embedding_mode="replace")
         clf.fit(acm.graph, acm.split.train, epochs=0)
