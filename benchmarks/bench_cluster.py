@@ -30,6 +30,10 @@ Claims asserted:
    The ``kill_recover`` section records the detect/respawn/replay
    breakdown.
 
+The ``worker_startup`` section reports (asserts nothing) how long loopback
+workers take from launch to their ``LISTENING`` line: one alone, and two
+launched together, which a fleet's parallel bring-up makes cost about one.
+
 Run ``python benchmarks/bench_cluster.py --smoke`` for the CI-sized gate
 (writes ``BENCH_cluster.json``); without ``--smoke`` the trace and graph
 grow to reproduction scale.
@@ -43,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.cluster import ClusterRouter
+from repro.cluster import ClusterRouter, LocalWorkerSpawner, ShardRegistry
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer, ModelRegistry, make_trace, replay
@@ -124,6 +128,21 @@ def _measure_kill_recover(checkpoint, probe, *, seed, scale):
         }
     finally:
         router.close()
+
+
+def _measure_worker_startup():
+    """Seconds from launch until every worker has printed ``LISTENING``,
+    for one worker and for two launched together."""
+    timings = {}
+    for name, count in (("one_s", 1), ("two_s", 2)):
+        registry = ShardRegistry(LocalWorkerSpawner())
+        start = time.perf_counter()
+        try:
+            registry.launch(list(range(count)))
+            timings[name] = time.perf_counter() - start
+        finally:
+            registry.close()
+    return timings
 
 
 def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
@@ -242,6 +261,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
     report["kill_recover"] = _measure_kill_recover(
         checkpoint, probe, seed=seed, scale=scale
     )
+    report["worker_startup"] = _measure_worker_startup()
 
     prometheus_text = prometheus_state["text"]
 
@@ -275,6 +295,9 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
           f"respawn {recovery.get('respawn_s', 0) * 1e3:.1f} ms, "
           f"total {recovery.get('total_s', 0) * 1e3:.1f} ms, "
           f"exact={recover['post_recovery_exact']}")
+    startup = report["worker_startup"]
+    print(f"worker time-to-LISTENING: one {startup['one_s'] * 1e3:.0f} ms, "
+          f"two launched together {startup['two_s'] * 1e3:.0f} ms")
     print(f"prometheus: {report['prometheus_samples']} shard-labeled samples "
           f"-> {out_path}")
 

@@ -14,16 +14,18 @@ full-batch forward.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph
 from repro.nn import Linear, Module
 from repro.tensor import Tensor, functional as F, ops
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 class _FastGcnNet(Module):

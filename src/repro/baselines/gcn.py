@@ -15,16 +15,18 @@ our interface realizes by passing the full graph at predict time).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph
 from repro.nn import Dropout, Linear, Module
 from repro.tensor import Tensor, ops
 from repro.utils.rng import SeedLike, spawn_rngs
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 class _GcnNet(Module):

@@ -22,16 +22,18 @@ harness reproduces that skip.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph
 from repro.nn import Linear, Module, Parameter
 from repro.tensor import Tensor, functional as F, ops
 from repro.utils.rng import SeedLike, spawn_rngs
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 class _GtnNet(Module):
@@ -85,6 +87,8 @@ class GTN(BaseClassifier):
 
     @staticmethod
     def _row_normalized_adjacencies(graph: HeteroGraph) -> List[sp.csr_matrix]:
+        import scipy.sparse as sp
+
         matrices = []
         for etype in range(graph.num_edge_types):
             adj = graph.adjacency(edge_type=etype)

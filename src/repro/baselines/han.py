@@ -18,10 +18,9 @@ of HAN; keeping the structure faithful keeps that comparison meaningful.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.common import BaseClassifier, sample_neighbors
 from repro.baselines.gat import _GatLayer
@@ -29,6 +28,9 @@ from repro.graph import HeteroGraph, metapath_adjacency
 from repro.nn import Linear, Module, Parameter, init
 from repro.tensor import Tensor, functional as F, ops
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 def default_metapaths(graph: HeteroGraph, target_type: str) -> List[List[str]]:

@@ -40,12 +40,22 @@ import os
 import select
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cluster.engine import build_engine_from_args
 from repro.cluster.net import SocketTransport, WorkerDown
@@ -92,8 +102,15 @@ class LocalWorkerSpawner:
     The child binds port 0 and announces ``LISTENING host port`` on stdout;
     we parse that, so no port coordination is needed.  ``PYTHONPATH`` is
     prepended with this package's parent directory so the child resolves
-    ``repro`` the same way the parent did.
+    ``repro`` the same way the parent did.  :meth:`spawn_all` starts every
+    child before it reads any child's line, so N workers with a core each
+    come up in about one start-up.  A child's stderr goes to an unlinked
+    temporary file, so one that dies during start-up names its error in
+    the ``WorkerDown``.
     """
+
+    #: Bytes of a failed child's stderr kept in the ``WorkerDown`` detail.
+    STDERR_TAIL = 2000
 
     def __init__(
         self,
@@ -106,7 +123,11 @@ class LocalWorkerSpawner:
         self.python = python or sys.executable
         self.startup_timeout = float(startup_timeout)
 
-    def spawn(self, shard_id: int) -> WorkerHandle:
+    def spawn_all(self, shard_ids: Sequence[int]) -> List[WorkerHandle]:
+        """Start one worker per shard id, then wait for each to listen.
+
+        If any child fails to start, every child started here is reaped and
+        that child's :class:`WorkerDown` (``spawn_failed``) is raised."""
         import repro
 
         env = dict(os.environ)
@@ -115,22 +136,52 @@ class LocalWorkerSpawner:
         env["PYTHONPATH"] = (
             package_parent + (os.pathsep + existing if existing else "")
         )
-        process = subprocess.Popen(
-            [
-                self.python,
-                "-m",
-                "repro",
-                "shard-worker",
-                "--listen",
-                f"{self.host}:0",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            env=env,
-        )
+        started: List[Tuple[int, subprocess.Popen, BinaryIO]] = []
+        try:
+            for shard_id in shard_ids:
+                stderr = tempfile.TemporaryFile()
+                try:
+                    process = subprocess.Popen(
+                        [
+                            self.python,
+                            "-m",
+                            "repro",
+                            "shard-worker",
+                            "--listen",
+                            f"{self.host}:0",
+                        ],
+                        stdout=subprocess.PIPE,
+                        stderr=stderr,
+                        env=env,
+                    )
+                except BaseException:
+                    stderr.close()
+                    raise
+                started.append((shard_id, process, stderr))
+            deadline = time.monotonic() + self.startup_timeout
+            return [
+                self._await_listening(shard_id, process, stderr, deadline)
+                for shard_id, process, stderr in started
+            ]
+        except BaseException:
+            for _, process, _ in started:
+                _reap_process(process)
+            raise
+        finally:
+            # A listening child keeps writing to its (unlinked) file; we
+            # only read it while the child starts.
+            for _, _, stderr in started:
+                stderr.close()
+
+    def _await_listening(
+        self,
+        shard_id: int,
+        process: subprocess.Popen,
+        stderr: BinaryIO,
+        deadline: float,
+    ) -> WorkerHandle:
         # Read the pipe only when select() says a read cannot block, so the
         # deadline holds against a child that neither prints nor exits.
-        deadline = time.monotonic() + self.startup_timeout
         fd, pending = process.stdout.fileno(), b""
         while True:
             *lines, pending = pending.split(b"\n")
@@ -147,10 +198,24 @@ class LocalWorkerSpawner:
                 detail = f"worker exited during startup (rc={process.wait()})"
                 break
             pending += chunk
-        process.kill()  # a no-op once the child has been reaped
-        process.wait()
-        process.stdout.close()
+        _reap_process(process)
+        stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - self.STDERR_TAIL))
+        tail = stderr.read().decode(errors="replace").strip()
+        if tail:
+            detail += f"; stderr: {tail}"
         raise WorkerDown(shard_id, "spawn_failed", detail)
+
+
+def _reap_process(process: subprocess.Popen) -> None:
+    """Kill (if still running) and wait for a child; close its stdout."""
+    if process.poll() is None:
+        process.kill()
+    try:
+        process.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        pass
+    if process.stdout is not None:
+        process.stdout.close()
 
 
 class ShardRegistry:
@@ -183,16 +248,23 @@ class ShardRegistry:
     def shard_ids(self) -> List[int]:
         return sorted(self._handles)
 
-    def launch(self, shard_id: int) -> WorkerHandle:
-        """Where to connect for ``shard_id`` now: first spawn and respawn
-        are the same step."""
-        if self.spawner is None:
-            return self._handles[shard_id]  # static: same address every time
-        corpse = self._handles.get(shard_id)
-        if corpse is not None:
-            self._reap(corpse)
-        handle = self._handles[shard_id] = self.spawner.spawn(shard_id)
-        return handle
+    def launch(self, shard_ids: Sequence[int]) -> List[WorkerHandle]:
+        """Where to connect for each of ``shard_ids`` now: first spawn and
+        respawn are the same step.  A spawner starts every process before
+        it waits on any."""
+        if self.spawner is None:  # static: same address every time
+            return [self._handles[shard_id] for shard_id in shard_ids]
+        for shard_id in shard_ids:
+            corpse = self._handles.get(shard_id)
+            if corpse is not None:
+                self._reap(corpse)
+        handles = self.spawner.spawn_all(shard_ids)
+        for handle in handles:
+            self._handles[handle.shard_id] = handle
+        return handles
+
+    def address(self, shard_id: int) -> Tuple[str, int]:
+        return self._handles[shard_id].address
 
     def kill(self, shard_id: int) -> None:
         """SIGKILL the shard's process (fault injection in tests/benches).
@@ -215,17 +287,8 @@ class ShardRegistry:
 
     @staticmethod
     def _reap(handle: WorkerHandle) -> None:
-        process = handle.process
-        if process is None:
-            return
-        if process.poll() is None:
-            process.kill()
-        try:
-            process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            pass
-        if process.stdout is not None:
-            process.stdout.close()
+        if handle.process is not None:
+            _reap_process(handle.process)
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +345,16 @@ class Fleet:
         Writes the engine-arguments schema (kept in :attr:`engine_args`, the
         rebuild point a supervisor starts from).  Inline engines load the
         checkpoint by path; socket workers share no filesystem, so theirs
-        ship the checkpoint's bytes.  Every channel is opened before any is
-        waited on, so a socket fleet loads its checkpoints concurrently;
-        once this returns the checkpoint files are no longer needed.  A
-        shard's checkpoint and config are taken from their iterables right
-        before its channel opens, so a generator's work for shard k+1
-        overlaps worker k's start-up.  A failed bring-up tears down what it
-        started.
+        ship the checkpoint's bytes.  A spawned socket fleet starts every
+        worker process before it waits on any ``LISTENING`` line, so N
+        workers with a core each come up in about one start-up.  Every
+        channel is opened before any is waited on, so a socket fleet loads
+        its checkpoints concurrently; once this returns the checkpoint
+        files are no longer needed.  A shard's checkpoint and config are
+        taken from their iterables right before its channel opens, so on a
+        socket fleet a generator's work for shard k overlaps the workers of
+        shards before it loading their engines.  A failed bring-up tears
+        down what it started.
         """
         remote = self.registry is not None
         if remote and self.registry.spawner is None:
@@ -300,6 +366,8 @@ class Fleet:
                 )
         blobs: Dict[str, bytes] = {}
         try:
+            if remote:
+                self.registry.launch([spec.shard_id for spec in specs])
             for spec, checkpoint, config in zip(specs, checkpoints, configs):
                 path = str(checkpoint)
                 if remote and path not in blobs:
@@ -323,7 +391,8 @@ class Fleet:
 
     def open(self, shard_id: int, args: Dict[str, object]) -> Transport:
         """Start one shard's channel: the only place a transport is
-        constructed, at bring-up and at respawn alike."""
+        constructed, at bring-up and at respawn alike.  A socket channel
+        connects to the worker the registry launched last for the shard."""
         if self.registry is None:
             transport: Transport = InlineTransport(
                 shard_id, partial(build_engine_from_args, args)
@@ -331,7 +400,7 @@ class Fleet:
         else:
             transport = SocketTransport(
                 shard_id,
-                self.registry.launch(shard_id).address,
+                self.registry.address(shard_id),
                 args,
                 on_down=self.on_down,
                 on_heartbeat=self.on_heartbeat,
@@ -342,6 +411,8 @@ class Fleet:
         """Replace a shard's (down) channel with a fresh, ready one whose
         engine is built from ``args``.  The caller readmits it."""
         self.transports[shard_id].stop(timeout=1.0)
+        if self.registry is not None:
+            self.registry.launch([shard_id])
         transport = self.transports[shard_id] = self.open(shard_id, args)
         transport.wait_ready(self.START_TIMEOUT)
         return transport

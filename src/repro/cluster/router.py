@@ -135,8 +135,9 @@ class ClusterRouter:
         }
 
         def shard_configs():
-            # Lazily, one per bring-up step: shard k+1's store slice is cut
-            # while worker k starts, not held beside k's spawn buffers.
+            # Lazily, one per bring-up step: on a socket fleet shard k's
+            # store slice is cut while the workers before it load their
+            # engines, and is not held beside their spawn buffers.
             for spec in self.plan.shards:
                 shard_config = dict(config)
                 if self.store is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 def paired_t_test(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
@@ -23,6 +22,8 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
         raise ValueError("paired t-test needs at least 2 paired scores")
     if np.allclose(a, b):
         return 0.0, 1.0
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_rel(a, b)
     return float(result.statistic), float(result.pvalue)
 

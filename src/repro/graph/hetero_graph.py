@@ -26,10 +26,12 @@ into spare buffer capacity, so a mutation costs O(what arrived).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -414,6 +416,8 @@ class HeteroGraph:
 
         ``add_self_loops`` adds the identity (GCN's ``A + I``).
         """
+        import scipy.sparse as sp
+
         if edge_type is None:
             mask = slice(None)
         else:
@@ -432,6 +436,8 @@ class HeteroGraph:
 
     def normalized_adjacency(self, add_self_loops: bool = True) -> sp.csr_matrix:
         """Symmetric GCN normalization ``D^-1/2 (A + I) D^-1/2``."""
+        import scipy.sparse as sp
+
         adj = self.adjacency(add_self_loops=add_self_loops)
         degree = np.asarray(adj.sum(axis=1)).reshape(-1)
         inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1e-12)), 0.0)

@@ -11,12 +11,14 @@ product for a concrete selection.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.hetero_graph import HeteroGraph
+
+if TYPE_CHECKING:  # annotations only: scipy is imported where a matrix is built
+    import scipy.sparse as sp
 
 
 def metapath_adjacency(
@@ -82,6 +84,8 @@ def compose_adjacency(
 
 def row_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
     """``D^-1 A`` row normalization used on composed meta-path graphs."""
+    import scipy.sparse as sp
+
     degree = np.asarray(adj.sum(axis=1)).reshape(-1)
     inv = np.where(degree > 0, 1.0 / np.maximum(degree, 1e-12), 0.0)
     return (sp.diags(inv) @ adj).tocsr()

@@ -10,10 +10,17 @@ implement the same role with a two-stage heuristic:
 2. **Boundary refinement**: a Kernighan–Lin-flavoured pass that moves
    boundary nodes to the neighboring part where most of their edges live,
    subject to a balance constraint, reducing edge cut.
+
+Both stages are sequential walks over one node at a time, so they run on
+Python lists taken once from the CSR arrays: per-node numpy calls on
+scalars cost more than the work they do.  Ties go to the lowest part id
+(``np.argmin`` / ``np.argmax``'s first-extremum rule), so the parts are a
+function of ``(graph, num_parts, rng)`` alone.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import List
 
@@ -43,12 +50,14 @@ def partition_graph(
             f"cannot split {graph.num_nodes} nodes into {num_parts} parts"
         )
     rng = new_rng(rng)
-    assignment = _bfs_grow(graph, num_parts, rng)
+    adjacency = graph.indptr.tolist(), graph.indices.tolist()
+    assignment = _bfs_grow(graph, adjacency, num_parts, rng)
     max_size = int(balance_slack * np.ceil(graph.num_nodes / num_parts))
     for _ in range(refine_passes):
-        moved = _refine(graph, assignment, num_parts, max_size)
+        moved = _refine(adjacency, assignment, num_parts, max_size)
         if not moved:
             break
+    assignment = np.frombuffer(assignment, dtype=np.int64)
     return [np.flatnonzero(assignment == part) for part in range(num_parts)]
 
 
@@ -60,52 +69,60 @@ def edge_cut(graph: HeteroGraph, parts: List[np.ndarray]) -> int:
     return int((assignment[graph._src] != assignment[graph.indices]).sum())
 
 
-def _bfs_grow(graph: HeteroGraph, num_parts: int, rng) -> np.ndarray:
+def _bfs_grow(graph: HeteroGraph, adjacency, num_parts: int, rng) -> array:
     degrees = graph.degrees()
     # Seed with distinct high-degree nodes, jittered for tie-breaking.
-    seeds = np.argsort(-(degrees + rng.random(graph.num_nodes)))[:num_parts]
-    assignment = np.full(graph.num_nodes, -1, dtype=np.int64)
-    frontiers = [deque([int(seed)]) for seed in seeds]
-    sizes = np.zeros(num_parts, dtype=np.int64)
+    seeds = np.argsort(-(degrees + rng.random(graph.num_nodes)))[:num_parts].tolist()
+    indptr, indices = adjacency
+    # An int64 buffer, so the disconnected-component fallback can scan it
+    # with numpy without a copy.
+    assignment = array("q", [-1]) * graph.num_nodes
+    frontiers = [deque([seed]) for seed in seeds]
+    sizes = [1] * num_parts
     for part, seed in enumerate(seeds):
         assignment[seed] = part
-        sizes[part] = 1
     remaining = graph.num_nodes - num_parts
     while remaining > 0:
-        part = int(np.argmin(np.where([len(f) > 0 for f in frontiers], sizes, np.iinfo(np.int64).max)))
-        if not frontiers[part]:
+        # The smallest part that can still grow (lowest id on ties).
+        part = -1
+        for candidate in range(num_parts):
+            if frontiers[candidate] and (part < 0 or sizes[candidate] < sizes[part]):
+                part = candidate
+        if part < 0:
             # All frontiers empty but nodes remain (disconnected components):
             # assign an arbitrary unvisited node to the smallest part.
-            part = int(np.argmin(sizes))
-            unassigned = np.flatnonzero(assignment == -1)
+            part = sizes.index(min(sizes))
+            unassigned = np.flatnonzero(np.frombuffer(assignment, dtype=np.int64) == -1)
             node = int(unassigned[rng.integers(unassigned.size)])
             assignment[node] = part
             sizes[part] += 1
             frontiers[part].append(node)
             remaining -= 1
             continue
-        node = frontiers[part].popleft()
-        neighbors, _ = graph.neighbors(node)
-        for neighbor in neighbors:
-            neighbor = int(neighbor)
+        frontier = frontiers[part]
+        node = frontier.popleft()
+        for neighbor in indices[indptr[node] : indptr[node + 1]]:
             if assignment[neighbor] == -1:
                 assignment[neighbor] = part
                 sizes[part] += 1
-                frontiers[part].append(neighbor)
+                frontier.append(neighbor)
                 remaining -= 1
     return assignment
 
 
-def _refine(graph: HeteroGraph, assignment: np.ndarray, num_parts: int, max_size: int) -> int:
-    sizes = np.bincount(assignment, minlength=num_parts)
+def _refine(adjacency, assignment: array, num_parts: int, max_size: int) -> int:
+    indptr, indices = adjacency
+    sizes = np.bincount(np.frombuffer(assignment, dtype=np.int64), minlength=num_parts).tolist()
     moved = 0
-    for node in range(graph.num_nodes):
-        neighbors, _ = graph.neighbors(node)
-        if neighbors.size == 0:
+    for node in range(len(assignment)):
+        start, stop = indptr[node], indptr[node + 1]
+        if start == stop:
             continue
         current = assignment[node]
-        counts = np.bincount(assignment[neighbors], minlength=num_parts)
-        best = int(np.argmax(counts))
+        counts = [0] * num_parts
+        for neighbor in indices[start:stop]:
+            counts[assignment[neighbor]] += 1
+        best = counts.index(max(counts))  # first maximum
         gain = counts[best] - counts[current]
         if best != current and gain > 0 and sizes[best] < max_size and sizes[current] > 1:
             assignment[node] = best

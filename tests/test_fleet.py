@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterRouter, DistributedTrainer
+from repro.cluster import ClusterRouter, DistributedTrainer, ShardPlanner
 from repro.cluster import fleet as fleet_module
 from repro.cluster import router as router_module
 from repro.cluster.fleet import Fleet, LocalWorkerSpawner
@@ -151,12 +151,87 @@ def test_spawner_startup_timeout_fires_on_a_silent_child(tmp_path, monkeypatch):
     spawner = LocalWorkerSpawner(python=str(script), startup_timeout=1.0)
     start = time.monotonic()
     with pytest.raises(WorkerDown, match="no LISTENING line within 1 s") as down:
-        spawner.spawn(3)
+        spawner.spawn_all([3])
     assert time.monotonic() - start < 2 * spawner.startup_timeout
     assert (down.value.shard_id, down.value.reason) == (3, "spawn_failed")
     (child,) = children
     assert child.returncode is not None and child.stdout.closed
 
+
+
+def fake_python(path, body):
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_spawner_starts_every_child_before_reading_any(tmp_path, monkeypatch):
+    """Three children that each take 1 s to listen come up in about one
+    start-up, not three: all are started before the first line is read."""
+    script = fake_python(
+        tmp_path / "slow-python",
+        "sleep 1\necho 'LISTENING 127.0.0.1 4242'\nexec sleep 20\n",
+    )
+    children, started_at_first_wait = [], []
+    real_popen, real_select = fleet_module.subprocess.Popen, fleet_module.select.select
+
+    def recording_popen(*args, **kwargs):
+        children.append(real_popen(*args, **kwargs))
+        return children[-1]
+
+    def recording_select(*args):
+        if not started_at_first_wait:
+            started_at_first_wait.append(len(children))
+        return real_select(*args)
+
+    monkeypatch.setattr(fleet_module.subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(fleet_module.select, "select", recording_select)
+    spawner = LocalWorkerSpawner(python=script, startup_timeout=10.0)
+    start = time.monotonic()
+    try:
+        handles = spawner.spawn_all([0, 1, 2])
+        elapsed = time.monotonic() - start
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+    assert started_at_first_wait == [3]
+    assert elapsed < 2.0
+    assert [(h.shard_id, h.port) for h in handles] == [(0, 4242), (1, 4242), (2, 4242)]
+
+
+def test_failed_spawn_reaps_every_child_and_says_why(tmp_path, monkeypatch):
+    """The second child dies at start-up: bring-up raises its
+    ``spawn_failed`` with the tail of its stderr, and the first child,
+    already listening, is reaped too."""
+    script = fake_python(
+        tmp_path / "flaky-python",
+        f"if mkdir '{tmp_path}/first' 2>/dev/null; then\n"
+        "  echo 'LISTENING 127.0.0.1 4242'\n"
+        "  exec sleep 20\n"
+        "fi\n"
+        "echo 'ImportError: no module named bogus' >&2\n"
+        "exit 1\n",
+    )
+    children = []
+    real_popen = fleet_module.subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        children.append(real_popen(*args, **kwargs))
+        return children[-1]
+
+    monkeypatch.setattr(fleet_module.subprocess, "Popen", recording_popen)
+    fleet = Fleet("socket")
+    fleet.registry.spawner = LocalWorkerSpawner(python=script, startup_timeout=10.0)
+    shards = ShardPlanner(fresh_graph(), 2).plan().shards
+    with pytest.raises(WorkerDown) as down:
+        fleet.bring_up("serve", shards, [None, None], [{}, {}])
+    assert (down.value.shard_id, down.value.reason) == (1, "spawn_failed")
+    assert "rc=1" in down.value.detail
+    assert "ImportError: no module named bogus" in down.value.detail
+    assert len(children) == 2 and fleet.transports == []
+    assert all(child.poll() is not None and child.stdout.closed for child in children)
 
 class TestTrainerRefusals:
     @pytest.mark.parametrize("name", ["thread", "mp"])

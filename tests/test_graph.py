@@ -1,10 +1,13 @@
 """Tests for the heterogeneous graph substrate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import make_acm, make_yelp
 from repro.graph import (
     GraphBuilder,
     edge_cut,
@@ -570,6 +573,73 @@ class TestHalo:
         )
         with pytest.raises(ValueError):
             mutation_frontier(graph, sources, 0)
+
+
+def parts_digest(parts):
+    """First 16 hex digits of the sha256 of the parts, in part order."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(np.asarray(part, dtype="<i8").tobytes() + b"|")
+    return digest.hexdigest()[:16]
+
+
+#: ``partition_graph``'s parts, pinned: every router's shard plan and the
+#: inductive protocol's partition training depend on them, so a rewrite
+#: must reproduce each one exactly (rng call sequence and tie rules).  ACM
+#: has isolated nodes, so its pins also cover growth's draws from the
+#: unassigned pool when every frontier is empty.
+PARTITION_PINS = {
+    ("yelp", 2, 0): "6eaab87a5183f701",
+    ("yelp", 2, 3): "6eaab87a5183f701",
+    ("yelp", 2, 11): "6eaab87a5183f701",
+    ("yelp", 3, 0): "fce21451c2272114",
+    ("yelp", 3, 3): "fce21451c2272114",
+    ("yelp", 3, 11): "fce21451c2272114",
+    ("yelp", 4, 0): "cc7e385b6d53b2bb",
+    ("yelp", 4, 3): "cc7e385b6d53b2bb",
+    ("yelp", 4, 11): "f5dfca65faa359c2",
+    ("yelp", 8, 0): "fad7b637cb542811",
+    ("yelp", 8, 3): "da3e706b2ea8f9ae",
+    ("yelp", 8, 11): "5ce9f4fab9ab54b4",
+    ("acm", 2, 0): "788b2783c23870c0",
+    ("acm", 2, 3): "066838970a3591f5",
+    ("acm", 2, 11): "7bc2c31d69998406",
+    ("acm", 3, 0): "a4427e9cca48d457",
+    ("acm", 3, 3): "8493c96db214b1a0",
+    ("acm", 3, 11): "6d23d05a8640ff93",
+    ("acm", 4, 0): "c96a8c320b0c65a2",
+    ("acm", 4, 3): "2fc4b660c00c8c77",
+    ("acm", 4, 11): "2bb15899483ce57d",
+    ("acm", 8, 0): "3991827cbdd93e15",
+    ("acm", 8, 3): "2c073f33c5706dc2",
+    ("acm", 8, 11): "efec2883ea22b496",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_graphs():
+    return {"yelp": make_yelp(0, scale=1.0).graph, "acm": make_acm(0).graph}
+
+
+class TestPartitionPins:
+    @pytest.mark.parametrize("dataset,num_parts,seed", sorted(PARTITION_PINS))
+    def test_parts_match_pin(self, pinned_graphs, dataset, num_parts, seed):
+        parts = partition_graph(pinned_graphs[dataset], num_parts, rng=seed)
+        assert parts_digest(parts) == PARTITION_PINS[dataset, num_parts, seed]
+
+    def test_refine_passes_match_pins(self):
+        graph = small_academic_graph(seed=7)
+        raw = partition_graph(graph, 3, refine_passes=0, rng=0)
+        refined = partition_graph(graph, 3, refine_passes=3, rng=0)
+        assert parts_digest(raw) == "54b426f26a576fd0"
+        assert parts_digest(refined) == "61ec11a1caa5cf51"
+
+    def test_toy_graph_matches_pins(self):
+        """Four parts, and one part per node (seeding only, no growth)."""
+        graph = small_academic_graph()
+        assert parts_digest(partition_graph(graph, 4, rng=0)) == "2e21fc92ab7f4098"
+        singletons = partition_graph(graph, graph.num_nodes, rng=0)
+        assert parts_digest(singletons) == "b9de40bbfcea2ce6"
 
 
 class TestPartitionDeterminism:
