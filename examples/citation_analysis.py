@@ -1,12 +1,12 @@
 """Academic-graph workload: classify authors by research area on DBLP.
 
 Reproduces the paper's DBLP workload end to end and demonstrates the
-introspection APIs a downstream user gets:
+introspection a downstream user gets from :mod:`repro.core.analysis`:
 
-- attention distributions over a node's wide neighborhood (which neighbors
-  drive its representation),
-- active downsampling in action (how neighbor sets shrink during training,
-  and where contextualized relay edges were installed),
+- which relations the attention learned to weight (mean wide-attention
+  weight per pack, by edge type: the paper's mechanism claim),
+- what active downsampling left behind (neighbor set sizes after training,
+  and how many contextualized relay edges were installed),
 - embedding-space structure via t-SNE coordinates.
 
 Run:  python examples/citation_analysis.py
@@ -15,6 +15,7 @@ Run:  python examples/citation_analysis.py
 import numpy as np
 
 from repro.core import WidenClassifier
+from repro.core.analysis import downsampling_summary, edge_type_attention_profile
 from repro.datasets import make_dblp
 from repro.eval import micro_f1, silhouette_score, tsne
 
@@ -30,25 +31,18 @@ def main() -> None:
     print(f"author classification micro-F1: "
           f"{micro_f1(graph.labels[dataset.split.test], predictions):.4f}")
 
-    # Peek inside one author's message passing.
-    author = int(dataset.split.train[0])
-    state = model.trainer.store.get(author)
-    import repro.tensor as T
-    with T.no_grad():
-        _, wide_attention, deep_attentions = model.model(
-            author, state, graph, model.trainer.node_state
-        )
-    print(f"\nauthor node {author} (class {graph.labels[author]}):")
-    print(f"  wide neighbors remaining after downsampling: {len(state.wide)}")
-    for local, (node, weight) in enumerate(
-        zip(state.wide.nodes, wide_attention[1:])
-    ):
-        node_type = graph.node_type_names[graph.node_types[node]]
-        print(f"    neighbor {node} ({node_type}): attention {weight:.3f}")
-    relays = sum(
-        1 for deep in state.deep for relay in deep.relays if relay is not None
-    )
-    print(f"  relay edges installed across {len(state.deep)} deep walks: {relays}")
+    # Which relations WIDEN learned to attend to, over the training authors.
+    train = dataset.split.train
+    profile = edge_type_attention_profile(model.trainer, train)
+    print("\nmean wide attention per pack, by relation:")
+    for relation, weight in sorted(profile.items(), key=lambda item: -item[1]):
+        print(f"  {relation:<16} {weight:.4f}")
+    footprint = downsampling_summary(model.trainer, train)
+    config = model.trainer.config
+    print(f"after active downsampling: wide sets {footprint['mean_wide_size']:.1f} "
+          f"of {config.num_wide}, deep walks {footprint['mean_deep_size']:.1f} "
+          f"of {config.num_deep}, {footprint['relay_count']:.0f} relay edges "
+          f"(nesting depth <= {footprint['max_relay_depth']:.0f})")
 
     # Embedding-space structure of test authors.
     embeddings = model.embed(dataset.split.test[:150])

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.baselines.common import BaseClassifier
 from repro.graph import HeteroGraph
+from repro.graph.metapath import row_normalize
 from repro.nn import Linear, Module, Parameter
 from repro.tensor import Tensor, functional as F, ops
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -89,12 +90,10 @@ class GTN(BaseClassifier):
     def _row_normalized_adjacencies(graph: HeteroGraph) -> List[sp.csr_matrix]:
         import scipy.sparse as sp
 
-        matrices = []
-        for etype in range(graph.num_edge_types):
-            adj = graph.adjacency(edge_type=etype)
-            degree = np.asarray(adj.sum(axis=1)).reshape(-1)
-            inv = np.where(degree > 0, 1.0 / np.maximum(degree, 1e-12), 0.0)
-            matrices.append((sp.diags(inv) @ adj).tocsr())
+        matrices = [
+            row_normalize(graph.adjacency(edge_type=etype))
+            for etype in range(graph.num_edge_types)
+        ]
         matrices.append(sp.eye(graph.num_nodes, format="csr"))
         return matrices
 

@@ -193,7 +193,9 @@ class SocketTransport(Transport):
         self._last_rx = 0.0
         self._down: Optional[WorkerDown] = None
         self._down_notified = threading.Event()  # on_down has returned
-        self._stopping = False
+        # Set by stop() and by _mark_down; the heartbeat loop waits on it,
+        # so neither waits out a heartbeat interval.
+        self._stopping = threading.Event()
         self._ready = PendingReply(self, READY_SEQ, "ready")
         self._receiver: Optional[threading.Thread] = None
         self._heart: Optional[threading.Thread] = None
@@ -243,7 +245,7 @@ class SocketTransport(Transport):
         self._ready.result(timeout)
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stopping = True
+        self._stopping.set()
         if self._sock is None:
             return
         if self._down is None and self._ready.delivered:
@@ -299,7 +301,7 @@ class SocketTransport(Transport):
             try:
                 reply = recv_message(self._sock)
             except (ConnectionClosed, ConnectionError, OSError, EOFError) as exc:
-                if not self._stopping:
+                if not self._stopping.is_set():
                     self._mark_down("connection_reset", str(exc))
                 return
             self._last_rx = time.perf_counter()
@@ -323,10 +325,7 @@ class SocketTransport(Transport):
         # construction (checkpoint load + graph rebuild) is legitimate
         # silence, not a hang.
         self._ready.wait()
-        while not self._stopping and self._down is None:
-            time.sleep(self.heartbeat_interval)
-            if self._stopping or self._down is not None:
-                return
+        while not self._stopping.wait(self.heartbeat_interval):
             with self._state_lock:
                 outstanding = bool(self._hb_sent)
             silence = time.perf_counter() - self._last_rx
@@ -338,7 +337,7 @@ class SocketTransport(Transport):
                 )
                 return
             with self._send_lock:
-                if self._down is not None or self._stopping:
+                if self._stopping.is_set():
                     return
                 seq = self._next_seq()
                 with self._state_lock:
@@ -378,6 +377,8 @@ class SocketTransport(Transport):
         with self._state_lock:
             if self._down is not None:
                 return
+            stop_requested = self._stopping.is_set()
+            self._stopping.set()
             down = WorkerDown(self.shard_id, reason, detail)
             self._down = down
             pendings = list(self._pending.values())
@@ -387,7 +388,7 @@ class SocketTransport(Transport):
         # Notify, then release: a caller woken by its WorkerDown reply goes
         # straight to the supervisor, which must already have heard.
         try:
-            if self._on_down is not None and not self._stopping:
+            if self._on_down is not None and not stop_requested:
                 self._on_down(self.shard_id, reason, detail)
         finally:
             for pending in pendings:

@@ -355,12 +355,6 @@ class WidenClassifier(BaseClassifier):
         return json.loads(str(archive[CHECKPOINT_KEY]))
 
     @classmethod
-    def read_checkpoint_metadata(cls, path) -> dict:
-        """Metadata dict of a checkpoint written by :meth:`save`."""
-        with np.load(path) as archive:
-            return cls._metadata(archive, path)
-
-    @classmethod
     def load(cls, path, graph: Optional[HeteroGraph] = None) -> "WidenClassifier":
         """Rebuild a classifier from :meth:`save` output — no graph needed.
 

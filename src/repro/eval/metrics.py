@@ -58,42 +58,6 @@ def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(2 * precision * recall / (precision + recall))
 
 
-def classification_report(
-    y_true: np.ndarray, y_pred: np.ndarray, class_names=None
-) -> str:
-    """Per-class precision/recall/F1 table plus micro/macro summaries."""
-    matrix = confusion_matrix(y_true, y_pred)
-    num_classes = matrix.shape[0]
-    if class_names is None:
-        class_names = [f"class {c}" for c in range(num_classes)]
-    if len(class_names) != num_classes:
-        raise ValueError(
-            f"{len(class_names)} names for {num_classes} classes"
-        )
-    lines = [f"{'':<12}{'precision':>10}{'recall':>8}{'f1':>8}{'support':>9}"]
-    for cls in range(num_classes):
-        tp = matrix[cls, cls]
-        support = matrix[cls, :].sum()
-        predicted = matrix[:, cls].sum()
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / support if support else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        lines.append(
-            f"{class_names[cls]:<12}{precision:>10.3f}{recall:>8.3f}"
-            f"{f1:>8.3f}{support:>9}"
-        )
-    lines.append(
-        f"{'micro-F1':<12}{micro_f1(y_true, y_pred):>10.3f}"
-        f"{'':>8}{'':>8}{len(np.asarray(y_true)):>9}"
-    )
-    lines.append(f"{'macro-F1':<12}{macro_f1(y_true, y_pred):>10.3f}")
-    return "\n".join(lines)
-
-
 def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve for binary labels vs real-valued scores.
 

@@ -21,7 +21,6 @@ from repro.graph.partition import partition_graph, edge_cut
 from repro.graph.metapath import (
     compose_adjacency,
     metapath_adjacency,
-    metapath_neighbors,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "edge_cut",
     "compose_adjacency",
     "metapath_adjacency",
-    "metapath_neighbors",
 ]

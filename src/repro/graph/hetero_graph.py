@@ -503,19 +503,6 @@ class HeteroGraph:
             },
         }
 
-    def to_networkx(self):
-        """Export to a ``networkx.MultiDiGraph`` (testing/visualization aid)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        for node in range(self.num_nodes):
-            graph.add_node(node, node_type=self.node_type_names[self.node_types[node]])
-        for node in range(self.num_nodes):
-            neighbors, etypes = self.neighbors(node)
-            for neighbor, etype in zip(neighbors, etypes):
-                graph.add_edge(node, int(neighbor), edge_type=self.edge_type_names[etype])
-        return graph
-
     def __repr__(self) -> str:
         return (
             f"HeteroGraph(nodes={self.num_nodes} ({self.num_node_types} types), "

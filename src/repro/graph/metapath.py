@@ -45,15 +45,6 @@ def metapath_adjacency(
     return product.tocsr()
 
 
-def metapath_neighbors(
-    graph: HeteroGraph, edge_types: Sequence[str], node: int
-) -> np.ndarray:
-    """Node ids reachable from ``node`` along the meta path."""
-    adj = metapath_adjacency(graph, edge_types)
-    start, stop = adj.indptr[node], adj.indptr[node + 1]
-    return adj.indices[start:stop].astype(np.int64)
-
-
 def compose_adjacency(
     adjacencies: Sequence[sp.csr_matrix],
     weights_per_hop: Sequence[np.ndarray],

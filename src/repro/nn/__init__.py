@@ -7,7 +7,7 @@ blocks with optional additive masks.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, Embedding, Dropout, Sequential, ReLU, Tanh
+from repro.nn.layers import Linear, Embedding, Dropout, ReLU
 from repro.nn.attention import SelfAttention, QueryAttention, causal_mask
 from repro.nn import init
 
@@ -17,9 +17,7 @@ __all__ = [
     "Linear",
     "Embedding",
     "Dropout",
-    "Sequential",
     "ReLU",
-    "Tanh",
     "SelfAttention",
     "QueryAttention",
     "causal_mask",

@@ -15,21 +15,6 @@ def xavier_uniform(shape: tuple, rng: SeedLike = None, gain: float = 1.0) -> np.
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: tuple, rng: SeedLike = None, gain: float = 1.0) -> np.ndarray:
-    rng = new_rng(rng)
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_uniform(shape: tuple, rng: SeedLike = None) -> np.ndarray:
-    """He/Kaiming uniform init, suited to ReLU layers."""
-    rng = new_rng(rng)
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def normal(shape: tuple, rng: SeedLike = None, std: float = 0.02) -> np.ndarray:
     """Small-variance Gaussian init (embedding tables)."""
     rng = new_rng(rng)

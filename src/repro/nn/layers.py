@@ -1,8 +1,6 @@
-"""Core layers: linear projection, embedding table, dropout, containers."""
+"""Core layers: linear projection, embedding table, dropout, ReLU."""
 
 from __future__ import annotations
-
-from typing import List
 
 import numpy as np
 
@@ -109,27 +107,3 @@ class Dropout(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ops.relu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.layers: List[Module] = self.register_modules("layers", list(modules))
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-    def __len__(self) -> int:
-        return len(self.layers)

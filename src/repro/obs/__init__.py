@@ -8,8 +8,7 @@ One pipeline for everything the efficiency claims rest on:
   (latency, occupancy, hit rate) report through the same registry and dump
   to one ``metrics.jsonl``.
 - :class:`Tracer` — nested spans over the hot paths (epochs, batches,
-  model forward, samplers), exportable as Chrome ``trace_event`` JSON and
-  as a JSONL event log.
+  model forward, samplers), exportable as Chrome ``trace_event`` JSON.
 - :class:`OpProfiler` — op-level counts, FLOP estimates and
   forward/backward self-times hooked into the ``repro.tensor`` engine;
   near-zero overhead while disabled.
@@ -53,7 +52,6 @@ from repro.obs.slo import (
 from repro.obs.tracing import (
     SpanRecord,
     Tracer,
-    get_tracer,
     set_thread_tracer,
     set_tracer,
     span,
@@ -73,7 +71,6 @@ __all__ = [
     "OpStat",
     "SpanRecord",
     "Tracer",
-    "get_tracer",
     "set_tracer",
     "set_thread_tracer",
     "span",

@@ -99,9 +99,6 @@ class ShardClock:
     rtt: float
     pid: int
 
-    def to_router_time(self, shard_ts: float) -> float:
-        return shard_ts - self.offset
-
 
 def clock_handshake(
     probe: Callable[[], Dict[str, object]],
@@ -161,10 +158,6 @@ class DistTracer:
         self._next_trace += 1
         return f"t{self._next_trace:06d}"
 
-    @property
-    def traces_started(self) -> int:
-        return self._next_trace
-
     def register_clock(self, clock: ShardClock) -> None:
         self.shard_clocks[clock.shard_id] = clock
         self.shard_pids[clock.shard_id] = clock.pid
@@ -183,12 +176,6 @@ class DistTracer:
         self.shard_spans.setdefault(shard, []).extend(payload.get("spans", []))
         if "pid" in payload:
             self.shard_pids[shard] = int(payload["pid"])
-
-    def span_count(self) -> int:
-        """Total spans collected (router + every shard)."""
-        return len(self.tracer.spans) + sum(
-            len(spans) for spans in self.shard_spans.values()
-        )
 
     # -- stitching ------------------------------------------------------
 

@@ -74,9 +74,8 @@ def _prom_help(text: str) -> str:
     return text.replace("\\", r"\\").replace("\n", r"\n")
 
 
-# Help text for well-known metric names, applied when a registry has no
-# per-name override (MetricsRegistry.describe).  Kept here so every
-# registry — router-scope, per-shard, test-private — exposes the same docs.
+# Help text for well-known metric names.  Kept here so every registry —
+# router-scope, per-shard, test-private — exposes the same docs.
 DEFAULT_HELP: Dict[str, str] = {
     "serve_latency_seconds": "End-to-end serve latency per request.",
     "serve_requests_total": "Serve requests by cache outcome.",
@@ -178,9 +177,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     @property
     def value(self) -> float:
@@ -298,7 +294,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._series: Dict[Tuple[str, LabelKey], object] = {}
         self._kinds: Dict[str, type] = {}
-        self._help: Dict[str, str] = {}
         self.events: List[Dict[str, object]] = []
 
     # -- instruments ----------------------------------------------------
@@ -327,15 +322,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
-
-    def describe(self, name: str, help_text: str) -> None:
-        """Attach ``# HELP`` text to a metric name (overrides DEFAULT_HELP)."""
-        with self._lock:
-            self._help[name] = str(help_text)
-
-    def help_for(self, name: str) -> Optional[str]:
-        """Effective help text for a name (explicit first, then defaults)."""
-        return self._help.get(name, DEFAULT_HELP.get(name))
 
     def series(self) -> List[object]:
         """All registered instruments, in registration order."""
@@ -382,7 +368,6 @@ class MetricsRegistry:
         with self._lock:
             instruments = list(self._series.values())
             events = [dict(event) for event in self.events]
-            help_texts = dict(self._help)
         series = []
         for instrument in instruments:
             entry: Dict[str, object] = {
@@ -399,7 +384,7 @@ class MetricsRegistry:
                 entry["kind"] = "histogram"
                 entry["values"] = list(instrument._values)
             series.append(entry)
-        return {"series": series, "events": events, "help": help_texts}
+        return {"series": series, "events": events}
 
     def merge_payload(
         self,
@@ -415,9 +400,6 @@ class MetricsRegistry:
         observations.
         """
         extra = {str(k): str(v) for k, v in (extra_labels or {}).items()}
-        for name, text in payload.get("help", {}).items():
-            with self._lock:
-                self._help.setdefault(name, text)
         for entry in payload["series"]:
             labels = {**entry["labels"], **extra}
             if entry["kind"] == "counter":
@@ -473,7 +455,7 @@ class MetricsRegistry:
             group = by_name[name]
             prom = _prom_name(name)
             kind = type(group[0])
-            help_text = self.help_for(name)
+            help_text = DEFAULT_HELP.get(name)
             if help_text:
                 lines.append(f"# HELP {prom} {_prom_help(help_text)}")
             if kind is Counter:
@@ -534,7 +516,6 @@ class MetricsRegistry:
         with self._lock:
             self._series.clear()
             self._kinds.clear()
-            self._help.clear()
             self.events.clear()
 
 

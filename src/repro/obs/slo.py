@@ -21,7 +21,6 @@ holds ``slo=None`` by default and the guard is one ``is None`` check.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,9 +59,6 @@ class AttributionRecord:
     rungs: Dict[str, int] = field(default_factory=dict)
     ok: bool = True
     error: Optional[str] = None
-
-    def rung_total(self) -> int:
-        return sum(self.rungs.values())
 
     def to_record(self) -> Dict[str, object]:
         return {
@@ -162,10 +158,6 @@ class SLOMonitor:
             "total_observed": self.total_observed,
         }
 
-    def healthy(self) -> bool:
-        report = self.report()
-        return report["compliance"] >= self.target.objective
-
 
 class SlowRequestLog:
     """Bounded worst-K log of :class:`AttributionRecord` exemplars.
@@ -203,10 +195,3 @@ class SlowRequestLog:
 
     def to_records(self) -> List[Dict[str, object]]:
         return [record.to_record() for record in self.worst()]
-
-    def write_jsonl(self, path) -> int:
-        records = self.to_records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        return len(records)

@@ -1,4 +1,4 @@
-"""Nested-span tracing with Chrome ``trace_event`` and JSONL export.
+"""Nested-span tracing with Chrome ``trace_event`` export.
 
 A :class:`Tracer` records *complete* spans (name, start, duration, nesting
 depth, optional attributes).  Spans nest through a plain stack, so the
@@ -142,48 +142,6 @@ class Tracer:
             json.dump(payload, handle)
         return len(payload["traceEvents"])
 
-    def to_records(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "name": record.name,
-                "start_s": record.start,
-                "duration_s": record.duration,
-                "depth": record.depth,
-                "parent": record.parent,
-                **({"args": record.args} if record.args else {}),
-            }
-            for record in self.spans
-        ]
-
-    def write_jsonl(self, path) -> int:
-        """One span per line (the grep-able flavor); returns span count."""
-        records = self.to_records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        return len(records)
-
-    @staticmethod
-    def read_jsonl(path) -> List[SpanRecord]:
-        """Parse a :meth:`write_jsonl` file back into span records."""
-        spans = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                data = json.loads(line)
-                spans.append(
-                    SpanRecord(
-                        name=data["name"],
-                        start=data["start_s"],
-                        duration=data["duration_s"],
-                        depth=data["depth"],
-                        parent=data["parent"],
-                        args=data.get("args"),
-                    )
-                )
-        return spans
-
 
 _DEFAULT_TRACER = Tracer(enabled=False)
 
@@ -192,16 +150,6 @@ _DEFAULT_TRACER = Tracer(enabled=False)
 # shards would cross-contaminate span buffers), so library spans resolve
 # the current thread's tracer first and fall back to the process-wide one.
 _TLS = threading.local()
-
-
-def get_tracer() -> Tracer:
-    """The tracer instrumented library code reports to.
-
-    The current thread's override (see :func:`set_thread_tracer`) wins;
-    otherwise the process-wide default.
-    """
-    tracer = getattr(_TLS, "tracer", None)
-    return tracer if tracer is not None else _DEFAULT_TRACER
 
 
 def set_tracer(tracer: Tracer) -> Tracer:

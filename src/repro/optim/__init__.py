@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers and learning-rate schedulers."""
+"""Gradient-descent optimizers and gradient clipping."""
 
 from repro.optim.optimizers import (
     SGD,
@@ -7,7 +7,6 @@ from repro.optim.optimizers import (
     clip_grad_norm,
     global_grad_norm,
 )
-from repro.optim.schedulers import StepLR, CosineLR
 
 __all__ = [
     "Optimizer",
@@ -15,6 +14,4 @@ __all__ = [
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",
-    "StepLR",
-    "CosineLR",
 ]

@@ -239,10 +239,6 @@ class EmbeddingCache:
         self.invalidations += len(victims)
         return len(victims)
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -48,10 +48,6 @@ class ModelRegistry:
             )
         return WidenClassifier.load(path, graph=graph)
 
-    def describe(self, name: str) -> dict:
-        """Checkpoint metadata (config, seed, schema) without loading weights."""
-        return WidenClassifier.read_checkpoint_metadata(self.path(name))
-
     def list(self) -> List[str]:
         return sorted(p.stem for p in self.root.glob(f"*{self.suffix}"))
 

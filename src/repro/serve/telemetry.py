@@ -80,16 +80,7 @@ class Telemetry:
         self._size = 0  # rows in use
         self._base = 0  # id of row 0
         self._synced = 0  # rows below this are already in the registry
-        self._batches = self._batched = 0
-        self._compute_batches = self._computed = self._compute_max = 0
-        # One record per mutation-triggered invalidation: how many
-        # adjacency lists the write touched, how many resident entries it
-        # dropped and how many stayed warm.
-        self.invalidation_records: List[Dict[str, int]] = []
-        # One record per store-consulted miss batch: how many nodes were
-        # served from fresh store rows vs found stale vs absent (both of
-        # the latter fall back to materialization).
-        self.store_lookups: List[Dict[str, int]] = []
+        self._clear_totals()
         if registry is None:
             return
         # Registry instruments are resolved once, not per record: the
@@ -219,14 +210,9 @@ class Telemetry:
         read-set invalidation actually kept the rest of the working set."""
         if reason not in ("frontier", "full"):
             raise ValueError(f"unknown invalidation reason {reason!r}")
-        self.invalidation_records.append(
-            {
-                "frontier_size": int(frontier_size),
-                "dropped": int(dropped),
-                "kept": int(kept),
-                "reason": reason,
-            }
-        )
+        self.invalidations += 1
+        self.invalidated_entries += int(dropped)
+        self.invalidation_kept_entries += int(kept)
         if self.registry is not None:
             self.registry.counter(
                 "serve_invalidations_total", reason=reason
@@ -247,9 +233,10 @@ class Telemetry:
         had rows whose read set a write had touched, ``absent`` had no row
         at all; stale + absent fall back to materialization (the full
         recompute, which also writes the row back into the store)."""
-        self.store_lookups.append(
-            {"hit": int(hit), "stale": int(stale), "absent": int(absent)}
-        )
+        self.store_lookups += 1
+        self.store_hits += int(hit)
+        self.store_stale += int(stale)
+        self.store_absent += int(absent)
         if self.registry is not None:
             for outcome, count in (
                 ("hit", hit), ("stale", stale), ("absent", absent)
@@ -274,10 +261,21 @@ class Telemetry:
         self._base += drop
         self._size -= drop
         self._synced -= drop
+        self._clear_totals()
+
+    def _clear_totals(self) -> None:
+        """Zero the running totals a window keeps beside its rows.
+
+        Batch counts; mutation-triggered invalidations with the resident
+        entries they dropped and kept warm; and store-consulted miss
+        batches with the nodes served from fresh rows, found stale, or
+        absent (both of the latter fall back to materialization)."""
         self._batches = self._batched = 0
         self._compute_batches = self._computed = self._compute_max = 0
-        self.invalidation_records.clear()
-        self.store_lookups.clear()
+        self.invalidations = self.invalidated_entries = 0
+        self.invalidation_kept_entries = 0
+        self.store_lookups = self.store_hits = self.store_stale = 0
+        self.store_absent = 0
 
     # -- reductions -----------------------------------------------------
 
@@ -291,13 +289,6 @@ class Telemetry:
     def latencies(self) -> np.ndarray:
         rows = self.rows()
         return rows["completion"] - rows["arrival"]
-
-    def hit_rate(self) -> float:
-        return self.summary()["cache_hit_rate"]
-
-    def throughput(self) -> float:
-        """Completed requests per second over the observed span."""
-        return self.summary()["throughput_rps"]
 
     def summary(self) -> Dict[str, float]:
         rows = self.rows()
@@ -350,23 +341,16 @@ class Telemetry:
             )
             for rung, served in zip(RUNGS, by_rung):
                 stats[f"rung_{rung}"] = float(served)
-        stats["invalidations"] = len(self.invalidation_records)
-        stats["invalidated_entries"] = float(
-            sum(r["dropped"] for r in self.invalidation_records)
-        )
-        stats["invalidation_kept_entries"] = float(
-            sum(r["kept"] for r in self.invalidation_records)
-        )
+        stats["invalidations"] = self.invalidations
+        stats["invalidated_entries"] = float(self.invalidated_entries)
+        stats["invalidation_kept_entries"] = float(self.invalidation_kept_entries)
         if self.store_lookups:
-            store_hits = sum(r["hit"] for r in self.store_lookups)
-            store_stale = sum(r["stale"] for r in self.store_lookups)
-            store_absent = sum(r["absent"] for r in self.store_lookups)
-            store_total = store_hits + store_stale + store_absent
-            stats["store_hits"] = float(store_hits)
-            stats["store_stale"] = float(store_stale)
-            stats["store_absent"] = float(store_absent)
+            store_total = self.store_hits + self.store_stale + self.store_absent
+            stats["store_hits"] = float(self.store_hits)
+            stats["store_stale"] = float(self.store_stale)
+            stats["store_absent"] = float(self.store_absent)
             stats["store_hit_rate"] = (
-                store_hits / store_total if store_total else 0.0
+                self.store_hits / store_total if store_total else 0.0
             )
         if self.cache is not None and hasattr(self.cache, "node_hit_histogram"):
             node_hits = self.cache.node_hit_histogram()

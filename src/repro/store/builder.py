@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.classifier import serving_refusal
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
-from repro.store.store import AggregateStore
+from repro.store.store import AggregateStore, store_geometry
 
 
 def build_store(
@@ -54,12 +54,7 @@ def build_store(
     config = classifier.config
     node_list = np.arange(graph.num_nodes, dtype=np.int64)
     meta = {
-        "dim": int(config.dim),
-        "num_wide": int(config.num_wide),
-        "num_deep": int(config.num_deep),
-        "num_walks": int(config.num_deep_walks),
-        "use_wide": bool(config.use_wide),
-        "use_deep": bool(config.use_deep),
+        **store_geometry(config),
         "seed": int(seed),
         "graph_version": int(graph.version),
         "num_nodes": int(node_list.size),

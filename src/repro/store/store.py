@@ -60,10 +60,18 @@ _EMBEDDINGS_FILE = "embeddings.npy"
 _VERSIONS_FILE = "versions.npy"
 _READS_FILE = "reads.npy"
 
-# Meta keys that must match the serving classifier's geometry exactly.
-_GEOMETRY_KEYS = (
-    "dim", "num_wide", "num_deep", "num_walks", "use_wide", "use_deep",
-)
+
+def store_geometry(config) -> Dict[str, object]:
+    """The meta entries a store records from a classifier's config, which
+    the serving classifier's geometry must match exactly."""
+    return {
+        "dim": int(config.dim),
+        "num_wide": int(config.num_wide),
+        "num_deep": int(config.num_deep),
+        "num_walks": int(config.num_deep_walks),
+        "use_wide": bool(config.use_wide),
+        "use_deep": bool(config.use_deep),
+    }
 
 
 def _refuse_old_format(meta: Dict[str, object], what: str) -> Optional[str]:
@@ -247,20 +255,11 @@ class AggregateStore:
         )
         if reason is not None:
             return reason
-        config = classifier.config
-        geometry = {
-            "dim": int(config.dim),
-            "num_wide": int(config.num_wide),
-            "num_deep": int(config.num_deep),
-            "num_walks": int(config.num_deep_walks),
-            "use_wide": bool(config.use_wide),
-            "use_deep": bool(config.use_deep),
-        }
-        for key in _GEOMETRY_KEYS:
-            if geometry[key] != self.meta[key]:
+        for key, value in store_geometry(classifier.config).items():
+            if value != self.meta[key]:
                 return (
                     f"geometry mismatch on {key}: store has "
-                    f"{self.meta[key]!r}, classifier has {geometry[key]!r}"
+                    f"{self.meta[key]!r}, classifier has {value!r}"
                 )
         digest = classifier.params_digest()
         if digest != self.meta["params_digest"]:

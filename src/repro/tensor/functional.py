@@ -346,13 +346,6 @@ def self_attend(packs, w_query, w_key, w_value, mask: Optional[np.ndarray] = Non
     return refined, Tensor(weights)
 
 
-def mse(prediction, target) -> Tensor:
-    """Mean squared error."""
-    prediction, target = as_tensor(prediction), as_tensor(target)
-    diff = prediction - target
-    return ops.mean(diff * diff)
-
-
 def binary_cross_entropy_with_logits(logits, targets: np.ndarray) -> Tensor:
     """Stable BCE on logits (used by the Node2Vec SGNS objective tests)."""
     logits = as_tensor(logits)

@@ -1,5 +1,5 @@
 """Shared utilities: deterministic RNG handling."""
 
-from repro.utils.rng import RngMixin, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 
-__all__ = ["RngMixin", "new_rng", "spawn_rngs"]
+__all__ = ["new_rng", "spawn_rngs"]

@@ -8,7 +8,7 @@ global random state.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -79,19 +79,3 @@ def keyed_fractions(seed: int, nodes: np.ndarray, counters: np.ndarray) -> np.nd
     far under what a test could resolve for an adjacency list.
     """
     return (keyed_draws(seed, nodes, counters) >> _U33).view(np.int64)
-
-
-class RngMixin:
-    """Mixin giving a class a lazily created private ``self.rng``."""
-
-    _rng: Optional[np.random.Generator] = None
-
-    def seed(self, seed: SeedLike) -> None:
-        """(Re)seed this object's private generator."""
-        self._rng = new_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = new_rng(None)
-        return self._rng

@@ -1,6 +1,7 @@
 """Shared test utilities: numerical gradient checking, the per-node
 forward reference, the per-state downsampling-trigger reference, the
-per-pair walk-context loss reference and the per-node HGT reference."""
+per-pair walk-context loss reference, the per-node HGT reference, and the
+store-lookup totals a serving test reads around a call."""
 
 from __future__ import annotations
 
@@ -291,3 +292,19 @@ def use_per_state_trigger(monkeypatch, trainer) -> None:
         return wide_total, deep_total
 
     monkeypatch.setattr(trainer, "_maybe_downsample", maybe_downsample)
+
+
+def store_totals(server) -> dict:
+    """The server's running store-lookup totals."""
+    telemetry = server.telemetry
+    return {
+        "lookups": telemetry.store_lookups,
+        "hit": telemetry.store_hits,
+        "stale": telemetry.store_stale,
+        "absent": telemetry.store_absent,
+    }
+
+
+def store_delta(server, before: dict) -> dict:
+    """What the server's store-lookup totals gained since ``before``."""
+    return {key: value - before[key] for key, value in store_totals(server).items()}

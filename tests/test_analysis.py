@@ -1,4 +1,4 @@
-"""Tests for attention analysis tools and the classification report."""
+"""Tests for the attention analysis tools."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core import WidenConfig, WidenModel, WidenTrainer
 from repro.core.analysis import downsampling_summary, edge_type_attention_profile
 from repro.datasets import make_acm
-from repro.eval.metrics import classification_report
 
 
 @pytest.fixture(scope="module")
@@ -75,22 +74,3 @@ class TestDownsamplingSummary:
         summary = downsampling_summary(fresh, acm.split.train[:10])
         assert summary["relay_count"] == 0
         assert summary["mean_wide_size"] == pytest.approx(5.0)
-
-
-class TestClassificationReport:
-    def test_report_contains_all_rows(self):
-        report = classification_report([0, 1, 2, 0], [0, 1, 1, 0])
-        assert "class 0" in report and "class 2" in report
-        assert "micro-F1" in report and "macro-F1" in report
-
-    def test_custom_names(self):
-        report = classification_report([0, 1], [0, 1], class_names=["db", "ml"])
-        assert "db" in report and "ml" in report
-
-    def test_perfect_prediction_all_ones(self):
-        report = classification_report([0, 1, 0, 1], [0, 1, 0, 1])
-        assert "1.000" in report
-
-    def test_name_count_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            classification_report([0, 1], [0, 1], class_names=["only-one"])

@@ -205,9 +205,11 @@ def test_failed_spawn_reaps_every_child_and_says_why(tmp_path, monkeypatch):
     """The second child dies at start-up: bring-up raises its
     ``spawn_failed`` with the tail of its stderr, and the first child,
     already listening, is reaped too."""
+    # Which child fails is told to it, not raced for: the children start
+    # together, so a shared marker file could go to either one.
     script = fake_python(
         tmp_path / "flaky-python",
-        f"if mkdir '{tmp_path}/first' 2>/dev/null; then\n"
+        'if [ "$FAKE_CHILD" = 0 ]; then\n'
         "  echo 'LISTENING 127.0.0.1 4242'\n"
         "  exec sleep 20\n"
         "fi\n"
@@ -218,6 +220,7 @@ def test_failed_spawn_reaps_every_child_and_says_why(tmp_path, monkeypatch):
     real_popen = fleet_module.subprocess.Popen
 
     def recording_popen(*args, **kwargs):
+        kwargs["env"] = dict(kwargs["env"], FAKE_CHILD=str(len(children)))
         children.append(real_popen(*args, **kwargs))
         return children[-1]
 

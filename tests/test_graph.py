@@ -15,7 +15,6 @@ from repro.graph import (
     k_hop_out,
     mutation_frontier,
     metapath_adjacency,
-    metapath_neighbors,
     node2vec_walks,
     partition_graph,
     random_walk,
@@ -226,12 +225,6 @@ class TestHeteroGraph:
         graph = small_academic_graph()
         with pytest.raises(IndexError):
             graph.subgraph(np.array([999]))
-
-    def test_to_networkx_roundtrip_counts(self):
-        graph = small_academic_graph()
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == graph.num_nodes
-        assert nx_graph.number_of_edges() == graph.num_edges
 
 
 class TestRandomWalk:
@@ -458,14 +451,6 @@ class TestMetapath:
         assert apa[authors[0], authors[1]] == 1
         assert apa[authors[0], authors[2]] == 0  # no shared paper
         assert apa[authors[1], authors[2]] == 1
-
-    def test_metapath_neighbors_matches_adjacency(self):
-        graph = small_academic_graph()
-        path = ["paper-author", "paper-author"]
-        adj = metapath_adjacency(graph, path)
-        node = int(graph.nodes_of_type("author")[0])
-        neighbors = metapath_neighbors(graph, path, node)
-        np.testing.assert_array_equal(np.sort(neighbors), np.sort(adj[node].indices))
 
     def test_binary_flag(self):
         graph = small_academic_graph()

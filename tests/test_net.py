@@ -18,6 +18,7 @@ state — warm, with every post-recovery answer exact.
 import pickle
 import socket
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 from repro.cluster import ClusterRouter
 from repro.cluster.fleet import Fleet
 from repro.cluster.net import (
+    DEFAULT_HEARTBEAT_INTERVAL,
     ConnectionClosed,
     FrameTooLargeError,
     ShardWorkerServer,
@@ -211,7 +213,7 @@ class TestSocketTransportProtocol:
             for i, pending in enumerate(pendings):
                 assert pending.result(10.0)["i"] == i
         finally:
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -223,7 +225,7 @@ class TestSocketTransportProtocol:
             with pytest.raises(RuntimeError, match="transport already started"):
                 transport.start()
         finally:
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -256,7 +258,7 @@ class TestSocketTransportProtocol:
                 transport.send(Envelope(kind="serve", payload={"i": 1})).result(1.0)
             assert downs and downs[0][0] == 0
         finally:
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -293,7 +295,7 @@ class TestSocketTransportProtocol:
                 holder["pending"].result(10.0)
             assert waiter_woken_at_notify == [False]
         finally:
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -344,7 +346,7 @@ class TestSocketTransportProtocol:
             assert order == ["notified", "WorkerDown"]
         finally:
             release_callback.set()
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -373,7 +375,7 @@ class TestSocketTransportProtocol:
             assert pending.result(10.0)["late"] == 1
         finally:
             answer.set()
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
 
@@ -408,9 +410,34 @@ class TestSocketTransportProtocol:
             assert downs == ["heartbeat_missed"]
         finally:
             hang_up.set()
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             stub.close()
+
+    def test_stop_does_not_wait_out_a_heartbeat(self):
+        """stop() wakes the heartbeat loop, at the default 0.5 s cadence,
+        instead of joining it through the rest of a heartbeat interval."""
+
+        def script(conn):
+            while True:  # answer heartbeats, then the shutdown, then hang up
+                envelope = recv_message(conn)
+                send_message(conn, Reply(seq=envelope.seq, ok=True, payload={}))
+                if envelope.kind == "shutdown":
+                    return
+
+        stub = StubServer(script)
+        transport = SocketTransport(0, stub.address, {"stub": True}).start()
+        try:
+            transport.wait_ready(10.0)
+            assert transport.heartbeat_interval == DEFAULT_HEARTBEAT_INTERVAL == 0.5
+            time.sleep(0.05)  # the heartbeat loop is inside its first wait
+            started = time.perf_counter()
+            transport.stop()
+            elapsed = time.perf_counter() - started
+        finally:
+            stub.close()
+        assert elapsed < 0.2, f"stop() took {elapsed:.3f} s"
+        assert not transport._heart.is_alive()
 
     def test_spawn_failure_surfaces_at_wait_ready(self):
         """An engine that cannot build reports through the READY reply."""
@@ -439,7 +466,7 @@ class TestSocketTransportProtocol:
             with pytest.raises(Exception, match="bad checkpoint"):
                 transport.wait_ready(10.0)
         finally:
-            transport._stopping = True
+            transport._stopping.set()
             transport._close_socket()
             listener.close()
             thread.join(timeout=10)

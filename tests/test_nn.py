@@ -12,13 +12,20 @@ from repro.nn import (
     QueryAttention,
     ReLU,
     SelfAttention,
-    Sequential,
     causal_mask,
     init,
 )
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from tests.helpers import check_gradients
+
+
+class Stack(Module):
+    """A list of child modules, registered under ``layers``."""
+
+    def __init__(self, *modules: Module) -> None:
+        super().__init__()
+        self.layers = self.register_modules("layers", list(modules))
 
 
 class TestModuleSystem:
@@ -38,11 +45,11 @@ class TestModuleSystem:
         assert set(names) == {"inner.w", "bias"}
 
     def test_register_modules_list(self):
-        seq = Sequential(Linear(3, 4, rng=0), Linear(4, 2, rng=1))
-        names = [name for name, _ in seq.named_parameters()]
+        stack = Stack(Linear(3, 4, rng=0), Linear(4, 2, rng=1))
+        names = [name for name, _ in stack.named_parameters()]
         assert "layers.0.weight" in names and "layers.1.weight" in names
-        assert len(seq) == 2
-        assert isinstance(seq[0], Linear)
+        assert len(stack.layers) == 2
+        assert isinstance(stack.layers[0], Linear)
 
     def test_zero_grad_clears_all(self, rng):
         lin = Linear(3, 2, rng=0)
@@ -53,11 +60,11 @@ class TestModuleSystem:
         assert lin.weight.grad is None and lin.bias.grad is None
 
     def test_train_eval_propagates(self):
-        seq = Sequential(Dropout(0.5), ReLU())
-        seq.eval()
-        assert not seq[0].training
-        seq.train()
-        assert seq[0].training
+        stack = Stack(Dropout(0.5), ReLU())
+        stack.eval()
+        assert not stack.layers[0].training
+        stack.train()
+        assert stack.layers[0].training
 
     def test_state_dict_roundtrip(self, rng):
         a = Linear(3, 2, rng=0)
@@ -323,15 +330,6 @@ class TestInit:
         w = init.xavier_uniform((100, 50), rng=0)
         bound = np.sqrt(6.0 / 150)
         assert np.abs(w).max() <= bound
-
-    def test_xavier_normal_std(self):
-        w = init.xavier_normal((200, 200), rng=0)
-        expected_std = np.sqrt(2.0 / 400)
-        assert abs(w.std() - expected_std) < expected_std * 0.1
-
-    def test_he_uniform_bounds(self):
-        w = init.he_uniform((100, 50), rng=0)
-        assert np.abs(w).max() <= np.sqrt(6.0 / 100)
 
     def test_zeros(self):
         np.testing.assert_allclose(init.zeros((3, 3)), np.zeros((3, 3)))

@@ -1,10 +1,10 @@
-"""Tests for optimizers, gradient clipping and LR schedulers."""
+"""Tests for optimizers and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn import Linear, Parameter
-from repro.optim import SGD, Adam, CosineLR, StepLR, clip_grad_norm, global_grad_norm
+from repro.optim import SGD, Adam, clip_grad_norm, global_grad_norm
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -181,38 +181,6 @@ class TestClipGradNorm:
 
     def test_global_norm_all_none(self):
         assert global_grad_norm([None, None]) == 0.0
-
-
-class TestSchedulers:
-    def test_step_lr_halves(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [1.0, 0.5, 0.5, 0.25])
-
-    def test_cosine_reaches_min(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        sched = CosineLR(opt, total_epochs=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_cosine_monotone_decreasing(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        sched = CosineLR(opt, total_epochs=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_invalid_configs_raise(self):
-        p = Parameter(np.zeros(1))
-        opt = SGD([p], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(opt, total_epochs=0)
 
 
 class TestOptimizerState:

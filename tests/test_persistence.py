@@ -60,7 +60,7 @@ class TestPersistence:
         model.save(path)
         expected = model.trainer._shuffle_rng.random(8)
 
-        meta = WidenClassifier.read_checkpoint_metadata(path)
+        meta = read_metadata(path)
         assert "trainer_rng" in meta
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
@@ -112,6 +112,12 @@ class TestPersistence:
         model.model.save(path)  # Module layer: no metadata entry
         with pytest.raises(ValueError, match="bare parameter file"):
             WidenClassifier.load(path)
+
+
+def read_metadata(path) -> dict:
+    """The JSON header of a checkpoint, read without loading any weights."""
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(str(archive[CHECKPOINT_KEY]))
 
 
 def rewrite_checkpoint(path, drop=(), **meta_entries):
@@ -239,8 +245,11 @@ class TestCheckpointV3:
         path = tmp_path / "v4.npz"
         model.save(path)
 
-        meta = WidenClassifier.read_checkpoint_metadata(path)
+        meta = read_metadata(path)
         assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert (meta["class"], meta["config"]["dim"], meta["schema"]["num_classes"]) == (
+            "widen", 16, acm.graph.num_classes
+        )
         fresh = WidenClassifier.load(path, graph=acm.graph)
         state = fresh.trainer.optimizer.state_dict()
         want = model.trainer.optimizer.state_dict()
@@ -273,7 +282,7 @@ class TestCheckpointV3:
     def test_unique_sampling_checkpoints_are_refused(self, acm, saved):
         """A v3 checkpoint from when ``WidenConfig`` had a sampling policy
         is refused by its version, before its config is read."""
-        meta = WidenClassifier.read_checkpoint_metadata(saved)
+        meta = read_metadata(saved)
         rewrite_checkpoint(
             saved, format_version=3, config=dict(meta["config"], wide_sampling="unique")
         )

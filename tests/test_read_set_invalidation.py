@@ -48,6 +48,7 @@ from repro.graph import HeteroGraph
 from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask
 from repro.store import AggregateStore, build_store
+from tests.helpers import store_delta, store_totals
 
 NODE_TYPES = ["a", "b"]
 EDGE_TYPES = ["x", "y"]
@@ -230,8 +231,7 @@ class TestSoundness:
                 # overlay) is the answer a cold server would compute.
                 assert_rows_are_current(store, classifier, graph, nodes)
             # The run was not trivially cold: something was served warm.
-            outcomes = warm.telemetry.store_lookups
-            assert sum(record["hit"] for record in outcomes) > 0
+            assert warm.telemetry.store_hits > 0
 
     @settings(max_examples=25, deadline=None)
     @given(graph=graphs(min_nodes=10, max_nodes=26), stream=writes)
@@ -297,13 +297,15 @@ class TestSoundness:
                 assert new not in engine.spec.owned
                 router.add_edges("x", [new], [int(theirs[0])], symmetric=True)
                 everyone = np.arange(graph.num_nodes)
+                before = store_totals(engine.server)
                 assert_same_answers(
                     router.embed(everyone), cold_answers(checkpoint, graph, everyone)
                 )
                 # theirs[0] at least was re-served, and not the whole slice:
                 # the rest of shard B answered from its cache.
-                stale = engine.server.telemetry.store_lookups[-1]["stale"]
-                assert 1 <= stale < theirs.size
+                delta = store_delta(engine.server, before)
+                assert delta["lookups"] == 1
+                assert 1 <= delta["stale"] < theirs.size
                 assert 0 < len(engine.server.cache.node_invalidations) < theirs.size
 
 
@@ -488,10 +490,11 @@ class TestPrecision:
             )
             assert fresh.tolist() == [True, True, True, False, False, True]
             hits = server.cache.hits
+            before = store_totals(server)
             assert_same_answers(
                 server.embed(everyone), cold_answers(checkpoint, graph, everyone)
             )
             assert server.cache.hits == hits + 4
-            assert server.telemetry.store_lookups[-1] == {
-                "hit": 0, "stale": 2, "absent": 0
+            assert store_delta(server, before) == {
+                "lookups": 1, "hit": 0, "stale": 2, "absent": 0
             }

@@ -111,6 +111,16 @@ RETIRED = [
         "the frame bound and the heartbeat cadence are the wire's own defaults",
         ("cluster/net.py",),
     ),
+    (
+        r"networkx|StepLR|CosineLR|optim\.schedulers|classification_report|\bTanh\b"
+        r"|\bSequential\b|xavier_normal|he_uniform|metapath_neighbors|RngMixin"
+        r"|write_jsonl|read_jsonl|get_tracer|to_router_time|traces_started"
+        r"|read_checkpoint_metadata|invalidation_records",
+        38,
+        "src/ holds what the system runs: HeteroGraph is its own graph library, "
+        "Chrome export is the one span format, and a telemetry window keeps totals",
+        (),
+    ),
 ]
 
 

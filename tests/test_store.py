@@ -30,6 +30,7 @@ from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask
 from repro.serve.telemetry import RUNGS
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
+from tests.helpers import store_delta, store_totals
 from tests.test_read_set_invalidation import assert_same_answers
 
 DIM = 16
@@ -309,13 +310,16 @@ class TestStoreRoundtrip:
             WidenClassifier.load(checkpoint, graph=oracle_graph), oracle_graph, seed=7
         )
         np.testing.assert_array_equal(late.embed(nodes), oracle.embed(nodes))
-        assert late.telemetry.store_lookups == [
-            {"hit": 0, "stale": nodes.size, "absent": 0}
-        ]
+        assert store_totals(late) == {
+            "lookups": 1, "hit": 0, "stale": nodes.size, "absent": 0
+        }
         # Re-materialized rows are trusted again from here on.
         late.cache.invalidate()
+        before = store_totals(late)
         np.testing.assert_array_equal(late.embed(nodes), oracle.embed(nodes))
-        assert late.telemetry.store_lookups[-1]["hit"] == nodes.size
+        assert store_delta(late, before) == {
+            "lookups": 1, "hit": nodes.size, "stale": 0, "absent": 0
+        }
 
     def test_attach_refuses_wrong_seed(self, checkpoint, store_path):
         graph = fresh_graph()
@@ -353,8 +357,7 @@ class TestStoreServingEquality:
         np.testing.assert_array_equal(
             stored.embed(nodes), oracle.embed(nodes)
         )
-        lookups = stored.telemetry.store_lookups
-        assert sum(record["hit"] for record in lookups) == batch
+        assert stored.telemetry.store_hits == batch
 
     def test_interleaved_mutations_stay_exact(self, checkpoint, store_path):
         oracle = fresh_server(checkpoint)
@@ -389,15 +392,23 @@ class TestStoreServingEquality:
         stored = fresh_server(checkpoint, store_path)
         node = int(probe_nodes(stored.graph, 1)[0])
         author = int(stored.graph.nodes_of_type("author")[0])
+        before = store_totals(stored)
         stored.embed([node])
+        assert store_delta(stored, before) == {
+            "lookups": 1, "hit": 1, "stale": 0, "absent": 0
+        }
         stored.add_edges("paper-author", [node], [author])
+        before = store_totals(stored)
         stored.embed([node])       # stale -> recompute + write-back
+        assert store_delta(stored, before) == {
+            "lookups": 1, "hit": 0, "stale": 1, "absent": 0
+        }
         stored.cache.invalidate()  # force another miss on the same node
+        before = store_totals(stored)
         stored.embed([node])       # the refreshed row is fresh again
-        outcomes = stored.telemetry.store_lookups
-        assert outcomes[0] == {"hit": 1, "stale": 0, "absent": 0}
-        assert outcomes[1] == {"hit": 0, "stale": 1, "absent": 0}
-        assert outcomes[2] == {"hit": 1, "stale": 0, "absent": 0}
+        assert store_delta(stored, before) == {
+            "lookups": 1, "hit": 1, "stale": 0, "absent": 0
+        }
         assert stored.store.overlay_size == 1
 
     def test_new_node_is_absent_then_materialized(self, checkpoint, store_path):
@@ -407,10 +418,11 @@ class TestStoreServingEquality:
         features = np.full((1, dim), 0.25)
         new = int(stored.add_nodes("paper", features=features)[0])
         assert new == int(oracle.add_nodes("paper", features=features)[0])
+        before = store_totals(stored)
         np.testing.assert_array_equal(
             stored.embed([new]), oracle.embed([new])
         )
-        assert stored.telemetry.store_lookups[-1]["absent"] == 1
+        assert store_delta(stored, before)["absent"] == 1
 
     def test_stored_rows_equal_the_serving_hook(self, trained, store_path, acm):
         """A stored row == the serving miss path's answer, same seed."""
@@ -695,34 +707,48 @@ class TestStoreObservability:
         """An edge write touches its sources (``frontier``); a rewire that
         does not name its changed sources touches every node (``full``) —
         and the warm server still answers what a cold one does."""
-        stored = fresh_server(checkpoint, store_path)
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        stored = fresh_server(checkpoint, store_path, registry=registry)
+        telemetry = stored.telemetry
         nodes = probe_nodes(stored.graph, 6)
         lone = int(nodes[1])
 
-        def mutate(server):
-            graph = server.graph
-            author = int(graph.nodes_of_type("author")[0])
+        def edge_write(server):
+            author = int(server.graph.nodes_of_type("author")[0])
             server.add_edges("paper-author", [int(nodes[0])], [author])
+
+        def rewire(server):
             # Rewire of unknown extent: every edge at ``lone`` goes.
+            graph = server.graph
             src = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
             keep = (src != lone) & (graph.indices != lone)
             graph.replace_edges(
                 src[keep], graph.indices[keep], graph.edge_type_of[keep]
             )
 
+        def invalidations(reason):
+            counter = registry.get("serve_invalidations_total", reason=reason)
+            return 0 if counter is None else counter.value
+
         stored.embed(nodes)
-        mutate(stored)
+        edge_write(stored)
+        assert (telemetry.invalidations, invalidations("frontier")) == (1, 1)
+        edge_kept = telemetry.invalidation_kept_entries
+        dropped = telemetry.invalidated_entries
+        rewire(stored)
         assert stored.graph.degree(lone) == 0
-        edge_write, rewire = stored.telemetry.invalidation_records
-        assert edge_write["reason"] == "frontier"
-        assert rewire["reason"] == "full"
-        assert rewire["frontier_size"] == stored.graph.num_nodes
-        assert rewire["kept"] == 0 and len(stored.cache) == 0
-        assert edge_write["kept"] == rewire["dropped"]
+        assert (telemetry.invalidations, invalidations("full")) == (2, 1)
+        frontier = registry.get("serve_invalidation_frontier")
+        assert frontier.count == 2 and frontier.max == stored.graph.num_nodes
+        assert telemetry.invalidation_kept_entries == edge_kept  # the rewire kept 0
+        assert len(stored.cache) == 0
+        assert telemetry.invalidated_entries - dropped == edge_kept
         cold = fresh_server(checkpoint)
-        mutate(cold)
+        edge_write(cold)
+        rewire(cold)
         np.testing.assert_array_equal(stored.embed(nodes), cold.embed(nodes))
-        registry = stored.telemetry.registry
         payload = registry.to_payload()
         series = {
             (record["name"], tuple(sorted(record["labels"].items())))

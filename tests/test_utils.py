@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils import RngMixin, new_rng, spawn_rngs
+from repro.utils import new_rng, spawn_rngs
 
 
 class TestRng:
@@ -26,15 +26,3 @@ class TestRng:
 
     def test_spawn_count(self):
         assert len(spawn_rngs(0, 5)) == 5
-
-    def test_rng_mixin_lazy_and_reseedable(self):
-        class Thing(RngMixin):
-            pass
-
-        thing = Thing()
-        first = thing.rng.integers(0, 100)
-        thing.seed(3)
-        a = thing.rng.integers(0, 1000, 3)
-        thing.seed(3)
-        b = thing.rng.integers(0, 1000, 3)
-        np.testing.assert_array_equal(a, b)
