@@ -28,6 +28,7 @@ from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer, ModelRegistry
+from repro.serve.cache import state_differences
 
 
 def fresh_graph():
@@ -87,9 +88,9 @@ def main() -> None:
             # whether the shard engine is inline or a process.
             state = worker.pull_serving_state().result()["serving_state"]
             print(f"  shard {worker.spec.shard_id}: write clock "
-                  f"{state['clock']}, {len(state['touched'])} adjacency "
+                  f"{state['clock']}, {state['touched_nodes'].size} adjacency "
                   f"lists touched, equals the coordinator's: "
-                  f"{state == coordinator}")
+                  f"{not state_differences(state, coordinator)}")
 
         print("\n-- 3. cluster telemetry --")
         for shard in router.summary()["shards"]:

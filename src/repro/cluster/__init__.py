@@ -13,11 +13,15 @@ while preserving its exact semantics:
   nothing in the plan assumes shared memory.
 - :mod:`~repro.cluster.transport` — the message boundary: typed
   :class:`Envelope`/:class:`Reply` pairs over one of two transports,
-  ``inline`` (deterministic replay on the caller's thread, pickle
-  round-trip included) or ``socket`` (one worker process per shard behind
-  TCP, possibly on another host).
+  ``inline`` (deterministic replay on the caller's thread, the wire
+  codec's encode and decode included) or ``socket`` (one worker process
+  per shard behind TCP, possibly on another host).
+- :mod:`~repro.cluster.codec` — the wire format: the message types and
+  one frame codec (a JSON header plus raw array buffers), whose decoder
+  checks every frame against the message schema and raises one
+  ``ProtocolError`` on anything else.
 - :mod:`~repro.cluster.net` — the wire of the ``socket`` transport:
-  length-prefixed TCP framing for the same pickle protocol,
+  length-prefixed TCP framing for the same codec's frames,
   :class:`SocketTransport` with heartbeat liveness riding ``clock``
   envelopes and typed :class:`WorkerDown`, and the
   ``python -m repro shard-worker`` server (:class:`ShardWorkerServer`).

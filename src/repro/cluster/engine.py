@@ -60,7 +60,11 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from repro.cluster.planner import ShardSpec, check_node_range
+from repro.cluster.planner import (
+    ShardSpec,
+    check_node_range,
+    command_from_payload,
+)
 from repro.cluster.transport import Envelope, Reply, error_info
 from repro.core.classifier import WidenClassifier
 from repro.obs.dist import spans_to_wire
@@ -227,7 +231,7 @@ class ShardEngine:
         # spec.apply mutates the replica, which fires the server's
         # registered invalidation hook — same event, same touched sources
         # as a whole-graph server observing the same mutation.
-        self.spec.apply(payload["command"])
+        self.spec.apply(command_from_payload(payload["command"]))
         return {"version": int(self.spec.graph.version)}
 
     def _handle_telemetry(self, payload: Dict[str, object]) -> Dict[str, object]:

@@ -61,7 +61,7 @@ from repro.cluster.engine import build_engine_from_args
 from repro.cluster.net import SocketTransport, WorkerDown
 from repro.cluster.transport import InlineTransport, Transport, check_transport
 from repro.cluster.worker import ShardWorker
-from repro.serve.cache import WriteClock
+from repro.serve.cache import WriteClock, state_differences
 
 __all__ = [
     "Fleet",
@@ -598,7 +598,7 @@ class FleetSupervisor:
         serves anything."""
         pending = candidate.pull_serving_state()
         got = pending.result(self.router.REQUEST_TIMEOUT)["serving_state"]
-        differs = [key for key in want if got.get(key) != want[key]]
+        differs = state_differences(got, want)
         if differs:
             raise RuntimeError(
                 f"shard {candidate.spec.shard_id} recovery diverged: the "

@@ -1,49 +1,62 @@
 """The wire: TCP framing, ``SocketTransport``, ``ShardWorkerServer``.
 
-The same :class:`~repro.cluster.transport.Envelope` /
-:class:`~repro.cluster.transport.Reply` pickle protocol the ``inline``
-transport replays in-process, framed over TCP so shard engines live in
-their own processes, on this machine or another.  One worker process per
-shard runs ``python -m repro shard-worker --listen host:port``; the router
-connects a :class:`SocketTransport` per shard, ships the engine's spawn
-arguments (shard payload + checkpoint *bytes* + config — nothing assumes a
-shared filesystem) in a ``spawn`` envelope, and from then on the wire
-carries only envelopes and replies.  Who spawns the workers, and what
+The same :class:`~repro.cluster.codec.Envelope` /
+:class:`~repro.cluster.codec.Reply` frames the ``inline`` transport
+replays in-process (:mod:`repro.cluster.codec`), framed over TCP so shard
+engines live in their own processes, on this machine or another.  One
+worker process per shard runs ``python -m repro shard-worker --listen
+host:port``; the router connects a :class:`SocketTransport` per shard,
+ships the engine's spawn arguments (shard payload + checkpoint *bytes* +
+config — nothing assumes a shared filesystem) in a ``spawn`` envelope, and
+from then on the wire carries only envelopes and replies.  Who spawns the workers, and what
 happens when one dies, is :mod:`repro.cluster.fleet`'s business.
 
 **Framing.**  One frame = an 8-byte big-endian length prefix + that many
-pickle bytes.  :func:`recv_frame` loops over partial reads (TCP has no
-message boundaries), rejects frames above a fixed cap *before*
-allocating (a corrupt or hostile length prefix must not OOM the router),
-and distinguishes a clean close between frames (:class:`ConnectionClosed`)
-from a mid-frame cut (``ConnectionResetError``).
+codec bytes.  A frame under :data:`GATHER_MIN_BYTES` is written with one
+``sendall``; a larger one (a spawn: shard payload, store slice and
+checkpoint) by scatter-gather ``sendmsg`` straight from the arrays, never
+copied into one buffer.  :func:`recv_frame` reads the prefix in one loop,
+rejects frames above a fixed cap *before* allocating (a corrupt or
+hostile length prefix must not OOM the router), fills one buffer with
+``recv_into`` and distinguishes a clean close between frames
+(:class:`ConnectionClosed`) from a mid-frame cut
+(``ConnectionResetError``).
+
+**Hostile input.**  Nothing read off a socket is executed: a frame is
+decoded against the message schema, and a worker accepts only the
+envelope kinds in ``WIRE_KINDS``.  A frame a worker cannot decode ends
+that session (the worker goes back to ``accept``); a reply the router
+cannot decode marks the transport down with reason ``protocol_error``.
 
 **Liveness.**  Heartbeats ride the existing ``clock`` envelope kind, sent
 by the transport every ``heartbeat_interval`` and answered by the worker's
 *receive* thread — out of band with the engine FIFO, so a shard deep in a
 long compute still proves its process is alive.  A dead or hung worker
 surfaces as a typed :class:`WorkerDown` (reason: ``connection_reset``,
-``heartbeat_missed``, or ``send_failed``) — never a generic timeout — and
-every in-flight request on that transport fails with an error reply
-instead of hanging its gather.  ``on_down`` is told first: no caller sees
-a ``WorkerDown`` from this transport before that callback has returned.
+``heartbeat_missed``, ``send_failed`` or ``protocol_error``) — never a
+generic timeout — and every in-flight request on that transport fails
+with an error reply instead of hanging its gather.  ``on_down`` is told
+first: no caller sees a ``WorkerDown`` from this transport before that
+callback has returned.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import socket
 import struct
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Optional, Tuple
 
+from repro.cluster.codec import Message, decode, encode_parts
 from repro.cluster.transport import (
     READY_SEQ,
+    WIRE_KINDS,
     Envelope,
     PendingReply,
+    ProtocolError,
     Reply,
     ShardError,
     ShardTimeoutError,
@@ -51,6 +64,7 @@ from repro.cluster.transport import (
     WorkerDown,
     _safe_handle,
     error_info,
+    reply_parts,
 )
 
 __all__ = [
@@ -73,11 +87,27 @@ _HEADER = struct.Struct("!Q")
 #: rejected before any allocation — protocol corruption must not OOM us.
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
+#: Frames this large or larger go out by scatter-gather (``sendmsg``);
+#: smaller ones are joined and written in one ``sendall``.  Read-path
+#: frames are a few hundred bytes.
+GATHER_MIN_BYTES = 1 << 16
+
+
+def _iov_max() -> int:
+    """Most buffers one ``sendmsg`` call may take (POSIX guarantees 16)."""
+    try:
+        return max(16, os.sysconf("SC_IOV_MAX"))
+    except (AttributeError, ValueError, OSError):
+        return 16
+
+
+_IOV_MAX = _iov_max()
+
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
 DEFAULT_HEARTBEAT_MISSES = 4
 
 
-class FrameTooLargeError(ValueError):
+class FrameTooLargeError(ProtocolError):
     """A frame's length prefix exceeds the configured cap."""
 
     def __init__(self, size: int, limit: int) -> None:
@@ -104,49 +134,105 @@ def send_frame(
 ) -> None:
     """Write one length-prefixed frame; the cap applies to sends too, so a
     payload the far side would reject fails loudly at the sender."""
-    if len(data) > max_frame_bytes:
-        raise FrameTooLargeError(len(data), max_frame_bytes)
-    sock.sendall(_HEADER.pack(len(data)) + data)
+    _send_parts(sock, [data], len(data), max_frame_bytes)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """Read exactly ``count`` bytes, looping over partial reads."""
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionResetError(
-                f"connection lost mid-frame ({count - remaining} of "
-                f"{count} bytes received)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _send_parts(
+    sock: socket.socket,
+    parts: list,
+    size: int,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> None:
+    """Write one frame whose ``size`` bytes are ``parts``, in order.
+
+    A small frame is joined and written with one ``sendall``, one syscall;
+    a large one goes out by scatter-gather straight from the parts (array
+    memory included), so the frame is never copied into one buffer.
+    """
+    if size > max_frame_bytes:
+        raise FrameTooLargeError(size, max_frame_bytes)
+    prefix = _HEADER.pack(size)
+    if size < GATHER_MIN_BYTES:
+        sock.sendall(b"".join([prefix, *parts]))
+        return
+    views = [memoryview(prefix)]
+    for part in parts:
+        view = memoryview(part).cast("B")
+        if view.nbytes:
+            views.append(view)
+    first = 0
+    while first < len(views):
+        sent = sock.sendmsg(views[first:first + _IOV_MAX])
+        while first < len(views) and sent >= len(views[first]):
+            sent -= len(views[first])
+            first += 1
+        if sent:
+            views[first] = views[first][sent:]
+
+
+def _recv_into(sock: socket.socket, view: memoryview) -> int:
+    """Fill ``view``, looping over partial reads; returns how many bytes
+    it holds, short only if the peer closed."""
+    got = 0
+    while got < len(view):
+        count = sock.recv_into(view[got:])
+        if not count:
+            break
+        got += count
+    return got
 
 
 def recv_frame(
     sock: socket.socket,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> bytes:
-    """Read one frame.  EOF *between* frames raises :class:`ConnectionClosed`
-    (a clean goodbye); EOF *inside* one raises ``ConnectionResetError``."""
-    first = sock.recv(1)
-    if not first:
+) -> bytearray:
+    """Read one frame into a fresh buffer.  EOF *between* frames raises
+    :class:`ConnectionClosed` (a clean goodbye); EOF *inside* one raises
+    ``ConnectionResetError``.  The length prefix is checked against the
+    cap before the body is allocated."""
+    prefix = bytearray(_HEADER.size)
+    got = _recv_into(sock, memoryview(prefix))
+    if got == 0:
         raise ConnectionClosed("peer closed the connection")
-    header = first + _recv_exact(sock, _HEADER.size - 1)
-    (size,) = _HEADER.unpack(header)
+    if got < _HEADER.size:
+        raise ConnectionResetError(
+            f"connection lost inside a length prefix ({got} of "
+            f"{_HEADER.size} bytes received)"
+        )
+    (size,) = _HEADER.unpack(prefix)
     if size > max_frame_bytes:
         raise FrameTooLargeError(size, max_frame_bytes)
-    return _recv_exact(sock, size)
+    frame = bytearray(size)
+    got = _recv_into(sock, memoryview(frame))
+    if got < size:
+        raise ConnectionResetError(
+            f"connection lost mid-frame ({got} of {size} bytes received)"
+        )
+    return frame
 
 
-def send_message(sock: socket.socket, message: object) -> None:
-    send_frame(sock, pickle.dumps(message))
+def _frame(message: Message) -> Tuple[list, int]:
+    """``message`` encoded, refused here if it is over the frame cap."""
+    parts, size = encode_parts(message)
+    if size > DEFAULT_MAX_FRAME_BYTES:
+        raise FrameTooLargeError(size, DEFAULT_MAX_FRAME_BYTES)
+    return parts, size
 
 
-def recv_message(sock: socket.socket) -> object:
-    return pickle.loads(recv_frame(sock))
+def send_message(sock: socket.socket, message: Message) -> None:
+    """Encode ``message`` and write it as one frame."""
+    _send_parts(sock, *_frame(message))
+
+
+def recv_message(
+    sock: socket.socket,
+    expect: type = Envelope,
+    kinds: Optional[Collection[str]] = None,
+) -> Message:
+    """Read one frame and decode the ``expect`` message from it (a worker
+    reads envelopes, a transport replies); a frame that does not decode
+    raises :class:`~repro.cluster.codec.ProtocolError`."""
+    return decode(recv_frame(sock), expect, kinds)
 
 
 # ----------------------------------------------------------------------
@@ -270,10 +356,13 @@ class SocketTransport(Transport):
             pending = PendingReply(self, envelope.seq, envelope.kind)
             down = self._down
             if down is None:
+                # A payload the codec refuses raises here, before anything
+                # is registered or written.
+                frame = _frame(envelope)
                 with self._state_lock:
                     self._pending[envelope.seq] = pending
                 try:
-                    send_message(self._sock, envelope)
+                    _send_parts(self._sock, *frame)
                 except OSError as exc:
                     self._mark_down("send_failed", str(exc))
         # A down transport answers every request with a WorkerDown error
@@ -299,8 +388,12 @@ class SocketTransport(Transport):
     def _receive_loop(self) -> None:
         while True:
             try:
-                reply = recv_message(self._sock)
-            except (ConnectionClosed, ConnectionError, OSError, EOFError) as exc:
+                reply = recv_message(self._sock, Reply)
+            except ProtocolError as exc:
+                # Nothing after an undecodable reply can be trusted either.
+                self._mark_down("protocol_error", str(exc))
+                return
+            except (ConnectionError, OSError) as exc:
                 if not self._stopping.is_set():
                     self._mark_down("connection_reset", str(exc))
                 return
@@ -464,7 +557,10 @@ class ShardWorkerServer:
         self.bind()
         try:
             while True:
-                conn, _ = self._listener.accept()
+                listener = self._listener
+                if listener is None:
+                    return 0  # closed between two sessions
+                conn, _ = listener.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 try:
                     reason = self._serve_session(conn)
@@ -494,17 +590,18 @@ class ShardWorkerServer:
         send_lock = threading.Lock()
 
         def reply_out(reply: Reply) -> None:
+            frame = reply_parts(reply, DEFAULT_MAX_FRAME_BYTES)
             with send_lock:
                 try:
-                    send_message(conn, reply)
+                    _send_parts(conn, *frame)
                 except OSError:
                     pass  # the router is gone; the session is ending anyway
 
         try:
-            spawn = recv_message(conn)
-        except (ConnectionError, OSError, EOFError):
+            spawn = recv_message(conn, Envelope, WIRE_KINDS)
+        except (ConnectionError, OSError, ProtocolError):
             return "reset"
-        if not isinstance(spawn, Envelope) or spawn.kind != "spawn":
+        if spawn.kind != "spawn":
             reply_out(
                 Reply(
                     seq=READY_SEQ,
@@ -520,6 +617,9 @@ class ShardWorkerServer:
         except BaseException as exc:
             reply_out(Reply(seq=READY_SEQ, ok=False, error=error_info(exc)))
             return "reset"
+        # The engine copied what it keeps: let the spawn frame (the shard
+        # payload plus the checkpoint bytes) go before the session starts.
+        del spawn
         reply_out(Reply(seq=READY_SEQ, ok=True, payload={"pid": os.getpid()}))
 
         inbox: "queue.Queue" = queue.Queue()
@@ -540,11 +640,11 @@ class ShardWorkerServer:
         try:
             while True:
                 try:
-                    envelope = recv_message(conn)
-                except (ConnectionError, OSError, EOFError):
+                    envelope = recv_message(conn, Envelope, WIRE_KINDS)
+                except (ConnectionError, OSError, ProtocolError):
+                    # A frame that does not decode ends the session: the
+                    # stream past it cannot be trusted to be aligned.
                     break
-                if not isinstance(envelope, Envelope):
-                    continue
                 if envelope.kind == "clock":
                     # Out-of-band liveness: answered here, not behind the
                     # engine FIFO, so long computes don't read as hangs.

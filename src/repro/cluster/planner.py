@@ -28,7 +28,8 @@ serializable command, built once and broadcast to every shard
 graph has already taken the write, each engine replays the command onto
 its replica via :meth:`ShardSpec.apply`.  A command is O(what arrived) —
 an arrival's rows or the appended edge triples, never a snapshot or a
-per-shard diff.
+per-shard diff — and crosses the wire as a tagged dict of arrays
+(``to_payload`` / :func:`command_from_payload`).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class AddNodesCommand:
     expected_ids: np.ndarray
     owner: int
 
+    def to_payload(self) -> Dict[str, object]:
+        """The command as it crosses the wire: a tagged dict of arrays."""
+        return {"command": "add_nodes", **vars(self)}
+
 
 @dataclass
 class RefreshCommand:
@@ -72,8 +77,23 @@ class RefreshCommand:
     dst: np.ndarray
     edge_types: np.ndarray
 
+    def to_payload(self) -> Dict[str, object]:
+        """The command as it crosses the wire: a tagged dict of arrays."""
+        return {"command": "refresh", **vars(self)}
+
 
 MutationCommand = Union[AddNodesCommand, RefreshCommand]
+
+_COMMANDS = {"add_nodes": AddNodesCommand, "refresh": RefreshCommand}
+
+
+def command_from_payload(payload: Dict[str, object]) -> MutationCommand:
+    """Rebuild a command from its ``to_payload`` dict (engine side)."""
+    fields = dict(payload)
+    tag = fields.pop("command", None)
+    if tag not in _COMMANDS:
+        raise ValueError(f"unknown mutation command {tag!r}")
+    return _COMMANDS[tag](**fields)
 
 
 @dataclass

@@ -1,19 +1,21 @@
 """The message boundary between the router and its shard engines.
 
-Every coordinator↔shard interaction is a typed, picklable :class:`Envelope`
-(serve batch, trace replay, mutation command, telemetry snapshot, metrics
-pull, serving-state export, reset, shutdown, training phase) answered by a
-:class:`Reply`.
-Nothing else crosses the boundary — no callables, no shared servers, no
-live graph references — which is what makes the two transports
+Every coordinator↔shard interaction is a typed :class:`Envelope` (serve
+batch, trace replay, mutation command, telemetry snapshot, metrics pull,
+serving-state export, reset, shutdown, training phase) answered by a
+:class:`Reply`, both carried by one frame codec (:mod:`repro.cluster.codec`:
+a JSON header plus raw array buffers, checked against a declared schema on
+decode, never executed).  Nothing else crosses the boundary — no
+callables, no shared servers, no live graph references, no object the
+codec does not know — which is what makes the two transports
 interchangeable:
 
 - :class:`InlineTransport` (``"inline"``) — the engine runs on the
-  caller's thread, but every envelope and reply still makes a
-  ``pickle.dumps``/``loads`` round-trip, so inline execution is a
-  *deterministic replay of the wire protocol*, not a shortcut around it.
-  Used by equivalence tests, logical-clock replay benchmarks and the
-  traced benchmark pass.
+  caller's thread, but every envelope and reply is still encoded into a
+  frame and decoded from it, so inline execution is a *deterministic
+  replay of the wire protocol*, not a shortcut around it.  Used by
+  equivalence tests, logical-clock replay benchmarks and the traced
+  benchmark pass.
 - :class:`repro.cluster.net.SocketTransport` (``"socket"``) — one worker
   process per shard behind a TCP connection, on this host or another:
   real isolation, heartbeats, typed ``WorkerDown`` and exact recovery.
@@ -38,15 +40,23 @@ router.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import traceback
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.cluster.codec import (
+    Envelope,
+    ProtocolError,
+    Reply,
+    decode,
+    encode,
+    encode_parts,
+)
 
 __all__ = [
     "Envelope",
     "Reply",
+    "ProtocolError",
     "PendingReply",
     "Transport",
     "InlineTransport",
@@ -94,43 +104,14 @@ ENVELOPE_KINDS = (
     "train_checkpoint",
 )
 
+#: The kinds a shard worker accepts off the wire: every envelope kind plus
+#: the ``spawn`` handshake that opens a session.  The inline transport does
+#: not check them: its engine answers an unknown kind with an error reply.
+WIRE_KINDS = frozenset(ENVELOPE_KINDS) | {"spawn"}
+
 #: Sequence number of the spawn-handshake reply an engine process sends
 #: once its server is fully rebuilt (or fails to build).
 READY_SEQ = -1
-
-
-@dataclass
-class Envelope:
-    """One typed message from the router to a shard engine.
-
-    ``trace_ctx`` is the distributed-tracing context (trace id, parent
-    span, router send timestamp — see :func:`repro.obs.dist.make_trace_ctx`).
-    ``None`` means untraced and is the default: the engine's check for it
-    is a single attribute read, keeping the disabled path the hot path.
-    """
-
-    kind: str
-    payload: dict = field(default_factory=dict)
-    seq: int = -1  # assigned by the transport at send time
-    trace_ctx: Optional[dict] = None
-
-
-@dataclass
-class Reply:
-    """The engine's answer to one envelope.
-
-    ``ok=False`` carries ``error = {"type", "message", "traceback"}`` —
-    failures are data on the wire, raised only at :meth:`PendingReply.result`.
-    ``trace`` piggybacks the shard's span buffer for a traced envelope
-    (``{"shard", "pid", "spans"}``); it rides error replies too, so a
-    raising engine's trace data still reaches the router.
-    """
-
-    seq: int
-    ok: bool
-    payload: object = None
-    error: Optional[Dict[str, str]] = None
-    trace: Optional[dict] = None
 
 
 def error_info(exc: BaseException) -> Dict[str, str]:
@@ -161,7 +142,8 @@ class WorkerDown(RuntimeError):
 
     This is the *typed* failure the supervisor reacts to — it carries the
     shard and a reason (``connection_reset`` / ``heartbeat_missed`` /
-    ``send_failed``), never masquerading as a generic timeout.
+    ``send_failed`` / ``protocol_error``), never masquerading as a generic
+    timeout.
     """
 
     def __init__(self, shard_id: int, reason: str, detail: str = "") -> None:
@@ -287,14 +269,31 @@ def _safe_handle(engine, envelope: Envelope) -> Reply:
         return Reply(seq=envelope.seq, ok=False, error=error_info(exc))
 
 
-class InlineTransport(Transport):
-    """Engine on the caller's thread, protocol on a real pickle boundary.
+def reply_parts(reply: Reply, limit: Optional[int] = None) -> Tuple[list, int]:
+    """``reply``'s frame (:func:`~repro.cluster.codec.encode_parts`).  A
+    payload the codec refuses, or a frame over ``limit`` bytes, is the
+    engine's failure: it is answered as an error reply like any exception
+    the engine raises, so the envelope's gather ends."""
+    try:
+        parts, size = encode_parts(reply)
+        if limit is not None and size > limit:
+            raise ProtocolError(
+                f"a {size}-byte reply exceeds the {limit}-byte frame cap"
+            )
+        return parts, size
+    except ProtocolError as exc:
+        return encode_parts(Reply(seq=reply.seq, ok=False, error=error_info(exc)))
 
-    Every envelope and reply is round-tripped through ``pickle`` before and
-    after dispatch, so inline results are exactly what the socket transport
-    would produce — minus the scheduler.  This is the deterministic-replay
-    transport: logical-clock arrivals drive batch composition, nothing
-    else.
+
+class InlineTransport(Transport):
+    """Engine on the caller's thread, protocol on the real wire codec.
+
+    Every envelope and reply is encoded into a fresh frame and decoded
+    from it before and after dispatch, so the engine never aliases the
+    caller's arrays (nor the caller the engine's) and inline results are
+    exactly what the socket transport would produce — minus the scheduler.
+    This is the deterministic-replay transport: logical-clock arrivals
+    drive batch composition, nothing else.
     """
 
     def __init__(self, shard_id: int, engine_factory: Callable[[], object]) -> None:
@@ -316,8 +315,9 @@ class InlineTransport(Transport):
         if self._engine is None:
             raise RuntimeError(f"shard {self.shard_id} transport not started")
         envelope.seq = self._next_seq()
-        wire = pickle.loads(pickle.dumps(envelope))
-        reply = pickle.loads(pickle.dumps(_safe_handle(self._engine, wire)))
+        wire = decode(encode(envelope), Envelope)
+        parts, _ = reply_parts(_safe_handle(self._engine, wire))
+        reply = decode(bytearray().join(parts), Reply)
         return PendingReply(self, envelope.seq, envelope.kind).deliver(reply)
 
     def stop(self, timeout: float = 10.0) -> None:

@@ -84,7 +84,7 @@ class ShardWorker:
     def mutate(self, command: MutationCommand) -> PendingReply:
         """Ship the write's command; FIFO order makes it a barrier."""
         return self.transport.send(
-            Envelope(kind="mutate", payload={"command": command})
+            Envelope(kind="mutate", payload={"command": command.to_payload()})
         )
 
     def replay(

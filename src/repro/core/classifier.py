@@ -38,7 +38,7 @@ TRAINER_PREFIX = "__trainer__."
 # A checkpoint is one ``.npz`` of plain arrays: the parameters, the
 # trainer's arrays under ``TRAINER_PREFIX`` and one JSON metadata string
 # (config, seed, schema, rng streams, epoch and step count).  v4 made the
-# training state arrays; older files held a pickle and are refused.
+# training state arrays; older files held Python objects and are refused.
 CHECKPOINT_FORMAT_VERSION = 4
 
 

@@ -290,7 +290,7 @@ class WidenTrainer:
 
         Entries are live references (``None`` where nothing flowed); the
         local path hands them straight back through :meth:`apply_update`
-        untouched, the distributed path pickles them across the transport.
+        untouched, the distributed path encodes them into a wire frame.
         """
         return [param.grad for param in self.optimizer.parameters]
 

@@ -52,8 +52,8 @@ __all__ = [
 def make_trace_ctx(trace_id: str, parent: Optional[str] = None) -> Dict[str, object]:
     """The wire form of one request's trace context.
 
-    A plain dict on purpose: it rides ``Envelope.trace_ctx`` through pickle
-    unchanged, and unknown keys added by future versions are ignored rather
+    A plain dict on purpose: it rides ``Envelope.trace_ctx`` through the
+    wire codec unchanged, and unknown keys added by future versions are ignored rather
     than fatal.  ``send_ts`` is the *router's* ``perf_counter`` at send
     time — the anchor the stitcher bridges to the shard's first span.
     """

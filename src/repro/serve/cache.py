@@ -90,14 +90,14 @@ class WriteClock:
             self.touch(np.arange(graph.num_nodes))
 
     def export(self, graph) -> Dict[str, object]:
-        """The state as plain data; ``touched`` is sparse (only nodes a
-        write has reached)."""
+        """The state as plain data.  The stamps are sparse: the nodes a
+        write has reached (``touched_nodes``, ascending) and the clock of
+        the last write to each (``touched_at``), two int64 arrays."""
         touched = np.flatnonzero(self.touched_at)
         return {
             "clock": int(self.clock),
-            "touched": dict(
-                zip(touched.tolist(), self.touched_at[touched].tolist())
-            ),
+            "touched_nodes": touched.astype(np.int64, copy=False),
+            "touched_at": self.touched_at[touched],
             "graph_version": int(graph.version),
         }
 
@@ -105,11 +105,17 @@ class WriteClock:
         """Adopt an exported clock and stamps."""
         self.clock = int(state["clock"])
         self.touched_at = np.zeros_like(self.touched_at)
-        touched = dict(state["touched"])
-        if touched:
-            self.touched_at[np.fromiter(touched, np.int64, len(touched))] = (
-                np.fromiter(touched.values(), np.int64, len(touched))
-            )
+        self.touched_at[np.asarray(state["touched_nodes"], np.int64)] = (
+            state["touched_at"]
+        )
+
+
+def state_differences(
+    got: Dict[str, object], want: Dict[str, object]
+) -> List[str]:
+    """The keys of ``want`` (a :meth:`WriteClock.export`) on which ``got``
+    differs, arrays compared element by element."""
+    return [key for key in want if not np.array_equal(got.get(key), want[key])]
 
 
 class EmbeddingCache:

@@ -193,7 +193,7 @@ class InferenceServer:
         return cls(WidenClassifier.load(path), graph, **kwargs)
 
     # ------------------------------------------------------------------
-    # Mutation/invalidation state across the pickle boundary
+    # Mutation/invalidation state across the wire (plain data and arrays)
     # ------------------------------------------------------------------
 
     def export_serving_state(self) -> Dict[str, object]:

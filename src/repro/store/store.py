@@ -331,9 +331,10 @@ class AggregateStore:
         engine serves only its *owned* nodes, so its slice carries
         exactly those rows).
 
-        The payload crosses the transport's pickle boundary as-is;
-        :meth:`from_payload` rebuilds an in-memory store on the other
-        side.  Rows are read from the live tables, so a slice taken from a
+        The payload crosses the wire codec as-is (plain data and
+        arrays); :meth:`from_payload` rebuilds an in-memory store on the
+        other side, copying every row, so the store keeps no view of the
+        frame it arrived in.  Rows are read from the live tables, so a slice taken from a
         serving store carries its refreshed rows and their stamps.
         """
         present = np.unique(np.fromiter(nodes, np.int64))

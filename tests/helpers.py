@@ -1,7 +1,8 @@
 """Shared test utilities: numerical gradient checking, the per-node
 forward reference, the per-state downsampling-trigger reference, the
-per-pair walk-context loss reference, the per-node HGT reference, and the
-store-lookup totals a serving test reads around a call."""
+per-pair walk-context loss reference, the per-node HGT reference, the
+store-lookup totals a serving test reads around a call, and a payload's
+trip through the wire codec."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.codec import Envelope, decode, encode
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
 from repro.tensor import functional as F, ops
@@ -308,3 +310,15 @@ def store_totals(server) -> dict:
 def store_delta(server, before: dict) -> dict:
     """What the server's store-lookup totals gained since ``before``."""
     return {key: value - before[key] for key, value in store_totals(server).items()}
+
+
+def wire_round_trip(payload: dict) -> dict:
+    """``payload`` as an engine receives it: encoded into a frame by the
+    wire codec and decoded from it (plain data, arrays read back from a
+    fresh buffer)."""
+    return decode(encode(Envelope(kind="mutate", payload=payload)), Envelope).payload
+
+
+def wire_size(payload: dict) -> int:
+    """Bytes of the frame that carries ``payload`` in one envelope."""
+    return len(encode(Envelope(kind="mutate", payload=payload)))

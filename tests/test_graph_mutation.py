@@ -12,14 +12,13 @@ Two oracles:
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.planner import ShardPlanner, ShardSpec
+from repro.cluster.planner import ShardPlanner, ShardSpec, command_from_payload
 from repro.graph import HeteroGraph
+from tests.helpers import wire_round_trip
 
 NODE_TYPES = ["a", "b"]
 EDGE_TYPES = ["x", "y"]
@@ -92,7 +91,10 @@ class TestSpliceEqualsRebuild:
     @settings(max_examples=120, deadline=None)
     @given(graph=graphs(), stream=writes)
     def test_add_edges_matches_rebuild_csr_oracle(self, graph, stream):
-        oracle = pickle.loads(pickle.dumps(graph))
+        everyone = np.arange(graph.num_nodes)
+        oracle = ShardSpec.from_payload(
+            wire_round_trip(ShardSpec(0, everyone, graph).to_payload())
+        ).graph
         for write in stream:
             if write[0] == "nodes":
                 _, type_name, count = write
@@ -148,7 +150,7 @@ class TestDeltaCommandsEqualRebuild:
         num_shards=st.integers(1, 3),
     )
     def test_mutation_stream(self, graph, stream, num_shards):
-        """Engine-side replicas fed the pickled command of each write
+        """Engine-side replicas fed the wire-decoded command of each write
         track the coordinator's graph through arrivals and edge batches,
         and ownership stays a partition of the growing id space."""
         plan = ShardPlanner(graph, num_shards, seed=0).plan()
@@ -168,10 +170,10 @@ class TestDeltaCommandsEqualRebuild:
                 src, dst = fold_batch(graph.num_nodes, pairs)
                 graph.add_edges(edge_type, src, dst, symmetric=symmetric)
                 command = plan.refresh_command(graph.last_mutation)
-            wire = pickle.dumps(command)
+            payload = command.to_payload()
             for spec, engine in zip(plan.shards, engines):
                 assert spec.graph is graph
-                engine.apply(pickle.loads(wire))
+                engine.apply(command_from_payload(wire_round_trip(payload)))
                 assert_same_csr(engine.graph, graph)
                 np.testing.assert_array_equal(engine.graph.features, graph.features)
                 np.testing.assert_array_equal(engine.graph.node_types, graph.node_types)

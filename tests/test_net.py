@@ -15,8 +15,8 @@ checkpoint, the current shard payload and the coordinator's freshness
 state — warm, with every post-recovery answer exact.
 """
 
-import pickle
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -38,9 +38,11 @@ from repro.cluster.net import (
     send_frame,
     send_message,
 )
+from repro.cluster.codec import decode, encode
 from repro.cluster.transport import (
     READY_SEQ,
     TRANSPORT_KINDS,
+    WIRE_KINDS,
     Envelope,
     Reply,
     ShardTimeoutError,
@@ -48,8 +50,9 @@ from repro.cluster.transport import (
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
-from repro.serve.cache import fresh_mask
+from repro.serve.cache import fresh_mask, state_differences
 from repro.store import build_store
+from tests.helpers import wire_size
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +491,94 @@ class TestSocketTransportProtocol:
 # ----------------------------------------------------------------------
 
 
+class TestHostileFrames:
+    def test_a_garbage_frame_ends_only_its_session(self):
+        """A raw peer's undecodable frame (or an oversize length prefix)
+        ends that session; the worker goes back to ``accept`` and decodes
+        the next peer's spawn as usual."""
+        server = ShardWorkerServer(announce=False)
+        address = server.start_background()
+        try:
+            garbage = [
+                lambda conn: send_frame(conn, b"not a frame at all"),
+                lambda conn: send_frame(conn, encode(Envelope(kind="bogus"))),
+                lambda conn: conn.sendall(struct.pack("!Q", 1 << 62)),
+            ]
+            for send_garbage in garbage:
+                with socket.create_connection(address, timeout=10.0) as conn:
+                    send_garbage(conn)
+                    with pytest.raises((ConnectionClosed, ConnectionResetError)):
+                        recv_frame(conn)  # the worker hung up, no reply
+            with socket.create_connection(address, timeout=10.0) as conn:
+                send_message(
+                    conn,
+                    Envelope(kind="spawn", payload={"engine_args": {"engine": "nope"}}),
+                )
+                reply = recv_message(conn, Reply)
+            assert reply.seq == READY_SEQ and not reply.ok
+            assert "unknown engine family 'nope'" in reply.error["message"]
+        finally:
+            server.close()
+
+    def test_a_garbage_reply_marks_the_worker_down(self):
+        def script(conn):
+            recv_message(conn)
+            send_frame(conn, b"\x07\x00\x00\x00garbage")
+            recv_message(conn)  # hold the line until the transport hangs up
+
+        downs = []
+        stub = StubServer(script)
+        transport = make_transport(
+            stub.address, on_down=lambda s, r, d: downs.append(r)
+        ).start()
+        try:
+            transport.wait_ready(10.0)
+            pending = transport.send(Envelope(kind="serve", payload={"i": 0}))
+            with pytest.raises(WorkerDown) as excinfo:
+                pending.result(10.0)
+            assert excinfo.value.reason == "protocol_error"
+            assert downs == ["protocol_error"]
+        finally:
+            transport._stopping.set()
+            transport._close_socket()
+            stub.close()
+
+
+class TestSpawnFrame:
+    def test_an_engine_shares_no_memory_with_its_spawn_frame(
+        self, checkpoint, store_path
+    ):
+        """A worker drops the spawn frame (shard payload, store slice and
+        checkpoint bytes) once the engine is built: the engine must have
+        copied every array it keeps."""
+        from repro.cluster.engine import build_engine_from_args
+        from repro.cluster.planner import ShardPlanner
+        from repro.store import AggregateStore
+
+        spec = ShardPlanner(fresh_graph(), 2, seed=7).plan().shards[1]
+        store = AggregateStore.open(store_path)
+        args = {
+            "engine": "serve",
+            "spec_payload": spec.to_payload(),
+            "checkpoint": None,
+            "checkpoint_bytes": checkpoint.read_bytes(),
+            "config": {"seed": 7, "store": store.slice_payload(spec.owned.tolist())},
+            "serving_state": None,
+        }
+        frame = encode(Envelope(kind="spawn", payload={"engine_args": args}))
+        spawn = decode(frame, Envelope, WIRE_KINDS)
+        engine = build_engine_from_args(spawn.payload["engine_args"])
+        wire = np.frombuffer(frame, np.uint8)
+        kept = [engine.spec.owned]
+        for holder in (engine.spec.graph, engine.server.store):
+            kept += [v for v in vars(holder).values() if isinstance(v, np.ndarray)]
+        assert engine.server.graph is engine.spec.graph
+        assert len(kept) > 8 and engine.server.store.num_rows > 0
+        for array in kept:
+            assert not np.shares_memory(array, wire)
+        engine.handle(Envelope(kind="shutdown"))
+
+
 class TestTransportValidation:
     def test_unknown_transport_lists_the_menu(self, checkpoint):
         with pytest.raises(ValueError) as excinfo:
@@ -627,7 +718,7 @@ class TestSocketFleetExactness:
                 want = router.supervisor.serving_state()
                 for worker in router.workers:
                     got = worker.pull_serving_state().result(60.0)
-                    assert got["serving_state"] == want
+                    assert not state_differences(got["serving_state"], want)
 
             owners = set()
             for step in range(num_shards):
@@ -687,7 +778,7 @@ class TestSocketFleetExactness:
         real_mutate = ShardWorker.mutate
 
         def recording(worker, command):
-            sent.append(Envelope(kind="mutate", payload={"command": command}))
+            sent.append(command)
             return real_mutate(worker, command)
 
         monkeypatch.setattr(ShardWorker, "mutate", recording)
@@ -699,9 +790,8 @@ class TestSocketFleetExactness:
             authors = graph.nodes_of_type("author")[-2:]
             router.add_edges("paper-author", papers, authors)
             assert len(sent) == 2  # one envelope per shard, same command
-            envelope = sent[-1]
-            assert len(pickle.dumps(envelope)) < 8 * 1024
-            command = envelope.payload["command"]
+            command = sent[-1]
+            assert wire_size({"command": command.to_payload()}) < 8 * 1024
             assert command.src.size == 4  # the batch, both directions
         finally:
             router.close()
@@ -892,7 +982,9 @@ class TestKillRecover:
             (recovery,) = router.supervisor.summary()["recoveries"]
             assert recovery["shard"] == 1 and recovery["target_version"] == 1
             state = router.workers[1].pull_serving_state().result(60.0)
-            assert state["serving_state"] == router.supervisor.serving_state()
+            assert not state_differences(
+                state["serving_state"], router.supervisor.serving_state()
+            )
         finally:
             router.close()
 

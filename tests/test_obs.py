@@ -519,13 +519,13 @@ class TestRegistryPayloads:
             merged.merge_payload(part.to_payload())
         assert merged.render_prometheus() == shared.render_prometheus()
 
-    def test_payload_round_trips_through_pickle(self):
-        import pickle
+    def test_payload_round_trips_through_the_wire_codec(self):
+        from tests.helpers import wire_round_trip
 
         registry = MetricsRegistry()
         registry.counter("hits_total", shard="0").inc(7)
         registry.histogram("latency_seconds").observe(0.25)
-        payload = pickle.loads(pickle.dumps(registry.to_payload()))
+        payload = wire_round_trip(registry.to_payload())
         merged = MetricsRegistry()
         merged.merge_payload(payload)
         assert 'hits_total{shard="0"} 7' in merged.render_prometheus()
@@ -631,7 +631,7 @@ class TestCrossTransportHistogramMerge:
     """Satellite contract: shard metrics payloads gathered over *real*
     transports, merged at the router side, must reproduce — bit for bit —
     the exposition a single registry fed the same observations would
-    render.  The payloads cross a genuine pickle boundary on ``inline``
+    render.  The payloads cross the genuine wire codec on ``inline``
     and ``socket``, so this pins the lossless-histogram guarantee end to end,
     not just between two in-process registries."""
 

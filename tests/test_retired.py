@@ -94,8 +94,8 @@ RETIRED = [
     (
         r"import pickle",
         33,
-        "nothing on disk is a pickle; only the wire still is",
-        ("cluster/transport.py", "cluster/net.py"),
+        "nothing on disk or on the wire is a pickle: the wire is one JSON-header array codec",
+        (),
     ),
     (
         r"TrainWorker|_maybe_flush_prometheus|flush_prometheus|prometheus_interval"

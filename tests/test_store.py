@@ -13,7 +13,6 @@ compares embeddings at ``ANSWER_TOLERANCE`` where the batch shapes differ.
 """
 
 import json
-import pickle
 import shutil
 from collections import Counter
 
@@ -27,10 +26,10 @@ from repro.cluster.fleet import Fleet
 from repro.core import WidenClassifier, serving_refusal
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
-from repro.serve.cache import fresh_mask
+from repro.serve.cache import fresh_mask, state_differences
 from repro.serve.telemetry import RUNGS
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
-from tests.helpers import store_delta, store_totals
+from tests.helpers import store_delta, store_totals, wire_round_trip, wire_size
 from tests.test_read_set_invalidation import assert_same_answers
 
 DIM = 16
@@ -280,12 +279,12 @@ class TestStoreRoundtrip:
 
     def test_slice_payload_is_rows_times_row_size(self, store_path, acm):
         """The size contract behind the RSS / bring-up numbers: a slice on
-        the wire is embedding + read set + id + stamp per row, plus pickle
-        framing and the metadata — not pack matrices."""
+        the wire is embedding + read set + id + stamp per row, plus the
+        codec's frame header and the metadata — not pack matrices."""
         store = AggregateStore.open(store_path)
         owned = np.arange(0, acm.graph.num_nodes, 2)
         width = store.reads_of([0]).shape[1]
-        wire = len(pickle.dumps(store.slice_payload(owned.tolist())))
+        wire = wire_size(store.slice_payload(owned.tolist()))
         assert wire <= owned.size * (DIM * 8 + width * 4 + 16) + 2048
         assert store.nbytes == store.num_rows * DIM * 8
 
@@ -542,7 +541,8 @@ class TestVectorizedInvalidation:
         check_store_verdicts()
 
         state = stored.export_serving_state()
-        assert state["touched"] == reference.touched
+        touched = zip(state["touched_nodes"].tolist(), state["touched_at"].tolist())
+        assert dict(touched) == reference.touched
         assert state["clock"] == reference.clock == 4
         assert state["graph_version"] == graph.version
         assert stored.cache.invalidations == reference.invalidations > 0
@@ -600,11 +600,16 @@ class TestVectorizedInvalidation:
         assert server.freshness.touched_at.dtype == np.int64
         state = server.export_serving_state()
         assert state["clock"] == 1
-        assert state["touched"] == {int(node): 1 for node in new}
+        np.testing.assert_array_equal(state["touched_nodes"], new)
+        np.testing.assert_array_equal(state["touched_at"], [1, 1])
+        assert state["touched_nodes"].dtype == state["touched_at"].dtype == np.int64
         np.testing.assert_array_equal(server.embed(new), oracle.embed(new))
-        # A restored server adopts the sparse dict back into an array.
-        server.restore_serving_state(server.export_serving_state())
-        assert server.export_serving_state() == oracle.export_serving_state()
+        # A restored server adopts the sparse stamps back into an array,
+        # also after they crossed the wire.
+        server.restore_serving_state(wire_round_trip(server.export_serving_state()))
+        assert not state_differences(
+            server.export_serving_state(), oracle.export_serving_state()
+        )
 
 
 class TestClusterStoreSlices:

@@ -9,7 +9,7 @@ indistinguishability claims:
    ``WidenTrainer.fit`` *bit for bit* on a pinned seed (the loss curve
    below was recorded against the monolith before the decomposition).
 2. **1-shard = single-process** — a :class:`DistributedTrainer` with one
-   inline shard is the single-process loop behind a pickle boundary;
+   inline shard is the single-process loop behind the wire codec;
    losses, F1 curves and final parameters must be identical to the last
    bit.
 3. **N-shard loss-curve equivalence** — under the determinism gate

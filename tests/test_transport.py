@@ -12,8 +12,6 @@ one serializable command, exactness here proves the coordinator's graph and
 the engine-side replicas never drift.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,7 @@ from repro.cluster import (
     Reply,
     ShardError,
 )
+from repro.cluster.codec import ProtocolError, decode, encode
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
@@ -82,13 +81,13 @@ class EchoEngine:
 
 
 class TestProtocol:
-    def test_envelope_and_reply_pickle_round_trip(self):
+    def test_envelope_and_reply_codec_round_trip(self):
         env = Envelope(kind="serve", payload={"nodes": np.arange(3)}, seq=9)
-        back = pickle.loads(pickle.dumps(env))
+        back = decode(encode(env), Envelope)
         assert back.kind == "serve" and back.seq == 9
         np.testing.assert_array_equal(back.payload["nodes"], np.arange(3))
         reply = Reply(seq=9, ok=False, error=error_info(ValueError("bad")))
-        back = pickle.loads(pickle.dumps(reply))
+        back = decode(encode(reply), Reply)
         assert back.error["type"] == "ValueError"
         assert "bad" in back.error["message"]
         assert "Traceback" in back.error["traceback"] or back.error["traceback"]
@@ -138,12 +137,12 @@ class TestProtocol:
         transport.stop()
 
     def test_inline_round_trips_the_wire_format(self):
-        """Inline is a *replay* of the wire protocol: anything unpicklable
-        must fail on inline exactly as it would on a socket."""
+        """Inline is a *replay* of the wire protocol: anything the codec
+        refuses must fail on inline exactly as it would on a socket."""
         transport = InlineTransport(0, EchoEngine)
         transport.start()
         transport.wait_ready()
-        with pytest.raises(Exception):
+        with pytest.raises(ProtocolError, match="function cannot cross the wire"):
             transport.send(
                 Envelope(kind="serve", payload={"fn": lambda: None})
             )

@@ -1,0 +1,409 @@
+"""Hostile frames: the wire codec refuses them, all with one error.
+
+Every malformed frame — truncated at any byte, a garbage or oversize
+length, a header that is not UTF-8 or not JSON, an unknown envelope kind,
+an object / void / big-endian dtype, a negative or overflowing shape,
+buffers that do not fill the frame exactly, nesting past ``MAX_DEPTH`` —
+must raise :class:`ProtocolError` and nothing else, must not hang and must
+not allocate past the frame it was handed (or, for a length prefix, past
+the frame cap).  The properties are derandomized and sized for tier-1;
+``--hypothesis-profile=wire-fuzz`` (``tests/conftest.py``) runs each with
+5,000 examples.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.cluster.codec import MAX_DEPTH, Envelope, ProtocolError, Reply, decode, encode
+from repro.cluster.net import FrameTooLargeError, recv_frame, recv_message
+from repro.cluster.transport import WIRE_KINDS
+
+fuzz = settings(derandomize=True, deadline=None)
+
+WHITELIST = [
+    np.bool_, np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64, np.float32, np.float64,
+]
+REFUSED_DTYPES = [
+    "|O", "|V8", ">f8", ">i4", ">u2", "<U3", "|S4", "<c16", "<M8[ns]", "<f2",
+    "f8", "int64", "", "<i8 ",
+]
+
+arrays = st.sampled_from(WHITELIST).flatmap(
+    lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False), st.text(max_size=8), st.binary(max_size=16),
+)
+keys = st.text(max_size=6).filter(lambda key: key != "$buf")
+trees = st.recursive(
+    st.one_of(scalars, arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(keys, children, max_size=4)
+    ),
+    max_leaves=6,
+)
+envelopes = st.builds(
+    Envelope,
+    kind=st.sampled_from(sorted(WIRE_KINDS)),
+    payload=st.dictionaries(keys, trees, max_size=4),
+    seq=st.integers(-1, 2**40),
+    trace_ctx=st.none() | st.dictionaries(keys, scalars, max_size=3),
+)
+replies = st.builds(
+    Reply,
+    seq=st.integers(-1, 2**40),
+    ok=st.booleans(),
+    payload=trees,
+    error=st.none() | st.dictionaries(keys, st.text(max_size=8), max_size=3),
+    trace=st.none() | st.dictionaries(keys, trees, max_size=2),
+)
+messages = st.one_of(envelopes, replies)
+
+# The frames the corruption properties start from: what the system sends
+# (a serve leg and its answer, a write command, a spawn, an error reply, a
+# traced reply) plus the codec's corners (0-d, empty and bool arrays,
+# bytes, nesting).  Drawing from a fixed corpus keeps each example cheap,
+# so the examples go to the corruption itself.
+CORPUS = [
+    Envelope(
+        kind="serve",
+        payload={"nodes": np.arange(5), "kind": "classify", "now": None},
+        seq=3,
+    ),
+    Reply(
+        seq=3,
+        ok=True,
+        payload={
+            "values": np.eye(5, 4),
+            "rungs": np.zeros(5, np.uint8),
+            "queue_wait": 0.0,
+            "compute": 1e-6,
+        },
+    ),
+    Envelope(
+        kind="mutate",
+        payload={
+            "command": {
+                "command": "refresh",
+                "src": np.array([1, 2]),
+                "dst": np.array([2, 1]),
+                "edge_types": np.zeros(2, np.int64),
+            }
+        },
+    ),
+    Envelope(
+        kind="spawn",
+        payload={
+            "engine_args": {
+                "engine": "serve",
+                "spec_payload": {
+                    "owned": np.arange(7, dtype=np.int32),
+                    "features": np.ones((3, 2), np.float32),
+                },
+                "checkpoint": None,
+                "checkpoint_bytes": bytes(range(40)),
+                "config": {"seed": 7, "max_wait": 0.002},
+                "serving_state": None,
+            }
+        },
+    ),
+    Reply(seq=-1, ok=False, error={"type": "ValueError", "message": "bad", "traceback": ""}),
+    Reply(
+        seq=9,
+        ok=True,
+        payload={"x": [[[np.array(2.5)]], np.zeros((0, 3)), np.array([True, False])]},
+        trace={"shard": 0, "pid": 1, "spans": [{"name": "s", "start": 1.5, "args": {}}]},
+    ),
+    Envelope(
+        kind="train_apply",
+        payload={"grads": [np.ones(3), None, np.ones((2, 2))], "norm": None},
+    ),
+    Reply(
+        seq=4,
+        ok=True,
+        payload={
+            "serving_state": {
+                "clock": 2,
+                "touched_nodes": np.array([1, 5]),
+                "touched_at": np.array([1, 2]),
+            }
+        },
+    ),
+]
+corpus = st.sampled_from(CORPUS)
+
+
+def refused(frame, expect=Envelope, kinds=WIRE_KINDS) -> ProtocolError:
+    """The error ``decode`` raises on ``frame``; the frame allocates no
+    more than its own size while being refused."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError) as excinfo:
+            decode(frame, expect, kinds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(frame) + 256 * 1024, peak
+    return excinfo.value
+
+
+def handmade(header, body: bytes = b"") -> bytearray:
+    """A frame around an arbitrary header object and buffer bytes."""
+    text = json.dumps(header).encode()
+    head = struct.pack("<I", len(text)) + text
+    return bytearray(head + bytes(-len(head) % 8) + body)
+
+
+def serve(payload=None, kind="serve", buffers=()):
+    """A well-formed envelope header: ``payload`` and ``buffers``."""
+    return ["envelope", [kind, payload or {}, 1, None], list(buffers)]
+
+
+def assert_same(got, want) -> None:
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for left, right in zip(got, want):
+            assert_same(left, right)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+class TestRoundTrip:
+    @fuzz
+    @given(message=messages)
+    def test_every_plain_message_round_trips(self, message):
+        expect = type(message)
+        back = decode(encode(message), expect, WIRE_KINDS)
+        assert type(back) is expect
+        for name in vars(message):
+            assert_same(getattr(back, name), getattr(message, name))
+
+    def test_arrays_are_writable_views_of_a_fresh_frame(self):
+        sent = np.arange(6.0).reshape(2, 3)
+        frame = encode(Envelope(kind="serve", payload={"x": sent}))
+        got = decode(frame, Envelope).payload["x"]
+        assert got.flags.writeable and got.flags.aligned
+        assert np.shares_memory(got, np.frombuffer(frame, np.uint8))
+        assert not np.shares_memory(got, sent)
+
+
+class TestEncodeRefuses:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda: None,
+            (1, 2),
+            {1: "int key"},
+            {"$buf": 0},
+            np.array([object()]),
+            np.zeros(2, "V8"),
+            np.zeros(2, ">f8"),
+            np.zeros(2, "<U3"),
+            Envelope(kind="serve"),
+            {1.5, 2.5},
+        ],
+        ids=repr,
+    )
+    def test_what_the_codec_does_not_know(self, value):
+        with pytest.raises(ProtocolError):
+            encode(Envelope(kind="serve", payload={"value": value}))
+
+    def test_nesting_past_the_cap(self):
+        deep = []  # a reply's payload sits at depth 1: MAX_DEPTH - 1 lists fit
+        for _ in range(MAX_DEPTH - 2):
+            deep = [deep]
+        assert decode(encode(Reply(seq=1, ok=True, payload=deep)), Reply).payload == deep
+        with pytest.raises(ProtocolError, match="nested deeper"):
+            encode(Reply(seq=1, ok=True, payload=[deep]))
+
+
+class TestDecodeRefuses:
+    @fuzz
+    @given(message=corpus, data=st.data())
+    def test_truncation_at_any_byte(self, message, data):
+        frame = encode(message)
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        refused(frame[:cut], type(message))
+
+    def test_truncation_at_every_byte(self):
+        payload = {"nodes": np.arange(5), "blob": b"abc", "kind": "classify"}
+        frame = encode(Envelope(kind="serve", payload=payload, seq=4))
+        for cut in range(len(frame)):
+            refused(frame[:cut])
+
+    @fuzz
+    @given(message=corpus, length=st.integers(0, 2**32 - 1))
+    def test_a_garbage_header_length(self, message, length):
+        frame = encode(message)
+        assume(length != struct.unpack_from("<I", frame)[0])
+        frame[:4] = struct.pack("<I", length)
+        refused(frame, type(message))
+
+    @fuzz
+    @given(header=st.binary(max_size=64))
+    def test_a_header_that_is_not_a_message(self, header):
+        refused(bytearray(struct.pack("<I", len(header)) + header))
+
+    @fuzz
+    @given(text=st.text(max_size=32))
+    def test_a_header_that_is_not_json(self, text):
+        raw = text.encode()
+        try:
+            json.loads(raw)
+            assume(False)
+        except ValueError:
+            pass
+        refused(bytearray(struct.pack("<I", len(raw)) + raw))
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"type": "\xc3"}', b"\x80"])
+    def test_a_header_that_is_not_utf8(self, raw):
+        assert "undecodable" in str(refused(bytearray(struct.pack("<I", len(raw)) + raw)))
+
+    @fuzz
+    @given(kind=st.text(max_size=16).filter(lambda kind: kind not in WIRE_KINDS))
+    def test_an_unknown_kind(self, kind):
+        error = refused(encode(Envelope(kind=kind, payload={"nodes": np.arange(3)})))
+        assert "unknown envelope kind" in str(error)
+
+    @pytest.mark.parametrize("code", REFUSED_DTYPES)
+    def test_a_dtype_off_the_whitelist(self, code):
+        header = serve({"x": {"$buf": 0}}, buffers=[[code, [1]]])
+        error = refused(handmade(header, bytes(16)))
+        assert "whitelist" in str(error)
+
+    @fuzz
+    @given(
+        shape=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4).filter(
+            lambda shape: min(shape) < 0 or np.prod([float(d) for d in shape]) > 64
+        ),
+    )
+    def test_negative_or_overflowing_shapes(self, shape):
+        header = serve({"x": {"$buf": 0}}, buffers=[["<f8", shape]])
+        refused(handmade(header, bytes(64 * 8)))
+
+    @fuzz
+    @given(message=corpus, extra=st.integers(-64, 64).filter(bool))
+    def test_buffers_that_do_not_fill_the_frame(self, message, extra):
+        frame = encode(message)
+        if extra > 0:
+            frame += bytes(extra)
+        else:
+            assume(-extra < len(frame))
+            del frame[extra:]
+        refused(frame, type(message))
+
+    @fuzz
+    @given(depth=st.integers(MAX_DEPTH - 1, 20_000))
+    def test_deep_nesting(self, depth):
+        text = '["envelope",["serve",{"x":' + "[" * depth + "]" * depth + "},1,null],[]]"
+        refused(bytearray(struct.pack("<I", len(text)) + text.encode()))
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [],
+            {"type": "envelope", "fields": ["serve", {}, 1, None], "buffers": []},
+            ["envelope", ["serve", {}, 1, None]],
+            ["reply", [1, True, None, None, None], []],
+            ["Envelope", ["serve", {}, 1, None], []],
+            ["envelope", ["serve", [], 1, None], []],
+            ["envelope", ["serve", {}, "1", None], []],
+            ["envelope", ["serve", {}, True, None], []],
+            ["envelope", ["serve", {}, 1.0, None], []],
+            ["envelope", ["serve", {}, 1, 5], []],
+            ["envelope", ["serve", {}, 1], []],
+            ["envelope", [7, {}, 1, None], []],
+            ["envelope", "serve", []],
+            ["envelope", ["serve", {}, 1, None], {}],
+            ["envelope", ["serve", {}, 1, None], [["<f8"]]],
+            serve({"x": {"$buf": 0}}),
+            serve({"x": {"$buf": -1}}),
+            serve({"x": {"$buf": "0"}}),
+            serve({"x": {"$buf": 0, "y": 1}}),
+        ],
+        ids=repr,
+    )
+    def test_a_header_of_the_wrong_shape(self, header):
+        refused(handmade(header))
+
+    def test_a_reply_frame_where_an_envelope_is_expected(self):
+        refused(encode(Reply(seq=1, ok=True)), Envelope)
+        refused(encode(Envelope(kind="serve")), Reply, None)
+
+    def test_buffer_references_must_be_one_to_one(self):
+        header = serve({"x": {"$buf": 0}, "y": {"$buf": 0}}, buffers=[["<i8", [1]]])
+        refused(handmade(header, bytes(8)))
+        header = serve({"x": {"$buf": 0}}, buffers=[["<i8", [1]], ["<i8", [1]]])
+        refused(handmade(header, bytes(16)))
+        header = serve({"x": {"$buf": 0}}, buffers=[["<i8", [1]]])
+        assert decode(handmade(header, bytes(8)), Envelope).payload["x"].tolist() == [0]
+
+    @fuzz
+    @given(message=corpus, data=st.data())
+    def test_a_flipped_byte_decodes_or_is_refused(self, message, data):
+        """Corruption anywhere gives a message or ProtocolError — never
+        another exception (a flip inside an array's bytes is still a
+        well-formed frame)."""
+        frame = encode(message)
+        at = data.draw(st.integers(0, len(frame) - 1))
+        frame[at] ^= data.draw(st.integers(1, 255))
+        try:
+            decode(frame, type(message), WIRE_KINDS)
+        except ProtocolError:
+            pass
+
+
+class TestLengthPrefix:
+    @fuzz
+    @given(size=st.integers(1 << 20, 2**64 - 1))
+    def test_an_oversize_prefix_is_refused_before_allocating(self, size):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack("!Q", size) + b"x" * 32)
+            tracemalloc.start()
+            try:
+                with pytest.raises(FrameTooLargeError) as excinfo:
+                    recv_frame(right, max_frame_bytes=(1 << 20) - 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert isinstance(excinfo.value, ProtocolError)
+            assert peak < 64 * 1024
+        finally:
+            left.close()
+            right.close()
+
+    @fuzz
+    @given(message=corpus, data=st.data())
+    def test_a_short_prefix_frames_a_truncated_message(self, message, data):
+        """A prefix shorter than the frame hands the reader a cut frame,
+        which the codec refuses."""
+        frame = encode(message)
+        size = data.draw(st.integers(0, len(frame) - 1))
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack("!Q", size) + bytes(frame[:size]))
+            with pytest.raises(ProtocolError):
+                recv_message(right, type(message), WIRE_KINDS)
+        finally:
+            left.close()
+            right.close()
