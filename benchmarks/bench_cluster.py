@@ -98,7 +98,7 @@ def _measure_kill_recover(checkpoint, probe, *, seed, scale):
     )
     router = ClusterRouter.from_checkpoint(
         checkpoint, _fresh_graph(seed, scale), 2, transport="socket",
-        seed=seed, partition_seed=seed,
+        seed=seed,
     )
     try:
         dim = router.graph.features.shape[1]
@@ -186,7 +186,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
         graph = _fresh_graph(seed, scale)
         router = ClusterRouter.from_checkpoint(
             checkpoint, graph, num_shards, transport=transport,
-            seed=seed, partition_seed=seed,
+            seed=seed,
         )
         exact = bool(np.array_equal(router.embed(probe), reference))
         # Cold pass, no overlap: each shard's busy time is measured
@@ -211,7 +211,6 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
             ),
             wire_wall_seconds=float(wall_seconds),
             wire_rps=float(requests / wall_seconds),
-            edge_cut=int(summary["edge_cut"]),
             shards=[
                 {
                     "shard": s["shard"],

@@ -189,7 +189,7 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         graph = _fresh_graph(seed, scale)
         router = ClusterRouter.from_checkpoint(
             checkpoint, graph, num_shards, transport=transport,
-            seed=seed, partition_seed=seed, store_path=store_path,
+            seed=seed, store_path=store_path,
         )
         stream = _mutation_stream(
             oracle.graph, probe, np.random.default_rng(seed)

@@ -1,10 +1,9 @@
 """Sharded serving — scale-out without drift.
 
 The single ``InferenceServer`` owns one whole-graph copy; ``repro.cluster``
-splits the *node ids* into k balanced owned sets
-(``repro.graph.partition``) served by k shards, each a full replica of the
-graph, so every shard answers requests for its owned nodes bit-identically
-to the whole-graph server.  This example demonstrates the full contract:
+splits the *node ids* over k shards (shard ``n % k`` owns node ``n``),
+each a full replica of the graph, so every shard answers requests for its
+owned nodes bit-identically to the whole-graph server.  This example demonstrates the full contract:
 
 1. scatter-gather requests through ``ClusterRouter`` and verify the
    responses equal a single server's byte for byte — including nodes whose
@@ -68,7 +67,7 @@ def main() -> None:
         )
         plan = router.plan.summary()
         print(f"4 shards over {plan['num_nodes']} nodes, "
-              f"edge cut {plan['edge_cut']}")
+              f"shard n % 4 owning node n")
         embeddings = router.embed(probe)
         print(f"cluster == single server, bit for bit: "
               f"{np.array_equal(embeddings, reference)}")

@@ -15,8 +15,8 @@ Commands
     cold single-request baseline vs. the batched server (cold cache) vs.
     the batched server (warm cache).
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
-    Train WIDEN, serve the graph from K shards — full replicas that each
-    own a slice of the node ids (:mod:`repro.cluster`), replay the same
+    Train WIDEN, serve the graph from K shards — full replicas, shard
+    ``n % K`` owning node ``n`` (:mod:`repro.cluster`), replay the same
     deterministic trace through the scatter-gather router, and print the
     cluster report: per-shard ownership/latency plus cluster throughput.  ``--transport``
     selects the shard boundary: ``inline`` (deterministic replay, default)
@@ -127,7 +127,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _train_distributed(args: argparse.Namespace, dataset) -> int:
     """``train --shards K [--transport T] [--resume PATH]``: data-parallel
     training over the cluster substrate (same flag group serve-cluster
-    parses — one partition/transport vocabulary for serving and training).
+    parses — one shard/transport vocabulary for serving and training).
     """
     from pathlib import Path
 
@@ -136,12 +136,10 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
 
     graph, split = dataset.graph, dataset.split
     shards = args.shards if args.shards is not None else 2
-    fleet_kwargs = dict(transport=args.transport, workers=_parse_workers(args),
-                        partition_seed=args.seed)
+    fleet_kwargs = dict(transport=args.transport, workers=_parse_workers(args))
     resume = Path(args.resume) if args.resume else None
     if resume is not None and resume.is_dir():
         print(f"resuming fleet from {resume} ...")
-        fleet_kwargs.pop("partition_seed")  # the manifest owns the partition
         trainer = DistributedTrainer.resume(resume, graph, **fleet_kwargs)
     elif resume is not None:
         print(f"spawning {shards} shard(s) from checkpoint {resume} ...")
@@ -415,7 +413,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             workers=_parse_workers(args),
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
-            partition_seed=args.seed,
             store_path=args.store or None,
         )
         # Worker processes and the listener go down with the block, also
@@ -427,7 +424,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             plan = router.plan.summary()
             print(f"\nplan: {plan['num_shards']} shards over the "
                   f"{args.transport} transport, each a replica of all "
-                  f"{plan['num_nodes']} nodes, edge cut {plan['edge_cut']}")
+                  f"{plan['num_nodes']} nodes")
             for shard in plan["shards"]:
                 print(f"  shard {shard['shard']}: {shard['owned']} owned")
 
@@ -486,7 +483,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             transport=args.transport,
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
-            partition_seed=args.seed,
             store_path=args.store or None,
             dist_tracing=True,
             slo_target=SLOTarget(

@@ -3,14 +3,14 @@
 Scales the single :class:`~repro.serve.server.InferenceServer` horizontally
 while preserving its exact semantics:
 
-- :mod:`~repro.cluster.planner` — placement: partition the serving graph's
-  node ids into owned sets (``repro.graph.partition``).  A shard is
-  ``(whole graph, owned ids)``: every engine holds a full replica, so an
-  owned answer is bit-identical to a whole-graph server's, and the
-  coordinator holds one graph that all its shard specs point at.  Specs
-  serialize as plain arrays (:meth:`ShardSpec.to_payload`) and a write
-  propagates as one serializable command broadcast to every shard —
-  nothing in the plan assumes shared memory.
+- :mod:`~repro.cluster.planner` — placement, one rule: shard ``n % S``
+  owns node ``n``.  A shard is ``(whole graph, owned ids)``: every engine
+  holds a full replica, so an owned answer is bit-identical to a
+  whole-graph server's, and the coordinator holds one graph that all its
+  shard specs point at.  Specs serialize as plain arrays
+  (:meth:`ShardSpec.to_payload`) and a write propagates as one
+  serializable command broadcast to every shard — nothing in the plan
+  assumes shared memory.
 - :mod:`~repro.cluster.transport` — the message boundary: typed
   :class:`Envelope`/:class:`Reply` pairs over one of two transports,
   ``inline`` (deterministic replay on the caller's thread, the wire
@@ -76,7 +76,6 @@ from repro.cluster.planner import (
     AddNodesCommand,
     ClusterPlan,
     RefreshCommand,
-    ShardPlanner,
     ShardSpec,
 )
 from repro.cluster.router import ClusterRouter
@@ -106,7 +105,6 @@ __all__ = [
     "Reply",
     "ShardEngine",
     "ShardError",
-    "ShardPlanner",
     "ShardRegistry",
     "ShardSpec",
     "ShardTimeoutError",

@@ -7,9 +7,10 @@ nodes whose requests it answers, whose store rows it holds and whose cache
 entries it keeps.  A replica's adjacency lists are the whole graph's
 verbatim, so seeded neighbor sampling draws identical indices on any shard
 and on a single whole-graph server: an owned answer is bit-identical
-wherever it is computed.  Ownership is a
-:func:`repro.graph.partition.partition_graph` partition (balanced, low
-edge cut); arrivals go to the least-loaded shard.
+wherever it is computed.  So a low-edge-cut partition would buy no
+locality, and ownership is one rule, :func:`shard_of`: node ``n`` belongs
+to shard ``n % num_shards``, arrivals included.  Nothing about ownership
+is stored, grown, shipped or persisted.
 
 Why a full replica and not an L-hop halo: WIDEN's deep walks have length
 ``N_d`` = 8, and on every graph this repo runs the nodes within 8 out-hops
@@ -35,12 +36,11 @@ per-shard diff — and crosses the wire as a tagged dict of arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.graph import HeteroGraph, MutationEvent
-from repro.graph.partition import edge_cut, partition_graph
 
 
 @dataclass
@@ -48,15 +48,14 @@ class AddNodesCommand:
     """A streaming node arrival, as every shard replays it.
 
     Every shard appends the same global ids with the same features and
-    labels (the replicas must stay aligned); shard ``owner`` also adopts
-    the ids into its owned set.
+    labels (the replicas must stay aligned); each id's owner follows from
+    the id by :func:`shard_of`.
     """
 
     type_name: str
     features: Optional[np.ndarray]
     labels: Optional[np.ndarray]
     expected_ids: np.ndarray
-    owner: int
 
     def to_payload(self) -> Dict[str, object]:
         """The command as it crosses the wire: a tagged dict of arrays."""
@@ -96,9 +95,19 @@ def command_from_payload(payload: Dict[str, object]) -> MutationCommand:
     return _COMMANDS[tag](**fields)
 
 
+def shard_of(nodes: np.ndarray, num_shards: int) -> np.ndarray:
+    """The ownership rule: node ``n`` belongs to shard ``n % num_shards``.
+
+    A pure function of the id, so an arrival's owner is known on every
+    replica without being shipped, and a resumed fleet owns what the
+    interrupted one did.  :attr:`ShardSpec.owned` is its inverse.
+    """
+    return nodes % num_shards
+
+
 @dataclass
 class ShardSpec:
-    """One shard: the ids it owns and the graph it reads.
+    """One shard: the graph it reads, and the ids it owns by :func:`shard_of`.
 
     All node ids are **global**.  On the coordinator ``graph`` is the
     coordinator's own graph object; behind a transport it is the engine's
@@ -107,12 +116,17 @@ class ShardSpec:
     """
 
     shard_id: int
-    owned: np.ndarray
+    num_shards: int
     graph: HeteroGraph
 
     @property
+    def owned(self) -> np.ndarray:
+        """Every id ``shard_of`` gives this shard, arrivals included."""
+        return np.arange(self.shard_id, self.graph.num_nodes, self.num_shards)
+
+    @property
     def num_owned(self) -> int:
-        return int(self.owned.size)
+        return len(range(self.shard_id, self.graph.num_nodes, self.num_shards))
 
     def summary(self) -> Dict[str, int]:
         return {"shard": self.shard_id, "owned": self.num_owned}
@@ -126,7 +140,7 @@ class ShardSpec:
         graph = self.graph
         return {
             "shard_id": int(self.shard_id),
-            "owned": self.owned,
+            "num_shards": int(self.num_shards),
             "node_types": graph.node_types,
             "src": graph._src,
             "dst": graph.indices,
@@ -167,7 +181,7 @@ class ShardSpec:
         graph.version = payload["version"]
         return cls(
             shard_id=payload["shard_id"],
-            owned=payload["owned"].copy(),
+            num_shards=payload["num_shards"],
             graph=graph,
         )
 
@@ -187,39 +201,10 @@ class ShardSpec:
                     f"shard {self.shard_id} id space diverged: appended "
                     f"{got}, global appended {command.expected_ids}"
                 )
-            if command.owner == self.shard_id:
-                self.owned = np.concatenate([self.owned, got])
         elif isinstance(command, RefreshCommand):
             self.graph.append_edges(command.src, command.dst, command.edge_types)
         else:
             raise TypeError(f"unknown mutation command {type(command).__name__}")
-
-
-class ShardPlanner:
-    """Builds a :class:`ClusterPlan` from one serving graph: a balanced,
-    low-edge-cut ownership partition over one shared graph object."""
-
-    def __init__(self, graph: HeteroGraph, num_shards: int, *, seed: int = 0) -> None:
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.graph = graph
-        self.num_shards = int(num_shards)
-        self.seed = seed
-
-    def plan(self) -> "ClusterPlan":
-        parts = partition_graph(self.graph, self.num_shards, rng=self.seed)
-        owner_of = np.empty(self.graph.num_nodes, dtype=np.int64)
-        for shard_id, owned in enumerate(parts):
-            owner_of[owned] = shard_id
-        return ClusterPlan(
-            global_graph=self.graph,
-            shards=[
-                ShardSpec(shard_id, owned, self.graph)
-                for shard_id, owned in enumerate(parts)
-            ],
-            owner_of=owner_of,
-            partition_edge_cut=edge_cut(self.graph, parts),
-        )
 
 
 def check_node_range(nodes: np.ndarray, num_nodes: int) -> None:
@@ -230,68 +215,44 @@ def check_node_range(nodes: np.ndarray, num_nodes: int) -> None:
         raise IndexError(f"node {int(nodes[bad[0]])} out of range [0, {num_nodes})")
 
 
-@dataclass
 class ClusterPlan:
-    """The ownership map over the coordinator's graph, kept current under
-    streaming arrivals, plus the builders of the one command per write the
-    router broadcasts."""
+    """The shards over the coordinator's graph, plus the builders of the
+    one command per write the router broadcasts."""
 
-    global_graph: HeteroGraph
-    shards: List[ShardSpec]
-    owner_of: np.ndarray
-    partition_edge_cut: int = 0
+    def __init__(self, graph: HeteroGraph, num_shards: int) -> None:
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        if num_shards > graph.num_nodes:
+            raise ValueError(
+                f"cannot spread {graph.num_nodes} nodes over {num_shards} shards"
+            )
+        self.global_graph = graph
+        self.shards = [ShardSpec(k, num_shards, graph) for k in range(num_shards)]
 
     @property
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def owner(self, node: int) -> int:
-        node = int(node)
-        if not 0 <= node < self.owner_of.size:
-            raise IndexError(
-                f"node {node} out of range [0, {self.owner_of.size})"
-            )
-        return int(self.owner_of[node])
-
     def summary(self) -> Dict[str, object]:
         return {
             "num_shards": self.num_shards,
             "num_nodes": int(self.global_graph.num_nodes),
-            "edge_cut": self.partition_edge_cut,
             "shards": [spec.summary() for spec in self.shards],
         }
 
-    def place_new_nodes(self, count: int) -> int:
-        """Owner shard for a batch of arriving nodes: the least-loaded one.
-
-        Deterministic (ties break toward the lowest shard id) so a replayed
-        mutation stream reproduces the same ownership.
-        """
-        sizes = [spec.num_owned for spec in self.shards]
-        return int(np.argmin(sizes))
-
     def add_nodes_commands(
         self,
-        owner: int,
         new_ids: np.ndarray,
         type_name: str,
         features: Optional[np.ndarray],
         labels: Optional[np.ndarray],
     ) -> AddNodesCommand:
-        """The command for an arrival already on the coordinator's graph;
-        records its ownership here."""
-        new_ids = np.asarray(new_ids, dtype=np.int64)
-        spec = self.shards[owner]
-        spec.owned = np.concatenate([spec.owned, new_ids])
-        self.owner_of = np.concatenate(
-            [self.owner_of, np.full(new_ids.size, owner, dtype=np.int64)]
-        )
+        """The command for an arrival already on the coordinator's graph."""
         return AddNodesCommand(
             type_name=type_name,
             features=features,
             labels=labels,
-            expected_ids=new_ids,
-            owner=int(owner),
+            expected_ids=np.asarray(new_ids, dtype=np.int64),
         )
 
     def refresh_command(self, event: MutationEvent) -> RefreshCommand:

@@ -3,7 +3,8 @@
 :class:`ClusterRouter` is the cluster's front door: it owns the serving
 graph (one object — the source of truth mutations land on first, and the
 graph every coordinator-side shard spec points at), the
-:class:`~repro.cluster.planner.ClusterPlan` (who owns which ids), the
+:class:`~repro.cluster.planner.ClusterPlan` (one spec per shard; shard
+``n % S`` owns node ``n``), the
 :class:`~repro.cluster.fleet.Fleet` that brings the shard engines up
 (``inline`` or ``socket`` transport), and one
 :class:`~repro.cluster.worker.ShardWorker` per shard — a protocol stub
@@ -50,7 +51,7 @@ import numpy as np
 
 from repro.cluster.fleet import Fleet, FleetSupervisor
 from repro.cluster.net import WorkerDown
-from repro.cluster.planner import ClusterPlan, ShardPlanner, check_node_range
+from repro.cluster.planner import ClusterPlan, check_node_range, shard_of
 from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier, serving_refusal
 from repro.graph import HeteroGraph
@@ -93,7 +94,6 @@ class ClusterRouter:
         max_wait: float = 0.002,
         cache_capacity: int = 1024,
         seed: int = 0,
-        partition_seed: int = 0,
         store_path: Optional[str] = None,
         dist_tracing: bool = False,
         slo_target: Optional[SLOTarget] = None,
@@ -105,14 +105,12 @@ class ClusterRouter:
         self.graph = graph
         self.seed = int(seed)
         self.registry = MetricsRegistry()  # router-scope series
-        # The serving contract, before anything is partitioned or spawned.
+        # The serving contract, before anything is planned or spawned.
         probe = WidenClassifier.load(checkpoint)
         reason = serving_refusal(probe)
         if reason is not None:
             raise ValueError(reason)
-        self.plan: ClusterPlan = ShardPlanner(
-            graph, num_shards, seed=partition_seed
-        ).plan()
+        self.plan = ClusterPlan(graph, num_shards)
         # Materialized-answer tier: validate once against the probe
         # classifier (same parameters and seed every shard will use), then
         # slice per shard by ownership — a shard serves only nodes it owns.
@@ -205,6 +203,7 @@ class ClusterRouter:
         cls, path, graph: HeteroGraph, num_shards: int, **kwargs
     ) -> "ClusterRouter":
         """One server per shard, each rebuilt from the same checkpoint."""
+        kwargs.pop("partition_seed", None)  # benchmarks/perf still passes it; ROADMAP 8(b)
         return cls(str(path), graph, num_shards, **kwargs)
 
     @classmethod
@@ -346,12 +345,11 @@ class ClusterRouter:
         shard that owns any, positions ascending so a leg keeps the op's
         order; each member is accounted as one routed request.
 
-        ``owner_of[nodes]`` would wrap a negative id to another node's
-        owner, so ids are range-checked first and an op with a bad one is
-        refused before anything is counted or sent.
+        ``-1 % S`` is a shard, so ids are range-checked first and an op
+        with a bad one is refused before anything is counted or sent.
         """
-        check_node_range(nodes, self.plan.owner_of.size)
-        owners = self.plan.owner_of[nodes]
+        check_node_range(nodes, self.graph.num_nodes)
+        owners = shard_of(nodes, self.plan.num_shards)
         legs = []
         for shard, worker in enumerate(self.workers):
             (positions,) = (owners == shard).nonzero()
@@ -431,8 +429,7 @@ class ClusterRouter:
         """Streaming node arrival, broadcast to every shard (barrier).
 
         All shards append the same global ids with the same features (the
-        replicas must stay aligned); the owner — chosen deterministically
-        as the least-loaded shard — also adopts them into its owned set.
+        replicas must stay aligned); shard ``n % S`` owns arrival ``n``.
         """
         self._check_open()
         new_ids = self.graph.add_nodes(
@@ -440,10 +437,7 @@ class ClusterRouter:
         )
         if features is not None:
             features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        owner = self.plan.place_new_nodes(new_ids.size)
-        command = self.plan.add_nodes_commands(
-            owner, new_ids, type_name, features, labels
-        )
+        command = self.plan.add_nodes_commands(new_ids, type_name, features, labels)
         self._broadcast(command, kind="add_nodes")
         return new_ids
 
@@ -556,7 +550,6 @@ class ClusterRouter:
             "latency_p50_s": nearest_rank_percentile(latencies, 50),
             "latency_p95_s": nearest_rank_percentile(latencies, 95),
             "latency_p99_s": nearest_rank_percentile(latencies, 99),
-            "edge_cut": self.plan.partition_edge_cut,
             "shards": [
                 worker.summary(payload)
                 for worker, payload in zip(self.workers, payloads)

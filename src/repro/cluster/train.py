@@ -1,9 +1,9 @@
 """Data-parallel distributed training over the cluster substrate.
 
 Training rides the exact serving stack: :class:`~repro.cluster.planner.
-ShardPlanner` partitions the training nodes into owned sets over full
-graph replicas (verbatim adjacency lists, so a shard samples for its
-owned nodes what a whole-graph trainer would), the ``train`` family of
+ClusterPlan` gives shard ``n % S`` node ``n`` over full graph replicas
+(verbatim adjacency lists, so a shard samples for its owned nodes what a
+whole-graph trainer would), the ``train`` family of
 :class:`~repro.cluster.transport.Envelope` kinds rides either transport
 (``inline``/``socket``) of the same :class:`~repro.cluster.fleet.Fleet`
 serving uses, and per-shard metrics merge through the same
@@ -16,7 +16,7 @@ moments, neighbor sets and every rng stream arrive intact), answered
 through the one engine dispatch, and the coordinator's stub is
 :class:`~repro.cluster.worker.ShardWorker`, whose ``train_*`` methods let
 :class:`~repro.core.train_loop.TrainLoop` drive a fleet and a local trainer
-through one code path.  :class:`DistributedTrainer` plans the partition,
+through one code path.  :class:`DistributedTrainer` plans the shards,
 brings the fleet up, runs the loop and checkpoints per shard for elastic
 resume.
 
@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.fleet import Fleet
-from repro.cluster.planner import ClusterPlan, ShardPlanner
+from repro.cluster.planner import ClusterPlan
 from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier
 from repro.core.train_loop import TrainHistory, TrainLoop
@@ -58,6 +58,9 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = ["DistributedTrainer"]
 
 MANIFEST_NAME = "manifest.json"
+#: Format 2: ownership is ``id % num_shards``, so the manifest holds no
+#: partition seed.
+MANIFEST_FORMAT = 2
 
 
 class DistributedTrainer:
@@ -66,10 +69,9 @@ class DistributedTrainer:
     ``checkpoint`` seeds every replica (fresh runs save a zero-epoch base
     checkpoint first — see :meth:`from_classifier`); ``shard_checkpoints``
     overrides it per shard for elastic resume, where each replica restores
-    its *own* diverged rng/neighbor state.  The partition is a pure
-    function of ``(graph, num_shards, partition_seed)``, so a
-    resumed run replans the identical ownership its checkpoints were
-    written under.
+    its *own* diverged rng/neighbor state.  Ownership is a pure function
+    of ``(node, num_shards)``, so a resumed run owns what its checkpoints
+    were written under.
     """
 
     #: Seconds to wait for one shard's reply to any envelope.
@@ -82,7 +84,6 @@ class DistributedTrainer:
         num_shards: int,
         *,
         transport: str = "inline",
-        partition_seed: int = 0,
         shard_checkpoints: Optional[Sequence] = None,
         workers: Optional[Sequence[str]] = None,
         epochs_done: int = 0,
@@ -100,16 +101,13 @@ class DistributedTrainer:
                 "shard locality"
             )
         self.graph = graph
-        self.partition_seed = int(partition_seed)
         self.registry = MetricsRegistry()  # coordinator-scope series
         self.history = TrainHistory()
         self._epochs_done = int(epochs_done)
         # Logical training span (see TrainLoop.logical_seconds): slowest
         # shard's measured compute per phase + coordinator sync wall time.
         self.logical_seconds = 0.0
-        self.plan: ClusterPlan = ShardPlanner(
-            graph, num_shards, seed=partition_seed
-        ).plan()
+        self.plan = ClusterPlan(graph, num_shards)
         if shard_checkpoints is not None:
             if len(shard_checkpoints) != self.plan.num_shards:
                 raise ValueError(
@@ -154,9 +152,9 @@ class DistributedTrainer:
     ) -> "DistributedTrainer":
         """Resume from a :meth:`save_checkpoints` directory.
 
-        Replans with the manifest's shard count + partition seed (the plan
-        is deterministic, so ownership matches what the checkpoints were
-        written under) and restores each shard from its own file.  Training
+        Replans with the manifest's shard count (ownership is ``id % S``,
+        so it matches what the checkpoints were written under) and
+        restores each shard from its own file.  Training
         killed mid-epoch resumes from the last completed epoch boundary and
         reaches a final model bit-identical to an uninterrupted run — every
         rng stream, optimizer moment and neighbor set picks up exactly
@@ -164,6 +162,15 @@ class DistributedTrainer:
         """
         directory = Path(checkpoint_dir)
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise ValueError(
+                f"checkpoint dir {str(directory)!r} has manifest format "
+                f"{manifest.get('format')!r}, not {MANIFEST_FORMAT}: its shards "
+                "hold rng and neighbor state for a partition's owned nodes, "
+                "and resuming them under id % num_shards ownership would "
+                "diverge from an uninterrupted run; start a new fleet from "
+                "one of its shard files instead"
+            )
         num_shards = int(manifest["num_shards"])
         shard_checkpoints = [
             directory / f"shard-{shard_id}.npz" for shard_id in range(num_shards)
@@ -173,7 +180,6 @@ class DistributedTrainer:
             raise FileNotFoundError(
                 f"checkpoint dir {str(directory)!r} is missing {missing}"
             )
-        kwargs.setdefault("partition_seed", int(manifest["partition_seed"]))
         kwargs.setdefault("epochs_done", int(manifest.get("epochs_done", 0)))
         return cls(
             shard_checkpoints[0],
@@ -217,8 +223,8 @@ class DistributedTrainer:
     def save_checkpoints(self, directory) -> Path:
         """Snapshot every replica into ``directory`` (elastic-resume unit).
 
-        One checkpoint per shard plus a manifest naming the partition
-        parameters.  Files land via tmp+rename so a crash mid-write never
+        One checkpoint per shard plus a manifest naming the shard count.
+        Files land via tmp+rename so a crash mid-write never
         leaves a torn checkpoint; the manifest is written last, so a
         directory with a manifest is always complete.
         """
@@ -235,9 +241,8 @@ class DistributedTrainer:
             staging.write_bytes(data)
             os.replace(staging, final)
         manifest = {
-            "format": 1,
+            "format": MANIFEST_FORMAT,
             "num_shards": int(self.plan.num_shards),
-            "partition_seed": int(self.partition_seed),
             "epochs_done": int(self._epochs_done),
             "transport": self.fleet.kind,
         }

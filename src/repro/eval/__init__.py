@@ -7,7 +7,6 @@ from repro.eval.clustering import silhouette_score
 from repro.eval.protocol import (
     evaluate_inductive,
     evaluate_transductive,
-    fit_classifier_probe,
     fit_on_partitions,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "silhouette_score",
     "evaluate_transductive",
     "evaluate_inductive",
-    "fit_classifier_probe",
     "fit_on_partitions",
 ]

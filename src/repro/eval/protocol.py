@@ -8,8 +8,6 @@
 - :func:`evaluate_inductive` — Table 3's setting: 20% of labeled nodes are
   removed from the graph during training; the trained model must then embed
   and classify them in the restored full graph.
-
-:func:`fit_classifier_probe` scores embeddings trained without labels.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from repro.datasets.splits import label_fraction as subsample_labels
 from repro.datasets.splits import make_inductive_split
 from repro.eval.metrics import micro_f1
 from repro.graph import HeteroGraph, partition_graph
-from repro.nn import Linear
-from repro.optim import Adam
-from repro.tensor import Tensor, functional as F, no_grad
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
 
 
@@ -110,29 +105,3 @@ def evaluate_inductive(
     model.fit(split.train_graph, split.train_nodes, epochs)
     predictions = model.predict(split.holdout, graph=dataset.graph)
     return micro_f1(dataset.graph.labels[split.holdout], predictions)
-
-
-def fit_classifier_probe(
-    train_embeddings: np.ndarray,
-    train_labels: np.ndarray,
-    test_embeddings: np.ndarray,
-    test_labels: np.ndarray,
-    epochs: int = 150,
-    seed: SeedLike = 0,
-) -> float:
-    """Train a linear probe on frozen embeddings; return its test accuracy.
-
-    How much class signal embeddings learned without labels carry: one
-    ``Linear`` over ``1 + max label`` classes, full-batch Adam.
-    """
-    num_classes = int(max(np.max(train_labels), np.max(test_labels))) + 1
-    probe = Linear(train_embeddings.shape[1], num_classes, rng=seed)
-    optimizer = Adam(probe.parameters(), lr=0.05)
-    inputs = Tensor(train_embeddings)
-    for _ in range(epochs):
-        optimizer.zero_grad()
-        F.cross_entropy(probe(inputs), train_labels).backward()
-        optimizer.step()
-    with no_grad():
-        predictions = probe(Tensor(test_embeddings)).data.argmax(axis=1)
-    return float((predictions == np.asarray(test_labels)).mean())

@@ -17,7 +17,7 @@ from repro.graph.sampling import (
     sample_deep,
     sample_wide,
 )
-from repro.graph.partition import partition_graph, edge_cut
+from repro.graph.partition import partition_graph
 from repro.graph.metapath import (
     compose_adjacency,
     metapath_adjacency,
@@ -37,7 +37,6 @@ __all__ = [
     "sample_wide",
     "sample_deep",
     "partition_graph",
-    "edge_cut",
     "compose_adjacency",
     "metapath_adjacency",
 ]

@@ -61,14 +61,6 @@ def partition_graph(
     return [np.flatnonzero(assignment == part) for part in range(num_parts)]
 
 
-def edge_cut(graph: HeteroGraph, parts: List[np.ndarray]) -> int:
-    """Number of directed edges crossing part boundaries."""
-    assignment = np.empty(graph.num_nodes, dtype=np.int64)
-    for part_id, nodes in enumerate(parts):
-        assignment[nodes] = part_id
-    return int((assignment[graph._src] != assignment[graph.indices]).sum())
-
-
 def _bfs_grow(graph: HeteroGraph, adjacency, num_parts: int, rng) -> array:
     degrees = graph.degrees()
     # Seed with distinct high-degree nodes, jittered for tie-breaking.

@@ -7,7 +7,7 @@ blocks with optional additive masks.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, Embedding, Dropout, ReLU
+from repro.nn.layers import Linear, Embedding, Dropout
 from repro.nn.attention import SelfAttention, QueryAttention, causal_mask
 from repro.nn import init
 
@@ -17,7 +17,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "Dropout",
-    "ReLU",
     "SelfAttention",
     "QueryAttention",
     "causal_mask",

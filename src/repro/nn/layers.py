@@ -1,4 +1,4 @@
-"""Core layers: linear projection, embedding table, dropout, ReLU."""
+"""Core layers: linear projection, embedding table, dropout."""
 
 from __future__ import annotations
 
@@ -102,8 +102,3 @@ class Dropout(Module):
 
     def load_rng_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.relu(x)

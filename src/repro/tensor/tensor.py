@@ -234,10 +234,6 @@ class Tensor:
         """Reset accumulated gradient."""
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     # ------------------------------------------------------------------
     # ndarray-ish conveniences
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared test utilities: numerical gradient checking, the per-node
 forward reference, the per-state downsampling-trigger reference, the
 per-pair walk-context loss reference, the per-node HGT reference, the
-store-lookup totals a serving test reads around a call, and a payload's
-trip through the wire codec."""
+store-lookup totals a serving test reads around a call, a payload's
+trip through the wire codec, a partition's edge cut and a linear probe
+on frozen embeddings."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ import numpy as np
 from repro.cluster.codec import Envelope, decode, encode
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
+from repro.nn import Linear
+from repro.optim import Adam
 from repro.tensor import functional as F, ops
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 
 
 def numeric_grad(
@@ -322,3 +325,37 @@ def wire_round_trip(payload: dict) -> dict:
 def wire_size(payload: dict) -> int:
     """Bytes of the frame that carries ``payload`` in one envelope."""
     return len(encode(Envelope(kind="mutate", payload=payload)))
+
+
+def edge_cut(graph, parts: List[np.ndarray]) -> int:
+    """Number of directed edges crossing part boundaries."""
+    assignment = np.empty(graph.num_nodes, dtype=np.int64)
+    for part_id, nodes in enumerate(parts):
+        assignment[nodes] = part_id
+    return int((assignment[graph._src] != assignment[graph.indices]).sum())
+
+
+def fit_classifier_probe(
+    train_embeddings: np.ndarray,
+    train_labels: np.ndarray,
+    test_embeddings: np.ndarray,
+    test_labels: np.ndarray,
+    epochs: int = 150,
+    seed: int = 0,
+) -> float:
+    """Train a linear probe on frozen embeddings; return its test accuracy.
+
+    How much class signal embeddings learned without labels carry: one
+    ``Linear`` over ``1 + max label`` classes, full-batch Adam.
+    """
+    num_classes = int(max(np.max(train_labels), np.max(test_labels))) + 1
+    probe = Linear(train_embeddings.shape[1], num_classes, rng=seed)
+    optimizer = Adam(probe.parameters(), lr=0.05)
+    inputs = Tensor(train_embeddings)
+    for _ in range(epochs):
+        optimizer.zero_grad()
+        F.cross_entropy(probe(inputs), train_labels).backward()
+        optimizer.step()
+    with no_grad():
+        predictions = probe(Tensor(test_embeddings)).data.argmax(axis=1)
+    return float((predictions == np.asarray(test_labels)).mean())

@@ -8,6 +8,8 @@ from repro.baselines.common import sample_neighbors
 from repro.baselines.han import default_metapaths
 from repro.datasets import make_acm
 from repro.graph import GraphBuilder, metapath_adjacency
+from repro.graph.metapath import compose_adjacency
+from repro.tensor import Tensor, no_grad
 from tests.helpers import per_node_hgt
 
 
@@ -125,6 +127,29 @@ class TestModelSpecifics:
         model.fit(acm.graph, acm.split.train[:32], epochs=1)
         # After one step the selection logits must have moved off zero init.
         assert np.abs(model.net.selection.data).sum() > 0
+
+    def test_gtn_propagates_through_the_composed_metapath_adjacency(self, acm):
+        """GTN mixes and applies its soft adjacencies hop by hop; the
+        materialized product ``compose_adjacency`` builds, times the
+        transformed features, is the same propagation."""
+        model = GTN(seed=0, hops=3)
+        model.fit(acm.graph, acm.split.train[:32], epochs=1)
+        # Far-from-uniform selections, so the hop order shows.
+        selection = model.net.selection.data
+        selection[...] = np.random.default_rng(0).normal(scale=2.0, size=selection.shape)
+        adjacencies = model._adjacencies
+        features = Tensor(acm.graph.features)
+        with no_grad():
+            got = model._propagate(features, adjacencies).data
+            hidden = model.net.transform(features).data
+        for channel in range(model.channels):
+            weights = [
+                np.exp(logits) / np.exp(logits).sum() for logits in selection[channel]
+            ]
+            composed = compose_adjacency(adjacencies, weights)
+            want = np.maximum(composed @ hidden, 0.0)
+            block = got[:, channel * model.hidden : (channel + 1) * model.hidden]
+            np.testing.assert_allclose(block, want, rtol=1e-12, atol=1e-12)
 
     def test_gtn_slowest_among_convolutional(self, acm):
         """The paper singles GTN out as the slowest method; verify it costs

@@ -19,9 +19,9 @@ from repro.cluster import (
     ClusterPlan,
     ClusterRouter,
     ShardError,
-    ShardPlanner,
     ShardSpec,
 )
+from repro.cluster.planner import check_node_range
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer, make_trace
@@ -66,8 +66,8 @@ def fresh_router(checkpoint, num_shards, transport="inline", **kwargs):
 def boundary_probe(router, per_shard=2):
     """Owned nodes with an out-edge into another shard's owned set: their
     very first sampling hop leaves what their shard owns."""
-    graph, owner_of = router.graph, router.plan.owner_of
-    cut = owner_of[graph._src] != owner_of[graph.indices]
+    graph, num_shards = router.graph, router.plan.num_shards
+    cut = graph._src % num_shards != graph.indices % num_shards
     picked = []
     for worker in router.workers:
         crossers = np.intersect1d(worker.spec.owned, graph._src[cut])
@@ -83,14 +83,15 @@ def boundary_probe(router, per_shard=2):
 class TestShardPlanner:
     @pytest.fixture(scope="class")
     def plan(self, acm) -> ClusterPlan:
-        return ShardPlanner(fresh_graph(), num_shards=4, seed=0).plan()
+        return ClusterPlan(fresh_graph(), num_shards=4)
 
     def test_ownership_partitions_the_graph(self, plan):
         combined = np.concatenate([spec.owned for spec in plan.shards])
         assert combined.size == plan.global_graph.num_nodes
         assert np.unique(combined).size == combined.size
         for spec in plan.shards:
-            assert (plan.owner_of[spec.owned] == spec.shard_id).all()
+            assert (spec.owned % 4 == spec.shard_id).all()
+            assert spec.num_owned == spec.owned.size
 
     @pytest.fixture(scope="class")
     def replicas(self, plan):
@@ -129,23 +130,26 @@ class TestShardPlanner:
                 np.testing.assert_array_equal(got_t, want_t)
 
     def test_single_shard_has_no_boundary(self, acm):
-        plan = ShardPlanner(fresh_graph(), num_shards=1).plan()
+        plan = ClusterPlan(fresh_graph(), num_shards=1)
         (spec,) = plan.shards
         assert spec.num_owned == plan.global_graph.num_nodes
-        assert plan.partition_edge_cut == 0
-        assert (plan.owner_of == 0).all()
+        np.testing.assert_array_equal(
+            spec.owned, np.arange(plan.global_graph.num_nodes)
+        )
 
     def test_invalid_parameters_rejected(self, acm):
         with pytest.raises(ValueError):
-            ShardPlanner(fresh_graph(), num_shards=0)
+            ClusterPlan(fresh_graph(), num_shards=0)
         with pytest.raises(ValueError):
-            ShardPlanner(fresh_graph(), num_shards=10**6).plan()
+            ClusterPlan(fresh_graph(), num_shards=10**6)
 
     def test_owner_bounds_checked(self, plan):
-        with pytest.raises(IndexError):
-            plan.owner(plan.global_graph.num_nodes)
-        with pytest.raises(IndexError):
-            plan.owner(-1)
+        """``-1 % S`` and ``num_nodes % S`` are shards: the range check
+        that precedes the rule refuses both ids, naming them."""
+        num_nodes = plan.global_graph.num_nodes
+        for bad in (num_nodes, -1):
+            with pytest.raises(IndexError, match=f"node {bad} out of range"):
+                check_node_range(np.array([0, bad]), num_nodes)
 
     def test_apply_refuses_a_diverged_id_space_and_unknown_commands(self, plan):
         """The two loud paths of ``ShardSpec.apply``: a replica whose id
@@ -156,17 +160,18 @@ class TestShardPlanner:
         n, dim = replica.graph.num_nodes, replica.graph.features.shape[1]
         arrival = AddNodesCommand(
             type_name="paper", features=np.zeros((1, dim)), labels=None,
-            expected_ids=np.array([n + 1]), owner=1,
+            expected_ids=np.array([n + 1]),
         )
         with pytest.raises(RuntimeError, match="id space diverged"):
             replica.apply(arrival)
-        owned_before = replica.num_owned
         replica.apply(arrival)  # n was taken by the refused try: now the truth
-        assert replica.num_owned == owned_before + 1
-        arrival.owner, arrival.expected_ids = 0, np.array([n + 2])
-        replica.apply(arrival)  # someone else's arrival: appended, not adopted
-        assert replica.num_owned == owned_before + 1
+        arrival.expected_ids = np.array([n + 2])
+        replica.apply(arrival)
         assert replica.graph.num_nodes == n + 3
+        # Shard 1 of 4 owns exactly the arrivals the rule gives it.
+        assert [m for m in (n, n + 1, n + 2) if m in replica.owned] == [
+            m for m in (n, n + 1, n + 2) if m % 4 == 1
+        ]
         with pytest.raises(TypeError, match="unknown mutation command dict"):
             replica.apply({"src": [0], "dst": [1]})
 
@@ -207,7 +212,7 @@ class TestClusterEquivalence:
         single = fresh_single_server(checkpoint)
         with fresh_router(checkpoint, 4) as router:
             probe = boundary_probe(router)
-            assert probe.size > 0, "partition produced no boundary nodes"
+            assert probe.size > 0, "no node has an edge into another shard"
             np.testing.assert_array_equal(
                 router.embed(probe), single.embed(probe)
             )
@@ -309,7 +314,7 @@ class TestMutationFanOut:
             dim = router.graph.features.shape[1]
             new = router.add_nodes("paper", features=np.full((1, dim), 0.5))
             node = int(new[0])
-            owner = router.plan.owner(node)
+            owner = node % 4
             for worker in router.workers:
                 # The inline transport exposes its engine: look at the
                 # replica behind the boundary, not the coordinator's graph.
@@ -322,15 +327,19 @@ class TestMutationFanOut:
                 assert (node in replica.owned) == (worker.spec.shard_id == owner)
                 np.testing.assert_array_equal(replica.owned, worker.spec.owned)
 
-    def test_new_node_lands_on_least_loaded_shard(self, checkpoint):
+    def test_arrivals_spread_over_shards_by_id(self, checkpoint):
+        """One batch of four arrivals lands one on each of four shards,
+        and a read of them routes each to shard ``n % 4``."""
         with fresh_router(checkpoint, 4) as router:
             sizes = [w.spec.num_owned for w in router.workers]
-            expected = int(np.argmin(sizes))
             dim = router.graph.features.shape[1]
-            node = int(
-                router.add_nodes("paper", features=np.zeros((1, dim)))[0]
-            )
-            assert router.plan.owner(node) == expected
+            new = router.add_nodes("paper", features=np.zeros((4, dim)))
+            assert sorted(new % 4) == [0, 1, 2, 3]
+            assert [w.spec.num_owned for w in router.workers] == [
+                size + 1 for size in sizes
+            ]
+            router.embed(new[::-1])
+            assert [w.requests_routed for w in router.workers] == [1, 1, 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +414,7 @@ class TestShardWorker:
             assert excinfo.value.remote_type == "IndexError"
 
     def test_out_of_range_op_is_refused_before_anything_is_sent(self, checkpoint):
-        """``owner_of[nodes]`` would wrap ``-1`` to the last node's owner:
+        """``-1 % S`` would route ``-1`` to the last shard:
         the router range-checks first, names the id, and neither counts
         nor sends; an engine handed such an op directly refuses it whole,
         as a counted error reply."""

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterRouter, DistributedTrainer, ShardPlanner
+from repro.cluster import ClusterPlan, ClusterRouter, DistributedTrainer
 from repro.cluster import fleet as fleet_module
 from repro.cluster import router as router_module
 from repro.cluster.fleet import Fleet, LocalWorkerSpawner
@@ -56,9 +56,8 @@ def test_router_and_trainer_hand_engines_one_args_schema(checkpoint, monkeypatch
     with ClusterRouter.from_checkpoint(
         checkpoint, fresh_graph(), 2, seed=7
     ) as router, DistributedTrainer(checkpoint, fresh_graph(), 2) as trainer:
-        np.testing.assert_array_equal(
-            router.plan.owner_of, trainer.plan.owner_of
-        )
+        for ours, theirs in zip(router.plan.shards, trainer.plan.shards, strict=True):
+            np.testing.assert_array_equal(ours.owned, theirs.owned)
     assert [args["engine"] for args in seen] == ["serve", "serve", "train", "train"]
     assert {frozenset(args) for args in seen} == {SCHEMA}
 
@@ -227,7 +226,7 @@ def test_failed_spawn_reaps_every_child_and_says_why(tmp_path, monkeypatch):
     monkeypatch.setattr(fleet_module.subprocess, "Popen", recording_popen)
     fleet = Fleet("socket")
     fleet.registry.spawner = LocalWorkerSpawner(python=script, startup_timeout=10.0)
-    shards = ShardPlanner(fresh_graph(), 2).plan().shards
+    shards = ClusterPlan(fresh_graph(), 2).shards
     with pytest.raises(WorkerDown) as down:
         fleet.bring_up("serve", shards, [None, None], [{}, {}])
     assert (down.value.shard_id, down.value.reason) == (1, "spawn_failed")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.datasets import make_acm, make_yelp
 from repro.graph import (
     GraphBuilder,
-    edge_cut,
     k_hop_in,
     k_hop_out,
     mutation_frontier,
@@ -22,6 +21,7 @@ from repro.graph import (
     sample_wide,
 )
 from repro.graph.metapath import compose_adjacency, row_normalize
+from tests.helpers import edge_cut
 
 
 def small_academic_graph(seed: int = 0):

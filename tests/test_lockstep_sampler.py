@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.planner import ShardPlanner, ShardSpec
+from repro.cluster.planner import ClusterPlan, ShardSpec
 from repro.core.state import NeighborStateStore
 from repro.graph import HeteroGraph, random_walk, sample_wide
 from repro.utils.rng import keyed_draws, keyed_fractions, mix64
@@ -131,14 +131,12 @@ class TestHistoryFree:
         np.testing.assert_array_equal(cached.rows_for(batch), rows)
 
     @settings(max_examples=25, deadline=None)
-    @given(graph=graphs(min_nodes=8), seed=seeds, partition_seed=st.integers(0, 99))
-    def test_a_shard_graph_draws_what_the_whole_graph_does(
-        self, graph, seed, partition_seed
-    ):
+    @given(graph=graphs(min_nodes=8), seed=seeds)
+    def test_a_shard_graph_draws_what_the_whole_graph_does(self, graph, seed):
         """The replica an engine rebuilds from a shard payload keeps every
         adjacency list verbatim, so every owned node samples to the same
         row there as on the whole graph."""
-        plan = ShardPlanner(graph, num_shards=2, seed=partition_seed).plan()
+        plan = ClusterPlan(graph, num_shards=2)
         whole = make_store(graph, seed)
         whole.rows_for(np.arange(graph.num_nodes))
         for shard in plan.shards:

@@ -354,7 +354,7 @@ class TestBoundedPerNodeWorkOnTheReadPath:
     head call per cached node (``predict_from_embeddings`` -> ``no_grad``
     -> ``logits`` -> ``argmax``) it was 43.0, and with a ``ServeRequest``,
     a ``ServeResult``, a ``RequestRecord``, a wire item dict and three
-    registry observations per node, then one ``plan.owner`` call and two
+    registry observations per node, then one owner lookup call and two
     list appends per node in the router, 69.0.  ``submit`` and ``_finish``
     are still entered once per node — the wall-clock benchmark tallies the
     ladder there — so this is a bound, not the 0 of the paths above.
@@ -379,7 +379,7 @@ class TestBoundedPerNodeWorkOnTheReadPath:
                     lambda: [router.classify(nodes[:size]) for _ in range(self.OPS)]
                 )
                 per_op[size] = calls / self.OPS
-            owners = router.plan.owner_of[nodes]
+            owners = nodes % 2
             assert 0 < owners.sum() < owners.size  # both shards answer
         small, large = self.SIZES
         marginal = (per_op[large] - per_op[small]) / (large - small)

@@ -552,10 +552,10 @@ class TestSpawnFrame:
         checkpoint bytes) once the engine is built: the engine must have
         copied every array it keeps."""
         from repro.cluster.engine import build_engine_from_args
-        from repro.cluster.planner import ShardPlanner
+        from repro.cluster.planner import ClusterPlan
         from repro.store import AggregateStore
 
-        spec = ShardPlanner(fresh_graph(), 2, seed=7).plan().shards[1]
+        spec = ClusterPlan(fresh_graph(), 2).shards[1]
         store = AggregateStore.open(store_path)
         args = {
             "engine": "serve",
@@ -569,7 +569,7 @@ class TestSpawnFrame:
         spawn = decode(frame, Envelope, WIRE_KINDS)
         engine = build_engine_from_args(spawn.payload["engine_args"])
         wire = np.frombuffer(frame, np.uint8)
-        kept = [engine.spec.owned]
+        kept = []
         for holder in (engine.spec.graph, engine.server.store):
             kept += [v for v in vars(holder).values() if isinstance(v, np.ndarray)]
         assert engine.server.graph is engine.spec.graph
@@ -722,14 +722,11 @@ class TestSocketFleetExactness:
 
             owners = set()
             for step in range(num_shards):
-                # Sized to make the least-loaded shard the largest, so the
-                # next arrival goes to another shard.
-                sizes = [spec.num_owned for spec in router.plan.shards]
-                count = max(sizes) - min(sizes) + 1
+                # Consecutive ids: S single arrivals land one on each shard.
                 new = int(router.add_nodes(
-                    "paper", features=np.full((count, dim), 0.1 * step)
+                    "paper", features=np.full((1, dim), 0.1 * step)
                 )[0])
-                owners.add(router.plan.owner(new))
+                owners.add(new % num_shards)
                 router.add_edges("paper-author", [new], [int(authors[step])])
                 assert_agree()
             assert owners == set(range(num_shards))
@@ -883,8 +880,8 @@ class TestKillRecover:
             features = np.full((1, dim), 0.3)
             new = int(router.add_nodes("paper", features=features)[0])
             assert new == int(single.add_nodes("paper", features=features)[0])
-            victim = 1 - router.plan.owner(new)  # the shard that does not own it
-            theirs = authors[router.plan.owner_of[authors] == victim]
+            victim = 1 - new % 2  # the shard that does not own it
+            theirs = authors[authors % 2 == victim]
             for target in (router, single):
                 target.add_edges("paper-author", [new], [int(theirs[0])])
                 target.add_edges(
@@ -932,11 +929,9 @@ class TestKillRecover:
                 # The last write before the kill rewrites probe[1]'s list.
                 target.add_edges("paper-author", [int(probe[1])], [int(first[0])])
 
-            victim = router.plan.owner(int(probe[1]))
+            victim = int(probe[1]) % 2
             owned = router.plan.shards[victim].owned
-            nodes = np.unique(np.concatenate([owned[:40], probe[
-                router.plan.owner_of[probe] == victim
-            ]]))
+            nodes = np.unique(np.concatenate([owned[:40], probe[probe % 2 == victim]]))
             router.fleet.registry.kill(victim)
             want = expected_rungs(router, store_path, nodes)
             assert want["store"] > 0 and want["recompute"] > 0

@@ -10,7 +10,6 @@ from repro.nn import (
     Module,
     Parameter,
     QueryAttention,
-    ReLU,
     SelfAttention,
     causal_mask,
     init,
@@ -60,11 +59,11 @@ class TestModuleSystem:
         assert lin.weight.grad is None and lin.bias.grad is None
 
     def test_train_eval_propagates(self):
-        stack = Stack(Dropout(0.5), ReLU())
+        stack = Stack(Dropout(0.5), Linear(2, 2, rng=0))
         stack.eval()
-        assert not stack.layers[0].training
+        assert not any(layer.training for layer in stack.layers)
         stack.train()
-        assert stack.layers[0].training
+        assert all(layer.training for layer in stack.layers)
 
     def test_state_dict_roundtrip(self, rng):
         a = Linear(3, 2, rng=0)

@@ -4,11 +4,11 @@ The running system is ``src/repro`` (the CLI included), ``benchmarks/`` and
 ``examples/``: the *roots*.  ``tests/`` is not one.  The names checked are
 the top-level defs and classes of ``src/repro`` and the public methods of
 its top-level classes.  A name is *reached* when a root uses it as a name,
-an attribute, an import alias or a word inside a string (docstrings
-included).  The string rule is how ``benchmarks/perf/layers.py`` names its
-dotted span targets.  Three uses do not count: one inside the name's own
-body, an ``__init__.py`` re-export or ``__all__`` entry, and one inside a
-def that is itself unreached.  So reachability is a fixpoint.  Module-level
+an attribute, an import alias or a word inside a string constant.  The
+string rule is how ``benchmarks/perf/layers.py`` names its dotted span
+targets.  Four uses do not count: a word in a docstring (prose keeps no
+code alive), one inside the name's own body, an ``__init__.py`` re-export
+or ``__all__`` entry, and one inside a def that is itself unreached.  So reachability is a fixpoint.  Module-level
 code is live, a def turns live when live code names it, and a method can
 turn live only once its class has.
 
@@ -41,9 +41,32 @@ EXCEPTIONS = {
     "repro.cluster.net.ShardWorkerServer.start_background": (
         "the in-thread shard worker the workers= fleet tests dial instead of a process"
     ),
+    "repro.core.state.NeighborTable.append_record": (
+        "per-node reference: stack_states' one-record row writer (Settled, References)"
+    ),
+    "repro.core.state.stack_states": (
+        "per-node reference: hand-built records as one table for the packer and "
+        "forward tests (Settled, References)"
+    ),
+    "repro.graph.sampling.sample_wide": (
+        "per-node reference sampler the packing and sampler tests draw from (Settled, References)"
+    ),
+    "repro.graph.sampling.sample_deep": (
+        "per-node reference walker the packing and sampler tests draw from (Settled, References)"
+    ),
+    "repro.graph.halo.k_hop_out": (
+        "reproduces EXPERIMENTS.md 'What a shard holds', why a shard is a full replica"
+    ),
+    "repro.graph.metapath.compose_adjacency": (
+        "the materialized meta-path product GTN's hop-wise propagation is tested against"
+    ),
+    "repro.optim.optimizers.SGD": (
+        "no caller; deleting it takes 8 tier-1 tests, so it goes in its own PR (ROADMAP 17)"
+    ),
 }
 
 WORD = re.compile(r"[A-Za-z_]\w*")
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 class Def(NamedTuple):
@@ -54,11 +77,15 @@ class Def(NamedTuple):
 
 
 def _uses(tree: ast.AST, *, init_file: bool, skip=frozenset()) -> Set[str]:
-    """Every word ``tree`` uses, outside the subtrees in ``skip``."""
+    """Every word ``tree`` uses, outside docstrings and the subtrees in
+    ``skip``."""
     words: Set[str] = set()
     stack = [tree]
     while stack:
         node = stack.pop()
+        docstring = None
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docstring = node.body[0]
         if isinstance(node, ast.Name):
             words.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -74,7 +101,11 @@ def _uses(tree: ast.AST, *, init_file: bool, skip=frozenset()) -> Set[str]:
             for target in node.targets
         ):
             continue
-        stack.extend(child for child in ast.iter_child_nodes(node) if child not in skip)
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if child not in skip and child is not docstring
+        )
     return words
 
 
@@ -192,6 +223,7 @@ def test_scan_rules_on_a_small_tree(tmp_path):
                 "def exported():\n    return dead_chain()\n\n"
                 "def dead_chain():\n    return 2\n\n"
                 "def named_in_a_string():\n    return 3\n\n"
+                "def named_in_a_docstring():\n    return 8\n\n"
                 "class Box:\n"
                 "    def open(self):\n        return 4\n\n"
                 "    def unused(self):\n        return 5\n\n"
@@ -200,6 +232,7 @@ def test_scan_rules_on_a_small_tree(tmp_path):
                 "class Unused:\n    def open(self):\n        return 7\n"
             ),
             "benchmarks/bench.py": (
+                '"""Calls used(); named_in_a_docstring is only mentioned."""\n'
                 "from repro.mod import used\n"
                 "TARGETS = ['mod.named_in_a_string']\n"
                 "used()\nBox().open()\n"
@@ -214,6 +247,7 @@ def test_scan_rules_on_a_small_tree(tmp_path):
         "repro.mod.recursive",  # only its own body names it
         "repro.mod.exported",  # only a re-export and __all__ name it
         "repro.mod.dead_chain",  # only an unreached def names it
+        "repro.mod.named_in_a_docstring",  # prose is not a use
         "repro.mod.Box.unused",
         "repro.mod.Unused",  # reported as the class, not its methods
     }

@@ -121,6 +121,18 @@ RETIRED = [
         "Chrome export is the one span format, and a telemetry window keeps totals",
         (),
     ),
+    (
+        r"ShardPlanner|place_new_nodes|partition_edge_cut|owner_of|\bedge_cut",
+        40,
+        "a shard owns id % S: no partition, no edge cut, no stored or grown owner map",
+        (),
+    ),
+    (
+        r"partition_seed",
+        40,
+        "ownership has no seed; ClusterRouter.from_checkpoint drops the benchmark's argument",
+        ("cluster/router.py",),
+    ),
 ]
 
 

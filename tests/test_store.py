@@ -223,7 +223,7 @@ class TestStoreRoundtrip:
         with pytest.raises(ValueError, match=refusal):
             ClusterRouter(
                 str(checkpoint), fresh_graph(), 2, transport="socket",
-                seed=7, partition_seed=7, store_path=str(old),
+                seed=7, store_path=str(old),
             )
 
         payload = current.slice_payload([0, 1, 2])
@@ -622,7 +622,7 @@ class TestClusterStoreSlices:
         oracle = fresh_server(checkpoint)
         router = ClusterRouter.from_checkpoint(
             checkpoint, fresh_graph(), num_shards, transport=transport,
-            seed=7, partition_seed=7, store_path=store_path,
+            seed=7, store_path=store_path,
         )
         try:
             nodes = probe_nodes(oracle.graph, 12)
@@ -641,7 +641,7 @@ class TestClusterStoreSlices:
     def test_shard_slices_cover_owned_nodes_only(self, checkpoint, store_path):
         router = ClusterRouter.from_checkpoint(
             checkpoint, fresh_graph(), 4, transport="inline",
-            seed=7, partition_seed=7, store_path=store_path,
+            seed=7, store_path=store_path,
         )
         try:
             for worker in router.workers:
@@ -665,7 +665,7 @@ class TestClusterStoreSlices:
         with pytest.raises(ValueError, match="seed"):
             ClusterRouter.from_checkpoint(
                 checkpoint, fresh_graph(), 2, transport="inline",
-                seed=8, partition_seed=7, store_path=store_path,
+                seed=8, store_path=store_path,
             )
 
     def test_cluster_exposition_carries_store_series(
@@ -673,7 +673,7 @@ class TestClusterStoreSlices:
     ):
         router = ClusterRouter.from_checkpoint(
             checkpoint, fresh_graph(), 2, transport="inline",
-            seed=7, partition_seed=7, store_path=store_path,
+            seed=7, store_path=store_path,
         )
         try:
             router.embed(probe_nodes(router.graph, 8))
@@ -841,7 +841,7 @@ class TestExactnessProperty:
         built = store.num_rows
         with ClusterRouter(
             str(checkpoint), fresh_graph(), num_shards, transport="inline",
-            seed=7, partition_seed=7, store_path=str(store_path),
+            seed=7, store_path=str(store_path),
             dist_tracing=True, cache_capacity=4,
         ) as router:
             targets = (oracle, stored, router)

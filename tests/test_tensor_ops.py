@@ -325,11 +325,6 @@ class TestGraphMechanics:
         out.backward(np.ones((2, 2)))
         np.testing.assert_allclose(a.grad, 2 * np.ones((2, 2)))
 
-    def test_detach_cuts_graph(self):
-        a = Tensor(np.array([2.0]), requires_grad=True)
-        out = (a.detach() * 3.0).sum()
-        assert not out.requires_grad
-
     def test_int_tensor_cannot_require_grad(self):
         with pytest.raises(TypeError):
             Tensor(np.array([1, 2, 3]), requires_grad=True)

@@ -22,6 +22,8 @@ Plus elastic resume: a fleet killed at an epoch boundary and resumed from
 its checkpoint directory finishes bit-identical to an uninterrupted run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -203,18 +205,23 @@ class TestElasticResume:
         assert part == full_losses
         np.testing.assert_array_equal(resumed_params, full_params)
 
-    def test_resume_replans_identical_ownership(self, acm, base_checkpoint, tmp_path):
+    def test_resume_refuses_a_format_1_manifest(self, acm, base_checkpoint, tmp_path):
+        """A format-1 directory's shards hold rng and neighbor state for a
+        partition's owned nodes; resuming them under ``id % S`` would
+        silently diverge, so resume refuses the directory and says why."""
         ckdir = tmp_path / "fleet"
-        first = DistributedTrainer(
-            base_checkpoint, acm.graph, 2, transport="inline", partition_seed=3
-        )
-        owned_before = [w.spec.owned.copy() for w in first.workers]
-        first.save_checkpoints(ckdir)
-        first.close()
-        with DistributedTrainer.resume(ckdir, acm.graph) as second:
-            assert second.partition_seed == 3
-            for before, worker in zip(owned_before, second.workers):
-                np.testing.assert_array_equal(before, worker.spec.owned)
+        with DistributedTrainer(
+            base_checkpoint, acm.graph, 2, transport="inline"
+        ) as fleet:
+            fleet.save_checkpoints(ckdir)
+        manifest_path = ckdir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == 2 and "partition_seed" not in manifest
+        manifest.update(format=1, partition_seed=3)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest format 1, not 2") as refused:
+            DistributedTrainer.resume(ckdir, acm.graph)
+        assert "id % num_shards" in str(refused.value)
 
     def test_resume_refuses_torn_directory(self, acm, base_checkpoint, tmp_path):
         ckdir = tmp_path / "fleet"

@@ -208,14 +208,14 @@ class TestCrossTransportExactness:
         single = fresh_single_server(checkpoint)
         with fresh_router(checkpoint, 4, "socket") as router:
             # Owned nodes with an out-edge into another shard's owned set.
-            graph, owner_of = router.graph, router.plan.owner_of
-            cut = owner_of[graph._src] != owner_of[graph.indices]
+            graph = router.graph
+            cut = graph._src % 4 != graph.indices % 4
             picked = []
             for worker in router.workers:
                 crossers = np.intersect1d(worker.spec.owned, graph._src[cut])
                 picked.extend(int(n) for n in crossers[:2])
             probe = np.asarray(picked, dtype=np.int64)
-            assert probe.size > 0, "partition produced no boundary nodes"
+            assert probe.size > 0, "no node has an edge into another shard"
             np.testing.assert_array_equal(
                 router.embed(probe), single.embed(probe)
             )
@@ -253,7 +253,6 @@ class TestCrossTransportExactness:
                 summary = router.replay(trace)
                 counts[transport] = (
                     summary["requests"],
-                    summary["edge_cut"],
                     tuple(s["requests_routed"] for s in summary["shards"]),
                     tuple(s["requests"] for s in summary["shards"]),
                 )

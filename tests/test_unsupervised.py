@@ -6,9 +6,8 @@ import pytest
 from repro.core import WalkContext, WidenConfig, WidenModel, WidenTrainer, objectives
 from repro.core.objectives import LOGIT_SCALE, walk_context_loss
 from repro.datasets import make_acm
-from repro.eval import fit_classifier_probe
 from repro.tensor import Tensor
-from tests.helpers import per_pair_walk_loss, use_per_node_forward
+from tests.helpers import fit_classifier_probe, per_pair_walk_loss, use_per_node_forward
 
 
 @pytest.fixture(scope="module")
