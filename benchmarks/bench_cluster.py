@@ -1,40 +1,40 @@
-"""Sharded-serving benchmark — throughput scaling of ``repro.cluster``.
+"""Sharded-serving benchmark — ``repro.cluster`` on its request path.
 
-Replays one deterministic Poisson/Zipf trace through a single
+Sends one deterministic Poisson/Zipf trace through a single
 :class:`InferenceServer` and through :class:`ClusterRouter` fleets of 1, 2
 and 4 shards (full replicas, each owning a slice of the ids) on both
-transports (``inline``, ``socket``), all on the logical service clock the
-serving benches share:
-arrivals and batch deadlines come from the trace, compute time is measured
-for real, and each shard serializes its own batches behind a busy-until
-watermark.  Shard parallelism therefore shows up the honest way — as
-*span compression* (four watermarks advancing concurrently on the logical
-timeline) — rather than as wishful addition of throughputs.  The wall
-clock is recorded separately per row: that is where running every shard on
-the caller's thread and running one process per shard actually differ.
+transports (``inline``, ``socket``), as ``GROUP``-node ``embed`` ops — the
+scatter-gather path every served request takes.  Per fleet it reports
+wall-clock ops/s over a cold pass (``speedup_vs_single`` against the single
+server running the same ops), the critical-path compute summed from the
+attribution records (:meth:`ClusterRouter.enable_slo`), and the wall time
+of a warm pass, where caches absorb the compute and what is left is the
+transport.
 
 Claims asserted:
 
 1. Bit-identical semantics on every transport: every fleet answers a probe
    set exactly like the single server (the transport is a deployment
-   decision, not a semantics change).
-2. Throughput scales: the 4-shard fleet clears the compute-bound trace at
-   >= 1.5x the single server's rate on both transports.
-3. Per-shard telemetry survives aggregation: the merged Prometheus
+   decision, not a semantics change), and every transport serves the same
+   nodes at every fleet size.
+2. Per-shard telemetry survives aggregation: the merged Prometheus
    exposition carries shard-labeled latency/batch/cache series for every
    shard.
-4. Kill-and-recover: SIGKILL one socket worker mid-stream; the fleet
+3. Kill-and-recover: SIGKILL one socket worker mid-stream; the fleet
    detects a typed ``WorkerDown`` (never a generic timeout), respawns the
-   shard from checkpoint + serialized shard, replays the mutation log, and
-   every post-recovery answer matches the single-server reference exactly.
-   The ``kill_recover`` section records the detect/respawn/replay
-   breakdown.
+   shard from checkpoint + the coordinator's current shard and freshness
+   state, and every post-recovery answer matches the single-server
+   reference exactly.  The ``kill_recover`` section records the
+   detect/respawn breakdown.
+
+Throughput scaling is reported, not asserted: on a host with fewer cores
+than shards no route observes it (EXPERIMENTS.md, "Sharded serving").
 
 The ``worker_startup`` section reports (asserts nothing) how long loopback
 workers take from launch to their ``LISTENING`` line: one alone, and two
 launched together, which a fleet's parallel bring-up makes cost about one.
 
-Run ``python benchmarks/bench_cluster.py --smoke`` for the CI-sized gate
+Run ``python benchmarks/bench_cluster.py --smoke`` for the CI-sized run
 (writes ``BENCH_cluster.json``); without ``--smoke`` the trace and graph
 grow to reproduction scale.
 """
@@ -50,37 +50,34 @@ import numpy as np
 from repro.cluster import ClusterRouter, LocalWorkerSpawner, ShardRegistry
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
-from repro.serve import InferenceServer, ModelRegistry, make_trace, replay
+from repro.serve import InferenceServer, ModelRegistry, make_trace
 
 SHARD_COUNTS = (1, 2, 4)
 TRANSPORTS = ("inline", "socket")
-ASSERTED_TRANSPORTS = ("inline", "socket")
-SPEEDUP_FLOOR = 1.5
-MAX_ATTEMPTS = 3
+GROUP = 8  # nodes per embed op, serve-cluster's default --group
 
 
 def _fresh_graph(seed, scale):
     return make_acm(seed=seed, scale=scale).graph
 
 
-def _trace_stats(summary):
-    return {
-        "requests": int(summary["requests"]),
-        "throughput_rps": float(summary["throughput_rps"]),
-        "latency_p50_ms": float(summary["latency_p50_s"]) * 1e3,
-        "latency_p95_ms": float(summary["latency_p95_s"]) * 1e3,
-        "latency_p99_ms": float(summary["latency_p99_s"]) * 1e3,
-    }
+def _ops(nodes):
+    """The trace's nodes as ``GROUP``-node ops, in trace order."""
+    return [nodes[start:start + GROUP] for start in range(0, nodes.size, GROUP)]
+
+
+def _timed(embed, ops):
+    """Wall seconds to run every op through ``embed``, one after another."""
+    started = time.perf_counter()
+    for op in ops:
+        embed(op)
+    return time.perf_counter() - started
 
 
 def run_bench(out_path, *, scale=0.5, epochs=2, requests=240, rate=50_000.0,
               zipf=1.1, seed=0):
-    """Train, checkpoint, replay across fleet sizes, write the report.
-
-    ``rate`` is deliberately far above any server's service rate so the
-    replay is compute-bound: the measured span is the busy time of the
-    slowest shard, which is exactly what sharding is supposed to compress.
-    """
+    """Train, checkpoint, run the trace's ops across fleet sizes, write
+    the report.  The trace's times are not used: ops run back to back."""
     with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as root:
         return _run_bench(
             out_path, root, scale=scale, epochs=epochs, requests=requests,
@@ -155,6 +152,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
 
     pool = dataset.split.test
     trace = make_trace(pool, requests, rate=rate, zipf_exponent=zipf, rng=seed)
+    ops = _ops(np.asarray([event.node for event in trace], dtype=np.int64))
     rng = np.random.default_rng(seed)
     probe = rng.choice(dataset.graph.num_nodes, size=24, replace=False)
 
@@ -163,7 +161,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
     single = InferenceServer(
         WidenClassifier.load(checkpoint, graph=graph), graph, seed=seed
     )
-    baseline = replay(single, trace)
+    single_seconds = _timed(single.embed, ops)
     reference = single.embed(probe)
 
     report = {
@@ -171,9 +169,14 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
         "dataset": "acm",
         "scale": scale,
         "requests": requests,
+        "group": GROUP,
+        "ops": len(ops),
         "rate": rate,
         "zipf_exponent": zipf,
-        "single_server": _trace_stats(baseline),
+        "single_server": {
+            "wall_seconds": single_seconds,
+            "ops_per_s": len(ops) / single_seconds,
+        },
         # inline rows, one per shard count (the stable shape older tooling
         # reads); the full transport sweep lives in "transport_fleets".
         "fleets": [],
@@ -188,71 +191,37 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
             checkpoint, graph, num_shards, transport=transport,
             seed=seed,
         )
-        exact = bool(np.array_equal(router.embed(probe), reference))
-        # Cold pass, no overlap: each shard's busy time is measured
-        # without neighbours time-slicing the CPU, so the logical span
-        # is trustworthy even when cores < shards.
-        summary = router.replay(trace, overlap=False)
-        # Warm overlapped pass: caches absorb the compute, so the wall
-        # clock is almost pure transport cost — pickling, socket hops,
-        # process scheduling.  This is where inline and socket genuinely
-        # differ.
-        started = time.perf_counter()
-        router.replay(trace, overlap=True)
-        wall_seconds = time.perf_counter() - started
-        stats = _trace_stats(summary)
-        stats.update(
-            transport=transport,
-            num_shards=num_shards,
-            exact_match=exact,
-            speedup_vs_single=(
-                stats["throughput_rps"]
-                / report["single_server"]["throughput_rps"]
-            ),
-            wire_wall_seconds=float(wall_seconds),
-            wire_rps=float(requests / wall_seconds),
-            shards=[
-                {
-                    "shard": s["shard"],
-                    "owned": s["owned"],
-                    "requests": int(s["requests"]),
-                    "latency_p95_ms": float(s["latency_p95_s"]) * 1e3,
-                    "batch_occupancy": float(s["batch_occupancy"]),
-                    "cache_hit_rate": float(s["cache_hit_rate"]),
-                }
-                for s in summary["shards"]
-            ],
-        )
-        if transport == "inline" and num_shards == SHARD_COUNTS[-1]:
-            prometheus_state["text"] = router.render_prometheus()
-        router.close()
+        try:
+            exact = bool(np.array_equal(router.embed(probe), reference))
+            router.enable_slo()  # one attribution record per op from here
+            cold_seconds = _timed(router.embed, ops)
+            cold = list(router.attributions)
+            # Warm pass: caches absorb the compute, so the wall clock is
+            # almost pure transport cost — codec, socket hops, scheduling.
+            warm_seconds = _timed(router.embed, ops)
+            ops_per_s = len(ops) / cold_seconds
+            stats = {
+                "transport": transport,
+                "num_shards": num_shards,
+                "exact_match": exact,
+                "requests": sum(r.nodes for r in cold),
+                "wall_seconds": cold_seconds,
+                "ops_per_s": ops_per_s,
+                "speedup_vs_single": (
+                    ops_per_s / report["single_server"]["ops_per_s"]
+                ),
+                "compute_seconds": float(sum(r.compute for r in cold)),
+                "warm_wall_seconds": warm_seconds,
+            }
+            if transport == "inline" and num_shards == SHARD_COUNTS[-1]:
+                prometheus_state["text"] = router.render_prometheus()
+        finally:
+            router.close()
         return stats
 
     for transport in TRANSPORTS:
         for num_shards in SHARD_COUNTS:
-            floor = (
-                SPEEDUP_FLOOR
-                if transport in ASSERTED_TRANSPORTS
-                and num_shards == SHARD_COUNTS[-1]
-                else None
-            )
-            # The logical span is built from busy time *measured on a real
-            # clock*, so a host-level preemption burst (noisy neighbour,
-            # cgroup throttle) during the cold pass can corrupt one fleet's
-            # numbers.  Rows the gate asserts on get fresh-fleet retries;
-            # the best attempt is kept.
-            attempts = 1
             stats = measure_fleet(transport, num_shards)
-            while (
-                floor is not None
-                and stats["speedup_vs_single"] < floor
-                and attempts < MAX_ATTEMPTS
-            ):
-                attempts += 1
-                retry = measure_fleet(transport, num_shards)
-                if retry["throughput_rps"] > stats["throughput_rps"]:
-                    stats = retry
-            stats["attempts"] = attempts
             report["transport_fleets"].append(stats)
             if transport == "inline":
                 report["fleets"].append(stats)
@@ -273,20 +242,21 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2)
 
-    print(f"{'fleet':<20}{'throughput':>12}{'speedup':>9}{'p95 ms':>9}"
-          f"{'wire s':>8}{'exact':>7}")
+    print(f"{'fleet':<20}{'ops/s':>10}{'speedup':>9}{'compute s':>11}"
+          f"{'warm s':>8}{'exact':>7}")
     single_stats = report["single_server"]
-    print(f"{'single server':<20}{single_stats['throughput_rps']:>12.1f}"
-          f"{1.0:>9.2f}{single_stats['latency_p95_ms']:>9.3f}"
-          f"{'-':>8}{'-':>7}")
+    print(f"{'single server':<20}{single_stats['ops_per_s']:>10.1f}"
+          f"{1.0:>9.2f}{'-':>11}{'-':>8}{'-':>7}")
     for stats in report["transport_fleets"]:
         label = f"{stats['transport']} x{stats['num_shards']}"
         print(f"{label:<20}"
-              f"{stats['throughput_rps']:>12.1f}"
+              f"{stats['ops_per_s']:>10.1f}"
               f"{stats['speedup_vs_single']:>9.2f}"
-              f"{stats['latency_p95_ms']:>9.3f}"
-              f"{stats['wire_wall_seconds']:>8.3f}"
+              f"{stats['compute_seconds']:>11.3f}"
+              f"{stats['warm_wall_seconds']:>8.3f}"
               f"{str(stats['exact_match']):>7}")
+    print("scaling is reported, not asserted: a host with fewer cores than "
+          "shards shows none")
     recover = report["kill_recover"]
     recovery = recover["recoveries"][0] if recover["recoveries"] else {}
     print(f"kill -9 recovery: reason={recover['worker_down_reason']} "
@@ -306,33 +276,23 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
             f"{stats['transport']} x{stats['num_shards']} diverged from the "
             "single server"
         )
-    # Claim 2: 4 shards clear the trace >= 1.5x faster.
-    for transport in ASSERTED_TRANSPORTS:
-        four = next(
-            s for s in report["transport_fleets"]
-            if s["transport"] == transport and s["num_shards"] == 4
-        )
-        assert four["speedup_vs_single"] >= SPEEDUP_FLOOR, (
-            f"4-shard {transport} speedup {four['speedup_vs_single']:.2f}x "
-            f"< {SPEEDUP_FLOOR}x"
-        )
-    # Replay accounting must agree across transports at every fleet size.
+    # Every transport serves the same nodes at every fleet size.
     for num_shards in SHARD_COUNTS:
         served = {
             s["transport"]: s["requests"]
             for s in report["transport_fleets"]
             if s["num_shards"] == num_shards
         }
-        assert len(set(served.values())) == 1, (
+        assert set(served.values()) == {requests}, (
             f"transports disagree on served requests at {num_shards} "
             f"shards: {served}"
         )
-    # Claim 3: the merged exposition carries per-shard series.
+    # Claim 2: the merged exposition carries per-shard series.
     for shard in range(4):
         assert f'shard="{shard}"' in (prometheus_text or ""), (
             f"no shard=\"{shard}\" series in the Prometheus exposition"
         )
-    # Claim 4: the killed worker came back exact, via a typed WorkerDown
+    # Claim 3: the killed worker came back exact, via a typed WorkerDown
     # and one respawn from the coordinator's present.
     assert recover["pre_kill_exact"] and recover["post_recovery_exact"], (
         f"socket fleet diverged around the kill: {recover}"

@@ -92,10 +92,17 @@ def main() -> None:
                   f"{not state_differences(state, coordinator)}")
 
         print("\n-- 3. cluster telemetry --")
-        for shard in router.summary()["shards"]:
-            print(f"  shard {shard['shard']}: {shard['owned']} owned, "
-                  f"{shard['requests_routed']} routed, "
-                  f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
+        merged = router.merged_registry()
+        for shard in router.plan.summary()["shards"]:
+            label = str(shard["shard"])
+            routed = merged.get("cluster_requests_total", shard=label)
+            hits, misses = (
+                merged.get("serve_requests_total", cache=hit, shard=label).value
+                for hit in ("hit", "miss")
+            )
+            print(f"  shard {label}: {shard['owned']} owned, "
+                  f"{0 if routed is None else routed.value:.0f} routed, "
+                  f"hit rate {hits / max(hits + misses, 1) * 100:.0f}%")
         exposition = router.render_prometheus()
         print("\nPrometheus exposition (first lines):")
         for line in exposition.splitlines()[:6]:

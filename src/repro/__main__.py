@@ -16,11 +16,19 @@ Commands
     the batched server (warm cache).
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
     Train WIDEN, serve the graph from K shards — full replicas, shard
-    ``n % K`` owning node ``n`` (:mod:`repro.cluster`), replay the same
-    deterministic trace through the scatter-gather router, and print the
-    cluster report: per-shard ownership/latency plus cluster throughput.  ``--transport``
-    selects the shard boundary: ``inline`` (deterministic replay, default)
-    or ``socket`` (one TCP worker process per shard, rebuilt from the
+    ``n % K`` owning node ``n`` (:mod:`repro.cluster`) — and send a
+    deterministic Poisson/Zipf trace through the scatter-gather router as
+    ``--group``-node ``embed`` ops, two passes (cold cache, then warm),
+    with distributed tracing and SLO monitoring on (:mod:`repro.obs.dist`
+    / :mod:`repro.obs.slo`).  Prints the shard plan, the attribution
+    (queue-wait vs compute on the critical path, serving-ladder rung mix)
+    and the SLO report, and writes a stitched Chrome/Perfetto trace with
+    router and per-shard process lanes (``--dist-trace-out``), the SLO
+    report with error budget and slow-request exemplars (``--slo-out``)
+    and one attribution record per op as JSONL (``--attribution-out``).
+    Non-zero exit if any op's rung counts fail to sum to its node count.
+    ``--transport`` selects the shard boundary: ``inline`` (default) or
+    ``socket`` (one TCP worker process per shard, rebuilt from the
     checkpoint, with heartbeats, and a dead worker respawned from the
     coordinator's current graph and write clock; ``--workers
     host:port,...`` points at pre-started ``shard-worker`` processes,
@@ -41,16 +49,6 @@ Commands
     ``serve-bench --store DIR`` and ``serve-cluster --store DIR`` then
     serve cache misses from the store — one gather, no model code —
     falling back to full recompute for stale/absent rows.
-``trace [dataset] [--shards K] [--transport T] [--smoke] ...``
-    Run a traced workload through the cluster's scatter-gather path with
-    distributed tracing and SLO monitoring on (:mod:`repro.obs.dist` /
-    :mod:`repro.obs.slo`): writes a stitched Chrome/Perfetto trace with
-    router and per-shard process lanes (``--dist-trace-out``), a
-    rolling-window SLO report with error budget and slow-request exemplars
-    (``--slo-out``), and one attribution record per request — queue-wait
-    vs compute, serving-ladder rung counts — as JSONL
-    (``--attribution-out``).  Non-zero exit if any request's rung counts
-    fail to sum to its node count.
 ``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
     Train WIDEN under the :mod:`repro.obs` instrumentation: prints an
     op-level time/FLOP table and the per-epoch message-volume series, and
@@ -387,17 +385,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
+    import json
     import tempfile
 
     from repro.cluster import ClusterRouter
     from repro.datasets import make_dataset
+    from repro.obs import SLOTarget
     from repro.serve import ModelRegistry, make_trace
 
     if args.smoke:
         # CI-sized run: tiny graph, short trace, one epoch.
         args.scale = min(args.scale, 0.3)
         args.epochs = min(args.epochs, 1)
-        args.requests = min(args.requests, 60)
+        args.requests = min(args.requests, 48)
     if args.shards is None:
         args.shards = 2
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
@@ -414,9 +414,14 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
             store_path=args.store or None,
+            dist_tracing=True,
+            slo_target=SLOTarget(
+                latency_threshold=args.slo_threshold,
+                objective=args.slo_objective,
+            ),
         )
         # Worker processes and the listener go down with the block, also
-        # when a replay raises.
+        # when an op raises.
         with router, _maybe_serve_metrics(args, router.render_prometheus):
             if args.store:
                 print(f"store: sliced {router.store.num_rows} rows from "
@@ -427,76 +432,12 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                   f"{plan['num_nodes']} nodes")
             for shard in plan["shards"]:
                 print(f"  shard {shard['shard']}: {shard['owned']} owned")
+            print(f"\nserving {args.requests} requests, scatter groups of "
+                  f"{args.group}, two passes (cold cache, then warm)")
 
-            trace = make_trace(
-                dataset.split.test, args.requests, rate=args.rate,
-                zipf_exponent=args.zipf, rng=args.seed,
-            )
-            cold = router.replay(trace)
-            warm = router.replay(trace)
-            for title, stats in (("cold cache", cold), ("warm cache", warm)):
-                print(f"\ncluster, {title}")
-                print("-" * (9 + len(title)))
-                print(f"requests          {stats['requests']}")
-                print(f"throughput        {stats['throughput_rps']:.1f} req/s")
-                print(f"latency p50/p95/p99   "
-                      f"{stats['latency_p50_s'] * 1e3:.3f} / "
-                      f"{stats['latency_p95_s'] * 1e3:.3f} / "
-                      f"{stats['latency_p99_s'] * 1e3:.3f} ms")
-                for shard in stats["shards"]:
-                    print(f"  shard {shard['shard']}: "
-                          f"{shard['requests']} reqs, "
-                          f"p95 {shard['latency_p95_s'] * 1e3:.3f} ms, "
-                          f"occupancy {shard['batch_occupancy'] * 100:.0f}%, "
-                          f"hit rate {shard['cache_hit_rate'] * 100:.0f}%")
-            if args.prometheus_out:
-                print()
-                _write_prometheus(router, args.prometheus_out)
-    _maybe_dump_metrics(args)
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-    import tempfile
-
-    from repro.cluster import ClusterRouter
-    from repro.datasets import make_dataset
-    from repro.obs import SLOTarget
-    from repro.serve import ModelRegistry, make_trace
-
-    if args.smoke:
-        args.scale = min(args.scale, 0.3)
-        args.epochs = min(args.epochs, 1)
-        args.requests = min(args.requests, 48)
-    if args.shards is None:
-        args.shards = 2
-    dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
-    print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-    model = _train_widen(args, dataset)
-
-    with tempfile.TemporaryDirectory(prefix="repro-registry-") as root:
-        registry = ModelRegistry(root)
-        path = registry.save(f"widen-{dataset.name}", model)
-        router = ClusterRouter.from_checkpoint(
-            path, dataset.graph, args.shards,
-            transport=args.transport,
-            max_batch_size=args.batch_size, max_wait=args.max_wait,
-            cache_capacity=args.cache_capacity, seed=args.seed,
-            store_path=args.store or None,
-            dist_tracing=True,
-            slo_target=SLOTarget(
-                latency_threshold=args.slo_threshold,
-                objective=args.slo_objective,
-            ),
-        )
-        with router, _maybe_serve_metrics(args, router.render_prometheus):
-            print(f"tracing {args.requests} requests over {args.shards} shards "
-                  f"({args.transport} transport), scatter groups of {args.group}")
-
-            # The workload goes through the traced request path (embed), not
-            # replay: every scatter group becomes one trace id with router +
-            # shard spans, and two passes show the cold->warm rung shift.
+            # Every scatter group is one op through the request path (embed):
+            # one trace id with router + shard spans, one attribution record,
+            # and the second pass shows the cold->warm rung shift.
             trace = make_trace(
                 dataset.split.test, args.requests, rate=args.rate,
                 zipf_exponent=args.zipf, rng=args.seed,
@@ -551,6 +492,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     handle.write(json.dumps(record) + "\n")
             print(f"wrote {len(records)} attribution records to "
                   f"{args.attribution_out}")
+            if args.prometheus_out:
+                _write_prometheus(router, args.prometheus_out)
     _maybe_dump_metrics(args)
     return 1 if mismatched else 0
 
@@ -571,7 +514,7 @@ def main(argv=None) -> int:
         "command",
         choices=(
             "stats", "train", "compare", "serve-bench", "serve-cluster",
-            "store-build", "profile", "trace", "shard-worker",
+            "store-build", "profile", "shard-worker",
         ),
     )
     parser.add_argument("dataset", nargs="?", default=None,
@@ -606,17 +549,17 @@ def main(argv=None) -> int:
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="expose a live Prometheus /metrics endpoint on "
                             "this port for the run (0 picks a free port)")
-    cluster = parser.add_argument_group("cluster (serve-cluster / trace / train)")
+    cluster = parser.add_argument_group("cluster (serve-cluster / train)")
     cluster.add_argument("--shards", type=int, default=None,
                          help="number of shards (default 2 "
-                              "for serve-cluster/trace; giving it to train "
+                              "for serve-cluster; giving it to train "
                               "switches on data-parallel training)")
     cluster.add_argument("--transport",
                          choices=("inline", "socket"),
                          default="inline",
-                         help="shard boundary: inline (deterministic "
-                              "replay) or socket (one TCP worker process "
-                              "per shard)")
+                         help="shard boundary: inline (engines on the "
+                              "caller's thread) or socket (one TCP worker "
+                              "process per shard)")
     cluster.add_argument("--workers", default=None,
                          help="socket transport: comma-separated "
                               "host:port list of pre-started shard-worker "
@@ -644,20 +587,22 @@ def main(argv=None) -> int:
     store.add_argument("--checkpoint", default=None,
                        help="store-build: materialize from this checkpoint "
                             "instead of training fresh")
-    dist = parser.add_argument_group("trace")
+    dist = parser.add_argument_group("serve-cluster tracing and SLO")
     dist.add_argument("--group", type=int, default=8,
-                      help="trace: nodes per scatter-gather request")
+                      help="serve-cluster: nodes per scatter-gather request")
     dist.add_argument("--slo-threshold", type=float, default=0.050,
-                      help="trace: SLO latency threshold, seconds")
+                      help="serve-cluster: SLO latency threshold, seconds")
     dist.add_argument("--slo-objective", type=float, default=0.99,
-                      help="trace: fraction of requests that must meet the "
-                           "threshold")
+                      help="serve-cluster: fraction of requests that must "
+                           "meet the threshold")
     dist.add_argument("--dist-trace-out", default="dist_trace.json",
-                      help="trace: stitched Chrome/Perfetto trace output path")
+                      help="serve-cluster: stitched Chrome/Perfetto trace "
+                           "output path")
     dist.add_argument("--slo-out", default="slo_report.json",
-                      help="trace: SLO report JSON output path")
+                      help="serve-cluster: SLO report JSON output path")
     dist.add_argument("--attribution-out", default="attribution.jsonl",
-                      help="trace: per-request attribution JSONL output path")
+                      help="serve-cluster: per-request attribution JSONL "
+                           "output path")
     net = parser.add_argument_group("shard-worker")
     net.add_argument("--listen", default=None,
                      help="shard-worker: host:port to listen on "
@@ -675,7 +620,6 @@ def main(argv=None) -> int:
         "serve-cluster": _cmd_serve_cluster,
         "store-build": _cmd_store_build,
         "profile": _cmd_profile,
-        "trace": _cmd_trace,
         "shard-worker": _cmd_shard_worker,
     }
     return handlers[args.command](args)

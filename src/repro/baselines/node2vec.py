@@ -4,8 +4,8 @@ Unsupervised: biased second-order random walks feed a skip-gram objective
 with negative sampling (SGNS), optimized with hand-rolled numpy gradients
 (the classic formulation — no autograd needed, and it keeps the baseline
 fast like the reference implementation).  An epoch walks from every node at
-once, then advances through chunks of walks position by position: one SGD
-step per center position covers the chunk's ``(center, context,
+once, then advances through chunks of walks position by position: one
+gradient step per center position covers the chunk's ``(center, context,
 negatives)`` triples there — one gather, one row-wise dot and one
 scatter-add per table — so a walk's pairs are applied in walk order, as the
 per-pair loop did.  A logistic-regression head is then
@@ -116,7 +116,7 @@ class Node2Vec(BaseClassifier):
         return centers[valid], walks[:, near][valid]
 
     def _sgns_step(self, centers: np.ndarray, contexts: np.ndarray) -> float:
-        """One SGD step of skip-gram with negative sampling (manual grads)
+        """One gradient step of skip-gram with negative sampling (manual grads)
         over all pairs at once; returns the summed loss."""
         emb, ctx = self.embeddings, self._context
         negatives = self._rng.integers(

@@ -13,8 +13,8 @@ while preserving its exact semantics:
   assumes shared memory.
 - :mod:`~repro.cluster.transport` — the message boundary: typed
   :class:`Envelope`/:class:`Reply` pairs over one of two transports,
-  ``inline`` (deterministic replay on the caller's thread, the wire
-  codec's encode and decode included) or ``socket`` (one worker process
+  ``inline`` (the engine on the caller's thread, the wire codec's
+  encode and decode included) or ``socket`` (one worker process
   per shard behind TCP, possibly on another host).
 - :mod:`~repro.cluster.codec` — the wire format: the message types and
   one frame codec (a JSON header plus raw array buffers), whose decoder
@@ -41,11 +41,11 @@ while preserving its exact semantics:
   :func:`build_engine_from_args`, the one route by which any engine is
   built on either transport.
 - :mod:`~repro.cluster.worker` — the coordinator's one per-shard protocol
-  stub (serve scatter legs, mutation barriers, telemetry pulls, training
+  stub (serve scatter legs, mutation barriers, metrics pulls, training
   phases) and the shard-labeled registry merge.
 - :mod:`~repro.cluster.router` — ownership-based async scatter-gather with
   order-preserving merges, per-shard gather timeouts, mutation broadcast
-  barriers, and cluster-wide telemetry/Prometheus aggregation over
+  barriers, and cluster-wide metrics/Prometheus aggregation over
   serialized snapshots.
 
 The contract throughout: sharding — and the transport it runs on — is a

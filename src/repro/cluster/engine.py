@@ -27,21 +27,16 @@ Envelope kinds:
   the reply is columns read off the server's request rows (``values``,
   ``rungs``, and the op's critical-path ``queue_wait`` / ``compute``).  An
   op containing an out-of-range id is refused whole, before any work.
-- ``replay`` — a shard's slice of a logical-clock trace, processed
-  atomically inside one envelope: arrivals come from trace times, so batch
-  composition is identical on every transport (the scheduler never gets a
-  vote).
 - ``mutate`` — the one serializable command of a write (an arrival, or the
   edges an ``add_edges`` appended), replayed onto the engine's replica.
   The graph mutation fires the server's invalidation hook exactly as on a
   whole-graph server.  FIFO envelope order makes this a barrier between
   the serve envelopes around it.
-- ``telemetry`` / ``metrics`` / ``serving_state`` — snapshot pulls, all
-  answered as plain payloads (the obs layer's serializable forms).
+- ``metrics`` / ``serving_state`` — snapshot pulls, both answered as
+  plain payloads (the obs layer's serializable forms).
 - ``clock`` — a clock-alignment probe (raw ``perf_counter`` + pid) used by
   the distributed tracer to map this process's span timestamps onto the
   router's timeline.
-- ``reset`` — clear telemetry + the logical clock (between replay passes).
 - ``shutdown`` — detach the server; the transport tears the channel down.
 - ``train_*`` — the phase commands of
   :class:`~repro.core.train_loop.TrainLoop` (``train_epoch_begin``,
@@ -218,31 +213,12 @@ class ShardEngine:
             kind=payload.get("kind", "classify"),
         )
 
-    def _handle_replay(self, payload: Dict[str, object]) -> Dict[str, object]:
-        nodes = np.atleast_1d(np.asarray(payload["nodes"], dtype=np.int64))
-        times = np.atleast_1d(np.asarray(payload["times"], dtype=np.float64))
-        if nodes.size != times.size:
-            raise ValueError("replay nodes/times length mismatch")
-        end = payload.get("end")
-        reply = self.server.replay(nodes, times, None if end is None else float(end))
-        return {"served": int(reply["rungs"].size)}
-
     def _handle_mutate(self, payload: Dict[str, object]) -> Dict[str, object]:
         # spec.apply mutates the replica, which fires the server's
         # registered invalidation hook — same event, same touched sources
         # as a whole-graph server observing the same mutation.
         self.spec.apply(command_from_payload(payload["command"]))
         return {"version": int(self.spec.graph.version)}
-
-    def _handle_telemetry(self, payload: Dict[str, object]) -> Dict[str, object]:
-        telemetry = self.server.telemetry
-        rows = telemetry.rows()
-        return {
-            "arrival": rows["arrival"],
-            "completion": rows["completion"],
-            "summary": telemetry.summary(),
-            "cache_size": len(self.server.cache),
-        }
 
     def _handle_metrics(self, payload: Dict[str, object]) -> Dict[str, object]:
         # Snapshot (not the raw registry): includes the cache node-hit
@@ -261,11 +237,6 @@ class ShardEngine:
             "wall": time.time(),
             "pid": os.getpid(),
         }
-
-    def _handle_reset(self, payload: Dict[str, object]) -> Dict[str, object]:
-        self.server.telemetry.reset()
-        self.server.reset_clock()
-        return {}
 
     def _handle_shutdown(self, payload: Dict[str, object]) -> Dict[str, object]:
         if not self.closed:

@@ -31,17 +31,16 @@ transport — FIFO with its serve envelopes.  What a write costs a shard's
 caches is decided by read sets inside the shard server, exactly as on a
 whole-graph server.
 
-Telemetry crosses the boundary as data: :meth:`summary` merges per-shard
-:class:`~repro.serve.telemetry.Telemetry` payloads (cluster percentiles
-over the union of request records), and :meth:`merged_registry` merges
+Telemetry crosses the boundary as data: :meth:`merged_registry` merges
 every shard's serialized registry snapshot into one registry with a
-``shard`` label per series — the same output whether the registries live
-in this process or in four others.  Its ``write_prometheus(path)`` writes
-the text exposition.
+``shard`` label per series (per-shard request counts, latency and rung
+mix) — the same output whether the registries live in this process or in
+four others.  Its ``write_prometheus(path)`` writes the text exposition.
 """
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 import time
 from pathlib import Path
@@ -56,7 +55,7 @@ from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier, serving_refusal
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
-from repro.obs.metrics import MetricsRegistry, nearest_rank_percentile
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     RUNGS,
     AttributionRecord,
@@ -159,6 +158,9 @@ class ClusterRouter:
         self.slo_monitor: Optional[SLOMonitor] = None
         self.slow_log: Optional[SlowRequestLog] = None
         self.attributions: List[AttributionRecord] = []
+        # Trace ids of ops observed with tracing off (SLO only): one
+        # counter per router, so no two records share an id.
+        self._untraced_ids = itertools.count(1)
         channels = self.fleet.bring_up(
             "serve",
             self.plan.shards,
@@ -261,7 +263,10 @@ class ClusterRouter:
         tracer = _UNTRACED if dist is None else dist.tracer
         trace_id = start = None
         if observed:
-            trace_id = dist.new_trace_id() if dist is not None else f"u{id(nodes):x}"
+            trace_id = (
+                dist.new_trace_id() if dist is not None
+                else f"u{next(self._untraced_ids):06d}"
+            )
             start = time.perf_counter()
 
         def send(shard: int, positions: np.ndarray):
@@ -343,7 +348,7 @@ class ClusterRouter:
     def _route(self, nodes: np.ndarray) -> List[Tuple[int, np.ndarray]]:
         """Group ``nodes`` by owner: one ``(shard, positions)`` leg per
         shard that owns any, positions ascending so a leg keeps the op's
-        order; each member is accounted as one routed request.
+        order; each member is counted in ``cluster_requests_total{shard}``.
 
         ``-1 % S`` is a shard, so ids are range-checked first and an op
         with a bad one is refused before anything is counted or sent.
@@ -351,11 +356,10 @@ class ClusterRouter:
         check_node_range(nodes, self.graph.num_nodes)
         owners = shard_of(nodes, self.plan.num_shards)
         legs = []
-        for shard, worker in enumerate(self.workers):
+        for shard in range(self.plan.num_shards):
             (positions,) = (owners == shard).nonzero()
             if positions.size:
                 legs.append((shard, positions))
-                worker.requests_routed += positions.size
                 self.registry.counter(
                     "cluster_requests_total", shard=str(shard)
                 ).inc(positions.size)
@@ -477,84 +481,8 @@ class ClusterRouter:
             ).inc()
 
     # ------------------------------------------------------------------
-    # Deterministic trace replay (benchmarks)
-    # ------------------------------------------------------------------
-
-    def replay(self, trace: Sequence, *, overlap: bool = True) -> Dict[str, object]:
-        """Replay a logical-clock trace through the cluster.
-
-        Events route to their owner shard with the trace's logical arrival
-        times (the same convention as :func:`repro.serve.loadgen.replay`),
-        each shard processes its slice *atomically inside one replay
-        envelope* — batch composition is driven by trace times alone, so
-        the replay is deterministic on either transport, while the shards
-        themselves still run concurrently on ``socket``.  The
-        cluster summary uses the union of per-shard records — throughput
-        over the cluster-wide logical span, so shard parallelism shows up
-        as span compression, not wishful addition.
-
-        ``overlap=False`` gathers each shard's replay before dispatching
-        the next.  Batch composition and results are identical either way
-        (the logical clock decides those); what changes is measurement
-        hygiene: on a machine with fewer cores than shards, overlapped
-        engines time-slice the CPU and each one's *measured* compute time
-        absorbs its neighbours' preemption, corrupting the very busy-time
-        the logical span is built from.  Benchmarks that report span
-        compression should replay without overlap.
-        """
-        self._check_open()
-        self.reset_telemetry()
-        nodes = np.array([event.node for event in trace], dtype=np.int64)
-        times = np.array([event.time for event in trace], dtype=np.float64)
-        end = float(times[-1]) if times.size else None
-        pending = []
-        for shard, positions in self._route(nodes):
-            reply = self.workers[shard].replay(nodes[positions], times[positions], end)
-            if overlap:
-                pending.append(reply)
-            else:
-                reply.result(self.REQUEST_TIMEOUT)
-        for reply in pending:
-            reply.result(self.REQUEST_TIMEOUT)
-        return self.summary()
-
-    def reset_telemetry(self) -> None:
-        """Clear per-shard reductions and clocks (between replay passes)."""
-        pending = [worker.reset() for worker in self.workers]
-        for reply in pending:
-            reply.result(self.REQUEST_TIMEOUT)
-
-    # ------------------------------------------------------------------
     # Telemetry aggregation
     # ------------------------------------------------------------------
-
-    def _pull_telemetry(self) -> List[dict]:
-        pending = [worker.pull_telemetry() for worker in self.workers]
-        return [reply.result(self.REQUEST_TIMEOUT) for reply in pending]
-
-    def summary(self) -> Dict[str, object]:
-        """Cluster-level reductions plus one summary block per shard."""
-        payloads = self._pull_telemetry()
-        arrival = np.concatenate([payload["arrival"] for payload in payloads])
-        completion = np.concatenate([payload["completion"] for payload in payloads])
-        latencies = (completion - arrival).tolist()
-        count = len(latencies)
-        span = float(completion.max() - arrival.min()) if count else 0.0
-        return {
-            "num_shards": self.plan.num_shards,
-            "transport": self.fleet.kind,
-            "requests": count,
-            "throughput_rps": (
-                count / span if span > 0 else float("inf") if count else 0.0
-            ),
-            "latency_p50_s": nearest_rank_percentile(latencies, 50),
-            "latency_p95_s": nearest_rank_percentile(latencies, 95),
-            "latency_p99_s": nearest_rank_percentile(latencies, 99),
-            "shards": [
-                worker.summary(payload)
-                for worker, payload in zip(self.workers, payloads)
-            ],
-        }
 
     def merged_registry(self) -> MetricsRegistry:
         """Every shard's registry snapshot + router series, shard-labeled

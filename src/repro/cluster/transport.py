@@ -1,8 +1,8 @@
 """The message boundary between the router and its shard engines.
 
 Every coordinator↔shard interaction is a typed :class:`Envelope` (serve
-batch, trace replay, mutation command, telemetry snapshot, metrics pull,
-serving-state export, reset, shutdown, training phase) answered by a
+batch, mutation command, metrics pull, serving-state export, clock probe,
+shutdown, training phase) answered by a
 :class:`Reply`, both carried by one frame codec (:mod:`repro.cluster.codec`:
 a JSON header plus raw array buffers, checked against a declared schema on
 decode, never executed).  Nothing else crosses the boundary — no
@@ -12,9 +12,8 @@ interchangeable:
 
 - :class:`InlineTransport` (``"inline"``) — the engine runs on the
   caller's thread, but every envelope and reply is still encoded into a
-  frame and decoded from it, so inline execution is a *deterministic
-  replay of the wire protocol*, not a shortcut around it.  Used by
-  equivalence tests, logical-clock replay benchmarks and the traced
+  frame and decoded from it, so inline execution runs the wire protocol,
+  not a shortcut around it.  Used by equivalence tests and the traced
   benchmark pass.
 - :class:`repro.cluster.net.SocketTransport` (``"socket"``) — one worker
   process per shard behind a TCP connection, on this host or another:
@@ -88,13 +87,10 @@ def check_transport(name: str) -> str:
 #: phase commands of :class:`repro.core.train_loop.TrainLoop`).
 ENVELOPE_KINDS = (
     "serve",
-    "replay",
     "mutate",
-    "telemetry",
     "metrics",
     "serving_state",
     "clock",
-    "reset",
     "shutdown",
     "train_epoch_begin",
     "train_microbatch",
@@ -292,8 +288,6 @@ class InlineTransport(Transport):
     from it before and after dispatch, so the engine never aliases the
     caller's arrays (nor the caller the engine's) and inline results are
     exactly what the socket transport would produce — minus the scheduler.
-    This is the deterministic-replay transport: logical-clock arrivals
-    drive batch composition, nothing else.
     """
 
     def __init__(self, shard_id: int, engine_factory: Callable[[], object]) -> None:

@@ -39,8 +39,6 @@ class ShardWorker:
     def __init__(self, spec: ShardSpec, transport: Transport) -> None:
         self.spec = spec
         self.transport = transport
-        # Router-visible accounting (written from the routing thread only).
-        self.requests_routed = 0
         self.respawns = 0
 
     def swap_transport(self, transport: Transport) -> None:
@@ -87,20 +85,6 @@ class ShardWorker:
             Envelope(kind="mutate", payload={"command": command.to_payload()})
         )
 
-    def replay(
-        self, nodes: np.ndarray, times: np.ndarray, end: Optional[float]
-    ) -> PendingReply:
-        """Ship this shard's slice of a logical-clock trace."""
-        return self.transport.send(
-            Envelope(
-                kind="replay",
-                payload={"nodes": nodes, "times": times, "end": end},
-            )
-        )
-
-    def pull_telemetry(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="telemetry"))
-
     def pull_metrics(self) -> PendingReply:
         return self.transport.send(Envelope(kind="metrics"))
 
@@ -119,11 +103,6 @@ class ShardWorker:
         overlap.
         """
         return self.transport.send(Envelope(kind="clock")).result()
-
-    def reset(self) -> PendingReply:
-        pending = self.transport.send(Envelope(kind="reset"))
-        self.requests_routed = 0
-        return pending
 
     # ------------------------------------------------------------------
     # Training phases (the TrainLoop client protocol)
@@ -152,22 +131,6 @@ class ShardWorker:
 
     def finish_epoch(self) -> PendingReply:
         return self.transport.send(Envelope(kind="train_epoch_end"))
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def summary(self, telemetry_payload: dict) -> dict:
-        """Shard summary row from a pulled telemetry payload."""
-        stats = dict(telemetry_payload["summary"])
-        stats.update(
-            shard=self.spec.shard_id,
-            owned=self.spec.num_owned,
-            requests_routed=self.requests_routed,
-            respawns=self.respawns,
-            cache_size=telemetry_payload["cache_size"],
-        )
-        return stats
 
 
 def merge_registries(

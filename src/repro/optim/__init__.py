@@ -1,7 +1,6 @@
 """Gradient-descent optimizers and gradient clipping."""
 
 from repro.optim.optimizers import (
-    SGD,
     Adam,
     Optimizer,
     clip_grad_norm,
@@ -10,7 +9,6 @@ from repro.optim.optimizers import (
 
 __all__ = [
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",

@@ -1,8 +1,8 @@
-"""SGD and Adam optimizers, plus global-norm gradient clipping.
+"""The Adam optimizer, plus global-norm gradient clipping.
 
 The paper trains WIDEN with a fixed learning rate (τ = 1e-4) and L2
-regularization; both optimizers support ``weight_decay`` implementing the L2
-term so models do not need to add it to their losses.
+regularization; Adam's ``weight_decay`` implements the L2 term so models do
+not need to add it to their losses.
 """
 
 from __future__ import annotations
@@ -71,45 +71,6 @@ class Optimizer:
                         f"not match parameter shape {target.shape}"
                     )
                 np.copyto(target, incoming)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": "sgd",
-            "step_count": 0,
-            "slots": {"velocity": [v.copy() for v in self._velocity]},
-        }
-
-    def _slot_names(self) -> tuple:
-        return ("velocity",)
 
 
 class Adam(Optimizer):

@@ -104,26 +104,46 @@ class TestCli:
             main(["tune-kernels"])
         assert "tune-kernels" in capsys.readouterr().err
 
+    def test_trace_command_is_gone(self, capsys):
+        """serve-cluster is the traced fleet run; its twin command went."""
+        with pytest.raises(SystemExit):
+            main(["trace", "--smoke"])
+        assert "'trace'" in capsys.readouterr().err
+
 
 class TestServeClusterCli:
-    def test_smoke_with_transport_and_metrics_port(self, capsys):
+    def test_smoke_with_transport_and_metrics_port(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)  # the three artifacts land in the cwd
         assert main([
             "serve-cluster", "acm", "--smoke", "--shards", "2",
             "--transport", "socket", "--metrics-port", "0",
+            "--prometheus-out", "cluster.prom",
         ]) == 0
         printed = capsys.readouterr().out
-        assert "socket transport" in printed
+        for marker in ("socket transport", "shard 1: ", "scatter groups of 8",
+                       "(0 rung-count mismatches)", "rung mix", "queue/compute",
+                       "SLO               p50", "process lanes",
+                       "attribution records", "Prometheus samples"):
+            assert marker in printed, f"serve-cluster output missing {marker!r}"
         assert "metrics endpoint live at http://127.0.0.1:" in printed
-        assert "cluster, warm cache" in printed
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "attribution.jsonl").read_text().splitlines()
+        ]
+        # Two passes of 48 requests in groups of 8: twelve ops.
+        assert len(records) == 12
+        assert len({record["trace_id"] for record in records}) == 12
+        assert all(sum(r["rungs"].values()) == r["nodes"] for r in records)
+        slo = json.loads((tmp_path / "slo_report.json").read_text())
+        assert slo["window_count"] == 12
+        events = json.loads((tmp_path / "dist_trace.json").read_text())
+        assert len({e["pid"] for e in events["traceEvents"] if e["ph"] == "X"}) >= 2
+        assert 'shard="1"' in (tmp_path / "cluster.prom").read_text()
 
-
-    @pytest.mark.parametrize(
-        "command, router_call", [("serve-cluster", "replay"), ("trace", "embed")]
-    )
-    def test_failed_replay_leaks_nothing(
-        self, command, router_call, monkeypatch, tmp_path
-    ):
-        """An exception mid-replay still takes the socket worker processes
+    def test_failed_replay_leaks_nothing(self, monkeypatch, tmp_path):
+        """An exception mid-run still takes the socket worker processes
         and the ``/metrics`` listener down with it."""
         import threading
 
@@ -140,11 +160,11 @@ class TestServeClusterCli:
             raise RuntimeError("replay blew up")
 
         monkeypatch.setattr(fleet.subprocess, "Popen", recording_popen)
-        monkeypatch.setattr(ClusterRouter, router_call, boom)
-        monkeypatch.chdir(tmp_path)  # trace writes its reports to the cwd
+        monkeypatch.setattr(ClusterRouter, "embed", boom)
+        monkeypatch.chdir(tmp_path)  # serve-cluster writes its reports to the cwd
         with pytest.raises(RuntimeError, match="replay blew up"):
             main([
-                command, "acm", "--smoke", "--shards", "2",
+                "serve-cluster", "acm", "--smoke", "--shards", "2",
                 "--transport", "socket", "--metrics-port", "0",
             ])
         assert len(spawned) == 2
@@ -179,7 +199,8 @@ class TestStoreCli:
         assert "materialized rows from" in printed
         assert "store lookups" in printed
 
-    def test_serve_cluster_accepts_store(self, capsys, tmp_path):
+    def test_serve_cluster_accepts_store(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
         store_dir = tmp_path / "acm-store"
         assert main([
             "store-build", "acm", "--scale", "0.3", "--epochs", "1",
@@ -191,5 +212,10 @@ class TestStoreCli:
             "--store", str(store_dir),
         ]) == 0
         printed = capsys.readouterr().out
-        assert "store" in printed
-        assert "cluster, warm cache" in printed
+        assert "store: sliced" in printed
+        assert "(0 rung-count mismatches)" in printed
+        rungs = {}
+        for line in (tmp_path / "attribution.jsonl").read_text().splitlines():
+            for rung, count in json.loads(line)["rungs"].items():
+                rungs[rung] = rungs.get(rung, 0) + count
+        assert rungs.get("store", 0) > 0

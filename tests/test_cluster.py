@@ -24,6 +24,7 @@ from repro.cluster import (
 from repro.cluster.planner import check_node_range
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import InferenceServer, make_trace
 
 
@@ -216,7 +217,11 @@ class TestClusterEquivalence:
             np.testing.assert_array_equal(
                 router.embed(probe), single.embed(probe)
             )
-            assert sum(w.requests_routed for w in router.workers) == probe.size
+            routed = [
+                router.registry.get("cluster_requests_total", shard=str(shard))
+                for shard in range(4)
+            ]
+            assert sum(c.value for c in routed if c is not None) == probe.size
 
     def test_request_order_preserved(self, checkpoint, reference):
         probe, want_embeddings, _ = reference
@@ -339,26 +344,46 @@ class TestMutationFanOut:
                 size + 1 for size in sizes
             ]
             router.embed(new[::-1])
-            assert [w.requests_routed for w in router.workers] == [1, 1, 1, 1]
+            assert [
+                router.registry.get("cluster_requests_total", shard=str(shard)).value
+                for shard in range(4)
+            ] == [1, 1, 1, 1]
 
 
 # ----------------------------------------------------------------------
-# Replay, telemetry, Prometheus aggregation
+# Telemetry, Prometheus aggregation
 # ----------------------------------------------------------------------
 
 
 class TestClusterTelemetry:
     def test_replay_summary_covers_all_requests(self, checkpoint, acm):
+        """A trace sent as scatter ops is counted once per node: served
+        per shard in the merged registry, routed per shard on the router."""
         trace = make_trace(acm.split.test[:30], 48, rate=5000.0, rng=1)
+        nodes = np.asarray([event.node for event in trace], dtype=np.int64)
         with fresh_router(checkpoint, 2) as router:
-            summary = router.replay(trace)
-        assert summary["requests"] == 48
-        assert summary["num_shards"] == 2
-        assert summary["throughput_rps"] > 0
-        assert summary["latency_p95_s"] >= summary["latency_p50_s"]
-        assert sum(s["requests"] for s in summary["shards"]) == 48
-        assert sum(s["requests_routed"] for s in summary["shards"]) == 48
-        assert sum(s["owned"] for s in summary["shards"]) == acm.graph.num_nodes
+            for start in range(0, nodes.size, 8):
+                router.embed(nodes[start:start + 8])
+            merged = router.merged_registry()
+            owned = [w.spec.num_owned for w in router.workers]
+        served = [
+            sum(
+                merged.get("serve_requests_total", cache=hit, shard=str(shard)).value
+                for hit in ("hit", "miss")
+            )
+            for shard in (0, 1)
+        ]
+        routed = [
+            merged.get("cluster_requests_total", shard=str(shard)).value
+            for shard in (0, 1)
+        ]
+        assert served == routed == [np.sum(nodes % 2 == shard) for shard in (0, 1)]
+        assert sum(served) == 48
+        for shard in (0, 1):
+            latency = merged.get("serve_latency_seconds", shard=str(shard))
+            assert latency.count == served[shard]
+            assert latency.percentile(95) >= latency.percentile(50)
+        assert sum(owned) == acm.graph.num_nodes
 
     def test_prometheus_exposition_is_shard_labeled(self, checkpoint):
         with fresh_router(checkpoint, 2) as router:
@@ -383,10 +408,21 @@ class TestClusterTelemetry:
         with fresh_router(checkpoint, 4) as router:
             probe = np.arange(12)
             router.embed(probe)
-            summary = router.summary()
-            assert summary["requests"] == probe.size
-            routed = sum(s["requests_routed"] for s in summary["shards"])
-            assert routed == probe.size
+            merged = router.merged_registry()
+        for shard in range(4):
+            label = str(shard)
+            served = sum(
+                merged.get("serve_requests_total", cache=hit, shard=label).value
+                for hit in ("hit", "miss")
+            )
+            routed = merged.get("cluster_requests_total", shard=label).value
+            rungs = sum(
+                series.value
+                for series in merged.series()
+                if series.name == "serve_rung_total"
+                and series.labels.get("shard") == label
+            )
+            assert served == routed == rungs == 3
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +449,15 @@ class TestShardWorker:
                 bad.result()
             assert excinfo.value.remote_type == "IndexError"
 
+    @staticmethod
+    def served(router) -> float:
+        """Requests every shard's server counted, from the merged registry."""
+        return sum(
+            series.value
+            for series in router.merged_registry().series()
+            if series.name == "serve_requests_total"
+        )
+
     def test_out_of_range_op_is_refused_before_anything_is_sent(self, checkpoint):
         """``-1 % S`` would route ``-1`` to the last shard:
         the router range-checks first, names the id, and neither counts
@@ -428,9 +473,7 @@ class TestShardWorker:
                         excinfo.value
                     )
             assert "cluster_requests_total" not in router.registry.render_prometheus()
-            assert [worker.requests_routed for worker in router.workers] == [0, 0]
-            summary = router.summary()
-            assert summary["requests"] == 0
+            assert self.served(router) == 0
             worker = router.workers[0]
             owned = int(worker.spec.owned[0])
             with pytest.raises(ShardError) as excinfo:
@@ -438,16 +481,17 @@ class TestShardWorker:
             assert excinfo.value.remote_type == "IndexError"
             text = router.render_prometheus()
             assert 'shard_errors_total{kind="serve",shard="0"} 1' in text
-            assert router.summary()["requests"] == 0  # nothing was half-served
+            assert self.served(router) == 0  # nothing was half-served
 
     def test_pull_orders_against_requests(self, checkpoint):
-        """A telemetry pull enqueued after a serve envelope observes that
+        """A metrics pull enqueued after a serve envelope observes that
         envelope's effects — the FIFO barrier the protocol guarantees."""
         with fresh_router(checkpoint, 1, transport="socket") as router:
             worker = router.workers[0]
             pending = worker.submit_serve(np.arange(4), "embed")
             # Issued strictly after the serve envelope; FIFO means the
             # engine has already populated the cache when this runs.
-            telemetry = worker.pull_telemetry().result()
-            assert telemetry["cache_size"] >= 4
+            snapshot = MetricsRegistry()
+            snapshot.merge_payload(worker.pull_metrics().result()["registry"])
+            assert snapshot.get("serve_cache_entries").value >= 4
             assert pending.result()["values"].shape[0] == 4

@@ -393,6 +393,24 @@ class TestRouterObserved:
         finally:
             traced.close()
 
+    def test_slo_only_records_get_distinct_trace_ids(self, checkpoint):
+        """With tracing off, an op's id comes from a per-router counter,
+        not from the identity of its node array: CPython hands a freed
+        list-input array's address to the next op's, and an int64 array
+        passed twice is the same object both times."""
+        router = fresh_router(checkpoint, 2)
+        try:
+            router.enable_slo()
+            for i in range(8):
+                router.embed(list(range(i, i + 8)))
+            nodes = np.arange(8, dtype=np.int64)
+            for _ in range(8):
+                router.embed(nodes)
+            ids = [r["trace_id"] for r in router.attribution_records()]
+            assert len(ids) == len(set(ids)) == 16
+        finally:
+            router.close()
+
     def test_rung_counts_sum_to_node_count(self, acm, checkpoint):
         probe = np.asarray(acm.split.test[:16])
         router = fresh_router(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, Parameter
-from repro.optim import SGD, Adam, clip_grad_norm, global_grad_norm
+from repro.optim import Adam, clip_grad_norm, global_grad_norm
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -13,58 +13,6 @@ def quadratic_loss(param: Parameter) -> Tensor:
     """(p - 3)^2 summed; minimum at p == 3."""
     diff = param - 3.0
     return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_single_step_matches_formula(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        quadratic_loss(p).backward()
-        opt.step()
-        # grad = 2*(1-3) = -4; p <- 1 - 0.1*(-4) = 1.4
-        np.testing.assert_allclose(p.data, [1.4])
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            quadratic_loss(p).backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [3.0], atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        trajectories = {}
-        for momentum in (0.0, 0.9):
-            p = Parameter(np.array([0.0]))
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                quadratic_loss(p).backward()
-                opt.step()
-            trajectories[momentum] = abs(p.data[0] - 3.0)
-        assert trajectories[0.9] < trajectories[0.0]
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([5.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert p.data[0] < 5.0
-
-    def test_skips_parameters_without_grad(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        opt.step()  # no grad set; must not raise
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_empty_parameter_list_raises(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_nonpositive_lr_raises(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
 
 
 class TestAdam:
@@ -191,13 +139,9 @@ class TestOptimizerState:
         quadratic_loss(param).backward()
         optimizer.step()
 
-    @pytest.mark.parametrize("make", [
-        lambda p: SGD([p], lr=0.1, momentum=0.9),
-        lambda p: Adam([p], lr=0.1),
-    ])
-    def test_restored_optimizer_continues_identically(self, make):
+    def test_restored_optimizer_continues_identically(self):
         p1 = Parameter(np.array([1.0, -2.0]))
-        reference = make(p1)
+        reference = Adam([p1], lr=0.1)
         for _ in range(3):
             self._loss_step(reference, p1)
         state = reference.state_dict()
@@ -207,7 +151,7 @@ class TestOptimizerState:
             trajectory.append(p1.data.copy())
 
         p2 = Parameter(trajectory[0].copy())
-        resumed = make(p2)
+        resumed = Adam([p2], lr=0.1)
         resumed.load_state_dict(state)
         for step in range(3):
             self._loss_step(resumed, p2)

@@ -60,9 +60,6 @@ EXCEPTIONS = {
     "repro.graph.metapath.compose_adjacency": (
         "the materialized meta-path product GTN's hop-wise propagation is tested against"
     ),
-    "repro.optim.optimizers.SGD": (
-        "no caller; deleting it takes 8 tier-1 tests, so it goes in its own PR (ROADMAP 17)"
-    ),
 }
 
 WORD = re.compile(r"[A-Za-z_]\w*")

@@ -133,6 +133,20 @@ RETIRED = [
         "ownership has no seed; ClusterRouter.from_checkpoint drops the benchmark's argument",
         ("cluster/router.py",),
     ),
+    (
+        r"_handle_replay|_handle_reset|_handle_telemetry|pull_telemetry|_pull_telemetry"
+        r"|reset_telemetry|requests_routed|_cmd_trace",
+        41,
+        "one way into a fleet: scatter-gather over the serve envelope, no "
+        "logical-clock replay, its envelope kinds or its twin command",
+        (),
+    ),
+    (
+        r"\bSGD\b",
+        41,
+        "Adam is the optimizer the trainers run; SGD had no caller",
+        (),
+    ),
 ]
 
 

@@ -10,18 +10,16 @@ provoked and its message asserted.
 import ast
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
     ClusterRouter,
     DistributedTrainer,
-    ShardError,
     build_engine_from_args,
 )
 from repro.cluster import worker as worker_module
 from repro.cluster.engine import ShardEngine, TrainEngine
-from repro.cluster.transport import ENVELOPE_KINDS, Envelope
+from repro.cluster.transport import ENVELOPE_KINDS, WIRE_KINDS, Envelope
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.obs.dist import make_trace_ctx
@@ -103,6 +101,16 @@ def test_an_unknown_kind_comes_back_as_an_error_reply(family, request):
     assert engine.registry.counter("shard_errors_total", kind="bogus").value == 1.0
 
 
+@pytest.mark.parametrize("kind", ["replay", "telemetry", "reset"])
+def test_the_logical_clock_kinds_are_unknown(router, kind):
+    """The cluster's one request path is ``serve``: the old replay kinds
+    are refused off the wire and answered as unknown by an engine."""
+    assert kind not in WIRE_KINDS
+    reply = router.workers[0].transport.send(Envelope(kind=kind)).wait(30)
+    assert not reply.ok
+    assert f"unknown envelope kind {kind!r}" in reply.error["message"]
+
+
 def test_a_traced_train_envelope_ships_its_spans(acm, trainer):
     worker = trainer.workers[0]
     worker.begin_epoch(acm.split.train).result(30)
@@ -130,12 +138,6 @@ def test_serve_replies_carry_no_compute_stamp(router):
 def test_an_unknown_engine_family_is_refused():
     with pytest.raises(ValueError, match="unknown engine family 'bogus'"):
         build_engine_from_args({"engine": "bogus"})
-
-
-def test_a_replay_with_mismatched_arrays_is_refused(router):
-    pending = router.workers[0].replay(np.arange(3), np.zeros(2), None)
-    with pytest.raises(ShardError, match="replay nodes/times length mismatch"):
-        pending.result(30)
 
 
 def test_a_static_fleet_needs_one_address_per_shard(acm, checkpoint):

@@ -244,17 +244,25 @@ class TestCrossTransportExactness:
             assert value.ndim == 1
 
     def test_socket_replay_matches_inline_summary_counts(self, checkpoint, acm):
+        """The same ops count the same per-shard requests — routed on the
+        router, served and by rung on each shard — on both transports."""
         from repro.serve import make_trace
 
         trace = make_trace(acm.split.test[:20], 24, rate=5000.0, rng=2)
+        nodes = np.asarray([event.node for event in trace], dtype=np.int64)
+        counted = ("cluster_requests_total", "serve_requests_total", "serve_rung_total")
         counts = {}
         for transport in TRANSPORTS:
             with fresh_router(checkpoint, 2, transport) as router:
-                summary = router.replay(trace)
-                counts[transport] = (
-                    summary["requests"],
-                    tuple(s["requests_routed"] for s in summary["shards"]),
-                    tuple(s["requests"] for s in summary["shards"]),
+                for start in range(0, nodes.size, 6):
+                    router.embed(nodes[start:start + 6])
+                counts[transport] = sorted(
+                    (series.name, sorted(series.labels.items()), series.value)
+                    for series in router.merged_registry().series()
+                    if series.name in counted
                 )
-                assert summary["transport"] == transport
         assert counts["socket"] == counts["inline"]
+        assert sum(
+            value for name, _, value in counts["inline"]
+            if name == "serve_requests_total"
+        ) == nodes.size
