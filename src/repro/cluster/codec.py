@@ -24,17 +24,25 @@ Decoding interprets nothing: it checks the header length, the JSON, the
 message type and field types, the dtype whitelist, the shapes, that the
 buffers exactly fill the rest of the frame and that the tree is at most
 :data:`MAX_DEPTH` deep, and raises :class:`ProtocolError` on any failure.
-Arrays come back as ``np.frombuffer`` views of the frame (writable when the
-frame is a ``bytearray``); a receiver that keeps one copies it.
+There are two readers.  :func:`decode` takes a whole frame and returns
+its arrays as ``np.frombuffer`` views of it (writable when the frame is a
+``bytearray``): the small frames of the read path, where one buffer is one
+allocation.  :func:`read_message` reads a frame piece by piece — header
+first, every descriptor checked against the frame size, then each buffer
+straight into its own fresh array — so a large frame (a shard's spawn
+payload) costs its receiver one copy of the arrays and no frame buffer,
+and the receiver may keep any array it gets.  :func:`transfer` is that
+reader in process: how an inline engine gets arrays of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Collection, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -46,6 +54,8 @@ __all__ = [
     "encode",
     "encode_parts",
     "decode",
+    "read_message",
+    "transfer",
 ]
 
 
@@ -236,13 +246,15 @@ def _check_fields(tag: str, fields, kinds: Optional[Collection[str]]) -> None:
         raise ProtocolError("reply trace is not a dict")
 
 
-def _buffers(data, offset: int, descriptors) -> list:
-    """The leaves ``descriptors`` name, read from ``data`` at ``offset``;
-    they must fill the frame exactly."""
+def _layout(descriptors, offset: int, total: int) -> list:
+    """Where each buffer ``descriptors`` names lies in a ``total``-byte
+    frame whose buffers start at ``offset``: ``(dtype, shape, count,
+    start)`` per buffer (dtype ``None`` for a ``bytes`` leaf).  The buffers
+    must fill the frame exactly; everything is checked against ``total``
+    before a reader allocates anything."""
     if type(descriptors) is not list:
         raise ProtocolError("buffer descriptors are not a list")
-    total = len(data)
-    leaves = []
+    layout = []
     for descriptor in descriptors:
         if type(descriptor) is not list or len(descriptor) != 2:
             raise ProtocolError(f"malformed buffer descriptor {descriptor!r}")
@@ -255,7 +267,7 @@ def _buffers(data, offset: int, descriptors) -> list:
         if code == _BYTES:
             if len(shape) != 1:
                 raise ProtocolError("a bytes buffer has one dimension")
-            itemsize = 1
+            dtype, itemsize = None, 1
         else:
             dtype = _DTYPES.get(code) if type(code) is str else None
             if dtype is None:
@@ -268,17 +280,13 @@ def _buffers(data, offset: int, descriptors) -> list:
                 f"buffer of {count * itemsize} bytes overruns the frame "
                 f"({total - offset} bytes left)"
             )
-        if code == _BYTES:
-            leaves.append(bytes(memoryview(data)[offset:end]))
-        else:
-            array = np.frombuffer(data, dtype, count, offset)
-            leaves.append(array if len(shape) == 1 else array.reshape(shape))
+        layout.append((dtype, shape, count, offset))
         offset = end + (-end % _ALIGN)
     if offset != total:
         raise ProtocolError(
             f"buffers end at byte {offset} of a {total}-byte frame"
         )
-    return leaves
+    return layout
 
 
 def _restore(value, leaves: list, used: list, depth: int):
@@ -306,6 +314,60 @@ def _restore(value, leaves: list, used: list, depth: int):
     return value
 
 
+def _header(text: str, expect: Type[Message]) -> Tuple[str, list, list]:
+    """``(tag, fields, descriptors)`` of a frame's JSON header, which must
+    name an ``expect`` message."""
+    try:
+        header, end = _scan_json(text, 0)
+    except StopIteration:
+        raise ProtocolError("the header is not JSON") from None
+    if end != len(text):
+        raise ProtocolError("trailing bytes after the JSON header")
+    if type(header) is not list or len(header) != 3:
+        raise ProtocolError("the header is not [type, fields, buffers]")
+    tag, fields, descriptors = header
+    if type(tag) is not str or _TYPES.get(tag) is not expect:
+        raise ProtocolError(f"expected a {expect.__name__} frame, got {tag!r}")
+    if type(fields) is not list:
+        raise ProtocolError("message fields are not a list")
+    return tag, fields, descriptors
+
+
+def _message(
+    tag: str,
+    fields: list,
+    leaves: list,
+    expect: Type[Message],
+    kinds: Optional[Collection[str]],
+) -> Message:
+    """The ``expect`` message whose parsed fields refer to ``leaves``."""
+    used = [False] * len(leaves)
+    _restore(fields, leaves, used, 0)
+    if not all(used):
+        raise ProtocolError("a buffer no field refers to")
+    _check_fields(tag, fields, kinds)
+    return expect(*fields)
+
+
+def _refusing(reader):
+    """``reader`` with every way a frame can fail to decode raised as
+    :class:`ProtocolError`."""
+
+    @functools.wraps(reader)
+    def guarded(*args, **kwargs):
+        try:
+            return reader(*args, **kwargs)
+        except ProtocolError:
+            raise
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            # JSON or UTF-8 that does not parse, nesting past the parser's
+            # recursion limit, a shape numpy refuses.
+            raise ProtocolError(f"undecodable frame: {exc}") from exc
+
+    return guarded
+
+
+@_refusing
 def decode(
     data: Union[bytes, bytearray],
     expect: Type[Message],
@@ -314,42 +376,104 @@ def decode(
     """The ``expect`` message in ``data``, or :class:`ProtocolError`.
 
     ``kinds``, when given, is the set of envelope kinds the receiver
-    accepts; an envelope of any other kind is refused here.
+    accepts; an envelope of any other kind is refused here.  Arrays are
+    views of ``data``.
     """
-    try:
-        total = len(data)
-        if total < _HEADER_LEN.size:
-            raise ProtocolError(f"a {total}-byte frame has no header length")
-        (length,) = _HEADER_LEN.unpack_from(data)
-        start = _HEADER_LEN.size + length
-        if start > total:
-            raise ProtocolError(
-                f"a {length}-byte header overruns a {total}-byte frame"
-            )
-        text = str(data[_HEADER_LEN.size:start], "utf-8")
-        try:
-            header, end = _scan_json(text, 0)
-        except StopIteration:
-            raise ProtocolError("the header is not JSON") from None
-        if end != len(text):
-            raise ProtocolError("trailing bytes after the JSON header")
-        if type(header) is not list or len(header) != 3:
-            raise ProtocolError("the header is not [type, fields, buffers]")
-        tag, fields, descriptors = header
-        if type(tag) is not str or _TYPES.get(tag) is not expect:
-            raise ProtocolError(f"expected a {expect.__name__} frame, got {tag!r}")
-        if type(fields) is not list:
-            raise ProtocolError("message fields are not a list")
-        leaves = _buffers(data, start + (-start % _ALIGN), descriptors)
-        used = [False] * len(leaves)
-        _restore(fields, leaves, used, 0)
-        if not all(used):
-            raise ProtocolError("a buffer no field refers to")
-        _check_fields(tag, fields, kinds)
-        return expect(*fields)
-    except ProtocolError:
-        raise
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-        # JSON or UTF-8 that does not parse, nesting past the parser's
-        # recursion limit, a shape numpy refuses.
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
+    total = len(data)
+    if total < _HEADER_LEN.size:
+        raise ProtocolError(f"a {total}-byte frame has no header length")
+    (length,) = _HEADER_LEN.unpack_from(data)
+    start = _HEADER_LEN.size + length
+    if start > total:
+        raise ProtocolError(
+            f"a {length}-byte header overruns a {total}-byte frame"
+        )
+    tag, fields, descriptors = _header(
+        str(data[_HEADER_LEN.size:start], "utf-8"), expect
+    )
+    leaves = []
+    for dtype, shape, count, at in _layout(
+        descriptors, start + (-start % _ALIGN), total
+    ):
+        if dtype is None:
+            leaves.append(bytes(memoryview(data)[at:at + count]))
+        else:
+            array = np.frombuffer(data, dtype, count, at)
+            leaves.append(array if len(shape) == 1 else array.reshape(shape))
+    return _message(tag, fields, leaves, expect, kinds)
+
+
+@_refusing
+def read_message(
+    fill: Callable[[memoryview], None],
+    size: int,
+    expect: Type[Message],
+    kinds: Optional[Collection[str]] = None,
+) -> Message:
+    """The ``expect`` message in a ``size``-byte frame read piece by piece,
+    each buffer straight into its own fresh array; or :class:`ProtocolError`.
+
+    ``fill(view)`` writes the frame's next ``len(view)`` bytes into
+    ``view`` (a socket reader raises ``ConnectionResetError`` when the
+    frame is cut).  The header is read first and every descriptor checked
+    against ``size`` before a buffer is allocated, so a hostile frame
+    allocates at most ``size`` bytes.  No array shares memory with a frame
+    buffer or with another array: a receiver may keep any of them.
+    """
+
+    def skip(count: int) -> None:
+        if count:
+            fill(memoryview(bytearray(count)))
+
+    if size < _HEADER_LEN.size:
+        raise ProtocolError(f"a {size}-byte frame has no header length")
+    prefix = bytearray(_HEADER_LEN.size)
+    fill(memoryview(prefix))
+    (length,) = _HEADER_LEN.unpack(prefix)
+    start = _HEADER_LEN.size + length
+    if start > size:
+        raise ProtocolError(
+            f"a {length}-byte header overruns a {size}-byte frame"
+        )
+    text = bytearray(length)
+    fill(memoryview(text))
+    tag, fields, descriptors = _header(str(text, "utf-8"), expect)
+    layout = _layout(descriptors, start + (-start % _ALIGN), size)
+    skip(-start % _ALIGN)
+    leaves = []
+    for dtype, shape, count, _ in layout:
+        if dtype is None:
+            data = bytearray(count)
+            fill(memoryview(data))
+            leaves.append(bytes(data))
+            nbytes = count
+        else:
+            array = np.empty(shape, dtype)
+            nbytes = array.nbytes
+            if nbytes:
+                fill(memoryview(array.reshape(-1).view(np.uint8)))
+            leaves.append(array)
+        skip(-nbytes % _ALIGN)
+    return _message(tag, fields, leaves, expect, kinds)
+
+
+def transfer(message: Message) -> Message:
+    """``message`` after one pass through the codec, read back the way
+    :func:`read_message` reads a large frame off a socket: each array a
+    fresh one, sharing no memory with ``message`` or with a joined frame.
+    How an in-process receiver gets arrays of its own to keep."""
+    parts, size = encode_parts(message)
+    pending = [memoryview(part).cast("B") for part in parts]
+    pending.reverse()
+
+    def fill(view: memoryview) -> None:
+        done = 0
+        while done < len(view):
+            part = pending.pop()
+            take = min(len(part), len(view) - done)
+            view[done:done + take] = part[:take]
+            if take < len(part):
+                pending.append(part[take:])
+            done += take
+
+    return read_message(fill, size, type(message))

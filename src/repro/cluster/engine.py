@@ -33,7 +33,9 @@ Envelope kinds:
   whole-graph server.  FIFO envelope order makes this a barrier between
   the serve envelopes around it.
 - ``metrics`` / ``serving_state`` — snapshot pulls, both answered as
-  plain payloads (the obs layer's serializable forms).
+  plain payloads (the obs layer's serializable forms); a serving shard's
+  metrics carry its process's resident and peak memory
+  (``process_resident_bytes`` / ``process_peak_resident_bytes``).
 - ``clock`` — a clock-alignment probe (raw ``perf_counter`` + pid) used by
   the distributed tracer to map this process's span timestamps onto the
   router's timeline.
@@ -63,7 +65,7 @@ from repro.cluster.planner import (
 from repro.cluster.transport import Envelope, Reply, error_info
 from repro.core.classifier import WidenClassifier
 from repro.obs.dist import spans_to_wire
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, record_process_memory
 from repro.obs.tracing import _NULL_SPAN, Tracer, set_thread_tracer
 from repro.serve.server import InferenceServer
 
@@ -104,9 +106,12 @@ class ShardEngine:
     def from_args(cls, args: Dict[str, object]) -> "ShardEngine":
         """Rebuild a serving shard (see :func:`build_engine_from_args`).
 
-        The engine's spec comes from :meth:`ShardSpec.from_payload` —
-        independent arrays, so the coordinator's graph and the engine's
-        replica advance only via the command stream, never via aliasing.
+        The engine's spec comes from :meth:`ShardSpec.from_payload` and its
+        store slice from :meth:`~repro.store.AggregateStore.from_payload`,
+        both adopting the arrays ``args`` carries: ``args`` must be what a
+        transport delivered (the engine's own arrays, never the
+        coordinator's), so the coordinator's graph and the engine's replica
+        advance only via the command stream, never via aliasing.
         The restored ``serving_state`` matters because a respawned engine's
         store slice is the *base* slice: the touched stamps say which of
         its rows earlier writes had already undercut.
@@ -124,9 +129,10 @@ class ShardEngine:
         )
         store_payload = config.get("store")
         if store_payload is not None:
-            # The shard's slice of the materialized-answer store (owned
-            # nodes only — nothing else is served here).  Plain arrays, so
-            # the same payload works in-process and across the wire.
+            # The shard's slice of the materialized-answer store: tables
+            # over the ids it owns only, indexed by id // num_shards.  Plain
+            # arrays, so the same payload works in-process and across the
+            # wire.
             from repro.store import AggregateStore
 
             server.attach_store(AggregateStore.from_payload(store_payload))
@@ -223,8 +229,11 @@ class ShardEngine:
     def _handle_metrics(self, payload: Dict[str, object]) -> Dict[str, object]:
         # Snapshot (not the raw registry): includes the cache node-hit
         # histogram and store gauges, so the cluster-wide exposition shows
-        # store efficacy per shard.
-        return {"registry": self.server.metrics_registry_snapshot().to_payload()}
+        # store efficacy per shard, and this process's resident and peak
+        # memory, so it shows each worker's own footprint.
+        snapshot = self.server.metrics_registry_snapshot()
+        record_process_memory(snapshot)
+        return {"registry": snapshot.to_payload()}
 
     def _handle_serving_state(self, payload: Dict[str, object]) -> Dict[str, object]:
         return {"serving_state": self.server.export_serving_state()}

@@ -57,6 +57,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cluster.codec import Envelope, transfer
 from repro.cluster.engine import build_engine_from_args
 from repro.cluster.net import SocketTransport, WorkerDown
 from repro.cluster.transport import InlineTransport, Transport, check_transport
@@ -72,6 +73,15 @@ __all__ = [
     "RecoveryRecord",
     "FleetSupervisor",
 ]
+
+def _inline_engine(args: Dict[str, object]):
+    """An inline shard's engine, built from ``args`` after one pass through
+    the codec: an engine adopts the arrays it is handed, so it must get
+    arrays of its own — what a socket worker reads off its spawn frame —
+    never the coordinator's live graph or store."""
+    spawn = transfer(Envelope(kind="spawn", payload={"engine_args": args}))
+    return build_engine_from_args(spawn.payload["engine_args"])
+
 
 # ----------------------------------------------------------------------
 # Fleet membership: handles, spawner, registry
@@ -395,7 +405,7 @@ class Fleet:
         connects to the worker the registry launched last for the shard."""
         if self.registry is None:
             transport: Transport = InlineTransport(
-                shard_id, partial(build_engine_from_args, args)
+                shard_id, partial(_inline_engine, args)
             )
         else:
             transport = SocketTransport(

@@ -15,12 +15,15 @@ happens when one dies, is :mod:`repro.cluster.fleet`'s business.
 codec bytes.  A frame under :data:`GATHER_MIN_BYTES` is written with one
 ``sendall``; a larger one (a spawn: shard payload, store slice and
 checkpoint) by scatter-gather ``sendmsg`` straight from the arrays, never
-copied into one buffer.  :func:`recv_frame` reads the prefix in one loop,
-rejects frames above a fixed cap *before* allocating (a corrupt or
-hostile length prefix must not OOM the router), fills one buffer with
-``recv_into`` and distinguishes a clean close between frames
-(:class:`ConnectionClosed`) from a mid-frame cut
-(``ConnectionResetError``).
+copied into one buffer.  The read mirrors it: the prefix is read in one
+loop and a frame above a fixed cap is rejected *before* anything is
+allocated (a corrupt or hostile length prefix must not OOM the router);
+a small frame is then filled into one buffer with ``recv_into``, a large
+one read header first and then buffer by buffer into arrays of its own
+(:func:`~repro.cluster.codec.read_message`), so a worker holds its spawn
+payload once — as the arrays its engine adopts — never as a frame plus a
+copy.  A clean close between frames raises :class:`ConnectionClosed`, a
+cut inside one ``ConnectionResetError``.
 
 **Hostile input.**  Nothing read off a socket is executed: a frame is
 decoded against the message schema, and a worker accepts only the
@@ -48,9 +51,10 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 from typing import Callable, Collection, Dict, Optional, Tuple
 
-from repro.cluster.codec import Message, decode, encode_parts
+from repro.cluster.codec import Message, decode, encode_parts, read_message
 from repro.cluster.transport import (
     READY_SEQ,
     WIRE_KINDS,
@@ -87,9 +91,10 @@ _HEADER = struct.Struct("!Q")
 #: rejected before any allocation — protocol corruption must not OOM us.
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
-#: Frames this large or larger go out by scatter-gather (``sendmsg``);
-#: smaller ones are joined and written in one ``sendall``.  Read-path
-#: frames are a few hundred bytes.
+#: Frames this large or larger go out by scatter-gather (``sendmsg``) and
+#: are read buffer by buffer; smaller ones are joined and written in one
+#: ``sendall`` and read in one ``recv_into``.  Read-path frames are a few
+#: hundred bytes.
 GATHER_MIN_BYTES = 1 << 16
 
 
@@ -182,14 +187,9 @@ def _recv_into(sock: socket.socket, view: memoryview) -> int:
     return got
 
 
-def recv_frame(
-    sock: socket.socket,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> bytearray:
-    """Read one frame into a fresh buffer.  EOF *between* frames raises
-    :class:`ConnectionClosed` (a clean goodbye); EOF *inside* one raises
-    ``ConnectionResetError``.  The length prefix is checked against the
-    cap before the body is allocated."""
+def _recv_prefix(sock: socket.socket, max_frame_bytes: int) -> int:
+    """The next frame's size, read off its length prefix and checked
+    against the cap before anything is allocated for the body."""
     prefix = bytearray(_HEADER.size)
     got = _recv_into(sock, memoryview(prefix))
     if got == 0:
@@ -202,12 +202,28 @@ def recv_frame(
     (size,) = _HEADER.unpack(prefix)
     if size > max_frame_bytes:
         raise FrameTooLargeError(size, max_frame_bytes)
-    frame = bytearray(size)
-    got = _recv_into(sock, memoryview(frame))
-    if got < size:
+    return size
+
+
+def _fill(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from inside a frame; a peer that closes first cut it."""
+    got = _recv_into(sock, view)
+    if got < len(view):
         raise ConnectionResetError(
-            f"connection lost mid-frame ({got} of {size} bytes received)"
+            f"connection lost mid-frame ({got} of {len(view)} bytes received)"
         )
+
+
+def recv_frame(
+    sock: socket.socket,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+) -> bytearray:
+    """Read one frame into a fresh buffer.  EOF *between* frames raises
+    :class:`ConnectionClosed` (a clean goodbye); EOF *inside* one raises
+    ``ConnectionResetError``.  The length prefix is checked against the
+    cap before the body is allocated."""
+    frame = bytearray(_recv_prefix(sock, max_frame_bytes))
+    _fill(sock, memoryview(frame))
     return frame
 
 
@@ -231,8 +247,19 @@ def recv_message(
 ) -> Message:
     """Read one frame and decode the ``expect`` message from it (a worker
     reads envelopes, a transport replies); a frame that does not decode
-    raises :class:`~repro.cluster.codec.ProtocolError`."""
-    return decode(recv_frame(sock), expect, kinds)
+    raises :class:`~repro.cluster.codec.ProtocolError`.
+
+    The read mirrors the send: a frame under :data:`GATHER_MIN_BYTES` is
+    one ``recv_into`` and one :func:`~repro.cluster.codec.decode`; a
+    larger one is read by :func:`~repro.cluster.codec.read_message`,
+    buffer by buffer into arrays of their own, so no frame buffer is held
+    beside them."""
+    size = _recv_prefix(sock, DEFAULT_MAX_FRAME_BYTES)
+    if size < GATHER_MIN_BYTES:
+        frame = bytearray(size)
+        _fill(sock, memoryview(frame))
+        return decode(frame, expect, kinds)
+    return read_message(partial(_fill, sock), size, expect, kinds)
 
 
 # ----------------------------------------------------------------------
@@ -617,8 +644,8 @@ class ShardWorkerServer:
         except BaseException as exc:
             reply_out(Reply(seq=READY_SEQ, ok=False, error=error_info(exc)))
             return "reset"
-        # The engine copied what it keeps: let the spawn frame (the shard
-        # payload plus the checkpoint bytes) go before the session starts.
+        # The engine adopted the arrays it keeps; drop the rest of the
+        # spawn message (the checkpoint bytes) before the session starts.
         del spawn
         reply_out(Reply(seq=READY_SEQ, ok=True, payload={"pid": os.getpid()}))
 

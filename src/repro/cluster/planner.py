@@ -22,8 +22,10 @@ graph substrate (ROADMAP, "Parked").
 Shard state crosses a **message boundary**.  On the coordinator every
 :class:`ShardSpec` points at the coordinator's *own* graph object — one
 graph, no mirror copies — and :meth:`ShardSpec.to_payload` hands out
-references to its arrays; :meth:`ShardSpec.from_payload` builds the
-engine's independent replica behind the transport.  A write is **one**
+references to its arrays; behind the transport, where the codec has
+delivered arrays of the engine's own, :meth:`ShardSpec.from_payload`
+adopts them as the engine's independent replica — one copy of the graph
+per shard, made by the wire and nothing else.  A write is **one**
 serializable command, built once and broadcast to every shard
 (:class:`AddNodesCommand`, :class:`RefreshCommand`): the coordinator's
 graph has already taken the write, each engine replays the command onto
@@ -41,6 +43,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.graph import HeteroGraph, MutationEvent
+from repro.utils import owned
 
 
 @dataclass
@@ -155,26 +158,34 @@ class ShardSpec:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ShardSpec":
-        """Rebuild an independent spec (own graph, own arrays) from
-        :meth:`to_payload` output.
+        """The engine's spec over the arrays of a received
+        :meth:`to_payload` — adopted, not copied.
 
-        The payload's edge arrays are already in stable CSR order, and
-        ``HeteroGraph._rebuild_csr`` uses a stable argsort, so the rebuilt
-        adjacency lists are verbatim identical — the precondition for
-        bit-identical seeded sampling on the far side of the boundary.
-        The constructor gathers the edge arrays and copies the features
-        into its own buffer; the rest is copied here.
+        The payload's edge arrays are already in stable CSR order (the
+        coordinator's ``_src`` / ``indices`` / ``edge_type_of``), which the
+        stable-argsort rebuild maps to itself, so the replica takes them as
+        its adjacency verbatim — the precondition for bit-identical seeded
+        sampling on the far side of the boundary — and the features
+        become its feature matrix.  Only arrays the engine owns may be
+        adopted: what a socket worker reads off a large frame
+        (:func:`~repro.cluster.codec.read_message`) or an inline engine
+        gets from :func:`~repro.cluster.codec.transfer`.  An array that is
+        a view (of a small decoded frame, say) is copied
+        (:func:`~repro.utils.owned`), so no array of the replica pins a
+        frame buffer.
         """
+        features = payload["features"]
         graph = HeteroGraph(
-            node_types=payload["node_types"].copy(),
-            src=payload["src"],
-            dst=payload["dst"],
-            edge_types=payload["edge_types"],
+            node_types=owned(payload["node_types"], np.int64),
+            src=owned(payload["src"], np.int64),
+            dst=owned(payload["dst"], np.int64),
+            edge_types=owned(payload["edge_types"], np.int64),
             node_type_names=list(payload["node_type_names"]),
             edge_type_names=list(payload["edge_type_names"]),
-            features=payload["features"],
-            labels=payload["labels"].copy(),
+            features=None if features is None else owned(features, np.float64),
+            labels=owned(payload["labels"], np.int64),
             num_classes=payload["num_classes"],
+            adopt=True,
         )
         # Align the version counter (the write clock of the shard server)
         # with the coordinator's graph at the time the payload was cut.

@@ -139,7 +139,7 @@ class ClusterRouter:
                 shard_config = dict(config)
                 if self.store is not None:
                     shard_config["store"] = self.store.slice_payload(
-                        spec.owned.tolist()
+                        spec.owned, spec.shard_id, spec.num_shards
                     )
                 yield shard_config
 

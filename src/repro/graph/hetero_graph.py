@@ -82,6 +82,11 @@ class HeteroGraph:
         Optional ``(n,)`` int labels; ``-1`` marks unlabeled nodes.
     num_classes:
         Number of distinct classes among labeled nodes.
+    adopt:
+        Keep the arrays instead of sorting and copying them: ``src`` must
+        already be in CSR order (sorted, as :attr:`_src` is — what a shard
+        payload carries), and nothing else may hold the arrays.  The first
+        arrival moves ``features`` into a buffer with spare rows.
     """
 
     def __init__(
@@ -95,6 +100,8 @@ class HeteroGraph:
         features: Optional[np.ndarray] = None,
         labels: Optional[np.ndarray] = None,
         num_classes: int = 0,
+        *,
+        adopt: bool = False,
     ) -> None:
         self.node_types = np.asarray(node_types, dtype=np.int64)
         self.num_nodes = int(self.node_types.shape[0])
@@ -108,8 +115,11 @@ class HeteroGraph:
         self._feature_buffer: Optional[np.ndarray] = None
         if features is not None:
             features = np.asarray(features, dtype=np.float64)
-            self.features = features[:0]
-            self._append_feature_rows(features)
+            if adopt:
+                self.features = features
+            else:
+                self.features = features[:0]
+                self._append_feature_rows(features)
         self.labels = (
             np.full(self.num_nodes, -1, dtype=np.int64)
             if labels is None
@@ -119,11 +129,17 @@ class HeteroGraph:
         self.version = 0
         self.last_mutation: Optional[MutationEvent] = None
         self._mutation_hooks: List[Callable[["HeteroGraph"], None]] = []
-        self._rebuild_csr(
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(edge_types, dtype=np.int64),
-        )
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        edge_types = np.asarray(edge_types, dtype=np.int64)
+        if adopt:
+            if not src.shape == dst.shape == edge_types.shape:
+                raise ValueError("src/dst/edge_types shapes differ")
+            if src.size and (src[1:] < src[:-1]).any():
+                raise ValueError("adopted edges are not in CSR order")
+            self._set_csr(src, dst, edge_types)
+        else:
+            self._rebuild_csr(src, dst, edge_types)
 
     def _rebuild_csr(
         self, src: np.ndarray, dst: np.ndarray, edge_types: np.ndarray
@@ -131,12 +147,18 @@ class HeteroGraph:
         """(Re)build the CSR arrays from COO edges (``__init__`` and
         :meth:`replace_edges`); :meth:`append_edges` reproduces this layout
         bit for bit without the full sort."""
-        self.num_edges = int(src.shape[0])
-        # Build CSR: sort edges by source, then cumulative counts.
+        # Sort edges by source (stable: a list keeps its edges' order).
         order = np.argsort(src, kind="stable")
-        sorted_src = src[order]
-        self.indices = dst[order]
-        self.edge_type_of = edge_types[order]
+        self._set_csr(src[order], dst[order], edge_types[order])
+
+    def _set_csr(
+        self, sorted_src: np.ndarray, indices: np.ndarray, edge_type_of: np.ndarray
+    ) -> None:
+        """Take edges already in CSR order as the adjacency: the arrays
+        themselves, plus the offsets counted from their sources."""
+        self.num_edges = int(sorted_src.shape[0])
+        self.indices = indices
+        self.edge_type_of = edge_type_of
         counts = np.bincount(sorted_src, minlength=self.num_nodes)
         self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])

@@ -533,3 +533,32 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     previous = _DEFAULT_REGISTRY
     _DEFAULT_REGISTRY = registry
     return previous
+
+
+#: ``/proc/self/status`` fields :func:`record_process_memory` reports.
+_PROC_MEMORY = {
+    "VmRSS": "process_resident_bytes",
+    "VmHWM": "process_peak_resident_bytes",
+}
+
+
+def record_process_memory(registry: MetricsRegistry) -> None:
+    """Set this process's resident memory as two gauges, in bytes:
+    ``process_resident_bytes`` (``VmRSS``) and
+    ``process_peak_resident_bytes`` (``VmHWM``), read from
+    ``/proc/self/status``.
+
+    ``VmHWM`` is the process's own peak: unlike ``ru_maxrss`` it restarts
+    at ``exec``, so a worker does not report its parent's peak as its own.
+    Where ``/proc`` is missing the gauges are left out, not set to zero.
+    """
+    try:
+        with open("/proc/self/status") as handle:
+            lines = handle.readlines()
+    except OSError:
+        return
+    for line in lines:
+        field, _, value = line.partition(":")
+        name = _PROC_MEMORY.get(field)
+        if name is not None:
+            registry.gauge(name).set(float(value.split()[0]) * 1024)  # kB

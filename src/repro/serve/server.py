@@ -304,10 +304,15 @@ class InferenceServer:
         served each, ``queue_wait`` / ``compute`` the op's critical path —
         the longest of its requests.  A logical-clock trace, a blocking
         ``classify`` and a shard engine's serve envelope are all this loop;
-        the reply is what the engine puts on the wire.
+        the reply is what the engine puts on the wire.  ``times`` must
+        hold one arrival per node; any other length is refused.
         """
         nodes = np.atleast_1d(nodes).tolist()
-        times = [None] * len(nodes) if times is None else np.asarray(times).tolist()
+        times = [None] * len(nodes) if times is None else np.atleast_1d(times).tolist()
+        if len(times) != len(nodes):
+            raise ValueError(
+                f"replay got {len(nodes)} nodes but {len(times)} arrival times"
+            )
         ids = [self.submit(node, kind=kind, now=at) for node, at in zip(nodes, times)]
         self.drain(end)
         table = self.telemetry

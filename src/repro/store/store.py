@@ -23,12 +23,16 @@ A row is exact until a write touches a list it read.  The store only
 the one freshness rule it shares with the cache
 (:func:`repro.serve.cache.fresh_mask`).
 
-In memory the three arrays are *id-indexed tables* (row ``i`` belongs to
-node ``i``; stamp ``-1`` and the node's own id as read set where there is
-no row), so every lookup is one fancy-indexed read and a lazily
-re-materialized row is an in-place write.  ``embeddings.npy`` is opened
-copy-on-write (``mmap_mode="c"``): untouched rows stay on disk, refreshed
-ones live in private pages, the file is never written.  What used to be a
+In memory the three arrays are *id-indexed tables* over the ids the store
+covers: a whole-graph store covers every id (row ``i`` belongs to node
+``i``), a cluster shard's slice only the ids it owns, ``s, s+S, s+2S, …``
+for shard ``s`` of ``S`` (row ``n // S`` belongs to node ``n``) — the same
+layout, ``S = 1`` being the whole graph.  Stamp ``-1`` and the node's own
+id as read set mark an id without a row, and an id the store does not
+cover reads the same way.  So every lookup is one fancy-indexed read and
+a lazily re-materialized row is an in-place write.  ``embeddings.npy`` is
+opened copy-on-write (``mmap_mode="c"``): untouched rows stay on disk,
+refreshed ones live in private pages, the file is never written.  What used to be a
 separate overlay is the set of rows with ``stamp > 0`` — written by a
 serving server after a write of its own, not by the offline builder.
 
@@ -52,6 +56,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.core.classifier import serving_refusal
+from repro.utils import owned
 
 STORE_FORMAT_VERSION = 4
 
@@ -102,20 +107,23 @@ def _refuse_old_format(meta: Dict[str, object], what: str) -> Optional[str]:
     )
 
 
-def _own_id_reads(start: int, stop: int, width: int) -> np.ndarray:
+def _own_id_reads(ids: np.ndarray, width: int) -> np.ndarray:
     """Read-set rows for ids without a row: each its own id, so a gather
     through them stays in range."""
-    return np.repeat(np.arange(start, stop, dtype=np.int32)[:, None], width, axis=1)
+    return np.repeat(ids.astype(np.int32)[:, None], width, axis=1)
 
 
 class AggregateStore:
     """Stamped per-node table of finished embeddings, refreshed in place.
 
-    ``node_ids=None`` means the dense full-graph layout (row ``i`` holds
-    node ``i``) and the arrays become the tables as they are; a cluster
-    shard's slice carries an explicit id array and is scattered into
-    tables spanning its largest id.  :meth:`refresh` writes into the tables
-    — never into the file behind a copy-on-write mmap.
+    The arrays are the tables as they are, kept without a copy: row ``k``
+    belongs to node ``shard_id + k * num_shards``.  The defaults
+    (``0``, ``1``) are the whole-graph store; a cluster shard's slice
+    (:meth:`slice_payload`) covers the ids shard ``shard_id`` of
+    ``num_shards`` owns, so its tables are ``1 / num_shards`` of the
+    whole.  An id the store does not cover has no row: lookups read it as
+    absent and :meth:`refresh` never writes it.  :meth:`refresh` writes
+    into the tables — never into the file behind a copy-on-write mmap.
     """
 
     def __init__(
@@ -124,24 +132,42 @@ class AggregateStore:
         embeddings: np.ndarray,
         versions: np.ndarray,
         reads: np.ndarray,
-        node_ids: Optional[np.ndarray] = None,
+        shard_id: int = 0,
+        num_shards: int = 1,
     ) -> None:
         self.meta = dict(meta)
-        if node_ids is None:
-            # A plain view over the (copy-on-write) mapping: same pages,
-            # without memmap's Python-level indexing on the hot path.
-            self._embeddings = np.asarray(embeddings)
-            self._versions = np.array(versions, np.int64)
-            self._reads = np.array(reads, np.int32)
-        else:
-            node_ids = np.asarray(node_ids, np.int64)
-            size = int(node_ids.max()) + 1 if node_ids.size else 0
-            self._embeddings = np.zeros((size, int(self.meta["dim"])))
-            self._embeddings[node_ids] = embeddings
-            self._versions = np.full(size, -1, np.int64)
-            self._versions[node_ids] = versions
-            self._reads = _own_id_reads(0, size, reads.shape[1])
-            self._reads[node_ids] = reads
+        self.shard_id = int(shard_id)
+        self.num_shards = int(num_shards)
+        if not 0 <= self.shard_id < self.num_shards:
+            raise ValueError(
+                f"shard {self.shard_id} of {self.num_shards} does not exist"
+            )
+        # A plain view over a (copy-on-write) mapping: same pages, without
+        # memmap's Python-level indexing on the hot path.
+        self._embeddings = np.asarray(embeddings)
+        self._versions = np.asarray(versions, np.int64)
+        self._reads = np.asarray(reads, np.int32)
+        rows = self._versions.shape[0]
+        if self._embeddings.shape != (rows, int(self.meta["dim"])) or (
+            self._reads.ndim != 2 or self._reads.shape[0] != rows
+        ):
+            raise ValueError(
+                f"store tables disagree: embeddings {self._embeddings.shape}, "
+                f"versions {self._versions.shape}, reads {self._reads.shape} "
+                f"at dim {self.meta['dim']}"
+            )
+
+    def _rows(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each node's table row, and whether the table has that row (an
+        id this store does not cover never does).  A row read as unsigned
+        is one compare for both bounds: a negative one is past any table."""
+        size = self._versions.size
+        if self.num_shards == 1:
+            return nodes, nodes.view(np.uint64) < size
+        rows, residue = np.divmod(nodes, self.num_shards)
+        known = residue == self.shard_id
+        known &= rows.view(np.uint64) < size
+        return rows, known
 
     # -- lookups ---------------------------------------------------------
 
@@ -157,24 +183,24 @@ class AggregateStore:
     def versions_of(self, nodes) -> np.ndarray:
         """Stamp of each node's row (``-1`` where no row exists)."""
         nodes = np.asarray(nodes, np.int64)
+        rows, known = self._rows(nodes)
         table = self._versions
-        known = (nodes >= 0) & (nodes < table.size)
         if known.all():
-            return table[nodes]
+            return table[rows]
         out = np.full(nodes.size, -1, np.int64)
-        out[known] = table[nodes[known]]
+        out[known] = table[rows[known]]
         return out
 
     def reads_of(self, nodes) -> np.ndarray:
         """``(B, 1 + Φ·N_d)`` read sets of the rows :meth:`versions_of`
         stamps (a node without a row reads as its own id)."""
         nodes = np.asarray(nodes, np.int64)
+        rows, known = self._rows(nodes)
         table = self._reads
-        known = (nodes >= 0) & (nodes < table.shape[0])
         if known.all():
-            return table[nodes]
-        out = np.repeat(nodes.astype(np.int32)[:, None], table.shape[1], axis=1)
-        out[known] = table[nodes[known]]
+            return table[rows]
+        out = _own_id_reads(nodes, table.shape[1])
+        out[known] = table[rows[known]]
         return out
 
     def blocks_for(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,10 +211,11 @@ class AggregateStore:
         raises :class:`KeyError` otherwise.
         """
         nodes = np.asarray(nodes, np.int64)
-        missing = self.versions_of(nodes) < 0
-        if missing.any():
+        rows, known = self._rows(nodes)
+        if not known.all() or (self._versions[rows] < 0).any():
+            missing = self.versions_of(nodes) < 0
             raise KeyError(f"node {int(nodes[missing][0])} has no store row")
-        return self._embeddings[nodes], self._reads[nodes]
+        return self._embeddings[rows], self._reads[rows]
 
     def block_for(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """One node's ``(d,)`` embedding and read set."""
@@ -197,28 +224,37 @@ class AggregateStore:
 
     def refresh(self, nodes, version: int, embeddings, reads) -> None:
         """Write back lazily re-materialized rows (one node or a batch),
-        stamped ``version``, in place."""
+        stamped ``version``, in place.  A node this store does not cover is
+        skipped: it has no row here, and its row index would be another
+        node's."""
         if reads is None:
             raise ValueError(
                 f"rows for node(s) {nodes} carry no read set; without one "
                 "they could never be told stale"
             )
         nodes = np.atleast_1d(np.asarray(nodes, np.int64))
+        rows, residue = np.divmod(nodes, self.num_shards)
+        covered = (residue == self.shard_id) & (nodes >= 0)
+        if not covered.all():
+            embeddings = np.reshape(embeddings, (nodes.size, -1))[covered]
+            reads = np.reshape(reads, (nodes.size, -1))[covered]
+            rows = rows[covered]
         size = self._versions.size
-        if nodes.size and int(nodes.max()) >= size:  # an arrival: grow, doubling
-            grown = max(int(nodes.max()) + 1, 2 * size)
+        if rows.size and int(rows.max()) >= size:  # an arrival: grow, doubling
+            grown = max(int(rows.max()) + 1, 2 * size)
             self._embeddings = np.concatenate(
                 [self._embeddings, np.zeros((grown - size, self._embeddings.shape[1]))]
             )
             self._versions = np.concatenate(
                 [self._versions, np.full(grown - size, -1)]
             )
+            ids = self.shard_id + self.num_shards * np.arange(size, grown)
             self._reads = np.concatenate(
-                [self._reads, _own_id_reads(size, grown, self._reads.shape[1])]
+                [self._reads, _own_id_reads(ids, self._reads.shape[1])]
             )
-        self._embeddings[nodes] = embeddings
-        self._versions[nodes] = int(version)
-        self._reads[nodes] = reads
+        self._embeddings[rows] = embeddings
+        self._versions[rows] = int(version)
+        self._reads[rows] = reads
 
     # -- accounting ------------------------------------------------------
 
@@ -326,40 +362,65 @@ class AggregateStore:
 
     # -- shard slices ----------------------------------------------------
 
-    def slice_payload(self, nodes: Iterable[int]) -> Dict[str, object]:
-        """Plain-data slice of the store covering ``nodes`` (a shard
-        engine serves only its *owned* nodes, so its slice carries
-        exactly those rows).
+    def slice_payload(
+        self, nodes: Iterable[int], shard_id: int = 0, num_shards: int = 1
+    ) -> Dict[str, object]:
+        """Plain-data slice of the store for shard ``shard_id`` of
+        ``num_shards``, carrying the rows of ``nodes`` (a shard engine
+        serves only its *owned* nodes, so its slice carries exactly those).
 
-        The payload crosses the wire codec as-is (plain data and
-        arrays); :meth:`from_payload` rebuilds an in-memory store on the
-        other side, copying every row, so the store keeps no view of the
-        frame it arrived in.  Rows are read from the live tables, so a slice taken from a
-        serving store carries its refreshed rows and their stamps.
+        The slice is the shard's own tables, dense over every id the shard
+        owns below the store's extent — row ``k`` is node
+        ``shard_id + k * num_shards`` — so :meth:`from_payload` adopts the
+        arrays as they cross the wire, with no scatter.  An owned id
+        without a row here (or not in ``nodes``) gets stamp ``-1`` and its
+        own id as read set; a node of ``nodes`` the shard does not own is
+        refused.  The arrays are fresh copies read from the live tables,
+        so a slice taken from a serving store carries its refreshed rows
+        and their stamps, and later refreshes do not reach it.
         """
-        present = np.unique(np.fromiter(nodes, np.int64))
-        present = present[self.versions_of(present) >= 0]
+        wanted = np.fromiter(nodes, np.int64)
+        if (wanted % num_shards != shard_id).any():
+            raise ValueError(
+                f"a slice for shard {shard_id} of {num_shards} holds only "
+                f"ids n with n % {num_shards} == {shard_id}"
+            )
+        ids = np.arange(shard_id, self._versions.size * self.num_shards, num_shards)
+        inside = wanted[(wanted >= 0) & (wanted < ids.size * num_shards)]
+        keep = np.zeros(ids.size, bool)
+        keep[inside // num_shards] = True
+        versions = self.versions_of(ids)
+        versions[~keep] = -1
+        present = versions >= 0
+        embeddings = np.zeros((ids.size, int(self.meta["dim"])))
+        embeddings[present] = self.blocks_for(ids[present])[0]
+        reads = self.reads_of(ids)
+        reads[~present] = _own_id_reads(ids[~present], reads.shape[1])
         return {
             "meta": dict(self.meta),
-            "node_ids": present,
-            "embeddings": self._embeddings[present],
-            "versions": self._versions[present],
-            "reads": self._reads[present],
+            "shard_id": int(shard_id),
+            "num_shards": int(num_shards),
+            "embeddings": embeddings,
+            "versions": versions,
+            "reads": reads,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "AggregateStore":
-        """Rebuild a (sliced) store from :meth:`slice_payload` output."""
+        """The (sliced) store of a received :meth:`slice_payload`, over its
+        arrays: adopted when they are the receiver's own (what a transport
+        delivered), copied when they are views (:func:`repro.utils.owned`)."""
         meta = dict(payload["meta"])
         reason = _refuse_old_format(meta, "this store slice")
         if reason is not None:
             raise ValueError(reason)
         return cls(
             meta,
-            np.asarray(payload["embeddings"]),
-            np.asarray(payload["versions"], np.int64),
-            np.asarray(payload["reads"], np.int32),
-            node_ids=np.asarray(payload["node_ids"], np.int64),
+            owned(payload["embeddings"], np.float64),
+            owned(payload["versions"], np.int64),
+            owned(payload["reads"], np.int32),
+            shard_id=payload["shard_id"],
+            num_shards=payload["num_shards"],
         )
 
     def __repr__(self) -> str:

@@ -21,9 +21,11 @@ from repro.cluster import (
     ShardError,
     ShardSpec,
 )
+from repro.cluster.codec import Envelope, transfer
 from repro.cluster.planner import check_node_range
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
+from repro.graph import HeteroGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import InferenceServer, make_trace
 
@@ -129,6 +131,46 @@ class TestShardPlanner:
                 want_n, want_t = graph.neighbors(int(node))
                 np.testing.assert_array_equal(got_n, want_n)
                 np.testing.assert_array_equal(got_t, want_t)
+
+    def test_an_adopted_replica_is_the_rebuilt_one_verbatim(self, plan):
+        """What an engine receives is adopted as its replica, not copied,
+        and equals a stable-argsort rebuild of the same edges array for
+        array; the first arrival moves the adopted features into a buffer
+        of the replica's own."""
+        graph = plan.global_graph
+        rebuilt = HeteroGraph(
+            node_types=graph.node_types, src=graph._src, dst=graph.indices,
+            edge_types=graph.edge_type_of,
+            node_type_names=graph.node_type_names,
+            edge_type_names=graph.edge_type_names,
+            features=graph.features, labels=graph.labels,
+            num_classes=graph.num_classes,
+        )
+        spawn = Envelope(kind="spawn", payload={"spec": plan.shards[2].to_payload()})
+        received = transfer(spawn).payload["spec"]
+        replica = ShardSpec.from_payload(received).graph
+        for name in ("indptr", "indices", "edge_type_of", "_src", "features",
+                     "labels", "node_types"):
+            ours, theirs = getattr(replica, name), getattr(rebuilt, name)
+            np.testing.assert_array_equal(ours, theirs, err_msg=name)
+            assert ours.dtype == theirs.dtype, name
+        for name, key in (("indices", "dst"), ("edge_type_of", "edge_types"),
+                          ("_src", "src"), ("features", "features"),
+                          ("labels", "labels"), ("node_types", "node_types")):
+            assert getattr(replica, name) is received[key], name
+        held = received["features"].copy()
+        replica.add_nodes("paper", features=np.ones((2, held.shape[1])))
+        np.testing.assert_array_equal(replica.features[:-2], held)
+        np.testing.assert_array_equal(received["features"], held)
+        assert not np.shares_memory(replica.features, received["features"])
+
+    def test_adopting_edges_out_of_csr_order_is_refused(self):
+        with pytest.raises(ValueError, match="CSR order"):
+            HeteroGraph(
+                node_types=np.zeros(3, np.int64), src=np.array([1, 0]),
+                dst=np.array([2, 2]), edge_types=np.zeros(2, np.int64),
+                node_type_names=["a"], edge_type_names=["x"], adopt=True,
+            )
 
     def test_single_shard_has_no_boundary(self, acm):
         plan = ClusterPlan(fresh_graph(), num_shards=1)

@@ -579,6 +579,85 @@ class TestSpawnFrame:
         engine.handle(Envelope(kind="shutdown"))
 
 
+    def test_a_large_spawn_frame_is_adopted_not_copied(self, checkpoint, store_path):
+        """Read off a socket, a spawn frame lands in arrays of its own,
+        and the engine keeps those very arrays: one copy of the shard per
+        worker, and no frame buffer beside it."""
+        from repro.cluster.engine import build_engine_from_args
+        from repro.cluster.net import GATHER_MIN_BYTES
+        from repro.cluster.planner import ClusterPlan
+        from repro.store import AggregateStore
+
+        spec = ClusterPlan(fresh_graph(), 2).shards[1]
+        store = AggregateStore.open(store_path)
+        args = {
+            "engine": "serve",
+            "spec_payload": spec.to_payload(),
+            "checkpoint": None,
+            "checkpoint_bytes": checkpoint.read_bytes(),
+            "config": {
+                "seed": 7,
+                "store": store.slice_payload(spec.owned, 1, 2),
+            },
+            "serving_state": None,
+        }
+        spawn = Envelope(kind="spawn", payload={"engine_args": args})
+        assert len(encode(spawn)) >= GATHER_MIN_BYTES
+        left, right = socket.socketpair()
+        writer = threading.Thread(target=send_message, args=(left, spawn))
+        try:
+            writer.start()
+            received = recv_message(right, Envelope, WIRE_KINDS)
+        finally:
+            writer.join(timeout=10)
+            left.close()
+            right.close()
+        got = received.payload["engine_args"]
+        engine = build_engine_from_args(got)
+        graph, shard_store = engine.spec.graph, engine.server.store
+        sent = got["spec_payload"]
+        assert graph.indices is sent["dst"] and graph._src is sent["src"]
+        assert graph.features is sent["features"] and graph.labels is sent["labels"]
+        assert shard_store._embeddings is got["config"]["store"]["embeddings"]
+        assert shard_store._versions.size == spec.num_owned
+        np.testing.assert_array_equal(graph.indices, spec.graph.indices)
+        np.testing.assert_array_equal(
+            shard_store.blocks_for(spec.owned)[0], store.blocks_for(spec.owned)[0]
+        )
+        engine.handle(Envelope(kind="shutdown"))
+
+
+class TestWorkerMemoryGauges:
+    def test_every_worker_reports_its_own_resident_and_peak_memory(
+        self, checkpoint
+    ):
+        """A spawned socket fleet: each worker process reads VmRSS and
+        VmHWM from its own ``/proc/self/status`` into its metrics."""
+        import os
+
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc on this platform")
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="socket", seed=7
+        )
+        try:
+            router.embed(np.arange(8))
+            merged = router.merged_registry()
+            text = merged.render_prometheus()
+        finally:
+            router.close()
+        gauges = {
+            (series.name, series.labels.get("shard")): series.value
+            for series in merged.series()
+            if series.name.startswith("process_")
+        }
+        for shard in ("0", "1"):
+            resident = gauges[("process_resident_bytes", shard)]
+            peak = gauges[("process_peak_resident_bytes", shard)]
+            assert peak >= resident > 0
+            assert f'process_peak_resident_bytes{{shard="{shard}"}}' in text
+
+
 class TestTransportValidation:
     def test_unknown_transport_lists_the_menu(self, checkpoint):
         with pytest.raises(ValueError) as excinfo:

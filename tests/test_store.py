@@ -279,12 +279,13 @@ class TestStoreRoundtrip:
 
     def test_slice_payload_is_rows_times_row_size(self, store_path, acm):
         """The size contract behind the RSS / bring-up numbers: a slice on
-        the wire is embedding + read set + id + stamp per row, plus the
-        codec's frame header and the metadata — not pack matrices."""
+        the wire is embedding + read set + stamp per owned id, plus the
+        codec's frame header and the metadata — not pack matrices, and
+        not the ids the shard does not own."""
         store = AggregateStore.open(store_path)
         owned = np.arange(0, acm.graph.num_nodes, 2)
         width = store.reads_of([0]).shape[1]
-        wire = wire_size(store.slice_payload(owned.tolist()))
+        wire = wire_size(store.slice_payload(owned.tolist(), 0, 2))
         assert wire <= owned.size * (DIM * 8 + width * 4 + 16) + 2048
         assert store.nbytes == store.num_rows * DIM * 8
 
@@ -614,7 +615,7 @@ class TestVectorizedInvalidation:
 
 class TestClusterStoreSlices:
     @pytest.mark.parametrize("transport,num_shards", [
-        ("inline", 1), ("inline", 4), ("socket", 4),
+        ("inline", 1), ("inline", 4), ("socket", 3), ("socket", 4),
     ])
     def test_fleet_matches_oracle_through_mutations(
         self, checkpoint, store_path, transport, num_shards
@@ -661,6 +662,38 @@ class TestClusterStoreSlices:
         finally:
             router.close()
 
+    def test_inline_engines_share_no_memory_with_the_coordinator(
+        self, checkpoint, store_path
+    ):
+        """An engine adopts the arrays it is handed, so an inline engine
+        must be handed its own: no array of its replica or its store slice
+        may alias the coordinator's graph or store."""
+        router = ClusterRouter.from_checkpoint(
+            checkpoint, fresh_graph(), 2, transport="inline",
+            seed=7, store_path=store_path,
+        )
+        try:
+            theirs = [
+                value
+                for holder in (router.graph, router.store)
+                for value in vars(holder).values()
+                if isinstance(value, np.ndarray)
+            ]
+            for worker in router.workers:
+                engine = worker.transport.engine
+                ours = [
+                    value
+                    for holder in (engine.spec.graph, engine.server.store)
+                    for value in vars(holder).values()
+                    if isinstance(value, np.ndarray)
+                ]
+                assert len(ours) > 8
+                for array in ours:
+                    assert not any(np.shares_memory(array, other) for other in theirs)
+                assert engine.server.store.versions_of(worker.spec.owned).min() == 0
+        finally:
+            router.close()
+
     def test_router_refuses_incompatible_store(self, checkpoint, store_path):
         with pytest.raises(ValueError, match="seed"):
             ClusterRouter.from_checkpoint(
@@ -687,6 +720,83 @@ class TestClusterStoreSlices:
             if line.startswith("serve_store_requests_total")
         ]
         assert any('outcome="hit"' in line for line in store_lines)
+
+
+class TestShardTables:
+    """A shard's slice is its own tables: row ``k`` is node ``s + k*S``."""
+
+    @staticmethod
+    def shard_store(store_path, num_nodes, shard_id=1, num_shards=3):
+        full = AggregateStore.open(store_path)
+        owned = np.arange(shard_id, num_nodes, num_shards)
+        payload = full.slice_payload(owned, shard_id, num_shards)
+        assert payload["versions"].shape == (owned.size,)  # 1/S of the ids
+        return full, owned, AggregateStore.from_payload(payload)
+
+    def test_a_shard_table_holds_exactly_its_owned_rows(self, store_path, acm):
+        full, owned, shard = self.shard_store(store_path, acm.graph.num_nodes)
+        assert (shard.shard_id, shard.num_shards) == (1, 3)
+        assert shard.num_rows == owned.size
+        np.testing.assert_array_equal(shard.versions_of(owned), full.versions_of(owned))
+        np.testing.assert_array_equal(shard.reads_of(owned), full.reads_of(owned))
+        for ours, theirs in zip(shard.blocks_for(owned), full.blocks_for(owned)):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_a_foreign_id_reads_as_absent(self, store_path, acm):
+        """Ids of the other shards map onto owned rows under ``id // S``;
+        none of them may read one."""
+        _, owned, shard = self.shard_store(store_path, acm.graph.num_nodes)
+        foreign = np.setdiff1d(np.arange(-3, acm.graph.num_nodes + 6), owned)
+        assert (shard.versions_of(foreign) == -1).all()
+        assert not any(shard.has(int(node)) for node in foreign[:9])
+        reads = shard.reads_of(foreign)
+        own = np.repeat(foreign[:, None], reads.shape[1], axis=1)
+        np.testing.assert_array_equal(reads, own)
+        with pytest.raises(KeyError, match=f"node {int(foreign[0])}"):
+            shard.blocks_for(foreign[:1])
+        mixed = np.array([int(owned[0]), int(foreign[-1])])
+        assert list(shard.versions_of(mixed)) == [0, -1]
+
+    def test_refresh_never_writes_a_foreign_id(self, store_path, acm):
+        _, owned, shard = self.shard_store(store_path, acm.graph.num_nodes)
+        width = shard.reads_of([1]).shape[1]
+        before = shard.blocks_for([4])
+        rows = np.full((2, DIM), 9.0)
+        reads = np.full((2, width), 5, np.int32)
+        shard.refresh([3, 5], 8, rows, reads)  # both share node 4's row
+        for ours, theirs in zip(shard.blocks_for([4]), before):
+            np.testing.assert_array_equal(ours, theirs)
+        assert list(shard.versions_of([3, 4, 5])) == [-1, 0, -1]
+        shard.refresh(6, 8, rows[0], reads[0])  # one foreign node: a no-op
+        assert shard.overlay_size == 0
+        shard.refresh([3, 4], 8, rows, reads)
+        assert list(shard.versions_of([3, 4])) == [-1, 8]
+        np.testing.assert_array_equal(shard.block_for(4)[0], rows[0])
+        assert shard.overlay_size == 1
+        # An owned arrival past the table grows it; the ids in between
+        # stay absent and keep their own ids as read sets.
+        arrival = int(owned[-1]) + 3 * 5
+        shard.refresh([arrival, arrival + 1], 9, rows, reads)
+        stamps = shard.versions_of([arrival, arrival + 1, arrival - 3])
+        assert list(stamps) == [9, -1, -1]
+        assert shard.reads_of([arrival - 3])[0, 0] == arrival - 3
+        assert shard.overlay_size == 2
+
+    def test_the_whole_graph_store_is_shard_0_of_1(self, store_path, acm):
+        full = AggregateStore.open(store_path)
+        assert (full.shard_id, full.num_shards) == (0, 1)
+        everyone = np.arange(acm.graph.num_nodes)
+        whole = AggregateStore.from_payload(full.slice_payload(everyone))
+        np.testing.assert_array_equal(
+            whole.versions_of(everyone), full.versions_of(everyone)
+        )
+        for ours, theirs in zip(whole.blocks_for(everyone), full.blocks_for(everyone)):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_a_slice_refuses_ids_of_another_shard(self, store_path):
+        full = AggregateStore.open(store_path)
+        with pytest.raises(ValueError, match="n % 3 == 1"):
+            full.slice_payload([1, 2], 1, 3)
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,11 @@ an object / void / big-endian dtype, a negative or overflowing shape,
 buffers that do not fill the frame exactly, nesting past ``MAX_DEPTH`` —
 must raise :class:`ProtocolError` and nothing else, must not hang and must
 not allocate past the frame it was handed (or, for a length prefix, past
-the frame cap).  The properties are derandomized and sized for tier-1;
+the frame cap).  Frames of at least ``GATHER_MIN_BYTES``, which a socket reads buffer by
+buffer into fresh arrays, are attacked over a socketpair the same way:
+each ends in ``ProtocolError`` or, when the peer cut the frame,
+``ConnectionResetError``, without allocating past the frame's size.
+The properties are derandomized and sized for tier-1;
 ``--hypothesis-profile=wire-fuzz`` (``tests/conftest.py``) runs each with
 5,000 examples.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,8 +29,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cluster.codec import MAX_DEPTH, Envelope, ProtocolError, Reply, decode, encode
-from repro.cluster.net import FrameTooLargeError, recv_frame, recv_message
+from repro.cluster.codec import (
+    MAX_DEPTH,
+    Envelope,
+    ProtocolError,
+    Reply,
+    decode,
+    encode,
+    transfer,
+)
+from repro.cluster.net import (
+    GATHER_MIN_BYTES,
+    FrameTooLargeError,
+    recv_frame,
+    recv_message,
+)
 from repro.cluster.transport import WIRE_KINDS
 
 fuzz = settings(derandomize=True, deadline=None)
@@ -407,3 +425,158 @@ class TestLengthPrefix:
         finally:
             left.close()
             right.close()
+
+
+# ----------------------------------------------------------------------
+# Large frames: read off a socket buffer by buffer
+# ----------------------------------------------------------------------
+
+BALLAST = np.arange(GATHER_MIN_BYTES // 8 + 3, dtype=np.int64)
+
+
+def enlarged(message):
+    """``message`` with a leaf that lifts its frame past ``GATHER_MIN_BYTES``."""
+    if type(message) is Envelope:
+        return Envelope(
+            kind=message.kind, payload=dict(message.payload, ballast=BALLAST),
+            seq=message.seq, trace_ctx=message.trace_ctx,
+        )
+    return Reply(
+        seq=message.seq, ok=message.ok,
+        payload={"inner": message.payload, "ballast": BALLAST},
+        error=message.error, trace=message.trace,
+    )
+
+
+large_corpus = st.sampled_from([enlarged(message) for message in CORPUS])
+
+
+def over_socket(wire: bytes, expect, traced: bool = False):
+    """Write ``wire`` (length prefix included) into a socketpair from a
+    thread, hang up, and read one message off the other end.  With
+    ``traced``, returns ``(outcome, peak bytes allocated while reading)``,
+    the outcome being the message or the exception the read raised."""
+    left, right = socket.socketpair()
+
+    def write():
+        try:
+            left.sendall(wire)
+        except OSError:
+            pass  # the reader refused the frame and hung up first
+        finally:
+            left.close()
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        if not traced:
+            return recv_message(right, expect, WIRE_KINDS)
+        tracemalloc.start()
+        try:
+            try:
+                outcome = recv_message(right, expect, WIRE_KINDS)
+            except Exception as exc:  # noqa: BLE001 - the outcome is the verdict
+                outcome = exc
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return outcome, peak
+    finally:
+        right.close()
+        writer.join(timeout=10)
+
+
+def leaves(value):
+    """Every array in a decoded tree."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item)
+
+
+class TestLargeFrames:
+    @fuzz
+    @given(message=large_corpus)
+    def test_a_large_frame_lands_in_arrays_of_its_own(self, message):
+        """Each buffer of a large frame is read straight into its own
+        array: nothing is a view of a frame buffer or of another leaf, so
+        a receiver may keep any of them."""
+        frame = encode(message)
+        assert len(frame) >= GATHER_MIN_BYTES
+        back = over_socket(struct.pack("!Q", len(frame)) + bytes(frame), type(message))
+        for name in vars(message):
+            assert_same(getattr(back, name), getattr(message, name))
+        arrays = list(leaves([back.payload, getattr(back, "trace", None)]))
+        assert arrays
+        for index, array in enumerate(arrays):
+            assert array.base is None and array.flags.writeable
+            for other in arrays[index + 1:]:
+                assert not np.shares_memory(array, other)
+
+    @fuzz
+    @given(message=large_corpus, data=st.data())
+    def test_a_frame_cut_anywhere_resets(self, message, data):
+        """The peer hangs up inside the frame — in the header or mid-buffer."""
+        frame = encode(message)
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        wire = struct.pack("!Q", len(frame)) + bytes(frame[:cut])
+        outcome, peak = over_socket(wire, type(message), traced=True)
+        assert isinstance(outcome, (ConnectionResetError, ProtocolError)), outcome
+        assert peak <= len(frame) + 256 * 1024, peak
+
+    @fuzz
+    @given(message=large_corpus, data=st.data())
+    def test_descriptors_longer_than_the_prefix(self, message, data):
+        """A prefix shorter than the buffers its header describes is refused
+        before a buffer is allocated."""
+        frame = encode(message)
+        size = data.draw(st.integers(GATHER_MIN_BYTES, len(frame) - 1))
+        outcome, peak = over_socket(
+            struct.pack("!Q", size) + bytes(frame), type(message), traced=True
+        )
+        assert isinstance(outcome, ProtocolError), outcome
+        assert peak <= 256 * 1024, peak
+
+    @fuzz
+    @given(
+        shape=st.lists(st.integers(0, 2**40), min_size=1, max_size=4).filter(
+            lambda shape: np.prod([float(d) for d in shape]) > GATHER_MIN_BYTES
+        ),
+    )
+    def test_a_huge_shape_inside_a_large_frame(self, shape):
+        frame = handmade(
+            serve({"x": {"$buf": 0}}, buffers=[["<f8", shape]]),
+            bytes(GATHER_MIN_BYTES),
+        )
+        outcome, peak = over_socket(
+            struct.pack("!Q", len(frame)) + bytes(frame), Envelope, traced=True
+        )
+        assert isinstance(outcome, ProtocolError), outcome
+        assert peak <= 256 * 1024, peak
+
+    @fuzz
+    @given(message=large_corpus, data=st.data())
+    def test_a_flipped_byte_decodes_or_is_refused(self, message, data):
+        frame = encode(message)
+        at = data.draw(st.integers(0, len(frame) - 1))
+        frame[at] ^= data.draw(st.integers(1, 255))
+        outcome, peak = over_socket(
+            struct.pack("!Q", len(frame)) + bytes(frame), type(message), traced=True
+        )
+        assert isinstance(outcome, (type(message), ProtocolError)), outcome
+        assert peak <= 2 * len(frame) + 256 * 1024, peak
+
+    @fuzz
+    @given(message=messages)
+    def test_transfer_is_a_deep_copy_through_the_codec(self, message):
+        back = transfer(message)
+        for name in vars(message):
+            assert_same(getattr(back, name), getattr(message, name))
+        sent = list(leaves([message.payload]))
+        for array in leaves([back.payload]):
+            assert array.base is None
+            assert not any(np.shares_memory(array, theirs) for theirs in sent)
