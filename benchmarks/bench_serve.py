@@ -12,8 +12,10 @@ Shape claims asserted:
    single-request path (the whole point of memoizing embeddings).
 2. The versioned cache serves a 100% hit-rate on an exact replay of the
    trace with no intervening graph mutation.
-3. After a streaming mutation, the hit-rate collapses for the first
-   post-mutation pass — stale entries are structurally unreachable.
+3. After a streaming mutation that touches the trace's hottest node, the
+   hit-rate of the next pass drops below the warm pass — every entry whose
+   sample read that node's adjacency list is stale and recomputed (a write
+   the trace never read stales nothing: invalidation is by read set).
 """
 
 import numpy as np
@@ -47,12 +49,16 @@ def _run(tmp_path):
     first = replay(server, trace)
     warm = replay(server, trace)
 
-    # Streaming mutation: one node arrives; the next pass starts cold.
+    # Streaming mutation: one node arrives, wired to the trace's hottest
+    # node, whose cached answer (and any that read its list) goes stale.
     papers = dataset.graph.nodes_of_type(dataset.target_type)
-    server.add_nodes(
+    arrival = server.add_nodes(
         dataset.target_type,
         features=dataset.graph.features[papers[0]].reshape(1, -1),
     )
+    hottest = np.bincount([event.node for event in trace]).argmax()
+    author = dataset.graph.nodes_of_type("author")[0]
+    server.add_edges("paper-author", [hottest, arrival[0]], [author, author])
     post_mutation = replay(server, trace)
     return cold, first, warm, post_mutation
 

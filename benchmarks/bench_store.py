@@ -37,6 +37,7 @@ from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.obs import MetricsRegistry
 from repro.serve import InferenceServer, ModelRegistry
+from repro.serve.loadgen import series_totals
 from repro.store import AggregateStore, build_store
 
 DIM = 16
@@ -87,11 +88,11 @@ def measure_miss_latency(server, probe, rounds):
     """Cold-miss latency, cache wiped between rounds.
 
     Returns ``(request_latencies_s, wall_s_per_node)``: per-request
-    latencies from the server's own telemetry (the definition every
-    serving bench in this repo reports) and the end-to-end wall clock per
-    node as a cross-check.  The first (untimed) round absorbs one-off
-    costs — mmap page faults on the store rows, allocator warm-up — so
-    the timed rounds compare steady states.
+    latencies, completion - arrival off each request's ``ServeResult``
+    (the definition every serving bench in this repo reports), and the
+    end-to-end wall clock per node as a cross-check.  The first (untimed)
+    round absorbs one-off costs — mmap page faults on the store rows,
+    allocator warm-up — so the timed rounds compare steady states.
     """
     server.cache.invalidate()
     server.embed(probe)
@@ -99,12 +100,19 @@ def measure_miss_latency(server, probe, rounds):
     walls = []
     for _ in range(rounds):
         server.cache.invalidate()
-        server.telemetry.reset()
-        start = time.perf_counter()
-        server.embed(probe)
+        start = now = time.perf_counter()
+        ids = [server.submit(node, kind="embed", now=now) for node in probe]
+        server.drain(now)
         walls.append((time.perf_counter() - start) / probe.size)
-        latencies.extend(server.telemetry.latencies.tolist())
+        latencies.extend(server.result(request_id).latency for request_id in ids)
     return latencies, walls
+
+
+def _store_outcomes(server):
+    """The server's lifetime store lookups: ``{"hit", "stale", "absent"}``."""
+    totals = series_totals(server.telemetry.registry)
+    return {outcome: int(totals[f"store_{outcome}"])
+            for outcome in ("hit", "stale", "absent")}
 
 
 def run_bench(out_path, *, scale=1.0, epochs=3, rounds=8, probe_size=64,
@@ -155,6 +163,7 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         return InferenceServer(
             WidenClassifier.load(checkpoint, graph=graph), graph,
             seed=seed, store=store, max_batch_size=probe_size,
+            registry=MetricsRegistry(),
         )
 
     # -- Claim 1a: single server, before and after the mutation stream --
@@ -168,17 +177,17 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         _apply(stored, command)
         diffs.append(_max_diff(oracle.embed(probe), stored.embed(probe)))
         mismatches.append(_label_mismatches(oracle, stored, probe))
-    lookups = stored.telemetry.summary()
+    lookups = _store_outcomes(stored)
     report["exactness"].append({
         "target": "single_server",
         "max_diff": max(diffs),
         "per_step_max_diff": diffs,
         "label_mismatches": sum(mismatches),
-        "store_hits": int(lookups["store_hits"]),
-        "store_stale": int(lookups["store_stale"]),
-        "store_absent": int(lookups["store_absent"]),
+        "store_hits": lookups["hit"],
+        "store_stale": lookups["stale"],
+        "store_absent": lookups["absent"],
     })
-    assert lookups["store_stale"] > 0, (
+    assert lookups["stale"] > 0, (
         "mutation stream never drove a stale store row — no write met a "
         "probed row's read set, so the lazy-refresh path went unexercised"
     )
@@ -224,8 +233,9 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         store_lat, store_wall = measure_miss_latency(
             stored_server, probe, rounds
         )
-        lookups = stored_server.telemetry.summary()
-        assert lookups["store_absent"] == 0 and lookups["store_stale"] == 0, (
+        # Over the server's life, the untimed warm-up round included.
+        lookups = _store_outcomes(stored_server)
+        assert lookups["absent"] == 0 and lookups["stale"] == 0, (
             "latency rounds were supposed to be pure store hits"
         )
         recompute_mean = float(np.mean(recompute_lat))
@@ -242,7 +252,7 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
             "store_wall_us_per_node": float(np.mean(store_wall)) * 1e6,
             "wall_speedup": float(np.mean(recompute_wall))
             / float(np.mean(store_wall)),
-            "store_hits": int(lookups["store_hits"]),
+            "store_hits": lookups["hit"],
         }
         if best is None or candidate["speedup"] > best["speedup"]:
             best = candidate

@@ -315,7 +315,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.datasets import make_dataset
     from repro.serve import (
-        InferenceServer, ModelRegistry, cold_single_requests, make_trace, replay,
+        InferenceServer, ModelRegistry, cold_single_requests, format_report,
+        make_trace, replay,
     )
 
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
@@ -340,14 +341,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"{pool.size} servable nodes, zipf s={args.zipf})\n")
 
         cold = cold_single_requests(served, dataset.graph, trace, seed=args.seed)
-        print("cold single-request baseline (no batching, no cache)")
-        print("-" * 52)
-        print(f"latency mean      {cold['latency_mean_s'] * 1e3:.3f} ms")
-        print(f"latency p50/p95/p99   "
-              f"{cold['latency_p50_s'] * 1e3:.3f} / "
-              f"{cold['latency_p95_s'] * 1e3:.3f} / "
-              f"{cold['latency_p99_s'] * 1e3:.3f} ms")
-        print(f"throughput        {cold['throughput_rps']:.1f} req/s\n")
+        print(format_report(
+            cold, "cold single-request baseline (no batching, no cache)"))
+        print()
 
         store = None
         if args.store:
@@ -365,13 +361,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         # The endpoint renders the server's snapshot — registry series
         # plus the cache node-hit histogram and store gauges.
         with _maybe_serve_metrics(args, server.render_prometheus):
-            replay(server, trace)
-            print(server.telemetry.format_report(
-                "server, first pass (cold cache)"))
+            print(format_report(
+                replay(server, trace), "server, first pass (cold cache)"))
             warm = replay(server, trace)
             print()
-            print(server.telemetry.format_report(
-                "server, replayed pass (warm cache)"))
+            print(format_report(warm, "server, replayed pass (warm cache)"))
         speedup = (
             cold["latency_mean_s"] / warm["latency_mean_s"]
             if warm["latency_mean_s"] > 0 else float("inf")

@@ -86,8 +86,6 @@ DEFAULT_HELP: Dict[str, str] = {
     "serve_cache_node_hits": "Per-node embedding-cache hit counts.",
     "serve_cache_entries": "Live embedding-cache entries.",
     "serve_rung_total": "Nodes served by ladder rung (cache/store/overlay/recompute).",
-    "serve_queue_wait_seconds": "Queue wait (submit to flush) per computed request.",
-    "serve_compute_seconds": "Compute time (flush to completion) per request.",
     "shard_errors_total": "Engine envelopes that became error replies, by kind.",
     "train_shard_step_seconds": "Per-shard local microbatch compute (forward+backward), per step.",
     "train_grad_reduce_seconds": "Coordinator gradient gather+weighted-reduce time, per global step.",
@@ -125,10 +123,10 @@ def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
     Nearest-rank keeps the answer an *observed* value — the convention of
     serving dashboards — instead of an interpolated value no request paid.
     """
-    if len(values) == 0:
-        return 0.0
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if len(values) == 0:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, int(-(-p * len(ordered) // 100)))  # ceil without floats
     return ordered[min(rank, len(ordered)) - 1]

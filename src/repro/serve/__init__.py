@@ -17,16 +17,24 @@ refuses anything else (:func:`repro.core.serving_refusal`).
 - :class:`InferenceServer` — ties the above over one serving graph, with
   streaming ingestion (``add_nodes``/``add_edges``) wired to the graph's
   mutation hooks;
-- :class:`Telemetry` — the request table (a request is a row; a
-  :class:`ServeResult` is built from it on demand) and its reductions:
-  latency percentiles, queue depth, batch occupancy, cache hit-rate;
-- :mod:`~repro.serve.loadgen` — deterministic Poisson/Zipf traces and the
-  replay harness behind ``python -m repro serve-bench``.
+- :class:`Telemetry` — the table of requests in flight (a request is a
+  row until its answer is picked up; a :class:`ServeResult` is built from
+  it) and the registry series it feeds;
+- :mod:`~repro.serve.loadgen` — deterministic Poisson/Zipf traces, the
+  replay harness behind ``python -m repro serve-bench`` and its pass
+  report: latency percentiles, queue depth, batch occupancy, cache
+  hit-rate, read off the pass's own answers.
 """
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import EmbeddingCache
-from repro.serve.loadgen import TraceEvent, cold_single_requests, make_trace, replay
+from repro.serve.loadgen import (
+    TraceEvent,
+    cold_single_requests,
+    format_report,
+    make_trace,
+    replay,
+)
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import InferenceServer, ServeResult
 from repro.serve.telemetry import RUNGS, Telemetry
@@ -43,4 +51,5 @@ __all__ = [
     "make_trace",
     "replay",
     "cold_single_requests",
+    "format_report",
 ]

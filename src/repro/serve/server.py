@@ -130,14 +130,12 @@ class InferenceServer:
         self.batcher = MicroBatcher(max_batch_size=max_batch_size, max_wait=max_wait)
         self.cache = EmbeddingCache(cache_capacity)
         # Serving reports into the shared metrics pipeline (repro.obs): the
-        # per-replay reductions stay on this Telemetry object, while the
-        # registry accumulates cross-cutting series next to training's.
+        # table holds the requests in flight, and what outlives them is the
+        # registry's series, next to training's.
         self.telemetry = Telemetry(
-            max_batch_size=max_batch_size,
-            registry=registry if registry is not None else get_registry(),
-            cache=self.cache,
+            registry if registry is not None else get_registry()
         )
-        # The answers, by request id, until result() / reply() picks them
+        # The answers, by request id, until result() / replay() picks them
         # up; everything else about a request is its telemetry row.
         self._values: Dict[int, Union[int, np.ndarray]] = {}
         # Single-worker service model: a batch cannot start before the
@@ -272,8 +270,9 @@ class InferenceServer:
         self.telemetry.sync()
 
     def result(self, request_id: int) -> ServeResult:
-        """Completed result by id, released; raises ``KeyError`` while the
-        request is still queued (and once it has been picked up)."""
+        """Completed result by id, released (its row goes at the table's
+        next restart); raises ``KeyError`` while the request is still
+        queued (and once it has been picked up)."""
         if request_id not in self._values:
             raise KeyError(
                 f"request {request_id} has no result yet; poll() or drain() "
@@ -281,7 +280,7 @@ class InferenceServer:
             )
         table = self.telemetry
         (row,) = table.rows_of([request_id])
-        return ServeResult(
+        result = ServeResult(
             request_id=request_id,
             node=int(table.node[row]),
             kind=KINDS[table.kind[row]],
@@ -291,6 +290,8 @@ class InferenceServer:
             rung=RUNGS[table.rung[row]],
             queue_wait=float(table.queue_wait[row]),
         )
+        table.release(1)
+        return result
 
     def replay(
         self, nodes, times=None, end: Optional[float] = None, *, kind: str = "classify"
@@ -319,12 +320,14 @@ class InferenceServer:
         rows = table.rows_of(ids)
         queue_wait = table.queue_wait[rows]
         compute = table.completion[rows] - table.arrival[rows] - queue_wait
-        return {
+        reply = {
             "values": np.asarray([self._values.pop(request_id) for request_id in ids]),
             "rungs": table.rung[rows],
             "queue_wait": max([0.0, *queue_wait.tolist()]),
             "compute": max([0.0, *compute.tolist()]),
         }
+        table.release(len(ids))
+        return reply
 
     # -- blocking conveniences ------------------------------------------
 
@@ -400,10 +403,7 @@ class InferenceServer:
         touched, reason = self.freshness.observe(graph)
         dropped = self._sweep_cache()
         self.telemetry.record_invalidation(
-            frontier_size=int(len(touched)),
-            dropped=dropped,
-            kept=len(self.cache),
-            reason=reason,
+            frontier_size=int(len(touched)), dropped=dropped, reason=reason
         )
         if self.store is not None:
             # Rows whose *own* list the write touched — a floor on what it

@@ -16,6 +16,7 @@ from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
 from repro.nn import Linear
 from repro.optim import Adam
+from repro.serve.loadgen import series_totals
 from repro.tensor import functional as F, ops
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -300,13 +301,15 @@ def use_per_state_trigger(monkeypatch, trainer) -> None:
 
 
 def store_totals(server) -> dict:
-    """The server's running store-lookup totals."""
-    telemetry = server.telemetry
+    """The server's store-lookup totals, off its registry: lookups (a
+    store-backed server consults the store once per compute batch) and the
+    nodes each outcome served."""
+    totals = series_totals(server.telemetry.registry)
     return {
-        "lookups": telemetry.store_lookups,
-        "hit": telemetry.store_hits,
-        "stale": telemetry.store_stale,
-        "absent": telemetry.store_absent,
+        "lookups": totals["compute_batches"],
+        "hit": totals["store_hit"],
+        "stale": totals["store_stale"],
+        "absent": totals["store_absent"],
     }
 
 

@@ -106,6 +106,19 @@ class TestHistogram:
         assert histogram.min == 1.0
         assert histogram.percentile(50) == 2.0
 
+    @pytest.mark.parametrize("observed", [[], [1.0, 2.0]], ids=["empty", "non-empty"])
+    def test_out_of_range_ranks_raise_in_both_conventions(self, observed):
+        """The rank is checked before the observations: an empty histogram
+        refuses a bad rank as loudly as a full one."""
+        histogram = Histogram("h")
+        histogram.observe_many(observed)
+        for p in (-1, 150):
+            with pytest.raises(ValueError, match=r"percentile must be in \[0, 100\]"):
+                histogram.percentile(p)
+        for q in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"quantile must be in \[0, 1\]"):
+                histogram.quantile(q)
+
     def test_empty_histogram_is_all_zeros(self):
         histogram = Histogram("h")
         assert histogram.min == histogram.max == histogram.mean == 0.0

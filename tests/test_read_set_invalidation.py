@@ -45,6 +45,7 @@ from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier
 from repro.core.state import NeighborStateStore
 from repro.graph import HeteroGraph
+from repro.obs import MetricsRegistry
 from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask
 from repro.store import AggregateStore, build_store
@@ -213,7 +214,8 @@ class TestSoundness:
             classifier = WidenClassifier.load(checkpoint, graph=graph)
             store = build_store(classifier, graph, tmp, seed=SEED)
             warm = InferenceServer(
-                classifier, graph, seed=SEED, store=store, cache_capacity=capacity
+                classifier, graph, seed=SEED, store=store, cache_capacity=capacity,
+                registry=MetricsRegistry(),
             )
             everyone = np.arange(graph.num_nodes)
             assert_same_answers(
@@ -231,7 +233,7 @@ class TestSoundness:
                 # overlay) is the answer a cold server would compute.
                 assert_rows_are_current(store, classifier, graph, nodes)
             # The run was not trivially cold: something was served warm.
-            assert warm.telemetry.store_hits > 0
+            assert store_totals(warm)["hit"] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(graph=graphs(min_nodes=10, max_nodes=26), stream=writes)
@@ -479,7 +481,9 @@ class TestPrecision:
         with tempfile.TemporaryDirectory() as tmp:
             classifier = WidenClassifier.load(checkpoint, graph=graph)
             store = build_store(classifier, graph, tmp, seed=SEED)
-            server = InferenceServer(classifier, graph, seed=SEED, store=store)
+            server = InferenceServer(
+                classifier, graph, seed=SEED, store=store, registry=MetricsRegistry()
+            )
             everyone = np.arange(6)
             server.embed(everyone)
             server.add_edges("x", [4], [3], symmetric=False)

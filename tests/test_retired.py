@@ -142,6 +142,14 @@ RETIRED = [
         (),
     ),
     (
+        r"_clear_totals|invalidation_kept_entries"
+        r"|[Tt]elemetry\.(reset|latencies|summary|format_report)\b",
+        43,
+        "a served request leaves no row behind: Telemetry keeps no window, and a "
+        "pass is reported from its own answers (repro.serve.loadgen)",
+        (),
+    ),
+    (
         r"\bSGD\b",
         41,
         "Adam is the optimizer the trainers run; SGD had no caller",

@@ -20,17 +20,22 @@ from repro.datasets import make_acm
 from repro.graph import GraphBuilder
 from repro.nn import Linear, Module
 from repro.obs.metrics import nearest_rank_percentile
+from repro.obs import MetricsRegistry
 from repro.serve import (
     RUNGS,
     EmbeddingCache,
     InferenceServer,
     MicroBatcher,
     ModelRegistry,
+    ServeResult,
     Telemetry,
     cold_single_requests,
+    format_report,
     make_trace,
     replay,
 )
+from repro.serve.loadgen import pass_report, series_totals
+from repro.serve.telemetry import COLUMNS
 from repro.store import build_store
 
 
@@ -255,49 +260,75 @@ class TestTelemetry:
             nearest_rank_percentile(values, 101)
 
     @staticmethod
-    def answered(telemetry, node, arrival, completion, *, hit, batch_size, **finish):
-        """One request through the recording API: open its row, fill it."""
-        request_id = telemetry.open(node, "classify", arrival)
+    def answered(
+        telemetry, node, arrival, completion, *, hit=False, rung=None,
+        batch_size=1, queue_wait=0.0, depth=0, kind="classify",
+    ):
+        """One request through the recording API — open its row, fill it —
+        and the :class:`ServeResult` the server would build from that row."""
+        rung = rung or ("cache" if hit else "recompute")
+        request_id = telemetry.open(node, kind, arrival, depth)
         telemetry.finish(
             request_id, completion,
-            rung="cache" if hit else "recompute", batch_size=batch_size, **finish,
+            rung=rung, batch_size=batch_size, queue_wait=queue_wait,
         )
-        return request_id
+        return ServeResult(
+            request_id, node, kind, 0, arrival, completion, rung, queue_wait
+        )
+
+    @staticmethod
+    def report(registry, feed, max_batch_size=4):
+        """The pass report of what ``feed()`` records on ``registry``;
+        ``feed`` returns the pass's results."""
+        before = series_totals(registry)
+        results = feed()
+        return pass_report(results, before, series_totals(registry), max_batch_size)
 
     def test_summary_reductions(self):
-        telemetry = Telemetry(max_batch_size=4)
-        for i, hit in enumerate([True, False, True, True]):
-            self.answered(
-                telemetry, i, float(i), float(i) + 0.5, hit=hit, batch_size=2
-            )
-        telemetry.record_batch(2)
-        telemetry.record_batch(4)
-        stats = telemetry.summary()
+        registry = MetricsRegistry()
+        telemetry = Telemetry(registry)
+
+        def feed():
+            results = [
+                self.answered(telemetry, i, float(i), float(i) + 0.5, hit=hit, batch_size=2)
+                for i, hit in enumerate([True, False, True, True])
+            ]
+            telemetry.record_batch(2)
+            telemetry.record_batch(4)
+            telemetry.sync()
+            return results
+
+        stats = self.report(registry, feed)
         assert stats["requests"] == 4
         assert stats["latency_mean_s"] == pytest.approx(0.5)
         assert stats["cache_hit_rate"] == pytest.approx(0.75)
         assert stats["batch_occupancy"] == pytest.approx((2 + 4) / (2 * 4))
         # span = first arrival (0.0) .. last completion (3.5)
         assert stats["throughput_rps"] == pytest.approx(4 / 3.5)
-        report = telemetry.format_report("pass")
+        report = format_report(stats, "pass")
         assert "p99" in report and "cache hit rate" in report
 
     def test_summary_min_max_count_fields(self):
-        telemetry = Telemetry(max_batch_size=4)
-        for i, latency in enumerate([0.2, 0.1, 0.4]):
-            self.answered(telemetry, i, 0.0, latency, hit=False, batch_size=1)
-        stats = telemetry.summary()
+        telemetry = Telemetry(MetricsRegistry())
+        stats = self.report(telemetry.registry, lambda: [
+            self.answered(telemetry, i, 0.0, latency)
+            for i, latency in enumerate([0.2, 0.1, 0.4])
+        ])
         assert stats["latency_count"] == 3
         assert stats["latency_min_s"] == pytest.approx(0.1)
         assert stats["latency_max_s"] == pytest.approx(0.4)
-        assert "latency min/max" in telemetry.format_report()
+        assert "latency min/max" in format_report(stats)
 
     def test_summary_keys_and_values_of_a_hand_fed_pass(self):
-        """Every key ``summary()`` reported when a request was a
-        ``RequestRecord`` in a list, with the value that reduction gave for
-        these numbers (the expected dict is that implementation's output
-        at 553246d, not recomputed from the table)."""
-        telemetry = Telemetry(max_batch_size=4)
+        """Every key the pass report gives, with the value it gives for
+        these numbers.  The expected dict is what ``Telemetry.summary()``
+        returned for the same pass at 553246d and at 54f60cd, less the keys
+        that left with the window (``compute_batch_max`` and the three
+        invalidation totals), with one value moved: that pass also held a
+        request still queued (depth 0), which a drained pass cannot, so
+        ``mean_queue_depth`` is 3 / 5 where it read 3 / 6."""
+        registry = MetricsRegistry()
+        telemetry = Telemetry(registry)
         fed = [  # arrival, completion, rung, batch_size, queue_wait, depth
             (0.0, 0.25, "cache", 1, 0.0, 0),
             (0.5, 1.5, "recompute", 3, 0.25, 0),
@@ -305,18 +336,24 @@ class TestTelemetry:
             (1.0, 1.5, "overlay", 3, 0.75, 2),
             (2.0, 2.125, "cache", 1, 0.0, 0),
         ]
-        for node, (arrival, completion, rung, batch_size, wait, depth) in enumerate(fed):
-            request_id = telemetry.open(node, "embed", arrival, depth)
-            telemetry.finish(
-                request_id, completion,
-                rung=rung, batch_size=batch_size, queue_wait=wait,
-            )
-        telemetry.open(9, "classify", 2.5, 0)  # still queued: in no reduction
-        telemetry.record_batch(3)
-        telemetry.record_compute_batch(3)
-        telemetry.record_invalidation(frontier_size=2, dropped=1, kept=4)
-        telemetry.record_store_lookup(hit=2, stale=1)
-        assert telemetry.summary() == {
+
+        def feed():
+            results = [
+                self.answered(
+                    telemetry, node, arrival, completion, rung=rung,
+                    batch_size=batch_size, queue_wait=wait, depth=depth, kind="embed",
+                )
+                for node, (arrival, completion, rung, batch_size, wait, depth)
+                in enumerate(fed)
+            ]
+            telemetry.record_batch(3)
+            telemetry.record_compute_batch(3)
+            telemetry.record_invalidation(frontier_size=2, dropped=1)
+            telemetry.record_store_lookup(hit=2, stale=1)
+            telemetry.sync()
+            return results
+
+        assert self.report(registry, feed) == {
             "requests": 5,
             "throughput_rps": 5 / 2.125,
             "latency_count": 5,
@@ -328,37 +365,33 @@ class TestTelemetry:
             "latency_p99_s": 1.0,
             "batches": 1,
             "batch_occupancy": 0.75,
-            "mean_queue_depth": 0.5,  # sampled at submit: the queued one counts
+            "mean_queue_depth": 0.6,
             "cache_hit_rate": 0.4,
             "compute_batches": 1,
             "compute_batch_mean": 3.0,
-            "compute_batch_max": 3.0,
             "queue_wait_mean_s": 0.225,
             "compute_mean_s": 0.35,
             "rung_cache": 2.0,
             "rung_store": 1.0,
             "rung_overlay": 1.0,
             "rung_recompute": 1.0,
-            "invalidations": 1,
-            "invalidated_entries": 1.0,
-            "invalidation_kept_entries": 4.0,
             "store_hits": 2.0,
             "store_stale": 1.0,
             "store_absent": 0.0,
             "store_hit_rate": 2 / 3,
         }
         np.testing.assert_array_equal(
-            telemetry.latencies, [0.25, 1.0, 0.75, 0.5, 0.125]
+            registry.get("serve_latency_seconds")._ordered(),
+            [0.125, 0.25, 0.5, 0.75, 1.0],
         )
+        assert registry.get("serve_invalidations_total", reason="full").value == 1
 
     def test_feeds_shared_registry(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
-        telemetry = Telemetry(max_batch_size=4, registry=registry)
+        telemetry = Telemetry(registry)
         first = telemetry.open(0, "classify", 0.0, 3)
         queued = telemetry.open(1, "classify", 0.0, 0)
-        self.answered(telemetry, 2, 0.0, 0.5, hit=False, batch_size=2)
+        self.answered(telemetry, 2, 0.0, 0.5, batch_size=2)
         telemetry.finish(first, 0.25, rung="cache", batch_size=1)
         telemetry.record_batch(2)
         # Rows reach the registry at sync(), in submit order and each once:
@@ -378,40 +411,107 @@ class TestTelemetry:
         assert latency.max == pytest.approx(0.5)
         assert registry.get("serve_batch_size").count == 1
         assert registry.get("serve_queue_depth").max == 3
-        # reset() clears the local pass records but not the cumulative
-        # series, and syncs what it drops.
-        self.answered(telemetry, 3, 1.0, 1.5, hit=True, batch_size=1)
-        telemetry.reset()
-        assert telemetry.rows()["node"].size == 0
-        assert telemetry.summary()["requests"] == 0
+        # A restart empties the table, not the cumulative series, and
+        # syncs what it drops.
+        self.answered(telemetry, 3, 1.0, 1.5, hit=True)
+        telemetry.release(4)
+        assert len(telemetry) == 0
         assert registry.get("serve_latency_seconds").count == 4
 
-    def test_reset_keeps_the_ids_of_queued_requests(self):
-        telemetry = Telemetry(max_batch_size=4)
-        self.answered(telemetry, 0, 0.0, 0.5, hit=True, batch_size=1)
+    def test_restart_keeps_ids_counting_and_drops_released_rows(self):
+        """The table restarts only once every answer is picked up: a
+        request still queued keeps its row and id, ids keep counting up
+        across a restart, and a released id no longer resolves."""
+        telemetry = Telemetry(MetricsRegistry())
+        done = self.answered(telemetry, 0, 0.0, 0.5, hit=True).request_id
         queued = telemetry.open(7, "embed", 1.0)
-        telemetry.reset()
-        assert telemetry.summary()["requests"] == 0
+        telemetry.release(1)  # ``done`` picked up; ``queued`` still in flight
+        assert len(telemetry) == 2
         (row,) = telemetry.rows_of([queued])
         assert telemetry.node[row] == 7 and np.isnan(telemetry.completion[row])
         telemetry.finish(queued, 3.0, rung="recompute", batch_size=1)
-        later = self.answered(telemetry, 8, 2.0, 2.5, hit=True, batch_size=1)
+        telemetry.release(1)
+        assert len(telemetry) == 0
+        later = self.answered(telemetry, 8, 2.0, 2.5, hit=True).request_id
         assert later == queued + 1
-        np.testing.assert_array_equal(telemetry.rows()["node"], [7, 8])
-        with pytest.raises(KeyError):
-            telemetry.rows_of([0])  # dropped by the reset
+        (row,) = telemetry.rows_of([later])
+        assert row == 0 and telemetry.node[0] == 8
+        for released in (done, queued):
+            with pytest.raises(KeyError):
+                telemetry.rows_of([released])
         with pytest.raises(KeyError):
             telemetry.rows_of([later + 1])  # never issued
 
     def test_table_grows_past_its_first_allocation(self):
-        telemetry = Telemetry(max_batch_size=1)
-        for i in range(200):
-            self.answered(telemetry, i, float(i), i + 0.5, hit=i % 2 == 0, batch_size=1)
-        rows = telemetry.rows()
-        np.testing.assert_array_equal(rows["node"], np.arange(200))
-        summary = telemetry.summary()
-        assert summary["requests"] == 200
-        assert summary["cache_hit_rate"] == pytest.approx(0.5)
+        telemetry = Telemetry(MetricsRegistry())
+        stats = self.report(telemetry.registry, lambda: [
+            self.answered(telemetry, i, float(i), i + 0.5, hit=i % 2 == 0)
+            for i in range(200)
+        ])
+        np.testing.assert_array_equal(telemetry.node[:200], np.arange(200))
+        assert telemetry.node.size == 256
+        assert stats["requests"] == 200
+        assert stats["cache_hit_rate"] == pytest.approx(0.5)
+
+
+class TestLongLivedServer:
+    """A served request leaves no row behind: a server's request table holds
+    the requests in flight, so it does not grow with the server's age."""
+
+    OPS = 1_000
+
+    @staticmethod
+    def table_bytes(telemetry):
+        return sum(getattr(telemetry, name).nbytes for name in COLUMNS)
+
+    @pytest.fixture
+    def ops(self, acm):
+        rng = np.random.default_rng(0)
+        pool = acm.split.test[:64]
+        return [rng.choice(pool, size=16) for _ in range(self.OPS)]
+
+    def test_in_process_server_holds_no_answered_rows(self, trained, tmp_path, ops):
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        server = fresh_acm_server(path, registry=MetricsRegistry())
+        telemetry = server.telemetry
+        server.classify(ops[0])
+        capacity = self.table_bytes(telemetry)
+        for nodes in ops[1:]:
+            server.classify(nodes)
+        assert len(telemetry) == 0
+        assert self.table_bytes(telemetry) == capacity
+        assert telemetry.registry.get("serve_latency_seconds").count == 16 * self.OPS
+        # Ids keep counting through every restart.
+        request_id = server.submit(int(ops[0][0]))
+        assert request_id == 16 * self.OPS
+        assert server.result(request_id).rung == "cache"
+        with pytest.raises(KeyError):
+            telemetry.rows_of([request_id])
+
+    def test_each_shard_server_holds_no_answered_rows(self, trained, acm, tmp_path, ops):
+        path = tmp_path / "widen.npz"
+        trained.save(path)
+        graph = make_acm(seed=0, scale=0.5).graph
+        with ClusterRouter.from_checkpoint(path, graph, 2, transport="inline", seed=7) as router:
+            tables = [worker.transport.engine.server.telemetry for worker in router.workers]
+            router.classify(ops[0])
+            capacity = [self.table_bytes(table) for table in tables]
+            for nodes in ops[1:]:
+                router.classify(nodes)
+            assert [len(table) for table in tables] == [0, 0]
+            assert [self.table_bytes(table) for table in tables] == capacity
+            merged = router.merged_registry()
+        routed = np.bincount(np.concatenate(ops) % 2, minlength=2)
+        for shard, count in enumerate(routed.tolist()):
+            requests = sum(
+                merged.get("serve_requests_total", cache=hit, shard=str(shard)).value
+                for hit in ("hit", "miss")
+            )
+            assert requests == count
+            assert merged.get(
+                "serve_latency_seconds", shard=str(shard)
+            ).count == count
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +721,9 @@ class TestInferenceServer:
 
         # One node queued behind two flushes: computed by the first,
         # found resident (a counted hit, no recompute) by the second.
-        server = fresh_acm_server(path, max_batch_size=4, max_wait=100.0)
+        server = fresh_acm_server(
+            path, max_batch_size=4, max_wait=100.0, registry=MetricsRegistry()
+        )
         computed = []
         compute = server._compute_embeddings
         server._compute_embeddings = lambda nodes: (
@@ -635,7 +737,7 @@ class TestInferenceServer:
         assert (server.cache.misses, server.cache.hits) == (3, 1)
         rungs = [server.result(request_id).rung for request_id in ids]
         assert rungs == ["recompute", "recompute", "cache"]
-        assert server.telemetry.summary()["batches"] == 2
+        assert server.telemetry.registry.get("serve_batch_size").count == 2
 
     def test_rejects_out_of_range_and_bad_kind(self, trained, acm, tmp_path):
         path = tmp_path / "widen.npz"
@@ -673,9 +775,10 @@ class TestHeadCalls:
         nodes = [int(node) for node in acm.split.test[:10]]
         server.classify(nodes[:3])  # resident: answered at submit time
         head_calls.clear()
-        before = server.telemetry.summary()["compute_batches"]
+        compute_batches = server.telemetry.registry.get("serve_compute_batch_size")
+        before = compute_batches.count
         server.replay(nodes, [0.0] * len(nodes), 0.0, kind=kind)
-        computed = server.telemetry.summary()["compute_batches"] - before
+        computed = compute_batches.count - before
         assert computed == 2  # the 7 misses flush as 4 + 3
         assert len(head_calls) == computed
 
@@ -685,9 +788,11 @@ class TestHeadCalls:
         path = tmp_path / "widen.npz"
         trained.save(path)
         nodes = acm.split.test[:4]
-        tiny = fresh_acm_server(path, cache_capacity=1, max_batch_size=4)
+        tiny = fresh_acm_server(
+            path, cache_capacity=1, max_batch_size=4, registry=MetricsRegistry()
+        )
         labels = tiny.classify(nodes)
-        assert tiny.telemetry.summary()["compute_batches"] == 1
+        assert tiny.telemetry.registry.get("serve_compute_batch_size").count == 1
         np.testing.assert_array_equal(labels, fresh_acm_server(path).classify(nodes))
 
     def test_a_label_does_not_depend_on_its_batch(self, trained, acm, head_calls):

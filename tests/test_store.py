@@ -25,6 +25,7 @@ from repro.cluster import ClusterRouter
 from repro.cluster.fleet import Fleet
 from repro.core import WidenClassifier, serving_refusal
 from repro.datasets import make_acm
+from repro.obs import MetricsRegistry
 from repro.serve import InferenceServer
 from repro.serve.cache import fresh_mask, state_differences
 from repro.serve.telemetry import RUNGS
@@ -69,6 +70,7 @@ def fresh_server(checkpoint, store_path=None, **kwargs):
     graph = fresh_graph()
     classifier = WidenClassifier.load(checkpoint, graph=graph)
     store = None if store_path is None else AggregateStore.open(store_path)
+    kwargs.setdefault("registry", MetricsRegistry())  # per-server totals
     return InferenceServer(classifier, graph, seed=7, store=store, **kwargs)
 
 
@@ -304,7 +306,8 @@ class TestStoreRoundtrip:
         store = AggregateStore.open(store_path)
         assert store.meta["graph_version"] == graph.version - 1
         late = InferenceServer(
-            WidenClassifier.load(checkpoint, graph=graph), graph, seed=7, store=store
+            WidenClassifier.load(checkpoint, graph=graph), graph, seed=7, store=store,
+            registry=MetricsRegistry(),
         )
         oracle = InferenceServer(
             WidenClassifier.load(checkpoint, graph=oracle_graph), oracle_graph, seed=7
@@ -357,7 +360,7 @@ class TestStoreServingEquality:
         np.testing.assert_array_equal(
             stored.embed(nodes), oracle.embed(nodes)
         )
-        assert stored.telemetry.store_hits == batch
+        assert store_totals(stored)["hit"] == batch
 
     def test_interleaved_mutations_stay_exact(self, checkpoint, store_path):
         oracle = fresh_server(checkpoint)
@@ -383,8 +386,7 @@ class TestStoreServingEquality:
             np.testing.assert_array_equal(
                 stored.embed(nodes), oracle.embed(nodes)
             )
-        summary = stored.telemetry.summary()
-        assert summary["store_stale"] > 0, (
+        assert store_totals(stored)["stale"] > 0, (
             "the mutation stream never drove a frontier-stale store row"
         )
 
@@ -506,8 +508,6 @@ class LoopReference:
 
 class TestVectorizedInvalidation:
     def test_matches_per_node_loop_reference(self, checkpoint, store_path):
-        from repro.obs import MetricsRegistry
-
         stored = fresh_server(checkpoint, store_path, registry=MetricsRegistry())
         reference = LoopReference(stored)
         graph = stored.graph
@@ -822,11 +822,8 @@ class TestStoreObservability:
         """An edge write touches its sources (``frontier``); a rewire that
         does not name its changed sources touches every node (``full``) —
         and the warm server still answers what a cold one does."""
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         stored = fresh_server(checkpoint, store_path, registry=registry)
-        telemetry = stored.telemetry
         nodes = probe_nodes(stored.graph, 6)
         lone = int(nodes[1])
 
@@ -843,23 +840,28 @@ class TestStoreObservability:
                 src[keep], graph.indices[keep], graph.edge_type_of[keep]
             )
 
-        def invalidations(reason):
-            counter = registry.get("serve_invalidations_total", reason=reason)
+        def counted(name, reason):
+            counter = registry.get(name, reason=reason)
             return 0 if counter is None else counter.value
+
+        def invalidations():
+            return tuple(
+                counted("serve_invalidations_total", reason)
+                for reason in ("frontier", "full")
+            )
 
         stored.embed(nodes)
         edge_write(stored)
-        assert (telemetry.invalidations, invalidations("frontier")) == (1, 1)
-        edge_kept = telemetry.invalidation_kept_entries
-        dropped = telemetry.invalidated_entries
+        assert invalidations() == (1, 0)
+        edge_kept = len(stored.cache)
         rewire(stored)
         assert stored.graph.degree(lone) == 0
-        assert (telemetry.invalidations, invalidations("full")) == (2, 1)
+        assert invalidations() == (1, 1)
         frontier = registry.get("serve_invalidation_frontier")
         assert frontier.count == 2 and frontier.max == stored.graph.num_nodes
-        assert telemetry.invalidation_kept_entries == edge_kept  # the rewire kept 0
-        assert len(stored.cache) == 0
-        assert telemetry.invalidated_entries - dropped == edge_kept
+        assert len(stored.cache) == 0  # the rewire kept none ...
+        # ... because it dropped every entry the edge write had kept.
+        assert counted("serve_invalidated_entries_total", "full") == edge_kept
         cold = fresh_server(checkpoint)
         edge_write(cold)
         rewire(cold)
@@ -884,8 +886,6 @@ class TestStoreObservability:
         ) in series
 
     def test_build_records_gauges(self, trained, acm, tmp_path):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         store = build_store(
             trained, acm.graph, tmp_path / "gauged", seed=7,
@@ -984,22 +984,21 @@ class TestExactnessProperty:
                     newest if pin else raw % oracle.graph.num_nodes
                     for raw, pin in picks
                 ])
-                stored.telemetry.reset()
-                want, got, fleet = (
-                    getattr(target, kind)(nodes) for target in targets
-                )
+                want, fleet = (getattr(target, kind)(nodes) for target in (oracle, router))
+                # The op's own reply carries the rung that served each node.
+                reply = stored.replay(nodes, kind=kind)
+                got, rungs = reply["values"], reply["rungs"]
                 if kind == "classify":
                     np.testing.assert_array_equal(got, want)
                     np.testing.assert_array_equal(fleet, want)
                 else:
                     assert_same_answers(got, want)
                     assert_same_answers(fleet, want)
-                rows = stored.telemetry.rows()
-                assert stored.telemetry.latencies.size == nodes.size
-                assert rows["rung"].max() < len(RUNGS)
+                assert rungs.size == nodes.size
+                assert rungs.max() < len(RUNGS)
                 assert sum(router.attributions[-1].rungs.values()) == nodes.size
                 recomputed = np.array(list(dict.fromkeys(
-                    rows["node"][rows["rung"] == RUNGS.index("recompute")].tolist()
+                    nodes[rungs == RUNGS.index("recompute")].tolist()
                 )), np.int64)
                 if recomputed.size:
                     embeddings, reads = stored.classifier.embed_for_serving_batch(
