@@ -13,18 +13,16 @@ Two protocols share this file:
    the extension the paper's single-machine protocol can't show: train the
    same checkpoint on 1, 2 and 4 socket shards via
    :class:`repro.cluster.train.DistributedTrainer` and record nodes/second
-   per fleet into ``BENCH_train.json``.  Throughput is measured on the
-   **logical service clock** the cluster benches share — per phase, the
-   slowest shard's measured *process-CPU* compute plus the coordinator's
-   sequential reduce wall time — so shard parallelism shows up honestly as
-   span compression even on a single-core CI box (where wall clock
-   physically cannot compress; on an idle multi-core host the two clocks
-   agree).  The run is under the determinism gate (no dropout, no
+   per fleet into ``BENCH_train.json``.  Every row's throughput is read off
+   the coordinator's wall clock (``TrainHistory.epoch_seconds``), the
+   single-process row's and the fleets' alike, and the speedup over the
+   single process is reported, not gated: a fleet of more shards than the
+   host has cores shares them, so on a 2-core host 4 shards cannot show
+   their scaling.  The run is under the determinism gate (no dropout, no
    downsampling; neighbor sets are keyed by ``(seed, node)`` on every
-   shard), so the
-   bench also asserts every fleet's final-epoch loss is within 1e-10 of
-   the single-process run — speed with bitwise-grade equivalence, not
-   speed instead of it.
+   shard), so the bench asserts every fleet's final-epoch loss is within
+   1e-10 of the single-process run — speed with bitwise-grade
+   equivalence, not speed instead of it.
 """
 
 import argparse
@@ -32,16 +30,16 @@ import json
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 if __name__ == "__main__":
     # One BLAS thread, here (so it must precede the numpy import) and in
-    # the shard workers, which inherit the environment at spawn.  The
-    # logical clock reads a replica's process-CPU seconds as its span on a
-    # core of its own; a BLAS pool with one thread per host core bills them
-    # all to that clock and the shard-scaling rows stop scaling (4 socket
-    # shards read 1.23x unpinned, 3.35x pinned, on a 2-core host).
+    # the shard workers, which inherit the environment at spawn.  Unpinned,
+    # every shard process starts a BLAS pool of one thread per host core,
+    # and S pools oversubscribe the cores: in five paired --smoke runs on a
+    # 2-core host, 2 socket shards trained 870-1,520 nodes/s unpinned and
+    # 3,550-4,380 pinned, 4 shards 350-790 and 3,060-4,670, while the
+    # single process moved little (2,550-3,840 and 2,460-3,260).
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
 
@@ -58,9 +56,7 @@ EPOCHS = 3
 # --- shard-scaling protocol -------------------------------------------------
 SHARD_COUNTS = (1, 2, 4)
 TRAIN_TRANSPORT = "socket"
-SPEEDUP_FLOOR = 1.5     # asserted on the largest fleet
 LOSS_TOLERANCE = 1e-10  # every fleet vs single-process, final epoch
-MAX_ATTEMPTS = 3        # retry gated rows; host preemption bursts happen
 # Compute-heavy, small-model WIDEN: per-step compute (sampling + attention
 # over wide/deep packs) dominates the per-step gradient sync, which is what
 # a data-parallel speedup needs.  The determinism gate keeps every fleet on
@@ -115,29 +111,18 @@ def test_fig5_scalability(benchmark):
 
 def _measure_single(checkpoint, graph, train_nodes, epochs):
     single = WidenClassifier.load(checkpoint, graph=graph)
-    started = time.perf_counter()
     single.fit(graph, train_nodes, epochs=epochs)
-    wall = time.perf_counter() - started
-    compute = float(np.sum(single.trainer.history.epoch_seconds))
-    return {
-        "wall_seconds": wall,
-        "compute_seconds": compute,
-        "nodes_per_sec": epochs * int(train_nodes.size) / compute,
-        "final_loss": float(single.trainer.history.losses[-1]),
-    }
+    return _row(single.trainer.history, train_nodes)
 
 
 def _measure_fleet(checkpoint, graph, train_nodes, epochs, num_shards):
     from repro.cluster.train import DistributedTrainer
 
-    started = time.perf_counter()
     with DistributedTrainer(
         checkpoint, graph, num_shards, transport=TRAIN_TRANSPORT
     ) as fleet:
         history = fleet.fit(train_nodes, epochs)
-        logical = fleet.logical_seconds
         prometheus = fleet.render_prometheus()
-    wall = time.perf_counter() - started
     sync_bytes = 0.0
     for line in prometheus.splitlines():
         if line.startswith("train_sync_bytes_total"):
@@ -145,23 +130,27 @@ def _measure_fleet(checkpoint, graph, train_nodes, epochs, num_shards):
     return {
         "shards": num_shards,
         "transport": TRAIN_TRANSPORT,
-        "logical_seconds": logical,
-        "wall_seconds": wall,
-        "nodes_per_sec": epochs * int(train_nodes.size) / logical,
-        "final_loss": float(history.losses[-1]),
+        **_row(history, train_nodes),
         "sync_bytes": sync_bytes,
+    }
+
+
+def _row(history, train_nodes):
+    """Throughput over the epochs' wall-clock seconds, and the final loss."""
+    seconds = float(np.sum(history.epoch_seconds))
+    return {
+        "epoch_seconds": seconds,
+        "nodes_per_sec": history.epochs * int(train_nodes.size) / seconds,
+        "final_loss": float(history.losses[-1]),
     }
 
 
 def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
     """Sweep fleet sizes over one base checkpoint; write ``BENCH_train.json``.
 
-    Asserts (CI's ``train-smoke`` gate re-checks them from the report):
-
-    1. every fleet's final-epoch loss is within ``LOSS_TOLERANCE`` of the
-       single-process run on the same checkpoint, and
-    2. the largest fleet clears ``SPEEDUP_FLOOR`` × the single-process
-       nodes/second on the logical clock.
+    Asserts (CI's ``train-smoke`` gate re-checks it from the report) that
+    every fleet's final-epoch loss is within ``LOSS_TOLERANCE`` of the
+    single-process run on the same checkpoint.
     """
     from repro.datasets import make_acm
 
@@ -170,6 +159,7 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
     # Train on every labeled node (the Fig.-5 convention) so epochs carry
     # enough steps to amortize the per-step gradient sync.
     train_nodes = np.flatnonzero(graph.labels >= 0)
+    cores = os.cpu_count() or 1
 
     with tempfile.TemporaryDirectory(prefix="repro-train-bench-") as root:
         checkpoint = Path(root) / "base.npz"
@@ -183,25 +173,9 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
 
         fleets = []
         for num_shards in SHARD_COUNTS:
-            gated = num_shards == SHARD_COUNTS[-1]
-            attempts = 1
             stats = _measure_fleet(
                 checkpoint, graph, train_nodes, epochs, num_shards
             )
-            while (
-                gated
-                and stats["nodes_per_sec"]
-                < SPEEDUP_FLOOR * single["nodes_per_sec"]
-                and attempts < MAX_ATTEMPTS
-            ):
-                # Preemption bursts corrupt single rows; keep the best.
-                attempts += 1
-                retry = _measure_fleet(
-                    checkpoint, graph, train_nodes, epochs, num_shards
-                )
-                if retry["nodes_per_sec"] > stats["nodes_per_sec"]:
-                    stats = retry
-            stats["attempts"] = attempts
             stats["speedup_vs_single"] = (
                 stats["nodes_per_sec"] / single["nodes_per_sec"]
             )
@@ -212,8 +186,9 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
             print(f"{num_shards}-shard {TRAIN_TRANSPORT}: "
                   f"{stats['nodes_per_sec']:.0f} nodes/s "
                   f"({stats['speedup_vs_single']:.2f}x), "
-                  f"loss gap {stats['loss_gap_vs_single']:.2e}, "
-                  f"attempts {attempts}")
+                  f"loss gap {stats['loss_gap_vs_single']:.2e}")
+    print(f"speedups are not gated: on this {cores}-core host a fleet of "
+          f"more than {cores} shards shares cores and cannot show its scaling")
 
     report = {
         "protocol": {
@@ -222,9 +197,8 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
             "epochs": epochs,
             "train_nodes": int(train_nodes.size),
             "config": dict(TRAIN_CONFIG),
-            "clock": "logical (max shard process-CPU per phase + "
-                     "coordinator reduce wall)",
-            "speedup_floor": SPEEDUP_FLOOR,
+            "clock": "coordinator wall clock (TrainHistory.epoch_seconds)",
+            "host_cores": cores,
             "loss_tolerance": LOSS_TOLERANCE,
         },
         "single": single,
@@ -238,12 +212,6 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
             f"{stats['shards']}-shard loss diverged from single-process by "
             f"{stats['loss_gap_vs_single']:.3e} (> {LOSS_TOLERANCE})"
         )
-    top = fleets[-1]
-    assert top["speedup_vs_single"] >= SPEEDUP_FLOOR, (
-        f"{top['shards']}-shard fleet reached only "
-        f"{top['speedup_vs_single']:.2f}x single-process nodes/sec "
-        f"(floor {SPEEDUP_FLOOR}x) after {top['attempts']} attempts"
-    )
     return report
 
 

@@ -45,10 +45,10 @@ TRACE_OVERHEAD_CEILING = 2.0
 MAX_ATTEMPTS = 4
 
 
-def _fresh_router(checkpoint, scale, seed, **kwargs):
+def _fresh_router(checkpoint, scale, seed):
     graph = make_acm(seed=seed, scale=scale).graph
     return ClusterRouter.from_checkpoint(
-        checkpoint, graph, 2, transport="inline", seed=seed, **kwargs
+        checkpoint, graph, 2, transport="inline", seed=seed
     )
 
 
@@ -92,9 +92,13 @@ def run_bench(out_path, *, scale=1.0, epochs=3, rounds=16, probe_size=64,
     with tempfile.TemporaryDirectory(prefix="repro-trace-bench-") as root:
         checkpoint = ModelRegistry(root).save("widen-acm-trace", model)
 
-        def run_config(**kwargs):
-            router = _fresh_router(checkpoint, scale, seed, **kwargs)
+        def run_config(*, dist_tracing=False, slo_target=None):
+            router = _fresh_router(checkpoint, scale, seed)
             try:
+                if dist_tracing:
+                    router.enable_dist_tracing()
+                if slo_target is not None:
+                    router.enable_slo(slo_target)
                 return measure_warm(router, probe, group, rounds)
             finally:
                 router.close()

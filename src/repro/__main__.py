@@ -408,15 +408,15 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             max_batch_size=args.batch_size, max_wait=args.max_wait,
             cache_capacity=args.cache_capacity, seed=args.seed,
             store_path=args.store or None,
-            dist_tracing=True,
-            slo_target=SLOTarget(
-                latency_threshold=args.slo_threshold,
-                objective=args.slo_objective,
-            ),
         )
         # Worker processes and the listener go down with the block, also
         # when an op raises.
         with router, _maybe_serve_metrics(args, router.render_prometheus):
+            router.enable_dist_tracing()
+            router.enable_slo(SLOTarget(
+                latency_threshold=args.slo_threshold,
+                objective=args.slo_objective,
+            ))
             if args.store:
                 print(f"store: sliced {router.store.num_rows} rows from "
                       f"{args.store} across {args.shards} shards by ownership")

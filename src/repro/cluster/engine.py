@@ -53,7 +53,7 @@ from __future__ import annotations
 import io
 import os
 import time
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -175,7 +175,7 @@ class ShardEngine:
                     handler = getattr(self, f"_handle_{envelope.kind}", None)
                     if handler is None:
                         raise ValueError(f"unknown envelope kind {envelope.kind!r}")
-                    payload = self._run(handler, envelope.payload)
+                    payload = handler(envelope.payload)
                 except Exception as exc:
                     self._count_error(envelope.kind)
                     error = error_info(exc)
@@ -194,10 +194,6 @@ class ShardEngine:
             trace=trace,
         )
 
-    def _run(self, handler: Callable[[dict], dict], payload: dict) -> dict:
-        """Run one handler: the family's hook around every dispatch."""
-        return handler(payload)
-
     def _count_error(self, kind: str) -> None:
         """Error replies are observable: ``shard_errors_total{kind=...}``."""
         try:
@@ -211,13 +207,8 @@ class ShardEngine:
 
     def _handle_serve(self, payload: Dict[str, object]) -> Dict[str, object]:
         nodes = np.atleast_1d(np.asarray(payload["nodes"], dtype=np.int64))
-        now = payload.get("now")
         check_node_range(nodes, self.server.graph.num_nodes)  # the op, whole
-        return self.server.replay(
-            nodes,
-            None if now is None else [now] * nodes.size,
-            kind=payload.get("kind", "classify"),
-        )
+        return self.server.replay(nodes, kind=payload.get("kind", "classify"))
 
     def _handle_mutate(self, payload: Dict[str, object]) -> Dict[str, object]:
         # spec.apply mutates the replica, which fires the server's
@@ -297,18 +288,6 @@ class TrainEngine(ShardEngine):
             args["checkpoint"] or args["checkpoint_bytes"], graph=spec.graph
         )
         return cls(spec, classifier)
-
-    def _run(self, handler: Callable[[dict], dict], payload: dict) -> dict:
-        """Stamp the compute this replica consumed into the reply, so the
-        coordinator's logical service clock can take the max across shards
-        per phase.  Process-CPU time, not wall: on an oversubscribed host
-        (several shard processes per core) wall time includes being
-        preempted by *sibling shards*, which would charge the same
-        core-seconds to every replica and hide the very parallelism being
-        measured.  On an idle multi-core host the two clocks agree."""
-        started = time.process_time()
-        reply = handler(payload)
-        return dict(reply, seconds=time.process_time() - started)
 
     # ------------------------------------------------------------------
     # Handlers (the train envelope family)

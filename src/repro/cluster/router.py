@@ -94,8 +94,6 @@ class ClusterRouter:
         cache_capacity: int = 1024,
         seed: int = 0,
         store_path: Optional[str] = None,
-        dist_tracing: bool = False,
-        slo_target: Optional[SLOTarget] = None,
         workers: Optional[Sequence[str]] = None,
     ) -> None:
         # First: a bad transport name or a workers= on the wrong transport
@@ -151,9 +149,10 @@ class ClusterRouter:
         if transport == "socket":
             self.supervisor = FleetSupervisor(self, self.fleet)
         self._closed = False
-        # Request-lifecycle observability, both off by default — the guard
-        # in _scatter_gather is a pair of ``is None`` checks, so the
-        # disabled path stays the hot path.
+        # Request-lifecycle observability, both off until
+        # enable_dist_tracing() / enable_slo() — the guard in
+        # _scatter_gather is a pair of ``is None`` checks, so the disabled
+        # path stays the hot path.
         self.dist: Optional[DistTracer] = None
         self.slo_monitor: Optional[SLOMonitor] = None
         self.slow_log: Optional[SlowRequestLog] = None
@@ -174,10 +173,6 @@ class ClusterRouter:
             ]
             if self.supervisor is not None:
                 self.supervisor.start()
-            if dist_tracing:
-                self.enable_dist_tracing()
-            if slo_target is not None:
-                self.enable_slo(slo_target)
         except BaseException:
             # No caller holds this router yet: close what bring-up started.
             self.close()
@@ -232,15 +227,15 @@ class ClusterRouter:
     # Request path
     # ------------------------------------------------------------------
 
-    def embed(self, nodes, now: Optional[float] = None) -> np.ndarray:
+    def embed(self, nodes) -> np.ndarray:
         """Embeddings for ``nodes`` in the given order (scatter-gather)."""
-        return self._scatter_gather(nodes, "embed", now)
+        return self._scatter_gather(nodes, "embed")
 
-    def classify(self, nodes, now: Optional[float] = None) -> np.ndarray:
+    def classify(self, nodes) -> np.ndarray:
         """Class predictions for ``nodes`` in the given order."""
-        return self._scatter_gather(nodes, "classify", now)
+        return self._scatter_gather(nodes, "classify")
 
-    def _scatter_gather(self, nodes, kind: str, now: Optional[float]) -> np.ndarray:
+    def _scatter_gather(self, nodes, kind: str) -> np.ndarray:
         """One op: group by owner, one serve envelope per shard, stitch.
 
         Every envelope is issued before any gather, so shards overlap on
@@ -271,7 +266,7 @@ class ClusterRouter:
 
         def send(shard: int, positions: np.ndarray):
             return self.workers[shard].submit_serve(
-                nodes[positions], kind, now=now,
+                nodes[positions], kind,
                 trace_ctx=None if dist is None else make_trace_ctx(trace_id),
             )
 

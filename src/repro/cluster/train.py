@@ -104,9 +104,6 @@ class DistributedTrainer:
         self.registry = MetricsRegistry()  # coordinator-scope series
         self.history = TrainHistory()
         self._epochs_done = int(epochs_done)
-        # Logical training span (see TrainLoop.logical_seconds): slowest
-        # shard's measured compute per phase + coordinator sync wall time.
-        self.logical_seconds = 0.0
         self.plan = ClusterPlan(graph, num_shards)
         if shard_checkpoints is not None:
             if len(shard_checkpoints) != self.plan.num_shards:
@@ -206,15 +203,12 @@ class DistributedTrainer:
         loop = TrainLoop(
             self.workers, self.config, registry=self.registry, history=self.history
         )
-        try:
-            for _ in range(int(epochs)):
-                loop.run(train_nodes, 1)
-                self._epochs_done += 1
-                if checkpoint_dir is not None:
-                    self.save_checkpoints(checkpoint_dir)
-            return self.history
-        finally:
-            self.logical_seconds += loop.logical_seconds
+        for _ in range(int(epochs)):
+            loop.run(train_nodes, 1)
+            self._epochs_done += 1
+            if checkpoint_dir is not None:
+                self.save_checkpoints(checkpoint_dir)
+        return self.history
 
     # ------------------------------------------------------------------
     # Checkpointing / extraction

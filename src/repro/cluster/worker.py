@@ -55,7 +55,6 @@ class ShardWorker:
         self,
         nodes,
         kind: str,
-        now: Optional[float] = None,
         trace_ctx: Optional[dict] = None,
     ) -> PendingReply:
         """One serve envelope for a group of nodes; gather later.
@@ -70,7 +69,7 @@ class ShardWorker:
         return self.transport.send(
             Envelope(
                 kind="serve",
-                payload={"nodes": nodes, "kind": kind, "now": now},
+                payload={"nodes": nodes, "kind": kind},
                 trace_ctx=trace_ctx,
             )
         )

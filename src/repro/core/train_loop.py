@@ -184,15 +184,6 @@ class TrainLoop:
         self.registry = registry if registry is not None else get_registry()
         self.history = history if history is not None else TrainHistory()
         self._distributed = len(self.clients) > 1
-        # Logical service clock (same convention as the serving cluster
-        # bench): per phase, the span is the *slowest client's measured
-        # compute* — engines stamp their handler time into each reply —
-        # plus the coordinator's sequential gather/reduce/ship wall time.
-        # On a multi-core host this tracks the wall clock; on a 1-core CI
-        # box it is where shard parallelism shows up honestly, as span
-        # compression rather than wishful wall-clock arithmetic.  Local
-        # clients stamp no compute time, so this stays ~0 single-process.
-        self.logical_seconds = 0.0
         # Sync observability, meaningful only when gradients cross a shard
         # boundary: reduction wall-clock and bytes moved per global step.
         self._reduce_seconds = None
@@ -209,14 +200,6 @@ class TrainLoop:
 
     def _gather(self, pendings: list) -> list:
         return [pending.result(self.REQUEST_TIMEOUT) for pending in pendings]
-
-    @staticmethod
-    def _slowest(replies: list) -> float:
-        """Max engine-stamped compute seconds across a gathered phase."""
-        return max(
-            (float(reply.get("seconds") or 0.0) for reply in replies),
-            default=0.0,
-        )
 
     # ------------------------------------------------------------------
     # Training
@@ -243,7 +226,6 @@ class TrainLoop:
             )
         epoch = epochs.pop()
         size = sizes.pop()
-        self.logical_seconds += self._slowest(begins)
         with trace_span("trainer.epoch", epoch=epoch):
             batch_size = max(1, int(self.config.batch_size))
             for start in range(0, size, batch_size):
@@ -251,7 +233,6 @@ class TrainLoop:
             finishes = self._gather(
                 [client.finish_epoch() for client in self.clients]
             )
-        self.logical_seconds += self._slowest(finishes)
         seconds = time.perf_counter() - began
         stats, loss = self._merge_epoch(finishes)
         self._record_epoch(epoch, loss, seconds, stats)
@@ -262,7 +243,6 @@ class TrainLoop:
         replies = self._gather(
             [client.run_microbatch(start) for client in self.clients]
         )
-        self.logical_seconds += self._slowest(replies)
         counts = [int(reply["count"]) for reply in replies]
         total = sum(counts)
         contributors = [i for i, count in enumerate(counts) if count > 0]
@@ -288,13 +268,8 @@ class TrainLoop:
         self._gather(
             [client.apply_update(reduced, norm) for client in self.clients]
         )
-        reduce_seconds = time.perf_counter() - began
-        # The sync leg (gather + reduce + norm + ship/apply) is coordinator
-        # wall time — sequential by construction, so it goes on the logical
-        # clock at face value.
-        self.logical_seconds += reduce_seconds
         if self._distributed:
-            self._reduce_seconds.observe(reduce_seconds)
+            self._reduce_seconds.observe(time.perf_counter() - began)
             gathered = sum(
                 grad.nbytes
                 for grads in grad_lists

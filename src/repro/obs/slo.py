@@ -101,12 +101,14 @@ class SLOTarget:
 class SLOMonitor:
     """Rolling-window SLO compliance over a stream of request outcomes.
 
-    ``observe(latency, ok)`` appends one request; ``report()`` evicts
-    expired entries and scores the window.  A request is *good* when it
-    succeeded **and** met the latency threshold — an error burns budget
-    exactly like a slow success.  ``burn_rate`` is the classic ratio:
-    bad-fraction / allowed-bad-fraction, so 1.0 means the error budget
-    drains exactly at the sustainable rate and 2.0 means twice that.
+    ``observe(latency, ok)`` appends one request and evicts the entries
+    that have left the window, so it holds one window's requests however
+    rarely it is read; ``report()`` evicts too and scores the window.  A
+    request is *good* when it succeeded **and** met the latency threshold
+    — an error burns budget exactly like a slow success.  ``burn_rate`` is
+    the classic ratio: bad-fraction / allowed-bad-fraction, so 1.0 means
+    the error budget drains exactly at the sustainable rate and 2.0 means
+    twice that.
     """
 
     def __init__(self, target: Optional[SLOTarget] = None, *, clock=time.monotonic):
@@ -117,7 +119,9 @@ class SLOMonitor:
         self.total_observed = 0
 
     def observe(self, latency: float, ok: bool = True) -> None:
-        self._window.append((self._clock(), float(latency), bool(ok)))
+        now = self._clock()
+        self._evict(now)
+        self._window.append((now, float(latency), bool(ok)))
         self.total_observed += 1
 
     def _evict(self, now: float) -> None:

@@ -294,28 +294,25 @@ class InferenceServer:
         return result
 
     def replay(
-        self, nodes, times=None, end: Optional[float] = None, *, kind: str = "classify"
+        self, nodes, now: Optional[float] = None, *, kind: str = "classify"
     ) -> Dict[str, object]:
-        """One op, start to finish: submit every ``(node, time)`` arrival
-        (``times=None``: each on the wall clock, as it is submitted), drain
-        at ``end``, and hand back the answers as columns, released.
+        """One op, start to finish: submit every node as an arrival at
+        ``now`` (``None``: the wall clock), drain at that time, and hand back
+        the answers as columns, released.
 
         ``values`` is ``(B,)`` class ids or ``(B, d)`` embeddings in request
         order, ``rungs`` the ``(B,)`` codes into ``RUNGS`` of the tier that
         served each, ``queue_wait`` / ``compute`` the op's critical path —
-        the longest of its requests.  A logical-clock trace, a blocking
-        ``classify`` and a shard engine's serve envelope are all this loop;
-        the reply is what the engine puts on the wire.  ``times`` must
-        hold one arrival per node; any other length is refused.
+        the longest of its requests.  A blocking ``classify`` and a shard
+        engine's serve envelope are both this loop; the reply is what the
+        engine puts on the wire.
         """
-        nodes = np.atleast_1d(nodes).tolist()
-        times = [None] * len(nodes) if times is None else np.atleast_1d(times).tolist()
-        if len(times) != len(nodes):
-            raise ValueError(
-                f"replay got {len(nodes)} nodes but {len(times)} arrival times"
-            )
-        ids = [self.submit(node, kind=kind, now=at) for node, at in zip(nodes, times)]
-        self.drain(end)
+        now = self._now(now)
+        ids = [
+            self.submit(node, kind=kind, now=now)
+            for node in np.atleast_1d(nodes).tolist()
+        ]
+        self.drain(now)
         table = self.telemetry
         rows = table.rows_of(ids)
         queue_wait = table.queue_wait[rows]
@@ -333,15 +330,11 @@ class InferenceServer:
 
     def classify(self, nodes, now: Optional[float] = None) -> np.ndarray:
         """Submit + drain: class predictions for ``nodes`` (blocking)."""
-        return self._run_now(nodes, "classify", now)
+        return self.replay(nodes, now, kind="classify")["values"]
 
     def embed(self, nodes, now: Optional[float] = None) -> np.ndarray:
         """Submit + drain: embeddings for ``nodes`` (blocking)."""
-        return self._run_now(nodes, "embed", now)
-
-    def _run_now(self, nodes, kind: str, now: Optional[float]) -> np.ndarray:
-        now = self._now(now)
-        return self.replay(nodes, [now] * np.size(nodes), now, kind=kind)["values"]
+        return self.replay(nodes, now, kind="embed")["values"]
 
     # ------------------------------------------------------------------
     # Streaming ingestion

@@ -275,6 +275,16 @@ class TestSLOMonitor:
         assert report["window_count"] == 1
         assert report["compliance"] == 1.0
         assert report["total_observed"] == 2
+        # A router observes every op and may never ask for a report: with
+        # none in between, 500 ops over 50 windows leave one window's
+        # entries (the last one's 60 s, both ends included), not 500.
+        for _ in range(500):
+            clock.now += 6.0
+            monitor.observe(0.001)
+        assert [entry[0] for entry in monitor._window] == [
+            clock.now - 6.0 * k for k in range(10, -1, -1)
+        ]
+        assert monitor.report()["total_observed"] == 502
 
     def test_percentiles_nearest_rank(self):
         clock = FakeClock()
@@ -377,10 +387,10 @@ class TestRouterObserved:
             assert plain.attributions == []
         finally:
             plain.close()
-        traced = fresh_router(
-            checkpoint, 2, dist_tracing=True, slo_target=SLOTarget()
-        )
+        traced = fresh_router(checkpoint, 2)
         try:
+            traced.enable_dist_tracing()
+            traced.enable_slo(SLOTarget())
             for (kind, nodes), want in zip(ops, expected):
                 got = getattr(traced, kind)(nodes)
                 assert got.dtype == want.dtype
@@ -413,10 +423,10 @@ class TestRouterObserved:
 
     def test_rung_counts_sum_to_node_count(self, acm, checkpoint):
         probe = np.asarray(acm.split.test[:16])
-        router = fresh_router(
-            checkpoint, 2, dist_tracing=True, slo_target=SLOTarget()
-        )
+        router = fresh_router(checkpoint, 2)
         try:
+            router.enable_dist_tracing()
+            router.enable_slo(SLOTarget())
             for chunk in np.array_split(probe, 4):
                 router.embed(chunk)
             router.embed(probe[:4])  # warm repeat: should hit the cache rung
@@ -432,10 +442,10 @@ class TestRouterObserved:
 
     def test_stitched_trace_and_slo_report(self, acm, checkpoint, tmp_path):
         probe = np.asarray(acm.split.test[:12])
-        router = fresh_router(
-            checkpoint, 2, dist_tracing=True, slo_target=SLOTarget()
-        )
+        router = fresh_router(checkpoint, 2)
         try:
+            router.enable_dist_tracing()
+            router.enable_slo(SLOTarget())
             router.embed(probe)
             assert router.dist.tracer.spans
             assert set(router.dist.shard_spans) == {0, 1}
@@ -454,8 +464,9 @@ class TestRouterObserved:
 
     def test_slo_gauges_in_merged_registry(self, acm, checkpoint):
         probe = np.asarray(acm.split.test[:8])
-        router = fresh_router(checkpoint, 2, slo_target=SLOTarget())
+        router = fresh_router(checkpoint, 2)
         try:
+            router.enable_slo(SLOTarget())
             router.embed(probe)
             text = router.render_prometheus()
             assert "\nslo_burn_rate" in text
@@ -477,10 +488,9 @@ class TestRouterObserved:
     @pytest.mark.parametrize("transport", ["inline", "socket"])
     def test_cross_transport_lanes(self, acm, checkpoint, transport, tmp_path):
         probe = np.asarray(acm.split.test[:8])
-        router = fresh_router(
-            checkpoint, 2, transport=transport, dist_tracing=True
-        )
+        router = fresh_router(checkpoint, 2, transport=transport)
         try:
+            router.enable_dist_tracing()
             assert set(router.dist.shard_clocks) == {0, 1}
             for clock in router.dist.shard_clocks.values():
                 assert clock.rtt >= 0.0
@@ -506,8 +516,9 @@ class TestRouterObserved:
 
 class TestErrorPathObservability:
     def test_error_reply_still_ships_spans(self, checkpoint):
-        router = fresh_router(checkpoint, 2, dist_tracing=True)
+        router = fresh_router(checkpoint, 2)
         try:
+            router.enable_dist_tracing()
             transport = router.workers[0].transport
             reply = transport.send(
                 Envelope(kind="bogus", trace_ctx=make_trace_ctx("terr"))
@@ -528,10 +539,10 @@ class TestErrorPathObservability:
             router.close()
 
     def test_failed_request_burns_slo_budget(self, acm, checkpoint):
-        router = fresh_router(
-            checkpoint, 2, dist_tracing=True, slo_target=SLOTarget()
-        )
+        router = fresh_router(checkpoint, 2)
         try:
+            router.enable_dist_tracing()
+            router.enable_slo(SLOTarget())
             with pytest.raises((ShardError, Exception)):
                 router.embed(np.asarray([10 ** 9]))  # no such node
             records = router.attribution_records()

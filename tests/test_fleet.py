@@ -105,11 +105,12 @@ def test_failed_bring_up_tears_down_what_it_started(checkpoint, monkeypatch):
 
 
 def test_router_that_fails_after_bring_up_closes_its_fleet(checkpoint, monkeypatch):
-    """``dist_tracing=True`` runs the clock handshake after the workers are
-    up; when it fails there is no router to close, so the constructor
-    closes the fleet itself."""
-    built, closed = [], []
+    """The constructor wraps each shard's channel in a ``ShardWorker`` stub
+    after the engines are up; when that fails there is no router to close,
+    so the constructor closes the fleet itself."""
+    built, closed, stubs = [], [], []
     real_build, real_close = fleet_module.build_engine_from_args, Fleet.close
+    real_stub = router_module.ShardWorker
 
     def recording_build(args):
         built.append(real_build(args))
@@ -119,16 +120,17 @@ def test_router_that_fails_after_bring_up_closes_its_fleet(checkpoint, monkeypat
         closed.append(self)
         real_close(self)
 
-    def handshake_fails(*args, shard_id, **kwargs):
-        raise WorkerDown(shard_id, "connection_reset", "clock probe failed")
+    def second_stub_fails(spec, channel):
+        if stubs:
+            raise RuntimeError("no stub for shard 1")
+        stubs.append(real_stub(spec, channel))
+        return stubs[0]
 
     monkeypatch.setattr(fleet_module, "build_engine_from_args", recording_build)
     monkeypatch.setattr(Fleet, "close", recording_close)
-    monkeypatch.setattr(router_module, "clock_handshake", handshake_fails)
-    with pytest.raises(WorkerDown, match="clock probe failed"):
-        ClusterRouter.from_checkpoint(
-            checkpoint, fresh_graph(), 2, seed=7, dist_tracing=True
-        )
+    monkeypatch.setattr(router_module, "ShardWorker", second_stub_fails)
+    with pytest.raises(RuntimeError, match="no stub for shard 1"):
+        ClusterRouter.from_checkpoint(checkpoint, fresh_graph(), 2, seed=7)
     assert len(closed) == 1
     assert len(built) == 2 and all(engine.closed for engine in built)
 

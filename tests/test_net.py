@@ -825,10 +825,9 @@ class TestSocketFleetExactness:
     def test_fleet_metrics_exposed(self, checkpoint):
         from repro.obs import SLOTarget
 
-        router, servers = loopback_fleet(
-            checkpoint, 2, slo_target=SLOTarget(latency_threshold=1.0)
-        )
+        router, servers = loopback_fleet(checkpoint, 2)
         try:
+            router.enable_slo(SLOTarget(latency_threshold=1.0))
             run_stream(router)
             text = router.render_prometheus()
             assert "fleet_workers_connected 2" in text

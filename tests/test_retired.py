@@ -150,6 +150,19 @@ RETIRED = [
         (),
     ),
     (
+        r"logical_seconds|_slowest|process_time",
+        44,
+        "the fleet runs on the coordinator's wall clock: no per-shard CPU stamps, "
+        "no logical training clock",
+        (),
+    ),
+    (
+        r"\bdist_tracing\b|\bslo_target\b",
+        44,
+        "one way to turn on request observability: enable_dist_tracing() / enable_slo()",
+        (),
+    ),
+    (
         r"\bSGD\b",
         41,
         "Adam is the optimizer the trainers run; SGD had no caller",

@@ -644,18 +644,6 @@ class TestInferenceServer:
         b = fresh_acm_server(path).classify(nodes)
         np.testing.assert_array_equal(a, b)
 
-    def test_replay_refuses_times_of_another_length(self, trained, tmp_path):
-        """One arrival per node: a short ``times`` list would drop the
-        nodes past its end without a word."""
-        path = tmp_path / "widen.npz"
-        trained.save(path)
-        server = fresh_acm_server(path)
-        with pytest.raises(ValueError, match="4 nodes but 2 arrival times"):
-            server.replay([1, 2, 3, 4], [0.0, 0.001], 0.01)
-        with pytest.raises(ValueError, match="1 nodes but 2 arrival times"):
-            server.replay(5, [0.0, 0.001], 0.01)
-        assert server.replay([1, 2], [0.0, 0.001], 0.01)["values"].shape == (2,)
-
     def test_batching_is_invisible_in_results(self, trained, acm, tmp_path):
         """Same answers whether requests coalesce into one batch or many."""
         path = tmp_path / "widen.npz"
@@ -777,7 +765,7 @@ class TestHeadCalls:
         head_calls.clear()
         compute_batches = server.telemetry.registry.get("serve_compute_batch_size")
         before = compute_batches.count
-        server.replay(nodes, [0.0] * len(nodes), 0.0, kind=kind)
+        server.replay(nodes, 0.0, kind=kind)
         computed = compute_batches.count - before
         assert computed == 2  # the 7 misses flush as 4 + 3
         assert len(head_calls) == computed

@@ -122,7 +122,6 @@ def test_a_traced_train_envelope_ships_its_spans(acm, trainer):
         )
     ).wait(60)
     assert reply.ok
-    assert reply.payload["seconds"] >= 0.0  # the logical clock's stamp
     assert reply.trace["shard"] == 0
     names = [span["name"] for span in reply.trace["spans"]]
     assert "shard.train_microbatch" in names
@@ -130,9 +129,36 @@ def test_a_traced_train_envelope_ships_its_spans(acm, trainer):
     assert untraced.ok and untraced.trace is None
 
 
-def test_serve_replies_carry_no_compute_stamp(router):
-    reply = router.workers[0].submit_serve([0], "embed").result(30)
-    assert "seconds" not in reply
+@pytest.fixture(scope="module")
+def train_payloads(acm, checkpoint):
+    """Shard 0's reply payload to every ``train_*`` kind, by kind: one
+    epoch of one microbatch, then the replica's checkpoint."""
+    with DistributedTrainer(checkpoint, acm.graph, 2) as trainer:
+        worker = trainer.workers[0]
+        payloads = {
+            "train_epoch_begin": worker.begin_epoch(acm.split.train).result(60),
+            "train_microbatch": worker.run_microbatch(0).result(60),
+            "train_grads": worker.export_grads().result(60),
+        }
+        grads = payloads["train_grads"]["grads"]
+        payloads["train_apply"] = worker.apply_update(grads, None).result(60)
+        payloads["train_epoch_end"] = worker.finish_epoch().result(60)
+        payloads["train_checkpoint"] = worker.checkpoint().result(60)
+    return payloads
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in ENVELOPE_KINDS if k == "serve" or k.startswith("train_")]
+)
+def test_replies_carry_no_compute_stamp(kind, request, train_payloads):
+    """The fleet runs on the coordinator's wall clock: no engine stamps
+    its own handler time into a reply."""
+    if kind == "serve":
+        router = request.getfixturevalue("router")
+        payload = router.workers[0].submit_serve([0], "embed").result(30)
+    else:
+        payload = train_payloads[kind]
+    assert isinstance(payload, dict) and "seconds" not in payload
 
 
 def test_an_unknown_engine_family_is_refused():

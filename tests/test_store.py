@@ -951,9 +951,9 @@ class TestExactnessProperty:
         built = store.num_rows
         with ClusterRouter(
             str(checkpoint), fresh_graph(), num_shards, transport="inline",
-            seed=7, store_path=str(store_path),
-            dist_tracing=True, cache_capacity=4,
+            seed=7, store_path=str(store_path), cache_capacity=4,
         ) as router:
+            router.enable_dist_tracing()
             targets = (oracle, stored, router)
             papers = oracle.graph.nodes_of_type("paper")
             authors = oracle.graph.nodes_of_type("author")

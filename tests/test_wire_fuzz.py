@@ -97,7 +97,7 @@ messages = st.one_of(envelopes, replies)
 CORPUS = [
     Envelope(
         kind="serve",
-        payload={"nodes": np.arange(5), "kind": "classify", "now": None},
+        payload={"nodes": np.arange(5), "kind": "classify"},
         seq=3,
     ),
     Reply(
