@@ -405,7 +405,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             path, dataset.graph, args.shards,
             transport=args.transport,
             workers=_parse_workers(args),
-            max_batch_size=args.batch_size, max_wait=args.max_wait,
+            max_batch_size=args.batch_size,
             cache_capacity=args.cache_capacity, seed=args.seed,
             store_path=args.store or None,
         )
@@ -537,7 +537,7 @@ def main(argv=None) -> int:
     serve.add_argument("--batch-size", type=int, default=16,
                        help="micro-batcher max batch size")
     serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="micro-batcher deadline, seconds")
+                       help="serve-bench only: micro-batcher deadline, seconds")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="embedding cache entries")
     serve.add_argument("--metrics-port", type=int, default=None,

@@ -40,12 +40,13 @@ Envelope kinds:
   the distributed tracer to map this process's span timestamps onto the
   router's timeline.
 - ``shutdown`` — detach the server; the transport tears the channel down.
-- ``train_*`` — the phase commands of
-  :class:`~repro.core.train_loop.TrainLoop` (``train_epoch_begin``,
-  ``train_microbatch``, ``train_grads``, ``train_apply``,
-  ``train_epoch_end``) and ``train_checkpoint``, the replica's checkpoint
-  bytes; a training engine answers ``metrics``, ``clock`` and ``shutdown``
-  too.
+- ``train_*`` — the three phase commands of
+  :class:`~repro.core.train_loop.TrainLoop`: ``train_epoch_begin``,
+  ``train_microbatch`` (the previous step's ``update`` applied, then one
+  forward/backward; the gradients ride the reply) and ``train_epoch_end``
+  (the epoch's last ``update``, then its stats) — plus
+  ``train_checkpoint``, the replica's checkpoint bytes; a training engine
+  answers ``metrics``, ``clock`` and ``shutdown`` too.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class ShardEngine:
             args["checkpoint"] or args["checkpoint_bytes"],
             spec.graph,
             max_batch_size=int(config.get("max_batch_size", 16)),
-            max_wait=float(config.get("max_wait", 0.002)),
             cache_capacity=int(config.get("cache_capacity", 1024)),
             seed=int(config.get("seed", 0)),
             registry=MetricsRegistry(),  # private per shard; merged on render
@@ -299,19 +299,14 @@ class TrainEngine(ShardEngine):
 
     def _handle_train_microbatch(self, payload: Dict[str, object]) -> dict:
         started = time.perf_counter()
-        reply = self.trainer.run_microbatch(int(payload["start"]))
+        reply = self.trainer.run_microbatch(
+            int(payload["start"]), payload.get("update")
+        )
         self._step_seconds.observe(time.perf_counter() - started)
         return reply
 
-    def _handle_train_grads(self, payload: Dict[str, object]) -> dict:
-        return {"grads": self.trainer.export_grads()}
-
-    def _handle_train_apply(self, payload: Dict[str, object]) -> dict:
-        self.trainer.apply_update(payload.get("grads"), norm=payload.get("norm"))
-        return {}
-
     def _handle_train_epoch_end(self, payload: Dict[str, object]) -> dict:
-        return self.trainer.epoch_finish()
+        return self.trainer.epoch_finish(payload.get("update"))
 
     def _handle_train_checkpoint(self, payload: Dict[str, object]) -> dict:
         """The replica's full checkpoint as bytes — the elastic-resume

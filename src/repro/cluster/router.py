@@ -43,8 +43,9 @@ from __future__ import annotations
 import itertools
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +82,9 @@ class ClusterRouter:
 
     #: Seconds to wait for one shard's reply to any envelope.
     REQUEST_TIMEOUT = 120.0
+    #: Attribution records kept while tracing or SLO monitoring is on: the
+    #: newest ops only, so a long-lived router's memory stays bounded.
+    ATTRIBUTIONS_KEPT = 4096
 
     def __init__(
         self,
@@ -90,7 +94,6 @@ class ClusterRouter:
         *,
         transport: str = "inline",
         max_batch_size: int = 16,
-        max_wait: float = 0.002,
         cache_capacity: int = 1024,
         seed: int = 0,
         store_path: Optional[str] = None,
@@ -124,7 +127,6 @@ class ClusterRouter:
                 )
         config = {
             "max_batch_size": int(max_batch_size),
-            "max_wait": float(max_wait),
             "cache_capacity": int(cache_capacity),
             "seed": int(seed),
         }
@@ -156,7 +158,9 @@ class ClusterRouter:
         self.dist: Optional[DistTracer] = None
         self.slo_monitor: Optional[SLOMonitor] = None
         self.slow_log: Optional[SlowRequestLog] = None
-        self.attributions: List[AttributionRecord] = []
+        self.attributions: Deque[AttributionRecord] = deque(
+            maxlen=self.ATTRIBUTIONS_KEPT
+        )
         # Trace ids of ops observed with tracing off (SLO only): one
         # counter per router, so no two records share an id.
         self._untraced_ids = itertools.count(1)
@@ -411,7 +415,8 @@ class ClusterRouter:
         return report
 
     def attribution_records(self) -> List[Dict[str, object]]:
-        """Every observed request's attribution, in request order."""
+        """The newest :attr:`ATTRIBUTIONS_KEPT` observed requests'
+        attributions, in request order."""
         return [record.to_record() for record in self.attributions]
 
     # ------------------------------------------------------------------

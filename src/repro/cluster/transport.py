@@ -84,7 +84,8 @@ def check_transport(name: str) -> str:
 #: :meth:`repro.cluster.engine.ShardEngine.handle`, through the ``_handle_*``
 #: methods of :class:`~repro.cluster.engine.ShardEngine` (``serve`` family)
 #: and :class:`~repro.cluster.engine.TrainEngine` (``train`` family — the
-#: phase commands of :class:`repro.core.train_loop.TrainLoop`).
+#: three phase commands of :class:`repro.core.train_loop.TrainLoop`, one
+#: ``train_microbatch`` per global step, and the checkpoint pull).
 ENVELOPE_KINDS = (
     "serve",
     "mutate",
@@ -94,8 +95,6 @@ ENVELOPE_KINDS = (
     "shutdown",
     "train_epoch_begin",
     "train_microbatch",
-    "train_grads",
-    "train_apply",
     "train_epoch_end",
     "train_checkpoint",
 )

@@ -11,7 +11,8 @@ shard (the ids it owns, over the coordinator's graph), wraps each
 interaction in a typed :class:`~repro.cluster.transport.Envelope`, and
 returns :class:`~repro.cluster.transport.PendingReply` handles so the
 coordinator can issue a whole scatter before gathering anything.  Its
-``train_*`` methods are the :class:`~repro.core.train_loop.TrainLoop`
+three training phases — ``begin_epoch``, ``run_microbatch`` and
+``finish_epoch`` — are the :class:`~repro.core.train_loop.TrainLoop`
 client protocol, shaped like
 :class:`~repro.core.train_loop.LocalTrainClient`'s, so one loop drives a
 fleet and a local trainer.
@@ -115,21 +116,26 @@ class ShardWorker:
             )
         )
 
-    def run_microbatch(self, start: int) -> PendingReply:
+    def run_microbatch(self, start: int, update) -> PendingReply:
+        """One global step: ``update``, the previous step's reduced
+        ``(grads, norm)`` or ``None``, rides the microbatch's envelope."""
         return self.transport.send(
-            Envelope(kind="train_microbatch", payload={"start": int(start)})
+            Envelope(
+                kind="train_microbatch",
+                payload={"start": int(start), "update": _wire(update)},
+            )
         )
 
-    def export_grads(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="train_grads"))
-
-    def apply_update(self, grads, norm: Optional[float]) -> PendingReply:
+    def finish_epoch(self, update) -> PendingReply:
         return self.transport.send(
-            Envelope(kind="train_apply", payload={"grads": grads, "norm": norm})
+            Envelope(kind="train_epoch_end", payload={"update": _wire(update)})
         )
 
-    def finish_epoch(self) -> PendingReply:
-        return self.transport.send(Envelope(kind="train_epoch_end"))
+
+def _wire(update):
+    """An update as the codec carries it: a ``[grads, norm]`` list (the
+    wire has no tuples), ``None`` as ``None``."""
+    return None if update is None else list(update)
 
 
 def merge_registries(

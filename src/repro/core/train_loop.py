@@ -1,11 +1,11 @@
 """Phase-driven training loop shared by single-process and distributed runs.
 
-:class:`~repro.core.trainer.WidenTrainer` decomposes Algorithm 3 into
-composable phases — neighbor-state setup + minibatch schedule
-(``epoch_begin``), local forward/backward (``run_microbatch``), gradient
-export (``export_grads``), clipped optimizer step (``apply_update``) and
-the per-epoch stats barrier (``epoch_finish``).  :class:`TrainLoop` is the
-driver that sequences those phases over one or many *clients*:
+:class:`~repro.core.trainer.WidenTrainer` decomposes Algorithm 3 into three
+phases — neighbor-state setup + minibatch schedule (``epoch_begin``), one
+training step (``run_microbatch``: the previous step's clipped optimizer
+update, then local forward/backward, whose gradients ride the reply) and
+the last update + per-epoch stats barrier (``epoch_finish``).
+:class:`TrainLoop` sequences those phases over one or many *clients*:
 
 - a single :class:`LocalTrainClient` wrapping a trainer in this process —
   the classic ``WidenTrainer.fit`` path, bit-identical to the pre-phase
@@ -19,15 +19,18 @@ holds a full model replica and consumes identical rng streams, so the
 epoch schedule (one ``shuffle_rng.permutation`` per epoch) is computed
 *locally and identically* on every shard — a microbatch crosses the wire
 as nothing but its start offset.  Each shard trains on the slice of the
-global microbatch it owns; the loop gathers contributor gradients,
+global microbatch it owns and answers with its gradients; the loop
 reduces them by row-count weights (``Σ (n_i / n) · g_i`` — exactly the
 gradient of the full batch's mean loss), computes ONE global norm
-(:func:`repro.optim.global_grad_norm`), and ships ``(grads, norm)`` back
-to every client.  All replicas therefore apply the same clipped update
-and the same Adam step count every global step, which keeps them bitwise
-aligned for the whole run.  With a single client the reduction
-short-circuits to the client's own gradient arrays, unscaled — the
-1-shard configuration *is* the single-process loop.
+(:func:`repro.optim.global_grad_norm`), and ships ``(grads, norm)`` to
+every client on the *next* request — the next step's microbatch, or the
+epoch's finish.  A global step is therefore one round trip, and every
+replica runs apply k, forward k+1, backward k+1 in that order: all
+replicas apply the same clipped update and the same Adam step count every
+global step, which keeps them bitwise aligned for the whole run.  With a
+single client the reduction short-circuits to the client's own gradient
+arrays, unscaled — the 1-shard configuration *is* the single-process
+loop.
 """
 
 from __future__ import annotations
@@ -112,18 +115,11 @@ class LocalTrainClient:
     def begin_epoch(self, train_nodes: np.ndarray) -> _Immediate:
         return _Immediate(self.trainer.epoch_begin(train_nodes))
 
-    def run_microbatch(self, start: int) -> _Immediate:
-        return _Immediate(self.trainer.run_microbatch(start))
+    def run_microbatch(self, start: int, update) -> _Immediate:
+        return _Immediate(self.trainer.run_microbatch(start, update))
 
-    def export_grads(self) -> _Immediate:
-        return _Immediate({"grads": self.trainer.export_grads()})
-
-    def apply_update(self, grads, norm: Optional[float]) -> _Immediate:
-        self.trainer.apply_update(grads, norm=norm)
-        return _Immediate(None)
-
-    def finish_epoch(self) -> _Immediate:
-        return _Immediate(self.trainer.epoch_finish())
+    def finish_epoch(self, update) -> _Immediate:
+        return _Immediate(self.trainer.epoch_finish(update))
 
 
 def reduce_gradients(
@@ -183,12 +179,13 @@ class TrainLoop:
         self.config = config
         self.registry = registry if registry is not None else get_registry()
         self.history = history if history is not None else TrainHistory()
-        self._distributed = len(self.clients) > 1
-        # Sync observability, meaningful only when gradients cross a shard
-        # boundary: reduction wall-clock and bytes moved per global step.
+        # Sync observability wherever gradients cross a shard boundary —
+        # every fleet, a 1-shard one included; a LocalTrainClient's stay
+        # live references in this process.  Reduction wall-clock and bytes
+        # moved per global step.
         self._reduce_seconds = None
         self._sync_bytes = None
-        if self._distributed:
+        if not all(isinstance(client, LocalTrainClient) for client in self.clients):
             self._reduce_seconds = self.registry.histogram(
                 "train_grad_reduce_seconds"
             )
@@ -228,47 +225,39 @@ class TrainLoop:
         size = sizes.pop()
         with trace_span("trainer.epoch", epoch=epoch):
             batch_size = max(1, int(self.config.batch_size))
+            update = None
             for start in range(0, size, batch_size):
-                self._run_step(start)
+                update = self._run_step(start, update)
             finishes = self._gather(
-                [client.finish_epoch() for client in self.clients]
+                [client.finish_epoch(update) for client in self.clients]
             )
         seconds = time.perf_counter() - began
         stats, loss = self._merge_epoch(finishes)
         self._record_epoch(epoch, loss, seconds, stats)
 
-    def _run_step(self, start: int) -> None:
-        """One global microbatch: local backward everywhere, one reduction,
-        one synchronized clipped optimizer step on every replica."""
+    def _run_step(self, start: int, update):
+        """One global step, one round trip: every client applies ``update``
+        (the previous step's) and runs its slice of the microbatch at
+        ``start``; the contributors' gradients reduce to this step's
+        ``(grads, norm)``, which the next request carries."""
         replies = self._gather(
-            [client.run_microbatch(start) for client in self.clients]
+            [client.run_microbatch(start, update) for client in self.clients]
         )
-        counts = [int(reply["count"]) for reply in replies]
-        total = sum(counts)
-        contributors = [i for i, count in enumerate(counts) if count > 0]
+        contributors = [reply for reply in replies if int(reply["count"]) > 0]
         if not contributors:
             raise RuntimeError(
                 f"no client owns any node of the microbatch at offset {start}"
             )
         began = time.perf_counter()
-        grad_lists = [
-            reply["grads"]
-            for reply in self._gather(
-                [self.clients[i].export_grads() for i in contributors]
-            )
-        ]
-        reduced = reduce_gradients(
-            grad_lists, [counts[i] for i in contributors], total
-        )
+        grad_lists = [reply["grads"] for reply in contributors]
+        counts = [int(reply["count"]) for reply in contributors]
+        reduced = reduce_gradients(grad_lists, counts, sum(counts))
         norm = (
             global_grad_norm(reduced)
             if self.config.grad_clip > 0
             else None
         )
-        self._gather(
-            [client.apply_update(reduced, norm) for client in self.clients]
-        )
-        if self._distributed:
+        if self._sync_bytes is not None:
             self._reduce_seconds.observe(time.perf_counter() - began)
             gathered = sum(
                 grad.nbytes
@@ -280,6 +269,7 @@ class TrainLoop:
                 grad.nbytes for grad in reduced if grad is not None
             ) * len(self.clients)
             self._sync_bytes.inc(gathered + shipped)
+        return reduced, norm
 
     # ------------------------------------------------------------------
     # Epoch merge + recording

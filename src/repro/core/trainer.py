@@ -14,12 +14,12 @@ default, walk context, edge existence):
 - :meth:`WidenTrainer.epoch_begin` — neighbor-state refresh + the epoch's
   shuffled schedule of examples (plus an optional owned-node filter for
   partition-local training);
-- :meth:`WidenTrainer.run_microbatch` — forward/backward over one schedule
-  slice, gradients left on the parameters;
-- :meth:`WidenTrainer.export_grads` / :meth:`WidenTrainer.apply_update` —
-  the gradient-reduction seam: grads out, (reduced grads, global norm) in,
-  then clipped optimizer step;
-- :meth:`WidenTrainer.epoch_finish` — per-epoch stats payload.
+- :meth:`WidenTrainer.run_microbatch` — the previous step's reduced
+  ``(grads, norm)`` update applied through :meth:`WidenTrainer.apply_update`
+  (clip + optimizer step), then forward/backward over one schedule slice,
+  whose gradients ride the reply;
+- :meth:`WidenTrainer.epoch_finish` — the epoch's last update, then the
+  per-epoch stats payload.
 
 :meth:`WidenTrainer.fit` is the classic entry point, now a thin wrapper
 running a single-client :class:`~repro.core.train_loop.TrainLoop` — the
@@ -237,19 +237,25 @@ class WidenTrainer:
         self._acc_deep_messages = 0
         return {"epoch": int(self._epoch), "num_nodes": int(self._schedule.size)}
 
-    def run_microbatch(self, start: int) -> dict:
-        """Phase 2: forward/backward over one schedule slice (owned rows).
+    def run_microbatch(self, start: int, update=None) -> dict:
+        """Phase 2: apply the previous step's update, then forward/backward
+        over one schedule slice (owned rows).
 
-        One forward over the node ids the objective names for the slice's
-        examples, Eq. 9 downsampling over the same rows, then the
-        objective's loss over the table.  Leaves the batch's gradients on
-        the parameters — clipping and the optimizer step happen in
-        :meth:`apply_update` once the loop has reduced gradients across
-        contributors.  Returns the number of examples this trainer actually
-        computed (its reduction weight).
+        ``update`` is the previous global step's reduced ``(grads, norm)``
+        (``None`` on an epoch's first step), applied through
+        :meth:`apply_update` before anything else — also on a shard that
+        owns no row of this slice, so every replica steps in lockstep.
+        Then one forward over the node ids the objective names for the
+        slice's examples, Eq. 9 downsampling over the same rows, and the
+        objective's loss over the table.  Returns the number of examples
+        this trainer computed (its reduction weight), their loss sum and,
+        when it computed any, the batch's gradients — live references, one
+        entry per parameter (``None`` where nothing flowed).
         """
         if self._schedule is None:
             raise RuntimeError("run_microbatch called before epoch_begin")
+        if update is not None:
+            self.apply_update(*update)
         batch = self._schedule[int(start) : int(start) + self.config.batch_size]
         if self._owned_lookup is not None:
             batch = batch[self._owned_lookup[batch]]
@@ -283,23 +289,18 @@ class WidenTrainer:
                 self._prediction_chunks.append(labeled[1])
             self._acc_loss_sum += loss_sum
             self._acc_nodes += int(batch.size)
-        return {"count": int(batch.size), "loss_sum": float(loss_sum)}
-
-    def export_grads(self) -> List[Optional[np.ndarray]]:
-        """Phase 3a: current gradients, one entry per parameter.
-
-        Entries are live references (``None`` where nothing flowed); the
-        local path hands them straight back through :meth:`apply_update`
-        untouched, the distributed path encodes them into a wire frame.
-        """
-        return [param.grad for param in self.optimizer.parameters]
+        return {
+            "count": int(batch.size),
+            "loss_sum": float(loss_sum),
+            "grads": [param.grad for param in self.optimizer.parameters],
+        }
 
     def apply_update(
         self,
         grads: Optional[List[Optional[np.ndarray]]] = None,
         norm: Optional[float] = None,
     ) -> None:
-        """Phase 3b: install reduced gradients, clip, and step the optimizer.
+        """Install reduced gradients, clip, and step the optimizer.
 
         ``norm`` is the globally agreed pre-clip norm — every replica must
         scale by the same factor or they drift.  Called with ``grads=None``
@@ -323,8 +324,9 @@ class WidenTrainer:
             clip_grad_norm(parameters, self.config.grad_clip, norm=norm)
         self.optimizer.step()
 
-    def epoch_finish(self) -> dict:
-        """Phase 4: close the epoch and return its stats payload.
+    def epoch_finish(self, update=None) -> dict:
+        """Phase 3: apply the epoch's last update, close the epoch and
+        return its stats payload.
 
         Labels/predictions come back in schedule order (owned rows only) so
         the loop can pool confusion-matrix F1 across shards; KL values come
@@ -333,6 +335,8 @@ class WidenTrainer:
         """
         if self._schedule is None:
             raise RuntimeError("epoch_finish called before epoch_begin")
+        if update is not None:
+            self.apply_update(*update)
         empty = np.empty(0, dtype=np.int64)
         payload = {
             "loss_sum": float(self._acc_loss_sum),

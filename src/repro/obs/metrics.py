@@ -32,8 +32,6 @@ import re
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 LabelKey = Tuple[Tuple[str, str], ...]
 
 _PROM_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -87,8 +85,8 @@ DEFAULT_HELP: Dict[str, str] = {
     "serve_cache_entries": "Live embedding-cache entries.",
     "serve_rung_total": "Nodes served by ladder rung (cache/store/overlay/recompute).",
     "shard_errors_total": "Engine envelopes that became error replies, by kind.",
-    "train_shard_step_seconds": "Per-shard local microbatch compute (forward+backward), per step.",
-    "train_grad_reduce_seconds": "Coordinator gradient gather+weighted-reduce time, per global step.",
+    "train_shard_step_seconds": "Per-shard step compute (previous update's optimizer step, then forward+backward), per step.",
+    "train_grad_reduce_seconds": "Coordinator weighted-reduce + global-norm time, per global step.",
     "train_sync_bytes_total": "Gradient bytes moved per global step (gathered + broadcast).",
     "train_attention_entropy": "Wide/deep attention entropy observed during training, by path.",
     "train_kl_divergence": "KL divergence of attention profiles at downsampling checks.",
@@ -192,12 +190,9 @@ class Gauge:
 class Histogram:
     """Distribution of observations with exact quantiles.
 
-    Two quantile conventions are exposed because the repo needs both:
-
-    - :meth:`quantile` — numpy's linear-interpolation convention
-      (``np.quantile``), the statistics-textbook answer used in analyses.
-    - :meth:`percentile` — nearest-rank, the serving-dashboard convention
-      (every reported latency is one a real request paid).
+    One quantile convention, :meth:`percentile`'s nearest rank, in every
+    report — ``/metrics``, snapshots, JSONL: every reported latency is one
+    a real request paid.
     """
 
     __slots__ = ("name", "labels", "_values", "_sorted")
@@ -241,14 +236,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / len(self._values) if self._values else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolation quantile, identical to ``np.quantile``."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._values:
-            return 0.0
-        return float(np.quantile(self._ordered(), q))
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the observations so far."""
@@ -468,7 +455,7 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {prom} summary")
                 for h in group:
                     for q in (0.5, 0.95, 0.99):
-                        sample = h.quantile(q)
+                        sample = h.percentile(100 * q)
                         lines.append(
                             f"{prom}{_prom_labels(h.labels, {'quantile': f'{q:g}'})}"
                             f" {sample:g}"

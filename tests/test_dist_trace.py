@@ -384,7 +384,7 @@ class TestRouterObserved:
         plain = fresh_router(checkpoint, 2)
         try:
             expected = [getattr(plain, kind)(nodes) for kind, nodes in ops]
-            assert plain.attributions == []
+            assert len(plain.attributions) == 0
         finally:
             plain.close()
         traced = fresh_router(checkpoint, 2)
@@ -418,6 +418,19 @@ class TestRouterObserved:
                 router.embed(nodes)
             ids = [r["trace_id"] for r in router.attribution_records()]
             assert len(ids) == len(set(ids)) == 16
+        finally:
+            router.close()
+
+    def test_only_the_newest_attributions_are_kept(self, checkpoint, monkeypatch):
+        """More ops than ``ATTRIBUTIONS_KEPT`` leave exactly the newest
+        records: a long-lived observed router's memory stays bounded."""
+        monkeypatch.setattr(ClusterRouter, "ATTRIBUTIONS_KEPT", 3)
+        router = fresh_router(checkpoint, 2)
+        try:
+            router.enable_slo()
+            for size in range(1, 8):
+                router.embed(np.arange(size, dtype=np.int64))
+            assert [r["nodes"] for r in router.attribution_records()] == [5, 6, 7]
         finally:
             router.close()
 

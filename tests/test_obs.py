@@ -61,13 +61,14 @@ class TestCounterGauge:
 
 class TestHistogram:
     def test_quantile_matches_numpy(self):
+        """Nearest rank is numpy's ``inverted_cdf`` quantile method."""
         rng = np.random.default_rng(0)
         values = rng.exponential(size=257)
         histogram = Histogram("h")
         histogram.observe_many(values)
-        for q in (0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0):
-            assert histogram.quantile(q) == pytest.approx(
-                float(np.quantile(values, q))
+        for p in (0, 10, 50, 90, 95, 99, 100):
+            assert histogram.percentile(p) == float(
+                np.quantile(values, p / 100, method="inverted_cdf")
             )
 
     def test_percentile_is_an_observed_value(self):
@@ -101,13 +102,13 @@ class TestHistogram:
     def test_observe_after_quantile_resorts(self):
         histogram = Histogram("h")
         histogram.observe_many([2.0, 3.0])
-        assert histogram.quantile(1.0) == 3.0
+        assert histogram.percentile(100) == 3.0
         histogram.observe(1.0)  # lands after the lazy sort
         assert histogram.min == 1.0
         assert histogram.percentile(50) == 2.0
 
     @pytest.mark.parametrize("observed", [[], [1.0, 2.0]], ids=["empty", "non-empty"])
-    def test_out_of_range_ranks_raise_in_both_conventions(self, observed):
+    def test_out_of_range_ranks_raise(self, observed):
         """The rank is checked before the observations: an empty histogram
         refuses a bad rank as loudly as a full one."""
         histogram = Histogram("h")
@@ -115,14 +116,23 @@ class TestHistogram:
         for p in (-1, 150):
             with pytest.raises(ValueError, match=r"percentile must be in \[0, 100\]"):
                 histogram.percentile(p)
-        for q in (-0.1, 1.5):
-            with pytest.raises(ValueError, match=r"quantile must be in \[0, 1\]"):
-                histogram.quantile(q)
 
     def test_empty_histogram_is_all_zeros(self):
         histogram = Histogram("h")
         assert histogram.min == histogram.max == histogram.mean == 0.0
-        assert histogram.quantile(0.5) == 0.0
+        assert histogram.percentile(50) == 0.0
+
+    def test_exposition_and_snapshot_share_one_convention(self):
+        """``/metrics`` and the JSONL snapshot report the same nearest-rank
+        quantiles: p50 of 1, 2, 3, 4 is 2 in both, never an interpolated
+        2.5 no request paid."""
+        registry = MetricsRegistry()
+        registry.histogram("latency_seconds").observe_many([1.0, 2.0, 3.0, 4.0])
+        text = registry.render_prometheus()
+        assert 'latency_seconds{quantile="0.5"} 2\n' in text
+        assert 'latency_seconds{quantile="0.99"} 4\n' in text
+        (snapshot,) = registry.snapshot()
+        assert snapshot["p50"] == 2.0 and snapshot["p99"] == 4.0
 
 
 class TestRegistry:

@@ -163,6 +163,20 @@ RETIRED = [
         (),
     ),
     (
+        r"export_grads|train_grads|train_apply",
+        45,
+        "a training step is one exchange: the gradients ride the microbatch reply "
+        "and the update rides the next envelope",
+        (),
+    ),
+    (
+        r"max_wait",
+        45,
+        "a cluster shard drains each op whole, so only a lone server's batcher has "
+        "a deadline",
+        ("serve/", "__main__.py"),
+    ),
+    (
         r"\bSGD\b",
         41,
         "Adam is the optimizer the trainers run; SGD had no caller",

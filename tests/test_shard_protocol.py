@@ -111,6 +111,44 @@ def test_the_logical_clock_kinds_are_unknown(router, kind):
     assert f"unknown envelope kind {kind!r}" in reply.error["message"]
 
 
+@pytest.mark.parametrize("kind", ["train_grads", "train_apply"])
+def test_the_separate_sync_kinds_are_unknown(trainer, kind):
+    """A training step is one exchange: the gradients ride the
+    ``train_microbatch`` reply and the update rides the next envelope, so
+    the old gradient-export and update kinds are refused off the wire and
+    answered as unknown by an engine."""
+    assert kind not in WIRE_KINDS
+    reply = trainer.workers[0].transport.send(Envelope(kind=kind)).wait(30)
+    assert not reply.ok
+    assert f"unknown envelope kind {kind!r}" in reply.error["message"]
+
+
+def test_one_epoch_is_one_envelope_per_step(acm, trainer):
+    """Every engine of a 2-shard fleet handles one ``train_epoch_begin``,
+    one ``train_microbatch`` per global step and one ``train_epoch_end``
+    in an epoch — nothing else."""
+    seen = []
+    for worker in trainer.workers:
+        engine = worker.transport.engine
+        kinds = []
+        seen.append(kinds)
+
+        def counting(envelope, handle=engine.handle, kinds=kinds):
+            kinds.append(envelope.kind)
+            return handle(envelope)
+
+        engine.handle = counting
+    trainer.fit(acm.split.train, 1)
+    steps = -(-acm.split.train.size // trainer.config.batch_size)
+    assert steps > 1
+    for kinds in seen:
+        assert kinds == (
+            ["train_epoch_begin"]
+            + ["train_microbatch"] * steps
+            + ["train_epoch_end"]
+        )
+
+
 def test_a_traced_train_envelope_ships_its_spans(acm, trainer):
     worker = trainer.workers[0]
     worker.begin_epoch(acm.split.train).result(30)
@@ -125,24 +163,23 @@ def test_a_traced_train_envelope_ships_its_spans(acm, trainer):
     assert reply.trace["shard"] == 0
     names = [span["name"] for span in reply.trace["spans"]]
     assert "shard.train_microbatch" in names
-    untraced = worker.export_grads().wait(30)
+    untraced = worker.finish_epoch(None).wait(30)
     assert untraced.ok and untraced.trace is None
 
 
 @pytest.fixture(scope="module")
 def train_payloads(acm, checkpoint):
     """Shard 0's reply payload to every ``train_*`` kind, by kind: one
-    epoch of one microbatch, then the replica's checkpoint."""
+    epoch of one microbatch (its gradients ride the reply and come back as
+    the epoch's last update), then the replica's checkpoint."""
     with DistributedTrainer(checkpoint, acm.graph, 2) as trainer:
         worker = trainer.workers[0]
         payloads = {
             "train_epoch_begin": worker.begin_epoch(acm.split.train).result(60),
-            "train_microbatch": worker.run_microbatch(0).result(60),
-            "train_grads": worker.export_grads().result(60),
+            "train_microbatch": worker.run_microbatch(0, None).result(60),
         }
-        grads = payloads["train_grads"]["grads"]
-        payloads["train_apply"] = worker.apply_update(grads, None).result(60)
-        payloads["train_epoch_end"] = worker.finish_epoch().result(60)
+        update = (payloads["train_microbatch"]["grads"], None)
+        payloads["train_epoch_end"] = worker.finish_epoch(update).result(60)
         payloads["train_checkpoint"] = worker.checkpoint().result(60)
     return payloads
 

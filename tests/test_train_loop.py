@@ -31,6 +31,7 @@ from repro.cluster.train import DistributedTrainer
 from repro.core import WidenClassifier
 from repro.core.train_loop import LocalTrainClient, TrainLoop, reduce_gradients
 from repro.datasets import make_acm
+from repro.obs import MetricsRegistry
 
 # make_acm(seed=0, scale=0.4), WidenClassifier(seed=7), 4 epochs.  First
 # recorded against the pre-refactor monolithic WidenTrainer.fit and held
@@ -302,6 +303,26 @@ class TestGuardsAndMetrics:
         ):
             assert name in text
         assert 'shard="0"' in text and 'shard="1"' in text
+
+    def test_every_fleet_records_sync_and_fit_does_not(self, acm, base_checkpoint):
+        """A 1-shard fleet's gradients cross the wire too, so it counts
+        what moves; a single-process fit's never leave the process, so it
+        registers neither sync series."""
+        with DistributedTrainer(
+            base_checkpoint, acm.graph, 1, transport="inline"
+        ) as fleet:
+            fleet.fit(acm.split.train, 1)
+        steps = -(-acm.split.train.size // fleet.config.batch_size)
+        assert fleet.registry.counter("train_sync_bytes_total").value > 0
+        assert fleet.registry.histogram("train_grad_reduce_seconds").count == steps
+
+        single = WidenClassifier.load(base_checkpoint, graph=acm.graph)
+        registry = MetricsRegistry()
+        single.trainer.set_registry(registry)
+        single.trainer.fit(acm.split.train, 1)
+        assert registry.values("train/loss")  # the fit recorded into it
+        assert registry.get("train_sync_bytes_total") is None
+        assert registry.get("train_grad_reduce_seconds") is None
 
     def test_engine_answers_error_replies(self, acm, base_checkpoint):
         from repro.cluster.transport import Envelope

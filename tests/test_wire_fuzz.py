@@ -145,8 +145,11 @@ CORPUS = [
         trace={"shard": 0, "pid": 1, "spans": [{"name": "s", "start": 1.5, "args": {}}]},
     ),
     Envelope(
-        kind="train_apply",
-        payload={"grads": [np.ones(3), None, np.ones((2, 2))], "norm": None},
+        kind="train_microbatch",
+        payload={
+            "start": 32,
+            "update": [[np.ones(3), None, np.ones((2, 2))], 0.5],
+        },
     ),
     Reply(
         seq=4,
