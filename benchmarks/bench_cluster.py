@@ -1,6 +1,6 @@
 """Sharded-serving benchmark — ``repro.cluster`` on its request path.
 
-Sends one deterministic Poisson/Zipf trace through a single
+Sends one deterministic Zipf trace through a single
 :class:`InferenceServer` and through :class:`ClusterRouter` fleets of 1, 2
 and 4 shards (full replicas, each owning a slice of the ids) on both
 transports (``inline``, ``socket``), as ``GROUP``-node ``embed`` ops — the
@@ -74,14 +74,13 @@ def _timed(embed, ops):
     return time.perf_counter() - started
 
 
-def run_bench(out_path, *, scale=0.5, epochs=2, requests=240, rate=50_000.0,
-              zipf=1.1, seed=0):
-    """Train, checkpoint, run the trace's ops across fleet sizes, write
-    the report.  The trace's times are not used: ops run back to back."""
+def run_bench(out_path, *, scale=0.5, epochs=2, requests=240, zipf=1.1, seed=0):
+    """Train, checkpoint, run the trace's ops back to back across fleet
+    sizes, write the report."""
     with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as root:
         return _run_bench(
             out_path, root, scale=scale, epochs=epochs, requests=requests,
-            rate=rate, zipf=zipf, seed=seed,
+            zipf=zipf, seed=seed,
         )
 
 
@@ -142,8 +141,7 @@ def _measure_worker_startup():
     return timings
 
 
-def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
-               zipf, seed):
+def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
     dataset = make_acm(seed=seed, scale=scale)
     model = WidenClassifier(seed=seed, dim=16, num_wide=6, num_deep=5)
     model.fit(dataset.graph, dataset.split.train, epochs=epochs)
@@ -151,8 +149,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
     checkpoint = registry.save("widen-acm-cluster", model)
 
     pool = dataset.split.test
-    trace = make_trace(pool, requests, rate=rate, zipf_exponent=zipf, rng=seed)
-    ops = _ops(np.asarray([event.node for event in trace], dtype=np.int64))
+    ops = _ops(make_trace(pool, requests, zipf_exponent=zipf, rng=seed))
     rng = np.random.default_rng(seed)
     probe = rng.choice(dataset.graph.num_nodes, size=24, replace=False)
 
@@ -171,7 +168,6 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, rate,
         "requests": requests,
         "group": GROUP,
         "ops": len(ops),
-        "rate": rate,
         "zipf_exponent": zipf,
         "single_server": {
             "wall_seconds": single_seconds,

@@ -87,25 +87,25 @@ def _label_mismatches(oracle, target, probe):
 def measure_miss_latency(server, probe, rounds):
     """Cold-miss latency, cache wiped between rounds.
 
-    Returns ``(request_latencies_s, wall_s_per_node)``: per-request
-    latencies, completion - arrival off each request's ``ServeResult``
-    (the definition every serving bench in this repo reports), and the
-    end-to-end wall clock per node as a cross-check.  The first (untimed)
-    round absorbs one-off costs — mmap page faults on the store rows,
-    allocator warm-up — so the timed rounds compare steady states.
+    Each round is one ``embed`` op over the whole probe, timed on the wall
+    clock.  Returns ``(compute_s, wall_s_per_node)``: per round, the op's
+    critical-path compute — the wall time its miss batch took from start
+    to answer, the reply's ``compute`` — and the op's end-to-end wall
+    clock per node as a cross-check.  The first (untimed) round absorbs
+    one-off costs — mmap page faults on the store rows, allocator warm-up —
+    so the timed rounds compare steady states.
     """
     server.cache.invalidate()
     server.embed(probe)
-    latencies = []
+    computes = []
     walls = []
     for _ in range(rounds):
         server.cache.invalidate()
-        start = now = time.perf_counter()
-        ids = [server.submit(node, kind="embed", now=now) for node in probe]
-        server.drain(now)
+        start = time.perf_counter()
+        reply = server.replay(probe, kind="embed")
         walls.append((time.perf_counter() - start) / probe.size)
-        latencies.extend(server.result(request_id).latency for request_id in ids)
-    return latencies, walls
+        computes.append(reply["compute"])
+    return computes, walls
 
 
 def _store_outcomes(server):

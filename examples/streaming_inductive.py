@@ -25,13 +25,7 @@ from repro.baselines import GCN, Node2Vec
 from repro.core import WidenClassifier
 from repro.datasets import make_inductive_split, make_yelp
 from repro.eval import micro_f1
-from repro.serve import (
-    InferenceServer,
-    ModelRegistry,
-    TraceEvent,
-    format_report,
-    replay,
-)
+from repro.serve import InferenceServer, ModelRegistry, format_report, replay
 
 
 def main() -> None:
@@ -80,10 +74,10 @@ def main() -> None:
                     np.array([old_to_serving[int(neighbor)]]),
                 )
 
-        # Request every newcomer the moment they are all in (one burst at
-        # t=0), then read the labels back: the burst cached every answer.
+        # Request every newcomer the moment they are all in (one op), then
+        # read the labels back: the op cached every answer.
         serving_ids = old_to_serving[split.holdout]
-        burst = replay(server, [TraceEvent(0.0, int(node)) for node in serving_ids])
+        burst = replay(server, serving_ids, serving_ids.size)
         predictions = server.classify(serving_ids)
         print(f"streamed in {split.holdout.size} businesses "
               f"({server.graph.version} graph mutations)")

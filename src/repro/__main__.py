@@ -8,16 +8,16 @@ Commands
     Train WIDEN on a dataset and report test micro-F1.
 ``compare [dataset] [--epochs N]``
     Train WIDEN and every baseline on a dataset; print a leaderboard.
-``serve-bench [dataset] [--requests N] [--rate R] ...``
+``serve-bench [dataset] [--requests N] [--group G] ...``
     Train WIDEN, checkpoint it through the model registry, restore it into
-    an :class:`~repro.serve.InferenceServer`, replay a deterministic
-    Poisson/Zipf arrival trace, and print a latency/throughput report:
-    cold single-request baseline vs. the batched server (cold cache) vs.
-    the batched server (warm cache).
+    an :class:`~repro.serve.InferenceServer`, send a deterministic Zipf
+    trace through it as ``--group``-node ops timed on the wall clock, and
+    print a latency/throughput report: cold single-request baseline vs.
+    the batched server (cold cache) vs. the batched server (warm cache).
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
     Train WIDEN, serve the graph from K shards — full replicas, shard
     ``n % K`` owning node ``n`` (:mod:`repro.cluster`) — and send a
-    deterministic Poisson/Zipf trace through the scatter-gather router as
+    deterministic Zipf trace through the scatter-gather router as
     ``--group``-node ``embed`` ops, two passes (cold cache, then warm),
     with distributed tracing and SLO monitoring on (:mod:`repro.obs.dist`
     / :mod:`repro.obs.slo`).  Prints the shard plan, the attribution
@@ -332,12 +332,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
         pool = dataset.split.test
         trace = make_trace(
-            pool, args.requests, rate=args.rate,
-            zipf_exponent=args.zipf, rng=args.seed,
+            pool, args.requests, zipf_exponent=args.zipf, rng=args.seed
         )
-        span = trace[-1].time
-        print(f"trace: {len(trace)} requests over {span:.2f}s "
-              f"({len(np.unique([e.node for e in trace]))} distinct of "
+        print(f"trace: {trace.size} requests as ops of {args.group} "
+              f"({np.unique(trace).size} distinct of "
               f"{pool.size} servable nodes, zipf s={args.zipf})\n")
 
         cold = cold_single_requests(served, dataset.graph, trace, seed=args.seed)
@@ -354,7 +352,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                   f"{args.store} (digest {store.meta['params_digest']})\n")
         server = InferenceServer(
             served, dataset.graph,
-            max_batch_size=args.batch_size, max_wait=args.max_wait,
+            max_batch_size=args.batch_size,
             cache_capacity=args.cache_capacity, seed=args.seed,
             store=store,
         )
@@ -362,18 +360,17 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         # plus the cache node-hit histogram and store gauges.
         with _maybe_serve_metrics(args, server.render_prometheus):
             print(format_report(
-                replay(server, trace), "server, first pass (cold cache)"))
-            warm = replay(server, trace)
+                replay(server, trace, args.group),
+                "server, first pass (cold cache)"))
+            warm = replay(server, trace, args.group)
             print()
             print(format_report(warm, "server, replayed pass (warm cache)"))
-        speedup = (
-            cold["latency_mean_s"] / warm["latency_mean_s"]
-            if warm["latency_mean_s"] > 0 else float("inf")
-        )
-        print(f"\nwarm-cache mean latency is {speedup:.1f}x lower than the "
-              f"cold single-request baseline "
-              f"({warm['latency_mean_s'] * 1e3:.3f} ms vs "
-              f"{cold['latency_mean_s'] * 1e3:.3f} ms)")
+        # Per node: a warm op answers --group nodes, a cold one answers one.
+        warm_s, cold_s = 1 / warm["throughput_rps"], 1 / cold["throughput_rps"]
+        speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+        print(f"\nwarm-cache mean latency per node is {speedup:.1f}x lower "
+              f"than the cold single-request baseline "
+              f"({warm_s * 1e3:.3f} ms vs {cold_s * 1e3:.3f} ms)")
     _maybe_dump_metrics(args)
     return 0
 
@@ -432,11 +429,10 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             # Every scatter group is one op through the request path (embed):
             # one trace id with router + shard spans, one attribution record,
             # and the second pass shows the cold->warm rung shift.
-            trace = make_trace(
-                dataset.split.test, args.requests, rate=args.rate,
+            nodes = make_trace(
+                dataset.split.test, args.requests,
                 zipf_exponent=args.zipf, rng=args.seed,
             )
-            nodes = np.asarray([event.node for event in trace], dtype=np.int64)
             for _ in range(2):
                 for start in range(0, nodes.size, args.group):
                     router.embed(nodes[start:start + args.group])
@@ -529,15 +525,12 @@ def main(argv=None) -> int:
                      help="profile: Chrome trace_event output path")
     serve = parser.add_argument_group("serve-bench")
     serve.add_argument("--requests", type=int, default=400,
-                       help="trace length (arrivals to replay)")
-    serve.add_argument("--rate", type=float, default=300.0,
-                       help="mean arrival rate, requests/second")
+                       help="trace length (nodes to request)")
     serve.add_argument("--zipf", type=float, default=1.1,
                        help="Zipf popularity exponent of the node pool")
     serve.add_argument("--batch-size", type=int, default=16,
-                       help="micro-batcher max batch size")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="serve-bench only: micro-batcher deadline, seconds")
+                       help="most cache misses a server computes in one "
+                            "forward")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="embedding cache entries")
     serve.add_argument("--metrics-port", type=int, default=None,
@@ -583,7 +576,7 @@ def main(argv=None) -> int:
                             "instead of training fresh")
     dist = parser.add_argument_group("serve-cluster tracing and SLO")
     dist.add_argument("--group", type=int, default=8,
-                      help="serve-cluster: nodes per scatter-gather request")
+                      help="serve-bench / serve-cluster: nodes per op")
     dist.add_argument("--slo-threshold", type=float, default=0.050,
                       help="serve-cluster: SLO latency threshold, seconds")
     dist.add_argument("--slo-objective", type=float, default=0.99,

@@ -22,9 +22,9 @@ socket without any behavioral difference.
 
 Envelope kinds:
 
-- ``serve`` — one op: a batch of requests for owned nodes.  Submit-all
-  then drain, so the server's micro-batcher sees the whole group at once;
-  the reply is columns read off the server's request rows (``values``,
+- ``serve`` — one op: a batch of requests for owned nodes, answered by
+  the server's :meth:`~repro.serve.server.InferenceServer.replay`; the
+  reply is columns read off the server's request rows (``values``,
   ``rungs``, and the op's critical-path ``queue_wait`` / ``compute``).  An
   op containing an out-of-range id is refused whole, before any work.
 - ``mutate`` — the one serializable command of a write (an arrival, or the

@@ -60,9 +60,8 @@ class ShardWorker:
     ) -> PendingReply:
         """One serve envelope for a group of nodes; gather later.
 
-        The whole group reaches the engine in one envelope, so the server's
-        micro-batcher sees it at once — concurrent scatter legs coalesce
-        into real batches instead of singletons.  ``trace_ctx`` (when the
+        The whole group reaches the engine in one envelope, so the server
+        computes its misses in real batches instead of singletons.  ``trace_ctx`` (when the
         router is tracing) makes the engine root a private span buffer for
         this envelope and ship it back on the reply.
         """

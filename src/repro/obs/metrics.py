@@ -77,9 +77,8 @@ def _prom_help(text: str) -> str:
 DEFAULT_HELP: Dict[str, str] = {
     "serve_latency_seconds": "End-to-end serve latency per request.",
     "serve_requests_total": "Serve requests by cache outcome.",
-    "serve_batch_size": "Submitted batch sizes (including cache hits).",
+    "serve_batch_size": "Drained chunk sizes (queued misses; a re-checked cache hit counts).",
     "serve_compute_batch_size": "Batch sizes that reached the model.",
-    "serve_queue_depth": "Pending queue depth sampled at submit.",
     "serve_invalidation_frontier": "Nodes a mutation stamped as touched (changed sources, or every node for a rewire of unknown extent).",
     "serve_cache_node_hits": "Per-node embedding-cache hit counts.",
     "serve_cache_entries": "Live embedding-cache entries.",
@@ -121,11 +120,16 @@ def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
     Nearest-rank keeps the answer an *observed* value — the convention of
     serving dashboards — instead of an interpolated value no request paid.
     """
+    return _ordered_percentile(sorted(values), p)
+
+
+def _ordered_percentile(ordered: Sequence[float], p: float) -> float:
+    """:func:`nearest_rank_percentile` of ``ordered``, already sorted: one
+    index, no copy."""
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if len(values) == 0:
+    if len(ordered) == 0:
         return 0.0
-    ordered = sorted(values)
     rank = max(1, int(-(-p * len(ordered) // 100)))  # ceil without floats
     return ordered[min(rank, len(ordered)) - 1]
 
@@ -239,7 +243,7 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the observations so far."""
-        return nearest_rank_percentile(self._ordered(), p)
+        return _ordered_percentile(self._ordered(), p)
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -1,28 +1,26 @@
-"""Deterministic load generation and trace replay.
+"""Deterministic load generation and the single-server pass.
 
-A synthetic arrival trace models the serving workload the paper motivates
-WIDEN with: requests arrive as a Poisson process (exponential interarrival
-gaps at a target rate) and target nodes follow a Zipf popularity law — a
-few hot nodes dominate, a long tail trickles — which is precisely the
-regime where an LRU embedding cache pays off.  Both draws come from one
-seeded generator, so a trace is exactly reproducible.
+A synthetic trace models the serving workload the paper motivates WIDEN
+with: target nodes follow a Zipf popularity law — a few hot nodes
+dominate, a long tail trickles — which is precisely the regime where an
+LRU embedding cache pays off.  The draws come from one seeded generator,
+so a trace is exactly reproducible.
 
-:func:`replay` drives a server through a trace using the trace's *logical*
-clock for arrivals/deadlines while batch compute time is measured for real,
-and reports the pass from its own answers: latency percentiles, throughput,
-cache hit rate and rung mix off the :class:`ServeResult` of each request,
-batch and store figures as differences of the server registry's cumulative
-series across the pass (:func:`pass_report`).  :func:`cold_single_requests`
-runs the same trace one request at a time down the uncached inductive path
-— the baseline the serve benchmark compares against — and reduces its
+:func:`replay` drives one server the way ``serve-cluster`` drives a fleet:
+the trace is cut into ``group``-node ops, each sent through
+:meth:`~repro.serve.server.InferenceServer.replay` and timed on the wall
+clock.  The pass is reported from what it produced (:func:`pass_report`):
+op latency percentiles, throughput, cache hit rate and rung mix off the
+op replies, batch and store figures as differences of the server
+registry's cumulative series across the pass.  :func:`cold_single_requests`
+runs the same trace one node at a time down the uncached inductive path —
+the baseline the serve benchmark compares against — and reduces its
 latencies the same way; :func:`format_report` prints either report.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,63 +28,54 @@ import numpy as np
 from repro.graph import HeteroGraph
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import RUNGS
-from repro.serve.server import InferenceServer, ServeResult
+from repro.serve.server import InferenceServer
 from repro.utils.rng import SeedLike, new_rng
-
-
-@dataclass
-class TraceEvent:
-    """One arrival: request ``node`` at logical time ``time`` (seconds)."""
-
-    time: float
-    node: int
 
 
 def make_trace(
     nodes: Sequence[int],
     num_requests: int,
     *,
-    rate: float = 500.0,
     zipf_exponent: float = 1.1,
     rng: SeedLike = None,
-) -> List[TraceEvent]:
-    """Deterministic Poisson/Zipf arrival trace over a node pool.
+) -> np.ndarray:
+    """Deterministic Zipf request trace over a node pool: the ``(N,)``
+    int64 node ids, in request order.
 
-    ``rate`` is mean arrivals per second; ``zipf_exponent`` shapes the
-    popularity skew (higher = hotter head).  Ranks are assigned over the
-    pool in the order given, so the caller controls which nodes are hot.
+    ``zipf_exponent`` shapes the popularity skew (higher = hotter head).
+    Ranks are assigned over the pool in the order given, so the caller
+    controls which nodes are hot.
     """
     pool = np.asarray(nodes, dtype=np.int64)
     if pool.size == 0:
         raise ValueError("node pool is empty")
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     rng = new_rng(rng)
     weights = 1.0 / np.arange(1, pool.size + 1, dtype=np.float64) ** zipf_exponent
     weights /= weights.sum()
-    picks = rng.choice(pool.size, size=num_requests, p=weights)
-    gaps = rng.exponential(1.0 / rate, size=num_requests)
-    times = np.cumsum(gaps)
-    return [TraceEvent(float(t), int(pool[i])) for t, i in zip(times, picks)]
+    return pool[rng.choice(pool.size, size=num_requests, p=weights)]
 
 
-def replay(server: InferenceServer, trace: Sequence[TraceEvent]) -> Dict[str, float]:
-    """Replay ``trace`` against ``server``; returns the pass report.
+def replay(
+    server: InferenceServer, nodes: Sequence[int], group: int
+) -> Dict[str, float]:
+    """Send ``nodes`` through ``server`` as ``group``-node ``classify``
+    ops, back to back; returns the pass report.
 
-    The server's busy-time watermark is reset first so back-to-back passes
-    (cold then warm cache) run on the same logical timeline; every answer
-    is picked up, so the server's request table is empty afterwards.
+    Every answer is picked up, so the server's request table is empty
+    afterwards.
     """
-    server.reset_clock()
+    nodes = np.asarray(nodes, dtype=np.int64)
     registry = server.telemetry.registry
     before = series_totals(registry)
-    ids = [server.submit(event.node, now=event.time) for event in trace]
-    server.drain(trace[-1].time if trace else None)
-    results = [server.result(request_id) for request_id in ids]
+    replies, latencies = [], []
+    for start in range(0, nodes.size, group):
+        begin = time.perf_counter()
+        replies.append(server.replay(nodes[start:start + group]))
+        latencies.append(time.perf_counter() - begin)
     stats = pass_report(
-        results, before, series_totals(registry), server.batcher.max_batch_size
+        replies, latencies, before, series_totals(registry), server.max_batch_size
     )
     node_hits = server.cache.node_hit_histogram()
     stats["cache_nodes_with_hits"] = node_hits.count
@@ -100,14 +89,13 @@ def replay(server: InferenceServer, trace: Sequence[TraceEvent]) -> Dict[str, fl
 def series_totals(registry: MetricsRegistry) -> Dict[str, float]:
     """The cumulative series of a serving registry (one a
     :class:`~repro.serve.telemetry.Telemetry` writes) that a pass report
-    differences, read now: flushed batches and the requests in them,
-    compute batches and the embeddings they computed, queue depths sampled
-    (count and sum), and store lookups by outcome."""
+    differences, read now: drained chunks and the requests in them,
+    compute batches and the embeddings they computed, and store lookups by
+    outcome."""
     totals = {}
     for key, name in (
         ("batches", "serve_batch_size"),
         ("compute_batches", "serve_compute_batch_size"),
-        ("queue_depths", "serve_queue_depth"),
     ):
         series = registry.histogram(name)
         totals[key], totals[key + "_sum"] = series.count, series.sum
@@ -119,44 +107,52 @@ def series_totals(registry: MetricsRegistry) -> Dict[str, float]:
 
 
 def pass_report(
-    results: Sequence[ServeResult],
+    replies: Sequence[Dict[str, object]],
+    latencies: Sequence[float],
     before: Dict[str, float],
     after: Dict[str, float],
     max_batch_size: int,
 ) -> Dict[str, float]:
-    """The report of one drained pass: ``results`` are its answers, and
-    ``before`` / ``after`` are :func:`series_totals` of the server's
-    registry around it (nothing else may serve from that registry in
-    between).  ``max_batch_size`` is the batcher's, for occupancy."""
+    """The report of one pass: ``replies`` are its ops' replies
+    (:meth:`~repro.serve.server.InferenceServer.replay`), ``latencies``
+    their wall times in seconds, and ``before`` / ``after`` are
+    :func:`series_totals` of the server's registry around it (nothing else
+    may serve from that registry in between).  ``max_batch_size`` is the
+    server's, for occupancy."""
     delta = {key: after[key] - before[key] for key in after}
-    count = len(results)
-    arrival = np.array([result.arrival for result in results])
-    completion = np.array([result.completion for result in results])
-    rungs = Counter(result.rung for result in results)
-    span = float(completion.max() - arrival.min()) if count else 0.0
+    rungs = np.zeros(len(RUNGS), dtype=np.int64)
+    for reply in replies:
+        rungs += np.bincount(reply["rungs"], minlength=len(RUNGS))
+    count = int(rungs.sum())
+    busy = sum(latencies)
     stats = {
         "requests": count,
+        "ops": len(replies),
+        # Ops run back to back, so throughput is nodes over summed op time.
         "throughput_rps": (
-            count / span if span > 0 else float("inf") if count else 0.0
+            count / busy if busy > 0 else float("inf") if count else 0.0
         ),
-        **_latency_stats(completion - arrival),
+        **_latency_stats(latencies),
         "batches": delta["batches"],
-        # Mean batch fill fraction relative to the configured maximum.
+        # Mean chunk fill fraction relative to the configured maximum.
         "batch_occupancy": _ratio(
             delta["batches_sum"], delta["batches"] * max_batch_size
         ),
-        "mean_queue_depth": _ratio(delta["queue_depths_sum"], delta["queue_depths"]),
-        "cache_hit_rate": rungs["cache"] / count if count else 0.0,
+        "cache_hit_rate": _ratio(float(rungs[RUNGS.index("cache")]), count),
         "compute_batches": delta["compute_batches"],
         "compute_batch_mean": _ratio(
             delta["compute_batches_sum"], delta["compute_batches"]
         ),
     }
-    if count:
-        stats["queue_wait_mean_s"] = float(np.mean([r.queue_wait for r in results]))
-        stats["compute_mean_s"] = float(np.mean([r.compute for r in results]))
-        for rung in RUNGS:
-            stats[f"rung_{rung}"] = float(rungs[rung])
+    if replies:
+        stats["queue_wait_mean_s"] = float(
+            np.mean([reply["queue_wait"] for reply in replies])
+        )
+        stats["compute_mean_s"] = float(
+            np.mean([reply["compute"] for reply in replies])
+        )
+        for rung, served in zip(RUNGS, rungs.tolist()):
+            stats[f"rung_{rung}"] = float(served)
     looked_up = delta["store_hit"] + delta["store_stale"] + delta["store_absent"]
     if looked_up:
         stats["store_hits"] = delta["store_hit"]
@@ -190,29 +186,29 @@ def _ratio(numerator: float, denominator: float) -> float:
 def cold_single_requests(
     classifier,
     graph: HeteroGraph,
-    trace: Sequence[TraceEvent],
+    nodes: Sequence[int],
     *,
     seed: int = 0,
 ) -> Dict[str, float]:
     """One-at-a-time, uncached inference over the same trace.
 
-    Each request pays the full cold path — fresh neighborhood sampling plus
-    a single-node forward pass — exactly what a server miss costs, with the
-    same per-node deterministic seeding, so the comparison against the
-    batched/cached server isolates what the serving layer buys.  Requests
-    run back to back, so throughput is requests over summed latency.
+    Each request is an op of one node that pays the full cold path — fresh
+    neighborhood sampling plus a single-node forward pass — exactly what a
+    server miss costs, with the same per-node deterministic seeding, so the
+    comparison against the batched/cached server isolates what the serving
+    layer buys.  Requests run back to back, so throughput is requests over
+    summed latency.
     """
     latencies: List[float] = []
-    for event in trace:
+    for node in np.asarray(nodes, dtype=np.int64).tolist():
         start = time.perf_counter()
-        embedding = classifier.embed_for_serving(
-            np.array([event.node]), graph, seed=seed
-        )
+        embedding = classifier.embed_for_serving(np.array([node]), graph, seed=seed)
         classifier.predict_from_embeddings(embedding)
         latencies.append(time.perf_counter() - start)
     busy = sum(latencies)
     return {
         "requests": len(latencies),
+        "ops": len(latencies),
         "throughput_rps": len(latencies) / busy if busy > 0 else float("inf"),
         **_latency_stats(latencies),
     }
@@ -226,21 +222,20 @@ def format_report(stats: Dict[str, float], title: Optional[str] = None) -> str:
     if title:
         lines += [title, "-" * len(title)]
     lines += [
-        f"requests          {int(stats['requests'])}",
+        f"requests          {int(stats['requests'])} in {int(stats['ops'])} ops",
         f"throughput        {stats['throughput_rps']:.1f} req/s",
-        f"latency mean      {stats['latency_mean_s'] * 1e3:.3f} ms",
-        f"latency min/max   {stats['latency_min_s'] * 1e3:.3f} / "
+        f"op latency mean   {stats['latency_mean_s'] * 1e3:.3f} ms",
+        f"op latency min/max {stats['latency_min_s'] * 1e3:.3f} / "
         f"{stats['latency_max_s'] * 1e3:.3f} ms "
         f"(n={int(stats['latency_count'])})",
-        f"latency p50       {stats['latency_p50_s'] * 1e3:.3f} ms",
-        f"latency p95       {stats['latency_p95_s'] * 1e3:.3f} ms",
-        f"latency p99       {stats['latency_p99_s'] * 1e3:.3f} ms",
+        f"op latency p50    {stats['latency_p50_s'] * 1e3:.3f} ms",
+        f"op latency p95    {stats['latency_p95_s'] * 1e3:.3f} ms",
+        f"op latency p99    {stats['latency_p99_s'] * 1e3:.3f} ms",
     ]
     if "batches" in stats:
         lines += [
             f"batches           {int(stats['batches'])}"
             f" (occupancy {stats['batch_occupancy'] * 100:.0f}%)",
-            f"mean queue depth  {stats['mean_queue_depth']:.2f}",
             f"cache hit rate    {stats['cache_hit_rate'] * 100:.1f}%",
             f"compute batches   {int(stats['compute_batches'])}"
             f" (mean size {stats['compute_batch_mean']:.2f})",
@@ -248,7 +243,7 @@ def format_report(stats: Dict[str, float], title: Optional[str] = None) -> str:
     if "queue_wait_mean_s" in stats:
         lines.append(
             f"queue/compute     {stats['queue_wait_mean_s'] * 1e3:.3f} /"
-            f" {stats['compute_mean_s'] * 1e3:.3f} ms (mean)"
+            f" {stats['compute_mean_s'] * 1e3:.3f} ms (mean, critical path)"
         )
         lines.append(
             "rung mix          "

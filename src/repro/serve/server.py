@@ -1,14 +1,15 @@
 """The long-lived inference server.
 
 ``InferenceServer`` turns a trained WIDEN classifier into a service over
-one *serving graph*.  The cache sits **in front of** the micro-batcher and
-holds whole answers, ``(embedding, label)``: a resident node's request
-completes at submit time, with no model code (not even the head) and no
-batching deadline.  Misses are queued and coalesced into batches, each
-running one forward and one head call over the rows it computed.
-Streaming arrivals (:meth:`add_nodes` / :meth:`add_edges`) mutate the
-graph in place — the graph's mutation hooks then invalidate every cache
-layer, so a post-mutation request can never observe pre-mutation state.
+one *serving graph*.  It answers *ops*: :meth:`InferenceServer.replay`
+takes a group of nodes, answers the resident ones from the cache, which
+holds whole answers, ``(embedding, label)``, with no model code (not even
+the head), and runs the misses at once in ``max_batch_size`` chunks, each
+one forward and one head call over the rows it computed.  Every time is
+read off the wall clock.  Streaming arrivals (:meth:`add_nodes` /
+:meth:`add_edges`) mutate the graph in place — the graph's mutation hooks
+then invalidate every cache layer, so a post-mutation request can never
+observe pre-mutation state.
 
 The serving contract is one predicate,
 :func:`~repro.core.classifier.serving_refusal`: a ``WidenClassifier`` in
@@ -44,15 +45,14 @@ or, for an arrival, the new ids (no existing list changed).  Only a
 rewire of unknown extent (``replace_edges`` without ``changed_sources``)
 touches every node.
 
-One server is single-threaded by design (the batcher amortizes per-call
+One server is single-threaded by design (a chunk amortizes per-call
 overhead, it does not juggle OS threads); concurrency comes from running
-one server per shard on worker threads — see ``repro.cluster``.
+one server per shard — see ``repro.cluster``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -62,48 +62,16 @@ from repro.graph import HeteroGraph
 # Nothing here calls it; ``benchmarks/perf`` wraps the name until ROADMAP 8(b).
 from repro.graph import mutation_frontier  # noqa: F401
 from repro.obs import MetricsRegistry, get_registry
-from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import EmbeddingCache, WriteClock, fresh_mask
-from repro.serve.telemetry import KINDS, RUNGS, Telemetry
+from repro.serve.telemetry import KINDS, Telemetry
 
 
 # Store-tier attribution by ``fresh * (1 + (stamp > 0))``.
 _STORE_RUNGS = np.array(["recompute", "store", "overlay"], dtype=object)
 
 
-@dataclass
-class ServeResult:
-    """Completed request: ``value`` is a class id (classify) or embedding.
-
-    Built on demand by :meth:`InferenceServer.result` from the request's
-    row.  ``rung`` names the serving-ladder tier that produced the
-    answer (``cache`` / ``store`` / ``overlay`` / ``recompute``);
-    ``queue_wait`` is the time between submit and batch flush (0 for
-    submit-time cache hits), so ``latency = queue_wait + compute``
-    decomposes exactly.  A cache hit's completion is the cache probe
-    alone: its label is part of the entry, so no head runs.
-    """
-
-    request_id: int
-    node: int
-    kind: str
-    value: Union[int, np.ndarray]
-    arrival: float
-    completion: float
-    rung: str = "recompute"
-    queue_wait: float = 0.0
-
-    @property
-    def latency(self) -> float:
-        return self.completion - self.arrival
-
-    @property
-    def compute(self) -> float:
-        return max(0.0, self.latency - self.queue_wait)
-
-
 class InferenceServer:
-    """Micro-batched, cached, mutation-aware inference over one graph."""
+    """Batched, cached, mutation-aware inference over one graph."""
 
     def __init__(
         self,
@@ -111,7 +79,6 @@ class InferenceServer:
         graph: HeteroGraph,
         *,
         max_batch_size: int = 16,
-        max_wait: float = 0.002,
         cache_capacity: int = 1024,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
@@ -124,10 +91,12 @@ class InferenceServer:
             # A freshly loaded checkpoint: bind the serving graph (schema
             # validated inside bind()).
             classifier.bind(graph)
+        if max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self.classifier = classifier
         self.graph = graph
         self.seed = int(seed)
-        self.batcher = MicroBatcher(max_batch_size=max_batch_size, max_wait=max_wait)
+        self.max_batch_size = int(max_batch_size)
         self.cache = EmbeddingCache(cache_capacity)
         # Serving reports into the shared metrics pipeline (repro.obs): the
         # table holds the requests in flight, and what outlives them is the
@@ -135,14 +104,11 @@ class InferenceServer:
         self.telemetry = Telemetry(
             registry if registry is not None else get_registry()
         )
-        # The answers, by request id, until result() / replay() picks them
-        # up; everything else about a request is its telemetry row.
+        # The answers, by request id, until replay() picks them up;
+        # everything else about a request is its telemetry row.
         self._values: Dict[int, Union[int, np.ndarray]] = {}
-        # Single-worker service model: a batch cannot start before the
-        # previous one finished, so completion times (and therefore the
-        # reported throughput) reflect sequential execution even when a
-        # logical replay clock drives the arrivals.
-        self._busy_until = float("-inf")
+        # Ids of the misses submitted since the last drain().
+        self._queue: List[int] = []
         # Freshness state (module docstring).  A server starts at clock 0
         # with nothing touched.
         self.freshness = WriteClock(graph.num_nodes)
@@ -221,13 +187,14 @@ class InferenceServer:
     # Request lifecycle
     # ------------------------------------------------------------------
 
-    def submit(self, node: int, *, kind: str = "classify", now: Optional[float] = None) -> int:
-        """Enqueue one request; returns its id.  May flush a due batch.
+    def submit(self, node: int, *, kind: str = "classify") -> int:
+        """Take one request now; returns its id.
 
         A resident answer (every write sweeps out the stale ones)
         completes the request here from its ``(embedding, label)`` entry,
-        with no head call, skipping the batch queue and its deadline; this
-        probe is the one that counts the request as a cache hit or miss.
+        with no head call; this probe is the one that counts the request
+        as a cache hit or miss.  A miss waits in the queue for
+        :meth:`drain`.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}")
@@ -236,68 +203,29 @@ class InferenceServer:
             raise IndexError(
                 f"node {node} out of range [0, {self.graph.num_nodes})"
             )
-        now = self._now(now)
-        if self.batcher._queue:
-            self._poll_deadline(now)
-        request_id = self.telemetry.open(node, kind, now, len(self.batcher._queue))
-        start = time.perf_counter()
+        request_id = self.telemetry.open(node, kind, time.perf_counter())
         entry = self.cache.get(node)
         if entry is None:
-            batch = self.batcher.submit(request_id, now)
-            if batch is not None:
-                self._execute(batch, flush_time=now)
+            self._queue.append(request_id)
             return request_id
         embedding, label = entry
-        completion = now + (time.perf_counter() - start)
         value = label if kind == "classify" else embedding
-        self._finish(request_id, value, completion, batch_size=1, rung="cache")
+        self._finish(
+            request_id, value, time.perf_counter(), batch_size=1, rung="cache"
+        )
         return request_id
 
-    def poll(self, now: Optional[float] = None) -> int:
-        """Flush batches whose deadline has passed; returns batches executed."""
-        return self._poll_deadline(self._now(now))
-
-    def drain(self, now: Optional[float] = None) -> None:
-        """Execute everything still queued (end-of-stream / shutdown)."""
-        now = self._now(now)
-        while True:
-            batch = self.batcher.flush()
-            if batch is None:
-                break
-            (oldest,) = self.telemetry.arrival[self.telemetry.rows_of(batch[:1])]
-            self._execute(batch, flush_time=max(now, float(oldest)))
+    def drain(self) -> None:
+        """Answer every queued miss now, ``max_batch_size`` at a time."""
+        queue, self._queue = self._queue, []
+        size = self.max_batch_size
+        for start in range(0, len(queue), size):
+            self._execute(queue[start:start + size])
         # Idle: the answered rows reach the registry in one step.
         self.telemetry.sync()
 
-    def result(self, request_id: int) -> ServeResult:
-        """Completed result by id, released (its row goes at the table's
-        next restart); raises ``KeyError`` while the request is still
-        queued (and once it has been picked up)."""
-        if request_id not in self._values:
-            raise KeyError(
-                f"request {request_id} has no result yet; poll() or drain() "
-                "to flush pending batches"
-            )
-        table = self.telemetry
-        (row,) = table.rows_of([request_id])
-        result = ServeResult(
-            request_id=request_id,
-            node=int(table.node[row]),
-            kind=KINDS[table.kind[row]],
-            value=self._values.pop(request_id),
-            arrival=float(table.arrival[row]),
-            completion=float(table.completion[row]),
-            rung=RUNGS[table.rung[row]],
-            queue_wait=float(table.queue_wait[row]),
-        )
-        table.release(1)
-        return result
-
-    def replay(
-        self, nodes, now: Optional[float] = None, *, kind: str = "classify"
-    ) -> Dict[str, object]:
-        """One op, start to finish: submit every node as an arrival at
-        ``now`` (``None``: the wall clock), drain at that time, and hand back
+    def replay(self, nodes, *, kind: str = "classify") -> Dict[str, object]:
+        """One op, start to finish: submit every node, drain, and hand back
         the answers as columns, released.
 
         ``values`` is ``(B,)`` class ids or ``(B, d)`` embeddings in request
@@ -307,12 +235,10 @@ class InferenceServer:
         engine's serve envelope are both this loop; the reply is what the
         engine puts on the wire.
         """
-        now = self._now(now)
         ids = [
-            self.submit(node, kind=kind, now=now)
-            for node in np.atleast_1d(nodes).tolist()
+            self.submit(node, kind=kind) for node in np.atleast_1d(nodes).tolist()
         ]
-        self.drain(now)
+        self.drain()
         table = self.telemetry
         rows = table.rows_of(ids)
         queue_wait = table.queue_wait[rows]
@@ -328,13 +254,13 @@ class InferenceServer:
 
     # -- blocking conveniences ------------------------------------------
 
-    def classify(self, nodes, now: Optional[float] = None) -> np.ndarray:
-        """Submit + drain: class predictions for ``nodes`` (blocking)."""
-        return self.replay(nodes, now, kind="classify")["values"]
+    def classify(self, nodes) -> np.ndarray:
+        """One op: class predictions for ``nodes`` (blocking)."""
+        return self.replay(nodes, kind="classify")["values"]
 
-    def embed(self, nodes, now: Optional[float] = None) -> np.ndarray:
-        """Submit + drain: embeddings for ``nodes`` (blocking)."""
-        return self.replay(nodes, now, kind="embed")["values"]
+    def embed(self, nodes) -> np.ndarray:
+        """One op: embeddings for ``nodes`` (blocking)."""
+        return self.replay(nodes, kind="embed")["values"]
 
     # ------------------------------------------------------------------
     # Streaming ingestion
@@ -418,20 +344,6 @@ class InferenceServer:
     # Execution
     # ------------------------------------------------------------------
 
-    def _poll_deadline(self, now: float) -> int:
-        executed = 0
-        while True:
-            deadline = self.batcher.deadline
-            batch = self.batcher.poll(now)
-            if batch is None:
-                return executed
-            # The deadline fired at oldest-arrival + max_wait, which is when
-            # a real event loop would have flushed; use it as the flush time
-            # so replayed traces don't inflate queue waits to the next
-            # arrival gap.
-            self._execute(batch, flush_time=deadline)
-            executed += 1
-
     def _compute_embeddings(self, nodes: List[int]):
         """Cold-path embeddings for ``nodes`` — one batched model call.
 
@@ -494,12 +406,7 @@ class InferenceServer:
         )
         return embeddings, rungs, reads
 
-    def reset_clock(self) -> None:
-        """Forget the busy-until watermark (between independent replays)."""
-        self._busy_until = float("-inf")
-
-    def _execute(self, batch: List[int], flush_time: float) -> None:
-        flush_time = max(flush_time, self._busy_until)
+    def _execute(self, batch: List[int]) -> None:
         start = time.perf_counter()
         table = self.telemetry
         rows = table.rows_of(batch)
@@ -531,10 +438,9 @@ class InferenceServer:
                     node, embedding, label, stamp=self.freshness.clock, reads=read_set
                 )
                 answers[node] = (embedding, label, node_rung)
-        completion = flush_time + (time.perf_counter() - start)
-        self._busy_until = completion
+        completion = time.perf_counter()
         self.telemetry.record_batch(len(batch))
-        waits = np.maximum(0.0, flush_time - table.arrival[rows]).tolist()
+        waits = (start - table.arrival[rows]).tolist()
         for request_id, node, wanted, queue_wait in zip(batch, nodes, classify, waits):
             embedding, label, rung = answers[node]
             self._finish(
@@ -560,7 +466,3 @@ class InferenceServer:
             request_id, completion,
             rung=rung, batch_size=batch_size, queue_wait=queue_wait,
         )
-
-    @staticmethod
-    def _now(now: Optional[float]) -> float:
-        return time.perf_counter() if now is None else float(now)

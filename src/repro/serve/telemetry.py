@@ -3,20 +3,19 @@
 A request is a row.  :class:`Telemetry` holds one growable table (an
 array per column of :data:`COLUMNS`) that the server appends to when a
 request is submitted (:meth:`Telemetry.open`) and fills when it is
-answered (:meth:`Telemetry.finish`).  Nothing else writes a request down: a
-:class:`~repro.serve.server.ServeResult` and the shard engine's reply are
-read off these columns.
+answered (:meth:`Telemetry.finish`).  Nothing else writes a request down:
+an op's reply (:meth:`~repro.serve.server.InferenceServer.replay`, which
+is also what a shard engine puts on the wire) is read off these columns.
 
-A row lives only while its request is in flight.  Once every answer has
-been picked up (:meth:`Telemetry.release`), the answered rows are synced
-into the registry and the table restarts at row 0, so a long-lived server
-holds as many rows as its largest in-flight set, not one per request it
-ever served.
+A row lives only while its op is in flight.  Once every answer has been
+picked up (:meth:`Telemetry.release`), the answered rows are synced into
+the registry and the table restarts at row 0, so a long-lived server
+holds as many rows as its largest op, not one per request it ever served.
 
 What outlives a request is the :class:`~repro.obs.MetricsRegistry`:
-``serve_latency_seconds``, ``serve_requests_total``, ``serve_rung_total``
-and ``serve_queue_depth`` are observed by one ``observe_many`` / ``inc``
-per :meth:`Telemetry.sync` (the server syncs when it goes idle), and the
+``serve_latency_seconds``, ``serve_requests_total`` and
+``serve_rung_total`` are observed by one ``observe_many`` / ``inc`` per
+:meth:`Telemetry.sync` (the server syncs when it goes idle), and the
 ``record_*`` methods write batch, invalidation and store-lookup series as
 they happen — so training and serving report through one pipeline and one
 ``metrics.jsonl``.  A pass report is not kept here: it is read off the
@@ -39,10 +38,11 @@ _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 _RUNG_CODE = {rung: code for code, rung in enumerate(RUNGS)}
 
 #: The table's columns, one array each (``telemetry.node`` ...).
+#: ``arrival`` and ``completion`` are wall-clock (``perf_counter``) times;
 #: ``completion`` is NaN while a request is queued; ``rung`` indexes
-#: ``RUNGS``; ``queue_wait`` is submit-to-flush time (0 for submit-time
-#: cache hits), so ``completion - arrival - queue_wait`` is the compute
-#: share; ``queue_depth`` is what was queued ahead of it at submit.
+#: ``RUNGS``; ``queue_wait`` is submit-to-chunk-start time (0 for
+#: submit-time cache hits), so ``completion - arrival - queue_wait`` is
+#: the compute share.
 COLUMNS = {
     "node": np.int64,
     "kind": np.uint8,
@@ -51,7 +51,6 @@ COLUMNS = {
     "queue_wait": np.float64,
     "rung": np.uint8,
     "batch_size": np.int64,
-    "queue_depth": np.int64,
 }
 
 
@@ -75,7 +74,6 @@ class Telemetry:
         # labeled lookup (sort labels, hash, dict probe) costs more than a
         # counter increment.
         self._latency_hist = registry.histogram("serve_latency_seconds")
-        self._queue_hist = registry.histogram("serve_queue_depth")
         self._requests_by_hit = {
             hit: registry.counter("serve_requests_total", cache=hit)
             for hit in ("hit", "miss")
@@ -98,11 +96,9 @@ class Telemetry:
 
     # -- the request lifecycle ------------------------------------------
 
-    def open(
-        self, node: int, kind: str, arrival: float, queue_depth: int = 0
-    ) -> int:
-        """Append the row of a request submitted at ``arrival`` with
-        ``queue_depth`` requests queued ahead of it; returns its id."""
+    def open(self, node: int, kind: str, arrival: float) -> int:
+        """Append the row of a request submitted at ``arrival``; returns
+        its id."""
         row = self._size
         if row == self.node.size:
             for name in COLUMNS:
@@ -112,7 +108,6 @@ class Telemetry:
         self.kind[row] = _KIND_CODE[kind]
         self.arrival[row] = arrival
         self.completion[row] = np.nan
-        self.queue_depth[row] = queue_depth
         self._size = row + 1
         self._unreleased += 1
         return self._base + row
@@ -175,7 +170,6 @@ class Telemetry:
         self._latency_hist.observe_many(
             (self.completion[lo:hi] - self.arrival[lo:hi]).tolist()
         )
-        self._queue_hist.observe_many(self.queue_depth[lo:hi].tolist())
         by_rung = np.bincount(self.rung[lo:hi], minlength=len(RUNGS)).tolist()
         for counter, served in zip(self._rung_counters, by_rung):
             counter.inc(served)

@@ -401,8 +401,7 @@ class TestClusterTelemetry:
     def test_replay_summary_covers_all_requests(self, checkpoint, acm):
         """A trace sent as scatter ops is counted once per node: served
         per shard in the merged registry, routed per shard on the router."""
-        trace = make_trace(acm.split.test[:30], 48, rate=5000.0, rng=1)
-        nodes = np.asarray([event.node for event in trace], dtype=np.int64)
+        nodes = make_trace(acm.split.test[:30], 48, rng=1)
         with fresh_router(checkpoint, 2) as router:
             for start in range(0, nodes.size, 8):
                 router.embed(nodes[start:start + 8])

@@ -153,6 +153,8 @@ def test_spawner_startup_timeout_fires_on_a_silent_child(tmp_path, monkeypatch):
     start = time.monotonic()
     with pytest.raises(WorkerDown, match="no LISTENING line within 1 s") as down:
         spawner.spawn_all([3])
+    # A bound on one wait, not a race of two timings: the spawner gives up
+    # at its timeout instead of waiting for a line that never comes.
     assert time.monotonic() - start < 2 * spawner.startup_timeout
     assert (down.value.shard_id, down.value.reason) == (3, "spawn_failed")
     (child,) = children
@@ -198,6 +200,8 @@ def test_spawner_starts_every_child_before_reading_any(tmp_path, monkeypatch):
             child.wait()
             child.stdout.close()
     assert started_at_first_wait == [3]
+    # A bound on one wait, not a race of two timings: launched one after
+    # another, the three slow starters would take 3 x their start-up.
     assert elapsed < 2.0
     assert [(h.shard_id, h.port) for h in handles] == [(0, 4242), (1, 4242), (2, 4242)]
 

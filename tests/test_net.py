@@ -439,6 +439,8 @@ class TestSocketTransportProtocol:
             elapsed = time.perf_counter() - started
         finally:
             stub.close()
+        # A bound on one wait, not a race of two timings: a missed wakeup
+        # sleeps out the 0.5 s heartbeat interval.
         assert elapsed < 0.2, f"stop() took {elapsed:.3f} s"
         assert not transport._heart.is_alive()
 

@@ -71,6 +71,24 @@ class TestHistogram:
                 np.quantile(values, p / 100, method="inverted_cdf")
             )
 
+    def test_percentile_indexes_the_ordered_list(self, monkeypatch):
+        """A percentile of a histogram that is already in order is one index
+        into its list: nothing copies and sorts the list again."""
+        from repro.obs import metrics
+
+        histogram = Histogram("h")
+        histogram.observe_many(np.random.default_rng(1).exponential(size=101))
+        ordered = list(histogram._ordered())
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("percentile sorted an ordered histogram again")
+
+        monkeypatch.setattr(metrics, "sorted", no_sort, raising=False)
+        for p in (0, 50, 95, 99, 100):
+            assert histogram.percentile(p) == float(
+                np.quantile(ordered, p / 100, method="inverted_cdf")
+            )
+
     def test_percentile_is_an_observed_value(self):
         values = [0.3, 0.1, 0.2, 0.4]
         histogram = Histogram("h")

@@ -172,9 +172,9 @@ RETIRED = [
     (
         r"max_wait",
         45,
-        "a cluster shard drains each op whole, so only a lone server's batcher has "
-        "a deadline",
-        ("serve/", "__main__.py"),
+        "every op is answered now, on a shard and on a lone server: no batching "
+        "deadline",
+        (),
     ),
     (
         r"\bSGD\b",
@@ -182,7 +182,30 @@ RETIRED = [
         "Adam is the optimizer the trainers run; SGD had no caller",
         (),
     ),
+    (
+        r"MicroBatcher|reset_clock|_busy_until|_poll_deadline|ServeResult|max-wait"
+        r"|queue_depth",
+        50,
+        "one clock on the serve path: a lone server answers ops on the wall clock, "
+        "with no batching deadline, no modelled queue and no pickup by request id",
+        (),
+    ),
+    (
+        r"TraceEvent|--rate\b|\brate=",
+        50,
+        "a trace is node ids sent as ops: no arrival times, no arrival rate",
+        (),
+    ),
 ]
+
+TESTS = SRC.parents[1] / "tests"
+
+#: Comparisons between two measured durations: which side wins depends on
+#: the host and on what ran first, not on the code (a cold first epoch).
+#: A test compares counted work instead; wall time is the benchmarks'.
+WALL_TIME_RACE = re.compile(
+    r"(epoch_seconds|latency_mean)\w*\W.*[<>].*(epoch_seconds|latency_mean)"
+)
 
 
 def _allowed(relative: str, allowed) -> bool:
@@ -212,3 +235,14 @@ def test_retired_names_stay_gone(pattern, pr, reason, allowed):
             if regex.search(line):
                 hits.append(f"src/repro/{relative}:{number}: {line.strip()}")
     assert not hits, f"PR {pr}: {reason}\n" + "\n".join(hits)
+
+
+def test_tests_compare_work_not_wall_time():
+    hits = [
+        f"tests/{path.name}:{number}: {line.strip()}"
+        for path in sorted(TESTS.glob("test_*.py"))
+        if path.name != "test_retired.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if WALL_TIME_RACE.search(line)
+    ]
+    assert not hits, "compare counted work, not two wall times:\n" + "\n".join(hits)

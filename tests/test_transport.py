@@ -248,8 +248,7 @@ class TestCrossTransportExactness:
         router, served and by rung on each shard — on both transports."""
         from repro.serve import make_trace
 
-        trace = make_trace(acm.split.test[:20], 24, rate=5000.0, rng=2)
-        nodes = np.asarray([event.node for event in trace], dtype=np.int64)
+        nodes = make_trace(acm.split.test[:20], 24, rng=2)
         counted = ("cluster_requests_total", "serve_requests_total", "serve_rung_total")
         counts = {}
         for transport in TRANSPORTS:

@@ -132,7 +132,7 @@ CORPUS = [
                 },
                 "checkpoint": None,
                 "checkpoint_bytes": bytes(range(40)),
-                "config": {"seed": 7, "max_wait": 0.002},
+                "config": {"seed": 7, "max_batch_size": 16},
                 "serving_state": None,
             }
         },
