@@ -162,7 +162,7 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
     cores = os.cpu_count() or 1
 
     with tempfile.TemporaryDirectory(prefix="repro-train-bench-") as root:
-        checkpoint = Path(root) / "base.npz"
+        checkpoint = Path(root) / "base.ckpt"
         seed_model = WidenClassifier(seed=7, **TRAIN_CONFIG)
         seed_model.fit(graph, train_nodes, epochs=0)
         seed_model.save(checkpoint)

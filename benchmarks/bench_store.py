@@ -12,7 +12,7 @@ three things the tier promises:
    ``classify(probe)`` labels must also equal the oracle's at every step
    (``label_mismatches == 0``): a label is cached with its embedding.
 2. **Warm-miss speedup.**  A cache miss answered from a fresh store row is
-   one gather of finished embeddings (format v4); the recompute path
+   one gather of finished embeddings (format v5); the recompute path
    samples neighbor states, packs them and runs the forward.  Both servers
    replay the identical cold-probe workload (caches invalidated between
    rounds) and the store path must be ``>= 5x`` faster per node.
@@ -36,6 +36,7 @@ from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import nearest_rank_percentile
 from repro.serve import InferenceServer, ModelRegistry
 from repro.serve.loadgen import series_totals
 from repro.store import AggregateStore, build_store
@@ -242,11 +243,11 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
         store_mean = float(np.mean(store_lat))
         candidate = {
             "recompute_miss_us_mean": recompute_mean * 1e6,
-            "recompute_miss_us_p95": float(
-                np.percentile(recompute_lat, 95)
+            "recompute_miss_us_p95": nearest_rank_percentile(
+                recompute_lat, 95
             ) * 1e6,
             "store_miss_us_mean": store_mean * 1e6,
-            "store_miss_us_p95": float(np.percentile(store_lat, 95)) * 1e6,
+            "store_miss_us_p95": nearest_rank_percentile(store_lat, 95) * 1e6,
             "speedup": recompute_mean / store_mean,
             "recompute_wall_us_per_node": float(np.mean(recompute_wall)) * 1e6,
             "store_wall_us_per_node": float(np.mean(store_wall)) * 1e6,

@@ -41,12 +41,12 @@ Commands
     address is announced as ``LISTENING host port`` on stdout.  Point a
     ``serve-cluster --transport socket --workers`` fleet at one of these
     per shard to span hosts.
-``store-build [dataset] [--out DIR] [--checkpoint F] [--epochs N]``
+``store-build [dataset] [--out FILE] [--checkpoint F] [--epochs N]``
     Materialize every node's serving embedding into a versioned
-    on-disk store (:mod:`repro.store`).  Loads ``--checkpoint`` when
+    one-file store (:mod:`repro.store`).  Loads ``--checkpoint`` when
     given, otherwise trains first (same seed/epochs defaults as
     ``serve-bench``, so the two line up without a checkpoint file).
-    ``serve-bench --store DIR`` and ``serve-cluster --store DIR`` then
+    ``serve-bench --store FILE`` and ``serve-cluster --store FILE`` then
     serve cache misses from the store — one gather, no model code —
     falling back to full recompute for stale/absent rows.
 ``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
@@ -559,7 +559,7 @@ def main(argv=None) -> int:
                               "text exposition to this path")
     cluster.add_argument("--resume", default=None,
                          help="train: resume from a fleet checkpoint "
-                              "directory (manifest.json + shard-K.npz) or a "
+                              "directory (manifest + shard-K.ckpt) or a "
                               "single checkpoint file")
     cluster.add_argument("--checkpoint-out", default=None,
                          help="train: snapshot every shard into this "
@@ -568,9 +568,9 @@ def main(argv=None) -> int:
     store = parser.add_argument_group("store")
     store.add_argument("--store", default=None,
                        help="serve-bench/serve-cluster: serve cache misses "
-                            "from this materialized-aggregate store directory")
+                            "from this materialized-aggregate store file")
     store.add_argument("--out", default="store",
-                       help="store-build: output directory for the store")
+                       help="store-build: the store FILE to write")
     store.add_argument("--checkpoint", default=None,
                        help="store-build: materialize from this checkpoint "
                             "instead of training fresh")

@@ -16,10 +16,11 @@ while preserving its exact semantics:
   ``inline`` (the engine on the caller's thread, the wire codec's
   encode and decode included) or ``socket`` (one worker process
   per shard behind TCP, possibly on another host).
-- :mod:`~repro.cluster.codec` — the wire format: the message types and
-  one frame codec (a JSON header plus raw array buffers), whose decoder
-  checks every frame against the message schema and raises one
-  ``ProtocolError`` on anything else.
+- :mod:`repro.codec` (a leaf module outside this package) — the wire
+  format and the file format: the message types and one frame codec (a
+  JSON header plus raw array buffers), whose decoder checks every frame
+  against the message schema and raises one ``ProtocolError`` on
+  anything else.
 - :mod:`~repro.cluster.net` — the wire of the ``socket`` transport:
   length-prefixed TCP framing for the same codec's frames,
   :class:`SocketTransport` with heartbeat liveness riding ``clock``

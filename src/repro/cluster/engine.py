@@ -51,7 +51,6 @@ Envelope kinds:
 
 from __future__ import annotations
 
-import io
 import os
 import time
 from typing import Dict
@@ -64,6 +63,7 @@ from repro.cluster.planner import (
     command_from_payload,
 )
 from repro.cluster.transport import Envelope, Reply, error_info
+from repro.codec import encode
 from repro.core.classifier import WidenClassifier
 from repro.obs.dist import spans_to_wire
 from repro.obs.metrics import MetricsRegistry, record_process_memory
@@ -80,8 +80,8 @@ def build_engine_from_args(args: Dict[str, object]):
     (:class:`ShardEngine`) or ``"train"`` (:class:`TrainEngine`);
     ``spec_payload`` is the
     serialized shard; ``checkpoint`` is a path (engines sharing the
-    router's filesystem) or else ``checkpoint_bytes`` the raw ``.npz``
-    contents (socket workers share nothing); ``config`` is the family's
+    router's filesystem) or else ``checkpoint_bytes`` the checkpoint
+    file's bytes (socket workers share nothing); ``config`` is the family's
     options; ``serving_state``, when not ``None``, is restored after the
     build (a respawned serving engine adopts the coordinator's write clock).
     """
@@ -313,9 +313,7 @@ class TrainEngine(ShardEngine):
         unit.  Covers parameters, optimizer moments, every rng stream and
         the shard's (possibly downsampled) neighbor states, so an engine
         respawned from it continues bit-identically."""
-        buffer = io.BytesIO()
-        self.classifier.save(buffer)
-        return {"checkpoint": buffer.getvalue()}
+        return {"checkpoint": encode(self.classifier.to_record())}
 
     def _handle_metrics(self, payload: Dict[str, object]) -> dict:
         return {"registry": self.registry.to_payload()}

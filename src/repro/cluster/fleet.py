@@ -43,6 +43,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -57,7 +58,7 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster.codec import Envelope, transfer
+from repro.codec import Envelope, transfer
 from repro.cluster.engine import build_engine_from_args
 from repro.cluster.net import SocketTransport, WorkerDown
 from repro.cluster.transport import InlineTransport, Transport, check_transport
@@ -429,13 +430,17 @@ class Fleet:
 
     def close(self) -> None:
         """Stop every channel (drains outstanding envelopes first), then
-        reap the worker processes this fleet spawned."""
+        reap the worker processes this fleet spawned.  A closed fleet keeps
+        no channel and no callback: nothing it held is left in a reference
+        cycle for the garbage collector."""
         try:
             for transport in self.transports:
                 transport.stop()
         finally:
             if self.registry is not None:
                 self.registry.close()
+            self.transports = []
+            self.on_down = self.on_heartbeat = None
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +502,7 @@ class FleetSupervisor:
     """
 
     def __init__(self, router, fleet: Fleet) -> None:
-        self.router = router
+        self.router = weakref.proxy(router)  # the router owns its supervisor
         self.fleet = fleet
         fleet.on_down = self.note_worker_down
         fleet.on_heartbeat = self.observe_heartbeat

@@ -1,8 +1,8 @@
 """The wire: TCP framing, ``SocketTransport``, ``ShardWorkerServer``.
 
-The same :class:`~repro.cluster.codec.Envelope` /
-:class:`~repro.cluster.codec.Reply` frames the ``inline`` transport
-replays in-process (:mod:`repro.cluster.codec`), framed over TCP so shard
+The same :class:`~repro.codec.Envelope` /
+:class:`~repro.codec.Reply` frames the ``inline`` transport
+replays in-process (:mod:`repro.codec`), framed over TCP so shard
 engines live in their own processes, on this machine or another.  One
 worker process per shard runs ``python -m repro shard-worker --listen
 host:port``; the router connects a :class:`SocketTransport` per shard,
@@ -20,7 +20,7 @@ loop and a frame above a fixed cap is rejected *before* anything is
 allocated (a corrupt or hostile length prefix must not OOM the router);
 a small frame is then filled into one buffer with ``recv_into``, a large
 one read header first and then buffer by buffer into arrays of its own
-(:func:`~repro.cluster.codec.read_message`), so a worker holds its spawn
+(:func:`~repro.codec.read_message`), so a worker holds its spawn
 payload once — as the arrays its engine adopts — never as a frame plus a
 copy.  A clean close between frames raises :class:`ConnectionClosed`, a
 cut inside one ``ConnectionResetError``.
@@ -54,7 +54,7 @@ import time
 from functools import partial
 from typing import Callable, Collection, Dict, Optional, Tuple
 
-from repro.cluster.codec import Message, decode, encode_parts, read_message
+from repro.codec import Message, decode, encode_parts, read_message
 from repro.cluster.transport import (
     READY_SEQ,
     WIRE_KINDS,
@@ -247,11 +247,11 @@ def recv_message(
 ) -> Message:
     """Read one frame and decode the ``expect`` message from it (a worker
     reads envelopes, a transport replies); a frame that does not decode
-    raises :class:`~repro.cluster.codec.ProtocolError`.
+    raises :class:`~repro.codec.ProtocolError`.
 
     The read mirrors the send: a frame under :data:`GATHER_MIN_BYTES` is
-    one ``recv_into`` and one :func:`~repro.cluster.codec.decode`; a
-    larger one is read by :func:`~repro.cluster.codec.read_message`,
+    one ``recv_into`` and one :func:`~repro.codec.decode`; a
+    larger one is read by :func:`~repro.codec.read_message`,
     buffer by buffer into arrays of their own, so no frame buffer is held
     beside them."""
     size = _recv_prefix(sock, DEFAULT_MAX_FRAME_BYTES)

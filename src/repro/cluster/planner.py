@@ -168,8 +168,8 @@ class ShardSpec:
         sampling on the far side of the boundary — and the features
         become its feature matrix.  Only arrays the engine owns may be
         adopted: what a socket worker reads off a large frame
-        (:func:`~repro.cluster.codec.read_message`) or an inline engine
-        gets from :func:`~repro.cluster.codec.transfer`.  An array that is
+        (:func:`~repro.codec.read_message`) or an inline engine
+        gets from :func:`~repro.codec.transfer`.  An array that is
         a view (of a small decoded frame, say) is copied
         (:func:`~repro.utils.owned`), so no array of the replica pins a
         frame buffer.

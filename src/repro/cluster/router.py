@@ -223,7 +223,7 @@ class ClusterRouter:
         if reason is not None:
             raise ValueError(reason)
         with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
-            checkpoint = Path(tmp) / "classifier.npz"
+            checkpoint = Path(tmp) / "classifier.ckpt"
             classifier.save(checkpoint)
             return cls.from_checkpoint(checkpoint, graph, num_shards, **kwargs)
 

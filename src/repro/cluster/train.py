@@ -39,8 +39,6 @@ float reassociation from batch splitting, at 1e-15 scale.
 
 from __future__ import annotations
 
-import json
-import os
 import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -48,6 +46,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.fleet import Fleet
+from repro.codec import Record, publish, read_record
 from repro.cluster.planner import ClusterPlan
 from repro.cluster.worker import ShardWorker, merge_registries
 from repro.core.classifier import WidenClassifier
@@ -57,10 +56,15 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["DistributedTrainer"]
 
-MANIFEST_NAME = "manifest.json"
-#: Format 2: ownership is ``id % num_shards``, so the manifest holds no
-#: partition seed.
-MANIFEST_FORMAT = 2
+#: A checkpoint directory's ``"manifest"`` record, written after its
+#: ``shard-K.ckpt`` files.  Format 3: every file is a record frame;
+#: formats 1 and 2 wrote JSON (``manifest.json``) and are refused.
+MANIFEST_NAME = "manifest"
+MANIFEST_FORMAT = 3
+_RETRAIN = (
+    "start a new run: python -m repro train <dataset> --shards K "
+    "--checkpoint-out DIR"
+)
 
 
 class DistributedTrainer:
@@ -139,7 +143,7 @@ class DistributedTrainer:
         file is deleted once every shard has confirmed loading it.
         """
         with tempfile.TemporaryDirectory(prefix="repro-train-") as tmp:
-            base = Path(tmp) / "base.npz"
+            base = Path(tmp) / "base.ckpt"
             classifier.save(base)
             return cls(base, graph, num_shards, **kwargs)
 
@@ -158,19 +162,21 @@ class DistributedTrainer:
         where the boundary checkpoint froze it.
         """
         directory = Path(checkpoint_dir)
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        if (directory / "manifest.json").exists():
+            raise ValueError(
+                f"checkpoint dir {str(directory)!r} has a format 1 or 2 "
+                f"manifest, not format {MANIFEST_FORMAT}: its files predate "
+                f"the one file format; {_RETRAIN}"
+            )
+        manifest = read_record(directory / MANIFEST_NAME, "manifest")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ValueError(
                 f"checkpoint dir {str(directory)!r} has manifest format "
-                f"{manifest.get('format')!r}, not {MANIFEST_FORMAT}: its shards "
-                "hold rng and neighbor state for a partition's owned nodes, "
-                "and resuming them under id % num_shards ownership would "
-                "diverge from an uninterrupted run; start a new fleet from "
-                "one of its shard files instead"
+                f"{manifest.get('format')!r}, not {MANIFEST_FORMAT}; {_RETRAIN}"
             )
         num_shards = int(manifest["num_shards"])
         shard_checkpoints = [
-            directory / f"shard-{shard_id}.npz" for shard_id in range(num_shards)
+            directory / f"shard-{shard_id}.ckpt" for shard_id in range(num_shards)
         ]
         missing = [str(path) for path in shard_checkpoints if not path.exists()]
         if missing:
@@ -196,7 +202,7 @@ class DistributedTrainer:
         """Run ``epochs`` epochs over the fleet (Algorithm 3, data-parallel).
 
         With ``checkpoint_dir`` every epoch boundary snapshots the whole
-        fleet (atomic per-file tmp+rename), which is the elastic-resume
+        fleet (each file published atomically), which is the elastic-resume
         granularity: a run killed mid-epoch loses at most the partial epoch.
         """
         self._check_open()
@@ -217,10 +223,10 @@ class DistributedTrainer:
     def save_checkpoints(self, directory) -> Path:
         """Snapshot every replica into ``directory`` (elastic-resume unit).
 
-        One checkpoint per shard plus a manifest naming the shard count.
-        Files land via tmp+rename so a crash mid-write never
-        leaves a torn checkpoint; the manifest is written last, so a
-        directory with a manifest is always complete.
+        One checkpoint per shard plus a manifest naming the shard count,
+        each published whole (:func:`repro.codec.publish`) so a crash
+        mid-write never leaves a torn file; the manifest is written last,
+        so a directory with a manifest is always complete.
         """
         self._check_open()
         directory = Path(directory)
@@ -229,20 +235,16 @@ class DistributedTrainer:
             (worker.spec.shard_id, worker.checkpoint()) for worker in self.workers
         ]
         for shard_id, reply in pending:
-            data = reply.result(self.REQUEST_TIMEOUT)["checkpoint"]
-            final = directory / f"shard-{shard_id}.npz"
-            staging = directory / f".shard-{shard_id}.npz.tmp"
-            staging.write_bytes(data)
-            os.replace(staging, final)
-        manifest = {
+            publish(
+                directory / f"shard-{shard_id}.ckpt",
+                reply.result(self.REQUEST_TIMEOUT)["checkpoint"],
+            )
+        publish(directory / MANIFEST_NAME, Record("manifest", {
             "format": MANIFEST_FORMAT,
             "num_shards": int(self.plan.num_shards),
             "epochs_done": int(self._epochs_done),
             "transport": self.fleet.kind,
-        }
-        staging = directory / f".{MANIFEST_NAME}.tmp"
-        staging.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        os.replace(staging, directory / MANIFEST_NAME)
+        }))
         return directory
 
     def classifier(self, graph: Optional[HeteroGraph] = None):

@@ -3,7 +3,7 @@
 Every coordinator↔shard interaction is a typed :class:`Envelope` (serve
 batch, mutation command, metrics pull, serving-state export, clock probe,
 shutdown, training phase) answered by a
-:class:`Reply`, both carried by one frame codec (:mod:`repro.cluster.codec`:
+:class:`Reply`, both carried by one frame codec (:mod:`repro.codec`:
 a JSON header plus raw array buffers, checked against a declared schema on
 decode, never executed).  Nothing else crosses the boundary — no
 callables, no shared servers, no live graph references, no object the
@@ -43,7 +43,7 @@ import threading
 import traceback
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.cluster.codec import (
+from repro.codec import (
     Envelope,
     ProtocolError,
     Reply,
@@ -265,7 +265,7 @@ def _safe_handle(engine, envelope: Envelope) -> Reply:
 
 
 def reply_parts(reply: Reply, limit: Optional[int] = None) -> Tuple[list, int]:
-    """``reply``'s frame (:func:`~repro.cluster.codec.encode_parts`).  A
+    """``reply``'s frame (:func:`~repro.codec.encode_parts`).  A
     payload the codec refuses, or a frame over ``limit`` bytes, is the
     engine's failure: it is answered as an error reply like any exception
     the engine raises, so the envelope's gather ends."""

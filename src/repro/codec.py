@@ -1,14 +1,19 @@
-"""The wire format: :class:`Envelope`, :class:`Reply` and their frame codec.
+"""The one container: :class:`Envelope`, :class:`Reply` and :class:`Record`
+frames, on the wire and on disk.
 
 Both transports move the same bytes: the ``inline`` transport encodes every
 message and decodes it from a fresh buffer, the ``socket`` transport frames
-the same bytes over TCP (:mod:`repro.cluster.net`).  A frame is
+the same bytes over TCP (:mod:`repro.cluster.net`).  Every file the
+package writes — a classifier checkpoint, a store, a training shard and its
+manifest — is one :class:`Record` frame, written by :func:`publish` and
+read by :func:`read_record`.  A frame is
 
 - a 4-byte little-endian header length,
 - a UTF-8 JSON header ``[type, fields, buffers]``: the message type
-  (``"envelope"`` / ``"reply"``), its dataclass fields in declaration order
-  with every array replaced by ``{"$buf": i}``, and one ``[dtype, shape]``
-  descriptor per raw buffer (dtype ``"bytes"`` for a ``bytes`` leaf),
+  (``"envelope"`` / ``"reply"`` / ``"record"``), its dataclass fields in
+  declaration order with every array replaced by ``{"$buf": i}``, and one
+  ``[dtype, shape]`` descriptor per raw buffer (dtype ``"bytes"`` for a
+  ``bytes`` leaf),
 - zero padding to an 8-byte boundary, then each buffer's raw bytes, each
   padded to the next 8-byte boundary.
 
@@ -26,8 +31,9 @@ buffers exactly fill the rest of the frame and that the tree is at most
 :data:`MAX_DEPTH` deep, and raises :class:`ProtocolError` on any failure.
 There are two readers.  :func:`decode` takes a whole frame and returns
 its arrays as ``np.frombuffer`` views of it (writable when the frame is a
-``bytearray``): the small frames of the read path, where one buffer is one
-allocation.  :func:`read_message` reads a frame piece by piece — header
+``bytearray`` or a copy-on-write mapping): the small frames of the read
+path, where one buffer is one allocation, and every file.
+:func:`read_message` reads a frame piece by piece — header
 first, every descriptor checked against the frame size, then each buffer
 straight into its own fresh array — so a large frame (a shard's spawn
 payload) costs its receiver one copy of the arrays and no frame buffer,
@@ -37,9 +43,12 @@ reader in process: how an inline engine gets arrays of its own.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import mmap
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Dict, List, Optional, Tuple, Type, Union
@@ -49,6 +58,7 @@ import numpy as np
 __all__ = [
     "Envelope",
     "Reply",
+    "Record",
     "ProtocolError",
     "MAX_DEPTH",
     "encode",
@@ -56,6 +66,8 @@ __all__ = [
     "decode",
     "read_message",
     "transfer",
+    "publish",
+    "read_record",
 ]
 
 
@@ -93,7 +105,17 @@ class Reply:
     trace: Optional[dict] = None
 
 
-Message = Union[Envelope, Reply]
+@dataclass
+class Record:
+    """One file's content.  ``kind`` names what the file is
+    (``"checkpoint"``, ``"store"``, ``"manifest"``), so a reader refuses
+    a file of another kind before it looks at the payload."""
+
+    kind: str
+    payload: dict
+
+
+Message = Union[Envelope, Reply, Record]
 
 
 class ProtocolError(ValueError):
@@ -103,7 +125,7 @@ class ProtocolError(ValueError):
 #: Deepest container nesting a frame may carry, counted from the field list.
 MAX_DEPTH = 32
 
-_TYPES: Dict[str, type] = {"envelope": Envelope, "reply": Reply}
+_TYPES: Dict[str, type] = {"envelope": Envelope, "reply": Reply, "record": Record}
 _TAG = "$buf"
 _BYTES = "bytes"
 _HEADER_LEN = struct.Struct("<I")
@@ -179,6 +201,8 @@ def _fields(message: Message) -> Tuple[str, list]:
         return "reply", [
             message.seq, message.ok, message.payload, message.error, message.trace,
         ]
+    if type(message) is Record:
+        return "record", [message.kind, message.payload]
     raise ProtocolError(f"{type(message).__name__} is not a wire message")
 
 
@@ -232,6 +256,19 @@ def _check_fields(tag: str, fields, kinds: Optional[Collection[str]]) -> None:
             raise ProtocolError("envelope seq is not an int")
         if trace_ctx is not None and type(trace_ctx) is not dict:
             raise ProtocolError("envelope trace_ctx is not a dict")
+        return
+    if tag == "record":
+        if len(fields) != 2:
+            raise ProtocolError(f"a record has 2 fields, got {len(fields)}")
+        kind, payload = fields
+        if type(kind) is not str:
+            raise ProtocolError("record kind is not a str")
+        if kinds is not None and kind not in kinds:
+            raise ProtocolError(
+                f"expected a {' / '.join(sorted(kinds))} file, got a {kind!r} file"
+            )
+        if type(payload) is not dict:
+            raise ProtocolError("record payload is not a dict")
         return
     if len(fields) != 5:
         raise ProtocolError(f"a reply has 5 fields, got {len(fields)}")
@@ -369,15 +406,15 @@ def _refusing(reader):
 
 @_refusing
 def decode(
-    data: Union[bytes, bytearray],
+    data: Union[bytes, bytearray, mmap.mmap],
     expect: Type[Message],
     kinds: Optional[Collection[str]] = None,
 ) -> Message:
     """The ``expect`` message in ``data``, or :class:`ProtocolError`.
 
-    ``kinds``, when given, is the set of envelope kinds the receiver
-    accepts; an envelope of any other kind is refused here.  Arrays are
-    views of ``data``.
+    ``kinds``, when given, is the set of envelope (or record) kinds the
+    receiver accepts; a message of any other kind is refused here.
+    Arrays are views of ``data``.
     """
     total = len(data)
     if total < _HEADER_LEN.size:
@@ -477,3 +514,46 @@ def transfer(message: Message) -> Message:
             done += take
 
     return read_message(fill, size, type(message))
+
+
+# ----------------------------------------------------------------------
+# Files
+# ----------------------------------------------------------------------
+
+
+def publish(path, frame: Union[Message, bytes, bytearray]) -> None:
+    """Write ``frame`` — a message, or bytes — to ``path`` whole or not at
+    all: into a temporary file beside it, then ``os.replace``.  A reader
+    sees the old file or the new one, never a mix, and one that mapped the
+    old file keeps it.  A failure at any step removes the temporary file;
+    a message is encoded before anything is created."""
+    parts = [frame] if isinstance(frame, (bytes, bytearray)) else encode_parts(frame)[0]
+    directory, name = os.path.split(os.path.abspath(path))
+    staging = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+    # Created with the mode the umask gives, as a plain ``open`` would.
+    handle = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(handle, "wb") as out:
+            for part in parts:
+                out.write(part)
+        os.replace(staging, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(staging)
+        raise
+
+
+def read_record(path, kind: str) -> dict:
+    """The payload of the ``kind`` :class:`Record` in the file at ``path``,
+    or :class:`ProtocolError` (a file of another kind included).  The file
+    is mapped copy-on-write and decoded in place: arrays are writable views
+    whose written pages become private, and the mapping keeps the file's
+    inode, so a later :func:`publish` to ``path`` does not reach them."""
+    with open(path, "rb") as handle:
+        if os.fstat(handle.fileno()).st_size == 0:
+            raise ProtocolError(f"{str(path)!r} is empty")
+        data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+    try:
+        return decode(data, Record, (kind,)).payload
+    except ProtocolError as error:
+        raise ProtocolError(f"{str(path)!r}: {error}") from error

@@ -9,20 +9,18 @@ Persistence: :meth:`WidenClassifier.save` writes a *self-describing*
 checkpoint — parameters plus hyperparameters, seed, the dataset schema the
 model was trained against and the trainer's state — and
 :meth:`WidenClassifier.load` rebuilds a ready-to-serve classifier from it
-without a training graph.  :meth:`~repro.nn.module.Module.save`/``load``
-remain the low-level parameter-array layer underneath.
+without a training graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
-import json
 from typing import Optional
 
 import numpy as np
 
 from repro.baselines.common import BaseClassifier
+from repro.codec import ProtocolError, Record, decode, publish, read_record
 from repro.core.config import WidenConfig
 from repro.core.model import HALF_FORWARD_GONE, WidenModel
 from repro.core.state import NeighborStateStore
@@ -31,15 +29,12 @@ from repro.graph import HeteroGraph
 from repro.tensor import no_grad
 from repro.utils.rng import SeedLike, spawn_rngs
 
-CHECKPOINT_KEY = "__checkpoint__"
-# Prefix of the trainer's arrays (``WidenTrainer.training_state``) in a
-# checkpoint; every other array but the metadata is a model parameter.
-TRAINER_PREFIX = "__trainer__."
-# A checkpoint is one ``.npz`` of plain arrays: the parameters, the
-# trainer's arrays under ``TRAINER_PREFIX`` and one JSON metadata string
-# (config, seed, schema, rng streams, epoch and step count).  v4 made the
-# training state arrays; older files held Python objects and are refused.
-CHECKPOINT_FORMAT_VERSION = 4
+# A checkpoint is one ``"checkpoint"`` record frame (repro.codec): the
+# metadata (config, seed, schema, rng streams, epoch and step count), the
+# parameters and the trainer's arrays.  v5 made it a frame; v4 was a zip of
+# arrays and older versions held Python objects, and all are refused.
+CHECKPOINT_FORMAT_VERSION = 5
+_RETRAIN = "python -m repro train <dataset> --shards 1 --checkpoint-out DIR"
 
 
 def _at_least_two(count: int) -> np.ndarray:
@@ -313,17 +308,12 @@ class WidenClassifier(BaseClassifier):
             self._pending_training_state = None
         return self
 
-    def save(self, path) -> None:
-        """Write a self-describing checkpoint (parameters + config + schema
-        + training state) to a path or a binary file object.
-
-        The file is a ``.npz`` of plain arrays: the parameter names (the
-        :meth:`Module.save` layout), the trainer's arrays under
-        :data:`TRAINER_PREFIX`, and one JSON metadata entry.  With the rng
-        streams the training state makes resume bit-identical — ``fit(n);
-        save; load; fit(m)`` equals ``fit(n + m)``.  A loaded classifier
-        not yet bound writes back the state it loaded.
-        """
+    def to_record(self) -> Record:
+        """The checkpoint :meth:`save` writes: metadata, ``parameters`` and
+        the trainer's arrays.  With the rng streams the training state makes
+        resume bit-identical — ``fit(n); save; load; fit(m)`` equals
+        ``fit(n + m)``.  A loaded classifier not yet bound writes back the
+        state it loaded."""
         if self.model is None:
             raise RuntimeError("save() before fit(); there is nothing to save")
         if self.trainer is not None:
@@ -339,57 +329,57 @@ class WidenClassifier(BaseClassifier):
             "trainer_rng": rng,
             "trainer": {key: training[key] for key in ("epoch", "step_count")},
         }
-        arrays = dict(self.model.state_dict())
-        for name, value in training["arrays"].items():
-            arrays[TRAINER_PREFIX + name] = value
-        np.savez(path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
+        parameters = self.model.state_dict()
+        return Record(
+            "checkpoint",
+            {"meta": meta, "parameters": parameters, "trainer": training["arrays"]},
+        )
 
-    @staticmethod
-    def _metadata(archive, path) -> dict:
-        if CHECKPOINT_KEY not in archive.files:
-            raise ValueError(
-                f"{path!r} is a bare parameter file (Module.save), not a "
-                "classifier checkpoint; load it with Module.load into an "
-                "already-built model"
-            )
-        return json.loads(str(archive[CHECKPOINT_KEY]))
+    def save(self, path) -> None:
+        """Write a self-describing checkpoint (parameters + config + schema
+        + training state) to ``path``, atomically (:func:`repro.codec.publish`)."""
+        publish(path, self.to_record())
 
     @classmethod
     def load(cls, path, graph: Optional[HeteroGraph] = None) -> "WidenClassifier":
         """Rebuild a classifier from :meth:`save` output — no graph needed.
 
-        ``path`` is a path, a binary file object or the checkpoint's bytes
-        (what a socket worker receives).  Hyperparameters, seed and schema
-        come from the checkpoint.  Pass ``graph`` to bind a serving graph
-        immediately (validated against the saved schema); otherwise call
-        :meth:`bind` later.
+        ``path`` is a path or the checkpoint's bytes (what a socket worker
+        receives).  Hyperparameters, seed and schema come from the
+        checkpoint.  Pass ``graph`` to bind a serving graph immediately
+        (validated against the saved schema); otherwise call :meth:`bind`
+        later.
         """
-        if isinstance(path, bytes):
-            path = io.BytesIO(path)
-        with np.load(path) as archive:
-            meta = cls._metadata(archive, path)
-            if meta["class"] != cls.name:
-                raise ValueError(
-                    f"checkpoint {path!r} holds a {meta['class']!r} model, "
-                    f"not {cls.name!r}"
-                )
-            version = int(meta["format_version"])
-            if version < CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(
-                    f"checkpoint {path!r} is format v{version}; this code "
-                    f"reads only v{CHECKPOINT_FORMAT_VERSION}, whose training "
-                    "state is named arrays.  Rebuild it by training again: "
-                    "python -m repro train <dataset> --shards 1 --checkpoint-out DIR"
-                )
-            if version > CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(
-                    f"checkpoint {path!r} is format v{version}, newer than "
-                    f"this code's v{CHECKPOINT_FORMAT_VERSION}; upgrade the "
-                    "code (old readers cannot know what a newer format added)"
-                )
-            arrays = {
-                name: archive[name] for name in archive.files if name != CHECKPOINT_KEY
-            }
+        named = "checkpoint bytes" if isinstance(path, bytes) else repr(str(path))
+        try:
+            if isinstance(path, bytes):
+                payload = decode(path, Record, ("checkpoint",)).payload
+            else:
+                payload = read_record(path, "checkpoint")
+        except ProtocolError as error:
+            raise ProtocolError(
+                f"{error}: not a v{CHECKPOINT_FORMAT_VERSION} checkpoint.  One "
+                f"of an older format is rebuilt by training again: {_RETRAIN}"
+            ) from error
+        meta = payload["meta"]
+        if meta["class"] != cls.name:
+            raise ValueError(
+                f"checkpoint {named} holds a {meta['class']!r} model, "
+                f"not {cls.name!r}"
+            )
+        version = int(meta["format_version"])
+        if version < CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(
+                f"checkpoint {named} is format v{version}; this code "
+                f"reads only v{CHECKPOINT_FORMAT_VERSION}.  Rebuild it by "
+                f"training again: {_RETRAIN}"
+            )
+        if version > CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(
+                f"checkpoint {named} is format v{version}, newer than "
+                f"this code's v{CHECKPOINT_FORMAT_VERSION}; upgrade the "
+                "code (old readers cannot know what a newer format added)"
+            )
         classifier = cls(config=WidenConfig(**meta["config"]), seed=meta["seed"])
         schema = classifier._schema = meta["schema"]
         classifier.model = WidenModel(
@@ -399,22 +389,10 @@ class WidenClassifier(BaseClassifier):
             classifier.config,
             seed=classifier._model_seed,
         )
-        prefix = len(TRAINER_PREFIX)
-        classifier.model.load_state_dict(
-            {
-                name: value
-                for name, value in arrays.items()
-                if not name.startswith(TRAINER_PREFIX)
-            }
-        )
+        classifier.model.load_state_dict(payload["parameters"])
         classifier._pending_rng_state = meta["trainer_rng"]
         classifier._pending_training_state = dict(
-            meta["trainer"],
-            arrays={
-                name[prefix:]: value
-                for name, value in arrays.items()
-                if name.startswith(TRAINER_PREFIX)
-            },
+            meta["trainer"], arrays=payload["trainer"]
         )
         if graph is not None:
             classifier.bind(graph)

@@ -3,7 +3,8 @@
 ``Parameter`` is a :class:`~repro.tensor.Tensor` that always requires grad.
 ``Module`` discovers parameters and submodules assigned as attributes (like
 PyTorch's ``nn.Module``) and offers iteration, grad reset, train/eval mode
-and a flat ``state_dict`` for (de)serialization.
+and a flat ``state_dict`` that :meth:`Module.load_state_dict` restores
+(strict on names and shapes).
 """
 
 from __future__ import annotations
@@ -108,35 +109,6 @@ class Module:
                     f"{value.shape} vs {param.data.shape}"
                 )
             param.data = value.copy()
-
-    def save(self, path) -> None:
-        """Serialize all parameters to an ``.npz`` file."""
-        state = self.state_dict()
-        # npz keys cannot be empty; parameter names never are.
-        np.savez(path, **state)
-
-    def load(self, path) -> None:
-        """Load parameters saved by :meth:`save` (strict name/shape match).
-
-        Raises ``ValueError`` naming the missing/extra parameter keys when
-        the file was saved from a different architecture, so a wrong-config
-        restore fails with an actionable message instead of a bare
-        ``KeyError``.
-        """
-        with np.load(path) as archive:
-            own = [name for name, _ in self.named_parameters()]
-            missing = sorted(set(own) - set(archive.files))
-            unexpected = sorted(set(archive.files) - set(own))
-            if missing or unexpected:
-                raise ValueError(
-                    f"checkpoint {path!r} does not match this architecture: "
-                    f"missing parameters {missing}, "
-                    f"unexpected parameters {unexpected}. "
-                    "Rebuild the model with the hyperparameters it was "
-                    "saved with (or use WidenClassifier.load, which "
-                    "restores them from the checkpoint)."
-                )
-            self.load_state_dict({name: archive[name] for name in archive.files})
 
     # -- call protocol ----------------------------------------------------
 

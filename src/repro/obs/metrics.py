@@ -32,6 +32,8 @@ import re
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.codec import publish
+
 LabelKey = Tuple[Tuple[str, str], ...]
 
 _PROM_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -471,25 +473,12 @@ class MetricsRegistry:
     def write_prometheus(self, path) -> int:
         """Write :meth:`render_prometheus` to ``path``; returns sample lines.
 
-        The write goes through a temp file + atomic replace, the textfile
-        collector convention (a scraper never observes a half-written file).
+        The file is published whole (:func:`repro.codec.publish`), the
+        textfile collector convention: a scraper never observes a
+        half-written file.
         """
-        import os
-        import tempfile
-
         text = self.render_prometheus()
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".prom-", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        publish(path, text.encode("utf-8"))
         return sum(1 for line in text.splitlines() if not line.startswith("#"))
 
     def dump_jsonl(self, path) -> int:

@@ -17,9 +17,9 @@ from repro.graph import HeteroGraph
 
 
 class ModelRegistry:
-    """Named checkpoints under one root directory (``<root>/<name>.npz``)."""
+    """Named checkpoints under one root directory (``<root>/<name>.ckpt``)."""
 
-    suffix = ".npz"
+    suffix = ".ckpt"
 
     def __init__(self, root) -> None:
         self.root = Path(root)

@@ -117,7 +117,7 @@ class InferenceServer:
         self.store = None
         if store is not None:
             self.attach_store(store)
-        self._hook = graph.add_mutation_hook(self._on_graph_mutation)
+        graph.add_mutation_hook(self._on_graph_mutation)
 
     def attach_store(self, store) -> None:
         """Attach a materialized-answer store (``repro.store``).
@@ -210,9 +210,7 @@ class InferenceServer:
             return request_id
         embedding, label = entry
         value = label if kind == "classify" else embedding
-        self._finish(
-            request_id, value, time.perf_counter(), batch_size=1, rung="cache"
-        )
+        self._finish(request_id, value, time.perf_counter(), rung="cache")
         return request_id
 
     def drain(self) -> None:
@@ -336,7 +334,7 @@ class InferenceServer:
     def close(self) -> None:
         """Detach from the graph (stop receiving mutation hooks)."""
         try:
-            self.graph.remove_mutation_hook(self._hook)
+            self.graph.remove_mutation_hook(self._on_graph_mutation)
         except ValueError:
             pass
 
@@ -445,7 +443,7 @@ class InferenceServer:
             embedding, label, rung = answers[node]
             self._finish(
                 request_id, label if wanted else embedding, completion,
-                batch_size=len(batch), rung=rung, queue_wait=queue_wait,
+                rung=rung, queue_wait=queue_wait,
             )
 
     def _finish(
@@ -454,7 +452,6 @@ class InferenceServer:
         value: Union[int, np.ndarray],
         completion: float,
         *,
-        batch_size: int,
         rung: str,
         queue_wait: float = 0.0,
     ) -> None:
@@ -464,5 +461,5 @@ class InferenceServer:
         self._values[request_id] = value
         self.telemetry.finish(
             request_id, completion,
-            rung=rung, batch_size=batch_size, queue_wait=queue_wait,
+            rung=rung, queue_wait=queue_wait,
         )

@@ -50,7 +50,6 @@ COLUMNS = {
     "completion": np.float64,
     "queue_wait": np.float64,
     "rung": np.uint8,
-    "batch_size": np.int64,
 }
 
 
@@ -118,7 +117,6 @@ class Telemetry:
         completion: float,
         *,
         rung: str,
-        batch_size: int,
         queue_wait: float = 0.0,
     ) -> None:
         """Fill the row of an answered request; ``rung`` names the ladder
@@ -127,7 +125,6 @@ class Telemetry:
         self.completion[row] = completion
         self.queue_wait[row] = queue_wait
         self.rung[row] = _RUNG_CODE[rung]
-        self.batch_size[row] = batch_size
 
     def release(self, count: int) -> None:
         """``count`` answers were picked up.  When none is left in flight,

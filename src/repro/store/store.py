@@ -1,20 +1,21 @@
 """The on-disk / in-memory materialized-answer store.
 
-Layout: a directory holding three arrays plus JSON metadata —
+Layout: one file, a ``"store"`` record frame (:mod:`repro.codec`) holding
+three arrays plus metadata —
 
-- ``embeddings.npy`` — ``(K, d)`` float64, one finished serving embedding
+- ``embeddings`` — ``(K, d)`` float64, one finished serving embedding
   per stored node: exactly what
   :meth:`~repro.core.classifier.WidenClassifier.embed_for_serving_batch`
   returns for it under the store's seed.
-- ``versions.npy`` — ``(K,)`` int64 *stamp* of each row: the serving
+- ``versions`` — ``(K,)`` int64 *stamp* of each row: the serving
   server's write clock when the row was materialized (0 for everything
   the offline builder wrote).
-- ``reads.npy`` — ``(K, 1 + Φ·N_d)`` int32 *read set* of each row: the
+- ``reads`` — ``(K, 1 + Φ·N_d)`` int32 *read set* of each row: the
   ids whose adjacency lists its sample consulted
   (:meth:`repro.core.state.NeighborTable.read_sets`).  int32 because the
   column rides every shard's slice payload; a graph this code can hold in
   memory has far fewer than 2³¹ nodes.
-- ``meta.json`` — format version, model geometry, builder seed, graph
+- ``meta`` — format version, model geometry, builder seed, graph
   version and the parameter digest the rows were computed under.
 
 A row is exact until a write touches a list it read.  The store only
@@ -30,40 +31,34 @@ for shard ``s`` of ``S`` (row ``n // S`` belongs to node ``n``) — the same
 layout, ``S = 1`` being the whole graph.  Stamp ``-1`` and the node's own
 id as read set mark an id without a row, and an id the store does not
 cover reads the same way.  So every lookup is one fancy-indexed read and
-a lazily re-materialized row is an in-place write.  ``embeddings.npy`` is
-opened copy-on-write (``mmap_mode="c"``): untouched rows stay on disk,
-refreshed ones live in private pages, the file is never written.  What used to be a
-separate overlay is the set of rows with ``stamp > 0`` — written by a
-serving server after a write of its own, not by the offline builder.
+a lazily re-materialized row is an in-place write.  The file is mapped
+copy-on-write (:func:`repro.codec.read_record`): untouched rows stay in
+the page cache, refreshed ones live in private pages, the file is never
+written, and a rebuild at the same path (a new file renamed over it) does
+not reach an open store.  What used to be a separate overlay is the set
+of rows with ``stamp > 0`` — written by a serving server after a write of
+its own, not by the offline builder.
 
 A store is only meaningful against the exact parameters and rng scheme
 that built it; :meth:`AggregateStore.compatible_with` checks the format,
 geometry, parameter digest and server seed and returns the human-readable
 reason on mismatch so callers refuse loudly instead of serving wrong
-answers.  Older formats are refused outright: v1 seeded a generator with
-``(seed, node version, node)`` and v2 with ``(seed, node)``, draw schemes
-no server reproduces; v3 rows are drawn as today's
-(:meth:`repro.core.state.NeighborStateStore.sample_fresh`) but hold the
-pack matrices of a half-finished forward, not answers.
+answers.  A store of another format version — before v5 a directory of
+arrays — is refused with the command that rebuilds it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.codec import Record, publish, read_record
 from repro.core.classifier import serving_refusal
 from repro.utils import owned
 
-STORE_FORMAT_VERSION = 4
-
-_META_FILE = "meta.json"
-_EMBEDDINGS_FILE = "embeddings.npy"
-_VERSIONS_FILE = "versions.npy"
-_READS_FILE = "reads.npy"
+STORE_FORMAT_VERSION = 5
 
 
 def store_geometry(config) -> Dict[str, object]:
@@ -79,31 +74,20 @@ def store_geometry(config) -> Dict[str, object]:
     }
 
 
-def _refuse_old_format(meta: Dict[str, object], what: str) -> Optional[str]:
-    """Why an older store cannot be served (``None`` for current ones)."""
+def _format_refusal(meta: Dict[str, object], what: str) -> Optional[str]:
+    """Why a store of another format cannot be served (``None`` for v5)."""
     version = int(meta.get("format_version", 0))
-    if version >= STORE_FORMAT_VERSION:
+    if version == STORE_FORMAT_VERSION:
         return None
-    if version == 3:
-        why = (
-            "hold pack matrices (a forward stopped before attention), not "
-            "answers, and nothing finishes that forward any more"
-        )
-    else:
-        drawn = (
-            "were sampled from one generator per node, seeded (seed, node)"
-            if version == 2
-            else "carry no read sets and were sampled under the "
-            "(seed, node version, node) rng scheme"
-        )
-        why = (
-            f"{drawn}, which a server drawing counter-keyed (seed, node, "
-            "draw index) samples never reproduces"
+    if version > STORE_FORMAT_VERSION:
+        return (
+            f"{what} is store format v{version}, newer than this code's "
+            f"v{STORE_FORMAT_VERSION}"
         )
     return (
         f"{what} is store format v{version}; this code reads "
-        f"v{STORE_FORMAT_VERSION}.  v{version} rows {why} — rebuild the "
-        "store with `python -m repro store-build`"
+        f"v{STORE_FORMAT_VERSION} — rebuild the store with `python -m repro "
+        "store-build`"
     )
 
 
@@ -123,7 +107,7 @@ class AggregateStore:
     ``num_shards`` owns, so its tables are ``1 / num_shards`` of the
     whole.  An id the store does not cover has no row: lookups read it as
     absent and :meth:`refresh` never writes it.  :meth:`refresh` writes
-    into the tables — never into the file behind a copy-on-write mmap.
+    into the tables — never into the file behind a copy-on-write mapping.
     """
 
     def __init__(
@@ -142,9 +126,9 @@ class AggregateStore:
             raise ValueError(
                 f"shard {self.shard_id} of {self.num_shards} does not exist"
             )
-        # A plain view over a (copy-on-write) mapping: same pages, without
-        # memmap's Python-level indexing on the hot path.
-        self._embeddings = np.asarray(embeddings)
+        # Kept as given: views of a file's copy-on-write mapping, or the
+        # arrays a slice payload delivered.
+        self._embeddings = np.asarray(embeddings, np.float64)
         self._versions = np.asarray(versions, np.int64)
         self._reads = np.asarray(reads, np.int32)
         rows = self._versions.shape[0]
@@ -286,7 +270,7 @@ class AggregateStore:
         (:func:`~repro.core.classifier.serving_refusal`), the model
         geometry, the parameter digest and the rng seed — everything that
         went into the materialized values."""
-        reason = _refuse_old_format(self.meta, "this store") or serving_refusal(
+        reason = _format_refusal(self.meta, "this store") or serving_refusal(
             classifier
         )
         if reason is not None:
@@ -322,43 +306,33 @@ class AggregateStore:
         versions: np.ndarray,
         reads: np.ndarray,
     ) -> "AggregateStore":
-        """Write a dense full-graph store directory and return it (mmap'd)."""
-        os.makedirs(path, exist_ok=True)
-        meta = dict(meta)
-        meta["format_version"] = STORE_FORMAT_VERSION
-        np.save(os.path.join(path, _EMBEDDINGS_FILE), embeddings)
-        np.save(os.path.join(path, _VERSIONS_FILE), versions)
-        np.save(os.path.join(path, _READS_FILE), np.asarray(reads, np.int32))
-        with open(os.path.join(path, _META_FILE), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
+        """Publish a dense full-graph store file at ``path`` and return it
+        opened (mapped)."""
+        publish(path, Record("store", {
+            "meta": dict(meta, format_version=STORE_FORMAT_VERSION),
+            "embeddings": embeddings,
+            "versions": versions,
+            "reads": np.asarray(reads, np.int32),
+        }))
         return cls.open(path)
 
     @classmethod
-    def open(cls, path, mmap: bool = True) -> "AggregateStore":
-        """Open a store directory; embeddings stay on disk via a
-        copy-on-write mmap."""
-        meta_path = os.path.join(path, _META_FILE)
-        if not os.path.exists(meta_path):
-            raise FileNotFoundError(
-                f"{path!r} is not a store directory (no {_META_FILE})"
-            )
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        version = int(meta.get("format_version", 0))
-        if version > STORE_FORMAT_VERSION:
+    def open(cls, path) -> "AggregateStore":
+        """Open a store file; its tables are copy-on-write views of the
+        file's mapping (:func:`repro.codec.read_record`)."""
+        if os.path.isdir(path):
             raise ValueError(
-                f"store {path!r} is format v{version}, newer than this "
-                f"code's v{STORE_FORMAT_VERSION}"
+                f"store {str(path)!r} is a directory, the layout of store "
+                f"formats before v{STORE_FORMAT_VERSION}; this code reads one "
+                "file — rebuild it with `python -m repro store-build --out FILE`"
             )
-        reason = _refuse_old_format(meta, f"store {path!r}")
+        payload = read_record(path, "store")
+        reason = _format_refusal(payload["meta"], f"store {str(path)!r}")
         if reason is not None:
             raise ValueError(reason)
-        embeddings = np.load(
-            os.path.join(path, _EMBEDDINGS_FILE), mmap_mode="c" if mmap else None
+        return cls(
+            payload["meta"], payload["embeddings"], payload["versions"], payload["reads"]
         )
-        versions = np.load(os.path.join(path, _VERSIONS_FILE))
-        reads = np.load(os.path.join(path, _READS_FILE))
-        return cls(meta, embeddings, versions, reads)
 
     # -- shard slices ----------------------------------------------------
 
@@ -411,7 +385,7 @@ class AggregateStore:
         arrays: adopted when they are the receiver's own (what a transport
         delivered), copied when they are views (:func:`repro.utils.owned`)."""
         meta = dict(payload["meta"])
-        reason = _refuse_old_format(meta, "this store slice")
+        reason = _format_refusal(meta, "this store slice")
         if reason is not None:
             raise ValueError(reason)
         return cls(

@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.codec import Envelope, decode, encode
+from repro.codec import Envelope, decode, encode
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
 from repro.nn import Linear

@@ -186,8 +186,8 @@ class TestStoreCli:
         assert "materialized" in printed
         assert " B/row = " in printed  # rows x bytes per row = total
         assert "params digest" in printed
-        assert (store_dir / "meta.json").exists()
-        assert (store_dir / "embeddings.npy").exists()
+        assert store_dir.is_file()  # one file, no staging file beside it
+        assert [path.name for path in tmp_path.iterdir()] == ["acm-store"]
 
         # Same dataset/seed/epochs/scale reproduce the same parameters, so
         # the trained-in-place serve-bench accepts the store's digest.

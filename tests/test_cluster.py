@@ -21,7 +21,7 @@ from repro.cluster import (
     ShardError,
     ShardSpec,
 )
-from repro.cluster.codec import Envelope, transfer
+from repro.codec import Envelope, transfer
 from repro.cluster.planner import check_node_range
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
@@ -44,7 +44,7 @@ def trained(acm):
 
 @pytest.fixture(scope="module")
 def checkpoint(trained, tmp_path_factory):
-    path = tmp_path_factory.mktemp("cluster") / "widen.npz"
+    path = tmp_path_factory.mktemp("cluster") / "widen.ckpt"
     trained.save(path)
     return path
 

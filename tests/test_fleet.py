@@ -39,7 +39,7 @@ def checkpoint(tmp_path_factory):
     acm = make_acm(seed=0, scale=0.4)
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=0)
-    path = tmp_path_factory.mktemp("fleet") / "widen.npz"
+    path = tmp_path_factory.mktemp("fleet") / "widen.ckpt"
     model.save(path)
     return path
 
@@ -253,6 +253,6 @@ class TestTrainerRefusals:
             seed=0, dim=16, num_wide=6, num_deep=2, embedding_mode="replace"
         )
         model.fit(acm.graph, acm.split.train[:40], epochs=0)
-        model.save(tmp_path / "replace.npz")
+        model.save(tmp_path / "replace.ckpt")
         with pytest.raises(ValueError, match='embedding_mode="project"'):
-            DistributedTrainer(tmp_path / "replace.npz", acm.graph, 2)
+            DistributedTrainer(tmp_path / "replace.ckpt", acm.graph, 2)

@@ -38,7 +38,7 @@ from repro.cluster.net import (
     send_frame,
     send_message,
 )
-from repro.cluster.codec import decode, encode
+from repro.codec import decode, encode
 from repro.cluster.transport import (
     READY_SEQ,
     TRANSPORT_KINDS,
@@ -64,7 +64,7 @@ def acm():
 def checkpoint(acm, tmp_path_factory):
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=1)
-    path = tmp_path_factory.mktemp("net") / "widen.npz"
+    path = tmp_path_factory.mktemp("net") / "widen.ckpt"
     model.save(path)
     return path
 

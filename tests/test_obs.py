@@ -685,7 +685,7 @@ class TestCrossTransportHistogramMerge:
         acm = make_acm(seed=0, scale=0.5)
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
         model.fit(acm.graph, acm.split.train[:40], epochs=1)
-        checkpoint = tmp_path / "widen.npz"
+        checkpoint = tmp_path / "widen.ckpt"
         model.save(checkpoint)
         router = ClusterRouter.from_checkpoint(
             checkpoint,

@@ -6,12 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from repro.codec import ProtocolError, Record, publish, read_record
 from repro.core import NeighborTable, RelayRecipe, WidenClassifier
-from repro.core.classifier import (
-    CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_KEY,
-    TRAINER_PREFIX,
-)
+from repro.core.classifier import CHECKPOINT_FORMAT_VERSION
 from repro.core.relay import flatten_recipes, unflatten_recipes
 from repro.baselines import GCN
 from repro.datasets import make_acm
@@ -29,7 +26,7 @@ class TestPersistence:
         needed to reconstruct the architecture."""
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=3)
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         model.save(path)
 
         fresh = WidenClassifier.load(path, graph=acm.graph)
@@ -56,7 +53,7 @@ class TestPersistence:
         so the restored run repeats the original's stochastic decisions."""
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / "widen-rng.npz"
+        path = tmp_path / "widen-rng.ckpt"
         model.save(path)
         expected = model.trainer._shuffle_rng.random(8)
 
@@ -68,68 +65,64 @@ class TestPersistence:
             fresh.trainer._shuffle_rng.random(8), expected
         )
 
-    def test_widen_module_layer_still_works(self, acm, tmp_path):
-        """The low-level Module.save/load layer stays available underneath."""
-        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
-        model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "widen-params.npz"
-        model.model.save(path)
-
-        fresh = WidenClassifier(seed=99, dim=16, num_wide=6, num_deep=5)
-        fresh.fit(acm.graph, acm.split.train[:48], epochs=0)  # build only
-        fresh.model.load(path)
-        for name, value in model.model.state_dict().items():
-            np.testing.assert_allclose(fresh.model.state_dict()[name], value)
-
-    def test_gcn_roundtrip_predictions_identical(self, acm, tmp_path):
+    def test_gcn_roundtrip_predictions_identical(self, acm):
         model = GCN(seed=0)
         model.fit(acm.graph, acm.split.train, epochs=10)
         before = model.predict(acm.split.test)
-        path = tmp_path / "gcn.npz"
-        model.net.save(path)
 
         fresh = GCN(seed=123)
         fresh.fit(acm.graph, acm.split.train, epochs=0)
-        fresh.net.load(path)
+        fresh.net.load_state_dict(model.net.state_dict())
         after = fresh.predict(acm.split.test)
         np.testing.assert_array_equal(before, after)
 
-    def test_load_rejects_mismatched_architecture(self, acm, tmp_path):
+    def test_load_rejects_mismatched_architecture(self, acm):
         small = WidenClassifier(seed=0, dim=8, num_wide=4, num_deep=3)
         small.fit(acm.graph, acm.split.train[:16], epochs=1)
-        path = tmp_path / "small.npz"
-        small.model.save(path)
 
         big = WidenClassifier(seed=0, dim=32, num_wide=4, num_deep=3)
         big.fit(acm.graph, acm.split.train[:16], epochs=0)
-        with pytest.raises(ValueError):
-            big.model.load(path)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            big.model.load_state_dict(small.model.state_dict())
+        with pytest.raises(KeyError, match="missing"):
+            big.model.load_state_dict({})
 
-    def test_classifier_load_rejects_bare_parameter_file(self, acm, tmp_path):
-        model = WidenClassifier(seed=0, dim=8, num_wide=4, num_deep=3)
-        model.fit(acm.graph, acm.split.train[:16], epochs=1)
-        path = tmp_path / "params-only.npz"
-        model.model.save(path)  # Module layer: no metadata entry
-        with pytest.raises(ValueError, match="bare parameter file"):
+    def test_classifier_load_rejects_a_file_of_another_kind(self, tmp_path):
+        path = tmp_path / "store-file"
+        publish(path, Record("store", {"meta": {"format_version": 5}}))
+        with pytest.raises(
+            ProtocolError, match="expected a checkpoint file, got a 'store' file"
+        ):
             WidenClassifier.load(path)
+
+    def test_a_v4_checkpoint_is_refused_with_the_rebuild_command(self, tmp_path):
+        """A v4 checkpoint was a zip of arrays and a JSON string."""
+        path = tmp_path / "v4.npz"
+        meta = {"format_version": 4, "class": "widen"}
+        np.savez(path, __checkpoint__=json.dumps(meta), w=np.zeros(3))
+        with pytest.raises(
+            ProtocolError,
+            match="not a v5 checkpoint.*python -m repro train <dataset> "
+            "--shards 1 --checkpoint-out DIR",
+        ):
+            WidenClassifier.load(path)
+        with pytest.raises(ProtocolError, match="not a v5 checkpoint"):
+            WidenClassifier.load(path.read_bytes())
 
 
 def read_metadata(path) -> dict:
-    """The JSON header of a checkpoint, read without loading any weights."""
-    with np.load(path, allow_pickle=False) as archive:
-        return json.loads(str(archive[CHECKPOINT_KEY]))
+    """The metadata of a checkpoint, read without copying any weights."""
+    return read_record(path, "checkpoint")["meta"]
 
 
 def rewrite_checkpoint(path, drop=(), **meta_entries):
-    """Rewrite a checkpoint with the arrays in ``drop`` removed and the
-    metadata entries in ``meta_entries`` replaced."""
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(arrays.pop(CHECKPOINT_KEY)))
-    meta.update(meta_entries)
+    """Rewrite a checkpoint with the trainer arrays in ``drop`` removed and
+    the metadata entries in ``meta_entries`` replaced."""
+    payload = read_record(path, "checkpoint")
+    payload["meta"].update(meta_entries)
     for name in drop:
-        del arrays[name]
-    np.savez(path, **{CHECKPOINT_KEY: json.dumps(meta)}, **arrays)
+        del payload["trainer"][name]
+    publish(path, Record("checkpoint", payload))
 
 
 def assert_same_parameters(got, want):
@@ -152,7 +145,7 @@ class TestCheckpointV3:
 
         half = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         half.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / "resume.npz"
+        path = tmp_path / "resume.ckpt"
         half.save(path)
         resumed = WidenClassifier.load(path, graph=acm.graph)
         resumed.fit(acm.graph, acm.split.train[:48], epochs=2)
@@ -170,7 +163,7 @@ class TestCheckpointV3:
 
         half = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         half.fit(acm.graph, acm.split.train[:48], epochs=2)
-        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         half.save(first)
         WidenClassifier.load(first).save(second)
         resumed = WidenClassifier.load(second, graph=acm.graph)
@@ -191,7 +184,7 @@ class TestCheckpointV3:
         live.fit(acm.graph, nodes, epochs=3)
         table = live.trainer.store.table
         assert max(recipe.depth() for recipe in table.relays.values()) >= 2
-        path = tmp_path / "relays.npz"
+        path = tmp_path / "relays.ckpt"
         live.save(path)
 
         loaded = WidenClassifier.load(path, graph=acm.graph)
@@ -231,22 +224,26 @@ class TestCheckpointV3:
             seed=0, dim=16, num_wide=6, num_deep=5, embedding_mode="replace"
         )
         model.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / "arrays.npz"
+        path = tmp_path / "arrays.ckpt"
         model.save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            dtypes = {name: archive[name].dtype for name in archive.files}
-        assert TRAINER_PREFIX + "node_state" in dtypes
-        assert TRAINER_PREFIX + "relay_recipes" in dtypes
+        payload = read_record(path, "checkpoint")
+        dtypes = {
+            name: array.dtype
+            for group in ("parameters", "trainer")
+            for name, array in payload[group].items()
+        }
+        assert "node_state" in payload["trainer"]
+        assert "relay_recipes" in payload["trainer"]
         assert not [name for name, dtype in dtypes.items() if dtype == object]
 
     def test_checkpoint_carries_optimizer_state(self, acm, tmp_path):
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=2)
-        path = tmp_path / "v4.npz"
+        path = tmp_path / "v5.ckpt"
         model.save(path)
 
         meta = read_metadata(path)
-        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 4
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 5
         assert (meta["class"], meta["config"]["dim"], meta["schema"]["num_classes"]) == (
             "widen", 16, acm.graph.num_classes
         )
@@ -263,7 +260,7 @@ class TestCheckpointV3:
     def saved(self, acm, tmp_path):
         model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5)
         model.fit(acm.graph, acm.split.train[:48], epochs=1)
-        path = tmp_path / "saved.npz"
+        path = tmp_path / "saved.ckpt"
         model.save(path)
         return path
 
@@ -273,7 +270,7 @@ class TestCheckpointV3:
     ):
         rewrite_checkpoint(saved, format_version=version)
         refusal = (
-            f"format v{version}; this code reads only v4.*python -m repro train "
+            f"format v{version}; this code reads only v5.*python -m repro train "
             "<dataset> --shards 1 --checkpoint-out DIR"
         )
         with pytest.raises(ValueError, match=refusal):
@@ -293,7 +290,7 @@ class TestCheckpointV3:
         "missing", ["deep_relay", "relay_recipes", "moment2.0", "targets"]
     )
     def test_a_missing_trainer_array_is_refused_by_name(self, acm, saved, missing):
-        rewrite_checkpoint(saved, drop=[TRAINER_PREFIX + missing])
+        rewrite_checkpoint(saved, drop=[missing])
         with pytest.raises(ValueError, match=f"no '{re.escape(missing)}' array"):
             WidenClassifier.load(saved, graph=acm.graph)
 
@@ -313,7 +310,7 @@ class TestCheckpointV3:
             seed=0, dim=16, num_wide=6, num_deep=5, embedding_mode="replace"
         )
         model.fit(acm.graph, acm.split.train[:24], epochs=1)
-        path = tmp_path / "replace.npz"
+        path = tmp_path / "replace.ckpt"
         model.save(path)
         smaller = make_acm(seed=0, scale=0.5).graph
         with pytest.raises(ValueError, match="node-state table that does not match"):
@@ -330,5 +327,5 @@ class TestCheckpointV3:
 
     def test_newer_versions_are_refused(self, acm, saved):
         rewrite_checkpoint(saved, format_version=99)
-        with pytest.raises(ValueError, match="v99, newer than this code's v4"):
+        with pytest.raises(ValueError, match="v99, newer than this code's v5"):
             WidenClassifier.load(saved, graph=acm.graph)

@@ -33,6 +33,7 @@ packs sit at capacity, the shapes coincide and the same comparisons read
 
 from __future__ import annotations
 
+import os
 import tempfile
 from collections import Counter
 
@@ -130,7 +131,7 @@ def checkpoint(tmp_path_factory):
     template = build_graph(8, [(i, 1, i % 2) for i in range(8)], seed=0)
     model = WidenClassifier(seed=0, **MODEL)
     model.fit(template, np.arange(4), epochs=0)
-    path = tmp_path_factory.mktemp("read-set") / "widen.npz"
+    path = tmp_path_factory.mktemp("read-set") / "widen.ckpt"
     model.save(path)
     return path
 
@@ -211,8 +212,9 @@ class TestSoundness:
         stale across several writes before anyone asks for them."""
         rng = np.random.default_rng(subset_seed)
         with tempfile.TemporaryDirectory() as tmp:
+            store_path = os.path.join(tmp, "store")
             classifier = WidenClassifier.load(checkpoint, graph=graph)
-            store = build_store(classifier, graph, tmp, seed=SEED)
+            store = build_store(classifier, graph, store_path, seed=SEED)
             warm = InferenceServer(
                 classifier, graph, seed=SEED, store=store, cache_capacity=capacity,
                 registry=MetricsRegistry(),
@@ -246,12 +248,14 @@ class TestSoundness:
         the *other* shard owns (whose features reached it in the arrival's
         broadcast command)."""
         with tempfile.TemporaryDirectory() as tmp:
+            store_path = os.path.join(tmp, "store")
             build_store(
-                WidenClassifier.load(checkpoint, graph=graph), graph, tmp, seed=SEED
+                WidenClassifier.load(checkpoint, graph=graph), graph, store_path,
+                seed=SEED,
             )
             with ClusterRouter.from_checkpoint(
                 checkpoint, graph, 2, transport="inline", seed=SEED,
-                store_path=tmp,
+                store_path=store_path,
             ) as router:
                 everyone = np.arange(graph.num_nodes)
                 assert_same_answers(
@@ -278,12 +282,14 @@ class TestSoundness:
         arrival itself) and must be re-served; B's other rows stay warm."""
         graph = build_graph(16, [(i, 1, 0) for i in range(15)], seed=3)
         with tempfile.TemporaryDirectory() as tmp:
+            store_path = os.path.join(tmp, "store")
             build_store(
-                WidenClassifier.load(checkpoint, graph=graph), graph, tmp, seed=SEED
+                WidenClassifier.load(checkpoint, graph=graph), graph, store_path,
+                seed=SEED,
             )
             with ClusterRouter.from_checkpoint(
                 checkpoint, graph, 2, transport="inline", seed=SEED,
-                store_path=tmp,
+                store_path=store_path,
             ) as router:
                 router.embed(np.arange(graph.num_nodes))
                 new = int(router.add_nodes(
@@ -418,8 +424,9 @@ class TestPrecision:
             rng.choice(graph.num_nodes, size=graph.num_nodes // 2, replace=False)
         )
         with tempfile.TemporaryDirectory() as tmp:
+            store_path = os.path.join(tmp, "store")
             classifier = WidenClassifier.load(checkpoint, graph=graph)
-            full = build_store(classifier, graph, tmp, seed=SEED)
+            full = build_store(classifier, graph, store_path, seed=SEED)
             store = AggregateStore.from_payload(full.slice_payload(subset.tolist()))
             server = InferenceServer(
                 classifier, graph, seed=SEED, store=store, cache_capacity=256
@@ -479,8 +486,9 @@ class TestPrecision:
         its three entries and rows survive and are served warm."""
         graph = build_graph(6, [(0, 1, 0), (1, 1, 0), (3, 1, 0), (4, 1, 0)], seed=2)
         with tempfile.TemporaryDirectory() as tmp:
+            store_path = os.path.join(tmp, "store")
             classifier = WidenClassifier.load(checkpoint, graph=graph)
-            store = build_store(classifier, graph, tmp, seed=SEED)
+            store = build_store(classifier, graph, store_path, seed=SEED)
             server = InferenceServer(
                 classifier, graph, seed=SEED, store=store, registry=MetricsRegistry()
             )

@@ -196,6 +196,19 @@ RETIRED = [
         "a trace is node ids sent as ops: no arrival times, no arrival rate",
         (),
     ),
+    (
+        r"self\.batch_size\[",
+        52,
+        "a telemetry row has no batch_size column: nothing read it",
+        (),
+    ),
+    (
+        r"np\.savez|np\.save\b|np\.load\b|\.npz|meta\.json",
+        52,
+        "one file format: every checkpoint, store and training shard is one "
+        "codec record frame, published by one atomic rename",
+        (),
+    ),
 ]
 
 TESTS = SRC.parents[1] / "tests"

@@ -122,9 +122,9 @@ class TestRegistry:
 
     def test_save_requires_built_model(self, tmp_path):
         with pytest.raises(RuntimeError, match="nothing to save"):
-            WidenClassifier(seed=0).save(tmp_path / "empty.npz")
+            WidenClassifier(seed=0).save(tmp_path / "empty.ckpt")
 
-    def test_module_load_names_mismatched_keys(self, tmp_path):
+    def test_module_load_names_mismatched_keys(self):
         class Small(Module):
             def __init__(self):
                 super().__init__()
@@ -135,10 +135,8 @@ class TestRegistry:
                 super().__init__()
                 self.beta = Linear(3, 2, rng=0)
 
-        path = tmp_path / "small.npz"
-        Small().save(path)
-        with pytest.raises(ValueError) as excinfo:
-            Renamed().load(path)
+        with pytest.raises(KeyError) as excinfo:
+            Renamed().load_state_dict(Small().state_dict())
         message = str(excinfo.value)
         assert "beta" in message and "alpha" in message
         assert "missing" in message and "unexpected" in message
@@ -221,7 +219,7 @@ class TestTelemetry:
     @staticmethod
     def answered(
         telemetry, node, arrival, completion, *, hit=False, rung=None,
-        batch_size=1, queue_wait=0.0, kind="classify",
+        queue_wait=0.0, kind="classify",
     ):
         """One request through the recording API — open its row, fill
         it; returns its id."""
@@ -229,7 +227,7 @@ class TestTelemetry:
         request_id = telemetry.open(node, kind, arrival)
         telemetry.finish(
             request_id, completion,
-            rung=rung, batch_size=batch_size, queue_wait=queue_wait,
+            rung=rung, queue_wait=queue_wait,
         )
         return request_id
 
@@ -335,8 +333,8 @@ class TestTelemetry:
         telemetry = Telemetry(registry)
         first = telemetry.open(0, "classify", 0.0)
         queued = telemetry.open(1, "classify", 0.0)
-        self.answered(telemetry, 2, 0.0, 0.5, batch_size=2)
-        telemetry.finish(first, 0.25, rung="cache", batch_size=1)
+        self.answered(telemetry, 2, 0.0, 0.5)
+        telemetry.finish(first, 0.25, rung="cache")
         telemetry.record_batch(2)
         # Rows reach the registry at sync(), in submit order and each once:
         # nothing behind a request that is still queued is observed early.
@@ -344,7 +342,7 @@ class TestTelemetry:
         telemetry.sync()
         assert registry.get("serve_requests_total", cache="hit").value == 1
         assert registry.get("serve_requests_total", cache="miss").value == 0
-        telemetry.finish(queued, 0.5, rung="store", batch_size=2)
+        telemetry.finish(queued, 0.5, rung="store")
         telemetry.sync()
         assert registry.get("serve_requests_total", cache="hit").value == 1
         assert registry.get("serve_requests_total", cache="miss").value == 2
@@ -372,7 +370,7 @@ class TestTelemetry:
         assert len(telemetry) == 2
         (row,) = telemetry.rows_of([queued])
         assert telemetry.node[row] == 7 and np.isnan(telemetry.completion[row])
-        telemetry.finish(queued, 3.0, rung="recompute", batch_size=1)
+        telemetry.finish(queued, 3.0, rung="recompute")
         telemetry.release(1)
         assert len(telemetry) == 0
         later = self.answered(telemetry, 8, 2.0, 2.5, hit=True)
@@ -414,7 +412,7 @@ class TestLongLivedServer:
         return [rng.choice(pool, size=16) for _ in range(self.OPS)]
 
     def test_in_process_server_holds_no_answered_rows(self, trained, tmp_path, ops):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path, registry=MetricsRegistry())
         telemetry = server.telemetry
@@ -433,7 +431,7 @@ class TestLongLivedServer:
         assert server.submit(int(ops[0][0])) == 16 * self.OPS + 1
 
     def test_each_shard_server_holds_no_answered_rows(self, trained, acm, tmp_path, ops):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         graph = make_acm(seed=0, scale=0.5).graph
         with ClusterRouter.from_checkpoint(path, graph, 2, transport="inline", seed=7) as router:
@@ -492,7 +490,7 @@ class TestLoadGenerator:
     def test_replay_sends_the_trace_as_group_node_ops(
         self, trained, acm, tmp_path
     ):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path, registry=MetricsRegistry())
         trace = make_trace(acm.split.test[:30], 60, rng=1)
@@ -529,7 +527,7 @@ class TestServingContract:
             seed=0, dim=16, num_wide=6, num_deep=2, embedding_mode="replace"
         )
         model.fit(acm.graph, acm.split.train[:40], epochs=0)
-        path = tmp_path_factory.mktemp("replace") / "replace.npz"
+        path = tmp_path_factory.mktemp("replace") / "replace.ckpt"
         model.save(path)
         return model, path
 
@@ -594,7 +592,7 @@ class TestServingContract:
 
 class TestInferenceServer:
     def test_serves_checkpoint_and_matches_across_servers(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         nodes = acm.split.test[:12]
         a = fresh_acm_server(path).classify(nodes)
@@ -603,7 +601,7 @@ class TestInferenceServer:
 
     def test_batching_is_invisible_in_results(self, trained, acm, tmp_path):
         """Same answers whether requests coalesce into one batch or many."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         nodes = acm.split.test[:10]
         batched = fresh_acm_server(path, max_batch_size=16).classify(nodes)
@@ -611,7 +609,7 @@ class TestInferenceServer:
         np.testing.assert_array_equal(batched, unbatched)
 
     def test_cache_hit_path_returns_identical_values(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         nodes = acm.split.test[:8]
@@ -626,7 +624,7 @@ class TestInferenceServer:
         """The same 96 nodes served as one op in chunks of 16, as one op in
         chunks of 1, and as one op per node give the same bits: an answer
         is a function of the parameters, the graph and the seed."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         nodes = acm.split.test[:96]
         assert nodes.size == 96
@@ -648,7 +646,7 @@ class TestInferenceServer:
     def test_an_op_of_twice_the_batch_plus_one_misses_runs_three_batches(
         self, trained, acm, tmp_path
     ):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path, max_batch_size=4, registry=MetricsRegistry())
         reply = server.replay(acm.split.test[:9], kind="embed")
@@ -659,7 +657,7 @@ class TestInferenceServer:
         assert reply["queue_wait"] > 0  # the last chunk waited for two
 
     def test_max_batch_size_below_one_is_refused(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         for size in (0, -1):
             with pytest.raises(ValueError, match="max_batch_size must be >= 1"):
@@ -671,7 +669,7 @@ class TestInferenceServer:
         """``submit`` probes the cache and the flush probes again (a node
         an earlier batch computed must not be recomputed); the request is
         one miss, not two."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         nodes = acm.split.test[:10]
@@ -703,7 +701,7 @@ class TestInferenceServer:
         assert server.telemetry.registry.get("serve_batch_size").count == 2
 
     def test_rejects_out_of_range_and_bad_kind(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         with pytest.raises(IndexError):
@@ -717,7 +715,7 @@ class TestHeadCalls:
     runs one head call over the rows it computed, whatever the kinds."""
 
     def test_warm_classify_runs_no_head(self, trained, acm, tmp_path, head_calls):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         nodes = acm.split.test[:12]
@@ -732,7 +730,7 @@ class TestHeadCalls:
     def test_one_head_call_per_flushed_batch(
         self, trained, acm, tmp_path, head_calls, kind
     ):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path, max_batch_size=4)
         nodes = [int(node) for node in acm.split.test[:10]]
@@ -748,7 +746,7 @@ class TestHeadCalls:
     def test_cache_smaller_than_the_batch(self, trained, acm, tmp_path):
         """A batch answers from its own rows, not by reading the cache back
         (which has evicted all but one of them)."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         nodes = acm.split.test[:4]
         tiny = fresh_acm_server(
@@ -799,7 +797,7 @@ class TestMutationInvalidation:
         """A write drops exactly the entries whose read set meets its
         sources; an unrelated resident entry survives the version bump
         *and* is still the right answer."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         nodes = [int(node) for node in acm.split.test[:6]]
@@ -831,7 +829,7 @@ class TestMutationInvalidation:
         assert server.cache.hits == hits_before + len(survivors)
 
     def test_stale_reads_impossible_after_bump(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         node = int(acm.split.test[0])
@@ -848,7 +846,7 @@ class TestMutationInvalidation:
         Both servers see byte-identical graphs at the same version, so the
         deterministic serving path must produce identical predictions —
         proving the first server retained nothing stale."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         nodes = np.concatenate([acm.split.test[:10]])
 
@@ -866,7 +864,7 @@ class TestMutationInvalidation:
     def test_a_stale_label_goes_with_its_embedding(self, trained, acm, tmp_path):
         """A write that stales a resident node drops the whole answer: the
         next classify recomputes it and equals a cold server's label."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         node = int(acm.split.test[0])  # _mutate wires an edge into it
         warm = fresh_acm_server(path)
@@ -882,7 +880,7 @@ class TestMutationInvalidation:
         np.testing.assert_array_equal(reply["values"], cold.classify([node]))
 
     def test_new_node_is_immediately_servable(self, trained, acm, tmp_path):
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         new_id = self._mutate(server, acm)
@@ -894,7 +892,7 @@ class TestMutationInvalidation:
         """The recomputed embedding actually depends on the mutated graph:
         wiring a hub of new edges into a node changes its neighborhood and
         therefore (generically) its embedding."""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         server = fresh_acm_server(path)
         node = int(acm.split.test[0])
@@ -918,7 +916,7 @@ class TestReplayComparison:
         runs one head per request; a warm pass of the same trace answers
         every node from the cache with no compute batch and no head call.
         (Wall time is the benchmark's to compare.)"""
-        path = tmp_path / "widen.npz"
+        path = tmp_path / "widen.ckpt"
         trained.save(path)
         graph = make_acm(seed=0, scale=0.5).graph
         classifier = WidenClassifier.load(path, graph=graph)

@@ -34,7 +34,7 @@ def acm():
 def checkpoint(acm, tmp_path_factory):
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=0)
-    path = tmp_path_factory.mktemp("protocol") / "widen.npz"
+    path = tmp_path_factory.mktemp("protocol") / "widen.ckpt"
     model.save(path)
     return path
 

@@ -13,7 +13,6 @@ compares embeddings at ``ANSWER_TOLERANCE`` where the batch shapes differ.
 """
 
 import json
-import shutil
 from collections import Counter
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterRouter
 from repro.cluster.fleet import Fleet
+from repro.codec import ProtocolError, Record, publish, read_record
 from repro.core import WidenClassifier, serving_refusal
 from repro.datasets import make_acm
 from repro.obs import MetricsRegistry
@@ -50,7 +50,7 @@ def trained(acm):
 
 @pytest.fixture(scope="module")
 def checkpoint(trained, tmp_path_factory):
-    path = tmp_path_factory.mktemp("store-ckpt") / "widen.npz"
+    path = tmp_path_factory.mktemp("store-ckpt") / "widen.ckpt"
     trained.save(path)
     return path
 
@@ -64,6 +64,15 @@ def store_path(trained, acm, tmp_path_factory):
 
 def fresh_graph():
     return make_acm(seed=0, scale=0.5).graph
+
+
+def republished(store_path, path, **meta):
+    """A copy of the store at ``store_path`` at ``path``, its metadata
+    entries in ``meta`` replaced."""
+    payload = read_record(store_path, "store")
+    payload["meta"] = dict(payload["meta"], **meta)
+    publish(path, Record("store", payload))
+    return path
 
 
 def fresh_server(checkpoint, store_path=None, **kwargs):
@@ -137,56 +146,46 @@ class TestStoreRoundtrip:
             np.testing.assert_array_equal(reads[position], read_set)
 
     def test_open_refuses_a_directory_without_meta(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="is not a store directory"):
+        """A store is one file: any directory is refused, naming the
+        command that writes one."""
+        with pytest.raises(ValueError, match="is a directory.*store-build --out FILE"):
             AggregateStore.open(tmp_path)
 
     def test_open_refuses_newer_format(self, store_path, tmp_path):
-        copy = tmp_path / "newer"
-        shutil.copytree(store_path, copy)
-        meta = json.loads((copy / "meta.json").read_text())
-        meta["format_version"] = STORE_FORMAT_VERSION + 1
-        (copy / "meta.json").write_text(json.dumps(meta))
+        newer = republished(
+            store_path, tmp_path / "newer", format_version=STORE_FORMAT_VERSION + 1
+        )
         with pytest.raises(ValueError, match="newer"):
-            AggregateStore.open(copy)
+            AggregateStore.open(newer)
 
-    def test_format_v1_is_refused_naming_format_and_seed_scheme(
+    def test_a_v4_store_directory_is_refused_with_the_rebuild_command(
         self, checkpoint, store_path, tmp_path
     ):
-        """A v1 directory (no ``reads.npy``, rows sampled with the node
-        version in the rng seed) would serve *wrong* rows, not stale ones:
-        refused at open, and at attach for a v1 store that got in some
-        other way."""
-        old = tmp_path / "v1"
-        shutil.copytree(store_path, old)
-        (old / "reads.npy").unlink()
-        meta = json.loads((old / "meta.json").read_text())
-        meta["format_version"] = 1
-        (old / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=r"format v1.*\(seed, node version, node\)"):
+        """A v4 store was a directory of ``.npy`` tables and JSON metadata."""
+        old = tmp_path / "v4"
+        old.mkdir()
+        current = AggregateStore.open(store_path)
+        for name, table in (
+            ("embeddings", current.blocks_for(np.arange(current.num_rows))[0]),
+            ("versions", current.versions_of(np.arange(current.num_rows))),
+            ("reads", current.reads_of(np.arange(current.num_rows))),
+        ):
+            np.save(old / f"{name}.npy", table)
+        (old / "meta.json").write_text(json.dumps(dict(current.meta, format_version=4)))
+        with pytest.raises(ValueError, match="v4.*store-build --out FILE"):
             AggregateStore.open(old)
-
-        graph = fresh_graph()
-        classifier = WidenClassifier.load(checkpoint, graph=graph)
-        smuggled = AggregateStore.open(store_path)
-        smuggled.meta["format_version"] = 1
-        reason = smuggled.compatible_with(classifier, 7)
-        assert "format v1" in reason and "rng scheme" in reason
-        with pytest.raises(ValueError, match="format v1"):
-            InferenceServer(classifier, graph, seed=7, store=smuggled)
+        with pytest.raises(ValueError, match="is a directory"):
+            ClusterRouter(
+                str(checkpoint), fresh_graph(), 2, seed=7,
+                store_path=str(old),
+            )
 
     def test_format_v2_is_refused(self, checkpoint, store_path, tmp_path):
-        """A v2 directory's rows were drawn from per-node generator
-        streams: no keyed server re-samples to them, so it is refused by
-        format — at open, and at attach — naming the format and the draw
-        scheme."""
-        old = tmp_path / "v2"
-        shutil.copytree(store_path, old)
-        meta = json.loads((old / "meta.json").read_text())
-        meta["format_version"] = 2
-        (old / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(
-            ValueError, match=r"format v2.*one generator per node.*counter-keyed"
-        ):
+        """A store whose metadata names format v2 is refused by format —
+        at open, and at attach — naming the format and the rebuild
+        command."""
+        old = republished(store_path, tmp_path / "v2", format_version=2)
+        with pytest.raises(ValueError, match=r"format v2; this code reads v5.*store-build"):
             AggregateStore.open(old)
 
         graph = fresh_graph()
@@ -201,33 +200,30 @@ class TestStoreRoundtrip:
     def test_format_v3_is_refused_on_every_entry_point(
         self, checkpoint, store_path, tmp_path, monkeypatch
     ):
-        """A v3 directory held pack matrices (``rows.npy`` + ``lengths.npy``)
-        that nothing turns into answers any more: refused, with the rebuild
-        command, by ``open``, by the router before it spawns a worker, by
-        ``from_payload`` and at attach."""
+        """A v3 store was a directory holding pack matrices (``rows.npy`` +
+        ``lengths.npy``): refused, with the rebuild command, by ``open``,
+        by the router before it spawns a worker, by ``from_payload`` and at
+        attach."""
         current = AggregateStore.open(store_path)
         old = tmp_path / "v3"
         old.mkdir()
         np.save(old / "rows.npy", np.zeros((current.num_rows, 19, DIM)))
         np.save(old / "lengths.npy", np.ones((current.num_rows, 3), np.int64))
-        for name in ("versions.npy", "reads.npy"):
-            shutil.copy(store_path / name, old / name)
-        meta = dict(current.meta, format_version=3)
-        (old / "meta.json").write_text(json.dumps(meta))
-        refusal = r"format v3.*pack matrices.*not answers.*store-build"
-        with pytest.raises(ValueError, match=refusal):
+        (old / "meta.json").write_text(json.dumps(dict(current.meta, format_version=3)))
+        with pytest.raises(ValueError, match="is a directory.*store-build"):
             AggregateStore.open(old)
 
         def no_spawn(*args, **kwargs):
             raise AssertionError("a worker was spawned for a refused store")
 
         monkeypatch.setattr(Fleet, "bring_up", no_spawn)
-        with pytest.raises(ValueError, match=refusal):
+        with pytest.raises(ValueError, match="is a directory.*store-build"):
             ClusterRouter(
                 str(checkpoint), fresh_graph(), 2, transport="socket",
                 seed=7, store_path=str(old),
             )
 
+        refusal = r"format v3; this code reads v5.*store-build"
         payload = current.slice_payload([0, 1, 2])
         payload["meta"]["format_version"] = 3
         with pytest.raises(ValueError, match=refusal):
@@ -349,6 +345,60 @@ class TestStoreRoundtrip:
 # ----------------------------------------------------------------------
 # Serving equality: store tier vs recompute oracle
 # ----------------------------------------------------------------------
+
+
+class TestRebuildUnderReaders:
+    """A store is published whole by a rename, so a rebuild at the same
+    path reaches new readers only: an open store keeps the file it
+    mapped, its rows and its digest together."""
+
+    @pytest.fixture(scope="class")
+    def other(self, acm):
+        """Another model of the same geometry: same-shape rows, new values."""
+        model = WidenClassifier(seed=1, dim=16, num_wide=6, num_deep=5)
+        model.fit(acm.graph, acm.split.train[:40], epochs=1)
+        return model
+
+    def test_a_same_shape_rebuild_leaves_an_open_store_unchanged(
+        self, trained, other, acm, tmp_path
+    ):
+        path = tmp_path / "store"
+        build_store(trained, acm.graph, path, seed=7)
+        store = AggregateStore.open(path)
+        rows = store.blocks_for([7])[0].copy()
+        digest = store.meta["params_digest"]
+        assert digest == trained.params_digest() != other.params_digest()
+
+        build_store(other, acm.graph, path, seed=7)
+        np.testing.assert_array_equal(store.blocks_for([7])[0], rows)
+        assert store.meta["params_digest"] == digest
+        rebuilt = AggregateStore.open(path)
+        assert rebuilt.meta["params_digest"] == other.params_digest()
+        assert not np.array_equal(rebuilt.blocks_for([7])[0], rows)
+
+    def test_a_server_on_the_old_store_answers_the_same_after_a_rebuild(
+        self, trained, other, checkpoint, acm, tmp_path
+    ):
+        path = tmp_path / "store"
+        build_store(trained, acm.graph, path, seed=7)
+        server = fresh_server(checkpoint, path)
+        oracle = fresh_server(checkpoint)
+        nodes = probe_nodes(server.graph, 24)
+        first, second = nodes[:12], nodes[12:]
+        np.testing.assert_array_equal(server.embed(first), oracle.embed(first))
+
+        build_store(other, acm.graph, path, seed=7)
+        before = store_totals(server)
+        np.testing.assert_array_equal(server.embed(second), oracle.embed(second))
+        assert store_delta(server, before)["hit"] == second.size  # old rows served
+
+    def test_a_store_and_a_checkpoint_are_refused_as_each_other(
+        self, checkpoint, store_path
+    ):
+        with pytest.raises(ProtocolError, match="expected a checkpoint file, got a 'store'"):
+            WidenClassifier.load(store_path)
+        with pytest.raises(ProtocolError, match="expected a store file, got a 'checkpoint'"):
+            AggregateStore.open(checkpoint)
 
 
 class TestStoreServingEquality:

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.train import DistributedTrainer
+from repro.codec import Record, publish, read_record
 from repro.core import WidenClassifier
 from repro.core.train_loop import LocalTrainClient, TrainLoop, reduce_gradients
 from repro.datasets import make_acm
@@ -62,7 +63,7 @@ def acm():
 @pytest.fixture(scope="module")
 def base_checkpoint(acm, tmp_path_factory):
     """Zero-epoch checkpoint: the spawn seed every replica restores."""
-    path = tmp_path_factory.mktemp("train-base") / "base.npz"
+    path = tmp_path_factory.mktemp("train-base") / "base.ckpt"
     clf = WidenClassifier(seed=7)
     clf.fit(acm.graph, acm.split.train, epochs=0)
     clf.save(path)
@@ -71,7 +72,7 @@ def base_checkpoint(acm, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def gate_checkpoint(acm, tmp_path_factory):
-    path = tmp_path_factory.mktemp("train-gate") / "base.npz"
+    path = tmp_path_factory.mktemp("train-gate") / "base.ckpt"
     clf = WidenClassifier(seed=7, **GATE)
     clf.fit(acm.graph, acm.split.train, epochs=0)
     clf.save(path)
@@ -166,7 +167,7 @@ class TestMultiShardEquivalence:
             fleet.fit(acm.split.train, 2)
             fleet.save_checkpoints(tmp_path / "fleet")
         replicas = [
-            WidenClassifier.load(tmp_path / "fleet" / f"shard-{k}.npz")
+            WidenClassifier.load(tmp_path / "fleet" / f"shard-{k}.ckpt")
             for k in range(2)
         ]
         np.testing.assert_array_equal(
@@ -208,21 +209,33 @@ class TestElasticResume:
 
     def test_resume_refuses_a_format_1_manifest(self, acm, base_checkpoint, tmp_path):
         """A format-1 directory's shards hold rng and neighbor state for a
-        partition's owned nodes; resuming them under ``id % S`` would
-        silently diverge, so resume refuses the directory and says why."""
+        partition's owned nodes, in files this code does not read: resume
+        refuses the directory and names the command that starts over."""
         ckdir = tmp_path / "fleet"
         with DistributedTrainer(
             base_checkpoint, acm.graph, 2, transport="inline"
         ) as fleet:
             fleet.save_checkpoints(ckdir)
-        manifest_path = ckdir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["format"] == 2 and "partition_seed" not in manifest
-        manifest.update(format=1, partition_seed=3)
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="manifest format 1, not 2") as refused:
+        manifest = read_record(ckdir / "manifest", "manifest")
+        assert manifest["format"] == 3 and "partition_seed" not in manifest
+        publish(ckdir / "manifest", Record("manifest", dict(manifest, format=1)))
+        with pytest.raises(ValueError, match="manifest format 1, not 3") as refused:
             DistributedTrainer.resume(ckdir, acm.graph)
-        assert "id % num_shards" in str(refused.value)
+        assert "--checkpoint-out DIR" in str(refused.value)
+
+    def test_resume_refuses_a_format_2_manifest(self, acm, tmp_path):
+        """Format 2 wrote a JSON manifest beside zip shard files."""
+        ckdir = tmp_path / "fleet"
+        ckdir.mkdir()
+        (ckdir / "manifest.json").write_text(
+            json.dumps({"format": 2, "num_shards": 2, "epochs_done": 1})
+        )
+        with pytest.raises(
+            ValueError,
+            match="format 1 or 2 manifest.*python -m repro train <dataset> "
+            "--shards K --checkpoint-out DIR",
+        ):
+            DistributedTrainer.resume(ckdir, acm.graph)
 
     def test_resume_refuses_torn_directory(self, acm, base_checkpoint, tmp_path):
         ckdir = tmp_path / "fleet"
@@ -230,7 +243,7 @@ class TestElasticResume:
             base_checkpoint, acm.graph, 2, transport="inline"
         ) as fleet:
             fleet.save_checkpoints(ckdir)
-        (ckdir / "shard-1.npz").unlink()
+        (ckdir / "shard-1.ckpt").unlink()
         with pytest.raises(FileNotFoundError):
             DistributedTrainer.resume(ckdir, acm.graph)
 
@@ -279,7 +292,7 @@ class TestGuardsAndMetrics:
     def test_replace_mode_rejected(self, acm, tmp_path):
         clf = WidenClassifier(seed=7, embedding_mode="replace")
         clf.fit(acm.graph, acm.split.train, epochs=0)
-        path = tmp_path / "replace.npz"
+        path = tmp_path / "replace.ckpt"
         clf.save(path)
         with pytest.raises(ValueError, match="project"):
             DistributedTrainer(path, acm.graph, 2)

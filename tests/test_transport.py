@@ -22,7 +22,7 @@ from repro.cluster import (
     Reply,
     ShardError,
 )
-from repro.cluster.codec import ProtocolError, decode, encode
+from repro.codec import ProtocolError, decode, encode
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
@@ -41,7 +41,7 @@ def checkpoint(acm, tmp_path_factory):
     """A two-step-walk model: cheap enough to rebuild per socket worker process."""
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=1)
-    path = tmp_path_factory.mktemp("transport") / "widen.npz"
+    path = tmp_path_factory.mktemp("transport") / "widen.ckpt"
     model.save(path)
     return path
 

@@ -1,4 +1,4 @@
-"""Hostile frames: the wire codec refuses them, all with one error.
+"""Hostile frames and files: the codec refuses them, all with one error.
 
 Every malformed frame — truncated at any byte, a garbage or oversize
 length, a header that is not UTF-8 or not JSON, an unknown envelope kind,
@@ -10,6 +10,8 @@ the frame cap).  Frames of at least ``GATHER_MIN_BYTES``, which a socket reads b
 buffer into fresh arrays, are attacked over a socketpair the same way:
 each ends in ``ProtocolError`` or, when the peer cut the frame,
 ``ConnectionResetError``, without allocating past the frame's size.
+The files the package writes — a checkpoint and a store, each one record
+frame — are attacked the same way: cut at every byte, or a byte flipped.
 The properties are derandomized and sized for tier-1;
 ``--hypothesis-profile=wire-fuzz`` (``tests/conftest.py``) runs each with
 5,000 examples.
@@ -29,10 +31,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cluster.codec import (
+from repro.codec import (
     MAX_DEPTH,
     Envelope,
     ProtocolError,
+    Record,
     Reply,
     decode,
     encode,
@@ -45,6 +48,9 @@ from repro.cluster.net import (
     recv_message,
 )
 from repro.cluster.transport import WIRE_KINDS
+from repro.core import WidenClassifier
+from repro.datasets import make_acm
+from repro.store import build_store
 
 fuzz = settings(derandomize=True, deadline=None)
 
@@ -391,6 +397,48 @@ class TestDecodeRefuses:
             decode(frame, type(message), WIRE_KINDS)
         except ProtocolError:
             pass
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """``{kind: frame}`` of the files the package writes: a checkpoint and
+    a store, written by their real writers from a tiny model."""
+    root = tmp_path_factory.mktemp("files")
+    acm = make_acm(seed=0, scale=0.2)
+    model = WidenClassifier(seed=0, dim=4, num_wide=2, num_deep=2, num_deep_walks=1)
+    model.fit(acm.graph, acm.split.train[:4], epochs=1)
+    model.save(root / "checkpoint")
+    build_store(model, acm.graph, root / "store", seed=0)
+    return {kind: bytearray((root / kind).read_bytes()) for kind in ("checkpoint", "store")}
+
+
+class TestFiles:
+    def test_a_file_round_trips(self, files):
+        for kind, frame in files.items():
+            assert decode(frame, Record, (kind,)).kind == kind
+
+    def test_a_file_truncated_at_every_byte_is_refused(self, files):
+        for kind, frame in files.items():
+            for cut in range(len(frame)):
+                with pytest.raises(ProtocolError):
+                    decode(frame[:cut], Record, (kind,))
+
+    @fuzz
+    @given(data=st.data())
+    def test_a_flipped_byte_in_a_file_decodes_or_is_refused(self, files, data):
+        kind = data.draw(st.sampled_from(sorted(files)))
+        frame = bytearray(files[kind])
+        at = data.draw(st.integers(0, len(frame) - 1))
+        frame[at] ^= data.draw(st.integers(1, 255))
+        try:
+            decode(frame, Record, (kind,))
+        except ProtocolError:
+            pass
+
+    def test_a_file_of_another_kind_is_refused(self, files):
+        error = refused(files["store"], Record, ("checkpoint",))
+        assert "expected a checkpoint file, got a 'store' file" in str(error)
+        refused(files["checkpoint"], Envelope)
 
 
 class TestLengthPrefix:
