@@ -18,6 +18,12 @@ makes the real datasets learnable:
 
 Degree sequences are right-skewed (lognormal), matching the sparsity profile
 the paper highlights (user-item graphs with average degree below 5).
+
+**Draw order is the contract** every pinned digest and store row rests on:
+the functions below make the RNG calls of the per-node loops kept in
+``tests/helpers.py``, in their order, and no other work per node.
+``integers`` stays per node: its bound follows the node's class and its
+calls interleave with ``random``.
 """
 
 from __future__ import annotations
@@ -151,30 +157,32 @@ def _wire_edges(
     raw = rng.lognormal(mean=0.0, sigma=config.degree_sigma, size=src_ids.size)
     degrees = np.maximum(1, np.round(raw * spec.mean_degree / raw.mean())).astype(int)
 
-    # Bucket destination candidates by affinity class for homophilous wiring.
-    buckets = [dst_ids[affinity[dst_ids] == c] for c in range(config.num_classes)]
+    # Destinations bucketed by affinity class, then all of them (the last).
+    buckets = [dst_ids[affinity[dst_ids] == c] for c in range(config.num_classes)] + [dst_ids]
     homophily = config.homophily if spec.homophily is None else spec.homophily
-    src_list: List[np.ndarray] = []
-    dst_list: List[np.ndarray] = []
-    for node, degree in zip(src_ids, degrees):
-        if spec.homophilous:
-            same = buckets[affinity[node]]
-            use_same = rng.random(degree) < homophily
-            n_same = int(use_same.sum())
-            picks = []
-            if n_same and same.size:
-                picks.append(same[rng.integers(same.size, size=n_same)])
-            n_any = degree - (len(picks[0]) if picks else 0)
-            if n_any:
-                picks.append(dst_ids[rng.integers(dst_ids.size, size=n_any)])
-            chosen = np.concatenate(picks)
-        else:
-            chosen = dst_ids[rng.integers(dst_ids.size, size=degree)]
-        chosen = chosen[chosen != node]  # drop accidental self-loops (same-type edges)
-        src_list.append(np.full(chosen.size, node, dtype=np.int64))
-        dst_list.append(chosen)
-    src = np.concatenate(src_list)
-    dst = np.concatenate(dst_list)
+    classes = affinity[src_ids]
+    # Per node only the draws: indices into its class bucket (the first
+    # ``taken[i]``), then into ``dst_ids``.
+    picks, taken, pos = np.empty(int(degrees.sum()), np.int64), [], 0
+    for degree, cls in zip(degrees.tolist(), classes.tolist()):
+        n_same = np.count_nonzero(rng.random(degree) < homophily) if spec.homophilous else 0
+        if n_same and buckets[cls].size:
+            picks[pos : pos + n_same] = rng.integers(buckets[cls].size, size=n_same)
+        else:  # an empty bucket hands its share to the uniform draw
+            n_same = 0
+        if degree > n_same:
+            picks[pos + n_same : pos + degree] = rng.integers(dst_ids.size, size=degree - n_same)
+        taken.append(n_same)
+        pos += degree
+    bucket_of = np.repeat(
+        np.stack([classes, np.full_like(classes, config.num_classes)], axis=1).ravel(),
+        np.stack([taken, degrees - taken], axis=1).ravel(),
+    )
+    src = np.repeat(src_ids, degrees)
+    starts = np.cumsum([0] + [bucket.size for bucket in buckets])
+    dst = np.concatenate(buckets)[starts[bucket_of] + picks]
+    keep = src != dst  # drop accidental self-loops (same-type edges)
+    src, dst = src[keep], dst[keep]
     # Deduplicate (and sort) the (src, dst) pairs so parallel edges do not
     # accumulate.
     pair_key = src * (affinity.size + 1) + dst
@@ -189,7 +197,6 @@ def _make_features(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Class-correlated features: bag-of-words counts or dense vectors."""
-    num_nodes = affinity.size
     # One topic per class: a Dirichlet sharpened on a class-specific block of
     # the vocabulary, so topics overlap partially (classification is not
     # trivially separable from features alone).
@@ -201,23 +208,20 @@ def _make_features(
     topics = np.stack([rng.dirichlet(concentration[c]) for c in range(config.num_classes)])
     uniform = np.full(config.num_features, 1.0 / config.num_features)
 
-    features = np.zeros((num_nodes, config.num_features))
+    features = np.zeros((affinity.size, config.num_features))
     for type_name, ids in id_ranges.items():
-        is_primary = type_name == config.primary_type
-        signal = 1.0 if is_primary else config.secondary_feature_signal
-        for node in ids:
-            topic = signal * topics[affinity[node]] + (1.0 - signal) * uniform
-            mixed = (1.0 - config.feature_noise) * topic + config.feature_noise * uniform
-            if config.feature_style == "bow":
-                counts = rng.multinomial(config.tokens_per_node, mixed)
-                features[node] = counts
-            else:
-                # Dense word2vec-like: topic embedding + Gaussian noise.
-                features[node] = mixed * config.num_features + rng.normal(
-                    0.0, config.feature_noise * 3.0, size=config.num_features
-                )
-    if config.feature_style == "bow":
-        # Row-normalize counts to frequencies (the common preprocessing).
-        totals = features.sum(axis=1, keepdims=True)
-        features = features / np.maximum(totals, 1.0)
+        signal = 1.0 if type_name == config.primary_type else config.secondary_feature_signal
+        # Each node's mixture is its class's row: one row per class, gathered.
+        topic = signal * topics + (1.0 - signal) * uniform
+        mixed = (1.0 - config.feature_noise) * topic + config.feature_noise * uniform
+        rows = mixed[affinity[ids]]
+        if config.feature_style == "bow":
+            # Counts, row-normalized to frequencies (the common preprocessing).
+            counts = rng.multinomial(config.tokens_per_node, rows)
+            features[ids] = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+        else:
+            # Dense word2vec-like: topic embedding + Gaussian noise.
+            features[ids] = rows * config.num_features + rng.normal(
+                0.0, config.feature_noise * 3.0, size=rows.shape
+            )
     return features

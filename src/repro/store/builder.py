@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.classifier import serving_refusal
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
-from repro.store.store import AggregateStore, store_geometry
+from repro.store.store import AggregateStore, refuse_directory, store_geometry
 
 
 def build_store(
@@ -51,6 +51,7 @@ def build_store(
     reason = serving_refusal(classifier)
     if reason is not None:
         raise ValueError(f"cannot build a store for this classifier: {reason}")
+    refuse_directory(out_path)
     config = classifier.config
     node_list = np.arange(graph.num_nodes, dtype=np.int64)
     meta = {

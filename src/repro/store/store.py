@@ -61,6 +61,16 @@ from repro.utils import owned
 STORE_FORMAT_VERSION = 5
 
 
+def refuse_directory(path) -> None:
+    """A store is one file: refuse a directory before any work is done."""
+    if os.path.isdir(path):
+        raise ValueError(
+            f"store {str(path)!r} is a directory, the layout of store "
+            f"formats before v{STORE_FORMAT_VERSION}; this code reads one "
+            "file — rebuild it with `python -m repro store-build --out FILE`"
+        )
+
+
 def store_geometry(config) -> Dict[str, object]:
     """The meta entries a store records from a classifier's config, which
     the serving classifier's geometry must match exactly."""
@@ -308,6 +318,7 @@ class AggregateStore:
     ) -> "AggregateStore":
         """Publish a dense full-graph store file at ``path`` and return it
         opened (mapped)."""
+        refuse_directory(path)
         publish(path, Record("store", {
             "meta": dict(meta, format_version=STORE_FORMAT_VERSION),
             "embeddings": embeddings,
@@ -320,12 +331,7 @@ class AggregateStore:
     def open(cls, path) -> "AggregateStore":
         """Open a store file; its tables are copy-on-write views of the
         file's mapping (:func:`repro.codec.read_record`)."""
-        if os.path.isdir(path):
-            raise ValueError(
-                f"store {str(path)!r} is a directory, the layout of store "
-                f"formats before v{STORE_FORMAT_VERSION}; this code reads one "
-                "file — rebuild it with `python -m repro store-build --out FILE`"
-            )
+        refuse_directory(path)
         payload = read_record(path, "store")
         reason = _format_refusal(payload["meta"], f"store {str(path)!r}")
         if reason is not None:

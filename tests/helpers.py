@@ -2,18 +2,20 @@
 forward reference, the per-state downsampling-trigger reference, the
 per-pair walk-context loss reference, the per-node HGT reference, the
 store-lookup totals a serving test reads around a call, a payload's
-trip through the wire codec, a partition's edge cut and a linear probe
-on frozen embeddings."""
+trip through the wire codec, a partition's edge cut, a linear probe
+on frozen embeddings and the per-node synthetic-graph generator."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
+import pytest
 
 from repro.codec import Envelope, decode, encode
 from repro.core.packing import AttentionGrid
 from repro.core.relay import prune_deep, shrink_wide
+from repro.datasets import synthetic
 from repro.nn import Linear
 from repro.optim import Adam
 from repro.serve.loadgen import series_totals
@@ -362,3 +364,88 @@ def fit_classifier_probe(
     with no_grad():
         predictions = probe(Tensor(test_embeddings)).data.argmax(axis=1)
     return float((predictions == np.asarray(test_labels)).mean())
+
+
+def per_node_wire_edges(spec, src_ids, dst_ids, affinity, config, rng, cases: Optional[Set[str]] = None):
+    """The per-source-node ``synthetic._wire_edges`` the batched one replaced.
+
+    It makes the same RNG calls in the same order, so the two must agree
+    bit for bit and leave the generator in the same state.  ``cases``, when
+    given, collects which branches ran: ``"empty_bucket"`` (a node drew
+    same-class picks but its class has no destination of this type) and
+    ``"self_loop"`` (a homophilous draw was dropped as a self-loop).
+    """
+    raw = rng.lognormal(mean=0.0, sigma=config.degree_sigma, size=src_ids.size)
+    degrees = np.maximum(1, np.round(raw * spec.mean_degree / raw.mean())).astype(int)
+    buckets = [dst_ids[affinity[dst_ids] == c] for c in range(config.num_classes)]
+    homophily = config.homophily if spec.homophily is None else spec.homophily
+    src_list: List[np.ndarray] = []
+    dst_list: List[np.ndarray] = []
+    for node, degree in zip(src_ids, degrees):
+        if spec.homophilous:
+            same = buckets[affinity[node]]
+            use_same = rng.random(degree) < homophily
+            n_same = int(use_same.sum())
+            picks = []
+            if n_same and same.size:
+                picks.append(same[rng.integers(same.size, size=n_same)])
+            elif n_same and cases is not None:
+                cases.add("empty_bucket")
+            n_any = degree - (len(picks[0]) if picks else 0)
+            if n_any:
+                picks.append(dst_ids[rng.integers(dst_ids.size, size=n_any)])
+            chosen = np.concatenate(picks)
+        else:
+            chosen = dst_ids[rng.integers(dst_ids.size, size=degree)]
+        if cases is not None and spec.homophilous and (chosen == node).any():
+            cases.add("self_loop")
+        chosen = chosen[chosen != node]
+        src_list.append(np.full(chosen.size, node, dtype=np.int64))
+        dst_list.append(chosen)
+    src = np.concatenate(src_list)
+    dst = np.concatenate(dst_list)
+    pair_key = src * (affinity.size + 1) + dst
+    _, unique_index = np.unique(pair_key, return_index=True)
+    return src[unique_index], dst[unique_index]
+
+
+def per_node_make_features(config, id_ranges: Dict[str, np.ndarray], affinity, rng) -> np.ndarray:
+    """The per-node ``synthetic._make_features`` the batched one replaced:
+    one ``multinomial`` or ``normal`` call per node, in id order."""
+    num_nodes = affinity.size
+    concentration = np.ones((config.num_classes, config.num_features))
+    block = config.num_features // config.num_classes
+    for c in range(config.num_classes):
+        start = c * block
+        concentration[c, start : start + block] += config.topic_sharpness
+    topics = np.stack([rng.dirichlet(concentration[c]) for c in range(config.num_classes)])
+    uniform = np.full(config.num_features, 1.0 / config.num_features)
+    features = np.zeros((num_nodes, config.num_features))
+    for type_name, ids in id_ranges.items():
+        is_primary = type_name == config.primary_type
+        signal = 1.0 if is_primary else config.secondary_feature_signal
+        for node in ids:
+            topic = signal * topics[affinity[node]] + (1.0 - signal) * uniform
+            mixed = (1.0 - config.feature_noise) * topic + config.feature_noise * uniform
+            if config.feature_style == "bow":
+                features[node] = rng.multinomial(config.tokens_per_node, mixed)
+            else:
+                features[node] = mixed * config.num_features + rng.normal(
+                    0.0, config.feature_noise * 3.0, size=config.num_features
+                )
+    if config.feature_style == "bow":
+        totals = features.sum(axis=1, keepdims=True)
+        features = features / np.maximum(totals, 1.0)
+    return features
+
+
+def per_node_graph(config, rng, cases: Optional[Set[str]] = None):
+    """``generate_heterogeneous_graph`` run over the two per-node references."""
+
+    def wire(*args):
+        return per_node_wire_edges(*args, cases=cases)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthetic, "_wire_edges", wire)
+        patch.setattr(synthetic, "_make_features", per_node_make_features)
+        return synthetic.generate_heterogeneous_graph(config, seed=rng)

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets import (
     DATASETS,
@@ -17,6 +18,7 @@ from repro.datasets import (
     make_yelp,
 )
 from repro.datasets.synthetic import EdgeSpec, SchemaConfig, generate_heterogeneous_graph
+from tests.helpers import per_node_graph
 
 
 class TestSchemaConfig:
@@ -132,6 +134,81 @@ class TestGenerator:
         assert degrees.max() > 2 * np.median(degrees)
 
 
+NAMES = ("a", "b", "c")
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def schemas(draw):
+    """Small schemas whose draws reach every branch of the generator: types
+    of 1-4 nodes against up to 4 classes leave some class without a
+    destination, and same-type edges meet their own source."""
+    names = NAMES[: draw(st.integers(1, len(NAMES)))]
+    edges = [
+        EdgeSpec(
+            f"e{index}",
+            draw(st.sampled_from(names)),
+            draw(st.sampled_from(names)),
+            mean_degree=draw(st.floats(0.5, 4.0)),
+            homophilous=draw(st.booleans()),
+            homophily=draw(st.none() | UNIT),
+        )
+        for index in range(draw(st.integers(1, 3)))
+    ]
+    return SchemaConfig(
+        name="drawn",
+        node_counts={name: draw(st.integers(1, 4)) for name in names},
+        primary_type=draw(st.sampled_from(names)),
+        num_classes=draw(st.integers(2, 4)),
+        edges=edges,
+        num_features=draw(st.integers(1, 9)),
+        feature_style=draw(st.sampled_from(["bow", "dense"])),
+        tokens_per_node=draw(st.integers(1, 30)),
+        topic_sharpness=draw(st.floats(0.0, 8.0)),
+        homophily=draw(UNIT),
+        feature_noise=draw(UNIT),
+        secondary_feature_signal=draw(st.sampled_from([1.0, 0.0]) | UNIT),
+        degree_sigma=draw(st.floats(0.0, 1.5)),
+    )
+
+
+def test_generator_matches_the_per_node_reference_draw_for_draw():
+    """The batched ``_wire_edges`` / ``_make_features`` make the per-node
+    loops' RNG calls in the same order: the same CSR arrays, features and
+    labels bit for bit, and the generator left in the same state.  The
+    draws must reach every branch the batching folds away."""
+    reached = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(config=schemas(), seed=st.integers(0, 2**32 - 1))
+    def check(config, seed):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        graph, ranges = generate_heterogeneous_graph(config, seed=rng)
+        want, want_ranges = per_node_graph(config, reference_rng, cases=reached)
+        for name in ("indptr", "indices", "edge_type_of", "features", "labels", "node_types"):
+            np.testing.assert_array_equal(getattr(graph, name), getattr(want, name))
+            assert getattr(graph, name).dtype == getattr(want, name).dtype, name
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert ranges.keys() == want_ranges.keys()
+        reached.update(
+            case
+            for case, hit in (
+                ("homophilous", any(spec.homophilous for spec in config.edges)),
+                ("non_homophilous", not all(spec.homophilous for spec in config.edges)),
+                ("edge_homophily", any(spec.homophily is not None for spec in config.edges)),
+                ("weak_secondary", len(ranges) > 1 and config.secondary_feature_signal < 1),
+                (config.feature_style, True),
+            )
+            if hit
+        )
+
+    check()
+    assert reached == {
+        "homophilous", "non_homophilous", "edge_homophily", "weak_secondary",
+        "bow", "dense", "empty_bucket", "self_loop",
+    }
+
+
 class TestCatalog:
     @pytest.mark.parametrize("name", sorted(DATASETS))
     def test_factories_produce_valid_datasets(self, name):
@@ -172,12 +249,16 @@ class TestCatalog:
         [
             (make_yelp, 3, 1.0, "98332f55f3fc4b80"),
             (make_acm, 0, 0.3, "8406ecbbb524ed3a"),
+            (make_yelp, 0, 6.5, "9abd4675b13fd5bd"),
+            (make_dblp, 0, 0.5, "8c863475e6558bf1"),
         ],
-        ids=["yelp", "acm"],
+        ids=["yelp", "acm", "yelp_bench", "dblp_bow"],
     )
     def test_generated_graphs_are_pinned(self, make, seed, scale, want):
         """Every digest, pinned loss and store row downstream is a function
-        of these arrays; the sha256 prefixes were taken at 09253de."""
+        of these arrays; the sha256 prefixes of the first two were taken at
+        09253de, of ``yelp_bench`` (the benchmark's graph) and ``dblp_bow``
+        at 2fe63de, before the per-node generator loops were batched."""
         graph = make(seed, scale=scale).graph
         digest = hashlib.sha256()
         for name in (

@@ -151,6 +151,39 @@ class TestStoreRoundtrip:
         with pytest.raises(ValueError, match="is a directory.*store-build --out FILE"):
             AggregateStore.open(tmp_path)
 
+    def test_build_and_create_refuse_a_directory_before_any_work(
+        self, trained, acm, store_path, tmp_path, monkeypatch
+    ):
+        """A store built over a directory (``store-build``'s default
+        ``--out store`` beside an old one) is refused before the first row
+        is materialized, with ``open``'s message; the directory keeps its
+        contents and no staging file is left beside it."""
+        target = tmp_path / "store"
+        target.mkdir()
+        (target / "meta.json").write_text("{}")
+        calls = []
+        real = WidenClassifier.materialize_store_rows
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WidenClassifier, "materialize_store_rows", spy)
+        refusal = "is a directory.*store-build --out FILE"
+        with pytest.raises(ValueError, match=refusal):
+            build_store(trained, acm.graph, target, seed=7)
+        assert calls == []
+        current = AggregateStore.open(store_path)
+        rows = np.arange(current.num_rows)
+        with pytest.raises(ValueError, match=refusal):
+            AggregateStore.create(
+                target, meta=current.meta, embeddings=current.blocks_for(rows)[0],
+                versions=current.versions_of(rows), reads=current.reads_of(rows),
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert [p.name for p in target.iterdir()] == ["meta.json"]
+        assert (target / "meta.json").read_text() == "{}"
+
     def test_open_refuses_newer_format(self, store_path, tmp_path):
         newer = republished(
             store_path, tmp_path / "newer", format_version=STORE_FORMAT_VERSION + 1
