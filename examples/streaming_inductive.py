@@ -25,7 +25,7 @@ from repro.baselines import GCN, Node2Vec
 from repro.core import WidenClassifier
 from repro.datasets import make_inductive_split, make_yelp
 from repro.eval import micro_f1
-from repro.serve import InferenceServer, ModelRegistry, format_report, replay
+from repro.serve import RUNGS, InferenceServer, ModelRegistry
 
 
 def main() -> None:
@@ -74,16 +74,20 @@ def main() -> None:
                     np.array([old_to_serving[int(neighbor)]]),
                 )
 
-        # Request every newcomer the moment they are all in (one op), then
-        # read the labels back: the op cached every answer.
+        # Request every newcomer the moment they are all in: one op, whose
+        # reply carries the labels, the rung that served each node and the
+        # op's critical path.
         serving_ids = old_to_serving[split.holdout]
-        burst = replay(server, serving_ids, serving_ids.size)
-        predictions = server.classify(serving_ids)
+        burst = server.replay(serving_ids)
+        predictions = burst["values"]
         print(f"streamed in {split.holdout.size} businesses "
               f"({server.graph.version} graph mutations)")
         print(f"micro-F1 on unseen businesses: {micro_f1(labels, predictions):.4f}")
-        print()
-        print(format_report(burst, "serving telemetry"))
+        rungs = np.bincount(burst["rungs"], minlength=len(RUNGS))
+        print(f"served as one op of {serving_ids.size} nodes: "
+              + " / ".join(f"{r} {n}" for r, n in zip(RUNGS, rungs) if n)
+              + f" in {(burst['queue_wait'] + burst['compute']) * 1e3:.1f} ms "
+              "(queue wait + compute)")
 
     print("\n-- GCN (transductive by design) --")
     gcn = GCN(seed=0)

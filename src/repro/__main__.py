@@ -8,24 +8,21 @@ Commands
     Train WIDEN on a dataset and report test micro-F1.
 ``compare [dataset] [--epochs N]``
     Train WIDEN and every baseline on a dataset; print a leaderboard.
-``serve-bench [dataset] [--requests N] [--group G] ...``
-    Train WIDEN, checkpoint it through the model registry, restore it into
-    an :class:`~repro.serve.InferenceServer`, send a deterministic Zipf
-    trace through it as ``--group``-node ops timed on the wall clock, and
-    print a latency/throughput report: cold single-request baseline vs.
-    the batched server (cold cache) vs. the batched server (warm cache).
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
     Train WIDEN, serve the graph from K shards — full replicas, shard
     ``n % K`` owning node ``n`` (:mod:`repro.cluster`) — and send a
     deterministic Zipf trace through the scatter-gather router as
     ``--group``-node ``embed`` ops, two passes (cold cache, then warm),
     with distributed tracing and SLO monitoring on (:mod:`repro.obs.dist`
-    / :mod:`repro.obs.slo`).  Prints the shard plan, the attribution
-    (queue-wait vs compute on the critical path, serving-ladder rung mix)
-    and the SLO report, and writes a stitched Chrome/Perfetto trace with
-    router and per-shard process lanes (``--dist-trace-out``), the SLO
-    report with error budget and slow-request exemplars (``--slo-out``)
-    and one attribution record per op as JSONL (``--attribution-out``).
+    / :mod:`repro.obs.slo`).  ``--shards 1 --transport inline`` is one
+    :class:`~repro.serve.InferenceServer` behind the router.  Prints the
+    shard plan, the attribution (queue-wait vs compute on the critical
+    path, serving-ladder rung mix per pass, store lookups by outcome with
+    ``--store``) and the SLO report, and writes a stitched
+    Chrome/Perfetto trace with router and per-shard process lanes
+    (``--dist-trace-out``), the SLO report with error budget and
+    slow-request exemplars (``--slo-out``) and one attribution record per
+    op as JSONL (``--attribution-out``).
     Non-zero exit if any op's rung counts fail to sum to its node count.
     ``--transport`` selects the shard boundary: ``inline`` (default) or
     ``socket`` (one TCP worker process per shard, rebuilt from the
@@ -45,19 +42,19 @@ Commands
     Materialize every node's serving embedding into a versioned
     one-file store (:mod:`repro.store`).  Loads ``--checkpoint`` when
     given, otherwise trains first (same seed/epochs defaults as
-    ``serve-bench``, so the two line up without a checkpoint file).
-    ``serve-bench --store FILE`` and ``serve-cluster --store FILE`` then
-    serve cache misses from the store — one gather, no model code —
-    falling back to full recompute for stale/absent rows.
+    ``serve-cluster``, so the two line up without a checkpoint file).
+    ``serve-cluster --store FILE`` then serves cache misses from the
+    store — one gather, no model code — falling back to full recompute
+    for stale/absent rows.
 ``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
     Train WIDEN under the :mod:`repro.obs` instrumentation: prints an
     op-level time/FLOP table and the per-epoch message-volume series, and
     writes a Chrome-loadable ``trace.json`` plus a ``metrics.jsonl`` with
     per-epoch loss/F1/message-volume/KL-trigger series.
 
-``train`` and ``serve-bench`` additionally accept ``--metrics-out FILE`` to
-dump the shared metrics registry as JSONL after the run.  ``serve-bench``
-and ``serve-cluster`` accept ``--metrics-port P`` to expose a live
+``train``, ``store-build`` and ``serve-cluster`` additionally accept
+``--metrics-out FILE`` to dump the shared metrics registry as JSONL after
+the run.  ``serve-cluster`` accepts ``--metrics-port P`` to expose a live
 Prometheus ``/metrics`` endpoint for the duration of the run (port 0
 picks a free port).
 """
@@ -174,11 +171,18 @@ def _write_prometheus(fleet, path: str) -> None:
     print(f"wrote {lines} Prometheus samples to {path}")
 
 
-def _maybe_dump_metrics(args: argparse.Namespace) -> None:
+def _maybe_dump_metrics(args: argparse.Namespace, fleet=None) -> None:
+    """``--metrics-out``: the shared registry as JSONL, merged with
+    ``fleet``'s shard-labeled series when one is given."""
     if getattr(args, "metrics_out", None):
         from repro.obs import get_registry
 
-        count = get_registry().dump_jsonl(args.metrics_out)
+        registry = get_registry()
+        if fleet is not None:
+            merged = fleet.merged_registry()
+            merged.merge_payload(registry.to_payload())
+            registry = merged
+        count = registry.dump_jsonl(args.metrics_out)
         print(f"wrote {count} metric records to {args.metrics_out}")
 
 
@@ -286,7 +290,13 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
     from repro.datasets import make_dataset
     from repro.obs import get_registry
     from repro.store import build_store
+    from repro.store.store import refuse_directory
 
+    try:
+        refuse_directory(args.out)  # before any training or loading
+    except ValueError as error:
+        print(f"repro store-build: error: {error}", file=sys.stderr)
+        return 2
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     if args.checkpoint:
         print(f"loading checkpoint {args.checkpoint} ...")
@@ -310,78 +320,13 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.datasets import make_dataset
-    from repro.serve import (
-        InferenceServer, ModelRegistry, cold_single_requests, format_report,
-        make_trace, replay,
-    )
-
-    dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
-    print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
-    model = _train_widen(args, dataset)
-
-    # Round-trip through the registry: the served model is restored from its
-    # checkpoint exactly as a real serving process would be.
-    with tempfile.TemporaryDirectory(prefix="repro-registry-") as root:
-        registry = ModelRegistry(root)
-        registry.save(f"widen-{dataset.name}", model)
-        served = registry.load(f"widen-{dataset.name}", graph=dataset.graph)
-
-        pool = dataset.split.test
-        trace = make_trace(
-            pool, args.requests, zipf_exponent=args.zipf, rng=args.seed
-        )
-        print(f"trace: {trace.size} requests as ops of {args.group} "
-              f"({np.unique(trace).size} distinct of "
-              f"{pool.size} servable nodes, zipf s={args.zipf})\n")
-
-        cold = cold_single_requests(served, dataset.graph, trace, seed=args.seed)
-        print(format_report(
-            cold, "cold single-request baseline (no batching, no cache)"))
-        print()
-
-        store = None
-        if args.store:
-            from repro.store import AggregateStore
-
-            store = AggregateStore.open(args.store)
-            print(f"store: {store.num_rows} materialized rows from "
-                  f"{args.store} (digest {store.meta['params_digest']})\n")
-        server = InferenceServer(
-            served, dataset.graph,
-            max_batch_size=args.batch_size,
-            cache_capacity=args.cache_capacity, seed=args.seed,
-            store=store,
-        )
-        # The endpoint renders the server's snapshot — registry series
-        # plus the cache node-hit histogram and store gauges.
-        with _maybe_serve_metrics(args, server.render_prometheus):
-            print(format_report(
-                replay(server, trace, args.group),
-                "server, first pass (cold cache)"))
-            warm = replay(server, trace, args.group)
-            print()
-            print(format_report(warm, "server, replayed pass (warm cache)"))
-        # Per node: a warm op answers --group nodes, a cold one answers one.
-        warm_s, cold_s = 1 / warm["throughput_rps"], 1 / cold["throughput_rps"]
-        speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-        print(f"\nwarm-cache mean latency per node is {speedup:.1f}x lower "
-              f"than the cold single-request baseline "
-              f"({warm_s * 1e3:.3f} ms vs {cold_s * 1e3:.3f} ms)")
-    _maybe_dump_metrics(args)
-    return 0
-
-
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     import json
     import tempfile
 
     from repro.cluster import ClusterRouter
     from repro.datasets import make_dataset
-    from repro.obs import SLOTarget
+    from repro.obs import RUNGS, SLOTarget
     from repro.serve import ModelRegistry, make_trace
 
     if args.smoke:
@@ -433,19 +378,18 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                 dataset.split.test, args.requests,
                 zipf_exponent=args.zipf, rng=args.seed,
             )
+            starts = range(0, nodes.size, args.group)
+            passes = []
             for _ in range(2):
-                for start in range(0, nodes.size, args.group):
+                for start in starts:
                     router.embed(nodes[start:start + args.group])
+                passes.append(router.attribution_records()[-len(starts):])
 
-            records = router.attribution_records()
+            records = passes[0] + passes[1]
             mismatched = sum(
                 1 for r in records if sum(r["rungs"].values()) != r["nodes"]
             )
             total_nodes = sum(r["nodes"] for r in records)
-            rung_totals: dict = {}
-            for record in records:
-                for rung, count in record["rungs"].items():
-                    rung_totals[rung] = rung_totals.get(rung, 0) + count
             queue_mean = (
                 sum(r["queue_wait_s"] for r in records) / len(records)
                 if records else 0.0
@@ -456,8 +400,20 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             )
             print(f"\nattribution: {len(records)} requests, {total_nodes} nodes "
                   f"({mismatched} rung-count mismatches)")
-            print("rung mix          "
-                  + " / ".join(f"{k} {v}" for k, v in sorted(rung_totals.items())))
+            for name, served in zip(("cold", "warm"), passes):
+                mix = {
+                    rung: sum(r["rungs"].get(rung, 0) for r in served)
+                    for rung in RUNGS
+                }
+                print(f"rung mix, {name}    "
+                      + " / ".join(f"{k} {v}" for k, v in mix.items() if v))
+            if args.store:
+                lookups = dict.fromkeys(("hit", "stale", "absent"), 0.0)
+                for series in router.merged_registry().series():
+                    if series.name == "serve_store_requests_total":
+                        lookups[series.labels["outcome"]] += series.value
+                print("store lookups     "
+                      + " / ".join(f"{k} {v:.0f}" for k, v in lookups.items()))
             print(f"queue/compute     {queue_mean * 1e3:.3f} / "
                   f"{compute_mean * 1e3:.3f} ms (mean, critical path)")
 
@@ -484,7 +440,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                   f"{args.attribution_out}")
             if args.prometheus_out:
                 _write_prometheus(router, args.prometheus_out)
-    _maybe_dump_metrics(args)
+            _maybe_dump_metrics(args, router)
     return 1 if mismatched else 0
 
 
@@ -503,8 +459,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "command",
         choices=(
-            "stats", "train", "compare", "serve-bench", "serve-cluster",
-            "store-build", "profile", "shard-worker",
+            "stats", "train", "compare", "serve-cluster", "store-build",
+            "profile", "shard-worker",
         ),
     )
     parser.add_argument("dataset", nargs="?", default=None,
@@ -523,7 +479,7 @@ def main(argv=None) -> int:
                           "(default for profile: metrics.jsonl)")
     obs.add_argument("--trace-out", default="trace.json",
                      help="profile: Chrome trace_event output path")
-    serve = parser.add_argument_group("serve-bench")
+    serve = parser.add_argument_group("serving (serve-cluster)")
     serve.add_argument("--requests", type=int, default=400,
                        help="trace length (nodes to request)")
     serve.add_argument("--zipf", type=float, default=1.1,
@@ -567,7 +523,7 @@ def main(argv=None) -> int:
                               "elastic-resume unit)")
     store = parser.add_argument_group("store")
     store.add_argument("--store", default=None,
-                       help="serve-bench/serve-cluster: serve cache misses "
+                       help="serve-cluster: serve cache misses "
                             "from this materialized-aggregate store file")
     store.add_argument("--out", default="store",
                        help="store-build: the store FILE to write")
@@ -576,7 +532,7 @@ def main(argv=None) -> int:
                             "instead of training fresh")
     dist = parser.add_argument_group("serve-cluster tracing and SLO")
     dist.add_argument("--group", type=int, default=8,
-                      help="serve-bench / serve-cluster: nodes per op")
+                      help="serve-cluster: nodes per op")
     dist.add_argument("--slo-threshold", type=float, default=0.050,
                       help="serve-cluster: SLO latency threshold, seconds")
     dist.add_argument("--slo-objective", type=float, default=0.99,
@@ -603,7 +559,6 @@ def main(argv=None) -> int:
         "stats": _cmd_stats,
         "train": _cmd_train,
         "compare": _cmd_compare,
-        "serve-bench": _cmd_serve_bench,
         "serve-cluster": _cmd_serve_cluster,
         "store-build": _cmd_store_build,
         "profile": _cmd_profile,

@@ -154,24 +154,6 @@ class WidenClassifier(BaseClassifier):
             embeddings = embeddings.take(_whole_row_blocks(count), axis=0)
         return self.trainer.predict(embeddings)[:count]
 
-    def embed_for_serving(
-        self, nodes: np.ndarray, graph: HeteroGraph, seed: SeedLike = None
-    ) -> np.ndarray:
-        """Identity-free inductive embedding for the serving path.
-
-        Always samples neighborhoods fresh from ``graph`` — never reads the
-        trainer's persistent per-node stores — so results stay correct after
-        in-place streaming mutations and are a pure function of
-        ``(parameters, graph contents, seed)``: every node's sets are keyed
-        by ``(seed, node)``, so a response is reproducible from the current
-        graph alone, whichever nodes share the call.
-        """
-        if self.trainer is None:
-            raise RuntimeError("embed_for_serving before fit/bind")
-        return self.trainer.embed_inductive(
-            graph, np.asarray(nodes, dtype=np.int64), rng=seed
-        )
-
     def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
         """Fresh samples, row ``i`` keyed ``(seed, nodes[i])``, plus their
         read sets ``(B, 1 + Φ·N_d)``."""
@@ -192,10 +174,12 @@ class WidenClassifier(BaseClassifier):
         """Batched identity-free serving compute (the server's cold path).
 
         Each node's neighborhoods are keyed by ``(seed, node)``, so every
-        row equals what :meth:`embed_for_serving` would return for that node
-        alone — responses stay independent of batch composition — while
-        the sampling is one array pass and all the forwards run through one
-        vectorized :meth:`~repro.core.model.WidenModel.forward_batch` call.
+        row equals what the per-node reference
+        :meth:`~repro.core.trainer.WidenTrainer.embed_inductive` returns for
+        that node alone — responses stay independent of batch composition —
+        while the sampling is one array pass and all the forwards run
+        through one vectorized
+        :meth:`~repro.core.model.WidenModel.forward_batch` call.
 
         With ``return_reads`` the result is ``(embeddings, reads)``: row
         ``i`` of ``reads`` is node ``i``'s read set

@@ -58,6 +58,12 @@ class EdgeSpec:
     this knob reproduces that, which is precisely what separates type-aware
     models from type-blind ones."""
 
+    def __post_init__(self) -> None:
+        if not self.mean_degree > 0.0:
+            raise ValueError(f"mean_degree must be > 0, got {self.mean_degree}")
+        if self.homophily is not None and not 0.0 <= self.homophily <= 1.0:
+            raise ValueError(f"homophily must be in [0, 1], got {self.homophily}")
+
 
 @dataclass
 class SchemaConfig:

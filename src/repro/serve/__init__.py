@@ -18,19 +18,13 @@ refuses anything else (:func:`repro.core.serving_refusal`).
 - :class:`Telemetry` — the table of requests in flight (a request is a
   row until its op's reply is read off it) and the registry series it
   feeds;
-- :mod:`~repro.serve.loadgen` — deterministic Zipf traces, the pass
-  behind ``python -m repro serve-bench`` (the trace as ``group``-node ops
-  timed on the wall clock) and its report: op latency percentiles, batch
-  occupancy, cache hit-rate and rung mix, read off the pass's own replies.
+- :func:`make_trace` — deterministic Zipf request traces, which
+  ``python -m repro serve-cluster`` sends through the router (one shard is
+  one server) as ``group``-node ops.
 """
 
 from repro.serve.cache import EmbeddingCache
-from repro.serve.loadgen import (
-    cold_single_requests,
-    format_report,
-    make_trace,
-    replay,
-)
+from repro.serve.loadgen import make_trace
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import InferenceServer
 from repro.serve.telemetry import RUNGS, Telemetry
@@ -42,7 +36,4 @@ __all__ = [
     "Telemetry",
     "RUNGS",
     "make_trace",
-    "replay",
-    "cold_single_requests",
-    "format_report",
 ]

@@ -25,8 +25,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import Histogram
-
 
 def fresh_mask(
     touched_at: np.ndarray, reads: np.ndarray, stamps: np.ndarray
@@ -165,12 +163,6 @@ class EmbeddingCache:
         self.hits += 1
         self.node_hits[node] += 1
         return entry
-
-    def node_hit_histogram(self) -> Histogram:
-        """Distribution of per-node hit counts as a shared Histogram."""
-        histogram = Histogram("cache_node_hits")
-        histogram.observe_many(float(count) for count in self.node_hits.values())
-        return histogram
 
     def put(
         self,

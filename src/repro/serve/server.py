@@ -286,8 +286,8 @@ class InferenceServer:
         :class:`EmbeddingCache` per-node hit distribution (a histogram the
         cache keeps as raw counters, so re-observing it into a live
         registry would double-count) and, when a store is attached, its
-        row/overlay gauges.  This is what the ``/metrics`` HTTP endpoint
-        and the textfile exposition both render.
+        row/overlay gauges.  This is what a shard engine ships to the
+        router's merged exposition.
         """
         self.telemetry.sync()
         merged = MetricsRegistry()
@@ -303,10 +303,6 @@ class InferenceServer:
                 self.store.overlay_size
             )
         return merged
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition of :meth:`metrics_registry_snapshot`."""
-        return self.metrics_registry_snapshot().render_prometheus()
 
     def _sweep_cache(self) -> int:
         """Drop the resident cache entries the freshness rule now rejects;

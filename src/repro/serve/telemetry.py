@@ -18,8 +18,7 @@ What outlives a request is the :class:`~repro.obs.MetricsRegistry`:
 :meth:`Telemetry.sync` (the server syncs when it goes idle), and the
 ``record_*`` methods write batch, invalidation and store-lookup series as
 they happen — so training and serving report through one pipeline and one
-``metrics.jsonl``.  A pass report is not kept here: it is read off the
-pass's own answers and registry differences (:mod:`repro.serve.loadgen`).
+``metrics.jsonl``.
 """
 
 from __future__ import annotations

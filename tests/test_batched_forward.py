@@ -510,7 +510,7 @@ class TestServingBatch:
         batched = classifier.embed_for_serving_batch(targets, graph, 7)
         singles = np.stack(
             [
-                classifier.embed_for_serving(np.array([node]), graph, seed=7)[0]
+                classifier.trainer.embed_inductive(graph, np.array([node]), rng=7)[0]
                 for node in targets
             ]
         )

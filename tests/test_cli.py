@@ -26,15 +26,35 @@ class TestCli:
         assert "micro-F1" in out
         assert "s/epoch" in out
 
-    def test_serve_bench_reports_latency_and_cache(self, capsys):
+    def test_one_shard_reports_latency_and_a_warm_pass(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """One shard, inline, is one server behind the router: the report
+        gives the op latency percentiles and a rung mix per pass, the
+        replayed pass is answered from the cache alone, and --metrics-out
+        holds the serving series next to training's."""
+        monkeypatch.chdir(tmp_path)  # the three artifacts land in the cwd
         assert main([
-            "serve-bench", "--dataset", "acm", "--epochs", "1",
-            "--requests", "60", "--scale", "0.5",
+            "serve-cluster", "--dataset", "acm", "--shards", "1",
+            "--epochs", "1", "--requests", "60", "--scale", "0.5",
+            "--metrics-out", "metrics.jsonl",
         ]) == 0
         out = capsys.readouterr().out
-        for marker in ("p50", "p95", "p99", "throughput", "occupancy",
-                       "cache hit rate", "warm-cache mean latency"):
-            assert marker in out, f"serve-bench output missing {marker!r}"
+        for marker in ("p50", "p95", "p99", "1 shards over the inline transport",
+                       "(0 rung-count mismatches)", "rung mix, cold"):
+            assert marker in out, f"serve-cluster output missing {marker!r}"
+        assert "rung mix, warm    cache 60\n" in out
+        names = {
+            json.loads(line)["name"]
+            for line in (tmp_path / "metrics.jsonl").read_text().splitlines()
+        }
+        assert {"train/loss", "serve_latency_seconds"} <= names
+
+    def test_serve_bench_command_is_gone(self, capsys):
+        """serve-cluster --shards 1 is the lone server; its twin went."""
+        with pytest.raises(SystemExit):
+            main(["serve-bench", "--dataset", "acm"])
+        assert "'serve-bench'" in capsys.readouterr().err
 
     def test_train_metrics_out_dumps_registry(self, capsys, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
@@ -176,7 +196,9 @@ class TestServeClusterCli:
 
 
 class TestStoreCli:
-    def test_store_build_then_serve_bench(self, capsys, tmp_path):
+    def test_store_build_then_serve_one_shard(
+        self, capsys, monkeypatch, tmp_path
+    ):
         store_dir = tmp_path / "acm-store"
         assert main([
             "store-build", "acm", "--scale", "0.3", "--epochs", "1",
@@ -190,14 +212,41 @@ class TestStoreCli:
         assert [path.name for path in tmp_path.iterdir()] == ["acm-store"]
 
         # Same dataset/seed/epochs/scale reproduce the same parameters, so
-        # the trained-in-place serve-bench accepts the store's digest.
+        # the trained-in-place one-shard serve-cluster accepts the store's
+        # digest, and the cold pass reads rows from it.
+        monkeypatch.chdir(tmp_path)
         assert main([
-            "serve-bench", "--dataset", "acm", "--scale", "0.3",
-            "--epochs", "1", "--requests", "40", "--store", str(store_dir),
+            "serve-cluster", "--dataset", "acm", "--shards", "1", "--scale",
+            "0.3", "--epochs", "1", "--requests", "40", "--store", str(store_dir),
         ]) == 0
         printed = capsys.readouterr().out
-        assert "materialized rows from" in printed
-        assert "store lookups" in printed
+        assert "store: sliced" in printed
+        (lookups,) = [
+            line for line in printed.splitlines() if line.startswith("store lookups")
+        ]
+        hits = int(lookups.split("hit ")[1].split(" ")[0])
+        assert hits > 0, lookups
+
+    def test_store_build_refuses_a_directory_before_training(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A directory at --out is refused with one line and a non-zero
+        exit, before a single epoch is trained."""
+        from repro.core import WidenClassifier
+
+        fits = []
+        monkeypatch.setattr(
+            WidenClassifier, "fit", lambda *args, **kwargs: fits.append(args)
+        )
+        assert main([
+            "store-build", "acm", "--scale", "0.3", "--epochs", "1",
+            "--out", str(tmp_path),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro store-build: error: store ")
+        assert "is a directory" in captured.err
+        assert fits == []
 
     def test_serve_cluster_accepts_store(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)

@@ -43,6 +43,16 @@ class TestSchemaConfig:
                 edges=[], homophily=1.5,
             )
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("homophily", 1.7, r"homophily must be in \[0, 1\], got 1.7"),
+        ("homophily", -0.1, r"homophily must be in \[0, 1\], got -0.1"),
+        ("mean_degree", -3.0, "mean_degree must be > 0, got -3.0"),
+        ("mean_degree", 0.0, "mean_degree must be > 0, got 0.0"),
+    ])
+    def test_edge_spec_rejects_bad_override(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EdgeSpec("e", "a", "b", **{"mean_degree": 1.0, field: value})
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             SchemaConfig(

@@ -209,6 +209,14 @@ RETIRED = [
         "codec record frame, published by one atomic rename",
         (),
     ),
+    (
+        r"serve-bench|cold_single_requests|format_report|pass_report"
+        r"|node_hit_histogram",
+        54,
+        "one serving command, one pass report: serve-cluster --shards 1 is the "
+        "lone server, and its report is read off the router's attribution records",
+        (),
+    ),
 ]
 
 TESTS = SRC.parents[1] / "tests"

@@ -893,7 +893,7 @@ class TestStoreObservability:
         nodes = probe_nodes(stored.graph, 8)
         stored.embed(nodes)
         stored.embed(nodes)  # warm-cache pass feeds the node-hit histogram
-        text = stored.render_prometheus()
+        text = stored.metrics_registry_snapshot().render_prometheus()
         assert 'serve_store_requests_total{outcome="hit"}' in text
         assert "serve_cache_node_hits" in text
         assert "serve_store_rows" in text
