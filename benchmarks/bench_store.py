@@ -90,8 +90,8 @@ def measure_miss_latency(server, probe, rounds):
 
     Each round is one ``embed`` op over the whole probe, timed on the wall
     clock.  Returns ``(compute_s, wall_s_per_node)``: per round, the op's
-    critical-path compute — the wall time its miss batch took from start
-    to answer, the reply's ``compute`` — and the op's end-to-end wall
+    critical-path compute — the wall time from the end of its submit loop
+    to its last answer, the reply's ``compute`` — and the op's end-to-end wall
     clock per node as a cross-check.  The first (untimed) round absorbs
     one-off costs — mmap page faults on the store rows, allocator warm-up —
     so the timed rounds compare steady states.

@@ -16,8 +16,8 @@ Commands
     with distributed tracing and SLO monitoring on (:mod:`repro.obs.dist`
     / :mod:`repro.obs.slo`).  ``--shards 1 --transport inline`` is one
     :class:`~repro.serve.InferenceServer` behind the router.  Prints the
-    shard plan, the attribution (queue-wait vs compute on the critical
-    path, serving-ladder rung mix per pass, store lookups by outcome with
+    shard plan, the attribution (compute on the critical path,
+    serving-ladder rung mix per pass, store lookups by outcome with
     ``--store``) and the SLO report, and writes a stitched
     Chrome/Perfetto trace with router and per-shard process lanes
     (``--dist-trace-out``), the SLO report with error budget and
@@ -390,10 +390,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                 1 for r in records if sum(r["rungs"].values()) != r["nodes"]
             )
             total_nodes = sum(r["nodes"] for r in records)
-            queue_mean = (
-                sum(r["queue_wait_s"] for r in records) / len(records)
-                if records else 0.0
-            )
             compute_mean = (
                 sum(r["compute_s"] for r in records) / len(records)
                 if records else 0.0
@@ -414,8 +410,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                         lookups[series.labels["outcome"]] += series.value
                 print("store lookups     "
                       + " / ".join(f"{k} {v:.0f}" for k, v in lookups.items()))
-            print(f"queue/compute     {queue_mean * 1e3:.3f} / "
-                  f"{compute_mean * 1e3:.3f} ms (mean, critical path)")
+            print(f"compute           {compute_mean * 1e3:.3f} ms "
+                  "(mean, critical path)")
 
             slo = router.slo_report()
             print(f"SLO               p50 {slo['p50_s'] * 1e3:.3f} ms, "

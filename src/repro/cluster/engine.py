@@ -25,7 +25,7 @@ Envelope kinds:
 - ``serve`` — one op: a batch of requests for owned nodes, answered by
   the server's :meth:`~repro.serve.server.InferenceServer.replay`; the
   reply is columns read off the server's request rows (``values``,
-  ``rungs``, and the op's critical-path ``queue_wait`` / ``compute``).  An
+  ``rungs``, and the op's critical-path ``compute``).  An
   op containing an out-of-range id is refused whole, before any work.
 - ``mutate`` — the one serializable command of a write (an arrival, or the
   edges an ``add_edges`` appended), replayed onto the engine's replica.

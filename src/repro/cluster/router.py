@@ -248,8 +248,8 @@ class ClusterRouter:
         SLO monitor on, the same body puts a ``trace_ctx`` on every
         envelope (the engines ship their span buffers back on the replies),
         spans the scatter and each gather, and writes one
-        :class:`AttributionRecord` per op: queue-wait and compute on the
-        critical path (a scatter is as slow as its slowest leg) and
+        :class:`AttributionRecord` per op: compute on the critical path
+        (a scatter is as slow as its slowest leg) and
         per-rung node counts that sum to the node count.  Failures are
         attributed too (``ok=False`` burns SLO budget), then re-raised
         unchanged.  With both off this path pays the ``is None`` checks and
@@ -276,7 +276,7 @@ class ClusterRouter:
 
         legs: List[Tuple[int, np.ndarray]] = []
         by_rung = np.zeros(len(RUNGS), dtype=np.int64)
-        queue_wait = compute = 0.0
+        compute = 0.0
         answers = np.empty(0)
         error: Optional[str] = None
         try:
@@ -303,7 +303,6 @@ class ClusterRouter:
                     answers[positions] = values
                     if observed:
                         by_rung += np.bincount(leg["rungs"], minlength=by_rung.size)
-                        queue_wait = max(queue_wait, leg["queue_wait"])
                         compute = max(compute, leg["compute"])
         except BaseException as exc:
             error = type(exc).__name__
@@ -316,7 +315,6 @@ class ClusterRouter:
                     nodes=int(nodes.size),
                     shards=len(legs),
                     latency=latency,
-                    queue_wait=queue_wait,
                     compute=compute,
                     rungs={r: n for r, n in zip(RUNGS, by_rung.tolist()) if n},
                     ok=error is None,

@@ -35,6 +35,10 @@ from repro.utils.rng import SeedLike, spawn_rngs
 # arrays and older versions held Python objects, and all are refused.
 CHECKPOINT_FORMAT_VERSION = 5
 _RETRAIN = "python -m repro train <dataset> --shards 1 --checkpoint-out DIR"
+#: ``WidenConfig`` keys that became constants while the checkpoint format
+#: stayed v5: a saved key is dropped when it holds the one value the code
+#: now hard-wires and refused otherwise.  Any other unknown key still fails.
+_RETIRED_CONFIG = {"num_heads": 1}
 
 
 def _at_least_two(count: int) -> np.ndarray:
@@ -168,9 +172,7 @@ class WidenClassifier(BaseClassifier):
         store.sample_fresh(nodes)
         return store.table, store.table.read_sets()
 
-    def embed_for_serving_batch(
-        self, nodes: np.ndarray, graph: HeteroGraph, seed: int, return_reads: bool = False
-    ):
+    def embed_for_serving_batch(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
         """Batched identity-free serving compute (the server's cold path).
 
         Each node's neighborhoods are keyed by ``(seed, node)``, so every
@@ -181,10 +183,9 @@ class WidenClassifier(BaseClassifier):
         through one vectorized
         :meth:`~repro.core.model.WidenModel.forward_batch` call.
 
-        With ``return_reads`` the result is ``(embeddings, reads)``: row
-        ``i`` of ``reads`` is node ``i``'s read set
-        (:meth:`NeighborTable.read_sets`).  A classifier outside the
-        serving contract (:func:`serving_refusal`) is refused.
+        Returns ``(embeddings, reads)``: row ``i`` of ``reads`` is node
+        ``i``'s read set (:meth:`NeighborTable.read_sets`).  A classifier
+        outside the serving contract (:func:`serving_refusal`) is refused.
         """
         if self.trainer is None:
             raise RuntimeError("embed_for_serving_batch before fit/bind")
@@ -204,7 +205,7 @@ class WidenClassifier(BaseClassifier):
                 )
             model.train()
             embeddings = embeddings.data[: nodes.size]
-        return (embeddings, reads) if return_reads else embeddings
+        return embeddings, reads
 
     # ------------------------------------------------------------------
     # Materialized-answer hooks (repro.store)
@@ -237,7 +238,7 @@ class WidenClassifier(BaseClassifier):
         row *is* the answer a recompute under the same seed returns, until
         a write touches a list in its read set.
         """
-        return self.embed_for_serving_batch(nodes, graph, seed, return_reads=True)
+        return self.embed_for_serving_batch(nodes, graph, seed)
 
     def embed_from_store_blocks(self, *args, **kwargs):
         """Gone with store format v3; kept as a name for ``benchmarks/perf``."""
@@ -364,7 +365,16 @@ class WidenClassifier(BaseClassifier):
                 f"this code's v{CHECKPOINT_FORMAT_VERSION}; upgrade the "
                 "code (old readers cannot know what a newer format added)"
             )
-        classifier = cls(config=WidenConfig(**meta["config"]), seed=meta["seed"])
+        config = dict(meta["config"])
+        for key, constant in _RETIRED_CONFIG.items():
+            if key in config and config.pop(key) != constant:
+                raise ValueError(
+                    f"checkpoint {named} sets {key}={meta['config'][key]!r}; "
+                    f"this code hard-wires {key}={constant!r}, so its "
+                    f"parameters would serve a different model.  Rebuild it "
+                    f"by training again: {_RETRAIN}"
+                )
+        classifier = cls(config=WidenConfig(**config), seed=meta["seed"])
         schema = classifier._schema = meta["schema"]
         classifier.model = WidenModel(
             schema["num_features"],

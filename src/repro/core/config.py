@@ -23,9 +23,6 @@ class WidenConfig:
     """Deep random-walk length N_d (Definition 3)."""
     num_deep_walks: int = 2
     """Number of deep walk sequences Φ per target node."""
-    num_heads: int = 1
-    """Attention heads in PASS°/PASS▷ (1 reproduces the paper's Eq. 3/5;
-    more heads is the standard multi-head extension)."""
     dropout: float = 0.3
     """Feature dropout on message packs and the fused hidden layer during
     training.  Algorithm 3 fixes each node's neighbor sets across epochs, so
@@ -101,10 +98,6 @@ class WidenConfig:
             raise ValueError("num_wide and num_deep must be >= 1")
         if self.num_deep_walks < 1:
             raise ValueError(f"num_deep_walks must be >= 1, got {self.num_deep_walks}")
-        if self.num_heads < 1 or self.dim % self.num_heads != 0:
-            raise ValueError(
-                f"num_heads ({self.num_heads}) must be >= 1 and divide dim ({self.dim})"
-            )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embedding_mode not in ("project", "replace"):

@@ -82,9 +82,9 @@ class WidenModel(Module):
         d = config.dim
         self.project = Linear(num_features, d, bias=False, rng=rngs[0])  # G^node
         self.edge_embedding = Embedding(num_edge_types, d, rng=rngs[1])  # G^edge
-        self.wide_pass = QueryAttention(d, num_heads=config.num_heads, rng=rngs[2])  # Eq. 3
+        self.wide_pass = QueryAttention(d, rng=rngs[2])  # Eq. 3
         self.deep_successive = SelfAttention(d, rng=rngs[3])  # Eq. 4
-        self.deep_pass = QueryAttention(d, num_heads=config.num_heads, rng=rngs[4])  # Eq. 5
+        self.deep_pass = QueryAttention(d, rng=rngs[4])  # Eq. 5
         self.fuse = Linear(2 * d, d, rng=rngs[5])  # Eq. 7
         self.classifier = Linear(d, num_classes, bias=False, rng=rngs[0])  # C, Eq. 10
         self.pack_dropout = Dropout(config.dropout, rng=rngs[1])

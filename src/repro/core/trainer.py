@@ -586,7 +586,7 @@ class WidenTrainer:
     def training_state(self) -> dict:
         """Everything beyond parameters + rng that exact resume needs.
 
-        Optimizer moments/step count drive the next update's magnitude; the
+        Adam's moments/step count drive the next update's magnitude; the
         epoch counter gates the KL trigger and state-refresh schedules; the
         neighbor store's cached (and possibly downsampled) per-node sets
         plus the refined node-state table are the training-time state the
@@ -655,7 +655,6 @@ class WidenTrainer:
         graph: HeteroGraph,
         nodes: Sequence[int],
         rng: SeedLike = None,
-        warmup_passes: int = 1,
     ) -> np.ndarray:
         """Embeddings for nodes of an *unseen* graph (fresh neighbor sets).
 
@@ -663,10 +662,11 @@ class WidenTrainer:
         these nodes absent, and now embeds them purely from features and
         sampled neighborhoods — no identity lookup anywhere.
 
-        ``warmup_passes`` refinement rounds are first run over the requested
-        nodes' sampled neighbors so their table entries approximate the
-        refined representations they would carry after training — the
-        streaming analogue of Algorithm 3's embedding replacement.
+        In ``"replace"`` mode one refinement pass is first run over the
+        requested nodes' sampled neighbors so their table entries
+        approximate the refined representations they would carry after
+        training — the streaming analogue of Algorithm 3's embedding
+        replacement.
         """
         store = NeighborStateStore(
             graph,
@@ -689,11 +689,10 @@ class WidenTrainer:
         )
         self.model.eval()
         with no_grad():
-            for _ in range(max(0, warmup_passes)):
-                for _ in self._forward_chunks(
-                    store, graph, node_state, warm_nodes, replace=True
-                ):
-                    pass  # run for the write-back
+            for _ in self._forward_chunks(
+                store, graph, node_state, warm_nodes, replace=True
+            ):
+                pass  # run for the write-back
         self.model.train()
         return self._embed_with(store, graph, node_state, nodes)
 

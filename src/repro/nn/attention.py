@@ -47,23 +47,12 @@ class QueryAttention(Module):
     the grid: ``u = (q W_Q) W_K^T``, ``w = softmax(u M^T / sqrt(d))``,
     ``(w M) W_V`` — gemms over ``(S, d)`` rows instead of ``(S·L, d)``, and
     no projected key or value matrix exists in any layout.
-
-    ``num_heads > 1`` splits the projections into parallel heads whose
-    outputs are concatenated (multi-head attention, Vaswani et al. 2017) —
-    an extension beyond the paper's single-head Eq. 3.  The returned weight
-    distribution is the mean over heads, which keeps the downsampler's
-    contract (one probability per pack) intact.
     """
 
-    def __init__(self, dim: int, num_heads: int = 1, rng: SeedLike = None) -> None:
+    def __init__(self, dim: int, rng: SeedLike = None) -> None:
         super().__init__()
-        if num_heads < 1 or dim % num_heads != 0:
-            raise ValueError(
-                f"num_heads must be >= 1 and divide dim, got {num_heads} for dim {dim}"
-            )
         rngs = spawn_rngs(rng, 3)
         self.dim = dim
-        self.num_heads = num_heads
         self.w_query = Parameter(init.xavier_uniform((dim, dim), rng=rngs[0]), name="w_q")
         self.w_key = Parameter(init.xavier_uniform((dim, dim), rng=rngs[1]), name="w_k")
         self.w_value = Parameter(init.xavier_uniform((dim, dim), rng=rngs[2]), name="w_v")
@@ -95,40 +84,13 @@ class QueryAttention(Module):
             values = keys
         if keys.ndim == 3:
             return F.query_attend(
-                query, keys, values, self.w_query, self.w_key, self.w_value,
-                mask=mask, num_heads=self.num_heads,
+                query, keys, values, self.w_query, self.w_key, self.w_value, mask=mask
             )
         # 2-D reference: the same reassociation out of composed ops.
         q = ops.matmul(query, self.w_query)
-        if self.num_heads == 1:
-            u = ops.matmul(q, self.w_key, transpose_b=True)
-            pooled, weights = F.attention(
-                u, keys, values, mask=mask, return_weights=True
-            )
-            return ops.matmul(pooled, self.w_value), weights
-        head_dim = self.dim // self.num_heads
-        attended_heads = []
-        weights = None
-        for head in range(self.num_heads):
-            lo, hi = head * head_dim, (head + 1) * head_dim
-            # F.attention divides by sqrt(d) of the raw keys; a head wants
-            # sqrt(d / H), so its u is multiplied by sqrt(H) first.
-            u = ops.matmul(
-                ops.slice(q, lo, hi, axis=q.ndim - 1),
-                ops.slice(self.w_key, lo, hi, axis=1),
-                transpose_b=True,
-            ) * float(np.sqrt(self.num_heads))
-            pooled, head_weights = F.attention(
-                u, keys, values, mask=mask, return_weights=True
-            )
-            attended_heads.append(
-                ops.matmul(pooled, ops.slice(self.w_value, lo, hi, axis=1))
-            )
-            weights = head_weights if weights is None else weights + head_weights
-        return (
-            ops.concat(attended_heads, axis=-1),
-            weights / float(self.num_heads),
-        )
+        u = ops.matmul(q, self.w_key, transpose_b=True)
+        pooled, weights = F.attention(u, keys, values, mask=mask, return_weights=True)
+        return ops.matmul(pooled, self.w_value), weights
 
 
 class SelfAttention(Module):

@@ -20,7 +20,7 @@ One pipeline for everything the efficiency claims rest on:
 - :class:`DistTracer` + :class:`SLOMonitor` (``repro.obs.dist`` /
   ``repro.obs.slo``) — cross-shard distributed tracing with clock-offset
   alignment and stitched Chrome traces, request-lifecycle attribution
-  (queue-wait vs compute, serving-ladder rung counts), rolling-window SLO
+  (critical-path compute, serving-ladder rung counts), rolling-window SLO
   compliance with error budgets, and a bounded slow-request log.
 """
 

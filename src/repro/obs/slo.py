@@ -2,9 +2,9 @@
 
 Three pieces, all plain data structures fed by the serving path:
 
-- :class:`AttributionRecord` — one serve request decomposed into queue-wait
-  vs compute plus a count of which ladder rung (cache / store / overlay /
-  recompute) served each node.  Rung counts sum to the node count by
+- :class:`AttributionRecord` — one serve request's latency and
+  critical-path compute plus a count of which ladder rung (cache / store /
+  overlay / recompute) served each node.  Rung counts sum to the node count by
   construction, which is the invariant the tests pin.
 - :class:`SLOMonitor` — a rolling time window of request outcomes scored
   against an :class:`SLOTarget` (latency threshold + objective): windowed
@@ -44,17 +44,18 @@ RUNGS = ("cache", "store", "overlay", "recompute")
 class AttributionRecord:
     """Where one serve request's time and nodes went.
 
-    ``queue_wait`` / ``compute`` are critical-path seconds (the max across
-    the shards the request touched — a scatter-gather request is as slow as
-    its slowest shard, not the sum).  ``rungs`` counts nodes by the ladder
-    rung that produced their embedding; the counts sum to ``nodes``.
+    ``compute`` is critical-path seconds of miss work, a shard's submit
+    loop end to its last answer (the max across the shards the request
+    touched — a scatter-gather request is as slow as its slowest shard,
+    not the sum).  ``rungs`` counts nodes
+    by the ladder rung that produced their embedding; the counts sum to
+    ``nodes``.
     """
 
     trace_id: str
     nodes: int
     shards: int
     latency: float
-    queue_wait: float
     compute: float
     rungs: Dict[str, int] = field(default_factory=dict)
     ok: bool = True
@@ -66,7 +67,6 @@ class AttributionRecord:
             "nodes": self.nodes,
             "shards": self.shards,
             "latency_s": self.latency,
-            "queue_wait_s": self.queue_wait,
             "compute_s": self.compute,
             "rungs": dict(self.rungs),
             "ok": self.ok,

@@ -1,14 +1,8 @@
-"""Gradient-descent optimizers and gradient clipping."""
+"""The Adam optimizer and gradient clipping."""
 
-from repro.optim.optimizers import (
-    Adam,
-    Optimizer,
-    clip_grad_norm,
-    global_grad_norm,
-)
+from repro.optim.optimizers import Adam, clip_grad_norm, global_grad_norm
 
 __all__ = [
-    "Optimizer",
     "Adam",
     "clip_grad_norm",
     "global_grad_norm",

@@ -14,83 +14,34 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-class Optimizer:
-    """Base optimizer over a fixed list of parameters."""
+class Adam:
+    """Adam (Kingma & Ba, 2015) with bias correction and weight decay, over
+    a fixed list of parameters."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        lr: float = 0.001,
+        weight_decay: float = 0.0,
+    ) -> None:
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    # -- persistence (checkpoint format v3) -----------------------------
-    #
-    # Slot arrays are keyed by *position* in the parameter list, which is
-    # deterministic (module registration order); the loader checks shapes
-    # so a checkpoint from a different architecture fails loudly.
-
-    def state_dict(self) -> dict:
-        """Serializable internal state; base optimizers are stateless."""
-        return {"kind": type(self).__name__.lower(), "slots": {}, "step_count": 0}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._load_slots(state.get("slots", {}))
-        self._load_scalars(state)
-
-    def _load_scalars(self, state: dict) -> None:
-        pass
-
-    def _slot_names(self) -> tuple:
-        return ()
-
-    def _load_slots(self, slots: dict) -> None:
-        for name in self._slot_names():
-            arrays = slots.get(name)
-            if arrays is None:
-                continue
-            current = getattr(self, f"_{name}")
-            if len(arrays) != len(current):
-                raise ValueError(
-                    f"optimizer state has {len(arrays)} {name} slots for "
-                    f"{len(current)} parameters"
-                )
-            for target, incoming in zip(current, arrays):
-                incoming = np.asarray(incoming, dtype=target.dtype)
-                if incoming.shape != target.shape:
-                    raise ValueError(
-                        f"optimizer {name} slot shape {incoming.shape} does "
-                        f"not match parameter shape {target.shape}"
-                    )
-                np.copyto(target, incoming)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.001,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._moment1 = [np.zeros_like(p.data) for p in self.parameters]
         self._moment2 = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -108,6 +59,12 @@ class Adam(Optimizer):
             m2 += (1.0 - self.beta2) * grad**2
             param.data -= self.lr * (m1 / bias1) / (np.sqrt(m2 / bias2) + self.eps)
 
+    # -- persistence -----------------------------------------------------
+    #
+    # Slot arrays are keyed by *position* in the parameter list, which is
+    # deterministic (module registration order); the loader checks shapes
+    # so a checkpoint from a different architecture fails loudly.
+
     def state_dict(self) -> dict:
         """Moments and step count — what exact training resume needs.
 
@@ -123,10 +80,25 @@ class Adam(Optimizer):
             },
         }
 
-    def _slot_names(self) -> tuple:
-        return ("moment1", "moment2")
-
-    def _load_scalars(self, state: dict) -> None:
+    def load_state_dict(self, state: dict) -> None:
+        slots = state.get("slots", {})
+        for name, current in (("moment1", self._moment1), ("moment2", self._moment2)):
+            arrays = slots.get(name)
+            if arrays is None:
+                continue
+            if len(arrays) != len(current):
+                raise ValueError(
+                    f"optimizer state has {len(arrays)} {name} slots for "
+                    f"{len(current)} parameters"
+                )
+            for target, incoming in zip(current, arrays):
+                incoming = np.asarray(incoming, dtype=target.dtype)
+                if incoming.shape != target.shape:
+                    raise ValueError(
+                        f"optimizer {name} slot shape {incoming.shape} does "
+                        f"not match parameter shape {target.shape}"
+                    )
+                np.copyto(target, incoming)
         self._step_count = int(state.get("step_count", 0))
 
 

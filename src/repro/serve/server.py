@@ -228,24 +228,23 @@ class InferenceServer:
 
         ``values`` is ``(B,)`` class ids or ``(B, d)`` embeddings in request
         order, ``rungs`` the ``(B,)`` codes into ``RUNGS`` of the tier that
-        served each, ``queue_wait`` / ``compute`` the op's critical path —
-        the longest of its requests.  A blocking ``classify`` and a shard
-        engine's serve envelope are both this loop; the reply is what the
-        engine puts on the wire.
+        served each, ``compute`` the op's own miss work — the end of the
+        submit loop to the last answer, 0 when every node was a submit-time
+        cache hit.  A blocking ``classify`` and a shard engine's serve
+        envelope are both this loop; the reply is what the engine puts on
+        the wire.
         """
         ids = [
             self.submit(node, kind=kind) for node in np.atleast_1d(nodes).tolist()
         ]
+        submitted = time.perf_counter()
         self.drain()
         table = self.telemetry
         rows = table.rows_of(ids)
-        queue_wait = table.queue_wait[rows]
-        compute = table.completion[rows] - table.arrival[rows] - queue_wait
         reply = {
             "values": np.asarray([self._values.pop(request_id) for request_id in ids]),
             "rungs": table.rung[rows],
-            "queue_wait": max([0.0, *queue_wait.tolist()]),
-            "compute": max([0.0, *compute.tolist()]),
+            "compute": max([0.0, *(table.completion[rows] - submitted).tolist()]),
         }
         table.release(len(ids))
         return reply
@@ -357,7 +356,7 @@ class InferenceServer:
         if self.store is not None:
             return self._compute_embeddings_with_store(nodes_arr)
         embeddings, reads = self.classifier.embed_for_serving_batch(
-            nodes_arr, self.graph, self.seed, return_reads=True
+            nodes_arr, self.graph, self.seed
         )
         return embeddings, ["recompute"] * len(nodes), reads
 
@@ -388,7 +387,7 @@ class InferenceServer:
         if not fresh.all():
             stale = ~fresh
             embeddings[stale], reads[stale] = self.classifier.embed_for_serving_batch(
-                nodes_arr[stale], self.graph, self.seed, return_reads=True
+                nodes_arr[stale], self.graph, self.seed
             )
             store.refresh(
                 nodes_arr[stale], self.freshness.clock, embeddings[stale], reads[stale]
@@ -401,7 +400,6 @@ class InferenceServer:
         return embeddings, rungs, reads
 
     def _execute(self, batch: List[int]) -> None:
-        start = time.perf_counter()
         table = self.telemetry
         rows = table.rows_of(batch)
         nodes = table.node[rows].tolist()
@@ -434,13 +432,9 @@ class InferenceServer:
                 answers[node] = (embedding, label, node_rung)
         completion = time.perf_counter()
         self.telemetry.record_batch(len(batch))
-        waits = (start - table.arrival[rows]).tolist()
-        for request_id, node, wanted, queue_wait in zip(batch, nodes, classify, waits):
+        for request_id, node, wanted in zip(batch, nodes, classify):
             embedding, label, rung = answers[node]
-            self._finish(
-                request_id, label if wanted else embedding, completion,
-                rung=rung, queue_wait=queue_wait,
-            )
+            self._finish(request_id, label if wanted else embedding, completion, rung=rung)
 
     def _finish(
         self,
@@ -449,13 +443,9 @@ class InferenceServer:
         completion: float,
         *,
         rung: str,
-        queue_wait: float = 0.0,
     ) -> None:
         """One answered request: keep its value for pickup, fill its row.
         Entered once per answered node with ``rung`` by keyword — the
         wall-clock benchmark tallies the ladder by wrapping this call."""
         self._values[request_id] = value
-        self.telemetry.finish(
-            request_id, completion,
-            rung=rung, queue_wait=queue_wait,
-        )
+        self.telemetry.finish(request_id, completion, rung=rung)

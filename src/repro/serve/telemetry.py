@@ -39,15 +39,12 @@ _RUNG_CODE = {rung: code for code, rung in enumerate(RUNGS)}
 #: The table's columns, one array each (``telemetry.node`` ...).
 #: ``arrival`` and ``completion`` are wall-clock (``perf_counter``) times;
 #: ``completion`` is NaN while a request is queued; ``rung`` indexes
-#: ``RUNGS``; ``queue_wait`` is submit-to-chunk-start time (0 for
-#: submit-time cache hits), so ``completion - arrival - queue_wait`` is
-#: the compute share.
+#: ``RUNGS``.
 COLUMNS = {
     "node": np.int64,
     "kind": np.uint8,
     "arrival": np.float64,
     "completion": np.float64,
-    "queue_wait": np.float64,
     "rung": np.uint8,
 }
 
@@ -110,19 +107,11 @@ class Telemetry:
         self._unreleased += 1
         return self._base + row
 
-    def finish(
-        self,
-        request_id: int,
-        completion: float,
-        *,
-        rung: str,
-        queue_wait: float = 0.0,
-    ) -> None:
+    def finish(self, request_id: int, completion: float, *, rung: str) -> None:
         """Fill the row of an answered request; ``rung`` names the ladder
         tier that produced the embedding."""
         row = request_id - self._base
         self.completion[row] = completion
-        self.queue_wait[row] = queue_wait
         self.rung[row] = _RUNG_CODE[rung]
 
     def release(self, count: int) -> None:

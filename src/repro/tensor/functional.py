@@ -214,7 +214,6 @@ def query_attend(
     w_key,
     w_value,
     mask: Optional[np.ndarray] = None,
-    num_heads: int = 1,
 ):
     """One padded single-query attention block (Eq. 3 / Eq. 5) as one node.
 
@@ -228,28 +227,24 @@ def query_attend(
     whose row 0 queries (no slice node, and the gradient lands in row 0 of
     a buffer the backward owns anyway).  ``keys`` / ``values`` are
     ``(S, L, d)`` and may be that same tensor; ``mask`` is additive
-    ``(S, L)``.  Heads are the column blocks of the three weights: a 0/1
-    ``(H, d)`` selector keeps each head's columns of ``q W_Q`` and of the
-    output, so every product stays one flat gemm and ``H = 1`` is the
-    all-ones selector, not another path.
+    ``(S, L)``.
 
-    Returns ``(attended (S, d), weights (S, L))``; the weights (mean over
-    heads) are detached — the trigger and the downsampler read them as
-    data, nothing differentiates through them.
+    Returns ``(attended (S, d), weights (S, L))``; the weights are detached
+    — the trigger and the downsampler read them as data, nothing
+    differentiates through them.
     """
     source, keys, values = as_tensor(packs_or_query), as_tensor(keys), as_tensor(values)
     w_query, w_key, w_value = as_tensor(w_query), as_tensor(w_key), as_tensor(w_value)
     segments, _, d = keys.data.shape
     from_packs = source.data.ndim == 3
     query = source.data[:, 0, :] if from_packs else source.data
-    scale = np.sqrt(d // num_heads)
-    selector = np.repeat(np.eye(num_heads), d // num_heads, axis=1)
-    flat = (segments * num_heads, d)
-    grid = (segments, num_heads, d)
+    scale = np.sqrt(d)
+    # One query row per segment: ``u`` and the pooled values are (S, 1, d)
+    # for the batched products and (S, d) for the projections.
+    row, flat = (segments, 1, d), (segments, d)
 
     q = _project_rows(query, w_query.data)
-    q_heads = (q[:, np.newaxis, :] * selector).reshape(flat)
-    u = _project_rows(q_heads, np.ascontiguousarray(w_key.data.T)).reshape(grid)
+    u = _project_rows(q, np.ascontiguousarray(w_key.data.T)).reshape(row)
     weights = _softmax_forward(
         np.matmul(u, keys.data.swapaxes(1, 2)),
         -1,
@@ -257,21 +252,19 @@ def query_attend(
         None if mask is None else mask[:, np.newaxis, :],
     )
     pooled = np.matmul(weights, values.data).reshape(flat)
-    out_heads = _project_rows(pooled, w_value.data).reshape(grid)
-    out_data = (out_heads * selector).sum(axis=1)
+    out_data = _project_rows(pooled, w_value.data)
 
     def backward(grad: np.ndarray) -> None:
-        grad_full = (grad[:, np.newaxis, :] * selector).reshape(flat)
-        w_value.accumulate_grad(pooled.T @ grad_full)
-        grad_pooled = (grad_full @ w_value.data.T).reshape(grid)
+        w_value.accumulate_grad(pooled.T @ grad)
+        grad_pooled = (grad @ w_value.data.T).reshape(row)
         grad_scores = _softmax_backward(
             weights, np.matmul(grad_pooled, values.data.swapaxes(1, 2)), -1, scale
         )
-        grad_values = np.einsum("shl,shd->sld", weights, grad_pooled)
-        grad_keys = np.einsum("shl,shd->sld", grad_scores, u)
+        grad_values = weights.swapaxes(1, 2) * grad_pooled
+        grad_keys = grad_scores.swapaxes(1, 2) * u
         grad_u = np.matmul(grad_scores, keys.data).reshape(flat)
-        w_key.accumulate_grad(grad_u.T @ q_heads)
-        grad_q = ((grad_u @ w_key.data).reshape(grid) * selector).sum(axis=1)
+        w_key.accumulate_grad(grad_u.T @ q)
+        grad_q = grad_u @ w_key.data
         w_query.accumulate_grad(query.T @ grad_q)
         grad_query = grad_q @ w_query.data.T
         if not from_packs:
@@ -293,7 +286,7 @@ def query_attend(
         backward,
         name="query_attend",
     )
-    return attended, Tensor(weights.mean(axis=1))
+    return attended, Tensor(weights.reshape(segments, -1))
 
 
 def self_attend(packs, w_query, w_key, w_value, mask: Optional[np.ndarray] = None):

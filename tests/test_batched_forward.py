@@ -283,7 +283,6 @@ class TestForwardBatchEquivalence:
             dict(use_wide=False),
             dict(use_deep=False),
             dict(use_successive=False),
-            dict(num_heads=2),
         ],
     )
     def test_ablations_match(self, graph, overrides):
@@ -322,12 +321,10 @@ class TestForwardBatchEquivalence:
         np.testing.assert_allclose(batched.data[0], single.data, atol=1e-12)
 
 
-# Every Table-4 architecture switch, plus the multi-head extension.
+# Every Table-4 architecture switch.
 VARIANTS = [
     dict(),
-    dict(num_heads=2),
     dict(use_successive=False),
-    dict(use_successive=False, num_heads=2),
     dict(use_wide=False),
     dict(use_deep=False),
     dict(use_relay=False),
@@ -507,7 +504,7 @@ class TestServingBatch:
         nodes = graph.labeled_nodes()
         classifier.fit(dataset.graph, nodes[:40], epochs=1)
         targets = nodes[:6]
-        batched = classifier.embed_for_serving_batch(targets, graph, 7)
+        batched, _ = classifier.embed_for_serving_batch(targets, graph, 7)
         singles = np.stack(
             [
                 classifier.trainer.embed_inductive(graph, np.array([node]), rng=7)[0]

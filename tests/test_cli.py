@@ -143,7 +143,7 @@ class TestServeClusterCli:
         ]) == 0
         printed = capsys.readouterr().out
         for marker in ("socket transport", "shard 1: ", "scatter groups of 8",
-                       "(0 rung-count mismatches)", "rung mix", "queue/compute",
+                       "(0 rung-count mismatches)", "rung mix", "compute ",
                        "SLO               p50", "process lanes",
                        "attribution records", "Prometheus samples"):
             assert marker in printed, f"serve-cluster output missing {marker!r}"

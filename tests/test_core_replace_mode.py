@@ -78,9 +78,7 @@ class TestReplaceMode:
         split = make_inductive_split(acm, rng=0)
         model, trainer = build(split.train_graph, learning_rate=1e-2)
         trainer.fit(split.train_nodes[:64], epochs=2)
-        embeddings = trainer.embed_inductive(
-            acm.graph, split.holdout[:20], rng=3, warmup_passes=1
-        )
+        embeddings = trainer.embed_inductive(acm.graph, split.holdout[:20], rng=3)
         assert embeddings.shape == (20, 16)
         assert np.isfinite(embeddings).all()
 

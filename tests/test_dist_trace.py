@@ -322,7 +322,6 @@ class TestSlowRequestLog:
             nodes=4,
             shards=2,
             latency=latency,
-            queue_wait=latency / 4,
             compute=latency / 2,
             rungs={"cache": 1, "recompute": 3},
         )
@@ -352,7 +351,6 @@ class TestAttributionRecord:
             nodes=3,
             shards=1,
             latency=0.002,
-            queue_wait=0.001,
             compute=0.001,
             rungs={"store": 2, "recompute": 1},
         )
@@ -365,7 +363,7 @@ class TestAttributionRecord:
         )
         failed = AttributionRecord(
             trace_id="t2", nodes=1, shards=1, latency=0.1,
-            queue_wait=0.0, compute=0.0, ok=False, error="ShardError",
+            compute=0.0, ok=False, error="ShardError",
         )
         assert failed.to_record()["error"] == "ShardError"
 

@@ -51,7 +51,7 @@ def trainer_cases(draw):
     """A small sparse directed graph (isolated nodes, dead-ended walks) and
     a trainer configuration over it: floors anywhere from 1 to the caps, so
     sets sit at, above and below them; wide sets emptied by isolated nodes
-    and shrunk by downsampling; one or two heads."""
+    and shrunk by downsampling."""
     graph = draw(graphs(min_nodes=8))
     num_wide, num_deep = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     config = WidenConfig(
@@ -59,7 +59,6 @@ def trainer_cases(draw):
         num_wide=num_wide,
         num_deep=num_deep,
         num_deep_walks=draw(st.integers(1, 2)),
-        num_heads=draw(st.sampled_from([1, 2])),
         wide_floor=draw(st.integers(1, num_wide)),
         deep_floor=draw(st.integers(1, num_deep)),
         trigger=draw(st.sampled_from(["kl", "always", "never"])),
@@ -328,7 +327,7 @@ class TestNoPerNodeLoopOnTheRecomputeRung:
         for size in self.SIZES:
             nodes = np.arange(100, 100 + size)
             serve = lambda: classifier.embed_for_serving_batch(  # noqa: E731
-                nodes, dataset.graph, 7, return_reads=True
+                nodes, dataset.graph, 7
             )
             serve()  # whatever is lazy has happened
             calls_at[size] = python_calls(serve)

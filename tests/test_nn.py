@@ -237,9 +237,8 @@ class TestAttentionLayouts:
     """One algebra in three layouts: the padded blocks are single autograd
     nodes, the 2-D reference and the CSR rows are composed from ops."""
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_padded_query_attention_is_one_node_equal_to_reference(self, rng, heads):
-        att = QueryAttention(8, num_heads=heads, rng=0)
+    def test_padded_query_attention_is_one_node_equal_to_reference(self, rng):
+        att = QueryAttention(8, rng=0)
         packs = Tensor(rng.normal(size=(3, 4, 8)), requires_grad=True)
         out, weights = att(packs, packs)
         assert out.name == "query_attend" and packs in out._parents
@@ -268,16 +267,14 @@ class TestAttentionLayouts:
         assert out.name == "self_attend" and out._parents[0] is packs
         assert not weights.requires_grad
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_forward_batch_matches_per_node_forward(self, heads):
+    def test_forward_batch_matches_per_node_forward(self):
         from repro.core import WidenConfig, WidenModel
         from repro.core.state import NeighborStateStore, stack_states
         from repro.datasets import make_acm
 
         graph = make_acm(seed=0, scale=0.3).graph
         config = WidenConfig(
-            dim=16, num_wide=6, num_deep=5, num_deep_walks=2, dropout=0.0,
-            num_heads=heads,
+            dim=16, num_wide=6, num_deep=5, num_deep_walks=2, dropout=0.0
         )
         model = WidenModel(
             graph.features.shape[1], graph.num_edge_types_with_loops,

@@ -329,3 +329,33 @@ class TestCheckpointV3:
         rewrite_checkpoint(saved, format_version=99)
         with pytest.raises(ValueError, match="v99, newer than this code's v5"):
             WidenClassifier.load(saved, graph=acm.graph)
+
+    def test_a_key_of_an_option_made_constant_is_dropped(self, acm, saved, tmp_path):
+        """A v5 checkpoint written while ``WidenConfig`` still had
+        ``num_heads`` loads, at ``num_heads=1``, as one without it."""
+        plain = tmp_path / "plain.ckpt"
+        plain.write_bytes(saved.read_bytes())
+        rewrite_checkpoint(saved, config=dict(read_metadata(saved)["config"], num_heads=1))
+        loaded = WidenClassifier.load(saved, graph=acm.graph)
+        reference = WidenClassifier.load(plain, graph=acm.graph)
+        assert loaded.config == reference.config
+        assert_same_parameters(loaded, reference)
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_an_option_made_constant_set_off_its_constant_is_refused(
+        self, acm, saved, heads
+    ):
+        """Multi-head ``w_q`` / ``w_k`` / ``w_v`` have the single-head shapes,
+        so such a checkpoint would load and serve a different model."""
+        rewrite_checkpoint(
+            saved, config=dict(read_metadata(saved)["config"], num_heads=heads)
+        )
+        with pytest.raises(ValueError, match=f"num_heads={heads}.*hard-wires num_heads=1"):
+            WidenClassifier.load(saved, graph=acm.graph)
+
+    def test_an_unknown_config_key_is_refused(self, acm, saved):
+        rewrite_checkpoint(
+            saved, config=dict(read_metadata(saved)["config"], future_option=True)
+        )
+        with pytest.raises(TypeError, match="future_option"):
+            WidenClassifier.load(saved, graph=acm.graph)

@@ -349,15 +349,11 @@ class TestReadSetIsWhatWasRead:
             apply_write(graph, write)
         classifier = WidenClassifier.load(checkpoint, graph=graph)
         nodes = np.arange(graph.num_nodes)
-        _, batch_reads = classifier.embed_for_serving_batch(
-            nodes, graph, SEED, return_reads=True
-        )
+        _, batch_reads = classifier.embed_for_serving_batch(nodes, graph, SEED)
         assert batch_reads.shape == (nodes.size, READ_WIDTH)
         _, row_reads = classifier.materialize_store_rows(nodes, graph, SEED)
         samplers = (
-            lambda one: classifier.embed_for_serving_batch(
-                one, graph, SEED, return_reads=True
-            )[1][0],
+            lambda one: classifier.embed_for_serving_batch(one, graph, SEED)[1][0],
             lambda one: classifier.materialize_store_rows(one, graph, SEED)[1][0],
         )
         seen = record_extents(graph)
@@ -387,9 +383,7 @@ class TestReadSetIsWhatWasRead:
         before = server.embed([0, 3])
         del graph.extents
         assert set(seen) == {0, 1, 3}
-        _, reads = classifier.embed_for_serving_batch(
-            [0], graph, SEED, return_reads=True
-        )
+        _, reads = classifier.embed_for_serving_batch([0], graph, SEED)
         assert set(reads[0].tolist()) == {0, 1}
         server.add_edges("y", [1], [4], symmetric=False)
         assert server.cache.node_invalidations == Counter({0: 1})

@@ -217,6 +217,36 @@ RETIRED = [
         "lone server, and its report is read off the router's attribution records",
         (),
     ),
+    (
+        r"num_heads",
+        55,
+        "PASS° and PASS▷ are single-head attention (Eqs. 3 and 5): no head count "
+        "and no head selector in the fused node; only the checkpoint loader names "
+        "the key, to drop num_heads=1 and refuse any other count",
+        ("core/classifier.py",),
+    ),
+    (
+        r"class Optimizer\b|optim\.Optimizer\b|import .*\bOptimizer\b|_slot_names"
+        r"|_load_slots|_load_scalars|\bbetas\b",
+        55,
+        "Adam is the one optimizer: no base class, no slot hooks, its betas and "
+        "eps are constants",
+        (),
+    ),
+    (
+        r"return_reads|warmup_passes",
+        55,
+        "a keyword every caller passed one value becomes that value: serving "
+        "embeddings come with their read sets, and inductive embedding warms once",
+        (),
+    ),
+    (
+        r"queue_wait",
+        55,
+        "an op reports one critical path, submit to answer: a chunk start minus "
+        "a submit time counted the op's own earlier chunks, not load",
+        (),
+    ),
 ]
 
 TESTS = SRC.parents[1] / "tests"

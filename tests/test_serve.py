@@ -215,16 +215,13 @@ class TestTelemetry:
     @staticmethod
     def answered(
         telemetry, node, arrival, completion, *, hit=False, rung=None,
-        queue_wait=0.0, kind="classify",
+        kind="classify",
     ):
         """One request through the recording API — open its row, fill
         it; returns its id."""
         rung = rung or ("cache" if hit else "recompute")
         request_id = telemetry.open(node, kind, arrival)
-        telemetry.finish(
-            request_id, completion,
-            rung=rung, queue_wait=queue_wait,
-        )
+        telemetry.finish(request_id, completion, rung=rung)
         return request_id
 
     def test_feeds_shared_registry(self):
@@ -561,7 +558,13 @@ class TestInferenceServer:
         compute_batches = server.telemetry.registry.get("serve_compute_batch_size")
         assert compute_batches.count == 3
         assert compute_batches.sum == 9
-        assert reply["queue_wait"] > 0  # the last chunk waited for two
+        # The reply is columns plus the op's own miss work: the end of its
+        # submit loop to its last answer, so an all-cache op reads 0.
+        assert set(reply) == {"values", "rungs", "compute"}
+        assert reply["compute"] > 0
+        warm = server.replay(acm.split.test[:9], kind="embed")
+        assert {RUNGS[code] for code in warm["rungs"]} == {"cache"}
+        assert warm["compute"] == 0.0
 
     def test_max_batch_size_below_one_is_refused(self, trained, acm, tmp_path):
         path = tmp_path / "widen.ckpt"
@@ -668,7 +671,7 @@ class TestHeadCalls:
         same bits as the same row inside a batch of 64 (a pair does not,
         with ACM's three classes)."""
         nodes = np.arange(64)
-        embeddings = trained.embed_for_serving_batch(nodes, acm.graph, 7)
+        embeddings, _ = trained.embed_for_serving_batch(nodes, acm.graph, 7)
         head_calls.clear()
         batched = trained.predict_from_embeddings(embeddings)
         alone = [
@@ -711,7 +714,7 @@ class TestMutationInvalidation:
         server.embed(nodes)
         assert len(server.cache) == 6
         _, reads = server.classifier.embed_for_serving_batch(
-            np.asarray(nodes), server.graph, 7, return_reads=True
+            np.asarray(nodes), server.graph, 7
         )
         version_before = server.graph.version
         new = self._mutate(server, acm)

@@ -515,7 +515,7 @@ class TestStoreServingEquality:
         nodes = probe_nodes(acm.graph, 9)
         np.testing.assert_array_equal(
             store.blocks_for(nodes)[0],
-            trained.embed_for_serving_batch(nodes, acm.graph, 7),
+            trained.embed_for_serving_batch(nodes, acm.graph, 7)[0],
         )
 
 
@@ -1085,7 +1085,7 @@ class TestExactnessProperty:
                 )), np.int64)
                 if recomputed.size:
                     embeddings, reads = stored.classifier.embed_for_serving_batch(
-                        recomputed, stored.graph, 7, return_reads=True
+                        recomputed, stored.graph, 7
                     )
                     rows, row_reads = store.blocks_for(recomputed)
                     np.testing.assert_array_equal(rows, embeddings)

@@ -191,26 +191,17 @@ class TestAttention:
 NEG_INF = float("-inf")
 
 
-def composed_query_attend(query, keys, values, w_q, w_k, w_v, mask, heads):
+def composed_query_attend(query, keys, values, w_q, w_k, w_v, mask):
     """Eq. 3 / Eq. 5 as written: project every key and value row, then one
-    ``F.attention`` per head over the projected grids."""
+    ``F.attention`` over the projected grids."""
     d = keys.shape[-1]
-    head_dim = d // heads
     q = (query @ w_q).reshape(keys.shape[0], 1, d)
-    k, v = keys @ w_k, values @ w_v
-    outs, weights = [], None
-    for head in range(heads):
-        lo, hi = head * head_dim, (head + 1) * head_dim
-        out, w = F.attention(
-            ops.slice(q, lo, hi, axis=2), ops.slice(k, lo, hi, axis=2),
-            ops.slice(v, lo, hi, axis=2),
-            mask=None if mask is None else mask[:, np.newaxis, :],
-            return_weights=True,
-        )
-        outs.append(out)
-        weights = w if weights is None else weights + w
-    attended = ops.concat(outs, axis=-1).reshape(keys.shape[0], d)
-    return attended, (weights / float(heads)).reshape(*keys.shape[:2])
+    attended, weights = F.attention(
+        q, keys @ w_k, values @ w_v,
+        mask=None if mask is None else mask[:, np.newaxis, :],
+        return_weights=True,
+    )
+    return attended.reshape(keys.shape[0], d), weights.reshape(*keys.shape[:2])
 
 
 def composed_self_attend(packs, w_q, w_k, w_v, mask):
@@ -239,9 +230,8 @@ def grads_of(fn, arrays):
 class TestFusedAttentionNodes:
     """``query_attend`` / ``self_attend`` against the composed chains."""
 
-    @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("from_packs", [False, True])
-    def test_query_attend_grad_check(self, rng, heads, from_packs):
+    def test_query_attend_grad_check(self, rng, from_packs):
         d = 4
         keys, _, mask = padded_grid(rng, np.array([3, 1, 2]), 3, d)
         values, _, _ = padded_grid(rng, np.array([3, 1, 2]), 3, d)
@@ -249,7 +239,7 @@ class TestFusedAttentionNodes:
         weights = [0.5 * rng.normal(size=(d, d)) for _ in range(3)]
 
         def fn(q, k, v, wq, wk, wv):
-            out, _ = F.query_attend(q, k, v, wq, wk, wv, mask=mask, num_heads=heads)
+            out, _ = F.query_attend(q, k, v, wq, wk, wv, mask=mask)
             return (out * out).sum()
 
         check_gradients(fn, [query, keys, values] + weights, atol=1e-5)
@@ -284,17 +274,15 @@ class TestFusedAttentionNodes:
         seed=st.integers(0, 2**32 - 1),
         segments=st.integers(1, 4),
         width=st.integers(1, 5),
-        heads=st.sampled_from([1, 2, 4]),
-        head_dim=st.integers(1, 3),
+        d=st.integers(1, 6),
         shared_values=st.booleans(),
         from_packs=st.booleans(),
         data=st.data(),
     )
     def test_query_attend_equals_composed_chain(
-        self, seed, segments, width, heads, head_dim, shared_values, from_packs, data
+        self, seed, segments, width, d, shared_values, from_packs, data
     ):
         rng = np.random.default_rng(seed)
-        d = heads * head_dim
         lengths = np.array(
             data.draw(st.lists(st.integers(1, width), min_size=segments,
                                max_size=segments))
@@ -311,14 +299,14 @@ class TestFusedAttentionNodes:
             source = q
             if from_packs:
                 source = v
-            return F.query_attend(source, k, v, wq, wk, wv, mask=mask, num_heads=heads)
+            return F.query_attend(source, k, v, wq, wk, wv, mask=mask)
 
         def composed(q, k, v, wq, wk, wv):
             if shared_values:
                 v = k
             if from_packs:
                 q = ops.slice(v, 0, 1, axis=1).reshape(segments, d)
-            return composed_query_attend(q, k, v, wq, wk, wv, mask, heads)
+            return composed_query_attend(q, k, v, wq, wk, wv, mask)
 
         arrays = [query, keys, values] + weights
         out, att, grads = grads_of(fused, arrays)
@@ -371,8 +359,7 @@ class TestFusedAttentionNodes:
         assert (out[padded] == 0.0).all()
         assert (grads[0][padded] == 0.0).all()
 
-    @pytest.mark.parametrize("heads", [1, 2])
-    def test_a_row_does_not_depend_on_its_batch(self, rng, heads):
+    def test_a_row_does_not_depend_on_its_batch(self, rng):
         """Store, cache and recompute answer the same node from different
         batches: a segment's result is the same bits alone, in a pair and
         among 40 (a lone row must not fall onto the gemv path)."""
@@ -384,8 +371,7 @@ class TestFusedAttentionNodes:
 
         def both(rows):
             attended, att = F.query_attend(
-                packs[rows], packs[rows], packs[rows], *weights,
-                mask=attn_mask[rows], num_heads=heads,
+                packs[rows], packs[rows], packs[rows], *weights, mask=attn_mask[rows]
             )
             refined, _ = F.self_attend(packs[rows], *weights, mask=causal[rows])
             return attended.data, att.data, refined.data

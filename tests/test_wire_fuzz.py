@@ -112,7 +112,6 @@ CORPUS = [
         payload={
             "values": np.eye(5, 4),
             "rungs": np.zeros(5, np.uint8),
-            "queue_wait": 0.0,
             "compute": 1e-6,
         },
     ),
