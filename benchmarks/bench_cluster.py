@@ -26,6 +26,15 @@ Claims asserted:
    state, and every post-recovery answer matches the single-server
    reference exactly.  The ``kill_recover`` section records the
    detect/respawn breakdown.
+4. Request observability is opt-in.  The ``trace_overhead`` section times
+   warm ``GROUP``-node ops over the probe on fresh inline 2-shard fleets:
+   one untimed pass fills the shard caches, then timed rounds.  Two runs
+   with observability off must agree within ``NOISE_GATE`` on p50 (up to
+   ``OVERHEAD_ATTEMPTS`` paired attempts, the closest kept), which bounds
+   the noise floor; attribution + SLO monitoring must cost at most
+   ``SLO_OVERHEAD_CEILING`` times the off p50, and full distributed
+   tracing at most ``TRACE_OVERHEAD_CEILING`` times (a regression canary,
+   not a performance claim).
 
 Throughput scaling is reported, not asserted: on a host with fewer cores
 than shards no route observes it (EXPERIMENTS.md, "Sharded serving").
@@ -50,11 +59,16 @@ import numpy as np
 from repro.cluster import ClusterRouter, LocalWorkerSpawner, ShardRegistry
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
+from repro.obs import nearest_rank_percentile
 from repro.serve import InferenceServer, ModelRegistry, make_trace
 
 SHARD_COUNTS = (1, 2, 4)
 TRANSPORTS = ("inline", "socket")
-GROUP = 8  # nodes per embed op, serve-cluster's default --group
+GROUP = 8  # nodes per embed op, as serve-cluster sends them
+NOISE_GATE = 0.02  # paired observability-off runs agree within 2% on p50
+OVERHEAD_ATTEMPTS = 4
+SLO_OVERHEAD_CEILING = 1.25
+TRACE_OVERHEAD_CEILING = 2.0
 
 
 def _fresh_graph(seed, scale):
@@ -74,14 +88,73 @@ def _timed(embed, ops):
     return time.perf_counter() - started
 
 
-def run_bench(out_path, *, scale=0.5, epochs=2, requests=240, zipf=1.1, seed=0):
+def run_bench(out_path, *, scale=0.5, epochs=2, requests=240, zipf=1.1,
+              rounds=48, seed=0):
     """Train, checkpoint, run the trace's ops back to back across fleet
     sizes, write the report."""
     with tempfile.TemporaryDirectory(prefix="repro-cluster-bench-") as root:
         return _run_bench(
             out_path, root, scale=scale, epochs=epochs, requests=requests,
-            zipf=zipf, seed=seed,
+            zipf=zipf, rounds=rounds, seed=seed,
         )
+
+
+def _warm_p50(checkpoint, probe, *, seed, scale, rounds, tracing=False,
+              slo=False):
+    """Warm p50 seconds of a ``GROUP``-node ``embed`` on a fresh inline
+    2-shard fleet: one untimed pass fills the shard caches (and absorbs
+    tracing's first span-buffer allocations), then ``rounds`` timed passes
+    over the probe."""
+    router = ClusterRouter.from_checkpoint(
+        checkpoint, _fresh_graph(seed, scale), 2, transport="inline", seed=seed
+    )
+    try:
+        if tracing:
+            router.enable_dist_tracing()
+        if slo:
+            router.enable_slo()
+        ops = _ops(probe)
+        _timed(router.embed, ops)
+        return nearest_rank_percentile(
+            [_timed(router.embed, [op]) for _ in range(rounds) for op in ops], 50
+        )
+    finally:
+        router.close()
+
+
+def _measure_trace_overhead(checkpoint, probe, *, seed, scale, rounds):
+    """Warm p50 with observability off (paired, to bound the noise), with
+    attribution + SLO monitoring, and with full distributed tracing."""
+    def p50(**observed):
+        return _warm_p50(
+            checkpoint, probe, seed=seed, scale=scale, rounds=rounds, **observed
+        )
+
+    def gap(pair):
+        return abs(pair[1] / pair[0] - 1.0)
+
+    best = None
+    for attempt in range(1, OVERHEAD_ATTEMPTS + 1):
+        pair = (p50(), p50())
+        best = pair if best is None else min(best, pair, key=gap)
+        if gap(best) <= NOISE_GATE:
+            break
+    off, paired = best
+    slo, traced = p50(slo=True), p50(tracing=True, slo=True)
+    return {
+        "shards": 2,
+        "transport": "inline",
+        "rounds": rounds,
+        "calls": rounds * len(_ops(probe)),
+        "off_p50_us": off * 1e6,
+        "off_paired_p50_us": paired * 1e6,
+        "off_pair_p50_ratio": paired / off,
+        "off_pair_attempts": attempt,
+        "slo_p50_us": slo * 1e6,
+        "trace_p50_us": traced * 1e6,
+        "slo_over_off_p50": slo / off,
+        "trace_over_off_p50": traced / off,
+    }
 
 
 def _measure_kill_recover(checkpoint, probe, *, seed, scale):
@@ -141,7 +214,8 @@ def _measure_worker_startup():
     return timings
 
 
-def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
+def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf,
+               rounds, seed):
     dataset = make_acm(seed=seed, scale=scale)
     model = WidenClassifier(seed=seed, dim=16, num_wide=6, num_deep=5)
     model.fit(dataset.graph, dataset.split.train, epochs=epochs)
@@ -226,6 +300,9 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
         checkpoint, probe, seed=seed, scale=scale
     )
     report["worker_startup"] = _measure_worker_startup()
+    report["trace_overhead"] = _measure_trace_overhead(
+        checkpoint, probe, seed=seed, scale=scale, rounds=rounds
+    )
 
     prometheus_text = prometheus_state["text"]
 
@@ -263,10 +340,19 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
     startup = report["worker_startup"]
     print(f"worker time-to-LISTENING: one {startup['one_s'] * 1e3:.0f} ms, "
           f"two launched together {startup['two_s'] * 1e3:.0f} ms")
+    overhead = report["trace_overhead"]
+    print(f"trace overhead, warm p50 on inline x2 over {overhead['calls']} "
+          f"ops: off {overhead['off_p50_us']:.1f} us (paired "
+          f"{overhead['off_pair_p50_ratio']:.3f}x after "
+          f"{overhead['off_pair_attempts']} attempt(s)), slo "
+          f"{overhead['slo_over_off_p50']:.2f}x, trace "
+          f"{overhead['trace_over_off_p50']:.2f}x")
     print(f"prometheus: {report['prometheus_samples']} shard-labeled samples "
           f"-> {out_path}")
 
     # Claim 1: every fleet, on every transport, is bit-identical.
+    transports = {s["transport"] for s in report["transport_fleets"]}
+    assert transports == set(TRANSPORTS), f"fleets ran on {sorted(transports)}"
     for stats in report["transport_fleets"]:
         assert stats["exact_match"], (
             f"{stats['transport']} x{stats['num_shards']} diverged from the "
@@ -284,6 +370,7 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
             f"shards: {served}"
         )
     # Claim 2: the merged exposition carries per-shard series.
+    assert report["prometheus_samples"] > 0, "empty Prometheus exposition"
     for shard in range(4):
         assert f'shard="{shard}"' in (prometheus_text or ""), (
             f"no shard=\"{shard}\" series in the Prometheus exposition"
@@ -297,6 +384,20 @@ def _run_bench(out_path, registry_root, *, scale, epochs, requests, zipf, seed):
         "connection_reset", "send_failed", "heartbeat_missed",
     ), f"kill was not detected as a typed WorkerDown: {recover}"
     assert len(recover["recoveries"]) == recover["respawns"] == 1, recover
+    # Claim 4: observability off reproduces itself; on, it stays cheap.
+    assert abs(overhead["off_pair_p50_ratio"] - 1.0) <= NOISE_GATE, (
+        f"paired observability-off runs disagree by "
+        f"{abs(overhead['off_pair_p50_ratio'] - 1.0) * 100:.1f}% on warm p50 "
+        f"(> {NOISE_GATE * 100:.0f}%): the noise floor is not credible"
+    )
+    assert overhead["slo_over_off_p50"] <= SLO_OVERHEAD_CEILING, (
+        f"SLO accounting costs {overhead['slo_over_off_p50']:.2f}x warm p50 "
+        f"(> {SLO_OVERHEAD_CEILING}x)"
+    )
+    assert overhead["trace_over_off_p50"] <= TRACE_OVERHEAD_CEILING, (
+        f"full tracing costs {overhead['trace_over_off_p50']:.2f}x warm p50 "
+        f"(> {TRACE_OVERHEAD_CEILING}x)"
+    )
     return report
 
 
@@ -311,9 +412,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.smoke:
-        defaults = {"scale": 0.4, "epochs": 1, "requests": 160}
+        defaults = {"scale": 0.4, "epochs": 1, "requests": 160, "rounds": 24}
     else:
-        defaults = {"scale": 1.0, "epochs": 5, "requests": 600}
+        defaults = {"scale": 1.0, "epochs": 5, "requests": 600, "rounds": 48}
     run_bench(
         args.out,
         scale=args.scale if args.scale is not None else defaults["scale"],
@@ -321,6 +422,7 @@ def main(argv=None) -> int:
         requests=(
             args.requests if args.requests is not None else defaults["requests"]
         ),
+        rounds=defaults["rounds"],
         seed=args.seed,
     )
     return 0

@@ -148,9 +148,10 @@ def _row(history, train_nodes):
 def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
     """Sweep fleet sizes over one base checkpoint; write ``BENCH_train.json``.
 
-    Asserts (CI's ``train-smoke`` gate re-checks it from the report) that
-    every fleet's final-epoch loss is within ``LOSS_TOLERANCE`` of the
-    single-process run on the same checkpoint.
+    Asserts that the fleets are exactly ``SHARD_COUNTS``, and that every
+    fleet trained (``nodes_per_sec > 0``), synchronized gradients
+    (``sync_bytes > 0``) and ended within ``LOSS_TOLERANCE`` of the
+    single-process run's final-epoch loss on the same checkpoint.
     """
     from repro.datasets import make_acm
 
@@ -207,7 +208,10 @@ def run_train_scaling(out_path, *, scale=1.5, epochs=2, seed=0):
     Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {out_path}")
 
+    assert {stats["shards"] for stats in fleets} == set(SHARD_COUNTS), fleets
     for stats in fleets:
+        assert stats["nodes_per_sec"] > 0, stats
+        assert stats["sync_bytes"] > 0, f"{stats['shards']}-shard fleet synced nothing"
         assert stats["loss_gap_vs_single"] <= LOSS_TOLERANCE, (
             f"{stats['shards']}-shard loss diverged from single-process by "
             f"{stats['loss_gap_vs_single']:.3e} (> {LOSS_TOLERANCE})"

@@ -281,6 +281,8 @@ def _run_bench(out_path, root, *, scale, epochs, rounds, probe_size, seed):
           f"({best['wall_speedup']:.1f}x)")
 
     # Gate 1: exactness everywhere, mutations included.
+    targets = {row["target"] for row in report["exactness"]}
+    assert {"single_server", "inline_x1", "inline_x4", "socket_x4"} <= targets, targets
     for row in report["exactness"]:
         assert row["max_diff"] <= EXACTNESS_GATE, (
             f"{row['target']} diverged from full recompute by "

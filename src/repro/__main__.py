@@ -4,15 +4,16 @@ Commands
 --------
 ``stats [dataset]``
     Print Table-1-style statistics for one or all datasets.
-``train [dataset] [--epochs N]``
-    Train WIDEN on a dataset and report test micro-F1.
-``compare [dataset] [--epochs N]``
-    Train WIDEN and every baseline on a dataset; print a leaderboard.
+``train [dataset] [--epochs N] [--trace-out F]``
+    Train WIDEN on a dataset and report test micro-F1.  With
+    ``--trace-out`` the training runs under the :mod:`repro.obs`
+    instrumentation: it prints an op-level time/FLOP table, adds the op
+    rows to the metrics registry and writes a Chrome-loadable trace.
 ``serve-cluster [dataset] [--shards K] [--transport T] [--smoke] ...``
     Train WIDEN, serve the graph from K shards — full replicas, shard
     ``n % K`` owning node ``n`` (:mod:`repro.cluster`) — and send a
     deterministic Zipf trace through the scatter-gather router as
-    ``--group``-node ``embed`` ops, two passes (cold cache, then warm),
+    8-node ``embed`` ops, two passes (cold cache, then warm),
     with distributed tracing and SLO monitoring on (:mod:`repro.obs.dist`
     / :mod:`repro.obs.slo`).  ``--shards 1 --transport inline`` is one
     :class:`~repro.serve.InferenceServer` behind the router.  Prints the
@@ -46,11 +47,6 @@ Commands
     ``serve-cluster --store FILE`` then serves cache misses from the
     store — one gather, no model code — falling back to full recompute
     for stale/absent rows.
-``profile [dataset] [--epochs N] [--trace-out F] [--metrics-out F]``
-    Train WIDEN under the :mod:`repro.obs` instrumentation: prints an
-    op-level time/FLOP table and the per-epoch message-volume series, and
-    writes a Chrome-loadable ``trace.json`` plus a ``metrics.jsonl`` with
-    per-epoch loss/F1/message-volume/KL-trigger series.
 
 ``train``, ``store-build`` and ``serve-cluster`` additionally accept
 ``--metrics-out FILE`` to dump the shared metrics registry as JSONL after
@@ -67,6 +63,9 @@ import sys
 
 import numpy as np
 
+#: Nodes per ``embed`` op that ``serve-cluster`` sends through the router.
+GROUP = 8
+
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.datasets import DATASETS, make_dataset
@@ -82,7 +81,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _train_widen(args: argparse.Namespace, dataset, epochs=None):
-    """The WIDEN classifier every command serves, stores or profiles:
+    """The WIDEN classifier every command trains, serves or stores:
     built from ``--seed``/``--dim`` and fitted on the dataset's train split
     for ``--epochs`` (``epochs=0`` builds and binds without training)."""
     from repro.core import WidenClassifier
@@ -96,30 +95,35 @@ def _train_widen(args: argparse.Namespace, dataset, epochs=None):
     return model
 
 
-def _parse_workers(args: argparse.Namespace):
-    """``--workers host:port,...`` as a list, or ``None`` to spawn locally."""
-    if not args.workers:
-        return None
-    return [w.strip() for w in args.workers.split(",") if w.strip()]
+def _refuse(args: argparse.Namespace, message) -> int:
+    """One ``repro <command>: error:`` line on stderr; exit status 2."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.datasets import make_dataset
     from repro.eval import micro_f1
 
+    distributed = args.shards is not None or args.resume is not None
+    if distributed and args.trace_out:
+        return _refuse(args, "--trace-out traces a single-process run; a "
+                             "fleet (--shards, --resume) has no trace lanes")
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
-    if args.shards is not None or args.resume is not None:
-        return _train_distributed(args, dataset)
-    model = _train_widen(args, dataset)
+    if distributed:
+        model, detail = _train_distributed(args, dataset)
+    else:
+        with _maybe_profile(args):
+            model = _train_widen(args, dataset)
+        detail = f"{np.mean(model.epoch_seconds):.3f} s/epoch"
+        _dump_metrics(args)
     predictions = model.predict(dataset.split.test)
     score = micro_f1(dataset.graph.labels[dataset.split.test], predictions)
-    print(f"widen on {dataset.name}: micro-F1 {score:.4f} "
-          f"({np.mean(model.epoch_seconds):.3f} s/epoch)")
-    _maybe_dump_metrics(args)
+    print(f"widen on {dataset.name}: micro-F1 {score:.4f} ({detail})")
     return 0
 
 
-def _train_distributed(args: argparse.Namespace, dataset) -> int:
+def _train_distributed(args: argparse.Namespace, dataset):
     """``train --shards K [--transport T] [--resume PATH]``: data-parallel
     training over the cluster substrate (same flag group serve-cluster
     parses — one shard/transport vocabulary for serving and training).
@@ -127,11 +131,10 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
     from pathlib import Path
 
     from repro.cluster.train import DistributedTrainer
-    from repro.eval import micro_f1
 
     graph, split = dataset.graph, dataset.split
     shards = args.shards if args.shards is not None else 2
-    fleet_kwargs = dict(transport=args.transport, workers=_parse_workers(args))
+    fleet_kwargs = dict(transport=args.transport, workers=args.workers)
     resume = Path(args.resume) if args.resume else None
     if resume is not None and resume.is_dir():
         print(f"resuming fleet from {resume} ...")
@@ -148,141 +151,59 @@ def _train_distributed(args: argparse.Namespace, dataset) -> int:
             split.train, args.epochs, checkpoint_dir=args.checkpoint_out
         )
         model = trainer.classifier(graph=graph)
-        if args.prometheus_out:
-            _write_prometheus(trainer, args.prometheus_out)
-    predictions = model.predict(split.test)
-    score = micro_f1(graph.labels[split.test], predictions)
-    seconds = float(np.sum(history.epoch_seconds)) or 1e-12
-    rate = history.epochs * split.train.size / seconds
-    print(f"widen on {dataset.name}: micro-F1 {score:.4f} "
-          f"({trainer.plan.num_shards} shards, {args.transport} transport, "
-          f"{np.mean(history.epoch_seconds):.3f} s/epoch, "
-          f"{rate:.0f} nodes/s, final loss {history.losses[-1]:.6f})")
+        _dump_metrics(args, trainer)
     if args.checkpoint_out:
         print(f"fleet checkpoints in {args.checkpoint_out}")
-    _maybe_dump_metrics(args)
-    return 0
+    seconds = float(np.sum(history.epoch_seconds)) or 1e-12
+    rate = history.epochs * split.train.size / seconds
+    return model, (f"{trainer.plan.num_shards} shards, {args.transport} transport, "
+                   f"{np.mean(history.epoch_seconds):.3f} s/epoch, "
+                   f"{rate:.0f} nodes/s, final loss {history.losses[-1]:.6f}")
 
 
-def _write_prometheus(fleet, path: str) -> None:
-    """A router's or trainer's merged, shard-labeled exposition, written
-    atomically (temp file + rename)."""
-    lines = fleet.merged_registry().write_prometheus(path)
-    print(f"wrote {lines} Prometheus samples to {path}")
-
-
-def _maybe_dump_metrics(args: argparse.Namespace, fleet=None) -> None:
+def _dump_metrics(args: argparse.Namespace, fleet=None) -> None:
     """``--metrics-out``: the shared registry as JSONL, merged with
-    ``fleet``'s shard-labeled series when one is given."""
-    if getattr(args, "metrics_out", None):
-        from repro.obs import get_registry
+    ``fleet``'s shard-labeled series when one is given.
+    ``--prometheus-out``: a router's or trainer's merged, shard-labeled
+    exposition, written atomically (temp file + rename)."""
+    from repro.obs import get_registry
 
-        registry = get_registry()
-        if fleet is not None:
-            merged = fleet.merged_registry()
-            merged.merge_payload(registry.to_payload())
-            registry = merged
+    if not (args.metrics_out or args.prometheus_out):
+        return  # a fleet's merge pulls every shard's registry
+    registry = get_registry()
+    if fleet is not None:
+        registry = fleet.merged_registry()
+        if args.prometheus_out:
+            lines = registry.write_prometheus(args.prometheus_out)
+            print(f"wrote {lines} Prometheus samples to {args.prometheus_out}")
+        registry.merge_payload(get_registry().to_payload())
+    if args.metrics_out:
         count = registry.dump_jsonl(args.metrics_out)
         print(f"wrote {count} metric records to {args.metrics_out}")
 
 
-def _maybe_serve_metrics(args: argparse.Namespace, render):
-    """A live ``/metrics`` endpoint for the duration of a ``with`` block.
+@contextlib.contextmanager
+def _maybe_profile(args: argparse.Namespace):
+    """``--trace-out``: run the block under an enabled tracer and the op
+    profiler, then print the op table, add its rows to the shared registry
+    (``--metrics-out`` carries ``op_calls``) and write the Chrome trace."""
+    if not args.trace_out:
+        yield
+        return
+    from repro.obs import OpProfiler, Tracer, get_registry, set_tracer
 
-    Does nothing unless ``--metrics-port`` is given.  ``render`` is a
-    zero-argument callable producing the Prometheus text exposition, read
-    per scrape.
-    """
-    if getattr(args, "metrics_port", None) is None:
-        return contextlib.nullcontext()
-    from repro.obs import MetricsHTTPServer
-
-    server = MetricsHTTPServer(render, port=args.metrics_port)
-    print(f"metrics endpoint live at {server.url}")
-    return server
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.datasets import make_dataset
-    from repro.obs import (
-        MetricsRegistry, OpProfiler, Tracer, set_registry, set_tracer,
-    )
-
-    dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
-    # Fresh registry + enabled tracer for the duration of the run, so the
-    # dumps contain exactly this training run.
-    registry = MetricsRegistry()
-    tracer = Tracer(enabled=True)
-    previous_registry = set_registry(registry)
-    previous_tracer = set_tracer(tracer)
-    profiler = OpProfiler()
-    print(f"profiling widen on {dataset.name} ({args.epochs} epochs) ...\n")
+    previous = set_tracer(Tracer(enabled=True))
     try:
-        with profiler:
-            model = _train_widen(args, dataset)
+        with OpProfiler() as profiler:
+            yield
     finally:
-        profiler.disable()
-        set_registry(previous_registry)
-        set_tracer(previous_tracer)
-    profiler.export(registry)
-
+        tracer = set_tracer(previous)
+    profiler.export(get_registry())
     print("op-level profile (self-time, analytic FLOPs)")
     print(profiler.table())
-
-    history = model.trainer.history
-    print("\nper-epoch training series")
-    header = (
-        f"{'epoch':>5} {'loss':>8} {'microF1':>8} {'wide msgs':>10} "
-        f"{'deep msgs':>10} {'drops':>6} {'KL fires':>9} {'sec':>7}"
-    )
-    print(header)
-    print("-" * len(header))
-    for epoch in range(history.epochs):
-        print(
-            f"{epoch:>5} {history.losses[epoch]:>8.4f} "
-            f"{history.train_micro_f1[epoch]:>8.4f} "
-            f"{history.wide_messages[epoch]:>10} "
-            f"{history.deep_messages[epoch]:>10} "
-            f"{history.wide_drops[epoch] + history.deep_drops[epoch]:>6} "
-            f"{history.trigger_fires[epoch]:>9} "
-            f"{history.epoch_seconds[epoch]:>7.3f}"
-        )
-
     events = tracer.write_chrome_trace(args.trace_out)
-    records = registry.dump_jsonl(args.metrics_out)
-    print(f"\nwrote {events} trace events to {args.trace_out} "
+    print(f"wrote {events} trace events to {args.trace_out} "
           f"(load via chrome://tracing or ui.perfetto.dev)")
-    print(f"wrote {records} metric records to {args.metrics_out}")
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.baselines import BASELINES
-    from repro.datasets import make_dataset
-    from repro.eval import micro_f1
-
-    dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
-    rows = []
-    for name in list(BASELINES) + ["widen"]:
-        if name == "gtn" and dataset.name == "yelp":
-            continue  # matches the paper's skip
-        if name == "widen":
-            model = _train_widen(args, dataset)
-        else:
-            kwargs = {"seed": args.seed}
-            if name == "han":
-                kwargs["target_type"] = dataset.target_type
-            model = BASELINES[name](**kwargs)
-            epochs = max(1, args.epochs // 5) if name == "node2vec" else args.epochs
-            model.fit(dataset.graph, dataset.split.train, epochs=epochs)
-        predictions = model.predict(dataset.split.test)
-        score = micro_f1(dataset.graph.labels[dataset.split.test], predictions)
-        rows.append((score, name, float(np.mean(model.epoch_seconds))))
-        print(f"  trained {name}: {score:.4f}")
-    print(f"\nleaderboard on {dataset.name}:")
-    for score, name, seconds in sorted(rows, reverse=True):
-        print(f"  {name:<10} micro-F1 {score:.4f}   {seconds:.3f} s/epoch")
-    return 0
 
 
 def _cmd_store_build(args: argparse.Namespace) -> int:
@@ -295,8 +216,7 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
     try:
         refuse_directory(args.out)  # before any training or loading
     except ValueError as error:
-        print(f"repro store-build: error: {error}", file=sys.stderr)
-        return 2
+        return _refuse(args, error)
     dataset = make_dataset(args.dataset or "acm", seed=args.seed, scale=args.scale)
     if args.checkpoint:
         print(f"loading checkpoint {args.checkpoint} ...")
@@ -316,18 +236,17 @@ def _cmd_store_build(args: argparse.Namespace) -> int:
           f"in {seconds:.2f}s -> {args.out}")
     print(f"store keyed to params digest {store.meta['params_digest']}, "
           f"seed {store.meta['seed']}, graph version {store.meta['graph_version']}")
-    _maybe_dump_metrics(args)
+    _dump_metrics(args)
     return 0
 
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     import json
-    import tempfile
 
     from repro.cluster import ClusterRouter
     from repro.datasets import make_dataset
-    from repro.obs import RUNGS, SLOTarget
-    from repro.serve import ModelRegistry, make_trace
+    from repro.obs import RUNGS, MetricsHTTPServer
+    from repro.serve import make_trace
 
     if args.smoke:
         # CI-sized run: tiny graph, short trace, one epoch.
@@ -340,129 +259,119 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     print(f"training widen on {dataset.name} ({args.epochs} epochs) ...")
     model = _train_widen(args, dataset)
 
-    with tempfile.TemporaryDirectory(prefix="repro-registry-") as root:
-        registry = ModelRegistry(root)
-        path = registry.save(f"widen-{dataset.name}", model)
-        router = ClusterRouter.from_checkpoint(
-            path, dataset.graph, args.shards,
-            transport=args.transport,
-            workers=_parse_workers(args),
-            max_batch_size=args.batch_size,
-            cache_capacity=args.cache_capacity, seed=args.seed,
-            store_path=args.store or None,
+    router = ClusterRouter.from_classifier(
+        model, dataset.graph, args.shards, transport=args.transport,
+        workers=args.workers, seed=args.seed, store_path=args.store or None,
+    )
+    # Worker processes and the /metrics listener go down with the block,
+    # also when an op raises.
+    with router, contextlib.ExitStack() as stack:
+        if args.metrics_port is not None:
+            endpoint = stack.enter_context(MetricsHTTPServer(
+                router.render_prometheus, port=args.metrics_port))
+            print(f"metrics endpoint live at {endpoint.url}")
+        router.enable_dist_tracing()
+        router.enable_slo()
+        if args.store:
+            print(f"store: sliced {router.store.num_rows} rows from "
+                  f"{args.store} across {args.shards} shards by ownership")
+        plan = router.plan.summary()
+        print(f"\nplan: {plan['num_shards']} shards over the "
+              f"{args.transport} transport, each a replica of all "
+              f"{plan['num_nodes']} nodes")
+        for shard in plan["shards"]:
+            print(f"  shard {shard['shard']}: {shard['owned']} owned")
+        print(f"\nserving {args.requests} requests, scatter groups of "
+              f"{GROUP}, two passes (cold cache, then warm)")
+
+        # Every scatter group is one op through the request path (embed):
+        # one trace id with router + shard spans, one attribution record,
+        # and the second pass shows the cold->warm rung shift.
+        nodes = make_trace(dataset.split.test, args.requests, rng=args.seed)
+        starts = range(0, nodes.size, GROUP)
+        passes = []
+        for _ in range(2):
+            for start in starts:
+                router.embed(nodes[start:start + GROUP])
+            passes.append(router.attribution_records()[-len(starts):])
+
+        records = passes[0] + passes[1]
+        mismatched = sum(
+            1 for r in records if sum(r["rungs"].values()) != r["nodes"]
         )
-        # Worker processes and the listener go down with the block, also
-        # when an op raises.
-        with router, _maybe_serve_metrics(args, router.render_prometheus):
-            router.enable_dist_tracing()
-            router.enable_slo(SLOTarget(
-                latency_threshold=args.slo_threshold,
-                objective=args.slo_objective,
-            ))
-            if args.store:
-                print(f"store: sliced {router.store.num_rows} rows from "
-                      f"{args.store} across {args.shards} shards by ownership")
-            plan = router.plan.summary()
-            print(f"\nplan: {plan['num_shards']} shards over the "
-                  f"{args.transport} transport, each a replica of all "
-                  f"{plan['num_nodes']} nodes")
-            for shard in plan["shards"]:
-                print(f"  shard {shard['shard']}: {shard['owned']} owned")
-            print(f"\nserving {args.requests} requests, scatter groups of "
-                  f"{args.group}, two passes (cold cache, then warm)")
+        total_nodes = sum(r["nodes"] for r in records)
+        compute_mean = (
+            sum(r["compute_s"] for r in records) / len(records)
+            if records else 0.0
+        )
+        print(f"\nattribution: {len(records)} requests, {total_nodes} nodes "
+              f"({mismatched} rung-count mismatches)")
+        for name, served in zip(("cold", "warm"), passes):
+            mix = {
+                rung: sum(r["rungs"].get(rung, 0) for r in served)
+                for rung in RUNGS
+            }
+            print(f"rung mix, {name}    "
+                  + " / ".join(f"{k} {v}" for k, v in mix.items() if v))
+        if args.store:
+            lookups = dict.fromkeys(("hit", "stale", "absent"), 0.0)
+            for series in router.merged_registry().series():
+                if series.name == "serve_store_requests_total":
+                    lookups[series.labels["outcome"]] += series.value
+            print("store lookups     "
+                  + " / ".join(f"{k} {v:.0f}" for k, v in lookups.items()))
+        print(f"compute           {compute_mean * 1e3:.3f} ms "
+              "(mean, critical path)")
 
-            # Every scatter group is one op through the request path (embed):
-            # one trace id with router + shard spans, one attribution record,
-            # and the second pass shows the cold->warm rung shift.
-            nodes = make_trace(
-                dataset.split.test, args.requests,
-                zipf_exponent=args.zipf, rng=args.seed,
-            )
-            starts = range(0, nodes.size, args.group)
-            passes = []
-            for _ in range(2):
-                for start in starts:
-                    router.embed(nodes[start:start + args.group])
-                passes.append(router.attribution_records()[-len(starts):])
+        slo = router.slo_report()
+        print(f"SLO               p50 {slo['p50_s'] * 1e3:.3f} ms, "
+              f"p95 {slo['p95_s'] * 1e3:.3f} ms, "
+              f"p99 {slo['p99_s'] * 1e3:.3f} ms")
+        print(f"                  compliance {slo['compliance'] * 100:.1f}% "
+              f"vs objective {slo['target']['objective'] * 100:.1f}% "
+              f"(burn rate {slo['burn_rate']:.2f})")
 
-            records = passes[0] + passes[1]
-            mismatched = sum(
-                1 for r in records if sum(r["rungs"].values()) != r["nodes"]
-            )
-            total_nodes = sum(r["nodes"] for r in records)
-            compute_mean = (
-                sum(r["compute_s"] for r in records) / len(records)
-                if records else 0.0
-            )
-            print(f"\nattribution: {len(records)} requests, {total_nodes} nodes "
-                  f"({mismatched} rung-count mismatches)")
-            for name, served in zip(("cold", "warm"), passes):
-                mix = {
-                    rung: sum(r["rungs"].get(rung, 0) for r in served)
-                    for rung in RUNGS
-                }
-                print(f"rung mix, {name}    "
-                      + " / ".join(f"{k} {v}" for k, v in mix.items() if v))
-            if args.store:
-                lookups = dict.fromkeys(("hit", "stale", "absent"), 0.0)
-                for series in router.merged_registry().series():
-                    if series.name == "serve_store_requests_total":
-                        lookups[series.labels["outcome"]] += series.value
-                print("store lookups     "
-                      + " / ".join(f"{k} {v:.0f}" for k, v in lookups.items()))
-            print(f"compute           {compute_mean * 1e3:.3f} ms "
-                  "(mean, critical path)")
-
-            slo = router.slo_report()
-            print(f"SLO               p50 {slo['p50_s'] * 1e3:.3f} ms, "
-                  f"p95 {slo['p95_s'] * 1e3:.3f} ms, "
-                  f"p99 {slo['p99_s'] * 1e3:.3f} ms")
-            print(f"                  compliance {slo['compliance'] * 100:.1f}% "
-                  f"vs objective {slo['target']['objective'] * 100:.1f}% "
-                  f"(burn rate {slo['burn_rate']:.2f})")
-
-            events = router.write_dist_trace(args.dist_trace_out)
-            with open(args.dist_trace_out) as handle:
-                pids = {e["pid"] for e in json.load(handle)["traceEvents"]}
-            print(f"\nwrote {events} trace events ({len(pids)} process lanes) "
-                  f"to {args.dist_trace_out}")
-            with open(args.slo_out, "w") as handle:
-                json.dump(slo, handle, indent=2)
-            print(f"wrote SLO report to {args.slo_out}")
-            with open(args.attribution_out, "w") as handle:
-                for record in records:
-                    handle.write(json.dumps(record) + "\n")
-            print(f"wrote {len(records)} attribution records to "
-                  f"{args.attribution_out}")
-            if args.prometheus_out:
-                _write_prometheus(router, args.prometheus_out)
-            _maybe_dump_metrics(args, router)
+        events = router.write_dist_trace(args.dist_trace_out)
+        with open(args.dist_trace_out) as handle:
+            pids = {e["pid"] for e in json.load(handle)["traceEvents"]}
+        print(f"\nwrote {events} trace events ({len(pids)} process lanes) "
+              f"to {args.dist_trace_out}")
+        with open(args.slo_out, "w") as handle:
+            json.dump(slo, handle, indent=2)
+        print(f"wrote SLO report to {args.slo_out}")
+        with open(args.attribution_out, "w") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+        print(f"wrote {len(records)} attribution records to "
+              f"{args.attribution_out}")
+        _dump_metrics(args, router)
     return 1 if mismatched else 0
 
 
 def _cmd_shard_worker(args: argparse.Namespace) -> int:
+    from repro.cluster.fleet import parse_address
     from repro.cluster.net import ShardWorkerServer
 
-    listen = args.listen or "127.0.0.1:0"
-    host, _, port = listen.rpartition(":")
-    if not host:
-        host, port = "127.0.0.1", listen
-    return ShardWorkerServer(host=host, port=int(port)).serve_forever()
+    try:
+        server = ShardWorkerServer(*parse_address(args.listen))
+        server.bind()
+    except (ValueError, OSError) as error:
+        return _refuse(args, f"--listen: {error}")
+    return server.serve_forever()
 
 
 def main(argv=None) -> int:
+    handlers = {
+        "stats": _cmd_stats,
+        "train": _cmd_train,
+        "serve-cluster": _cmd_serve_cluster,
+        "store-build": _cmd_store_build,
+        "shard-worker": _cmd_shard_worker,
+    }
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "command",
-        choices=(
-            "stats", "train", "compare", "serve-cluster", "store-build",
-            "profile", "shard-worker",
-        ),
-    )
+    parser.add_argument("command", choices=handlers)
     parser.add_argument("dataset", nargs="?", default=None,
                         help="acm | dblp | yelp (default: all for stats, acm otherwise)")
-    parser.add_argument("--dataset", dest="dataset_flag", default=None,
-                        help="flag spelling of the positional dataset argument")
     parser.add_argument("--epochs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
@@ -471,20 +380,13 @@ def main(argv=None) -> int:
                              "paper-scale widths make the gemm share visible")
     obs = parser.add_argument_group("observability")
     obs.add_argument("--metrics-out", default=None,
-                     help="dump the metrics registry as JSONL to this path "
-                          "(default for profile: metrics.jsonl)")
-    obs.add_argument("--trace-out", default="trace.json",
-                     help="profile: Chrome trace_event output path")
+                     help="dump the metrics registry as JSONL to this path")
+    obs.add_argument("--trace-out", default=None,
+                     help="train: profile the run and write its Chrome "
+                          "trace_event JSON to this path")
     serve = parser.add_argument_group("serving (serve-cluster)")
     serve.add_argument("--requests", type=int, default=400,
                        help="trace length (nodes to request)")
-    serve.add_argument("--zipf", type=float, default=1.1,
-                       help="Zipf popularity exponent of the node pool")
-    serve.add_argument("--batch-size", type=int, default=16,
-                       help="most cache misses a server computes in one "
-                            "forward")
-    serve.add_argument("--cache-capacity", type=int, default=1024,
-                       help="embedding cache entries")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="expose a live Prometheus /metrics endpoint on "
                             "this port for the run (0 picks a free port)")
@@ -499,7 +401,7 @@ def main(argv=None) -> int:
                          help="shard boundary: inline (engines on the "
                               "caller's thread) or socket (one TCP worker "
                               "process per shard)")
-    cluster.add_argument("--workers", default=None,
+    cluster.add_argument("--workers", default=None, type=lambda text: text.split(","),
                          help="socket transport: comma-separated "
                               "host:port list of pre-started shard-worker "
                               "processes, one per shard (default: spawn "
@@ -527,13 +429,6 @@ def main(argv=None) -> int:
                        help="store-build: materialize from this checkpoint "
                             "instead of training fresh")
     dist = parser.add_argument_group("serve-cluster tracing and SLO")
-    dist.add_argument("--group", type=int, default=8,
-                      help="serve-cluster: nodes per op")
-    dist.add_argument("--slo-threshold", type=float, default=0.050,
-                      help="serve-cluster: SLO latency threshold, seconds")
-    dist.add_argument("--slo-objective", type=float, default=0.99,
-                      help="serve-cluster: fraction of requests that must "
-                           "meet the threshold")
     dist.add_argument("--dist-trace-out", default="dist_trace.json",
                       help="serve-cluster: stitched Chrome/Perfetto trace "
                            "output path")
@@ -543,23 +438,19 @@ def main(argv=None) -> int:
                       help="serve-cluster: per-request attribution JSONL "
                            "output path")
     net = parser.add_argument_group("shard-worker")
-    net.add_argument("--listen", default=None,
+    net.add_argument("--listen", default="127.0.0.1:0",
                      help="shard-worker: host:port to listen on "
                           "(port 0 picks a free port; the bound address "
                           "is announced as 'LISTENING host port')")
     args = parser.parse_args(argv)
-    args.dataset = args.dataset or args.dataset_flag
-    if args.command == "profile" and args.metrics_out is None:
-        args.metrics_out = "metrics.jsonl"
-    handlers = {
-        "stats": _cmd_stats,
-        "train": _cmd_train,
-        "compare": _cmd_compare,
-        "serve-cluster": _cmd_serve_cluster,
-        "store-build": _cmd_store_build,
-        "profile": _cmd_profile,
-        "shard-worker": _cmd_shard_worker,
-    }
+    if args.workers is not None:
+        from repro.cluster.fleet import parse_address
+
+        try:  # every address before any work
+            for address in args.workers:
+                parse_address(address)
+        except ValueError as error:
+            return _refuse(args, f"--workers: {error}")
     return handlers[args.command](args)
 
 

@@ -67,6 +67,7 @@ from repro.serve.cache import WriteClock, state_differences
 
 __all__ = [
     "Fleet",
+    "parse_address",
     "WorkerHandle",
     "LocalWorkerSpawner",
     "ShardRegistry",
@@ -87,6 +88,19 @@ def _inline_engine(args: Dict[str, object]):
 # ----------------------------------------------------------------------
 # Fleet membership: handles, spawner, registry
 # ----------------------------------------------------------------------
+
+
+def parse_address(address: str) -> Tuple[str, int]:
+    """``host:port`` as ``(host, port)``: ``--listen`` and ``--workers``
+    both take this form.  The host must be non-empty and the port a decimal
+    in 0-65535 (0 asks the listener for a free port); anything else raises
+    ``ValueError`` naming the address."""
+    host, _, port = str(address).strip().rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ValueError(
+            f"address {address!r} is not host:port with a port in 0-65535"
+        )
+    return host, int(port)
 
 
 @dataclass
@@ -248,12 +262,9 @@ class ShardRegistry:
         """Static fleet: one ``host:port`` string per shard, in shard order."""
         registry = cls(spawner=None)
         for shard_id, address in enumerate(addresses):
-            host, _, port = str(address).rpartition(":")
-            if not host or not port.isdigit():
-                raise ValueError(
-                    f"worker address {address!r} is not host:port"
-                )
-            registry._handles[shard_id] = WorkerHandle(shard_id, host, int(port))
+            registry._handles[shard_id] = WorkerHandle(
+                shard_id, *parse_address(address)
+            )
         return registry
 
     def shard_ids(self) -> List[int]:

@@ -254,7 +254,8 @@ class OpProfiler:
             registry.counter("op_backward_seconds", op=stat.name).inc(stat.backward_s)
 
     def table(self, limit: Optional[int] = None) -> str:
-        """Human-readable op-time table (the ``repro profile`` output)."""
+        """Human-readable op-time table (what ``repro train --trace-out``
+        prints)."""
         rows = self.summary()
         if limit is not None:
             rows = rows[:limit]

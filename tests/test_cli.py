@@ -35,7 +35,7 @@ class TestCli:
         holds the serving series next to training's."""
         monkeypatch.chdir(tmp_path)  # the three artifacts land in the cwd
         assert main([
-            "serve-cluster", "--dataset", "acm", "--shards", "1",
+            "serve-cluster", "acm", "--shards", "1",
             "--epochs", "1", "--requests", "60", "--scale", "0.5",
             "--metrics-out", "metrics.jsonl",
         ]) == 0
@@ -53,7 +53,7 @@ class TestCli:
     def test_serve_bench_command_is_gone(self, capsys):
         """serve-cluster --shards 1 is the lone server; its twin went."""
         with pytest.raises(SystemExit):
-            main(["serve-bench", "--dataset", "acm"])
+            main(["serve-bench", "acm"])
         assert "'serve-bench'" in capsys.readouterr().err
 
     def test_train_metrics_out_dumps_registry(self, capsys, tmp_path):
@@ -71,20 +71,21 @@ class TestCli:
         assert "train/loss" in names
         assert "train/messages" in names
 
-    def test_profile_writes_trace_and_metrics(self, capsys, tmp_path):
+    def test_train_trace_out_writes_trace_and_metrics(self, capsys, tmp_path):
+        """train --trace-out is the profiled run: the op table on stdout,
+        the Chrome trace, and op_calls beside training's series."""
         trace = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.jsonl"
         assert main([
-            "profile", "acm", "--epochs", "2", "--scale", "0.5",
+            "train", "acm", "--epochs", "2", "--scale", "0.5",
             "--trace-out", str(trace), "--metrics-out", str(metrics),
         ]) == 0
         out = capsys.readouterr().out
-        for marker in ("op-level profile", "matmul", "per-epoch training series",
-                       "wide msgs", "KL fires"):
-            assert marker in out, f"profile output missing {marker!r}"
+        for marker in ("op-level profile", "matmul", "micro-F1"):
+            assert marker in out, f"train --trace-out output missing {marker!r}"
         payload = json.loads(trace.read_text())
         events = payload["traceEvents"]
-        assert events, "profile wrote an empty Chrome trace"
+        assert events, "train --trace-out wrote an empty Chrome trace"
         assert all(event["ph"] == "X" for event in events)
         span_names = {event["name"] for event in events}
         for expected in ("trainer.epoch", "trainer.batch", "widen.forward",
@@ -103,6 +104,23 @@ class TestCli:
 
         assert tensor_module.get_profiler() is None
         assert not hasattr(ops.matmul, "__wrapped__")
+
+    def test_train_trace_out_refuses_a_fleet(self, capsys, monkeypatch):
+        """A fleet has no trace lanes: --trace-out with --shards is one
+        error line and exit 2, before any training."""
+        from repro.core import WidenClassifier
+
+        fits = []
+        monkeypatch.setattr(
+            WidenClassifier, "fit", lambda *args, **kwargs: fits.append(args)
+        )
+        assert main([
+            "train", "acm", "--shards", "2", "--trace-out", "trace.json",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro train: error: --trace-out")
+        assert fits == []
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -129,6 +147,74 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["trace", "--smoke"])
         assert "'trace'" in capsys.readouterr().err
+
+    def test_profile_command_is_gone(self, capsys):
+        """train --trace-out is the profiled run; its twin command went."""
+        with pytest.raises(SystemExit):
+            main(["profile", "acm"])
+        assert "'profile'" in capsys.readouterr().err
+
+    def test_compare_command_is_gone(self, capsys):
+        """benchmarks/bench_table2_transductive.py measures Table 2."""
+        with pytest.raises(SystemExit):
+            main(["compare", "acm"])
+        assert "'compare'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [
+        ("group", "4"), ("zipf", "1.2"), ("batch-size", "8"),
+        ("cache-capacity", "64"), ("slo-threshold", "0.1"),
+        ("slo-objective", "0.9"), ("dataset", "acm"),
+    ])
+    def test_removed_flags_are_refused(self, capsys, name, value):
+        """serve-cluster sends 8-node ops to servers and an SLO monitor on
+        the library's defaults; the dataset is the positional argument."""
+        with pytest.raises(SystemExit):
+            main(["serve-cluster", "acm", f"--{name}", value])
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+
+
+class TestAddresses:
+    """--listen and --workers take host:port, a port in 0-65535; a bad one
+    is one error line and exit 2 before any work."""
+
+    @pytest.mark.parametrize("listen", ["127.0.0.1:abc", "127.0.0.1:99999", "8080"])
+    def test_shard_worker_refuses_a_bad_listen_address(self, capsys, listen):
+        assert main(["shard-worker", "--listen", listen]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro shard-worker: error: --listen: ")
+        assert repr(listen) in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("serve-cluster", []), ("train", ["--shards", "2"]),
+    ])
+    def test_workers_are_checked_before_training(
+        self, capsys, monkeypatch, command, extra
+    ):
+        from repro.core import WidenClassifier
+
+        fits = []
+        monkeypatch.setattr(
+            WidenClassifier, "fit", lambda *args, **kwargs: fits.append(args)
+        )
+        assert main([
+            command, "acm", "--transport", "socket",
+            "--workers", "127.0.0.1:7001,127.0.0.1:abc", *extra,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {command}: error: --workers: ")
+        assert "'127.0.0.1:abc'" in err
+        assert fits == []
+
+    def test_parse_address(self):
+        from repro.cluster.fleet import parse_address
+
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_address("worker-3.local:65535") == ("worker-3.local", 65535)
+        for bad in ("127.0.0.1:65536", "127.0.0.1:", ":80", "80", "h:-1", "h:²"):
+            with pytest.raises(ValueError, match="is not host:port"):
+                parse_address(bad)
 
 
 class TestServeClusterCli:
@@ -158,9 +244,17 @@ class TestServeClusterCli:
         assert all(sum(r["rungs"].values()) == r["nodes"] for r in records)
         slo = json.loads((tmp_path / "slo_report.json").read_text())
         assert slo["window_count"] == 12
+        for key in ("target", "window_count", "compliance", "burn_rate",
+                    "p50_s", "p95_s", "p99_s", "slow_requests"):
+            assert key in slo, f"SLO report missing {key}"
         events = json.loads((tmp_path / "dist_trace.json").read_text())
         assert len({e["pid"] for e in events["traceEvents"] if e["ph"] == "X"}) >= 2
-        assert 'shard="1"' in (tmp_path / "cluster.prom").read_text()
+        assert any(e["name"].startswith("shard.") for e in events["traceEvents"])
+        prom = (tmp_path / "cluster.prom").read_text()
+        assert 'shard="1"' in prom
+        for shard in ("0", "1"):
+            # Each worker process reports its own peak resident set.
+            assert f'process_peak_resident_bytes{{shard="{shard}"}}' in prom, shard
 
     def test_failed_replay_leaks_nothing(self, monkeypatch, tmp_path):
         """An exception mid-run still takes the socket worker processes
@@ -216,7 +310,7 @@ class TestStoreCli:
         # digest, and the cold pass reads rows from it.
         monkeypatch.chdir(tmp_path)
         assert main([
-            "serve-cluster", "--dataset", "acm", "--shards", "1", "--scale",
+            "serve-cluster", "acm", "--shards", "1", "--scale",
             "0.3", "--epochs", "1", "--requests", "40", "--store", str(store_dir),
         ]) == 0
         printed = capsys.readouterr().out

@@ -247,6 +247,15 @@ RETIRED = [
         "a submit time counted the op's own earlier chunks, not load",
         (),
     ),
+    (
+        r"_cmd_profile|_cmd_compare|dataset_flag"
+        r"|args\.(group|zipf|batch_size|cache_capacity|slo_threshold|slo_objective)\b",
+        56,
+        "the CLI runs the system: train --trace-out is the profiled run, "
+        "bench_table2_transductive.py measures Table 2, and serve-cluster sends "
+        "8-node ops to servers and an SLO monitor on the library's defaults",
+        (),
+    ),
 ]
 
 TESTS = SRC.parents[1] / "tests"
