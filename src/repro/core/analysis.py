@@ -37,7 +37,7 @@ def edge_type_attention_profile(
     trainer.model.eval()
     with no_grad():
         _, wide_attention, _ = trainer.model.forward_batch(
-            batch, graph, trainer.node_state
+            batch, graph, trainer.node_state, counters=trainer.pack_counters
         )
     trainer.model.train()
     if wide_attention is None:

@@ -23,7 +23,7 @@ from repro.baselines.common import BaseClassifier
 from repro.codec import ProtocolError, Record, decode, publish, read_record
 from repro.core.config import WidenConfig
 from repro.core.model import HALF_FORWARD_GONE, WidenModel
-from repro.core.state import NeighborStateStore
+from repro.core.state import NeighborStateStore, NeighborTable
 from repro.core.trainer import WidenTrainer
 from repro.graph import HeteroGraph
 from repro.tensor import no_grad
@@ -159,9 +159,10 @@ class WidenClassifier(BaseClassifier):
         return self.trainer.predict(embeddings)[:count]
 
     def _sample_for_serving(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
-        """Fresh samples, row ``i`` keyed ``(seed, nodes[i])``, plus their
-        read sets ``(B, 1 + Φ·N_d)``."""
+        """Fresh samples of ``nodes[_at_least_two(B)]`` keyed ``(seed, node)``,
+        in a table of exactly those rows, plus the ``B`` read sets."""
         config = self.config
+        rows = _at_least_two(nodes.size)
         store = NeighborStateStore(
             graph,
             num_wide=config.num_wide,
@@ -169,10 +170,16 @@ class WidenClassifier(BaseClassifier):
             num_deep_walks=config.num_deep_walks,
             rng=seed,
         )
-        store.sample_fresh(nodes)
-        return store.table, store.table.read_sets()
+        store.table = NeighborTable(
+            config.num_wide, config.num_deep, config.num_deep_walks,
+            capacity=rows.size,
+        )
+        store.sample_fresh(nodes[rows])
+        return store.table, store.table.read_sets()[: nodes.size]
 
-    def embed_for_serving_batch(self, nodes: np.ndarray, graph: HeteroGraph, seed: int):
+    def embed_for_serving_batch(
+        self, nodes: np.ndarray, graph: HeteroGraph, seed: int, counters=None
+    ):
         """Batched identity-free serving compute (the server's cold path).
 
         Each node's neighborhoods are keyed by ``(seed, node)``, so every
@@ -181,7 +188,10 @@ class WidenClassifier(BaseClassifier):
         that node alone — responses stay independent of batch composition —
         while the sampling is one array pass and all the forwards run
         through one vectorized
-        :meth:`~repro.core.model.WidenModel.forward_batch` call.
+        :meth:`~repro.core.model.WidenModel.forward_batch` call, in eval
+        mode: serving sets it here and leaves it so (training sets its own
+        mode at every step).  ``counters`` are the caller's bound
+        :class:`~repro.core.packing.PackCounters`.
 
         Returns ``(embeddings, reads)``: row ``i`` of ``reads`` is node
         ``i``'s read set (:meth:`NeighborTable.read_sets`).  A classifier
@@ -194,18 +204,13 @@ class WidenClassifier(BaseClassifier):
             raise ValueError(reason)
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
-            embeddings, reads = np.empty((0, self.config.dim)), None
-        else:
-            table, reads = self._sample_for_serving(nodes, graph, seed)
-            model = self.trainer.model
-            model.eval()
-            with no_grad():
-                embeddings, _, _ = model.forward_batch(
-                    table.take(_at_least_two(nodes.size)), graph
-                )
-            model.train()
-            embeddings = embeddings.data[: nodes.size]
-        return embeddings, reads
+            return np.empty((0, self.config.dim)), None
+        model = self.trainer.model
+        model.eval()
+        table, reads = self._sample_for_serving(nodes, graph, seed)
+        with no_grad():
+            embeddings, _, _ = model.forward_batch(table, graph, counters=counters)
+        return embeddings.data[: nodes.size], reads
 
     # ------------------------------------------------------------------
     # Materialized-answer hooks (repro.store)

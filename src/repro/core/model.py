@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import WidenConfig
-from repro.core.packing import AttentionGrid, PackedBatch, pack_batch
+from repro.core.packing import AttentionGrid, PackCounters, PackedBatch, pack_batch
 from repro.core.relay import EdgeSpecLike, RelayRecipe
 from repro.core.state import NeighborState, NeighborTable
 from repro.graph import HeteroGraph
@@ -413,6 +413,7 @@ class WidenModel(Module):
         batch: NeighborTable,
         graph: HeteroGraph,
         node_state: Optional[np.ndarray] = None,
+        counters: Optional[PackCounters] = None,
     ) -> Tuple[Tensor, Optional[AttentionGrid], Optional[AttentionGrid]]:
         """Vectorized ``forward`` over the ``B`` rows of ``batch`` at once.
 
@@ -437,7 +438,7 @@ class WidenModel(Module):
         :class:`~repro.core.packing.AttentionGrid` of the ``B`` wide sets
         and of the ``B·Φ`` walks (target-major) — row ``s`` trimmed to
         ``lengths[s]`` is what ``forward`` returns for that set — or
-        ``None`` for an ablated side.
+        ``None`` for an ablated side.  ``counters`` go to :func:`pack_batch`.
         """
         pack = pack_batch(
             batch,
@@ -445,6 +446,7 @@ class WidenModel(Module):
             self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
+            counters=counters,
         )
         with trace_span("widen.forward", batch=pack.batch_size):
             wide_packs, deep_packs = self._assemble(pack, graph, node_state)

@@ -41,7 +41,7 @@ from repro.core.config import WidenConfig
 from repro.core.relay import RelayRecipe
 from repro.core.state import NeighborTable
 from repro.graph import HeteroGraph
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 _NEG_INF = float("-inf")
 
@@ -133,22 +133,30 @@ class AttentionGrid(NamedTuple):
         ]
 
 
-def _observe_padding(path: str, lengths: np.ndarray, width: int) -> None:
-    """Export the padding-waste share of a pack's ``[B, L_max]`` grid.
+class PackCounters:
+    """One registry's pack instruments, looked up once by whoever packs (a
+    trainer, a server's telemetry), so a shard counts into the registry its
+    fleet merges.  ``pack_padding_waste{path}`` is the padding share of the
+    last ``[B, L_max]`` grid; ``pack_slots_total{path, kind}`` adds up the
+    valid and the padding slots materialized."""
 
-    ``pack_padding_waste`` is the fraction of grid slots that are padding
-    for this batch's geometry; the ``pack_slots_total`` counters add up the
-    valid and the padding slots materialized.
-    """
-    registry = get_registry()
-    slots = int(lengths.shape[0]) * int(width)
-    used = int(lengths.sum())
-    waste = 0.0 if slots == 0 else 1.0 - used / slots
-    registry.gauge("pack_padding_waste", path=path).set(waste)
-    registry.counter("pack_slots_total", path=path, kind="valid").inc(used)
-    registry.counter("pack_slots_total", path=path, kind="padding").inc(
-        slots - used
-    )
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._paths = {
+            path: (
+                registry.gauge("pack_padding_waste", path=path),
+                registry.counter("pack_slots_total", path=path, kind="valid"),
+                registry.counter("pack_slots_total", path=path, kind="padding"),
+            )
+            for path in ("wide", "deep")
+        }
+
+    def observe(self, path: str, lengths: np.ndarray, width: int) -> None:
+        waste, valid, padding = self._paths[path]
+        slots = int(lengths.shape[0]) * int(width)
+        used = int(lengths.sum())
+        waste.set(0.0 if slots == 0 else 1.0 - used / slots)
+        valid.inc(used)
+        padding.inc(slots - used)
 
 
 @dataclass
@@ -203,6 +211,7 @@ def pack_batch(
     config: WidenConfig,
     pack_dropout=None,
     hidden_dropout=None,
+    counters: Optional[PackCounters] = None,
 ) -> PackedBatch:
     """Assemble the index arrays and masks for the ``B`` rows of ``batch``.
 
@@ -214,11 +223,14 @@ def pack_batch(
     modules (or ``None``); each is drawn from once, and because
     ``Generator.random`` fills in C order that one draw is the per-node
     draws back to back, so training stays bit-identical with the reference
-    path.
+    path.  ``counters`` are the packer's bound instruments; without them the
+    pack is counted in the process-wide registry.
     """
     size = len(batch)
     if size == 0:
         raise ValueError("pack_batch requires at least one target")
+    if counters is None:
+        counters = PackCounters(get_registry())
     d = config.dim
     num_walks = batch.num_walks
     loop_types = graph.self_loop_types(batch.targets)
@@ -269,7 +281,7 @@ def pack_batch(
         pack.wide_lengths = batch.wide_len + 1
         wide_width = pack.wide_index.shape[1]
         used += int(pack.wide_lengths.sum())
-        _observe_padding("wide", pack.wide_lengths, wide_width)
+        counters.observe("wide", pack.wide_lengths, wide_width)
         pack.wide_valid, pack.wide_attn_mask = pad_block_masks(
             pack.wide_lengths, wide_width
         )
@@ -282,7 +294,7 @@ def pack_batch(
         pack.deep_lengths = batch.deep_len.reshape(-1) + 1
         deep_width = pack.deep_index.shape[1]
         used += int(pack.deep_lengths.sum())
-        _observe_padding("deep", pack.deep_lengths, deep_width)
+        counters.observe("deep", pack.deep_lengths, deep_width)
         pack.deep_valid, pack.deep_attn_mask = pad_block_masks(
             pack.deep_lengths, deep_width
         )

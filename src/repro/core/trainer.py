@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.config import WidenConfig
 from repro.core.model import WidenModel
 from repro.core.objectives import Classification, Objective
-from repro.core.packing import AttentionGrid
+from repro.core.packing import AttentionGrid, PackCounters
 from repro.core.relay import prune_deep, shrink_wide
 from repro.core.state import NeighborStateStore, NeighborTable
 from repro.core.train_loop import LocalTrainClient, TrainHistory, TrainLoop
@@ -161,6 +161,7 @@ class WidenTrainer:
             "train_attention_entropy", path="deep"
         )
         self._kl_hist = self.registry.histogram("train_kl_divergence")
+        self.pack_counters = PackCounters(self.registry)
 
     def set_registry(self, registry: MetricsRegistry) -> None:
         """Repoint per-epoch series and hot-path instruments at ``registry``.
@@ -256,6 +257,7 @@ class WidenTrainer:
             raise RuntimeError("run_microbatch called before epoch_begin")
         if update is not None:
             self.apply_update(*update)
+        self.model.train()  # inference since the last step left eval mode
         batch = self._schedule[int(start) : int(start) + self.config.batch_size]
         if self._owned_lookup is not None:
             batch = batch[self._owned_lookup[batch]]
@@ -420,7 +422,7 @@ class WidenTrainer:
             chunk = node_ids[start : start + batch_size]
             rows = store.rows_for(chunk)
             embeddings, wide_att, deep_att = self.model.forward_batch(
-                store.table.take(rows), graph, node_state
+                store.table.take(rows), graph, node_state, counters=self.pack_counters
             )
             if replace:
                 node_state[chunk] = embeddings.data

@@ -81,22 +81,25 @@ def random_walk_batch(
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     starts = np.asarray(starts, np.int64)
-    walkers = np.arange(starts.size * num_walks)
+    count = starts.size * num_walks
     # Step-major, (step, start, walk): what the walkers draw, and where
     # they write, at one step is one contiguous row.
-    nodes = np.zeros((length, walkers.size), np.int64)
-    edge_types = np.zeros((length, walkers.size), np.int64)
-    lengths = np.full(walkers.size, length)
+    nodes = np.zeros((length, count), np.int64)
+    edge_types = np.zeros((length, count), np.int64)
+    lengths = np.full(count, length)
     fractions = keyed_fractions(
         seed,
         starts[:, np.newaxis],
         np.arange(length)[:, np.newaxis, np.newaxis] + np.arange(num_walks) * length,
-    ).reshape(length, walkers.size)
+    ).reshape(length, count)
     current = np.repeat(starts, num_walks)
+    # A whole-row slice until the first walker drops out: no gather needed.
+    walkers = slice(None)
     for step in range(length):
         begin, degree = graph.extents(current)
         if np.count_nonzero(degree) < degree.size:
             alive = degree > 0
+            walkers = np.arange(count)[walkers]
             lengths[walkers[~alive]] = step
             walkers, begin, degree = walkers[alive], begin[alive], degree[alive]
             if walkers.size == 0:

@@ -82,7 +82,7 @@ class QueryAttention(Module):
         """
         if values is None:
             values = keys
-        if keys.ndim == 3:
+        if keys.data.ndim == 3:
             return F.query_attend(
                 query, keys, values, self.w_query, self.w_key, self.w_value, mask=mask
             )
@@ -120,7 +120,7 @@ class SelfAttention(Module):
         padded rows conventionally attend to themselves — or the softmax
         sees an all ``-inf`` row.
         """
-        if packs.ndim == 3:
+        if packs.data.ndim == 3:
             return F.self_attend(
                 packs, self.w_query, self.w_key, self.w_value, mask=mask
             )

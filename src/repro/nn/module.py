@@ -53,14 +53,16 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [param for _, param in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-        for children in self._module_lists.values():
-            for child in children:
-                yield from child.modules()
+    def modules(self) -> List["Module"]:
+        """This module and every submodule, breadth first, in one frame."""
+        found: List["Module"] = [self]
+        for module in found:  # grows as it is read
+            for value in vars(module).values():
+                if isinstance(value, Module):
+                    found.append(value)
+            for group in module._module_lists.values():
+                found.extend(group)
+        return found
 
     def register_modules(self, name: str, modules: List["Module"]) -> List["Module"]:
         """Register a list of submodules under ``name`` (like ``ModuleList``)."""

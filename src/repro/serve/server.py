@@ -356,7 +356,7 @@ class InferenceServer:
         if self.store is not None:
             return self._compute_embeddings_with_store(nodes_arr)
         embeddings, reads = self.classifier.embed_for_serving_batch(
-            nodes_arr, self.graph, self.seed
+            nodes_arr, self.graph, self.seed, self.telemetry.pack_counters
         )
         return embeddings, ["recompute"] * len(nodes), reads
 
@@ -387,7 +387,7 @@ class InferenceServer:
         if not fresh.all():
             stale = ~fresh
             embeddings[stale], reads[stale] = self.classifier.embed_for_serving_batch(
-                nodes_arr[stale], self.graph, self.seed
+                nodes_arr[stale], self.graph, self.seed, self.telemetry.pack_counters
             )
             store.refresh(
                 nodes_arr[stale], self.freshness.clock, embeddings[stale], reads[stale]

@@ -27,6 +27,7 @@ from typing import List
 
 import numpy as np
 
+from repro.core.packing import PackCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import RUNGS
 
@@ -84,6 +85,8 @@ class Telemetry:
             )
             for outcome in ("hit", "stale", "absent")
         }
+        # The cold path's packs, counted where this server's series are.
+        self.pack_counters = PackCounters(registry)
 
     def __len__(self) -> int:
         """Rows in the table: requests opened since the last restart."""

@@ -307,7 +307,7 @@ def self_attend(packs, w_query, w_key, w_value, mask: Optional[np.ndarray] = Non
     d = grid[-1]
     scale = np.sqrt(d)
     flat_packs = packs.data.reshape(-1, d)
-    q, k, v = (_project_rows(flat_packs, w.data).reshape(grid) for w in weights_in)
+    q, k, v = [_project_rows(flat_packs, w.data).reshape(grid) for w in weights_in]
     weights = _softmax_forward(np.matmul(q, k.swapaxes(1, 2)), -1, scale, mask)
     out_data = np.matmul(weights, v)
 

@@ -22,6 +22,7 @@ import numpy as np
 
 Number = Union[int, float, np.floating, np.integer]
 TensorLike = Union["Tensor", Number, np.ndarray, Sequence]
+_FLOAT64 = np.dtype(np.float64)
 
 
 class _GradMode(threading.local):
@@ -139,11 +140,19 @@ class Tensor:
         ``backward`` receives the gradient of the loss w.r.t. this result and
         must accumulate into each parent via :meth:`accumulate_grad`.  The
         graph edge is only recorded when grad mode is on and at least one
-        parent requires grad.
+        parent requires grad; under ``no_grad`` without a profiler the
+        parents are not looked at.  A float64 ndarray (nearly every op's
+        result) is adopted without ``__init__``'s ``asarray``/``astype``.
         """
-        parents = tuple(parents)
+        if _GRAD_MODE.enabled or _PROFILER is not None:
+            parents = tuple(parents)
         needs_grad = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs_grad, name=name)
+        if type(data) is np.ndarray and data.dtype is _FLOAT64:
+            out = Tensor.__new__(Tensor)
+            out.data, out.requires_grad, out.grad, out.name = data, needs_grad, None, name
+            out._parents, out._backward = (), None
+        else:
+            out = Tensor(data, requires_grad=needs_grad, name=name)
         if needs_grad:
             out._parents = parents
             out._backward = backward

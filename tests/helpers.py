@@ -166,7 +166,8 @@ def use_per_node_forward(monkeypatch, model) -> None:
     per-minibatch table semantics DESIGN.md keeps.
     """
 
-    def forward_batch(batch, graph, node_state=None):
+    def forward_batch(batch, graph, node_state=None, counters=None):
+        # The per-node reference packs nothing, so it counts no slots.
         outputs = [
             model.forward(state.wide.target, state, graph, node_state)
             for state in batch.records()

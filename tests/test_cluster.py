@@ -445,6 +445,44 @@ class TestClusterTelemetry:
         text = out.read_text()
         assert 'shard="1"' in text
 
+    def test_pack_slots_reach_the_merged_registry_per_shard(
+        self, checkpoint, monkeypatch
+    ):
+        """Each shard counts the slots it packs in its own registry, so the
+        merged registry's shard-labelled ``pack_slots_total`` sums to what
+        the shards packed."""
+        import repro.core.model as model_module
+
+        packed = {"valid": 0, "padding": 0}
+        pack_batch = model_module.pack_batch
+
+        def counted(*args, **kwargs):
+            pack = pack_batch(*args, **kwargs)
+            for valid in (pack.wide_valid, pack.deep_valid):
+                packed["valid"] += int(valid.sum())
+                packed["padding"] += int(valid.size - valid.sum())
+            return pack
+
+        monkeypatch.setattr(model_module, "pack_batch", counted)
+        with fresh_router(checkpoint, 2) as router:
+            router.classify(np.arange(40))
+            merged = router.merged_registry()
+        for kind, total in packed.items():
+            per_shard = [
+                sum(
+                    merged.get(
+                        "pack_slots_total", path=path, kind=kind, shard=str(shard)
+                    ).value
+                    for path in ("wide", "deep")
+                )
+                for shard in (0, 1)
+            ]
+            assert sum(per_shard) == total
+        assert packed["valid"] > 0
+        assert 'pack_slots_total{kind="valid",path="wide",shard="1"}' in (
+            merged.render_prometheus()
+        )
+
     def test_summary_counts_match_routing(self, checkpoint):
         with fresh_router(checkpoint, 4) as router:
             probe = np.arange(12)

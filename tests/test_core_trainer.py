@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import WidenConfig, WidenModel, WidenTrainer
+from repro.core import WidenClassifier, WidenConfig, WidenModel, WidenTrainer
 from repro.core.state import NeighborStateStore
 from repro.datasets import make_acm, make_inductive_split
 
@@ -74,6 +74,48 @@ class TestTraining:
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
         assert trainer.model.training  # restored to train mode
+
+
+class TestModeHandOff:
+    """Serving sets eval mode and leaves it; every training step sets train
+    mode.  Both directions are pinned, with dropout on."""
+
+    def _classifier(self, dataset):
+        model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=5, batch_size=16)
+        model.fit(dataset.graph, dataset.split.train[:48], 1)
+        return model
+
+    def test_serving_between_steps_leaves_training_bit_identical(self, dataset):
+        def two_steps(serve_between):
+            model = self._classifier(dataset)
+            trainer = model.trainer
+            trainer.epoch_begin(dataset.split.train[:48])
+            trainer.run_microbatch(0)
+            trainer.apply_update()
+            if serve_between:
+                model.embed_for_serving_batch(dataset.split.test[:5], dataset.graph, 3)
+            trainer.run_microbatch(16)
+            trainer.apply_update()
+            return model.model.state_dict(), trainer.rng_state()
+
+        assert self._classifier(dataset).config.dropout > 0
+        plain, served = two_steps(False), two_steps(True)
+        for name in plain[0]:
+            np.testing.assert_array_equal(plain[0][name], served[0][name])
+        assert plain[1] == served[1]
+
+    def test_serving_answer_ignores_the_mode_it_found(self, dataset):
+        model = self._classifier(dataset)
+        nodes, graph = dataset.split.test[:5], dataset.graph
+        answers = []
+        for set_mode in (model.model.train, model.model.eval, model.model.train):
+            set_mode()
+            embeddings, reads = model.embed_for_serving_batch(nodes, graph, 3)
+            answers.append((embeddings, reads))
+            assert not any(module.training for module in model.model.modules())
+        for embeddings, reads in answers[1:]:
+            np.testing.assert_array_equal(embeddings, answers[0][0])
+            np.testing.assert_array_equal(reads, answers[0][1])
 
 
 class TestInductive:

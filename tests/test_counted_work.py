@@ -39,13 +39,14 @@ SLACK = 0.02
 MEASURED = {
     "cache_hit_1": 21,
     "cache_hit_16": 96,
-    "store_hit_1": 54,
-    "store_hit_16": 158,
-    "recompute_1": 348,
-    "recompute_16": 456,
-    "router_store_16": 345,
-    "train_step": 426,
-    "train_epoch": 4338,
+    "store_hit_1": 53,
+    "store_hit_16": 157,
+    "recompute_1": 229,
+    "recompute_8": 282,
+    "recompute_16": 337,
+    "router_store_16": 343,
+    "train_step": 366,
+    "train_epoch": 3710,
 }
 
 
@@ -114,6 +115,15 @@ def test_single_server_op(served, rung, size):
     """One ``embed`` op answered wholly by ``rung``: a cache hit on a warm
     server, else a miss (cache emptied first) that the store or the
     recompute path answers."""
+    _assert_single_server_op(served, rung, size)
+
+
+def test_recompute_chunk_of_a_two_shard_read(served):
+    """The 8 nodes one shard recomputes of serve_recompute's 16-node read."""
+    _assert_single_server_op(served, "recompute", 8)
+
+
+def _assert_single_server_op(served, rung, size):
     checkpoint, store, probe = served
     nodes = probe[:size]
     server = _server(checkpoint, store if rung == "store" else None)
